@@ -19,7 +19,7 @@ import (
 	"testing"
 
 	"ceal/internal/collector"
-	"ceal/internal/emews"
+	"ceal/internal/dispatch"
 	"ceal/internal/metrics"
 	"ceal/internal/ml/xgb"
 	"ceal/internal/paperexp"
@@ -334,14 +334,14 @@ func BenchmarkCollectorCache(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			// A fresh collector per iteration: every config is a miss.
-			c := collector.New(eval, &emews.Runner{Workers: 8, MaxRetries: 3})
+			c := collector.New(dispatch.NewLocal(eval, dispatch.NewRunner(8)))
 			if _, err := c.MeasureWorkflows(ctx, batch); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		c := collector.New(eval, &emews.Runner{Workers: 8, MaxRetries: 3})
+		c := collector.New(dispatch.NewLocal(eval, dispatch.NewRunner(8)))
 		if _, err := c.MeasureWorkflows(ctx, batch); err != nil {
 			b.Fatal(err)
 		}

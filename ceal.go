@@ -33,7 +33,6 @@ import (
 	"ceal/internal/collector"
 	"ceal/internal/live"
 	"ceal/internal/paperexp"
-	"ceal/internal/service"
 	"ceal/internal/tuner"
 	"ceal/internal/tuner/events"
 	"ceal/internal/workflow"
@@ -58,16 +57,10 @@ type (
 	Measurement = workflow.Measurement
 	// Problem is a fully specified auto-tuning task.
 	Problem = tuner.Problem
-	// Result is an auto-tuning outcome.
-	Result = tuner.Result
-	// Sample is one measured configuration.
-	Sample = tuner.Sample
 	// Algorithm is an auto-tuning algorithm under a measurement budget.
 	Algorithm = tuner.Algorithm
 	// Objective selects the optimization metric.
 	Objective = paperexp.Objective
-	// GroundTruth is a pre-measured experiment dataset.
-	GroundTruth = paperexp.GroundTruth
 	// Component is one configured component application instance.
 	Component = apps.Component
 	// Layout is a component's process layout (procs, ppn, threads).
@@ -83,11 +76,6 @@ type (
 	// and a worker pool. Obtain a problem's collector with
 	// Problem.Collector(); inspect cache behaviour with Collector.Stats().
 	Collector = collector.Collector
-	// Stats is a snapshot of a Collector's hit/miss/retry counters.
-	Stats = collector.Stats
-	// Evaluator measures configurations (implemented by LiveEvaluator and
-	// the experiment harness's ground-truth lookup).
-	Evaluator = collector.Evaluator
 	// Event is one step of a tuning run's structured trace (see the
 	// concrete types in internal/tuner/events: RunStarted, BatchSelected,
 	// BatchMeasured, ModelTrained, SwitchDecision, BiasEscape,
@@ -97,45 +85,9 @@ type (
 	// Problem.Observer; nil (the default) is a zero-cost no-op and never
 	// changes results.
 	Observer = events.Observer
-	// Recorder is an Observer that retains every event in arrival order.
-	Recorder = events.Recorder
 	// JSONLWriter is an Observer that streams events as JSON lines
 	// (cmd/ceal-tune's -trace format).
 	JSONLWriter = events.JSONLWriter
-	// JobSpec is a tuning job submitted to the serving layer (cmd/ceal-serve's
-	// POST /v1/runs body): benchmark, algorithm, objective, budget, pool, seed.
-	JobSpec = service.JobSpec
-	// RunRecord is the serving layer's view of one submitted job: spec,
-	// lifecycle state, result and persisted event trace.
-	RunRecord = service.RunRecord
-	// RunState is a RunRecord's lifecycle state (queued, running, done,
-	// failed, cancelled).
-	RunState = service.RunState
-	// Store persists finished tuning runs — the queryable history database
-	// (internal/histdb) behind the serving layer and warm starts (see
-	// service.NewMemStore / service.OpenFileStore).
-	Store = service.Store
-	// WarmStart carries prior-run measurements into a new run: workflow
-	// samples seed the Phase-2 surrogate, component samples feed Phase-1.
-	// Attach via Problem.Warm, or assemble one from a Store with
-	// WarmFromHistory.
-	WarmStart = tuner.WarmStart
-	// Continuous is the online-retuning driver: tune once through a
-	// time-varying (drift) environment, then monitor the incumbent and
-	// retune on confirmed platform drift. Assemble one with NewContinuous.
-	Continuous = tuner.Continuous
-	// ContinuousOptions tunes a Continuous run's monitoring cadence,
-	// drift detector, and re-exploration budget.
-	ContinuousOptions = tuner.ContinuousOptions
-	// ContinuousResult is a Continuous run's outcome: probe/retune counts,
-	// reconvergence epochs, and time-weighted cumulative regret.
-	ContinuousResult = tuner.ContinuousResult
-	// Load is an instantaneous platform condition (fabric, PFS, and
-	// memory-bandwidth contention, compute slowdown, latency inflation).
-	Load = cluster.Load
-	// LoadProfile reports the platform condition as a deterministic
-	// function of virtual time — the drift a Continuous run experiences.
-	LoadProfile = cluster.Profile
 )
 
 // WarmFromHistory assembles transfer-learning data for a spec from the
@@ -148,8 +100,6 @@ var WarmFromHistory = live.WarmFromHistory
 var (
 	// NewParam returns an integer parameter with stride 1.
 	NewParam = cfgspace.NewParam
-	// NewSteppedParam returns an integer parameter with a custom stride.
-	NewSteppedParam = cfgspace.NewSteppedParam
 	// ConcatSpaces builds a workflow space from component subspaces and an
 	// optional joint constraint.
 	ConcatSpaces = cfgspace.Concat
@@ -194,51 +144,21 @@ func BenchmarkByName(m Machine, name string) (*Benchmark, error) {
 	return workflow.ByName(m, name)
 }
 
-// Algorithm constructors (defaults tuned per DESIGN.md).
-var (
-	// NewCEAL returns the paper's Component-based Ensemble Active Learning.
-	NewCEAL = tuner.NewCEAL
-	// NewAL returns batch active learning.
-	NewAL = tuner.NewAL
-	// NewGEIST returns the graph-guided semi-supervised sampler.
-	NewGEIST = tuner.NewGEIST
-	// NewALpH returns active learning over a learned combining model.
-	NewALpH = tuner.NewALpH
-	// NewBO returns the Bayesian-optimization extension.
-	NewBO = tuner.NewBO
-	// NewHyBoost returns the residual-boosting white+black ensemble.
-	NewHyBoost = tuner.NewHyBoost
-	// NewKNNSelect returns the per-query model-selection ensemble.
-	NewKNNSelect = tuner.NewKNNSelect
-)
-
-// NewRS returns the random-sampling baseline.
-func NewRS() Algorithm { return tuner.RS{} }
+// NewCEAL returns the paper's Component-based Ensemble Active Learning
+// (defaults tuned per DESIGN.md); the baselines and extensions come from
+// AlgorithmByName.
+var NewCEAL = tuner.NewCEAL
 
 // AlgorithmByName maps a name (rs, al, geist, alph, ceal, bo, hyboost,
 // knnselect) to a fresh algorithm instance with default options.
 func AlgorithmByName(name string) (Algorithm, error) { return live.AlgorithmByName(name) }
-
-// ObjectiveByName maps a short objective name (exec, comp, energy) to its
-// Objective.
-func ObjectiveByName(name string) (Objective, error) { return live.ParseObjective(name) }
-
-// ProfileNames lists the built-in platform drift profiles (none, step,
-// ramp, periodic, neighbor, nodeslow).
-func ProfileNames() []string { return cluster.ProfileNames() }
-
-// ParseProfile builds a named drift profile with onsets and magnitudes
-// jittered deterministically from seed.
-func ParseProfile(name string, seed uint64) (LoadProfile, error) {
-	return cluster.ParseProfile(name, seed)
-}
 
 // NewContinuous assembles a continuous (online-retuning) run over a
 // benchmark: per-epoch problems built exactly like NewProblem, a drift
 // environment following the named load profile along a virtual clock, and
 // regret accounting against the pool's per-condition best. Set Algorithm
 // (e.g. NewCEAL()) and optionally adjust Opts before calling Run.
-func NewContinuous(b *Benchmark, obj Objective, poolSize int, seed uint64, profile string, workers int) (*Continuous, error) {
+func NewContinuous(b *Benchmark, obj Objective, poolSize int, seed uint64, profile string, workers int) (*tuner.Continuous, error) {
 	return live.NewContinuous(b, obj, poolSize, seed, profile, workers)
 }
 
@@ -252,15 +172,11 @@ type LiveEvaluator = live.Evaluator
 // candidate pool of poolSize random valid configurations, evaluated by
 // running the simulator on demand through the problem's caching Collector
 // (set Problem.Runner for parallel measurement, Problem.Ctx for
-// cancellation). Use GroundTruth/Experiments for the paper's pre-measured
-// evaluation methodology instead.
+// cancellation). Use Experiments for the paper's pre-measured evaluation
+// methodology instead.
 func NewProblem(b *Benchmark, obj Objective, poolSize int, seed uint64) *Problem {
 	return live.NewProblem(b, obj, poolSize, seed)
 }
-
-// BuildGroundTruth pre-measures a benchmark for the paper's experiment
-// methodology (see cmd/paperexp).
-var BuildGroundTruth = paperexp.BuildGroundTruth
 
 // Experiments returns the paper's tables/figures as runnable experiments.
 var Experiments = paperexp.All

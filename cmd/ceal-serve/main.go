@@ -52,6 +52,7 @@ import (
 	"syscall"
 	"time"
 
+	"ceal/internal/histdb"
 	"ceal/internal/profiling"
 	"ceal/internal/service"
 )
@@ -101,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts.Build = service.BuildSpecRemote(urls)
 	}
 	if *storePath != "" {
-		fst, err := service.OpenFileStore(*storePath)
+		fst, err := histdb.OpenFileStore(*storePath)
 		if err != nil {
 			fmt.Fprintln(stderr, "ceal-serve:", err)
 			return 1

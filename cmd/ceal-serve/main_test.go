@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"ceal/internal/histdb"
 	"ceal/internal/service"
 )
 
@@ -160,9 +161,9 @@ func TestServeSmoke(t *testing.T) {
 	}
 }
 
-func mustStore(t *testing.T, path string) service.Store {
+func mustStore(t *testing.T, path string) histdb.Store {
 	t.Helper()
-	st, err := service.OpenFileStore(path)
+	st, err := histdb.OpenFileStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ import (
 	"time"
 
 	"ceal"
-	"ceal/internal/emews"
+	"ceal/internal/dispatch"
 	"ceal/internal/histdb"
 	"ceal/internal/profiling"
 	"ceal/internal/tuner/events"
@@ -167,7 +167,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "tuning %s for %s with %s (budget %d runs, pool %d, %d workers)\n",
 		b.Name, obj, alg.Name(), *budget, *pool, *workers)
 	problem := ceal.NewProblem(b, obj, *pool, *seed)
-	problem.Runner = &emews.Runner{Workers: *workers, MaxRetries: 3}
+	problem.Runner = dispatch.NewRunner(*workers)
 	problem.Workers = *workers
 	problem.Ctx = ctx
 

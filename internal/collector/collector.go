@@ -1,14 +1,12 @@
 // Package collector is the auto-tuner's unified measurement layer (the
 // "collector" of the paper's collector / modeler / searcher architecture,
-// §2.2). Every measurement the system performs — workflow runs inside the
-// tuning algorithms, standalone component runs, the experiment harness's
-// ground-truth builds — flows through a Collector, which owns an Evaluator
-// and an emews.Runner and adds the properties that used to be per-call-site
-// accidents:
+// §2.2). Every measurement a tuning run performs — workflow runs and
+// standalone component runs — flows through a Collector, which fronts a
+// dispatch.Dispatcher and adds the properties that used to be
+// per-call-site accidents:
 //
-//   - batch-first, context-aware APIs: batches are dispatched on the
-//     runner's worker pool and abort promptly when the context is
-//     cancelled;
+//   - batch-first, context-aware APIs: batches go to the dispatcher as one
+//     unit and abort promptly when the context is cancelled;
 //   - an in-memory memoization cache keyed by Config.Key(), so repeated
 //     configurations (across iterations, algorithms, or replications that
 //     share a Problem) are never re-simulated;
@@ -27,13 +25,15 @@ package collector
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"sync"
 	"sync/atomic"
 
 	"ceal/internal/cfgspace"
 	"ceal/internal/dispatch"
-	"ceal/internal/emews"
 )
 
 // Evaluator measures configurations. Implementations may run the cluster
@@ -92,16 +92,14 @@ func (s Stats) String() string {
 		s.Hits, s.Misses, s.Coalesced, rate, s.Retries, s.Errors, s.InFlightPeak)
 }
 
-// Collector owns a measurement Dispatcher and an emews.Runner and serves
-// every measurement request through one cache. The zero value is not
-// usable; construct with New (in-process evaluation) or NewDispatcher
-// (any transport, e.g. remote workers).
+// Collector fronts a measurement Dispatcher and serves every measurement
+// request through one cache. The zero value is not usable; construct with
+// New.
 type Collector struct {
-	disp   dispatch.Dispatcher
-	runner *emews.Runner
+	disp dispatch.Dispatcher
 
 	mu           sync.Mutex
-	cache        map[string]any
+	cache        map[string]float64
 	inflight     map[string]*flight
 	inflightPeak int
 
@@ -114,43 +112,27 @@ type Collector struct {
 // same key wait on.
 type flight struct {
 	done chan struct{}
-	val  any
+	val  float64
 	err  error
 }
 
-// New returns a Collector over eval and runner: the scalar measurement
-// APIs run in-process on the runner's worker pool (a dispatch.Local
-// substrate). A nil runner means a serial emews.DefaultRunner. eval may be
-// nil when only the generic RunKeyed API is used (the ground-truth
-// builder's full-measurement path).
-func New(eval Evaluator, runner *emews.Runner) *Collector {
-	var disp dispatch.Dispatcher
-	if eval != nil {
-		disp = dispatch.NewLocal(eval, runner)
-	}
-	return NewDispatcher(disp, runner)
-}
+// ErrBadMeasurement marks a batch rejected because the dispatcher returned
+// a value no run can produce — NaN, ±Inf or negative. Values cross a
+// process boundary under dispatch.Remote, and one accepted would poison
+// the run's cache and every checkpoint taken from it.
+var ErrBadMeasurement = errors.New("collector: bad measurement")
 
-// NewDispatcher returns a Collector whose scalar measurement APIs execute
-// on disp — any transport (in-process pool, remote workers) — while the
-// generic RunKeyed API keeps running on the local runner. Because the
-// collector memoizes by configuration key, not by who measured it, results
-// are byte-identical across substrates. A nil runner means a serial
-// emews.DefaultRunner.
-func NewDispatcher(disp dispatch.Dispatcher, runner *emews.Runner) *Collector {
-	if runner == nil {
-		runner = emews.DefaultRunner()
-	}
+// New returns a Collector measuring on disp — any substrate (in-process
+// pool, remote workers). Because the collector memoizes by configuration
+// key, not by who measured it, results are byte-identical across
+// substrates.
+func New(disp dispatch.Dispatcher) *Collector {
 	return &Collector{
 		disp:     disp,
-		runner:   runner,
-		cache:    make(map[string]any),
+		cache:    make(map[string]float64),
 		inflight: make(map[string]*flight),
 	}
 }
-
-// Runner exposes the collector's runner (parallel width and retry policy).
-func (c *Collector) Runner() *emews.Runner { return c.runner }
 
 // ShardRetryCounter is implemented by dispatchers that track transport-level
 // shard resends (dispatch.Remote); Stats folds the count in when present.
@@ -181,20 +163,12 @@ func (c *Collector) Stats() Stats {
 	return st
 }
 
-// Snapshot returns the cache's scalar measurements keyed by cache key —
-// the persistable checkpoint of everything measured so far. Entries from
-// the generic RunKeyed API (non-float64 values) are skipped: checkpoints
-// cover the tuning measurement namespaces ("w:", "c<j>:") only.
+// Snapshot returns a copy of the cache keyed by cache key — the
+// persistable checkpoint of everything measured so far.
 func (c *Collector) Snapshot() map[string]float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[string]float64, len(c.cache))
-	for k, v := range c.cache {
-		if f, ok := v.(float64); ok {
-			out[k] = f
-		}
-	}
-	return out
+	return maps.Clone(c.cache)
 }
 
 // Preload seeds the cache with previously measured values, so matching
@@ -217,16 +191,13 @@ func (c *Collector) Preload(vals map[string]float64) {
 // duplicate configurations within the batch (or concurrently in flight
 // elsewhere) are measured once.
 func (c *Collector) MeasureWorkflows(ctx context.Context, cfgs []cfgspace.Config) ([]Sample, error) {
-	if c.disp == nil {
-		return nil, fmt.Errorf("collector: no evaluator wired")
-	}
 	keys := make([]string, len(cfgs))
 	items := make([]dispatch.Item, len(cfgs))
 	for i, cfg := range cfgs {
 		keys[i] = "w:" + cfg.Key()
 		items[i] = dispatch.Item{Kind: dispatch.KindWorkflow, Cfg: cfg}
 	}
-	vals, err := runItems(ctx, c, keys, items, &c.workflowRuns)
+	vals, err := c.runItems(ctx, keys, items, &c.workflowRuns)
 	if err != nil {
 		return nil, err
 	}
@@ -242,9 +213,6 @@ func (c *Collector) MeasureWorkflows(ctx context.Context, cfgs []cfgspace.Config
 // returns samples in submission order, with the same caching and
 // deduplication as MeasureWorkflows.
 func (c *Collector) MeasureComponents(ctx context.Context, j int, cfgs []cfgspace.Config) ([]Sample, error) {
-	if c.disp == nil {
-		return nil, fmt.Errorf("collector: no evaluator wired")
-	}
 	keys := make([]string, len(cfgs))
 	items := make([]dispatch.Item, len(cfgs))
 	for i, cfg := range cfgs {
@@ -255,7 +223,7 @@ func (c *Collector) MeasureComponents(ctx context.Context, j int, cfgs []cfgspac
 		}
 		items[i] = dispatch.Item{Kind: dispatch.KindComponent, Component: j, Cfg: cfg}
 	}
-	vals, err := runItems(ctx, c, keys, items, &c.compRuns)
+	vals, err := c.runItems(ctx, keys, items, &c.compRuns)
 	if err != nil {
 		return nil, err
 	}
@@ -266,25 +234,13 @@ func (c *Collector) MeasureComponents(ctx context.Context, j int, cfgs []cfgspac
 	return out, nil
 }
 
-// RunKeyed executes arbitrary keyed measurement jobs through the
-// collector's runner with the same memoization, single-flight
-// deduplication, retry and cancellation story as the scalar APIs. job is
-// invoked as job(i, attempt) for the i'th key; results are returned in
-// submission order. Callers choose the key namespace and must keep it
-// disjoint from the scalar APIs' ("w:", "c<j>:") and type-consistent per
-// key. The ground-truth builder uses this to collect full
-// workflow.Measurement values in one pass.
-func RunKeyed[T any](ctx context.Context, c *Collector, keys []string, job func(i, attempt int) (T, error)) ([]T, error) {
-	return runKeyed(ctx, c, keys, nil, job)
-}
-
-// runItems is the scalar measurement core: classify each key as cache hit,
+// runItems is the measurement core: classify each key as cache hit,
 // joinable in-flight measurement, or fresh leader; dispatch the leaders as
 // one batch on the collector's dispatcher (in-process pool or remote
 // workers — the cache is substrate-blind); then join the waiters. Leader
 // items carry their position in the dispatched batch as Seq, so results
 // reassemble deterministically whatever order the substrate returns them.
-func runItems(ctx context.Context, c *Collector, keys []string, items []dispatch.Item, runs *atomic.Uint64) ([]float64, error) {
+func (c *Collector) runItems(ctx context.Context, keys []string, items []dispatch.Item, runs *atomic.Uint64) ([]float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -305,7 +261,7 @@ func runItems(ctx context.Context, c *Collector, keys []string, items []dispatch
 	c.mu.Lock()
 	for i, k := range keys {
 		if v, ok := c.cache[k]; ok {
-			results[i] = v.(float64)
+			results[i] = v
 			c.hits.Add(1)
 			continue
 		}
@@ -323,9 +279,7 @@ func runItems(ctx context.Context, c *Collector, keys []string, items []dispatch
 		batch = append(batch, it)
 		leaders = append(leaders, pending{i: i, key: k, fl: fl})
 		c.misses.Add(1)
-		if runs != nil {
-			runs.Add(1)
-		}
+		runs.Add(1)
 	}
 	if len(c.inflight) > c.inflightPeak {
 		c.inflightPeak = len(c.inflight)
@@ -339,6 +293,11 @@ func runItems(ctx context.Context, c *Collector, keys []string, items []dispatch
 		var retries []int
 		if err == nil {
 			vals, retries, err = dispatch.ByIndex(batch, ms)
+		}
+		for li := 0; err == nil && li < len(vals); li++ {
+			if v := vals[li]; math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+				err = fmt.Errorf("%w: %s = %v", ErrBadMeasurement, leaders[li].key, v)
+			}
 		}
 		batchErr = err
 		var totalRetries uint64
@@ -375,109 +334,7 @@ func runItems(ctx context.Context, c *Collector, keys []string, items []dispatch
 			}
 			continue
 		}
-		results[w.i] = w.fl.val.(float64)
-	}
-	if batchErr != nil {
-		c.errs.Add(1)
-		return nil, batchErr
-	}
-	return results, nil
-}
-
-// runKeyed is the generic measurement core behind RunKeyed: the same
-// classification as runItems, but leaders execute as closures on the
-// collector's local runner (generic values can't cross a transport
-// boundary).
-func runKeyed[T any](ctx context.Context, c *Collector, keys []string, runs *atomic.Uint64, job func(i, attempt int) (T, error)) ([]T, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		c.errs.Add(1)
-		return nil, err
-	}
-	results := make([]T, len(keys))
-
-	type pending struct {
-		i   int
-		key string
-		fl  *flight
-	}
-	var leaders, waiters []pending
-
-	c.mu.Lock()
-	for i, k := range keys {
-		if v, ok := c.cache[k]; ok {
-			results[i] = v.(T)
-			c.hits.Add(1)
-			continue
-		}
-		if fl, ok := c.inflight[k]; ok {
-			// Either another goroutine or an earlier index of this very
-			// batch is already measuring this key.
-			waiters = append(waiters, pending{i: i, key: k, fl: fl})
-			c.coalesced.Add(1)
-			continue
-		}
-		fl := &flight{done: make(chan struct{})}
-		c.inflight[k] = fl
-		leaders = append(leaders, pending{i: i, key: k, fl: fl})
-		c.misses.Add(1)
-		if runs != nil {
-			runs.Add(1)
-		}
-	}
-	if len(c.inflight) > c.inflightPeak {
-		c.inflightPeak = len(c.inflight)
-	}
-	c.mu.Unlock()
-
-	var batchErr error
-	if len(leaders) > 0 {
-		tasks := make([]func(attempt int) (T, error), len(leaders))
-		for li := range leaders {
-			ld := leaders[li]
-			tasks[li] = func(attempt int) (T, error) {
-				if attempt > 0 {
-					c.retries.Add(1)
-				}
-				return job(ld.i, attempt)
-			}
-		}
-		vals, err := emews.Do(ctx, c.runner, tasks)
-		batchErr = err
-		c.mu.Lock()
-		for li, ld := range leaders {
-			if err == nil {
-				ld.fl.val = vals[li]
-				c.cache[ld.key] = vals[li]
-				results[ld.i] = vals[li]
-			} else {
-				ld.fl.err = err
-			}
-			delete(c.inflight, ld.key)
-			close(ld.fl.done)
-		}
-		c.mu.Unlock()
-	}
-
-	for _, w := range waiters {
-		select {
-		case <-w.fl.done:
-		case <-ctx.Done():
-			if batchErr == nil {
-				batchErr = ctx.Err()
-			}
-			c.errs.Add(1)
-			return nil, batchErr
-		}
-		if w.fl.err != nil {
-			if batchErr == nil {
-				batchErr = w.fl.err
-			}
-			continue
-		}
-		results[w.i] = w.fl.val.(T)
+		results[w.i] = w.fl.val
 	}
 	if batchErr != nil {
 		c.errs.Add(1)

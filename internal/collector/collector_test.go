@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"ceal/internal/cfgspace"
-	"ceal/internal/emews"
+	"ceal/internal/dispatch"
 )
 
 // countingEval is a deterministic evaluator that counts real measurements.
@@ -72,6 +72,12 @@ func (e *countingEval) totalWfCalls() int {
 	return n
 }
 
+// newLocal returns a collector over an in-process pool of the given width
+// and retry policy.
+func newLocal(eval Evaluator, workers int, retry dispatch.Retry) *Collector {
+	return New(dispatch.NewLocal(eval, &dispatch.Runner{Workers: workers, Retry: retry}))
+}
+
 func cfgs(rows ...[]int) []cfgspace.Config {
 	out := make([]cfgspace.Config, len(rows))
 	for i, r := range rows {
@@ -82,7 +88,7 @@ func cfgs(rows ...[]int) []cfgspace.Config {
 
 func TestCacheHitMissAccounting(t *testing.T) {
 	eval := newCountingEval()
-	c := New(eval, &emews.Runner{Workers: 4, MaxRetries: 2})
+	c := newLocal(eval, 4, dispatch.Retry{MaxRetries: 2})
 
 	batch := cfgs([]int{1, 2}, []int{3, 4}, []int{1, 2}) // one in-batch duplicate
 	s1, err := c.MeasureWorkflows(context.Background(), batch)
@@ -139,7 +145,7 @@ func TestSingleFlightDedup(t *testing.T) {
 	eval.block = make(chan struct{})
 	started := make(chan struct{}, 16)
 	eval.onMeasure = func() { started <- struct{}{} }
-	c := New(eval, &emews.Runner{Workers: 4, MaxRetries: 2})
+	c := newLocal(eval, 4, dispatch.Retry{MaxRetries: 2})
 
 	cfg := cfgspace.Config{7, 7}
 	type res struct {
@@ -196,7 +202,7 @@ func TestContextCancellationMidBatch(t *testing.T) {
 	// remaining queued configurations must not be dispatched.
 	var once sync.Once
 	eval.onMeasure = func() { once.Do(cancel) }
-	c := New(eval, &emews.Runner{Workers: 1, MaxRetries: 2})
+	c := newLocal(eval, 1, dispatch.Retry{MaxRetries: 2})
 
 	batch := make([]cfgspace.Config, 20)
 	for i := range batch {
@@ -230,7 +236,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	)
 	var want []Sample
 	for _, workers := range []int{1, 8} {
-		c := New(newCountingEval(), &emews.Runner{Workers: workers, MaxRetries: 2})
+		c := newLocal(newCountingEval(), workers, dispatch.Retry{MaxRetries: 2})
 		got, err := c.MeasureWorkflows(context.Background(), batch)
 		if err != nil {
 			t.Fatal(err)
@@ -247,34 +253,11 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestRunKeyedStructResults(t *testing.T) {
-	type meas struct{ A, B float64 }
-	c := New(nil, &emews.Runner{Workers: 4, MaxRetries: 2})
-	keys := []string{"k:0", "k:1", "k:0", "k:2"}
-	var calls atomic.Int64
-	vals, err := RunKeyed(context.Background(), c, keys, func(i, _ int) (meas, error) {
-		calls.Add(1)
-		return meas{A: float64(i), B: 2 * float64(i)}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := calls.Load(); n != 3 {
-		t.Fatalf("ran %d jobs for 3 distinct keys", n)
-	}
-	if vals[0] != vals[2] {
-		t.Fatalf("duplicate key returned different structs: %+v vs %+v", vals[0], vals[2])
-	}
-	if vals[3].A != 3 {
-		t.Fatalf("job index mismatch: %+v", vals[3])
-	}
-}
-
 func TestRetryAccounting(t *testing.T) {
 	eval := newCountingEval()
 	// FailureRate 1 with MaxRetries 0 exhausts immediately; use a seed/rate
 	// that fails some attempts but eventually succeeds.
-	c := New(eval, &emews.Runner{Workers: 2, MaxRetries: 50, FailureRate: 0.5, Seed: 3})
+	c := newLocal(eval, 2, dispatch.Retry{MaxRetries: 50, FailureRate: 0.5, Seed: 3})
 	batch := make([]cfgspace.Config, 16)
 	for i := range batch {
 		batch[i] = cfgspace.Config{i}
@@ -288,7 +271,7 @@ func TestRetryAccounting(t *testing.T) {
 }
 
 func TestNoEvaluatorErrors(t *testing.T) {
-	c := New(nil, nil)
+	c := New(dispatch.NewLocal(nil, nil))
 	if _, err := c.MeasureWorkflows(context.Background(), cfgs([]int{1})); err == nil {
 		t.Fatal("MeasureWorkflows with no evaluator must error")
 	}
@@ -299,7 +282,7 @@ func TestNoEvaluatorErrors(t *testing.T) {
 
 func TestSnapshotPreloadRoundTrip(t *testing.T) {
 	eval := newCountingEval()
-	c := New(eval, nil)
+	c := New(dispatch.NewLocal(eval, nil))
 	if _, err := c.MeasureWorkflows(context.Background(), cfgs([]int{1, 2}, []int{3, 4})); err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +297,7 @@ func TestSnapshotPreloadRoundTrip(t *testing.T) {
 	// A fresh collector preloaded with the snapshot must serve the same
 	// requests purely from cache: zero evaluator calls, identical values.
 	eval2 := newCountingEval()
-	c2 := New(eval2, nil)
+	c2 := New(dispatch.NewLocal(eval2, nil))
 	c2.Preload(snap)
 	s, err := c2.MeasureWorkflows(context.Background(), cfgs([]int{1, 2}, []int{3, 4}))
 	if err != nil {
@@ -341,14 +324,42 @@ func TestSnapshotPreloadRoundTrip(t *testing.T) {
 	if s[0].Value == -999 {
 		t.Fatal("Preload overwrote an existing cache entry")
 	}
+}
 
-	// Non-scalar RunKeyed entries stay out of snapshots.
-	if _, err := RunKeyed(context.Background(), c, []string{"gt:0"}, func(i, attempt int) (struct{ X int }, error) {
-		return struct{ X int }{7}, nil
-	}); err != nil {
-		t.Fatal(err)
+// lastDispatcher answers 1 for every item but the batch's last, which gets
+// v — a remote worker gone wrong on one measurement.
+type lastDispatcher struct{ v float64 }
+
+func (d lastDispatcher) Dispatch(_ context.Context, batch []dispatch.Item) ([]dispatch.Measurement, error) {
+	ms := make([]dispatch.Measurement, len(batch))
+	for i, it := range batch {
+		ms[i] = dispatch.Measurement{Seq: it.Seq, Value: 1}
 	}
-	if snap := c.Snapshot(); len(snap) != 3 {
-		t.Fatalf("non-scalar entry leaked into snapshot: %v", snap)
+	ms[len(ms)-1].Value = d.v
+	return ms, nil
+}
+
+func TestBadMeasurementRejected(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		c := New(lastDispatcher{bad})
+		// Two leaders (the second gets the bad value; the first's good one
+		// must not be cached either) and a waiter on the first's flight.
+		_, err := c.MeasureWorkflows(context.Background(), cfgs([]int{1}, []int{2}, []int{1}))
+		if !errors.Is(err, ErrBadMeasurement) {
+			t.Fatalf("value %v: err = %v, want ErrBadMeasurement", bad, err)
+		}
+		if _, err := c.MeasureComponents(context.Background(), 0, cfgs([]int{3})); !errors.Is(err, ErrBadMeasurement) {
+			t.Fatalf("value %v (component): err = %v, want ErrBadMeasurement", bad, err)
+		}
+		if snap := c.Snapshot(); len(snap) != 0 {
+			t.Fatalf("value %v reached the cache: %v", bad, snap)
+		}
+		if st := c.Stats(); st.Errors != 2 || st.InFlight != 0 {
+			t.Fatalf("value %v: stats = %+v, want 2 errors and nothing in flight", bad, st)
+		}
+	}
+	// Zero is a legitimate measurement.
+	if _, err := New(lastDispatcher{0}).MeasureWorkflows(context.Background(), cfgs([]int{1})); err != nil {
+		t.Fatalf("zero rejected: %v", err)
 	}
 }

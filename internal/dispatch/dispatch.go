@@ -17,12 +17,15 @@
 //
 // Two implementations ship here:
 //
-//   - Local runs items on an in-process emews worker pool over an
-//     Evaluator — the classic single-machine path, extracted from the
-//     collector.
+//   - Local runs items on an in-process worker pool over an Evaluator —
+//     the single-machine path.
 //   - Remote fans the batch out over HTTP to N ceal-worker daemons
-//     (cmd/ceal-worker), with bounded retry/backoff and reassignment of a
-//     lost worker's shard to the surviving workers.
+//     (cmd/ceal-worker), reassigning a lost worker's shard to the
+//     surviving workers.
+//
+// Both run on the same pool (Do) under the same retry policy (Retry) —
+// the roles Swift/T + EMEWS and the MPI_Comm_launch relaunch play in the
+// paper's system (§7.1).
 package dispatch
 
 import (
@@ -30,7 +33,6 @@ import (
 	"fmt"
 
 	"ceal/internal/cfgspace"
-	"ceal/internal/emews"
 )
 
 // Evaluator measures configurations. Implementations may run the cluster
@@ -120,28 +122,28 @@ func ByIndex(batch []Item, ms []Measurement) ([]float64, []int, error) {
 	return vals, retries, nil
 }
 
-// Local executes batches on an in-process emews worker pool over an
-// Evaluator — the single-machine measurement path. The zero value is not
-// usable; set Eval (Runner nil means a serial emews.DefaultRunner).
+// Local executes batches on an in-process worker pool over an Evaluator —
+// the single-machine measurement path. The zero value is not usable; set
+// Eval (Runner nil means NewRunner(1)).
 type Local struct {
 	Eval   Evaluator
-	Runner *emews.Runner
+	Runner *Runner
 }
 
 // NewLocal returns a Local dispatcher over eval and runner.
-func NewLocal(eval Evaluator, runner *emews.Runner) *Local {
+func NewLocal(eval Evaluator, runner *Runner) *Local {
 	return &Local{Eval: eval, Runner: runner}
 }
 
-// Dispatch implements Dispatcher: one emews task per item, results in
-// batch order (Seq echoes the items').
+// Dispatch implements Dispatcher: one pool job per item, results in batch
+// order (Seq echoes the items').
 func (l *Local) Dispatch(ctx context.Context, batch []Item) ([]Measurement, error) {
 	if l.Eval == nil {
 		return nil, fmt.Errorf("dispatch: no evaluator wired")
 	}
 	r := l.Runner
 	if r == nil {
-		r = emews.DefaultRunner()
+		r = NewRunner(1)
 	}
 	jobs := make([]func(attempt int) (Measurement, error), len(batch))
 	for i := range batch {
@@ -160,5 +162,5 @@ func (l *Local) Dispatch(ctx context.Context, batch []Item) ([]Measurement, erro
 			return Measurement{Seq: it.Seq, Value: v, Retries: attempt}, err
 		}
 	}
-	return emews.Do(ctx, r, jobs)
+	return Do(ctx, r.Workers, r.Retry, jobs)
 }

@@ -9,9 +9,9 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ceal/internal/cfgspace"
-	"ceal/internal/emews"
 )
 
 // fakeEval is a deterministic evaluator: values depend only on the item,
@@ -117,7 +117,7 @@ func dispatchValues(t *testing.T, d Dispatcher, batch []Item) []float64 {
 func TestLocalDispatchOrderAndKinds(t *testing.T) {
 	batch := testBatch(10)
 	for _, workers := range []int{1, 3, 8} {
-		local := NewLocal(fakeEval{}, &emews.Runner{Workers: workers})
+		local := NewLocal(fakeEval{}, &Runner{Workers: workers})
 		vals := dispatchValues(t, local, batch)
 		for i, it := range batch {
 			var want float64
@@ -214,7 +214,7 @@ func TestRemoteFailsWhenAllWorkersDown(t *testing.T) {
 }
 
 func TestRemoteInjectedFaultModel(t *testing.T) {
-	// The emews fault model injects deterministic shard-send failures; with
+	// The retry policy injects deterministic shard-send failures; with
 	// retries the batch must still complete identically.
 	batch := testBatch(16)
 	want := dispatchValues(t, NewLocal(fakeEval{}, nil), batch)
@@ -227,6 +227,55 @@ func TestRemoteInjectedFaultModel(t *testing.T) {
 	got := dispatchValues(t, r, batch)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("values diverged under injected shard failures")
+	}
+}
+
+// TestLocalAndRemoteShareRetrySchedule drives both substrates with one
+// policy value: job i of the pool (item i locally, shard i remotely) must
+// see the same injected failures, hence the same relaunch count, and both
+// must have slept out at least the policy's BackoffDelay schedule for it.
+func TestLocalAndRemoteShareRetrySchedule(t *testing.T) {
+	policy := Retry{MaxRetries: 20, FailureRate: 0.5, Seed: 5,
+		Backoff: 2 * time.Millisecond, BackoffMax: 8 * time.Millisecond, Jitter: 0.5}
+	batch := testBatch(4)
+	var urls []string
+	for range batch { // one worker per item: shard i is exactly item i
+		ts, _ := fakeWorker(t)
+		urls = append(urls, ts.URL)
+	}
+	remote := NewRemote(urls, Job{})
+	remote.Retry = policy
+
+	var schedules [][]int
+	for _, d := range []Dispatcher{NewLocal(fakeEval{}, &Runner{Workers: len(batch), Retry: policy}), remote} {
+		start := time.Now()
+		ms, err := d.Dispatch(context.Background(), batch)
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, retries, err := ByIndex(batch, ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var slowest time.Duration
+		for i, n := range retries {
+			var slept time.Duration
+			for attempt := 1; attempt <= n; attempt++ {
+				slept += policy.BackoffDelay(i, attempt)
+			}
+			slowest = max(slowest, slept)
+		}
+		if elapsed < slowest {
+			t.Fatalf("%T finished in %v, before its %v backoff schedule", d, elapsed, slowest)
+		}
+		schedules = append(schedules, retries)
+	}
+	if !reflect.DeepEqual(schedules[0], schedules[1]) {
+		t.Fatalf("relaunch counts diverge: local %v, remote %v", schedules[0], schedules[1])
+	}
+	if reflect.DeepEqual(schedules[0], make([]int, len(batch))) {
+		t.Fatal("policy injected no failure; the schedule went unexercised")
 	}
 }
 
@@ -248,7 +297,7 @@ func TestByIndexRejectsBadResponses(t *testing.T) {
 }
 
 func TestLocalErrorsPropagate(t *testing.T) {
-	local := NewLocal(failEval{}, &emews.Runner{Workers: 2})
+	local := NewLocal(failEval{}, &Runner{Workers: 2})
 	if _, err := local.Dispatch(context.Background(), testBatch(4)); err == nil {
 		t.Fatal("evaluator error swallowed")
 	}

@@ -9,8 +9,6 @@ import (
 	"net/http"
 	"sync/atomic"
 	"time"
-
-	"ceal/internal/emews"
 )
 
 // MeasurePath is the worker daemon's measurement endpoint.
@@ -45,13 +43,10 @@ type MeasureResponse struct {
 //
 // The batch is split into one contiguous shard per worker and the shards
 // are posted concurrently. A failed shard (worker down, network error,
-// non-200 reply) is retried with bounded exponential backoff — each retry
-// rotates to the next worker in the list, so a lost worker's shard is
-// reassigned to a survivor rather than hammering the corpse. The retry
-// engine is the same emews fault model the in-process pool uses, including
-// its deterministic failure injection for tests and its seeded per-worker
-// backoff jitter (so N dispatchers retrying a flaky endpoint don't
-// thundering-herd in lockstep).
+// non-200 reply) is retried under the Retry policy — the pool and fault
+// model Local runs on — and each retry rotates to the next worker in the
+// list, so a lost worker's shard is reassigned to a survivor rather than
+// hammering the corpse.
 //
 // Results are byte-identical to Local at any worker count and across
 // worker failures: values are deterministic per (job, item) and reassembly
@@ -66,23 +61,9 @@ type Remote struct {
 	// Client is the HTTP client (nil: a client with a 5-minute timeout —
 	// measurement batches are long-running).
 	Client *http.Client
-	// MaxRetries bounds relaunches per shard (0 means 3: with worker
-	// rotation that tolerates losing all but one worker).
-	MaxRetries int
-	// Backoff is the delay before a shard's first retry, doubling per
-	// further retry up to BackoffMax (emews semantics; zero retries
-	// immediately).
-	Backoff    time.Duration
-	BackoffMax time.Duration
-	// Jitter spreads retry delays by up to this fraction, seeded per
-	// dispatcher by Seed (see emews.Runner.Jitter).
-	Jitter float64
-	// Seed salts the jitter and failure-injection streams — give each
-	// replica/dispatcher its own so their retries decorrelate.
-	Seed uint64
-	// FailureRate injects simulated shard-send failures (emews fault
-	// model) for tests; 0 disables.
-	FailureRate float64
+	// Retry is the per-shard retry policy. MaxRetries 0 means 3: with
+	// worker rotation that tolerates losing all but one worker.
+	Retry
 
 	// retries counts shard re-posts after transport failures over the
 	// dispatcher's lifetime; see DispatchRetries.
@@ -120,21 +101,12 @@ func (r *Remote) Dispatch(ctx context.Context, batch []Item) ([]Measurement, err
 	if nshards > len(batch) {
 		nshards = len(batch)
 	}
-	maxRetries := r.MaxRetries
-	if maxRetries == 0 {
-		maxRetries = 3
+	retry := r.Retry
+	if retry.MaxRetries == 0 {
+		retry.MaxRetries = 3
 	}
-	// One emews job per shard: attempt k posts the shard to the k'th
-	// worker after its home worker (rotation = reassignment on loss).
-	runner := &emews.Runner{
-		Workers:     nshards,
-		MaxRetries:  maxRetries,
-		Backoff:     r.Backoff,
-		BackoffMax:  r.BackoffMax,
-		Jitter:      r.Jitter,
-		Seed:        r.Seed,
-		FailureRate: r.FailureRate,
-	}
+	// One pool job per shard: attempt k posts the shard to the k'th worker
+	// after its home worker (rotation = reassignment on loss).
 	jobs := make([]func(attempt int) ([]Measurement, error), nshards)
 	for s := 0; s < nshards; s++ {
 		s := s
@@ -159,7 +131,7 @@ func (r *Remote) Dispatch(ctx context.Context, batch []Item) ([]Measurement, err
 			return ms, nil
 		}
 	}
-	shards, err := emews.Do(ctx, runner, jobs)
+	shards, err := Do(ctx, nshards, retry, jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -31,7 +31,6 @@ import (
 	"ceal/internal/cfgspace"
 	"ceal/internal/cluster"
 	"ceal/internal/dispatch"
-	"ceal/internal/emews"
 )
 
 // maxAdvancePerItem caps how far one measurement can push the virtual
@@ -54,7 +53,7 @@ type Env struct {
 	build   func(ld cluster.Load) dispatch.Evaluator
 	profile cluster.Profile
 	// Runner executes batches in-process; nil means serial.
-	Runner *emews.Runner
+	Runner *dispatch.Runner
 
 	mu    sync.Mutex
 	clock float64

@@ -8,7 +8,6 @@ import (
 	"ceal/internal/cfgspace"
 	"ceal/internal/cluster"
 	"ceal/internal/dispatch"
-	"ceal/internal/emews"
 )
 
 // stubEval costs cfg[0] scaled by (1 + compute slowdown) — a transparent
@@ -106,7 +105,7 @@ func TestEnvDispatchAdvancesByBatchMax(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		env := newTestEnv(t, stepAt5{})
 		if workers > 1 {
-			env.Runner = &emews.Runner{Workers: workers}
+			env.Runner = &dispatch.Runner{Workers: workers}
 		}
 		batch := []dispatch.Item{
 			{Seq: 0, Kind: dispatch.KindWorkflow, Cfg: cfgspace.Config{3}},

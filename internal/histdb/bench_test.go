@@ -1,9 +1,7 @@
 package histdb
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 )
@@ -30,47 +28,13 @@ func benchRecords(n int) []*RunRecord {
 	return recs
 }
 
-// writeFlatLog writes the records in the legacy flat-JSONL layout — one
-// bare JSON document per line, no CRC framing.
-func writeFlatLog(b *testing.B, path string, recs []*RunRecord) {
-	b.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	for _, r := range recs {
-		if err := enc.Encode(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkReplay10k prices opening a 10 000-run history database: the
-// legacy flat JSONL parse against a cold open of the segmented store
-// (CRC-verified framed records across rolled segment files) and of the
-// same store after Compact (one snapshot segment, live records only).
+// BenchmarkReplay10k prices opening a 10 000-run history database: a cold
+// open of the segmented store (CRC-verified framed records across rolled
+// segment files) and of the same store after Compact (one snapshot
+// segment, live records only).
 func BenchmarkReplay10k(b *testing.B) {
 	const n = 10_000
 	recs := benchRecords(n)
-
-	b.Run("flat", func(b *testing.B) {
-		path := filepath.Join(b.TempDir(), "runs.jsonl")
-		writeFlatLog(b, path, recs)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			mem, err := parseFlatLog(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if got := len(mem.List()); got != n {
-				b.Fatalf("replayed %d records, want %d", got, n)
-			}
-		}
-	})
 
 	open := func(b *testing.B, dir string) {
 		b.Helper()
@@ -124,33 +88,22 @@ func BenchmarkReplay10k(b *testing.B) {
 	})
 }
 
-// BenchmarkAppend10k prices writing the same 10 000 runs through each
-// engine: the segmented store's framed buffered appends vs a plain flat
-// JSONL encode — the storage formats' write-path costs, isolated from
-// tuning work.
+// BenchmarkAppend10k prices writing the same 10 000 runs: the store's
+// framed buffered appends, isolated from tuning work.
 func BenchmarkAppend10k(b *testing.B) {
-	const n = 10_000
-	recs := benchRecords(n)
-
-	b.Run("flat", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			writeFlatLog(b, filepath.Join(b.TempDir(), "runs.jsonl"), recs)
+	recs := benchRecords(10_000)
+	for i := 0; i < b.N; i++ {
+		st, err := OpenFileStore(filepath.Join(b.TempDir(), "runs.db"))
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("segmented", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			st, err := OpenFileStore(filepath.Join(b.TempDir(), "runs.db"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, r := range recs {
-				if err := st.Save(r); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := st.Close(); err != nil {
+		for _, r := range recs {
+			if err := st.Save(r); err != nil {
 				b.Fatal(err)
 			}
 		}
-	})
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -37,9 +37,6 @@ import (
 // records after the damage, which only real corruption can produce.
 // Crashed writers never resume a tail-damaged segment: a reopened store
 // starts a fresh segment, so damage stays confined where it happened.
-//
-// Stores created by earlier versions as one flat JSONL file are migrated
-// to the segmented layout transparently on open (see migrateFlatLog).
 type FileStore struct {
 	mem *MemStore
 
@@ -67,22 +64,13 @@ const (
 	tmpSuffix = ".tmp"
 )
 
-// OpenFileStore opens (or creates) the segmented run log rooted at path.
-// If path holds a flat JSONL log written by an earlier version, it is
-// migrated to the segmented layout first; interrupted migrations are
-// recovered before anything else happens.
+// OpenFileStore opens (or creates) the segmented run log rooted at path,
+// which must be a directory (or not exist yet).
 func OpenFileStore(path string) (*FileStore, error) {
-	if err := recoverMigration(path); err != nil {
-		return nil, err
-	}
-	if fi, err := os.Stat(path); err == nil && !fi.IsDir() {
-		if err := migrateFlatLog(path); err != nil {
-			return nil, err
-		}
-	} else if err != nil && !os.IsNotExist(err) {
-		return nil, err
-	}
 	if err := os.MkdirAll(path, 0o755); err != nil {
+		if fi, serr := os.Stat(path); serr == nil && !fi.IsDir() {
+			return nil, fmt.Errorf("histdb: %s is a file, not a segmented store directory", path)
+		}
 		return nil, err
 	}
 	s := &FileStore{
@@ -498,129 +486,4 @@ func syncDir(dir string) {
 		d.Sync()
 		d.Close()
 	}
-}
-
-// --- legacy flat-log migration ---------------------------------------------
-
-// migrateFlatLog converts a single flat JSONL run log (the pre-segmented
-// format) into a segmented store directory, in place and crash-safely:
-//
-//  1. parse the flat log (tolerating an unterminated crash tail, refusing
-//     corrupt terminated lines, exactly as the old opener did),
-//  2. write its compacted state as the first segment inside
-//     path+".migrating",
-//  3. move the flat log aside to path+".legacy",
-//  4. rename the staged directory to path,
-//  5. delete the legacy file.
-//
-// recoverMigration rolls an interrupted migration forward or back on the
-// next open, so a crash at any step loses nothing.
-func migrateFlatLog(path string) error {
-	mem, err := parseFlatLog(path)
-	if err != nil {
-		return err
-	}
-	staging := path + migratingSuffix
-	if err := os.RemoveAll(staging); err != nil {
-		return err
-	}
-	if err := os.MkdirAll(staging, 0o755); err != nil {
-		return err
-	}
-	if _, err := writeSegment(filepath.Join(staging, segmentName(1, newWriterID())), mem.List()); err != nil {
-		return err
-	}
-	syncDir(staging)
-	legacy := path + legacySuffix
-	if err := os.Rename(path, legacy); err != nil {
-		return err
-	}
-	if err := os.Rename(staging, path); err != nil {
-		return err
-	}
-	if err := os.Remove(legacy); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	syncDir(filepath.Dir(path))
-	return nil
-}
-
-const (
-	migratingSuffix = ".migrating"
-	legacySuffix    = ".legacy"
-)
-
-// recoverMigration finishes or unwinds a migration that crashed partway.
-func recoverMigration(path string) error {
-	staging, legacy := path+migratingSuffix, path+legacySuffix
-	fi, err := os.Stat(path)
-	switch {
-	case err == nil && fi.IsDir():
-		// Migration completed (or never happened): sweep leftovers.
-		if err := os.RemoveAll(staging); err != nil {
-			return err
-		}
-		if err := os.Remove(legacy); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-	case err == nil:
-		// path is still the flat file: any staging dir is incomplete.
-		return os.RemoveAll(staging)
-	case os.IsNotExist(err):
-		// Crashed between the two renames: roll forward if the staged
-		// directory is ready, otherwise put the flat log back.
-		if di, derr := os.Stat(staging); derr == nil && di.IsDir() {
-			if err := os.Rename(staging, path); err != nil {
-				return err
-			}
-			if err := os.Remove(legacy); err != nil && !os.IsNotExist(err) {
-				return err
-			}
-			return nil
-		}
-		if _, lerr := os.Stat(legacy); lerr == nil {
-			return os.Rename(legacy, path)
-		}
-	default:
-		return err
-	}
-	return nil
-}
-
-// parseFlatLog replays a legacy flat JSONL log into a fresh MemStore. An
-// unterminated, unparseable final line is a crash artifact from an
-// interrupted append and is dropped; a corrupt terminated line is real
-// damage and fails the parse.
-func parseFlatLog(path string) (*MemStore, error) {
-	mem := NewMemStore()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	terminated := len(data) == 0 || data[len(data)-1] == '\n'
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<28)
-	var lines [][]byte
-	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		lines = append(lines, append([]byte(nil), sc.Bytes()...))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("histdb: %s: %w", path, err)
-	}
-	for i, raw := range lines {
-		var rec RunRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			if i == len(lines)-1 && !terminated {
-				break
-			}
-			return nil, fmt.Errorf("histdb: %s line %d: %w", path, i+1, err)
-		}
-		mem.mu.Lock()
-		mem.put(&rec)
-		mem.mu.Unlock()
-	}
-	return mem, nil
 }

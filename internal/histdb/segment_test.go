@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -147,127 +146,20 @@ func TestRefreshIsIncremental(t *testing.T) {
 	}
 }
 
-// TestFlatLogMigration: a store written by the old single-file engine must
-// open transparently as a segmented store with identical contents, and the
-// flat file must be gone afterwards.
-func TestFlatLogMigration(t *testing.T) {
+// TestOpenFileStoreRejectsFile: a regular file where the store directory
+// should be is refused with an error that says so, and left untouched.
+func TestOpenFileStoreRejectsFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
-	lines := []string{
-		`{"id":"run-000001","state":"running","collector_stats":{}}`,
-		`{"id":"run-000001","state":"done","collector_stats":{}}`,
-		`{"id":"run-000002","state":"failed","collector_stats":{}}`,
-	}
-	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+	content := []byte(`{"id":"run-000001","state":"done","collector_stats":{}}` + "\n")
+	if err := os.WriteFile(path, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatalf("flat log rejected: %v", err)
+	_, err := OpenFileStore(path)
+	want := "histdb: " + path + " is a file, not a segmented store directory"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
-	fi, err := os.Stat(path)
-	if err != nil || !fi.IsDir() {
-		t.Fatalf("path not migrated to a directory: %v %v", fi, err)
+	if got, rerr := os.ReadFile(path); rerr != nil || string(got) != string(content) {
+		t.Fatalf("file disturbed: %q, %v", got, rerr)
 	}
-	if got, ok := s.Get("run-000001"); !ok || got.State != StateDone {
-		t.Fatalf("migrated record = %+v, %v", got, ok)
-	}
-	if got, ok := s.Get("run-000002"); !ok || got.State != StateFailed {
-		t.Fatalf("migrated record = %+v, %v", got, ok)
-	}
-	if err := s.Save(&RunRecord{ID: "run-000003", State: StateQueued}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, leftover := range []string{path + ".migrating", path + ".legacy"} {
-		if _, err := os.Stat(leftover); !os.IsNotExist(err) {
-			t.Fatalf("migration leftover %s still present", leftover)
-		}
-	}
-	reopened, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reopened.Close()
-	if got := len(reopened.List()); got != 3 {
-		t.Fatalf("post-migration store has %d records, want 3", got)
-	}
-}
-
-// TestMigrationCrashRecovery drives the opener through each intermediate
-// state an interrupted migration can leave behind.
-func TestMigrationCrashRecovery(t *testing.T) {
-	flat := `{"id":"run-000001","state":"done","collector_stats":{}}` + "\n"
-
-	t.Run("staging dir with flat file still present", func(t *testing.T) {
-		// Crashed after writing the staging dir but before any rename: the
-		// stale staging dir must be discarded and migration redone.
-		path := filepath.Join(t.TempDir(), "runs.jsonl")
-		if err := os.WriteFile(path, []byte(flat), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(path+".migrating", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(path+".migrating", "seg-00000001-stale.log"), []byte("garbage"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s, err := OpenFileStore(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		if _, ok := s.Get("run-000001"); !ok {
-			t.Fatal("record lost through redone migration")
-		}
-	})
-
-	t.Run("between the renames", func(t *testing.T) {
-		// Crashed after moving the flat log aside: the finished staging dir
-		// must roll forward and the legacy file be swept.
-		dir := t.TempDir()
-		path := filepath.Join(dir, "runs.jsonl")
-		if err := os.WriteFile(path+".legacy", []byte(flat), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		staged, err := OpenFileStore(path + ".migrating")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := staged.Save(&RunRecord{ID: "run-000001", State: StateDone}); err != nil {
-			t.Fatal(err)
-		}
-		if err := staged.Close(); err != nil {
-			t.Fatal(err)
-		}
-		s, err := OpenFileStore(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		if _, ok := s.Get("run-000001"); !ok {
-			t.Fatal("staged record lost rolling forward")
-		}
-		if _, err := os.Stat(path + ".legacy"); !os.IsNotExist(err) {
-			t.Fatal("legacy file not swept after roll-forward")
-		}
-	})
-
-	t.Run("legacy only", func(t *testing.T) {
-		// Pathological: the flat log was moved aside but no staging dir
-		// exists. The opener must put it back and migrate normally.
-		path := filepath.Join(t.TempDir(), "runs.jsonl")
-		if err := os.WriteFile(path+".legacy", []byte(flat), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s, err := OpenFileStore(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		if _, ok := s.Get("run-000001"); !ok {
-			t.Fatal("record lost restoring legacy file")
-		}
-	})
 }

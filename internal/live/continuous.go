@@ -6,7 +6,6 @@ import (
 	"ceal/internal/cluster"
 	"ceal/internal/dispatch"
 	"ceal/internal/drift"
-	"ceal/internal/emews"
 	"ceal/internal/paperexp"
 	"ceal/internal/tuner"
 	"ceal/internal/workflow"
@@ -40,7 +39,7 @@ func NewContinuous(b *workflow.Benchmark, obj paperexp.Objective, poolSize int, 
 	newProblem := func() *tuner.Problem {
 		p := NewProblem(b, obj, poolSize, seed)
 		if workers > 1 {
-			p.Runner = &emews.Runner{Workers: workers, MaxRetries: 3}
+			p.Runner = dispatch.NewRunner(workers)
 			p.Workers = workers
 		}
 		return p
@@ -55,7 +54,7 @@ func NewContinuous(b *workflow.Benchmark, obj paperexp.Objective, poolSize int, 
 		return nil, err
 	}
 	if workers > 1 {
-		env.Runner = &emews.Runner{Workers: workers, MaxRetries: 3}
+		env.Runner = dispatch.NewRunner(workers)
 	}
 	return &tuner.Continuous{
 		NewProblem: newProblem,

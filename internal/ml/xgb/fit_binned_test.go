@@ -149,7 +149,8 @@ func TestPredictBatchQuantizedMatchesFloat(t *testing.T) {
 		}
 		want := m.PredictBatchOn(nil, pool)
 		for _, e := range []*score.Engine{nil, score.New(4)} {
-			got := m.PredictBatchQuantizedOn(e, q)
+			got := make([]float64, q.N)
+			m.PredictBatchQuantizedOnInto(e, q, got)
 			for i := range want {
 				if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
 					t.Fatalf("binned=%v row %d: quantized predicts %v, float predicts %v", binned, i, got[i], want[i])
@@ -236,10 +237,11 @@ func BenchmarkScoreBinnedMatrix(b *testing.B) {
 	}
 	pool, _ := binnedTrainingData(4, 4096, 8)
 	q := score.QuantizeRows(nil, pool)
+	out := make([]float64, q.N)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.PredictBatchQuantizedOn(nil, q)
+		m.PredictBatchQuantizedOnInto(nil, q, out)
 	}
 }
 

@@ -137,51 +137,6 @@ func TestFitDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestFitWithValidationMatchesPerRowScan pins the batch prefix scan: the
-// early-stopping decision (kept ensemble length) and the final model must
-// be bitwise identical to a per-row Predict prefix scan.
-func TestFitWithValidationMatchesPerRowScan(t *testing.T) {
-	X, y := trainingData(9, 60, 5)
-	Xv, yv := trainingData(10, 25, 5)
-	for _, patience := range []int{1, 3, 8} {
-		p := Params{Rounds: 60, LearningRate: 0.2, MaxDepth: 4, Lambda: 1, MinChildWeight: 1, Subsample: 1, ColSample: 1, Seed: 31}
-		m, err := FitWithValidation(X, y, Xv, yv, p, patience)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Reference scan: full refit, then per-row Predict over prefixes.
-		full := referenceFit(X, y, p)
-		pred := make([]float64, len(Xv))
-		for i := range pred {
-			pred[i] = full.base
-		}
-		bestRMSE := math.Inf(1)
-		bestLen := 0
-		since := 0
-		for r, tr := range full.trees {
-			var sse float64
-			for i, x := range Xv {
-				pred[i] += full.eta * tr.Predict(x)
-				d := pred[i] - yv[i]
-				sse += d * d
-			}
-			rms := math.Sqrt(sse / float64(len(yv)))
-			if rms < bestRMSE-1e-12 {
-				bestRMSE, bestLen, since = rms, r+1, 0
-			} else {
-				if since++; since >= patience {
-					break
-				}
-			}
-		}
-		if m.Rounds() != bestLen {
-			t.Fatalf("patience %d: kept %d rounds, reference kept %d", patience, m.Rounds(), bestLen)
-		}
-		full.trees = full.trees[:bestLen]
-		samePredictions(t, "validation-truncated", full, m, Xv)
-	}
-}
-
 // trainBenchData is the BENCH_train.json workload: 64 samples × 8 features.
 func trainBenchData() ([][]float64, []float64, Params) {
 	X, y := trainingData(1, 64, 8)

@@ -5,7 +5,6 @@ package xgb
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"sync"
 
@@ -109,82 +108,6 @@ func (m *Model) flatten() {
 		}
 		m.flat = fe
 	})
-}
-
-// FitWithValidation trains like Fit but monitors RMSE on a held-out set
-// (Xv, yv) and stops once it has not improved for patience consecutive
-// rounds, keeping the best-so-far ensemble length. Useful when enough
-// samples exist to spare a validation split; the auto-tuners' few-sample
-// regime uses plain Fit.
-func FitWithValidation(X [][]float64, y []float64, Xv [][]float64, yv []float64, p Params, patience int) (*Model, error) {
-	if patience < 1 {
-		return nil, fmt.Errorf("xgb: patience must be >= 1")
-	}
-	if len(Xv) == 0 || len(Xv) != len(yv) {
-		return nil, fmt.Errorf("xgb: need a non-empty validation set")
-	}
-	m, err := Fit(X, y, p)
-	if err != nil {
-		return nil, err
-	}
-	// Scan validation RMSE over ensemble prefixes: tree-outer accumulation
-	// over the flattened ensemble, so each prefix extends the previous one
-	// by one batch pass instead of re-walking pointer trees per row. The
-	// flat leaves are eta-pre-scaled copies of the pointer trees' values,
-	// so the RMSE sequence — and therefore the kept prefix length — is
-	// bitwise identical to the per-row Predict scan.
-	pred := make([]float64, len(Xv))
-	for i := range pred {
-		pred[i] = m.base
-	}
-	m.flatten()
-	bestRMSE := math.Inf(1)
-	bestLen := 0
-	since := 0
-	for r, t := range m.trees {
-		var sse float64
-		if fe := m.flat; fe != nil {
-			inner, leafN := 1<<fe.depth-1, 1<<fe.depth
-			fb := fe.feats[r*inner : (r+1)*inner]
-			tb := fe.thresh[r*inner : (r+1)*inner]
-			lb := fe.leaves[r*leafN : (r+1)*leafN]
-			for i, x := range Xv {
-				j := 0
-				for d := 0; d < fe.depth; d++ {
-					b := 1
-					if x[fb[j]] < tb[j] {
-						b = 0
-					}
-					j = 2*j + 1 + b
-				}
-				pred[i] += lb[j-inner]
-				d := pred[i] - yv[i]
-				sse += d * d
-			}
-		} else { // ensemble too deep to flatten: pointer walk
-			for i, x := range Xv {
-				pred[i] += m.eta * t.Predict(x)
-				d := pred[i] - yv[i]
-				sse += d * d
-			}
-		}
-		rmse := math.Sqrt(sse / float64(len(yv)))
-		if rmse < bestRMSE-1e-12 {
-			bestRMSE = rmse
-			bestLen = r + 1
-			since = 0
-		} else {
-			since++
-			if since >= patience {
-				break
-			}
-		}
-	}
-	// Truncating only m.trees is sound: the flat arrays are blocked per
-	// tree in ensemble order and every batch path bounds its tree loop by
-	// len(m.trees), so the dropped blocks are simply never read.
-	m.trees = m.trees[:bestLen]
-	return m, nil
 }
 
 // Fit trains a model on feature rows X and targets y, serially.
@@ -377,20 +300,13 @@ func (m *Model) PredictBatchOnInto(e *score.Engine, X [][]float64, out []float64
 	})
 }
 
-// PredictBatchQuantizedOn predicts every row of a quantized pool matrix
-// on the engine's workers (nil engine: serial), decoding each row into
-// per-chunk scratch and descending the flattened ensemble in tree order —
-// the same accumulation sequence as PredictBatchOn, so for a lossless
-// quantized pool the outputs are bitwise identical to scoring the float
-// rows, while the cached pool stays ~8× smaller.
-func (m *Model) PredictBatchQuantizedOn(e *score.Engine, q *score.Quantized) []float64 {
-	out := make([]float64, q.N)
-	m.PredictBatchQuantizedOnInto(e, q, out)
-	return out
-}
-
-// PredictBatchQuantizedOnInto is PredictBatchQuantizedOn writing into a
-// caller-provided slice (len(out) == q.N).
+// PredictBatchQuantizedOnInto predicts every row of a quantized pool
+// matrix into out (len(out) == q.N) on the engine's workers (nil engine:
+// serial), decoding each row into per-chunk scratch and descending the
+// flattened ensemble in tree order — the same accumulation sequence as
+// PredictBatchOn, so for a lossless quantized pool the outputs are bitwise
+// identical to scoring the float rows, while the cached pool stays ~8×
+// smaller.
 func (m *Model) PredictBatchQuantizedOnInto(e *score.Engine, q *score.Quantized, out []float64) {
 	m.flatten()
 	fe := m.flat

@@ -187,40 +187,6 @@ func TestFeatureImportanceConstantModel(t *testing.T) {
 	}
 }
 
-func TestFitWithValidationStopsEarly(t *testing.T) {
-	// Noisy target: a long ensemble overfits, so validation-based stopping
-	// must pick a shorter prefix that generalizes at least as well.
-	X, y := makeQuadratic(40, 1.0, 21)
-	Xv, yv := makeQuadratic(60, 1.0, 22)
-	p := DefaultParams()
-	p.Rounds = 300
-	p.MaxDepth = 6
-	full, err := Fit(X, y, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stopped, err := FitWithValidation(X, y, Xv, yv, p, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stopped.Rounds() >= full.Rounds() {
-		t.Fatalf("early stopping kept all %d rounds", stopped.Rounds())
-	}
-	if e := rmse(stopped.PredictBatch(Xv), yv); e > rmse(full.PredictBatch(Xv), yv)+1e-9 {
-		t.Fatalf("early-stopped model worse on validation: %v", e)
-	}
-}
-
-func TestFitWithValidationErrors(t *testing.T) {
-	X, y := makeQuadratic(10, 0.1, 2)
-	if _, err := FitWithValidation(X, y, nil, nil, DefaultParams(), 5); err == nil {
-		t.Fatal("empty validation set accepted")
-	}
-	if _, err := FitWithValidation(X, y, X, y, DefaultParams(), 0); err == nil {
-		t.Fatal("zero patience accepted")
-	}
-}
-
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	// The chunked, tree-outer batch path must be bitwise identical to the
 	// per-row Predict loop — for the serial path, and on the engine at any

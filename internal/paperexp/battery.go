@@ -6,7 +6,7 @@ import (
 	"math"
 
 	"ceal/internal/metrics"
-	"ceal/internal/swift"
+	"ceal/internal/score"
 	"ceal/internal/tuner"
 	"ceal/internal/tuner/events"
 )
@@ -102,9 +102,9 @@ func (s *AlgStats) MeanRecall(n int) float64 { return metrics.Mean(s.Recall[n-1]
 // median is used because a single no-improvement replication yields +Inf.
 func (s *AlgStats) MedianLNU() float64 { return metrics.Median(s.LNU) }
 
-// RunBattery tunes with every algorithm over Reps replications —
-// fanned across a swift dataflow engine when Workers > 1 — and aggregates
-// the paper's metrics. Results are identical for any worker count.
+// RunBattery tunes with every algorithm over Reps replications — fanned
+// across Workers goroutines — and aggregates the paper's metrics. Results
+// are identical for any worker count.
 func RunBattery(spec RunSpec) ([]*AlgStats, error) {
 	if spec.Reps < 1 {
 		spec.Reps = 1
@@ -166,31 +166,16 @@ func RunBattery(spec RunSpec) ([]*AlgStats, error) {
 		return out, nil
 	}
 
-	reps := make([]int, spec.Reps)
-	for r := range reps {
-		reps[r] = r
-	}
-	var allReps [][]repMetrics
-	if spec.Workers > 1 {
-		eng := swift.NewEngine(spec.Workers)
-		future := swift.Map(eng, "battery", reps, func(_ int, rep int) ([]repMetrics, error) {
-			return runRep(rep)
-		})
-		var err error
-		allReps, err = future.Wait()
-		if werr := eng.Wait(); err == nil {
-			err = werr
-		}
+	// Fan the replications: each writes only its own slot, and the
+	// lowest-index failure wins, so the outcome is scheduling-independent.
+	allReps := make([][]repMetrics, spec.Reps)
+	errs := make([]error, spec.Reps)
+	score.New(spec.Workers).Tasks(spec.Reps, func(rep int) {
+		allReps[rep], errs[rep] = runRep(rep)
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
-		}
-	} else {
-		for _, rep := range reps {
-			rm, err := runRep(rep)
-			if err != nil {
-				return nil, err
-			}
-			allReps = append(allReps, rm)
 		}
 	}
 

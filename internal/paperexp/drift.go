@@ -9,7 +9,6 @@ import (
 	"ceal/internal/cluster"
 	"ceal/internal/dispatch"
 	"ceal/internal/drift"
-	"ceal/internal/emews"
 	"ceal/internal/metrics"
 	"ceal/internal/tuner"
 	"ceal/internal/workflow"
@@ -154,7 +153,7 @@ func newDriftArm(wf, profile string, opt Options, seed uint64, maxEpochs int) (*
 		return nil, err
 	}
 	if w := opt.Build.Workers; w > 1 {
-		env.Runner = &emews.Runner{Workers: w, MaxRetries: 3}
+		env.Runner = dispatch.NewRunner(w)
 	}
 	return &tuner.Continuous{
 		Algorithm:  tuner.NewCEAL(),

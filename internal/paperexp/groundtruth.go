@@ -10,8 +10,7 @@ import (
 	"math/rand/v2"
 
 	"ceal/internal/cfgspace"
-	"ceal/internal/collector"
-	"ceal/internal/emews"
+	"ceal/internal/dispatch"
 	"ceal/internal/metrics"
 	"ceal/internal/tuner"
 	"ceal/internal/workflow"
@@ -174,29 +173,27 @@ func BuildGroundTruth(b *workflow.Benchmark, opt BuildOptions) (*GroundTruth, er
 		FixedEnergy: make([]float64, len(b.Components)),
 		poolIdx:     make(map[string]int, opt.PoolSize),
 	}
-	// One collector serves the whole build: its RunKeyed API collects full
-	// workflow.Measurement values on the runner's worker pool, replacing the
-	// old per-batch closures that wrote side-channel slices from inside
-	// tasks. Keys are index-based — the noise streams below are keyed to the
-	// sample index, not the configuration, so a repeated configuration still
-	// gets its own independent noise draw, exactly as before.
+	// The build runs straight on the measurement pool, not through a
+	// collector: the noise streams below are keyed to the sample index, not
+	// the configuration, so a repeated configuration gets its own
+	// independent noise draw and nothing here could ever be a cache hit.
 	ctx := opt.context()
-	col := collector.New(nil, &emews.Runner{Workers: opt.Workers, MaxRetries: 3})
+	runner := dispatch.NewRunner(opt.Workers)
 
 	// Measure the workflow pool.
-	keys := make([]string, len(gt.Pool))
+	jobs := make([]func(int) (workflow.Measurement, error), len(gt.Pool))
 	for i, cfg := range gt.Pool {
 		gt.poolIdx[cfg.Key()] = i
-		keys[i] = fmt.Sprintf("gt:wf:%d", i)
-	}
-	pool, err := collector.RunKeyed(ctx, col, keys, func(i, _ int) (workflow.Measurement, error) {
-		w, err := b.Build(gt.Pool[i])
-		if err != nil {
-			return workflow.Measurement{}, err
+		jobs[i] = func(int) (workflow.Measurement, error) {
+			w, err := b.Build(cfg)
+			if err != nil {
+				return workflow.Measurement{}, err
+			}
+			noise := rand.New(rand.NewPCG(opt.Seed, 0x1000000+uint64(i)))
+			return w.Measure(noise)
 		}
-		noise := rand.New(rand.NewPCG(opt.Seed, 0x1000000+uint64(i)))
-		return w.Measure(noise)
-	})
+	}
+	pool, err := dispatch.Do(ctx, runner.Workers, runner.Retry, jobs)
 	if err != nil {
 		return nil, fmt.Errorf("paperexp: measure %s pool: %w", b.Name, err)
 	}
@@ -222,15 +219,14 @@ func BuildGroundTruth(b *workflow.Benchmark, opt BuildOptions) (*GroundTruth, er
 			continue
 		}
 		cfgs := cs.Space.SampleN(rng, opt.ComponentSamples)
-		soloKeys := make([]string, len(cfgs))
-		for i := range cfgs {
-			soloKeys[i] = fmt.Sprintf("gt:c%d:%d", j, i)
+		jobs := make([]func(int) (workflow.Measurement, error), len(cfgs))
+		for i, cfg := range cfgs {
+			jobs[i] = func(int) (workflow.Measurement, error) {
+				noise := rand.New(rand.NewPCG(opt.Seed, 0x2000000+uint64(j)<<20+uint64(i)))
+				return workflow.MeasureSolo(b.Machine, cs.BuildSolo(cfg), cs.InBytesPerStep, noise)
+			}
 		}
-		j, cs := j, cs
-		solos, err := collector.RunKeyed(ctx, col, soloKeys, func(i, _ int) (workflow.Measurement, error) {
-			noise := rand.New(rand.NewPCG(opt.Seed, 0x2000000+uint64(j)<<20+uint64(i)))
-			return workflow.MeasureSolo(b.Machine, cs.BuildSolo(cfgs[i]), cs.InBytesPerStep, noise)
-		})
+		solos, err := dispatch.Do(ctx, runner.Workers, runner.Retry, jobs)
 		if err != nil {
 			return nil, fmt.Errorf("paperexp: measure %s/%s set: %w", b.Name, cs.Name, err)
 		}

@@ -1,7 +1,9 @@
 package paperexp
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -153,6 +155,52 @@ func TestRunBatteryMetrics(t *testing.T) {
 		}
 		if len(st.Cost) != 3 || st.Cost[0] <= 0 {
 			t.Fatalf("%s: cost not recorded", st.Name)
+		}
+	}
+}
+
+// TestRunBatteryWorkersIdentical: the replication fan is scheduling-blind —
+// any width aggregates the same statistics.
+func TestRunBatteryWorkersIdentical(t *testing.T) {
+	run := func(workers int) []*AlgStats {
+		stats, err := RunBattery(RunSpec{
+			GT: tinyGT(t, "LV"), Obj: CompTime, Budget: 12,
+			Algorithms: []tuner.Algorithm{tuner.RS{}, tuner.NewCEAL()},
+			Reps:       5, Seed: 2, Workers: workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats
+	}
+	if serial, fanned := run(1), run(4); !reflect.DeepEqual(serial, fanned) {
+		t.Fatalf("Workers 1 and 4 disagree:\n%+v\n%+v", serial, fanned)
+	}
+}
+
+// failFrom fails every replication whose problem seed is at least from.
+type failFrom struct{ from uint64 }
+
+func (failFrom) Name() string { return "failFrom" }
+
+func (f failFrom) Tune(p *tuner.Problem, budget int) (*tuner.Result, error) {
+	if p.Seed >= f.from {
+		return nil, fmt.Errorf("seed %d refused", p.Seed)
+	}
+	return tuner.RS{}.Tune(p, budget)
+}
+
+// TestRunBatteryLowestIndexError: with several replications failing, the
+// reported error is the lowest replication's at any width.
+func TestRunBatteryLowestIndexError(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		_, err := RunBattery(RunSpec{
+			GT: tinyGT(t, "LV"), Obj: CompTime, Budget: 12,
+			Algorithms: []tuner.Algorithm{failFrom{from: 11}},
+			Reps:       4, Seed: 10, Workers: workers,
+		})
+		if err == nil || !strings.Contains(err.Error(), "(rep 1)") || !strings.Contains(err.Error(), "seed 11 refused") {
+			t.Fatalf("workers=%d: err = %v, want replication 1's failure", workers, err)
 		}
 	}
 }

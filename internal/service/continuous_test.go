@@ -70,14 +70,14 @@ func TestServerContinuousRunStreamsDriftEvents(t *testing.T) {
 		t.Fatalf("POST = %d: %s", resp.StatusCode, body)
 	}
 	var sub struct {
-		RunRecord
+		histdb.RunRecord
 		Deduped bool `json:"deduped"`
 	}
 	if err := json.Unmarshal(body, &sub); err != nil {
 		t.Fatal(err)
 	}
 	rec := pollDone(t, ts, sub.ID)
-	if rec.State != StateDone {
+	if rec.State != histdb.StateDone {
 		t.Fatalf("state = %s (%s)", rec.State, rec.Error)
 	}
 	if rec.Continuous == nil {
@@ -144,7 +144,7 @@ func TestServerContinuousRunStreamsDriftEvents(t *testing.T) {
 		t.Fatalf("second continuous POST = %d, want 201 (fresh): %s", resp2.StatusCode, body2)
 	}
 	var sub2 struct {
-		RunRecord
+		histdb.RunRecord
 		Deduped bool `json:"deduped"`
 	}
 	if err := json.Unmarshal(body2, &sub2); err != nil {

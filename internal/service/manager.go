@@ -44,7 +44,7 @@ type Options struct {
 	QueueLimit int
 	// Store persists run records (default: a fresh MemStore). The Manager
 	// owns it and closes it on Shutdown.
-	Store Store
+	Store histdb.Store
 	// Build assembles the problem and algorithm for a normalized spec
 	// (default BuildSpec; tests inject instrumented problems here).
 	Build func(JobSpec) (*tuner.Problem, tuner.Algorithm, error)
@@ -95,7 +95,7 @@ type Metrics struct {
 
 // job is one live (queued or running) run.
 type job struct {
-	rec    *RunRecord // guarded by Manager.mu
+	rec    *histdb.RunRecord // guarded by Manager.mu
 	hub    *hub
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -108,7 +108,7 @@ type job struct {
 // state and survives restarts (with FileStore).
 type Manager struct {
 	opts  Options
-	store Store
+	store histdb.Store
 	queue chan *job
 
 	mu       sync.Mutex
@@ -142,7 +142,7 @@ func NewManager(opts Options) *Manager {
 		opts.QueueLimit = 16
 	}
 	if opts.Store == nil {
-		opts.Store = NewMemStore()
+		opts.Store = histdb.NewMemStore()
 	}
 	if opts.Build == nil {
 		opts.Build = BuildSpec
@@ -170,9 +170,6 @@ func NewManager(opts Options) *Manager {
 	return m
 }
 
-// maxSeq resumes the run-ID counter past every ID already in the store.
-func maxSeq(s Store) int { return histdb.MaxSeq(s) }
-
 // runID mints this replica's run ID for sequence n.
 func (m *Manager) runID(n int) string {
 	if m.opts.ReplicaID != "" {
@@ -194,7 +191,7 @@ func (m *Manager) refreshStore() {
 // Submit admits a tuning job. The returned record is a snapshot; fresh
 // reports whether a new run was queued (false: served from the store or
 // joined onto an identical in-flight run).
-func (m *Manager) Submit(spec JobSpec) (rec *RunRecord, fresh bool, err error) {
+func (m *Manager) Submit(spec JobSpec) (rec *histdb.RunRecord, fresh bool, err error) {
 	spec = spec.Normalize()
 	if err := ValidateSpec(spec); err != nil {
 		return nil, false, err
@@ -230,11 +227,11 @@ func (m *Manager) Submit(spec JobSpec) (rec *RunRecord, fresh bool, err error) {
 
 	m.seq++
 	j := &job{
-		rec: &RunRecord{
+		rec: &histdb.RunRecord{
 			ID:          m.runID(m.seq),
 			Spec:        spec,
 			SpecKey:     key,
-			State:       StateQueued,
+			State:       histdb.StateQueued,
 			Components:  ComponentNames(spec),
 			SubmittedAt: m.now(),
 		},
@@ -267,7 +264,7 @@ func (m *Manager) Submit(spec JobSpec) (rec *RunRecord, fresh bool, err error) {
 // already-measured configurations are served as hits and the final Result
 // is byte-identical to what the uninterrupted run would have produced.
 // Completed runs return ErrNotResumable; live ones ErrInFlight.
-func (m *Manager) Resume(id string) (*RunRecord, error) {
+func (m *Manager) Resume(id string) (*histdb.RunRecord, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.draining {
@@ -281,7 +278,7 @@ func (m *Manager) Resume(id string) (*RunRecord, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	if rec.State == StateDone {
+	if rec.State == histdb.StateDone {
 		return nil, ErrNotResumable
 	}
 	if rec.Spec.Normalize().Mode == histdb.ModeContinuous {
@@ -292,7 +289,7 @@ func (m *Manager) Resume(id string) (*RunRecord, error) {
 	}
 	// Reset the lifecycle; keep Checkpoint and Warm — they are the run's
 	// replay inputs.
-	rec.State = StateQueued
+	rec.State = histdb.StateQueued
 	rec.Error = ""
 	rec.Result = nil
 	rec.Trace = nil
@@ -333,7 +330,7 @@ func (m *Manager) runJob(j *job) {
 		m.mu.Unlock()
 		return
 	}
-	j.rec.State = StateRunning
+	j.rec.State = histdb.StateRunning
 	j.rec.StartedAt = m.now()
 	m.saveLocked(j)
 	m.mu.Unlock()
@@ -533,15 +530,15 @@ func (m *Manager) finalize(j *job, res *tuner.Result, err error) {
 	j.rec.Trace = j.hub.Lines()
 	switch {
 	case err == nil:
-		j.rec.State = StateDone
+		j.rec.State = histdb.StateDone
 		j.rec.Result = res
 		m.finished.Add(1)
 	case errors.Is(err, context.Canceled) || j.ctx.Err() != nil:
-		j.rec.State = StateCancelled
+		j.rec.State = histdb.StateCancelled
 		j.rec.Error = err.Error()
 		m.cancelled.Add(1)
 	default:
-		j.rec.State = StateFailed
+		j.rec.State = histdb.StateFailed
 		j.rec.Error = err.Error()
 		m.failed.Add(1)
 	}
@@ -560,7 +557,7 @@ func (m *Manager) saveLocked(j *job) {
 
 // Get returns a snapshot of a run: live state if the job is in flight,
 // otherwise the stored record.
-func (m *Manager) Get(id string) (*RunRecord, bool) {
+func (m *Manager) Get(id string) (*histdb.RunRecord, bool) {
 	m.mu.Lock()
 	if j, ok := m.jobs[id]; ok {
 		rec := j.rec.Clone()
@@ -572,7 +569,7 @@ func (m *Manager) Get(id string) (*RunRecord, bool) {
 }
 
 // List returns every known run, live and stored, ordered by submission.
-func (m *Manager) List() []*RunRecord {
+func (m *Manager) List() []*histdb.RunRecord {
 	// Live jobs are written through on every transition, so the store's
 	// view is complete; live snapshots are fresher only within a
 	// transition, which Get covers.
@@ -581,7 +578,7 @@ func (m *Manager) List() []*RunRecord {
 
 // History queries the history database: completed runs matching every set
 // field of q, in store order.
-func (m *Manager) History(q histdb.Query) []*RunRecord {
+func (m *Manager) History(q histdb.Query) []*histdb.RunRecord {
 	return histdb.Select(m.store, q)
 }
 
@@ -589,11 +586,11 @@ func (m *Manager) History(q histdb.Query) []*RunRecord {
 // snapshot reflects the state at return time: queued jobs are terminal
 // immediately, running jobs finish (as cancelled) within one measurement
 // batch.
-func (m *Manager) Cancel(id string) (*RunRecord, error) {
+func (m *Manager) Cancel(id string) (*histdb.RunRecord, error) {
 	m.mu.Lock()
 	if j, ok := m.jobs[id]; ok {
 		j.cancel()
-		if j.rec.State == StateQueued {
+		if j.rec.State == histdb.StateQueued {
 			// The worker that eventually pops it will see the cancelled
 			// context; reflect the terminal state now.
 			m.finalize(j, nil, context.Canceled)

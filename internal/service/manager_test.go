@@ -8,6 +8,7 @@ import (
 
 	"ceal/internal/cfgspace"
 	"ceal/internal/collector"
+	"ceal/internal/histdb"
 	"ceal/internal/tuner"
 )
 
@@ -45,7 +46,7 @@ func slowBuild(delay time.Duration) func(JobSpec) (*tuner.Problem, tuner.Algorit
 	}
 }
 
-func waitDone(t *testing.T, m *Manager, id string) *RunRecord {
+func waitDone(t *testing.T, m *Manager, id string) *histdb.RunRecord {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -66,7 +67,7 @@ func waitRunning(t *testing.T, m *Manager, id string) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		got, ok := m.Get(id)
-		if ok && got.State == StateRunning {
+		if ok && got.State == histdb.StateRunning {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -85,7 +86,7 @@ func TestManagerRunsJobToCompletion(t *testing.T) {
 		t.Fatalf("Submit = %v, fresh %v", err, fresh)
 	}
 	got := waitDone(t, m, rec.ID)
-	if got.State != StateDone {
+	if got.State != histdb.StateDone {
 		t.Fatalf("state = %s (%s)", got.State, got.Error)
 	}
 	if got.Result == nil || len(got.Result.Samples) != 5 {
@@ -106,7 +107,7 @@ func TestManagerRunsJobToCompletion(t *testing.T) {
 	if err != nil || fresh {
 		t.Fatalf("resubmit = %v, fresh %v", err, fresh)
 	}
-	if again.ID != rec.ID || again.State != StateDone {
+	if again.ID != rec.ID || again.State != histdb.StateDone {
 		t.Fatalf("resubmit got %s/%s, want %s/done", again.ID, again.State, rec.ID)
 	}
 
@@ -152,10 +153,10 @@ func TestManagerInFlightDedupAndQueueFull(t *testing.T) {
 		t.Fatalf("third submit = %v, want ErrQueueFull", err)
 	}
 	close(gate)
-	if got := waitDone(t, m, a.ID); got.State != StateDone {
+	if got := waitDone(t, m, a.ID); got.State != histdb.StateDone {
 		t.Fatalf("a = %s", got.State)
 	}
-	if got := waitDone(t, m, b.ID); got.State != StateDone {
+	if got := waitDone(t, m, b.ID); got.State != histdb.StateDone {
 		t.Fatalf("b = %s", got.State)
 	}
 	if mt := m.Metrics(); mt.Deduped != 1 || mt.Finished != 2 {
@@ -187,7 +188,7 @@ func TestManagerCancelQueuedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.State != StateCancelled {
+	if got.State != histdb.StateCancelled {
 		t.Fatalf("queued cancel state = %s", got.State)
 	}
 	// The spec key is free again: resubmitting starts a fresh run.
@@ -212,7 +213,7 @@ func TestManagerCancelMidRunWithinOneBatch(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		got, _ := m.Get(rec.ID)
-		if got.State == StateRunning {
+		if got.State == histdb.StateRunning {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -227,7 +228,7 @@ func TestManagerCancelMidRunWithinOneBatch(t *testing.T) {
 	}
 	got := waitDone(t, m, rec.ID)
 	elapsed := time.Since(start)
-	if got.State != StateCancelled {
+	if got.State != histdb.StateCancelled {
 		t.Fatalf("state = %s", got.State)
 	}
 	if got.Error == "" {
@@ -263,10 +264,10 @@ func TestManagerShutdownCancelsInFlight(t *testing.T) {
 	if err := m.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	if got, _ := m.Get(rec.ID); got.State != StateCancelled {
+	if got, _ := m.Get(rec.ID); got.State != histdb.StateCancelled {
 		t.Fatalf("in-flight run = %s after shutdown", got.State)
 	}
-	if got, _ := m.Get(queued.ID); got.State != StateCancelled {
+	if got, _ := m.Get(queued.ID); got.State != histdb.StateCancelled {
 		t.Fatalf("queued run = %s after shutdown", got.State)
 	}
 	if _, _, err := m.Submit(tinySpec(5)); !errors.Is(err, ErrDraining) {
@@ -287,7 +288,7 @@ func TestManagerBuildFailureMarksFailed(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := waitDone(t, m, rec.ID)
-	if got.State != StateFailed || got.Error != "boom" {
+	if got.State != histdb.StateFailed || got.Error != "boom" {
 		t.Fatalf("got %s / %q", got.State, got.Error)
 	}
 	if mt := m.Metrics(); mt.Failed != 1 {

@@ -15,7 +15,7 @@ import (
 // wraps it in a Manager with the given replica ID.
 func openReplica(t *testing.T, path, replica string, opts Options) *Manager {
 	t.Helper()
-	st, err := OpenFileStore(path)
+	st, err := histdb.OpenFileStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestTwoReplicasShareStoreAndDedup(t *testing.T) {
 		t.Fatalf("replica a minted %s, want run-a-000001", recA.ID)
 	}
 	doneA := waitDone(t, a, recA.ID)
-	if doneA.State != StateDone {
+	if doneA.State != histdb.StateDone {
 		t.Fatalf("run on a = %s (%s)", doneA.State, doneA.Error)
 	}
 
@@ -56,7 +56,7 @@ func TestTwoReplicasShareStoreAndDedup(t *testing.T) {
 	if err != nil || fresh {
 		t.Fatalf("Submit on b = %v, fresh %v (want dedup)", err, fresh)
 	}
-	if recB.ID != recA.ID || recB.State != StateDone || recB.Result == nil {
+	if recB.ID != recA.ID || recB.State != histdb.StateDone || recB.Result == nil {
 		t.Fatalf("b deduped to %s/%s, want %s/done with result", recB.ID, recB.State, recA.ID)
 	}
 	if recB.Result.Best.Key() != doneA.Result.Best.Key() {
@@ -75,7 +75,7 @@ func TestTwoReplicasShareStoreAndDedup(t *testing.T) {
 	if recB2.ID != "run-b-000001" {
 		t.Fatalf("replica b minted %s, want run-b-000001", recB2.ID)
 	}
-	if got := waitDone(t, b, recB2.ID); got.State != StateDone {
+	if got := waitDone(t, b, recB2.ID); got.State != histdb.StateDone {
 		t.Fatalf("run on b = %s (%s)", got.State, got.Error)
 	}
 	recA2, fresh, err := a.Submit(tinySpec(4))

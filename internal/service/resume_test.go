@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ceal/internal/histdb"
 	"ceal/internal/tuner"
 )
 
@@ -45,7 +46,7 @@ func TestResumeDoneRunRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := waitDone(t, m, rec.ID); got.State != StateDone {
+	if got := waitDone(t, m, rec.ID); got.State != histdb.StateDone {
 		t.Fatalf("state = %s", got.State)
 	}
 	if _, err := m.Resume(rec.ID); !errors.Is(err, ErrNotResumable) {
@@ -70,7 +71,7 @@ func TestInterruptedRunResumesToIdenticalResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := waitDone(t, base, rec.ID)
-	if want.State != StateDone {
+	if want.State != histdb.StateDone {
 		t.Fatalf("baseline state = %s (%s)", want.State, want.Error)
 	}
 	base.Shutdown(context.Background())
@@ -78,7 +79,7 @@ func TestInterruptedRunResumesToIdenticalResult(t *testing.T) {
 	// Interrupted: same spec on a file store, killed mid-run by Shutdown
 	// (which cancels in-flight jobs the way a crash would orphan them).
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
-	fs, err := OpenFileStore(path)
+	fs, err := histdb.OpenFileStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,12 +108,12 @@ func TestInterruptedRunResumesToIdenticalResult(t *testing.T) {
 	}
 
 	// Restart: a fresh manager over the same log resumes the orphan.
-	fs2, err := OpenFileStore(path)
+	fs2, err := histdb.OpenFileStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stored, ok := fs2.Get(rec.ID)
-	if !ok || stored.State == StateDone {
+	if !ok || stored.State == histdb.StateDone {
 		t.Fatalf("interrupted record = %+v, %v", stored, ok)
 	}
 	if len(stored.Checkpoint) == 0 {
@@ -124,7 +125,7 @@ func TestInterruptedRunResumesToIdenticalResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := waitDone(t, m2, rec.ID)
-	if got.State != StateDone {
+	if got.State != histdb.StateDone {
 		t.Fatalf("resumed state = %s (%s)", got.State, got.Error)
 	}
 	if got.Checkpoint != nil {
@@ -157,7 +158,7 @@ func TestWarmSubmitNeverDedupes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := waitDone(t, m, rec.ID); got.State != StateDone {
+	if got := waitDone(t, m, rec.ID); got.State != histdb.StateDone {
 		t.Fatalf("cold run = %s (%s)", got.State, got.Error)
 	}
 
@@ -168,7 +169,7 @@ func TestWarmSubmitNeverDedupes(t *testing.T) {
 		t.Fatalf("warm submit = %v, fresh %v", err, fresh)
 	}
 	g1 := waitDone(t, m, w1.ID)
-	if g1.State != StateDone {
+	if g1.State != histdb.StateDone {
 		t.Fatalf("warm run = %s (%s)", g1.State, g1.Error)
 	}
 	// Warm data was assembled from history and pinned to the record.
@@ -188,7 +189,7 @@ func TestWarmSubmitNeverDedupes(t *testing.T) {
 	if w2.ID == w1.ID {
 		t.Fatal("warm submission deduped onto a prior warm run")
 	}
-	if got := waitDone(t, m, w2.ID); got.State != StateDone {
+	if got := waitDone(t, m, w2.ID); got.State != histdb.StateDone {
 		t.Fatalf("second warm run = %s (%s)", got.State, got.Error)
 	}
 }

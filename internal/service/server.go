@@ -50,16 +50,25 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // was served from the store or joined onto an in-flight identical run
 // rather than freshly queued.
 type submitResponse struct {
-	*RunRecord
+	*histdb.RunRecord
 	Deduped bool `json:"deduped,omitempty"`
 }
 
+// maxSpecBytes bounds a POST /v1/runs body; a JobSpec is a few hundred
+// bytes.
+const maxSpecBytes = 1 << 20
+
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, fmt.Errorf("bad job spec: %w", err))
 		return
 	}
 	rec, fresh, err := s.m.Submit(spec)
@@ -86,12 +95,12 @@ func (s *Server) list(w http.ResponseWriter, r *http.Request) {
 	// The list view elides traces and pool scores: GET /v1/runs/{id} and
 	// the events endpoint carry the bulk.
 	type item struct {
-		ID          string   `json:"id"`
-		Spec        JobSpec  `json:"spec"`
-		State       RunState `json:"state"`
-		Error       string   `json:"error,omitempty"`
-		BestValue   *float64 `json:"best_value,omitempty"`
-		EventsCount int      `json:"events_count"`
+		ID          string          `json:"id"`
+		Spec        JobSpec         `json:"spec"`
+		State       histdb.RunState `json:"state"`
+		Error       string          `json:"error,omitempty"`
+		BestValue   *float64        `json:"best_value,omitempty"`
+		EventsCount int             `json:"events_count"`
 	}
 	items := make([]item, 0, len(recs))
 	for _, rec := range recs {

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"ceal/internal/histdb"
 	"ceal/internal/tuner"
 	"ceal/internal/tuner/events"
 )
@@ -92,11 +93,11 @@ func normalizeDurations(b []byte) []byte {
 }
 
 // pollDone polls GET /v1/runs/{id} until the run reaches a terminal state.
-func pollDone(t *testing.T, ts *httptest.Server, id string) *RunRecord {
+func pollDone(t *testing.T, ts *httptest.Server, id string) *histdb.RunRecord {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		var rec RunRecord
+		var rec histdb.RunRecord
 		if code := getJSON(t, ts.URL+"/v1/runs/"+id, &rec); code != http.StatusOK {
 			t.Fatalf("GET %s = %d", id, code)
 		}
@@ -140,7 +141,7 @@ func TestServerResultIdenticalToDirectTune(t *testing.T) {
 		t.Fatalf("POST = %d: %s", resp.StatusCode, body)
 	}
 	var sub struct {
-		RunRecord
+		histdb.RunRecord
 		Deduped bool `json:"deduped"`
 	}
 	if err := json.Unmarshal(body, &sub); err != nil {
@@ -150,7 +151,7 @@ func TestServerResultIdenticalToDirectTune(t *testing.T) {
 		t.Fatal("fresh submission flagged deduped")
 	}
 	rec := pollDone(t, ts, sub.ID)
-	if rec.State != StateDone {
+	if rec.State != histdb.StateDone {
 		t.Fatalf("state = %s (%s)", rec.State, rec.Error)
 	}
 
@@ -218,7 +219,7 @@ func TestServerResultIdenticalToDirectTune(t *testing.T) {
 		t.Fatalf("resubmit = %d", resp2.StatusCode)
 	}
 	var sub2 struct {
-		RunRecord
+		histdb.RunRecord
 		Deduped bool `json:"deduped"`
 	}
 	if err := json.Unmarshal(body2, &sub2); err != nil {
@@ -255,7 +256,7 @@ func TestServerConcurrentSubmissions(t *testing.T) {
 				errs <- fmt.Errorf("seed %d: POST = %d", i+1, resp.StatusCode)
 				return
 			}
-			var rec RunRecord
+			var rec histdb.RunRecord
 			if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
 				errs <- err
 				return
@@ -274,15 +275,15 @@ func TestServerConcurrentSubmissions(t *testing.T) {
 			t.Fatalf("duplicate run ID %s", id)
 		}
 		seen[id] = true
-		if rec := pollDone(t, ts, id); rec.State != StateDone {
+		if rec := pollDone(t, ts, id); rec.State != histdb.StateDone {
 			t.Fatalf("run %s = %s (%s)", id, rec.State, rec.Error)
 		}
 	}
 	var list struct {
 		Runs []struct {
-			ID        string   `json:"id"`
-			State     RunState `json:"state"`
-			BestValue *float64 `json:"best_value"`
+			ID        string          `json:"id"`
+			State     histdb.RunState `json:"state"`
+			BestValue *float64        `json:"best_value"`
 		} `json:"runs"`
 	}
 	if code := getJSON(t, ts.URL+"/v1/runs", &list); code != http.StatusOK {
@@ -292,7 +293,7 @@ func TestServerConcurrentSubmissions(t *testing.T) {
 		t.Fatalf("list has %d runs, want %d", len(list.Runs), n)
 	}
 	for _, it := range list.Runs {
-		if it.State != StateDone || it.BestValue == nil {
+		if it.State != histdb.StateDone || it.BestValue == nil {
 			t.Fatalf("list item %+v", it)
 		}
 	}
@@ -310,7 +311,7 @@ func TestServerDeleteCancelsWithinOneBatch(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("POST = %d: %s", resp.StatusCode, body)
 	}
-	var sub RunRecord
+	var sub histdb.RunRecord
 	if err := json.Unmarshal(body, &sub); err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +341,7 @@ func TestServerDeleteCancelsWithinOneBatch(t *testing.T) {
 	}
 	rec := pollDone(t, ts, sub.ID)
 	elapsed := time.Since(start)
-	if rec.State != StateCancelled {
+	if rec.State != histdb.StateCancelled {
 		t.Fatalf("state = %s", rec.State)
 	}
 	if elapsed > 250*time.Millisecond {
@@ -369,7 +370,7 @@ func TestServerStorePersistsAcrossRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
 	spec := JobSpec{Benchmark: "HS", Algorithm: "rs", Objective: "exec", Budget: 5, Pool: 30, Seed: 2}
 
-	st1, err := OpenFileStore(path)
+	st1, err := histdb.OpenFileStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,12 +380,12 @@ func TestServerStorePersistsAcrossRestart(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("POST = %d: %s", resp.StatusCode, body)
 	}
-	var sub RunRecord
+	var sub histdb.RunRecord
 	if err := json.Unmarshal(body, &sub); err != nil {
 		t.Fatal(err)
 	}
 	first := pollDone(t, ts1, sub.ID)
-	if first.State != StateDone {
+	if first.State != histdb.StateDone {
 		t.Fatalf("state = %s (%s)", first.State, first.Error)
 	}
 	firstJSON, _ := json.Marshal(first.Result)
@@ -395,12 +396,12 @@ func TestServerStorePersistsAcrossRestart(t *testing.T) {
 
 	// Restart on the same store file: the run is still there, resubmission
 	// dedupes against it, and new runs get fresh IDs.
-	st2, err := OpenFileStore(path)
+	st2, err := histdb.OpenFileStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, ts2 := newTestServer(t, Options{Workers: 1, Store: st2})
-	var reloaded RunRecord
+	var reloaded histdb.RunRecord
 	if code := getJSON(t, ts2.URL+"/v1/runs/"+sub.ID, &reloaded); code != http.StatusOK {
 		t.Fatalf("GET after restart = %d", code)
 	}
@@ -416,7 +417,7 @@ func TestServerStorePersistsAcrossRestart(t *testing.T) {
 		t.Fatalf("resubmit after restart = %d: %s", resp2.StatusCode, body2)
 	}
 	var sub2 struct {
-		RunRecord
+		histdb.RunRecord
 		Deduped bool `json:"deduped"`
 	}
 	if err := json.Unmarshal(body2, &sub2); err != nil {
@@ -457,6 +458,23 @@ func TestServerErrorPaths(t *testing.T) {
 	}
 }
 
+func TestServerRejectsOversizedSpec(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	body := `{"benchmark":"` + strings.Repeat("L", maxSpecBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec: POST = %d, want 413", resp.StatusCode)
+	}
+	var reply map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil || reply["error"] == "" {
+		t.Fatalf("413 reply is not a JSON error: %v, %v", reply, err)
+	}
+}
+
 func TestServerQueueFullAndHealth(t *testing.T) {
 	gate := make(chan struct{})
 	m, ts := newTestServer(t, Options{
@@ -473,7 +491,7 @@ func TestServerQueueFullAndHealth(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("first submit = %d (%s)", resp.StatusCode, body)
 	}
-	var first RunRecord
+	var first histdb.RunRecord
 	if err := json.Unmarshal(body, &first); err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +547,7 @@ func TestServerShutdownCancelsStreams(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("POST = %d: %s", resp.StatusCode, body)
 	}
-	var sub RunRecord
+	var sub histdb.RunRecord
 	if err := json.Unmarshal(body, &sub); err != nil {
 		t.Fatal(err)
 	}
@@ -563,11 +581,11 @@ func TestServerShutdownCancelsStreams(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("drain took %v", elapsed)
 	}
-	var rec RunRecord
+	var rec histdb.RunRecord
 	if code := getJSON(t, ts.URL+"/v1/runs/"+sub.ID, &rec); code != http.StatusOK {
 		t.Fatalf("GET after shutdown = %d", code)
 	}
-	if rec.State != StateCancelled {
+	if rec.State != histdb.StateCancelled {
 		t.Fatalf("run = %s after shutdown", rec.State)
 	}
 }

@@ -22,7 +22,6 @@ import (
 
 	"ceal/internal/cluster"
 	"ceal/internal/dispatch"
-	"ceal/internal/emews"
 	"ceal/internal/histdb"
 	"ceal/internal/live"
 	"ceal/internal/tuner"
@@ -104,7 +103,7 @@ func BuildSpec(s JobSpec) (*tuner.Problem, tuner.Algorithm, error) {
 	}
 	p := live.NewProblem(b, obj, n.Pool, n.Seed)
 	if n.Workers > 1 {
-		p.Runner = &emews.Runner{Workers: n.Workers, MaxRetries: 3}
+		p.Runner = dispatch.NewRunner(n.Workers)
 		p.Workers = n.Workers
 	}
 	return p, alg, nil

@@ -8,30 +8,31 @@ import (
 	"testing"
 	"time"
 
+	"ceal/internal/histdb"
 	"ceal/internal/tuner"
 )
 
-func rec(id, key string, state RunState, at time.Time) *RunRecord {
-	return &RunRecord{ID: id, Spec: JobSpec{Benchmark: "LV"}, SpecKey: key, State: state, SubmittedAt: at}
+func rec(id, key string, state histdb.RunState, at time.Time) *histdb.RunRecord {
+	return &histdb.RunRecord{ID: id, Spec: JobSpec{Benchmark: "LV"}, SpecKey: key, State: state, SubmittedAt: at}
 }
 
 func TestMemStoreBySpecOnlyDone(t *testing.T) {
-	s := NewMemStore()
+	s := histdb.NewMemStore()
 	t0 := time.Unix(1000, 0)
-	if err := s.Save(rec("run-000001", "k1", StateRunning, t0)); err != nil {
+	if err := s.Save(rec("run-000001", "k1", histdb.StateRunning, t0)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.BySpec("k1"); ok {
 		t.Fatal("running run served from BySpec")
 	}
-	if err := s.Save(rec("run-000001", "k1", StateDone, t0)); err != nil {
+	if err := s.Save(rec("run-000001", "k1", histdb.StateDone, t0)); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := s.BySpec("k1")
 	if !ok || got.ID != "run-000001" {
 		t.Fatalf("BySpec = %v, %v", got, ok)
 	}
-	if err := s.Save(rec("run-000002", "k2", StateFailed, t0.Add(time.Second))); err != nil {
+	if err := s.Save(rec("run-000002", "k2", histdb.StateFailed, t0.Add(time.Second))); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.BySpec("k2"); ok {
@@ -42,15 +43,15 @@ func TestMemStoreBySpecOnlyDone(t *testing.T) {
 		t.Fatalf("List = %v", list)
 	}
 	// Returned records are copies: mutating them must not corrupt the store.
-	list[0].State = StateQueued
-	if back, _ := s.Get("run-000001"); back.State != StateDone {
+	list[0].State = histdb.StateQueued
+	if back, _ := s.Get("run-000001"); back.State != histdb.StateDone {
 		t.Fatal("caller mutation leaked into store")
 	}
 }
 
 func TestFileStoreRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
-	s, err := OpenFileStore(path)
+	s, err := histdb.OpenFileStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,10 +59,10 @@ func TestFileStoreRoundTrip(t *testing.T) {
 
 	// A full lifecycle leaves three lines for the same ID; reload must keep
 	// only the last state.
-	r := rec("run-000003", "LV/rs/comp/b5/p30/s7", StateQueued, t0)
-	for _, st := range []RunState{StateQueued, StateRunning, StateDone} {
+	r := rec("run-000003", "LV/rs/comp/b5/p30/s7", histdb.StateQueued, t0)
+	for _, st := range []histdb.RunState{histdb.StateQueued, histdb.StateRunning, histdb.StateDone} {
 		r.State = st
-		if st == StateDone {
+		if st == histdb.StateDone {
 			r.Result = &tuner.Result{Best: []int{1, 2, 3}, CollectionCost: 42.5, SwitchIteration: -1}
 			r.Trace = []json.RawMessage{json.RawMessage(`{"event":"run_started"}`)}
 		}
@@ -73,13 +74,13 @@ func TestFileStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reopened, err := OpenFileStore(path)
+	reopened, err := histdb.OpenFileStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
 	got, ok := reopened.Get("run-000003")
-	if !ok || got.State != StateDone {
+	if !ok || got.State != histdb.StateDone {
 		t.Fatalf("reloaded = %+v, %v", got, ok)
 	}
 	if got.Result == nil || got.Result.CollectionCost != 42.5 || got.Result.Best.Key() != "1,2,3" {
@@ -94,20 +95,20 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if _, ok := reopened.BySpec("LV/rs/comp/b5/p30/s7"); !ok {
 		t.Fatal("BySpec lost across restart")
 	}
-	if n := maxSeq(reopened); n != 3 {
+	if n := histdb.MaxSeq(reopened); n != 3 {
 		t.Fatalf("maxSeq = %d, want 3", n)
 	}
 }
 
 func TestFileStoreCompact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
-	s, err := OpenFileStore(path)
+	s, err := histdb.OpenFileStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t0 := time.Unix(3000, 0)
-	r := rec("run-000001", "k", StateQueued, t0)
-	for _, st := range []RunState{StateQueued, StateRunning, StateDone} {
+	r := rec("run-000001", "k", histdb.StateQueued, t0)
+	for _, st := range []histdb.RunState{histdb.StateQueued, histdb.StateRunning, histdb.StateDone} {
 		r.State = st
 		if err := s.Save(r); err != nil {
 			t.Fatal(err)
@@ -117,7 +118,7 @@ func TestFileStoreCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Appends must keep working after the rewrite.
-	if err := s.Save(rec("run-000002", "k2", StateQueued, t0.Add(time.Second))); err != nil {
+	if err := s.Save(rec("run-000002", "k2", histdb.StateQueued, t0.Add(time.Second))); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -143,12 +144,12 @@ func TestFileStoreCompact(t *testing.T) {
 	if lines != 2 {
 		t.Fatalf("compacted store has %d records, want 2", lines)
 	}
-	reopened, err := OpenFileStore(path)
+	reopened, err := histdb.OpenFileStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	if got, ok := reopened.Get("run-000001"); !ok || got.State != StateDone {
+	if got, ok := reopened.Get("run-000001"); !ok || got.State != histdb.StateDone {
 		t.Fatalf("after compact: %+v, %v", got, ok)
 	}
 	if _, ok := reopened.Get("run-000002"); !ok {
@@ -161,7 +162,7 @@ func TestFileStoreRejectsCorruptLog(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{not json\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFileStore(path); err == nil {
+	if _, err := histdb.OpenFileStore(path); err == nil {
 		t.Fatal("corrupt log accepted")
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"ceal/internal/cfgspace"
 	"ceal/internal/collector"
 	"ceal/internal/dispatch"
-	"ceal/internal/emews"
 	"ceal/internal/ml/xgb"
 	"ceal/internal/score"
 	"ceal/internal/tuner/events"
@@ -92,8 +91,9 @@ type Problem struct {
 	// Surrogate configures the boosted-tree surrogate; zero value means
 	// xgb.DefaultParams.
 	Surrogate xgb.Params
-	// Runner executes measurement batches; nil means a serial runner.
-	Runner *emews.Runner
+	// Runner shapes the in-process measurement pool (width and retry
+	// policy); nil means a serial pool.
+	Runner *dispatch.Runner
 	// Dispatcher optionally overrides the measurement substrate: when set,
 	// measurement batches are executed by it (e.g. a dispatch.Remote fanning
 	// over ceal-worker daemons) instead of running Eval in-process on
@@ -150,17 +150,18 @@ type Problem struct {
 }
 
 // Collector returns the problem's measurement collector, constructing it
-// from Eval and Runner on first use. All algorithms measure exclusively
-// through it; callers can inspect cache behaviour via Collector().Stats().
+// over Dispatcher (or, when that is nil, Eval on Runner's in-process pool)
+// on first use. All algorithms measure exclusively through it; callers can
+// inspect cache behaviour via Collector().Stats().
 func (p *Problem) Collector() *collector.Collector {
 	p.colMu.Lock()
 	defer p.colMu.Unlock()
 	if p.col == nil {
-		if p.Dispatcher != nil {
-			p.col = collector.NewDispatcher(p.Dispatcher, p.runner())
-		} else {
-			p.col = collector.New(p.Eval, p.runner())
+		disp := p.Dispatcher
+		if disp == nil {
+			disp = dispatch.NewLocal(p.Eval, p.Runner)
 		}
+		p.col = collector.New(disp)
 	}
 	return p.col
 }
@@ -191,13 +192,6 @@ func (p *Problem) features(cfg cfgspace.Config) []float64 {
 		return p.Features(cfg)
 	}
 	return p.Space.Features(cfg)
-}
-
-func (p *Problem) runner() *emews.Runner {
-	if p.Runner == nil {
-		return emews.DefaultRunner()
-	}
-	return p.Runner
 }
 
 // engine returns the problem's scoring engine, constructed on first use

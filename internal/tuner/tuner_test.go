@@ -1,7 +1,7 @@
 package tuner
 
 import (
-	"ceal/internal/emews"
+	"ceal/internal/dispatch"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -383,7 +383,7 @@ func TestMeasureBatchParallelDeterministic(t *testing.T) {
 	// order regardless of worker scheduling.
 	mk := func(workers int) []Sample {
 		p := synthProblem(23, 150)
-		p.Runner = &emews.Runner{Workers: workers, MaxRetries: 2}
+		p.Runner = &dispatch.Runner{Workers: workers, Retry: dispatch.Retry{MaxRetries: 2}}
 		cfgs := p.Pool[:20]
 		samples, err := measureBatch(p, cfgs)
 		if err != nil {

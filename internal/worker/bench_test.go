@@ -9,7 +9,6 @@ import (
 
 	"ceal/internal/cluster"
 	"ceal/internal/dispatch"
-	"ceal/internal/emews"
 	"ceal/internal/live"
 	"ceal/internal/paperexp"
 	"ceal/internal/workflow"
@@ -33,7 +32,7 @@ func benchBatch(b *testing.B, width int) ([]dispatch.Item, *live.Evaluator) {
 
 // BenchmarkDispatchBatch prices one 64-configuration measurement batch
 // through each dispatcher: the in-process path (serial and on a 4-worker
-// emews pool) against remote fan-out over 1, 2 and 4 ceal-worker daemons.
+// pool) against remote fan-out over 1, 2 and 4 ceal-worker daemons.
 // The spread between local and remote-1 is the HTTP round trip plus JSON
 // framing; the spread across worker counts is the shard fan-out.
 func BenchmarkDispatchBatch(b *testing.B) {
@@ -58,7 +57,7 @@ func BenchmarkDispatchBatch(b *testing.B) {
 		run(b, dispatch.NewLocal(ev, nil))
 	})
 	b.Run("local-par4", func(b *testing.B) {
-		run(b, dispatch.NewLocal(ev, &emews.Runner{Workers: 4, MaxRetries: 3}))
+		run(b, dispatch.NewLocal(ev, dispatch.NewRunner(4)))
 	})
 	for _, n := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("remote-%d", n), func(b *testing.B) {

@@ -1,7 +1,7 @@
 // Package worker is the remote measurement daemon's engine: an HTTP
 // handler that accepts measurement shards from dispatch.Remote clients
 // (POST /v1/measure), reconstructs the deterministic simulator-backed
-// evaluator for the requested job, runs the shard on an in-process emews
+// evaluator for the requested job, runs the shard on an in-process dispatch
 // pool, and returns values tagged with the items' sequence numbers.
 //
 // A worker holds no tuning state. The job identity in every request
@@ -14,6 +14,7 @@ package worker
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -22,7 +23,6 @@ import (
 
 	"ceal/internal/cluster"
 	"ceal/internal/dispatch"
-	"ceal/internal/emews"
 	"ceal/internal/live"
 	"ceal/internal/workflow"
 )
@@ -78,11 +78,22 @@ func (s *Server) evaluator(job dispatch.Job) (*live.Evaluator, error) {
 	return ev, nil
 }
 
+// maxRequestBytes bounds a POST /v1/measure body. An item is ~70 bytes on
+// the wire, so this admits a shard of 200k — twice the largest pool any
+// workload samples, all in one shard.
+const maxRequestBytes = 16 << 20
+
 func (s *Server) measure(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	var req dispatch.MeasureRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad measure request: %w", err))
+	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		s.fail(w, status, fmt.Errorf("bad measure request: %w", err))
 		return
 	}
 	ev, err := s.evaluator(req.Job)
@@ -90,7 +101,7 @@ func (s *Server) measure(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	local := dispatch.NewLocal(ev, &emews.Runner{Workers: s.workers})
+	local := dispatch.NewLocal(ev, &dispatch.Runner{Workers: s.workers})
 	ms, err := local.Dispatch(r.Context(), req.Items)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, err)

@@ -117,6 +117,23 @@ func TestMeasureEndpointRejectsBadJobs(t *testing.T) {
 	}
 }
 
+func TestMeasureEndpointRejectsOversizedBody(t *testing.T) {
+	url := newWorker(t, 1)
+	body := `{"benchmark":"` + strings.Repeat("L", maxRequestBytes) + `"}`
+	resp, err := http.Post(url+dispatch.MeasurePath, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized shard: POST = %d, want 413", resp.StatusCode)
+	}
+	var reply dispatch.MeasureResponse
+	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil || reply.Error == "" {
+		t.Fatalf("413 reply is not a JSON error: %+v, %v", reply, err)
+	}
+}
+
 // TestRemoteTuningByteIdenticalToLocal is the measurement plane's core
 // acceptance property: the same tuning spec produces a JSON-identical
 // Result through the in-process path and through remote dispatch at 1, 2,
