@@ -19,14 +19,6 @@ type Params struct {
 	MaxDepth  int     // per-tree depth cap
 	ColSample float64 // feature sampling fraction per tree
 	Seed      uint64
-	// Binned selects the histogram-binned training kernel (features
-	// quantized once to at most MaxBins bins, splits enumerated over bin
-	// boundaries); off by default, and bitwise-identical to the default
-	// pre-sorted kernel whenever the quantization is lossless.
-	Binned bool
-	// MaxBins caps bins per feature for Binned (0 means tree.MaxBins=256;
-	// must stay in [2, 256]).
-	MaxBins int
 }
 
 // DefaultParams returns a forest suited to few-sample tabular regression.
@@ -79,42 +71,18 @@ func FitOn(e *score.Engine, X [][]float64, y []float64, p Params) (*Forest, erro
 		colSets[t] = sampleCols(dim, p.ColSample, rng)
 	}
 
-	// Columns are pre-sorted (or quantized, with Binned) once for the
-	// whole ensemble; the fan is at tree level, so each chunk's grower
-	// runs its per-node work serially (nil engine) rather than nesting
-	// parallelism.
-	newGrower, err := growerFactory(e, X, p)
-	if err != nil {
-		return nil, err
-	}
+	// Columns are pre-sorted once for the whole ensemble; the fan is at
+	// tree level, so each chunk's grower runs its per-node work serially
+	// (nil engine) rather than nesting parallelism.
+	ctx := tree.NewContext(e, X)
 	f := &Forest{trees: make([]*tree.Tree, p.Trees)}
 	e.TaskChunks(p.Trees, func(lo, hi int) {
-		gw := newGrower()
+		gw := ctx.Grower(nil)
 		for t := lo; t < hi; t++ {
 			f.trees[t] = gw.Grow(g, h, rowSets[t], colSets[t], opt, nil)
 		}
 	})
 	return f, nil
-}
-
-// treeGrower is the Grow signature both training kernels share.
-type treeGrower interface {
-	Grow(g, h []float64, rows []int, cols []int, opt tree.Options, leafOut []float64) *tree.Tree
-}
-
-// growerFactory prepares the per-ensemble training substrate (pre-sorted
-// context or quantized matrix, built once on the engine) and returns a
-// constructor for per-worker growers over it.
-func growerFactory(e *score.Engine, X [][]float64, p Params) (func() treeGrower, error) {
-	if !p.Binned {
-		ctx := tree.NewContext(e, X)
-		return func() treeGrower { return ctx.Grower(nil) }, nil
-	}
-	if p.MaxBins < 0 || p.MaxBins == 1 || p.MaxBins > tree.MaxBins {
-		return nil, fmt.Errorf("forest: MaxBins must be 0 or in [2, %d], got %d", tree.MaxBins, p.MaxBins)
-	}
-	bm := tree.NewBinnedMatrix(e, X, p.MaxBins)
-	return func() treeGrower { return bm.Grower(nil) }, nil
 }
 
 // Trees returns the ensemble size.

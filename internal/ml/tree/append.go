@@ -6,17 +6,14 @@ import (
 	"ceal/internal/score"
 )
 
-// This file is the incremental-growth side of the two training kernels.
+// This file is the incremental-growth side of the training kernel.
 // Boosted refits inside a tuning loop train on a matrix that only ever
 // gains rows — one measured batch per iteration — so rebuilding the
-// pre-sorted column index or the quantized matrix from scratch every fit
-// repeats almost all of the previous fit's work. Append extends both
-// structures in place: the pre-sorted context merge-appends the new rows
-// into each column's (value, row) order, and the binned matrix reuses a
-// column's existing cut points whenever the new values stay lossless,
-// re-quantizing only the columns the batch invalidated. Both paths are
-// bitwise-identical to a from-scratch rebuild over the grown matrix,
-// which the incremental property suite pins.
+// pre-sorted column index from scratch every fit repeats almost all of
+// the previous fit's work. Append merge-appends the new rows into each
+// column's (value, row) order in place, bitwise-identical to a
+// from-scratch rebuild over the grown matrix, which the incremental
+// property suite pins.
 
 // Append extends the context to cover X, which must be the context's
 // original matrix plus new rows at the tail (the prefix rows themselves
@@ -69,82 +66,6 @@ func (c *Context) Append(e *score.Engine, X [][]float64) {
 		}
 		c.sorted[f] = s
 	})
-}
-
-// Append extends the matrix to cover X, which must be the matrix's
-// original rows plus new rows at the tail (the matrix adopts X rather
-// than copying it). A column whose binning is exact — one bin per
-// distinct value — keeps its cut points when every new value is one the
-// column already has: the new rows just append their codes, and the
-// result is identical to quantizing the grown column from scratch (same
-// distinct set, same identity bin numbering, same bounds). Any new value,
-// and any column already in the lossy quantile regime (whose cuts depend
-// on n), re-quantizes from the full column. The re-quantize fallback is
-// literally NewBinnedMatrix's per-column path, so Append equals a rebuild
-// bit for bit in every case.
-func (bm *BinnedMatrix) Append(e *score.Engine, X [][]float64) {
-	old := bm.n
-	b := len(X) - old
-	if b < 0 {
-		panic("tree: BinnedMatrix.Append with fewer rows than the matrix holds")
-	}
-	if b == 0 {
-		bm.X = X
-		return
-	}
-	if old == 0 {
-		*bm = *NewBinnedMatrix(e, X, bm.maxBins)
-		return
-	}
-	bm.X = X
-	bm.n = len(X)
-	e.Tasks(bm.dim, func(f int) {
-		codes := bm.codes[f]
-		if cap(codes) >= bm.n {
-			codes = codes[:bm.n]
-		} else {
-			grown := make([]uint8, bm.n, max(bm.n, 2*cap(codes)))
-			copy(grown, codes)
-			codes = grown
-		}
-		bm.codes[f] = codes
-		if bm.exact[f] && bm.appendExact(f, old, codes) {
-			return
-		}
-		col := make([]float64, bm.n)
-		for i, row := range X {
-			col[i] = row[f]
-		}
-		q := quantizeColumn(col, bm.maxBins, codes)
-		bm.nb[f] = q.nb
-		bm.binLo[f] = q.lo
-		bm.binHi[f] = q.hi
-		bm.exact[f] = q.exact
-	})
-	bm.maxNB = 0
-	for _, nb := range bm.nb {
-		if nb > bm.maxNB {
-			bm.maxNB = nb
-		}
-	}
-}
-
-// appendExact codes rows [old, bm.n) of an exact column against its
-// existing bins, reporting false (partial tail writes are harmless — the
-// caller re-quantizes the whole column) on the first value the column has
-// not seen. For exact columns binLo[j] == binHi[j] == the j-th distinct
-// value, so the lookup is a binary search over the bin bounds.
-func (bm *BinnedMatrix) appendExact(f, old int, codes []uint8) bool {
-	vals := bm.binLo[f]
-	for i := old; i < bm.n; i++ {
-		v := bm.X[i][f]
-		j := sort.SearchFloat64s(vals, v)
-		if j == len(vals) || vals[j] != v {
-			return false
-		}
-		codes[i] = uint8(j)
-	}
-	return true
 }
 
 // nodeSlab hands out tree nodes from chunked backing arrays, replacing

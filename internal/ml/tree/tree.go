@@ -50,43 +50,39 @@ type node struct {
 // Context/Grower path in presort.go grows value-identical trees (same
 // split feature, threshold and gain at every node) in a linear scan per
 // node; Grow is kept as the independent oracle the equivalence property
-// tests and training benchmarks compare against.
+// tests compare against.
 //
-// Determinism/tie-break contract (shared with the pre-sorted and
-// histogram-binned trainers): within a feature column rows are ordered
-// by (value, row index) — a stable, input-order-independent total order —
-// candidate splits are evaluated only between distinct adjacent values,
-// and a candidate replaces the incumbent only when its gain clears the
-// incumbent's by the gainBeats margin, so the first best-gain candidate
-// in (column order, value order) wins both exact ties and ties within
-// accumulation-order noise.
-// gainTieEps is the relative margin a split candidate must clear the
-// incumbent best gain by. Different training kernels fold the same
-// per-node gradient sums in different (deterministic) associations —
-// row-by-row here, per-bin subtotals and histogram subtraction in the
-// binned kernel — which perturbs computed gains by a few ulps. Exact-
-// arithmetic gain ties are common (two columns inducing the same or
-// mirrored row partition score identically), and resolving them by raw
-// float comparison would let that noise pick different winners per
-// kernel. The margin is orders of magnitude above the noise (~n·2⁻⁵³
-// relative, so ≲1e-12 for any node this repo trains on) yet far below
-// any gain difference that reflects the data, so every kernel resolves
-// ties identically: first candidate in (column order, value order) wins.
-const gainTieEps = 1e-9
-
-// gainBeats reports whether a candidate gain improves on the incumbent
-// by the shared tie-break margin, scaled to the node's score magnitudes
-// (parentScore anchors the scale even when the gains themselves cancel
-// to near zero).
-func gainBeats(gain, best, parentScore float64) bool {
-	return gain > best+gainTieEps*(parentScore+math.Abs(best)+math.Abs(gain))
-}
-
+// Determinism/tie-break contract (shared with the pre-sorted trainer):
+// within a feature column rows are ordered by (value, row index) — a
+// stable, input-order-independent total order — candidate splits are
+// evaluated only between distinct adjacent values, and a candidate
+// replaces the incumbent only when its gain clears the incumbent's by the
+// gainBeats margin, so the first best-gain candidate in (column order,
+// value order) wins both exact ties and near-ties.
 func Grow(X [][]float64, g, h []float64, rows []int, cols []int, opt Options) *Tree {
 	if opt.MinChildWeight <= 0 {
 		opt.MinChildWeight = 1e-12
 	}
 	return &Tree{root: grow(X, g, h, rows, cols, opt, 0)}
+}
+
+// gainTieEps is the relative margin a split candidate must clear the
+// incumbent best gain by. Exact-arithmetic gain ties are common (two
+// columns inducing the same or mirrored row partition score identically)
+// while the computed gains differ by rounding noise (~n·2⁻⁵³ relative,
+// so ≲1e-12 for any node this repo trains on). The margin is orders of
+// magnitude above that noise yet far below any gain difference that
+// reflects the data, so ties resolve to the first candidate in (column
+// order, value order) rather than by the last bit of a float sum. The
+// value is part of the trained trees: changing it changes split choices.
+const gainTieEps = 1e-9
+
+// gainBeats reports whether a candidate gain improves on the incumbent
+// by the tie-break margin, scaled to the node's score magnitudes
+// (parentScore anchors the scale even when the gains themselves cancel
+// to near zero).
+func gainBeats(gain, best, parentScore float64) bool {
+	return gain > best+gainTieEps*(parentScore+math.Abs(best)+math.Abs(gain))
 }
 
 func grow(X [][]float64, g, h []float64, rows []int, cols []int, opt Options, depth int) *node {

@@ -1,16 +1,18 @@
 // Booster: the incremental-refit form of FitOn. A tuning loop refits its
 // surrogate every iteration on a sample set that only grows by one
-// measured batch, so the per-fit setup — pre-sorting or quantizing the
-// feature matrix, allocating round buffers — is almost entirely repeated
-// work. A Booster retains the training matrix, the kernel state (which
-// extends itself via the tree Append paths instead of rebuilding), and
-// every round-loop buffer across fits. Each Fit still draws a fresh
-// sampling stream from p.Seed and runs the exact FitOn round loop, so the
-// returned model is bitwise identical to FitOn over the same rows.
+// measured batch, so the per-fit setup — pre-sorting the feature matrix,
+// allocating round buffers — is almost entirely repeated work. A Booster
+// retains the training matrix, the pre-sorted context (which extends
+// itself via tree.Context.Append instead of rebuilding), and every
+// round-loop buffer across fits. Each Fit still draws a fresh sampling
+// stream from p.Seed, so the returned model is bitwise identical to a
+// one-shot FitOn over the same rows.
 package xgb
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"ceal/internal/ml/tree"
@@ -28,23 +30,27 @@ type Booster struct {
 	X [][]float64
 	y []float64
 
-	ctx    *tree.Context      // pre-sorted kernel state, grown by Append
-	bm     *tree.BinnedMatrix // histogram kernel state, grown by Append
-	grower treeGrower
+	ctx    *tree.Context // pre-sorted columns, extended on each Fit
+	grower *tree.Grower
 
 	pred, g, h, leaf []float64
 	rowBuf, colBuf   []int
 	covered          []bool
 }
 
-// NewBooster validates p once up front (the same rules FitOn applies
-// per call) and returns an empty booster on the engine (nil: serial).
+// ErrBadTrainingData is returned (wrapped) by Append and FitOn for rows
+// the trainer cannot order or fit: a width that differs from the rows
+// already held, or a NaN/±Inf feature or target.
+var ErrBadTrainingData = errors.New("xgb: bad training data")
+
+// NewBooster validates p once up front and returns an empty booster on
+// the engine (nil: serial).
 func NewBooster(e *score.Engine, p Params) (*Booster, error) {
 	if p.Rounds <= 0 || p.LearningRate <= 0 {
 		return nil, fmt.Errorf("xgb: rounds and learning rate must be positive")
 	}
-	if p.Binned && (p.MaxBins < 0 || p.MaxBins == 1 || p.MaxBins > tree.MaxBins) {
-		return nil, fmt.Errorf("xgb: MaxBins must be 0 or in [2, %d], got %d", tree.MaxBins, p.MaxBins)
+	if p.MaxDepth > maxFlatDepth {
+		return nil, fmt.Errorf("xgb: MaxDepth must be at most %d, got %d", maxFlatDepth, p.MaxDepth)
 	}
 	return &Booster{p: p, e: e}, nil
 }
@@ -53,53 +59,55 @@ func NewBooster(e *score.Engine, p Params) (*Booster, error) {
 func (b *Booster) N() int { return len(b.y) }
 
 // Append adds training rows. The row slices are retained, not copied —
-// callers must not mutate them afterwards. The kernel state is extended
-// lazily on the next Fit.
+// callers must not mutate them afterwards. A batch with a ragged row or a
+// non-finite feature or target is rejected whole with ErrBadTrainingData
+// (a NaN would silently break the (value, row) column order the trainer
+// sorts by); only the appended rows are checked, so a warm refit stays
+// O(batch). The pre-sorted context is extended lazily on the next Fit.
 func (b *Booster) Append(X [][]float64, y []float64) error {
 	if len(X) != len(y) {
 		return fmt.Errorf("xgb: need matching X (%d) and y (%d)", len(X), len(y))
+	}
+	if len(X) == 0 {
+		return nil
+	}
+	dim := len(X[0])
+	if len(b.X) > 0 {
+		dim = len(b.X[0])
+	}
+	for i, row := range X {
+		if len(row) != dim {
+			return fmt.Errorf("%w: row %d has %d features, want %d", ErrBadTrainingData, i, len(row), dim)
+		}
+		for f, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: row %d feature %d is %v", ErrBadTrainingData, i, f, v)
+			}
+		}
+		if math.IsNaN(y[i]) || math.IsInf(y[i], 0) {
+			return fmt.Errorf("%w: row %d target is %v", ErrBadTrainingData, i, y[i])
+		}
 	}
 	b.X = append(b.X, X...)
 	b.y = append(b.y, y...)
 	return nil
 }
 
-// Reset drops all training rows and kernel state, keeping buffer
-// capacity. Use it when the target values of already-appended rows
-// change (residual refits, permuted training halves) — the append paths
-// only ever extend, they cannot revise a prefix.
+// Reset drops all training rows and the pre-sorted context, keeping
+// buffer capacity. Use it when the target values of already-appended rows
+// change (residual refits, permuted training halves) — Append only ever
+// extends, it cannot revise a prefix.
 func (b *Booster) Reset() {
 	b.X = b.X[:0]
 	b.y = b.y[:0]
-	b.ctx, b.bm, b.grower = nil, nil, nil
-}
-
-// sync brings the training kernel up to the current row set: built from
-// scratch on the first fit, extended incrementally (merge-append /
-// lossless cut-point reuse) on later ones.
-func (b *Booster) sync() {
-	if !b.p.Binned {
-		if b.ctx == nil {
-			b.ctx = tree.NewContext(b.e, b.X)
-			b.grower = b.ctx.Grower(b.e)
-		} else {
-			b.ctx.Append(b.e, b.X)
-		}
-		return
-	}
-	if b.bm == nil {
-		b.bm = tree.NewBinnedMatrix(b.e, b.X, b.p.MaxBins)
-		b.grower = b.bm.Grower(b.e)
-	} else {
-		b.bm.Append(b.e, b.X)
-	}
+	b.ctx, b.grower = nil, nil
 }
 
 // Fit trains on every appended row. The sampling stream restarts from
-// p.Seed on each call exactly as a fresh FitOn would, and the round loop
-// is FitOn's, so the model matches FitOn over the same (X, y) bit for
-// bit — only the setup work (kernel build, buffer allocation) is
-// amortized away.
+// p.Seed on each call, so the model matches a one-shot FitOn over the
+// same (X, y) bit for bit — only the setup work (column sort, buffer
+// allocation) is amortized away: the context is built on the first fit
+// and merge-appended on later ones.
 func (b *Booster) Fit() (*Model, error) {
 	n := len(b.y)
 	if n == 0 || len(b.X) != n {
@@ -115,7 +123,12 @@ func (b *Booster) Fit() (*Model, error) {
 	}
 	base /= float64(n)
 
-	b.sync()
+	if b.ctx == nil {
+		b.ctx = tree.NewContext(b.e, b.X)
+		b.grower = b.ctx.Grower(b.e)
+	} else {
+		b.ctx.Append(b.e, b.X)
+	}
 
 	m := &Model{base: base, eta: p.LearningRate}
 	m.trees = make([]*tree.Tree, 0, p.Rounds)

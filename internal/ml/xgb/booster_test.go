@@ -1,7 +1,8 @@
 package xgb
 
 import (
-	"math/rand/v2"
+	"errors"
+	"math"
 	"testing"
 
 	"ceal/internal/score"
@@ -10,8 +11,8 @@ import (
 // TestBoosterIncrementalMatchesScratch is the incremental-refit oracle:
 // appending rows batch by batch and refitting must produce, after every
 // batch, the same model bitwise as a from-scratch FitOn over the prefix —
-// for both kernels, with and without row/column sampling. This is the
-// property the surrogate's per-iteration refit relies on.
+// with and without row/column sampling. This is the property the
+// surrogate's per-iteration refit relies on.
 func TestBoosterIncrementalMatchesScratch(t *testing.T) {
 	cases := []struct {
 		name string
@@ -19,8 +20,6 @@ func TestBoosterIncrementalMatchesScratch(t *testing.T) {
 	}{
 		{"presort full", Params{Rounds: 20, LearningRate: 0.1, MaxDepth: 4, Lambda: 1, MinChildWeight: 1, Subsample: 1, ColSample: 1, Seed: 7}},
 		{"presort sampled", Params{Rounds: 20, LearningRate: 0.2, MaxDepth: 4, Lambda: 1, MinChildWeight: 1, Subsample: 0.7, ColSample: 0.6, Seed: 11}},
-		{"binned full", Params{Rounds: 20, LearningRate: 0.1, MaxDepth: 4, Lambda: 1, MinChildWeight: 1, Subsample: 1, ColSample: 1, Seed: 7, Binned: true}},
-		{"binned sampled", Params{Rounds: 20, LearningRate: 0.2, MaxDepth: 4, Lambda: 1, MinChildWeight: 1, Subsample: 0.7, ColSample: 0.6, Seed: 13, Binned: true}},
 	}
 	const dim = 5
 	X, y := trainingData(21, 90, dim)
@@ -52,64 +51,6 @@ func TestBoosterIncrementalMatchesScratch(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestBoosterBinnedCutInvalidation drives the histogram kernel's append
-// path through both regimes: batches drawn from the starting alphabet
-// reuse the existing cut points, and a batch introducing unseen values
-// forces the affected columns to re-quantize. Either way the refit must
-// stay bitwise identical to a scratch fit.
-func TestBoosterBinnedCutInvalidation(t *testing.T) {
-	const dim, n0 = 4, 40
-	rng := rand.New(rand.NewPCG(5, 55))
-	alphabet := []float64{-3, -1, 0, 2, 5} // small: every column starts exact
-	row := func(vals []float64) []float64 {
-		r := make([]float64, dim)
-		for f := range r {
-			r[f] = vals[rng.IntN(len(vals))]
-		}
-		return r
-	}
-	target := func(r []float64) float64 { return r[0]*2 - r[dim-1] + 0.1*rng.NormFloat64() }
-
-	X := make([][]float64, 0, n0+20)
-	y := make([]float64, 0, n0+20)
-	grow := func(k int, vals []float64) {
-		for i := 0; i < k; i++ {
-			r := row(vals)
-			X = append(X, r)
-			y = append(y, target(r))
-		}
-	}
-	grow(n0, alphabet)
-
-	p := Params{Rounds: 15, LearningRate: 0.1, MaxDepth: 4, Lambda: 1, MinChildWeight: 1, Subsample: 1, ColSample: 1, Seed: 3, Binned: true}
-	e := score.New(2)
-	b, err := NewBooster(e, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(stage string) {
-		t.Helper()
-		if err := b.Append(X[b.N():], y[b.N():]); err != nil {
-			t.Fatal(err)
-		}
-		inc, err := b.Fit()
-		if err != nil {
-			t.Fatal(err)
-		}
-		scratch, err := FitOn(e, X, y, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		samePredictions(t, stage, scratch, inc, X)
-	}
-
-	check("initial fit")
-	grow(10, alphabet) // same alphabet: lossless cut-point reuse
-	check("append within alphabet")
-	grow(10, []float64{-7, 1.5, 9}) // unseen values: invalidates cuts
-	check("append with new values")
 }
 
 // TestBoosterResetRefits pins Reset's contract: after dropping state, a
@@ -151,4 +92,78 @@ func TestBoosterResetRefits(t *testing.T) {
 		t.Fatal(err)
 	}
 	samePredictions(t, "post-reset refit", scratch, inc, X)
+}
+
+// TestBoosterRejectsBadTrainingData pins the ingestion boundary: a batch
+// with a NaN/Inf feature or target or a ragged row is refused whole with
+// ErrBadTrainingData — through Append and through FitOn alike — and
+// leaves the booster able to take and fit a good batch afterwards.
+func TestBoosterRejectsBadTrainingData(t *testing.T) {
+	X, y := trainingData(51, 30, 4)
+	p := Params{Rounds: 10, LearningRate: 0.1, MaxDepth: 3, Lambda: 1, MinChildWeight: 1, Subsample: 1, ColSample: 1, Seed: 5}
+	b, err := NewBooster(nil, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Append(X[:20], y[:20]); err != nil {
+		t.Fatal(err)
+	}
+	bad := []struct {
+		name string
+		X    [][]float64
+		y    []float64
+	}{
+		{"NaN feature", [][]float64{{1, 2, 3, 4}, {1, math.NaN(), 3, 4}}, []float64{1, 2}},
+		{"Inf feature", [][]float64{{math.Inf(-1), 2, 3, 4}}, []float64{1}},
+		{"Inf target", [][]float64{{1, 2, 3, 4}}, []float64{math.Inf(1)}},
+		{"NaN target", [][]float64{{1, 2, 3, 4}}, []float64{math.NaN()}},
+		{"ragged row", [][]float64{{1, 2, 3, 4}, {1, 2, 3}}, []float64{1, 2}},
+	}
+	for _, tc := range bad {
+		if err := b.Append(tc.X, tc.y); !errors.Is(err, ErrBadTrainingData) {
+			t.Errorf("Append %s: err = %v, want ErrBadTrainingData", tc.name, err)
+		}
+		if b.N() != 20 {
+			t.Fatalf("Append %s: rejected batch left %d rows, want 20", tc.name, b.N())
+		}
+	}
+	// The first batch fixes the width for a one-shot fit too.
+	for _, tc := range bad[:len(bad)-1] {
+		if _, err := FitOn(nil, tc.X, tc.y, p); !errors.Is(err, ErrBadTrainingData) {
+			t.Errorf("FitOn %s: err = %v, want ErrBadTrainingData", tc.name, err)
+		}
+	}
+	if _, err := FitOn(nil, [][]float64{{1, 2}, {1}}, []float64{1, 2}, p); !errors.Is(err, ErrBadTrainingData) {
+		t.Errorf("FitOn ragged: err = %v, want ErrBadTrainingData", err)
+	}
+
+	if err := b.Append(X[20:], y[20:]); err != nil {
+		t.Fatal(err)
+	}
+	inc, err := b.Fit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch, err := FitOn(nil, X, y, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePredictions(t, "good batch after rejected ones", scratch, inc, X)
+}
+
+// TestNewBoosterRejectsDeepTrees pins the depth cap every flattened
+// predict path relies on: 8 levels fit, 9 are refused up front.
+func TestNewBoosterRejectsDeepTrees(t *testing.T) {
+	X, y := trainingData(61, 40, 4)
+	p := Params{Rounds: 3, LearningRate: 0.1, MaxDepth: maxFlatDepth + 1, Lambda: 1, MinChildWeight: 1}
+	if _, err := NewBooster(nil, p); err == nil {
+		t.Fatalf("NewBooster accepted MaxDepth %d", p.MaxDepth)
+	}
+	if _, err := Fit(X, y, p); err == nil {
+		t.Fatalf("Fit accepted MaxDepth %d", p.MaxDepth)
+	}
+	p.MaxDepth = maxFlatDepth
+	if _, err := Fit(X, y, p); err != nil {
+		t.Fatalf("MaxDepth %d: %v", p.MaxDepth, err)
+	}
 }

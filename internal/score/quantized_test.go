@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
-
-	"ceal/internal/cfgspace"
 )
 
 // TestQuantizeRowsLosslessIdentity: when every column has at most 256
@@ -77,7 +75,7 @@ func TestQuantizeRowsLossy(t *testing.T) {
 	}
 }
 
-// TestQuantizedFootprint pins the cache-shrink claim: for a discrete
+// TestQuantizedFootprint pins the shrink claim: for a discrete
 // 4096×8 pool the quantized footprint must be well under a quarter of
 // the float matrix's (it is ~1/8 plus small decode tables).
 func TestQuantizedFootprint(t *testing.T) {
@@ -97,37 +95,5 @@ func TestQuantizedFootprint(t *testing.T) {
 	floatBytes := n * dim * 8
 	if fp := q.FootprintBytes(); fp > floatBytes/4 {
 		t.Fatalf("quantized footprint %d bytes vs %d float bytes — expected ≥4x shrink", fp, floatBytes)
-	}
-}
-
-// TestBinnedMatrixCaching: the pool cache must key on slice identity —
-// serving the same *Quantized for repeat calls with one pool, and
-// requantizing when the pool changes.
-func TestBinnedMatrixCaching(t *testing.T) {
-	feats := func(c cfgspace.Config) []float64 {
-		return []float64{float64(c[0]), float64(c[1] * 2)}
-	}
-	pool := make([]cfgspace.Config, 50)
-	for i := range pool {
-		pool[i] = cfgspace.Config{i % 10, i % 5}
-	}
-	var m BinnedMatrix
-	q1 := m.Quantized(nil, pool, feats)
-	if !q1.Lossless() || q1.N != len(pool) || q1.Dim != 2 {
-		t.Fatalf("unexpected quantized pool: %+v", q1)
-	}
-	if q2 := m.Quantized(nil, pool, feats); q2 != q1 {
-		t.Fatal("repeat call with the same pool did not serve the cache")
-	}
-	other := make([]cfgspace.Config, 30)
-	for i := range other {
-		other[i] = cfgspace.Config{i % 3, i % 7}
-	}
-	q3 := m.Quantized(nil, other, feats)
-	if q3 == q1 || q3.N != len(other) {
-		t.Fatal("pool change did not requantize")
-	}
-	if q4 := m.Quantized(nil, nil, feats); q4.N != 0 || !q4.Lossless() {
-		t.Fatalf("empty pool: %+v", q4)
 	}
 }

@@ -20,9 +20,9 @@ package tuner
 //     scoring fan; each chunk touches only its own slot, preserving the
 //     engine's determinism contract.
 //
-// Training-side scratch (pre-sorted/quantized matrices, grower
-// histograms, round buffers) is recycled by the surrogate's xgb.Booster,
-// which the per-run strategy owns — see Surrogate.Train.
+// Training-side scratch (pre-sorted columns, grower and round buffers)
+// is recycled by the surrogate's xgb.Booster, which the per-run strategy
+// owns — see Surrogate.Train.
 type runArena struct {
 	heaps  [][]topkEntry // fused selector: one bounded top-k heap per chunk
 	blocks [][]float64   // fused selector: one streaming score block per chunk

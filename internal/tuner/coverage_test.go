@@ -1,6 +1,7 @@
 package tuner
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -46,6 +47,45 @@ func TestSurrogateTrainEmptyErrors(t *testing.T) {
 	s := newSurrogate(p)
 	if err := s.Train(nil); err == nil {
 		t.Fatal("training on zero samples accepted")
+	}
+}
+
+// TestSurrogateTrainRejectsBadFeatures: a caller-supplied featurizer that
+// yields NaN fails the refit with xgb.ErrBadTrainingData, and the
+// surrogate stays usable — the next Train on clean samples extends the
+// accepted prefix and matches a surrogate that never saw the bad batch.
+func TestSurrogateTrainRejectsBadFeatures(t *testing.T) {
+	p := synthProblem(41, 60)
+	samples, err := measureBatch(p, p.Pool[:30])
+	if err != nil {
+		t.Fatal(err)
+	}
+	poison := p.Pool[25].Key()
+	feats := func(c cfgspace.Config) []float64 {
+		x := p.features(c)
+		if c.Key() == poison {
+			x[0] = math.NaN()
+		}
+		return x
+	}
+	s := newFeatureSurrogate(p, feats)
+	if err := s.Train(samples[:20]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Train(samples); !errors.Is(err, xgb.ErrBadTrainingData) {
+		t.Fatalf("Train over a NaN feature: err = %v, want ErrBadTrainingData", err)
+	}
+	if err := s.Train(samples[:25]); err != nil {
+		t.Fatal(err)
+	}
+	clean := newFeatureSurrogate(p, feats)
+	if err := clean.Train(samples[:25]); err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range p.Pool[30:] {
+		if got, want := s.Predict(cfg), clean.Predict(cfg); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("after a rejected batch: Predict(%v) = %v, want %v", cfg, got, want)
+		}
 	}
 }
 

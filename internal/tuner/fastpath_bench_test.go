@@ -98,7 +98,7 @@ func BenchmarkSteadyStateIteration(b *testing.B) {
 			if err := s.Train(samples); err != nil {
 				b.Fatal(err)
 			}
-			s.PredictPool(p.Pool)
+			s.PredictPoolInto(p.Pool, make([]float64, poolN))
 			takeTopReference(tr, batch, s.poolScorer(p))
 		}
 	})

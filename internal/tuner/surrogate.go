@@ -20,11 +20,10 @@ type Surrogate struct {
 	params xgb.Params
 	model  *xgb.Model
 	eng    *score.Engine
-	mat    *score.Matrix       // featurized-pool cache (shared per problem for the workflow featurizer)
-	qmat   *score.BinnedMatrix // quantized-pool cache, used instead of mat when params.Binned and lossless
+	mat    *score.Matrix // featurized-pool cache (shared per problem for the workflow featurizer)
 
 	// Incremental-refit state: the booster retains the featurized training
-	// matrix, the (pre-sorted or quantized) kernel, and all round buffers
+	// matrix, its pre-sorted column index, and all round buffers
 	// across fits, and rowCfg/rowY remember which sample prefix it was
 	// trained on so Train can detect when only a suffix is new.
 	boost  *xgb.Booster
@@ -33,31 +32,16 @@ type Surrogate struct {
 }
 
 // newSurrogate builds an untrained surrogate over the problem's workflow
-// features, sharing the problem's featurized-pool caches.
+// features, sharing the problem's featurized-pool cache.
 func newSurrogate(p *Problem) *Surrogate {
-	return &Surrogate{feats: p.features, params: p.surrogateParams(), eng: p.engine(), mat: &p.poolMat, qmat: &p.poolQMat}
+	return &Surrogate{feats: p.features, params: p.surrogateParams(), eng: p.engine(), mat: &p.poolMat}
 }
 
 // newFeatureSurrogate builds a surrogate over a custom featurizer (used by
 // ALpH to append component-model predictions to the features), with its
 // own pool cache since its rows differ from the problem's.
 func newFeatureSurrogate(p *Problem, feats func(cfgspace.Config) []float64) *Surrogate {
-	return &Surrogate{feats: feats, params: p.surrogateParams(), eng: p.engine(), mat: &score.Matrix{}, qmat: &score.BinnedMatrix{}}
-}
-
-// quantizedPool returns the quantized pool cache when the surrogate is
-// in binned mode and the pool quantizes losslessly — the regime where
-// decoded rows, and therefore every prediction, are bitwise identical to
-// the float matrix while the cache is ~8× smaller. Otherwise nil, and
-// callers use the float path.
-func (s *Surrogate) quantizedPool(pool []cfgspace.Config) *score.Quantized {
-	if !s.params.Binned {
-		return nil
-	}
-	if q := s.qmat.Quantized(s.eng, pool, s.feats); q.Lossless() {
-		return q
-	}
-	return nil
+	return &Surrogate{feats: feats, params: p.surrogateParams(), eng: p.engine(), mat: &score.Matrix{}}
 }
 
 // Trained reports whether Train has succeeded at least once.
@@ -106,6 +90,8 @@ func (s *Surrogate) Train(samples []Sample) error {
 			s.rowY = append(s.rowY, y[i])
 		}
 		if err := s.boost.Append(X, y); err != nil {
+			// Bad data rejects the batch whole: drop its prefix identity too.
+			s.rowCfg, s.rowY = s.rowCfg[:n], s.rowY[:n]
 			return err
 		}
 	}
@@ -154,26 +140,16 @@ func (s *Surrogate) Importance(dim int) []float64 {
 	return s.model.FeatureImportance(dim)
 }
 
-// PredictPool predicts for every pool configuration, reusing the cached
-// feature matrix and fanning ensemble evaluation across the engine.
-func (s *Surrogate) PredictPool(pool []cfgspace.Config) []float64 {
-	return s.PredictPoolInto(pool, make([]float64, len(pool)))
-}
-
-// PredictPoolInto is PredictPool writing into a caller-provided slice
-// (len(out) == len(pool)) and returning it — FinalScores implementations
-// pass the run arena's buffer so the per-iteration prediction pass stops
-// allocating pool-sized slices.
+// PredictPoolInto predicts for every pool configuration into a
+// caller-provided slice (len(out) == len(pool)) and returns it, reusing
+// the cached feature matrix and fanning ensemble evaluation across the
+// engine. FinalScores implementations pass the run arena's buffer so the
+// per-iteration prediction pass stops allocating pool-sized slices.
 func (s *Surrogate) PredictPoolInto(pool []cfgspace.Config, out []float64) []float64 {
 	if s.model == nil {
-		panic("tuner: PredictPool on untrained surrogate")
+		panic("tuner: PredictPoolInto on untrained surrogate")
 	}
-	if q := s.quantizedPool(pool); q != nil {
-		s.model.PredictBatchQuantizedOnInto(s.eng, q, out)
-	} else {
-		X := s.mat.Rows(s.eng, pool, s.feats)
-		s.model.PredictBatchOnInto(s.eng, X, out)
-	}
+	s.model.PredictBatchOnInto(s.eng, s.mat.Rows(s.eng, pool, s.feats), out)
 	for i, v := range out {
 		out[i] = unlogTarget(v)
 	}
@@ -181,7 +157,7 @@ func (s *Surrogate) PredictPoolInto(pool []cfgspace.Config, out []float64) []flo
 }
 
 // PredictBatch predicts for an ad-hoc configuration batch (featurized on
-// the fly; use PredictPool for the cached full pool).
+// the fly; use PredictPoolInto for the cached full pool).
 func (s *Surrogate) PredictBatch(cfgs []cfgspace.Config) []float64 {
 	if s.model == nil {
 		panic("tuner: PredictBatch on untrained surrogate")
@@ -199,16 +175,6 @@ func (s *Surrogate) PredictBatch(cfgs []cfgspace.Config) []float64 {
 func (s *Surrogate) poolScorer(p *Problem) poolScorer {
 	if s.model == nil {
 		panic("tuner: poolScorer on untrained surrogate")
-	}
-	if q := s.quantizedPool(p.Pool); q != nil {
-		// Decode rows into a per-call buffer: calls arrive per score block,
-		// never sharing scratch across the selector's concurrent chunks.
-		return func(idxs []int, out []float64) {
-			buf := make([]float64, q.Dim)
-			for j, idx := range idxs {
-				out[j] = unlogTarget(s.model.PredictRow(q.Row(idx, buf)))
-			}
-		}
 	}
 	X := s.mat.Rows(s.eng, p.Pool, s.feats)
 	return func(idxs []int, out []float64) {

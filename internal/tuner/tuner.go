@@ -143,10 +143,6 @@ type Problem struct {
 	engOnce sync.Once
 	eng     *score.Engine
 	poolMat score.Matrix
-	// poolQMat caches the quantized (uint8-coded) pool features used in
-	// place of poolMat when the surrogate runs with Surrogate.Binned and
-	// the pool quantizes losslessly — same predictions, ~8× smaller cache.
-	poolQMat score.BinnedMatrix
 }
 
 // Collector returns the problem's measurement collector, constructing it
@@ -176,12 +172,7 @@ func (p *Problem) context() context.Context {
 
 func (p *Problem) surrogateParams() xgb.Params {
 	if p.Surrogate.Rounds == 0 {
-		// Zero-value Surrogate means defaults, but the kernel selection
-		// still applies: Binned/MaxBins ride along so the histogram path
-		// can be enabled without respecifying every boosting parameter.
-		params := xgb.DefaultParams()
-		params.Binned, params.MaxBins = p.Surrogate.Binned, p.Surrogate.MaxBins
-		return params
+		return xgb.DefaultParams()
 	}
 	return p.Surrogate
 }
