@@ -15,11 +15,11 @@
 // (online retuning). The summary reports retunes, reconvergence times, and
 // time-weighted cumulative regret against the pool oracle.
 //
-// With -history <path>, the run is recorded in a JSONL tuning-history
-// database; -warm seeds it from prior runs in that database (same-family
-// workflow samples, shared-component samples), and -resume <run-id>
-// replays an interrupted run from its measurement checkpoint instead of
-// re-measuring.
+// With -history <dir>, the run is recorded in a tuning-history database (a
+// directory of append-only segment files, shareable with ceal-serve); -warm
+// seeds it from prior runs in that database (same-family workflow samples,
+// shared-component samples), and -resume <run-id> replays an interrupted
+// tune run from its measurement checkpoint instead of re-measuring.
 //
 // SIGINT/SIGTERM cancel the run; tuning aborts within one measurement
 // batch (and is checkpointed when -history is set).
@@ -62,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers    = fs.Int("workers", 1, "parallel measurement and pool-scoring width")
 		timeout    = fs.Duration("timeout", 0, "abort tuning after this long (0: no limit)")
 		trace      = fs.String("trace", "", "stream run events as JSONL to this file (\"-\" for stdout)")
-		history    = fs.String("history", "", "tuning-history DB (JSONL file): record this run; enables -warm and -resume")
+		history    = fs.String("history", "", "tuning-history DB (segment directory, created if missing): record this run; enables -warm and -resume")
 		warm       = fs.Bool("warm", false, "warm-start from prior runs in the -history DB")
 		resume     = fs.String("resume", "", "resume an interrupted run from the -history DB by run ID")
 		continuous = fs.Bool("continuous", false, "keep the run alive after convergence: monitor the incumbent under -drift and retune online on confirmed drift")
@@ -117,10 +117,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if rec.State == histdb.StateDone {
 			return fail(fmt.Errorf("resume: run %s already completed; its result is recorded in %s", *resume, *history))
 		}
+		n := rec.Spec.Normalize()
+		if n.Mode == histdb.ModeContinuous {
+			// A store shared with ceal-serve can hold continuous runs; the
+			// platform history they observed cannot be replayed from a
+			// measurement checkpoint (the service refuses them the same way).
+			return fail(fmt.Errorf("resume: run %s is a continuous-mode run, which is not resumable; start a fresh one with -continuous", *resume))
+		}
 		resumed = rec
 		// The stored spec overrides the flags: a resume replays the
 		// original run, it does not start a new one.
-		n := rec.Spec.Normalize()
 		*wfName, *objName, *algName = n.Benchmark, n.Objective, n.Algorithm
 		*budget, *pool, *seed = n.Budget, n.Pool, n.Seed
 	}
@@ -231,27 +237,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		problem.Observer = ceal.MultiObserver(problem.Observer,
 			&checkpointer{db: db, rec: rec, col: problem.Collector()})
 	}
-	var traceSink *ceal.JSONLWriter
-	var traceFile *os.File
-	if *trace != "" {
-		w := io.Writer(stdout)
-		if *trace != "-" {
-			f, err := os.Create(*trace)
-			if err != nil {
-				return fail(err)
-			}
-			traceFile = f
-			w = f
-		}
-		traceSink = ceal.NewJSONLWriter(w)
-		problem.Observer = ceal.MultiObserver(problem.Observer, traceSink)
+	traceObs, closeTrace, err := openTrace(*trace, stdout)
+	if err != nil {
+		return fail(err)
 	}
+	problem.Observer = ceal.MultiObserver(problem.Observer, traceObs)
 	start := time.Now()
 	res, err := alg.Tune(problem, *budget)
 	if err != nil {
-		if traceFile != nil {
-			traceFile.Close()
-		}
+		closeTrace(false)
 		if rec != nil {
 			rec.State = histdb.StateFailed
 			if ctx.Err() != nil {
@@ -282,21 +276,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "recorded run %s in %s\n", rec.ID, *history)
 	}
 	elapsed := time.Since(start)
-	if traceSink != nil {
-		// A broken trace sink (full disk, closed pipe) fails the run: a
-		// silently truncated trace is worse than no trace.
-		if err := traceSink.Err(); err != nil {
-			if traceFile != nil {
-				traceFile.Close()
-			}
-			return fail(fmt.Errorf("trace write: %w", err))
-		}
-		if traceFile != nil {
-			if err := traceFile.Close(); err != nil {
-				return fail(fmt.Errorf("trace close: %w", err))
-			}
-			fmt.Fprintf(stdout, "run-event trace written to %s\n", *trace)
-		}
+	if err := closeTrace(true); err != nil {
+		return fail(err)
 	}
 
 	// Verify the recommendation and the expert config through the problem's
@@ -341,45 +322,22 @@ func runContinuous(ctx context.Context, stdout io.Writer, b *ceal.Benchmark, obj
 	c.Ctx = ctx
 	c.Opts.Probes = probes
 
-	var traceSink *ceal.JSONLWriter
-	var traceFile *os.File
-	if trace != "" {
-		w := io.Writer(stdout)
-		if trace != "-" {
-			f, err := os.Create(trace)
-			if err != nil {
-				return fail(err)
-			}
-			traceFile = f
-			w = f
-		}
-		traceSink = ceal.NewJSONLWriter(w)
-		c.Observer = traceSink
+	traceObs, closeTrace, err := openTrace(trace, stdout)
+	if err != nil {
+		return fail(err)
 	}
+	c.Observer = traceObs
 
 	fmt.Fprintf(stdout, "continuous tuning %s for %s with %s under drift profile %q (budget %d runs, pool %d, %d probes, %d workers)\n",
 		b.Name, obj, alg.Name(), profile, budget, pool, probes, workers)
 	start := time.Now()
 	res, err := c.Run(budget)
 	if err != nil {
-		if traceFile != nil {
-			traceFile.Close()
-		}
+		closeTrace(false)
 		return fail(err)
 	}
-	if traceSink != nil {
-		if err := traceSink.Err(); err != nil {
-			if traceFile != nil {
-				traceFile.Close()
-			}
-			return fail(fmt.Errorf("trace write: %w", err))
-		}
-		if traceFile != nil {
-			if err := traceFile.Close(); err != nil {
-				return fail(fmt.Errorf("trace close: %w", err))
-			}
-			fmt.Fprintf(stdout, "run-event trace written to %s\n", trace)
-		}
+	if err := closeTrace(true); err != nil {
+		return fail(err)
 	}
 
 	fmt.Fprintf(stdout, "\ninitial incumbent %v\n", res.Initial.Best)
@@ -395,6 +353,42 @@ func runContinuous(ctx context.Context, stdout io.Writer, b *ceal.Benchmark, obj
 	fmt.Fprintf(stdout, "  measured %s at final condition: %.4g\n", obj, res.IncumbentValue)
 	fmt.Fprintf(stdout, "  wall time %v\n", time.Since(start).Round(time.Millisecond))
 	return 0
+}
+
+// openTrace opens the -trace sink: a JSONL event writer over stdout ("-")
+// or a fresh file; an empty path yields a nil observer. done closes the
+// sink once the run is over; after a successful run (ok) it also fails on a
+// broken sink (full disk, closed pipe) — a silently truncated trace is
+// worse than no trace — and announces the file.
+func openTrace(path string, stdout io.Writer) (obs ceal.Observer, done func(ok bool) error, err error) {
+	if path == "" {
+		return nil, func(bool) error { return nil }, nil
+	}
+	w := stdout
+	var file *os.File
+	if path != "-" {
+		if file, err = os.Create(path); err != nil {
+			return nil, nil, err
+		}
+		w = file
+	}
+	sink := ceal.NewJSONLWriter(w)
+	return sink, func(ok bool) error {
+		var cerr error
+		if file != nil {
+			cerr = file.Close()
+		}
+		switch {
+		case !ok:
+		case sink.Err() != nil:
+			return fmt.Errorf("trace write: %w", sink.Err())
+		case cerr != nil:
+			return fmt.Errorf("trace close: %w", cerr)
+		case file != nil:
+			fmt.Fprintf(stdout, "run-event trace written to %s\n", path)
+		}
+		return nil
+	}, nil
 }
 
 // checkpointer persists the run's measurement progress into the history DB

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ceal/internal/histdb"
 )
 
 func TestRunFlagAndNameErrors(t *testing.T) {
@@ -181,5 +183,36 @@ func TestRunResumeErrors(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "run run-000001 already completed") {
 		t.Fatalf("stderr = %q", errOut.String())
+	}
+}
+
+// TestRunResumeRefusesContinuousRecord: a store shared with ceal-serve can
+// hold an interrupted continuous-mode run; replaying it as a tune run would
+// silently produce a different kind of result, so -resume refuses it the
+// way Manager.Resume does.
+func TestRunResumeRefusesContinuousRecord(t *testing.T) {
+	dbPath := filepath.Join(t.TempDir(), "history")
+	db, err := histdb.OpenFileStore(dbPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := histdb.Spec{Benchmark: "LV", Mode: histdb.ModeContinuous, Drift: "step", Budget: 5, Pool: 30}.Normalize()
+	rec := &histdb.RunRecord{ID: "run-000001", Spec: spec, SpecKey: spec.Key(), State: histdb.StateCancelled, Error: "context canceled"}
+	if err := db.Save(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-history", dbPath, "-resume", "run-000001"}, &out, &errOut); code != 1 {
+		t.Fatalf("continuous-record resume exit = %d, want 1 (stdout %q)", code, out.String())
+	}
+	if !strings.Contains(errOut.String(), "continuous-mode run, which is not resumable") {
+		t.Fatalf("stderr = %q", errOut.String())
+	}
+	if strings.Contains(out.String(), "tuning LV") {
+		t.Fatalf("the refused resume still started a run:\n%s", out.String())
 	}
 }

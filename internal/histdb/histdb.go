@@ -1,5 +1,6 @@
 // Package histdb is the tuning-history database: a queryable store of every
-// tuning run the system has performed, persisted as append-only JSONL.
+// tuning run the system has performed, persisted as a directory of
+// CRC-framed append-only segment files (see FileStore).
 //
 // It grew out of the serving layer's run store (internal/service) and is the
 // repository's answer to GPTune's HistoryDB: finished runs are not just

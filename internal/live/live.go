@@ -8,6 +8,7 @@
 package live
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand/v2"
@@ -29,11 +30,16 @@ type Evaluator struct {
 	Seed  uint64
 }
 
+// ErrBadItem marks a measurement the evaluator refused because the request
+// itself is malformed (unknown component, configuration outside the
+// space) — the caller's fault, not a failed run.
+var ErrBadItem = errors.New("live: bad measurement item")
+
 // MeasureWorkflow implements collector.Evaluator.
 func (e *Evaluator) MeasureWorkflow(cfg cfgspace.Config) (float64, error) {
-	w, err := e.Bench.Build(cfg)
+	w, err := e.Bench.Build(cfg) // validates cfg against the workflow space
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("%w: %v", ErrBadItem, err)
 	}
 	meas, err := w.Measure(e.noise("wf", cfg))
 	if err != nil {
@@ -42,12 +48,22 @@ func (e *Evaluator) MeasureWorkflow(cfg cfgspace.Config) (float64, error) {
 	return e.pick(meas), nil
 }
 
-// MeasureComponent implements collector.Evaluator.
+// MeasureComponent implements collector.Evaluator. Requests can come off
+// the wire (ceal-worker), so cfg is validated before it reaches the
+// application models: it must lie in the component's space, and be nil
+// exactly for an unconfigurable component.
 func (e *Evaluator) MeasureComponent(j int, cfg cfgspace.Config) (float64, error) {
 	if j < 0 || j >= len(e.Bench.Components) {
-		return 0, fmt.Errorf("live: component index %d out of range", j)
+		return 0, fmt.Errorf("%w: component index %d out of range", ErrBadItem, j)
 	}
 	cs := e.Bench.Components[j]
+	if cs.Space == nil {
+		if len(cfg) != 0 {
+			return 0, fmt.Errorf("%w: component %s takes no configuration, got %v", ErrBadItem, cs.Name, cfg)
+		}
+	} else if !cs.Space.IsValid(cfg) {
+		return 0, fmt.Errorf("%w: %v is not a valid %s configuration", ErrBadItem, cfg, cs.Name)
+	}
 	meas, err := workflow.MeasureSolo(e.Bench.Machine, cs.BuildSolo(cfg), cs.InBytesPerStep, e.noise(cs.Name, cfg))
 	if err != nil {
 		return 0, err

@@ -446,6 +446,10 @@ func TestServerErrorPaths(t *testing.T) {
 		"unknown benchmark": `{"benchmark":"XX"}`,
 		"bad algorithm":     `{"benchmark":"LV","algorithm":"annealing"}`,
 		"negative budget":   `{"benchmark":"LV","budget":-5}`,
+		"oversized pool":    `{"benchmark":"LV","pool":2000000000}`,
+		"oversized budget":  `{"benchmark":"LV","budget":2000000000}`,
+		"oversized workers": `{"benchmark":"LV","workers":2000000000}`,
+		"oversized probes":  `{"benchmark":"LV","mode":"continuous","probes":2000000000}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -39,6 +39,18 @@ const (
 // (ValidateSpec, BuildSpec) so histdb carries no registry dependencies.
 type JobSpec = histdb.Spec
 
+// Admission ceilings on a spec's numeric fields. A spec is a few dozen
+// bytes on the wire but sizes the work a manager worker does (the pool is
+// sampled and featurized up front), so the body-size cap alone bounds
+// nothing. Pool and budget sit 10x above the largest workload the repo
+// runs (ceal-bench's 100k-configuration bigpool).
+const (
+	maxPool    = 1_000_000
+	maxBudget  = 1_000_000
+	maxWorkers = 1024
+	maxProbes  = 100_000
+)
+
 // ValidateSpec checks the normalized spec against the benchmark, algorithm
 // and objective registries and the numeric ranges.
 func ValidateSpec(s JobSpec) error {
@@ -52,11 +64,17 @@ func ValidateSpec(s JobSpec) error {
 	if _, err := live.ParseObjective(n.Objective); err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
-	if n.Budget < 0 {
-		return fmt.Errorf("service: negative budget %d", n.Budget)
+	if n.Budget < 0 || n.Budget > maxBudget {
+		return fmt.Errorf("service: budget %d outside [0, %d]", n.Budget, maxBudget)
 	}
-	if n.Pool < 1 {
-		return fmt.Errorf("service: pool size %d below 1", n.Pool)
+	if n.Pool < 1 || n.Pool > maxPool {
+		return fmt.Errorf("service: pool size %d outside [1, %d]", n.Pool, maxPool)
+	}
+	if n.Workers > maxWorkers {
+		return fmt.Errorf("service: workers %d above %d", n.Workers, maxWorkers)
+	}
+	if n.Probes > maxProbes {
+		return fmt.Errorf("service: probes %d above %d", n.Probes, maxProbes)
 	}
 	switch n.Mode {
 	case histdb.ModeTune:

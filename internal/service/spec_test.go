@@ -45,6 +45,11 @@ func TestSpecValidate(t *testing.T) {
 		{Benchmark: "LV", Objective: "sideways"},
 		{Benchmark: "LV", Budget: -1},
 		{Benchmark: "LV", Pool: -3},
+		{Benchmark: "LV", Pool: 2_000_000_000},
+		{Benchmark: "LV", Pool: maxPool + 1},
+		{Benchmark: "LV", Budget: maxBudget + 1},
+		{Benchmark: "LV", Workers: maxWorkers + 1},
+		{Benchmark: "LV", Mode: "continuous", Probes: maxProbes + 1},
 	} {
 		if err := ValidateSpec(bad); err == nil {
 			t.Fatalf("spec %+v accepted", bad)
@@ -52,6 +57,11 @@ func TestSpecValidate(t *testing.T) {
 	}
 	if err := ValidateSpec(JobSpec{}); err == nil {
 		t.Fatal("empty benchmark accepted")
+	}
+	// The ceilings themselves are admissible.
+	atLimit := JobSpec{Benchmark: "LV", Pool: maxPool, Budget: maxBudget, Workers: maxWorkers, Mode: "continuous", Probes: maxProbes}
+	if err := ValidateSpec(atLimit); err != nil {
+		t.Fatalf("spec at the limits rejected: %v", err)
 	}
 }
 

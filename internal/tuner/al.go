@@ -4,101 +4,45 @@ import (
 	"ceal/internal/cfgspace"
 )
 
-// ALOptions configures batch active learning.
-type ALOptions struct {
-	// InitFrac is the fraction of the budget spent on initial random
-	// samples.
-	InitFrac float64
-	// Iterations is the number of refinement batches after the initial
-	// random phase.
-	Iterations int
+// The AL-family skeleton, written once. AL, ALpH, BO, HyBoost and KNNSelect
+// differ only in their model (what Fit trains and how candidates are
+// ranked); the measurement schedule around it is the batch-AL setup of
+// [6, 29] as used for the §7.3 baselines, with the hyper-parameters nobody
+// varies fixed here rather than carried as per-algorithm options (CEAL's
+// are the exception — see CEALOptions). GEIST shares the sizes but picks
+// through its parameter graph.
+const (
+	// seedFrac is the share of the workflow budget measured at random
+	// before the first model exists.
+	seedFrac = 0.3
+	// alIterations is the number of refinement batches after the seed.
+	alIterations = 5
+	// componentFrac is the budget share ALpH, HyBoost and KNNSelect spend
+	// on standalone component runs when no history covers them (the middle
+	// of the paper's 25–75% guidance, §6).
+	componentFrac = 0.5
+)
+
+// alBatches is the AL-family measurement schedule: a random seed batch of
+// seedFrac of the budget, then the rest spread evenly over alIterations
+// batches of the current model's top picks. A strategy embeds it and sets
+// rank to its model's candidate scorer.
+type alBatches struct {
+	// rank returns the scorer for this iteration; the lowest scores are
+	// measured next.
+	rank func(st *State) poolScorer
 }
 
-// DefaultALOptions mirrors the usual batch-AL setup of [6, 29].
-func DefaultALOptions() ALOptions { return ALOptions{InitFrac: 0.3, Iterations: 5} }
-
-// withDefaults fills unset (non-positive) fields independently, so a
-// caller setting only InitFrac still gets the default Iterations and vice
-// versa — replacing the whole struct would silently discard the fields the
-// caller did set.
-func (o ALOptions) withDefaults() ALOptions {
-	def := DefaultALOptions()
-	if o.InitFrac <= 0 {
-		o.InitFrac = def.InitFrac
-	}
-	if o.Iterations <= 0 {
-		o.Iterations = def.Iterations
-	}
-	return o
+func (b *alBatches) SeedBatch(st *State) ([]cfgspace.Config, error) {
+	return st.Tracker.takeRandom(initialBatchSize(seedFrac, st.Budget), st.Rng), nil
 }
 
-// AL is batch active learning (§7.3): an initial random batch trains the
-// surrogate, then each iteration measures the surrogate's current top
-// predictions and retrains.
-type AL struct {
-	Opts ALOptions
-}
-
-// NewAL returns AL with default options.
-func NewAL() *AL { return &AL{Opts: DefaultALOptions()} }
-
-// Name returns the algorithm name.
-func (*AL) Name() string { return "AL" }
-
-// Tune implements Algorithm.
-func (a *AL) Tune(p *Problem, budget int) (*Result, error) {
-	opts := a.Opts.withDefaults()
-	s := &alStrategy{opts: opts, model: newSurrogate(p)}
-	loop := &Loop{
-		Algorithm:  "AL",
-		Salt:       saltAL,
-		Iterations: opts.Iterations,
-		Seeder:     s,
-		Selector:   s,
-		Modeler:    s,
-	}
-	return loop.Run(p, budget)
-}
-
-// alStrategy: random seed batch, then per-iteration top surrogate picks.
-type alStrategy struct {
-	opts  ALOptions
-	model *Surrogate
-}
-
-func (s *alStrategy) SeedBatch(st *State) ([]cfgspace.Config, error) {
-	m0 := initialBatchSize(s.opts.InitFrac, st.Budget)
-	return st.Tracker.takeRandom(m0, st.Rng), nil
-}
-
-func (s *alStrategy) SelectBatch(st *State) ([]cfgspace.Config, error) {
-	n := evenBatchSize(st, s.opts.Iterations)
+func (b *alBatches) SelectBatch(st *State) ([]cfgspace.Config, error) {
+	n := evenBatchSize(st)
 	if n == 0 {
 		return nil, nil
 	}
-	return st.Tracker.takeTop(n, s.model.poolScorer(st.Problem)), nil
-}
-
-// WarmStart pre-trains the surrogate on prior-run samples so SelectBatch's
-// very first refinement picks are informed by history.
-func (s *alStrategy) WarmStart(st *State) error {
-	return s.model.Train(st.Prior)
-}
-
-func (s *alStrategy) Fit(st *State, _ []Sample) (bool, error) {
-	return true, s.model.Train(st.TrainingSamples())
-}
-
-// ModelRounds reports the surrogate's boosting rounds for the trace.
-func (s *alStrategy) ModelRounds() int { return s.model.Rounds() }
-
-func (s *alStrategy) FinalScores(st *State) ([]float64, error) {
-	return s.model.PredictPoolInto(st.Problem.Pool, st.finalScoreBuf()), nil
-}
-
-func (s *alStrategy) FinalImportance(st *State) []float64 {
-	p := st.Problem
-	return s.model.Importance(len(p.features(p.Pool[0])))
+	return st.Tracker.takeTop(n, b.rank(st)), nil
 }
 
 // initialBatchSize is the shared m0 rule: frac of the budget, at least 2,
@@ -115,16 +59,74 @@ func initialBatchSize(frac float64, budget int) int {
 }
 
 // evenBatchSize spreads the remaining budget evenly over the remaining
-// iterations (the AL-family batch rule). Zero means the run is done:
-// budget spent or pool exhausted.
-func evenBatchSize(st *State, iterations int) int {
+// refinement iterations. Zero means the run is done: budget spent or pool
+// exhausted.
+func evenBatchSize(st *State) int {
 	remaining := st.Remaining()
 	if remaining <= 0 || st.Tracker.left() == 0 {
 		return 0
 	}
-	n := remaining / (iterations - (st.Iter - 1))
+	n := remaining / (alIterations - (st.Iter - 1))
 	if n < 1 {
 		n = 1
 	}
 	return n
+}
+
+// surrogateBacked is the modeler half of every strategy whose model is one
+// boosted-tree Surrogate (RS, AL, ALpH, CEAL, and GEIST's final model):
+// refit on everything known, score the pool, report importance and rounds.
+type surrogateBacked struct {
+	model *Surrogate
+}
+
+// Fit retrains on the warm priors (if the strategy took any) plus every
+// measurement so far.
+func (s *surrogateBacked) Fit(st *State, _ []Sample) (bool, error) {
+	return true, s.model.Train(st.TrainingSamples())
+}
+
+func (s *surrogateBacked) FinalScores(st *State) ([]float64, error) {
+	return s.model.PredictPoolInto(st.Problem.Pool, st.finalScoreBuf()), nil
+}
+
+func (s *surrogateBacked) FinalImportance(st *State) []float64 {
+	return s.model.Importance(len(s.model.feats(st.Problem.Pool[0])))
+}
+
+// ModelRounds reports the surrogate's boosting rounds for the trace.
+func (s *surrogateBacked) ModelRounds() int { return s.model.Rounds() }
+
+// scorer ranks candidates by the surrogate's prediction.
+func (s *surrogateBacked) scorer(st *State) poolScorer { return s.model.poolScorer(st.Problem) }
+
+// AL is batch active learning (§7.3): an initial random batch trains the
+// surrogate, then each iteration measures the surrogate's current top
+// predictions and retrains.
+type AL struct{}
+
+// NewAL returns AL.
+func NewAL() *AL { return &AL{} }
+
+// Name returns the algorithm name.
+func (*AL) Name() string { return "AL" }
+
+// Tune implements Algorithm.
+func (*AL) Tune(p *Problem, budget int) (*Result, error) {
+	s := &alStrategy{surrogateBacked: surrogateBacked{newSurrogate(p)}}
+	s.rank = s.scorer
+	loop := &Loop{Algorithm: "AL", Salt: saltAL, Iterations: alIterations, Strategy: s}
+	return loop.Run(p, budget)
+}
+
+// alStrategy is the skeleton over the plain workflow surrogate.
+type alStrategy struct {
+	alBatches
+	surrogateBacked
+}
+
+// WarmStart pre-trains the surrogate on prior-run samples so SelectBatch's
+// very first refinement picks are informed by history.
+func (s *alStrategy) WarmStart(st *State) error {
+	return s.model.Train(st.Prior)
 }

@@ -4,97 +4,44 @@ import (
 	"ceal/internal/cfgspace"
 )
 
-// ALpHOptions configures ALpH's active-learning loop.
-type ALpHOptions struct {
-	InitFrac   float64
-	Iterations int
-	// ComponentFrac is the budget share for standalone component runs when
-	// no history exists (as for CEAL).
-	ComponentFrac float64
-}
-
-// DefaultALpHOptions mirrors the AL defaults.
-func DefaultALpHOptions() ALpHOptions {
-	return ALpHOptions{InitFrac: 0.3, Iterations: 5, ComponentFrac: 0.5}
-}
-
-// withDefaults fills unset fields independently. ComponentFrac zero is
-// meaningful (no standalone component runs — only valid with history), so
-// only a negative value selects the default there.
-func (o ALpHOptions) withDefaults() ALpHOptions {
-	def := DefaultALpHOptions()
-	if o.InitFrac <= 0 {
-		o.InitFrac = def.InitFrac
-	}
-	if o.Iterations <= 0 {
-		o.Iterations = def.Iterations
-	}
-	if o.ComponentFrac < 0 {
-		o.ComponentFrac = def.ComponentFrac
-	}
-	return o
-}
-
 // ALpH is the black-box component-combining variant of §4: instead of
 // folding component predictions with an analytical function, it learns the
 // combining model M'_0 from training tuples {c, {v_j}, v} — configuration
 // features extended with the component models' predictions — and runs
 // batch active learning over that model. It is CEAL's ablation for the
 // white-box combination choice (§7.5).
-type ALpH struct {
-	Opts ALpHOptions
-}
+type ALpH struct{}
 
-// NewALpH returns ALpH with default options.
-func NewALpH() *ALpH { return &ALpH{Opts: DefaultALpHOptions()} }
+// NewALpH returns ALpH.
+func NewALpH() *ALpH { return &ALpH{} }
 
 // Name returns the algorithm name.
 func (*ALpH) Name() string { return "ALpH" }
 
 // Tune implements Algorithm.
-func (a *ALpH) Tune(p *Problem, budget int) (*Result, error) {
-	opts := a.Opts.withDefaults()
-	s := &alphStrategy{opts: opts}
-	loop := &Loop{
-		Algorithm:  "ALpH",
-		Salt:       saltALpH,
-		Iterations: opts.Iterations,
-		Seeder:     s,
-		Selector:   s,
-		Modeler:    s,
-	}
+func (*ALpH) Tune(p *Problem, budget int) (*Result, error) {
+	s := &alphStrategy{}
+	s.rank = s.scorer
+	loop := &Loop{Algorithm: "ALpH", Salt: saltALpH, Iterations: alIterations, Strategy: s}
 	return loop.Run(p, budget)
 }
 
-// alphStrategy is the AL loop over the learned combining model M'_0.
+// alphStrategy is the skeleton over the learned combining model M'_0,
+// which Bootstrap builds once the component models exist.
 type alphStrategy struct {
-	opts  ALpHOptions
-	feats func(cfgspace.Config) []float64
-	model *Surrogate
+	alBatches
+	surrogateBacked
 }
 
 func (s *alphStrategy) Bootstrap(st *State) ([][]Sample, error) {
 	p := st.Problem
-	budget := st.Budget
-	mR := 0
-	if !p.hasHistory() {
-		mR = int(s.opts.ComponentFrac*float64(budget) + 0.5)
-		if mR >= budget {
-			mR = budget - 2
-		}
-		if mR < 0 {
-			mR = 0
-		}
-	}
-	cm, err := trainComponentModels(p, mR, st.Rng)
+	cm, err := bootstrapComponents(st, componentFrac, p.hasHistory())
 	if err != nil {
 		return nil, err
 	}
-	st.Budget = budget - mR
-
 	// M'_0's features: raw configuration plus each component model's
 	// prediction for its sub-configuration.
-	s.feats = func(cfg cfgspace.Config) []float64 {
+	s.model = newFeatureSurrogate(p, func(cfg cfgspace.Config) []float64 {
 		x := p.features(cfg)
 		for _, part := range cm.lowFi.Parts {
 			var sub []float64
@@ -104,35 +51,6 @@ func (s *alphStrategy) Bootstrap(st *State) ([][]Sample, error) {
 			x = append(x, part.Predictor.Predict(sub))
 		}
 		return x
-	}
-	s.model = newFeatureSurrogate(p, s.feats)
+	})
 	return cm.newSamples, nil
-}
-
-func (s *alphStrategy) SeedBatch(st *State) ([]cfgspace.Config, error) {
-	m0 := initialBatchSize(s.opts.InitFrac, st.Budget)
-	return st.Tracker.takeRandom(m0, st.Rng), nil
-}
-
-func (s *alphStrategy) SelectBatch(st *State) ([]cfgspace.Config, error) {
-	n := evenBatchSize(st, s.opts.Iterations)
-	if n == 0 {
-		return nil, nil
-	}
-	return st.Tracker.takeTop(n, s.model.poolScorer(st.Problem)), nil
-}
-
-func (s *alphStrategy) Fit(st *State, _ []Sample) (bool, error) {
-	return true, s.model.Train(st.Samples)
-}
-
-// ModelRounds reports the surrogate's boosting rounds for the trace.
-func (s *alphStrategy) ModelRounds() int { return s.model.Rounds() }
-
-func (s *alphStrategy) FinalScores(st *State) ([]float64, error) {
-	return s.model.PredictPoolInto(st.Problem.Pool, st.finalScoreBuf()), nil
-}
-
-func (s *alphStrategy) FinalImportance(st *State) []float64 {
-	return s.model.Importance(len(s.feats(st.Problem.Pool[0])))
 }

@@ -3,99 +3,50 @@ package tuner
 import (
 	"math"
 
-	"ceal/internal/cfgspace"
 	"ceal/internal/ml/forest"
 )
 
-// BOOptions configures the Bayesian-optimization extension.
-type BOOptions struct {
-	InitFrac   float64 // fraction of budget on initial random samples
-	Iterations int     // acquisition batches
-	Forest     forest.Params
-}
-
-// DefaultBOOptions returns sensible small-budget settings.
-func DefaultBOOptions() BOOptions {
-	return BOOptions{InitFrac: 0.3, Iterations: 5, Forest: forest.DefaultParams()}
-}
-
-// withDefaults fills unset fields independently (a zero-value Forest is
-// detected by its ensemble size).
-func (o BOOptions) withDefaults() BOOptions {
-	def := DefaultBOOptions()
-	if o.InitFrac <= 0 {
-		o.InitFrac = def.InitFrac
-	}
-	if o.Iterations <= 0 {
-		o.Iterations = def.Iterations
-	}
-	if o.Forest.Trees <= 0 {
-		o.Forest = def.Forest
-	}
-	return o
-}
-
 // BO is the §9 future-work extension implemented as an ablation: batch
-// Bayesian optimization with a bagged-forest surrogate and the
-// expected-improvement acquisition (in log space), naturally tolerant of
-// measurement noise.
-type BO struct {
-	Opts BOOptions
-}
+// Bayesian optimization with a bagged-forest surrogate (forest.DefaultParams)
+// and the expected-improvement acquisition (in log space), naturally
+// tolerant of measurement noise.
+type BO struct{}
 
-// NewBO returns BO with default options.
-func NewBO() *BO { return &BO{Opts: DefaultBOOptions()} }
+// NewBO returns BO.
+func NewBO() *BO { return &BO{} }
 
 // Name returns the algorithm name.
 func (*BO) Name() string { return "BO" }
 
 // Tune implements Algorithm.
-func (b *BO) Tune(p *Problem, budget int) (*Result, error) {
-	opts := b.Opts.withDefaults()
-	s := &boStrategy{opts: opts}
-	loop := &Loop{
-		Algorithm:  "BO",
-		Salt:       saltBO,
-		Iterations: opts.Iterations,
-		Seeder:     s,
-		Selector:   s,
-		Modeler:    s,
-	}
+func (*BO) Tune(p *Problem, budget int) (*Result, error) {
+	s := &boStrategy{}
+	s.rank = s.acquisition
+	loop := &Loop{Algorithm: "BO", Salt: saltBO, Iterations: alIterations, Strategy: s}
 	return loop.Run(p, budget)
 }
 
-// boStrategy: random seeding, forest surrogate, EI acquisition.
+// boStrategy is the skeleton over a forest surrogate with EI acquisition.
 type boStrategy struct {
-	opts    BOOptions
+	alBatches
 	f       *forest.Forest
 	bestLog float64
 }
 
 func (s *boStrategy) ModelName() string { return "forest" }
 
-func (s *boStrategy) SeedBatch(st *State) ([]cfgspace.Config, error) {
-	m0 := initialBatchSize(s.opts.InitFrac, st.Budget)
-	return st.Tracker.takeRandom(m0, st.Rng), nil
-}
-
-func (s *boStrategy) SelectBatch(st *State) ([]cfgspace.Config, error) {
-	n := evenBatchSize(st, s.opts.Iterations)
-	if n == 0 {
-		return nil, nil
-	}
-	p := st.Problem
-	// Acquire by negative EI so takeTop (which minimizes) picks the
-	// highest expected improvement. Candidate features come from the
-	// problem's cached pool matrix, looked up by pool index; the fused
-	// selector supplies the parallelism.
-	X := p.poolFeatures()
-	acq := func(idxs []int, out []float64) {
+// acquisition ranks by negative EI so takeTop (which minimizes) picks the
+// highest expected improvement. Candidate features come from the problem's
+// cached pool matrix, looked up by pool index; the fused selector supplies
+// the parallelism.
+func (s *boStrategy) acquisition(st *State) poolScorer {
+	X := st.Problem.poolFeatures()
+	return func(idxs []int, out []float64) {
 		for j, idx := range idxs {
 			mean, std := s.f.PredictWithStd(X[idx])
 			out[j] = -expectedImprovement(s.bestLog, mean, std)
 		}
 	}
-	return st.Tracker.takeTop(n, acq), nil
 }
 
 func (s *boStrategy) Fit(st *State, _ []Sample) (bool, error) {
@@ -111,7 +62,7 @@ func (s *boStrategy) Fit(st *State, _ []Sample) (bool, error) {
 			bestLog = y[i]
 		}
 	}
-	params := s.opts.Forest
+	params := forest.DefaultParams()
 	params.Seed = p.Seed ^ uint64(len(samples))
 	f, err := forest.FitOn(p.engine(), X, y, params)
 	if err != nil {
@@ -123,12 +74,7 @@ func (s *boStrategy) Fit(st *State, _ []Sample) (bool, error) {
 
 // ModelRounds reports the forest's ensemble size for the ModelTrained
 // trace event.
-func (s *boStrategy) ModelRounds() int {
-	if s.f == nil {
-		return 0
-	}
-	return s.f.Trees()
-}
+func (s *boStrategy) ModelRounds() int { return s.f.Trees() }
 
 func (s *boStrategy) FinalScores(st *State) ([]float64, error) {
 	p := st.Problem

@@ -75,25 +75,20 @@ func (c *CEAL) Tune(p *Problem, budget int) (*Result, error) {
 		opts.Iterations = 1
 	}
 	s := &cealStrategy{opts: opts, useHistory: useHistory}
-	loop := &Loop{
-		Algorithm:  "CEAL",
-		Salt:       saltCEAL,
-		Iterations: opts.Iterations - 1,
-		Seeder:     s,
-		Selector:   s,
-		Modeler:    s,
-		Controller: s,
-	}
+	loop := &Loop{Algorithm: "CEAL", Salt: saltCEAL, Iterations: opts.Iterations - 1, Strategy: s}
 	return loop.Run(p, budget)
 }
 
 // cealStrategy carries Algorithm 1's Phase-2 state across loop callbacks.
+// The embedded surrogate (model) is the high-fidelity model M_H: refit on
+// everything measured after each batch (line 25) and the source of the
+// final pool scores.
 type cealStrategy struct {
+	surrogateBacked
 	opts       CEALOptions
 	useHistory bool
 
 	lowFi *acm.LowFidelity
-	high  *Surrogate
 
 	// Budget split (Alg. 1 line 8): m0 is the random reserve, m0used how
 	// much of it is spent, mB the per-iteration top-pick batch size.
@@ -118,34 +113,19 @@ type cealStrategy struct {
 const minHoldout = 3
 
 func (s *cealStrategy) Bootstrap(st *State) ([][]Sample, error) {
-	p := st.Problem
 	budget := st.Budget
-	mR := 0
-	if !s.useHistory {
-		mR = int(s.opts.ComponentFrac*float64(budget) + 0.5)
-		if mR >= budget {
-			mR = budget - 2
-		}
-		if mR < 0 {
-			mR = 0
-		}
-	}
-	s.m0 = int(s.opts.RandomFrac*float64(budget) + 0.5)
-	if s.m0 < 2 {
-		s.m0 = 2
-	}
-	if s.m0 > budget-mR {
-		s.m0 = budget - mR
-	}
-	st.Budget = budget - mR // workflow runs available
-
-	// Phase 1: component models -> low-fidelity model M_L (lines 1–6).
-	cm, err := trainComponentModels(p, mR, st.Rng)
+	// Phase 1: component models -> low-fidelity model M_L (lines 1–6);
+	// st.Budget becomes the workflow runs available.
+	cm, err := bootstrapComponents(st, s.opts.ComponentFrac, s.useHistory)
 	if err != nil {
 		return nil, err
 	}
+	s.m0 = initialBatchSize(s.opts.RandomFrac, budget)
+	if s.m0 > st.Budget {
+		s.m0 = st.Budget
+	}
 	s.lowFi = cm.lowFi
-	s.high = newSurrogate(p) // M_H, line 12
+	s.model = newSurrogate(st.Problem) // M_H, line 12
 	return cm.newSamples, nil
 }
 
@@ -161,14 +141,14 @@ func (s *cealStrategy) SeedBatch(st *State) ([]cfgspace.Config, error) {
 		s.mB = 1
 	}
 	room := capBatch(s.mB, st.Budget, len(pending), 0)
-	scorer := st.Problem.lowFiScorer(s.lowFi)
+	scorer := st.Problem.scoreByConfig(s.lowFi.Score)
 	if s.warmed {
 		// Warm start: the seed batch's top picks already come from the
 		// prior-trained high-fidelity surrogate instead of the white-box
 		// model — this is where transfer learning pays for itself, by
 		// spending the very first measurements near prior optima. The
 		// switch detector still arbitrates between the models afterwards.
-		scorer = s.high.poolScorer(st.Problem)
+		scorer = s.scorer(st)
 	}
 	return append(pending, st.Tracker.takeTop(room, scorer)...), nil // lines 9–10
 }
@@ -176,7 +156,7 @@ func (s *cealStrategy) SeedBatch(st *State) ([]cfgspace.Config, error) {
 // WarmStart pre-trains the high-fidelity surrogate on prior-run workflow
 // samples (st.Prior), set up by the Loop before seeding.
 func (s *cealStrategy) WarmStart(st *State) error {
-	if err := s.high.Train(st.Prior); err != nil {
+	if err := s.model.Train(st.Prior); err != nil {
 		return err
 	}
 	s.warmed = true
@@ -187,7 +167,7 @@ func (s *cealStrategy) WarmStart(st *State) error {
 // measured: the out-of-sample switch check and the bias-escape top-up. The
 // current pseudocode iteration is i = st.Iter + 1.
 func (s *cealStrategy) AfterMeasure(st *State, batch []Sample) {
-	if s.usingHigh || !s.high.Trained() {
+	if s.usingHigh || !s.model.Trained() {
 		return
 	}
 	i := st.Iter + 1
@@ -204,7 +184,7 @@ func (s *cealStrategy) AfterMeasure(st *State, batch []Sample) {
 		truth[k] = smp.Value
 		cfgs[k] = smp.Cfg
 	}
-	highScores := s.high.PredictBatch(cfgs)
+	highScores := s.model.PredictBatch(cfgs)
 	lowScores := s.lowFi.ScoreBatchOn(p.engine(), cfgs)
 	sH := metrics.RecallSum(highScores, truth) // line 18
 	sL := metrics.RecallSum(lowScores, truth)  // line 19
@@ -240,10 +220,9 @@ func (s *cealStrategy) AfterMeasure(st *State, batch []Sample) {
 // iteration i = st.Iter: rank the remaining pool with whichever model is
 // trusted and top up with any queued bias-escape randoms.
 func (s *cealStrategy) SelectBatch(st *State) ([]cfgspace.Config, error) {
-	p := st.Problem
-	scorer := p.lowFiScorer(s.lowFi) // line 26
+	scorer := st.Problem.scoreByConfig(s.lowFi.Score) // line 26
 	if s.usingHigh {
-		scorer = s.high.poolScorer(p)
+		scorer = s.scorer(st)
 	}
 	want := s.mB
 	if st.Iter == s.opts.Iterations-1 {
@@ -255,22 +234,6 @@ func (s *cealStrategy) SelectBatch(st *State) ([]cfgspace.Config, error) {
 	pending := append(s.pendingExtra, st.Tracker.takeTop(room, scorer)...) // line 27
 	s.pendingExtra = nil
 	return pending, nil
-}
-
-func (s *cealStrategy) Fit(st *State, _ []Sample) (bool, error) {
-	return true, s.high.Train(st.TrainingSamples()) // line 25
-}
-
-// ModelRounds reports the high-fidelity surrogate's boosting rounds.
-func (s *cealStrategy) ModelRounds() int { return s.high.Rounds() }
-
-func (s *cealStrategy) FinalScores(st *State) ([]float64, error) {
-	return s.high.PredictPoolInto(st.Problem.Pool, st.finalScoreBuf()), nil
-}
-
-func (s *cealStrategy) FinalImportance(st *State) []float64 {
-	p := st.Problem
-	return s.high.Importance(len(p.features(p.Pool[0])))
 }
 
 // capBatch limits a batch to the workflow-run budget still available.

@@ -104,6 +104,30 @@ func trainComponentModels(p *Problem, mR int, rng *rand.Rand) (*componentModels,
 	}, nil
 }
 
+// bootstrapComponents is Phase 1 as every component-based strategy runs it
+// from its Bootstrap hook: reserve mR = frac of the budget for standalone
+// component runs (Alg. 1 line 1) — nothing when free data already covers
+// every component, and never so much that fewer than two workflow runs
+// remain — train the component models, and charge mR against st.Budget.
+func bootstrapComponents(st *State, frac float64, covered bool) (*componentModels, error) {
+	mR := 0
+	if !covered {
+		mR = int(frac*float64(st.Budget) + 0.5)
+		if mR >= st.Budget {
+			mR = st.Budget - 2
+		}
+		if mR < 0 {
+			mR = 0
+		}
+	}
+	cm, err := trainComponentModels(st.Problem, mR, st.Rng)
+	if err != nil {
+		return nil, err
+	}
+	st.Budget -= mR
+	return cm, nil
+}
+
 // sampleComponentConfigs draws mR distinct component configurations, from
 // the component candidate pool when one is provided, else from the space.
 func sampleComponentConfigs(p *Problem, j int, space *cfgspace.Space, mR int, rng *rand.Rand) []cfgspace.Config {

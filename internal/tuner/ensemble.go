@@ -16,92 +16,66 @@ import (
 // bootstrapping. HyBoost and KNNSelect implement two of them as runnable
 // ablations against CEAL.
 
-// HyBoostOptions configures the residual-boosting ensemble.
-type HyBoostOptions struct {
-	InitFrac      float64
-	Iterations    int
-	ComponentFrac float64 // budget share for component runs without history
+// whiteBlack is what the two ensembles share: the AL-family schedule over
+// mix, the embedding strategy's per-configuration prediction that combines
+// the Phase-1 analytical model am with learned members.
+type whiteBlack struct {
+	alBatches
+	am  *acm.LowFidelity
+	mix func(cfgspace.Config) float64
 }
 
-// DefaultHyBoostOptions mirrors the AL loop shape.
-func DefaultHyBoostOptions() HyBoostOptions {
-	return HyBoostOptions{InitFrac: 0.3, Iterations: 5, ComponentFrac: 0.5}
+func newWhiteBlack(mix func(cfgspace.Config) float64) whiteBlack {
+	return whiteBlack{
+		alBatches: alBatches{rank: func(st *State) poolScorer { return st.Problem.scoreByConfig(mix) }},
+		mix:       mix,
+	}
 }
 
-// withDefaults fills unset fields independently (ComponentFrac zero is
-// meaningful with history, so only negatives select the default).
-func (o HyBoostOptions) withDefaults() HyBoostOptions {
-	def := DefaultHyBoostOptions()
-	if o.InitFrac <= 0 {
-		o.InitFrac = def.InitFrac
+func (s *whiteBlack) ModelName() string { return "ensemble" }
+
+func (s *whiteBlack) Bootstrap(st *State) ([][]Sample, error) {
+	cm, err := bootstrapComponents(st, componentFrac, st.Problem.hasHistory())
+	if err != nil {
+		return nil, err
 	}
-	if o.Iterations <= 0 {
-		o.Iterations = def.Iterations
-	}
-	if o.ComponentFrac < 0 {
-		o.ComponentFrac = def.ComponentFrac
-	}
-	return o
+	s.am = cm.lowFi
+	return cm.newSamples, nil
+}
+
+// FinalScores fans mix across the engine: between refits every member
+// model is read-only.
+func (s *whiteBlack) FinalScores(st *State) ([]float64, error) {
+	p := st.Problem
+	return p.engine().Floats(len(p.Pool), func(i int) float64 {
+		return s.mix(p.Pool[i])
+	}), nil
 }
 
 // HyBoost combines the analytical model with ML by learning the AM's
 // residual errors (§8.2): prediction = ACM(c) corrected by a boosted-tree
 // model of log(y/ACM(c)). Sample selection is active learning over the
 // combined model.
-type HyBoost struct {
-	Opts HyBoostOptions
-}
+type HyBoost struct{}
 
-// NewHyBoost returns HyBoost with default options.
-func NewHyBoost() *HyBoost { return &HyBoost{Opts: DefaultHyBoostOptions()} }
+// NewHyBoost returns HyBoost.
+func NewHyBoost() *HyBoost { return &HyBoost{} }
 
 // Name returns the algorithm name.
 func (*HyBoost) Name() string { return "HyBoost" }
 
 // Tune implements Algorithm.
-func (hb *HyBoost) Tune(p *Problem, budget int) (*Result, error) {
-	opts := hb.Opts.withDefaults()
-	s := &hyBoostStrategy{opts: opts}
-	loop := &Loop{
-		Algorithm:  "HyBoost",
-		Salt:       saltENS,
-		Iterations: opts.Iterations,
-		Seeder:     s,
-		Selector:   s,
-		Modeler:    s,
-	}
+func (*HyBoost) Tune(p *Problem, budget int) (*Result, error) {
+	s := &hyBoostStrategy{}
+	s.whiteBlack = newWhiteBlack(s.predict)
+	loop := &Loop{Algorithm: "HyBoost", Salt: saltENS, Iterations: alIterations, Strategy: s}
 	return loop.Run(p, budget)
 }
 
-// hyBoostStrategy: the AL loop over ACM × learned residual correction.
+// hyBoostStrategy: ACM × learned residual correction.
 type hyBoostStrategy struct {
-	opts      HyBoostOptions
-	am        *acm.LowFidelity
+	whiteBlack
 	corrector *Surrogate
-}
-
-func (s *hyBoostStrategy) ModelName() string { return "ensemble" }
-
-func (s *hyBoostStrategy) Bootstrap(st *State) ([][]Sample, error) {
-	p := st.Problem
-	budget := st.Budget
-	mR := 0
-	if !p.hasHistory() {
-		mR = int(s.opts.ComponentFrac*float64(budget) + 0.5)
-		if mR >= budget {
-			mR = budget - 2
-		}
-		if mR < 0 {
-			mR = 0
-		}
-	}
-	cm, err := trainComponentModels(p, mR, st.Rng)
-	if err != nil {
-		return nil, err
-	}
-	st.Budget = budget - mR
-	s.am = cm.lowFi
-	return cm.newSamples, nil
 }
 
 func (s *hyBoostStrategy) predict(cfg cfgspace.Config) float64 {
@@ -113,19 +87,6 @@ func (s *hyBoostStrategy) predict(cfg cfgspace.Config) float64 {
 		return base
 	}
 	return base * s.corrector.Predict(cfg)
-}
-
-func (s *hyBoostStrategy) SeedBatch(st *State) ([]cfgspace.Config, error) {
-	m0 := initialBatchSize(s.opts.InitFrac, st.Budget)
-	return st.Tracker.takeRandom(m0, st.Rng), nil
-}
-
-func (s *hyBoostStrategy) SelectBatch(st *State) ([]cfgspace.Config, error) {
-	n := evenBatchSize(st, s.opts.Iterations)
-	if n == 0 {
-		return nil, nil
-	}
-	return st.Tracker.takeTop(n, st.Problem.scoreByConfig(s.predict)), nil
 }
 
 func (s *hyBoostStrategy) Fit(st *State, _ []Sample) (bool, error) {
@@ -147,81 +108,30 @@ func (s *hyBoostStrategy) Fit(st *State, _ []Sample) (bool, error) {
 
 // ModelRounds reports the residual corrector's round count for the
 // ModelTrained trace event.
-func (s *hyBoostStrategy) ModelRounds() int {
-	if s.corrector == nil {
-		return 0
-	}
-	return s.corrector.Rounds()
-}
+func (s *hyBoostStrategy) ModelRounds() int { return s.corrector.Rounds() }
 
-func (s *hyBoostStrategy) FinalScores(st *State) ([]float64, error) {
-	p := st.Problem
-	// predict reads am and the trained corrector only, so the pool fans out
-	// across the engine safely.
-	return p.engine().Floats(len(p.Pool), func(i int) float64 {
-		return s.predict(p.Pool[i])
-	}), nil
-}
-
-// KNNSelectOptions configures the per-query model selector.
-type KNNSelectOptions struct {
-	InitFrac      float64
-	Iterations    int
-	ComponentFrac float64
-	K             int // neighbours used to score candidate models
-}
-
-// DefaultKNNSelectOptions mirrors Didona et al.'s KNN ensemble.
-func DefaultKNNSelectOptions() KNNSelectOptions {
-	return KNNSelectOptions{InitFrac: 0.3, Iterations: 5, ComponentFrac: 0.5, K: 5}
-}
-
-// withDefaults fills unset fields independently (ComponentFrac zero is
-// meaningful with history, so only negatives select the default).
-func (o KNNSelectOptions) withDefaults() KNNSelectOptions {
-	def := DefaultKNNSelectOptions()
-	if o.InitFrac <= 0 {
-		o.InitFrac = def.InitFrac
-	}
-	if o.Iterations <= 0 {
-		o.Iterations = def.Iterations
-	}
-	if o.ComponentFrac < 0 {
-		o.ComponentFrac = def.ComponentFrac
-	}
-	if o.K < 1 {
-		o.K = def.K
-	}
-	return o
-}
+// knnK is the neighbour count of KNNSelect's per-query selector and of its
+// KNN candidate (Didona et al.'s KNN ensemble).
+const knnK = 5
 
 // KNNSelect is the Didona-style ensemble (§8.2): the measured samples are
 // evenly divided into a training and a test half; an analytical model plus
 // several ML regressors trained on the training half are candidates, and
 // for each query configuration the model with the lowest error on the K
 // nearest *test* configurations makes the prediction.
-type KNNSelect struct {
-	Opts KNNSelectOptions
-}
+type KNNSelect struct{}
 
-// NewKNNSelect returns KNNSelect with default options.
-func NewKNNSelect() *KNNSelect { return &KNNSelect{Opts: DefaultKNNSelectOptions()} }
+// NewKNNSelect returns KNNSelect.
+func NewKNNSelect() *KNNSelect { return &KNNSelect{} }
 
 // Name returns the algorithm name.
 func (*KNNSelect) Name() string { return "KNNSelect" }
 
 // Tune implements Algorithm.
-func (ks *KNNSelect) Tune(p *Problem, budget int) (*Result, error) {
-	opts := ks.Opts.withDefaults()
-	s := &knnSelectStrategy{opts: opts}
-	loop := &Loop{
-		Algorithm:  "KNNSelect",
-		Salt:       saltENS ^ 0x4b4e4e,
-		Iterations: opts.Iterations,
-		Seeder:     s,
-		Selector:   s,
-		Modeler:    s,
-	}
+func (*KNNSelect) Tune(p *Problem, budget int) (*Result, error) {
+	s := &knnSelectStrategy{space: p.Space}
+	s.whiteBlack = newWhiteBlack(s.predict)
+	loop := &Loop{Algorithm: "KNNSelect", Salt: saltENS ^ 0x4b4e4e, Iterations: alIterations, Strategy: s}
 	return loop.Run(p, budget)
 }
 
@@ -231,53 +141,14 @@ type knnSelectCandidate struct {
 	predict func(cfg cfgspace.Config) float64
 }
 
-// knnSelectStrategy: the AL loop over the per-query model selector.
+// knnSelectStrategy: the per-query model selector.
 type knnSelectStrategy struct {
-	opts      KNNSelectOptions
+	whiteBlack
 	space     *cfgspace.Space
-	am        *acm.LowFidelity
 	cands     []knnSelectCandidate
 	nn        *knn.Regressor // neighbour finder over the test half
 	test      []Sample       // held-out half used to select among candidates
 	xgbRounds int            // boosted candidate's rounds, for the trace
-}
-
-func (s *knnSelectStrategy) ModelName() string { return "ensemble" }
-
-func (s *knnSelectStrategy) Bootstrap(st *State) ([][]Sample, error) {
-	p := st.Problem
-	budget := st.Budget
-	mR := 0
-	if !p.hasHistory() {
-		mR = int(s.opts.ComponentFrac*float64(budget) + 0.5)
-		if mR >= budget {
-			mR = budget - 2
-		}
-		if mR < 0 {
-			mR = 0
-		}
-	}
-	cm, err := trainComponentModels(p, mR, st.Rng)
-	if err != nil {
-		return nil, err
-	}
-	st.Budget = budget - mR
-	s.am = cm.lowFi
-	s.space = p.Space
-	return cm.newSamples, nil
-}
-
-func (s *knnSelectStrategy) SeedBatch(st *State) ([]cfgspace.Config, error) {
-	m0 := initialBatchSize(s.opts.InitFrac, st.Budget)
-	return st.Tracker.takeRandom(m0, st.Rng), nil
-}
-
-func (s *knnSelectStrategy) SelectBatch(st *State) ([]cfgspace.Config, error) {
-	n := evenBatchSize(st, s.opts.Iterations)
-	if n == 0 {
-		return nil, nil
-	}
-	return st.Tracker.takeTop(n, st.Problem.scoreByConfig(s.predict)), nil
 }
 
 // Fit is Didona's refit: shuffle, half trains the candidates, half scores
@@ -336,7 +207,7 @@ func (s *knnSelectStrategy) Fit(st *State, _ []Sample) (bool, error) {
 	p.engine().Tasks(5, func(i int) {
 		switch i {
 		case 0:
-			s.nn, nnErr = knn.Fit(Xt, yt, s.opts.K)
+			s.nn, nnErr = knn.Fit(Xt, yt, knnK)
 		case 1:
 			xgbErr = xgbSurr.Train(train)
 		case 2:
@@ -344,7 +215,7 @@ func (s *knnSelectStrategy) Fit(st *State, _ []Sample) (bool, error) {
 		case 3:
 			rr, rrErr = linear.FitRidge(X, ylog, 1.0)
 		case 4:
-			kr, krErr = knn.Fit(Xn, y, s.opts.K)
+			kr, krErr = knn.Fit(Xn, y, knnK)
 		}
 	})
 	if nnErr != nil {
@@ -393,13 +264,4 @@ func (s *knnSelectStrategy) predict(cfg cfgspace.Config) float64 {
 		}
 	}
 	return bestVal
-}
-
-func (s *knnSelectStrategy) FinalScores(st *State) ([]float64, error) {
-	p := st.Problem
-	// Between refits every candidate model and the neighbour finder are
-	// read-only, so per-query selection fans out across the engine.
-	return p.engine().Floats(len(p.Pool), func(i int) float64 {
-		return s.predict(p.Pool[i])
-	}), nil
 }

@@ -7,8 +7,10 @@ import (
 // Exhaustive measures every pool configuration, budget permitting — the
 // brute-force upper bound no practical in-situ tuner can afford (§2.3),
 // used to verify that the budgeted algorithms approach the true optimum
-// on small problems.
+// on small problems. It is a test oracle, so it lives in a test file.
 type Exhaustive struct{}
+
+const saltEXH = 0x45584858
 
 // Name returns the algorithm name.
 func (Exhaustive) Name() string { return "Exhaustive" }
@@ -16,7 +18,7 @@ func (Exhaustive) Name() string { return "Exhaustive" }
 // Tune measures min(budget, |pool|) configurations in pool order.
 func (Exhaustive) Tune(p *Problem, budget int) (*Result, error) {
 	s := &exhaustiveStrategy{}
-	loop := &Loop{Algorithm: "Exhaustive", Salt: saltEXH, Seeder: s, Modeler: s}
+	loop := &Loop{Algorithm: "Exhaustive", Salt: saltEXH, Strategy: s}
 	return loop.Run(p, budget)
 }
 
@@ -30,6 +32,8 @@ func (*exhaustiveStrategy) SeedBatch(st *State) ([]cfgspace.Config, error) {
 	}
 	return st.Problem.Pool[:n], nil
 }
+
+func (*exhaustiveStrategy) SelectBatch(*State) ([]cfgspace.Config, error) { return nil, nil }
 
 func (*exhaustiveStrategy) Fit(*State, []Sample) (bool, error) { return false, nil }
 

@@ -11,81 +11,32 @@ import (
 	"ceal/internal/tuner/events"
 )
 
-// GEISTOptions configures the graph-guided sampler.
-type GEISTOptions struct {
-	InitFrac    float64 // fraction of budget on initial random samples
-	Iterations  int     // refinement batches
-	Neighbors   int     // k of the parameter graph
-	TopQuantile float64 // "optimal" label threshold (paper: top 5%)
-	ExploreFrac float64 // fraction of each batch chosen at random
-	Sweeps      int     // label-propagation sweeps
-}
-
-// DefaultGEISTOptions follows Thiagarajan et al. [50] as described in §7.3.
-func DefaultGEISTOptions() GEISTOptions {
-	return GEISTOptions{
-		InitFrac:    0.3,
-		Iterations:  5,
-		Neighbors:   8,
-		TopQuantile: 0.05,
-		ExploreFrac: 0.1,
-		Sweeps:      20,
-	}
-}
-
-// withDefaults fills unset fields independently. ExploreFrac is the one
-// field where zero is meaningful (a purely exploitative sampler), so only
-// a negative value selects the default there.
-func (o GEISTOptions) withDefaults() GEISTOptions {
-	def := DefaultGEISTOptions()
-	if o.InitFrac <= 0 {
-		o.InitFrac = def.InitFrac
-	}
-	if o.Iterations <= 0 {
-		o.Iterations = def.Iterations
-	}
-	if o.Neighbors <= 0 {
-		o.Neighbors = def.Neighbors
-	}
-	if o.TopQuantile <= 0 {
-		o.TopQuantile = def.TopQuantile
-	}
-	if o.ExploreFrac < 0 {
-		o.ExploreFrac = def.ExploreFrac
-	}
-	if o.Sweeps <= 0 {
-		o.Sweeps = def.Sweeps
-	}
-	return o
-}
+// GEIST's hyper-parameters follow Thiagarajan et al. [50] as described in
+// §7.3; its batch sizes are the AL family's (seedFrac, alIterations).
+const (
+	geistNeighbors   = 8    // k of the parameter graph
+	geistTopQuantile = 0.05 // "optimal" label threshold (paper: top 5%)
+	geistExploreFrac = 0.1  // fraction of each batch chosen at random
+	geistSweeps      = 20   // label-propagation sweeps
+)
 
 // GEIST is the state-of-the-art comparison algorithm (§7.3): semi-
 // supervised label propagation over a parameter graph identifies unmeasured
 // configurations likely to be in the top 5%, which are measured next. The
 // final surrogate is the same boosted-tree model trained on all
 // measurements.
-type GEIST struct {
-	Opts GEISTOptions
-}
+type GEIST struct{}
 
-// NewGEIST returns GEIST with default options.
-func NewGEIST() *GEIST { return &GEIST{Opts: DefaultGEISTOptions()} }
+// NewGEIST returns GEIST.
+func NewGEIST() *GEIST { return &GEIST{} }
 
 // Name returns the algorithm name.
 func (*GEIST) Name() string { return "GEIST" }
 
 // Tune implements Algorithm.
-func (g *GEIST) Tune(p *Problem, budget int) (*Result, error) {
-	opts := g.Opts.withDefaults()
-	s := &geistStrategy{opts: opts}
-	loop := &Loop{
-		Algorithm:  "GEIST",
-		Salt:       saltGEIST,
-		Iterations: opts.Iterations,
-		Seeder:     s,
-		Selector:   s,
-		Modeler:    s,
-	}
+func (*GEIST) Tune(p *Problem, budget int) (*Result, error) {
+	s := &geistStrategy{surrogateBacked: surrogateBacked{newSurrogate(p)}}
+	loop := &Loop{Algorithm: "GEIST", Salt: saltGEIST, Iterations: alIterations, Strategy: s}
 	return loop.Run(p, budget)
 }
 
@@ -95,23 +46,22 @@ func (g *GEIST) Tune(p *Problem, budget int) (*Result, error) {
 // merely folds fresh measurements into the index map and the model-trained
 // trace event fires from FinalScores.
 type geistStrategy struct {
-	opts       GEISTOptions
+	surrogateBacked
 	graph      [][]int
 	measured   map[int]float64 // pool index -> measured value
 	unmeasured map[int]bool
 	lastIdxs   []int // pool indices of the batch just handed to the loop
-	model      *Surrogate
 }
 
 func (s *geistStrategy) SeedBatch(st *State) ([]cfgspace.Config, error) {
 	p := st.Problem
-	s.graph = p.parameterGraph(s.opts.Neighbors)
+	s.graph = p.parameterGraph(geistNeighbors)
 	s.measured = make(map[int]float64)
 	s.unmeasured = make(map[int]bool, len(p.Pool))
 	for i := range p.Pool {
 		s.unmeasured[i] = true
 	}
-	m0 := initialBatchSize(s.opts.InitFrac, st.Budget)
+	m0 := initialBatchSize(seedFrac, st.Budget)
 	return s.claim(st, randomUnmeasured(m0, len(p.Pool), s.unmeasured, st.Rng)), nil
 }
 
@@ -120,16 +70,12 @@ func (s *geistStrategy) SelectBatch(st *State) ([]cfgspace.Config, error) {
 	if len(s.unmeasured) == 0 {
 		return nil, nil
 	}
-	remaining := st.Budget - len(s.measured)
-	if remaining <= 0 {
+	batchSize := evenBatchSize(st)
+	if batchSize == 0 {
 		return nil, nil
 	}
-	batchSize := remaining / (s.opts.Iterations - (st.Iter - 1))
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	scores := propagateLabels(p.engine(), s.graph, s.measured, len(p.Pool), s.opts, st.Rng)
-	nExplore := int(float64(batchSize)*s.opts.ExploreFrac + 0.5)
+	scores := propagateLabels(p.engine(), s.graph, s.measured, len(p.Pool), st.Rng)
+	nExplore := int(float64(batchSize)*geistExploreFrac + 0.5)
 	nExploit := batchSize - nExplore
 
 	// Exploit: highest propagated probability of being in the top 5%.
@@ -185,7 +131,6 @@ func (s *geistStrategy) FinalScores(st *State) ([]float64, error) {
 	if st.Observing() {
 		start = time.Now()
 	}
-	s.model = newSurrogate(st.Problem)
 	if err := s.model.Train(st.Samples); err != nil {
 		return nil, err
 	}
@@ -198,12 +143,7 @@ func (s *geistStrategy) FinalScores(st *State) ([]float64, error) {
 			Rounds:     s.model.Rounds(),
 		})
 	}
-	return s.model.PredictPoolInto(st.Problem.Pool, st.finalScoreBuf()), nil
-}
-
-func (s *geistStrategy) FinalImportance(st *State) []float64 {
-	p := st.Problem
-	return s.model.Importance(len(p.features(p.Pool[0])))
+	return s.surrogateBacked.FinalScores(st)
 }
 
 // randomUnmeasured draws up to n distinct unmeasured pool indices.
@@ -228,12 +168,12 @@ func randomUnmeasured(n, poolSize int, unmeasured map[int]bool, rng *rand.Rand) 
 // values (else 0); unmeasured nodes relax toward their neighbours' average.
 // Each sweep is a Jacobi update — next[] reads only the previous label[] —
 // so nodes fan out across the engine with bitwise-deterministic results.
-func propagateLabels(eng *score.Engine, graph [][]int, measured map[int]float64, n int, opts GEISTOptions, rng *rand.Rand) []float64 {
+func propagateLabels(eng *score.Engine, graph [][]int, measured map[int]float64, n int, rng *rand.Rand) []float64 {
 	vals := make([]float64, 0, len(measured))
 	for _, v := range measured {
 		vals = append(vals, v)
 	}
-	k := int(float64(len(vals))*opts.TopQuantile + 0.5)
+	k := int(float64(len(vals))*geistTopQuantile + 0.5)
 	if k < 1 {
 		k = 1
 	}
@@ -254,7 +194,7 @@ func propagateLabels(eng *score.Engine, graph [][]int, measured map[int]float64,
 		}
 	}
 	next := make([]float64, n)
-	for sweep := 0; sweep < opts.Sweeps; sweep++ {
+	for sweep := 0; sweep < geistSweeps; sweep++ {
 		lbl := label
 		eng.MapChunks(n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {

@@ -10,22 +10,15 @@ import (
 )
 
 // This file is the shared run engine behind every algorithm: the explicit
-// realisation of the paper's collector / modeler / searcher cycle (§2.2)
-// that each Tune method used to hand-roll. The Loop owns the run skeleton —
-// budget accounting, the poolTracker, measurement batching through the
-// problem's collector, observer emission and final Result assembly — while
-// the algorithms plug in as small strategy bundles:
-//
-//   - Seeder    chooses the initial measurement batch;
-//   - Selector  chooses each refinement iteration's candidates;
-//   - Modeler   (re)trains the surrogate and produces the final pool scores;
-//   - Controller (optional) runs after each measured batch — CEAL's
-//     model-switch detector and bias-escape top-up live here;
-//   - Bootstrapper (optional) runs Phase-1 component-model training before
-//     seeding and may spend budget on standalone component runs.
-//
-// One struct usually implements several of these; the Loop discovers the
-// optional interfaces by type assertion on the Modeler.
+// realisation of the paper's collector / modeler / searcher cycle (§2.2).
+// The Loop owns the run skeleton — budget accounting, the poolTracker,
+// measurement batching through the problem's collector, observer emission
+// and final Result assembly — and an algorithm plugs in as one Strategy
+// value: it chooses the seed batch and each refinement batch, refits its
+// model after every measured batch and scores the pool at the end. What
+// only some algorithms need (Phase-1 component models, warm-start seeding,
+// CEAL's post-measurement control, feature importance, a model label for
+// the trace) is an optional method the Loop finds on that same value.
 //
 // Every step is announced on the problem's events.Observer (nil = zero-cost:
 // event values are only constructed when an observer is attached), giving
@@ -95,24 +88,19 @@ func (s *State) Emit(e events.Event) {
 	s.obs.OnEvent(e)
 }
 
-// Seeder chooses the initial measurement batch (iteration 0).
-type Seeder interface {
-	// SeedBatch returns the configurations to measure first. It may take
-	// them from st.Tracker and consume st.Rng.
+// Strategy is the one seam between the Loop and an algorithm: the
+// searcher's two choices and the modeler's two duties. The optional hooks
+// below (Bootstrapper, WarmStarter, Controller, Importancer, and the
+// ModelName / ModelRounds trace labels) are discovered by type assertion on
+// the same value.
+type Strategy interface {
+	// SeedBatch returns the configurations to measure first (iteration 0).
+	// It may take them from st.Tracker and consume st.Rng.
 	SeedBatch(st *State) ([]cfgspace.Config, error)
-}
-
-// Selector chooses one refinement iteration's measurement batch. Returning
-// an empty batch ends the run (budget exhausted, pool drained, or the
-// strategy has nothing left to learn).
-type Selector interface {
+	// SelectBatch chooses one refinement iteration's measurement batch.
+	// Returning an empty batch ends the run (budget exhausted, pool
+	// drained, or the strategy has nothing left to learn).
 	SelectBatch(st *State) ([]cfgspace.Config, error)
-}
-
-// Modeler owns the surrogate: it is refit after every measured batch and
-// produces the final pool predictions the searcher and the evaluation
-// metrics consume.
-type Modeler interface {
 	// Fit (re)trains after a batch. fresh holds only the just-measured
 	// samples (st.Samples has the cumulative set). The returned bool
 	// reports whether a model was actually (re)trained — false suppresses
@@ -123,10 +111,10 @@ type Modeler interface {
 	FinalScores(st *State) ([]float64, error)
 }
 
-// Controller hooks in after each measured batch, before the Modeler refits
-// — the seam for CEAL's out-of-sample switch detection and bias escape. It
-// may queue work for the next SelectBatch through strategy-internal state
-// and may set st.SwitchIter.
+// Controller hooks in after each measured batch, before the refit — the
+// seam for CEAL's out-of-sample switch detection and bias escape. It may
+// queue work for the next SelectBatch through strategy-internal state and
+// may set st.SwitchIter.
 type Controller interface {
 	AfterMeasure(st *State, batch []Sample)
 }
@@ -144,19 +132,18 @@ type Importancer interface {
 }
 
 // Loop is the shared run engine. Algorithms construct one per Tune call
-// with their strategy bundle plugged in and invoke Run.
+// with their Strategy plugged in and invoke Run.
 type Loop struct {
 	// Algorithm names the run in RunStarted events.
 	Algorithm string
 	// Salt decorrelates this algorithm's random stream (see rs.go).
 	Salt uint64
-	// Iterations bounds the refinement loop (0 = seed batch only).
+	// Iterations bounds the refinement loop (0 = seed batch only:
+	// SelectBatch is never called).
 	Iterations int
 
-	Seeder     Seeder
-	Selector   Selector // nil = no refinement iterations
-	Modeler    Modeler
-	Controller Controller // optional
+	// Strategy is the algorithm.
+	Strategy Strategy
 }
 
 // Run drives the collector / modeler / searcher cycle to completion and
@@ -187,7 +174,7 @@ func (l *Loop) Run(p *Problem, budget int) (*Result, error) {
 
 	// Phase 1 (optional): component models, charged against the budget.
 	var compSamples [][]Sample
-	if b, ok := l.Modeler.(Bootstrapper); ok {
+	if b, ok := l.Strategy.(Bootstrapper); ok {
 		var start time.Time
 		if st.obs != nil {
 			start = time.Now()
@@ -216,11 +203,11 @@ func (l *Loop) Run(p *Problem, budget int) (*Result, error) {
 	// Warm start (optional): seed the surrogate from prior-run samples
 	// before the first measurement. Component-level warm data was already
 	// consumed inside Bootstrap (trainComponentModels); here the workflow
-	// samples reach the Modeler through the WarmStarter hook.
+	// samples reach the strategy through the WarmStarter hook.
 	if w := p.Warm; !w.Empty() {
 		seeded := false
 		if len(w.Samples) > 0 {
-			if ws, ok := l.Modeler.(WarmStarter); ok {
+			if ws, ok := l.Strategy.(WarmStarter); ok {
 				st.Prior = w.Samples
 				if err := ws.WarmStart(st); err != nil {
 					return nil, err
@@ -241,52 +228,50 @@ func (l *Loop) Run(p *Problem, budget int) (*Result, error) {
 		}
 	}
 
-	// Seed batch (iteration 0).
-	seed, err := l.Seeder.SeedBatch(st)
+	// Seed batch (iteration 0), then the refinement iterations: measure,
+	// let the Controller react, refit, report.
+	ctl, _ := l.Strategy.(Controller)
+	step := func(phase string, cfgs []cfgspace.Config) error {
+		batch, err := l.measure(st, phase, cfgs)
+		if err != nil {
+			return err
+		}
+		if ctl != nil {
+			ctl.AfterMeasure(st, batch)
+		}
+		if err := l.fit(st, batch); err != nil {
+			return err
+		}
+		l.iterationDone(st)
+		return nil
+	}
+	seed, err := l.Strategy.SeedBatch(st)
 	if err != nil {
 		return nil, err
 	}
-	batch, err := l.measure(st, "seed", seed)
-	if err != nil {
+	if err := step("seed", seed); err != nil {
 		return nil, err
 	}
-	if l.Controller != nil {
-		l.Controller.AfterMeasure(st, batch)
-	}
-	if err := l.fit(st, batch); err != nil {
-		return nil, err
-	}
-	l.iterationDone(st)
-
-	// Refinement iterations.
-	for it := 1; it <= l.Iterations && l.Selector != nil; it++ {
+	for it := 1; it <= l.Iterations; it++ {
 		st.Iter = it
-		cfgs, err := l.Selector.SelectBatch(st)
+		cfgs, err := l.Strategy.SelectBatch(st)
 		if err != nil {
 			return nil, err
 		}
 		if len(cfgs) == 0 {
 			break
 		}
-		batch, err := l.measure(st, "refine", cfgs)
-		if err != nil {
+		if err := step("refine", cfgs); err != nil {
 			return nil, err
 		}
-		if l.Controller != nil {
-			l.Controller.AfterMeasure(st, batch)
-		}
-		if err := l.fit(st, batch); err != nil {
-			return nil, err
-		}
-		l.iterationDone(st)
 	}
 
-	scores, err := l.Modeler.FinalScores(st)
+	scores, err := l.Strategy.FinalScores(st)
 	if err != nil {
 		return nil, err
 	}
 	res := finish(p, scores, st.Samples, compSamples, st.SwitchIter, st)
-	if imp, ok := l.Modeler.(Importancer); ok {
+	if imp, ok := l.Strategy.(Importancer); ok {
 		res.Importance = imp.FinalImportance(st)
 	}
 	if st.obs != nil {
@@ -351,7 +336,7 @@ func (l *Loop) fit(st *State, fresh []Sample) error {
 	if st.obs != nil {
 		start = time.Now()
 	}
-	trained, err := l.Modeler.Fit(st, fresh)
+	trained, err := l.Strategy.Fit(st, fresh)
 	if err != nil {
 		return err
 	}
@@ -368,9 +353,9 @@ func (l *Loop) fit(st *State, fresh []Sample) error {
 }
 
 // modelName lets a strategy label its ModelTrained events; the boosted-tree
-// default covers most bundles.
+// default covers most strategies.
 func (l *Loop) modelName() string {
-	if n, ok := l.Modeler.(interface{ ModelName() string }); ok {
+	if n, ok := l.Strategy.(interface{ ModelName() string }); ok {
 		return n.ModelName()
 	}
 	return "surrogate"
@@ -378,7 +363,7 @@ func (l *Loop) modelName() string {
 
 // modelRounds reads the strategy's fitted-ensemble size when it reports one.
 func (l *Loop) modelRounds() int {
-	if r, ok := l.Modeler.(interface{ ModelRounds() int }); ok {
+	if r, ok := l.Strategy.(interface{ ModelRounds() int }); ok {
 		return r.ModelRounds()
 	}
 	return 0

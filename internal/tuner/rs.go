@@ -14,35 +14,22 @@ func (RS) Name() string { return "RS" }
 
 // Tune implements Algorithm.
 func (RS) Tune(p *Problem, budget int) (*Result, error) {
-	s := &rsStrategy{model: newSurrogate(p)}
-	loop := &Loop{Algorithm: "RS", Salt: saltRS, Seeder: s, Modeler: s}
+	s := &rsStrategy{surrogateBacked{newSurrogate(p)}}
+	loop := &Loop{Algorithm: "RS", Salt: saltRS, Strategy: s}
 	return loop.Run(p, budget)
 }
 
 // rsStrategy spends the whole budget at once and trains a single surrogate.
 type rsStrategy struct {
-	model *Surrogate
+	surrogateBacked
 }
 
 func (s *rsStrategy) SeedBatch(st *State) ([]cfgspace.Config, error) {
 	return st.Tracker.takeRandom(st.Budget, st.Rng), nil
 }
 
-func (s *rsStrategy) Fit(st *State, _ []Sample) (bool, error) {
-	return true, s.model.Train(st.Samples)
-}
-
-// ModelRounds reports the surrogate's boosting rounds for the trace.
-func (s *rsStrategy) ModelRounds() int { return s.model.Rounds() }
-
-func (s *rsStrategy) FinalScores(st *State) ([]float64, error) {
-	return s.model.PredictPoolInto(st.Problem.Pool, st.finalScoreBuf()), nil
-}
-
-func (s *rsStrategy) FinalImportance(st *State) []float64 {
-	p := st.Problem
-	return s.model.Importance(len(p.features(p.Pool[0])))
-}
+// SelectBatch is never reached: RS runs no refinement iterations.
+func (s *rsStrategy) SelectBatch(*State) ([]cfgspace.Config, error) { return nil, nil }
 
 // Distinct salts decorrelate the algorithms' random streams from one
 // another while keeping each fully reproducible from Problem.Seed.
@@ -54,5 +41,4 @@ const (
 	saltALpH  = 0x414c7048
 	saltBO    = 0x424f424f
 	saltENS   = 0x454e5345
-	saltEXH   = 0x45584858
 )

@@ -224,15 +224,6 @@ func (p *Problem) scoreByConfig(score func(cfgspace.Config) float64) poolScorer 
 	}
 }
 
-// lowFiScorer ranks candidates with the white-box model.
-func (p *Problem) lowFiScorer(lf *acm.LowFidelity) poolScorer {
-	return func(idxs []int, out []float64) {
-		for j, idx := range idxs {
-			out[j] = lf.Score(p.Pool[idx])
-		}
-	}
-}
-
 // dims returns each component's parameter count.
 func (p *Problem) dims() []int {
 	dims := make([]int, len(p.Components))

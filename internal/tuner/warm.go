@@ -73,12 +73,11 @@ func (p *Problem) warmCoversComponents() bool {
 	return true
 }
 
-// WarmStarter is the optional strategy interface for surrogate seeding: a
-// Modeler implementing it is handed the run state (with State.Prior set to
+// WarmStarter is the optional strategy hook for surrogate seeding: a
+// Strategy implementing it is handed the run state (with State.Prior set to
 // the warm workflow samples) after Bootstrap and before the seed batch, and
 // should pre-train its surrogate so seeding can exploit prior knowledge.
-// The Loop discovers it by type assertion, like the other optional strategy
-// interfaces.
+// The Loop discovers it by type assertion, like the other optional hooks.
 type WarmStarter interface {
 	WarmStart(st *State) error
 }

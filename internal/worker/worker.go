@@ -104,7 +104,11 @@ func (s *Server) measure(w http.ResponseWriter, r *http.Request) {
 	local := dispatch.NewLocal(ev, &dispatch.Runner{Workers: s.workers})
 	ms, err := local.Dispatch(r.Context(), req.Items)
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
+		status := http.StatusInternalServerError
+		if errors.Is(err, live.ErrBadItem) {
+			status = http.StatusBadRequest
+		}
+		s.fail(w, status, err)
 		return
 	}
 	s.items.Add(uint64(len(ms)))

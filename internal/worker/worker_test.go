@@ -234,3 +234,84 @@ func TestHealthzAndMetrics(t *testing.T) {
 		t.Fatalf("metrics missing worker counters:\n%s", sb.String())
 	}
 }
+
+// malformedItemBody is a well-formed request whose one item carries a
+// one-parameter configuration for LAMMPS (three parameters). It used to
+// reach apps.NewLAMMPS unchecked and panic on a dispatch pool goroutine,
+// which net/http's per-request recover does not cover — killing the daemon.
+const malformedItemBody = `{"benchmark":"LV","objective":"comp","seed":1,"items":[{"seq":0,"kind":"component","component":0,"cfg":[1]}]}`
+
+func postMeasure(t *testing.T, url, body string) (int, dispatch.MeasureResponse) {
+	t.Helper()
+	resp, err := http.Post(url+dispatch.MeasurePath, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var reply dispatch.MeasureResponse
+	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+		t.Fatalf("reply (status %d) is not JSON: %v", resp.StatusCode, err)
+	}
+	return resp.StatusCode, reply
+}
+
+func TestMeasureEndpointSurvivesMalformedItem(t *testing.T) {
+	url := newWorker(t, 2)
+	status, reply := postMeasure(t, url, malformedItemBody)
+	if status != http.StatusBadRequest || reply.Error == "" {
+		t.Fatalf("malformed item: status %d, reply %+v; want 400 with an error", status, reply)
+	}
+
+	// The same server must still answer a valid request correctly.
+	b, err := workflow.ByName(cluster.Default(), "LV")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := &live.Evaluator{Bench: b, Obj: paperexp.CompTime, Seed: 1}
+	want, err := ev.MeasureComponent(0, []int{18, 18, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, reply = postMeasure(t, url, `{"benchmark":"LV","objective":"comp","seed":1,"items":[{"seq":0,"kind":"component","component":0,"cfg":[18,18,2]}]}`)
+	if status != http.StatusOK || len(reply.Results) != 1 || reply.Results[0].Value != want {
+		t.Fatalf("valid request after the malformed one: status %d, reply %+v; want value %v", status, reply, want)
+	}
+}
+
+// FuzzMeasureHandler feeds arbitrary bytes to POST /v1/measure: whatever
+// the body, the handler must not panic (on its own goroutine or a pool
+// one) and must answer JSON with one of its four documented statuses.
+func FuzzMeasureHandler(f *testing.F) {
+	for _, body := range []string{
+		malformedItemBody,
+		// nil cfg for a configurable component
+		`{"benchmark":"LV","objective":"comp","seed":1,"items":[{"seq":0,"kind":"component","component":0}]}`,
+		// zero processes-per-node
+		`{"benchmark":"LV","objective":"exec","seed":1,"items":[{"seq":0,"kind":"component","component":0,"cfg":[18,0,2]},{"seq":1,"kind":"workflow","cfg":[18,0,2,18,18,2]}]}`,
+		// component index out of range, both ways
+		`{"benchmark":"HS","objective":"comp","seed":1,"items":[{"seq":0,"kind":"component","component":99,"cfg":[1]},{"seq":1,"kind":"component","component":-1}]}`,
+		// a valid shard
+		`{"benchmark":"LV","objective":"comp","seed":1,"items":[{"seq":0,"kind":"component","component":0,"cfg":[18,18,2]},{"seq":1,"kind":"workflow","cfg":[18,18,2,18,18,2]}]}`,
+		`{"benchmark":"GP","objective":"energy","seed":7,"items":[{"seq":3,"kind":"sideways"}]}`,
+		`not json`,
+	} {
+		f.Add([]byte(body))
+	}
+	srv := NewServer(2)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, dispatch.MeasurePath, strings.NewReader(string(body))))
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusInternalServerError:
+		default:
+			t.Fatalf("status %d for body %q", rec.Code, body)
+		}
+		var reply dispatch.MeasureResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+			t.Fatalf("status %d reply is not JSON (%v): %q", rec.Code, err, rec.Body.Bytes())
+		}
+		if rec.Code != http.StatusOK && reply.Error == "" {
+			t.Fatalf("status %d without an error message: %q", rec.Code, rec.Body.Bytes())
+		}
+	})
+}
