@@ -9,6 +9,7 @@ package acm
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ceal/internal/cfgspace"
 	"ceal/internal/score"
@@ -105,17 +106,42 @@ type ConstPredictor float64
 func (c ConstPredictor) Predict([]float64) float64 { return float64(c) }
 
 // Part is one component's slot in the low-fidelity model: its predictor
-// plus the extraction of its sub-configuration features from a workflow
-// configuration.
+// and where its sub-configuration sits inside a workflow configuration.
+// Everything a part contributes to a score is a function of that
+// sub-configuration alone, which is what lets ScoreBatchOn evaluate each
+// distinct sub-configuration once.
 type Part struct {
 	Name      string
 	Predictor Predictor
-	// Extract maps a workflow configuration to this component's feature
-	// vector. For unconfigurable components it may return nil.
-	Extract func(cfg cfgspace.Config) []float64
-	// Cores returns the cores the component's allocation reserves under a
-	// workflow configuration. Required by the BottleneckSum combiner.
-	Cores func(cfg cfgspace.Config) float64
+	// Lo and Hi bound the component's sub-configuration cfg[Lo:Hi] of a
+	// workflow configuration (Lo == Hi for an unconfigurable component).
+	Lo, Hi int
+	// Features maps the sub-configuration to the predictor's feature
+	// vector; nil passes the predictor nil (unconfigurable components).
+	Features func(sub cfgspace.Config) []float64
+	// Cores returns the cores the component's allocation reserves at a
+	// sub-configuration. Required by the BottleneckSum combiner.
+	Cores func(sub cfgspace.Config) float64
+}
+
+// Sub returns the part's sub-configuration of a workflow configuration.
+func (part *Part) Sub(cfg cfgspace.Config) cfgspace.Config { return cfg[part.Lo:part.Hi] }
+
+// Predict returns the part's prediction at a sub-configuration.
+func (part *Part) Predict(sub cfgspace.Config) float64 {
+	var x []float64
+	if part.Features != nil {
+		x = part.Features(sub)
+	}
+	return part.Predictor.Predict(x)
+}
+
+// cores returns the part's reserved cores at a sub-configuration.
+func (part *Part) cores(sub cfgspace.Config) float64 {
+	if part.Cores == nil {
+		panic(fmt.Sprintf("acm: part %s lacks Cores, required by BottleneckSum", part.Name))
+	}
+	return part.Cores(sub)
 }
 
 // LowFidelity is the white-box workflow model M_L of Fig. 3: component
@@ -130,33 +156,36 @@ type LowFidelity struct {
 // Score returns the combined prediction for a workflow configuration.
 func (lf *LowFidelity) Score(cfg cfgspace.Config) float64 {
 	vs := make([]float64, len(lf.Parts))
-	for i, part := range lf.Parts {
-		var x []float64
-		if part.Extract != nil {
-			x = part.Extract(cfg)
-		}
-		vs[i] = part.Predictor.Predict(x)
-	}
+	var cores []float64
 	if lf.Combine == BottleneckSum {
-		return lf.bottleneckSum(cfg, vs)
+		cores = make([]float64, len(lf.Parts))
 	}
-	return lf.Combine.Combine(vs)
+	for j := range lf.Parts {
+		part := &lf.Parts[j]
+		vs[j] = part.Predict(part.Sub(cfg))
+		if cores != nil {
+			cores[j] = part.cores(part.Sub(cfg))
+		}
+	}
+	return lf.fold(vs, cores)
 }
 
-// bottleneckSum scores max_j(pred_j/cores_j) * sum_j(cores_j).
-func (lf *LowFidelity) bottleneckSum(cfg cfgspace.Config, vs []float64) float64 {
+// fold combines one configuration's per-part predictions — and, for
+// BottleneckSum, per-part reserved cores: max_j(pred_j/cores_j) *
+// sum_j(cores_j). Score and ScoreBatchOn both end here, so the
+// per-configuration and the factored score are the same arithmetic.
+func (lf *LowFidelity) fold(vs, cores []float64) float64 {
+	if lf.Combine != BottleneckSum {
+		return lf.Combine.Combine(vs)
+	}
 	maxExec := 0.0
 	totalCores := 0.0
-	for i, part := range lf.Parts {
-		if part.Cores == nil {
-			panic(fmt.Sprintf("acm: part %s lacks Cores, required by BottleneckSum", part.Name))
+	for j, c := range cores {
+		if c <= 0 {
+			c = 1
 		}
-		cores := part.Cores(cfg)
-		if cores <= 0 {
-			cores = 1
-		}
-		totalCores += cores
-		if exec := vs[i] / cores; exec > maxExec {
+		totalCores += c
+		if exec := vs[j] / c; exec > maxExec {
 			maxExec = exec
 		}
 	}
@@ -169,12 +198,99 @@ func (lf *LowFidelity) ScoreBatch(cfgs []cfgspace.Config) []float64 {
 }
 
 // ScoreBatchOn scores every configuration on the engine's workers (nil
-// engine: serial). Each configuration's score is computed independently
-// and written to its own slot, so output is identical for any worker
-// count. Part predictors must be read-only under Predict, which every
-// model in this repository is.
+// engine: serial), bitwise equal to Score on each. A batch drawn from a
+// product space repeats component sub-configurations, and a part's
+// prediction and cores depend on nothing else, so each part is evaluated
+// once per distinct sub-configuration and every configuration then gathers
+// its parts' values and folds them. The tables built on the way (an id per
+// configuration and part, the interning tables) are dropped on return.
+// Output is identical for any worker count: ids follow first occurrence in
+// cfgs, and every evaluation and fold writes only its own slot. Part
+// predictors must be read-only under Predict, which every model in this
+// repository is.
 func (lf *LowFidelity) ScoreBatchOn(e *score.Engine, cfgs []cfgspace.Config) []float64 {
-	return e.Floats(len(cfgs), func(i int) float64 { return lf.Score(cfgs[i]) })
+	type table struct {
+		ids   []int32 // per configuration: its sub-configuration's id
+		first []int32 // per id: the first configuration that has it
+		vals  []float64
+		cores []float64
+	}
+	tabs := make([]table, len(lf.Parts))
+	e.Tasks(len(tabs), func(j int) {
+		t := &tabs[j]
+		t.ids, t.first = lf.Parts[j].intern(cfgs)
+		t.vals = make([]float64, len(t.first))
+		if lf.Combine == BottleneckSum {
+			t.cores = make([]float64, len(t.first))
+		}
+	})
+	for j := range tabs {
+		part, t := &lf.Parts[j], &tabs[j]
+		e.Map(len(t.first), func(k int) {
+			sub := part.Sub(cfgs[t.first[k]])
+			t.vals[k] = part.Predict(sub)
+			if t.cores != nil {
+				t.cores[k] = part.cores(sub)
+			}
+		})
+	}
+	out := make([]float64, len(cfgs))
+	e.MapChunks(len(cfgs), func(lo, hi int) {
+		vs := make([]float64, len(tabs))
+		var cores []float64
+		if lf.Combine == BottleneckSum {
+			cores = make([]float64, len(tabs))
+		}
+		for i := lo; i < hi; i++ {
+			for j := range tabs {
+				id := tabs[j].ids[i]
+				vs[j] = tabs[j].vals[id]
+				if cores != nil {
+					cores[j] = tabs[j].cores[id]
+				}
+			}
+			out[i] = lf.fold(vs, cores)
+		}
+	})
+	return out
+}
+
+// intern numbers the part's distinct sub-configurations across cfgs in
+// first-seen order: ids[i] is configuration i's number and first[k] the
+// first configuration numbered k. An open-addressed table of those numbers,
+// probed by a hash of the sub-configuration's values and verified against
+// the first holder, stands in for a map keyed by a per-configuration
+// string: a 100k pool may hold 99k distinct sub-configurations, and the
+// table is one allocation where the map was 99k keys.
+func (part *Part) intern(cfgs []cfgspace.Config) (ids, first []int32) {
+	size := 16
+	for size < 2*len(cfgs) {
+		size *= 2
+	}
+	slots := make([]int32, size) // id+1; 0 is empty
+	ids = make([]int32, len(cfgs))
+	for i, cfg := range cfgs {
+		sub := part.Sub(cfg)
+		h := uint64(14695981039346656037) // FNV-1a over whole values
+		for _, v := range sub {
+			h = (h ^ uint64(v)) * 1099511628211
+		}
+		at := int(h>>32^h) & (size - 1)
+		for {
+			id := slots[at] - 1
+			if id < 0 {
+				id = int32(len(first))
+				slots[at] = id + 1
+				first = append(first, int32(i))
+			} else if !slices.Equal(sub, part.Sub(cfgs[first[id]])) {
+				at = (at + 1) & (size - 1)
+				continue
+			}
+			ids[i] = id
+			break
+		}
+	}
+	return ids, first
 }
 
 // ForObjective returns the combining function for an optimization metric:

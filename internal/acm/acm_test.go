@@ -36,29 +36,16 @@ func TestCombinerString(t *testing.T) {
 
 type affine struct{ a, b float64 }
 
+func rawFeatures(sub cfgspace.Config) []float64 { return []float64{float64(sub[0])} }
+
 func (f affine) Predict(x []float64) float64 { return f.a*x[0] + f.b }
 
 func TestLowFidelityScore(t *testing.T) {
-	dims := []int{1, 1}
 	lf := &LowFidelity{
 		Combine: Max,
 		Parts: []Part{
-			{
-				Name:      "sim",
-				Predictor: affine{a: 2, b: 0},
-				Extract: func(cfg cfgspace.Config) []float64 {
-					sub := cfgspace.Slice(cfg, dims, 0)
-					return []float64{float64(sub[0])}
-				},
-			},
-			{
-				Name:      "viz",
-				Predictor: affine{a: 1, b: 5},
-				Extract: func(cfg cfgspace.Config) []float64 {
-					sub := cfgspace.Slice(cfg, dims, 1)
-					return []float64{float64(sub[0])}
-				},
-			},
+			{Name: "sim", Predictor: affine{a: 2, b: 0}, Lo: 0, Hi: 1, Features: rawFeatures},
+			{Name: "viz", Predictor: affine{a: 1, b: 5}, Lo: 1, Hi: 2, Features: rawFeatures},
 		},
 	}
 	// cfg = (3, 4): parts predict 6 and 9 -> max 9.
@@ -92,26 +79,23 @@ func TestForObjective(t *testing.T) {
 }
 
 func TestBottleneckSumScore(t *testing.T) {
-	dims := []int{1, 1}
-	extract := func(i int) func(cfg cfgspace.Config) []float64 {
-		return func(cfg cfgspace.Config) []float64 {
-			sub := cfgspace.Slice(cfg, dims, i)
-			return []float64{float64(sub[0])}
-		}
-	}
 	lf := &LowFidelity{
 		Combine: BottleneckSum,
 		Parts: []Part{
 			{
 				Name:      "sim",
 				Predictor: affine{a: 1, b: 0}, // solo comp prediction = x
-				Extract:   extract(0),
+				Lo:        0,
+				Hi:        1,
+				Features:  rawFeatures,
 				Cores:     func(cfgspace.Config) float64 { return 72 },
 			},
 			{
 				Name:      "viz",
 				Predictor: affine{a: 1, b: 0},
-				Extract:   extract(1),
+				Lo:        1,
+				Hi:        2,
+				Features:  rawFeatures,
 				Cores:     func(cfgspace.Config) float64 { return 36 },
 			},
 		},

@@ -113,8 +113,8 @@ const maxSampleAttempts = 100000
 // Sample draws one valid configuration uniformly from the cross-product by
 // rejection. It panics if the valid region appears to be empty.
 func (s *Space) Sample(rng *rand.Rand) Config {
+	cfg := make(Config, len(s.Params)) // rejected attempts are overwritten in place
 	for attempt := 0; attempt < maxSampleAttempts; attempt++ {
-		cfg := make(Config, len(s.Params))
 		for i, p := range s.Params {
 			cfg[i] = p.Value(rng.IntN(p.Count()))
 		}

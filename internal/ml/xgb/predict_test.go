@@ -3,14 +3,15 @@ package xgb
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"ceal/internal/score"
 )
 
 // lowCardData builds a low-cardinality regression set: every feature
-// column draws from a small random alphabet (≤ 200 distinct values), so
-// score.QuantizeRows codes it losslessly. Targets stay continuous.
+// column draws from a small random alphabet (≤ 200 distinct values), the
+// shape of a pool sampled from a parameter grid. Targets stay continuous.
 func lowCardData(seed uint64, n, dim int) ([][]float64, []float64) {
 	rng := rand.New(rand.NewPCG(seed, 77))
 	levels := make([][]float64, dim)
@@ -44,8 +45,9 @@ func lowCardData(seed uint64, n, dim int) ([][]float64, []float64) {
 
 // TestPredictBatchMatchesPredict pins every flattened entry point to the
 // pointer-tree oracle Model.Predict, bitwise: PredictRow,
-// PredictBatchOnInto serially and at 1/2/4/8 workers, and
-// PredictBatchQuantizedOnInto over the losslessly quantized pool — for
+// PredictBatchOnInto serially and at 1/2/4/8 workers,
+// PredictBatchQuantizedOnInto over the rank-coded pool and
+// PredictCodedBounded with nothing to abandon — for
 // leaf-only ensembles (padded to one level), the shallowest and the
 // deepest trees NewBooster accepts, and a batch whose length leaves a
 // tail after the four-abreast loop.
@@ -54,8 +56,9 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	X, y := trainingData(5, 300, dim)
 	pool, _ := lowCardData(11, 203, dim) // 203 = 4·50 + 3
 	q := score.QuantizeRows(nil, pool)
-	if !q.Lossless() {
-		t.Fatal("low-cardinality pool quantized lossily")
+	all := make([]int, len(pool))
+	for i := range all {
+		all[i] = i
 	}
 	cases := []struct {
 		name             string
@@ -103,15 +106,20 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 				m.PredictBatchQuantizedOnInto(e, q, got)
 				check("PredictBatchQuantizedOnInto", got)
 			}
+			clear(got)
+			m.PredictCodedBounded(q, all, got, math.Inf(1))
+			check("PredictCodedBounded", got)
 			m.PredictBatchOnInto(nil, nil, nil) // an empty batch is a no-op
 		})
 	}
 }
 
 // TestPredictBatchQuantizedMatchesFloat compares the two batch kernels
-// with each other directly: scoring a losslessly quantized pool must be
-// bitwise identical to scoring its float rows at any worker count — what
-// the perf ledger's float-vs-quant ns/row pair assumes.
+// with each other directly: scoring a rank-coded pool must be bitwise
+// identical to scoring its float rows at any worker count — what the perf
+// ledger's float-vs-quant ns/row pair assumes. The pool carries the values
+// a featurizer could emit and a training set never holds: NaN (right of
+// every split, as the float compare sends it), ±Inf and −0.
 func TestPredictBatchQuantizedMatchesFloat(t *testing.T) {
 	X, y := trainingData(7, 200, 5)
 	p := Params{Rounds: 30, LearningRate: 0.1, MaxDepth: 4, Lambda: 1, MinChildWeight: 1, Subsample: 1, ColSample: 1, Seed: 3}
@@ -120,18 +128,132 @@ func TestPredictBatchQuantizedMatchesFloat(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool, _ := lowCardData(11, 500, 5)
-	q := score.QuantizeRows(nil, pool)
-	if !q.Lossless() {
-		t.Fatal("low-cardinality pool quantized lossily")
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+	rng := rand.New(rand.NewPCG(5, 9))
+	for i := 0; i < len(pool); i += 3 {
+		pool[i][rng.IntN(5)] = specials[rng.IntN(len(specials))]
 	}
-	want := predictAll(m, pool)
+	want := make([]float64, len(pool))
+	for i, x := range pool {
+		want[i] = m.Predict(x)
+	}
+	q := score.QuantizeRows(nil, pool)
+	if q.FloatRows() != nil {
+		t.Fatal("narrow pool kept float rows")
+	}
 	for _, e := range []*score.Engine{nil, score.New(4)} {
 		got := make([]float64, q.N)
 		m.PredictBatchQuantizedOnInto(e, q, got)
 		for i := range want {
 			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-				t.Fatalf("row %d: quantized predicts %v, float predicts %v", i, got[i], want[i])
+				t.Fatalf("row %d (%v): coded pool predicts %v, Predict %v", i, pool[i], got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestPredictWidePoolUsesFloatRows pins the wide-column rule end to end:
+// a pool with a column of more than score.MaxCodes distinct values is not
+// coded, and PredictBatchQuantizedOnInto scores it from the float rows it
+// kept, bitwise equal to Predict.
+func TestPredictWidePoolUsesFloatRows(t *testing.T) {
+	X, y := trainingData(7, 200, 3)
+	m, err := Fit(X, y, Params{Rounds: 10, LearningRate: 0.1, MaxDepth: 3, Lambda: 1, MinChildWeight: 1, Subsample: 1, ColSample: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := make([][]float64, score.MaxCodes+1)
+	for i := range pool {
+		pool[i] = []float64{float64(i)/5000 - 6, float64(i % 11), float64(i%3) - 1}
+	}
+	q := score.QuantizeRows(score.New(2), pool)
+	if q.FloatRows() == nil {
+		t.Fatalf("a %d-distinct column was coded", len(pool))
+	}
+	got := make([]float64, len(pool))
+	m.PredictBatchQuantizedOnInto(score.New(2), q, got)
+	for i, x := range pool {
+		if want := m.Predict(x); math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("row %d: wide pool predicts %v, Predict %v", i, got[i], want)
+		}
+	}
+}
+
+// TestPredictCodedBoundedIsExact is the early stop's contract on ensembles
+// from well-conditioned to adversarial (targets of both signs at 1e150, so
+// the rounding slack exceeds every leaf; constant targets, so every tree
+// is one leaf and all scores tie): at any bound, a row is either reported
+// bitwise as Predict computes it or abandoned as +Inf, and it is abandoned
+// only if Predict is strictly above the bound. Bounds are taken at, just
+// below and just above actual predictions, where a careless margin would
+// show.
+func TestPredictCodedBoundedIsExact(t *testing.T) {
+	const dim = 5
+	X, y := trainingData(3, 240, dim)
+	huge := make([]float64, len(y))
+	flat := make([]float64, len(y))
+	for i, v := range y {
+		huge[i] = math.Copysign(1e150, v) * (1 + math.Abs(v))
+		flat[i] = 2.5
+	}
+	pool, _ := lowCardData(17, 600, dim)
+	q := score.QuantizeRows(nil, pool)
+	idxs := make([]int, 0, len(pool))
+	for i := len(pool) - 1; i >= 0; i -= 2 { // a non-contiguous, descending index block
+		idxs = append(idxs, i)
+	}
+	cases := []struct {
+		name   string
+		y      []float64
+		depth  int
+		rounds int
+	}{
+		{"leaf-only", flat, 4, 20},
+		{"stumps", y, 0, 20},
+		{"depth 1", y, 1, 40},
+		{"depth 4", y, 4, 100},
+		{"depth 8", y, 8, 30},
+		{"huge mixed-sign leaves", huge, 4, 40},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := DefaultParams()
+			p.Rounds, p.MaxDepth = tc.rounds, tc.depth
+			m, err := Fit(X, tc.y, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]float64, len(idxs))
+			for k, idx := range idxs {
+				want[k] = m.Predict(pool[idx])
+			}
+			sorted := slices.Clone(want)
+			slices.Sort(sorted)
+			bounds := []float64{math.Inf(-1), math.Inf(1), math.NaN(), sorted[0], sorted[len(sorted)-1]}
+			for _, qt := range []int{1, 10, 50, 90} {
+				v := sorted[len(sorted)*qt/100]
+				bounds = append(bounds, v, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1)))
+			}
+			got := make([]float64, len(idxs))
+			abandoned := 0
+			for _, bound := range bounds {
+				m.PredictCodedBounded(q, idxs, got, bound)
+				for k := range want {
+					if math.Float64bits(got[k]) == math.Float64bits(want[k]) {
+						continue
+					}
+					if !math.IsInf(got[k], 1) {
+						t.Fatalf("bound %v row %d: got %v, Predict %v", bound, idxs[k], got[k], want[k])
+					}
+					if !(want[k] > bound) {
+						t.Fatalf("bound %v row %d: abandoned a row Predict puts at %v", bound, idxs[k], want[k])
+					}
+					abandoned++
+				}
+			}
+			if tc.name == "depth 4" && abandoned == 0 {
+				t.Error("the bound never abandoned a row of the default-shaped ensemble")
+			}
+		})
 	}
 }

@@ -4,7 +4,10 @@
 package xgb
 
 import (
+	"math"
 	"math/rand/v2"
+	"slices"
+	"sort"
 	"sync"
 
 	"ceal/internal/ml/tree"
@@ -48,6 +51,13 @@ type Model struct {
 	// on the first batch call. Bitwise-equivalent to the pointer trees.
 	flatOnce sync.Once
 	flat     *flatEnsemble
+
+	// Split thresholds compiled into the code space of the last coded pool
+	// scored (see cuts). A surrogate scores one pool for its whole life, so
+	// one slot is a 100% hit rate.
+	cutMu  sync.Mutex
+	cutFor *score.Codes
+	cut    []uint16
 }
 
 // flatEnsemble holds every tree as a complete binary tree of uniform
@@ -62,6 +72,15 @@ type flatEnsemble struct {
 	feats  []int32   // per tree: 2^depth-1 heap-ordered split features
 	thresh []float64 // same shape as feats
 	leaves []float64 // per tree: 2^depth eta-scaled leaf values
+
+	// The early-stop bound of PredictCodedBounded. sufMin[t] is the sum of
+	// the smallest leaf of every tree from t on (sufMin[len(trees)] = 0):
+	// the least the trees still to come can add to a partial sum. slack
+	// bounds, with a wide safety factor, everything floating-point rounding
+	// can put between "partial + sufMin[t]" and the finished sum; see
+	// PredictCodedBounded for the argument.
+	sufMin []float64
+	slack  float64
 }
 
 // maxFlatDepth is the deepest ensemble NewBooster accepts: every
@@ -93,6 +112,14 @@ func (m *Model) flatten() *flatEnsemble {
 				fe.thresh[i*inner:(i+1)*inner],
 				fe.leaves[i*leafN:(i+1)*leafN])
 		}
+		fe.sufMin = make([]float64, len(m.trees)+1)
+		reach := math.Abs(m.base) // no partial sum or suffix exceeds this in magnitude
+		for i := len(m.trees) - 1; i >= 0; i-- {
+			lb := fe.leaves[i*leafN : (i+1)*leafN]
+			fe.sufMin[i] = fe.sufMin[i+1] + slices.Min(lb)
+			reach += math.Max(math.Abs(slices.Min(lb)), math.Abs(slices.Max(lb)))
+		}
+		fe.slack = reach * float64(len(m.trees)+2) * 0x1p-50
 		m.flat = fe
 	})
 	return m.flat
@@ -100,9 +127,10 @@ func (m *Model) flatten() *flatEnsemble {
 
 // descend walks x down one complete tree (heap-ordered feats and thresh,
 // depth levels) and returns the heap index it lands on; the leaf slot is
-// that index minus the tree's inner-node count. Small enough to inline
-// into every caller.
-func descend(x []float64, fb []int32, tb []float64, depth int) int {
+// that index minus the tree's inner-node count. x and tb are a float row
+// and the split thresholds, or a rank-coded row and the compiled cuts.
+// Small enough to inline into every caller.
+func descend[T float64 | uint16](x []T, fb []int32, tb []T, depth int) int {
 	j := 0
 	for d := 0; d < depth; d++ {
 		b := 1
@@ -241,32 +269,131 @@ func (m *Model) PredictBatchOnInto(e *score.Engine, X [][]float64, out []float64
 	})
 }
 
-// PredictBatchQuantizedOnInto predicts every row of a quantized pool
-// matrix into out (len(out) == q.N) on the engine's workers (nil engine:
-// serial), decoding each row into per-chunk scratch and descending the
-// flattened ensemble in tree order — the same accumulation sequence as
-// PredictBatchOnInto, so for a lossless quantized pool the outputs are
-// bitwise identical to scoring the float rows. No tuner calls it: it is
-// what the perf ledger times as xgb.predict.quant_ns_per_row, and the
-// decode-per-row baseline the ROADMAP "Predict on codes" item replaces.
-func (m *Model) PredictBatchQuantizedOnInto(e *score.Engine, q *score.Quantized, out []float64) {
+// cuts compiles the ensemble's split thresholds into q's code space: for
+// the node splitting feature f at threshold thr, the number of f's
+// distinct pool values below thr. Codes are ranks among those values, so
+// code < cut ⇔ value < thr, and a NaN — ranked last — is below no cut, the
+// right branch the float compare also takes. Compiled once per (fit, pool)
+// and cached.
+func (m *Model) cuts(q *score.Codes) []uint16 {
 	fe := m.flatten()
+	m.cutMu.Lock()
+	defer m.cutMu.Unlock()
+	if m.cutFor != q {
+		cut := make([]uint16, len(fe.thresh))
+		for j, thr := range fe.thresh {
+			vals := q.Values(int(fe.feats[j]))
+			cut[j] = uint16(sort.Search(len(vals), func(k int) bool { return !(vals[k] < thr) }))
+		}
+		m.cutFor, m.cut = q, cut
+	}
+	return m.cut
+}
+
+// PredictBatchQuantizedOnInto predicts every row of a rank-coded pool into
+// out (len(out) == q.N) on the engine's workers (nil engine: serial): the
+// walk of PredictBatchOnInto — trees outermost, four rows abreast, each
+// row's trees accumulating in ensemble order — with every float compare
+// replaced by the equivalent integer compare on codes (see cuts), so the
+// outputs are bitwise identical to scoring the float rows. A pool too wide
+// to code is scored from the float rows it kept.
+func (m *Model) PredictBatchQuantizedOnInto(e *score.Engine, q *score.Codes, out []float64) {
+	if X := q.FloatRows(); X != nil {
+		m.PredictBatchOnInto(e, X, out)
+		return
+	}
+	fe := m.flatten()
+	cut := m.cuts(q)
 	depth := fe.depth
 	inner, leafN := 1<<depth-1, 1<<depth
 	e.MapChunks(q.N, func(lo, hi int) {
-		buf := make([]float64, q.Dim)
 		for i := lo; i < hi; i++ {
-			x := q.Row(i, buf)
-			o := m.base
-			for t := 0; t < len(m.trees); t++ {
-				fb := fe.feats[t*inner : (t+1)*inner]
-				tb := fe.thresh[t*inner : (t+1)*inner]
-				lb := fe.leaves[t*leafN : (t+1)*leafN]
-				o += lb[descend(x, fb, tb, depth)-inner]
+			out[i] = m.base
+		}
+		for t := 0; t < len(m.trees); t++ {
+			fb := fe.feats[t*inner : (t+1)*inner]
+			cb := cut[t*inner : (t+1)*inner : (t+1)*inner]
+			lb := fe.leaves[t*leafN : (t+1)*leafN : (t+1)*leafN]
+			i := lo
+			for ; i+4 <= hi; i += 4 {
+				c0, c1, c2, c3 := q.Row(i), q.Row(i+1), q.Row(i+2), q.Row(i+3)
+				j0, j1, j2, j3 := 0, 0, 0, 0
+				for d := 0; d < depth; d++ {
+					b0, b1, b2, b3 := 1, 1, 1, 1
+					if c0[fb[j0]] < cb[j0] {
+						b0 = 0
+					}
+					if c1[fb[j1]] < cb[j1] {
+						b1 = 0
+					}
+					if c2[fb[j2]] < cb[j2] {
+						b2 = 0
+					}
+					if c3[fb[j3]] < cb[j3] {
+						b3 = 0
+					}
+					j0 = 2*j0 + 1 + b0
+					j1 = 2*j1 + 1 + b1
+					j2 = 2*j2 + 1 + b2
+					j3 = 2*j3 + 1 + b3
+				}
+				out[i] += lb[j0-inner]
+				out[i+1] += lb[j1-inner]
+				out[i+2] += lb[j2-inner]
+				out[i+3] += lb[j3-inner]
 			}
-			out[i] = o
+			for ; i < hi; i++ {
+				out[i] += lb[descend(q.Row(i), fb, cb, depth)-inner]
+			}
 		}
 	})
+}
+
+// boundStride is how many trees PredictCodedBounded accumulates between
+// checks of the early-stop bound.
+const boundStride = 4
+
+// PredictCodedBounded predicts rows idxs of a rank-coded pool (which must
+// not be wide) into out for a caller that only wants predictions not above
+// bound: a row is abandoned, and reported as +Inf, as soon as its
+// prediction is certain to exceed bound; every other row gets the exact
+// Predict value, its trees accumulated in ensemble order. bound = +Inf
+// abandons nothing.
+//
+// Soundness. After t trees the row's partial sum is p; the finished sum P
+// adds one leaf of each remaining tree, so in real arithmetic
+// P >= p + S_t with S_t the sum of those trees' smallest leaves. In
+// floating point three things stand between the computed p + sufMin[t]
+// and the computed P: the rounding of the remaining additions of P, the
+// rounding inside sufMin[t], and the rounding of this comparison's own
+// add and subtract. Each of those is at most 2^-53 times the magnitude of
+// the sum involved, every such magnitude is at most reach = |base| +
+// Σ_u max|leaf_u|, and there are fewer than 2·(trees+2) of them; slack is
+// reach·(trees+2)·2^-50, four times their total. So
+// (p + sufMin[t]) − slack > bound implies P > bound. When reach overflows,
+// slack is +Inf and nothing is ever abandoned.
+func (m *Model) PredictCodedBounded(q *score.Codes, idxs []int, out []float64, bound float64) {
+	fe := m.flatten()
+	cut := m.cuts(q)
+	depth := fe.depth
+	inner, leafN := 1<<depth-1, 1<<depth
+	trees := len(m.trees)
+	for k, idx := range idxs {
+		c := q.Row(idx)
+		o := m.base
+		for t := 0; t < trees; {
+			for end := min(t+boundStride, trees); t < end; t++ {
+				fb := fe.feats[t*inner : (t+1)*inner]
+				cb := cut[t*inner : (t+1)*inner : (t+1)*inner]
+				o += fe.leaves[t*leafN+descend(c, fb, cb, depth)-inner]
+			}
+			if o+fe.sufMin[t]-fe.slack > bound {
+				o = math.Inf(1)
+				break
+			}
+		}
+		out[k] = o
+	}
 }
 
 // Rounds returns the number of trees in the ensemble.

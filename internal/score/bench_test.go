@@ -113,21 +113,22 @@ func BenchmarkPredictPool(b *testing.B) {
 func BenchmarkScoreBatch(b *testing.B) {
 	bench, pool := benchPool(b, 2000)
 	lf := &acm.LowFidelity{Combine: acm.Max}
-	for j, cs := range bench.Components {
+	lo := 0
+	for _, cs := range bench.Components {
+		part := acm.Part{Name: cs.Name, Lo: lo, Hi: lo + cs.Dim()}
+		lo = part.Hi
 		if cs.Space == nil {
-			lf.Parts = append(lf.Parts, acm.Part{Name: cs.Name, Predictor: acm.ConstPredictor(1)})
+			part.Predictor = acm.ConstPredictor(1)
+			lf.Parts = append(lf.Parts, part)
 			continue
 		}
-		j := j
 		cs := cs
-		extract := func(cfg cfgspace.Config) []float64 {
-			return cs.Features(bench.Machine, bench.Sub(cfg, j))
-		}
+		part.Features = func(sub cfgspace.Config) []float64 { return cs.Features(bench.Machine, sub) }
 		const nTrain = 30
 		X := make([][]float64, nTrain)
 		y := make([]float64, nTrain)
 		for i := 0; i < nTrain; i++ {
-			X[i] = extract(pool[i])
+			X[i] = part.Features(part.Sub(pool[i]))
 			for _, v := range X[i] {
 				y[i] += v
 			}
@@ -136,7 +137,8 @@ func BenchmarkScoreBatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		lf.Parts = append(lf.Parts, acm.Part{Name: cs.Name, Predictor: m, Extract: extract})
+		part.Predictor = m
+		lf.Parts = append(lf.Parts, part)
 	}
 
 	b.Run("serial", func(b *testing.B) {

@@ -6,15 +6,13 @@ import (
 	"testing"
 )
 
-// FuzzQuantizeRows drives QuantizeRows with arbitrary byte-derived
-// matrices and checks what its consumers rely on: a column set with at
-// most 256 distinct values each is Lossless and every Row decodes to the
-// input bitwise; any wider column makes the matrix lossy, decoding each
-// value to one no larger than itself; and either way codes are monotone
-// in value within a column. NaN is outside the quantizer's contract, and
-// −0 is folded into +0 because values are identified by ==: a column
-// mixing the two decodes to either (the same side of every x < threshold
-// split, but not the same bits).
+// FuzzQuantizeRows drives the rank-code builder with arbitrary
+// byte-derived matrices — NaN payloads, ±Inf, subnormals and both zeros
+// included — and checks what the code-space tree kernel relies on: every
+// code decodes to its cell's value bitwise (−0 as +0 and any NaN as NaN:
+// values are identified by ==, and no x < threshold split tells those
+// apart), codes are monotone in value within a column, and NaN codes above
+// every number, hence at or above any "values below the threshold" count.
 //
 // Run the full fuzzer with:
 //
@@ -30,63 +28,42 @@ func FuzzQuantizeRows(f *testing.F) {
 		return b
 	}
 	f.Add(floats(30, func(i int) float64 { return float64(i % 3) }), uint8(2))
-	// 300 distinct values in column 0, two in column 1: the lossy regime.
+	// 300 distinct values in column 0 — past what the old uint8 codes held.
 	f.Add(floats(600, func(i int) float64 {
 		if i%2 == 0 {
 			return float64(i) * 0.5
 		}
 		return float64(i % 4)
 	}), uint8(1))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 5e-324, 1}
+	f.Add(floats(40, func(i int) float64 { return specials[i%len(specials)] }), uint8(0))
 
 	f.Fuzz(func(t *testing.T, raw []byte, width uint8) {
 		dim := 1 + int(width)%4
 		n := len(raw) / 8 / dim
 		rows := make([][]float64, n)
-		distinct := make([]map[float64]bool, dim)
-		for c := range distinct {
-			distinct[c] = map[float64]bool{}
-		}
 		for i := range rows {
 			rows[i] = make([]float64, dim)
 			for c := range rows[i] {
-				v := math.Float64frombits(binary.LittleEndian.Uint64(raw[(i*dim+c)*8:]))
-				if math.IsNaN(v) || v == 0 { // v == 0 also catches −0
-					v = 0
-				}
-				rows[i][c] = v
-				distinct[c][v] = true
+				rows[i][c] = math.Float64frombits(binary.LittleEndian.Uint64(raw[(i*dim+c)*8:]))
 			}
 		}
-		q := QuantizeRows(nil, rows)
-		if q.N != n {
-			t.Fatalf("N = %d, want %d", q.N, n)
+		q := QuantizeRows(New(int(width)/4), rows)
+		if n == 0 {
+			return
 		}
-		wantLossless := true
-		for _, d := range distinct {
-			wantLossless = wantLossless && len(d) <= 256
-		}
-		if q.Lossless() != wantLossless {
-			t.Fatalf("Lossless() = %v, want %v", q.Lossless(), wantLossless)
-		}
-		buf := make([]float64, dim)
-		for i, row := range rows {
-			got := q.Row(i, buf)
-			for c, v := range row {
-				exact := len(distinct[c]) <= 256
-				if exact && math.Float64bits(got[c]) != math.Float64bits(v) {
-					t.Fatalf("row %d col %d: exact column decoded %v, want %v", i, c, got[c], v)
+		checkCodes(t, q, rows)
+		for c := 0; c < dim; c++ {
+			top := uint16(len(q.Values(c)) - 1)
+			for i, row := range rows {
+				code := q.Row(i)[c]
+				if row[c] != row[c] && code != top {
+					t.Fatalf("col %d: NaN coded %d, want the top code %d", c, code, top)
 				}
-				if got[c] > v {
-					t.Fatalf("row %d col %d: decoded %v above original %v", i, c, got[c], v)
-				}
-				code := q.codes[c*n+i]
 				for j := 0; j < i; j++ {
-					cj := q.codes[c*n+j]
-					if (rows[j][c] < v && cj > code) || (rows[j][c] > v && cj < code) {
-						t.Fatalf("col %d codes not monotone: %v→%d vs %v→%d", c, rows[j][c], cj, v, code)
-					}
-					if exact && rows[j][c] != v && cj == code {
-						t.Fatalf("col %d: exact column shares code %d between %v and %v", c, code, rows[j][c], v)
+					cj := q.Row(j)[c]
+					if (rows[j][c] < row[c] && cj >= code) || (rows[j][c] > row[c] && cj <= code) || (rows[j][c] == row[c] && cj != code) {
+						t.Fatalf("col %d codes not ranks: %v→%d vs %v→%d", c, rows[j][c], cj, row[c], code)
 					}
 				}
 			}

@@ -17,7 +17,7 @@ func TestTakeTopSteadyStateAllocs(t *testing.T) {
 	p := synthProblem(3, poolN)
 	p.Workers = 1 // serial engine: no goroutine-spawn allocations
 	tr := newPoolTracker(p, newRunArena())
-	scorer := func(idxs []int, out []float64) {
+	scorer := func(idxs []int, out []float64, _ float64) {
 		for j, idx := range idxs {
 			out[j] = float64(idx % 97)
 		}

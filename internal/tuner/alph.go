@@ -43,12 +43,9 @@ func (s *alphStrategy) Bootstrap(st *State) ([][]Sample, error) {
 	// prediction for its sub-configuration.
 	s.model = newFeatureSurrogate(p, func(cfg cfgspace.Config) []float64 {
 		x := p.features(cfg)
-		for _, part := range cm.lowFi.Parts {
-			var sub []float64
-			if part.Extract != nil {
-				sub = part.Extract(cfg)
-			}
-			x = append(x, part.Predictor.Predict(sub))
+		for j := range cm.lowFi.Parts {
+			part := &cm.lowFi.Parts[j]
+			x = append(x, part.Predict(part.Sub(cfg)))
 		}
 		return x
 	})

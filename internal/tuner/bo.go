@@ -41,7 +41,7 @@ func (s *boStrategy) ModelName() string { return "forest" }
 // the parallelism.
 func (s *boStrategy) acquisition(st *State) poolScorer {
 	X := st.Problem.poolFeatures()
-	return func(idxs []int, out []float64) {
+	return func(idxs []int, out []float64, _ float64) {
 		for j, idx := range idxs {
 			mean, std := s.f.PredictWithStd(X[idx])
 			out[j] = -expectedImprovement(s.bestLog, mean, std)

@@ -3,7 +3,6 @@ package tuner
 import (
 	"math/rand/v2"
 
-	"ceal/internal/acm"
 	"ceal/internal/cfgspace"
 	"ceal/internal/metrics"
 	"ceal/internal/tuner/events"
@@ -88,7 +87,7 @@ type cealStrategy struct {
 	opts       CEALOptions
 	useHistory bool
 
-	lowFi *acm.LowFidelity
+	cm *componentModels // Phase 1: M_L and its cached pool scores
 
 	// Budget split (Alg. 1 line 8): m0 is the random reserve, m0used how
 	// much of it is spent, mB the per-iteration top-pick batch size.
@@ -124,7 +123,7 @@ func (s *cealStrategy) Bootstrap(st *State) ([][]Sample, error) {
 	if s.m0 > st.Budget {
 		s.m0 = st.Budget
 	}
-	s.lowFi = cm.lowFi
+	s.cm = cm
 	s.model = newSurrogate(st.Problem) // M_H, line 12
 	return cm.newSamples, nil
 }
@@ -141,16 +140,21 @@ func (s *cealStrategy) SeedBatch(st *State) ([]cfgspace.Config, error) {
 		s.mB = 1
 	}
 	room := capBatch(s.mB, st.Budget, len(pending), 0)
-	scorer := st.Problem.scoreByConfig(s.lowFi.Score)
-	if s.warmed {
-		// Warm start: the seed batch's top picks already come from the
-		// prior-trained high-fidelity surrogate instead of the white-box
-		// model — this is where transfer learning pays for itself, by
-		// spending the very first measurements near prior optima. The
-		// switch detector still arbitrates between the models afterwards.
-		scorer = s.scorer(st)
+	// Warm start: the seed batch's top picks already come from the
+	// prior-trained high-fidelity surrogate instead of the white-box
+	// model — this is where transfer learning pays for itself, by
+	// spending the very first measurements near prior optima. The
+	// switch detector still arbitrates between the models afterwards.
+	return append(pending, st.Tracker.takeTop(room, s.ranker(st, s.warmed))...), nil // lines 9–10
+}
+
+// ranker scores pool candidates with M_H (high) or with M_L's cached pool
+// scores.
+func (s *cealStrategy) ranker(st *State, high bool) poolScorer {
+	if high {
+		return s.scorer(st)
 	}
-	return append(pending, st.Tracker.takeTop(room, scorer)...), nil // lines 9–10
+	return s.cm.scorer(st.Problem)
 }
 
 // WarmStart pre-trains the high-fidelity surrogate on prior-run workflow
@@ -185,7 +189,7 @@ func (s *cealStrategy) AfterMeasure(st *State, batch []Sample) {
 		cfgs[k] = smp.Cfg
 	}
 	highScores := s.model.PredictBatch(cfgs)
-	lowScores := s.lowFi.ScoreBatchOn(p.engine(), cfgs)
+	lowScores := s.cm.lowFi.ScoreBatchOn(p.engine(), cfgs)
 	sH := metrics.RecallSum(highScores, truth) // line 18
 	sL := metrics.RecallSum(lowScores, truth)  // line 19
 
@@ -220,10 +224,6 @@ func (s *cealStrategy) AfterMeasure(st *State, batch []Sample) {
 // iteration i = st.Iter: rank the remaining pool with whichever model is
 // trusted and top up with any queued bias-escape randoms.
 func (s *cealStrategy) SelectBatch(st *State) ([]cfgspace.Config, error) {
-	scorer := st.Problem.scoreByConfig(s.lowFi.Score) // line 26
-	if s.usingHigh {
-		scorer = s.scorer(st)
-	}
 	want := s.mB
 	if st.Iter == s.opts.Iterations-1 {
 		// Final selection: flush whatever workflow budget remains
@@ -231,7 +231,7 @@ func (s *cealStrategy) SelectBatch(st *State) ([]cfgspace.Config, error) {
 		want = st.Budget
 	}
 	room := capBatch(want, st.Budget, len(st.Samples), len(s.pendingExtra))
-	pending := append(s.pendingExtra, st.Tracker.takeTop(room, scorer)...) // line 27
+	pending := append(s.pendingExtra, st.Tracker.takeTop(room, s.ranker(st, s.usingHigh))...) // lines 26–27
 	s.pendingExtra = nil
 	return pending, nil
 }

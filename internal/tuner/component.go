@@ -17,6 +17,30 @@ type componentModels struct {
 	// newSamples are the standalone runs measured here (historical data
 	// are free and not included), per component.
 	newSamples [][]Sample
+	// pool caches M_L's score for every pool configuration: the model is
+	// frozen once Phase 1 ends, so one factored pass serves every later
+	// ranking of the run.
+	pool []float64
+}
+
+// poolScores returns M_L's score for every configuration of p.Pool,
+// computed on first use (a warm-started CEAL run that never ranks by M_L
+// never pays for it).
+func (cm *componentModels) poolScores(p *Problem) []float64 {
+	if cm.pool == nil {
+		cm.pool = cm.lowFi.ScoreBatchOn(p.engine(), p.Pool)
+	}
+	return cm.pool
+}
+
+// scorer ranks pool candidates by M_L.
+func (cm *componentModels) scorer(p *Problem) poolScorer {
+	scores := cm.poolScores(p)
+	return func(idxs []int, out []float64, _ float64) {
+		for j, idx := range idxs {
+			out[j] = scores[idx]
+		}
+	}
 }
 
 // trainComponentModels builds each component's model from mR fresh solo
@@ -26,7 +50,12 @@ type componentModels struct {
 func trainComponentModels(p *Problem, mR int, rng *rand.Rand) (*componentModels, error) {
 	parts := make([]acm.Part, len(p.Components))
 	newSamples := make([][]Sample, len(p.Components))
-	dims := p.dims()
+	lo := 0
+	for j, d := range p.dims() {
+		comp := p.Components[j]
+		parts[j] = acm.Part{Name: comp.Name, Lo: lo, Hi: lo + d, Cores: comp.Cores}
+		lo += d
+	}
 
 	// Pass 1, serial: measurement and configuration sampling, in component
 	// order — the collector and the rng both have order-dependent state.
@@ -41,11 +70,7 @@ func trainComponentModels(p *Problem, mR int, rng *rand.Rand) (*componentModels,
 			if err != nil {
 				return nil, fmt.Errorf("tuner: measure fixed component %s: %w", comp.Name, err)
 			}
-			part := acm.Part{Name: comp.Name, Predictor: acm.ConstPredictor(solo[0].Value)}
-			if comp.Cores != nil {
-				part.Cores = func(cfgspace.Config) float64 { return comp.Cores(nil) }
-			}
-			parts[j] = part
+			parts[j].Predictor = acm.ConstPredictor(solo[0].Value)
 			continue
 		}
 
@@ -81,22 +106,12 @@ func trainComponentModels(p *Problem, mR int, rng *rand.Rand) (*componentModels,
 		models[i], errs[i] = fitComponentModel(p.Components[fits[i].j], fits[i].samples, params)
 	})
 	for i, pf := range fits {
-		j := pf.j
-		comp := p.Components[j]
+		comp := p.Components[pf.j]
 		if errs[i] != nil {
 			return nil, fmt.Errorf("tuner: fit component model %s: %w", comp.Name, errs[i])
 		}
-		sub := func(cfg cfgspace.Config) []float64 {
-			return comp.features(cfgspace.Slice(cfg, dims, j))
-		}
-		part := acm.Part{Name: comp.Name, Predictor: models[i], Extract: sub}
-		if comp.Cores != nil {
-			comp := comp
-			part.Cores = func(cfg cfgspace.Config) float64 {
-				return comp.Cores(cfgspace.Slice(cfg, dims, j))
-			}
-		}
-		parts[j] = part
+		parts[pf.j].Predictor = models[i]
+		parts[pf.j].Features = comp.features
 	}
 	return &componentModels{
 		lowFi:      &acm.LowFidelity{Combine: p.Combiner, Parts: parts},
@@ -152,7 +167,7 @@ type componentModel struct {
 }
 
 func (c componentModel) Predict(x []float64) float64 {
-	return unlogTarget(c.model.Predict(x))
+	return unlogTarget(c.model.PredictRow(x))
 }
 
 func fitComponentModel(comp ComponentInfo, samples []Sample, params xgb.Params) (acm.Predictor, error) {

@@ -3,7 +3,6 @@ package tuner
 import (
 	"math"
 
-	"ceal/internal/acm"
 	"ceal/internal/cfgspace"
 	"ceal/internal/metrics"
 	"ceal/internal/ml/forest"
@@ -18,17 +17,26 @@ import (
 
 // whiteBlack is what the two ensembles share: the AL-family schedule over
 // mix, the embedding strategy's per-configuration prediction that combines
-// the Phase-1 analytical model am with learned members.
+// the Phase-1 analytical model with learned members. mix receives the
+// analytical model's score am for the configuration alongside it: pool
+// configurations read it from the Phase-1 cache instead of re-evaluating
+// the frozen model per query.
 type whiteBlack struct {
 	alBatches
-	am  *acm.LowFidelity
-	mix func(cfgspace.Config) float64
+	cm  *componentModels
+	mix func(cfg cfgspace.Config, am float64) float64
 }
 
-func newWhiteBlack(mix func(cfgspace.Config) float64) whiteBlack {
-	return whiteBlack{
-		alBatches: alBatches{rank: func(st *State) poolScorer { return st.Problem.scoreByConfig(mix) }},
-		mix:       mix,
+func (s *whiteBlack) init(mix func(cfgspace.Config, float64) float64) {
+	s.mix = mix
+	s.rank = func(st *State) poolScorer {
+		p := st.Problem
+		am := s.cm.poolScores(p)
+		return func(idxs []int, out []float64, _ float64) {
+			for j, idx := range idxs {
+				out[j] = mix(p.Pool[idx], am[idx])
+			}
+		}
 	}
 }
 
@@ -39,7 +47,7 @@ func (s *whiteBlack) Bootstrap(st *State) ([][]Sample, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.am = cm.lowFi
+	s.cm = cm
 	return cm.newSamples, nil
 }
 
@@ -47,8 +55,9 @@ func (s *whiteBlack) Bootstrap(st *State) ([][]Sample, error) {
 // model is read-only.
 func (s *whiteBlack) FinalScores(st *State) ([]float64, error) {
 	p := st.Problem
+	am := s.cm.poolScores(p)
 	return p.engine().Floats(len(p.Pool), func(i int) float64 {
-		return s.mix(p.Pool[i])
+		return s.mix(p.Pool[i], am[i])
 	}), nil
 }
 
@@ -67,7 +76,7 @@ func (*HyBoost) Name() string { return "HyBoost" }
 // Tune implements Algorithm.
 func (*HyBoost) Tune(p *Problem, budget int) (*Result, error) {
 	s := &hyBoostStrategy{}
-	s.whiteBlack = newWhiteBlack(s.predict)
+	s.init(s.predict)
 	loop := &Loop{Algorithm: "HyBoost", Salt: saltENS, Iterations: alIterations, Strategy: s}
 	return loop.Run(p, budget)
 }
@@ -78,8 +87,7 @@ type hyBoostStrategy struct {
 	corrector *Surrogate
 }
 
-func (s *hyBoostStrategy) predict(cfg cfgspace.Config) float64 {
-	base := s.am.Score(cfg)
+func (s *hyBoostStrategy) predict(cfg cfgspace.Config, base float64) float64 {
 	if base < 1e-12 {
 		base = 1e-12
 	}
@@ -94,7 +102,7 @@ func (s *hyBoostStrategy) Fit(st *State, _ []Sample) (bool, error) {
 	samples := st.Samples
 	resid := make([]Sample, len(samples))
 	for i, smp := range samples {
-		base := s.am.Score(smp.Cfg)
+		base := s.cm.lowFi.Score(smp.Cfg)
 		if base < 1e-12 {
 			base = 1e-12
 		}
@@ -130,15 +138,17 @@ func (*KNNSelect) Name() string { return "KNNSelect" }
 // Tune implements Algorithm.
 func (*KNNSelect) Tune(p *Problem, budget int) (*Result, error) {
 	s := &knnSelectStrategy{space: p.Space}
-	s.whiteBlack = newWhiteBlack(s.predict)
+	s.init(s.predict)
 	loop := &Loop{Algorithm: "KNNSelect", Salt: saltENS ^ 0x4b4e4e, Iterations: alIterations, Strategy: s}
 	return loop.Run(p, budget)
 }
 
-// knnSelectCandidate is one model competing for each query.
+// knnSelectCandidate is one model competing for each query. predict
+// receives the analytical model's score for cfg, which is the ACM
+// candidate's whole prediction.
 type knnSelectCandidate struct {
 	name    string
-	predict func(cfg cfgspace.Config) float64
+	predict func(cfg cfgspace.Config, am float64) float64
 }
 
 // knnSelectStrategy: the per-query model selector.
@@ -148,6 +158,7 @@ type knnSelectStrategy struct {
 	cands     []knnSelectCandidate
 	nn        *knn.Regressor // neighbour finder over the test half
 	test      []Sample       // held-out half used to select among candidates
+	testAM    []float64      // analytical-model score of each test configuration
 	xgbRounds int            // boosted candidate's rounds, for the trace
 }
 
@@ -182,9 +193,11 @@ func (s *knnSelectStrategy) Fit(st *State, _ []Sample) (bool, error) {
 	// Neighbour finder over the TEST half.
 	Xt := make([][]float64, len(s.test))
 	yt := make([]float64, len(s.test))
+	s.testAM = s.testAM[:0]
 	for i, smp := range s.test {
 		Xt[i] = p.Space.Normalized(smp.Cfg)
 		yt[i] = smp.Value
+		s.testAM = append(s.testAM, s.cm.lowFi.Score(smp.Cfg))
 	}
 	fp := forest.DefaultParams()
 	fp.Seed = p.Seed
@@ -221,24 +234,26 @@ func (s *knnSelectStrategy) Fit(st *State, _ []Sample) (bool, error) {
 	if nnErr != nil {
 		return false, nnErr
 	}
-	s.cands = []knnSelectCandidate{{name: "ACM", predict: s.am.Score}}
+	s.cands = []knnSelectCandidate{{name: "ACM", predict: func(_ cfgspace.Config, am float64) float64 { return am }}}
 	if xgbErr != nil {
 		return false, xgbErr
 	}
 	s.xgbRounds = xgbSurr.Rounds()
-	s.cands = append(s.cands, knnSelectCandidate{name: "XGB", predict: xgbSurr.Predict})
+	s.cands = append(s.cands, knnSelectCandidate{name: "XGB", predict: func(cfg cfgspace.Config, _ float64) float64 {
+		return xgbSurr.Predict(cfg)
+	}})
 	if fstErr == nil {
-		s.cands = append(s.cands, knnSelectCandidate{name: "RF", predict: func(cfg cfgspace.Config) float64 {
+		s.cands = append(s.cands, knnSelectCandidate{name: "RF", predict: func(cfg cfgspace.Config, _ float64) float64 {
 			return unlogTarget(fst.Predict(p.features(cfg)))
 		}})
 	}
 	if rrErr == nil {
-		s.cands = append(s.cands, knnSelectCandidate{name: "Ridge", predict: func(cfg cfgspace.Config) float64 {
+		s.cands = append(s.cands, knnSelectCandidate{name: "Ridge", predict: func(cfg cfgspace.Config, _ float64) float64 {
 			return unlogTarget(rr.Predict(p.features(cfg)))
 		}})
 	}
 	if krErr == nil {
-		s.cands = append(s.cands, knnSelectCandidate{name: "KNN", predict: func(cfg cfgspace.Config) float64 {
+		s.cands = append(s.cands, knnSelectCandidate{name: "KNN", predict: func(cfg cfgspace.Config, _ float64) float64 {
 			return kr.Predict(p.Space.Normalized(cfg))
 		}})
 	}
@@ -249,18 +264,18 @@ func (s *knnSelectStrategy) Fit(st *State, _ []Sample) (bool, error) {
 // ModelTrained trace event.
 func (s *knnSelectStrategy) ModelRounds() int { return s.xgbRounds }
 
-func (s *knnSelectStrategy) predict(cfg cfgspace.Config) float64 {
+func (s *knnSelectStrategy) predict(cfg cfgspace.Config, am float64) float64 {
 	nbrs := s.nn.Neighbors(s.space.Normalized(cfg))
 	bestErr := math.Inf(1)
 	bestVal := 0.0
 	for _, cand := range s.cands {
 		errSum := 0.0
 		for _, idx := range nbrs {
-			errSum += metrics.APE(s.test[idx].Value, cand.predict(s.test[idx].Cfg))
+			errSum += metrics.APE(s.test[idx].Value, cand.predict(s.test[idx].Cfg, s.testAM[idx]))
 		}
 		if errSum < bestErr {
 			bestErr = errSum
-			bestVal = cand.predict(cfg)
+			bestVal = cand.predict(cfg, am)
 		}
 	}
 	return bestVal

@@ -7,7 +7,7 @@ import (
 
 // benchPoolScorer is a cheap deterministic per-index scorer: selection
 // benchmarks measure the selector, not the model.
-func benchPoolScorer(idxs []int, out []float64) {
+func benchPoolScorer(idxs []int, out []float64, _ float64) {
 	for j, idx := range idxs {
 		out[j] = float64(idx % 997)
 	}

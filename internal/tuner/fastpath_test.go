@@ -1,12 +1,15 @@
 package tuner
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"sort"
 	"testing"
 
 	"ceal/internal/cfgspace"
+	"ceal/internal/ml/xgb"
+	"ceal/internal/score"
 )
 
 // takeTopReference is the pre-fusion selector kept verbatim as the test
@@ -23,7 +26,7 @@ func takeTopReference(t *poolTracker, n int, score poolScorer) []cfgspace.Config
 		return nil
 	}
 	scores := make([]float64, m)
-	score(t.remaining, scores)
+	score(t.remaining, scores, math.Inf(1))
 	order := make([]int, m)
 	for i := range order {
 		order[i] = i
@@ -63,7 +66,7 @@ func TestTakeTopMatchesReference(t *testing.T) {
 			// Deterministic per-pool-index scores with heavy ties, exercising
 			// the position tie-break throughout.
 			mod := 2 + trial%9
-			scorer := func(idxs []int, out []float64) {
+			scorer := func(idxs []int, out []float64, _ float64) {
 				for j, idx := range idxs {
 					out[j] = float64(idx % mod)
 				}
@@ -141,5 +144,161 @@ func TestFusedSelectionIdenticalAcrossWorkerCounts(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// drainBothWays empties two trackers over p in steps of n — the fused
+// selector under test against takeTopReference — and fails on the first
+// difference in a returned batch or in the surviving index array.
+func drainBothWays(t *testing.T, label string, p *Problem, n int, scorer poolScorer) {
+	t.Helper()
+	fused := newPoolTracker(p, newRunArena())
+	ref := newPoolTracker(p, newRunArena())
+	for step := 0; len(ref.remaining) > 0 && step < 6; step++ {
+		got := fused.takeTop(n, scorer)
+		want := takeTopReference(ref, n, scorer)
+		if len(got) != len(want) {
+			t.Fatalf("%s step %d: took %d configs, reference %d", label, step, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Key() != want[i].Key() {
+				t.Fatalf("%s step %d: batch[%d] = %v, reference %v", label, step, i, got[i], want[i])
+			}
+		}
+		for i := range ref.remaining {
+			if fused.remaining[i] != ref.remaining[i] {
+				t.Fatalf("%s step %d: remaining[%d] = %d, reference %d", label, step, i, fused.remaining[i], ref.remaining[i])
+			}
+		}
+	}
+}
+
+// TestBoundedTakeTopMatchesReference is the early stop's end-to-end
+// contract: selection through the surrogate's bounded scorer — which
+// abandons candidates against the heap's cut-off and reports them as +Inf
+// — returns the same batches and leaves the same pool as the reference
+// selector, which scores every candidate in full. Ensembles run from the
+// default shape to the adversarial: leaf-only (every score tied, so only
+// the position tie-break orders candidates), depth 1 and 8, and targets of
+// both signs at 1e150, whose predictions exponentiate to 0 and +Inf.
+func TestBoundedTakeTopMatchesReference(t *testing.T) {
+	const poolN = 1500
+	p0 := synthProblem(23, poolN)
+	X := make([][]float64, 80)
+	logY := make([]float64, len(X))
+	for i := range X {
+		X[i] = p0.features(p0.Pool[i*7])
+		v, err := p0.Eval.MeasureWorkflow(p0.Pool[i*7])
+		if err != nil {
+			t.Fatal(err)
+		}
+		logY[i] = logTarget(v)
+	}
+	cases := []struct {
+		name          string
+		depth, rounds int
+		target        func(i int) float64
+	}{
+		{"leaf-only", 4, 20, func(int) float64 { return 1.25 }},
+		{"depth 1", 1, 60, func(i int) float64 { return logY[i] }},
+		{"depth 4", 4, 100, func(i int) float64 { return logY[i] }},
+		{"depth 8", 8, 30, func(i int) float64 { return logY[i] }},
+		{"huge mixed-sign leaves", 4, 30, func(i int) float64 { return math.Copysign(1e150, logY[i]-logY[0]) * (1 + logY[i]) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			y := make([]float64, len(X))
+			for i := range y {
+				y[i] = tc.target(i)
+			}
+			params := xgb.DefaultParams()
+			params.MaxDepth, params.Rounds = tc.depth, tc.rounds
+			model, err := xgb.Fit(X, y, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			abandoned := 0
+			for _, workers := range []int{1, 2, 4, 8} {
+				p := synthProblem(23, poolN)
+				p.Workers = workers
+				s := newSurrogate(p)
+				s.model = model
+				inner := s.poolScorer(p)
+				counting := func(idxs []int, out []float64, worst float64) {
+					inner(idxs, out, worst)
+					if workers == 1 && !math.IsInf(worst, 1) {
+						for _, v := range out {
+							if math.IsInf(v, 1) {
+								abandoned++
+							}
+						}
+					}
+				}
+				for _, n := range []int{1, 3, 8, 50} {
+					drainBothWays(t, fmt.Sprintf("workers=%d n=%d", workers, n), p, n, counting)
+				}
+			}
+			if tc.name == "depth 4" && abandoned == 0 {
+				t.Error("the cut-off never abandoned a candidate of the default-shaped ensemble")
+			}
+		})
+	}
+}
+
+// TestWidePoolScoresFromFloatRows: a pool with a feature column too wide
+// to rank-code keeps float rows, and the surrogate's full-pool prediction
+// and selection over it equal per-configuration Predict and the reference
+// selector.
+func TestWidePoolScoresFromFloatRows(t *testing.T) {
+	p := synthProblem(5, score.MaxCodes+200)
+	p.Workers = 2
+	p.Features = func(cfg cfgspace.Config) []float64 {
+		return []float64{float64(cfg[0]), float64(cfg[1]), float64(((cfg[0]*10+cfg[1])*50+cfg[2])*10 + cfg[3])}
+	}
+	samples := make([]Sample, 40)
+	for i := range samples {
+		v, err := p.Eval.MeasureWorkflow(p.Pool[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples[i] = Sample{Cfg: p.Pool[i], Value: v}
+	}
+	s := newSurrogate(p)
+	if err := s.Train(samples); err != nil {
+		t.Fatal(err)
+	}
+	if p.poolMat.Codes(p.engine(), p.Pool, p.features).FloatRows() == nil {
+		t.Fatal("pool with a unique-per-row feature was rank-coded")
+	}
+	scores := s.PredictPoolInto(p.Pool, make([]float64, len(p.Pool)))
+	for i, cfg := range p.Pool {
+		if want := s.Predict(cfg); math.Float64bits(scores[i]) != math.Float64bits(want) {
+			t.Fatalf("pool[%d]: PredictPoolInto %v, Predict %v", i, scores[i], want)
+		}
+	}
+	drainBothWays(t, "wide", p, 12, s.poolScorer(p))
+}
+
+// TestLowFidelityPoolScoresMatchScore: the cached M_L pool vector every
+// M_L-backed ranking reads equals LowFidelity.Score row for row, with an
+// unconfigurable component whose empty sub-configuration sits at the very
+// end of each configuration.
+func TestLowFidelityPoolScoresMatchScore(t *testing.T) {
+	p := synthProblem(9, 500)
+	p.Components = append(p.Components, ComponentInfo{Name: "fixed"})
+	cm, err := trainComponentModels(p, 12, newTestRNG(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := cm.poolScores(p)
+	for i, cfg := range p.Pool {
+		if want := cm.lowFi.Score(cfg); math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("pool[%d]: cached M_L score %v, Score %v", i, got[i], want)
+		}
+	}
+	out := make([]float64, 3)
+	cm.scorer(p)([]int{4, 0, 499}, out, math.Inf(1))
+	if out[0] != got[4] || out[1] != got[0] || out[2] != got[499] {
+		t.Fatalf("scorer returned %v for pool indices 4, 0, 499", out)
 	}
 }

@@ -279,7 +279,7 @@ func TestFinishCopiesSamples(t *testing.T) {
 // and tie-breaking consistency with metrics.TopIndices.
 func TestPoolTrackerEdgeCases(t *testing.T) {
 	p := synthProblem(9, 20)
-	byIndex := func(idxs []int, out []float64) {
+	byIndex := func(idxs []int, out []float64, _ float64) {
 		for i, idx := range idxs {
 			out[i] = float64(idx)
 		}
@@ -325,7 +325,7 @@ func TestPoolTrackerEdgeCases(t *testing.T) {
 	t.Run("tie-break matches metrics.TopIndices", func(t *testing.T) {
 		// All-tied scores: takeTop must pick the same configurations, in the
 		// same order, as the recall metric's ranking (ties break by index).
-		tied := func(idxs []int, out []float64) {
+		tied := func(idxs []int, out []float64, _ float64) {
 			for i := range out {
 				out[i] = 0
 			}

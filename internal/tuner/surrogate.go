@@ -14,7 +14,8 @@ import (
 // times, so training happens in log space — trees then optimize relative
 // error, which is what ranking good configurations needs. Batch
 // prediction fans across the problem's scoring engine and featurizes the
-// candidate pool once per run through a cached matrix.
+// candidate pool once per run into cached rank codes (score.Codes), which
+// is all the pool a surrogate ever holds.
 type Surrogate struct {
 	feats  func(cfgspace.Config) []float64
 	params xgb.Params
@@ -128,7 +129,7 @@ func (s *Surrogate) Predict(cfg cfgspace.Config) float64 {
 	if s.model == nil {
 		panic("tuner: Predict on untrained surrogate")
 	}
-	return unlogTarget(s.model.Predict(s.feats(cfg)))
+	return unlogTarget(s.model.PredictRow(s.feats(cfg)))
 }
 
 // Importance returns the trained model's gain-based feature importance
@@ -142,14 +143,14 @@ func (s *Surrogate) Importance(dim int) []float64 {
 
 // PredictPoolInto predicts for every pool configuration into a
 // caller-provided slice (len(out) == len(pool)) and returns it, reusing
-// the cached feature matrix and fanning ensemble evaluation across the
+// the cached pool codes and fanning ensemble evaluation across the
 // engine. FinalScores implementations pass the run arena's buffer so the
 // per-iteration prediction pass stops allocating pool-sized slices.
 func (s *Surrogate) PredictPoolInto(pool []cfgspace.Config, out []float64) []float64 {
 	if s.model == nil {
 		panic("tuner: PredictPoolInto on untrained surrogate")
 	}
-	s.model.PredictBatchOnInto(s.eng, s.mat.Rows(s.eng, pool, s.feats), out)
+	s.model.PredictBatchQuantizedOnInto(s.eng, s.mat.Codes(s.eng, pool, s.feats), out)
 	for i, v := range out {
 		out[i] = unlogTarget(v)
 	}
@@ -163,25 +164,51 @@ func (s *Surrogate) PredictBatch(cfgs []cfgspace.Config) []float64 {
 		panic("tuner: PredictBatch on untrained surrogate")
 	}
 	return s.eng.Floats(len(cfgs), func(i int) float64 {
-		return unlogTarget(s.model.Predict(s.feats(cfgs[i])))
+		return unlogTarget(s.model.PredictRow(s.feats(cfgs[i])))
 	})
 }
 
 // poolScorer returns a candidate scorer over p.Pool indices backed by the
-// surrogate's cached feature matrix, so per-iteration ranking never
-// re-featurizes the pool. The fused selector supplies the parallelism;
-// per-index predictions go through the flattened ensemble (PredictRow),
-// bitwise identical to the pointer-tree walk.
+// surrogate's cached pool codes, so per-iteration ranking never
+// re-featurizes the pool. The fused selector supplies the parallelism and
+// its cut-off: a candidate stops descending trees once its prediction is
+// certain to land above it (xgb.Model.PredictCodedBounded) and reports
+// +Inf; all others score bitwise as Predict does. A pool too wide to code
+// scores every candidate in full from its float rows.
 func (s *Surrogate) poolScorer(p *Problem) poolScorer {
 	if s.model == nil {
 		panic("tuner: poolScorer on untrained surrogate")
 	}
-	X := s.mat.Rows(s.eng, p.Pool, s.feats)
-	return func(idxs []int, out []float64) {
-		for j, idx := range idxs {
-			out[j] = unlogTarget(s.model.PredictRow(X[idx]))
+	q := s.mat.Codes(s.eng, p.Pool, s.feats)
+	if X := q.FloatRows(); X != nil {
+		return func(idxs []int, out []float64, _ float64) {
+			for j, idx := range idxs {
+				out[j] = unlogTarget(s.model.PredictRow(X[idx]))
+			}
 		}
 	}
+	return func(idxs []int, out []float64, worst float64) {
+		s.model.PredictCodedBounded(q, idxs, out, logCutoff(worst))
+		for j, v := range out {
+			out[j] = unlogTarget(v)
+		}
+	}
+}
+
+// logCutoff carries a cut-off on predicted times into the model's log
+// space: any log-prediction above the result exponentiates to strictly
+// more than worst. math.Log and math.Exp are each accurate to under one
+// ulp, so exp(v) > worst is certain once v clears log(worst) by more than
+// an ulp of the logarithm (at most 2^-43 across float64's exponent range,
+// and as much again for rounding the sum below) plus 2^-51 for the
+// exponential's relative error; 1e-9 is three orders above that. Cut-offs
+// outside the normal positive range — where those relative bounds stop
+// holding — map to +Inf: nothing is abandoned.
+func logCutoff(worst float64) float64 {
+	if worst < 0x1p-1022 || worst > math.MaxFloat64 {
+		return math.Inf(1)
+	}
+	return math.Log(worst) + 1e-9
 }
 
 // logTarget maps a positive time to log space (guarding tiny values).

@@ -211,18 +211,13 @@ func (p *Problem) poolFeatures() [][]float64 {
 // read-only calls and each index's score must be a pure function of the
 // index — independent of which block or chunk presents it — which is what
 // keeps rankings bitwise identical for any worker count.
-type poolScorer func(idxs []int, out []float64)
-
-// scoreByConfig lifts a per-configuration scorer to a poolScorer. The
-// scorer must be safe for concurrent read-only calls (all model Predict
-// paths in this repository are); the selector supplies the parallelism.
-func (p *Problem) scoreByConfig(score func(cfgspace.Config) float64) poolScorer {
-	return func(idxs []int, out []float64) {
-		for j, idx := range idxs {
-			out[j] = score(p.Pool[idx])
-		}
-	}
-}
+//
+// worst is the selector's current cut-off: only scores below it, or equal
+// to it at an earlier position, can still be selected (+Inf while
+// everything can). A scorer that can prove an index's score is strictly
+// greater than worst may stop early and report +Inf for it; every other
+// index gets its exact score. Scorers with nothing to stop ignore worst.
+type poolScorer func(idxs []int, out []float64, worst float64)
 
 // dims returns each component's parameter count.
 func (p *Problem) dims() []int {
@@ -502,7 +497,11 @@ func (t *poolTracker) takeTop(n int, score poolScorer) []cfgspace.Config {
 		for blo := lo; blo < hi; blo += selectBlock {
 			bhi := min(blo+selectBlock, hi)
 			out := block[:bhi-blo]
-			score(t.remaining[blo:bhi], out)
+			worst := math.Inf(1)
+			if len(heap) == n {
+				worst = heap[0].val
+			}
+			score(t.remaining[blo:bhi], out, worst)
 			for j, v := range out {
 				e := topkEntry{val: v, pos: int32(blo + j)}
 				if len(heap) < n {

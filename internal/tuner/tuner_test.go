@@ -240,10 +240,11 @@ func TestPoolTrackerTakeTop(t *testing.T) {
 	p := synthProblem(13, 50)
 	tr := newPoolTracker(p, newRunArena())
 	truth := trueValues(p)
-	score := p.scoreByConfig(func(cfg cfgspace.Config) float64 {
-		v, _ := p.Eval.MeasureWorkflow(cfg)
-		return v
-	})
+	score := func(idxs []int, out []float64, _ float64) {
+		for j, idx := range idxs {
+			out[j] = truth[idx]
+		}
+	}
 	got := tr.takeTop(3, score)
 	want := metrics.TopIndices(3, truth)
 	for i := range got {

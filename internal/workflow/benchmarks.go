@@ -29,15 +29,21 @@ type ComponentSpec struct {
 // actually depends on. Any practitioner tuning these systems would encode
 // this domain knowledge; it is shared by every algorithm.
 func (cs ComponentSpec) Features(m cluster.Machine, cfg cfgspace.Config) []float64 {
-	f := make([]float64, 0, len(cfg)+3)
+	return cs.appendFeatures(make([]float64, 0, len(cfg)+derivedFeatures), m, cfg)
+}
+
+// derivedFeatures is how many layout quantities Features adds to the raw
+// parameters.
+const derivedFeatures = 3
+
+// appendFeatures appends the component's feature vector to f.
+func (cs ComponentSpec) appendFeatures(f []float64, m cluster.Machine, cfg cfgspace.Config) []float64 {
 	for _, v := range cfg {
 		f = append(f, float64(v))
 	}
-	c := cs.BuildSolo(cfg)
-	l := c.Layout
+	l := cs.BuildSolo(cfg).Layout
 	nodes := l.Nodes()
-	f = append(f, float64(nodes), float64(l.Procs*l.Threads), float64(nodes*m.CoresPerNode))
-	return f
+	return append(f, float64(nodes), float64(l.Procs*l.Threads), float64(nodes*m.CoresPerNode))
 }
 
 // Dim returns the number of parameters the component contributes to the
@@ -78,7 +84,11 @@ func (b *Benchmark) Dims() []int {
 
 // Sub extracts component j's sub-configuration from a joint configuration.
 func (b *Benchmark) Sub(cfg cfgspace.Config, j int) cfgspace.Config {
-	return cfgspace.Slice(cfg, b.Dims(), j)
+	lo := 0
+	for _, cs := range b.Components[:j] {
+		lo += cs.Dim()
+	}
+	return cfg[lo : lo+b.Components[j].Dim()]
 }
 
 // FeatureNames labels the vector produced by Features, in order.
@@ -100,16 +110,23 @@ func (b *Benchmark) FeatureNames() []string {
 // Features returns the workflow-level ML feature vector: every component's
 // enriched features plus the job's total node count.
 func (b *Benchmark) Features(cfg cfgspace.Config) []float64 {
-	var f []float64
+	width := 1
+	for _, cs := range b.Components {
+		if cs.Space != nil {
+			width += cs.Dim() + derivedFeatures
+		}
+	}
+	f := make([]float64, 0, width)
 	total := 0.0
-	for j, cs := range b.Components {
+	lo := 0
+	for _, cs := range b.Components {
 		if cs.Space == nil {
 			total++ // serial component on its own node
 			continue
 		}
-		cf := cs.Features(b.Machine, b.Sub(cfg, j))
-		f = append(f, cf...)
-		total += cf[len(cf)-3] // node count of this component
+		f = cs.appendFeatures(f, b.Machine, cfg[lo:lo+cs.Dim()])
+		lo += cs.Dim()
+		total += f[len(f)-derivedFeatures] // node count of this component
 	}
 	return append(f, total)
 }
