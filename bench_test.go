@@ -197,7 +197,7 @@ func BenchmarkSimEngineEvents(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e := sim.NewEngine()
-		s := sim.NewStore(e, 2)
+		s := sim.NewStore[int](e, 2)
 		e.Spawn("producer", func(p *sim.Proc) {
 			for k := 0; k < 1000; k++ {
 				p.Sleep(0.001)

@@ -13,7 +13,6 @@ package fabric
 
 import (
 	"math"
-	"sort"
 
 	"ceal/internal/sim"
 )
@@ -28,6 +27,8 @@ type Link struct {
 	name     string
 	capacity float64 // bytes/second
 	flows    []*flow
+	order    []*flow // waterFill's scratch: flows by ascending cap
+	idle     []*flow // delivered flows, reused by later transfers
 	last     float64 // sim time of last settlement
 	gen      uint64  // invalidates stale completion timers
 	carried  float64 // total bytes fully delivered (for conservation checks)
@@ -38,7 +39,7 @@ type flow struct {
 	remaining float64
 	cap       float64 // per-flow rate cap (bytes/second)
 	rate      float64
-	done      *sim.Waiter
+	done      sim.Waiter
 }
 
 // NewLink returns a link with the given aggregate capacity in bytes/second.
@@ -75,11 +76,20 @@ func (l *Link) Transfer(p *sim.Proc, bytes, maxRate, latency float64) {
 	if maxRate <= 0 {
 		maxRate = math.Inf(1)
 	}
-	f := &flow{total: bytes, remaining: bytes, cap: maxRate, done: sim.NewWaiter(l.eng)}
+	var f *flow
+	if n := len(l.idle); n > 0 {
+		f, l.idle = l.idle[n-1], l.idle[:n-1]
+	} else {
+		f = &flow{done: *sim.NewWaiter(l.eng)}
+	}
+	f.total, f.remaining, f.cap, f.rate = bytes, bytes, maxRate, 0
 	l.settle()
 	l.flows = append(l.flows, f)
 	l.recompute()
 	f.done.Wait(p)
+	// Woken means retired from l.flows, and only a superseded timer (which
+	// returns before touching its flow) can still point here.
+	l.idle = append(l.idle, f)
 }
 
 // settle advances every flow's progress to the current simulated time.
@@ -112,7 +122,7 @@ func (l *Link) recompute() {
 	if len(l.flows) == 0 {
 		return
 	}
-	waterFill(l.flows, l.capacity)
+	l.waterFill()
 	// Arm a timer for the earliest completion under the new rates.
 	next := math.Inf(1)
 	var first *flow
@@ -145,11 +155,26 @@ func (l *Link) recompute() {
 
 // waterFill assigns progressive-filling rates: equal shares with per-flow
 // caps, redistributing capacity left by capped flows.
-func waterFill(flows []*flow, capacity float64) {
-	order := make([]*flow, len(flows))
-	copy(order, flows)
-	sort.Slice(order, func(i, j int) bool { return order[i].cap < order[j].cap })
-	remaining := capacity
+//
+// Flows are visited by ascending cap, ties in arrival order. The order is
+// built by a plain insertion sort — exactly what sort.Slice, which this
+// replaces, ran for n <= 12, and the paper's workflows put at most four
+// flows on a link at once — so equal caps keep the order they always had
+// and every rate keeps its bits (TestMeasurementsPinned in
+// internal/workflow holds that). Beyond 12 flows sort.Slice left the order
+// of equal caps unspecified; here it stays arrival order.
+func (l *Link) waterFill() {
+	order := l.order[:0]
+	for _, f := range l.flows {
+		i := len(order)
+		order = append(order, f)
+		for ; i > 0 && f.cap < order[i-1].cap; i-- {
+			order[i] = order[i-1]
+		}
+		order[i] = f
+	}
+	l.order = order
+	remaining := l.capacity
 	n := len(order)
 	for i, f := range order {
 		share := remaining / float64(n-i)

@@ -178,7 +178,7 @@ func TestRatesNeverExceedCapacityProperty(t *testing.T) {
 			}
 			flows[i] = &flow{remaining: 1, cap: c}
 		}
-		waterFill(flows, capacity)
+		(&Link{capacity: capacity, flows: flows}).waterFill()
 		var sum float64
 		for _, f := range flows {
 			if f.rate > f.cap+1e-9 || f.rate < 0 {
@@ -200,7 +200,7 @@ func TestWaterFillWorkConserving(t *testing.T) {
 		{remaining: 1, cap: math.Inf(1)},
 		{remaining: 1, cap: math.Inf(1)},
 	}
-	waterFill(flows, 100)
+	(&Link{capacity: 100, flows: flows}).waterFill()
 	sum := flows[0].rate + flows[1].rate + flows[2].rate
 	if math.Abs(sum-100) > 1e-9 {
 		t.Fatalf("allocated %v of 100", sum)

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"errors"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -84,59 +87,9 @@ func TestTwoProcsInterleaveDeterministically(t *testing.T) {
 	}
 }
 
-func TestResourceFIFO(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, 1)
-	var order []string
-	hold := func(name string, start, dur float64) {
-		e.Spawn(name, func(p *Proc) {
-			p.Sleep(start)
-			r.Acquire(p)
-			order = append(order, name)
-			p.Sleep(dur)
-			r.Release()
-		})
-	}
-	hold("first", 0, 10)
-	hold("second", 1, 1)
-	hold("third", 2, 1)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(order, []string{"first", "second", "third"}) {
-		t.Fatalf("admission order = %v", order)
-	}
-	if r.InUse() != 0 {
-		t.Fatalf("InUse = %d after all released", r.InUse())
-	}
-}
-
-func TestResourceCapacityNeverExceeded(t *testing.T) {
-	e := NewEngine()
-	const capacity = 3
-	r := NewResource(e, capacity)
-	maxSeen := 0
-	for i := 0; i < 20; i++ {
-		e.Spawn("worker", func(p *Proc) {
-			r.Acquire(p)
-			if r.InUse() > maxSeen {
-				maxSeen = r.InUse()
-			}
-			p.Sleep(1)
-			r.Release()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if maxSeen != capacity {
-		t.Fatalf("max concurrent holders = %d, want %d", maxSeen, capacity)
-	}
-}
-
 func TestStoreBackpressure(t *testing.T) {
 	e := NewEngine()
-	s := NewStore(e, 2)
+	s := NewStore[int](e, 2)
 	var putTimes, getTimes []float64
 	e.Spawn("producer", func(p *Proc) {
 		for i := 0; i < 5; i++ {
@@ -147,7 +100,7 @@ func TestStoreBackpressure(t *testing.T) {
 	e.Spawn("consumer", func(p *Proc) {
 		for i := 0; i < 5; i++ {
 			item := s.Get(p)
-			if item.(int) != i {
+			if item != i {
 				t.Errorf("got item %v, want %d", item, i)
 			}
 			getTimes = append(getTimes, p.Now())
@@ -178,7 +131,7 @@ func TestStoreFIFOProperty(t *testing.T) {
 		n := 1 + rng.IntN(50)
 		capacity := 1 + rng.IntN(5)
 		e := NewEngine()
-		s := NewStore(e, capacity)
+		s := NewStore[int](e, capacity)
 		e.Spawn("producer", func(p *Proc) {
 			for i := 0; i < n; i++ {
 				p.Sleep(rng.Float64())
@@ -189,7 +142,7 @@ func TestStoreFIFOProperty(t *testing.T) {
 		e.Spawn("consumer", func(p *Proc) {
 			for i := 0; i < n; i++ {
 				p.Sleep(rng.Float64())
-				if got := s.Get(p).(int); got != i {
+				if got := s.Get(p); got != i {
 					ok = false
 				}
 			}
@@ -232,7 +185,7 @@ func TestTimeMonotonicProperty(t *testing.T) {
 
 func TestDeadlockDetected(t *testing.T) {
 	e := NewEngine()
-	s := NewStore(e, 1)
+	s := NewStore[int](e, 1)
 	e.Spawn("starved", func(p *Proc) {
 		s.Get(p) // nobody ever puts
 		t.Error("starved process ran past Get")
@@ -298,5 +251,88 @@ func TestSpawnWhileRunning(t *testing.T) {
 	}
 	if !childRan {
 		t.Fatal("child process never ran")
+	}
+}
+
+// mustPanic runs f and returns the value it panicked with, failing the test
+// if it returned normally.
+func mustPanic(t *testing.T, f func()) (v any) {
+	t.Helper()
+	defer func() {
+		if v = recover(); v == nil {
+			t.Fatal("no panic")
+		}
+	}()
+	f()
+	return nil
+}
+
+func TestSpawnAndScheduleAfterRunPanic(t *testing.T) {
+	e := NewEngine()
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range map[string]func(){
+		"Spawn":    func() { e.Spawn("late", func(*Proc) {}) },
+		"Schedule": func() { e.Schedule(1, func() {}) },
+	} {
+		msg, ok := mustPanic(t, f).(string)
+		if !ok || !strings.HasPrefix(msg, "sim:") {
+			t.Errorf("%s after Run panicked with %v, want a sim: message", name, msg)
+		}
+	}
+}
+
+func TestProcessPanicPropagatesFromRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	s := NewStore[int](e, 1)
+	unwound := 0
+	e.Spawn("blocked", func(p *Proc) {
+		defer func() { unwound++ }()
+		s.Get(p)
+	})
+	e.Spawn("sleeper", func(p *Proc) {
+		defer func() { unwound++ }()
+		p.Sleep(10)
+	})
+	e.Spawn("unstarted-at-panic", func(p *Proc) { p.Sleep(1) })
+	boom := &struct{ msg string }{"boom"}
+	e.Schedule(0.5, func() {
+		e.Spawn("bad", func(p *Proc) { panic(boom) })
+	})
+	// The body's panic must reach Run's caller — this goroutine, where a
+	// recover can see it — as the very value it was raised with.
+	if got := mustPanic(t, func() { _ = e.Run() }); got != boom {
+		t.Fatalf("Run panicked with %v, want the process's own value", got)
+	}
+	if unwound != 2 {
+		t.Fatalf("%d of 2 parked processes unwound", unwound)
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("%d goroutines after a propagated panic, %d before", n, base)
+	}
+	if err := e.Run(); err == nil {
+		t.Fatal("Run() on an engine that panicked succeeded, want error")
+	}
+}
+
+func TestDeadlockLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	w := NewWaiter(e)
+	for i := 0; i < 8; i++ {
+		e.Spawn("stuck", func(p *Proc) {
+			p.Sleep(1)
+			w.Wait(p)
+		})
+	}
+	e.Spawn("fine", func(p *Proc) { p.Sleep(2) })
+	var de *DeadlockError
+	if err := e.Run(); !errors.As(err, &de) || len(de.Parked) != 8 {
+		t.Fatalf("Run() = %v, want 8 deadlocked processes", err)
+	}
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("%d goroutines after a deadlock, %d before", n, base)
 	}
 }

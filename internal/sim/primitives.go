@@ -2,10 +2,14 @@ package sim
 
 // Waiter is a condition-variable-like primitive: processes wait on it and
 // are woken, in FIFO order, by Wake or WakeAll. Wakes take effect at the
-// current simulated time.
+// current simulated time. A Waiter may be embedded by value (initialise it
+// with *NewWaiter) but must not be copied once a process waits on it.
 type Waiter struct {
 	eng *Engine
-	q   []*Proc
+	// q[head:] are the waiting processes; the consumed prefix is reclaimed
+	// whenever the queue empties, so a long-lived Waiter stops allocating.
+	q    []*Proc
+	head int
 }
 
 // NewWaiter returns a Waiter bound to the engine.
@@ -20,12 +24,16 @@ func (w *Waiter) Wait(p *Proc) {
 // Wake unparks the oldest waiting process, if any, and reports whether a
 // process was woken.
 func (w *Waiter) Wake() bool {
-	if len(w.q) == 0 {
+	if w.head == len(w.q) {
 		return false
 	}
-	p := w.q[0]
-	w.q = w.q[1:]
-	w.eng.unpark(p, 0)
+	p := w.q[w.head]
+	w.q[w.head] = nil
+	w.head++
+	if w.head == len(w.q) {
+		w.q, w.head = w.q[:0], 0
+	}
+	w.eng.push(0, event{proc: p})
 	return true
 }
 
@@ -36,99 +44,52 @@ func (w *Waiter) WakeAll() {
 }
 
 // Waiting returns the number of processes currently parked on the waiter.
-func (w *Waiter) Waiting() int { return len(w.q) }
-
-// Resource is a counted resource (semaphore) with FIFO admission. It models
-// things like staging-server service slots.
-type Resource struct {
-	eng      *Engine
-	capacity int
-	inUse    int
-	q        []*Proc
-}
-
-// NewResource returns a resource with the given capacity (capacity >= 1).
-func NewResource(e *Engine, capacity int) *Resource {
-	if capacity < 1 {
-		panic("sim: resource capacity must be >= 1")
-	}
-	return &Resource{eng: e, capacity: capacity}
-}
-
-// Acquire blocks the process until a unit of the resource is available,
-// then claims it. Admission is strictly FIFO.
-func (r *Resource) Acquire(p *Proc) {
-	if r.inUse < r.capacity && len(r.q) == 0 {
-		r.inUse++
-		return
-	}
-	r.q = append(r.q, p)
-	p.park()
-	// The releaser transferred its unit to us before waking us.
-}
-
-// Release returns a unit of the resource; if processes are queued the unit
-// transfers directly to the oldest one.
-func (r *Resource) Release() {
-	if r.inUse <= 0 {
-		panic("sim: resource release without acquire")
-	}
-	if len(r.q) > 0 {
-		p := r.q[0]
-		r.q = r.q[1:]
-		r.eng.unpark(p, 0) // unit stays claimed, now by p
-		return
-	}
-	r.inUse--
-}
-
-// InUse returns the number of currently claimed units.
-func (r *Resource) InUse() int { return r.inUse }
-
-// Capacity returns the total number of units.
-func (r *Resource) Capacity() int { return r.capacity }
+func (w *Waiter) Waiting() int { return len(w.q) - w.head }
 
 // Store is a bounded FIFO buffer of items exchanged between processes. Put
 // blocks while the store is full; Get blocks while it is empty. It models a
 // staging buffer with backpressure.
-type Store struct {
-	eng      *Engine
-	capacity int
-	items    []any
-	getters  *Waiter
-	putters  *Waiter
+type Store[T any] struct {
+	ring    []T // len(ring) is the capacity
+	head, n int // the n buffered items start at ring[head]
+	getters Waiter
+	putters Waiter
 }
 
 // NewStore returns a store holding at most capacity items (capacity >= 1).
-func NewStore(e *Engine, capacity int) *Store {
+func NewStore[T any](e *Engine, capacity int) *Store[T] {
 	if capacity < 1 {
 		panic("sim: store capacity must be >= 1")
 	}
-	return &Store{eng: e, capacity: capacity, getters: NewWaiter(e), putters: NewWaiter(e)}
+	return &Store[T]{ring: make([]T, capacity), getters: Waiter{eng: e}, putters: Waiter{eng: e}}
 }
 
 // Put appends item, blocking while the store is full.
-func (s *Store) Put(p *Proc, item any) {
-	for len(s.items) >= s.capacity {
+func (s *Store[T]) Put(p *Proc, item T) {
+	for s.n == len(s.ring) {
 		s.putters.Wait(p)
 	}
-	s.items = append(s.items, item)
+	s.ring[(s.head+s.n)%len(s.ring)] = item
+	s.n++
 	s.getters.Wake()
 }
 
 // Get removes and returns the oldest item, blocking while the store is empty.
-func (s *Store) Get(p *Proc) any {
-	for len(s.items) == 0 {
+func (s *Store[T]) Get(p *Proc) T {
+	for s.n == 0 {
 		s.getters.Wait(p)
 	}
-	item := s.items[0]
-	s.items = s.items[1:]
+	var zero T
+	item := s.ring[s.head]
+	s.ring[s.head] = zero
+	s.head = (s.head + 1) % len(s.ring)
+	s.n--
 	s.putters.Wake()
 	return item
 }
 
 // Len returns the number of buffered items.
-func (s *Store) Len() int { return len(s.items) }
+func (s *Store[T]) Len() int { return s.n }
 
 // Capacity returns the maximum number of buffered items.
-func (s *Store) Capacity() int { return s.capacity }
+func (s *Store[T]) Capacity() int { return len(s.ring) }

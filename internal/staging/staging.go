@@ -52,8 +52,8 @@ type Channel struct {
 	Plan    Plan
 	RateCap float64 // per-flow bandwidth cap (endpoint injection limit)
 
-	sendQ *sim.Store
-	recvQ *sim.Store
+	sendQ *sim.Store[float64]
+	recvQ *sim.Store[float64]
 }
 
 // DefaultSlots is the channel depth in chunks on each side (double
@@ -69,8 +69,8 @@ func NewChannel(e *sim.Engine, plan Plan, rateCap float64, slots int) *Channel {
 	return &Channel{
 		Plan:    plan,
 		RateCap: rateCap,
-		sendQ:   sim.NewStore(e, slots),
-		recvQ:   sim.NewStore(e, slots),
+		sendQ:   sim.NewStore[float64](e, slots),
+		recvQ:   sim.NewStore[float64](e, slots),
 	}
 }
 
@@ -80,7 +80,7 @@ func (c *Channel) StartDaemon(e *sim.Engine, name string, link *fabric.Link, ste
 	total := steps * c.Plan.PerStep
 	e.Spawn(name, func(p *sim.Proc) {
 		for k := 0; k < total; k++ {
-			bytes := c.sendQ.Get(p).(float64)
+			bytes := c.sendQ.Get(p)
 			link.Transfer(p, bytes, c.RateCap, latency)
 			c.recvQ.Put(p, bytes)
 		}
@@ -103,7 +103,7 @@ func (c *Channel) SendStep(p *sim.Proc, emitCost func(bytes float64) float64) {
 // chunk on the consumer side, blocking until data arrives.
 func (c *Channel) RecvStep(p *sim.Proc, ingestCost func(bytes float64) float64) {
 	for k := 0; k < c.Plan.PerStep; k++ {
-		bytes := c.recvQ.Get(p).(float64)
+		bytes := c.recvQ.Get(p)
 		if ingestCost != nil {
 			p.Sleep(ingestCost(bytes))
 		}

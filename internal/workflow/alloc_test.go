@@ -1,0 +1,37 @@
+//go:build !race
+
+package workflow
+
+import (
+	"testing"
+
+	"ceal/internal/cluster"
+)
+
+// TestRunInSituAllocs guards the simulator's allocation budget: a run
+// allocates its setup (engine, links, channels, one coroutine per process)
+// plus one closure per armed link timer, and nothing per Sleep, Put, Get or
+// wake-up. Ceilings sit ~25% above the measured counts on each benchmark's
+// expert configuration (LV 125, HS 108, GP 307); one allocation per
+// simulated event would put these runs at 900 to 5500.
+func TestRunInSituAllocs(t *testing.T) {
+	m := cluster.Default()
+	for name, ceiling := range map[string]float64{"LV": 160, "HS": 135, "GP": 385} {
+		b, err := ByName(m, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := b.Build(b.ExpertExec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := w.RunInSitu(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > ceiling {
+			t.Errorf("%s: %.0f allocs per RunInSitu, want <= %.0f", name, allocs, ceiling)
+		}
+	}
+}

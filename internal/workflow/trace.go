@@ -4,10 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-
-	"ceal/internal/apps"
-	"ceal/internal/sim"
-	"ceal/internal/staging"
 )
 
 // StepTrace is one component's timing breakdown for one coupling step.
@@ -69,81 +65,14 @@ func phaseBar(waitFrac, computeFrac float64, width int) string {
 	return strings.Repeat(".", w) + strings.Repeat("#", c) + strings.Repeat("+", width-w-c)
 }
 
-// RunInSituTraced is RunInSitu with per-step phase instrumentation. It is
-// a little slower than RunInSitu and intended for diagnosis (wfsim
-// -trace), not for the tuning hot path; the measurement it returns is
-// identical to RunInSitu's.
+// RunInSituTraced is RunInSitu that also returns the per-step phase
+// timeline, for diagnosis (wfsim -trace). It is the same run: the
+// measurement is identical to RunInSitu's.
 func (w *Workflow) RunInSituTraced() (Measurement, *Trace, error) {
-	if err := w.Validate(); err != nil {
-		return Measurement{}, nil, err
-	}
-	rt, err := w.Machine.NewRuntime(w.TotalNodes())
+	trace := &Trace{}
+	meas, err := w.runInSitu(trace)
 	if err != nil {
 		return Measurement{}, nil, err
 	}
-
-	steps := w.Components[0].Steps
-	chans := make([]*staging.Channel, len(w.Edges))
-	inEdges := make([][]int, len(w.Components))
-	outEdges := make([][]int, len(w.Components))
-	for i, e := range w.Edges {
-		from, to := w.Components[e.From], w.Components[e.To]
-		rate := math.Min(
-			w.Machine.InjectionRate(from.Nodes()),
-			w.Machine.InjectionRate(to.Nodes()),
-		)
-		chans[i] = staging.NewChannel(rt.Eng, plan(from), rate, 0)
-		chans[i].StartDaemon(rt.Eng, fmt.Sprintf("staging-%d", i), rt.Core, steps, w.Machine.NetLatency)
-		outEdges[e.From] = append(outEdges[e.From], i)
-		inEdges[e.To] = append(inEdges[e.To], i)
-	}
-
-	trace := &Trace{Components: make([]ComponentTrace, len(w.Components))}
-	finish := make([]float64, len(w.Components))
-	for ci := range w.Components {
-		ci := ci
-		c := w.Components[ci]
-		trace.Components[ci] = ComponentTrace{Name: c.Name, Nodes: c.Nodes()}
-		rt.Eng.Spawn(c.Name, func(p *sim.Proc) {
-			pfsCap := apps.PFSCap(w.Machine, c.Layout)
-			for step := 0; step < steps; step++ {
-				t0 := p.Now()
-				for _, ei := range inEdges[ci] {
-					chans[ei].RecvStep(p, c.IngestPerChunk)
-				}
-				t1 := p.Now()
-				p.Sleep(c.StepTime(step))
-				t2 := p.Now()
-				if c.PFSWriteBytes > 0 {
-					rt.PFS.Transfer(p, c.PFSWriteBytes, pfsCap, w.Machine.PFSOpenLatency)
-				}
-				for _, ei := range outEdges[ci] {
-					chans[ei].SendStep(p, c.EmitPerChunk)
-				}
-				t3 := p.Now()
-				trace.Components[ci].Steps = append(trace.Components[ci].Steps, StepTrace{
-					Step:    step,
-					Wait:    t1 - t0,
-					Compute: t2 - t1,
-					Output:  t3 - t2,
-				})
-			}
-			finish[ci] = p.Now()
-		})
-	}
-
-	if err := rt.Eng.Run(); err != nil {
-		return Measurement{}, nil, fmt.Errorf("workflow %s: %w", w.Name, err)
-	}
-	busy := make([]float64, len(w.Components))
-	for ci, c := range w.Components {
-		var inPlans []staging.Plan
-		for _, ei := range inEdges[ci] {
-			inPlans = append(inPlans, chans[ei].Plan)
-		}
-		busy[ci] = activeSeconds(c, inPlans)
-	}
-	meas := w.measurement(finish, busy)
-	trace.Makespan = meas.ExecTime
 	return meas, trace, nil
 }

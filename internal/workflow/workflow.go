@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"strconv"
 
 	"ceal/internal/apps"
 	"ceal/internal/cluster"
@@ -151,6 +152,12 @@ func (w *Workflow) energyKJ(makespan float64, busy []float64) []float64 {
 // staging channels and returns the measurement. The run is fully
 // deterministic.
 func (w *Workflow) RunInSitu() (Measurement, error) {
+	return w.runInSitu(nil)
+}
+
+// runInSitu is the one in-situ run; a non-nil trace is filled with every
+// component's per-step phase timeline.
+func (w *Workflow) runInSitu(trace *Trace) (Measurement, error) {
 	if err := w.Validate(); err != nil {
 		return Measurement{}, err
 	}
@@ -170,27 +177,43 @@ func (w *Workflow) RunInSitu() (Measurement, error) {
 			w.Machine.InjectionRate(to.Nodes()),
 		)
 		chans[i] = staging.NewChannel(rt.Eng, plan(from), rate, 0)
-		chans[i].StartDaemon(rt.Eng, fmt.Sprintf("staging-%d", i), rt.Core, steps, w.Machine.NetLatency)
+		chans[i].StartDaemon(rt.Eng, "staging-"+strconv.Itoa(i), rt.Core, steps, w.Machine.NetLatency)
 		outEdges[e.From] = append(outEdges[e.From], i)
 		inEdges[e.To] = append(inEdges[e.To], i)
 	}
 
+	if trace != nil {
+		trace.Components = make([]ComponentTrace, len(w.Components))
+		for ci, c := range w.Components {
+			trace.Components[ci] = ComponentTrace{Name: c.Name, Nodes: c.Nodes(), Steps: make([]StepTrace, 0, steps)}
+		}
+	}
 	finish := make([]float64, len(w.Components))
-	for ci := range w.Components {
-		ci := ci
-		c := w.Components[ci]
+	for ci, c := range w.Components {
 		rt.Eng.Spawn(c.Name, func(p *sim.Proc) {
 			pfsCap := apps.PFSCap(w.Machine, c.Layout)
 			for step := 0; step < steps; step++ {
+				start := p.Now()
 				for _, ei := range inEdges[ci] {
 					chans[ei].RecvStep(p, c.IngestPerChunk)
 				}
+				received := p.Now()
 				p.Sleep(c.StepTime(step))
+				computed := p.Now()
 				if c.PFSWriteBytes > 0 {
 					rt.PFS.Transfer(p, c.PFSWriteBytes, pfsCap, w.Machine.PFSOpenLatency)
 				}
 				for _, ei := range outEdges[ci] {
 					chans[ei].SendStep(p, c.EmitPerChunk)
+				}
+				if trace != nil {
+					ct := &trace.Components[ci]
+					ct.Steps = append(ct.Steps, StepTrace{
+						Step:    step,
+						Wait:    received - start,
+						Compute: computed - received,
+						Output:  p.Now() - computed,
+					})
 				}
 			}
 			finish[ci] = p.Now()
@@ -209,7 +232,11 @@ func (w *Workflow) RunInSitu() (Measurement, error) {
 		}
 		busy[ci] = activeSeconds(c, inPlans)
 	}
-	return w.measurement(finish, busy), nil
+	meas := w.measurement(finish, busy)
+	if trace != nil {
+		trace.Makespan = meas.ExecTime
+	}
+	return meas, nil
 }
 
 func (w *Workflow) measurement(perComponent, busy []float64) Measurement {
