@@ -30,7 +30,6 @@ import (
 	"ceal/internal/apps"
 	"ceal/internal/cfgspace"
 	"ceal/internal/cluster"
-	"ceal/internal/collector"
 	"ceal/internal/live"
 	"ceal/internal/paperexp"
 	"ceal/internal/tuner"
@@ -60,7 +59,7 @@ type (
 	// Algorithm is an auto-tuning algorithm under a measurement budget.
 	Algorithm = tuner.Algorithm
 	// Objective selects the optimization metric.
-	Objective = paperexp.Objective
+	Objective = workflow.Objective
 	// Component is one configured component application instance.
 	Component = apps.Component
 	// Layout is a component's process layout (procs, ppn, threads).
@@ -71,30 +70,11 @@ type (
 	ComponentSpec = workflow.ComponentSpec
 	// NamedSpace pairs a component name with its space for ConcatSpaces.
 	NamedSpace = cfgspace.NamedSpace
-	// Collector is the unified measurement layer every algorithm measures
-	// through: a caching, deduplicating batch front-end over an Evaluator
-	// and a worker pool. Obtain a problem's collector with
-	// Problem.Collector(); inspect cache behaviour with Collector.Stats().
-	Collector = collector.Collector
-	// Event is one step of a tuning run's structured trace (see the
-	// concrete types in internal/tuner/events: RunStarted, BatchSelected,
-	// BatchMeasured, ModelTrained, SwitchDecision, BiasEscape,
-	// IterationDone, RunFinished).
-	Event = events.Event
 	// Observer receives a tuning run's event stream. Attach one via
 	// Problem.Observer; nil (the default) is a zero-cost no-op and never
 	// changes results.
 	Observer = events.Observer
-	// JSONLWriter is an Observer that streams events as JSON lines
-	// (cmd/ceal-tune's -trace format).
-	JSONLWriter = events.JSONLWriter
 )
-
-// WarmFromHistory assembles transfer-learning data for a spec from the
-// history database: same-spec-family workflow samples plus standalone
-// component samples from any run sharing a component application. Returns
-// nil when the database has nothing applicable (cold start).
-var WarmFromHistory = live.WarmFromHistory
 
 // Space construction helpers for custom workflows.
 var (
@@ -119,11 +99,11 @@ var (
 // Optimization objectives.
 const (
 	// ExecTime minimizes wall-clock execution time.
-	ExecTime = paperexp.ExecTime
+	ExecTime = workflow.ExecTime
 	// CompTime minimizes consumed core-hours.
-	CompTime = paperexp.CompTime
+	CompTime = workflow.CompTime
 	// Energy minimizes consumed kilojoules (extension, §4).
-	Energy = paperexp.Energy
+	Energy = workflow.Energy
 )
 
 // DefaultMachine returns the paper-testbed machine model: 600 Broadwell
@@ -152,15 +132,6 @@ var NewCEAL = tuner.NewCEAL
 // AlgorithmByName maps a name (rs, al, geist, alph, ceal, bo, hyboost,
 // knnselect) to a fresh algorithm instance with default options.
 func AlgorithmByName(name string) (Algorithm, error) { return live.AlgorithmByName(name) }
-
-// NewContinuous assembles a continuous (online-retuning) run over a
-// benchmark: per-epoch problems built exactly like NewProblem, a drift
-// environment following the named load profile along a virtual clock, and
-// regret accounting against the pool's per-condition best. Set Algorithm
-// (e.g. NewCEAL()) and optionally adjust Opts before calling Run.
-func NewContinuous(b *Benchmark, obj Objective, poolSize int, seed uint64, profile string, workers int) (*tuner.Continuous, error) {
-	return live.NewContinuous(b, obj, poolSize, seed, profile, workers)
-}
 
 // LiveEvaluator measures configurations by actually running the cluster
 // simulator (as opposed to the experiment harness's pre-measured pools).

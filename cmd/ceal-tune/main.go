@@ -9,6 +9,12 @@
 //	ceal-tune -workflow GP -budget 50 -workers 8 -timeout 2m
 //	ceal-tune -workflow LV -continuous -drift step -probes 60
 //
+// The flags become a run spec and the spec is driven through the same run
+// engine ceal-serve exposes over HTTP (internal/service): admission checks
+// the spec's names and ranges, the run's event stream feeds -trace, and the
+// report is printed from the finished run record. Out-of-range flags are
+// therefore rejected with the service's messages.
+//
 // With -continuous, the run stays alive after convergence: the incumbent is
 // probed along a virtual clock while the platform follows the -drift load
 // profile, and confirmed drift triggers bounded, warm-started re-exploration
@@ -16,32 +22,36 @@
 // time-weighted cumulative regret against the pool oracle.
 //
 // With -history <dir>, the run is recorded in a tuning-history database (a
-// directory of append-only segment files, shareable with ceal-serve); -warm
-// seeds it from prior runs in that database (same-family workflow samples,
-// shared-component samples), and -resume <run-id> replays an interrupted
-// tune run from its measurement checkpoint instead of re-measuring.
+// directory of append-only segment files, shareable with ceal-serve) exactly
+// as the daemon records it — spec, measurements, event trace, collector
+// statistics, and a resume checkpoint after every measured batch and model
+// fit. A cold spec the database already holds a completed run of is answered
+// from the store instead of re-measured (results are deterministic, so this
+// is the same answer); -warm seeds the run from prior runs in the database
+// (same-family workflow samples, shared-component samples), and -resume
+// <run-id> replays an interrupted tune run from its measurement checkpoint.
 //
 // SIGINT/SIGTERM cancel the run; tuning aborts within one measurement
-// batch (and is checkpointed when -history is set).
+// batch (and stays resumable when -history is set).
 package main
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
 	"sort"
-	"strings"
 	"syscall"
 	"time"
 
-	"ceal"
-	"ceal/internal/dispatch"
 	"ceal/internal/histdb"
+	"ceal/internal/live"
 	"ceal/internal/profiling"
-	"ceal/internal/tuner/events"
+	"ceal/internal/service"
 )
 
 func main() {
@@ -58,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		algName    = fs.String("algorithm", "ceal", "rs, al, geist, alph, ceal, bo, hyboost, or knnselect")
 		budget     = fs.Int("budget", 50, "measurement budget in workflow-run equivalents")
 		pool       = fs.Int("pool", 2000, "candidate pool size")
-		seed       = fs.Uint64("seed", 1, "random seed")
+		seed       = fs.Uint64("seed", 1, "random seed (0 selects 1)")
 		workers    = fs.Int("workers", 1, "parallel measurement and pool-scoring width")
 		timeout    = fs.Duration("timeout", 0, "abort tuning after this long (0: no limit)")
 		trace      = fs.String("trace", "", "stream run events as JSONL to this file (\"-\" for stdout)")
@@ -95,40 +105,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	var db *histdb.FileStore
-	if *history != "" {
-		var err error
-		if db, err = histdb.OpenFileStore(*history); err != nil {
-			return fail(err)
-		}
-	}
-	if *warm && db == nil {
+	switch {
+	case *warm && *history == "":
 		return fail(fmt.Errorf("-warm requires -history <path>"))
+	case *resume != "" && *history == "":
+		return fail(fmt.Errorf("-resume requires -history <path>"))
+	case *continuous && *history != "":
+		return fail(fmt.Errorf("-continuous is incompatible with -warm/-resume/-history (continuous runs warm-start internally and are not replayable)"))
+	case *resume == "" && (*budget == 0 || *pool == 0):
+		// A spec's zero means "the default"; the flags already spell their
+		// defaults, so an explicit 0 here is a mistake, not a request for
+		// 50 runs over 2000 configurations.
+		return fail(fmt.Errorf("-budget and -pool must be at least 1"))
 	}
-	var resumed *histdb.RunRecord
-	if *resume != "" {
-		if db == nil {
-			return fail(fmt.Errorf("-resume requires -history <path>"))
-		}
-		rec, ok := db.Get(*resume)
-		if !ok {
-			return fail(fmt.Errorf("resume: run %q not found in %s", *resume, *history))
-		}
-		if rec.State == histdb.StateDone {
-			return fail(fmt.Errorf("resume: run %s already completed; its result is recorded in %s", *resume, *history))
-		}
-		n := rec.Spec.Normalize()
-		if n.Mode == histdb.ModeContinuous {
-			// A store shared with ceal-serve can hold continuous runs; the
-			// platform history they observed cannot be replayed from a
-			// measurement checkpoint (the service refuses them the same way).
-			return fail(fmt.Errorf("resume: run %s is a continuous-mode run, which is not resumable; start a fresh one with -continuous", *resume))
-		}
-		resumed = rec
-		// The stored spec overrides the flags: a resume replays the
-		// original run, it does not start a new one.
-		*wfName, *objName, *algName = n.Benchmark, n.Objective, n.Algorithm
-		*budget, *pool, *seed = n.Budget, n.Pool, n.Seed
+	spec := histdb.Spec{
+		Benchmark: *wfName, Algorithm: *algName, Objective: *objName,
+		Budget: *budget, Pool: *pool, Seed: *seed, Workers: *workers, WarmStart: *warm,
+	}
+	if *continuous {
+		spec.Mode, spec.Drift, spec.Probes = histdb.ModeContinuous, *driftName, *probes
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -139,158 +134,150 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer cancel()
 	}
 
-	m := ceal.DefaultMachine()
-	b, err := ceal.BenchmarkByName(m, strings.ToUpper(*wfName))
+	emit, closeTrace, err := openTrace(*trace, stdout)
 	if err != nil {
 		return fail(err)
 	}
-	obj, expert, unit := ceal.CompTime, b.ExpertComp, "core-hours"
-	switch *objName {
-	case "comp":
-	case "exec":
-		obj, expert, unit = ceal.ExecTime, b.ExpertExec, "s"
-	case "energy":
-		// The paper's expert recommendation targets computer time; it doubles
-		// as the energy reference point (§4 lists energy as an aggregate
-		// metric over the same allocation).
-		obj, expert, unit = ceal.Energy, b.ExpertComp, "kJ"
+	// One manager worker over the history DB (or a throwaway in-memory
+	// store) is the whole run engine: the same one ceal-serve serves.
+	opts := service.Options{Workers: 1}
+	if *history != "" {
+		db, err := histdb.OpenFileStore(*history)
+		if err != nil {
+			closeTrace(false)
+			return fail(err)
+		}
+		opts.Store = db
+	}
+	m := service.NewManager(opts)
+	rec, fresh, err := drive(ctx, m, spec, *resume, emit, stdout)
+	if cerr := m.Shutdown(context.Background()); err == nil && cerr != nil {
+		err = fmt.Errorf("history close: %w", cerr)
+	}
+	if terr := closeTrace(err == nil); err == nil {
+		err = terr
+	}
+	switch {
+	case err != nil:
+		if rec != nil && *history != "" {
+			fmt.Fprintf(stderr, "ceal-tune: run %s checkpointed with %d measurements; resume with -history %s -resume %s\n",
+				rec.ID, len(rec.Checkpoint), *history, rec.ID)
+		}
+		return fail(err)
+	case !fresh:
+		fmt.Fprintf(stdout, "run %s in %s already answers this spec; reporting the recorded result\n", rec.ID, *history)
+	case *history != "":
+		fmt.Fprintf(stdout, "recorded run %s in %s\n", rec.ID, *history)
+	}
+	if err := report(stdout, rec, *history); err != nil {
+		return fail(err)
+	}
+	return 0
+}
+
+// drive takes one run through the manager the way the HTTP handlers do —
+// Submit or Resume, follow the event stream into emit, Wait, Get — and
+// returns its terminal record; fresh is false when the store already held
+// a completed run of the spec. A signal or the -timeout (ctx) cancels the
+// run through the manager.
+func drive(ctx context.Context, m *service.Manager, spec histdb.Spec, resumeID string,
+	emit func(json.RawMessage) error, stdout io.Writer) (rec *histdb.RunRecord, fresh bool, err error) {
+	if resumeID != "" {
+		// The stored spec overrides the flags: a resume replays the
+		// original run, it does not start a new one.
+		if rec, err = m.Resume(resumeID); err != nil {
+			return nil, false, fmt.Errorf("resume %s: %w", resumeID, err)
+		}
+		fresh = true
+		fmt.Fprintf(stdout, "resuming run %s from %d checkpointed measurements\n", rec.ID, len(rec.Checkpoint))
+	} else if rec, fresh, err = m.Submit(spec); err != nil {
+		return nil, false, err
+	}
+	if n := rec.Spec.Normalize(); fresh {
+		obj, _ := live.ParseObjective(n.Objective) // admission checked the name
+		if n.Mode == histdb.ModeContinuous {
+			fmt.Fprintf(stdout, "continuous tuning %s for %s with %s under drift profile %q (budget %d runs, pool %d, %d probes, %d workers)\n",
+				n.Benchmark, obj, n.Algorithm, n.Drift, n.Budget, n.Pool, n.Probes, n.Workers)
+		} else {
+			fmt.Fprintf(stdout, "tuning %s for %s with %s (budget %d runs, pool %d, %d workers)\n",
+				n.Benchmark, obj, n.Algorithm, n.Budget, n.Pool, n.Workers)
+		}
+	}
+
+	// ctx only ever cancels the run (an error from Cancel just means it
+	// finished first); the calls below wait for the terminal record
+	// regardless. The stream ends when the run reaches a terminal state; a
+	// sink failure ends it early and surfaces when the trace is closed.
+	stop := context.AfterFunc(ctx, func() { _, _ = m.Cancel(rec.ID) })
+	defer stop()
+	_ = m.Stream(context.Background(), rec.ID, true, emit)
+	_ = m.Wait(context.Background(), rec.ID)
+	rec, _ = m.Get(rec.ID)
+	switch {
+	case rec.State == histdb.StateDone:
+		return rec, fresh, nil
+	case ctx.Err() != nil:
+		return rec, fresh, ctx.Err()
 	default:
-		return fail(fmt.Errorf("unknown objective %q (want exec, comp, or energy)", *objName))
+		return rec, fresh, errors.New(rec.Error)
 	}
-	alg, err := ceal.AlgorithmByName(*algName)
+}
+
+// report prints a completed run from its record: what warm start it had,
+// then the continuous summary or the recommendation against the expert
+// configuration.
+func report(stdout io.Writer, rec *histdb.RunRecord, history string) error {
+	n := rec.Spec.Normalize()
+	ev, err := live.NewEvaluator(n.Benchmark, n.Objective, n.Seed)
 	if err != nil {
-		return fail(err)
+		return err
 	}
-
-	if *continuous {
-		if *warm || *resume != "" || *history != "" {
-			return fail(fmt.Errorf("-continuous is incompatible with -warm/-resume/-history (continuous runs warm-start internally and are not replayable)"))
-		}
-		return runContinuous(ctx, stdout, b, obj, alg, *driftName,
-			*budget, *pool, *probes, *seed, *workers, *trace, fail)
-	}
-
-	fmt.Fprintf(stdout, "tuning %s for %s with %s (budget %d runs, pool %d, %d workers)\n",
-		b.Name, obj, alg.Name(), *budget, *pool, *workers)
-	problem := ceal.NewProblem(b, obj, *pool, *seed)
-	problem.Runner = dispatch.NewRunner(*workers)
-	problem.Workers = *workers
-	problem.Ctx = ctx
-
-	spec := histdb.Spec{
-		Benchmark: b.Name, Algorithm: strings.ToLower(*algName), Objective: *objName,
-		Budget: *budget, Pool: *pool, Seed: *seed, Workers: *workers, WarmStart: *warm,
-	}.Normalize()
-	if resumed != nil {
-		// Replay the interrupted run: identical warm inputs (pinned in the
-		// record) plus the persisted measurement checkpoint served from
-		// cache — the deterministic algorithm re-derives the same result
-		// without re-measuring.
-		problem.Warm = resumed.Warm
-		if len(resumed.Checkpoint) > 0 {
-			problem.Collector().Preload(resumed.Checkpoint)
-		}
-		fmt.Fprintf(stdout, "resuming run %s from %d checkpointed measurements\n", resumed.ID, len(resumed.Checkpoint))
-	} else if *warm {
-		if w := ceal.WarmFromHistory(db, spec); w != nil {
-			problem.Warm = w
+	if n.WarmStart {
+		if w := rec.Warm; w.Empty() {
+			fmt.Fprintf(stdout, "warm start: no applicable prior runs in %s; started cold\n", history)
+		} else {
 			nComp := 0
 			for _, cs := range w.ComponentSamples {
 				nComp += len(cs)
 			}
 			fmt.Fprintf(stdout, "warm start: %d prior workflow samples, %d prior component samples from %s\n",
-				len(w.Samples), nComp, *history)
-		} else {
-			fmt.Fprintf(stdout, "warm start: no applicable prior runs in %s; starting cold\n", *history)
+				len(w.Samples), nComp, history)
 		}
+	}
+	elapsed := rec.FinishedAt.Sub(rec.StartedAt).Round(time.Millisecond)
+
+	if c := rec.Continuous; c != nil {
+		// Initial lives in memory only; -continuous never runs over a
+		// FileStore, so the record still has it.
+		fmt.Fprintf(stdout, "\ninitial incumbent %v\n", c.Initial.Best)
+		fmt.Fprintf(stdout, "monitoring: %d probes to virtual time %.1f units, %d retunes, %d switchbacks\n",
+			c.Probes, c.FinalClock, c.Retunes, c.Switchbacks)
+		for i, ep := range c.Epochs {
+			fmt.Fprintf(stdout, "  epoch %d: drift confirmed at probe %d, reconverged after %.1f units (%d measurements, value %.4g)\n",
+				i+1, ep.Probe, ep.ClockEnd-ep.ClockStart, ep.Measurements, ep.BestValue)
+		}
+		fmt.Fprintf(stdout, "cumulative regret %.4g (metric x time units), re-exploration cost %.4g\n",
+			c.CumulativeRegret, c.ReexploreCost)
+		fmt.Fprintf(stdout, "final incumbent %v\n", c.Incumbent)
+		fmt.Fprintf(stdout, "  measured %s at final condition: %.4g\n", ev.Obj, c.IncumbentValue)
+		fmt.Fprintf(stdout, "  wall time %v\n", elapsed)
+		return nil
 	}
 
-	// With a history DB attached, the run is recorded through its lifecycle
-	// and checkpointed after every measured batch, so even a hard kill
-	// leaves a resumable record behind.
-	var rec *histdb.RunRecord
-	if db != nil {
-		if resumed != nil {
-			rec = resumed
-			rec.State = histdb.StateRunning
-			rec.Error = ""
-			rec.Result = nil
-			rec.Trace = nil
-			rec.StartedAt = time.Now()
-			rec.FinishedAt = time.Time{}
-		} else {
-			names := make([]string, len(b.Components))
-			for i, c := range b.Components {
-				names[i] = c.Name
-			}
-			now := time.Now()
-			rec = &histdb.RunRecord{
-				ID: histdb.NextID(db), Spec: spec, SpecKey: spec.Key(),
-				State: histdb.StateRunning, Components: names,
-				SubmittedAt: now, StartedAt: now,
-				Warm: problem.Warm,
-			}
-		}
-		if err := db.Save(rec); err != nil {
-			return fail(err)
-		}
-		problem.Observer = ceal.MultiObserver(problem.Observer,
-			&checkpointer{db: db, rec: rec, col: problem.Collector()})
-	}
-	traceObs, closeTrace, err := openTrace(*trace, stdout)
+	// Measure the recommendation and the expert configuration with the
+	// spec's own evaluator: noise is keyed to the configuration, so the
+	// recommendation reproduces the value the run saw.
+	res, expert, unit := rec.Result, ev.Bench.Expert(ev.Obj), ev.Obj.Unit()
+	tuned, err := ev.MeasureWorkflow(res.Best)
 	if err != nil {
-		return fail(err)
+		return err
 	}
-	problem.Observer = ceal.MultiObserver(problem.Observer, traceObs)
-	start := time.Now()
-	res, err := alg.Tune(problem, *budget)
+	expertVal, err := ev.MeasureWorkflow(expert)
 	if err != nil {
-		closeTrace(false)
-		if rec != nil {
-			rec.State = histdb.StateFailed
-			if ctx.Err() != nil {
-				rec.State = histdb.StateCancelled
-			}
-			rec.Error = err.Error()
-			rec.FinishedAt = time.Now()
-			rec.Checkpoint = problem.Collector().Snapshot()
-			if serr := db.Save(rec); serr == nil {
-				fmt.Fprintf(stderr, "ceal-tune: run %s checkpointed with %d measurements; resume with -history %s -resume %s\n",
-					rec.ID, len(rec.Checkpoint), *history, rec.ID)
-			}
-			db.Close()
-		}
-		return fail(err)
+		return err
 	}
-	if rec != nil {
-		rec.State = histdb.StateDone
-		rec.Result = res
-		rec.Checkpoint = nil
-		rec.FinishedAt = time.Now()
-		if err := db.Save(rec); err != nil {
-			return fail(fmt.Errorf("history save: %w", err))
-		}
-		if err := db.Close(); err != nil {
-			return fail(fmt.Errorf("history close: %w", err))
-		}
-		fmt.Fprintf(stdout, "recorded run %s in %s\n", rec.ID, *history)
-	}
-	elapsed := time.Since(start)
-	if err := closeTrace(true); err != nil {
-		return fail(err)
-	}
-
-	// Verify the recommendation and the expert config through the problem's
-	// collector: res.Best was already measured during tuning, so it comes
-	// back as a cache hit rather than a fresh simulation.
-	verify, err := problem.Collector().MeasureWorkflows(ctx, []ceal.Config{res.Best, expert})
-	if err != nil {
-		return fail(err)
-	}
-	tuned, expertVal := verify[0].Value, verify[1].Value
-
 	fmt.Fprintf(stdout, "\nrecommended configuration %v\n", res.Best)
-	fmt.Fprintf(stdout, "  measured %s: %.4g %s\n", obj, tuned, unit)
+	fmt.Fprintf(stdout, "  measured %s: %.4g %s\n", ev.Obj, tuned, unit)
 	fmt.Fprintf(stdout, "  expert config %v: %.4g %s\n", expert, expertVal, unit)
 	if expertVal > tuned {
 		fmt.Fprintf(stdout, "  improvement over expert: %.1f%%\n", (1-tuned/expertVal)*100)
@@ -299,112 +286,55 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		fmt.Fprintf(stdout, "  no improvement over the expert configuration\n")
 	}
-	fmt.Fprintf(stdout, "  workflow samples measured: %d (tuner wall time %v)\n", len(res.Samples), elapsed.Round(time.Millisecond))
-	fmt.Fprintf(stdout, "  collector: %s\n", problem.Collector().Stats())
+	fmt.Fprintf(stdout, "  workflow samples measured: %d (tuner wall time %v)\n", len(res.Samples), elapsed)
+	fmt.Fprintf(stdout, "  collector: %s\n", rec.Collector)
 	if res.SwitchIteration >= 0 {
 		fmt.Fprintf(stdout, "  CEAL switched to the high-fidelity model at iteration %d\n", res.SwitchIteration)
 	}
-	printImportance(stdout, problem.FeatureNames, res.Importance)
-	return 0
+	printImportance(stdout, ev.Bench.FeatureNames(), res.Importance)
+	return nil
 }
 
-// runContinuous drives the online-retuning mode: tune once through the
-// drift environment, then monitor the incumbent at a probe cadence and
-// retune (bounded, warm-started) on confirmed platform drift.
-func runContinuous(ctx context.Context, stdout io.Writer, b *ceal.Benchmark, obj ceal.Objective,
-	alg ceal.Algorithm, profile string, budget, pool, probes int, seed uint64, workers int,
-	trace string, fail func(error) int) int {
-	c, err := ceal.NewContinuous(b, obj, pool, seed, profile, workers)
-	if err != nil {
-		return fail(err)
-	}
-	c.Algorithm = alg
-	c.Ctx = ctx
-	c.Opts.Probes = probes
-
-	traceObs, closeTrace, err := openTrace(trace, stdout)
-	if err != nil {
-		return fail(err)
-	}
-	c.Observer = traceObs
-
-	fmt.Fprintf(stdout, "continuous tuning %s for %s with %s under drift profile %q (budget %d runs, pool %d, %d probes, %d workers)\n",
-		b.Name, obj, alg.Name(), profile, budget, pool, probes, workers)
-	start := time.Now()
-	res, err := c.Run(budget)
-	if err != nil {
-		closeTrace(false)
-		return fail(err)
-	}
-	if err := closeTrace(true); err != nil {
-		return fail(err)
-	}
-
-	fmt.Fprintf(stdout, "\ninitial incumbent %v\n", res.Initial.Best)
-	fmt.Fprintf(stdout, "monitoring: %d probes to virtual time %.1f units, %d retunes, %d switchbacks\n",
-		res.Probes, res.FinalClock, res.Retunes, res.Switchbacks)
-	for i, ep := range res.Epochs {
-		fmt.Fprintf(stdout, "  epoch %d: drift confirmed at probe %d, reconverged after %.1f units (%d measurements, value %.4g)\n",
-			i+1, ep.Probe, ep.ClockEnd-ep.ClockStart, ep.Measurements, ep.BestValue)
-	}
-	fmt.Fprintf(stdout, "cumulative regret %.4g (metric x time units), re-exploration cost %.4g\n",
-		res.CumulativeRegret, res.ReexploreCost)
-	fmt.Fprintf(stdout, "final incumbent %v\n", res.Incumbent)
-	fmt.Fprintf(stdout, "  measured %s at final condition: %.4g\n", obj, res.IncumbentValue)
-	fmt.Fprintf(stdout, "  wall time %v\n", time.Since(start).Round(time.Millisecond))
-	return 0
-}
-
-// openTrace opens the -trace sink: a JSONL event writer over stdout ("-")
-// or a fresh file; an empty path yields a nil observer. done closes the
-// sink once the run is over; after a successful run (ok) it also fails on a
-// broken sink (full disk, closed pipe) — a silently truncated trace is
-// worse than no trace — and announces the file.
-func openTrace(path string, stdout io.Writer) (obs ceal.Observer, done func(ok bool) error, err error) {
-	if path == "" {
-		return nil, func(bool) error { return nil }, nil
-	}
-	w := stdout
+// openTrace opens the -trace sink: stdout ("-") or a fresh file; an empty
+// path discards. emit writes one trace line. done closes the sink once the
+// run is over; after a successful run (ok) it also fails on a broken sink
+// (full disk, closed pipe) — a silently truncated trace is worse than no
+// trace — and announces the file.
+func openTrace(path string, stdout io.Writer) (emit func(json.RawMessage) error, done func(ok bool) error, err error) {
+	w := io.Discard
 	var file *os.File
-	if path != "-" {
+	switch path {
+	case "":
+	case "-":
+		w = stdout
+	default:
 		if file, err = os.Create(path); err != nil {
 			return nil, nil, err
 		}
 		w = file
 	}
-	sink := ceal.NewJSONLWriter(w)
-	return sink, func(ok bool) error {
+	var werr error
+	emit = func(line json.RawMessage) error {
+		_, werr = fmt.Fprintf(w, "%s\n", line)
+		return werr
+	}
+	done = func(ok bool) error {
 		var cerr error
 		if file != nil {
 			cerr = file.Close()
 		}
 		switch {
 		case !ok:
-		case sink.Err() != nil:
-			return fmt.Errorf("trace write: %w", sink.Err())
+		case werr != nil:
+			return fmt.Errorf("trace write: %w", werr)
 		case cerr != nil:
 			return fmt.Errorf("trace close: %w", cerr)
 		case file != nil:
 			fmt.Fprintf(stdout, "run-event trace written to %s\n", path)
 		}
 		return nil
-	}, nil
-}
-
-// checkpointer persists the run's measurement progress into the history DB
-// after every measured batch, keeping the record resumable across crashes.
-type checkpointer struct {
-	db  *histdb.FileStore
-	rec *histdb.RunRecord
-	col *ceal.Collector
-}
-
-func (c *checkpointer) OnEvent(e ceal.Event) {
-	if _, ok := e.(*events.BatchMeasured); !ok {
-		return
 	}
-	c.rec.Checkpoint = c.col.Snapshot()
-	_ = c.db.Save(c.rec)
+	return emit, done, nil
 }
 
 // printImportance lists the surrogate's three most influential features.

@@ -2,12 +2,20 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"ceal/internal/histdb"
+	"ceal/internal/service"
+	"ceal/internal/tuner"
+	"ceal/internal/tuner/events"
 )
 
 func TestRunFlagAndNameErrors(t *testing.T) {
@@ -23,6 +31,12 @@ func TestRunFlagAndNameErrors(t *testing.T) {
 		{"bad objective", []string{"-objective", "sideways"}, 1, "sideways"},
 		{"bad algorithm", []string{"-algorithm", "gradient-descent"}, 1, "gradient-descent"},
 		{"bad trace path", []string{"-trace", filepath.Join("no", "such", "dir", "t.jsonl")}, 1, "no such file"},
+		// Out-of-range numbers are admission's to refuse (they used to reach
+		// makeslice and die with a stack trace).
+		{"negative pool", []string{"-pool", "-5"}, 1, "pool size -5 outside"},
+		{"zero pool", []string{"-pool", "0"}, 1, "must be at least 1"},
+		{"negative budget", []string{"-algorithm", "rs", "-budget", "-3"}, 1, "budget -3 outside"},
+		{"absurd workers", []string{"-workers", "5000"}, 1, "workers 5000 above"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -32,6 +46,12 @@ func TestRunFlagAndNameErrors(t *testing.T) {
 			}
 			if tc.err != "" && !strings.Contains(errOut.String(), tc.err) {
 				t.Fatalf("stderr = %q, want substring %q", errOut.String(), tc.err)
+			}
+			if tc.code == 1 {
+				msg := errOut.String()
+				if !strings.HasPrefix(msg, "ceal-tune: ") || strings.Count(msg, "\n") != 1 || strings.Contains(msg, "goroutine") {
+					t.Fatalf("stderr is not one ceal-tune: line: %q", msg)
+				}
 			}
 		})
 	}
@@ -96,6 +116,101 @@ func TestRunHistoryRecordsAndWarm(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "recorded run run-000002") {
 		t.Fatalf("second run not recorded:\n%s", out.String())
+	}
+}
+
+// TestRunHistoryRecordIsTheDaemons: a run recorded by the CLI is the record
+// ceal-serve would have written — trace and collector stats included — so a
+// daemon opened on the same directory replays its events byte-for-byte as
+// the CLI's -trace file and serves the spec from the store.
+func TestRunHistoryRecordIsTheDaemons(t *testing.T) {
+	dir := t.TempDir()
+	dbPath, tracePath := filepath.Join(dir, "history"), filepath.Join(dir, "t.jsonl")
+	var out, errOut bytes.Buffer
+	args := []string{"-workflow", "LV", "-algorithm", "ceal", "-budget", "12", "-pool", "60", "-history", dbPath, "-trace", tracePath}
+	if code := run(args, &out, &errOut); code != 0 {
+		t.Fatalf("exit = %d, stderr: %s", code, errOut.String())
+	}
+	trace, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	db, err := histdb.OpenFileStore(dbPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := service.NewManager(service.Options{Workers: 1, Store: db})
+	ts := httptest.NewServer(service.NewServer(m))
+	defer func() {
+		ts.Close()
+		_ = m.Shutdown(context.Background())
+	}()
+
+	resp, err := http.Get(ts.URL + "/v1/runs/run-000001/events?follow=false")
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both are the hub's retained lines, so not even duration_ns differs.
+	if len(trace) == 0 || !bytes.Equal(replay, trace) {
+		t.Fatalf("daemon replay differs from the CLI's -trace file:\nreplay %s\n trace %s", replay, trace)
+	}
+
+	rec, ok := m.Get("run-000001")
+	if !ok || rec.Collector.Misses == 0 || rec.Result == nil {
+		t.Fatalf("stored record lacks collector stats or result: %+v", rec)
+	}
+
+	body := `{"benchmark":"LV","algorithm":"ceal","budget":12,"pool":60}`
+	resp, err = http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var sub struct {
+		ID      string `json:"id"`
+		Deduped bool   `json:"deduped"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !sub.Deduped || sub.ID != "run-000001" {
+		t.Fatalf("resubmission to the daemon: HTTP %d, %+v; want 200, deduped, the CLI's run", resp.StatusCode, sub)
+	}
+}
+
+// TestRunHistoryServesRecordedSpec: the CLI dedupes like the daemon — a cold
+// spec the history already answers is reported from the store, not re-run.
+func TestRunHistoryServesRecordedSpec(t *testing.T) {
+	dbPath := filepath.Join(t.TempDir(), "history")
+	args := []string{"-workflow", "LV", "-algorithm", "rs", "-budget", "5", "-pool", "30", "-history", dbPath}
+	var first, second, errOut bytes.Buffer
+	if code := run(args, &first, &errOut); code != 0 {
+		t.Fatalf("exit = %d, stderr: %s", code, errOut.String())
+	}
+	if code := run(args, &second, &errOut); code != 0 {
+		t.Fatalf("second exit = %d, stderr: %s", code, errOut.String())
+	}
+	if !strings.Contains(second.String(), "run run-000001 in "+dbPath+" already answers this spec") ||
+		strings.Contains(second.String(), "run-000002") {
+		t.Fatalf("second invocation did not report the stored run:\n%s", second.String())
+	}
+	report := func(s string) string { return s[strings.Index(s, "recommended configuration"):] }
+	if report(first.String()) != report(second.String()) {
+		t.Fatalf("stored report differs from the original:\n%s\nvs\n%s", first.String(), second.String())
+	}
+	db, err := histdb.OpenFileStore(dbPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if n := len(db.List()); n != 1 {
+		t.Fatalf("history holds %d runs, want 1", n)
 	}
 }
 
@@ -166,7 +281,7 @@ func TestRunResumeErrors(t *testing.T) {
 	if code := run(args, &out, &errOut); code != 1 {
 		t.Fatalf("unknown-ID exit = %d, want 1", code)
 	}
-	if !strings.Contains(errOut.String(), `run "run-424242" not found`) {
+	if !strings.Contains(errOut.String(), "resume run-424242: service: run not found") {
 		t.Fatalf("stderr = %q", errOut.String())
 	}
 
@@ -181,8 +296,88 @@ func TestRunResumeErrors(t *testing.T) {
 	if code := run(args, &out, &errOut); code != 1 {
 		t.Fatalf("done-run resume exit = %d, want 1", code)
 	}
-	if !strings.Contains(errOut.String(), "run run-000001 already completed") {
+	if !strings.Contains(errOut.String(), "run not resumable: it already completed") {
 		t.Fatalf("stderr = %q", errOut.String())
+	}
+}
+
+// cancelAfterFirstBatch interrupts its run the way a signal would, as soon
+// as one measured batch is in the collector cache.
+type cancelAfterFirstBatch struct{ cancel func() }
+
+func (c *cancelAfterFirstBatch) OnEvent(e events.Event) {
+	if _, ok := e.(*events.BatchMeasured); ok {
+		c.cancel()
+	}
+}
+
+// TestRunResumeReplaysInterruptedRun: -resume drives Manager.Resume, so an
+// interrupted record — whoever wrote it — finishes with the Result the
+// uninterrupted run produces.
+func TestRunResumeReplaysInterruptedRun(t *testing.T) {
+	args := []string{"-workflow", "LV", "-algorithm", "al", "-budget", "40", "-pool", "100", "-seed", "11"}
+	result := func(dbPath string) []byte {
+		t.Helper()
+		db, err := histdb.OpenFileStore(dbPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		rec, ok := db.Get("run-000001")
+		if !ok || rec.State != histdb.StateDone || rec.Checkpoint != nil {
+			t.Fatalf("run-000001 in %s: %+v", dbPath, rec)
+		}
+		data, err := json.Marshal(rec.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+
+	var out, errOut bytes.Buffer
+	basePath := filepath.Join(t.TempDir(), "base")
+	if code := run(append(args, "-history", basePath), &out, &errOut); code != 0 {
+		t.Fatalf("baseline exit = %d, stderr: %s", code, errOut.String())
+	}
+
+	// The same spec, cancelled after its first measured batch.
+	dbPath := filepath.Join(t.TempDir(), "interrupted")
+	db, err := histdb.OpenFileStore(dbPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m *service.Manager
+	m = service.NewManager(service.Options{Workers: 1, Store: db,
+		Build: func(s service.JobSpec) (*tuner.Problem, tuner.Algorithm, error) {
+			p, alg, err := service.BuildSpec(s)
+			if err == nil {
+				p.Observer = &cancelAfterFirstBatch{cancel: func() { _, _ = m.Cancel("run-000001") }}
+			}
+			return p, alg, err
+		}})
+	spec := histdb.Spec{Benchmark: "LV", Algorithm: "al", Budget: 40, Pool: 100, Seed: 11}
+	if _, _, err := m.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Wait(context.Background(), "run-000001"); err != nil {
+		t.Fatal(err)
+	}
+	if rec, _ := m.Get("run-000001"); rec.State != histdb.StateCancelled || len(rec.Checkpoint) == 0 {
+		t.Fatalf("interrupted record: state %s, %d checkpointed", rec.State, len(rec.Checkpoint))
+	}
+	if err := m.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	out.Reset()
+	if code := run([]string{"-history", dbPath, "-resume", "run-000001"}, &out, &errOut); code != 0 {
+		t.Fatalf("resume exit = %d, stderr: %s", code, errOut.String())
+	}
+	if !strings.Contains(out.String(), "resuming run run-000001 from ") || !strings.Contains(out.String(), "recommended configuration") {
+		t.Fatalf("resume output:\n%s", out.String())
+	}
+	if want, got := result(basePath), result(dbPath); !bytes.Equal(want, got) {
+		t.Fatalf("resumed result differs from the uninterrupted run:\nwant %s\ngot  %s", want, got)
 	}
 }
 
@@ -209,7 +404,7 @@ func TestRunResumeRefusesContinuousRecord(t *testing.T) {
 	if code := run([]string{"-history", dbPath, "-resume", "run-000001"}, &out, &errOut); code != 1 {
 		t.Fatalf("continuous-record resume exit = %d, want 1 (stdout %q)", code, out.String())
 	}
-	if !strings.Contains(errOut.String(), "continuous-mode run, which is not resumable") {
+	if !strings.Contains(errOut.String(), "run not resumable: it is a continuous-mode run") {
 		t.Fatalf("stderr = %q", errOut.String())
 	}
 	if strings.Contains(out.String(), "tuning LV") {

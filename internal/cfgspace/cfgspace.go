@@ -125,8 +125,12 @@ func (s *Space) Sample(rng *rand.Rand) Config {
 	panic(fmt.Sprintf("cfgspace: no valid configuration found after %d attempts", maxSampleAttempts))
 }
 
-// SampleN draws n valid configurations, distinct by Key, uniformly at random.
+// SampleN draws n valid configurations, distinct by Key, uniformly at
+// random; nil for n <= 0.
 func (s *Space) SampleN(rng *rand.Rand, n int) []Config {
+	if n <= 0 {
+		return nil
+	}
 	seen := make(map[string]bool, n)
 	out := make([]Config, 0, n)
 	for len(out) < n {

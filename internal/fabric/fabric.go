@@ -56,9 +56,6 @@ func (l *Link) Name() string { return l.name }
 // Capacity returns the aggregate link capacity in bytes/second.
 func (l *Link) Capacity() float64 { return l.capacity }
 
-// ActiveFlows returns the number of flows currently in progress.
-func (l *Link) ActiveFlows() int { return len(l.flows) }
-
 // BytesCarried returns the total bytes fully delivered over the link.
 func (l *Link) BytesCarried() float64 { return l.carried }
 

@@ -372,9 +372,6 @@ func (s *FileStore) Close() error {
 	return err
 }
 
-// Path returns the store's directory path.
-func (s *FileStore) Path() string { return s.dir }
-
 // Compact rewrites the store to its current state — one record per run —
 // as a single snapshot segment numbered above every existing one, then
 // deletes the older segments. The snapshot is written to a temp file,

@@ -178,35 +178,18 @@ func contains(names []string, want string) bool {
 	return false
 }
 
-// MaxSeq returns the highest numeric suffix among "run-%d" IDs in the
-// store — the resume point for run-ID counters.
-func MaxSeq(s Store) int {
-	max := 0
-	for _, rec := range s.List() {
-		var n int
-		if _, err := fmt.Sscanf(rec.ID, "run-%d", &n); err == nil && n > max {
-			max = n
-		}
-	}
-	return max
-}
-
-// NextID returns the next unused "run-%06d" ID.
-func NextID(s Store) string {
-	return fmt.Sprintf("run-%06d", MaxSeq(s)+1)
-}
-
 // MaxSeqFor returns the highest sequence number among run IDs minted by
 // the given replica — "run-<replica>-%d" IDs, or plain "run-%d" when
-// replica is empty. Replica-prefixed allocation lets multiple ceal-serve
-// replicas share one store without ID collisions: each replica resumes its
-// own counter and never reads another replica's. Replica names should not
-// be purely numeric, or they become ambiguous with unprefixed sequences.
+// replica is empty — the resume point for a manager's run-ID counter.
+// Replica-prefixed allocation lets multiple ceal-serve replicas share one
+// store without ID collisions: each replica resumes its own counter and
+// never reads another replica's. Replica names should not be purely
+// numeric, or they become ambiguous with unprefixed sequences.
 func MaxSeqFor(s Store, replica string) int {
-	if replica == "" {
-		return MaxSeq(s)
+	format := "run-%d"
+	if replica != "" {
+		format = "run-" + replica + "-%d"
 	}
-	format := "run-" + replica + "-%d"
 	max := 0
 	for _, rec := range s.List() {
 		var n int

@@ -143,21 +143,18 @@ func TestSpecKeys(t *testing.T) {
 	}
 }
 
-func TestMaxSeqAndNextID(t *testing.T) {
+func TestMaxSeqFor(t *testing.T) {
 	s := NewMemStore()
-	if got := NextID(s); got != "run-000001" {
-		t.Fatalf("NextID(empty) = %s", got)
+	if got := MaxSeqFor(s, ""); got != 0 {
+		t.Fatalf("MaxSeqFor(empty) = %d", got)
 	}
 	for _, id := range []string{"run-000002", "run-000007", "other-9"} {
 		if err := s.Save(&RunRecord{ID: id}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := MaxSeq(s); got != 7 {
-		t.Fatalf("MaxSeq = %d, want 7", got)
-	}
-	if got := NextID(s); got != "run-000008" {
-		t.Fatalf("NextID = %s", got)
+	if got := MaxSeqFor(s, ""); got != 7 {
+		t.Fatalf("MaxSeqFor = %d, want 7", got)
 	}
 }
 

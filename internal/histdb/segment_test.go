@@ -40,8 +40,8 @@ func TestSegmentRolling(t *testing.T) {
 	if got := len(reopened.List()); got != n {
 		t.Fatalf("reloaded %d records, want %d", got, n)
 	}
-	if got := MaxSeq(reopened); got != n {
-		t.Fatalf("MaxSeq = %d, want %d", got, n)
+	if got := MaxSeqFor(reopened, ""); got != n {
+		t.Fatalf("MaxSeqFor = %d, want %d", got, n)
 	}
 }
 

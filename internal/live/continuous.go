@@ -6,7 +6,6 @@ import (
 	"ceal/internal/cluster"
 	"ceal/internal/dispatch"
 	"ceal/internal/drift"
-	"ceal/internal/paperexp"
 	"ceal/internal/tuner"
 	"ceal/internal/workflow"
 )
@@ -20,7 +19,7 @@ import (
 // noise, the profile's jittered onsets, and the virtual clock all derive
 // from them, at any worker count. The caller picks the Algorithm and may
 // adjust Opts before Run.
-func NewContinuous(b *workflow.Benchmark, obj paperexp.Objective, poolSize int, seed uint64, profileName string, workers int) (*tuner.Continuous, error) {
+func NewContinuous(b *workflow.Benchmark, obj workflow.Objective, poolSize int, seed uint64, profileName string, workers int) (*tuner.Continuous, error) {
 	prof, err := cluster.ParseProfile(profileName, seed)
 	if err != nil {
 		return nil, err
@@ -57,8 +56,16 @@ func NewContinuous(b *workflow.Benchmark, obj paperexp.Objective, poolSize int, 
 		env.Runner = dispatch.NewRunner(workers)
 	}
 	return &tuner.Continuous{
-		NewProblem: newProblem,
-		Env:        env,
-		Opts:       tuner.ContinuousOptions{OracleCfgs: pool},
+		// Epoch problems are born measuring through the environment: a
+		// collector binds its dispatcher when first asked for, and callers
+		// that wrap NewProblem (the service reads each epoch's collector)
+		// ask before the driver gets to install Env itself.
+		NewProblem: func() *tuner.Problem {
+			p := newProblem()
+			p.Dispatcher = env
+			return p
+		},
+		Env:  env,
+		Opts: tuner.ContinuousOptions{OracleCfgs: pool},
 	}, nil
 }

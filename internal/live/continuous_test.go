@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ceal/internal/cluster"
-	"ceal/internal/paperexp"
 	"ceal/internal/tuner"
 	"ceal/internal/workflow"
 )
@@ -20,7 +19,7 @@ func continuousSmall(t *testing.T, wf, profile string, seed uint64, workers, pro
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewContinuous(b, paperexp.CompTime, 80, seed, profile, workers)
+	c, err := NewContinuous(b, workflow.CompTime, 80, seed, profile, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,12 +52,12 @@ func TestConstantProfileMatchesPlainRunByteForByte(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := alg.Tune(NewProblem(b, paperexp.CompTime, 80, 7), 14)
+		plain, err := alg.Tune(NewProblem(b, workflow.CompTime, 80, 7), 14)
 		if err != nil {
 			t.Fatalf("%s: plain run: %v", name, err)
 		}
 
-		c, err := NewContinuous(b, paperexp.CompTime, 80, 7, "none", 1)
+		c, err := NewContinuous(b, workflow.CompTime, 80, 7, "none", 1)
 		if err != nil {
 			t.Fatal(err)
 		}

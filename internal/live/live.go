@@ -1,10 +1,12 @@
 // Package live assembles runnable auto-tuning problems over the cluster
 // simulator: the "live" measurement path, as opposed to the experiment
-// harness's pre-measured ground truths (internal/paperexp). It owns the
-// benchmark → problem wiring — pool sampling, component metadata, the
-// simulator-backed evaluator — and the by-name registries for algorithms
-// and objectives, so both the public facade (package ceal) and the tuning
-// service (internal/service) build identical problems from the same spec.
+// harness's pre-measured ground truths. It owns the benchmark → problem
+// wiring — pool sampling, component metadata, the simulator-backed
+// evaluator, the continuous driver — and the by-name registries for
+// algorithms and objectives, so the public facade (package ceal), the run
+// engine (internal/service, which ceal-serve and ceal-tune both drive), the
+// worker daemon and the experiment harness (internal/paperexp, which sits
+// above this package) all measure and build from one copy.
 package live
 
 import (
@@ -16,7 +18,7 @@ import (
 
 	"ceal/internal/acm"
 	"ceal/internal/cfgspace"
-	"ceal/internal/paperexp"
+	"ceal/internal/cluster"
 	"ceal/internal/tuner"
 	"ceal/internal/workflow"
 )
@@ -26,8 +28,23 @@ import (
 // of the same configuration are reproducible.
 type Evaluator struct {
 	Bench *workflow.Benchmark
-	Obj   paperexp.Objective
+	Obj   workflow.Objective
 	Seed  uint64
+}
+
+// NewEvaluator resolves a job identity's names — the benchmark on the
+// default machine, the objective — into its evaluator: what a worker, a
+// service replica and the CLI's report all measure one spec with.
+func NewEvaluator(benchmark, objective string, seed uint64) (*Evaluator, error) {
+	b, err := workflow.ByName(cluster.Default(), benchmark)
+	if err != nil {
+		return nil, err
+	}
+	obj, err := ParseObjective(objective)
+	if err != nil {
+		return nil, err
+	}
+	return &Evaluator{Bench: b, Obj: obj, Seed: seed}, nil
 }
 
 // ErrBadItem marks a measurement the evaluator refused because the request
@@ -45,7 +62,7 @@ func (e *Evaluator) MeasureWorkflow(cfg cfgspace.Config) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return e.pick(meas), nil
+	return meas.Value(e.Obj), nil
 }
 
 // MeasureComponent implements collector.Evaluator. Requests can come off
@@ -68,18 +85,7 @@ func (e *Evaluator) MeasureComponent(j int, cfg cfgspace.Config) (float64, error
 	if err != nil {
 		return 0, err
 	}
-	return e.pick(meas), nil
-}
-
-func (e *Evaluator) pick(meas workflow.Measurement) float64 {
-	switch e.Obj {
-	case paperexp.ExecTime:
-		return meas.ExecTime
-	case paperexp.CompTime:
-		return meas.CompTime
-	default:
-		return meas.EnergyKJ
-	}
+	return meas.Value(e.Obj), nil
 }
 
 func (e *Evaluator) noise(kind string, cfg cfgspace.Config) *rand.Rand {
@@ -94,11 +100,29 @@ func (e *Evaluator) noise(kind string, cfg cfgspace.Config) *rand.Rand {
 // running the simulator on demand through the problem's caching collector.
 // Everything is deterministic from seed: the pool, the evaluator's noise
 // and the algorithm's random stream all derive from it.
-func NewProblem(b *workflow.Benchmark, obj paperexp.Objective, poolSize int, seed uint64) *tuner.Problem {
+func NewProblem(b *workflow.Benchmark, obj workflow.Objective, poolSize int, seed uint64) *tuner.Problem {
 	rng := rand.New(rand.NewPCG(seed, 0xcea1))
+	return &tuner.Problem{
+		Name:         fmt.Sprintf("%s/%s", b.Name, obj.Short()),
+		Space:        b.Space,
+		Components:   Components(b),
+		Pool:         b.Space.SampleN(rng, poolSize),
+		Eval:         &Evaluator{Bench: b, Obj: obj, Seed: seed},
+		Combiner:     acm.ForObjective(obj != workflow.ExecTime),
+		Features:     b.Features,
+		FeatureNames: b.FeatureNames(),
+		Seed:         seed,
+	}
+}
+
+// Components wires a benchmark's component applications into the tuner's
+// view of them, in problem order: name, sub-space, the cores a
+// sub-configuration occupies, and (for configurable components) its feature
+// vector. Every Problem over a benchmark — live or served from a
+// pre-measured ground truth — carries exactly this.
+func Components(b *workflow.Benchmark) []tuner.ComponentInfo {
 	comps := make([]tuner.ComponentInfo, len(b.Components))
 	for j, cs := range b.Components {
-		cs := cs
 		comps[j] = tuner.ComponentInfo{Name: cs.Name, Space: cs.Space}
 		comps[j].Cores = func(cfg cfgspace.Config) float64 {
 			return float64(cs.BuildSolo(cfg).Nodes() * b.Machine.CoresPerNode)
@@ -107,17 +131,7 @@ func NewProblem(b *workflow.Benchmark, obj paperexp.Objective, poolSize int, see
 			comps[j].Features = func(cfg cfgspace.Config) []float64 { return cs.Features(b.Machine, cfg) }
 		}
 	}
-	return &tuner.Problem{
-		Name:         fmt.Sprintf("%s/%s", b.Name, obj.Short()),
-		Space:        b.Space,
-		Components:   comps,
-		Pool:         b.Space.SampleN(rng, poolSize),
-		Eval:         &Evaluator{Bench: b, Obj: obj, Seed: seed},
-		Combiner:     acm.ForObjective(obj != paperexp.ExecTime),
-		Features:     b.Features,
-		FeatureNames: b.FeatureNames(),
-		Seed:         seed,
-	}
+	return comps
 }
 
 // AlgorithmByName maps a name (rs, al, geist, alph, ceal, bo, hyboost,
@@ -147,15 +161,11 @@ func AlgorithmByName(name string) (tuner.Algorithm, error) {
 
 // ParseObjective maps a short objective name (exec, comp, energy) to its
 // Objective.
-func ParseObjective(name string) (paperexp.Objective, error) {
-	switch strings.ToLower(name) {
-	case "exec":
-		return paperexp.ExecTime, nil
-	case "comp":
-		return paperexp.CompTime, nil
-	case "energy":
-		return paperexp.Energy, nil
-	default:
-		return 0, fmt.Errorf("ceal: unknown objective %q (want exec, comp, or energy)", name)
+func ParseObjective(name string) (workflow.Objective, error) {
+	for _, obj := range []workflow.Objective{workflow.ExecTime, workflow.CompTime, workflow.Energy} {
+		if strings.EqualFold(name, obj.Short()) {
+			return obj, nil
+		}
 	}
+	return 0, fmt.Errorf("ceal: unknown objective %q (want exec, comp, or energy)", name)
 }

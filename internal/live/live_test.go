@@ -1,6 +1,7 @@
 package live
 
 import (
+	"strings"
 	"testing"
 
 	"ceal/internal/cluster"
@@ -63,5 +64,25 @@ func TestNewProblemDeterministic(t *testing.T) {
 	}
 	if v1 != v2 {
 		t.Fatalf("evaluator not deterministic: %v vs %v", v1, v2)
+	}
+}
+
+// TestNewProblemNonPositivePool: a pool size can arrive off a flag or the
+// wire; zero and negative sizes must reach the tuner's own "needs a pool"
+// error rather than panic while sampling.
+func TestNewProblemNonPositivePool(t *testing.T) {
+	bench, err := workflow.ByName(cluster.Default(), "LV")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{0, -5} {
+		p := NewProblem(bench, workflow.CompTime, size, 1)
+		if len(p.Pool) != 0 {
+			t.Fatalf("pool size %d sampled %d configurations", size, len(p.Pool))
+		}
+		alg, _ := AlgorithmByName("rs")
+		if _, err := alg.Tune(p, 5); err == nil || !strings.Contains(err.Error(), "needs a space, a pool") {
+			t.Fatalf("pool size %d: Tune error %v, want the problem-validation error", size, err)
+		}
 	}
 }

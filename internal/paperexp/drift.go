@@ -2,13 +2,9 @@ package paperexp
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math/rand/v2"
 
-	"ceal/internal/cfgspace"
 	"ceal/internal/cluster"
-	"ceal/internal/dispatch"
-	"ceal/internal/drift"
+	"ceal/internal/live"
 	"ceal/internal/metrics"
 	"ceal/internal/tuner"
 	"ceal/internal/workflow"
@@ -38,98 +34,10 @@ const (
 // BENCH_drift.json) covers.
 func driftProfiles() []string { return []string{"step", "ramp", "periodic", "neighbor", "nodeslow"} }
 
-// simEvaluator measures by running the cluster simulator — the live
-// measurement path, duplicated here because internal/live sits above
-// paperexp in the import order. Noise is keyed to the configuration, so
-// repeated measurements are reproducible (and a constant-load probe of the
-// incumbent reproduces its tuned value exactly).
-type simEvaluator struct {
-	bench *workflow.Benchmark
-	obj   Objective
-	seed  uint64
-}
-
-func (e *simEvaluator) MeasureWorkflow(cfg cfgspace.Config) (float64, error) {
-	w, err := e.bench.Build(cfg)
-	if err != nil {
-		return 0, err
-	}
-	meas, err := w.Measure(e.noise("wf", cfg))
-	if err != nil {
-		return 0, err
-	}
-	return e.pick(meas), nil
-}
-
-func (e *simEvaluator) MeasureComponent(j int, cfg cfgspace.Config) (float64, error) {
-	if j < 0 || j >= len(e.bench.Components) {
-		return 0, fmt.Errorf("paperexp: component index %d out of range", j)
-	}
-	cs := e.bench.Components[j]
-	meas, err := workflow.MeasureSolo(e.bench.Machine, cs.BuildSolo(cfg), cs.InBytesPerStep, e.noise(cs.Name, cfg))
-	if err != nil {
-		return 0, err
-	}
-	return e.pick(meas), nil
-}
-
-func (e *simEvaluator) pick(meas workflow.Measurement) float64 {
-	switch e.obj {
-	case ExecTime:
-		return meas.ExecTime
-	case CompTime:
-		return meas.CompTime
-	default:
-		return meas.EnergyKJ
-	}
-}
-
-func (e *simEvaluator) noise(kind string, cfg cfgspace.Config) *rand.Rand {
-	h := fnv.New64a()
-	h.Write([]byte(kind))
-	h.Write([]byte(cfg.Key()))
-	return rand.New(rand.NewPCG(e.seed, h.Sum64()))
-}
-
-// driftProblem builds a live-simulator tuning problem over a benchmark —
-// the same wiring as live.NewProblem, kept in lockstep by the import-order
-// duplication noted on simEvaluator.
-func driftProblem(b *workflow.Benchmark, obj Objective, poolSize int, seed uint64, workers int) *tuner.Problem {
-	rng := rand.New(rand.NewPCG(seed, 0xcea1))
-	comps := make([]tuner.ComponentInfo, len(b.Components))
-	for j, cs := range b.Components {
-		cs := cs
-		comps[j] = tuner.ComponentInfo{Name: cs.Name, Space: cs.Space}
-		comps[j].Cores = func(cfg cfgspace.Config) float64 {
-			return float64(cs.BuildSolo(cfg).Nodes() * b.Machine.CoresPerNode)
-		}
-		if cs.Space != nil {
-			comps[j].Features = func(cfg cfgspace.Config) []float64 { return cs.Features(b.Machine, cfg) }
-		}
-	}
-	return &tuner.Problem{
-		Name:         fmt.Sprintf("%s/%s/drift", b.Name, obj.Short()),
-		Space:        b.Space,
-		Components:   comps,
-		Pool:         b.Space.SampleN(rng, poolSize),
-		Eval:         &simEvaluator{bench: b, obj: obj, seed: seed},
-		Combiner:     combinerFor(obj),
-		Features:     b.Features,
-		FeatureNames: b.FeatureNames(),
-		Workers:      workers,
-		Seed:         seed,
-	}
-}
-
 // newDriftArm assembles one continuous run (environment + driver) for a
 // workflow under a profile. maxEpochs < 0 is the tune-once arm.
 func newDriftArm(wf, profile string, opt Options, seed uint64, maxEpochs int) (*tuner.Continuous, error) {
-	base := cluster.Default()
-	b, err := workflow.ByName(base, wf)
-	if err != nil {
-		return nil, err
-	}
-	prof, err := cluster.ParseProfile(profile, seed)
+	b, err := workflow.ByName(cluster.Default(), wf)
 	if err != nil {
 		return nil, err
 	}
@@ -137,38 +45,18 @@ func newDriftArm(wf, profile string, opt Options, seed uint64, maxEpochs int) (*
 	if poolSize <= 0 {
 		poolSize = 500
 	}
-	newProblem := func() *tuner.Problem {
-		return driftProblem(b, CompTime, poolSize, seed, opt.Build.Workers)
-	}
-	pool := newProblem().Pool
-	build := func(ld cluster.Load) dispatch.Evaluator {
-		lb, err := workflow.ByName(base.UnderLoad(ld), wf)
-		if err != nil {
-			panic(fmt.Sprintf("paperexp: rebuilding %q under load: %v", wf, err))
-		}
-		return &simEvaluator{bench: lb, obj: CompTime, seed: seed}
-	}
-	env, err := drift.NewEnv(build, prof, pool[0])
+	c, err := live.NewContinuous(b, CompTime, poolSize, seed, profile, opt.Build.Workers)
 	if err != nil {
 		return nil, err
 	}
-	if w := opt.Build.Workers; w > 1 {
-		env.Runner = dispatch.NewRunner(w)
-	}
-	return &tuner.Continuous{
-		Algorithm:  tuner.NewCEAL(),
-		NewProblem: newProblem,
-		Env:        env,
-		Ctx:        opt.Ctx,
-		Opts: tuner.ContinuousOptions{
-			Probes:          driftProbes,
-			Horizon:         driftHorizon,
-			ProbeInterval:   driftInterval,
-			MaxEpochs:       maxEpochs,
-			ReexploreBudget: driftBudget,
-			OracleCfgs:      pool,
-		},
-	}, nil
+	c.Algorithm = tuner.NewCEAL()
+	c.Ctx = opt.Ctx
+	c.Opts.Probes = driftProbes
+	c.Opts.Horizon = driftHorizon
+	c.Opts.ProbeInterval = driftInterval
+	c.Opts.MaxEpochs = maxEpochs
+	c.Opts.ReexploreBudget = driftBudget
+	return c, nil
 }
 
 // runDrift compares tune-once vs online retuning cumulative regret on the

@@ -136,12 +136,8 @@ func runTable2(gts map[string]*GroundTruth, _ Options) ([]*Table, error) {
 			ref := paperTable2[name][obj]
 			t.AddRow(name, obj.Short(), "Best",
 				fmt.Sprintf("%.3g %s", gt.Best(obj), unit), gt.BestConfig(obj).String(), ref[0])
-			expCfg := gt.Bench.ExpertExec
-			if obj == CompTime {
-				expCfg = gt.Bench.ExpertComp
-			}
 			t.AddRow(name, obj.Short(), "Expert",
-				fmt.Sprintf("%.3g %s", gt.Expert(obj), unit), expCfg.String(), ref[1])
+				fmt.Sprintf("%.3g %s", gt.Expert(obj), unit), gt.Bench.Expert(obj).String(), ref[1])
 		}
 	}
 	t.Notes = append(t.Notes, "Best is over the measured random pool; absolute values differ from the paper (simulated substrate)")

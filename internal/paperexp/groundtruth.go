@@ -16,42 +16,15 @@ import (
 	"ceal/internal/workflow"
 )
 
-// Objective selects the optimization metric.
-type Objective int
+// Objective selects the optimization metric (workflow.Objective; the harness
+// names it ~90 times, so the three values keep their short spellings here).
+type Objective = workflow.Objective
 
 const (
-	// ExecTime minimizes wall-clock execution time (seconds).
-	ExecTime Objective = iota
-	// CompTime minimizes consumed computer time (core-hours).
-	CompTime
-	// Energy minimizes consumed energy (kilojoules) — the paper's §4
-	// example of an aggregate metric; an extension beyond its evaluation.
-	Energy
+	ExecTime = workflow.ExecTime
+	CompTime = workflow.CompTime
+	Energy   = workflow.Energy
 )
-
-// String returns the metric name as used in the paper's figures.
-func (o Objective) String() string {
-	switch o {
-	case ExecTime:
-		return "execution time"
-	case CompTime:
-		return "computer time"
-	default:
-		return "energy"
-	}
-}
-
-// Short returns a compact label.
-func (o Objective) Short() string {
-	switch o {
-	case ExecTime:
-		return "exec"
-	case CompTime:
-		return "comp"
-	default:
-		return "energy"
-	}
-}
 
 // GroundTruth is the pre-measured test dataset of one benchmark (§7.1): a
 // pool of workflow configurations with in-situ measurements under both
@@ -86,16 +59,21 @@ type GroundTruth struct {
 	poolIdx map[string]int
 }
 
-// Values returns the pool measurements for an objective.
-func (gt *GroundTruth) Values(obj Objective) []float64 {
+// byObjective picks the one of three per-objective values obj selects.
+func byObjective[T any](obj Objective, exec, comp, energy T) T {
 	switch obj {
 	case ExecTime:
-		return gt.Exec
+		return exec
 	case CompTime:
-		return gt.Comp
+		return comp
 	default:
-		return gt.Energy
+		return energy
 	}
+}
+
+// Values returns the pool measurements for an objective.
+func (gt *GroundTruth) Values(obj Objective) []float64 {
+	return byObjective(obj, gt.Exec, gt.Comp, gt.Energy)
 }
 
 // Best returns the best (lowest) pool value for an objective.
@@ -111,14 +89,7 @@ func (gt *GroundTruth) BestConfig(obj Objective) cfgspace.Config {
 
 // Expert returns the expert configuration's value for an objective.
 func (gt *GroundTruth) Expert(obj Objective) float64 {
-	switch obj {
-	case ExecTime:
-		return gt.ExpertExec
-	case CompTime:
-		return gt.ExpertComp
-	default:
-		return gt.ExpertEnergy
-	}
+	return byObjective(obj, gt.ExpertExec, gt.ExpertComp, gt.ExpertEnergy)
 }
 
 // Lookup returns the pool measurement of cfg under an objective.
@@ -237,15 +208,10 @@ func BuildGroundTruth(b *workflow.Benchmark, opt BuildOptions) (*GroundTruth, er
 		}
 	}
 
-	// Measure the expert configurations (noiseless reference).
-	for _, x := range []struct {
-		cfg  cfgspace.Config
-		into *float64
-	}{
-		{b.ExpertExec, &gt.ExpertExec},
-		{b.ExpertComp, &gt.ExpertComp},
-	} {
-		w, err := b.Build(x.cfg)
+	// Measure the expert configurations (noiseless reference); the
+	// computer-time expert doubles as the energy expert.
+	for _, obj := range []Objective{ExecTime, CompTime} {
+		w, err := b.Build(b.Expert(obj))
 		if err != nil {
 			return nil, fmt.Errorf("paperexp: expert config of %s: %w", b.Name, err)
 		}
@@ -253,11 +219,10 @@ func BuildGroundTruth(b *workflow.Benchmark, opt BuildOptions) (*GroundTruth, er
 		if err != nil {
 			return nil, err
 		}
-		if x.into == &gt.ExpertExec {
-			*x.into = meas.ExecTime
+		if obj == ExecTime {
+			gt.ExpertExec = meas.ExecTime
 		} else {
-			*x.into = meas.CompTime
-			gt.ExpertEnergy = meas.EnergyKJ
+			gt.ExpertComp, gt.ExpertEnergy = meas.CompTime, meas.EnergyKJ
 		}
 	}
 	return gt, nil
@@ -265,24 +230,10 @@ func BuildGroundTruth(b *workflow.Benchmark, opt BuildOptions) (*GroundTruth, er
 
 // componentSamples returns the component measurement sets for an objective.
 func (gt *GroundTruth) componentSamples(obj Objective) [][]tuner.Sample {
-	switch obj {
-	case ExecTime:
-		return gt.CompExec
-	case CompTime:
-		return gt.CompComp
-	default:
-		return gt.CompEnergy
-	}
+	return byObjective(obj, gt.CompExec, gt.CompComp, gt.CompEnergy)
 }
 
 // fixedValues returns the unconfigurable components' solo values.
 func (gt *GroundTruth) fixedValues(obj Objective) []float64 {
-	switch obj {
-	case ExecTime:
-		return gt.FixedExec
-	case CompTime:
-		return gt.FixedComp
-	default:
-		return gt.FixedEnergy
-	}
+	return byObjective(obj, gt.FixedExec, gt.FixedComp, gt.FixedEnergy)
 }

@@ -5,6 +5,7 @@ import (
 
 	"ceal/internal/acm"
 	"ceal/internal/cfgspace"
+	"ceal/internal/live"
 	"ceal/internal/tuner"
 )
 
@@ -44,35 +45,17 @@ func (e *gtEvaluator) MeasureComponent(j int, cfg cfgspace.Config) (float64, err
 	return e.gt.componentSamples(e.obj)[j][i].Value, nil
 }
 
-// combinerFor maps an objective to its white-box combining function: max
-// for execution time (Eqn. 1); the bottleneck-scaled aggregate for the
-// charged-allocation metrics (computer time and energy — allocated nodes
-// draw power and accrue core-hours for the whole makespan).
-func combinerFor(obj Objective) acm.Combiner {
-	return acm.ForObjective(obj != ExecTime)
-}
-
 // Problem builds a tuner.Problem over this ground truth. withHistory
 // exposes the full component measurement sets as free historical data
 // (§7.5); otherwise CEAL must spend budget measuring components, drawing
 // from the pre-measured candidate sets.
 func (gt *GroundTruth) Problem(obj Objective, withHistory bool, seed uint64) *tuner.Problem {
 	b := gt.Bench
-	comps := make([]tuner.ComponentInfo, len(b.Components))
 	compPool := make([][]cfgspace.Config, len(b.Components))
 	history := make([][]tuner.Sample, len(b.Components))
 	for j, cs := range b.Components {
-		cs := cs
-		comps[j] = tuner.ComponentInfo{Name: cs.Name, Space: cs.Space}
-		comps[j].Cores = func(cfg cfgspace.Config) float64 {
-			c := cs.BuildSolo(cfg)
-			return float64(c.Nodes() * b.Machine.CoresPerNode)
-		}
 		if cs.Space == nil {
 			continue
-		}
-		comps[j].Features = func(cfg cfgspace.Config) []float64 {
-			return cs.Features(b.Machine, cfg)
 		}
 		samples := gt.componentSamples(obj)[j]
 		if withHistory {
@@ -86,10 +69,10 @@ func (gt *GroundTruth) Problem(obj Objective, withHistory bool, seed uint64) *tu
 	p := &tuner.Problem{
 		Name:          fmt.Sprintf("%s/%s", b.Name, obj.Short()),
 		Space:         b.Space,
-		Components:    comps,
+		Components:    live.Components(b),
 		Pool:          gt.Pool,
 		Eval:          newGTEvaluator(gt, obj),
-		Combiner:      combinerFor(obj),
+		Combiner:      acm.ForObjective(obj != ExecTime),
 		ComponentPool: compPool,
 		Features:      b.Features,
 		FeatureNames:  b.FeatureNames(),

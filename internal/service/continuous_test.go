@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -8,6 +9,8 @@ import (
 	"testing"
 
 	"ceal/internal/histdb"
+	"ceal/internal/tuner"
+	"ceal/internal/tuner/events"
 )
 
 // contSpec is a continuous-mode spec small enough for test-speed runs whose
@@ -180,5 +183,89 @@ func TestSpecKeyContinuousExtension(t *testing.T) {
 	noisy := JobSpec{Benchmark: "LV", Budget: 12, Pool: 60, Seed: 1, Drift: "step", Probes: 99}
 	if noisy.Key() != tune.Key() {
 		t.Fatalf("tune key unstable under stray drift fields: %q vs %q", noisy.Key(), tune.Key())
+	}
+}
+
+// TestContinuousJobMatchesDirectRun: a served continuous run is the run
+// BuildContinuousSpec's driver produces when called directly. The manager
+// looks at every epoch's collector (stats, live gauges); if it materializes
+// one before the driver installs the drift environment as the epoch's
+// dispatcher, the epoch measures an undrifted platform off the virtual
+// clock and the served result silently diverges from ceal-tune's.
+func TestContinuousJobMatchesDirectRun(t *testing.T) {
+	c, err := BuildContinuousSpec(contSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := c.Run(contSpec().Budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m := NewManager(Options{Workers: 1})
+	defer m.Shutdown(context.Background())
+	rec, _, err := m.Submit(contSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Wait(context.Background(), rec.ID); err != nil {
+		t.Fatal(err)
+	}
+	rec, _ = m.Get(rec.ID)
+	if rec.State != histdb.StateDone {
+		t.Fatalf("state = %s (%s)", rec.State, rec.Error)
+	}
+	got, err := json.Marshal(rec.Continuous)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("served continuous result diverged from the direct run:\n got %s\nwant %s", got, want)
+	}
+	if rec.Collector.Misses == 0 {
+		t.Fatalf("collector stats not folded across epochs: %+v", rec.Collector)
+	}
+}
+
+// TestContinuousJobComposesInjectedObserver: an observer a BuildContinuous
+// hook puts on the driver keeps receiving the continuous-mode events next to
+// the run's hub (runJob composes the same way for tune runs).
+func TestContinuousJobComposesInjectedObserver(t *testing.T) {
+	rec := events.NewRecorder()
+	m := NewManager(Options{Workers: 1, BuildContinuous: func(s JobSpec) (*tuner.Continuous, error) {
+		c, err := BuildContinuousSpec(s)
+		if err == nil {
+			c.Observer = rec
+		}
+		return c, err
+	}})
+	defer m.Shutdown(context.Background())
+	run, _, err := m.Submit(contSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Wait(context.Background(), run.ID); err != nil {
+		t.Fatal(err)
+	}
+	probes := 0
+	for _, e := range rec.Events() {
+		if _, ok := e.(*events.ProbeMeasured); ok {
+			probes++
+		}
+	}
+	if probes == 0 {
+		t.Fatal("injected observer saw no probe_measured events")
+	}
+	run, _ = m.Get(run.ID)
+	trace, err := json.Marshal(run.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(trace), `"event":"probe_measured"`) {
+		t.Fatal("the run's own trace lost its probe_measured events")
 	}
 }

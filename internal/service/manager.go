@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -30,9 +31,10 @@ var (
 	// ErrInFlight rejects resuming a run that is still queued or running
 	// (HTTP 409).
 	ErrInFlight = errors.New("service: run still in flight")
-	// ErrNotResumable rejects resuming a run that completed successfully —
-	// its result is already in the store (HTTP 409).
-	ErrNotResumable = errors.New("service: run already done, nothing to resume")
+	// ErrNotResumable rejects resuming a run that has nothing to replay: it
+	// completed (its result is in the store) or it is a continuous-mode
+	// session (HTTP 409). Resume wraps it with which.
+	ErrNotResumable = errors.New("service: run not resumable")
 )
 
 // Options configures a Manager.
@@ -95,7 +97,8 @@ type Metrics struct {
 
 // job is one live (queued or running) run.
 type job struct {
-	rec    *histdb.RunRecord // guarded by Manager.mu
+	rec    *histdb.RunRecord    // guarded by Manager.mu
+	col    *collector.Collector // the collector measuring right now, if any; guarded by Manager.mu
 	hub    *hub
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -112,9 +115,9 @@ type Manager struct {
 	queue chan *job
 
 	mu       sync.Mutex
-	jobs     map[string]*job                 // live jobs by ID
-	byKey    map[string]*job                 // in-flight dedup by spec key
-	liveCols map[string]*collector.Collector // running jobs' collectors by ID
+	jobs     map[string]*job // live jobs by ID
+	byKey    map[string]*job // in-flight dedup by spec key
+	cache    collector.Stats // finished runs' collector totals
 	seq      int
 	draining bool
 
@@ -126,11 +129,6 @@ type Manager struct {
 	failed, cancelled, deduped   atomic.Uint64
 	resumed, warmStarted         atomic.Uint64
 	running                      atomic.Int64
-	cacheHits, cacheMisses       atomic.Uint64
-	coalesced, retries           atomic.Uint64
-	dispatchRetries              atomic.Uint64
-
-	now func() time.Time
 }
 
 // NewManager starts a manager with opts and its worker pool.
@@ -157,11 +155,9 @@ func NewManager(opts Options) *Manager {
 		queue:      make(chan *job, opts.QueueLimit),
 		jobs:       make(map[string]*job),
 		byKey:      make(map[string]*job),
-		liveCols:   make(map[string]*collector.Collector),
 		seq:        histdb.MaxSeqFor(opts.Store, opts.ReplicaID),
 		rootCtx:    ctx,
 		rootCancel: cancel,
-		now:        time.Now,
 	}
 	for i := 0; i < opts.Workers; i++ {
 		m.wg.Add(1)
@@ -193,7 +189,8 @@ func (m *Manager) refreshStore() {
 // joined onto an identical in-flight run).
 func (m *Manager) Submit(spec JobSpec) (rec *histdb.RunRecord, fresh bool, err error) {
 	spec = spec.Normalize()
-	if err := ValidateSpec(spec); err != nil {
+	bench, err := validate(spec)
+	if err != nil {
 		return nil, false, err
 	}
 	key := spec.Key()
@@ -206,13 +203,7 @@ func (m *Manager) Submit(spec JobSpec) (rec *histdb.RunRecord, fresh bool, err e
 	// On a shared store, another replica may have completed this spec since
 	// we last looked: fold its records in before deciding to re-run.
 	m.refreshStore()
-	// Warm-started specs never dedupe: their result depends on the history
-	// available when they start, so two submissions of the same warm spec
-	// are different jobs. Continuous specs never dedupe either — each is a
-	// distinct monitoring session over a live platform (validation already
-	// rejected any that explicitly asked for dedup).
-	joinable := !spec.WarmStart && spec.Mode != histdb.ModeContinuous
-	if joinable {
+	if joinable(spec) {
 		// An identical spec already queued or running: join it.
 		if j, ok := m.byKey[key]; ok {
 			m.deduped.Add(1)
@@ -225,37 +216,32 @@ func (m *Manager) Submit(spec JobSpec) (rec *histdb.RunRecord, fresh bool, err e
 		}
 	}
 
+	names := make([]string, len(bench.Components))
+	for i, c := range bench.Components {
+		names[i] = c.Name
+	}
+	rec = &histdb.RunRecord{
+		ID:          m.runID(m.seq + 1),
+		Spec:        spec,
+		SpecKey:     key,
+		Components:  names,
+		SubmittedAt: time.Now(),
+	}
+	if err := m.admit(rec); err != nil {
+		return nil, false, err
+	}
 	m.seq++
-	j := &job{
-		rec: &histdb.RunRecord{
-			ID:          m.runID(m.seq),
-			Spec:        spec,
-			SpecKey:     key,
-			State:       histdb.StateQueued,
-			Components:  ComponentNames(spec),
-			SubmittedAt: m.now(),
-		},
-		hub:  newHub(),
-		done: make(chan struct{}),
-	}
-	j.ctx, j.cancel = context.WithCancel(m.rootCtx)
-	select {
-	case m.queue <- j:
-	default:
-		m.seq--
-		return nil, false, ErrQueueFull
-	}
-	m.jobs[j.rec.ID] = j
-	if joinable {
-		m.byKey[key] = j
-	}
 	m.submitted.Add(1)
-	if err := m.store.Save(j.rec); err != nil {
-		// The job still runs; persistence of later transitions may succeed.
-		// The record itself is unaffected.
-		_ = err
-	}
-	return j.rec.Clone(), true, nil
+	return rec.Clone(), true, nil
+}
+
+// joinable reports whether a normalized spec dedupes. Warm-started specs
+// never do: their result depends on the history available when they start,
+// so two submissions of the same warm spec are different jobs. Continuous
+// specs never do either — each is a distinct monitoring session over a live
+// platform (validation already rejected any that explicitly asked for it).
+func joinable(n JobSpec) bool {
+	return !n.WarmStart && n.Mode != histdb.ModeContinuous
 }
 
 // Resume re-admits an interrupted (failed, cancelled, or crash-orphaned
@@ -279,36 +265,48 @@ func (m *Manager) Resume(id string) (*histdb.RunRecord, error) {
 		return nil, ErrNotFound
 	}
 	if rec.State == histdb.StateDone {
-		return nil, ErrNotResumable
+		return nil, fmt.Errorf("%w: it already completed and its result is recorded", ErrNotResumable)
 	}
 	if rec.Spec.Normalize().Mode == histdb.ModeContinuous {
 		// A continuous run's value is the monitoring session itself; the
 		// platform history it observed cannot be replayed from a
-		// measurement checkpoint. Submit a fresh continuous run instead.
-		return nil, ErrNotResumable
+		// measurement checkpoint.
+		return nil, fmt.Errorf("%w: it is a continuous-mode run, a monitoring session over a live platform; submit a fresh one", ErrNotResumable)
 	}
 	// Reset the lifecycle; keep Checkpoint and Warm — they are the run's
 	// replay inputs.
-	rec.State = histdb.StateQueued
 	rec.Error = ""
 	rec.Result = nil
 	rec.Trace = nil
 	rec.StartedAt = time.Time{}
 	rec.FinishedAt = time.Time{}
+	if err := m.admit(rec); err != nil {
+		return nil, err
+	}
+	m.resumed.Add(1)
+	return rec.Clone(), nil
+}
+
+// admit is the admission step Submit and Resume share: queue a job for rec
+// (ErrQueueFull when the queue is at capacity), enter it in the live maps —
+// under its spec key too when the spec dedupes and no identical run holds
+// the key — and write the queued record through. Callers hold m.mu.
+func (m *Manager) admit(rec *histdb.RunRecord) error {
+	rec.State = histdb.StateQueued
 	j := &job{rec: rec, hub: newHub(), done: make(chan struct{})}
 	j.ctx, j.cancel = context.WithCancel(m.rootCtx)
 	select {
 	case m.queue <- j:
 	default:
-		return nil, ErrQueueFull
+		j.cancel()
+		return ErrQueueFull
 	}
-	m.jobs[id] = j
-	if _, taken := m.byKey[rec.SpecKey]; !taken && !rec.Spec.WarmStart {
+	m.jobs[rec.ID] = j
+	if _, taken := m.byKey[rec.SpecKey]; !taken && joinable(rec.Spec.Normalize()) {
 		m.byKey[rec.SpecKey] = j
 	}
-	m.resumed.Add(1)
 	m.saveLocked(j)
-	return rec.Clone(), nil
+	return nil
 }
 
 // worker drains the queue until Shutdown closes it.
@@ -331,7 +329,7 @@ func (m *Manager) runJob(j *job) {
 		return
 	}
 	j.rec.State = histdb.StateRunning
-	j.rec.StartedAt = m.now()
+	j.rec.StartedAt = time.Now()
 	m.saveLocked(j)
 	m.mu.Unlock()
 	m.started.Add(1)
@@ -345,9 +343,7 @@ func (m *Manager) runJob(j *job) {
 
 	p, alg, err := m.opts.Build(j.rec.Spec)
 	if err != nil {
-		m.mu.Lock()
-		m.finalize(j, nil, err)
-		m.mu.Unlock()
+		m.fail(j, err)
 		return
 	}
 
@@ -370,44 +366,27 @@ func (m *Manager) runJob(j *job) {
 	}
 	// Resume path: preload the collector cache with the interrupted run's
 	// measurements so the deterministic replay serves them as hits.
+	col := p.Collector()
 	if len(j.rec.Checkpoint) > 0 {
-		p.Collector().Preload(j.rec.Checkpoint)
+		col.Preload(j.rec.Checkpoint)
 	}
 
 	p.Ctx = j.ctx
-	ck := &checkpointer{m: m, j: j, col: p.Collector()}
-	p.Observer = events.Multi(p.Observer, j.hub, ck)
-
-	// Expose the run's collector while it is live, so /metrics gauges show
-	// cache behaviour and in-flight measurement pressure in real time.
-	m.mu.Lock()
-	m.liveCols[j.rec.ID] = p.Collector()
-	m.mu.Unlock()
+	p.Observer = events.Multi(p.Observer, j.hub, &checkpointer{m: m, j: j, col: col})
+	m.watch(j, col)
 
 	res, err := alg.Tune(p, j.rec.Spec.Budget)
 
-	st := p.Collector().Stats()
 	m.mu.Lock()
-	// Retire the live collector and fold its final stats into the totals in
-	// one critical section, so Metrics never sees the run twice (or not at
-	// all) during the handover.
-	delete(m.liveCols, j.rec.ID)
-	m.cacheHits.Add(st.Hits)
-	m.cacheMisses.Add(st.Misses)
-	m.coalesced.Add(st.Coalesced)
-	m.retries.Add(st.Retries)
-	m.dispatchRetries.Add(st.DispatchRetries)
-	j.rec.Collector = st
-	if err == nil {
-		// The result carries everything a resume would need.
-		j.rec.Checkpoint = nil
-	} else {
-		// Keep the interrupted run resumable even if the last in-run
-		// checkpoint write lost a race with cancellation.
-		j.rec.Checkpoint = ck.col.Snapshot()
+	defer m.mu.Unlock()
+	// A finished run's result carries everything a resume would need; an
+	// interrupted one stays resumable even if the last in-run checkpoint
+	// write lost a race with cancellation.
+	j.rec.Checkpoint = nil
+	if err != nil {
+		j.rec.Checkpoint = col.Snapshot()
 	}
-	m.finalize(j, res, err)
-	m.mu.Unlock()
+	m.retire(j, col.Stats(), res, err)
 }
 
 // runContinuousJob drives a continuous-mode job: the online-retuning driver
@@ -422,59 +401,70 @@ func (m *Manager) runJob(j *job) {
 func (m *Manager) runContinuousJob(j *job) {
 	c, err := m.opts.BuildContinuous(j.rec.Spec)
 	if err != nil {
-		m.mu.Lock()
-		m.finalize(j, nil, err)
-		m.mu.Unlock()
+		m.fail(j, err)
 		return
 	}
 	c.Ctx = j.ctx
-	c.Observer = j.hub
+	c.Observer = events.Multi(c.Observer, j.hub)
 
+	// The driver builds its per-epoch problems from this goroutine, inside
+	// Run, so the running total needs no lock of its own.
 	var (
-		statsMu sync.Mutex
-		total   collector.Stats
+		total collector.Stats // finished epochs
+		cur   *collector.Collector
 	)
-	var cur *collector.Collector
 	inner := c.NewProblem
 	c.NewProblem = func() *tuner.Problem {
 		p := inner()
-		statsMu.Lock()
 		if cur != nil {
 			total = foldStats(total, cur.Stats())
 		}
 		cur = p.Collector()
-		statsMu.Unlock()
-		m.mu.Lock()
-		m.liveCols[j.rec.ID] = p.Collector()
-		m.mu.Unlock()
+		m.watch(j, cur)
 		return p
 	}
 
 	res, err := c.Run(j.rec.Spec.Budget)
 
-	statsMu.Lock()
 	if cur != nil {
 		total = foldStats(total, cur.Stats())
 	}
-	statsMu.Unlock()
 	m.mu.Lock()
-	delete(m.liveCols, j.rec.ID)
-	m.cacheHits.Add(total.Hits)
-	m.cacheMisses.Add(total.Misses)
-	m.coalesced.Add(total.Coalesced)
-	m.retries.Add(total.Retries)
-	m.dispatchRetries.Add(total.DispatchRetries)
-	j.rec.Collector = total
+	defer m.mu.Unlock()
+	var final *tuner.Result
 	if err == nil {
-		j.rec.Continuous = res
-		m.finalize(j, res.Final, nil)
-	} else {
-		m.finalize(j, nil, err)
+		j.rec.Continuous, final = res, res.Final
 	}
+	m.retire(j, total, final, err)
+}
+
+// watch exposes col as the run's live collector, so /metrics gauges show
+// cache behaviour and in-flight measurement pressure in real time.
+func (m *Manager) watch(j *job, col *collector.Collector) {
+	m.mu.Lock()
+	j.col = col
 	m.mu.Unlock()
 }
 
-// foldStats accumulates one epoch's collector stats into a run total.
+// retire finalizes a run that executed. Its final collector stats join the
+// totals in the same critical section that takes the job (and its live
+// collector) out of m.jobs, so Metrics never sees the run twice, or not at
+// all, during the handover. Callers hold m.mu.
+func (m *Manager) retire(j *job, st collector.Stats, res *tuner.Result, err error) {
+	m.cache = foldStats(m.cache, st)
+	j.rec.Collector = st
+	m.finalize(j, res, err)
+}
+
+// fail finalizes a job that could not be built.
+func (m *Manager) fail(j *job, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.finalize(j, nil, err)
+}
+
+// foldStats adds one collector's stats to a total: counters and the
+// in-flight gauge sum, the concurrency peak is the larger of the two.
 func foldStats(total, st collector.Stats) collector.Stats {
 	total.Hits += st.Hits
 	total.Misses += st.Misses
@@ -484,6 +474,7 @@ func foldStats(total, st collector.Stats) collector.Stats {
 	total.Errors += st.Errors
 	total.WorkflowRuns += st.WorkflowRuns
 	total.ComponentRuns += st.ComponentRuns
+	total.InFlight += st.InFlight
 	if st.InFlightPeak > total.InFlightPeak {
 		total.InFlightPeak = st.InFlightPeak
 	}
@@ -526,7 +517,7 @@ func (m *Manager) finalize(j *job, res *tuner.Result, err error) {
 		return
 	}
 	j.hub.Close()
-	j.rec.FinishedAt = m.now()
+	j.rec.FinishedAt = time.Now()
 	j.rec.Trace = j.hub.Lines()
 	switch {
 	case err == nil:
@@ -622,6 +613,18 @@ func (m *Manager) hubFor(id string) (*hub, bool) {
 	return nil, false
 }
 
+// Stream delivers run id's event trace to emit, one marshaled JSONL line at
+// a time — what GET /v1/runs/{id}/events serves. A live run replays its
+// buffered prefix and then, with follow, keeps delivering until the run
+// reaches a terminal state; a finished run replays its stored trace.
+func (m *Manager) Stream(ctx context.Context, id string, follow bool, emit func(json.RawMessage) error) error {
+	h, ok := m.hubFor(id)
+	if !ok {
+		return ErrNotFound
+	}
+	return h.Stream(ctx, follow, emit)
+}
+
 // Wait blocks until the run with id leaves the live set (finishes in any
 // state) or the context is cancelled. Unknown IDs return immediately.
 func (m *Manager) Wait(ctx context.Context, id string) error {
@@ -657,24 +660,17 @@ func (m *Manager) Metrics() Metrics {
 		Workers:     m.opts.Workers,
 	}
 	m.mu.Lock()
-	mt.CacheHits = m.cacheHits.Load()
-	mt.CacheMisses = m.cacheMisses.Load()
-	mt.Coalesced = m.coalesced.Load()
-	mt.Retries = m.retries.Load()
-	mt.DispatchRetries = m.dispatchRetries.Load()
-	for _, col := range m.liveCols {
-		st := col.Stats()
-		mt.CacheHits += st.Hits
-		mt.CacheMisses += st.Misses
-		mt.Coalesced += st.Coalesced
-		mt.Retries += st.Retries
-		mt.DispatchRetries += st.DispatchRetries
-		mt.CacheInFlight += st.InFlight
-		if st.InFlightPeak > mt.CacheInFlightPeak {
-			mt.CacheInFlightPeak = st.InFlightPeak
+	var running collector.Stats
+	for _, j := range m.jobs {
+		if j.col != nil {
+			running = foldStats(running, j.col.Stats())
 		}
 	}
+	all := foldStats(m.cache, running)
 	m.mu.Unlock()
+	mt.CacheHits, mt.CacheMisses, mt.Coalesced = all.Hits, all.Misses, all.Coalesced
+	mt.Retries, mt.DispatchRetries = all.Retries, all.DispatchRetries
+	mt.CacheInFlight, mt.CacheInFlightPeak = running.InFlight, running.InFlightPeak
 	return mt
 }
 

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -90,7 +91,7 @@ func TestTwoReplicasShareStoreAndDedup(t *testing.T) {
 	if _, ok := a.Get(recB2.ID); !ok {
 		t.Fatal("a cannot see b's finished run")
 	}
-	if _, err := a.Resume(recB2.ID); err != ErrNotResumable {
+	if _, err := a.Resume(recB2.ID); !errors.Is(err, ErrNotResumable) {
 		t.Fatalf("Resume of b's done run on a = %v, want ErrNotResumable", err)
 	}
 }

@@ -3,7 +3,9 @@
 // pool, an event hub that fans each run's structured trace out to live
 // subscribers (with replay for late joiners), a history database
 // (internal/histdb) that persists finished runs and feeds warm starts, and
-// an HTTP JSON API (cmd/ceal-serve) over all of it.
+// an HTTP JSON API (cmd/ceal-serve) over all of it. cmd/ceal-tune drives
+// the same Manager in-process: it is the one way a spec becomes a recorded
+// run.
 //
 // The paper frames CEAL as the auto-tuner a facility operates for its
 // users ahead of production campaigns (§2.2); this package is that
@@ -28,12 +30,6 @@ import (
 	"ceal/internal/workflow"
 )
 
-// Default spec values applied by Normalize.
-const (
-	DefaultBudget = histdb.DefaultBudget
-	DefaultPool   = histdb.DefaultPool
-)
-
 // JobSpec describes one tuning job — histdb's Spec, whose normalized form
 // is the store's identity. Validation and problem assembly stay here
 // (ValidateSpec, BuildSpec) so histdb carries no registry dependencies.
@@ -51,75 +47,81 @@ const (
 	maxProbes  = 100_000
 )
 
+// resolve looks a normalized spec's names up in the benchmark, objective
+// and algorithm registries — the one place the service turns a spec's
+// strings into values. The evaluator carries the benchmark and objective.
+func resolve(n JobSpec) (*live.Evaluator, tuner.Algorithm, error) {
+	ev, err := live.NewEvaluator(n.Benchmark, n.Objective, n.Seed)
+	if err != nil {
+		return nil, nil, fmt.Errorf("service: %w", err)
+	}
+	alg, err := live.AlgorithmByName(n.Algorithm)
+	if err != nil {
+		return nil, nil, fmt.Errorf("service: %w", err)
+	}
+	return ev, alg, nil
+}
+
 // ValidateSpec checks the normalized spec against the benchmark, algorithm
 // and objective registries and the numeric ranges.
 func ValidateSpec(s JobSpec) error {
-	n := s.Normalize()
-	if _, err := workflow.ByName(cluster.Default(), n.Benchmark); err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
-	if _, err := live.AlgorithmByName(n.Algorithm); err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
-	if _, err := live.ParseObjective(n.Objective); err != nil {
-		return fmt.Errorf("service: %w", err)
+	_, err := validate(s.Normalize())
+	return err
+}
+
+// validate is ValidateSpec on an already-normalized spec; admission keeps
+// the resolved benchmark for the record's component index.
+func validate(n JobSpec) (*workflow.Benchmark, error) {
+	ev, _, err := resolve(n)
+	if err != nil {
+		return nil, err
 	}
 	if n.Budget < 0 || n.Budget > maxBudget {
-		return fmt.Errorf("service: budget %d outside [0, %d]", n.Budget, maxBudget)
+		return nil, fmt.Errorf("service: budget %d outside [0, %d]", n.Budget, maxBudget)
 	}
 	if n.Pool < 1 || n.Pool > maxPool {
-		return fmt.Errorf("service: pool size %d outside [1, %d]", n.Pool, maxPool)
+		return nil, fmt.Errorf("service: pool size %d outside [1, %d]", n.Pool, maxPool)
 	}
 	if n.Workers > maxWorkers {
-		return fmt.Errorf("service: workers %d above %d", n.Workers, maxWorkers)
+		return nil, fmt.Errorf("service: workers %d above %d", n.Workers, maxWorkers)
 	}
 	if n.Probes > maxProbes {
-		return fmt.Errorf("service: probes %d above %d", n.Probes, maxProbes)
+		return nil, fmt.Errorf("service: probes %d above %d", n.Probes, maxProbes)
 	}
 	switch n.Mode {
 	case histdb.ModeTune:
 	case histdb.ModeContinuous:
 		if _, err := cluster.ParseProfile(n.Drift, n.Seed); err != nil {
-			return fmt.Errorf("service: %w", err)
+			return nil, fmt.Errorf("service: %w", err)
 		}
 		if n.Dedup {
 			// Continuous runs monitor a live platform from admission onward;
 			// joining one in flight or serving a stored one as a cached
 			// answer would hand back a different platform history.
-			return fmt.Errorf("service: continuous runs are never dedup-joinable; drop the dedup flag")
+			return nil, fmt.Errorf("service: continuous runs are never dedup-joinable; drop the dedup flag")
 		}
 		if n.WarmStart {
-			return fmt.Errorf("service: continuous runs warm-start internally from their own epochs; drop warm_start")
+			return nil, fmt.Errorf("service: continuous runs warm-start internally from their own epochs; drop warm_start")
 		}
 	default:
-		return fmt.Errorf("service: unknown run mode %q (want %q or %q)", n.Mode, histdb.ModeTune, histdb.ModeContinuous)
+		return nil, fmt.Errorf("service: unknown run mode %q (want %q or %q)", n.Mode, histdb.ModeTune, histdb.ModeContinuous)
 	}
-	return nil
+	return ev.Bench, nil
 }
 
 // BuildSpec assembles the runnable problem and algorithm for the spec —
 // exactly what ceal.NewProblem plus ceal.AlgorithmByName would build for
 // the same arguments, so service results are byte-identical to direct
-// Tune calls. Warm-start data is attached separately by the Manager (it
-// depends on store state, not on the spec alone).
+// Tune calls. Range checks are admission's job (ValidateSpec); this only
+// fails on a name no registry knows. Warm-start data is attached separately
+// by the Manager (it depends on store state, not on the spec alone).
 func BuildSpec(s JobSpec) (*tuner.Problem, tuner.Algorithm, error) {
 	n := s.Normalize()
-	if err := ValidateSpec(n); err != nil {
-		return nil, nil, err
-	}
-	b, err := workflow.ByName(cluster.Default(), n.Benchmark)
+	ev, alg, err := resolve(n)
 	if err != nil {
 		return nil, nil, err
 	}
-	obj, err := live.ParseObjective(n.Objective)
-	if err != nil {
-		return nil, nil, err
-	}
-	alg, err := live.AlgorithmByName(n.Algorithm)
-	if err != nil {
-		return nil, nil, err
-	}
-	p := live.NewProblem(b, obj, n.Pool, n.Seed)
+	p := live.NewProblem(ev.Bench, ev.Obj, n.Pool, n.Seed)
 	if n.Workers > 1 {
 		p.Runner = dispatch.NewRunner(n.Workers)
 		p.Workers = n.Workers
@@ -135,25 +137,14 @@ func BuildSpec(s JobSpec) (*tuner.Problem, tuner.Algorithm, error) {
 // specs are distinct monitoring sessions by definition.
 func BuildContinuousSpec(s JobSpec) (*tuner.Continuous, error) {
 	n := s.Normalize()
-	if err := ValidateSpec(n); err != nil {
-		return nil, err
-	}
 	if n.Mode != histdb.ModeContinuous {
 		return nil, fmt.Errorf("service: spec mode %q is not continuous", n.Mode)
 	}
-	b, err := workflow.ByName(cluster.Default(), n.Benchmark)
+	ev, alg, err := resolve(n)
 	if err != nil {
 		return nil, err
 	}
-	obj, err := live.ParseObjective(n.Objective)
-	if err != nil {
-		return nil, err
-	}
-	alg, err := live.AlgorithmByName(n.Algorithm)
-	if err != nil {
-		return nil, err
-	}
-	c, err := live.NewContinuous(b, obj, n.Pool, n.Seed, n.Drift, n.Workers)
+	c, err := live.NewContinuous(ev.Bench, ev.Obj, n.Pool, n.Seed, n.Drift, n.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -182,19 +173,4 @@ func BuildSpecRemote(workers []string) func(JobSpec) (*tuner.Problem, tuner.Algo
 		})
 		return p, alg, nil
 	}
-}
-
-// ComponentNames returns the benchmark's component applications in problem
-// order for a valid spec (nil when the benchmark is unknown) — the
-// Components field of new run records.
-func ComponentNames(s JobSpec) []string {
-	b, err := workflow.ByName(cluster.Default(), s.Normalize().Benchmark)
-	if err != nil {
-		return nil
-	}
-	names := make([]string, len(b.Components))
-	for i, c := range b.Components {
-		names[i] = c.Name
-	}
-	return names
 }

@@ -3,12 +3,14 @@ package service
 import (
 	"strings"
 	"testing"
+
+	"ceal/internal/histdb"
 )
 
 func TestSpecNormalizeDefaults(t *testing.T) {
 	n := (JobSpec{Benchmark: " lv "}).Normalize()
 	want := JobSpec{Benchmark: "LV", Algorithm: "ceal", Objective: "comp",
-		Budget: DefaultBudget, Pool: DefaultPool, Seed: 1, Workers: 1,
+		Budget: histdb.DefaultBudget, Pool: histdb.DefaultPool, Seed: 1, Workers: 1,
 		Mode: "tune"}
 	if n != want {
 		t.Fatalf("Normalize = %+v, want %+v", n, want)

@@ -95,7 +95,7 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if _, ok := reopened.BySpec("LV/rs/comp/b5/p30/s7"); !ok {
 		t.Fatal("BySpec lost across restart")
 	}
-	if n := histdb.MaxSeq(reopened); n != 3 {
+	if n := histdb.MaxSeqFor(reopened, ""); n != 3 {
 		t.Fatalf("maxSeq = %d, want 3", n)
 	}
 }

@@ -35,7 +35,10 @@ type Continuous struct {
 	// NewProblem builds a fresh Problem per epoch. Each epoch gets its own
 	// collector: measurements cached under a pre-drift condition must not
 	// be replayed after the platform changed. The function must be
-	// deterministic (same pool, evaluator and seed every call).
+	// deterministic (same pool, evaluator and seed every call). The driver
+	// installs Env as the problem's Dispatcher after it returns, and a
+	// collector binds its dispatcher when first asked for: a NewProblem
+	// that touches Problem.Collector must set Dispatcher to Env first.
 	NewProblem func() *Problem
 	// Env is the time-varying measurement environment; it is installed as
 	// each epoch's Dispatcher and probed between epochs.

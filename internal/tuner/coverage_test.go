@@ -291,6 +291,19 @@ func TestExtremeBudgets(t *testing.T) {
 	}
 }
 
+func TestNegativeBudgetIsAnError(t *testing.T) {
+	// RS used to panic in poolTracker.takeRandom (makeslice) on budget -1;
+	// a budget can arrive off the wire or a flag, so it must be an error.
+	for _, alg := range allAlgorithms() {
+		for _, budget := range []int{-1, -1000} {
+			res, err := alg.Tune(synthProblem(90, 100), budget)
+			if err == nil || res != nil {
+				t.Fatalf("%s budget=%d: result %v, err %v; want an error", alg.Name(), budget, res, err)
+			}
+		}
+	}
+}
+
 func TestPoolSmallerThanBudget(t *testing.T) {
 	p := synthProblem(81, 10)
 	res, err := NewCEAL().Tune(p, 50)

@@ -1,6 +1,7 @@
 package tuner
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"time"
 
@@ -151,6 +152,9 @@ type Loop struct {
 func (l *Loop) Run(p *Problem, budget int) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
+	}
+	if budget < 0 {
+		return nil, fmt.Errorf("tuner: negative measurement budget %d", budget)
 	}
 	arena := newRunArena()
 	st := &State{

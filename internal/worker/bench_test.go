@@ -10,7 +10,6 @@ import (
 	"ceal/internal/cluster"
 	"ceal/internal/dispatch"
 	"ceal/internal/live"
-	"ceal/internal/paperexp"
 	"ceal/internal/workflow"
 )
 
@@ -22,12 +21,12 @@ func benchBatch(b *testing.B, width int) ([]dispatch.Item, *live.Evaluator) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := live.NewProblem(wf, paperexp.CompTime, width, testSeed)
+	p := live.NewProblem(wf, workflow.CompTime, width, testSeed)
 	items := make([]dispatch.Item, width)
 	for i := range items {
 		items[i] = dispatch.Item{Seq: i, Kind: dispatch.KindWorkflow, Cfg: p.Pool[i]}
 	}
-	return items, &live.Evaluator{Bench: wf, Obj: paperexp.CompTime, Seed: testSeed}
+	return items, &live.Evaluator{Bench: wf, Obj: workflow.CompTime, Seed: testSeed}
 }
 
 // BenchmarkDispatchBatch prices one 64-configuration measurement batch
@@ -89,7 +88,7 @@ func BenchmarkTune(b *testing.B) {
 	run := func(b *testing.B, d dispatch.Dispatcher) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
-			p := live.NewProblem(wf, paperexp.CompTime, testPool, testSeed)
+			p := live.NewProblem(wf, workflow.CompTime, testPool, testSeed)
 			p.Dispatcher = d
 			res, err := alg.Tune(p, testBudget)
 			if err != nil {

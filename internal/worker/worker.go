@@ -21,10 +21,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"ceal/internal/cluster"
 	"ceal/internal/dispatch"
 	"ceal/internal/live"
-	"ceal/internal/workflow"
 )
 
 // Server is the worker daemon's HTTP handler — cmd/ceal-worker's core.
@@ -65,15 +63,10 @@ func (s *Server) evaluator(job dispatch.Job) (*live.Evaluator, error) {
 	if ev, ok := s.evals[job]; ok {
 		return ev, nil
 	}
-	b, err := workflow.ByName(cluster.Default(), job.Benchmark)
+	ev, err := live.NewEvaluator(job.Benchmark, job.Objective, job.Seed)
 	if err != nil {
 		return nil, err
 	}
-	obj, err := live.ParseObjective(job.Objective)
-	if err != nil {
-		return nil, err
-	}
-	ev := &live.Evaluator{Bench: b, Obj: obj, Seed: job.Seed}
 	s.evals[job] = ev
 	return ev, nil
 }

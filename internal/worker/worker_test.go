@@ -15,7 +15,6 @@ import (
 	"ceal/internal/cluster"
 	"ceal/internal/dispatch"
 	"ceal/internal/live"
-	"ceal/internal/paperexp"
 	"ceal/internal/workflow"
 )
 
@@ -38,7 +37,7 @@ func tuneResult(t *testing.T, d dispatch.Dispatcher) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := live.NewProblem(b, paperexp.CompTime, testPool, testSeed)
+	p := live.NewProblem(b, workflow.CompTime, testPool, testSeed)
 	p.Dispatcher = d
 	alg, err := live.AlgorithmByName("ceal")
 	if err != nil {
@@ -68,8 +67,8 @@ func TestMeasureEndpointMatchesDirectEvaluation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := &live.Evaluator{Bench: b, Obj: paperexp.CompTime, Seed: testSeed}
-	p := live.NewProblem(b, paperexp.CompTime, 8, testSeed)
+	ev := &live.Evaluator{Bench: b, Obj: workflow.CompTime, Seed: testSeed}
+	p := live.NewProblem(b, workflow.CompTime, 8, testSeed)
 	rng := rand.New(rand.NewPCG(3, 3))
 	sub := b.Components[0].Space.SampleN(rng, 1)[0]
 
@@ -267,7 +266,7 @@ func TestMeasureEndpointSurvivesMalformedItem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := &live.Evaluator{Bench: b, Obj: paperexp.CompTime, Seed: 1}
+	ev := &live.Evaluator{Bench: b, Obj: workflow.CompTime, Seed: 1}
 	want, err := ev.MeasureComponent(0, []int{18, 18, 2})
 	if err != nil {
 		t.Fatal(err)

@@ -73,6 +73,16 @@ type Benchmark struct {
 	ExpertComp cfgspace.Config
 }
 
+// Expert returns the expert-recommended configuration for an objective. The
+// paper's recommendation for computer time doubles as the energy reference
+// point (§4 lists energy as an aggregate metric over the same allocation).
+func (b *Benchmark) Expert(obj Objective) cfgspace.Config {
+	if obj == ExecTime {
+		return b.ExpertExec
+	}
+	return b.ExpertComp
+}
+
 // Dims returns each component's parameter count, in component order.
 func (b *Benchmark) Dims() []int {
 	dims := make([]int, len(b.Components))

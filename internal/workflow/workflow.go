@@ -71,6 +71,49 @@ type Measurement struct {
 	PerComponentEnergy []float64
 }
 
+// Objective selects the optimization metric: which aggregate of a
+// Measurement a tuner minimizes.
+type Objective int
+
+const (
+	// ExecTime minimizes wall-clock execution time (seconds).
+	ExecTime Objective = iota
+	// CompTime minimizes consumed computer time (core-hours).
+	CompTime
+	// Energy minimizes consumed energy (kilojoules) — the paper's §4
+	// example of an aggregate metric; an extension beyond its evaluation.
+	Energy
+)
+
+// objectiveLabels holds each objective's figure name, its compact label in
+// specs and flags, and the unit Measurement.Value reports it in.
+var objectiveLabels = [...]struct{ name, short, unit string }{
+	ExecTime: {"execution time", "exec", "s"},
+	CompTime: {"computer time", "comp", "core-hours"},
+	Energy:   {"energy", "energy", "kJ"},
+}
+
+// String returns the metric name as used in the paper's figures.
+func (o Objective) String() string { return objectiveLabels[o].name }
+
+// Short returns the compact label specs and flags use (exec, comp, energy).
+func (o Objective) Short() string { return objectiveLabels[o].short }
+
+// Unit returns the unit Value reports the objective in.
+func (o Objective) Unit() string { return objectiveLabels[o].unit }
+
+// Value returns the measurement's value under obj.
+func (m Measurement) Value(obj Objective) float64 {
+	switch obj {
+	case ExecTime:
+		return m.ExecTime
+	case CompTime:
+		return m.CompTime
+	default:
+		return m.EnergyKJ
+	}
+}
+
 // Validate checks structural soundness: steps agreement, edge indices, and
 // allocation fit.
 func (w *Workflow) Validate() error {
