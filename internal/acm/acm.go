@@ -192,11 +192,6 @@ func (lf *LowFidelity) fold(vs, cores []float64) float64 {
 	return maxExec * totalCores
 }
 
-// ScoreBatch scores every configuration.
-func (lf *LowFidelity) ScoreBatch(cfgs []cfgspace.Config) []float64 {
-	return lf.ScoreBatchOn(nil, cfgs)
-}
-
 // ScoreBatchOn scores every configuration on the engine's workers (nil
 // engine: serial), bitwise equal to Score on each. A batch drawn from a
 // product space repeats component sub-configurations, and a part's

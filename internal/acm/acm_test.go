@@ -56,9 +56,9 @@ func TestLowFidelityScore(t *testing.T) {
 	if got := lf.Score(cfgspace.Config{3, 4}); got != 15 {
 		t.Fatalf("Sum score = %v, want 15", got)
 	}
-	batch := lf.ScoreBatch([]cfgspace.Config{{3, 4}, {1, 1}})
+	batch := lf.ScoreBatchOn(nil, []cfgspace.Config{{3, 4}, {1, 1}})
 	if batch[0] != 15 || batch[1] != 8 {
-		t.Fatalf("ScoreBatch = %v", batch)
+		t.Fatalf("ScoreBatchOn = %v", batch)
 	}
 }
 

@@ -82,15 +82,6 @@ func (c *Component) ChunksPerStep() int {
 	return int(math.Ceil(c.OutBytes / c.ChunkBytes))
 }
 
-// LastChunkBytes returns the size of the final (possibly short) chunk.
-func (c *Component) LastChunkBytes() float64 {
-	n := c.ChunksPerStep()
-	if n <= 1 {
-		return c.OutBytes
-	}
-	return c.OutBytes - float64(n-1)*c.ChunkBytes
-}
-
 // scaling is the shared analytic model of one application's per-step time.
 type scaling struct {
 	workCoreSec float64 // parallel work per step, core-seconds

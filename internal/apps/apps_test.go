@@ -99,12 +99,9 @@ func TestChunkPlanMath(t *testing.T) {
 	if got := heat.ChunksPerStep(); got != wantChunks {
 		t.Fatalf("ChunksPerStep = %d, want %d", got, wantChunks)
 	}
-	total := float64(heat.ChunksPerStep()-1)*heat.ChunkBytes + heat.LastChunkBytes()
-	if math.Abs(total-heat.OutBytes) > 1 {
-		t.Fatalf("chunks sum to %v, payload is %v", total, heat.OutBytes)
-	}
-	if heat.LastChunkBytes() <= 0 || heat.LastChunkBytes() > heat.ChunkBytes {
-		t.Fatalf("LastChunkBytes = %v", heat.LastChunkBytes())
+	last := heat.OutBytes - float64(wantChunks-1)*heat.ChunkBytes
+	if last <= 0 || last > heat.ChunkBytes {
+		t.Fatalf("%d chunks of %v leave a last chunk of %v", wantChunks, heat.ChunkBytes, last)
 	}
 }
 
@@ -113,9 +110,6 @@ func TestChunkPlanWholePayload(t *testing.T) {
 	l := NewLAMMPS(m, cfgspace.Config{64, 32, 1})
 	if l.ChunksPerStep() != 1 {
 		t.Fatalf("LAMMPS chunks = %d, want 1", l.ChunksPerStep())
-	}
-	if l.LastChunkBytes() != l.OutBytes {
-		t.Fatalf("LastChunkBytes = %v, want %v", l.LastChunkBytes(), l.OutBytes)
 	}
 	sink := NewVoro(m, cfgspace.Config{64, 32, 1})
 	if sink.ChunksPerStep() != 0 {

@@ -253,20 +253,37 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// flakyEval loses the first cfg[0]%3 launches of each workflow
+// configuration and is its countingEval after that.
+type flakyEval struct{ *countingEval }
+
+func (e flakyEval) MeasureWorkflow(cfg cfgspace.Config) (float64, error) {
+	e.mu.Lock()
+	n := e.wfCalls[cfg.Key()]
+	lost := n < cfg[0]%3
+	if lost {
+		e.wfCalls[cfg.Key()]++
+	}
+	e.mu.Unlock()
+	if lost {
+		return 0, fmt.Errorf("launch %d of %v lost", n, cfg)
+	}
+	return e.countingEval.MeasureWorkflow(cfg)
+}
+
 func TestRetryAccounting(t *testing.T) {
-	eval := newCountingEval()
-	// FailureRate 1 with MaxRetries 0 exhausts immediately; use a seed/rate
-	// that fails some attempts but eventually succeeds.
-	c := newLocal(eval, 2, dispatch.Retry{MaxRetries: 50, FailureRate: 0.5, Seed: 3})
+	c := newLocal(flakyEval{newCountingEval()}, 2, dispatch.Retry{MaxRetries: 3})
 	batch := make([]cfgspace.Config, 16)
+	want := uint64(0)
 	for i := range batch {
 		batch[i] = cfgspace.Config{i}
+		want += uint64(i % 3)
 	}
 	if _, err := c.MeasureWorkflows(context.Background(), batch); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.Retries == 0 {
-		t.Fatalf("injected failures produced no retry accounting: %+v", st)
+	if st := c.Stats(); st.Retries != want {
+		t.Fatalf("Stats.Retries = %d, want the %d relaunches the batch needed: %+v", st.Retries, want, st)
 	}
 }
 

@@ -78,8 +78,8 @@ type Item struct {
 type Measurement struct {
 	Seq   int     `json:"seq"`
 	Value float64 `json:"value"`
-	// Retries counts relaunches this item needed (worker loss, injected
-	// faults). Purely observational: values are deterministic per
+	// Retries counts relaunches this item needed (a failed launch, a lost
+	// worker). Purely observational: values are deterministic per
 	// configuration, so retries never change results.
 	Retries int `json:"retries,omitempty"`
 }

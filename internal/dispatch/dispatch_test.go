@@ -7,9 +7,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ceal/internal/cfgspace"
 )
@@ -57,13 +57,13 @@ func testBatch(n int) []Item {
 // semantics without the simulator, for transport-level tests.
 func fakeWorker(t *testing.T, opts ...func(*workerState)) (*httptest.Server, *workerState) {
 	t.Helper()
-	st := &workerState{}
+	st := &workerState{eval: fakeEval{}}
 	for _, o := range opts {
 		o(st)
 	}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		st.requests.Add(1)
-		if st.failAfter > 0 && st.requests.Load() > st.failAfter {
+		n := st.requests.Add(1)
+		if n <= st.failFirst || st.failAfter > 0 && n > st.failAfter {
 			http.Error(w, "worker lost", http.StatusInternalServerError)
 			return
 		}
@@ -72,7 +72,8 @@ func fakeWorker(t *testing.T, opts ...func(*workerState)) (*httptest.Server, *wo
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		local := NewLocal(fakeEval{}, nil)
+		// Like the worker daemon, a fake worker relaunches nothing itself.
+		local := NewLocal(st.eval, &Runner{Workers: 1})
 		ms, err := local.Dispatch(r.Context(), req.Items)
 		if err != nil {
 			writeResp(w, http.StatusInternalServerError, MeasureResponse{Error: err.Error()})
@@ -91,8 +92,10 @@ func fakeWorker(t *testing.T, opts ...func(*workerState)) (*httptest.Server, *wo
 
 type workerState struct {
 	requests  atomic.Uint64
-	failAfter uint64 // succeed this many requests, then 500 everything
-	reverse   bool   // return shard results in reverse order
+	eval      Evaluator // what the worker measures with (default fakeEval)
+	failFirst uint64    // 500 this many requests, then serve
+	failAfter uint64    // succeed this many requests, then 500 everything
+	reverse   bool      // return shard results in reverse order
 }
 
 func writeResp(w http.ResponseWriter, status int, resp MeasureResponse) {
@@ -207,50 +210,66 @@ func TestRemoteFailsWhenAllWorkersDown(t *testing.T) {
 	dead, _ := fakeWorker(t, func(s *workerState) { s.failAfter = 0 })
 	dead.Close()
 	r := NewRemote([]string{dead.URL}, Job{})
-	r.MaxRetries = 2
 	if _, err := r.Dispatch(context.Background(), testBatch(3)); err == nil {
 		t.Fatal("dispatch succeeded with no live workers")
 	}
 }
 
 func TestRemoteInjectedFaultModel(t *testing.T) {
-	// The retry policy injects deterministic shard-send failures; with
-	// retries the batch must still complete identically.
+	// Each worker loses the first shard it is sent; with retries the batch
+	// must still complete identically.
 	batch := testBatch(16)
 	want := dispatchValues(t, NewLocal(fakeEval{}, nil), batch)
-	ts, _ := fakeWorker(t)
-	ts2, _ := fakeWorker(t)
+	ts, _ := fakeWorker(t, func(s *workerState) { s.failFirst = 1 })
+	ts2, _ := fakeWorker(t, func(s *workerState) { s.failFirst = 1 })
 	r := NewRemote([]string{ts.URL, ts2.URL}, Job{})
-	r.FailureRate = 0.5
-	r.Seed = 42
-	r.MaxRetries = 10
 	got := dispatchValues(t, r, batch)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("values diverged under injected shard failures")
+		t.Fatal("values diverged under shard failures")
+	}
+	if r.DispatchRetries() == 0 {
+		t.Fatal("no shard was re-posted; the fault path went unexercised")
 	}
 }
 
-// TestLocalAndRemoteShareRetrySchedule drives both substrates with one
-// policy value: job i of the pool (item i locally, shard i remotely) must
-// see the same injected failures, hence the same relaunch count, and both
-// must have slept out at least the policy's BackoffDelay schedule for it.
+// flakyEval fails the first launches of each workflow configuration, as
+// many as its leading value says, and is fakeEval after that.
+type flakyEval struct {
+	fakeEval
+	mu       sync.Mutex
+	launches map[string]int
+}
+
+func (e *flakyEval) MeasureWorkflow(cfg cfgspace.Config) (float64, error) {
+	e.mu.Lock()
+	n := e.launches[cfg.Key()]
+	e.launches[cfg.Key()]++
+	e.mu.Unlock()
+	if n < cfg[0] {
+		return 0, fmt.Errorf("launch %d of %v lost", n, cfg)
+	}
+	return e.fakeEval.MeasureWorkflow(cfg)
+}
+
+// TestLocalAndRemoteShareRetrySchedule drives both substrates into the
+// same failures: job i of the pool (item i locally, shard i remotely)
+// loses its first i launches, so both must report relaunch count i.
 func TestLocalAndRemoteShareRetrySchedule(t *testing.T) {
-	policy := Retry{MaxRetries: 20, FailureRate: 0.5, Seed: 5,
-		Backoff: 2 * time.Millisecond, BackoffMax: 8 * time.Millisecond, Jitter: 0.5}
-	batch := testBatch(4)
+	batch := make([]Item, 4)
+	for i := range batch {
+		batch[i] = Item{Seq: i, Kind: KindWorkflow, Cfg: cfgspace.Config{i, 7}}
+	}
+	want := []int{0, 1, 2, 3}
+
+	local := NewLocal(&flakyEval{launches: map[string]int{}}, NewRunner(len(batch)))
+	shared := &flakyEval{launches: map[string]int{}}
 	var urls []string
 	for range batch { // one worker per item: shard i is exactly item i
-		ts, _ := fakeWorker(t)
+		ts, _ := fakeWorker(t, func(s *workerState) { s.eval = shared })
 		urls = append(urls, ts.URL)
 	}
-	remote := NewRemote(urls, Job{})
-	remote.Retry = policy
-
-	var schedules [][]int
-	for _, d := range []Dispatcher{NewLocal(fakeEval{}, &Runner{Workers: len(batch), Retry: policy}), remote} {
-		start := time.Now()
+	for _, d := range []Dispatcher{local, NewRemote(urls, Job{})} {
 		ms, err := d.Dispatch(context.Background(), batch)
-		elapsed := time.Since(start)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,24 +277,9 @@ func TestLocalAndRemoteShareRetrySchedule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var slowest time.Duration
-		for i, n := range retries {
-			var slept time.Duration
-			for attempt := 1; attempt <= n; attempt++ {
-				slept += policy.BackoffDelay(i, attempt)
-			}
-			slowest = max(slowest, slept)
+		if !reflect.DeepEqual(retries, want) {
+			t.Fatalf("%T relaunch counts = %v, want %v", d, retries, want)
 		}
-		if elapsed < slowest {
-			t.Fatalf("%T finished in %v, before its %v backoff schedule", d, elapsed, slowest)
-		}
-		schedules = append(schedules, retries)
-	}
-	if !reflect.DeepEqual(schedules[0], schedules[1]) {
-		t.Fatalf("relaunch counts diverge: local %v, remote %v", schedules[0], schedules[1])
-	}
-	if reflect.DeepEqual(schedules[0], make([]int, len(batch))) {
-		t.Fatal("policy injected no failure; the schedule went unexercised")
 	}
 }
 

@@ -43,10 +43,10 @@ type MeasureResponse struct {
 //
 // The batch is split into one contiguous shard per worker and the shards
 // are posted concurrently. A failed shard (worker down, network error,
-// non-200 reply) is retried under the Retry policy — the pool and fault
-// model Local runs on — and each retry rotates to the next worker in the
-// list, so a lost worker's shard is reassigned to a survivor rather than
-// hammering the corpse.
+// non-200 reply) is re-posted up to remoteRetries times on the pool Local
+// runs on, and each retry rotates to the next worker in the list, so a
+// lost worker's shard is reassigned to a survivor rather than hammering
+// the corpse.
 //
 // Results are byte-identical to Local at any worker count and across
 // worker failures: values are deterministic per (job, item) and reassembly
@@ -61,14 +61,15 @@ type Remote struct {
 	// Client is the HTTP client (nil: a client with a 5-minute timeout —
 	// measurement batches are long-running).
 	Client *http.Client
-	// Retry is the per-shard retry policy. MaxRetries 0 means 3: with
-	// worker rotation that tolerates losing all but one worker.
-	Retry
 
 	// retries counts shard re-posts after transport failures over the
 	// dispatcher's lifetime; see DispatchRetries.
 	retries atomic.Uint64
 }
+
+// remoteRetries is how many times a failed shard is re-posted: with worker
+// rotation, enough to lose three workers in a row under one shard.
+const remoteRetries = 3
 
 // DispatchRetries returns how many measurement shards were re-posted after
 // transport failures (worker down, network error, non-200 reply) since the
@@ -101,10 +102,6 @@ func (r *Remote) Dispatch(ctx context.Context, batch []Item) ([]Measurement, err
 	if nshards > len(batch) {
 		nshards = len(batch)
 	}
-	retry := r.Retry
-	if retry.MaxRetries == 0 {
-		retry.MaxRetries = 3
-	}
 	// One pool job per shard: attempt k posts the shard to the k'th worker
 	// after its home worker (rotation = reassignment on loss).
 	jobs := make([]func(attempt int) ([]Measurement, error), nshards)
@@ -131,7 +128,7 @@ func (r *Remote) Dispatch(ctx context.Context, batch []Item) ([]Measurement, err
 			return ms, nil
 		}
 	}
-	shards, err := Do(ctx, nshards, retry, jobs)
+	shards, err := Do(ctx, nshards, Retry{MaxRetries: remoteRetries}, jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -1,56 +1,9 @@
 package drift
 
-import "fmt"
-
-// Mode selects the drift trigger.
-type Mode string
-
-const (
-	// ModeRelative triggers on the relative residual |probe-baseline|/baseline
-	// exceeding Threshold for Confirm consecutive probes — robust against a
-	// single noisy probe, blind to slow creep below the threshold.
-	ModeRelative Mode = "relative"
-	// ModePageHinkley runs a Page-Hinkley cumulative test on the signed
-	// relative residual — catches slow ramps the threshold trigger misses.
-	ModePageHinkley Mode = "ph"
+import (
+	"fmt"
+	"math"
 )
-
-// Config parameterizes a Detector. The zero value selects ModeRelative
-// with the defaults below.
-type Config struct {
-	Mode Mode
-	// Threshold is the relative residual that makes a probe suspect
-	// (ModeRelative; default 0.15).
-	Threshold float64
-	// Confirm is how many consecutive suspect probes confirm drift
-	// (ModeRelative; default 3).
-	Confirm int
-	// Delta is Page-Hinkley's drift allowance per probe (default 0.02).
-	Delta float64
-	// Lambda is Page-Hinkley's confirmation threshold on the cumulative
-	// statistic (default 0.6); half of it marks suspicion.
-	Lambda float64
-}
-
-// withDefaults fills unset fields.
-func (c Config) withDefaults() Config {
-	if c.Mode == "" {
-		c.Mode = ModeRelative
-	}
-	if c.Threshold <= 0 {
-		c.Threshold = 0.15
-	}
-	if c.Confirm <= 0 {
-		c.Confirm = 3
-	}
-	if c.Delta <= 0 {
-		c.Delta = 0.02
-	}
-	if c.Lambda <= 0 {
-		c.Lambda = 0.6
-	}
-	return c
-}
 
 // Verdict is a Detector's escalating judgment after one probe.
 type Verdict int
@@ -82,20 +35,23 @@ func (v Verdict) String() string {
 // against the value it had at (re)convergence. It is the CEAL switch
 // detector's residual test repurposed: instead of comparing two models'
 // out-of-sample recall, it compares the platform's present against the
-// incumbent's past. Not safe for concurrent use; the continuous driver
-// probes serially.
+// incumbent's past. The trigger is the relative residual
+// |probe-baseline|/baseline reaching threshold for confirm consecutive
+// probes — robust against a single noisy probe, blind to slow creep below
+// the threshold. Not safe for concurrent use; the continuous driver probes
+// serially.
 type Detector struct {
-	cfg      Config
-	baseline float64
-	streak   int
-	// Page-Hinkley state: cumulative deviation and its running minimum.
-	cum, minCum float64
+	threshold float64
+	confirm   int
+	baseline  float64
+	streak    int
 }
 
-// NewDetector builds a detector; Reset must be called with a baseline
-// before the first Observe.
-func NewDetector(cfg Config) *Detector {
-	return &Detector{cfg: cfg.withDefaults()}
+// NewDetector builds a detector that suspects a probe whose relative
+// residual reaches threshold and confirms drift after confirm such probes
+// in a row; Reset must be called with a baseline before the first Observe.
+func NewDetector(threshold float64, confirm int) *Detector {
+	return &Detector{threshold: threshold, confirm: confirm}
 }
 
 // Reset re-anchors the detector to a freshly measured incumbent value —
@@ -103,7 +59,6 @@ func NewDetector(cfg Config) *Detector {
 func (d *Detector) Reset(baseline float64) {
 	d.baseline = baseline
 	d.streak = 0
-	d.cum, d.minCum = 0, 0
 }
 
 // Baseline returns the anchored incumbent value.
@@ -116,33 +71,13 @@ func (d *Detector) Observe(value float64) (Verdict, float64) {
 	if d.baseline != 0 {
 		residual = (value - d.baseline) / d.baseline
 	}
-	switch d.cfg.Mode {
-	case ModePageHinkley:
-		d.cum += residual - d.cfg.Delta
-		if d.cum < d.minCum {
-			d.minCum = d.cum
-		}
-		ph := d.cum - d.minCum
-		switch {
-		case ph > d.cfg.Lambda:
-			return Confirmed, residual
-		case ph > d.cfg.Lambda/2:
-			return Suspected, residual
-		}
+	if math.Abs(residual) < d.threshold {
+		d.streak = 0
 		return None, residual
-	default: // ModeRelative
-		abs := residual
-		if abs < 0 {
-			abs = -abs
-		}
-		if abs < d.cfg.Threshold {
-			d.streak = 0
-			return None, residual
-		}
-		d.streak++
-		if d.streak >= d.cfg.Confirm {
-			return Confirmed, residual
-		}
-		return Suspected, residual
 	}
+	d.streak++
+	if d.streak >= d.confirm {
+		return Confirmed, residual
+	}
+	return Suspected, residual
 }

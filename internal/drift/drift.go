@@ -12,11 +12,11 @@
 //     configuration's zero-load cost, the time "unit"), so drift unfolds
 //     as a deterministic function of what the tuner chose to measure —
 //     reproducible per (seed, profile) at any worker count.
-//   - Detector is a windowed residual monitor over probe measurements of
-//     the incumbent configuration: predicted-vs-observed error with either
-//     a relative-residual trigger or a Page-Hinkley cumulative test,
-//     escalating None → Suspected → Confirmed. It generalizes the switch
-//     detector CEAL Phase-2/3 already uses for model selection.
+//   - Detector is a residual monitor over probe measurements of the
+//     incumbent configuration: a relative-residual trigger that escalates
+//     None → Suspected → Confirmed over consecutive out-of-band probes. It
+//     generalizes the switch detector CEAL Phase-2/3 already uses for
+//     model selection.
 //
 // tuner.Continuous drives both: it tunes once through the Env, then probes
 // the incumbent at a cadence, and on a confirmed drift re-explores with a

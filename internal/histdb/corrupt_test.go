@@ -17,7 +17,7 @@ func corruptFixture(t testing.TB, dir string, n int) (string, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SegmentBytes = 2048
+	s.segmentBytes = 2048
 	for i := 1; i <= n; i++ {
 		rec := &RunRecord{ID: fmt.Sprintf("run-%06d", i), SpecKey: fmt.Sprintf("k%d", i), State: StateDone}
 		if err := s.Save(rec); err != nil {

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -40,9 +41,9 @@ import (
 type FileStore struct {
 	mem *MemStore
 
-	// SegmentBytes is the size at which Save rolls to a fresh segment.
-	// Adjust it only between OpenFileStore and the first Save.
-	SegmentBytes int64
+	// segmentBytes is the size at which Save rolls to a fresh segment
+	// (tests shrink it before the first Save).
+	segmentBytes int64
 
 	mu       sync.Mutex // serializes appends, rolls, compaction
 	dir      string
@@ -54,9 +55,8 @@ type FileStore struct {
 	offsets  map[string]int64 // replayed bytes per segment file name
 }
 
-// DefaultSegmentBytes is the segment roll threshold when the caller does
-// not override FileStore.SegmentBytes.
-const DefaultSegmentBytes = 4 << 20
+// defaultSegmentBytes is the segment roll threshold.
+const defaultSegmentBytes = 4 << 20
 
 const (
 	segPrefix = "seg-"
@@ -75,7 +75,7 @@ func OpenFileStore(path string) (*FileStore, error) {
 	}
 	s := &FileStore{
 		mem:          NewMemStore(),
-		SegmentBytes: DefaultSegmentBytes,
+		segmentBytes: defaultSegmentBytes,
 		dir:          path,
 		writerID:     newWriterID(),
 		offsets:      make(map[string]int64),
@@ -156,28 +156,46 @@ func (s *FileStore) load() error {
 	return nil
 }
 
-// replaySegment reads one segment from the given byte offset, applies
-// every intact framed record to the in-memory view, and returns the new
-// consumed offset. A damaged or incomplete record stops the replay at its
-// start. In strict mode (open-time load) damage followed by an intact
-// record is real corruption and fails the open; lenient mode (Refresh,
-// where a torn tail may simply be another writer mid-append) never errors.
+// replaySegment reads what one segment holds past the given byte offset —
+// nothing at all, after one stat, when the file ends there — applies every
+// intact framed record to the in-memory view, and returns the new consumed
+// offset. A damaged or incomplete record stops the replay at its start. In
+// strict mode (open-time load) damage followed by an intact record is real
+// corruption and fails the open; lenient mode (Refresh, where a torn tail
+// may simply be another writer mid-append) never errors.
 func (s *FileStore) replaySegment(name string, offset int64, strict bool) (int64, error) {
 	path := filepath.Join(s.dir, name)
-	data, err := os.ReadFile(path)
+	fi, err := os.Stat(path)
+	if os.IsNotExist(err) {
+		return offset, nil // compacted away since the directory listing
+	}
 	if err != nil {
-		if os.IsNotExist(err) {
-			return offset, nil // compacted away since the directory listing
-		}
 		return offset, err
 	}
-	if offset > int64(len(data)) {
+	size := fi.Size()
+	if size == offset {
+		return offset, nil
+	}
+	if offset > size {
 		if strict {
-			return offset, fmt.Errorf("histdb: %s shrank from %d to %d bytes", path, offset, len(data))
+			return offset, fmt.Errorf("histdb: %s shrank from %d to %d bytes", path, offset, size)
 		}
 		return offset, nil
 	}
-	rest := data[offset:]
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return offset, nil
+	}
+	if err != nil {
+		return offset, err
+	}
+	defer f.Close()
+	rest := make([]byte, size-offset)
+	n, err := f.ReadAt(rest, offset)
+	if err != nil && err != io.EOF {
+		return offset, err
+	}
+	rest = rest[:n] // short only if the file shrank since the stat
 	consumed := offset
 	damaged := false
 	for len(rest) > 0 {
@@ -262,11 +280,7 @@ func (s *FileStore) Save(rec *RunRecord) error {
 
 // append writes one framed line to the active segment (caller holds mu).
 func (s *FileStore) append(line []byte) error {
-	limit := s.SegmentBytes
-	if limit <= 0 {
-		limit = DefaultSegmentBytes
-	}
-	if s.f == nil || (s.size > 0 && s.size+int64(len(line)) > limit) {
+	if s.f == nil || (s.size > 0 && s.size+int64(len(line)) > s.segmentBytes) {
 		if err := s.roll(); err != nil {
 			return err
 		}

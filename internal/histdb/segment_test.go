@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -15,7 +17,7 @@ func TestSegmentRolling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SegmentBytes = 256 // force frequent rolls
+	s.segmentBytes = 256 // force frequent rolls
 	const n = 20
 	for i := 1; i <= n; i++ {
 		if err := s.Save(&RunRecord{ID: fmt.Sprintf("run-%06d", i), State: StateDone}); err != nil {
@@ -143,6 +145,41 @@ func TestRefreshIsIncremental(t *testing.T) {
 	}
 	if got := len(r.List()); got != 3 {
 		t.Fatalf("idle Refresh changed view to %d records", got)
+	}
+}
+
+// TestRefreshUnchangedStoreReadsNothing: Refresh runs before every dedup
+// lookup, so on a store nobody appended to it must cost a stat per segment,
+// not a read of every byte it already replayed.
+func TestRefreshUnchangedStoreReadsNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "runs")
+	w, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	w.segmentBytes = 128 << 10
+	pad := strings.Repeat("k", 1000)
+	for i := 1; i <= 1000; i++ { // ~1 MB over ~8 segments
+		if err := w.Save(&RunRecord{ID: fmt.Sprintf("run-%06d", i), SpecKey: pad, State: StateDone}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for _, s := range []*FileStore{w, r} { // the writer's own segments, and another's
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := s.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+			t.Fatalf("Refresh of an unchanged ~1 MB store allocated %d bytes, want < 64 KB", got)
+		}
 	}
 }
 

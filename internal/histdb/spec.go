@@ -68,13 +68,6 @@ type Spec struct {
 	// Probes is a continuous run's monitoring-probe count after initial
 	// convergence (default DefaultProbes). Ignored for tune runs.
 	Probes int `json:"probes,omitempty"`
-	// Dedup explicitly requests dedup-join semantics — serving an
-	// identical completed spec from the store, or joining an in-flight
-	// identical run. It is the default for tune runs, so setting it there
-	// is a no-op; continuous runs are never dedup-joinable (they monitor a
-	// live platform from admission onward), so a continuous spec with
-	// Dedup set is rejected by validation.
-	Dedup bool `json:"dedup,omitempty"`
 }
 
 // Normalize returns the spec with names canonicalized (benchmark upper,

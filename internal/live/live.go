@@ -103,15 +103,14 @@ func (e *Evaluator) noise(kind string, cfg cfgspace.Config) *rand.Rand {
 func NewProblem(b *workflow.Benchmark, obj workflow.Objective, poolSize int, seed uint64) *tuner.Problem {
 	rng := rand.New(rand.NewPCG(seed, 0xcea1))
 	return &tuner.Problem{
-		Name:         fmt.Sprintf("%s/%s", b.Name, obj.Short()),
-		Space:        b.Space,
-		Components:   Components(b),
-		Pool:         b.Space.SampleN(rng, poolSize),
-		Eval:         &Evaluator{Bench: b, Obj: obj, Seed: seed},
-		Combiner:     acm.ForObjective(obj != workflow.ExecTime),
-		Features:     b.Features,
-		FeatureNames: b.FeatureNames(),
-		Seed:         seed,
+		Name:       fmt.Sprintf("%s/%s", b.Name, obj.Short()),
+		Space:      b.Space,
+		Components: Components(b),
+		Pool:       b.Space.SampleN(rng, poolSize),
+		Eval:       &Evaluator{Bench: b, Obj: obj, Seed: seed},
+		Combiner:   acm.ForObjective(obj != workflow.ExecTime),
+		Features:   b.Features,
+		Seed:       seed,
 	}
 }
 

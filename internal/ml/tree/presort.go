@@ -134,9 +134,7 @@ func (gw *Grower) reserve(m, nc int) {
 		gw.rowsOrd = gw.rowsOrd[:m]
 		gw.rowsAux = gw.rowsAux[:m]
 	}
-	// Length (not nil) check: the context can gain rows between fits via
-	// Append, and these two arrays are indexed by context row.
-	if len(gw.count) < gw.c.n {
+	if gw.count == nil { // indexed by context row
 		gw.count = make([]int32, gw.c.n)
 		gw.left = make([]bool, gw.c.n)
 	}
@@ -226,7 +224,7 @@ func (t *growTask) grow(lo, hi, depth int) *node {
 	// serial in cols order, so candidate selection is independent of
 	// whether (and how wide) the scans fanned out. The serial path calls
 	// the method directly — a closure here escapes per node, which at tree
-	// depth dominates a warm refit's allocation profile.
+	// depth dominates a fit's allocation profile.
 	parentScore := gSum * gSum / (hSum + opt.Lambda)
 	fan := gw.eng != nil && (hi-lo)*len(t.cols) >= minSplitFanWork
 	if fan {
@@ -332,4 +330,23 @@ func stablePartition(left []bool, src, dst []int32, nl int) {
 		}
 	}
 	copy(src, dst)
+}
+
+// nodeSlab hands out tree nodes from chunked backing arrays, replacing
+// one heap allocation per node with one per chunk. Chunks are never
+// reused or truncated: a filled chunk stays alive exactly as long as the
+// trees pointing into it. Node allocation happens only on the (serial)
+// grow recursion, never inside fanned column tasks.
+type nodeSlab struct {
+	cur []node
+}
+
+const slabChunk = 512
+
+func (s *nodeSlab) alloc(n node) *node {
+	if len(s.cur) == cap(s.cur) {
+		s.cur = make([]node, 0, slabChunk)
+	}
+	s.cur = append(s.cur, n)
+	return &s.cur[len(s.cur)-1]
 }

@@ -1,6 +1,7 @@
 package xgb
 
 import (
+	"errors"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -9,13 +10,11 @@ import (
 	"ceal/internal/score"
 )
 
-// referenceFit is the pre-optimization trainer kept verbatim as the test
-// oracle: per-node-sorting tree.Grow, fresh index slices every round, and
-// per-row Predict updates. Fit/FitOn must reproduce its models bitwise.
+// referenceFit is the test oracle: per-node-sorting tree.Grow and per-row
+// pointer-tree Predict updates. Fit/FitOn must reproduce its models
+// bitwise.
 func referenceFit(X [][]float64, y []float64, p Params) *Model {
 	n := len(y)
-	dim := len(X[0])
-	rng := rand.New(rand.NewPCG(p.Seed, 0x9e3779b97f4a7c15))
 	base := 0.0
 	for _, v := range y {
 		base += v
@@ -29,28 +28,12 @@ func referenceFit(X [][]float64, y []float64, p Params) *Model {
 	g := make([]float64, n)
 	h := make([]float64, n)
 	opt := tree.Options{MaxDepth: p.MaxDepth, MinChildWeight: p.MinChildWeight, Lambda: p.Lambda, Gamma: p.Gamma}
-	sample := func(n int, frac float64) []int {
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		if frac >= 1 || frac <= 0 {
-			return all
-		}
-		k := int(frac*float64(n) + 0.5)
-		if k < 1 {
-			k = 1
-		}
-		rng.Shuffle(n, func(i, j int) { all[i], all[j] = all[j], all[i] })
-		return all[:k]
-	}
+	rows, cols := identity(n), identity(len(X[0]))
 	for round := 0; round < p.Rounds; round++ {
 		for i := 0; i < n; i++ {
 			g[i] = pred[i] - y[i]
 			h[i] = 1
 		}
-		rows := sample(n, p.Subsample)
-		cols := sample(dim, p.ColSample)
 		t := tree.Grow(X, g, h, rows, cols, opt)
 		m.trees = append(m.trees, t)
 		for i := 0; i < n; i++ {
@@ -89,16 +72,16 @@ func samePredictions(t *testing.T, label string, want, got *Model, X [][]float64
 	}
 }
 
-// TestFitMatchesReferenceTrainer pins the whole training path — sampling
-// streams, pre-sorted growth, leaf-assignment prediction updates — to the
-// old per-node-sort trainer, bitwise, across subsampling regimes.
+// TestFitMatchesReferenceTrainer pins the whole training path —
+// pre-sorted growth, leaf-assignment prediction updates — to the
+// per-node-sort trainer, bitwise, across regularization regimes.
 func TestFitMatchesReferenceTrainer(t *testing.T) {
 	X, y := trainingData(3, 50, 6)
 	cases := []Params{
-		{Rounds: 40, LearningRate: 0.1, MaxDepth: 4, Lambda: 1, MinChildWeight: 1, Subsample: 1, ColSample: 1, Seed: 7},
-		{Rounds: 40, LearningRate: 0.3, MaxDepth: 3, Lambda: 0.5, MinChildWeight: 1, Subsample: 0.7, ColSample: 1, Seed: 11},
-		{Rounds: 40, LearningRate: 0.1, MaxDepth: 5, Lambda: 1, MinChildWeight: 2, Subsample: 1, ColSample: 0.5, Seed: 13},
-		{Rounds: 40, LearningRate: 0.2, MaxDepth: 4, Lambda: 1, MinChildWeight: 1, Subsample: 0.6, ColSample: 0.6, Gamma: 0.01, Seed: 17},
+		{Rounds: 40, LearningRate: 0.1, MaxDepth: 4, Lambda: 1, MinChildWeight: 1},
+		{Rounds: 40, LearningRate: 0.3, MaxDepth: 3, Lambda: 0.5, MinChildWeight: 1},
+		{Rounds: 40, LearningRate: 0.1, MaxDepth: 5, Lambda: 1, MinChildWeight: 2},
+		{Rounds: 40, LearningRate: 0.2, MaxDepth: 4, Lambda: 1, MinChildWeight: 1, Gamma: 0.01},
 	}
 	probes, _ := trainingData(8, 30, 6)
 	for ci, p := range cases {
@@ -121,7 +104,7 @@ func TestFitMatchesReferenceTrainer(t *testing.T) {
 func TestFitDeterministicAcrossWorkerCounts(t *testing.T) {
 	// Large enough that per-node column fans actually engage.
 	X, y := trainingData(5, 1200, 8)
-	p := Params{Rounds: 8, LearningRate: 0.1, MaxDepth: 5, Lambda: 1, MinChildWeight: 1, Subsample: 1, ColSample: 1, Seed: 21}
+	p := Params{Rounds: 8, LearningRate: 0.1, MaxDepth: 5, Lambda: 1, MinChildWeight: 1}
 	serial, err := Fit(X, y, p)
 	if err != nil {
 		t.Fatal(err)
@@ -134,6 +117,60 @@ func TestFitDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 		samePredictions(t, "train", serial, m, X)
 		samePredictions(t, "probe", serial, m, probes)
+	}
+}
+
+// TestBoosterRejectsBadTrainingData pins the ingestion boundary: a
+// training set with a NaN/Inf feature or target or a ragged row is
+// refused whole with ErrBadTrainingData, wherever the bad row sits, and a
+// refusal leaves nothing behind — the good rows alone fit as ever.
+func TestBoosterRejectsBadTrainingData(t *testing.T) {
+	X, y := trainingData(51, 30, 4)
+	p := Params{Rounds: 10, LearningRate: 0.1, MaxDepth: 3, Lambda: 1, MinChildWeight: 1}
+	bad := []struct {
+		name string
+		X    [][]float64
+		y    []float64
+	}{
+		{"NaN feature", [][]float64{{1, 2, 3, 4}, {1, math.NaN(), 3, 4}}, []float64{1, 2}},
+		{"Inf feature", [][]float64{{math.Inf(-1), 2, 3, 4}}, []float64{1}},
+		{"Inf target", [][]float64{{1, 2, 3, 4}}, []float64{math.Inf(1)}},
+		{"NaN target", [][]float64{{1, 2, 3, 4}}, []float64{math.NaN()}},
+		{"ragged row", [][]float64{{1, 2, 3, 4}, {1, 2, 3}}, []float64{1, 2}},
+	}
+	want, err := FitOn(nil, X, y, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range bad {
+		if _, err := FitOn(nil, tc.X, tc.y, p); !errors.Is(err, ErrBadTrainingData) {
+			t.Errorf("FitOn %s: err = %v, want ErrBadTrainingData", tc.name, err)
+		}
+		// The same rows behind 20 good ones: the first row fixes the width.
+		Xb := append(append([][]float64{}, X[:20]...), tc.X...)
+		yb := append(append([]float64{}, y[:20]...), tc.y...)
+		if _, err := FitOn(nil, Xb, yb, p); !errors.Is(err, ErrBadTrainingData) {
+			t.Errorf("FitOn %s after good rows: err = %v, want ErrBadTrainingData", tc.name, err)
+		}
+	}
+	got, err := FitOn(nil, X, y, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePredictions(t, "good rows after rejected fits", want, got, X)
+}
+
+// TestNewBoosterRejectsDeepTrees pins the depth cap every flattened
+// predict path relies on: 8 levels fit, 9 are refused up front.
+func TestNewBoosterRejectsDeepTrees(t *testing.T) {
+	X, y := trainingData(61, 40, 4)
+	p := Params{Rounds: 3, LearningRate: 0.1, MaxDepth: maxFlatDepth + 1, Lambda: 1, MinChildWeight: 1}
+	if _, err := FitOn(nil, X, y, p); err == nil {
+		t.Fatalf("FitOn accepted MaxDepth %d", p.MaxDepth)
+	}
+	p.MaxDepth = maxFlatDepth
+	if _, err := FitOn(nil, X, y, p); err != nil {
+		t.Fatalf("MaxDepth %d: %v", p.MaxDepth, err)
 	}
 }
 

@@ -49,7 +49,7 @@ func lowCardData(seed uint64, n, dim int) ([][]float64, []float64) {
 // PredictBatchQuantizedOnInto over the rank-coded pool and
 // PredictCodedBounded with nothing to abandon — for
 // leaf-only ensembles (padded to one level), the shallowest and the
-// deepest trees NewBooster accepts, and a batch whose length leaves a
+// deepest trees FitOn accepts, and a batch whose length leaves a
 // tail after the four-abreast loop.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	const dim = 6
@@ -122,7 +122,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 // every split, as the float compare sends it), ±Inf and −0.
 func TestPredictBatchQuantizedMatchesFloat(t *testing.T) {
 	X, y := trainingData(7, 200, 5)
-	p := Params{Rounds: 30, LearningRate: 0.1, MaxDepth: 4, Lambda: 1, MinChildWeight: 1, Subsample: 1, ColSample: 1, Seed: 3}
+	p := Params{Rounds: 30, LearningRate: 0.1, MaxDepth: 4, Lambda: 1, MinChildWeight: 1}
 	m, err := Fit(X, y, p)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func TestPredictBatchQuantizedMatchesFloat(t *testing.T) {
 // kept, bitwise equal to Predict.
 func TestPredictWidePoolUsesFloatRows(t *testing.T) {
 	X, y := trainingData(7, 200, 3)
-	m, err := Fit(X, y, Params{Rounds: 10, LearningRate: 0.1, MaxDepth: 3, Lambda: 1, MinChildWeight: 1, Subsample: 1, ColSample: 1})
+	m, err := Fit(X, y, Params{Rounds: 10, LearningRate: 0.1, MaxDepth: 3, Lambda: 1, MinChildWeight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

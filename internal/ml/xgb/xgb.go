@@ -1,11 +1,13 @@
 // Package xgb implements extreme-gradient-boosted regression trees — the
 // role xgboost.XGBRegressor plays in the paper (§7.3) — with squared-error
-// loss, shrinkage, and row/column subsampling, entirely on the stdlib.
+// loss and shrinkage, every round grown on all rows and all columns,
+// entirely on the stdlib.
 package xgb
 
 import (
+	"errors"
+	"fmt"
 	"math"
-	"math/rand/v2"
 	"slices"
 	"sort"
 	"sync"
@@ -22,9 +24,6 @@ type Params struct {
 	Lambda         float64 // L2 regularization on leaf weights
 	Gamma          float64 // minimum split gain
 	MinChildWeight float64 // minimum hessian sum per child
-	Subsample      float64 // row sampling fraction per round (1 = all)
-	ColSample      float64 // feature sampling fraction per round (1 = all)
-	Seed           uint64  // sampling seed
 }
 
 // DefaultParams suits the paper's regime: few (tens of) training samples of
@@ -36,8 +35,6 @@ func DefaultParams() Params {
 		MaxDepth:       4,
 		Lambda:         1,
 		MinChildWeight: 1,
-		Subsample:      1,
-		ColSample:      1,
 	}
 }
 
@@ -83,10 +80,9 @@ type flatEnsemble struct {
 	slack  float64
 }
 
-// maxFlatDepth is the deepest ensemble NewBooster accepts: every
-// prediction entry point but the Predict oracle walks the complete-tree
-// padding, whose size doubles per level (2^depth slots per tree).
-// Defaults keep ensembles at depth 4.
+// maxFlatDepth is the deepest ensemble FitOn accepts: every prediction
+// entry point walks the complete-tree padding, whose size doubles per
+// level (2^depth slots per tree). Defaults keep ensembles at depth 4.
 const maxFlatDepth = 8
 
 // flatten builds the complete-tree ensemble once; safe for concurrent
@@ -147,51 +143,86 @@ func Fit(X [][]float64, y []float64, p Params) (*Model, error) {
 	return FitOn(nil, X, y, p)
 }
 
+// ErrBadTrainingData is returned (wrapped) by FitOn for rows the trainer
+// cannot order or fit: a ragged row, or a NaN/±Inf feature or target.
+var ErrBadTrainingData = errors.New("xgb: bad training data")
+
 // FitOn trains like Fit with the engine supplying training parallelism
-// (nil engine: serial, exactly like PredictBatchOnInto): a one-shot
-// Booster over (X, y). Feature columns are pre-sorted once — X is static
-// across all rounds — and every round's tree is grown by stable partition
-// of the sorted index arrays; per-node split enumeration fans across
-// feature columns on the engine. The trained model is bitwise identical
-// for any worker count, and value-identical to the reference
-// per-node-sort trainer.
+// (nil engine: serial, exactly like PredictBatchOnInto). Feature columns
+// are pre-sorted once — X is static across all rounds — and every round's
+// tree is grown on one Grower by stable partition of the sorted index
+// arrays; per-node split enumeration fans across feature columns on the
+// engine. The trained model is bitwise identical for any worker count,
+// and value-identical to the reference per-node-sort trainer. The rows of
+// X are read, never retained.
 func FitOn(e *score.Engine, X [][]float64, y []float64, p Params) (*Model, error) {
-	b, err := NewBooster(e, p)
-	if err != nil {
-		return nil, err
+	if p.Rounds <= 0 || p.LearningRate <= 0 {
+		return nil, fmt.Errorf("xgb: rounds and learning rate must be positive")
 	}
-	if err := b.Append(X, y); err != nil {
-		return nil, err
+	if p.MaxDepth > maxFlatDepth {
+		return nil, fmt.Errorf("xgb: MaxDepth must be at most %d, got %d", maxFlatDepth, p.MaxDepth)
 	}
-	return b.Fit()
+	n := len(y)
+	if n == 0 || len(X) != n {
+		return nil, fmt.Errorf("xgb: need matching non-empty X (%d) and y (%d)", len(X), n)
+	}
+	// A NaN would silently break the (value, row) column order the trainer
+	// sorts by, so bad rows reject the fit whole.
+	dim := len(X[0])
+	for i, row := range X {
+		if len(row) != dim {
+			return nil, fmt.Errorf("%w: row %d has %d features, want %d", ErrBadTrainingData, i, len(row), dim)
+		}
+		for f, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("%w: row %d feature %d is %v", ErrBadTrainingData, i, f, v)
+			}
+		}
+		if math.IsNaN(y[i]) || math.IsInf(y[i], 0) {
+			return nil, fmt.Errorf("%w: row %d target is %v", ErrBadTrainingData, i, y[i])
+		}
+	}
+
+	base := 0.0
+	for _, v := range y {
+		base += v
+	}
+	base /= float64(n)
+
+	grower := tree.NewContext(e, X).Grower(e)
+	rows, cols := identity(n), identity(dim)
+	opt := tree.Options{MaxDepth: p.MaxDepth, MinChildWeight: p.MinChildWeight, Lambda: p.Lambda, Gamma: p.Gamma}
+
+	m := &Model{base: base, eta: p.LearningRate, trees: make([]*tree.Tree, 0, p.Rounds)}
+	pred := make([]float64, n)
+	for i := range pred {
+		pred[i] = base
+	}
+	g, h, leaf := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range h {
+		h[i] = 1
+	}
+	for round := 0; round < p.Rounds; round++ {
+		for i := range g {
+			g[i] = pred[i] - y[i] // d/dpred ½(pred−y)²
+		}
+		// Every row is in the tree, so leaf carries each row's prediction
+		// and nothing walks the tree again.
+		m.trees = append(m.trees, grower.Grow(g, h, rows, cols, opt, leaf))
+		for i := range pred {
+			pred[i] += p.LearningRate * leaf[i]
+		}
+	}
+	return m, nil
 }
 
-// sampleIndices draws ceil(frac*n) distinct indices into buf (or all of
-// [0,n) when frac >= 1), consuming the rng exactly like a fresh-slice
-// shuffle so seeded sampling streams are unchanged by buffer reuse.
-func sampleIndices(buf []int, frac float64, rng *rand.Rand) []int {
-	n := len(buf)
-	for i := range buf {
-		buf[i] = i
+// identity returns [0, n): every row, or every column, of the matrix.
+func identity(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
 	}
-	if frac >= 1 || frac <= 0 {
-		return buf
-	}
-	k := int(frac*float64(n) + 0.5)
-	if k < 1 {
-		k = 1
-	}
-	rng.Shuffle(n, func(i, j int) { buf[i], buf[j] = buf[j], buf[i] })
-	return buf[:k]
-}
-
-// Predict returns the model output for one feature vector.
-func (m *Model) Predict(x []float64) float64 {
-	out := m.base
-	for _, t := range m.trees {
-		out += m.eta * t.Predict(x)
-	}
-	return out
+	return s
 }
 
 // PredictRow predicts one feature vector through the flattened ensemble:
@@ -199,7 +230,7 @@ func (m *Model) Predict(x []float64) float64 {
 // paths (fused pool selection) that cannot batch. The flat leaves are the
 // pointer trees' values pre-scaled by eta, and trees accumulate in
 // ensemble order either way, so the result is bitwise identical to
-// Predict.
+// walking the pointer trees.
 func (m *Model) PredictRow(x []float64) float64 {
 	fe := m.flatten()
 	depth := fe.depth
@@ -217,7 +248,7 @@ func (m *Model) PredictRow(x []float64) float64 {
 // PredictBatchOnInto predicts every row of X into out (len(out) ==
 // len(X)) on the engine's workers (nil engine: serial) — each row's trees
 // accumulate in ensemble order regardless of chunking, so results are
-// bitwise identical to per-row Predict for any worker count. The walk
+// bitwise identical to per-row PredictRow for any worker count. The walk
 // uses the complete-tree ensemble (heap-ordered arrays, eta-scaled
 // leaves, branchless fixed-depth descent) and runs four independent rows
 // abreast so per-level load latency overlaps across rows instead of
@@ -357,7 +388,7 @@ const boundStride = 4
 // not be wide) into out for a caller that only wants predictions not above
 // bound: a row is abandoned, and reported as +Inf, as soon as its
 // prediction is certain to exceed bound; every other row gets the exact
-// Predict value, its trees accumulated in ensemble order. bound = +Inf
+// PredictRow value, its trees accumulated in ensemble order. bound = +Inf
 // abandons nothing.
 //
 // Soundness. After t trees the row's partial sum is p; the finished sum P

@@ -21,12 +21,10 @@ type RunSpec struct {
 	Algorithms  []tuner.Algorithm
 	Reps        int    // replications to average (paper: 100)
 	Seed        uint64 // base seed; replication r uses Seed+r
-	Workers     int    // parallel replications (<= 1: serial)
-	// ScoreWorkers is each replication's pool-scoring parallelism
-	// (tuner.Problem.Workers). Zero keeps per-rep scoring serial, the right
-	// default when Workers already saturates the machine with replications;
-	// results are identical either way.
-	ScoreWorkers int
+	// Workers is how many replications run in parallel (<= 1: serial).
+	// Each replication scores its pool serially: the replications already
+	// saturate the machine.
+	Workers int
 	// Ctx optionally cancels the battery: it is threaded into every
 	// replication's Problem, aborting in-progress measurement batches.
 	Ctx context.Context
@@ -128,7 +126,6 @@ func RunBattery(spec RunSpec) ([]*AlgStats, error) {
 		}
 		problem := spec.GT.Problem(spec.Obj, spec.WithHistory, spec.Seed+uint64(rep))
 		problem.Ctx = spec.Ctx
-		problem.Workers = spec.ScoreWorkers
 		out := make([]repMetrics, len(spec.Algorithms))
 		for i, alg := range spec.Algorithms {
 			problem.Observer = nil

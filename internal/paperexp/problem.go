@@ -75,7 +75,6 @@ func (gt *GroundTruth) Problem(obj Objective, withHistory bool, seed uint64) *tu
 		Combiner:      acm.ForObjective(obj != ExecTime),
 		ComponentPool: compPool,
 		Features:      b.Features,
-		FeatureNames:  b.FeatureNames(),
 		Seed:          seed,
 	}
 	if withHistory {

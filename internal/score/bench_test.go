@@ -54,6 +54,11 @@ func trainModel(b *testing.B, bench *workflow.Benchmark, pool []cfgspace.Config)
 	return m
 }
 
+// rowModel is a boosted ensemble as an acm.Predictor.
+type rowModel struct{ *xgb.Model }
+
+func (m rowModel) Predict(x []float64) float64 { return m.PredictRow(x) }
+
 // BenchmarkPredictPool measures one surrogate pool-scoring pass — what
 // every algorithm runs once per refinement iteration.
 func BenchmarkPredictPool(b *testing.B) {
@@ -66,7 +71,7 @@ func BenchmarkPredictPool(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			out := make([]float64, len(pool))
 			for j, cfg := range pool {
-				out[j] = model.Predict(bench.Features(cfg))
+				out[j] = model.PredictRow(bench.Features(cfg))
 			}
 		}
 	})
@@ -137,13 +142,13 @@ func BenchmarkScoreBatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		part.Predictor = m
+		part.Predictor = rowModel{m}
 		lf.Parts = append(lf.Parts, part)
 	}
 
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			lf.ScoreBatch(pool)
+			lf.ScoreBatchOn(nil, pool)
 		}
 	})
 	b.Run("par8", func(b *testing.B) {

@@ -49,16 +49,6 @@ func (q *Codes) Values(f int) []float64 { return q.values[f] }
 // code (see the wide-column rule), nil for a coded pool.
 func (q *Codes) FloatRows() [][]float64 { return q.rows }
 
-// FootprintBytes returns the retained size of a coded pool (codes plus
-// value tables).
-func (q *Codes) FootprintBytes() int {
-	b := 2 * len(q.codes)
-	for _, v := range q.values {
-		b += 8 * len(v)
-	}
-	return b
-}
-
 // QuantizeRows rank-codes a row-major float matrix on the engine's
 // workers. A matrix with a column wider than MaxCodes comes back holding
 // rows themselves.

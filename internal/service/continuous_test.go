@@ -23,44 +23,6 @@ func contSpec() JobSpec {
 	}
 }
 
-func TestServerRejectsContinuousDedup(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1})
-
-	spec := contSpec()
-	spec.Dedup = true
-	resp, body := postJSON(t, ts.URL+"/v1/runs", spec)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("continuous+dedup POST = %d, want 400: %s", resp.StatusCode, body)
-	}
-	if !strings.Contains(string(body), "dedup") {
-		t.Fatalf("400 body does not explain the dedup rejection: %s", body)
-	}
-
-	spec = contSpec()
-	spec.WarmStart = true
-	if resp, body := postJSON(t, ts.URL+"/v1/runs", spec); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("continuous+warm POST = %d, want 400: %s", resp.StatusCode, body)
-	}
-
-	spec = contSpec()
-	spec.Drift = "tsunami"
-	if resp, body := postJSON(t, ts.URL+"/v1/runs", spec); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown profile POST = %d, want 400: %s", resp.StatusCode, body)
-	}
-
-	spec = JobSpec{Benchmark: "LV", Mode: "forever"}
-	if resp, body := postJSON(t, ts.URL+"/v1/runs", spec); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown mode POST = %d, want 400: %s", resp.StatusCode, body)
-	}
-
-	// A tune spec with the dedup flag is the default behaviour spelled out:
-	// accepted.
-	tune := JobSpec{Benchmark: "LV", Budget: 8, Pool: 40, Seed: 2, Dedup: true}
-	if resp, body := postJSON(t, ts.URL+"/v1/runs", tune); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("tune+dedup POST = %d, want 201: %s", resp.StatusCode, body)
-	}
-}
-
 // TestServerContinuousRunStreamsDriftEvents is the serve-surface acceptance
 // criterion: a continuous run under a step profile streams drift_confirmed
 // followed by reconverged, finishes with a continuous summary, never

@@ -450,6 +450,12 @@ func TestServerErrorPaths(t *testing.T) {
 		"oversized budget":  `{"benchmark":"LV","budget":2000000000}`,
 		"oversized workers": `{"benchmark":"LV","workers":2000000000}`,
 		"oversized probes":  `{"benchmark":"LV","mode":"continuous","probes":2000000000}`,
+		"unknown mode":      `{"benchmark":"LV","mode":"forever"}`,
+		"unknown profile":   `{"benchmark":"LV","mode":"continuous","drift":"tsunami"}`,
+		"continuous warm":   `{"benchmark":"LV","mode":"continuous","warm_start":true}`,
+		// Dedup-join is what a tune spec always gets and a continuous one
+		// never does; there is no field to ask for it.
+		"dedup field": `{"benchmark":"LV","budget":8,"pool":40,"dedup":true}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -94,12 +94,6 @@ func validate(n JobSpec) (*workflow.Benchmark, error) {
 		if _, err := cluster.ParseProfile(n.Drift, n.Seed); err != nil {
 			return nil, fmt.Errorf("service: %w", err)
 		}
-		if n.Dedup {
-			// Continuous runs monitor a live platform from admission onward;
-			// joining one in flight or serving a stored one as a cached
-			// answer would hand back a different platform history.
-			return nil, fmt.Errorf("service: continuous runs are never dedup-joinable; drop the dedup flag")
-		}
 		if n.WarmStart {
 			return nil, fmt.Errorf("service: continuous runs warm-start internally from their own epochs; drop warm_start")
 		}

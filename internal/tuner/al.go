@@ -87,7 +87,7 @@ func (s *surrogateBacked) Fit(st *State, _ []Sample) (bool, error) {
 }
 
 func (s *surrogateBacked) FinalScores(st *State) ([]float64, error) {
-	return s.model.PredictPoolInto(st.Problem.Pool, st.finalScoreBuf()), nil
+	return s.model.PredictPoolInto(st.Problem.Pool, make([]float64, len(st.Problem.Pool))), nil
 }
 
 func (s *surrogateBacked) FinalImportance(st *State) []float64 {

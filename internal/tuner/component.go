@@ -99,11 +99,10 @@ func trainComponentModels(p *Problem, mR int, rng *rand.Rand) (*componentModels,
 	// Pass 2: independent per-component model fits fan across the engine —
 	// each writes only its own slot, and errors are surfaced in component
 	// order, so results and failure behavior match the serial loop.
-	params := p.surrogateParams()
 	models := make([]acm.Predictor, len(fits))
 	errs := make([]error, len(fits))
 	p.engine().Tasks(len(fits), func(i int) {
-		models[i], errs[i] = fitComponentModel(p.Components[fits[i].j], fits[i].samples, params)
+		models[i], errs[i] = fitComponentModel(p.Components[fits[i].j], fits[i].samples)
 	})
 	for i, pf := range fits {
 		comp := p.Components[pf.j]
@@ -170,14 +169,10 @@ func (c componentModel) Predict(x []float64) float64 {
 	return unlogTarget(c.model.PredictRow(x))
 }
 
-func fitComponentModel(comp ComponentInfo, samples []Sample, params xgb.Params) (acm.Predictor, error) {
-	X := make([][]float64, len(samples))
-	y := make([]float64, len(samples))
-	for i, s := range samples {
-		X[i] = comp.features(s.Cfg)
-		y[i] = logTarget(s.Value)
-	}
-	m, err := xgb.Fit(X, y, params)
+// fitComponentModel fits one component's model serially: the fits
+// themselves fan across the engine, one per component.
+func fitComponentModel(comp ComponentInfo, samples []Sample) (acm.Predictor, error) {
+	m, err := fitLogModel(nil, comp.features, samples)
 	if err != nil {
 		return nil, err
 	}

@@ -43,7 +43,7 @@ type Continuous struct {
 	// Env is the time-varying measurement environment; it is installed as
 	// each epoch's Dispatcher and probed between epochs.
 	Env *drift.Env
-	// Opts tunes the monitoring cadence, detector and re-exploration.
+	// Opts tunes the monitoring cadence and re-exploration.
 	Opts ContinuousOptions
 	// Observer receives the continuous-mode event stream (probe, drift,
 	// re-exploration events) in addition to each epoch's run events.
@@ -73,14 +73,21 @@ type ContinuousOptions struct {
 	// ReexploreBudget is the measurement budget per re-exploration epoch;
 	// 0 selects max(10, budget/2) of the initial budget.
 	ReexploreBudget int
-	// Detector configures the drift detector (zero value = relative
-	// residual, threshold 0.15, 3 consecutive probes to confirm).
-	Detector drift.Config
 	// OracleCfgs is the configuration set scanned (without advancing the
 	// clock) for the per-probe oracle best. Empty disables regret
 	// accounting (Regret stays 0).
 	OracleCfgs []cfgspace.Config
 }
+
+// The drift trigger: a probe whose relative residual against the
+// incumbent's anchored value reaches driftThreshold is suspect, and
+// driftConfirm suspect probes in a row confirm drift. A known-good
+// configuration must beat the drifted incumbent by the same margin to be
+// switched back to.
+const (
+	driftThreshold = 0.15
+	driftConfirm   = 3
+)
 
 // withDefaults fills unset options given the initial budget.
 func (o ContinuousOptions) withDefaults(budget int) ContinuousOptions {
@@ -171,7 +178,7 @@ func (c *Continuous) Run(budget int) (*ContinuousResult, error) {
 	incumbent := initial.Best
 	prev := initial
 
-	det := drift.NewDetector(opts.Detector)
+	det := drift.NewDetector(driftThreshold, driftConfirm)
 	base, err := c.Env.Probe(ctx, incumbent)
 	if err != nil {
 		return nil, err
@@ -191,10 +198,6 @@ func (c *Continuous) Run(budget int) (*ContinuousResult, error) {
 			}
 		}
 		portfolio = append(portfolio, cfg)
-	}
-	thr := opts.Detector.Threshold
-	if thr <= 0 {
-		thr = 0.15
 	}
 
 	lastClock := c.Env.Clock()
@@ -264,7 +267,7 @@ func (c *Continuous) Run(budget int) (*ContinuousResult, error) {
 						bestV, bestCfg = pv, pc
 					}
 				}
-				if bestV < v*(1-thr) {
+				if bestV < v*(1-driftThreshold) {
 					incumbent = bestCfg
 					det.Reset(bestV)
 					res.Switchbacks++

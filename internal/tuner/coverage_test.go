@@ -52,8 +52,8 @@ func TestSurrogateTrainEmptyErrors(t *testing.T) {
 
 // TestSurrogateTrainRejectsBadFeatures: a caller-supplied featurizer that
 // yields NaN fails the refit with xgb.ErrBadTrainingData, and the
-// surrogate stays usable — the next Train on clean samples extends the
-// accepted prefix and matches a surrogate that never saw the bad batch.
+// surrogate stays usable — the next Train on clean samples matches a
+// surrogate that never saw the bad batch.
 func TestSurrogateTrainRejectsBadFeatures(t *testing.T) {
 	p := synthProblem(41, 60)
 	samples, err := measureBatch(p, p.Pool[:30])
@@ -103,18 +103,6 @@ func TestProblemSub(t *testing.T) {
 	cfg := cfgspace.Config{1, 2, 3, 4}
 	if p.sub(cfg, 0).Key() != "1,2" || p.sub(cfg, 1).Key() != "3,4" {
 		t.Fatalf("sub extraction wrong: %v %v", p.sub(cfg, 0), p.sub(cfg, 1))
-	}
-}
-
-func TestSurrogateParamsDefaultAndOverride(t *testing.T) {
-	p := synthProblem(47, 10)
-	if p.surrogateParams().Rounds != xgb.DefaultParams().Rounds {
-		t.Fatalf("default rounds = %d", p.surrogateParams().Rounds)
-	}
-	p.Surrogate.Rounds = 7
-	p.Surrogate.LearningRate = 0.5
-	if p.surrogateParams().Rounds != 7 {
-		t.Fatal("surrogate params override ignored")
 	}
 }
 

@@ -25,9 +25,8 @@ func BenchmarkSelectTop(b *testing.B) {
 		p.Workers = workers
 		run := func(name string, take func(t *poolTracker)) {
 			b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
-				tr := newPoolTracker(p, newRunArena())
+				tr := newPoolTracker(p)
 				backup := append([]int(nil), tr.remaining...)
-				tr.takeTop(n, benchPoolScorer) // warm the arena
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -40,68 +39,6 @@ func BenchmarkSelectTop(b *testing.B) {
 		run("fused", func(tr *poolTracker) { tr.takeTop(n, benchPoolScorer) })
 		run("reference", func(tr *poolTracker) { takeTopReference(tr, n, benchPoolScorer) })
 	}
-}
-
-// BenchmarkSteadyStateIteration prices one full model-guided loop
-// iteration on a 100k-config pool — surrogate refit, full-pool
-// prediction, top-k selection — in the two regimes the tentpole
-// separates: "warm" reuses the per-run state the loop now carries (the
-// booster's kernel and round buffers, the arena's prediction and
-// selection buffers), "cold" rebuilds everything per iteration, which is
-// the pre-optimization per-iteration shape.
-func BenchmarkSteadyStateIteration(b *testing.B) {
-	const poolN, nSamples, batch = 100_000, 48, 16
-	p := synthProblem(1, poolN)
-	p.Workers = 1
-	samples := make([]Sample, nSamples)
-	for i := range samples {
-		v, err := p.Eval.MeasureWorkflow(p.Pool[i])
-		if err != nil {
-			b.Fatal(err)
-		}
-		samples[i] = Sample{Cfg: p.Pool[i], Value: v}
-	}
-
-	b.Run("warm", func(b *testing.B) {
-		s := newSurrogate(p)
-		arena := newRunArena()
-		tr := newPoolTracker(p, arena)
-		backup := append([]int(nil), tr.remaining...)
-		if err := s.Train(samples); err != nil {
-			b.Fatal(err)
-		}
-		s.PredictPoolInto(p.Pool, arena.poolScores(poolN))
-		tr.takeTop(batch, s.poolScorer(p))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tr.remaining = tr.remaining[:len(backup)]
-			copy(tr.remaining, backup)
-			if err := s.Train(samples); err != nil {
-				b.Fatal(err)
-			}
-			s.PredictPoolInto(p.Pool, arena.poolScores(poolN))
-			tr.takeTop(batch, s.poolScorer(p))
-		}
-	})
-
-	b.Run("cold", func(b *testing.B) {
-		// Fresh surrogate, tracker and buffers every iteration: every fit
-		// re-sorts the kernel, every prediction allocates a pool-sized
-		// slice, every selection materializes and sorts the full pool.
-		// (The problem-level featurized-pool cache predates this PR and
-		// stays shared, so the delta below is the per-run reuse alone.)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := newSurrogate(p)
-			tr := newPoolTracker(p, newRunArena())
-			if err := s.Train(samples); err != nil {
-				b.Fatal(err)
-			}
-			s.PredictPoolInto(p.Pool, make([]float64, poolN))
-			takeTopReference(tr, batch, s.poolScorer(p))
-		}
-	})
 }
 
 // BenchmarkTuneLoopEndToEnd is the headline number: a complete

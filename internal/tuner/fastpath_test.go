@@ -71,8 +71,8 @@ func TestTakeTopMatchesReference(t *testing.T) {
 					out[j] = float64(idx % mod)
 				}
 			}
-			fused := newPoolTracker(p, newRunArena())
-			ref := newPoolTracker(p, newRunArena())
+			fused := newPoolTracker(p)
+			ref := newPoolTracker(p)
 			for len(fused.remaining) > 0 {
 				n := 1 + rng.IntN(poolN/3+1)
 				got := fused.takeTop(n, scorer)
@@ -152,8 +152,8 @@ func TestFusedSelectionIdenticalAcrossWorkerCounts(t *testing.T) {
 // difference in a returned batch or in the surviving index array.
 func drainBothWays(t *testing.T, label string, p *Problem, n int, scorer poolScorer) {
 	t.Helper()
-	fused := newPoolTracker(p, newRunArena())
-	ref := newPoolTracker(p, newRunArena())
+	fused := newPoolTracker(p)
+	ref := newPoolTracker(p)
 	for step := 0; len(ref.remaining) > 0 && step < 6; step++ {
 		got := fused.takeTop(n, scorer)
 		want := takeTopReference(ref, n, scorer)

@@ -7,6 +7,7 @@ import (
 
 	"ceal/internal/cfgspace"
 	"ceal/internal/collector"
+	"ceal/internal/ml/xgb"
 	"ceal/internal/tuner/events"
 )
 
@@ -52,11 +53,7 @@ type State struct {
 	// strategies consume it through TrainingSamples and must not mutate it.
 	Prior []Sample
 
-	obs events.Observer
-	// arena is the run's reusable scratch pool (see runArena): the Loop
-	// creates it with the State and shares it with the Tracker, and
-	// strategies reach it through helpers like finalScoreBuf.
-	arena    *runArena
+	obs      events.Observer
 	bestVal  float64
 	bestCfg  cfgspace.Config
 	hasBest  bool
@@ -65,14 +62,6 @@ type State struct {
 
 // Remaining returns the workflow-run budget not yet spent.
 func (s *State) Remaining() int { return s.Budget - len(s.Samples) }
-
-// finalScoreBuf returns the arena's pool-length scores buffer for
-// FinalScores implementations (a fresh slice when no arena is attached —
-// hand-built States in tests). The buffer may escape into the Result; the
-// arena's ownership rules make that sound.
-func (s *State) finalScoreBuf() []float64 {
-	return s.arena.poolScores(len(s.Problem.Pool))
-}
 
 // Observing reports whether an observer is attached. Strategies should
 // guard event construction with it so the nil-observer path stays
@@ -156,15 +145,13 @@ func (l *Loop) Run(p *Problem, budget int) (*Result, error) {
 	if budget < 0 {
 		return nil, fmt.Errorf("tuner: negative measurement budget %d", budget)
 	}
-	arena := newRunArena()
 	st := &State{
 		Problem:    p,
 		Rng:        rand.New(rand.NewPCG(p.Seed, l.Salt)),
-		Tracker:    newPoolTracker(p, arena),
+		Tracker:    newPoolTracker(p),
 		Budget:     budget,
 		SwitchIter: -1,
 		obs:        p.Observer,
-		arena:      arena,
 	}
 	if st.obs != nil {
 		st.Emit(&events.RunStarted{
@@ -199,7 +186,7 @@ func (l *Loop) Run(p *Problem, budget int) (*Result, error) {
 				Model:      "low-fidelity",
 				Samples:    st.compRuns,
 				DurationNS: time.Since(start).Nanoseconds(),
-				Rounds:     p.surrogateParams().Rounds,
+				Rounds:     xgb.DefaultParams().Rounds,
 			})
 		}
 	}

@@ -286,7 +286,7 @@ func TestPoolTrackerEdgeCases(t *testing.T) {
 	}
 
 	t.Run("takeTop oversized request clamps to remaining", func(t *testing.T) {
-		tr := newPoolTracker(p, newRunArena())
+		tr := newPoolTracker(p)
 		got := tr.takeTop(len(p.Pool)+10, byIndex)
 		if len(got) != len(p.Pool) {
 			t.Fatalf("took %d configs, want %d", len(got), len(p.Pool))
@@ -297,7 +297,7 @@ func TestPoolTrackerEdgeCases(t *testing.T) {
 	})
 
 	t.Run("takeTop non-positive request is a no-op", func(t *testing.T) {
-		tr := newPoolTracker(p, newRunArena())
+		tr := newPoolTracker(p)
 		for _, n := range []int{0, -3} {
 			if got := tr.takeTop(n, byIndex); got != nil {
 				t.Errorf("takeTop(%d) = %v, want nil", n, got)
@@ -309,7 +309,7 @@ func TestPoolTrackerEdgeCases(t *testing.T) {
 	})
 
 	t.Run("exhausted pool yields empty batches", func(t *testing.T) {
-		tr := newPoolTracker(p, newRunArena())
+		tr := newPoolTracker(p)
 		rng := newTestRNG(1)
 		if got := tr.takeRandom(len(p.Pool), rng); len(got) != len(p.Pool) {
 			t.Fatalf("takeRandom drained %d, want %d", len(got), len(p.Pool))
@@ -330,7 +330,7 @@ func TestPoolTrackerEdgeCases(t *testing.T) {
 				out[i] = 0
 			}
 		}
-		tr := newPoolTracker(p, newRunArena())
+		tr := newPoolTracker(p)
 		got := tr.takeTop(7, tied)
 		want := metrics.TopIndices(7, make([]float64, len(p.Pool)))
 		for i := range got {

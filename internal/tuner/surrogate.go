@@ -17,86 +17,35 @@ import (
 // candidate pool once per run into cached rank codes (score.Codes), which
 // is all the pool a surrogate ever holds.
 type Surrogate struct {
-	feats  func(cfgspace.Config) []float64
-	params xgb.Params
-	model  *xgb.Model
-	eng    *score.Engine
-	mat    *score.Matrix // featurized-pool cache (shared per problem for the workflow featurizer)
-
-	// Incremental-refit state: the booster retains the featurized training
-	// matrix, its pre-sorted column index, and all round buffers
-	// across fits, and rowCfg/rowY remember which sample prefix it was
-	// trained on so Train can detect when only a suffix is new.
-	boost  *xgb.Booster
-	rowCfg []*int    // head pointer of each trained sample's Cfg (prefix identity)
-	rowY   []float64 // log-space target of each trained sample
+	feats func(cfgspace.Config) []float64
+	model *xgb.Model
+	eng   *score.Engine
+	mat   *score.Matrix // featurized-pool cache (shared per problem for the workflow featurizer)
 }
 
 // newSurrogate builds an untrained surrogate over the problem's workflow
 // features, sharing the problem's featurized-pool cache.
 func newSurrogate(p *Problem) *Surrogate {
-	return &Surrogate{feats: p.features, params: p.surrogateParams(), eng: p.engine(), mat: &p.poolMat}
+	return &Surrogate{feats: p.features, eng: p.engine(), mat: &p.poolMat}
 }
 
 // newFeatureSurrogate builds a surrogate over a custom featurizer (used by
 // ALpH to append component-model predictions to the features), with its
 // own pool cache since its rows differ from the problem's.
 func newFeatureSurrogate(p *Problem, feats func(cfgspace.Config) []float64) *Surrogate {
-	return &Surrogate{feats: feats, params: p.surrogateParams(), eng: p.engine(), mat: &score.Matrix{}}
+	return &Surrogate{feats: feats, eng: p.engine(), mat: &score.Matrix{}}
 }
 
 // Trained reports whether Train has succeeded at least once.
 func (s *Surrogate) Trained() bool { return s.model != nil }
 
-// Train (re)fits the surrogate on the samples. Refits are incremental:
-// when samples extends the previously trained set — the same prefix
-// (checked by Cfg backing-array identity and log-target equality) plus
-// new rows, the shape every iteration of the shared Loop produces, and
-// also HyBoost's residual refits, whose ratio targets are stable — only
-// the suffix is featurized and appended, and the booster's kernel extends
-// itself instead of rebuilding. Any other change (reshuffled training
-// halves, revised targets) resets to a full fit. Either way the fitted
-// model is bitwise identical to a from-scratch xgb.FitOn on samples.
+// Train (re)fits the surrogate on the samples: featurize them, fit from
+// scratch in log space. A failed fit leaves the previous model in place.
 func (s *Surrogate) Train(samples []Sample) error {
 	if len(samples) == 0 {
 		return fmt.Errorf("tuner: cannot train surrogate on zero samples")
 	}
-	if s.boost == nil {
-		b, err := xgb.NewBooster(s.eng, s.params)
-		if err != nil {
-			return err
-		}
-		s.boost = b
-	}
-	n := s.boost.N()
-	reuse := len(samples) >= n
-	for i := 0; reuse && i < n; i++ {
-		if cfgHead(samples[i].Cfg) != s.rowCfg[i] || logTarget(samples[i].Value) != s.rowY[i] {
-			reuse = false
-		}
-	}
-	if !reuse {
-		s.boost.Reset()
-		s.rowCfg = s.rowCfg[:0]
-		s.rowY = s.rowY[:0]
-		n = 0
-	}
-	if fresh := samples[n:]; len(fresh) > 0 {
-		X := make([][]float64, len(fresh))
-		y := make([]float64, len(fresh))
-		for i, smp := range fresh {
-			X[i] = s.feats(smp.Cfg)
-			y[i] = logTarget(smp.Value)
-			s.rowCfg = append(s.rowCfg, cfgHead(smp.Cfg))
-			s.rowY = append(s.rowY, y[i])
-		}
-		if err := s.boost.Append(X, y); err != nil {
-			// Bad data rejects the batch whole: drop its prefix identity too.
-			s.rowCfg, s.rowY = s.rowCfg[:n], s.rowY[:n]
-			return err
-		}
-	}
-	m, err := s.boost.Fit()
+	m, err := fitLogModel(s.eng, s.feats, samples)
 	if err != nil {
 		return err
 	}
@@ -104,15 +53,17 @@ func (s *Surrogate) Train(samples []Sample) error {
 	return nil
 }
 
-// cfgHead identifies a configuration by its backing array: two Samples
-// whose Cfg slices share a head are the same measurement record (configs
-// are immutable for a run), which is what lets Train trust a prefix
-// without comparing values element by element.
-func cfgHead(c cfgspace.Config) *int {
-	if len(c) == 0 {
-		return nil
+// fitLogModel is the one way a boosted model is fitted here: featurize the
+// samples, take their values to log space, train with the default
+// parameters on the engine (nil: serially).
+func fitLogModel(e *score.Engine, feats func(cfgspace.Config) []float64, samples []Sample) (*xgb.Model, error) {
+	X := make([][]float64, len(samples))
+	y := make([]float64, len(samples))
+	for i, smp := range samples {
+		X[i] = feats(smp.Cfg)
+		y[i] = logTarget(smp.Value)
 	}
-	return &c[0]
+	return xgb.FitOn(e, X, y, xgb.DefaultParams())
 }
 
 // Rounds returns the trained ensemble's boosting-round count (0 if
@@ -144,8 +95,7 @@ func (s *Surrogate) Importance(dim int) []float64 {
 // PredictPoolInto predicts for every pool configuration into a
 // caller-provided slice (len(out) == len(pool)) and returns it, reusing
 // the cached pool codes and fanning ensemble evaluation across the
-// engine. FinalScores implementations pass the run arena's buffer so the
-// per-iteration prediction pass stops allocating pool-sized slices.
+// engine.
 func (s *Surrogate) PredictPoolInto(pool []cfgspace.Config, out []float64) []float64 {
 	if s.model == nil {
 		panic("tuner: PredictPoolInto on untrained surrogate")

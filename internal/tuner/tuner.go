@@ -28,7 +28,6 @@ import (
 	"ceal/internal/cfgspace"
 	"ceal/internal/collector"
 	"ceal/internal/dispatch"
-	"ceal/internal/ml/xgb"
 	"ceal/internal/score"
 	"ceal/internal/tuner/events"
 )
@@ -86,11 +85,6 @@ type Problem struct {
 	// Features optionally maps a workflow configuration to an enriched ML
 	// feature vector shared by all surrogates (nil = raw parameters).
 	Features func(cfgspace.Config) []float64
-	// FeatureNames optionally labels the feature vector (diagnostics).
-	FeatureNames []string
-	// Surrogate configures the boosted-tree surrogate; zero value means
-	// xgb.DefaultParams.
-	Surrogate xgb.Params
 	// Runner shapes the in-process measurement pool (width and retry
 	// policy); nil means a serial pool.
 	Runner *dispatch.Runner
@@ -168,13 +162,6 @@ func (p *Problem) context() context.Context {
 		return p.Ctx
 	}
 	return context.Background()
-}
-
-func (p *Problem) surrogateParams() xgb.Params {
-	if p.Surrogate.Rounds == 0 {
-		return xgb.DefaultParams()
-	}
-	return p.Surrogate
 }
 
 // features returns the workflow feature vector for ML models.
@@ -382,16 +369,15 @@ func finish(p *Problem, scores []float64, samples []Sample, compSamples [][]Samp
 // poolTracker manages the not-yet-measured portion of the pool.
 type poolTracker struct {
 	p         *Problem
-	arena     *runArena
 	remaining []int // indices into p.Pool
 }
 
-func newPoolTracker(p *Problem, arena *runArena) *poolTracker {
+func newPoolTracker(p *Problem) *poolTracker {
 	idx := make([]int, len(p.Pool))
 	for i := range idx {
 		idx[i] = i
 	}
-	return &poolTracker{p: p, arena: arena, remaining: idx}
+	return &poolTracker{p: p, remaining: idx}
 }
 
 // takeRandom removes up to n random configurations and returns them.
@@ -410,7 +396,7 @@ func (t *poolTracker) takeRandom(n int, rng *rand.Rand) []cfgspace.Config {
 }
 
 // selectBlock is the fused selector's streaming granularity: each chunk
-// scores this many candidates at a time into a reused block, so no
+// scores this many candidates at a time into its own block, so no
 // full-pool score slice ever materializes.
 const selectBlock = 512
 
@@ -489,11 +475,10 @@ func (t *poolTracker) takeTop(n int, score poolScorer) []cfgspace.Config {
 	}
 	eng := t.p.engine()
 	_, nc := eng.ChunkLayout(m)
-	heaps := t.arena.topkHeaps(nc, n)
-	blocks := t.arena.scoreBlocks(nc)
+	heaps := make([][]topkEntry, nc) // each chunk writes only its own slot
 	eng.MapChunksIndexed(m, func(ci, lo, hi int) {
-		heap := heaps[ci]
-		block := blocks[ci]
+		heap := make([]topkEntry, 0, n)
+		block := make([]float64, min(selectBlock, hi-lo))
 		for blo := lo; blo < hi; blo += selectBlock {
 			bhi := min(blo+selectBlock, hi)
 			out := block[:bhi-blo]
@@ -518,11 +503,10 @@ func (t *poolTracker) takeTop(n int, score poolScorer) []cfgspace.Config {
 
 	// Serial merge: at most nc·n survivors, sorted under the total order.
 	// The sort's instability is irrelevant — positions are unique.
-	cand := t.arena.candBuf()
+	cand := make([]topkEntry, 0, nc*n)
 	for _, h := range heaps {
 		cand = append(cand, h...)
 	}
-	t.arena.cand = cand
 	slices.SortFunc(cand, func(a, b topkEntry) int {
 		if a.val != b.val {
 			if a.val < b.val {
@@ -534,7 +518,7 @@ func (t *poolTracker) takeTop(n int, score poolScorer) []cfgspace.Config {
 	})
 
 	out := make([]cfgspace.Config, n)
-	kill := t.arena.killBuf(n)
+	kill := make([]int32, n)
 	for i := 0; i < n; i++ {
 		out[i] = t.p.Pool[t.remaining[cand[i].pos]]
 		kill[i] = cand[i].pos

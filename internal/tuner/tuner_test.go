@@ -238,7 +238,7 @@ func TestLowFidelityScoresRankWell(t *testing.T) {
 
 func TestPoolTrackerTakeTop(t *testing.T) {
 	p := synthProblem(13, 50)
-	tr := newPoolTracker(p, newRunArena())
+	tr := newPoolTracker(p)
 	truth := trueValues(p)
 	score := func(idxs []int, out []float64, _ float64) {
 		for j, idx := range idxs {
@@ -268,7 +268,7 @@ func TestPoolTrackerTakeTop(t *testing.T) {
 
 func TestPoolTrackerTakeRandomExhausts(t *testing.T) {
 	p := synthProblem(15, 10)
-	tr := newPoolTracker(p, newRunArena())
+	tr := newPoolTracker(p)
 	rng := rand.New(rand.NewPCG(1, 1))
 	got := tr.takeRandom(25, rng)
 	if len(got) != 10 || tr.left() != 0 {

@@ -109,7 +109,6 @@ func TestMeasureEndpointRejectsBadJobs(t *testing.T) {
 		"unknown objective": {Benchmark: "LV", Objective: "sideways", Seed: 1},
 	} {
 		r := dispatch.NewRemote([]string{url}, job)
-		r.MaxRetries = 1
 		if _, err := r.Dispatch(context.Background(), []dispatch.Item{{Seq: 0, Kind: dispatch.KindWorkflow, Cfg: []int{1}}}); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
@@ -187,7 +186,6 @@ func TestRemoteTuningSurvivesWorkerKill(t *testing.T) {
 	}
 
 	r := dispatch.NewRemote([]string{healthy, "http://" + ln.Addr().String()}, testJob())
-	r.MaxRetries = 4
 	// Wrap the client to kill the doomed worker after it has answered once.
 	base := http.DefaultTransport
 	r.Client = &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {

@@ -83,15 +83,6 @@ func (b *Benchmark) Expert(obj Objective) cfgspace.Config {
 	return b.ExpertComp
 }
 
-// Dims returns each component's parameter count, in component order.
-func (b *Benchmark) Dims() []int {
-	dims := make([]int, len(b.Components))
-	for i, cs := range b.Components {
-		dims[i] = cs.Dim()
-	}
-	return dims
-}
-
 // Sub extracts component j's sub-configuration from a joint configuration.
 func (b *Benchmark) Sub(cfg cfgspace.Config, j int) cfgspace.Config {
 	lo := 0

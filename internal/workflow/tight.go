@@ -79,18 +79,3 @@ func (w *Workflow) RunTightlyCoupled() (Measurement, error) {
 		PerComponent: perComponent,
 	}, nil
 }
-
-// TightCouplingAdvantage reports, for a configuration already built into a
-// workflow, the loosely-coupled (staged) and tightly-coupled execution
-// times — the §4 trade-off between pipelining and transfer avoidance.
-func (w *Workflow) TightCouplingAdvantage() (loose, tight float64, err error) {
-	lm, err := w.RunInSitu()
-	if err != nil {
-		return 0, 0, err
-	}
-	tm, err := w.RunTightlyCoupled()
-	if err != nil {
-		return 0, 0, err
-	}
-	return lm.ExecTime, tm.ExecTime, nil
-}

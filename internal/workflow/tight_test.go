@@ -30,12 +30,12 @@ func TestTightlyCoupledBasics(t *testing.T) {
 	}
 	// No pipelining: per-step times add up, so tight exec must exceed the
 	// sum-free loose makespan for this balanced configuration.
-	loose, tight, err := w.TightCouplingAdvantage()
+	loose, err := w.RunInSitu()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tight <= loose {
-		t.Fatalf("balanced LV: tight %v should lose to pipelined loose %v", tight, loose)
+	if meas.ExecTime <= loose.ExecTime {
+		t.Fatalf("balanced LV: tight %v should lose to pipelined loose %v", meas.ExecTime, loose.ExecTime)
 	}
 }
 

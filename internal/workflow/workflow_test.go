@@ -305,8 +305,8 @@ func TestExpertConfigsValid(t *testing.T) {
 func TestBenchmarkSubDims(t *testing.T) {
 	m := cluster.Default()
 	b := HS(m)
-	if got := b.Dims(); got[0] != 5 || got[1] != 2 {
-		t.Fatalf("HS dims = %v", got)
+	if heat, sw := b.Components[0].Dim(), b.Components[1].Dim(); heat != 5 || sw != 2 {
+		t.Fatalf("HS dims = %d, %d", heat, sw)
 	}
 	cfg := cfgspace.Config{13, 17, 14, 4, 29, 19, 3}
 	if b.Sub(cfg, 0).Key() != "13,17,14,4,29" {
