@@ -9,11 +9,10 @@
 //     testbed) with the paper's three benchmark workflows — LV (LAMMPS +
 //     Voro++), HS (Heat Transfer + Stage Write) and GP (Gray-Scott + PDF
 //     calculator + two serial plotters);
-//   - a from-scratch ML stack (gradient-boosted trees, random forests,
-//     kNN, ridge regression) standing in for xgboost;
+//   - a from-scratch ML stack (gradient-boosted regression trees)
+//     standing in for xgboost;
 //   - the auto-tuning algorithms: CEAL (the paper's contribution) plus the
-//     RS, AL, GEIST, ALpH baselines and the BO/HyBoost/KNNSelect
-//     extensions.
+//     RS, AL, GEIST and ALpH baselines.
 //
 // Quickstart:
 //
@@ -129,8 +128,8 @@ func BenchmarkByName(m Machine, name string) (*Benchmark, error) {
 // AlgorithmByName.
 var NewCEAL = tuner.NewCEAL
 
-// AlgorithmByName maps a name (rs, al, geist, alph, ceal, bo, hyboost,
-// knnselect) to a fresh algorithm instance with default options.
+// AlgorithmByName maps a name (rs, al, geist, alph, ceal) to a fresh
+// algorithm instance with default options.
 func AlgorithmByName(name string) (Algorithm, error) { return live.AlgorithmByName(name) }
 
 // LiveEvaluator measures configurations by actually running the cluster

@@ -29,7 +29,7 @@ func TestQuickstartFlow(t *testing.T) {
 }
 
 func TestAlgorithmByName(t *testing.T) {
-	for _, name := range []string{"rs", "AL", "geist", "alph", "CEAL", "bo", "hyboost", "knnselect"} {
+	for _, name := range []string{"rs", "AL", "geist", "alph", "CEAL"} {
 		alg, err := AlgorithmByName(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		wfName     = fs.String("workflow", "LV", "benchmark workflow: LV, HS, or GP")
 		objName    = fs.String("objective", "comp", "optimization objective: exec, comp, or energy")
-		algName    = fs.String("algorithm", "ceal", "rs, al, geist, alph, ceal, bo, hyboost, or knnselect")
+		algName    = fs.String("algorithm", "ceal", "rs, al, geist, alph, or ceal")
 		budget     = fs.Int("budget", 50, "measurement budget in workflow-run equivalents")
 		pool       = fs.Int("pool", 2000, "candidate pool size")
 		seed       = fs.Uint64("seed", 1, "random seed (0 selects 1)")

@@ -20,7 +20,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -45,7 +44,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed    = fs.Uint64("seed", 1, "base random seed")
 		workers = fs.Int("workers", 8, "parallel simulation and replication width")
 		timeout = fs.Duration("timeout", 0, "abort the run after this long (0: no limit)")
-		cache   = fs.String("cache", "", "directory for ground-truth caching (load if present, save after build)")
 		format  = fs.String("format", "text", "output format: text or csv")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -116,16 +114,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if !needed[wf] {
 			continue
 		}
-		cachePath := ""
-		if *cache != "" {
-			cachePath = filepath.Join(*cache,
-				fmt.Sprintf("%s-p%d-c%d-s%d.gt.json.gz", wf, *pool, *compN, *seed))
-			if gt, err := paperexp.LoadGroundTruth(cachePath, m); err == nil {
-				fmt.Fprintf(stderr, "loaded %s ground truth from %s\n", wf, cachePath)
-				gts[wf] = gt
-				continue
-			}
-		}
 		b, err := ceal.BenchmarkByName(m, wf)
 		if err != nil {
 			return fail(err)
@@ -138,13 +126,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		fmt.Fprintf(stderr, "done in %v\n", time.Since(start).Round(time.Millisecond))
-		if cachePath != "" {
-			if err := os.MkdirAll(*cache, 0o755); err == nil {
-				if err := gt.Save(cachePath); err != nil {
-					fmt.Fprintf(stderr, "warning: cache save failed: %v\n", err)
-				}
-			}
-		}
 		gts[wf] = gt
 	}
 
@@ -154,7 +135,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(fmt.Errorf("%s: %w", e.ID, err))
 		}
-		fmt.Fprintf(stdout, "\n##### %s (%v)\n\n", e.Title, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stderr, "%s done in %v\n", e.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "\n##### %s\n\n", e.Title)
 		for _, t := range tables {
 			if *format == "csv" {
 				fmt.Fprintf(stdout, "# %s\n%s\n", t.Title, t.CSV())

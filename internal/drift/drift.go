@@ -80,9 +80,6 @@ func NewEnv(build func(ld cluster.Load) dispatch.Evaluator, profile cluster.Prof
 	return e, nil
 }
 
-// Profile returns the environment's drift profile.
-func (e *Env) Profile() cluster.Profile { return e.profile }
-
 // Unit returns the clock unit: the reference configuration's zero-load cost.
 func (e *Env) Unit() float64 { return e.unit }
 

@@ -50,9 +50,6 @@ func NewLink(e *sim.Engine, name string, capacityBps float64) *Link {
 	return &Link{eng: e, name: name, capacity: capacityBps}
 }
 
-// Name returns the link name.
-func (l *Link) Name() string { return l.name }
-
 // Capacity returns the aggregate link capacity in bytes/second.
 func (l *Link) Capacity() float64 { return l.capacity }
 

@@ -361,9 +361,6 @@ func (s *FileStore) List() []*RunRecord { return s.mem.List() }
 // BySpec implements Store.
 func (s *FileStore) BySpec(key string) (*RunRecord, bool) { return s.mem.BySpec(key) }
 
-// ByWorkflow implements Store.
-func (s *FileStore) ByWorkflow(benchmark string) []*RunRecord { return s.mem.ByWorkflow(benchmark) }
-
 // ByComponent implements Store.
 func (s *FileStore) ByComponent(name string) []*RunRecord { return s.mem.ByComponent(name) }
 

@@ -5,7 +5,7 @@
 // It grew out of the serving layer's run store (internal/service) and is the
 // repository's answer to GPTune's HistoryDB: finished runs are not just
 // dedup material for identical resubmissions, they are *training data* for
-// new runs. Three query axes serve the transfer-learning paths:
+// new runs. Two query axes serve the transfer-learning paths:
 //
 //   - BySpecFamily: runs of the same spec family (benchmark / algorithm /
 //     objective / pool — seed, budget, workers and the warm-start flag are
@@ -13,8 +13,9 @@
 //     surrogate;
 //   - ByComponent: runs that measured a named component standalone, whose
 //     component samples feed Phase-1 models of any workflow sharing that
-//     component;
-//   - ByWorkflow: everything known about one benchmark.
+//     component.
+//
+// Select filters by any conjunction of those and the benchmark name.
 //
 // Records additionally carry a measurement Checkpoint (the collector cache
 // snapshot taken after every measured batch) so an interrupted run can be
@@ -117,9 +118,6 @@ type Store interface {
 	// BySpec returns the completed (StateDone) record for an exact spec
 	// key, if any — the dedup lookup serving repeated submissions.
 	BySpec(key string) (*RunRecord, bool)
-	// ByWorkflow returns the completed runs of one benchmark (name matched
-	// case-insensitively), in List order.
-	ByWorkflow(benchmark string) []*RunRecord
 	// ByComponent returns the completed runs whose benchmark contains the
 	// named component application, in List order.
 	ByComponent(name string) []*RunRecord

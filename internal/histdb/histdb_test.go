@@ -90,9 +90,9 @@ func TestQueries(t *testing.T) {
 		}
 	}
 
-	byWf := s.ByWorkflow("lv")
+	byWf := Select(s, Query{Workflow: "lv"})
 	if len(byWf) != 2 || byWf[0].ID != "run-000001" || byWf[1].ID != "run-000003" {
-		t.Fatalf("ByWorkflow(lv) = %v", recIDs(byWf))
+		t.Fatalf("Select(Workflow: lv) = %v", recIDs(byWf))
 	}
 	if got := s.ByComponent("lammps"); len(got) != 2 {
 		t.Fatalf("ByComponent(lammps) = %v", recIDs(got))

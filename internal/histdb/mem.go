@@ -91,11 +91,6 @@ func (s *MemStore) BySpec(key string) (*RunRecord, bool) {
 	return rec.Clone(), true
 }
 
-// ByWorkflow implements Store.
-func (s *MemStore) ByWorkflow(benchmark string) []*RunRecord {
-	return selectRecords(s.List(), Query{Workflow: benchmark})
-}
-
 // ByComponent implements Store.
 func (s *MemStore) ByComponent(name string) []*RunRecord {
 	return selectRecords(s.List(), Query{Component: name})

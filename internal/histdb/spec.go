@@ -33,8 +33,8 @@ const (
 type Spec struct {
 	// Benchmark is the workflow to tune: LV, HS, or GP.
 	Benchmark string `json:"benchmark"`
-	// Algorithm is the tuning algorithm: rs, al, geist, alph, ceal, bo,
-	// hyboost, or knnselect. Defaults to ceal.
+	// Algorithm is the tuning algorithm: rs, al, geist, alph, or ceal.
+	// Defaults to ceal.
 	Algorithm string `json:"algorithm,omitempty"`
 	// Objective is the optimization metric: exec, comp, or energy.
 	// Defaults to comp.

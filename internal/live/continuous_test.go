@@ -9,8 +9,8 @@ import (
 	"ceal/internal/workflow"
 )
 
-// allAlgorithms are the eight registered tuning algorithms.
-var allAlgorithms = []string{"rs", "al", "geist", "alph", "ceal", "bo", "hyboost", "knnselect"}
+// allAlgorithms are the five registered tuning algorithms.
+var allAlgorithms = []string{"rs", "al", "geist", "alph", "ceal"}
 
 // continuousSmall builds a small continuous run for tests.
 func continuousSmall(t *testing.T, wf, profile string, seed uint64, workers, probes int) *tuner.Continuous {

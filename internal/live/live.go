@@ -133,8 +133,8 @@ func Components(b *workflow.Benchmark) []tuner.ComponentInfo {
 	return comps
 }
 
-// AlgorithmByName maps a name (rs, al, geist, alph, ceal, bo, hyboost,
-// knnselect) to a fresh algorithm instance with default options.
+// AlgorithmByName maps a name (rs, al, geist, alph, ceal) to a fresh
+// algorithm instance with default options.
 func AlgorithmByName(name string) (tuner.Algorithm, error) {
 	switch strings.ToLower(name) {
 	case "rs":
@@ -147,12 +147,6 @@ func AlgorithmByName(name string) (tuner.Algorithm, error) {
 		return tuner.NewALpH(), nil
 	case "ceal":
 		return tuner.NewCEAL(), nil
-	case "bo":
-		return tuner.NewBO(), nil
-	case "hyboost":
-		return tuner.NewHyBoost(), nil
-	case "knnselect":
-		return tuner.NewKNNSelect(), nil
 	default:
 		return nil, fmt.Errorf("ceal: unknown algorithm %q", name)
 	}

@@ -20,7 +20,7 @@ func TestParseObjective(t *testing.T) {
 }
 
 func TestAlgorithmByName(t *testing.T) {
-	for _, name := range []string{"rs", "al", "geist", "alph", "ceal", "bo", "hyboost", "knnselect"} {
+	for _, name := range []string{"rs", "al", "geist", "alph", "ceal"} {
 		alg, err := AlgorithmByName(name)
 		if err != nil {
 			t.Fatalf("AlgorithmByName(%q): %v", name, err)

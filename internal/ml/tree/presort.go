@@ -10,7 +10,7 @@ import (
 // prediction kernel: the exact-greedy splitter of tree.Grow rewritten
 // around feature columns that are sorted once per training matrix instead
 // of once per node. X is static across every round and node of a boosted
-// or bagged fit, so a Context pre-sorts each column a single time and
+// fit, so a Context pre-sorts each column a single time and
 // trees are grown by stably partitioning the sorted index arrays down the
 // tree — per-node split enumeration becomes a linear scan, and the
 // O(features × n log n) per-node sort disappears entirely.
@@ -20,7 +20,7 @@ import (
 // holds because both trainers share one tie-break contract (rows ordered
 // by (value, row index) within a column, splits only between distinct
 // adjacent values, the gainBeats margin to replace the incumbent, columns
-// reduced in cols order) and because stable partition preserves exactly
+// reduced in feature order) and because stable partition preserves exactly
 // that order in every descendant node, so each floating-point accumulation
 // visits rows in the same sequence the reference sort produces.
 
@@ -65,25 +65,24 @@ func NewContext(e *score.Engine, X [][]float64) *Context {
 // it overlaps, so small nodes enumerate serially. Purely a performance
 // threshold — results are bitwise identical either way, because each
 // column writes only its own candidate slot and the cross-column reduce
-// is always serial in cols order.
+// is always serial in feature order.
 const minSplitFanWork = 4096
 
 // Grower grows trees from a Context, reusing all per-fit scratch across
-// calls. A Grower is not safe for concurrent use: create one per worker
-// (ensemble-member fan) or reuse one across rounds (boosting).
+// calls. A Grower is not safe for concurrent use: boosting reuses one
+// across its rounds.
 type Grower struct {
 	c   *Context
 	eng *score.Engine // fans split enumeration across columns; nil = serial
 
-	idx     []int32 // per selected column: the node's rows, (value,row)-ordered
+	idx     []int32 // per column: the node's rows, (value,row)-ordered
 	aux     []int32 // partition double-buffer, same layout as idx
-	rowsOrd []int32 // the node's rows in caller order (leaf values, sums)
+	rowsOrd []int32 // the node's rows in ascending row order (leaf values, sums)
 	rowsAux []int32
-	count   []int32 // per-row multiplicity of the tree's row set
-	left    []bool  // per-row side marks for the current partition
+	left    []bool // per-row side marks for the current partition
 
-	colGain  []float64 // per selected column: best candidate gain
-	colThr   []float64 // per selected column: best candidate threshold
+	colGain  []float64 // per column: best candidate gain
+	colThr   []float64 // per column: best candidate threshold
 	colFound []bool
 
 	slab nodeSlab // chunked node storage shared by every tree this grower grows
@@ -91,108 +90,49 @@ type Grower struct {
 }
 
 // Grower returns a tree grower over the context. e controls per-node
-// split-enumeration fan-out (nil: serial) — pass nil when tree fits are
-// already fanned across ensemble members to avoid nested parallelism.
+// split-enumeration fan-out (nil: serial).
 func (c *Context) Grower(e *score.Engine) *Grower {
-	return &Grower{c: c, eng: e}
+	return &Grower{
+		c:        c,
+		eng:      e,
+		idx:      make([]int32, c.n*c.dim),
+		aux:      make([]int32, c.n*c.dim),
+		rowsOrd:  make([]int32, c.n),
+		rowsAux:  make([]int32, c.n),
+		left:     make([]bool, c.n),
+		colGain:  make([]float64, c.dim),
+		colThr:   make([]float64, c.dim),
+		colFound: make([]bool, c.dim),
+	}
 }
 
-// Grow builds a tree over rows (indices into the context's X, duplicates
-// allowed — bootstrap resamples) considering only the given feature
-// columns, exactly like tree.Grow but without any per-node sorting. If
-// leafOut is non-nil (length = context rows) the entry of every training
-// row in rows is set to its leaf's value — the tree's prediction for that
-// row, letting boosting update its training predictions without walking
-// the tree again.
-func (gw *Grower) Grow(g, h []float64, rows []int, cols []int, opt Options, leafOut []float64) *Tree {
+// Grow builds a tree over every row and feature column of the context,
+// exactly like tree.Grow but without any per-node sorting. If leafOut is
+// non-nil (length = context rows) every row's entry is set to its leaf's
+// value — the tree's prediction for that row, letting boosting update its
+// training predictions without walking the tree again.
+func (gw *Grower) Grow(g, h []float64, opt Options, leafOut []float64) *Tree {
 	if opt.MinChildWeight <= 0 {
 		opt.MinChildWeight = 1e-12
 	}
-	m := len(rows)
-	gw.reserve(m, len(cols))
-	gw.buildRoot(rows, cols)
+	c := gw.c
+	for i := range gw.rowsOrd {
+		gw.rowsOrd[i] = int32(i)
+	}
+	for f, col := range c.sorted {
+		copy(gw.idx[f*c.n:(f+1)*c.n], col)
+	}
 	t := &gw.task
-	*t = growTask{gw: gw, g: g, h: h, m: m, cols: cols, opt: opt, leafOut: leafOut}
-	root := t.grow(0, m, 0)
+	*t = growTask{gw: gw, g: g, h: h, opt: opt, leafOut: leafOut}
+	root := t.grow(0, c.n, 0)
 	*t = growTask{} // drop the g/h/leafOut references
 	return &Tree{root: root}
-}
-
-// reserve sizes the scratch for a tree over m rows and nc columns.
-func (gw *Grower) reserve(m, nc int) {
-	if need := m * nc; cap(gw.idx) < need {
-		gw.idx = make([]int32, need)
-		gw.aux = make([]int32, need)
-	} else {
-		gw.idx = gw.idx[:need]
-		gw.aux = gw.aux[:need]
-	}
-	if cap(gw.rowsOrd) < m {
-		gw.rowsOrd = make([]int32, m)
-		gw.rowsAux = make([]int32, m)
-	} else {
-		gw.rowsOrd = gw.rowsOrd[:m]
-		gw.rowsAux = gw.rowsAux[:m]
-	}
-	if gw.count == nil { // indexed by context row
-		gw.count = make([]int32, gw.c.n)
-		gw.left = make([]bool, gw.c.n)
-	}
-	if cap(gw.colGain) < nc {
-		gw.colGain = make([]float64, nc)
-		gw.colThr = make([]float64, nc)
-		gw.colFound = make([]bool, nc)
-	} else {
-		gw.colGain = gw.colGain[:nc]
-		gw.colThr = gw.colThr[:nc]
-		gw.colFound = gw.colFound[:nc]
-	}
-}
-
-// buildRoot fills the per-column index arrays with the tree's row set in
-// (value, row) order, by filtering the context's pre-sorted columns. Rows
-// drawn with replacement appear with their multiplicity, consecutively —
-// the position a stable (value, row) sort of the duplicated set yields.
-func (gw *Grower) buildRoot(rows []int, cols []int) {
-	c := gw.c
-	m := len(rows)
-	identity := m == c.n
-	for i, r := range rows {
-		gw.rowsOrd[i] = int32(r)
-		if identity && r != i {
-			identity = false
-		}
-	}
-	if identity {
-		for ci, f := range cols {
-			copy(gw.idx[ci*m:(ci+1)*m], c.sorted[f])
-		}
-		return
-	}
-	for _, r := range rows {
-		gw.count[r]++
-	}
-	for ci, f := range cols {
-		dst := gw.idx[ci*m : (ci+1)*m]
-		k := 0
-		for _, r := range c.sorted[f] {
-			for rep := gw.count[r]; rep > 0; rep-- {
-				dst[k] = r
-				k++
-			}
-		}
-	}
-	for _, r := range rows {
-		gw.count[r] = 0
-	}
 }
 
 // growTask is one Grow call's recursion state.
 type growTask struct {
 	gw      *Grower
 	g, h    []float64
-	m       int // stride of the per-column index arrays
-	cols    []int
 	opt     Options
 	leafOut []float64
 }
@@ -221,34 +161,35 @@ func (t *growTask) grow(lo, hi, depth int) *node {
 
 	// Split enumeration: each column scans its own sorted segment and
 	// records its best candidate in its own slot; the reduce below is
-	// serial in cols order, so candidate selection is independent of
+	// serial in feature order, so candidate selection is independent of
 	// whether (and how wide) the scans fanned out. The serial path calls
 	// the method directly — a closure here escapes per node, which at tree
 	// depth dominates a fit's allocation profile.
 	parentScore := gSum * gSum / (hSum + opt.Lambda)
-	fan := gw.eng != nil && (hi-lo)*len(t.cols) >= minSplitFanWork
+	dim := gw.c.dim
+	fan := gw.eng != nil && (hi-lo)*dim >= minSplitFanWork
 	if fan {
-		gw.eng.Tasks(len(t.cols), func(ci int) { t.scanCol(ci, lo, hi, gSum, hSum, parentScore) })
+		gw.eng.Tasks(dim, func(f int) { t.scanCol(f, lo, hi, gSum, hSum, parentScore) })
 	} else {
-		for ci := range t.cols {
-			t.scanCol(ci, lo, hi, gSum, hSum, parentScore)
+		for f := 0; f < dim; f++ {
+			t.scanCol(f, lo, hi, gSum, hSum, parentScore)
 		}
 	}
 	bestGain := opt.Gamma
-	bestCI := -1
-	for ci := range t.cols {
-		if gw.colFound[ci] && gainBeats(gw.colGain[ci], bestGain, parentScore) {
-			bestGain, bestCI = gw.colGain[ci], ci
+	bestFeature := -1
+	for f := 0; f < dim; f++ {
+		if gw.colFound[f] && gainBeats(gw.colGain[f], bestGain, parentScore) {
+			bestGain, bestFeature = gw.colGain[f], f
 		}
 	}
-	if bestCI < 0 {
+	if bestFeature < 0 {
 		return makeLeaf()
 	}
-	bestFeature, bestThreshold := t.cols[bestCI], gw.colThr[bestCI]
+	bestThreshold := gw.colThr[bestFeature]
 
 	// Stable partition: mark each row's side once, then split every
 	// working array in a single order-preserving pass, so children keep
-	// both the (value, row) column order and the caller row order.
+	// both the (value, row) column order and the ascending row order.
 	nl := 0
 	for _, r := range gw.rowsOrd[lo:hi] {
 		goLeft := X[r][bestFeature] < bestThreshold
@@ -262,10 +203,10 @@ func (t *growTask) grow(lo, hi, depth int) *node {
 	}
 	stablePartition(gw.left, gw.rowsOrd[lo:hi], gw.rowsAux[:hi-lo], nl)
 	if fan {
-		gw.eng.Tasks(len(t.cols), func(ci int) { t.partCol(ci, lo, hi, nl) })
+		gw.eng.Tasks(dim, func(f int) { t.partCol(f, lo, hi, nl) })
 	} else {
-		for ci := range t.cols {
-			t.partCol(ci, lo, hi, nl)
+		for f := 0; f < dim; f++ {
+			t.partCol(f, lo, hi, nl)
 		}
 	}
 	left := t.grow(lo, lo+nl, depth+1)
@@ -279,13 +220,13 @@ func (t *growTask) grow(lo, hi, depth int) *node {
 	})
 }
 
-// scanCol enumerates split candidates for selected column ci over node
+// scanCol enumerates split candidates for feature column f over node
 // segment [lo, hi), recording the column's best in its own slot.
-func (t *growTask) scanCol(ci, lo, hi int, gSum, hSum, parentScore float64) {
+func (t *growTask) scanCol(f, lo, hi int, gSum, hSum, parentScore float64) {
 	gw, opt := t.gw, t.opt
 	X := gw.c.X
-	f := t.cols[ci]
-	seg := gw.idx[ci*t.m+lo : ci*t.m+hi]
+	base := f * gw.c.n
+	seg := gw.idx[base+lo : base+hi]
 	best, thr, found := opt.Gamma, 0.0, false
 	var gl, hl float64
 	for k := 0; k < len(seg)-1; k++ {
@@ -306,14 +247,15 @@ func (t *growTask) scanCol(ci, lo, hi int, gSum, hSum, parentScore float64) {
 			best, thr, found = gain, (v+vn)/2, true
 		}
 	}
-	gw.colGain[ci], gw.colThr[ci], gw.colFound[ci] = best, thr, found
+	gw.colGain[f], gw.colThr[f], gw.colFound[f] = best, thr, found
 }
 
-// partCol stably partitions selected column ci's node segment by the
-// current side marks.
-func (t *growTask) partCol(ci, lo, hi, nl int) {
+// partCol stably partitions feature column f's node segment by the current
+// side marks.
+func (t *growTask) partCol(f, lo, hi, nl int) {
 	gw := t.gw
-	stablePartition(gw.left, gw.idx[ci*t.m+lo:ci*t.m+hi], gw.aux[ci*t.m+lo:ci*t.m+hi], nl)
+	base := f * gw.c.n
+	stablePartition(gw.left, gw.idx[base+lo:base+hi], gw.aux[base+lo:base+hi], nl)
 }
 
 // stablePartition splits src into its left-marked prefix (nl rows) and

@@ -33,6 +33,16 @@ func randomMatrix(rng *rand.Rand, n, dim int) [][]float64 {
 	return X
 }
 
+// identity returns [0, n): every row, or every column, for the reference
+// trainer, which still takes explicit sets.
+func identity(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
+}
+
 // sameTree asserts two trees agree bitwise: identical predictions on every
 // probe, identical shape, identical per-feature gain totals.
 func sameTree(t *testing.T, want, got *Tree, probes [][]float64, dim int) {
@@ -60,8 +70,7 @@ func sameTree(t *testing.T, want, got *Tree, probes [][]float64, dim int) {
 
 // TestGrowerMatchesReference: the pre-sorted trainer must reproduce the
 // reference exact-greedy trainer bitwise — same splits, gains, and leaf
-// values — across randomized data with ties, constant columns, duplicated
-// bootstrap rows, and subsampled rows/columns.
+// values — across randomized data with ties and constant columns.
 func TestGrowerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 43))
 	for trial := 0; trial < 60; trial++ {
@@ -75,31 +84,13 @@ func TestGrowerMatchesReference(t *testing.T) {
 			h[i] = 1
 		}
 
-		// Row set: full, subsampled without replacement, or bootstrap
-		// (duplicates) — all orders shuffled.
-		var rows []int
-		switch trial % 3 {
-		case 0:
-			rows = make([]int, n)
-			for i := range rows {
-				rows[i] = i
-			}
-		case 1:
-			perm := rng.Perm(n)
-			rows = perm[:1+rng.IntN(n)]
-		default:
-			rows = make([]int, n)
-			for i := range rows {
-				rows[i] = rng.IntN(n)
-			}
-		}
-		cols := rng.Perm(dim)[:1+rng.IntN(dim)]
+		rows, cols := identity(n), identity(dim)
 		opt := Options{MaxDepth: 1 + rng.IntN(5), MinChildWeight: float64(rng.IntN(2)), Lambda: rng.Float64(), Gamma: rng.Float64() * 0.1}
 
 		ref := Grow(X, g, h, rows, cols, opt)
 		ctx := NewContext(nil, X)
 		leaf := make([]float64, n)
-		got := ctx.Grower(nil).Grow(g, h, rows, cols, opt, leaf)
+		got := ctx.Grower(nil).Grow(g, h, opt, leaf)
 
 		probes := make([][]float64, 0, n+20)
 		probes = append(probes, X...)
@@ -109,8 +100,8 @@ func TestGrowerMatchesReference(t *testing.T) {
 		sameTree(t, ref, got, probes, dim)
 
 		// leafOut must carry each training row's own prediction.
-		for _, r := range rows {
-			if w := got.Predict(X[r]); math.Float64bits(leaf[r]) != math.Float64bits(w) {
+		for r, x := range X {
+			if w := got.Predict(x); math.Float64bits(leaf[r]) != math.Float64bits(w) {
 				t.Fatalf("trial %d: leafOut[%d] = %v, Predict = %v", trial, r, leaf[r], w)
 			}
 		}
@@ -132,20 +123,15 @@ func TestGrowerEngineWidthInvariance(t *testing.T) {
 		g[i] = rng.NormFloat64()
 		h[i] = 1
 	}
-	rows := make([]int, n)
-	for i := range rows {
-		rows[i] = i
-	}
-	cols := []int{0, 1, 2, 3, 4, 5}
 	opt := Options{MaxDepth: 5, MinChildWeight: 1, Lambda: 1}
 
-	base := NewContext(nil, X).Grower(nil).Grow(g, h, rows, cols, opt, nil)
+	base := NewContext(nil, X).Grower(nil).Grow(g, h, opt, nil)
 	if base.Depth() == 0 {
 		t.Fatal("degenerate test tree")
 	}
 	for _, w := range []int{1, 2, 4, 8} {
 		e := score.New(w)
-		got := NewContext(e, X).Grower(e).Grow(g, h, rows, cols, opt, nil)
+		got := NewContext(e, X).Grower(e).Grow(g, h, opt, nil)
 		sameTree(t, base, got, X, dim)
 	}
 }

@@ -3,9 +3,7 @@
 //
 //	G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ) − γ
 //
-// and leaf weights −G/(H+λ). Growing a tree on gradients g_i = −y_i,
-// h_i = 1, λ = 0 degenerates to a plain mean-predicting regression tree,
-// which the random forest builds on.
+// and leaf weights −G/(H+λ).
 package tree
 
 import (
@@ -19,11 +17,6 @@ type Options struct {
 	MinChildWeight float64 // minimum sum of h per child
 	Lambda         float64 // L2 regularization on leaf weights
 	Gamma          float64 // minimum gain to accept a split
-}
-
-// DefaultOptions mirrors sensible xgboost defaults for small tabular data.
-func DefaultOptions() Options {
-	return Options{MaxDepth: 4, MinChildWeight: 1, Lambda: 1, Gamma: 0}
 }
 
 // Tree is a grown regression tree.

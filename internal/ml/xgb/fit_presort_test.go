@@ -43,6 +43,15 @@ func referenceFit(X [][]float64, y []float64, p Params) *Model {
 	return m
 }
 
+// identity returns [0, n): every row, or every column, of the matrix.
+func identity(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
+}
+
 func trainingData(seed uint64, n, dim int) ([][]float64, []float64) {
 	rng := rand.New(rand.NewPCG(seed, 99))
 	X := make([][]float64, n)

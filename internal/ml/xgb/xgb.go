@@ -190,7 +190,6 @@ func FitOn(e *score.Engine, X [][]float64, y []float64, p Params) (*Model, error
 	base /= float64(n)
 
 	grower := tree.NewContext(e, X).Grower(e)
-	rows, cols := identity(n), identity(dim)
 	opt := tree.Options{MaxDepth: p.MaxDepth, MinChildWeight: p.MinChildWeight, Lambda: p.Lambda, Gamma: p.Gamma}
 
 	m := &Model{base: base, eta: p.LearningRate, trees: make([]*tree.Tree, 0, p.Rounds)}
@@ -208,21 +207,12 @@ func FitOn(e *score.Engine, X [][]float64, y []float64, p Params) (*Model, error
 		}
 		// Every row is in the tree, so leaf carries each row's prediction
 		// and nothing walks the tree again.
-		m.trees = append(m.trees, grower.Grow(g, h, rows, cols, opt, leaf))
+		m.trees = append(m.trees, grower.Grow(g, h, opt, leaf))
 		for i := range pred {
 			pred[i] += p.LearningRate * leaf[i]
 		}
 	}
 	return m, nil
-}
-
-// identity returns [0, n): every row, or every column, of the matrix.
-func identity(n int) []int {
-	s := make([]int, n)
-	for i := range s {
-		s[i] = i
-	}
-	return s
 }
 
 // PredictRow predicts one feature vector through the flattened ensemble:

@@ -10,8 +10,7 @@ import (
 
 // runAblations validates CEAL's design choices beyond the paper's figures:
 // the combining-function choice (§4), the model-switch detector and bias
-// escape (Alg. 1), the §8.2 white+black ensembles, and the §9 BO
-// extension.
+// escape (Alg. 1), the energy objective, and two model diagnostics.
 func runAblations(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 	gt := gts["LV"]
 	var out []*Table
@@ -76,29 +75,7 @@ func runAblations(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 	}
 	out = append(out, sw)
 
-	// (3) White+black ensemble strategies (§8.2) and BO (§9) vs CEAL,
-	// with histories so all share the same free component models.
-	ens := &Table{
-		Title:  "Ablation: bootstrapping vs ensemble strategies (LV computer time, 50 samples, with histories)",
-		Header: []string{"algorithm", "normalized computer time", "top-1 recall %"},
-	}
-	algs := []tuner.Algorithm{
-		tuner.NewCEAL(), tuner.NewHyBoost(), tuner.NewKNNSelect(), tuner.NewBO(), tuner.NewAL(),
-	}
-	stats, err := RunBattery(RunSpec{
-		GT: gt, Obj: CompTime, Budget: 50, WithHistory: true,
-		Algorithms: algs, Reps: opt.Reps, Seed: opt.Seed, Workers: opt.Build.Workers, Ctx: opt.Ctx,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, st := range stats {
-		ens.AddRow(st.Name, f3(st.MeanNormPerf()), f1(st.MeanRecall(1)))
-	}
-	ens.Notes = append(ens.Notes, "§8.2 argues KNN/HyBoost need an accurate AM and §9 proposes BO; CEAL's bootstrapping should lead")
-	out = append(out, ens)
-
-	// (4) Energy objective (extension): the framework tunes the §4
+	// (3) Energy objective (extension): the framework tunes the §4
 	// aggregate-metric example end to end.
 	energy := &Table{
 		Title:  "Extension: tuning energy consumption (LV, 25 samples, normalized best; 1 = pool best)",
@@ -117,7 +94,7 @@ func runAblations(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 	}
 	out = append(out, energy)
 
-	// (5) Model-quality diagnostics: rank correlation of each algorithm's
+	// (4) Model-quality diagnostics: rank correlation of each algorithm's
 	// final pool scores with the measured truth (complements Fig. 6's
 	// MdAPE: Spearman is invariant to the log-scale calibration errors
 	// that inflate MdAPE).
@@ -139,7 +116,7 @@ func runAblations(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 	sp.Notes = append(sp.Notes, "RS/AL see broad samples and rank the whole pool better; CEAL concentrates accuracy on the top (Fig. 6/7)")
 	out = append(out, sp)
 
-	// (6) CEAL model-switch timing: how often and when the detector fires.
+	// (5) CEAL model-switch timing: how often and when the detector fires.
 	swi := &Table{
 		Title:  "Diagnostics: CEAL model-switch iteration distribution (LV computer time, 50 samples)",
 		Header: []string{"switch iteration", "share of replications (%)"},

@@ -3,7 +3,6 @@ package paperexp
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"ceal/internal/metrics"
 	"ceal/internal/score"
@@ -76,22 +75,6 @@ type AlgStats struct {
 
 // MeanNormPerf returns the replication-mean normalized performance.
 func (s *AlgStats) MeanNormPerf() float64 { return metrics.Mean(s.NormPerf) }
-
-// CI95NormPerf returns the half-width of the normal-approximation 95%
-// confidence interval of the mean normalized performance.
-func (s *AlgStats) CI95NormPerf() float64 {
-	n := float64(len(s.NormPerf))
-	if n < 2 {
-		return 0
-	}
-	mean := s.MeanNormPerf()
-	var ss float64
-	for _, v := range s.NormPerf {
-		ss += (v - mean) * (v - mean)
-	}
-	sd := math.Sqrt(ss / (n - 1))
-	return 1.96 * sd / math.Sqrt(n)
-}
 
 // MeanRecall returns the replication-mean top-n recall (n in 1..10).
 func (s *AlgStats) MeanRecall(n int) float64 { return metrics.Mean(s.Recall[n-1]) }

@@ -22,11 +22,6 @@ type Options struct {
 	Ctx context.Context
 }
 
-// DefaultOptions returns the paper-scale experiment settings (§7.1, §7.3).
-func DefaultOptions() Options {
-	return Options{Build: DefaultBuildOptions(), Reps: 100, Seed: 1}
-}
-
 // Experiment is one reproducible table or figure.
 type Experiment struct {
 	ID        string
@@ -52,7 +47,7 @@ func All() []Experiment {
 		{"fig13", "Fig. 13: CEAL hyper-parameter sensitivity (LV computer time, 50 samples)", []string{"LV"}, runFig13},
 		{"conv", "Convergence: per-iteration best-so-far trajectories from the run-event trace (LV computer time, 50 samples)", []string{"LV"}, runConvergence},
 		{"warm", "Warm start: cold vs warm CEAL measurements-to-target, transfer learning from the history DB (all workflows, computer time)", []string{"LV", "HS", "GP"}, runWarm},
-		{"ablation", "Ablations: combiner choice, model switch, bias escape, ensembles, BO", []string{"LV"}, runAblations},
+		{"ablation", "Ablations: combiner choice, model switch, bias escape, energy objective", []string{"LV"}, runAblations},
 		{"drift", "Drift: tune-once vs online retuning cumulative regret under time-varying platform load (all workflows, computer time)", nil, runDrift},
 	}
 }

@@ -119,11 +119,6 @@ func (o BuildOptions) context() context.Context {
 	return context.Background()
 }
 
-// DefaultBuildOptions returns the paper-scale settings.
-func DefaultBuildOptions() BuildOptions {
-	return BuildOptions{PoolSize: 2000, ComponentSamples: 500, Seed: 1, Workers: 8}
-}
-
 // BuildGroundTruth measures a benchmark's pool and component sets on the
 // cluster simulator. Every measurement's noise is keyed to the sample
 // index, so the result is byte-for-byte reproducible regardless of worker

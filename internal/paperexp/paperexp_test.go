@@ -178,6 +178,36 @@ func TestRunBatteryWorkersIdentical(t *testing.T) {
 	}
 }
 
+// TestBatteryParallelMatchesSerial: the same, for every battery algorithm
+// at width 8, on the per-replication values.
+func TestBatteryParallelMatchesSerial(t *testing.T) {
+	gt := tinyGT(t, "LV")
+	run := func(workers int) []*AlgStats {
+		stats, err := RunBattery(RunSpec{
+			GT: gt, Obj: CompTime, Budget: 12,
+			Algorithms: allTinyAlgorithms(),
+			Reps:       4, Seed: 9, Workers: workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats
+	}
+	serial := run(1)
+	parallel := run(8)
+	for a := range serial {
+		for r := range serial[a].NormPerf {
+			if serial[a].NormPerf[r] != parallel[a].NormPerf[r] {
+				t.Fatalf("alg %s rep %d: serial %v != parallel %v",
+					serial[a].Name, r, serial[a].NormPerf[r], parallel[a].NormPerf[r])
+			}
+		}
+		if serial[a].MeanRecall(3) != parallel[a].MeanRecall(3) {
+			t.Fatalf("alg %s recall differs across worker counts", serial[a].Name)
+		}
+	}
+}
+
 // failFrom fails every replication whose problem seed is at least from.
 type failFrom struct{ from uint64 }
 

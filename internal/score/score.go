@@ -103,14 +103,15 @@ func (e *Engine) MapChunksIndexed(n int, fn func(ci, lo, hi int)) {
 	wg.Wait()
 }
 
-// TaskChunks covers [0, n) with fixed contiguous chunks like MapChunks but
-// without the small-batch serial floor: it is meant for coarse-grained work
-// items — whole model fits, per-tree training, per-column split scans —
-// where each item is expensive enough that fan-out pays even at n = 2.
-// Chunk boundaries depend only on n and the worker count, and fn must write
-// only state owned by its index range, so the determinism contract of
-// MapChunks carries over unchanged.
-func (e *Engine) TaskChunks(n int, fn func(lo, hi int)) {
+// Tasks invokes fn for every index in [0, n) across the engine's workers,
+// in fixed contiguous chunks like MapChunks but without the small-batch
+// serial floor: it is meant for small sets of heavyweight independent jobs
+// — per-component model training, per-column sorts and split scans — where
+// each item is expensive enough that fan-out pays even at n = 2. Chunk
+// boundaries depend only on n and the worker count, and each index must
+// write only its own output slot, so the determinism contract of MapChunks
+// carries over unchanged.
+func (e *Engine) Tasks(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
@@ -119,36 +120,24 @@ func (e *Engine) TaskChunks(n int, fn func(lo, hi int)) {
 		w = n
 	}
 	if w <= 1 {
-		fn(0, n)
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
 		return
 	}
 	chunk := (n + w - 1) / w
 	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			fn(lo, hi)
+			for i := lo; i < hi; i++ {
+				fn(i)
+			}
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// Tasks invokes fn for every index in [0, n) across the engine's workers
-// with no serial floor — the per-item form of TaskChunks, for small sets of
-// heavyweight independent jobs (ensemble-member fits, per-component model
-// training). Each index must write only its own output slot; which worker
-// runs which index is irrelevant to the result.
-func (e *Engine) Tasks(n int, fn func(i int)) {
-	e.TaskChunks(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
 }
 
 // Map invokes fn for every index in [0, n) across the engine's workers.

@@ -445,6 +445,7 @@ func TestServerErrorPaths(t *testing.T) {
 		"unknown field":     `{"benchmark":"LV","typo":1}`,
 		"unknown benchmark": `{"benchmark":"XX"}`,
 		"bad algorithm":     `{"benchmark":"LV","algorithm":"annealing"}`,
+		"removed algorithm": `{"benchmark":"LV","algorithm":"bo"}`,
 		"negative budget":   `{"benchmark":"LV","budget":-5}`,
 		"oversized pool":    `{"benchmark":"LV","pool":2000000000}`,
 		"oversized budget":  `{"benchmark":"LV","budget":2000000000}`,

@@ -220,12 +220,6 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 	return p
 }
 
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// Engine returns the engine the process runs on.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Now returns the current simulated time.
 func (p *Proc) Now() float64 { return p.eng.now }
 

@@ -90,6 +90,3 @@ func (s *Store[T]) Get(p *Proc) T {
 
 // Len returns the number of buffered items.
 func (s *Store[T]) Len() int { return s.n }
-
-// Capacity returns the maximum number of buffered items.
-func (s *Store[T]) Capacity() int { return len(s.ring) }

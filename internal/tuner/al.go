@@ -4,33 +4,30 @@ import (
 	"ceal/internal/cfgspace"
 )
 
-// The AL-family skeleton, written once. AL, ALpH, BO, HyBoost and KNNSelect
-// differ only in their model (what Fit trains and how candidates are
-// ranked); the measurement schedule around it is the batch-AL setup of
-// [6, 29] as used for the §7.3 baselines, with the hyper-parameters nobody
-// varies fixed here rather than carried as per-algorithm options (CEAL's
-// are the exception — see CEALOptions). GEIST shares the sizes but picks
-// through its parameter graph.
+// The AL-family skeleton, written once. AL and ALpH rank with the same
+// kind of surrogate over different features (ALpH's adds the component
+// models' predictions); the measurement schedule around it is the batch-AL
+// setup of [6, 29] as used for the §7.3 baselines, with the
+// hyper-parameters nobody varies fixed here rather than carried as
+// per-algorithm options (CEAL's are the exception — see CEALOptions). GEIST
+// shares the sizes but picks through its parameter graph.
 const (
 	// seedFrac is the share of the workflow budget measured at random
 	// before the first model exists.
 	seedFrac = 0.3
 	// alIterations is the number of refinement batches after the seed.
 	alIterations = 5
-	// componentFrac is the budget share ALpH, HyBoost and KNNSelect spend
-	// on standalone component runs when no history covers them (the middle
-	// of the paper's 25–75% guidance, §6).
+	// componentFrac is the budget share ALpH spends on standalone
+	// component runs when no history covers them (the middle of the
+	// paper's 25–75% guidance, §6).
 	componentFrac = 0.5
 )
 
 // alBatches is the AL-family measurement schedule: a random seed batch of
 // seedFrac of the budget, then the rest spread evenly over alIterations
-// batches of the current model's top picks. A strategy embeds it and sets
-// rank to its model's candidate scorer.
+// batches of the surrogate's top picks.
 type alBatches struct {
-	// rank returns the scorer for this iteration; the lowest scores are
-	// measured next.
-	rank func(st *State) poolScorer
+	surrogateBacked
 }
 
 func (b *alBatches) SeedBatch(st *State) ([]cfgspace.Config, error) {
@@ -42,7 +39,7 @@ func (b *alBatches) SelectBatch(st *State) ([]cfgspace.Config, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	return st.Tracker.takeTop(n, b.rank(st)), nil
+	return st.Tracker.takeTop(n, b.scorer(st)), nil
 }
 
 // initialBatchSize is the shared m0 rule: frac of the budget, at least 2,
@@ -113,8 +110,7 @@ func (*AL) Name() string { return "AL" }
 
 // Tune implements Algorithm.
 func (*AL) Tune(p *Problem, budget int) (*Result, error) {
-	s := &alStrategy{surrogateBacked: surrogateBacked{newSurrogate(p)}}
-	s.rank = s.scorer
+	s := &alStrategy{alBatches{surrogateBacked{newSurrogate(p)}}}
 	loop := &Loop{Algorithm: "AL", Salt: saltAL, Iterations: alIterations, Strategy: s}
 	return loop.Run(p, budget)
 }
@@ -122,7 +118,6 @@ func (*AL) Tune(p *Problem, budget int) (*Result, error) {
 // alStrategy is the skeleton over the plain workflow surrogate.
 type alStrategy struct {
 	alBatches
-	surrogateBacked
 }
 
 // WarmStart pre-trains the surrogate on prior-run samples so SelectBatch's

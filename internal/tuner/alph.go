@@ -21,7 +21,6 @@ func (*ALpH) Name() string { return "ALpH" }
 // Tune implements Algorithm.
 func (*ALpH) Tune(p *Problem, budget int) (*Result, error) {
 	s := &alphStrategy{}
-	s.rank = s.scorer
 	loop := &Loop{Algorithm: "ALpH", Salt: saltALpH, Iterations: alIterations, Strategy: s}
 	return loop.Run(p, budget)
 }
@@ -30,7 +29,6 @@ func (*ALpH) Tune(p *Problem, budget int) (*Result, error) {
 // which Bootstrap builds once the component models exist.
 type alphStrategy struct {
 	alBatches
-	surrogateBacked
 }
 
 func (s *alphStrategy) Bootstrap(st *State) ([][]Sample, error) {

@@ -18,7 +18,7 @@ func newTestRNG(seed uint64) *rand.Rand { return rand.New(rand.NewPCG(seed, 0)) 
 func TestAlgorithmNames(t *testing.T) {
 	want := map[string]bool{
 		"RS": true, "AL": true, "GEIST": true, "ALpH": true,
-		"CEAL": true, "BO": true, "HyBoost": true, "KNNSelect": true,
+		"CEAL": true,
 	}
 	for _, alg := range allAlgorithms() {
 		if !want[alg.Name()] {

@@ -109,9 +109,8 @@ type BatchMeasured struct {
 // ModelTrained reports a surrogate (re)fit.
 type ModelTrained struct {
 	Iteration int `json:"iteration"`
-	// Model names what was fit: "surrogate" (the boosted-tree M_H),
-	// "low-fidelity" (Phase-1 component models + analytical combination),
-	// "forest" (BO), "ensemble" (HyBoost/KNNSelect candidate sets).
+	// Model names what was fit: "surrogate" (the boosted-tree M_H) or
+	// "low-fidelity" (Phase-1 component models + analytical combination).
 	Model string `json:"model"`
 	// Samples is the training-set size.
 	Samples int `json:"samples"`

@@ -81,8 +81,8 @@ func (s *State) Emit(e events.Event) {
 // Strategy is the one seam between the Loop and an algorithm: the
 // searcher's two choices and the modeler's two duties. The optional hooks
 // below (Bootstrapper, WarmStarter, Controller, Importancer, and the
-// ModelName / ModelRounds trace labels) are discovered by type assertion on
-// the same value.
+// ModelRounds trace label) are discovered by type assertion on the same
+// value.
 type Strategy interface {
 	// SeedBatch returns the configurations to measure first (iteration 0).
 	// It may take them from st.Tracker and consume st.Rng.
@@ -334,22 +334,13 @@ func (l *Loop) fit(st *State, fresh []Sample) error {
 	if trained && st.obs != nil {
 		st.Emit(&events.ModelTrained{
 			Iteration:  st.Iter,
-			Model:      l.modelName(),
+			Model:      "surrogate",
 			Samples:    len(st.Samples),
 			DurationNS: time.Since(start).Nanoseconds(),
 			Rounds:     l.modelRounds(),
 		})
 	}
 	return nil
-}
-
-// modelName lets a strategy label its ModelTrained events; the boosted-tree
-// default covers most strategies.
-func (l *Loop) modelName() string {
-	if n, ok := l.Strategy.(interface{ ModelName() string }); ok {
-		return n.ModelName()
-	}
-	return "surrogate"
 }
 
 // modelRounds reads the strategy's fitted-ensemble size when it reports one.

@@ -19,30 +19,21 @@ import (
 // (same-commit, across widths) cannot. A legitimate behaviour change must
 // regenerate them deliberately (the failure message prints the new value).
 var pinnedDigests = map[string][2]string{
-	"RS/cold":           {"f51006e1688612eb31d39e89329cd6688ec02a7e4f9882a68d2e57d9f0c6a6ba", "54b1311cddee1b1d78e9817061c6e4637e824f9aa62a6069c218b71d550cdc35"},
-	"RS/history":        {"f51006e1688612eb31d39e89329cd6688ec02a7e4f9882a68d2e57d9f0c6a6ba", "54b1311cddee1b1d78e9817061c6e4637e824f9aa62a6069c218b71d550cdc35"},
-	"RS/warm":           {"f51006e1688612eb31d39e89329cd6688ec02a7e4f9882a68d2e57d9f0c6a6ba", "6fbf0a3ccbe05d5ec5f16a47f60b75cbe4960475dda4fe30af85393ecd5bc442"},
-	"AL/cold":           {"45d0ef9648e6f37277dd0f4ee7056ea7b3ae9d1fb5c147b17472b39445d40193", "45ef06cdf7454b5ce6310fff06d8319dea33163949f65201c7aa3835b2fb8d69"},
-	"AL/history":        {"45d0ef9648e6f37277dd0f4ee7056ea7b3ae9d1fb5c147b17472b39445d40193", "45ef06cdf7454b5ce6310fff06d8319dea33163949f65201c7aa3835b2fb8d69"},
-	"AL/warm":           {"ae06810eeb88cf1168390f6b9b2801ee0148ea67fed92087943c5a81e50115c5", "a7ab22a967e5f8ea6a22c9ce5839b5874a775c44fe1a3e71e5d28de795ac617f"},
-	"GEIST/cold":        {"311615b8054b7204dd1c4b56cce116a382888f4e2bdfb8a96feb3c4dd7a9288b", "47d1c2d351a5bfca79cc01cf1136e3a276520f5bb34556a86253d61e1a24e6eb"},
-	"GEIST/history":     {"311615b8054b7204dd1c4b56cce116a382888f4e2bdfb8a96feb3c4dd7a9288b", "47d1c2d351a5bfca79cc01cf1136e3a276520f5bb34556a86253d61e1a24e6eb"},
-	"GEIST/warm":        {"311615b8054b7204dd1c4b56cce116a382888f4e2bdfb8a96feb3c4dd7a9288b", "bac00ee5ed2f168b9002e3d6cd37302b71791682dcf847cd31602b3bf6da646a"},
-	"ALpH/cold":         {"542af5e76e50011eb3f0e6b4ff8f68953321d8c646b7c82a69b1a8523e900489", "5a662272e500532512901cc4a3250475caf42e27c2b1a1f02f9a20eef4901e7f"},
-	"ALpH/history":      {"33dd64247ff37e5b487bdd04332c91614c7da3227793654f439d44890c666025", "46be2f3702380c7d09a749556b1e39b1c09847bf3b9711e77a3185d3e13e5663"},
-	"ALpH/warm":         {"ed2b4bab3f15d21762143e0ed0ce4dabef4918c7bbc962f8e0426a62ced82cda", "adae62ecabf4304ae522d15d3d13653bf20f23be1e7d1b3a3638eedf9aa681d0"},
-	"CEAL/cold":         {"c3ad5cfd9b177dbcd8ad8e075ac8aae7daae4a64175491f9b07b88fcb4cb63df", "da528cc7081fe50063021d3bd479d22ab8ba77e711e884737e3d6aff96623886"},
-	"CEAL/history":      {"6b7316bc2491e4cdc41e5679ed358b1986e2190be2822da0adf5d60551436e8c", "dc8095259f91083b0f435b30ebd4a4cdfcfe267999cb988f504edb1c398f98a7"},
-	"CEAL/warm":         {"827546fbb729ac7f1a0127fabd78c5a29fc694041ef35d8f4e330f5948021f05", "d18852c838af32f98db3b0380c00a6feec17196e006865b2d6faec903da31085"},
-	"BO/cold":           {"3e252b585195aae77979695923ce7066b6ee9a83a75e7128aa3d3cf78b31bbf9", "bcd78145fd39436b0781a6eda8139b8a010301ba132565da027570452ba285da"},
-	"BO/history":        {"3e252b585195aae77979695923ce7066b6ee9a83a75e7128aa3d3cf78b31bbf9", "bcd78145fd39436b0781a6eda8139b8a010301ba132565da027570452ba285da"},
-	"BO/warm":           {"3e252b585195aae77979695923ce7066b6ee9a83a75e7128aa3d3cf78b31bbf9", "6cddc375134679daf53a8338ba6de29ad5e18c948c46a17d5964858afd758261"},
-	"HyBoost/cold":      {"ab5e65e3403d9a2ab21b7c8a1a567091df8838892363deebdf1268cbda924644", "9547e00ca8f544c97df9e944189a88da354a2e75a08fa3a8bae7bb58d9d9d1eb"},
-	"HyBoost/history":   {"0bfd2e680483656cc683454c77e1cd1da4d5d5ef285fe47cd6324314d43d47a1", "8a89755a7ecf6666d5164dab2554f287a52973ece995f899c67dbbced22fa798"},
-	"HyBoost/warm":      {"f6ffd363882cc58ead8e0a29cfa588edc04591aa879504f23823bf6b120f4cfb", "5783762b9918a249843375e6c22b3dacb4ef595238a5550d4e9b09ceea2d88c0"},
-	"KNNSelect/cold":    {"b32b129a325b979823f50584225fa3dce631e61210b141eb3e6af826bb60bf13", "030c4453ed514f148cdfd9f28b5e8203fc79592364b60bcb08af353da4e736e0"},
-	"KNNSelect/history": {"40a0784e516ac3e36fe2e3b29f9b883316b91012f434d00623a253a9be75eb3a", "81c1f90a65fc35f93db1b5dab2562bf4f8929f77b23f611e93aa894c2d9535bc"},
-	"KNNSelect/warm":    {"1a0e52e2272b0c1140c3f526176cd1e6d1df54445683af80f5f1d6a63dbc33b5", "28f9bdc7df3e75814c043059481a2d5c3f60c26242a72dbb9135d5ad8892c48c"},
+	"RS/cold":       {"f51006e1688612eb31d39e89329cd6688ec02a7e4f9882a68d2e57d9f0c6a6ba", "54b1311cddee1b1d78e9817061c6e4637e824f9aa62a6069c218b71d550cdc35"},
+	"RS/history":    {"f51006e1688612eb31d39e89329cd6688ec02a7e4f9882a68d2e57d9f0c6a6ba", "54b1311cddee1b1d78e9817061c6e4637e824f9aa62a6069c218b71d550cdc35"},
+	"RS/warm":       {"f51006e1688612eb31d39e89329cd6688ec02a7e4f9882a68d2e57d9f0c6a6ba", "6fbf0a3ccbe05d5ec5f16a47f60b75cbe4960475dda4fe30af85393ecd5bc442"},
+	"AL/cold":       {"45d0ef9648e6f37277dd0f4ee7056ea7b3ae9d1fb5c147b17472b39445d40193", "45ef06cdf7454b5ce6310fff06d8319dea33163949f65201c7aa3835b2fb8d69"},
+	"AL/history":    {"45d0ef9648e6f37277dd0f4ee7056ea7b3ae9d1fb5c147b17472b39445d40193", "45ef06cdf7454b5ce6310fff06d8319dea33163949f65201c7aa3835b2fb8d69"},
+	"AL/warm":       {"ae06810eeb88cf1168390f6b9b2801ee0148ea67fed92087943c5a81e50115c5", "a7ab22a967e5f8ea6a22c9ce5839b5874a775c44fe1a3e71e5d28de795ac617f"},
+	"GEIST/cold":    {"311615b8054b7204dd1c4b56cce116a382888f4e2bdfb8a96feb3c4dd7a9288b", "47d1c2d351a5bfca79cc01cf1136e3a276520f5bb34556a86253d61e1a24e6eb"},
+	"GEIST/history": {"311615b8054b7204dd1c4b56cce116a382888f4e2bdfb8a96feb3c4dd7a9288b", "47d1c2d351a5bfca79cc01cf1136e3a276520f5bb34556a86253d61e1a24e6eb"},
+	"GEIST/warm":    {"311615b8054b7204dd1c4b56cce116a382888f4e2bdfb8a96feb3c4dd7a9288b", "bac00ee5ed2f168b9002e3d6cd37302b71791682dcf847cd31602b3bf6da646a"},
+	"ALpH/cold":     {"542af5e76e50011eb3f0e6b4ff8f68953321d8c646b7c82a69b1a8523e900489", "5a662272e500532512901cc4a3250475caf42e27c2b1a1f02f9a20eef4901e7f"},
+	"ALpH/history":  {"33dd64247ff37e5b487bdd04332c91614c7da3227793654f439d44890c666025", "46be2f3702380c7d09a749556b1e39b1c09847bf3b9711e77a3185d3e13e5663"},
+	"ALpH/warm":     {"ed2b4bab3f15d21762143e0ed0ce4dabef4918c7bbc962f8e0426a62ced82cda", "adae62ecabf4304ae522d15d3d13653bf20f23be1e7d1b3a3638eedf9aa681d0"},
+	"CEAL/cold":     {"c3ad5cfd9b177dbcd8ad8e075ac8aae7daae4a64175491f9b07b88fcb4cb63df", "da528cc7081fe50063021d3bd479d22ab8ba77e711e884737e3d6aff96623886"},
+	"CEAL/history":  {"6b7316bc2491e4cdc41e5679ed358b1986e2190be2822da0adf5d60551436e8c", "dc8095259f91083b0f435b30ebd4a4cdfcfe267999cb988f504edb1c398f98a7"},
+	"CEAL/warm":     {"827546fbb729ac7f1a0127fabd78c5a29fc694041ef35d8f4e330f5948021f05", "d18852c838af32f98db3b0380c00a6feec17196e006865b2d6faec903da31085"},
 }
 
 const (

@@ -39,6 +39,4 @@ const (
 	saltGEIST = 0x47454953
 	saltCEAL  = 0x4345414c
 	saltALpH  = 0x414c7048
-	saltBO    = 0x424f424f
-	saltENS   = 0x454e5345
 )

@@ -7,9 +7,6 @@
 //   - ALpH  — active learning over a learned component-combining model (§4)
 //   - CEAL  — Component-based Ensemble Active Learning, Algorithm 1
 //
-// plus the §8.2/§9 extensions (HyBoost- and KNN-style white+black
-// ensembles, Bayesian optimization).
-//
 // All algorithms optimize a minimization metric (execution time in seconds
 // or computer time in core-hours) over a finite sample pool C_pool drawn
 // from the workflow's configuration space (§5), under a data-collection
@@ -183,12 +180,6 @@ func (p *Problem) engine() *score.Engine {
 		p.eng = score.New(w)
 	})
 	return p.eng
-}
-
-// poolFeatures returns the cached featurized pool matrix, row-aligned
-// with Pool.
-func (p *Problem) poolFeatures() [][]float64 {
-	return p.poolMat.Rows(p.engine(), p.Pool, p.features)
 }
 
 // poolScorer scores pool configurations by index: it fills out[j] with

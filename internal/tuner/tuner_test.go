@@ -79,7 +79,7 @@ func trueValues(p *Problem) []float64 {
 }
 
 func allAlgorithms() []Algorithm {
-	return []Algorithm{RS{}, NewAL(), NewGEIST(), NewALpH(), NewCEAL(), NewBO(), NewHyBoost(), NewKNNSelect()}
+	return []Algorithm{RS{}, NewAL(), NewGEIST(), NewALpH(), NewCEAL()}
 }
 
 func TestAlgorithmsRespectBudget(t *testing.T) {
@@ -346,36 +346,6 @@ func TestCEALAblationOptionsRun(t *testing.T) {
 		if len(res.Samples) == 0 {
 			t.Errorf("opts %+v: no samples", opts)
 		}
-	}
-}
-
-func TestExpectedImprovement(t *testing.T) {
-	// Zero uncertainty: EI is the plain improvement, clamped at zero.
-	if got := expectedImprovement(10, 8, 0); got != 2 {
-		t.Fatalf("deterministic EI = %v, want 2", got)
-	}
-	if got := expectedImprovement(10, 12, 0); got != 0 {
-		t.Fatalf("deterministic worse EI = %v, want 0", got)
-	}
-	// Uncertainty adds value even at equal mean.
-	if got := expectedImprovement(10, 10, 1); got <= 0 {
-		t.Fatalf("uncertain EI = %v, want > 0", got)
-	}
-	// EI grows with std at fixed mean.
-	if expectedImprovement(10, 11, 2) <= expectedImprovement(10, 11, 0.5) {
-		t.Fatal("EI not increasing in std")
-	}
-}
-
-func TestStdNormHelpers(t *testing.T) {
-	if d := stdNormCDF(0) - 0.5; d > 1e-12 || d < -1e-12 {
-		t.Fatalf("CDF(0) = %v", stdNormCDF(0))
-	}
-	if stdNormCDF(5) < 0.999999 || stdNormCDF(-5) > 1e-6 {
-		t.Fatal("CDF tails wrong")
-	}
-	if d := stdNormPDF(0) - 0.3989422804014327; d > 1e-12 || d < -1e-12 {
-		t.Fatalf("PDF(0) = %v", stdNormPDF(0))
 	}
 }
 
