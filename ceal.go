@@ -21,6 +21,10 @@
 //	problem := ceal.NewProblem(bench, ceal.CompTime, 2000, 1)
 //	result, err := ceal.NewCEAL().Tune(problem, 50)
 //
+// A workflow of your own is declared once — components and the streams
+// between them — and NewBenchmark derives its joint space, allocation
+// constraint, builder and ML features (see examples/customworkflow).
+//
 // The experiment harness that regenerates the paper's tables and figures
 // lives behind ceal.Experiments / cmd/paperexp.
 package ceal
@@ -47,7 +51,7 @@ type (
 	Space = cfgspace.Space
 	// Param is one integer configuration parameter.
 	Param = cfgspace.Param
-	// Benchmark is a target workflow with its spaces and builders.
+	// Benchmark is a target workflow, declared once (see NewBenchmark).
 	Benchmark = workflow.Benchmark
 	// Workflow is a configured in-situ workflow instance.
 	Workflow = workflow.Workflow
@@ -65,25 +69,21 @@ type (
 	Layout = apps.Layout
 	// Edge is a streaming data dependency between workflow components.
 	Edge = workflow.Edge
-	// ComponentSpec describes a component of a custom benchmark.
+	// ComponentSpec declares a component: space, layout function, constructor.
 	ComponentSpec = workflow.ComponentSpec
-	// NamedSpace pairs a component name with its space for ConcatSpaces.
-	NamedSpace = cfgspace.NamedSpace
 	// Observer receives a tuning run's event stream. Attach one via
 	// Problem.Observer; nil (the default) is a zero-cost no-op and never
 	// changes results.
 	Observer = events.Observer
 )
 
-// Space construction helpers for custom workflows.
+// Helpers for declaring custom workflows, and event observers.
 var (
 	// NewParam returns an integer parameter with stride 1.
 	NewParam = cfgspace.NewParam
-	// ConcatSpaces builds a workflow space from component subspaces and an
-	// optional joint constraint.
-	ConcatSpaces = cfgspace.Concat
-	// NodesFor returns ceil(procs/ppn), the nodes a layout occupies.
-	NodesFor = cluster.NodesFor
+	// NewBenchmark completes a declared workflow — components, edges,
+	// expert configurations — by deriving its joint configuration space.
+	NewBenchmark = workflow.NewBenchmark
 	// RunSolo executes a single component alone against the file system.
 	RunSolo = workflow.RunSolo
 	// NewRecorder returns an empty event Recorder.

@@ -6,6 +6,7 @@
 //	wfsim -workflow LV -config 561,25,1,75,14,1
 //	wfsim -workflow HS -config 13,17,14,4,29,19,3 -mode posthoc
 //	wfsim -workflow GP -config 175,13,24,23 -mode solo -component grayscott
+//	wfsim -workflow GP -config 175,13 -mode solo -component grayscott
 //	wfsim -workflow LV -expert exec
 package main
 
@@ -50,7 +51,7 @@ func main() {
 
 	switch *mode {
 	case "insitu", "posthoc", "tight":
-		w, err := b.Build(cfg)
+		w, err := b.Build(cfg) // validates cfg against the workflow space
 		if err != nil {
 			fatal(err)
 		}
@@ -103,11 +104,9 @@ func main() {
 			fatal(fmt.Errorf("unknown component %q; workflow %s has %s", *component, b.Name, componentNames(b)))
 		}
 		cs := b.Components[idx]
-		sub := cfg
-		if cs.Space == nil {
-			sub = nil
-		} else if len(cfg) == b.Space.Dim() {
-			sub = b.Sub(cfg, idx)
+		sub, err := soloConfig(b, idx, cfg)
+		if err != nil {
+			fatal(err)
 		}
 		c := cs.BuildSolo(sub)
 		meas, err := workflow.RunSolo(b.Machine, c, cs.InBytesPerStep)
@@ -123,6 +122,21 @@ func main() {
 	}
 }
 
+// soloConfig returns component j's configuration for -mode solo: its slice
+// of a workflow configuration, or cfg as the component's own.
+func soloConfig(b *ceal.Benchmark, j int, cfg ceal.Config) (ceal.Config, error) {
+	cs := b.Components[j]
+	switch {
+	case b.Space.IsValid(cfg):
+		return b.Sub(cfg, j), nil
+	case cs.Space != nil && cs.Space.IsValid(cfg):
+		return cfg, nil
+	}
+	return nil, fmt.Errorf("configuration %v is valid neither for %s nor for its component %s", cfg, b.Name, cs.Name)
+}
+
+// resolveConfig returns the configuration -expert or -config names; Build or
+// soloConfig validates it.
 func resolveConfig(b *ceal.Benchmark, cfgStr, expert string) (ceal.Config, error) {
 	switch expert {
 	case "exec":
@@ -144,9 +158,6 @@ func resolveConfig(b *ceal.Benchmark, cfgStr, expert string) (ceal.Config, error
 			return nil, fmt.Errorf("bad configuration value %q", p)
 		}
 		cfg[i] = v
-	}
-	if !b.Space.IsValid(cfg) {
-		return nil, fmt.Errorf("configuration %v is not valid for %s (allocation cap or parameter range)", cfg, b.Name)
 	}
 	return cfg, nil
 }

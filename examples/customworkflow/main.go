@@ -21,15 +21,29 @@ const (
 	snapshotBytes = 64e6 // one spectral snapshot per coupling step
 )
 
+var machine = ceal.DefaultMachine()
+
+// layout is both components' process layout: cfg = [procs, ppn], unthreaded.
+func layout(cfg ceal.Config) ceal.Layout {
+	return ceal.Layout{Procs: cfg[0], PPN: cfg[1], Threads: 1}
+}
+
+// space is each component's own space: procs and ppn, capped at 24 nodes.
+var space = &ceal.Space{
+	Params: []ceal.Param{ceal.NewParam("procs", 2, 840), ceal.NewParam("ppn", 1, 35)},
+	Valid:  func(c ceal.Config) bool { return layout(c).Nodes() <= 24 },
+}
+
 // solver models a pseudo-spectral solver: heavy compute, log-p transpose
 // communication, memory-bandwidth hungry.
-func solver(m ceal.Machine, procs, ppn int) *ceal.Component {
-	l := ceal.Layout{Procs: procs, PPN: ppn, Threads: 1}
+func solver(cfg ceal.Config) *ceal.Component {
+	l := layout(cfg)
+	procs := float64(l.Procs)
 	work := 160.0 // core-seconds per step
-	comm := 0.02*math.Log2(float64(procs)) + 0.001*math.Sqrt(float64(procs))
-	demand := float64(min(ppn, procs)) * 5e9
-	memFactor := math.Max(1, demand/m.MemBWPerNode)
-	t := work/float64(procs)*memFactor + comm
+	comm := 0.02*math.Log2(procs) + 0.001*math.Sqrt(procs)
+	demand := float64(min(l.PPN, l.Procs)) * 5e9
+	memFactor := math.Max(1, demand/machine.MemBWPerNode)
+	t := work/procs*memFactor + comm
 	return &ceal.Component{
 		Name:     "turbsolver",
 		Layout:   l,
@@ -37,84 +51,44 @@ func solver(m ceal.Machine, procs, ppn int) *ceal.Component {
 		StepTime: func(int) float64 { return t },
 		OutBytes: snapshotBytes,
 		EmitPerChunk: func(b float64) float64 {
-			return 1e-3 + b/(m.MemBWPerNode/4)
+			return 1e-3 + b/(machine.MemBWPerNode/4)
 		},
 	}
 }
 
 // census models the analyzer: lighter, latency-bound at scale.
-func census(m ceal.Machine, procs, ppn int) *ceal.Component {
-	l := ceal.Layout{Procs: procs, PPN: ppn, Threads: 1}
+func census(cfg ceal.Config) *ceal.Component {
+	l := layout(cfg)
+	procs := float64(l.Procs)
 	work := 45.0
-	comm := 0.01 * math.Log2(float64(procs))
-	t := work/float64(procs) + comm
+	comm := 0.01 * math.Log2(procs)
+	t := work/procs + comm
 	return &ceal.Component{
 		Name:     "eddycensus",
 		Layout:   l,
 		Steps:    steps,
 		StepTime: func(int) float64 { return t },
 		IngestPerChunk: func(b float64) float64 {
-			return 0.5e-3 + b/(m.MemBWPerNode/4)
+			return 0.5e-3 + b/(machine.MemBWPerNode/4)
 		},
 	}
 }
 
 func main() {
-	machine := ceal.DefaultMachine()
-
-	// Each component's own space: procs and ppn, capped at 24 nodes.
-	mkSpace := func() *ceal.Space {
-		return &ceal.Space{
-			Params: []ceal.Param{
-				ceal.NewParam("procs", 2, 840),
-				ceal.NewParam("ppn", 1, 35),
-			},
-			Valid: func(c ceal.Config) bool { return ceal.NodesFor(c[0], c[1]) <= 24 },
-		}
-	}
-	solverSpace, censusSpace := mkSpace(), mkSpace()
-
-	bench := &ceal.Benchmark{
+	// The whole workflow, declared once: its configuration space, the
+	// allocation cap, Build and the ML features are derived from it.
+	bench := ceal.NewBenchmark(ceal.Benchmark{
 		Name:    "TURB",
 		Machine: machine,
 		Components: []ceal.ComponentSpec{
-			{
-				Name:      "turbsolver",
-				Space:     solverSpace,
-				BuildSolo: func(cfg ceal.Config) *ceal.Component { return solver(machine, cfg[0], cfg[1]) },
-			},
-			{
-				Name:           "eddycensus",
-				Space:          censusSpace,
-				BuildSolo:      func(cfg ceal.Config) *ceal.Component { return census(machine, cfg[0], cfg[1]) },
-				InBytesPerStep: snapshotBytes,
-			},
+			{Name: "turbsolver", Space: space, Layout: layout, BuildSolo: solver},
+			{Name: "eddycensus", Space: space, Layout: layout, BuildSolo: census, InBytesPerStep: snapshotBytes},
 		},
-		Space: ceal.ConcatSpaces(
-			func(c ceal.Config) bool {
-				return ceal.NodesFor(c[0], c[1])+ceal.NodesFor(c[2], c[3]) <= machine.MaxAllocNodes
-			},
-			ceal.NamedSpace{Name: "turbsolver", Space: solverSpace},
-			ceal.NamedSpace{Name: "eddycensus", Space: censusSpace},
-		),
+		Edges: []ceal.Edge{{From: 0, To: 1}},
 		// No expert exists for a new workflow; use a plausible hand guess.
 		ExpertExec: ceal.Config{420, 35, 210, 35},
 		ExpertComp: ceal.Config{70, 35, 35, 35},
-	}
-	bench.Build = func(cfg ceal.Config) (*ceal.Workflow, error) {
-		if !bench.Space.IsValid(cfg) {
-			return nil, fmt.Errorf("invalid configuration %v", cfg)
-		}
-		return &ceal.Workflow{
-			Name:    "TURB",
-			Machine: machine,
-			Components: []*ceal.Component{
-				solver(machine, cfg[0], cfg[1]),
-				census(machine, cfg[2], cfg[3]),
-			},
-			Edges: []ceal.Edge{{From: 0, To: 1}},
-		}, nil
-	}
+	})
 
 	// Sanity: run the hand guess in-situ and solo.
 	w, err := bench.Build(bench.ExpertComp)
@@ -127,7 +101,7 @@ func main() {
 	}
 	fmt.Printf("hand guess %v: exec %.2f s, computer %.3f core-h\n",
 		bench.ExpertComp, meas.ExecTime, meas.CompTime)
-	solo, err := ceal.RunSolo(machine, solver(machine, 70, 35), 0)
+	solo, err := ceal.RunSolo(machine, solver(ceal.Config{70, 35}), 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -149,11 +123,4 @@ func main() {
 	tuned, guess := verify[0].Value, verify[1].Value
 	fmt.Printf("\nCEAL (40-run budget) recommends %v -> %.3f core-h\n", res.Best, tuned)
 	fmt.Printf("hand guess: %.3f core-h; improvement %.1f%%\n", guess, (1-tuned/guess)*100)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

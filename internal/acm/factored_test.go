@@ -64,7 +64,7 @@ func TestFactoredScoreMatchesReference(t *testing.T) {
 				part := acm.Part{Name: cs.Name, Lo: lo, Hi: lo + cs.Dim()}
 				lo = part.Hi
 				part.Cores = func(sub cfgspace.Config) float64 {
-					return float64(cs.BuildSolo(sub).Nodes() * m.CoresPerNode)
+					return float64(cs.Layout(sub).Nodes() * m.CoresPerNode)
 				}
 				if cs.Space == nil {
 					part.Predictor = acm.ConstPredictor(3.5)

@@ -140,6 +140,20 @@ func packCost(m cluster.Machine, chunkBytes, fixed float64) float64 {
 	return fixed + chunkBytes/(m.MemBWPerNode/4)
 }
 
+// ProcsLayout is the layout of a cfg = [procs, ppn] or [procs, ppn, threads]
+// application: every configurable component but Heat Transfer.
+func ProcsLayout(cfg cfgspace.Config) Layout {
+	l := Layout{Procs: cfg[0], PPN: cfg[1], Threads: 1}
+	if len(cfg) > 2 {
+		l.Threads = cfg[2]
+	}
+	return l
+}
+
+// SerialLayout is the layout of the unconfigurable serial plotters: one
+// rank on its own node.
+func SerialLayout(cfgspace.Config) Layout { return Layout{Procs: 1, PPN: 1, Threads: 1} }
+
 // layoutSpace returns the common {procs, ppn, threads} space of Table 1
 // with the per-component feasibility constraint nodes <= maxNodes.
 func layoutSpace(maxProcs, maxThreads, maxNodes int) *cfgspace.Space {
@@ -152,8 +166,6 @@ func layoutSpace(maxProcs, maxThreads, maxNodes int) *cfgspace.Space {
 	}
 	return &cfgspace.Space{
 		Params: params,
-		Valid: func(c cfgspace.Config) bool {
-			return cluster.NodesFor(c[0], c[1]) <= maxNodes
-		},
+		Valid:  func(c cfgspace.Config) bool { return ProcsLayout(c).Nodes() <= maxNodes },
 	}
 }

@@ -35,7 +35,7 @@ func GrayScottSpace() *cfgspace.Space { return layoutSpace(1085, 1, 32) }
 
 // NewGrayScott instantiates Gray-Scott with cfg = [procs, ppn].
 func NewGrayScott(m cluster.Machine, cfg cfgspace.Config) *Component {
-	l := Layout{Procs: cfg[0], PPN: cfg[1], Threads: 1}
+	l := ProcsLayout(cfg)
 	s := scaling{
 		workCoreSec: grayScottWorkCoreSec,
 		serialSec:   0.010,
@@ -65,15 +65,13 @@ func PDFSpace() *cfgspace.Space {
 			cfgspace.NewParam("procs", 1, 512),
 			cfgspace.NewParam("ppn", 1, 35),
 		},
-		Valid: func(c cfgspace.Config) bool {
-			return cluster.NodesFor(c[0], c[1]) <= 32
-		},
+		Valid: func(c cfgspace.Config) bool { return ProcsLayout(c).Nodes() <= 32 },
 	}
 }
 
 // NewPDFCalc instantiates the PDF calculator with cfg = [procs, ppn].
 func NewPDFCalc(m cluster.Machine, cfg cfgspace.Config) *Component {
-	l := Layout{Procs: cfg[0], PPN: cfg[1], Threads: 1}
+	l := ProcsLayout(cfg)
 	s := scaling{
 		workCoreSec: pdfWorkCoreSec,
 		serialSec:   0.005,
@@ -102,7 +100,7 @@ func NewPDFCalc(m cluster.Machine, cfg cfgspace.Config) *Component {
 func NewGPlot(m cluster.Machine) *Component {
 	return &Component{
 		Name:     "gplot",
-		Layout:   Layout{Procs: 1, PPN: 1, Threads: 1},
+		Layout:   SerialLayout(nil),
 		Steps:    GPSteps,
 		StepTime: func(int) float64 { return gplotStepSec },
 		IngestPerChunk: func(b float64) float64 {
@@ -115,7 +113,7 @@ func NewGPlot(m cluster.Machine) *Component {
 func NewPPlot(m cluster.Machine) *Component {
 	return &Component{
 		Name:     "pplot",
-		Layout:   Layout{Procs: 1, PPN: 1, Threads: 1},
+		Layout:   SerialLayout(nil),
 		Steps:    GPSteps,
 		StepTime: func(int) float64 { return pplotStepSec },
 		IngestPerChunk: func(b float64) float64 {

@@ -45,18 +45,21 @@ func HeatSpace() *cfgspace.Space {
 			cfgspace.NewSteppedParam("outputs", 4, 32, 4),
 			cfgspace.NewParam("bufferMB", 1, 40),
 		},
-		Valid: func(c cfgspace.Config) bool {
-			return cluster.NodesFor(c[0]*c[1], c[2]) <= 32
-		},
+		Valid: func(c cfgspace.Config) bool { return HeatLayout(c).Nodes() <= 32 },
 	}
+}
+
+// HeatLayout is Heat Transfer's layout: a procsX-by-procsY decomposition,
+// unthreaded.
+func HeatLayout(cfg cfgspace.Config) Layout {
+	return Layout{Procs: cfg[0] * cfg[1], PPN: cfg[2], Threads: 1}
 }
 
 // NewHeatTransfer instantiates Heat Transfer with
 // cfg = [procsX, procsY, ppn, outputs, bufferMB].
 func NewHeatTransfer(m cluster.Machine, cfg cfgspace.Config) *Component {
-	px, py, ppn, outputs, bufMB := cfg[0], cfg[1], cfg[2], cfg[3], cfg[4]
-	l := Layout{Procs: px * py, PPN: ppn, Threads: 1}
-	steps := outputs
+	px, py, steps, bufMB := cfg[0], cfg[1], cfg[3], cfg[4]
+	l := HeatLayout(cfg)
 	s := scaling{
 		workCoreSec: heatTotalCoreSec / float64(steps),
 		serialSec:   0.001,
@@ -92,7 +95,7 @@ func StageWriteSpace() *cfgspace.Space { return layoutSpace(1085, 1, 32) }
 // NewStageWrite instantiates Stage Write with cfg = [procs, ppn]. steps must
 // match the upstream Heat Transfer's output count.
 func NewStageWrite(m cluster.Machine, cfg cfgspace.Config, steps int) *Component {
-	l := Layout{Procs: cfg[0], PPN: cfg[1], Threads: 1}
+	l := ProcsLayout(cfg)
 	s := scaling{
 		workCoreSec: stageWriteWorkCoreSec,
 		serialSec:   0.002,

@@ -47,7 +47,7 @@ func LAMMPSSpace() *cfgspace.Space { return layoutSpace(1085, 4, 32) }
 
 // NewLAMMPS instantiates LAMMPS with cfg = [procs, ppn, threads].
 func NewLAMMPS(m cluster.Machine, cfg cfgspace.Config) *Component {
-	l := Layout{Procs: cfg[0], PPN: cfg[1], Threads: cfg[2]}
+	l := ProcsLayout(cfg)
 	s := scaling{
 		workCoreSec: lammpsWorkCoreSec,
 		serialSec:   0.002,
@@ -76,7 +76,7 @@ func VoroSpace() *cfgspace.Space { return layoutSpace(1085, 4, 32) }
 
 // NewVoro instantiates Voro++ with cfg = [procs, ppn, threads].
 func NewVoro(m cluster.Machine, cfg cfgspace.Config) *Component {
-	l := Layout{Procs: cfg[0], PPN: cfg[1], Threads: cfg[2]}
+	l := ProcsLayout(cfg)
 	s := scaling{
 		workCoreSec: voroWorkCoreSec,
 		serialSec:   0.005,

@@ -218,13 +218,3 @@ type NamedSpace struct {
 	Name  string
 	Space *Space
 }
-
-// Slice extracts the sub-configuration of the i-th part of a Concat space
-// whose parts have the given dimensions.
-func Slice(cfg Config, dims []int, i int) Config {
-	lo := 0
-	for j := 0; j < i; j++ {
-		lo += dims[j]
-	}
-	return cfg[lo : lo+dims[i]]
-}

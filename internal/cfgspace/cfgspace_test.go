@@ -136,20 +136,6 @@ func TestConcatPrefixesAndJointConstraint(t *testing.T) {
 	}
 }
 
-func TestSlice(t *testing.T) {
-	cfg := Config{1, 2, 3, 4, 5, 6}
-	dims := []int{3, 1, 2}
-	if got := Slice(cfg, dims, 0).Key(); got != "1,2,3" {
-		t.Fatalf("part 0 = %s", got)
-	}
-	if got := Slice(cfg, dims, 1).Key(); got != "4" {
-		t.Fatalf("part 1 = %s", got)
-	}
-	if got := Slice(cfg, dims, 2).Key(); got != "5,6" {
-		t.Fatalf("part 2 = %s", got)
-	}
-}
-
 func TestNormalizedInUnitInterval(t *testing.T) {
 	s := testSpace()
 	rng := rand.New(rand.NewPCG(8, 8))

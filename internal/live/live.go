@@ -124,7 +124,7 @@ func Components(b *workflow.Benchmark) []tuner.ComponentInfo {
 	for j, cs := range b.Components {
 		comps[j] = tuner.ComponentInfo{Name: cs.Name, Space: cs.Space}
 		comps[j].Cores = func(cfg cfgspace.Config) float64 {
-			return float64(cs.BuildSolo(cfg).Nodes() * b.Machine.CoresPerNode)
+			return float64(cs.Layout(cfg).Nodes() * b.Machine.CoresPerNode)
 		}
 		if cs.Space != nil {
 			comps[j].Features = func(cfg cfgspace.Config) []float64 { return cs.Features(b.Machine, cfg) }

@@ -51,10 +51,9 @@ func trainComponentModels(p *Problem, mR int, rng *rand.Rand) (*componentModels,
 	parts := make([]acm.Part, len(p.Components))
 	newSamples := make([][]Sample, len(p.Components))
 	lo := 0
-	for j, d := range p.dims() {
-		comp := p.Components[j]
-		parts[j] = acm.Part{Name: comp.Name, Lo: lo, Hi: lo + d, Cores: comp.Cores}
-		lo += d
+	for j, comp := range p.Components {
+		parts[j] = acm.Part{Name: comp.Name, Lo: lo, Hi: lo + comp.dim(), Cores: comp.Cores}
+		lo = parts[j].Hi
 	}
 
 	// Pass 1, serial: measurement and configuration sampling, in component

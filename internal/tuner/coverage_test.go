@@ -98,14 +98,6 @@ func TestLogTargetGuardsTinyValues(t *testing.T) {
 	}
 }
 
-func TestProblemSub(t *testing.T) {
-	p := synthProblem(43, 10)
-	cfg := cfgspace.Config{1, 2, 3, 4}
-	if p.sub(cfg, 0).Key() != "1,2" || p.sub(cfg, 1).Key() != "3,4" {
-		t.Fatalf("sub extraction wrong: %v %v", p.sub(cfg, 0), p.sub(cfg, 1))
-	}
-}
-
 func TestTrainComponentModelsErrors(t *testing.T) {
 	// mR = 0 and no history: must fail loudly.
 	p := synthProblem(51, 20)

@@ -60,6 +60,14 @@ func (c ComponentInfo) features(cfg cfgspace.Config) []float64 {
 	return c.Space.Features(cfg)
 }
 
+// dim returns the component's parameter count.
+func (c ComponentInfo) dim() int {
+	if c.Space == nil {
+		return 0
+	}
+	return c.Space.Dim()
+}
+
 // Problem is a fully specified auto-tuning task.
 type Problem struct {
 	Name       string
@@ -197,22 +205,6 @@ func (p *Problem) engine() *score.Engine {
 // index gets its exact score. Scorers with nothing to stop ignore worst.
 type poolScorer func(idxs []int, out []float64, worst float64)
 
-// dims returns each component's parameter count.
-func (p *Problem) dims() []int {
-	dims := make([]int, len(p.Components))
-	for i, c := range p.Components {
-		if c.Space != nil {
-			dims[i] = c.Space.Dim()
-		}
-	}
-	return dims
-}
-
-// sub extracts component j's sub-configuration.
-func (p *Problem) sub(cfg cfgspace.Config, j int) cfgspace.Config {
-	return cfgspace.Slice(cfg, p.dims(), j)
-}
-
 // hasHistory reports whether every configurable component has historical
 // measurements.
 func (p *Problem) hasHistory() bool {
@@ -233,8 +225,8 @@ func (p *Problem) validate() error {
 		return fmt.Errorf("tuner: problem %q needs a space, a pool, and an evaluator", p.Name)
 	}
 	sum := 0
-	for _, d := range p.dims() {
-		sum += d
+	for _, c := range p.Components {
+		sum += c.dim()
 	}
 	if sum != p.Space.Dim() {
 		return fmt.Errorf("tuner: component dims sum to %d but workflow space has %d", sum, p.Space.Dim())

@@ -7,9 +7,9 @@
 // A worker holds no tuning state. The job identity in every request
 // (benchmark, objective, seed) fully determines the evaluator, so any
 // worker — or any mix of workers across retries and reassignment —
-// produces identical values for identical items. Evaluators are cached
-// per job so repeated shards of one tuning run don't rebuild the
-// benchmark each time.
+// produces identical values for identical items, and the worker builds it
+// per request (microseconds against a shard's milliseconds) rather than
+// retain anything keyed by what a client sent.
 package worker
 
 import (
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"ceal/internal/dispatch"
@@ -34,9 +33,6 @@ type Server struct {
 	mux     *http.ServeMux
 	workers int
 
-	mu    sync.Mutex
-	evals map[dispatch.Job]*live.Evaluator
-
 	requests, items, errors atomic.Uint64
 }
 
@@ -46,7 +42,7 @@ func NewServer(workers int) *Server {
 	if workers < 1 {
 		workers = 1
 	}
-	s := &Server{mux: http.NewServeMux(), workers: workers, evals: make(map[dispatch.Job]*live.Evaluator)}
+	s := &Server{mux: http.NewServeMux(), workers: workers}
 	s.mux.HandleFunc("POST "+dispatch.MeasurePath, s.measure)
 	s.mux.HandleFunc("GET /healthz", s.healthz)
 	s.mux.HandleFunc("GET /metrics", s.metrics)
@@ -55,21 +51,6 @@ func NewServer(workers int) *Server {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// evaluator returns the (cached) deterministic evaluator for a job.
-func (s *Server) evaluator(job dispatch.Job) (*live.Evaluator, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ev, ok := s.evals[job]; ok {
-		return ev, nil
-	}
-	ev, err := live.NewEvaluator(job.Benchmark, job.Objective, job.Seed)
-	if err != nil {
-		return nil, err
-	}
-	s.evals[job] = ev
-	return ev, nil
-}
 
 // maxRequestBytes bounds a POST /v1/measure body. An item is ~70 bytes on
 // the wire, so this admits a shard of 200k — twice the largest pool any
@@ -89,7 +70,7 @@ func (s *Server) measure(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, status, fmt.Errorf("bad measure request: %w", err))
 		return
 	}
-	ev, err := s.evaluator(req.Job)
+	ev, err := live.NewEvaluator(req.Job.Benchmark, req.Job.Objective, req.Job.Seed)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return

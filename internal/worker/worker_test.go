@@ -3,11 +3,13 @@ package worker
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand/v2"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -272,6 +274,36 @@ func TestMeasureEndpointSurvivesMalformedItem(t *testing.T) {
 	status, reply = postMeasure(t, url, `{"benchmark":"LV","objective":"comp","seed":1,"items":[{"seq":0,"kind":"component","component":0,"cfg":[18,18,2]}]}`)
 	if status != http.StatusOK || len(reply.Results) != 1 || reply.Results[0].Value != want {
 		t.Fatalf("valid request after the malformed one: status %d, reply %+v; want value %v", status, reply, want)
+	}
+}
+
+// TestMeasureEndpointKeepsNothingPerJob: a job identity comes off the wire
+// and every run has its own seed, so a worker that kept anything per job
+// would grow with every run it ever served. The same shard is answered the
+// same way twice, and after shards for 1 000 distinct seeds no Server field
+// holds an entry.
+func TestMeasureEndpointKeepsNothingPerJob(t *testing.T) {
+	srv := NewServer(1)
+	post := func(seed int) string {
+		body := fmt.Sprintf(`{"benchmark":"GP","objective":"exec","seed":%d,"items":[{"seq":0,"kind":"component","component":3}]}`, seed)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, dispatch.MeasurePath, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("seed %d: status %d: %s", seed, rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	if first, again := post(1), post(1); first != again {
+		t.Fatalf("repeated job answered differently:\n%s\n%s", first, again)
+	}
+	for seed := 2; seed <= 1000; seed++ {
+		post(seed)
+	}
+	v := reflect.ValueOf(srv).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); (f.Kind() == reflect.Map || f.Kind() == reflect.Slice) && f.Len() > 0 {
+			t.Errorf("Server.%s holds %d entries after 1000 jobs", v.Type().Field(i).Name, f.Len())
+		}
 	}
 }
 

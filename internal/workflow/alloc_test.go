@@ -35,3 +35,30 @@ func TestRunInSituAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolRowAllocs guards what a tuner pays per pool row: the feature
+// vector is the row's one allocation (building the components to read
+// their layouts made it 7 to 8), and admitting a configuration or reading
+// a component's layout allocates nothing.
+func TestPoolRowAllocs(t *testing.T) {
+	for _, b := range Benchmarks(cluster.Default()) {
+		cfg := b.ExpertExec
+		for _, c := range []struct {
+			what string
+			want float64
+			row  func()
+		}{
+			{"Features", 1, func() { b.Features(cfg) }},
+			{"Space.IsValid", 0, func() { b.Space.IsValid(cfg) }},
+			{"Layout", 0, func() {
+				for j, cs := range b.Components {
+					cs.Layout(b.Sub(cfg, j))
+				}
+			}},
+		} {
+			if allocs := testing.AllocsPerRun(100, c.row); allocs != c.want {
+				t.Errorf("%s: %s allocates %.0f times per row, want %.0f", b.Name, c.what, allocs, c.want)
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"ceal/internal/apps"
 	"ceal/internal/cfgspace"
 	"ceal/internal/cluster"
 )
@@ -99,5 +100,109 @@ func TestGPFeaturesCountFixedComponents(t *testing.T) {
 	// total = gs nodes (2) + pdf nodes (2) + two serial plotters (1 + 1).
 	if f[10] != 6 {
 		t.Fatalf("GP total nodes feature = %v, want 6", f[10])
+	}
+}
+
+// twoStage declares a two-component benchmark the way
+// examples/customworkflow does: one shared component space with its own
+// 24-node cap, one layout function, two specs and an edge.
+func twoStage(m cluster.Machine) *Benchmark {
+	space := &cfgspace.Space{
+		Params: []cfgspace.Param{cfgspace.NewParam("procs", 2, 840), cfgspace.NewParam("ppn", 1, 35)},
+		Valid:  func(c cfgspace.Config) bool { return apps.ProcsLayout(c).Nodes() <= 24 },
+	}
+	return NewBenchmark(Benchmark{
+		Name:    "TWO",
+		Machine: m,
+		Components: []ComponentSpec{
+			{Name: "sim", Space: space, Layout: apps.ProcsLayout,
+				BuildSolo: func(cfg cfgspace.Config) *apps.Component { return apps.NewGrayScott(m, cfg) }},
+			{Name: "ana", Space: space, Layout: apps.ProcsLayout,
+				BuildSolo:      func(cfg cfgspace.Config) *apps.Component { return apps.NewPDFCalc(m, cfg) },
+				InBytesPerStep: apps.GrayScottStepBytes},
+		},
+		Edges:      []Edge{{From: 0, To: 1}},
+		ExpertExec: cfgspace.Config{420, 35, 210, 35},
+		ExpertComp: cfgspace.Config{70, 35, 35, 35},
+	})
+}
+
+// TestDerivedSpaceMatchesBuild ties the derived space to the workflows it
+// admits, over raw cross-product draws: a configuration is in the space
+// exactly when the allocation rule written out by hand (the pre-derivation
+// joint closures, column numbers and all) accepts it, exactly when Build
+// succeeds — and what Build returns passes the workflow's own Validate, so
+// the space's allocation rule and the workflow's cannot drift apart.
+func TestDerivedSpaceMatchesBuild(t *testing.T) {
+	m := cluster.Default()
+	nodes := cluster.NodesFor
+	oracles := []struct {
+		b     *Benchmark
+		nodes func(c cfgspace.Config) (each []int)
+		own   int // every component's own node cap
+	}{
+		{LV(m), func(c cfgspace.Config) []int { return []int{nodes(c[0], c[1]), nodes(c[3], c[4])} }, 32},
+		{HS(m), func(c cfgspace.Config) []int { return []int{nodes(c[0]*c[1], c[2]), nodes(c[5], c[6])} }, 32},
+		{GP(m), func(c cfgspace.Config) []int { return []int{nodes(c[0], c[1]), nodes(c[2], c[3]), 1, 1} }, 32},
+		{twoStage(m), func(c cfgspace.Config) []int { return []int{nodes(c[0], c[1]), nodes(c[2], c[3])} }, 24},
+	}
+	for _, o := range oracles {
+		b := o.b
+		rng := rand.New(rand.NewPCG(20, 20))
+		cfg := make(cfgspace.Config, b.Space.Dim())
+		valid := 0
+		for draw := 0; draw < 10000; draw++ {
+			for i, p := range b.Space.Params {
+				cfg[i] = p.Value(rng.IntN(p.Count()))
+			}
+			want, total := true, 0
+			for _, n := range o.nodes(cfg) {
+				want = want && n <= o.own
+				total += n
+			}
+			want = want && total <= m.MaxAllocNodes
+			if got := b.Space.IsValid(cfg); got != want {
+				t.Fatalf("%s: IsValid(%v) = %v, hand-written rule says %v", b.Name, cfg, got, want)
+			}
+			w, err := b.Build(cfg)
+			if (err == nil) != want {
+				t.Fatalf("%s: Build(%v) error %v, want valid = %v", b.Name, cfg, err, want)
+			}
+			if !want {
+				continue
+			}
+			valid++
+			if err := w.Validate(); err != nil {
+				t.Fatalf("%s: Build(%v) returned an unsound workflow: %v", b.Name, cfg, err)
+			}
+			if w.TotalNodes() != total {
+				t.Fatalf("%s: %v occupies %d nodes, hand-written rule says %d", b.Name, cfg, w.TotalNodes(), total)
+			}
+		}
+		if valid == 0 || valid == 10000 {
+			t.Fatalf("%s: %d of 10000 raw draws valid; the test needs both sides", b.Name, valid)
+		}
+	}
+}
+
+// TestBuildCouplesSteps: Build gives every consumer its producer's step
+// count — Stage Write follows Heat Transfer's "# outputs" — while a solo
+// Stage Write keeps the representative count a standalone run must guess.
+func TestBuildCouplesSteps(t *testing.T) {
+	b := HS(cluster.Default())
+	rng := rand.New(rand.NewPCG(21, 21))
+	for i := 0; i < 200; i++ {
+		cfg := b.Space.Sample(rng)
+		w, err := b.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if outputs := cfg[3]; w.Components[0].Steps != outputs || w.Components[1].Steps != outputs {
+			t.Fatalf("%v: heat runs %d steps, stage write %d, want %d outputs",
+				cfg, w.Components[0].Steps, w.Components[1].Steps, outputs)
+		}
+		if solo := b.Components[1].BuildSolo(b.Sub(cfg, 1)); solo.Steps != SoloStageWriteSteps {
+			t.Fatalf("solo stage write runs %d steps, want %d", solo.Steps, SoloStageWriteSteps)
+		}
 	}
 }
