@@ -9,7 +9,6 @@ package acm
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"ceal/internal/cfgspace"
 	"ceal/internal/score"
@@ -96,6 +95,15 @@ func (c Combiner) Combine(vs []float64) float64 {
 // Predictor is any per-component performance model.
 type Predictor interface {
 	Predict(x []float64) float64
+}
+
+// CellPredictor is a Predictor that says which feature vectors it cannot
+// tell apart: Cell writes x's key (len(key) == len(x)), vectors with equal
+// keys predict bitwise the same, and PredictBatch is Predict on every row.
+type CellPredictor interface {
+	Predictor
+	Cell(x []float64, key []int)
+	PredictBatch(X [][]float64, out []float64)
 }
 
 // ConstPredictor is the model of an unconfigurable component: a single
@@ -195,39 +203,88 @@ func (lf *LowFidelity) fold(vs, cores []float64) float64 {
 // ScoreBatchOn scores every configuration on the engine's workers (nil
 // engine: serial), bitwise equal to Score on each. A batch drawn from a
 // product space repeats component sub-configurations, and a part's
-// prediction and cores depend on nothing else, so each part is evaluated
-// once per distinct sub-configuration and every configuration then gathers
-// its parts' values and folds them. The tables built on the way (an id per
-// configuration and part, the interning tables) are dropped on return.
-// Output is identical for any worker count: ids follow first occurrence in
-// cfgs, and every evaluation and fold writes only its own slot. Part
+// prediction and cores depend on nothing else, so each part numbers its
+// distinct sub-configurations and evaluates each once; under a
+// CellPredictor it numbers those again by model cell and walks the model
+// once per cell (cores stay per sub-configuration: they follow the layout,
+// not the cell). Every configuration then gathers its parts' values and
+// folds them. Output is identical for any worker count: ids follow first
+// occurrence, and every evaluation and fold writes only its own slot. Part
 // predictors must be read-only under Predict, which every model in this
-// repository is.
+// repository is, and Features must return vectors of one length.
 func (lf *LowFidelity) ScoreBatchOn(e *score.Engine, cfgs []cfgspace.Config) []float64 {
+	// Cells are stored as they are found, in blocks of blockRows, and each
+	// block is predicted as one PredictBatch: its rows and outputs stay in L1
+	// while the trees stream, and nothing is re-copied as cells accrue.
+	const blockRows = 256
 	type table struct {
-		ids   []int32 // per configuration: its sub-configuration's id
-		first []int32 // per id: the first configuration that has it
-		vals  []float64
-		cores []float64
+		ids   []int32       // per configuration: its sub-configuration's id
+		first []int32       // per id: the first configuration that has it
+		vals  []float64     // per id
+		cores []float64     // per id (BottleneckSum only)
+		cell  []int32       // per id: its model cell (CellPredictor parts only)
+		keys  [][]int       // per block: its cells' keys, end to end
+		rows  [][][]float64 // per block and cell: the first feature vector in it
 	}
 	tabs := make([]table, len(lf.Parts))
 	e.Tasks(len(tabs), func(j int) {
-		t := &tabs[j]
-		t.ids, t.first = lf.Parts[j].intern(cfgs)
+		part, t := &lf.Parts[j], &tabs[j]
+		subs := cfgspace.NewNumbering(len(cfgs), func(id int32) []int { return part.Sub(cfgs[t.first[id]]) })
+		t.ids, t.first = make([]int32, len(cfgs)), make([]int32, 0, len(cfgs))
+		for i, cfg := range cfgs {
+			id, fresh := subs.ID(part.Sub(cfg))
+			if fresh {
+				t.first = append(t.first, int32(i))
+			}
+			t.ids[i] = id
+		}
 		t.vals = make([]float64, len(t.first))
 		if lf.Combine == BottleneckSum {
 			t.cores = make([]float64, len(t.first))
+			for k, i := range t.first {
+				t.cores[k] = part.cores(part.Sub(cfgs[i]))
+			}
+		}
+		cp, ok := part.Predictor.(CellPredictor)
+		if !ok || part.Features == nil {
+			return
+		}
+		var key []int // scratch
+		cells := cfgspace.NewNumbering(len(t.first), func(c int32) []int {
+			return t.keys[c/blockRows][int(c%blockRows)*len(key):][:len(key)]
+		})
+		t.cell = make([]int32, len(t.first))
+		for k, i := range t.first {
+			x := part.Features(part.Sub(cfgs[i]))
+			if key == nil {
+				key = make([]int, len(x))
+			}
+			cp.Cell(x, key)
+			c, fresh := cells.ID(key)
+			if fresh {
+				if c%blockRows == 0 {
+					t.keys = append(t.keys, make([]int, 0, blockRows*len(key)))
+					t.rows = append(t.rows, make([][]float64, 0, blockRows))
+				}
+				b := c / blockRows
+				t.keys[b], t.rows[b] = append(t.keys[b], key...), append(t.rows[b], x)
+			}
+			t.cell[k] = c
 		}
 	})
 	for j := range tabs {
 		part, t := &lf.Parts[j], &tabs[j]
-		e.Map(len(t.first), func(k int) {
-			sub := part.Sub(cfgs[t.first[k]])
-			t.vals[k] = part.Predict(sub)
-			if t.cores != nil {
-				t.cores[k] = part.cores(sub)
-			}
+		if t.cell == nil {
+			e.Map(len(t.first), func(k int) { t.vals[k] = part.Predict(part.Sub(cfgs[t.first[k]])) })
+			continue
+		}
+		pred := make([]float64, len(t.rows)*blockRows)
+		e.Tasks(len(t.rows), func(b int) {
+			part.Predictor.(CellPredictor).PredictBatch(t.rows[b], pred[b*blockRows:][:len(t.rows[b])])
 		})
+		for k, c := range t.cell {
+			t.vals[k] = pred[c]
+		}
 	}
 	out := make([]float64, len(cfgs))
 	e.MapChunks(len(cfgs), func(lo, hi int) {
@@ -248,44 +305,6 @@ func (lf *LowFidelity) ScoreBatchOn(e *score.Engine, cfgs []cfgspace.Config) []f
 		}
 	})
 	return out
-}
-
-// intern numbers the part's distinct sub-configurations across cfgs in
-// first-seen order: ids[i] is configuration i's number and first[k] the
-// first configuration numbered k. An open-addressed table of those numbers,
-// probed by a hash of the sub-configuration's values and verified against
-// the first holder, stands in for a map keyed by a per-configuration
-// string: a 100k pool may hold 99k distinct sub-configurations, and the
-// table is one allocation where the map was 99k keys.
-func (part *Part) intern(cfgs []cfgspace.Config) (ids, first []int32) {
-	size := 16
-	for size < 2*len(cfgs) {
-		size *= 2
-	}
-	slots := make([]int32, size) // id+1; 0 is empty
-	ids = make([]int32, len(cfgs))
-	for i, cfg := range cfgs {
-		sub := part.Sub(cfg)
-		h := uint64(14695981039346656037) // FNV-1a over whole values
-		for _, v := range sub {
-			h = (h ^ uint64(v)) * 1099511628211
-		}
-		at := int(h>>32^h) & (size - 1)
-		for {
-			id := slots[at] - 1
-			if id < 0 {
-				id = int32(len(first))
-				slots[at] = id + 1
-				first = append(first, int32(i))
-			} else if !slices.Equal(sub, part.Sub(cfgs[first[id]])) {
-				at = (at + 1) & (size - 1)
-				continue
-			}
-			ids[i] = id
-			break
-		}
-	}
-	return ids, first
 }
 
 // ForObjective returns the combining function for an optimization metric:

@@ -22,6 +22,33 @@ type expModel struct{ m *xgb.Model }
 
 func (e expModel) Predict(x []float64) float64 { return math.Exp(e.m.PredictRow(x)) }
 
+// cellModel is expModel with the cell methods, as tuner.componentModel
+// has them.
+type cellModel struct{ expModel }
+
+func (c cellModel) Cell(x []float64, key []int) { c.m.Cell(x, key) }
+
+func (c cellModel) PredictBatch(X [][]float64, out []float64) {
+	c.m.PredictBatchOnInto(nil, X, out)
+	for i, v := range out {
+		out[i] = math.Exp(v)
+	}
+}
+
+// checkFactoredBothWays runs checkFactored on lf as given — its fitted
+// parts cellModels — and again with the cell methods stripped, which sends
+// ScoreBatchOn down the per-sub-configuration Predict path.
+func checkFactoredBothWays(t *testing.T, lf *acm.LowFidelity, cfgs []cfgspace.Config) {
+	t.Helper()
+	checkFactored(t, lf, cfgs)
+	for j := range lf.Parts {
+		if c, ok := lf.Parts[j].Predictor.(cellModel); ok {
+			lf.Parts[j].Predictor = c.expModel
+		}
+	}
+	checkFactored(t, lf, cfgs)
+}
+
 // checkFactored compares ScoreBatchOn, at several widths, with Score on
 // every configuration, bitwise, under every combiner.
 func checkFactored(t *testing.T, lf *acm.LowFidelity, cfgs []cfgspace.Config) {
@@ -82,10 +109,10 @@ func TestFactoredScoreMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				part.Predictor = expModel{model}
+				part.Predictor = cellModel{expModel{model}}
 				lf.Parts = append(lf.Parts, part)
 			}
-			checkFactored(t, lf, pool)
+			checkFactoredBothWays(t, lf, pool)
 		})
 	}
 }
@@ -93,8 +120,10 @@ func TestFactoredScoreMatchesReference(t *testing.T) {
 // TestFactoredScoreMatchesReferenceGenerated repeats the comparison on
 // generated models far from the paper's: one to five parts of zero to
 // three parameters each (zero = unconfigurable, in any position), narrow
-// ranges so sub-configurations repeat heavily, predictions of both signs,
-// and core counts that include the non-positive values fold clamps.
+// ranges so sub-configurations repeat heavily, predictions of both signs
+// or from a boosted model fitted on 15 rows (with and without the cell
+// methods), and core counts that include the non-positive values fold
+// clamps.
 func TestFactoredScoreMatchesReferenceGenerated(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewPCG(uint64(trial), 5))
@@ -122,6 +151,22 @@ func TestFactoredScoreMatchesReferenceGenerated(t *testing.T) {
 					return x
 				}
 				part.Predictor = sinModel(salt)
+				if rng.IntN(2) == 0 {
+					X, y := make([][]float64, 15), make([]float64, 15)
+					for i := range X {
+						sub := make(cfgspace.Config, part.Hi-part.Lo)
+						for k := range sub {
+							sub[k] = rng.IntN(6) - 2
+						}
+						X[i] = part.Features(sub)
+						y[i] = sinModel(salt).Predict(X[i]) / 4
+					}
+					model, err := xgb.Fit(X, y, xgb.DefaultParams())
+					if err != nil {
+						t.Fatal(err)
+					}
+					part.Predictor = cellModel{expModel{model}}
+				}
 			}
 			lf.Parts = append(lf.Parts, part)
 		}
@@ -132,7 +177,7 @@ func TestFactoredScoreMatchesReferenceGenerated(t *testing.T) {
 				cfgs[i][k] = rng.IntN(6) - 2
 			}
 		}
-		checkFactored(t, lf, cfgs)
+		checkFactoredBothWays(t, lf, cfgs)
 	}
 	checkFactored(t, &acm.LowFidelity{Parts: []acm.Part{{Name: "only", Predictor: acm.ConstPredictor(2),
 		Cores: func(cfgspace.Config) float64 { return 4 }}}}, nil)

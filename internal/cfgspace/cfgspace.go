@@ -6,6 +6,7 @@ package cfgspace
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -106,43 +107,88 @@ func (s *Space) IsValid(cfg Config) bool {
 	return s.Valid == nil || s.Valid(cfg)
 }
 
-// maxSampleAttempts bounds rejection sampling; spaces whose valid region is
-// vanishingly small are a modeling error worth failing loudly on.
+// maxSampleAttempts bounds consecutive fruitless draws; spaces whose valid
+// region is vanishingly small are a modeling error worth failing loudly on.
 const maxSampleAttempts = 100000
 
-// Sample draws one valid configuration uniformly from the cross-product by
-// rejection. It panics if the valid region appears to be empty.
-func (s *Space) Sample(rng *rand.Rand) Config {
-	cfg := make(Config, len(s.Params)) // rejected attempts are overwritten in place
-	for attempt := 0; attempt < maxSampleAttempts; attempt++ {
-		for i, p := range s.Params {
-			cfg[i] = p.Value(rng.IntN(p.Count()))
-		}
-		if s.Valid == nil || s.Valid(cfg) {
-			return cfg
-		}
-	}
-	panic(fmt.Sprintf("cfgspace: no valid configuration found after %d attempts", maxSampleAttempts))
-}
+// Sample draws one valid configuration: SampleN(rng, 1)[0], panic included.
+func (s *Space) Sample(rng *rand.Rand) Config { return s.SampleN(rng, 1)[0] }
 
-// SampleN draws n valid configurations, distinct by Key, uniformly at
-// random; nil for n <= 0.
+// SampleN draws n distinct valid configurations uniformly at random; nil for
+// n <= 0. A space holding fewer than n returns those it found, once
+// maxSampleAttempts consecutive draws have added nothing, and panics if it
+// found none.
 func (s *Space) SampleN(rng *rand.Rand, n int) []Config {
 	if n <= 0 {
 		return nil
 	}
-	seen := make(map[string]bool, n)
+	counts := make([]int, len(s.Params))
+	for i, p := range s.Params {
+		counts[i] = p.Count()
+	}
+	// Each accepted configuration is its own allocation: one backing array
+	// would let any retained configuration pin the whole pool.
 	out := make([]Config, 0, n)
-	for len(out) < n {
-		cfg := s.Sample(rng)
-		k := cfg.Key()
-		if seen[k] {
+	seen := NewNumbering(n, func(id int32) []int { return out[id] })
+	cfg := make(Config, len(s.Params))
+	for idle := 0; len(out) < n && idle < maxSampleAttempts; idle++ {
+		for i, c := range counts {
+			cfg[i] = s.Params[i].Value(rng.IntN(c))
+		}
+		if s.Valid != nil && !s.Valid(cfg) {
 			continue
 		}
-		seen[k] = true
-		out = append(out, cfg)
+		if _, fresh := seen.ID(cfg); fresh {
+			out = append(out, cfg.Clone())
+			idle = -1 // the count of fruitless draws restarts
+		}
+	}
+	if len(out) == 0 {
+		panic(fmt.Sprintf("cfgspace: no valid configuration found after %d attempts", maxSampleAttempts))
 	}
 	return out
+}
+
+// Numbering numbers int tuples by first occurrence: equal tuples share an
+// id, and ids count from 0 in the order their tuples were first seen. It is
+// the repository's one such table (SampleN's distinct-set, acm's distinct
+// sub-configurations and their model cells): an open-addressed array of
+// ids, probed by a hash of the values and verified against the tuple that
+// holds the id, which the caller keeps — no key built per tuple.
+type Numbering struct {
+	slots []int32 // id+1 of the tuple that landed here; 0 is empty
+	tuple func(id int32) []int
+	n     int32
+}
+
+// NewNumbering returns a table for at most capacity distinct tuples;
+// tuple(id) must return the tuple that ID numbered id.
+func NewNumbering(capacity int, tuple func(id int32) []int) *Numbering {
+	size := 16
+	for size < 2*capacity {
+		size *= 2
+	}
+	return &Numbering{slots: make([]int32, size), tuple: tuple}
+}
+
+// ID returns t's number and whether t is new.
+func (nb *Numbering) ID(t []int) (id int32, fresh bool) {
+	h := uint64(14695981039346656037) // FNV-1a over whole values
+	for _, v := range t {
+		h = (h ^ uint64(v)) * 1099511628211
+	}
+	mask := len(nb.slots) - 1
+	for at := int(h>>32^h) & mask; ; at = (at + 1) & mask {
+		id := nb.slots[at] - 1
+		if id < 0 {
+			nb.n++
+			nb.slots[at] = nb.n
+			return nb.n - 1, true
+		}
+		if slices.Equal(t, nb.tuple(id)) {
+			return id, false
+		}
+	}
 }
 
 // ValidFraction estimates by Monte Carlo the fraction of the raw

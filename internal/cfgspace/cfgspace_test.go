@@ -2,6 +2,7 @@ package cfgspace
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -68,6 +69,43 @@ func TestSampleNDistinct(t *testing.T) {
 		if !s.IsValid(c) {
 			t.Fatalf("invalid configuration sampled: %v", c)
 		}
+	}
+}
+
+// TestSampleNSmallSpace: a space with fewer than n distinct valid
+// configurations returns them all instead of drawing forever.
+func TestSampleNSmallSpace(t *testing.T) {
+	s := &Space{Params: []Param{NewParam("x", 1, 3)}}
+	cfgs := s.SampleN(rand.New(rand.NewPCG(1, 2)), 5)
+	if len(cfgs) != 3 {
+		t.Fatalf("SampleN(5) over a 3-value space returned %d configurations: %v", len(cfgs), cfgs)
+	}
+	seen := map[int]bool{}
+	for _, c := range cfgs {
+		if seen[c[0]] || !s.IsValid(c) {
+			t.Fatalf("duplicate or invalid configuration in %v", cfgs)
+		}
+		seen[c[0]] = true
+	}
+}
+
+// TestNumberingFirstSeen: ids follow first occurrence, equal tuples share
+// one, and tuples of different lengths or colliding prefixes stay apart.
+func TestNumberingFirstSeen(t *testing.T) {
+	tuples := [][]int{{1, 2}, {2, 1}, {1, 2}, {}, {1}, {1, 2, 0}, nil, {2, 1}, {-1, 1 << 40}}
+	var first []int
+	nb := NewNumbering(len(tuples), func(id int32) []int { return tuples[first[id]] })
+	var ids []int32
+	for i, tuple := range tuples {
+		id, fresh := nb.ID(tuple)
+		if fresh {
+			first = append(first, i)
+		}
+		ids = append(ids, id)
+	}
+	wantIDs, wantFirst := []int32{0, 1, 0, 2, 3, 4, 2, 1, 5}, []int{0, 1, 3, 4, 5, 8}
+	if !slices.Equal(ids, wantIDs) || !slices.Equal(first, wantFirst) {
+		t.Fatalf("numbered %v, first %v; want %v, %v", ids, first, wantIDs, wantFirst)
 	}
 }
 

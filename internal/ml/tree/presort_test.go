@@ -59,8 +59,8 @@ func sameTree(t *testing.T, want, got *Tree, probes [][]float64, dim int) {
 	}
 	wg := make([]float64, dim)
 	gg := make([]float64, dim)
-	want.AccumulateGains(wg)
-	got.AccumulateGains(gg)
+	want.Splits(func(f int, _, gain float64) { wg[f] += gain })
+	got.Splits(func(f int, _, gain float64) { gg[f] += gain })
 	for f := range wg {
 		if math.Float64bits(wg[f]) != math.Float64bits(gg[f]) {
 			t.Fatalf("feature %d gain: reference %v, presorted %v", f, wg[f], gg[f])

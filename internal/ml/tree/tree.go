@@ -220,17 +220,16 @@ func fillComplete(n *node, j, left int, scale float64, feats []int32, thresh []f
 	fillComplete(n.right, 2*j+2, left-1, scale, feats, thresh, leaves)
 }
 
-// AccumulateGains adds every split's gain to into[feature] — the basis of
-// gain-based feature importance. into must be sized to the feature count.
-func (t *Tree) AccumulateGains(into []float64) { accumulateGains(t.root, into) }
+// Splits calls visit with the feature, threshold and gain of every split
+// node: every comparison Predict can make, and the basis of gain-based
+// feature importance.
+func (t *Tree) Splits(visit func(feature int, threshold, gain float64)) { splits(t.root, visit) }
 
-func accumulateGains(n *node, into []float64) {
+func splits(n *node, visit func(feature int, threshold, gain float64)) {
 	if n.leaf {
 		return
 	}
-	if n.feature >= 0 && n.feature < len(into) {
-		into[n.feature] += n.gain
-	}
-	accumulateGains(n.left, into)
-	accumulateGains(n.right, into)
+	visit(n.feature, n.threshold, n.gain)
+	splits(n.left, visit)
+	splits(n.right, visit)
 }

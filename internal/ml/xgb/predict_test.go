@@ -1,6 +1,7 @@
 package xgb
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -255,5 +256,79 @@ func TestPredictCodedBoundedIsExact(t *testing.T) {
 				t.Error("the bound never abandoned a row of the default-shaped ensemble")
 			}
 		})
+	}
+}
+
+// TestEqualCellsPredictEqual: for random fitted models and random rows —
+// training values, the models' own thresholds and their float neighbours,
+// ±0, ±Inf, NaN — rows with equal Cell keys have math.Float64bits-equal
+// PredictRow, and PredictBatchOnInto on one representative per cell,
+// scattered back, equals PredictRow on every row. A model fitted on n rows
+// holds at most n-1 thresholds a feature.
+func TestEqualCellsPredictEqual(t *testing.T) {
+	for trial := 0; trial < 60; trial++ {
+		rng := rand.New(rand.NewPCG(uint64(trial), 21))
+		n, dim := 2+rng.IntN(30), 1+rng.IntN(6)
+		X, y := lowCardData(uint64(trial), n, dim)
+		p := DefaultParams()
+		p.Rounds, p.MaxDepth = 1+rng.IntN(40), []int{0, 1, 4, 6}[rng.IntN(4)]
+		m, err := Fit(X, y, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Cell(X[0], make([]int, dim)) // builds the split table
+		special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+		for f, thr := range m.split {
+			if len(thr) > n-1 {
+				t.Fatalf("trial %d: feature %d has %d thresholds from %d rows", trial, f, len(thr), n)
+			}
+			for _, v := range thr {
+				special = append(special, v, math.Nextafter(v, math.Inf(1)), math.Nextafter(v, math.Inf(-1)))
+			}
+		}
+		rows := make([][]float64, 400)
+		keys := make([][]int, len(rows))
+		reps := map[string]int{} // cell -> index into repRows
+		var repRows [][]float64
+		cellOf := make([]int, len(rows))
+		for i := range rows {
+			rows[i] = make([]float64, dim)
+			for f := range rows[i] {
+				switch rng.IntN(3) {
+				case 0:
+					rows[i][f] = X[rng.IntN(n)][f]
+				case 1:
+					rows[i][f] = special[rng.IntN(len(special))]
+				default:
+					rows[i][f] = rng.NormFloat64() * 5
+				}
+			}
+			keys[i] = make([]int, dim)
+			m.Cell(rows[i], keys[i])
+			k := fmt.Sprint(keys[i])
+			if _, ok := reps[k]; !ok {
+				reps[k] = len(repRows)
+				repRows = append(repRows, rows[i])
+			}
+			cellOf[i] = reps[k]
+		}
+		pred := make([]float64, len(repRows))
+		m.PredictBatchOnInto(score.New(1+rng.IntN(4)), repRows, pred)
+		for i, x := range rows {
+			want := m.PredictRow(x)
+			if rep := repRows[cellOf[i]]; math.Float64bits(m.PredictRow(rep)) != math.Float64bits(want) {
+				t.Fatalf("trial %d: rows %v and %v share cell %v but predict %v and %v", trial, rep, x, keys[i], m.PredictRow(rep), want)
+			}
+			if math.Float64bits(pred[cellOf[i]]) != math.Float64bits(want) {
+				t.Fatalf("trial %d row %v: batch prediction of its cell %v, PredictRow %v", trial, x, pred[cellOf[i]], want)
+			}
+		}
+		// A feature no tree splits on, beyond the table's end, is one cell.
+		wide := append(slices.Clone(rows[0]), 3, math.NaN())
+		key := make([]int, len(wide))
+		m.Cell(wide, key)
+		if !slices.Equal(key[:dim], keys[0]) || key[dim] != 0 || key[dim+1] != 0 {
+			t.Fatalf("trial %d: Cell(%v) = %v, want %v then zeros", trial, wide, key, keys[0])
+		}
 	}
 }

@@ -55,6 +55,10 @@ type Model struct {
 	cutMu  sync.Mutex
 	cutFor *score.Codes
 	cut    []uint16
+
+	// Per feature, the distinct split thresholds ascending (see Cell).
+	splitOnce sync.Once
+	split     [][]float64
 }
 
 // flatEnsemble holds every tree as a complete binary tree of uniform
@@ -290,6 +294,44 @@ func (m *Model) PredictBatchOnInto(e *score.Engine, X [][]float64, out []float64
 	})
 }
 
+// Cell writes x's model cell into key (len(key) == len(x)): per feature,
+// how many of the ensemble's split thresholds x[f] is not below. A tree
+// only ever compares one feature with one of its own thresholds, so rows
+// with equal keys take the same branch at every node of every tree and
+// predict bitwise the same; NaN is below no threshold, as descend sends it
+// right. The table is read once, from the trees' real split nodes (the flat
+// arrays' padding compares feature 0 with 0 to no effect).
+func (m *Model) Cell(x []float64, key []int) {
+	m.splitOnce.Do(func() {
+		for _, t := range m.trees {
+			t.Splits(func(f int, thr, _ float64) {
+				for len(m.split) <= f {
+					m.split = append(m.split, nil)
+				}
+				m.split[f] = append(m.split[f], thr)
+			})
+		}
+		for f, thr := range m.split {
+			slices.Sort(thr)
+			m.split[f] = slices.Compact(thr)
+		}
+	})
+	for f, v := range x {
+		lo := 0
+		if f < len(m.split) {
+			thr := m.split[f]
+			for hi := len(thr); lo < hi; {
+				if mid := (lo + hi) / 2; v < thr[mid] {
+					hi = mid
+				} else {
+					lo = mid + 1
+				}
+			}
+		}
+		key[f] = lo
+	}
+}
+
 // cuts compiles the ensemble's split thresholds into q's code space: for
 // the node splitting feature f at threshold thr, the number of f's
 // distinct pool values below thr. Codes are ranks among those values, so
@@ -425,7 +467,11 @@ func (m *Model) Rounds() int { return len(m.trees) }
 func (m *Model) FeatureImportance(dim int) []float64 {
 	gains := make([]float64, dim)
 	for _, t := range m.trees {
-		t.AccumulateGains(gains)
+		t.Splits(func(f int, _, gain float64) {
+			if f < dim {
+				gains[f] += gain
+			}
+		})
 	}
 	total := 0.0
 	for _, g := range gains {

@@ -159,13 +159,22 @@ func sampleComponentConfigs(p *Problem, j int, space *cfgspace.Space, mR int, rn
 	return space.SampleN(rng, mR)
 }
 
-// componentModel adapts a log-target boosted tree to acm.Predictor.
+// componentModel adapts a log-target boosted tree to acm.CellPredictor.
 type componentModel struct {
 	model *xgb.Model
 }
 
 func (c componentModel) Predict(x []float64) float64 {
 	return unlogTarget(c.model.PredictRow(x))
+}
+
+func (c componentModel) Cell(x []float64, key []int) { c.model.Cell(x, key) }
+
+func (c componentModel) PredictBatch(X [][]float64, out []float64) {
+	c.model.PredictBatchOnInto(nil, X, out)
+	for i, v := range out {
+		out[i] = unlogTarget(v)
+	}
 }
 
 // fitComponentModel fits one component's model serially: the fits

@@ -3,6 +3,7 @@ package tuner
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"ceal/internal/cfgspace"
 	"ceal/internal/drift"
@@ -193,7 +194,7 @@ func (c *Continuous) Run(budget int) (*ContinuousResult, error) {
 	portfolio := []cfgspace.Config{incumbent}
 	rememberIncumbent := func(cfg cfgspace.Config) {
 		for _, pc := range portfolio {
-			if pc.Key() == cfg.Key() {
+			if slices.Equal(pc, cfg) {
 				return
 			}
 		}
@@ -256,7 +257,7 @@ func (c *Continuous) Run(budget int) (*ContinuousResult, error) {
 				// epoch for drifts no known configuration handles.
 				bestV, bestCfg := v, incumbent
 				for _, pc := range portfolio {
-					if pc.Key() == incumbent.Key() {
+					if slices.Equal(pc, incumbent) {
 						continue
 					}
 					pv, err := c.Env.Probe(ctx, pc)

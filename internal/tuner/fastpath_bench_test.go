@@ -2,7 +2,11 @@ package tuner
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"testing"
+
+	"ceal/internal/cfgspace"
+	"ceal/internal/score"
 )
 
 // benchPoolScorer is a cheap deterministic per-index scorer: selection
@@ -38,6 +42,37 @@ func BenchmarkSelectTop(b *testing.B) {
 		}
 		run("fused", func(tr *poolTracker) { tr.takeTop(n, benchPoolScorer) })
 		run("reference", func(tr *poolTracker) { takeTopReference(tr, n, benchPoolScorer) })
+	}
+}
+
+// BenchmarkScoreBatch prices the M_L pool pass as a run ships it — two
+// component models fitted on the paper's mR = 15 solo runs each, behind
+// componentModel, so cells, batch kernel and all — over a 100k pool from
+// component spaces as wide as LV's (38k sub-configurations each, about 35k
+// of them distinct in the pool).
+func BenchmarkScoreBatch(b *testing.B) {
+	p := synthProblem(1, 2)
+	for j := range p.Components {
+		p.Components[j].Space = &cfgspace.Space{Params: []cfgspace.Param{
+			cfgspace.NewParam("procs", 2, 1085), cfgspace.NewParam("ppn", 1, 35),
+		}}
+	}
+	p.Space = cfgspace.Concat(nil,
+		cfgspace.NamedSpace{Name: "sim", Space: p.Components[0].Space},
+		cfgspace.NamedSpace{Name: "viz", Space: p.Components[1].Space})
+	p.Pool = p.Space.SampleN(rand.New(rand.NewPCG(1, 100)), 100_000)
+	cm, err := trainComponentModels(p, 15, newTestRNG(4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("100k/workers=%d", workers), func(b *testing.B) {
+			eng := score.New(workers)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cm.lowFi.ScoreBatchOn(eng, p.Pool)
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@
 package workflow
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"ceal/internal/cluster"
@@ -59,6 +60,19 @@ func TestPoolRowAllocs(t *testing.T) {
 			if allocs := testing.AllocsPerRun(100, c.row); allocs != c.want {
 				t.Errorf("%s: %s allocates %.0f times per row, want %.0f", b.Name, c.what, allocs, c.want)
 			}
+		}
+	}
+}
+
+// TestSampleNAllocs guards the pool sampler: each accepted configuration
+// is its one allocation (the distinct-set is one table for the whole pool,
+// no key per row; a Key() string and a map entry made it 4.4 to 4.9).
+func TestSampleNAllocs(t *testing.T) {
+	const n = 2000
+	for _, b := range Benchmarks(cluster.Default()) {
+		rng := rand.New(rand.NewPCG(7, 1))
+		if allocs := testing.AllocsPerRun(5, func() { b.Space.SampleN(rng, n) }); allocs > n+8 {
+			t.Errorf("%s: SampleN(%d) allocates %.0f times, want <= %d", b.Name, n, allocs, n+8)
 		}
 	}
 }
