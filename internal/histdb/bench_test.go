@@ -1,20 +1,42 @@
 package histdb
 
 import (
+	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"path/filepath"
 	"testing"
+
+	"ceal/internal/cfgspace"
+	"ceal/internal/tuner"
 )
 
-// benchRecords synthesizes n finished runs with a realistic payload: a
-// distinct spec each plus a 50-entry checkpoint map (the collector cache
-// snapshot that dominates real record sizes).
+// benchRecords synthesizes n finished runs shaped like the records
+// ceal-tune -history writes for LV (a ~29 KB frame): 2000 pool scores —
+// four fifths of the bytes before they travelled as bits — 65 measured
+// samples and a 37-line trace; a finished run's checkpoint is cleared.
 func benchRecords(n int) []*RunRecord {
+	rng := rand.New(rand.NewPCG(1, 1))
+	samples := func(k, dims int) []tuner.Sample {
+		out := make([]tuner.Sample, k)
+		for i := range out {
+			cfg := make(cfgspace.Config, dims)
+			for d := range cfg {
+				cfg[d] = 1 + rng.IntN(600)
+			}
+			out[i] = tuner.Sample{Cfg: cfg, Value: rng.Float64() * 40}
+		}
+		return out
+	}
 	recs := make([]*RunRecord, n)
 	for i := range recs {
-		cp := make(map[string]float64, 50)
-		for j := 0; j < 50; j++ {
-			cp[fmt.Sprintf("w:%d:%d", i, j)] = float64(i*50+j) * 0.25
+		scores := make([]float64, 2000)
+		for j := range scores {
+			scores[j] = 2 + rng.Float64()*60
+		}
+		trace := make([]json.RawMessage, 37)
+		for j := range trace {
+			trace[j] = json.RawMessage(fmt.Sprintf(`{"event":"iteration_done","iteration":%d,"measured":7,"best_value":%v,"best_config":[232,35,1,89,25,1]}`, j, rng.Float64()*3))
 		}
 		spec := Spec{Benchmark: "LV", Algorithm: "ceal", Objective: "comp", Budget: 50, Pool: 2000, Seed: uint64(i + 1)}
 		recs[i] = &RunRecord{
@@ -22,18 +44,28 @@ func benchRecords(n int) []*RunRecord {
 			Spec:       spec,
 			SpecKey:    spec.Key(),
 			State:      StateDone,
-			Checkpoint: cp,
+			Components: []string{"lammps", "voro"},
+			Result: &tuner.Result{
+				Best:             cfgspace.Config{232, 35, 1, 89, 25, 1},
+				PoolScores:       scores,
+				Samples:          samples(35, 6),
+				ComponentSamples: [][]tuner.Sample{samples(15, 3), samples(15, 3)},
+				CollectionCost:   1234.5,
+				SwitchIteration:  1,
+				Importance:       []float64{0.02, 0.03, 0.01, 0.48, 0.36, 0.05, 0.05},
+			},
+			Trace: trace,
 		}
 	}
 	return recs
 }
 
-// BenchmarkReplay10k prices opening a 10 000-run history database: a cold
-// open of the segmented store (CRC-verified framed records across rolled
-// segment files) and of the same store after Compact (one snapshot
-// segment, live records only).
-func BenchmarkReplay10k(b *testing.B) {
-	const n = 10_000
+// BenchmarkReplay1k prices opening a 1000-run history database — what the
+// ledger's histdb.replay.us_per_rec measures: a cold open of the segmented
+// store (CRC-verified framed records across rolled segment files) and of
+// the same store after Compact (one snapshot segment, live records only).
+func BenchmarkReplay1k(b *testing.B) {
+	const n = 1000
 	recs := benchRecords(n)
 
 	open := func(b *testing.B, dir string) {
@@ -88,10 +120,11 @@ func BenchmarkReplay10k(b *testing.B) {
 	})
 }
 
-// BenchmarkAppend10k prices writing the same 10 000 runs: the store's
-// framed buffered appends, isolated from tuning work.
-func BenchmarkAppend10k(b *testing.B) {
-	recs := benchRecords(10_000)
+// BenchmarkAppend1k prices writing the same 1000 runs — the ledger's
+// histdb.append.us_per_rec: the store's framed buffered appends, isolated
+// from tuning work.
+func BenchmarkAppend1k(b *testing.B) {
+	recs := benchRecords(1000)
 	for i := 0; i < b.N; i++ {
 		st, err := OpenFileStore(filepath.Join(b.TempDir(), "runs.db"))
 		if err != nil {

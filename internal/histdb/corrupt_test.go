@@ -7,10 +7,13 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"ceal/internal/tuner"
 )
 
 // corruptFixture builds a store whose history spans several segments and
-// returns the store path and the tail segment's file path.
+// returns the store path and the tail segment's file path. Every record
+// carries pool scores, so damage also lands inside pool_bits.
 func corruptFixture(t testing.TB, dir string, n int) (string, string) {
 	path := filepath.Join(dir, "runs")
 	s, err := OpenFileStore(path)
@@ -19,7 +22,8 @@ func corruptFixture(t testing.TB, dir string, n int) (string, string) {
 	}
 	s.segmentBytes = 2048
 	for i := 1; i <= n; i++ {
-		rec := &RunRecord{ID: fmt.Sprintf("run-%06d", i), SpecKey: fmt.Sprintf("k%d", i), State: StateDone}
+		rec := &RunRecord{ID: fmt.Sprintf("run-%06d", i), SpecKey: fmt.Sprintf("k%d", i), State: StateDone,
+			Result: &tuner.Result{PoolScores: []float64{float64(i), 0.1 * float64(i), -1.0 / float64(i), 1e-300, 12345.678}}}
 		if err := s.Save(rec); err != nil {
 			t.Fatal(err)
 		}
@@ -182,9 +186,9 @@ func FuzzSegmentTailRecovery(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	want := make(map[string]RunState)
+	want := make(map[string]string) // ID → the JSON that was written
 	for _, rec := range full.List() {
-		want[rec.ID] = rec.State
+		want[rec.ID] = string(mustJSON(f, rec))
 	}
 	full.Close()
 
@@ -213,8 +217,7 @@ func FuzzSegmentTailRecovery(f *testing.F) {
 			return // refusing flipped-byte corruption is a valid outcome
 		}
 		for _, rec := range s.List() {
-			st, ok := want[rec.ID]
-			if !ok || rec.State != st {
+			if js, ok := want[rec.ID]; !ok || string(mustJSON(t, rec)) != js {
 				t.Fatalf("recovered record %q/%s was never written", rec.ID, rec.State)
 			}
 		}

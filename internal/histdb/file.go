@@ -4,17 +4,22 @@ import (
 	"bufio"
 	"bytes"
 	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // FileStore is a disk-backed Store built on a segmented append-only log:
@@ -32,12 +37,19 @@ import (
 //
 //	crc32hex <json>\n
 //
+// The payload is the record's JSON, except that a non-empty
+// Result.PoolScores travels as "pool_bits": its little-endian IEEE-754
+// bits, base64 (see wire); every reader gets the same RunRecord back.
+//
 // Crash tolerance: a process killed mid-append can leave a torn record at
 // the tail of its segment. Replay drops a damaged tail — the framed prefix
 // is still a consistent store state — but refuses a segment with intact
 // records after the damage, which only real corruption can produce.
 // Crashed writers never resume a tail-damaged segment: a reopened store
 // starts a fresh segment, so damage stays confined where it happened.
+// Save is write + flush to the OS, so a saved record survives a process
+// kill; only Compact fsyncs, so a power cut may lose the unsynced tail,
+// which replay then treats as a torn tail.
 type FileStore struct {
 	mem *MemStore
 
@@ -196,39 +208,68 @@ func (s *FileStore) replaySegment(name string, offset int64, strict bool) (int64
 		return offset, err
 	}
 	rest = rest[:n] // short only if the file shrank since the stat
-	consumed := offset
-	damaged := false
-	for len(rest) > 0 {
+	var lines [][]byte
+	for {
 		nl := bytes.IndexByte(rest, '\n')
 		if nl < 0 {
 			break // incomplete tail: a crash artifact or an append in flight
 		}
-		line := rest[:nl]
+		lines = append(lines, rest[:nl])
 		rest = rest[nl+1:]
-		rec, err := decodeFramed(line)
-		if err != nil {
-			damaged = true
-			break
-		}
-		s.mem.mu.Lock()
-		s.mem.put(rec)
-		s.mem.mu.Unlock()
-		consumed += int64(nl + 1)
 	}
-	if strict && damaged {
-		// Tail damage is tolerated; damage with intact records after it is not.
-		for len(rest) > 0 {
-			nl := bytes.IndexByte(rest, '\n')
-			if nl < 0 {
-				break
-			}
-			if _, err := decodeFramed(rest[:nl]); err == nil {
+	// Decode on every processor, then apply strictly in log order: a nil
+	// entry is a damaged frame, and nothing at or past the first one counts.
+	recs := make([]*RunRecord, len(lines))
+	fanOut(len(lines), func(i int) { recs[i], _ = decodeFramed(lines[i]) })
+	consumed := offset
+	s.mem.mu.Lock()
+	defer s.mem.mu.Unlock()
+	for i, rec := range recs {
+		if rec == nil {
+			// Tail damage is tolerated; damage with intact records after it is not.
+			if strict && slices.ContainsFunc(recs[i+1:], func(r *RunRecord) bool { return r != nil }) {
 				return consumed, fmt.Errorf("histdb: %s: corrupt record at offset %d followed by intact records", path, consumed)
 			}
-			rest = rest[nl+1:]
+			break
 		}
+		s.mem.put(rec)
+		consumed += int64(len(lines[i]) + 1)
 	}
 	return consumed, nil
+}
+
+// fanOut calls fn(0) … fn(n-1) on min(GOMAXPROCS, n) goroutines — inline,
+// with no goroutine, when that is one — and returns when all have.
+func fanOut(n int, fn func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// wire is a frame's payload, the one form ever written: the record's JSON
+// with a non-empty Result.PoolScores — four fifths of a finished record as
+// decimal text — lifted out into its little-endian IEEE-754 bits, which
+// encoding/json carries as base64. A frame written before pool_bits existed
+// simply has its scores in the JSON and decodes through the same struct.
+type wire struct {
+	*RunRecord
+	PoolBits []byte `json:"pool_bits,omitempty"`
 }
 
 // decodeFramed validates one "crc32hex <json>" line and unmarshals it.
@@ -244,15 +285,44 @@ func decodeFramed(line []byte) (*RunRecord, error) {
 	if got := crc32.ChecksumIEEE(payload); got != uint32(want) {
 		return nil, fmt.Errorf("histdb: record checksum mismatch: %08x != %08x", got, want)
 	}
-	var rec RunRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
+	w := wire{RunRecord: new(RunRecord)}
+	if err := json.Unmarshal(payload, &w); err != nil {
 		return nil, err
 	}
-	return &rec, nil
+	if len(w.PoolBits) > 0 {
+		if len(w.PoolBits)%8 != 0 || w.Result == nil || w.Result.PoolScores != nil {
+			return nil, fmt.Errorf("histdb: pool_bits of %d bytes do not fit the record", len(w.PoolBits))
+		}
+		scores := make([]float64, len(w.PoolBits)/8)
+		for i := range scores {
+			scores[i] = math.Float64frombits(binary.LittleEndian.Uint64(w.PoolBits[8*i:]))
+		}
+		w.Result.PoolScores = scores
+	}
+	return w.RunRecord, nil
 }
 
+// encodeFramed frames rec in its wire form. It works on a shallow copy of
+// record and result, so the caller's record is never touched.
 func encodeFramed(rec *RunRecord) ([]byte, error) {
-	payload, err := json.Marshal(rec)
+	w := wire{RunRecord: rec}
+	if rec.Result != nil && len(rec.Result.PoolScores) > 0 {
+		w.PoolBits = make([]byte, 0, 8*len(rec.Result.PoolScores))
+		for _, v := range rec.Result.PoolScores {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				// Refuse what the JSON form refused, with its error: the
+				// HTTP API could not marshal the record back out.
+				_, err := json.Marshal(v)
+				return nil, err
+			}
+			w.PoolBits = binary.LittleEndian.AppendUint64(w.PoolBits, math.Float64bits(v))
+		}
+		cp, res := *rec, *rec.Result
+		res.PoolScores = nil
+		cp.Result = &res
+		w.RunRecord = &cp
+	}
+	payload, err := json.Marshal(w)
 	if err != nil {
 		return nil, err
 	}
@@ -262,20 +332,20 @@ func encodeFramed(rec *RunRecord) ([]byte, error) {
 	return append(line, '\n'), nil
 }
 
-// Save implements Store: update the in-memory view, then append the framed
-// record to this writer's active segment, rolling to a fresh one at the
-// size threshold.
+// Save implements Store: append the framed record to this writer's active
+// segment, rolling to a fresh one at the size threshold, then update the
+// in-memory view — a save that fails leaves memory where the disk is.
 func (s *FileStore) Save(rec *RunRecord) error {
-	if err := s.mem.Save(rec); err != nil {
-		return err
-	}
 	line, err := encodeFramed(rec)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.append(line)
+	if err := s.append(line); err != nil {
+		return err
+	}
+	return s.mem.Save(rec)
 }
 
 // append writes one framed line to the active segment (caller holds mu).
@@ -456,17 +526,23 @@ func writeSegment(path string, recs []*RunRecord) (int64, error) {
 	}
 	w := bufio.NewWriter(f)
 	var size int64
-	for _, rec := range recs {
-		line, err := encodeFramed(rec)
-		if err == nil {
-			_, err = w.Write(line)
+	// Encode a batch at a time on every processor, write it in order.
+	const batch = 64
+	lines, errs := make([][]byte, batch), make([]error, batch)
+	for chunk := range slices.Chunk(recs, batch) {
+		fanOut(len(chunk), func(i int) { lines[i], errs[i] = encodeFramed(chunk[i]) })
+		for i := range chunk {
+			err := errs[i]
+			if err == nil {
+				_, err = w.Write(lines[i])
+			}
+			if err != nil {
+				f.Close()
+				os.Remove(tmp)
+				return 0, err
+			}
+			size += int64(len(lines[i]))
 		}
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return 0, err
-		}
-		size += int64(len(line))
 	}
 	if err := w.Flush(); err == nil {
 		err = f.Sync()

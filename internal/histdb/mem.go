@@ -1,25 +1,27 @@
 package histdb
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
-// MemStore is the in-memory Store.
+// MemStore is the in-memory Store. It keeps records in first-save order —
+// log order for a replayed FileStore — so every query is one walk, no sort.
 type MemStore struct {
 	mu     sync.Mutex
-	byID   map[string]*RunRecord
-	seq    map[string]int    // ID → creation sequence (first-save order)
-	bySpec map[string]string // spec key → ID of a done run
-	nextSq int
+	recs   []entry
+	byID   map[string]int // ID → index into recs
+	bySpec map[string]int // spec key → index of a done run
+}
+
+// entry is a stored record and its spec-family key, computed once at put.
+type entry struct {
+	rec    *RunRecord
+	family string
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
 	return &MemStore{
-		byID:   make(map[string]*RunRecord),
-		seq:    make(map[string]int),
-		bySpec: make(map[string]string),
+		byID:   make(map[string]int),
+		bySpec: make(map[string]int),
 	}
 }
 
@@ -31,16 +33,18 @@ func (s *MemStore) Save(rec *RunRecord) error {
 	return nil
 }
 
-// put indexes a record, assigning a creation sequence number the first time
-// an ID is seen. Callers hold s.mu.
+// put indexes a record: in place when its ID is known, at the end the first
+// time it is seen. Callers hold s.mu.
 func (s *MemStore) put(rec *RunRecord) {
-	if _, ok := s.seq[rec.ID]; !ok {
-		s.seq[rec.ID] = s.nextSq
-		s.nextSq++
+	i, ok := s.byID[rec.ID]
+	if !ok {
+		i = len(s.recs)
+		s.byID[rec.ID] = i
+		s.recs = append(s.recs, entry{})
 	}
-	s.byID[rec.ID] = rec
+	s.recs[i] = entry{rec: rec, family: rec.Spec.FamilyKey()}
 	if rec.State == StateDone && rec.SpecKey != "" {
-		s.bySpec[rec.SpecKey] = rec.ID
+		s.bySpec[rec.SpecKey] = i
 	}
 }
 
@@ -48,31 +52,36 @@ func (s *MemStore) put(rec *RunRecord) {
 func (s *MemStore) Get(id string) (*RunRecord, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rec, ok := s.byID[id]
+	i, ok := s.byID[id]
 	if !ok {
 		return nil, false
 	}
-	return rec.Clone(), true
+	return s.recs[i].rec.Clone(), true
 }
 
-// List implements Store: records in creation-sequence order (the order IDs
-// were first saved — log order for a replayed FileStore), ties broken by
-// ID. The order is deterministic regardless of map iteration, so every
-// query and transfer-learning path built on List is reproducible.
+// List implements Store: records in the order their IDs were first saved
+// (log order for a replayed FileStore), so every query and
+// transfer-learning path built on List is reproducible.
 func (s *MemStore) List() []*RunRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*RunRecord, 0, len(s.byID))
-	for _, rec := range s.byID {
-		out = append(out, rec.Clone())
+	out := make([]*RunRecord, len(s.recs))
+	for i, e := range s.recs {
+		out[i] = e.rec.Clone()
 	}
-	sort.Slice(out, func(a, b int) bool {
-		sa, sb := s.seq[out[a].ID], s.seq[out[b].ID]
-		if sa != sb {
-			return sa < sb
+	return out
+}
+
+// where returns copies of the completed runs match accepts, in List order.
+func (s *MemStore) where(match func(*entry) bool) []*RunRecord {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []*RunRecord
+	for i := range s.recs {
+		if e := &s.recs[i]; e.rec.State == StateDone && match(e) {
+			out = append(out, e.rec.Clone())
 		}
-		return out[a].ID < out[b].ID
-	})
+	}
 	return out
 }
 
@@ -80,25 +89,25 @@ func (s *MemStore) List() []*RunRecord {
 func (s *MemStore) BySpec(key string) (*RunRecord, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id, ok := s.bySpec[key]
+	i, ok := s.bySpec[key]
 	if !ok {
 		return nil, false
 	}
-	rec, ok := s.byID[id]
-	if !ok {
-		return nil, false
-	}
-	return rec.Clone(), true
+	return s.recs[i].rec.Clone(), true
 }
 
 // ByComponent implements Store.
 func (s *MemStore) ByComponent(name string) []*RunRecord {
-	return selectRecords(s.List(), Query{Component: name})
+	return s.where(func(e *entry) bool {
+		return name == "" || contains(e.rec.Components, name)
+	})
 }
 
 // BySpecFamily implements Store.
 func (s *MemStore) BySpecFamily(family string) []*RunRecord {
-	return selectRecords(s.List(), Query{Family: family})
+	return s.where(func(e *entry) bool {
+		return family == "" || e.family == family
+	})
 }
 
 // Close implements Store.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,6 +94,8 @@ type Metrics struct {
 	// concurrency peak among them.
 	CacheInFlight     int `json:"collector_in_flight"`
 	CacheInFlightPeak int `json:"collector_in_flight_peak"`
+	// StoreSaveErrors counts record saves the store refused (the run goes on).
+	StoreSaveErrors uint64 `json:"store_save_errors"`
 }
 
 // job is one live (queued or running) run.
@@ -128,6 +131,7 @@ type Manager struct {
 	submitted, started, finished atomic.Uint64
 	failed, cancelled, deduped   atomic.Uint64
 	resumed, warmStarted         atomic.Uint64
+	saveErrors                   atomic.Uint64
 	running                      atomic.Int64
 }
 
@@ -541,9 +545,12 @@ func (m *Manager) finalize(j *job, res *tuner.Result, err error) {
 }
 
 // saveLocked persists the job's current record snapshot. Store failures
-// never fail the run. Callers hold m.mu.
+// are counted and logged but never fail the run. Callers hold m.mu.
 func (m *Manager) saveLocked(j *job) {
-	_ = m.store.Save(j.rec)
+	if err := m.store.Save(j.rec); err != nil {
+		m.saveErrors.Add(1)
+		log.Printf("service: saving run %s: %v", j.rec.ID, err)
+	}
 }
 
 // Get returns a snapshot of a run: live state if the job is in flight,
@@ -671,6 +678,7 @@ func (m *Manager) Metrics() Metrics {
 	mt.CacheHits, mt.CacheMisses, mt.Coalesced = all.Hits, all.Misses, all.Coalesced
 	mt.Retries, mt.DispatchRetries = all.Retries, all.DispatchRetries
 	mt.CacheInFlight, mt.CacheInFlightPeak = running.InFlight, running.InFlightPeak
+	mt.StoreSaveErrors = m.saveErrors.Load()
 	return mt
 }
 

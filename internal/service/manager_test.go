@@ -1,8 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"log"
+	"net/http/httptest"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -293,5 +299,52 @@ func TestManagerBuildFailureMarksFailed(t *testing.T) {
 	}
 	if mt := m.Metrics(); mt.Failed != 1 {
 		t.Fatalf("metrics = %+v", mt)
+	}
+}
+
+// failingStore is a Store whose every Save is refused.
+type failingStore struct{ *histdb.MemStore }
+
+func (failingStore) Save(*histdb.RunRecord) error { return errors.New("disk full") }
+
+// TestManagerCountsAndLogsStoreSaveErrors: a store that refuses every save
+// never fails the run, but each refusal is counted on /metrics and logged
+// with the run ID and the error.
+func TestManagerCountsAndLogsStoreSaveErrors(t *testing.T) {
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+
+	m := NewManager(Options{Workers: 1, Store: failingStore{histdb.NewMemStore()}})
+	rec, _, err := m.Submit(tinySpec(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := m.Wait(ctx, rec.ID); err != nil {
+		t.Fatalf("run did not finish: %v", err)
+	}
+	if err := m.Shutdown(ctx); err != nil { // no saveLocked runs past this
+		t.Fatal(err)
+	}
+	mt := m.Metrics()
+	if mt.Finished != 1 || mt.Failed != 0 {
+		t.Fatalf("a failing store failed the run: %+v", mt)
+	}
+	// At least queued, running and done were each refused.
+	if mt.StoreSaveErrors < 3 {
+		t.Fatalf("StoreSaveErrors = %d, want >= 3", mt.StoreSaveErrors)
+	}
+	want := "service: saving run " + rec.ID + ": disk full"
+	if got := strings.Count(logged.String(), want); got != int(mt.StoreSaveErrors) {
+		t.Fatalf("%d log lines carry %q, want %d:\n%s", got, want, mt.StoreSaveErrors, logged.String())
+	}
+
+	rr := httptest.NewRecorder()
+	NewServer(m).ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	line := fmt.Sprintf("ceal_store_save_errors_total %d\n", mt.StoreSaveErrors)
+	if !strings.Contains(rr.Body.String(), line) {
+		t.Fatalf("/metrics missing %q:\n%s", line, rr.Body.String())
 	}
 }

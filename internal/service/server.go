@@ -281,6 +281,7 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 		"ceal_dispatch_retries_total":       float64(mt.DispatchRetries),
 		"ceal_collector_in_flight":          float64(mt.CacheInFlight),
 		"ceal_collector_in_flight_peak":     float64(mt.CacheInFlightPeak),
+		"ceal_store_save_errors_total":      float64(mt.StoreSaveErrors),
 	}
 	names := make([]string, 0, len(vals))
 	for name := range vals {
