@@ -29,7 +29,9 @@
 // from the store instead of re-measured (results are deterministic, so this
 // is the same answer); -warm seeds the run from prior runs in the database
 // (same-family workflow samples, shared-component samples), and -resume
-// <run-id> replays an interrupted tune run from its measurement checkpoint.
+// <run-id> replays an interrupted run: a tune run from its measurement
+// checkpoint, a continuous session from its spec (the drifting platform is a
+// deterministic simulation, so the replay is the same session).
 //
 // SIGINT/SIGTERM cancel the run; tuning aborts within one measurement
 // batch (and stays resumable when -history is set).
@@ -110,8 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("-warm requires -history <path>"))
 	case *resume != "" && *history == "":
 		return fail(fmt.Errorf("-resume requires -history <path>"))
-	case *continuous && *history != "":
-		return fail(fmt.Errorf("-continuous is incompatible with -warm/-resume/-history (continuous runs warm-start internally and are not replayable)"))
 	case *resume == "" && (*budget == 0 || *pool == 0):
 		// A spec's zero means "the default"; the flags already spell their
 		// defaults, so an explicit 0 here is a mistake, not a request for
@@ -189,7 +189,11 @@ func drive(ctx context.Context, m *service.Manager, spec histdb.Spec, resumeID s
 			return nil, false, fmt.Errorf("resume %s: %w", resumeID, err)
 		}
 		fresh = true
-		fmt.Fprintf(stdout, "resuming run %s from %d checkpointed measurements\n", rec.ID, len(rec.Checkpoint))
+		if rec.Spec.Normalize().Mode == histdb.ModeContinuous {
+			fmt.Fprintf(stdout, "replaying run %s from its spec\n", rec.ID)
+		} else {
+			fmt.Fprintf(stdout, "resuming run %s from %d checkpointed measurements\n", rec.ID, len(rec.Checkpoint))
+		}
 	} else if rec, fresh, err = m.Submit(spec); err != nil {
 		return nil, false, err
 	}
@@ -247,9 +251,12 @@ func report(stdout io.Writer, rec *histdb.RunRecord, history string) error {
 	elapsed := rec.FinishedAt.Sub(rec.StartedAt).Round(time.Millisecond)
 
 	if c := rec.Continuous; c != nil {
-		// Initial lives in memory only; -continuous never runs over a
-		// FileStore, so the record still has it.
-		fmt.Fprintf(stdout, "\ninitial incumbent %v\n", c.Initial.Best)
+		// Initial lives in memory only: a record read back from a FileStore
+		// has none.
+		fmt.Fprintln(stdout)
+		if c.Initial != nil {
+			fmt.Fprintf(stdout, "initial incumbent %v\n", c.Initial.Best)
+		}
 		fmt.Fprintf(stdout, "monitoring: %d probes to virtual time %.1f units, %d retunes, %d switchbacks\n",
 			c.Probes, c.FinalClock, c.Retunes, c.Switchbacks)
 		for i, ep := range c.Epochs {

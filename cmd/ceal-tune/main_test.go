@@ -240,12 +240,11 @@ func TestRunContinuousSmoke(t *testing.T) {
 		t.Fatalf("trace missing drift_confirmed:\n%s", data)
 	}
 
-	// -continuous refuses the history/warm/resume machinery: a live
-	// monitoring session is not replayable.
+	// A session warm-starts from its own epochs; admission says so.
 	errOut.Reset()
-	if code := run([]string{"-continuous", "-history", filepath.Join(t.TempDir(), "h.jsonl")}, &out, &errOut); code != 1 ||
-		!strings.Contains(errOut.String(), "-continuous is incompatible") {
-		t.Fatalf("continuous+history: exit %d, stderr %q", code, errOut.String())
+	if code := run([]string{"-continuous", "-warm", "-history", filepath.Join(t.TempDir(), "h")}, &out, &errOut); code != 1 ||
+		!strings.Contains(errOut.String(), "drop warm_start") {
+		t.Fatalf("continuous+warm: exit %d, stderr %q", code, errOut.String())
 	}
 
 	// Unknown drift profile fails with the profile named.
@@ -381,33 +380,69 @@ func TestRunResumeReplaysInterruptedRun(t *testing.T) {
 	}
 }
 
-// TestRunResumeRefusesContinuousRecord: a store shared with ceal-serve can
-// hold an interrupted continuous-mode run; replaying it as a tune run would
-// silently produce a different kind of result, so -resume refuses it the
-// way Manager.Resume does.
-func TestRunResumeRefusesContinuousRecord(t *testing.T) {
-	dbPath := filepath.Join(t.TempDir(), "history")
+// TestRunResumeReplaysContinuousRecord: a continuous session is recorded
+// and resumed like any run. Interrupted (here by -timeout, mid-monitoring:
+// the periodic profile makes every probe's oracle scan real work) and
+// resumed by ID, it prints the report of the uninterrupted session, and the
+// store ends with one done record carrying the continuous summary.
+func TestRunResumeReplaysContinuousRecord(t *testing.T) {
+	args := []string{"-workflow", "LV", "-continuous", "-drift", "periodic", "-budget", "12", "-pool", "120", "-seed", "1"}
+	// session is what ceal-tune printed from the blank line on, less the
+	// wall-time line: the recorded session, not this process's speed.
+	session := func(stdout string) string {
+		t.Helper()
+		_, rep, ok := strings.Cut(stdout, "\n\n")
+		if !ok || !strings.Contains(rep, "final incumbent") {
+			t.Fatalf("no report in:\n%s", stdout)
+		}
+		var lines []string
+		for _, line := range strings.Split(rep, "\n") {
+			if !strings.Contains(line, "wall time") {
+				lines = append(lines, line)
+			}
+		}
+		return strings.Join(lines, "\n")
+	}
+
+	var out, errOut bytes.Buffer
+	if code := run(append(args, "-history", filepath.Join(t.TempDir(), "base")), &out, &errOut); code != 0 {
+		t.Fatalf("uninterrupted exit = %d, stderr: %s", code, errOut.String())
+	}
+	want := session(out.String())
+
+	dbPath := filepath.Join(t.TempDir(), "interrupted")
+	out.Reset()
+	if code := run(append(args, "-history", dbPath, "-timeout", "50ms"), &out, &errOut); code != 1 ||
+		!strings.Contains(errOut.String(), "-resume run-000001") {
+		t.Fatalf("interrupted exit = %d, stderr: %s", code, errOut.String())
+	}
+
+	out.Reset()
+	errOut.Reset()
+	if code := run([]string{"-history", dbPath, "-resume", "run-000001"}, &out, &errOut); code != 0 {
+		t.Fatalf("resume exit = %d, stderr: %s", code, errOut.String())
+	}
+	if !strings.Contains(out.String(), "replaying run run-000001 from its spec") {
+		t.Fatalf("resume banner missing:\n%s", out.String())
+	}
+	if got := session(out.String()); got != want {
+		t.Fatalf("resumed report differs from the uninterrupted session's:\n got %s\nwant %s", got, want)
+	}
+
 	db, err := histdb.OpenFileStore(dbPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := histdb.Spec{Benchmark: "LV", Mode: histdb.ModeContinuous, Drift: "step", Budget: 5, Pool: 30}.Normalize()
-	rec := &histdb.RunRecord{ID: "run-000001", Spec: spec, SpecKey: spec.Key(), State: histdb.StateCancelled, Error: "context canceled"}
-	if err := db.Save(rec); err != nil {
-		t.Fatal(err)
+	defer db.Close()
+	recs := db.List()
+	if len(recs) != 1 || recs[0].State != histdb.StateDone || recs[0].Continuous == nil || recs[0].Checkpoint != nil {
+		t.Fatalf("store after resume: %d records, first %+v", len(recs), recs[0])
 	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-history", dbPath, "-resume", "run-000001"}, &out, &errOut); code != 1 {
-		t.Fatalf("continuous-record resume exit = %d, want 1 (stdout %q)", code, out.String())
-	}
-	if !strings.Contains(errOut.String(), "run not resumable: it is a continuous-mode run") {
-		t.Fatalf("stderr = %q", errOut.String())
-	}
-	if strings.Contains(out.String(), "tuning LV") {
-		t.Fatalf("the refused resume still started a run:\n%s", out.String())
+	// Read back from disk the summary has no in-memory Initial; the report
+	// prints without it rather than dereferencing nil.
+	out.Reset()
+	if err := report(&out, recs[0], dbPath); err != nil || strings.Contains(out.String(), "initial incumbent") ||
+		!strings.Contains(out.String(), "final incumbent") {
+		t.Fatalf("report of a stored continuous record: %v\n%s", err, out.String())
 	}
 }

@@ -186,6 +186,15 @@ func (c *Collector) Preload(vals map[string]float64) {
 	}
 }
 
+// Forget drops every cached value and keeps the counters: a value measured
+// under one platform condition must not be served under another, so the
+// continuous driver forgets before each tuning epoch.
+func (c *Collector) Forget() {
+	c.mu.Lock()
+	clear(c.cache)
+	c.mu.Unlock()
+}
+
 // MeasureWorkflows measures workflow configurations and returns samples in
 // submission order. Cached configurations are served without dispatching;
 // duplicate configurations within the batch (or concurrently in flight

@@ -47,8 +47,14 @@ func Do[T any](ctx context.Context, workers int, retry Retry, jobs []func(attemp
 	results := make([]T, len(jobs))
 	errs := make([]error, len(jobs))
 
+	// Every index is queued up front: a worker takes its next job without
+	// waiting on a feeder, and a cancelled context is seen per job below.
+	queue := make(chan int, len(jobs))
+	for i := range jobs {
+		queue <- i
+	}
+	close(queue)
 	var wg sync.WaitGroup
-	queue := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -62,15 +68,6 @@ func Do[T any](ctx context.Context, workers int, retry Retry, jobs []func(attemp
 			}
 		}()
 	}
-feed:
-	for i := range jobs {
-		select {
-		case queue <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(queue)
 	wg.Wait()
 
 	if err := ctx.Err(); err != nil {

@@ -30,6 +30,7 @@ import (
 
 	"ceal/internal/cfgspace"
 	"ceal/internal/cluster"
+	"ceal/internal/collector"
 	"ceal/internal/dispatch"
 )
 
@@ -44,12 +45,11 @@ const maxAdvancePerItem = 10.0
 // whose evaluator follows a drift profile along a virtual clock. The load
 // is frozen per dispatched batch (measurements inside one batch run
 // concurrently on the real machine, so they see one platform condition),
-// then the clock advances by the batch's summed normalized cost — making
+// then the clock advances by the batch's slowest normalized cost — making
 // results independent of worker count and batch arrival order.
 type Env struct {
-	// Build constructs an evaluator for one platform condition. It must be
-	// pure: the same Load yields an equivalent evaluator (Env memoizes per
-	// condition).
+	// build constructs an evaluator for one platform condition. It must be
+	// pure: the same Load yields an equivalent evaluator.
 	build   func(ld cluster.Load) dispatch.Evaluator
 	profile cluster.Profile
 	// Runner executes batches in-process; nil means serial.
@@ -58,7 +58,14 @@ type Env struct {
 	mu    sync.Mutex
 	clock float64
 	unit  float64
-	cache map[cluster.Load]dispatch.Evaluator
+	// The current condition only — a session's memory is bounded by one
+	// condition however long it monitors: its evaluator, and the collector
+	// memoizing the counterfactual peeks at it (the oracle scan revisits the
+	// tracked set at every probe while the condition holds). Both are
+	// replaced when the clock reaches another condition.
+	load cluster.Load
+	ev   dispatch.Evaluator
+	peek *collector.Collector
 }
 
 // NewEnv builds an environment over a profile. ref is the reference
@@ -68,16 +75,14 @@ func NewEnv(build func(ld cluster.Load) dispatch.Evaluator, profile cluster.Prof
 	if build == nil || profile == nil {
 		return nil, fmt.Errorf("drift: NewEnv needs a builder and a profile")
 	}
-	e := &Env{build: build, profile: profile, cache: make(map[cluster.Load]dispatch.Evaluator)}
-	unit, err := e.evaluator(cluster.Load{}).MeasureWorkflow(ref)
+	unit, err := build(cluster.Load{}).MeasureWorkflow(ref)
 	if err != nil {
 		return nil, fmt.Errorf("drift: measuring reference configuration: %w", err)
 	}
 	if unit <= 0 {
 		return nil, fmt.Errorf("drift: reference configuration cost %g must be positive", unit)
 	}
-	e.unit = unit
-	return e, nil
+	return &Env{build: build, profile: profile, unit: unit}, nil
 }
 
 // Unit returns the clock unit: the reference configuration's zero-load cost.
@@ -108,73 +113,16 @@ func (e *Env) Advance(dt float64) {
 	e.mu.Unlock()
 }
 
-// evaluator returns the memoized evaluator for one platform condition.
-func (e *Env) evaluator(ld cluster.Load) dispatch.Evaluator {
+// current returns the evaluator and the peek collector of the condition at
+// the current virtual time, replacing the previous condition's.
+func (e *Env) current() (dispatch.Evaluator, *collector.Collector) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.evaluatorLocked(ld)
-}
-
-func (e *Env) evaluatorLocked(ld cluster.Load) dispatch.Evaluator {
-	ev, ok := e.cache[ld]
-	if !ok {
-		// Every evaluator in this repository is deterministic per
-		// configuration, so memoizing per (load, configuration) is
-		// semantically transparent — it mainly spares the oracle peeks,
-		// which revisit the same configurations at every probe.
-		ev = &memoEval{ev: e.build(ld), vals: make(map[string]float64)}
-		e.cache[ld] = ev
+	if ld := e.profile.At(e.clock); e.ev == nil || ld != e.load {
+		e.load, e.ev = ld, e.build(ld)
+		e.peek = collector.New(dispatch.NewLocal(e.ev, e.Runner))
 	}
-	return ev
-}
-
-// memoEval caches an evaluator's measurements per configuration key. Safe
-// for concurrent use; duplicate concurrent computations of one key are
-// tolerated (deterministic values make them harmless).
-type memoEval struct {
-	ev   dispatch.Evaluator
-	mu   sync.Mutex
-	vals map[string]float64
-}
-
-func (m *memoEval) get(key string) (float64, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	v, ok := m.vals[key]
-	return v, ok
-}
-
-func (m *memoEval) put(key string, v float64) {
-	m.mu.Lock()
-	m.vals[key] = v
-	m.mu.Unlock()
-}
-
-func (m *memoEval) MeasureWorkflow(cfg cfgspace.Config) (float64, error) {
-	key := "w:" + cfg.Key()
-	if v, ok := m.get(key); ok {
-		return v, nil
-	}
-	v, err := m.ev.MeasureWorkflow(cfg)
-	if err == nil {
-		m.put(key, v)
-	}
-	return v, err
-}
-
-func (m *memoEval) MeasureComponent(j int, cfg cfgspace.Config) (float64, error) {
-	key := fmt.Sprintf("c%d:fixed", j)
-	if cfg != nil {
-		key = fmt.Sprintf("c%d:%s", j, cfg.Key())
-	}
-	if v, ok := m.get(key); ok {
-		return v, nil
-	}
-	v, err := m.ev.MeasureComponent(j, cfg)
-	if err == nil {
-		m.put(key, v)
-	}
-	return v, err
+	return e.ev, e.peek
 }
 
 // advanceOf converts one measured value to a clock advance, capped so a
@@ -197,11 +145,8 @@ func (e *Env) advanceOf(v float64) float64 {
 // max over normalized item costs, which keeps the clock independent of
 // both worker count and completion order.
 func (e *Env) Dispatch(ctx context.Context, batch []dispatch.Item) ([]dispatch.Measurement, error) {
-	e.mu.Lock()
-	ev := e.evaluatorLocked(e.profile.At(e.clock))
-	e.mu.Unlock()
-
-	ms, err := (&dispatch.Local{Eval: ev, Runner: e.Runner}).Dispatch(ctx, batch)
+	ev, _ := e.current()
+	ms, err := dispatch.NewLocal(ev, e.Runner).Dispatch(ctx, batch)
 	if err != nil {
 		return nil, err
 	}
@@ -229,9 +174,7 @@ func (e *Env) Probe(ctx context.Context, cfg cfgspace.Config) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	e.mu.Lock()
-	ev := e.evaluatorLocked(e.profile.At(e.clock))
-	e.mu.Unlock()
+	ev, _ := e.current()
 	v, err := ev.MeasureWorkflow(cfg)
 	if err != nil {
 		return 0, err
@@ -245,26 +188,29 @@ func (e *Env) Probe(ctx context.Context, cfg cfgspace.Config) (float64, error) {
 // Peek measures one configuration at the current condition without
 // advancing the clock — counterfactual observation for regret accounting.
 func (e *Env) Peek(cfg cfgspace.Config) (float64, error) {
-	return e.evaluator(e.Load()).MeasureWorkflow(cfg)
+	v, _, err := e.PeekBest([]cfgspace.Config{cfg})
+	return v, err
 }
 
 // PeekBest returns the best (lowest) value over cfgs at the current
-// condition, without advancing the clock — the oracle the continuous
-// driver charges regret against.
+// condition and the first index holding it, without advancing the clock —
+// the oracle the continuous driver charges regret against. The scan runs on
+// Runner through the condition's collector, so a probe at an unchanged
+// condition re-reads it instead of re-simulating.
 func (e *Env) PeekBest(cfgs []cfgspace.Config) (float64, int, error) {
 	if len(cfgs) == 0 {
 		return 0, -1, fmt.Errorf("drift: PeekBest needs at least one configuration")
 	}
-	ev := e.evaluator(e.Load())
-	best, bestIdx := 0.0, -1
-	for i, cfg := range cfgs {
-		v, err := ev.MeasureWorkflow(cfg)
-		if err != nil {
-			return 0, -1, err
-		}
-		if bestIdx < 0 || v < best {
-			best, bestIdx = v, i
+	_, peek := e.current()
+	samples, err := peek.MeasureWorkflows(context.TODO(), cfgs)
+	if err != nil {
+		return 0, -1, err
+	}
+	bestIdx := 0
+	for i, s := range samples {
+		if s.Value < samples[bestIdx].Value {
+			bestIdx = i
 		}
 	}
-	return best, bestIdx, nil
+	return samples[bestIdx].Value, bestIdx, nil
 }

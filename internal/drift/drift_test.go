@@ -99,6 +99,59 @@ func TestEnvPeekDoesNotAdvanceClock(t *testing.T) {
 	}
 }
 
+// TestEnvRetainsOneCondition is the memory bound of a long session: under a
+// profile that never repeats a condition, every probe's oracle scan measures
+// the whole tracked set afresh, and the environment must hold that for the
+// current condition only — not one memo per condition it ever passed through.
+func TestEnvRetainsOneCondition(t *testing.T) {
+	prof, err := cluster.ParseProfile("periodic", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conditions := 0
+	env, err := NewEnv(func(ld cluster.Load) dispatch.Evaluator {
+		conditions++
+		return stubEval{scale: 1 + ld.ComputeSlowdown}
+	}, prof, cfgspace.Config{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := make([]cfgspace.Config, 500)
+	for i := range oracle {
+		oracle[i] = cfgspace.Config{i + 1}
+	}
+	for probe := 0; probe < 200; probe++ {
+		env.Advance(4)
+		if _, err := env.Probe(context.Background(), oracle[0]); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := env.PeekBest(oracle); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if conditions < 100 {
+		t.Fatalf("the profile passed through only %d conditions; the test needs a moving platform", conditions)
+	}
+	if held := len(env.peek.Snapshot()); held > len(oracle) {
+		t.Fatalf("after %d conditions the environment holds %d measurements, more than one condition's %d",
+			conditions, held, len(oracle))
+	}
+}
+
+// TestPeekBestReturnsFirstMinimum: ties go to the earliest index, whatever
+// order the runner finished the scan in.
+func TestPeekBestReturnsFirstMinimum(t *testing.T) {
+	env := newTestEnv(t, stepAt5{})
+	env.Runner = &dispatch.Runner{Workers: 4}
+	best, idx, err := env.PeekBest([]cfgspace.Config{{3}, {2}, {9}, {2}, {2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best != 2 || idx != 1 {
+		t.Fatalf("PeekBest = %v (idx %d), want 2 at the first index holding it (1)", best, idx)
+	}
+}
+
 func TestEnvDispatchAdvancesByBatchMax(t *testing.T) {
 	// A batch is one wave on the measurement plane: the clock must advance
 	// by the slowest item, not the sum — at any worker count.

@@ -86,7 +86,9 @@ type RunRecord struct {
 	// measured value), refreshed after every measured batch while a run is
 	// live and retained for interrupted runs. Resuming preloads it so the
 	// deterministic replay serves every already-measured configuration from
-	// cache instead of re-measuring. Cleared on successful completion.
+	// cache instead of re-measuring. Cleared on successful completion. A
+	// continuous session's is informational — the current epoch's cache,
+	// which its driver forgets before every epoch: it resumes from its spec.
 	Checkpoint map[string]float64 `json:"checkpoint,omitempty"`
 	// Warm is the warm-start data the run was admitted with (assembled from
 	// the history database once, then pinned here so a resume replays the
@@ -176,22 +178,28 @@ func contains(names []string, want string) bool {
 	return false
 }
 
-// MaxSeqFor returns the highest sequence number among run IDs minted by
-// the given replica — "run-<replica>-%d" IDs, or plain "run-%d" when
-// replica is empty — the resume point for a manager's run-ID counter.
-// Replica-prefixed allocation lets multiple ceal-serve replicas share one
-// store without ID collisions: each replica resumes its own counter and
-// never reads another replica's. Replica names should not be purely
-// numeric, or they become ambiguous with unprefixed sequences.
-func MaxSeqFor(s Store, replica string) int {
+// SeqOf returns the sequence number of a run ID minted by the given replica
+// — "run-<replica>-%d", or plain "run-%d" when replica is empty — and false
+// for anyone else's. Replica-prefixed allocation lets multiple ceal-serve
+// replicas share one store without ID collisions: each replica resumes its
+// own counter and never reads another replica's. Replica names should not
+// be purely numeric, or they become ambiguous with unprefixed sequences.
+func SeqOf(id, replica string) (int, bool) {
 	format := "run-%d"
 	if replica != "" {
 		format = "run-" + replica + "-%d"
 	}
+	var n int
+	_, err := fmt.Sscanf(id, format, &n)
+	return n, err == nil
+}
+
+// MaxSeqFor returns the highest sequence number among the run IDs the given
+// replica minted (see SeqOf) — the resume point for its run-ID counter.
+func MaxSeqFor(s Store, replica string) int {
 	max := 0
 	for _, rec := range s.List() {
-		var n int
-		if _, err := fmt.Sscanf(rec.ID, format, &n); err == nil && n > max {
+		if n, ok := SeqOf(rec.ID, replica); ok && n > max {
 			max = n
 		}
 	}

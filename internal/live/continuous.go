@@ -12,13 +12,13 @@ import (
 
 // NewContinuous assembles a continuous (online-retuning) tuning run over a
 // benchmark: a drift environment whose machine follows the named load
-// profile, fresh per-epoch problems built exactly like NewProblem, and a
-// regret oracle over the full candidate pool — a prefix oracle can miss a
-// drift-shifted optimum entirely, which silently clamps regret to zero.
-// Everything is deterministic from (seed, profile): the pool, the evaluator
-// noise, the profile's jittered onsets, and the virtual clock all derive
-// from them, at any worker count. The caller picks the Algorithm and may
-// adjust Opts before Run.
+// profile, one problem built exactly like NewProblem that measures through
+// it, and a regret oracle over the full candidate pool — a prefix oracle can
+// miss a drift-shifted optimum entirely, which silently clamps regret to
+// zero. Everything is deterministic from (seed, profile): the pool, the
+// evaluator noise, the profile's jittered onsets, and the virtual clock all
+// derive from them, at any worker count. The caller picks the Algorithm and
+// may adjust Opts before Run.
 func NewContinuous(b *workflow.Benchmark, obj workflow.Objective, poolSize int, seed uint64, profileName string, workers int) (*tuner.Continuous, error) {
 	prof, err := cluster.ParseProfile(profileName, seed)
 	if err != nil {
@@ -35,37 +35,18 @@ func NewContinuous(b *workflow.Benchmark, obj workflow.Objective, poolSize int, 
 		}
 		return &Evaluator{Bench: lb, Obj: obj, Seed: seed}
 	}
-	newProblem := func() *tuner.Problem {
-		p := NewProblem(b, obj, poolSize, seed)
-		if workers > 1 {
-			p.Runner = dispatch.NewRunner(workers)
-			p.Workers = workers
-		}
-		return p
-	}
-
-	pool := newProblem().Pool
-	if len(pool) == 0 {
+	p := NewProblem(b, obj, poolSize, seed)
+	if len(p.Pool) == 0 {
 		return nil, fmt.Errorf("live: benchmark %q produced an empty pool", name)
 	}
-	env, err := drift.NewEnv(build, prof, pool[0])
+	env, err := drift.NewEnv(build, prof, p.Pool[0])
 	if err != nil {
 		return nil, err
 	}
 	if workers > 1 {
 		env.Runner = dispatch.NewRunner(workers)
+		p.Workers = workers
 	}
-	return &tuner.Continuous{
-		// Epoch problems are born measuring through the environment: a
-		// collector binds its dispatcher when first asked for, and callers
-		// that wrap NewProblem (the service reads each epoch's collector)
-		// ask before the driver gets to install Env itself.
-		NewProblem: func() *tuner.Problem {
-			p := newProblem()
-			p.Dispatcher = env
-			return p
-		},
-		Env:  env,
-		Opts: tuner.ContinuousOptions{OracleCfgs: pool},
-	}, nil
+	p.Dispatcher = env
+	return &tuner.Continuous{Problem: p, Env: env, Opts: tuner.ContinuousOptions{OracleCfgs: p.Pool}}, nil
 }

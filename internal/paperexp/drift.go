@@ -31,7 +31,7 @@ const (
 )
 
 // driftProfiles are the non-trivial profiles the experiment (and
-// BENCH_drift.json) covers.
+// results/drift-reps3.txt) covers.
 func driftProfiles() []string { return []string{"step", "ramp", "periodic", "neighbor", "nodeslow"} }
 
 // newDriftArm assembles one continuous run (environment + driver) for a
@@ -50,7 +50,7 @@ func newDriftArm(wf, profile string, opt Options, seed uint64, maxEpochs int) (*
 		return nil, err
 	}
 	c.Algorithm = tuner.NewCEAL()
-	c.Ctx = opt.Ctx
+	c.Problem.Ctx = opt.Ctx
 	c.Opts.Probes = driftProbes
 	c.Opts.Horizon = driftHorizon
 	c.Opts.ProbeInterval = driftInterval

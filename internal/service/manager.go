@@ -33,8 +33,7 @@ var (
 	// (HTTP 409).
 	ErrInFlight = errors.New("service: run still in flight")
 	// ErrNotResumable rejects resuming a run that has nothing to replay: it
-	// completed (its result is in the store) or it is a continuous-mode
-	// session (HTTP 409). Resume wraps it with which.
+	// completed and its result is in the store (HTTP 409).
 	ErrNotResumable = errors.New("service: run not resumable")
 )
 
@@ -51,9 +50,6 @@ type Options struct {
 	// Build assembles the problem and algorithm for a normalized spec
 	// (default BuildSpec; tests inject instrumented problems here).
 	Build func(JobSpec) (*tuner.Problem, tuner.Algorithm, error)
-	// BuildContinuous assembles the online-retuning driver for a
-	// continuous-mode spec (default BuildContinuousSpec).
-	BuildContinuous func(JobSpec) (*tuner.Continuous, error)
 	// ReplicaID, when set, namespaces run IDs as "run-<replica>-%06d" so
 	// several Manager replicas can share one store (FileStore on a common
 	// directory) without ID collisions. Submissions also refresh a shared
@@ -149,9 +145,6 @@ func NewManager(opts Options) *Manager {
 	if opts.Build == nil {
 		opts.Build = BuildSpec
 	}
-	if opts.BuildContinuous == nil {
-		opts.BuildContinuous = BuildContinuousSpec
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		opts:       opts,
@@ -159,9 +152,25 @@ func NewManager(opts Options) *Manager {
 		queue:      make(chan *job, opts.QueueLimit),
 		jobs:       make(map[string]*job),
 		byKey:      make(map[string]*job),
-		seq:        histdb.MaxSeqFor(opts.Store, opts.ReplicaID),
 		rootCtx:    ctx,
 		rootCancel: cancel,
+	}
+	// One pass over this replica's own records: resume its ID counter, and
+	// mark what a killed predecessor left queued or running — nothing is
+	// running it now — as interrupted. A sibling's prefix is never touched.
+	for _, rec := range m.store.List() {
+		n, own := histdb.SeqOf(rec.ID, opts.ReplicaID)
+		if !own {
+			continue
+		}
+		m.seq = max(m.seq, n)
+		if !rec.State.Terminal() {
+			rec.State, rec.Error = histdb.StateFailed, "interrupted: the daemon restarted; resume replays it"
+			if err := m.store.Save(rec); err != nil {
+				m.saveErrors.Add(1)
+				log.Printf("service: marking run %s interrupted: %v", rec.ID, err)
+			}
+		}
 	}
 	for i := 0; i < opts.Workers; i++ {
 		m.wg.Add(1)
@@ -252,8 +261,11 @@ func joinable(n JobSpec) bool {
 // queued/running) run from the store. The run replays deterministically:
 // its persisted measurement checkpoint preloads the collector cache, so
 // already-measured configurations are served as hits and the final Result
-// is byte-identical to what the uninterrupted run would have produced.
-// Completed runs return ErrNotResumable; live ones ErrInFlight.
+// is byte-identical to what the uninterrupted run would have produced. A
+// continuous session replays from its spec alone — the driver forgets the
+// collector's cache before its first epoch, preload included, and a drift
+// environment measures nothing but in-process simulations — to the same
+// session. Completed runs return ErrNotResumable; live ones ErrInFlight.
 func (m *Manager) Resume(id string) (*histdb.RunRecord, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -270,12 +282,6 @@ func (m *Manager) Resume(id string) (*histdb.RunRecord, error) {
 	}
 	if rec.State == histdb.StateDone {
 		return nil, fmt.Errorf("%w: it already completed and its result is recorded", ErrNotResumable)
-	}
-	if rec.Spec.Normalize().Mode == histdb.ModeContinuous {
-		// A continuous run's value is the monitoring session itself; the
-		// platform history it observed cannot be replayed from a
-		// measurement checkpoint.
-		return nil, fmt.Errorf("%w: it is a continuous-mode run, a monitoring session over a live platform; submit a fresh one", ErrNotResumable)
 	}
 	// Reset the lifecycle; keep Checkpoint and Warm — they are the run's
 	// replay inputs.
@@ -340,11 +346,6 @@ func (m *Manager) runJob(j *job) {
 	m.running.Add(1)
 	defer m.running.Add(-1)
 
-	if j.rec.Spec.Normalize().Mode == histdb.ModeContinuous {
-		m.runContinuousJob(j)
-		return
-	}
-
 	p, alg, err := m.opts.Build(j.rec.Spec)
 	if err != nil {
 		m.fail(j, err)
@@ -377,7 +378,9 @@ func (m *Manager) runJob(j *job) {
 
 	p.Ctx = j.ctx
 	p.Observer = events.Multi(p.Observer, j.hub, &checkpointer{m: m, j: j, col: col})
-	m.watch(j, col)
+	m.mu.Lock()
+	j.col = col // /metrics gauges show its cache behaviour and in-flight pressure live
+	m.mu.Unlock()
 
 	res, err := alg.Tune(p, j.rec.Spec.Budget)
 
@@ -390,73 +393,11 @@ func (m *Manager) runJob(j *job) {
 	if err != nil {
 		j.rec.Checkpoint = col.Snapshot()
 	}
-	m.retire(j, col.Stats(), res, err)
-}
-
-// runContinuousJob drives a continuous-mode job: the online-retuning driver
-// tunes through the drift environment, then monitors and retunes until its
-// probe budget is spent. The hub observer streams the continuous event
-// sequence (probe_measured, drift_confirmed, reexplore_started,
-// reconverged) live over SSE. Each tuning epoch gets a fresh collector;
-// their stats are folded into one per-run total, and the current epoch's
-// collector backs the live /metrics gauges. Continuous runs are not
-// checkpointed — the platform history they observe is not replayable.
-// Called from runJob with the record already in StateRunning.
-func (m *Manager) runContinuousJob(j *job) {
-	c, err := m.opts.BuildContinuous(j.rec.Spec)
-	if err != nil {
-		m.fail(j, err)
-		return
-	}
-	c.Ctx = j.ctx
-	c.Observer = events.Multi(c.Observer, j.hub)
-
-	// The driver builds its per-epoch problems from this goroutine, inside
-	// Run, so the running total needs no lock of its own.
-	var (
-		total collector.Stats // finished epochs
-		cur   *collector.Collector
-	)
-	inner := c.NewProblem
-	c.NewProblem = func() *tuner.Problem {
-		p := inner()
-		if cur != nil {
-			total = foldStats(total, cur.Stats())
-		}
-		cur = p.Collector()
-		m.watch(j, cur)
-		return p
-	}
-
-	res, err := c.Run(j.rec.Spec.Budget)
-
-	if cur != nil {
-		total = foldStats(total, cur.Stats())
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var final *tuner.Result
-	if err == nil {
-		j.rec.Continuous, final = res, res.Final
-	}
-	m.retire(j, total, final, err)
-}
-
-// watch exposes col as the run's live collector, so /metrics gauges show
-// cache behaviour and in-flight measurement pressure in real time.
-func (m *Manager) watch(j *job, col *collector.Collector) {
-	m.mu.Lock()
-	j.col = col
-	m.mu.Unlock()
-}
-
-// retire finalizes a run that executed. Its final collector stats join the
-// totals in the same critical section that takes the job (and its live
-// collector) out of m.jobs, so Metrics never sees the run twice, or not at
-// all, during the handover. Callers hold m.mu.
-func (m *Manager) retire(j *job, st collector.Stats, res *tuner.Result, err error) {
-	m.cache = foldStats(m.cache, st)
-	j.rec.Collector = st
+	// The final collector stats join the totals in the same critical section
+	// that takes the job (and its live collector) out of m.jobs, so Metrics
+	// never sees the run twice, or not at all, during the handover.
+	j.rec.Collector = col.Stats()
+	m.cache = foldStats(m.cache, j.rec.Collector)
 	m.finalize(j, res, err)
 }
 
@@ -526,7 +467,7 @@ func (m *Manager) finalize(j *job, res *tuner.Result, err error) {
 	switch {
 	case err == nil:
 		j.rec.State = histdb.StateDone
-		j.rec.Result = res
+		j.rec.Result, j.rec.Continuous = res, res.Continuous
 		m.finished.Add(1)
 	case errors.Is(err, context.Canceled) || j.ctx.Err() != nil:
 		j.rec.State = histdb.StateCancelled

@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"ceal/internal/histdb"
 	"ceal/internal/tuner"
+	"ceal/internal/tuner/events"
 )
 
 func TestResumeErrors(t *testing.T) {
@@ -145,6 +148,93 @@ func TestInterruptedRunResumesToIdenticalResult(t *testing.T) {
 	}
 	if mt := m2.Metrics(); mt.Resumed != 1 {
 		t.Fatalf("metrics = %+v", mt)
+	}
+}
+
+// snapshotAt copies the store directory from inside the event stream when
+// the k-th measured batch arrives — the image a SIGKILL at that instant
+// leaves on disk: the record `running`, its last checkpoint one batch old.
+// (The observer runs on the run's own goroutine, ahead of the checkpointer,
+// so no append is in progress while it copies.)
+type snapshotAt struct {
+	k        int
+	src, dst string
+	err      error
+}
+
+func (s *snapshotAt) OnEvent(e events.Event) {
+	if _, ok := e.(*events.BatchMeasured); !ok {
+		return
+	}
+	if s.k--; s.k == 0 {
+		s.err = os.CopyFS(s.dst, os.DirFS(s.src))
+	}
+}
+
+// TestRestartMarksOrphansInterrupted: a killed daemon's queued and running
+// records cannot be live once the same replica reopens the store. The new
+// manager reports them failed-and-resumable instead of running forever,
+// leaves a sibling replica's alone, and Resume completes them to the
+// uninterrupted result — a tune run and a continuous session alike.
+func TestRestartMarksOrphansInterrupted(t *testing.T) {
+	tune := JobSpec{Benchmark: "LV", Algorithm: "al", Objective: "comp", Budget: 40, Pool: 100, Seed: 11}
+	for name, spec := range map[string]JobSpec{"tune": tune, "continuous": contSpec()} {
+		live, killed := filepath.Join(t.TempDir(), "live"), filepath.Join(t.TempDir(), "killed")
+		snap := &snapshotAt{k: 2, src: live, dst: killed}
+		m1 := openReplica(t, live, "", Options{Build: func(s JobSpec) (*tuner.Problem, tuner.Algorithm, error) {
+			p, alg, err := BuildSpec(s)
+			if err == nil {
+				p.Observer = snap
+			}
+			return p, alg, err
+		}})
+		rec, _, err := m1.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := waitDone(t, m1, rec.ID)
+		if want.State != histdb.StateDone || snap.err != nil {
+			t.Fatalf("%s: uninterrupted run = %s (%s), snapshot error %v", name, want.State, want.Error, snap.err)
+		}
+		m1.Shutdown(context.Background())
+
+		// The killed daemon's image, plus a sibling replica's live run.
+		st, err := histdb.OpenFileStore(killed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if orphan, ok := st.Get(rec.ID); !ok || orphan.State != histdb.StateRunning {
+			t.Fatalf("%s: snapshot holds %+v, want the run still running", name, orphan)
+		}
+		sibling := &histdb.RunRecord{ID: "run-b-000001", Spec: tinySpec(1), SpecKey: tinySpec(1).Key(), State: histdb.StateRunning}
+		if err := st.Save(sibling); err != nil {
+			t.Fatal(err)
+		}
+		m2 := NewManager(Options{Workers: 1, Store: st})
+		got, ok := m2.Get(rec.ID)
+		if !ok || got.State != histdb.StateFailed || !strings.HasPrefix(got.Error, "interrupted: ") {
+			t.Fatalf("%s: orphan after restart = %s (%q), want failed (interrupted)", name, got.State, got.Error)
+		}
+		if sib, _ := m2.Get(sibling.ID); sib.State != histdb.StateRunning {
+			t.Fatalf("%s: a sibling replica's run was marked %s", name, sib.State)
+		}
+		if _, err := m2.Resume(rec.ID); err != nil {
+			t.Fatalf("%s: resume: %v", name, err)
+		}
+		got = waitDone(t, m2, rec.ID)
+		if got.State != histdb.StateDone {
+			t.Fatalf("%s: resumed state = %s (%s)", name, got.State, got.Error)
+		}
+		wantJSON, _ := json.Marshal([]any{want.Result, want.Continuous})
+		gotJSON, _ := json.Marshal([]any{got.Result, got.Continuous})
+		if string(wantJSON) != string(gotJSON) {
+			t.Fatalf("%s: resumed orphan differs from the uninterrupted run:\nwant %s\ngot  %s", name, wantJSON, gotJSON)
+		}
+		// The next ID minted continues past the orphan's.
+		if next, _, err := m2.Submit(tinySpec(9)); err != nil || next.ID != "run-000002" {
+			t.Fatalf("%s: next run = %v, %v; want run-000002", name, next, err)
+		}
+		m2.Shutdown(context.Background())
 	}
 }
 

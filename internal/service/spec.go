@@ -106,14 +106,27 @@ func validate(n JobSpec) (*workflow.Benchmark, error) {
 // BuildSpec assembles the runnable problem and algorithm for the spec —
 // exactly what ceal.NewProblem plus ceal.AlgorithmByName would build for
 // the same arguments, so service results are byte-identical to direct
-// Tune calls. Range checks are admission's job (ValidateSpec); this only
-// fails on a name no registry knows. Warm-start data is attached separately
-// by the Manager (it depends on store state, not on the spec alone).
+// Tune calls. A continuous-mode spec builds the same pair: the session's one
+// problem, measuring through a drift environment that follows the spec's
+// load profile, and the online-retuning driver wrapping the spec's
+// algorithm for the spec's probe count. Range checks are admission's job
+// (ValidateSpec); this only fails on a name no registry knows. Warm-start
+// data is attached separately by the Manager (it depends on store state, not
+// on the spec alone).
 func BuildSpec(s JobSpec) (*tuner.Problem, tuner.Algorithm, error) {
 	n := s.Normalize()
 	ev, alg, err := resolve(n)
 	if err != nil {
 		return nil, nil, err
+	}
+	if n.Mode == histdb.ModeContinuous {
+		c, err := live.NewContinuous(ev.Bench, ev.Obj, n.Pool, n.Seed, n.Drift, n.Workers)
+		if err != nil {
+			return nil, nil, err
+		}
+		c.Algorithm = alg
+		c.Opts.Probes = n.Probes
+		return c.Problem, c, nil
 	}
 	p := live.NewProblem(ev.Bench, ev.Obj, n.Pool, n.Seed)
 	if n.Workers > 1 {
@@ -123,48 +136,29 @@ func BuildSpec(s JobSpec) (*tuner.Problem, tuner.Algorithm, error) {
 	return p, alg, nil
 }
 
-// BuildContinuousSpec assembles the continuous (online-retuning) driver for
-// a continuous-mode spec: a drift environment following the spec's load
-// profile, the spec's algorithm driving every epoch, and the spec's probe
-// count bounding the monitoring phase. The driver is deterministic from the
-// spec — but unlike tune runs it is never deduped: identical continuous
-// specs are distinct monitoring sessions by definition.
-func BuildContinuousSpec(s JobSpec) (*tuner.Continuous, error) {
-	n := s.Normalize()
-	if n.Mode != histdb.ModeContinuous {
-		return nil, fmt.Errorf("service: spec mode %q is not continuous", n.Mode)
-	}
-	ev, alg, err := resolve(n)
-	if err != nil {
-		return nil, err
-	}
-	c, err := live.NewContinuous(ev.Bench, ev.Obj, n.Pool, n.Seed, n.Drift, n.Workers)
-	if err != nil {
-		return nil, err
-	}
-	c.Algorithm = alg
-	c.Opts.Probes = n.Probes
-	return c, nil
-}
-
 // BuildSpecRemote returns a Build function that assembles the same problem
 // as BuildSpec but dispatches its measurement batches to remote ceal-worker
 // daemons at the given URLs instead of the in-process pool. Evaluator
 // determinism makes the substitution invisible in results: a measurement's
 // value depends only on (benchmark, objective, seed, configuration), never
 // on which worker ran it, so remote runs are byte-identical to local ones.
+// A problem that already has a Dispatcher keeps it: a continuous session's
+// drift environment measures in-process, because the worker protocol
+// carries no platform condition.
 func BuildSpecRemote(workers []string) func(JobSpec) (*tuner.Problem, tuner.Algorithm, error) {
 	return func(s JobSpec) (*tuner.Problem, tuner.Algorithm, error) {
 		p, alg, err := BuildSpec(s)
 		if err != nil {
 			return nil, nil, err
 		}
-		n := s.Normalize()
-		p.Dispatcher = dispatch.NewRemote(workers, dispatch.Job{
-			Benchmark: n.Benchmark,
-			Objective: n.Objective,
-			Seed:      n.Seed,
-		})
+		if p.Dispatcher == nil {
+			n := s.Normalize()
+			p.Dispatcher = dispatch.NewRemote(workers, dispatch.Job{
+				Benchmark: n.Benchmark,
+				Objective: n.Objective,
+				Seed:      n.Seed,
+			})
+		}
 		return p, alg, nil
 	}
 }

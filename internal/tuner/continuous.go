@@ -1,7 +1,6 @@
 package tuner
 
 import (
-	"context"
 	"fmt"
 	"slices"
 
@@ -11,8 +10,10 @@ import (
 )
 
 // Continuous is the online-retuning driver: tune once, then keep the run
-// alive. It wraps any Algorithm (the shared Loop engine underneath) with
-// the monitor / detect / re-explore cycle of on-line autotuners:
+// alive. It is itself an Algorithm over one Problem — recorded,
+// checkpointed, resumed and replayed like any other — wrapping another
+// Algorithm (the shared Loop engine underneath) with the monitor / detect /
+// re-explore cycle of on-line autotuners:
 //
 //  1. an initial tuning run through the drift environment produces the
 //     incumbent configuration;
@@ -33,25 +34,23 @@ import (
 type Continuous struct {
 	// Algorithm runs every tuning epoch (initial and re-explorations).
 	Algorithm Algorithm
-	// NewProblem builds a fresh Problem per epoch. Each epoch gets its own
-	// collector: measurements cached under a pre-drift condition must not
-	// be replayed after the platform changed. The function must be
-	// deterministic (same pool, evaluator and seed every call). The driver
-	// installs Env as the problem's Dispatcher after it returns, and a
-	// collector binds its dispatcher when first asked for: a NewProblem
-	// that touches Problem.Collector must set Dispatcher to Env first.
-	NewProblem func() *Problem
-	// Env is the time-varying measurement environment; it is installed as
-	// each epoch's Dispatcher and probed between epochs.
+	// Problem is the session's one problem — pool sampled and featurized
+	// once — whose Dispatcher is Env. Every epoch tunes it: the driver
+	// forgets its collector's cache first (a value measured under one
+	// platform condition must not be served under another; the counters
+	// run on) and sets its Warm. Its Ctx cancels the session and its
+	// Observer receives the continuous-mode events (probe, drift,
+	// re-exploration) in addition to each epoch's run events.
+	Problem *Problem
+	// Env is the time-varying measurement environment, probed between
+	// epochs.
 	Env *drift.Env
 	// Opts tunes the monitoring cadence and re-exploration.
 	Opts ContinuousOptions
-	// Observer receives the continuous-mode event stream (probe, drift,
-	// re-exploration events) in addition to each epoch's run events.
-	Observer events.Observer
-	// Ctx cancels the whole continuous run; nil means context.Background().
-	Ctx context.Context
 }
+
+// Name implements Algorithm: a session is named for what tunes its epochs.
+func (c *Continuous) Name() string { return c.Algorithm.Name() }
 
 // ContinuousOptions parameterizes a Continuous driver; zero values select
 // the defaults documented per field.
@@ -159,19 +158,30 @@ type ContinuousResult struct {
 	IncumbentValue float64         `json:"incumbent_value,omitempty"`
 }
 
-// Run executes the continuous cycle: initial tune, then Opts.Probes
-// monitoring probes with drift-triggered re-exploration.
+// Run is Tune over the session's own Problem, returning the summary.
 func (c *Continuous) Run(budget int) (*ContinuousResult, error) {
-	if c.Algorithm == nil || c.NewProblem == nil || c.Env == nil {
-		return nil, fmt.Errorf("tuner: Continuous needs Algorithm, NewProblem and Env")
+	res, err := c.Tune(c.Problem, budget)
+	if err != nil {
+		return nil, err
 	}
-	ctx := c.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	opts := c.Opts.withDefaults(budget)
+	return res.Continuous, nil
+}
 
-	initial, err := c.tuneEpoch(ctx, budget)
+// Tune implements Algorithm: the continuous cycle — initial tune, then
+// Opts.Probes monitoring probes with drift-triggered re-exploration — over
+// p, which must measure through Env. It returns the last epoch's Result
+// with the session summary on its Continuous field.
+func (c *Continuous) Tune(p *Problem, budget int) (*Result, error) {
+	if c.Algorithm == nil || c.Env == nil || p == nil || p.Dispatcher != c.Env {
+		return nil, fmt.Errorf("tuner: Continuous needs Algorithm, Env and a Problem dispatching to Env")
+	}
+	ctx := p.context()
+	opts := c.Opts.withDefaults(budget)
+	// Continuous-mode events reach the problem's observer the way run
+	// events do (observer panics isolated).
+	emit := (&State{obs: p.Observer}).Emit
+
+	initial, err := c.tuneEpoch(p, nil, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -232,16 +242,16 @@ func (c *Continuous) Run(budget int) (*ContinuousResult, error) {
 		res.CumulativeRegret += regret
 
 		verdict, residual := det.Observe(v)
-		c.emit(&events.ProbeMeasured{
+		emit(&events.ProbeMeasured{
 			Probe: probe, Clock: clock, Value: v,
 			Baseline: det.Baseline(), Residual: residual, Regret: regret,
 		})
 		switch verdict {
 		case drift.Suspected:
-			c.emit(&events.DriftSuspected{Probe: probe, Clock: clock, Residual: residual})
+			emit(&events.DriftSuspected{Probe: probe, Clock: clock, Residual: residual})
 		case drift.Confirmed:
 			epoch := res.Retunes + 1
-			c.emit(&events.DriftConfirmed{Probe: probe, Clock: clock, Residual: residual, Epoch: epoch})
+			emit(&events.DriftConfirmed{Probe: probe, Clock: clock, Residual: residual, Epoch: epoch})
 			if opts.MaxEpochs < 0 || res.Retunes >= opts.MaxEpochs {
 				// Tune-once arm (or epochs exhausted): keep probing the
 				// stale incumbent and let regret accumulate. Re-anchor the
@@ -275,7 +285,7 @@ func (c *Continuous) Run(budget int) (*ContinuousResult, error) {
 					end := c.Env.Clock()
 					res.CumulativeRegret += gap * (end - clock)
 					lastClock = end
-					c.emit(&events.Reconverged{
+					emit(&events.Reconverged{
 						Epoch: epoch, Clock: end, DurationUnits: end - clock,
 						Measurements: len(portfolio) - 1, BestValue: bestV,
 						BestConfig: incumbent.Clone(),
@@ -294,11 +304,11 @@ func (c *Continuous) Run(budget int) (*ContinuousResult, error) {
 				continue
 			}
 			start := clock
-			c.emit(&events.ReexploreStarted{
+			emit(&events.ReexploreStarted{
 				Epoch: epoch, Clock: start, Budget: opts.ReexploreBudget,
 				WarmSamples: len(prev.Samples),
 			})
-			r, err := c.reexplore(ctx, prev, opts.ReexploreBudget)
+			r, err := c.tuneEpoch(p, prev, opts.ReexploreBudget)
 			if err != nil {
 				return nil, err
 			}
@@ -341,7 +351,7 @@ func (c *Continuous) Run(budget int) (*ContinuousResult, error) {
 				Probe: probe, ClockStart: start, ClockEnd: end,
 				Measurements: len(r.Samples), BestValue: nb,
 			})
-			c.emit(&events.Reconverged{
+			emit(&events.Reconverged{
 				Epoch: epoch, Clock: end, DurationUnits: end - start,
 				Measurements: len(r.Samples), BestValue: nb,
 				BestConfig: incumbent.Clone(),
@@ -355,37 +365,23 @@ func (c *Continuous) Run(budget int) (*ContinuousResult, error) {
 		return nil, err
 	}
 	res.IncumbentValue = v
-	return res, nil
+	final := *res.Final
+	final.Continuous = res
+	return &final, nil
 }
 
-// tuneEpoch runs one full tuning epoch through the drift environment.
-func (c *Continuous) tuneEpoch(ctx context.Context, budget int) (*Result, error) {
-	p := c.NewProblem()
-	p.Dispatcher = c.Env
-	p.Ctx = ctx
-	p.Observer = events.Multi(p.Observer, c.Observer)
-	return c.Algorithm.Tune(p, budget)
-}
-
-// reexplore runs one bounded re-exploration epoch, warm-started from the
-// previous epoch's measurements. The warm samples carry pre-drift values —
-// exactly what a history database would serve — so they bias the surrogate
-// toward the old landscape's shape while fresh measurements correct it.
-func (c *Continuous) reexplore(ctx context.Context, prev *Result, budget int) (*Result, error) {
-	p := c.NewProblem()
-	p.Dispatcher = c.Env
-	p.Ctx = ctx
-	p.Observer = events.Multi(p.Observer, c.Observer)
-	p.Warm = &WarmStart{Samples: prev.Samples, ComponentSamples: prev.ComponentSamples}
-	return c.Algorithm.Tune(p, budget)
-}
-
-// emit delivers a continuous-mode event, isolating observer panics like
-// State.Emit does.
-func (c *Continuous) emit(e events.Event) {
-	if c.Observer == nil {
-		return
+// tuneEpoch runs one tuning epoch of the session's problem through the
+// drift environment: the initial one (prev nil) cold, a re-exploration
+// warm-started from the previous epoch's measurements. The warm samples
+// carry pre-drift values — exactly what a history database would serve — so
+// they bias the surrogate toward the old landscape's shape while fresh
+// measurements, none of them served from the previous condition's cache,
+// correct it.
+func (c *Continuous) tuneEpoch(p *Problem, prev *Result, budget int) (*Result, error) {
+	p.Collector().Forget()
+	p.Warm = nil
+	if prev != nil {
+		p.Warm = &WarmStart{Samples: prev.Samples, ComponentSamples: prev.ComponentSamples}
 	}
-	defer func() { _ = recover() }()
-	c.Observer.OnEvent(e)
+	return c.Algorithm.Tune(p, budget)
 }

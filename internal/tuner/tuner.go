@@ -266,6 +266,9 @@ type Result struct {
 	// importance over the problem's feature vector (nil for algorithms
 	// whose final model is not a single boosted-tree ensemble).
 	Importance []float64
+	// Continuous is the session summary a Continuous run's final Result
+	// carries; nil for one-shot algorithms.
+	Continuous *ContinuousResult `json:"-"`
 }
 
 // Algorithm is an auto-tuning algorithm under a workflow-runs budget.
