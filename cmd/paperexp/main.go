@@ -89,16 +89,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opt := paperexp.Options{
-		Build: paperexp.BuildOptions{
-			PoolSize:         *pool,
-			ComponentSamples: *compN,
-			Seed:             *seed,
-			Workers:          *workers,
-			Ctx:              ctx,
-		},
-		Reps: *reps,
-		Seed: *seed,
-		Ctx:  ctx,
+		Pool:             *pool,
+		ComponentSamples: *compN,
+		Reps:             *reps,
+		Seed:             *seed,
+		Workers:          *workers,
+		Ctx:              ctx,
 	}
 
 	// Build each needed ground truth once, shared across experiments.
@@ -120,8 +116,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		start := time.Now()
 		fmt.Fprintf(stderr, "building %s ground truth (%d pool + %d/component solo runs)... ",
-			wf, opt.Build.PoolSize, opt.Build.ComponentSamples)
-		gt, err := paperexp.BuildGroundTruth(b, opt.Build)
+			wf, opt.Pool, opt.ComponentSamples)
+		gt, err := paperexp.BuildGroundTruth(b, opt)
 		if err != nil {
 			return fail(err)
 		}

@@ -13,6 +13,7 @@ import (
 // escape (Alg. 1), the energy objective, and two model diagnostics.
 func runAblations(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 	gt := gts["LV"]
+	lv50 := cell{"LV", CompTime, 50} // no histories
 	var out []*Table
 
 	// (1) Combiner ablation: recall of the low-fidelity model built with
@@ -28,9 +29,8 @@ func runAblations(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 	for _, obj := range []Objective{ExecTime, CompTime, Energy} {
 		row := []string{obj.Short()}
 		for _, c := range []acm.Combiner{acm.Max, acm.Sum, acm.BottleneckSum, acm.Mean, acm.Min} {
-			p := gt.Problem(obj, true, opt.Seed)
+			p := gt.Problem(opt, obj, true, opt.Seed)
 			p.Combiner = c
-			p.Workers = opt.Build.Workers
 			scores, err := tuner.LowFidelityScores(p, 0, gt.Pool[:n])
 			if err != nil {
 				return nil, err
@@ -63,15 +63,11 @@ func runAblations(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 		{"no bias escape", noEscape},
 	} {
 		o := v.opts
-		stats, err := RunBattery(RunSpec{
-			GT: gt, Obj: CompTime, Budget: 50,
-			Algorithms: []tuner.Algorithm{&tuner.CEAL{Opts: &o}},
-			Reps:       opt.Reps, Seed: opt.Seed, Workers: opt.Build.Workers, Ctx: opt.Ctx,
-		})
+		stats, err := lv50.battery(gts, opt, false, &tuner.CEAL{Opts: &o})
 		if err != nil {
 			return nil, err
 		}
-		sw.AddRow(v.name, f3(stats[0].MeanNormPerf()))
+		sw.AddRow(v.name, normPerf(stats[0]))
 	}
 	out = append(out, sw)
 
@@ -81,16 +77,12 @@ func runAblations(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 		Title:  "Extension: tuning energy consumption (LV, 25 samples, normalized best; 1 = pool best)",
 		Header: []string{"algorithm", "normalized energy"},
 	}
-	energyStats, err := RunBattery(RunSpec{
-		GT: gt, Obj: Energy, Budget: 25,
-		Algorithms: []tuner.Algorithm{tuner.RS{}, tuner.NewAL(), tuner.NewCEAL()},
-		Reps:       opt.Reps, Seed: opt.Seed, Workers: opt.Build.Workers, Ctx: opt.Ctx,
-	})
+	energyStats, err := cell{"LV", Energy, 25}.battery(gts, opt, false, tuner.RS{}, tuner.NewAL(), tuner.NewCEAL())
 	if err != nil {
 		return nil, err
 	}
 	for _, st := range energyStats {
-		energy.AddRow(st.Name, f3(st.MeanNormPerf()))
+		energy.AddRow(st.Name, normPerf(st))
 	}
 	out = append(out, energy)
 
@@ -102,11 +94,7 @@ func runAblations(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 		Title:  "Diagnostics: final-model Spearman rank correlation with truth (LV computer time, 50 samples)",
 		Header: []string{"algorithm", "mean Spearman"},
 	}
-	spStats, err := RunBattery(RunSpec{
-		GT: gt, Obj: CompTime, Budget: 50,
-		Algorithms: []tuner.Algorithm{tuner.RS{}, tuner.NewGEIST(), tuner.NewAL(), tuner.NewCEAL()},
-		Reps:       opt.Reps, Seed: opt.Seed, Workers: opt.Build.Workers, Ctx: opt.Ctx,
-	})
+	spStats, err := lv50.battery(gts, opt, false, noHistAlgorithms()...)
 	if err != nil {
 		return nil, err
 	}
@@ -121,19 +109,12 @@ func runAblations(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 		Title:  "Diagnostics: CEAL model-switch iteration distribution (LV computer time, 50 samples)",
 		Header: []string{"switch iteration", "share of replications (%)"},
 	}
-	cealStats, err := RunBattery(RunSpec{
-		GT: gt, Obj: CompTime, Budget: 50,
-		Algorithms: []tuner.Algorithm{tuner.NewCEAL()},
-		Reps:       opt.Reps, Seed: opt.Seed, Workers: opt.Build.Workers, Ctx: opt.Ctx,
-	})
-	if err != nil {
-		return nil, err
-	}
+	switches := spStats[len(spStats)-1].SwitchIter // CEAL's, from (4)
 	counts := map[int]int{}
-	for _, it := range cealStats[0].SwitchIter {
+	for _, it := range switches {
 		counts[it]++
 	}
-	total := len(cealStats[0].SwitchIter)
+	total := len(switches)
 	for it := -1; it <= 10; it++ {
 		if c, ok := counts[it]; ok {
 			label := fmt.Sprintf("%d", it)

@@ -1,7 +1,6 @@
 package paperexp
 
 import (
-	"context"
 	"fmt"
 
 	"ceal/internal/metrics"
@@ -10,7 +9,7 @@ import (
 	"ceal/internal/tuner/events"
 )
 
-// RunSpec is one cell of an experiment: a benchmark ground truth, an
+// RunSpec is what one battery varies: a benchmark ground truth, an
 // objective, a training-sample budget, and the algorithms to compare.
 type RunSpec struct {
 	GT          *GroundTruth
@@ -18,21 +17,12 @@ type RunSpec struct {
 	Budget      int
 	WithHistory bool
 	Algorithms  []tuner.Algorithm
-	Reps        int    // replications to average (paper: 100)
-	Seed        uint64 // base seed; replication r uses Seed+r
-	// Workers is how many replications run in parallel (<= 1: serial).
-	// Each replication scores its pool serially: the replications already
-	// saturate the machine.
-	Workers int
-	// Ctx optionally cancels the battery: it is threaded into every
-	// replication's Problem, aborting in-progress measurement batches.
-	Ctx context.Context
 	// Observe optionally supplies a run-event observer per (replication,
 	// algorithm) tuning run — the hook convergence-curve experiments use to
 	// record per-iteration best-so-far trajectories. It may return nil to
-	// skip a run. Replications run concurrently under Workers > 1, so the
-	// hook itself must be safe for concurrent calls; each returned observer
-	// is only used by its own run.
+	// skip a run. Replications run concurrently under Options.Workers > 1,
+	// so the hook itself must be safe for concurrent calls; each returned
+	// observer is only used by its own run.
 	Observe func(rep int, alg string) events.Observer
 }
 
@@ -83,13 +73,13 @@ func (s *AlgStats) MeanRecall(n int) float64 { return metrics.Mean(s.Recall[n-1]
 // median is used because a single no-improvement replication yields +Inf.
 func (s *AlgStats) MedianLNU() float64 { return metrics.Median(s.LNU) }
 
-// RunBattery tunes with every algorithm over Reps replications — fanned
-// across Workers goroutines — and aggregates the paper's metrics. Results
-// are identical for any worker count.
-func RunBattery(spec RunSpec) ([]*AlgStats, error) {
-	if spec.Reps < 1 {
-		spec.Reps = 1
-	}
+// RunBattery tunes with every algorithm over opt.reps() replications —
+// replication r seeded opt.Seed+r, fanned across opt.Workers goroutines and
+// cancelled by opt.Ctx — and aggregates the paper's metrics. Each
+// replication scores its pool serially: the replications already saturate
+// the machine. Results are identical for any worker count.
+func RunBattery(opt Options, spec RunSpec) ([]*AlgStats, error) {
+	reps := opt.reps()
 	truth := spec.GT.Values(spec.Obj)
 	best := spec.GT.Best(spec.Obj)
 	expert := spec.GT.Expert(spec.Obj)
@@ -102,13 +92,12 @@ func RunBattery(spec RunSpec) ([]*AlgStats, error) {
 	top2 := metrics.TopIndices(top2n, truth)
 
 	runRep := func(rep int) ([]repMetrics, error) {
-		if spec.Ctx != nil {
-			if err := spec.Ctx.Err(); err != nil {
+		if opt.Ctx != nil {
+			if err := opt.Ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		problem := spec.GT.Problem(spec.Obj, spec.WithHistory, spec.Seed+uint64(rep))
-		problem.Ctx = spec.Ctx
+		problem := spec.GT.Problem(Options{Ctx: opt.Ctx}, spec.Obj, spec.WithHistory, opt.Seed+uint64(rep)) // scores serially
 		out := make([]repMetrics, len(spec.Algorithms))
 		for i, alg := range spec.Algorithms {
 			problem.Observer = nil
@@ -148,9 +137,9 @@ func RunBattery(spec RunSpec) ([]*AlgStats, error) {
 
 	// Fan the replications: each writes only its own slot, and the
 	// lowest-index failure wins, so the outcome is scheduling-independent.
-	allReps := make([][]repMetrics, spec.Reps)
-	errs := make([]error, spec.Reps)
-	score.New(spec.Workers).Tasks(spec.Reps, func(rep int) {
+	allReps := make([][]repMetrics, reps)
+	errs := make([]error, reps)
+	score.New(opt.Workers).Tasks(reps, func(rep int) {
 		allReps[rep], errs[rep] = runRep(rep)
 	})
 	for _, err := range errs {

@@ -14,7 +14,7 @@ import (
 // the shared collector serves repeated configurations from cache.
 func TestBatteryCollectorCacheHits(t *testing.T) {
 	gt := tinyGT(t, "LV")
-	p := gt.Problem(CompTime, false, 3)
+	p := gt.Problem(Options{}, CompTime, false, 3)
 	for _, alg := range []tuner.Algorithm{tuner.RS{}, tuner.NewAL()} {
 		if _, err := alg.Tune(p, 20); err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
@@ -34,7 +34,7 @@ func TestBatteryCollectorCacheHits(t *testing.T) {
 // run promptly with the context's error.
 func TestTuneCancellation(t *testing.T) {
 	gt := tinyGT(t, "LV")
-	p := gt.Problem(CompTime, false, 4)
+	p := gt.Problem(Options{}, CompTime, false, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p.Ctx = ctx
@@ -48,27 +48,26 @@ func TestTuneCancellation(t *testing.T) {
 	}
 }
 
-// TestBatteryCancellation checks RunSpec.Ctx threads into replications.
+// TestBatteryCancellation checks Options.Ctx threads into replications.
 func TestBatteryCancellation(t *testing.T) {
 	gt := tinyGT(t, "LV")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunBattery(RunSpec{
+	_, err := RunBattery(Options{Reps: 2, Seed: 1, Ctx: ctx}, RunSpec{
 		GT: gt, Obj: CompTime, Budget: 20,
 		Algorithms: []tuner.Algorithm{tuner.RS{}},
-		Reps:       2, Seed: 1, Ctx: ctx,
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
-// TestBuildGroundTruthCancellation checks BuildOptions.Ctx aborts a build.
+// TestBuildGroundTruthCancellation checks Options.Ctx aborts a build.
 func TestBuildGroundTruthCancellation(t *testing.T) {
 	gt := tinyGT(t, "LV")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opt := BuildOptions{PoolSize: 40, ComponentSamples: 20, Seed: 9, Workers: 4, Ctx: ctx}
+	opt := Options{Pool: 40, ComponentSamples: 20, Seed: 9, Workers: 4, Ctx: ctx}
 	if _, err := BuildGroundTruth(gt.Bench, opt); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -29,9 +29,7 @@ func runConvergence(gts map[string]*GroundTruth, opt Options) ([]*Table, error) 
 	key := func(rep int, alg string) string { return fmt.Sprintf("%s#%d", alg, rep) }
 
 	spec := RunSpec{
-		GT: gt, Obj: CompTime, Budget: budget,
-		Algorithms: algs, Reps: opt.Reps, Seed: opt.Seed,
-		Workers: opt.Build.Workers, Ctx: opt.Ctx,
+		GT: gt, Obj: CompTime, Budget: budget, Algorithms: algs,
 		Observe: func(rep int, alg string) events.Observer {
 			r := events.NewRecorder()
 			mu.Lock()
@@ -40,17 +38,14 @@ func runConvergence(gts map[string]*GroundTruth, opt Options) ([]*Table, error) 
 			return r
 		},
 	}
-	if _, err := RunBattery(spec); err != nil {
+	if _, err := RunBattery(opt, spec); err != nil {
 		return nil, err
 	}
 
 	// curves[a][rep] is one run's normalized best-so-far per iteration.
 	curves := make([][][]float64, len(algs))
 	maxIters := 0
-	reps := spec.Reps
-	if reps < 1 {
-		reps = 1
-	}
+	reps := opt.reps()
 	for a, alg := range algs {
 		curves[a] = make([][]float64, reps)
 		for rep := 0; rep < reps; rep++ {

@@ -41,11 +41,11 @@ func newDriftArm(wf, profile string, opt Options, seed uint64, maxEpochs int) (*
 	if err != nil {
 		return nil, err
 	}
-	poolSize := opt.Build.PoolSize
+	poolSize := opt.Pool
 	if poolSize <= 0 {
 		poolSize = 500
 	}
-	c, err := live.NewContinuous(b, CompTime, poolSize, seed, profile, opt.Build.Workers)
+	c, err := live.NewContinuous(b, CompTime, poolSize, seed, profile, opt.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -62,13 +62,7 @@ func newDriftArm(wf, profile string, opt Options, seed uint64, maxEpochs int) (*
 // runDrift compares tune-once vs online retuning cumulative regret on the
 // three paper workflows under the non-trivial drift profiles.
 func runDrift(_ map[string]*GroundTruth, opt Options) ([]*Table, error) {
-	reps := opt.Reps
-	if reps < 1 {
-		reps = 1
-	}
-	if reps > driftMaxReps {
-		reps = driftMaxReps
-	}
+	reps := min(opt.reps(), driftMaxReps)
 	t := &Table{
 		Title: fmt.Sprintf("Drift: tune-once vs online retuning, time-weighted cumulative regret to horizon %d (computer time, %d samples)",
 			driftHorizon, driftBudget),

@@ -24,7 +24,7 @@ func TestDriftArmsPinned(t *testing.T) {
 		// Same reason TestAllExperimentsRunTiny skips drift under -race.
 		t.Skip("simulation-heavy; the race runtime leaks a context per coroutine")
 	}
-	opt := Options{Build: BuildOptions{PoolSize: 120, Workers: 2}, Reps: 1, Seed: 1}
+	opt := Options{Pool: 120, Reps: 1, Seed: 1, Workers: 2}
 	for profile, want := range pinnedDriftArms {
 		h := sha256.New()
 		for _, maxEpochs := range []int{-1, 0} {

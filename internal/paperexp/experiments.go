@@ -14,13 +14,18 @@ import (
 // Options sizes an experiment run. The defaults reproduce the paper's
 // settings; tests and benches shrink them.
 type Options struct {
-	Build BuildOptions
-	Reps  int
-	Seed  uint64
-	// Ctx optionally cancels the experiment; it is threaded into the
+	Pool             int    // workflow configurations per ground truth (paper: 2000)
+	ComponentSamples int    // standalone runs per configurable component (paper: 500)
+	Reps             int    // replications per battery (paper: 100; < 1 runs one)
+	Seed             uint64 // seeds the ground-truth build and every battery's replications
+	Workers          int    // simulation, scoring and replication width (<= 1: serial)
+	// Ctx optionally cancels the experiment: it is threaded into the
 	// ground-truth build and every battery replication.
 	Ctx context.Context
 }
+
+// reps is the replication count, at least one.
+func (o Options) reps() int { return max(o.Reps, 1) }
 
 // Experiment is one reproducible table or figure.
 type Experiment struct {
@@ -66,6 +71,38 @@ func ByID(id string) (Experiment, error) {
 func noHistAlgorithms() []tuner.Algorithm {
 	return []tuner.Algorithm{tuner.RS{}, tuner.NewGEIST(), tuner.NewAL(), tuner.NewCEAL()}
 }
+
+// histAlgorithms is the §7.5 comparison set.
+func histAlgorithms() []tuner.Algorithm {
+	return []tuner.Algorithm{tuner.NewCEAL(), tuner.NewALpH()}
+}
+
+// cell is one (workflow, objective, budget) point of the §7 grid.
+type cell struct {
+	WF     string
+	Obj    Objective
+	Budget int
+}
+
+// String labels the cell as the figures do, e.g. "LV comp (50 spls)".
+func (c cell) String() string { return fmt.Sprintf("%s %s (%d spls)", c.WF, c.Obj.Short(), c.Budget) }
+
+// battery runs algs over the cell, with or without component histories.
+func (c cell) battery(gts map[string]*GroundTruth, opt Options, withHistory bool, algs ...tuner.Algorithm) ([]*AlgStats, error) {
+	return RunBattery(opt, RunSpec{GT: gts[c.WF], Obj: c.Obj, Budget: c.Budget, WithHistory: withHistory, Algorithms: algs})
+}
+
+// row appends one formatted column per algorithm to the leading cells.
+func row(stats []*AlgStats, format func(*AlgStats) string, lead ...string) []string {
+	for _, st := range stats {
+		lead = append(lead, format(st))
+	}
+	return lead
+}
+
+// normPerf and medianLNU format the figures' two headline metrics.
+func normPerf(st *AlgStats) string  { return f3(st.MeanNormPerf()) }
+func medianLNU(st *AlgStats) string { return f0(st.MedianLNU()) }
 
 // ---------------------------------------------------------------- Table 1
 
@@ -155,9 +192,7 @@ func runFig4(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 	}
 	rows := map[int][4]float64{}
 	for _, obj := range []Objective{CompTime, ExecTime} {
-		p := gt.Problem(obj, true, opt.Seed)
-		p.Workers = opt.Build.Workers
-		scores, err := tuner.LowFidelityScores(p, 0, subset)
+		scores, err := tuner.LowFidelityScores(gt.Problem(opt, obj, true, opt.Seed), 0, subset)
 		if err != nil {
 			return nil, err
 		}
@@ -184,23 +219,13 @@ func runFig4(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 
 // ------------------------------------------------------------------ Fig 5
 
-// fig5Cells enumerates Fig. 5's panels.
-func fig5Cells() []struct {
-	WF      string
-	Obj     Objective
-	Budgets []int
-} {
-	return []struct {
-		WF      string
-		Obj     Objective
-		Budgets []int
-	}{
-		{"LV", ExecTime, []int{50, 100}},
-		{"LV", CompTime, []int{25, 50}},
-		{"HS", ExecTime, []int{50, 100}},
-		{"HS", CompTime, []int{25, 50}},
-		{"GP", CompTime, []int{25, 50}},
-	}
+// fig5Cells are Fig. 5's panels, two budgets each.
+var fig5Cells = []cell{
+	{"LV", ExecTime, 50}, {"LV", ExecTime, 100},
+	{"LV", CompTime, 25}, {"LV", CompTime, 50},
+	{"HS", ExecTime, 50}, {"HS", ExecTime, 100},
+	{"HS", CompTime, 25}, {"HS", CompTime, 50},
+	{"GP", CompTime, 25}, {"GP", CompTime, 50},
 }
 
 func runFig5(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
@@ -208,19 +233,12 @@ func runFig5(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 		Title:  "Fig. 5: normalized performance of the best auto-tuned configuration (no histories; 1 = pool best)",
 		Header: []string{"wf", "objective", "m", "RS", "GEIST", "AL", "CEAL"},
 	}
-	for _, cell := range fig5Cells() {
-		for _, m := range cell.Budgets {
-			stats, err := RunBattery(RunSpec{
-				GT: gts[cell.WF], Obj: cell.Obj, Budget: m,
-				Algorithms: noHistAlgorithms(), Reps: opt.Reps, Seed: opt.Seed, Workers: opt.Build.Workers, Ctx: opt.Ctx,
-			})
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(cell.WF, cell.Obj.Short(), fmt.Sprintf("%d", m),
-				f3(stats[0].MeanNormPerf()), f3(stats[1].MeanNormPerf()),
-				f3(stats[2].MeanNormPerf()), f3(stats[3].MeanNormPerf()))
+	for _, c := range fig5Cells {
+		stats, err := c.battery(gts, opt, false, noHistAlgorithms()...)
+		if err != nil {
+			return nil, err
 		}
+		t.AddRow(row(stats, normPerf, c.WF, c.Obj.Short(), fmt.Sprintf("%d", c.Budget))...)
 	}
 	t.Notes = append(t.Notes, "paper shape: CEAL lowest in every cell; RS/GEIST can exceed 2x on small budgets")
 	return []*Table{t}, nil
@@ -229,34 +247,17 @@ func runFig5(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 // ------------------------------------------------------------------ Fig 6
 
 func runFig6(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
-	cells := []struct {
-		WF     string
-		Obj    Objective
-		Budget int
-	}{
-		{"LV", CompTime, 50},
-		{"HS", ExecTime, 100},
-		{"GP", CompTime, 25},
-	}
 	t := &Table{
 		Title:  "Fig. 6: prediction MdAPE (%) of auto-tuning models without histories",
 		Header: []string{"cell", "dataset", "RS", "GEIST", "AL", "CEAL"},
 	}
-	for _, cell := range cells {
-		stats, err := RunBattery(RunSpec{
-			GT: gts[cell.WF], Obj: cell.Obj, Budget: cell.Budget,
-			Algorithms: noHistAlgorithms(), Reps: opt.Reps, Seed: opt.Seed, Workers: opt.Build.Workers, Ctx: opt.Ctx,
-		})
+	for _, c := range []cell{{"LV", CompTime, 50}, {"HS", ExecTime, 100}, {"GP", CompTime, 25}} {
+		stats, err := c.battery(gts, opt, false, noHistAlgorithms()...)
 		if err != nil {
 			return nil, err
 		}
-		label := fmt.Sprintf("%s %s (%d spls)", cell.WF, cell.Obj.Short(), cell.Budget)
-		t.AddRow(label, "top 2%",
-			f1(metrics.Mean(stats[0].MdAPETop2)), f1(metrics.Mean(stats[1].MdAPETop2)),
-			f1(metrics.Mean(stats[2].MdAPETop2)), f1(metrics.Mean(stats[3].MdAPETop2)))
-		t.AddRow(label, "all",
-			f1(metrics.Mean(stats[0].MdAPEAll)), f1(metrics.Mean(stats[1].MdAPEAll)),
-			f1(metrics.Mean(stats[2].MdAPEAll)), f1(metrics.Mean(stats[3].MdAPEAll)))
+		t.AddRow(row(stats, func(st *AlgStats) string { return f1(metrics.Mean(st.MdAPETop2)) }, c.String(), "top 2%")...)
+		t.AddRow(row(stats, func(st *AlgStats) string { return f1(metrics.Mean(st.MdAPEAll)) }, c.String(), "all")...)
 	}
 	t.Notes = append(t.Notes, "paper shape: CEAL's top-2% MdAPE is much lower than the others'; over all configs it is comparable or a little higher")
 	return []*Table{t}, nil
@@ -265,34 +266,28 @@ func runFig6(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 // ------------------------------------------------------------------ Fig 7
 
 func runFig7(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
-	panels := []struct {
-		WF     string
-		Obj    Objective
-		Budget int
-	}{
-		{"LV", ExecTime, 100},
-		{"HS", ExecTime, 100},
-		{"LV", CompTime, 50},
-		{"GP", CompTime, 50},
+	cells := []cell{{"LV", ExecTime, 100}, {"HS", ExecTime, 100}, {"LV", CompTime, 50}, {"GP", CompTime, 50}}
+	return recallPanels(gts, opt, "Fig. 7", false, cells, noHistAlgorithms())
+}
+
+// recallPanels renders one top-n recall table per cell (Figs. 7 and 11).
+func recallPanels(gts map[string]*GroundTruth, opt Options, fig string, withHistory bool, cells []cell, algs []tuner.Algorithm) ([]*Table, error) {
+	histories := "no histories"
+	if withHistory {
+		histories = "with histories"
 	}
 	var out []*Table
-	for _, panel := range panels {
-		stats, err := RunBattery(RunSpec{
-			GT: gts[panel.WF], Obj: panel.Obj, Budget: panel.Budget,
-			Algorithms: noHistAlgorithms(), Reps: opt.Reps, Seed: opt.Seed, Workers: opt.Build.Workers, Ctx: opt.Ctx,
-		})
+	for _, c := range cells {
+		stats, err := c.battery(gts, opt, withHistory, algs...)
 		if err != nil {
 			return nil, err
 		}
 		t := &Table{
-			Title: fmt.Sprintf("Fig. 7: recall scores (%%), %s %s (%d spls), no histories",
-				panel.WF, panel.Obj.Short(), panel.Budget),
-			Header: []string{"top n", "RS", "GEIST", "AL", "CEAL"},
+			Title:  fmt.Sprintf("%s: recall scores (%%), %s, %s", fig, c, histories),
+			Header: append([]string{"top n"}, algNames(algs)...),
 		}
 		for n := 1; n <= 9; n++ {
-			t.AddRow(fmt.Sprintf("%d", n),
-				f1(stats[0].MeanRecall(n)), f1(stats[1].MeanRecall(n)),
-				f1(stats[2].MeanRecall(n)), f1(stats[3].MeanRecall(n)))
+			t.AddRow(row(stats, func(st *AlgStats) string { return f1(st.MeanRecall(n)) }, fmt.Sprintf("%d", n))...)
 		}
 		out = append(out, t)
 	}
@@ -307,15 +302,11 @@ func runFig8(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 		Header: []string{"wf", "AL", "CEAL"},
 	}
 	for _, wf := range []string{"LV", "HS"} {
-		stats, err := RunBattery(RunSpec{
-			GT: gts[wf], Obj: CompTime, Budget: 50,
-			Algorithms: []tuner.Algorithm{tuner.NewAL(), tuner.NewCEAL()},
-			Reps:       opt.Reps, Seed: opt.Seed, Workers: opt.Build.Workers, Ctx: opt.Ctx,
-		})
+		stats, err := cell{wf, CompTime, 50}.battery(gts, opt, false, tuner.NewAL(), tuner.NewCEAL())
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(wf, f0(stats[0].MedianLNU()), f0(stats[1].MedianLNU()))
+		t.AddRow(row(stats, medianLNU, wf)...)
 	}
 	t.Notes = append(t.Notes,
 		"median over replications; paper (means): LV 782 (AL) vs 716 (CEAL)",
@@ -325,22 +316,13 @@ func runFig8(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 
 // ------------------------------------------------------------------ Fig 9
 
-func fig9Cells() []struct {
-	WF      string
-	Obj     Objective
-	Budgets []int
-} {
-	return []struct {
-		WF      string
-		Obj     Objective
-		Budgets []int
-	}{
-		{"LV", ExecTime, []int{50, 100}},
-		{"HS", ExecTime, []int{50, 100}},
-		{"LV", CompTime, []int{25, 50}},
-		{"HS", CompTime, []int{25, 50}},
-		{"GP", CompTime, []int{25, 50}},
-	}
+// fig9Cells are the panels of Figs. 9 and 10, two budgets each.
+var fig9Cells = []cell{
+	{"LV", ExecTime, 50}, {"LV", ExecTime, 100},
+	{"HS", ExecTime, 50}, {"HS", ExecTime, 100},
+	{"LV", CompTime, 25}, {"LV", CompTime, 50},
+	{"HS", CompTime, 25}, {"HS", CompTime, 50},
+	{"GP", CompTime, 25}, {"GP", CompTime, 50},
 }
 
 func runFig9(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
@@ -348,25 +330,16 @@ func runFig9(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 		Title:  "Fig. 9: CEAL with vs without historical component measurements (normalized best config)",
 		Header: []string{"wf", "objective", "m", "CEAL w/o histories", "CEAL w/ histories"},
 	}
-	for _, cell := range fig9Cells() {
-		for _, m := range cell.Budgets {
-			without, err := RunBattery(RunSpec{
-				GT: gts[cell.WF], Obj: cell.Obj, Budget: m,
-				Algorithms: []tuner.Algorithm{tuner.NewCEAL()}, Reps: opt.Reps, Seed: opt.Seed, Workers: opt.Build.Workers, Ctx: opt.Ctx,
-			})
-			if err != nil {
-				return nil, err
-			}
-			with, err := RunBattery(RunSpec{
-				GT: gts[cell.WF], Obj: cell.Obj, Budget: m, WithHistory: true,
-				Algorithms: []tuner.Algorithm{tuner.NewCEAL()}, Reps: opt.Reps, Seed: opt.Seed, Workers: opt.Build.Workers, Ctx: opt.Ctx,
-			})
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(cell.WF, cell.Obj.Short(), fmt.Sprintf("%d", m),
-				f3(without[0].MeanNormPerf()), f3(with[0].MeanNormPerf()))
+	for _, c := range fig9Cells {
+		without, err := c.battery(gts, opt, false, tuner.NewCEAL())
+		if err != nil {
+			return nil, err
 		}
+		with, err := c.battery(gts, opt, true, tuner.NewCEAL())
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(c.WF, c.Obj.Short(), fmt.Sprintf("%d", c.Budget), normPerf(without[0]), normPerf(with[0]))
 	}
 	t.Notes = append(t.Notes, "paper shape: histories help in most cells (e.g. 25-sample computer time: LV -7.8%, HS -38.9%, GP -6.6%)")
 	return []*Table{t}, nil
@@ -379,19 +352,12 @@ func runFig10(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 		Title:  "Fig. 10: best configuration auto-tuned with histories (normalized)",
 		Header: []string{"wf", "objective", "m", "CEAL", "ALpH"},
 	}
-	for _, cell := range fig9Cells() {
-		for _, m := range cell.Budgets {
-			stats, err := RunBattery(RunSpec{
-				GT: gts[cell.WF], Obj: cell.Obj, Budget: m, WithHistory: true,
-				Algorithms: []tuner.Algorithm{tuner.NewCEAL(), tuner.NewALpH()},
-				Reps:       opt.Reps, Seed: opt.Seed, Workers: opt.Build.Workers, Ctx: opt.Ctx,
-			})
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(cell.WF, cell.Obj.Short(), fmt.Sprintf("%d", m),
-				f3(stats[0].MeanNormPerf()), f3(stats[1].MeanNormPerf()))
+	for _, c := range fig9Cells {
+		stats, err := c.battery(gts, opt, true, histAlgorithms()...)
+		if err != nil {
+			return nil, err
 		}
+		t.AddRow(row(stats, normPerf, c.WF, c.Obj.Short(), fmt.Sprintf("%d", c.Budget))...)
 	}
 	t.Notes = append(t.Notes, "paper shape: CEAL below ALpH in every cell (white-box combining beats learned combining)")
 	return []*Table{t}, nil
@@ -400,79 +366,33 @@ func runFig10(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 // ----------------------------------------------------------------- Fig 11
 
 func runFig11(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
-	panels := []struct {
-		WF     string
-		Obj    Objective
-		Budget int
-	}{
-		{"LV", ExecTime, 50},
-		{"HS", ExecTime, 50},
-		{"LV", CompTime, 25},
-		{"GP", CompTime, 25},
-	}
-	var out []*Table
-	for _, panel := range panels {
-		stats, err := RunBattery(RunSpec{
-			GT: gts[panel.WF], Obj: panel.Obj, Budget: panel.Budget, WithHistory: true,
-			Algorithms: []tuner.Algorithm{tuner.NewCEAL(), tuner.NewALpH()},
-			Reps:       opt.Reps, Seed: opt.Seed, Workers: opt.Build.Workers, Ctx: opt.Ctx,
-		})
-		if err != nil {
-			return nil, err
-		}
-		t := &Table{
-			Title: fmt.Sprintf("Fig. 11: recall scores (%%), %s %s (%d spls), with histories",
-				panel.WF, panel.Obj.Short(), panel.Budget),
-			Header: []string{"top n", "CEAL", "ALpH"},
-		}
-		for n := 1; n <= 9; n++ {
-			t.AddRow(fmt.Sprintf("%d", n), f1(stats[0].MeanRecall(n)), f1(stats[1].MeanRecall(n)))
-		}
-		out = append(out, t)
-	}
-	return out, nil
+	cells := []cell{{"LV", ExecTime, 50}, {"HS", ExecTime, 50}, {"LV", CompTime, 25}, {"GP", CompTime, 25}}
+	return recallPanels(gts, opt, "Fig. 11", true, cells, histAlgorithms())
 }
 
 // ----------------------------------------------------------------- Fig 12
 
 func runFig12(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
-	ta := &Table{
-		Title:  "Fig. 12a: least number of uses with histories, execution time",
-		Header: []string{"cell", "CEAL", "ALpH"},
-	}
-	for _, cell := range []struct {
-		WF     string
-		Budget int
-	}{{"LV", 50}, {"HS", 100}} {
-		stats, err := RunBattery(RunSpec{
-			GT: gts[cell.WF], Obj: ExecTime, Budget: cell.Budget, WithHistory: true,
-			Algorithms: []tuner.Algorithm{tuner.NewCEAL(), tuner.NewALpH()},
-			Reps:       opt.Reps, Seed: opt.Seed, Workers: opt.Build.Workers, Ctx: opt.Ctx,
-		})
-		if err != nil {
-			return nil, err
+	lnuTable := func(title string, cells ...cell) (*Table, error) {
+		t := &Table{Title: title, Header: []string{"cell", "CEAL", "ALpH"}}
+		for _, c := range cells {
+			stats, err := c.battery(gts, opt, true, histAlgorithms()...)
+			if err != nil {
+				return nil, err
+			}
+			t.AddRow(row(stats, medianLNU, fmt.Sprintf("%s (%d spls)", c.WF, c.Budget))...)
 		}
-		ta.AddRow(fmt.Sprintf("%s (%d spls)", cell.WF, cell.Budget),
-			f0(stats[0].MedianLNU()), f0(stats[1].MedianLNU()))
+		return t, nil
 	}
-	tb := &Table{
-		Title:  "Fig. 12b: least number of uses with histories, computer time",
-		Header: []string{"cell", "CEAL", "ALpH"},
+	ta, err := lnuTable("Fig. 12a: least number of uses with histories, execution time",
+		cell{"LV", ExecTime, 50}, cell{"HS", ExecTime, 100})
+	if err != nil {
+		return nil, err
 	}
-	for _, cell := range []struct {
-		WF     string
-		Budget int
-	}{{"LV", 25}, {"LV", 50}, {"HS", 25}, {"HS", 50}} {
-		stats, err := RunBattery(RunSpec{
-			GT: gts[cell.WF], Obj: CompTime, Budget: cell.Budget, WithHistory: true,
-			Algorithms: []tuner.Algorithm{tuner.NewCEAL(), tuner.NewALpH()},
-			Reps:       opt.Reps, Seed: opt.Seed, Workers: opt.Build.Workers, Ctx: opt.Ctx,
-		})
-		if err != nil {
-			return nil, err
-		}
-		tb.AddRow(fmt.Sprintf("%s (%d spls)", cell.WF, cell.Budget),
-			f0(stats[0].MedianLNU()), f0(stats[1].MedianLNU()))
+	tb, err := lnuTable("Fig. 12b: least number of uses with histories, computer time",
+		cell{"LV", CompTime, 25}, cell{"LV", CompTime, 50}, cell{"HS", CompTime, 25}, cell{"HS", CompTime, 50})
+	if err != nil {
+		return nil, err
 	}
 	ta.Notes = append(ta.Notes, "paper: CEAL LV exec (50 spls) recoups after 164 runs; ALpH HS exec reaches 16501")
 	return []*Table{ta, tb}, nil
@@ -485,11 +405,7 @@ func runFig13(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 	const budget = 50
 
 	run := func(o tuner.CEALOptions, withHist bool) (float64, error) {
-		stats, err := RunBattery(RunSpec{
-			GT: gt, Obj: CompTime, Budget: budget, WithHistory: withHist,
-			Algorithms: []tuner.Algorithm{&tuner.CEAL{Opts: &o}},
-			Reps:       opt.Reps, Seed: opt.Seed, Workers: opt.Build.Workers, Ctx: opt.Ctx,
-		})
+		stats, err := cell{"LV", CompTime, budget}.battery(gts, opt, withHist, &tuner.CEAL{Opts: &o})
 		if err != nil {
 			return 0, err
 		}

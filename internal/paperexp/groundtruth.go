@@ -5,7 +5,6 @@
 package paperexp
 
 import (
-	"context"
 	"fmt"
 	"math/rand/v2"
 
@@ -26,55 +25,36 @@ const (
 	Energy   = workflow.Energy
 )
 
+// objectives lists every Objective: the ground truth keeps one projection
+// (Measurement.Value) of each measurement per entry.
+var objectives = [...]Objective{ExecTime, CompTime, Energy}
+
 // GroundTruth is the pre-measured test dataset of one benchmark (§7.1): a
-// pool of workflow configurations with in-situ measurements under both
-// objectives, per-component standalone measurement sets, and the expert
-// configurations' performance.
+// pool of workflow configurations with in-situ measurements, per-component
+// standalone measurement sets, and the expert configurations' performance,
+// each indexed by objective.
 type GroundTruth struct {
-	Bench  *workflow.Benchmark
-	Pool   []cfgspace.Config
-	Exec   []float64 // in-situ execution time per pool configuration
-	Comp   []float64 // in-situ computer time per pool configuration
-	Energy []float64 // in-situ energy per pool configuration (kJ)
+	Bench *workflow.Benchmark
+	Pool  []cfgspace.Config
 
-	// CompExec/CompComp/CompEnergy hold each configurable component's
-	// standalone measurements (the paper's 500 random component
-	// configurations); empty for unconfigurable components.
-	CompExec   [][]tuner.Sample
-	CompComp   [][]tuner.Sample
-	CompEnergy [][]tuner.Sample
-	// FixedExec/FixedComp/FixedEnergy are the solo measurements of
-	// unconfigurable components (zero for configurable ones).
-	FixedExec   []float64
-	FixedComp   []float64
-	FixedEnergy []float64
-
-	// ExpertExec, ExpertComp and ExpertEnergy are the expert
-	// configurations' measured performance under their objectives (the
+	// values[obj][i] is pool configuration i's in-situ measurement.
+	values [len(objectives)][]float64
+	// components[obj][j] is configurable component j's standalone
+	// measurement set (the paper's 500 random component configurations);
+	// empty for an unconfigurable component, whose solo value is
+	// fixed[obj][j].
+	components [len(objectives)][][]tuner.Sample
+	fixed      [len(objectives)][]float64
+	// expert[obj] is b.Expert(obj)'s noiseless measurement (the
 	// computer-time expert doubles as the energy expert).
-	ExpertExec   float64
-	ExpertComp   float64
-	ExpertEnergy float64
+	expert [len(objectives)]float64
 
-	poolIdx map[string]int
-}
-
-// byObjective picks the one of three per-objective values obj selects.
-func byObjective[T any](obj Objective, exec, comp, energy T) T {
-	switch obj {
-	case ExecTime:
-		return exec
-	case CompTime:
-		return comp
-	default:
-		return energy
-	}
+	poolIdx map[string]int   // pool position by configuration key
+	compIdx []map[string]int // per component: set position by configuration key
 }
 
 // Values returns the pool measurements for an objective.
-func (gt *GroundTruth) Values(obj Objective) []float64 {
-	return byObjective(obj, gt.Exec, gt.Comp, gt.Energy)
-}
+func (gt *GroundTruth) Values(obj Objective) []float64 { return gt.values[obj] }
 
 // Best returns the best (lowest) pool value for an objective.
 func (gt *GroundTruth) Best(obj Objective) float64 {
@@ -88,9 +68,7 @@ func (gt *GroundTruth) BestConfig(obj Objective) cfgspace.Config {
 }
 
 // Expert returns the expert configuration's value for an objective.
-func (gt *GroundTruth) Expert(obj Objective) float64 {
-	return byObjective(obj, gt.ExpertExec, gt.ExpertComp, gt.ExpertEnergy)
-}
+func (gt *GroundTruth) Expert(obj Objective) float64 { return gt.expert[obj] }
 
 // Lookup returns the pool measurement of cfg under an objective.
 func (gt *GroundTruth) Lookup(cfg cfgspace.Config, obj Objective) (float64, error) {
@@ -101,49 +79,29 @@ func (gt *GroundTruth) Lookup(cfg cfgspace.Config, obj Objective) (float64, erro
 	return gt.Values(obj)[i], nil
 }
 
-// BuildOptions sizes a ground-truth build.
-type BuildOptions struct {
-	PoolSize         int    // workflow configurations to measure (paper: 2000)
-	ComponentSamples int    // standalone runs per configurable component (paper: 500)
-	Seed             uint64 // drives sampling and measurement noise
-	Workers          int    // parallel simulation width (<=0: serial)
-	// Ctx optionally cancels the build mid-batch; nil means
-	// context.Background().
-	Ctx context.Context
-}
-
-func (o BuildOptions) context() context.Context {
-	if o.Ctx != nil {
-		return o.Ctx
-	}
-	return context.Background()
-}
-
 // BuildGroundTruth measures a benchmark's pool and component sets on the
-// cluster simulator. Every measurement's noise is keyed to the sample
-// index, so the result is byte-for-byte reproducible regardless of worker
-// scheduling.
-func BuildGroundTruth(b *workflow.Benchmark, opt BuildOptions) (*GroundTruth, error) {
-	if opt.PoolSize < 2 || opt.ComponentSamples < 1 {
+// cluster simulator, sized by opt.Pool and opt.ComponentSamples and seeded
+// by opt.Seed. Every measurement's noise is keyed to the sample index, so
+// the result is byte-for-byte reproducible regardless of opt.Workers.
+func BuildGroundTruth(b *workflow.Benchmark, opt Options) (*GroundTruth, error) {
+	if opt.Pool < 2 || opt.ComponentSamples < 1 {
 		return nil, fmt.Errorf("paperexp: need pool >= 2 and component samples >= 1")
 	}
 	rng := rand.New(rand.NewPCG(opt.Seed, 0xfeed))
 	gt := &GroundTruth{
-		Bench:       b,
-		Pool:        b.Space.SampleN(rng, opt.PoolSize),
-		CompExec:    make([][]tuner.Sample, len(b.Components)),
-		CompComp:    make([][]tuner.Sample, len(b.Components)),
-		CompEnergy:  make([][]tuner.Sample, len(b.Components)),
-		FixedExec:   make([]float64, len(b.Components)),
-		FixedComp:   make([]float64, len(b.Components)),
-		FixedEnergy: make([]float64, len(b.Components)),
-		poolIdx:     make(map[string]int, opt.PoolSize),
+		Bench:   b,
+		Pool:    b.Space.SampleN(rng, opt.Pool),
+		poolIdx: make(map[string]int, opt.Pool),
+		compIdx: make([]map[string]int, len(b.Components)),
+	}
+	for _, obj := range objectives {
+		gt.components[obj] = make([][]tuner.Sample, len(b.Components))
+		gt.fixed[obj] = make([]float64, len(b.Components))
 	}
 	// The build runs straight on the measurement pool, not through a
 	// collector: the noise streams below are keyed to the sample index, not
 	// the configuration, so a repeated configuration gets its own
 	// independent noise draw and nothing here could ever be a cache hit.
-	ctx := opt.context()
 	runner := dispatch.NewRunner(opt.Workers)
 
 	// Measure the workflow pool.
@@ -159,17 +117,15 @@ func BuildGroundTruth(b *workflow.Benchmark, opt BuildOptions) (*GroundTruth, er
 			return w.Measure(noise)
 		}
 	}
-	pool, err := dispatch.Do(ctx, runner.Workers, runner.Retry, jobs)
+	pool, err := dispatch.Do(opt.Ctx, runner.Workers, runner.Retry, jobs)
 	if err != nil {
 		return nil, fmt.Errorf("paperexp: measure %s pool: %w", b.Name, err)
 	}
-	gt.Exec = make([]float64, len(pool))
-	gt.Comp = make([]float64, len(pool))
-	gt.Energy = make([]float64, len(pool))
-	for i, meas := range pool {
-		gt.Exec[i] = meas.ExecTime
-		gt.Comp[i] = meas.CompTime
-		gt.Energy[i] = meas.EnergyKJ
+	for _, obj := range objectives {
+		gt.values[obj] = make([]float64, len(pool))
+		for i, meas := range pool {
+			gt.values[obj][i] = meas.Value(obj)
+		}
 	}
 
 	// Measure the component sets.
@@ -179,33 +135,36 @@ func BuildGroundTruth(b *workflow.Benchmark, opt BuildOptions) (*GroundTruth, er
 			if err != nil {
 				return nil, fmt.Errorf("paperexp: measure fixed %s/%s: %w", b.Name, cs.Name, err)
 			}
-			gt.FixedExec[j] = meas.ExecTime
-			gt.FixedComp[j] = meas.CompTime
-			gt.FixedEnergy[j] = meas.EnergyKJ
+			for _, obj := range objectives {
+				gt.fixed[obj][j] = meas.Value(obj)
+			}
 			continue
 		}
 		cfgs := cs.Space.SampleN(rng, opt.ComponentSamples)
 		jobs := make([]func(int) (workflow.Measurement, error), len(cfgs))
+		gt.compIdx[j] = make(map[string]int, len(cfgs))
 		for i, cfg := range cfgs {
+			gt.compIdx[j][cfg.Key()] = i
 			jobs[i] = func(int) (workflow.Measurement, error) {
 				noise := rand.New(rand.NewPCG(opt.Seed, 0x2000000+uint64(j)<<20+uint64(i)))
 				return workflow.MeasureSolo(b.Machine, cs.BuildSolo(cfg), cs.InBytesPerStep, noise)
 			}
 		}
-		solos, err := dispatch.Do(ctx, runner.Workers, runner.Retry, jobs)
+		solos, err := dispatch.Do(opt.Ctx, runner.Workers, runner.Retry, jobs)
 		if err != nil {
 			return nil, fmt.Errorf("paperexp: measure %s/%s set: %w", b.Name, cs.Name, err)
 		}
-		for i, cfg := range cfgs {
-			gt.CompExec[j] = append(gt.CompExec[j], tuner.Sample{Cfg: cfg, Value: solos[i].ExecTime})
-			gt.CompComp[j] = append(gt.CompComp[j], tuner.Sample{Cfg: cfg, Value: solos[i].CompTime})
-			gt.CompEnergy[j] = append(gt.CompEnergy[j], tuner.Sample{Cfg: cfg, Value: solos[i].EnergyKJ})
+		for _, obj := range objectives {
+			set := make([]tuner.Sample, len(cfgs))
+			for i, cfg := range cfgs {
+				set[i] = tuner.Sample{Cfg: cfg, Value: solos[i].Value(obj)}
+			}
+			gt.components[obj][j] = set
 		}
 	}
 
-	// Measure the expert configurations (noiseless reference); the
-	// computer-time expert doubles as the energy expert.
-	for _, obj := range []Objective{ExecTime, CompTime} {
+	// Measure the expert configurations (noiseless, deterministic runs).
+	for _, obj := range objectives {
 		w, err := b.Build(b.Expert(obj))
 		if err != nil {
 			return nil, fmt.Errorf("paperexp: expert config of %s: %w", b.Name, err)
@@ -214,21 +173,7 @@ func BuildGroundTruth(b *workflow.Benchmark, opt BuildOptions) (*GroundTruth, er
 		if err != nil {
 			return nil, err
 		}
-		if obj == ExecTime {
-			gt.ExpertExec = meas.ExecTime
-		} else {
-			gt.ExpertComp, gt.ExpertEnergy = meas.CompTime, meas.EnergyKJ
-		}
+		gt.expert[obj] = meas.Value(obj)
 	}
 	return gt, nil
-}
-
-// componentSamples returns the component measurement sets for an objective.
-func (gt *GroundTruth) componentSamples(obj Objective) [][]tuner.Sample {
-	return byObjective(obj, gt.CompExec, gt.CompComp, gt.CompEnergy)
-}
-
-// fixedValues returns the unconfigurable components' solo values.
-func (gt *GroundTruth) fixedValues(obj Objective) []float64 {
-	return byObjective(obj, gt.FixedExec, gt.FixedComp, gt.FixedEnergy)
 }

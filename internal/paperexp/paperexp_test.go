@@ -3,6 +3,7 @@ package paperexp
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"strings"
 	"testing"
@@ -26,7 +27,7 @@ func tinyGT(t *testing.T, name string) *GroundTruth {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gt, err := BuildGroundTruth(b, BuildOptions{PoolSize: 120, ComponentSamples: 60, Seed: 1, Workers: 4})
+	gt, err := BuildGroundTruth(b, Options{Pool: 120, ComponentSamples: 60, Seed: 1, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +36,7 @@ func tinyGT(t *testing.T, name string) *GroundTruth {
 }
 
 func tinyOpts() Options {
-	return Options{
-		Build: BuildOptions{PoolSize: 120, ComponentSamples: 60, Seed: 1, Workers: 4},
-		Reps:  2,
-		Seed:  5,
-	}
+	return Options{Pool: 120, ComponentSamples: 60, Reps: 2, Seed: 5, Workers: 4}
 }
 
 func allTinyGTs(t *testing.T) map[string]*GroundTruth {
@@ -52,25 +49,26 @@ func allTinyGTs(t *testing.T) map[string]*GroundTruth {
 
 func TestBuildGroundTruthBasics(t *testing.T) {
 	gt := tinyGT(t, "LV")
-	if len(gt.Pool) != 120 || len(gt.Exec) != 120 || len(gt.Comp) != 120 {
-		t.Fatalf("pool sizes wrong: %d/%d/%d", len(gt.Pool), len(gt.Exec), len(gt.Comp))
+	exec, comp := gt.Values(ExecTime), gt.Values(CompTime)
+	if len(gt.Pool) != 120 || len(exec) != 120 || len(comp) != 120 {
+		t.Fatalf("pool sizes wrong: %d/%d/%d", len(gt.Pool), len(exec), len(comp))
 	}
 	for i := range gt.Pool {
-		if gt.Exec[i] <= 0 || gt.Comp[i] <= 0 {
+		if exec[i] <= 0 || comp[i] <= 0 {
 			t.Fatalf("nonpositive measurement at %d", i)
 		}
 		// Computer time is exec * nodes * cores / 3600; nodes within [2,32].
-		ratio := gt.Comp[i] * 3600 / gt.Exec[i] / 36
+		ratio := comp[i] * 3600 / exec[i] / 36
 		if ratio < 2-1e-6 || ratio > 32+1e-6 {
 			t.Fatalf("implied node count %v out of range for %v", ratio, gt.Pool[i])
 		}
 	}
-	for j, samples := range gt.CompExec {
+	for j, samples := range gt.components[ExecTime] {
 		if gt.Bench.Components[j].Space == nil {
 			if len(samples) != 0 {
 				t.Fatalf("fixed component %d has samples", j)
 			}
-			if gt.FixedExec[j] <= 0 {
+			if gt.fixed[ExecTime][j] <= 0 {
 				t.Fatalf("fixed component %d missing solo measurement", j)
 			}
 			continue
@@ -79,14 +77,88 @@ func TestBuildGroundTruthBasics(t *testing.T) {
 			t.Fatalf("component %d has %d samples, want 60", j, len(samples))
 		}
 	}
-	if gt.ExpertExec <= 0 || gt.ExpertComp <= 0 {
+	if gt.Expert(ExecTime) <= 0 || gt.Expert(CompTime) <= 0 {
 		t.Fatal("expert measurements missing")
+	}
+}
+
+// TestGroundTruthRecordsEveryObjective re-measures a pool configuration, a
+// component sample, the unconfigurable components and the experts with the
+// build's own noise streams, and checks the ground truth holds exactly their
+// Measurement.Value under every objective.
+func TestGroundTruthRecordsEveryObjective(t *testing.T) {
+	const seed, i = 1, 7 // tinyGT's build seed; any sample index
+	same := func(what string, obj Objective, got float64, want workflow.Measurement) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want.Value(obj)) {
+			t.Fatalf("%s %s: ground truth %v, measured %v", what, obj.Short(), got, want.Value(obj))
+		}
+	}
+	for _, name := range []string{"LV", "GP"} {
+		gt := tinyGT(t, name)
+		b := gt.Bench
+		w, err := b.Build(gt.Pool[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool, err := w.Measure(rand.New(rand.NewPCG(seed, 0x1000000+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixed := 0
+		for _, obj := range objectives {
+			same(name+" pool", obj, gt.Values(obj)[i], pool)
+			for j, cs := range b.Components {
+				if cs.Space == nil {
+					solo, err := workflow.RunSolo(b.Machine, cs.BuildSolo(nil), cs.InBytesPerStep)
+					if err != nil {
+						t.Fatal(err)
+					}
+					v, err := gt.Problem(Options{}, obj, false, 0).Eval.MeasureComponent(j, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					same(name+" fixed "+cs.Name, obj, v, solo)
+					fixed++
+					continue
+				}
+				s := gt.components[obj][j][i]
+				noise := rand.New(rand.NewPCG(seed, 0x2000000+uint64(j)<<20+i))
+				solo, err := workflow.MeasureSolo(b.Machine, cs.BuildSolo(s.Cfg), cs.InBytesPerStep, noise)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same(name+" component "+cs.Name, obj, s.Value, solo)
+			}
+			w, err := b.Build(b.Expert(obj))
+			if err != nil {
+				t.Fatal(err)
+			}
+			expert, err := w.RunInSitu()
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(name+" expert", obj, gt.Expert(obj), expert)
+		}
+		if name == "GP" && fixed == 0 {
+			t.Fatal("GP has no unconfigurable component to check")
+		}
+		// The energy expert is the computer-time expert's run.
+		w, err = b.Build(b.ExpertComp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comp, err := w.RunInSitu()
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(name+" energy expert", Energy, gt.Expert(Energy), comp)
 	}
 }
 
 func TestGroundTruthDeterministic(t *testing.T) {
 	b, _ := workflow.ByName(cluster.Default(), "LV")
-	opt := BuildOptions{PoolSize: 40, ComponentSamples: 20, Seed: 9, Workers: 8}
+	opt := Options{Pool: 40, ComponentSamples: 20, Seed: 9, Workers: 8}
 	g1, err := BuildGroundTruth(b, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +168,7 @@ func TestGroundTruthDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range g1.Pool {
-		if g1.Pool[i].Key() != g2.Pool[i].Key() || g1.Exec[i] != g2.Exec[i] || g1.Comp[i] != g2.Comp[i] {
+		if g1.Pool[i].Key() != g2.Pool[i].Key() || g1.Values(ExecTime)[i] != g2.Values(ExecTime)[i] || g1.Values(CompTime)[i] != g2.Values(CompTime)[i] {
 			t.Fatalf("ground truth not reproducible at %d despite parallel workers", i)
 		}
 	}
@@ -115,7 +187,7 @@ func TestProblemRoundTrip(t *testing.T) {
 	gt := tinyGT(t, "HS")
 	for _, obj := range []Objective{ExecTime, CompTime} {
 		for _, hist := range []bool{false, true} {
-			p := gt.Problem(obj, hist, 3)
+			p := gt.Problem(Options{}, obj, hist, 3)
 			res, err := tuner.NewCEAL().Tune(p, 12)
 			if err != nil {
 				t.Fatalf("%v hist=%v: %v", obj, hist, err)
@@ -129,10 +201,9 @@ func TestProblemRoundTrip(t *testing.T) {
 
 func TestRunBatteryMetrics(t *testing.T) {
 	gt := tinyGT(t, "LV")
-	stats, err := RunBattery(RunSpec{
+	stats, err := RunBattery(Options{Reps: 3, Seed: 2}, RunSpec{
 		GT: gt, Obj: CompTime, Budget: 12,
 		Algorithms: []tuner.Algorithm{tuner.RS{}, tuner.NewCEAL()},
-		Reps:       3, Seed: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -163,10 +234,9 @@ func TestRunBatteryMetrics(t *testing.T) {
 // any width aggregates the same statistics.
 func TestRunBatteryWorkersIdentical(t *testing.T) {
 	run := func(workers int) []*AlgStats {
-		stats, err := RunBattery(RunSpec{
+		stats, err := RunBattery(Options{Reps: 5, Seed: 2, Workers: workers}, RunSpec{
 			GT: tinyGT(t, "LV"), Obj: CompTime, Budget: 12,
 			Algorithms: []tuner.Algorithm{tuner.RS{}, tuner.NewCEAL()},
-			Reps:       5, Seed: 2, Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -183,10 +253,9 @@ func TestRunBatteryWorkersIdentical(t *testing.T) {
 func TestBatteryParallelMatchesSerial(t *testing.T) {
 	gt := tinyGT(t, "LV")
 	run := func(workers int) []*AlgStats {
-		stats, err := RunBattery(RunSpec{
+		stats, err := RunBattery(Options{Reps: 4, Seed: 9, Workers: workers}, RunSpec{
 			GT: gt, Obj: CompTime, Budget: 12,
 			Algorithms: allTinyAlgorithms(),
-			Reps:       4, Seed: 9, Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -224,10 +293,9 @@ func (f failFrom) Tune(p *tuner.Problem, budget int) (*tuner.Result, error) {
 // reported error is the lowest replication's at any width.
 func TestRunBatteryLowestIndexError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		_, err := RunBattery(RunSpec{
+		_, err := RunBattery(Options{Reps: 4, Seed: 10, Workers: workers}, RunSpec{
 			GT: tinyGT(t, "LV"), Obj: CompTime, Budget: 12,
 			Algorithms: []tuner.Algorithm{failFrom{from: 11}},
-			Reps:       4, Seed: 10, Workers: workers,
 		})
 		if err == nil || !strings.Contains(err.Error(), "(rep 1)") || !strings.Contains(err.Error(), "seed 11 refused") {
 			t.Fatalf("workers=%d: err = %v, want replication 1's failure", workers, err)
@@ -246,18 +314,17 @@ func TestObjectiveStrings(t *testing.T) {
 
 func TestEnergyObjectiveEndToEnd(t *testing.T) {
 	gt := tinyGT(t, "LV")
-	if len(gt.Energy) != len(gt.Pool) || gt.ExpertEnergy <= 0 {
+	if len(gt.Values(Energy)) != len(gt.Pool) || gt.Expert(Energy) <= 0 {
 		t.Fatal("energy ground truth missing")
 	}
-	for i, e := range gt.Energy {
+	for i, e := range gt.Values(Energy) {
 		if e <= 0 {
 			t.Fatalf("nonpositive energy at %d", i)
 		}
 	}
-	stats, err := RunBattery(RunSpec{
+	stats, err := RunBattery(Options{Reps: 2, Seed: 3}, RunSpec{
 		GT: gt, Obj: Energy, Budget: 12,
 		Algorithms: []tuner.Algorithm{tuner.NewCEAL()},
-		Reps:       2, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -23,39 +23,27 @@ func runWarm(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 		Title:  "Warm start: measurements to reach the cold run's final quality (CEAL, computer time, 50 samples)",
 		Header: []string{"wf", "donor samples", "cold m-to-target", "warm m-to-target", "speedup"},
 	}
-	reps := opt.Reps
-	if reps < 1 {
-		reps = 1
-	}
 	for _, wf := range []string{"LV", "HS", "GP"} {
 		gt := gts[wf]
 
 		// Donor: one completed cold run, its Result packaged the way the
 		// history database serves prior measurements to a new same-family run.
-		donor := gt.Problem(CompTime, false, opt.Seed+10_000)
-		donor.Workers = opt.Build.Workers
-		donor.Ctx = opt.Ctx
-		dres, err := tuner.NewCEAL().Tune(donor, budget)
+		dres, err := tuner.NewCEAL().Tune(gt.Problem(opt, CompTime, false, opt.Seed+10_000), budget)
 		if err != nil {
 			return nil, err
 		}
 		warmData := &tuner.WarmStart{Samples: dres.Samples, ComponentSamples: dres.ComponentSamples}
 
 		var coldCosts, warmCosts []float64
-		for rep := 0; rep < reps; rep++ {
+		for rep := 0; rep < opt.reps(); rep++ {
 			seed := opt.Seed + uint64(rep)
 
-			cold := gt.Problem(CompTime, false, seed)
-			cold.Workers = opt.Build.Workers
-			cold.Ctx = opt.Ctx
-			cres, err := tuner.NewCEAL().Tune(cold, budget)
+			cres, err := tuner.NewCEAL().Tune(gt.Problem(opt, CompTime, false, seed), budget)
 			if err != nil {
 				return nil, err
 			}
 
-			warm := gt.Problem(CompTime, false, seed)
-			warm.Workers = opt.Build.Workers
-			warm.Ctx = opt.Ctx
+			warm := gt.Problem(opt, CompTime, false, seed)
 			warm.Warm = warmData
 			wres, err := tuner.NewCEAL().Tune(warm, budget)
 			if err != nil {

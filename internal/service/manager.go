@@ -92,6 +92,9 @@ type Metrics struct {
 	CacheInFlightPeak int `json:"collector_in_flight_peak"`
 	// StoreSaveErrors counts record saves the store refused (the run goes on).
 	StoreSaveErrors uint64 `json:"store_save_errors"`
+	// StoreRefreshErrors counts failed re-reads of a shared store (dedup and
+	// lookups go on against the last view).
+	StoreRefreshErrors uint64 `json:"store_refresh_errors"`
 }
 
 // job is one live (queued or running) run.
@@ -127,7 +130,7 @@ type Manager struct {
 	submitted, started, finished atomic.Uint64
 	failed, cancelled, deduped   atomic.Uint64
 	resumed, warmStarted         atomic.Uint64
-	saveErrors                   atomic.Uint64
+	saveErrors, refreshErrors    atomic.Uint64
 	running                      atomic.Int64
 }
 
@@ -189,11 +192,15 @@ func (m *Manager) runID(n int) string {
 
 // refreshStore folds in records other writers appended to a shared store,
 // so dedup and lookups see runs completed by sibling replicas. Stores
-// without a Refresh method (MemStore) are single-writer by construction.
+// without a Refresh method (MemStore) are single-writer by construction. A
+// failed refresh leaves the last view in place; it is counted and logged.
 // Callers hold m.mu.
 func (m *Manager) refreshStore() {
 	if r, ok := m.store.(interface{ Refresh() error }); ok {
-		_ = r.Refresh()
+		if err := r.Refresh(); err != nil {
+			m.refreshErrors.Add(1)
+			log.Printf("service: refreshing the shared store: %v", err)
+		}
 	}
 }
 
@@ -619,7 +626,7 @@ func (m *Manager) Metrics() Metrics {
 	mt.CacheHits, mt.CacheMisses, mt.Coalesced = all.Hits, all.Misses, all.Coalesced
 	mt.Retries, mt.DispatchRetries = all.Retries, all.DispatchRetries
 	mt.CacheInFlight, mt.CacheInFlightPeak = running.InFlight, running.InFlightPeak
-	mt.StoreSaveErrors = m.saveErrors.Load()
+	mt.StoreSaveErrors, mt.StoreRefreshErrors = m.saveErrors.Load(), m.refreshErrors.Load()
 	return mt
 }
 

@@ -348,3 +348,49 @@ func TestManagerCountsAndLogsStoreSaveErrors(t *testing.T) {
 		t.Fatalf("/metrics missing %q:\n%s", line, rr.Body.String())
 	}
 }
+
+// refreshFailingStore is a shared Store that can never re-read its directory.
+type refreshFailingStore struct{ *histdb.MemStore }
+
+func (refreshFailingStore) Refresh() error { return errors.New("directory unreadable") }
+
+// TestManagerCountsAndLogsStoreRefreshErrors: a failed shared-store refresh
+// leaves Submit answering from the in-memory view, and is counted on
+// /metrics and logged.
+func TestManagerCountsAndLogsStoreRefreshErrors(t *testing.T) {
+	mem := histdb.NewMemStore()
+	first := NewManager(Options{Workers: 1, Store: mem})
+	sub, _, err := first.Submit(tinySpec(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := waitDone(t, first, sub.ID)
+	if err := first.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+
+	m := NewManager(Options{Workers: 1, Store: refreshFailingStore{mem}})
+	defer m.Shutdown(context.Background())
+	rec, fresh, err := m.Submit(tinySpec(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh || rec.ID != done.ID || rec.State != histdb.StateDone {
+		t.Fatalf("Submit = %s/%s fresh=%v, want the stored %s served from memory", rec.ID, rec.State, fresh, done.ID)
+	}
+	if got := m.Metrics().StoreRefreshErrors; got != 1 {
+		t.Fatalf("StoreRefreshErrors = %d, want 1", got)
+	}
+	if want := "service: refreshing the shared store: directory unreadable"; !strings.Contains(logged.String(), want) {
+		t.Fatalf("log missing %q:\n%s", want, logged.String())
+	}
+	rr := httptest.NewRecorder()
+	NewServer(m).ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	if line := "ceal_store_refresh_errors_total 1\n"; !strings.Contains(rr.Body.String(), line) {
+		t.Fatalf("/metrics missing %q:\n%s", line, rr.Body.String())
+	}
+}
