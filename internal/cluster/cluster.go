@@ -105,8 +105,8 @@ func (m Machine) NewRuntime(jobNodes int) (*Runtime, error) {
 	return &Runtime{
 		Machine: m,
 		Eng:     e,
-		Core:    fabric.NewLink(e, "core", coreCap),
-		PFS:     fabric.NewLink(e, "pfs", m.PFSBandwidth),
+		Core:    fabric.NewLink(e, coreCap),
+		PFS:     fabric.NewLink(e, m.PFSBandwidth),
 	}, nil
 }
 

@@ -24,7 +24,6 @@ const completionEpsilon = 1e-6
 // Link is a contended network link on a simulation engine.
 type Link struct {
 	eng      *sim.Engine
-	name     string
 	capacity float64 // bytes/second
 	flows    []*flow
 	order    []*flow // waterFill's scratch: flows by ascending cap
@@ -43,11 +42,11 @@ type flow struct {
 }
 
 // NewLink returns a link with the given aggregate capacity in bytes/second.
-func NewLink(e *sim.Engine, name string, capacityBps float64) *Link {
+func NewLink(e *sim.Engine, capacityBps float64) *Link {
 	if capacityBps <= 0 {
 		panic("fabric: link capacity must be positive")
 	}
-	return &Link{eng: e, name: name, capacity: capacityBps}
+	return &Link{eng: e, capacity: capacityBps}
 }
 
 // Capacity returns the aggregate link capacity in bytes/second.

@@ -11,7 +11,7 @@ import (
 
 func TestSingleFlowFullCapacity(t *testing.T) {
 	e := sim.NewEngine()
-	l := NewLink(e, "core", 100) // 100 B/s
+	l := NewLink(e, 100) // 100 B/s
 	var finished float64
 	e.Spawn("tx", func(p *sim.Proc) {
 		l.Transfer(p, 500, 0, 0)
@@ -27,7 +27,7 @@ func TestSingleFlowFullCapacity(t *testing.T) {
 
 func TestSingleFlowRateCap(t *testing.T) {
 	e := sim.NewEngine()
-	l := NewLink(e, "core", 100)
+	l := NewLink(e, 100)
 	var finished float64
 	e.Spawn("tx", func(p *sim.Proc) {
 		l.Transfer(p, 500, 50, 0) // capped to 50 B/s
@@ -43,7 +43,7 @@ func TestSingleFlowRateCap(t *testing.T) {
 
 func TestLatencyOnly(t *testing.T) {
 	e := sim.NewEngine()
-	l := NewLink(e, "core", 100)
+	l := NewLink(e, 100)
 	var finished float64
 	e.Spawn("tx", func(p *sim.Proc) {
 		l.Transfer(p, 0, 0, 2.5)
@@ -59,7 +59,7 @@ func TestLatencyOnly(t *testing.T) {
 
 func TestTwoEqualFlowsShareCapacity(t *testing.T) {
 	e := sim.NewEngine()
-	l := NewLink(e, "core", 100)
+	l := NewLink(e, 100)
 	var t1, t2 float64
 	e.Spawn("tx1", func(p *sim.Proc) {
 		l.Transfer(p, 500, 0, 0)
@@ -80,7 +80,7 @@ func TestTwoEqualFlowsShareCapacity(t *testing.T) {
 
 func TestWaterFillingRedistributesCappedLeftover(t *testing.T) {
 	e := sim.NewEngine()
-	l := NewLink(e, "core", 100)
+	l := NewLink(e, 100)
 	var tCapped, tFree float64
 	e.Spawn("capped", func(p *sim.Proc) {
 		l.Transfer(p, 100, 10, 0) // capped at 10 B/s -> 10 s
@@ -103,7 +103,7 @@ func TestWaterFillingRedistributesCappedLeftover(t *testing.T) {
 
 func TestLateJoinerSlowsExistingFlow(t *testing.T) {
 	e := sim.NewEngine()
-	l := NewLink(e, "core", 100)
+	l := NewLink(e, 100)
 	var tFirst float64
 	e.Spawn("first", func(p *sim.Proc) {
 		l.Transfer(p, 1000, 0, 0)
@@ -130,7 +130,7 @@ func TestBytesConservedProperty(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, 7))
 		e := sim.NewEngine()
 		capacity := 10 + rng.Float64()*1000
-		l := NewLink(e, "core", capacity)
+		l := NewLink(e, capacity)
 		n := 1 + rng.IntN(12)
 		var total float64
 		var makespan float64

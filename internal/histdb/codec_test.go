@@ -125,7 +125,6 @@ func genRecord(rng *rand.Rand, i int) *RunRecord {
 // never touches r.
 func TestFrameRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewPCG(22, 1))
-	sawBits, sawText := false, false
 	for i := 0; i < 400; i++ {
 		rec := genRecord(rng, i)
 		want := mustJSON(t, rec)
@@ -143,14 +142,6 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		}
 		if rec.Result != nil && (len(rec.Result.PoolScores) != len(scores) || (scores == nil) != (rec.Result.PoolScores == nil)) {
 			t.Fatalf("record %d: encodeFramed replaced the caller's scores", i)
-		}
-		if bytes.Contains(line, []byte(`"pool_bits"`)) {
-			sawBits = true
-			if !bytes.Contains(line, []byte(`"PoolScores":null`)) {
-				t.Fatalf("record %d: scores travel as both text and bits", i)
-			}
-		} else {
-			sawText = true
 		}
 
 		got, err := decodeFramed(line[:len(line)-1])
@@ -172,33 +163,21 @@ func TestFrameRoundTripProperty(t *testing.T) {
 			}
 		}
 	}
-	if !sawBits || !sawText {
-		t.Fatalf("generator covered bits=%v text=%v, want both", sawBits, sawText)
-	}
 }
 
-// TestFrameWrittenBeforePoolBitsOpens: a segment whose frames carry their
-// scores in the JSON — the only form before pool_bits — opens to the same
-// records, through the same decoder.
-func TestFrameWrittenBeforePoolBitsOpens(t *testing.T) {
-	rng := rand.New(rand.NewPCG(22, 2))
+// TestPoolBitsFrameOpensWithoutScores: frames that carried their pool
+// scores as base64 "pool_bits" decode through the plain JSON form to the
+// same record without those scores; the store opens as before.
+func TestPoolBitsFrameOpensWithoutScores(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "runs")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	var log strings.Builder
-	var want [][]byte
-	for i := 1; i <= 3; i++ {
-		rec := doneRec(fmt.Sprintf("run-%06d", i), Spec{Benchmark: "LV", Seed: uint64(i)}, "lammps", "voro")
-		rec.Result.PoolScores = genScores(rng, 50)
-		payload := mustJSON(t, rec) // the pre-PR encoder: json.Marshal(rec), nothing else
-		if bytes.Contains(payload, []byte("pool_bits")) {
-			t.Fatal("old-form payload mentions pool_bits")
-		}
-		want = append(want, payload)
-		log.WriteString(frame(string(payload)))
-	}
-	if err := os.WriteFile(filepath.Join(dir, segmentName(1, "0ldf0rm0")), []byte(log.String()), 0o644); err != nil {
+	rec := doneRec("run-000001", Spec{Benchmark: "LV", Seed: 1}, "lammps", "voro")
+	want := mustJSON(t, rec)
+	bits := base64.StdEncoding.EncodeToString(binary.LittleEndian.AppendUint64(nil, math.Float64bits(1.5)))
+	payload := strings.TrimSuffix(string(want), "}") + `,"pool_bits":"` + bits + `"}`
+	if err := os.WriteFile(filepath.Join(dir, segmentName(1, "0ldf0rm0")), []byte(frame(payload)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s, err := OpenFileStore(dir)
@@ -206,92 +185,19 @@ func TestFrameWrittenBeforePoolBitsOpens(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	list := s.List()
-	if len(list) != len(want) {
-		t.Fatalf("opened %d records, want %d", len(list), len(want))
+	got, ok := s.Get(rec.ID)
+	if !ok {
+		t.Fatal("pool_bits frame did not open")
 	}
-	for i, rec := range list {
-		if got := mustJSON(t, rec); !bytes.Equal(got, want[i]) {
-			t.Fatalf("record %d differs after opening an old-form frame", i)
-		}
-	}
-	// Compaction rewrites them in the one wire form; the records stay put.
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range segmentRecords(t, dir) {
-		if !strings.Contains(line, `"pool_bits"`) {
-			t.Fatalf("compacted frame still in text form: %.120s", line)
-		}
-	}
-	for i, rec := range s.List() {
-		if got := mustJSON(t, rec); !bytes.Equal(got, want[i]) {
-			t.Fatalf("record %d differs after compaction", i)
-		}
-	}
-}
-
-// TestMalformedPoolBitsIsDamagedFrame: pool_bits that cannot belong to the
-// record — a length that is no multiple of 8, no result to hold them, or
-// scores already in the JSON — make a damaged frame under the existing tail
-// rules, valid checksum or not: dropped at the tail, fatal mid-log.
-func TestMalformedPoolBitsIsDamagedFrame(t *testing.T) {
-	good := func(i int) string {
-		line, err := encodeFramed(doneRec(fmt.Sprintf("run-%06d", i), Spec{Benchmark: "LV", Seed: uint64(i)}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(line)
-	}
-	bits := func(n int) string { return base64.StdEncoding.EncodeToString(make([]byte, n)) }
-	bad := map[string]string{
-		"length not a multiple of 8": `{"id":"run-000009","state":"done","result":{"PoolScores":null},"collector_stats":{},"pool_bits":"` + bits(12) + `"}`,
-		"no result":                  `{"id":"run-000009","state":"done","collector_stats":{},"pool_bits":"` + bits(16) + `"}`,
-		"beside empty PoolScores":    `{"id":"run-000009","state":"done","result":{"PoolScores":[]},"collector_stats":{},"pool_bits":"` + bits(16) + `"}`,
-		"beside non-empty scores":    `{"id":"run-000009","state":"done","result":{"PoolScores":[1.5]},"collector_stats":{},"pool_bits":"` + bits(8) + `"}`,
-	}
-	for name, payload := range bad {
-		t.Run(name, func(t *testing.T) {
-			if _, err := decodeFramed([]byte(strings.TrimSuffix(frame(payload), "\n"))); err == nil {
-				t.Fatal("decodeFramed accepted the frame")
-			}
-			open := func(log string) (*FileStore, string, error) {
-				dir := filepath.Join(t.TempDir(), "runs")
-				if err := os.MkdirAll(dir, 0o755); err != nil {
-					t.Fatal(err)
-				}
-				path := filepath.Join(dir, segmentName(1, "feedface"))
-				if err := os.WriteFile(path, []byte(log), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				s, err := OpenFileStore(dir)
-				return s, path, err
-			}
-
-			// At the tail: dropped, everything before it kept.
-			s, _, err := open(good(1) + good(2) + frame(payload))
-			if err != nil {
-				t.Fatalf("damaged tail refused: %v", err)
-			}
-			if ids := recIDs(s.List()); len(ids) != 2 || ids[0] != "run-000001" || ids[1] != "run-000002" {
-				t.Fatalf("tail drop kept %v", ids)
-			}
-			s.Close()
-
-			// Mid-log, an intact frame after it: strict open refuses.
-			_, path, err := open(good(1) + frame(payload) + good(2))
-			want := fmt.Sprintf("histdb: %s: corrupt record at offset %d followed by intact records", path, len(good(1)))
-			if err == nil || err.Error() != want {
-				t.Fatalf("mid-log open = %v, want %q", err, want)
-			}
-		})
+	if gotJSON := mustJSON(t, got); !bytes.Equal(gotJSON, want) {
+		t.Fatalf("pool_bits frame opened as\n%s\nwant\n%s", gotJSON, want)
 	}
 }
 
 // TestSaveRefusesNonFiniteScores: NaN and ±Inf scores are refused with the
-// error encoding/json gives for them — the bits could be stored, but GET
-// /v1/runs/{id} could never marshal the record back out — and a refused
-// save leaves the in-memory view where the disk is.
+// error encoding/json gives for them — GET /v1/runs/{id} could never
+// marshal the record back out — and a refused save leaves the in-memory
+// view where the disk is.
 func TestSaveRefusesNonFiniteScores(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		dir := filepath.Join(t.TempDir(), "runs")

@@ -4,13 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"crypto/rand"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -37,9 +35,8 @@ import (
 //
 //	crc32hex <json>\n
 //
-// The payload is the record's JSON, except that a non-empty
-// Result.PoolScores travels as "pool_bits": its little-endian IEEE-754
-// bits, base64 (see wire); every reader gets the same RunRecord back.
+// The payload is the record's JSON. A served run carries no pool scores,
+// and encoding/json round-trips any that a record does carry bit for bit.
 //
 // Crash tolerance: a process killed mid-append can leave a torn record at
 // the tail of its segment. Replay drops a damaged tail — the framed prefix
@@ -262,16 +259,6 @@ func fanOut(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// wire is a frame's payload, the one form ever written: the record's JSON
-// with a non-empty Result.PoolScores — four fifths of a finished record as
-// decimal text — lifted out into its little-endian IEEE-754 bits, which
-// encoding/json carries as base64. A frame written before pool_bits existed
-// simply has its scores in the JSON and decodes through the same struct.
-type wire struct {
-	*RunRecord
-	PoolBits []byte `json:"pool_bits,omitempty"`
-}
-
 // decodeFramed validates one "crc32hex <json>" line and unmarshals it.
 func decodeFramed(line []byte) (*RunRecord, error) {
 	if len(line) < 10 || line[8] != ' ' {
@@ -285,44 +272,18 @@ func decodeFramed(line []byte) (*RunRecord, error) {
 	if got := crc32.ChecksumIEEE(payload); got != uint32(want) {
 		return nil, fmt.Errorf("histdb: record checksum mismatch: %08x != %08x", got, want)
 	}
-	w := wire{RunRecord: new(RunRecord)}
-	if err := json.Unmarshal(payload, &w); err != nil {
+	rec := new(RunRecord)
+	if err := json.Unmarshal(payload, rec); err != nil {
 		return nil, err
 	}
-	if len(w.PoolBits) > 0 {
-		if len(w.PoolBits)%8 != 0 || w.Result == nil || w.Result.PoolScores != nil {
-			return nil, fmt.Errorf("histdb: pool_bits of %d bytes do not fit the record", len(w.PoolBits))
-		}
-		scores := make([]float64, len(w.PoolBits)/8)
-		for i := range scores {
-			scores[i] = math.Float64frombits(binary.LittleEndian.Uint64(w.PoolBits[8*i:]))
-		}
-		w.Result.PoolScores = scores
-	}
-	return w.RunRecord, nil
+	return rec, nil
 }
 
-// encodeFramed frames rec in its wire form. It works on a shallow copy of
-// record and result, so the caller's record is never touched.
+// encodeFramed frames rec's JSON. A record encoding/json refuses — a NaN or
+// ±Inf anywhere in it — is refused with that error: the HTTP API could not
+// marshal it back out.
 func encodeFramed(rec *RunRecord) ([]byte, error) {
-	w := wire{RunRecord: rec}
-	if rec.Result != nil && len(rec.Result.PoolScores) > 0 {
-		w.PoolBits = make([]byte, 0, 8*len(rec.Result.PoolScores))
-		for _, v := range rec.Result.PoolScores {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				// Refuse what the JSON form refused, with its error: the
-				// HTTP API could not marshal the record back out.
-				_, err := json.Marshal(v)
-				return nil, err
-			}
-			w.PoolBits = binary.LittleEndian.AppendUint64(w.PoolBits, math.Float64bits(v))
-		}
-		cp, res := *rec, *rec.Result
-		res.PoolScores = nil
-		cp.Result = &res
-		w.RunRecord = &cp
-	}
-	payload, err := json.Marshal(w)
+	payload, err := json.Marshal(rec)
 	if err != nil {
 		return nil, err
 	}

@@ -98,6 +98,8 @@ func RunBattery(opt Options, spec RunSpec) ([]*AlgStats, error) {
 			}
 		}
 		problem := spec.GT.Problem(Options{Ctx: opt.Ctx}, spec.Obj, spec.WithHistory, opt.Seed+uint64(rep)) // scores serially
+		// Recall, MdAPE and Spearman read the final model's pool scores.
+		problem.ScorePool = true
 		out := make([]repMetrics, len(spec.Algorithms))
 		for i, alg := range spec.Algorithms {
 			problem.Observer = nil

@@ -22,18 +22,24 @@ type hub struct {
 	lines   []json.RawMessage
 	closed  bool
 	changed chan struct{} // closed and replaced on every append / Close
+	// dropped reports each event that failed to marshal (nil: nobody asked).
+	dropped func(error)
 }
 
 func newHub() *hub {
 	return &hub{changed: make(chan struct{})}
 }
 
-// OnEvent implements events.Observer. Marshal failures drop the line (the
-// run must never fail because of its trace sink); all event types in this
-// repository marshal cleanly.
+// OnEvent implements events.Observer. A marshal failure — a NaN or ±Inf in
+// some float field, e.g. a hostile measurement — drops the line, since the
+// run must never fail because of its trace sink, and is reported through
+// dropped.
 func (h *hub) OnEvent(e events.Event) {
 	line, err := events.MarshalJSON(e)
 	if err != nil {
+		if h.dropped != nil {
+			h.dropped(err)
+		}
 		return
 	}
 	h.mu.Lock()

@@ -95,6 +95,9 @@ type Metrics struct {
 	// StoreRefreshErrors counts failed re-reads of a shared store (dedup and
 	// lookups go on against the last view).
 	StoreRefreshErrors uint64 `json:"store_refresh_errors"`
+	// TraceMarshalErrors counts events dropped from a run's trace because
+	// they could not be marshaled (the run goes on).
+	TraceMarshalErrors uint64 `json:"trace_marshal_errors"`
 }
 
 // job is one live (queued or running) run.
@@ -131,6 +134,7 @@ type Manager struct {
 	failed, cancelled, deduped   atomic.Uint64
 	resumed, warmStarted         atomic.Uint64
 	saveErrors, refreshErrors    atomic.Uint64
+	traceErrors                  atomic.Uint64
 	running                      atomic.Int64
 }
 
@@ -311,6 +315,10 @@ func (m *Manager) Resume(id string) (*histdb.RunRecord, error) {
 func (m *Manager) admit(rec *histdb.RunRecord) error {
 	rec.State = histdb.StateQueued
 	j := &job{rec: rec, hub: newHub(), done: make(chan struct{})}
+	j.hub.dropped = func(err error) {
+		m.traceErrors.Add(1)
+		log.Printf("service: run %s: dropping a trace line: %v", rec.ID, err)
+	}
 	j.ctx, j.cancel = context.WithCancel(m.rootCtx)
 	select {
 	case m.queue <- j:
@@ -627,6 +635,7 @@ func (m *Manager) Metrics() Metrics {
 	mt.Retries, mt.DispatchRetries = all.Retries, all.DispatchRetries
 	mt.CacheInFlight, mt.CacheInFlightPeak = running.InFlight, running.InFlightPeak
 	mt.StoreSaveErrors, mt.StoreRefreshErrors = m.saveErrors.Load(), m.refreshErrors.Load()
+	mt.TraceMarshalErrors = m.traceErrors.Load()
 	return mt
 }
 

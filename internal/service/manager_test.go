@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"net/http/httptest"
 	"os"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"ceal/internal/collector"
 	"ceal/internal/histdb"
 	"ceal/internal/tuner"
+	"ceal/internal/tuner/events"
 )
 
 // tinySpec is a fast real tuning job (~ms on the simulator).
@@ -391,6 +393,76 @@ func TestManagerCountsAndLogsStoreRefreshErrors(t *testing.T) {
 	rr := httptest.NewRecorder()
 	NewServer(m).ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
 	if line := "ceal_store_refresh_errors_total 1\n"; !strings.Contains(rr.Body.String(), line) {
+		t.Fatalf("/metrics missing %q:\n%s", line, rr.Body.String())
+	}
+}
+
+// nanProbe hands the run's observer one hostile event — a probe whose
+// measured value is NaN, which no JSON encoder accepts — and then tunes.
+type nanProbe struct{ tuner.Algorithm }
+
+func (a nanProbe) Tune(p *tuner.Problem, budget int) (*tuner.Result, error) {
+	p.Observer.OnEvent(&events.ProbeMeasured{Value: math.NaN()})
+	return a.Algorithm.Tune(p, budget)
+}
+
+// TestManagerCountsAndLogsTraceMarshalErrors: an event the hub cannot
+// marshal is dropped from the trace without failing the run, every other
+// line is intact, and the drop is counted on /metrics and logged.
+func TestManagerCountsAndLogsTraceMarshalErrors(t *testing.T) {
+	spec := tinySpec(6)
+	p, alg, err := BuildSpec(spec.Normalize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recd events.Recorder
+	p.Observer = &recd
+	if _, err := alg.Tune(p, spec.Budget); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	for _, ev := range recd.Events() {
+		line, err := events.MarshalJSON(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Write(line)
+		want.WriteByte('\n')
+	}
+
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	m := NewManager(Options{Workers: 1, Build: func(s JobSpec) (*tuner.Problem, tuner.Algorithm, error) {
+		p, alg, err := BuildSpec(s)
+		return p, nanProbe{alg}, err
+	}})
+	defer m.Shutdown(context.Background())
+	rec, _, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := waitDone(t, m, rec.ID)
+	if got.State != histdb.StateDone {
+		t.Fatalf("state = %s (%s)", got.State, got.Error)
+	}
+	var trace bytes.Buffer
+	for _, line := range got.Trace {
+		trace.Write(line)
+		trace.WriteByte('\n')
+	}
+	if !bytes.Equal(normalizeDurations(trace.Bytes()), normalizeDurations(want.Bytes())) {
+		t.Fatalf("trace around the dropped line:\n%s\nwant:\n%s", trace.Bytes(), want.Bytes())
+	}
+	if n := m.Metrics().TraceMarshalErrors; n != 1 {
+		t.Fatalf("TraceMarshalErrors = %d, want 1", n)
+	}
+	if want := "service: run " + rec.ID + ": dropping a trace line: json: unsupported value: NaN"; !strings.Contains(logged.String(), want) {
+		t.Fatalf("log missing %q:\n%s", want, logged.String())
+	}
+	rr := httptest.NewRecorder()
+	NewServer(m).ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	if line := "ceal_trace_marshal_errors_total 1\n"; !strings.Contains(rr.Body.String(), line) {
 		t.Fatalf("/metrics missing %q:\n%s", line, rr.Body.String())
 	}
 }

@@ -283,6 +283,7 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 		"ceal_collector_in_flight_peak":     float64(mt.CacheInFlightPeak),
 		"ceal_store_save_errors_total":      float64(mt.StoreSaveErrors),
 		"ceal_store_refresh_errors_total":   float64(mt.StoreRefreshErrors),
+		"ceal_trace_marshal_errors_total":   float64(mt.TraceMarshalErrors),
 	}
 	names := make([]string, 0, len(vals))
 	for name := range vals {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -164,5 +165,79 @@ func TestFileStoreRejectsCorruptLog(t *testing.T) {
 	}
 	if _, err := histdb.OpenFileStore(path); err == nil {
 		t.Fatal("corrupt log accepted")
+	}
+}
+
+// TestServedRunStoresNoPoolScores: a served run skips the full-pool pass,
+// so no frame it leaves in the store carries pool scores, and its stored
+// Result is JSON-identical to a direct Tune of the same spec.
+func TestServedRunStoresNoPoolScores(t *testing.T) {
+	spec := JobSpec{Benchmark: "LV", Algorithm: "ceal", Objective: "comp", Budget: 12, Pool: 60, Seed: 5}
+	p, alg, err := BuildSpec(spec.Normalize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := alg.Tune(p, spec.Budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct.PoolScores != nil {
+		t.Fatalf("direct Tune scored the pool: %d scores", len(direct.PoolScores))
+	}
+
+	dir := filepath.Join(t.TempDir(), "runs")
+	store, err := histdb.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(Options{Workers: 1, Store: store})
+	rec, _, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, m, rec.ID)
+	if err := m.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	logs, err := filepath.Glob(filepath.Join(dir, "*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := 0
+	for _, name := range logs {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			if !strings.Contains(line, `"result":{`) {
+				continue
+			}
+			results++
+			if !strings.Contains(line, `"PoolScores":null`) || strings.Contains(line, "pool_bits") {
+				t.Fatalf("stored frame carries pool scores: %.300s", line)
+			}
+		}
+	}
+	if results == 0 {
+		t.Fatal("no stored frame carries the result")
+	}
+
+	reopened, err := histdb.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	stored, ok := reopened.Get(rec.ID)
+	if !ok || stored.State != histdb.StateDone {
+		t.Fatalf("stored run = %+v, %v", stored, ok)
+	}
+	a, err := json.Marshal(direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := json.Marshal(stored.Result); err != nil || string(a) != string(b) {
+		t.Fatalf("stored result differs from direct Tune (%v):\ndirect: %s\nstored: %s", err, a, b)
 	}
 }

@@ -57,7 +57,7 @@ func TestPlanChunksSumToPayloadProperty(t *testing.T) {
 
 func TestChannelEndToEnd(t *testing.T) {
 	e := sim.NewEngine()
-	link := fabric.NewLink(e, "core", 1e9)
+	link := fabric.NewLink(e, 1e9)
 	plan := NewPlan(10e6, 4e6) // 3 chunks per step
 	ch := NewChannel(e, plan, 1e9, 0)
 	const steps = 5
@@ -96,7 +96,7 @@ func TestChannelEndToEnd(t *testing.T) {
 func TestChannelBackpressure(t *testing.T) {
 	run := func(consumerStep float64) float64 {
 		e := sim.NewEngine()
-		link := fabric.NewLink(e, "core", 1e12)
+		link := fabric.NewLink(e, 1e12)
 		ch := NewChannel(e, NewPlan(1e6, 0), 1e12, 0)
 		const steps = 20
 		ch.StartDaemon(e, "daemon", link, steps, 0)

@@ -72,7 +72,8 @@ func evenBatchSize(st *State) int {
 
 // surrogateBacked is the modeler half of every strategy whose model is one
 // boosted-tree Surrogate (RS, AL, ALpH, CEAL, and GEIST's final model):
-// refit on everything known, score the pool, report importance and rounds.
+// refit on everything known, score the pool when asked, report importance
+// and rounds.
 type surrogateBacked struct {
 	model *Surrogate
 }
@@ -83,7 +84,11 @@ func (s *surrogateBacked) Fit(st *State, _ []Sample) (bool, error) {
 	return true, s.model.Train(st.TrainingSamples())
 }
 
-func (s *surrogateBacked) FinalScores(st *State) ([]float64, error) {
+// Finish scores the pool when asked: the surrogate is already fitted.
+func (s *surrogateBacked) Finish(st *State, score bool) ([]float64, error) {
+	if !score {
+		return nil, nil
+	}
 	return s.model.PredictPoolInto(st.Problem.Pool, make([]float64, len(st.Problem.Pool))), nil
 }
 

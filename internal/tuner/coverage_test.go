@@ -15,6 +15,15 @@ import (
 
 func newTestRNG(seed uint64) *rand.Rand { return rand.New(rand.NewPCG(seed, 0)) }
 
+// Predict returns the surrogate's metric prediction for cfg: the one-row
+// oracle the batch and pool paths are checked against.
+func (s *Surrogate) Predict(cfg cfgspace.Config) float64 {
+	if s.model == nil {
+		panic("tuner: Predict on untrained surrogate")
+	}
+	return unlogTarget(s.model.PredictRow(s.feats(cfg)))
+}
+
 func TestAlgorithmNames(t *testing.T) {
 	want := map[string]bool{
 		"RS": true, "AL": true, "GEIST": true, "ALpH": true,

@@ -37,10 +37,13 @@ func (*exhaustiveStrategy) SelectBatch(*State) ([]cfgspace.Config, error) { retu
 
 func (*exhaustiveStrategy) Fit(*State, []Sample) (bool, error) { return false, nil }
 
-// FinalScores: the "model" is the measurements themselves; unmeasured pool
+// Finish: the "model" is the measurements themselves; unmeasured pool
 // entries (budget < |pool|) score as the worst observed value so recall
 // metrics treat them as unknown-bad.
-func (*exhaustiveStrategy) FinalScores(st *State) ([]float64, error) {
+func (*exhaustiveStrategy) Finish(st *State, score bool) ([]float64, error) {
+	if !score {
+		return nil, nil
+	}
 	worst := 0.0
 	for _, s := range st.Samples {
 		if s.Value > worst {

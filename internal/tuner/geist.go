@@ -44,7 +44,7 @@ func (*GEIST) Tune(p *Problem, budget int) (*Result, error) {
 // rather than through the tracker: label propagation needs the index map.
 // The surrogate is only trained once, on the final sample set, so Fit
 // merely folds fresh measurements into the index map and the model-trained
-// trace event fires from FinalScores.
+// trace event fires from Finish.
 type geistStrategy struct {
 	surrogateBacked
 	graph      [][]int
@@ -126,7 +126,9 @@ func (s *geistStrategy) Fit(_ *State, fresh []Sample) (bool, error) {
 	return false, nil
 }
 
-func (s *geistStrategy) FinalScores(st *State) ([]float64, error) {
+// Finish trains the one final surrogate whether or not the pool is scored:
+// its importance is part of the Result.
+func (s *geistStrategy) Finish(st *State, score bool) ([]float64, error) {
 	var start time.Time
 	if st.Observing() {
 		start = time.Now()
@@ -143,7 +145,7 @@ func (s *geistStrategy) FinalScores(st *State) ([]float64, error) {
 			Rounds:     s.model.Rounds(),
 		})
 	}
-	return s.surrogateBacked.FinalScores(st)
+	return s.surrogateBacked.Finish(st, score)
 }
 
 // randomUnmeasured draws up to n distinct unmeasured pool indices.

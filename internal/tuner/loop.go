@@ -17,7 +17,7 @@ import (
 // measurement batching through the problem's collector, observer emission
 // and final Result assembly — and an algorithm plugs in as one Strategy
 // value: it chooses the seed batch and each refinement batch, refits its
-// model after every measured batch and scores the pool at the end. What
+// model after every measured batch and finishes the run. What
 // only some algorithms need (Phase-1 component models, warm-start seeding,
 // CEAL's post-measurement control, feature importance, a model label for
 // the trace) is an optional method the Loop finds on that same value.
@@ -96,9 +96,10 @@ type Strategy interface {
 	// reports whether a model was actually (re)trained — false suppresses
 	// the ModelTrained event for strategies that train lazily (GEIST).
 	Fit(st *State, fresh []Sample) (bool, error)
-	// FinalScores returns the final model's prediction for every pool
-	// configuration, aligned with Problem.Pool.
-	FinalScores(st *State) ([]float64, error)
+	// Finish completes the final model. With score set it returns that
+	// model's prediction for every pool configuration, aligned with
+	// Problem.Pool; without, it may return nil and skip the pool pass.
+	Finish(st *State, score bool) ([]float64, error)
 }
 
 // Controller hooks in after each measured batch, before the refit — the
@@ -257,7 +258,11 @@ func (l *Loop) Run(p *Problem, budget int) (*Result, error) {
 		}
 	}
 
-	scores, err := l.Strategy.FinalScores(st)
+	// The full-pool pass is an evaluation, not a tuning step: Best is the
+	// best measured sample, so the pool is scored only when the caller
+	// evaluates, or when no sample exists and the fallback needs the
+	// model's argmin.
+	scores, err := l.Strategy.Finish(st, p.ScorePool || len(st.Samples) == 0)
 	if err != nil {
 		return nil, err
 	}

@@ -225,9 +225,11 @@ func TestLoopObserverPanicIsolated(t *testing.T) {
 	}
 }
 
-// TestFinishDegenerateFallback checks the no-measurements path: the
-// recommendation falls back to the model's pool argmin and the trace
-// carries the Fallback event with that index.
+// TestFinishDegenerateFallback checks the no-measurements path. In finish,
+// the recommendation falls back to the model's pool argmin, nothing is
+// charged, and the trace carries the Fallback event with that index. In
+// the Loop, a warm-started run with no budget measures nothing, so it
+// scores the pool for that fallback even with ScorePool off.
 func TestFinishDegenerateFallback(t *testing.T) {
 	p := synthProblem(5, 50)
 	scores := make([]float64, len(p.Pool))
@@ -240,6 +242,9 @@ func TestFinishDegenerateFallback(t *testing.T) {
 	if res.Best.Key() != p.Pool[7].Key() {
 		t.Errorf("Best = %v, want pool argmin %v", res.Best, p.Pool[7])
 	}
+	if res.CollectionCost != 0 {
+		t.Errorf("cost without samples = %v", res.CollectionCost)
+	}
 	evs := rec.Events()
 	if len(evs) != 1 {
 		t.Fatalf("%d events, want 1 Fallback", len(evs))
@@ -251,6 +256,39 @@ func TestFinishDegenerateFallback(t *testing.T) {
 	// A nil State (direct callers outside the Loop) must not panic.
 	if res := finish(p, scores, nil, nil, -1, nil); res.Best.Key() != p.Pool[7].Key() {
 		t.Errorf("nil-state finish Best = %v", res.Best)
+	}
+
+	donor := synthProblem(4, 50)
+	prior, err := measureBatch(donor, donor.Pool[:10])
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.ScorePool = false
+	p.Warm = &WarmStart{Samples: prior}
+	rec = events.NewRecorder()
+	p.Observer = rec
+	res, err = NewAL().Tune(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Samples) != 0 || len(res.PoolScores) != len(p.Pool) {
+		t.Fatalf("zero-budget run: %d samples, %d pool scores", len(res.Samples), len(res.PoolScores))
+	}
+	argmin := metrics.TopIndices(1, res.PoolScores)[0]
+	if res.Best.Key() != p.Pool[argmin].Key() {
+		t.Errorf("zero-budget Best = %v, want pool argmin %v", res.Best, p.Pool[argmin])
+	}
+	fallbacks := 0
+	for _, e := range rec.Events() {
+		if fb, ok := e.(*events.Fallback); ok {
+			fallbacks++
+			if fb.PoolIndex != argmin {
+				t.Errorf("Fallback{PoolIndex: %d}, want %d", fb.PoolIndex, argmin)
+			}
+		}
+	}
+	if fallbacks != 1 {
+		t.Errorf("%d Fallback events, want 1", fallbacks)
 	}
 }
 

@@ -1,11 +1,13 @@
 package tuner
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ceal/internal/tuner/events"
@@ -67,6 +69,39 @@ func pinnedVariants(t *testing.T) map[string]func() *Problem {
 	}
 }
 
+// tracedRun tunes p with a recorder attached and returns the Result and
+// its JSONL trace, durations zeroed.
+func tracedRun(t *testing.T, alg Algorithm, p *Problem) (*Result, []byte) {
+	t.Helper()
+	rec := events.NewRecorder()
+	p.Observer = rec
+	res, err := alg.Tune(p, pinnedBudget)
+	if err != nil {
+		t.Fatalf("%s: %v", alg.Name(), err)
+	}
+	var trace []byte
+	for _, e := range rec.Events() {
+		if mt, ok := e.(*events.ModelTrained); ok {
+			mt.DurationNS = 0
+		}
+		line, err := events.MarshalJSON(e)
+		if err != nil {
+			t.Fatalf("%s: %v", alg.Name(), err)
+		}
+		trace = append(append(trace, line...), '\n')
+	}
+	return res, trace
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestAlgorithmResultsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests pin amd64 float bits (FMA fusion changes them elsewhere)")
@@ -75,31 +110,9 @@ func TestAlgorithmResultsPinned(t *testing.T) {
 	for _, alg := range allAlgorithms() {
 		for _, variant := range []string{"cold", "history", "warm"} {
 			name := alg.Name() + "/" + variant
-			p := variants[variant]()
-			rec := events.NewRecorder()
-			p.Observer = rec
-			res, err := alg.Tune(p, pinnedBudget)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			resJSON, err := json.Marshal(res)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			trace := sha256.New()
-			for _, e := range rec.Events() {
-				if mt, ok := e.(*events.ModelTrained); ok {
-					mt.DurationNS = 0
-				}
-				line, err := events.MarshalJSON(e)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				trace.Write(line)
-				trace.Write([]byte{'\n'})
-			}
-			resSum := sha256.Sum256(resJSON)
-			got := [2]string{hex.EncodeToString(resSum[:]), hex.EncodeToString(trace.Sum(nil))}
+			res, trace := tracedRun(t, alg, variants[variant]())
+			resSum, traceSum := sha256.Sum256(mustMarshal(t, res)), sha256.Sum256(trace)
+			got := [2]string{hex.EncodeToString(resSum[:]), hex.EncodeToString(traceSum[:])}
 			want, ok := pinnedDigests[name]
 			if !ok {
 				t.Errorf("%s: no pinned digest; got\n\t%q: {%q, %q},", name, name, got[0], got[1])
@@ -107,6 +120,38 @@ func TestAlgorithmResultsPinned(t *testing.T) {
 			}
 			if got != want {
 				t.Errorf("%s: result/trace digests\n\t got {%q, %q}\n\twant {%q, %q}", name, got[0], got[1], want[0], want[1])
+			}
+		}
+	}
+}
+
+// TestScorePoolOnlyAddsPoolScores: the full-pool pass is evaluation only.
+// For every algorithm and variant, a run with ScorePool off differs from
+// one with it on only in PoolScores, which is nil: the rest of the Result
+// (Importance included — GEIST still trains its final model) and the
+// trace are identical.
+func TestScorePoolOnlyAddsPoolScores(t *testing.T) {
+	variants := pinnedVariants(t)
+	for _, alg := range allAlgorithms() {
+		for _, variant := range []string{"cold", "history", "warm"} {
+			name := alg.Name() + "/" + variant
+			on, onTrace := tracedRun(t, alg, variants[variant]())
+			p := variants[variant]()
+			p.ScorePool = false
+			off, offTrace := tracedRun(t, alg, p)
+			if len(on.PoolScores) != len(p.Pool) || off.PoolScores != nil {
+				t.Fatalf("%s: %d pool scores on, %d off (nil=%v); want %d and nil",
+					name, len(on.PoolScores), len(off.PoolScores), off.PoolScores == nil, len(p.Pool))
+			}
+			if len(on.Importance) == 0 || !slices.Equal(on.Importance, off.Importance) {
+				t.Errorf("%s: Importance %v on, %v off", name, on.Importance, off.Importance)
+			}
+			on.PoolScores = nil
+			if a, b := mustMarshal(t, on), mustMarshal(t, off); !bytes.Equal(a, b) {
+				t.Errorf("%s: Results differ beyond PoolScores:\n on %s\noff %s", name, a, b)
+			}
+			if !bytes.Equal(onTrace, offTrace) {
+				t.Errorf("%s: traces differ:\n on %s\noff %s", name, onTrace, offTrace)
 			}
 		}
 	}

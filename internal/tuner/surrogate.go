@@ -75,14 +75,6 @@ func (s *Surrogate) Rounds() int {
 	return s.model.Rounds()
 }
 
-// Predict returns the surrogate's metric prediction for cfg.
-func (s *Surrogate) Predict(cfg cfgspace.Config) float64 {
-	if s.model == nil {
-		panic("tuner: Predict on untrained surrogate")
-	}
-	return unlogTarget(s.model.PredictRow(s.feats(cfg)))
-}
-
 // Importance returns the trained model's gain-based feature importance
 // over dim features (normalized; nil if untrained).
 func (s *Surrogate) Importance(dim int) []float64 {

@@ -128,6 +128,11 @@ type Problem struct {
 	// observer never influences the run: results are byte-identical with
 	// and without one attached.
 	Observer events.Observer
+	// ScorePool is for evaluation only: it asks for Result.PoolScores, the
+	// final model's prediction over the whole pool, which the paper's
+	// recall, MdAPE and rank-correlation figures read. It changes nothing
+	// else about the run. Off (the default), the full-pool pass is skipped.
+	ScorePool bool
 
 	// col memoizes the problem's measurement collector so every algorithm
 	// run on this problem shares one cache (repeated configurations across
@@ -243,12 +248,14 @@ func (p *Problem) validate() error {
 
 // Result is an auto-tuning outcome.
 type Result struct {
-	// Best is the searcher's output: the pool configuration with the best
-	// final-model prediction.
+	// Best is the searcher's output: the measured configuration with the
+	// best observed value (the final model's pool minimum only when no
+	// workflow sample was measured).
 	Best cfgspace.Config
 	// PoolScores holds the final model's prediction for every pool
 	// configuration (aligned with Problem.Pool) — the basis for the
-	// recall-score and MdAPE evaluations.
+	// recall-score and MdAPE evaluations. It is set when Problem.ScorePool
+	// is, or when the no-sample fallback scored the pool; nil otherwise.
 	PoolScores []float64
 	// Samples are the measured workflow configurations (training data).
 	Samples []Sample
@@ -286,9 +293,10 @@ func measureBatch(p *Problem, cfgs []cfgspace.Config) ([]Sample, error) {
 	return p.Collector().MeasureWorkflows(p.context(), cfgs)
 }
 
-// finish assembles a Result from the final model scores over the pool.
-// st may be nil (no trace); when set, the degenerate-budget fallback below
-// is announced on the observer.
+// finish assembles a Result from the run's samples and the final model's
+// pool scores (nil unless the pool was scored). st may be nil (no trace);
+// when set, the degenerate-budget fallback below is announced on the
+// observer.
 //
 // The searcher's recommendation is the measured configuration with the
 // best observed performance. The surrogate's role is to steer which

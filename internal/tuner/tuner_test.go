@@ -62,10 +62,11 @@ func synthProblem(seed uint64, poolSize int) *Problem {
 			{Name: "sim", Space: c1},
 			{Name: "viz", Space: c2},
 		},
-		Pool:     pool,
-		Eval:     &synthEval{dims: []int{2, 2}},
-		Combiner: acm.Max,
-		Seed:     seed,
+		Pool:      pool,
+		Eval:      &synthEval{dims: []int{2, 2}},
+		Combiner:  acm.Max,
+		Seed:      seed,
+		ScorePool: true, // the tests here evaluate the final model's pool scores
 	}
 }
 
