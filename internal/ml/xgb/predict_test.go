@@ -51,11 +51,12 @@ func lowCardData(seed uint64, n, dim int) ([][]float64, []float64) {
 // PredictCodedBounded with nothing to abandon — for
 // leaf-only ensembles (padded to one level), the shallowest and the
 // deepest trees FitOn accepts, and a batch whose length leaves a
-// tail after the four-abreast loop.
+// tail after the four-abreast loop and whose chunks, at every worker
+// count, end inside or exactly on the coded walk's 256-row groups.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	const dim = 6
 	X, y := trainingData(5, 300, dim)
-	pool, _ := lowCardData(11, 203, dim) // 203 = 4·50 + 3
+	pool, _ := lowCardData(11, 603, dim) // 603 = 4·150 + 3 = 2·256 + 91
 	q := score.QuantizeRows(nil, pool)
 	all := make([]int, len(pool))
 	for i := range all {
@@ -187,7 +188,8 @@ func TestPredictWidePoolUsesFloatRows(t *testing.T) {
 // bitwise as Predict computes it or abandoned as +Inf, and it is abandoned
 // only if Predict is strictly above the bound. Bounds are taken at, just
 // below and just above actual predictions, where a careless margin would
-// show.
+// show. Index blocks are scattered, of every length around the walk's
+// four-abreast tails and its 256-row groups.
 func TestPredictCodedBoundedIsExact(t *testing.T) {
 	const dim = 5
 	X, y := trainingData(3, 240, dim)
@@ -199,10 +201,8 @@ func TestPredictCodedBoundedIsExact(t *testing.T) {
 	}
 	pool, _ := lowCardData(17, 600, dim)
 	q := score.QuantizeRows(nil, pool)
-	idxs := make([]int, 0, len(pool))
-	for i := len(pool) - 1; i >= 0; i -= 2 { // a non-contiguous, descending index block
-		idxs = append(idxs, i)
-	}
+	perm := rand.New(rand.NewPCG(17, 3)).Perm(len(pool))
+	lengths := []int{0, 1, 3, 4, 5, 255, 256, 257, 600}
 	cases := []struct {
 		name   string
 		y      []float64
@@ -224,9 +224,9 @@ func TestPredictCodedBoundedIsExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := make([]float64, len(idxs))
-			for k, idx := range idxs {
-				want[k] = m.Predict(pool[idx])
+			want := make([]float64, len(pool))
+			for i, x := range pool {
+				want[i] = m.Predict(x)
 			}
 			sorted := slices.Clone(want)
 			slices.Sort(sorted)
@@ -235,21 +235,24 @@ func TestPredictCodedBoundedIsExact(t *testing.T) {
 				v := sorted[len(sorted)*qt/100]
 				bounds = append(bounds, v, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1)))
 			}
-			got := make([]float64, len(idxs))
 			abandoned := 0
-			for _, bound := range bounds {
-				m.PredictCodedBounded(q, idxs, got, bound)
-				for k := range want {
-					if math.Float64bits(got[k]) == math.Float64bits(want[k]) {
-						continue
+			for _, n := range lengths {
+				idxs := perm[:n]
+				got := make([]float64, n)
+				for _, bound := range bounds {
+					m.PredictCodedBounded(q, idxs, got, bound)
+					for k, idx := range idxs {
+						if math.Float64bits(got[k]) == math.Float64bits(want[idx]) {
+							continue
+						}
+						if !math.IsInf(got[k], 1) {
+							t.Fatalf("%d rows, bound %v, row %d: got %v, Predict %v", n, bound, idx, got[k], want[idx])
+						}
+						if !(want[idx] > bound) {
+							t.Fatalf("%d rows, bound %v, row %d: abandoned a row Predict puts at %v", n, bound, idx, want[idx])
+						}
+						abandoned++
 					}
-					if !math.IsInf(got[k], 1) {
-						t.Fatalf("bound %v row %d: got %v, Predict %v", bound, idxs[k], got[k], want[k])
-					}
-					if !(want[k] > bound) {
-						t.Fatalf("bound %v row %d: abandoned a row Predict puts at %v", bound, idxs[k], want[k])
-					}
-					abandoned++
 				}
 			}
 			if tc.name == "depth 4" && abandoned == 0 {
@@ -257,6 +260,58 @@ func TestPredictCodedBoundedIsExact(t *testing.T) {
 			}
 		})
 	}
+}
+
+// BenchmarkPredictCodedBounded streams a 100k-row coded pool through the
+// bounded kernel the way the fused selector streams one chunk: a first
+// block of n rows with no cut-off, then blocks doubling up to 512 rows,
+// each scored against the n-th best prediction so far. The model is fitted
+// on 60 rows, a paper-scale training set.
+func BenchmarkPredictCodedBounded(b *testing.B) {
+	const poolN, n, dim = 100_000, 16, 6
+	X, y := lowCardData(3, 60, dim)
+	m, err := Fit(X, y, DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool, _ := lowCardData(17, poolN, dim)
+	q := score.QuantizeRows(nil, pool)
+	idxs := make([]int, poolN)
+	for i := range idxs {
+		idxs[i] = i
+	}
+	out := make([]float64, 512)
+	best := make([]float64, 0, n) // ascending
+	abandoned := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		best = best[:0]
+		for lo, size := 0, n; lo < poolN; lo, size = lo+size, min(2*size, len(out)) {
+			block := out[:min(size, poolN-lo)]
+			bound := math.Inf(1)
+			if len(best) == n {
+				bound = best[n-1]
+			}
+			m.PredictCodedBounded(q, idxs[lo:lo+len(block)], block, bound)
+			for _, v := range block {
+				if math.IsInf(v, 1) {
+					abandoned++
+				}
+				if len(best) == n && !(v < best[n-1]) {
+					continue
+				}
+				at, _ := slices.BinarySearch(best, v)
+				if len(best) < n {
+					best = append(best, 0)
+				}
+				copy(best[at+1:], best[at:])
+				best[at] = v
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/poolN, "ns/row")
+	b.ReportMetric(float64(abandoned)/float64(b.N)/poolN, "abandoned/row")
 }
 
 // TestEqualCellsPredictEqual: for random fitted models and random rows —

@@ -74,12 +74,12 @@ type flatEnsemble struct {
 	thresh []float64 // same shape as feats
 	leaves []float64 // per tree: 2^depth eta-scaled leaf values
 
-	// The early-stop bound of PredictCodedBounded. sufMin[t] is the sum of
-	// the smallest leaf of every tree from t on (sufMin[len(trees)] = 0):
-	// the least the trees still to come can add to a partial sum. slack
-	// bounds, with a wide safety factor, everything floating-point rounding
-	// can put between "partial + sufMin[t]" and the finished sum; see
-	// PredictCodedBounded for the argument.
+	// The early-stop bound of PredictCodedBounded, tested after every tree.
+	// sufMin[t] is the sum of the smallest leaf of every tree from t on
+	// (sufMin[len(trees)] = 0): the least the trees still to come can add.
+	// slack bounds, with a wide safety factor, everything floating-point
+	// rounding can put between "partial + sufMin[t]" and the finished sum;
+	// see PredictCodedBounded for the argument.
 	sufMin []float64
 	slack  float64
 }
@@ -355,31 +355,73 @@ func (m *Model) cuts(q *score.Codes) []uint16 {
 
 // PredictBatchQuantizedOnInto predicts every row of a rank-coded pool into
 // out (len(out) == q.N) on the engine's workers (nil engine: serial): the
-// walk of PredictBatchOnInto — trees outermost, four rows abreast, each
-// row's trees accumulating in ensemble order — with every float compare
-// replaced by the equivalent integer compare on codes (see cuts), so the
-// outputs are bitwise identical to scoring the float rows. A pool too wide
-// to code is scored from the float rows it kept.
+// coded walk at bound = +Inf, so the outputs are bitwise identical to
+// scoring the float rows. A pool too wide to code is scored from the float
+// rows it kept.
 func (m *Model) PredictBatchQuantizedOnInto(e *score.Engine, q *score.Codes, out []float64) {
 	if X := q.FloatRows(); X != nil {
 		m.PredictBatchOnInto(e, X, out)
 		return
 	}
-	fe := m.flatten()
 	cut := m.cuts(q)
+	e.MapChunks(q.N, func(lo, hi int) {
+		m.walkCoded(q, cut, nil, lo, out[lo:hi], math.Inf(1))
+	})
+}
+
+// PredictCodedBounded predicts rows idxs of a rank-coded pool (which must
+// not be wide) into out (len(out) == len(idxs)) for a caller that only
+// wants predictions not above bound: a row is abandoned, and reported as
+// +Inf, at the first tree after which its prediction is certain to exceed
+// bound; every other row gets the exact PredictRow value, its trees
+// accumulated in ensemble order. bound = +Inf abandons nothing.
+//
+// Soundness. After t trees the row's partial sum is p; the finished sum P
+// adds one leaf of each remaining tree, so in real arithmetic
+// P >= p + S_t with S_t the sum of those trees' smallest leaves. In
+// floating point three things stand between the computed p + sufMin[t]
+// and the computed P: the rounding of the remaining additions of P, the
+// rounding inside sufMin[t], and the rounding of this comparison's own
+// add and subtract. Each of those is at most 2^-53 times the magnitude of
+// the sum involved, every such magnitude is at most reach = |base| +
+// Σ_u max|leaf_u|, and there are fewer than 2·(trees+2) of them; slack is
+// reach·(trees+2)·2^-50, four times their total. So
+// (p + sufMin[t]) − slack > bound implies P > bound at every t. When reach
+// overflows, slack is +Inf and nothing is ever abandoned.
+func (m *Model) PredictCodedBounded(q *score.Codes, idxs []int, out []float64, bound float64) {
+	m.walkCoded(q, m.cuts(q), idxs, 0, out, bound)
+}
+
+// walkCoded predicts pool rows idxs (first, first+1, … if idxs is nil) into
+// out: PredictBatchOnInto's descent, integer compares on codes (see cuts),
+// over groups of up to 256 rows that descend tree after tree four live rows
+// abreast, each row's trees accumulating in ensemble order. After every
+// tree a row PredictCodedBounded's test puts above bound becomes +Inf and
+// leaves the live list; at bound = +Inf the test is skipped.
+func (m *Model) walkCoded(q *score.Codes, cut []uint16, idxs []int, first int, out []float64, bound float64) {
+	fe := m.flatten()
 	depth := fe.depth
 	inner, leafN := 1<<depth-1, 1<<depth
-	e.MapChunks(q.N, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = m.base
+	check := !math.IsInf(bound, 1)
+	var live, rows [256]int32
+	for g := 0; g < len(out); g += len(live) {
+		o := out[g:min(g+len(live), len(out))]
+		for k := range o {
+			live[k], rows[k] = int32(k), int32(first+g+k)
+			if idxs != nil {
+				rows[k] = int32(idxs[g+k])
+			}
+			o[k] = m.base
 		}
-		for t := 0; t < len(m.trees); t++ {
+		n := len(o)
+		for t := 0; t < len(m.trees) && n > 0; t++ {
 			fb := fe.feats[t*inner : (t+1)*inner]
 			cb := cut[t*inner : (t+1)*inner : (t+1)*inner]
 			lb := fe.leaves[t*leafN : (t+1)*leafN : (t+1)*leafN]
-			i := lo
-			for ; i+4 <= hi; i += 4 {
-				c0, c1, c2, c3 := q.Row(i), q.Row(i+1), q.Row(i+2), q.Row(i+3)
+			i := 0
+			for ; i+4 <= n; i += 4 {
+				k0, k1, k2, k3 := live[i], live[i+1], live[i+2], live[i+3]
+				c0, c1, c2, c3 := q.Row(int(rows[k0])), q.Row(int(rows[k1])), q.Row(int(rows[k2])), q.Row(int(rows[k3]))
 				j0, j1, j2, j3 := 0, 0, 0, 0
 				for d := 0; d < depth; d++ {
 					b0, b1, b2, b3 := 1, 1, 1, 1
@@ -400,62 +442,28 @@ func (m *Model) PredictBatchQuantizedOnInto(e *score.Engine, q *score.Codes, out
 					j2 = 2*j2 + 1 + b2
 					j3 = 2*j3 + 1 + b3
 				}
-				out[i] += lb[j0-inner]
-				out[i+1] += lb[j1-inner]
-				out[i+2] += lb[j2-inner]
-				out[i+3] += lb[j3-inner]
+				o[k0] += lb[j0-inner]
+				o[k1] += lb[j1-inner]
+				o[k2] += lb[j2-inner]
+				o[k3] += lb[j3-inner]
 			}
-			for ; i < hi; i++ {
-				out[i] += lb[descend(q.Row(i), fb, cb, depth)-inner]
+			for ; i < n; i++ {
+				k := live[i]
+				o[k] += lb[descend(q.Row(int(rows[k])), fb, cb, depth)-inner]
 			}
-		}
-	})
-}
-
-// boundStride is how many trees PredictCodedBounded accumulates between
-// checks of the early-stop bound.
-const boundStride = 4
-
-// PredictCodedBounded predicts rows idxs of a rank-coded pool (which must
-// not be wide) into out for a caller that only wants predictions not above
-// bound: a row is abandoned, and reported as +Inf, as soon as its
-// prediction is certain to exceed bound; every other row gets the exact
-// PredictRow value, its trees accumulated in ensemble order. bound = +Inf
-// abandons nothing.
-//
-// Soundness. After t trees the row's partial sum is p; the finished sum P
-// adds one leaf of each remaining tree, so in real arithmetic
-// P >= p + S_t with S_t the sum of those trees' smallest leaves. In
-// floating point three things stand between the computed p + sufMin[t]
-// and the computed P: the rounding of the remaining additions of P, the
-// rounding inside sufMin[t], and the rounding of this comparison's own
-// add and subtract. Each of those is at most 2^-53 times the magnitude of
-// the sum involved, every such magnitude is at most reach = |base| +
-// Σ_u max|leaf_u|, and there are fewer than 2·(trees+2) of them; slack is
-// reach·(trees+2)·2^-50, four times their total. So
-// (p + sufMin[t]) − slack > bound implies P > bound. When reach overflows,
-// slack is +Inf and nothing is ever abandoned.
-func (m *Model) PredictCodedBounded(q *score.Codes, idxs []int, out []float64, bound float64) {
-	fe := m.flatten()
-	cut := m.cuts(q)
-	depth := fe.depth
-	inner, leafN := 1<<depth-1, 1<<depth
-	trees := len(m.trees)
-	for k, idx := range idxs {
-		c := q.Row(idx)
-		o := m.base
-		for t := 0; t < trees; {
-			for end := min(t+boundStride, trees); t < end; t++ {
-				fb := fe.feats[t*inner : (t+1)*inner]
-				cb := cut[t*inner : (t+1)*inner : (t+1)*inner]
-				o += fe.leaves[t*leafN+descend(c, fb, cb, depth)-inner]
-			}
-			if o+fe.sufMin[t]-fe.slack > bound {
-				o = math.Inf(1)
-				break
+			if check {
+				rest, kept := fe.sufMin[t+1], 0
+				for _, k := range live[:n] {
+					if o[k]+rest-fe.slack > bound {
+						o[k] = math.Inf(1)
+					} else {
+						live[kept] = k
+						kept++
+					}
+				}
+				n = kept
 			}
 		}
-		out[k] = o
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
+	"sync"
 	"testing"
 
 	"ceal/internal/cfgspace"
@@ -97,6 +98,68 @@ func TestTakeTopMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	// Pools of paper scale and beyond, where a chunk streams several
+	// blocks: batches above selectBlock (whose first block is capped at
+	// selectBlock), batches of everything that remains, and chunks smaller
+	// than their first block.
+	tied := func(idxs []int, out []float64, _ float64) {
+		for j, idx := range idxs {
+			out[j] = float64(idx % 7)
+		}
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		for _, poolN := range []int{300, 1500, 2000} {
+			p := synthProblem(uint64(poolN), poolN)
+			p.Workers = workers
+			for _, n := range []int{1, 16, 100, 400, 600, poolN} {
+				drainBothWays(t, fmt.Sprintf("workers=%d pool=%d n=%d", workers, poolN, n), p, n, tied)
+			}
+		}
+	}
+}
+
+// TestSelectionBoundedAfterFirstBatch counts work, not time: on a 2000-row
+// pool, no chunk of the fused selector hands the scorer more than n
+// candidates without a cut-off (worst = +Inf). Its heap is full after its
+// first n candidates, and every later block is scored against the heap's
+// worst. A batch above selectBlock fills its heap in whole selectBlock
+// blocks, so its limit is n rounded up to a multiple of selectBlock.
+func TestSelectionBoundedAfterFirstBatch(t *testing.T) {
+	const poolN = 2000
+	for _, workers := range []int{1, 2, 4, 8} {
+		p := synthProblem(31, poolN)
+		p.Workers = workers
+		size, chunks := p.engine().ChunkLayout(poolN)
+		for _, n := range []int{1, 8, 50, selectBlock, 600} {
+			limit := n
+			if n > selectBlock {
+				limit = (n + selectBlock - 1) / selectBlock * selectBlock
+			}
+			var mu sync.Mutex
+			unbounded := make([]int, chunks)
+			scored := 0
+			scorer := func(idxs []int, out []float64, worst float64) {
+				for j, idx := range idxs {
+					out[j] = float64(idx % 97)
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				scored += len(idxs)
+				if math.IsInf(worst, 1) {
+					unbounded[idxs[0]/size] += len(idxs) // a fresh tracker's positions are its indices
+				}
+			}
+			newPoolTracker(p).takeTop(n, scorer)
+			if scored != poolN {
+				t.Fatalf("workers=%d n=%d: scored %d candidates of %d", workers, n, scored, poolN)
+			}
+			for ci, u := range unbounded {
+				if u > limit {
+					t.Errorf("workers=%d n=%d: chunk %d scored %d candidates with no cut-off, want <= %d", workers, n, ci, u, limit)
+				}
+			}
+		}
+	}
 }
 
 // TestFusedSelectionIdenticalAcrossWorkerCounts extends the determinism
@@ -181,6 +244,8 @@ func drainBothWays(t *testing.T, label string, p *Problem, n int, scorer poolSco
 // default shape to the adversarial: leaf-only (every score tied, so only
 // the position tie-break orders candidates), depth 1 and 8, and targets of
 // both signs at 1e150, whose predictions exponentiate to 0 and +Inf.
+// Batches run from one configuration to above selectBlock and to the whole
+// pool, and at 8 workers a chunk is smaller than a 600-batch's first block.
 func TestBoundedTakeTopMatchesReference(t *testing.T) {
 	const poolN = 1500
 	p0 := synthProblem(23, poolN)
@@ -234,7 +299,7 @@ func TestBoundedTakeTopMatchesReference(t *testing.T) {
 						}
 					}
 				}
-				for _, n := range []int{1, 3, 8, 50} {
+				for _, n := range []int{1, 3, 8, 50, 600, poolN} {
 					drainBothWays(t, fmt.Sprintf("workers=%d n=%d", workers, n), p, n, counting)
 				}
 			}

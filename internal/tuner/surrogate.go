@@ -113,10 +113,11 @@ func (s *Surrogate) PredictBatch(cfgs []cfgspace.Config) []float64 {
 // poolScorer returns a candidate scorer over p.Pool indices backed by the
 // surrogate's cached pool codes, so per-iteration ranking never
 // re-featurizes the pool. The fused selector supplies the parallelism and
-// its cut-off: a candidate stops descending trees once its prediction is
-// certain to land above it (xgb.Model.PredictCodedBounded) and reports
-// +Inf; all others score bitwise as Predict does. A pool too wide to code
-// scores every candidate in full from its float rows.
+// its cut-off, finite from the first block after a chunk's first n
+// candidates: a candidate stops descending at the first tree after which
+// its prediction is certain to land above it (xgb.Model.PredictCodedBounded)
+// and reports +Inf; all others score bitwise as Predict does. A pool too
+// wide to code scores every candidate in full from its float rows.
 func (s *Surrogate) poolScorer(p *Problem) poolScorer {
 	if s.model == nil {
 		panic("tuner: poolScorer on untrained surrogate")

@@ -389,8 +389,8 @@ func (t *poolTracker) takeRandom(n int, rng *rand.Rand) []cfgspace.Config {
 	return out
 }
 
-// selectBlock is the fused selector's streaming granularity: each chunk
-// scores this many candidates at a time into its own block, so no
+// selectBlock is the fused selector's largest streaming block: each chunk
+// scores at most this many candidates at a time into its own block, so no
 // full-pool score slice ever materializes.
 const selectBlock = 512
 
@@ -446,11 +446,12 @@ func heapUp(h []topkEntry, i int) {
 // takeTop removes the n remaining configurations with the best (lowest)
 // scores under the batch scorer and returns them, fused with the scoring
 // pass: each engine chunk streams its candidates through the scorer in
-// selectBlock-sized blocks and folds them into a bounded max-heap of the
-// chunk's n best, so the pass is O(m + k·n log n) with no full score
-// slice, full config copy, or full sort — against the old full
-// materialize-and-sort this is the difference between touching n entries
-// and touching every remaining entry per iteration.
+// blocks and folds them into a bounded max-heap of the chunk's n best, so
+// the pass is O(m + k·n log n) with no full score slice, full config copy,
+// or full sort. A chunk's first block is min(n, selectBlock) candidates and
+// each later one doubles, up to selectBlock: the heap is full, and the
+// cut-off a bounded scorer stops against finite, after n candidates, while
+// doubling keeps the per-block cost amortized when n is small.
 //
 // Determinism: per-index scores are pure (poolScorer contract) and chunk
 // boundaries depend only on (m, workers), so each chunk's heap holds a
@@ -473,8 +474,8 @@ func (t *poolTracker) takeTop(n int, score poolScorer) []cfgspace.Config {
 	eng.MapChunksIndexed(m, func(ci, lo, hi int) {
 		heap := make([]topkEntry, 0, n)
 		block := make([]float64, min(selectBlock, hi-lo))
-		for blo := lo; blo < hi; blo += selectBlock {
-			bhi := min(blo+selectBlock, hi)
+		for blo, size := lo, min(n, selectBlock); blo < hi; blo, size = blo+size, min(2*size, selectBlock) {
+			bhi := min(blo+size, hi)
 			out := block[:bhi-blo]
 			worst := math.Inf(1)
 			if len(heap) == n {

@@ -1,6 +1,7 @@
 package workflow
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -100,6 +101,51 @@ func TestGPFeaturesCountFixedComponents(t *testing.T) {
 	// total = gs nodes (2) + pdf nodes (2) + two serial plotters (1 + 1).
 	if f[10] != 6 {
 		t.Fatalf("GP total nodes feature = %v, want 6", f[10])
+	}
+}
+
+// featuresReference is Benchmark.Features as it was first composed, kept as
+// the oracle: each configurable component's raw and layout columns from its
+// own Layout call, then b.nodes — which derives every layout and Sub offset
+// again, unconfigurable components included — for the total.
+func featuresReference(b *Benchmark, cfg cfgspace.Config) []float64 {
+	var f []float64
+	for j, cs := range b.Components {
+		if cs.Space == nil {
+			continue
+		}
+		sub := b.Sub(cfg, j)
+		for _, v := range sub {
+			f = append(f, float64(v))
+		}
+		l := cs.Layout(sub)
+		nodes := l.Nodes()
+		f = append(f, float64(nodes), float64(l.Procs*l.Threads), float64(nodes*b.Machine.CoresPerNode))
+	}
+	return append(f, float64(b.nodes(cfg)))
+}
+
+// TestFeaturesMatchReference: Features, which reads each component's layout
+// once, is bitwise the reference composition on 10k sampled configurations
+// of every benchmark (and of a declared two-stage one).
+func TestFeaturesMatchReference(t *testing.T) {
+	m := cluster.Default()
+	for _, b := range append(Benchmarks(m), twoStage(m)) {
+		cfgs := b.Space.SampleN(rand.New(rand.NewPCG(8, 5)), 10_000)
+		if len(cfgs) < 1000 {
+			t.Fatalf("%s: sampled only %d configurations", b.Name, len(cfgs))
+		}
+		for _, cfg := range append(cfgs, b.ExpertExec, b.ExpertComp) {
+			got, want := b.Features(cfg), featuresReference(b, cfg)
+			if len(got) != len(want) || len(got) != cap(got) {
+				t.Fatalf("%s %v: %d features (cap %d), reference %d", b.Name, cfg, len(got), cap(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s %v: feature %d = %v, reference %v", b.Name, cfg, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

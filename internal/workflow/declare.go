@@ -34,19 +34,18 @@ type ComponentSpec struct {
 // actually depends on. Any practitioner tuning these systems would encode
 // this domain knowledge; it is shared by every algorithm.
 func (cs ComponentSpec) Features(m cluster.Machine, cfg cfgspace.Config) []float64 {
-	return cs.appendFeatures(make([]float64, 0, len(cfg)+derivedFeatures), m, cfg)
+	return cs.appendFeatures(make([]float64, 0, len(cfg)+derivedFeatures), m, cfg, cs.Layout(cfg))
 }
 
 // derivedFeatures is how many layout quantities Features adds to the raw
 // parameters.
 const derivedFeatures = 3
 
-// appendFeatures appends the component's feature vector to f.
-func (cs ComponentSpec) appendFeatures(f []float64, m cluster.Machine, cfg cfgspace.Config) []float64 {
+// appendFeatures appends the feature vector of cfg, whose layout is l, to f.
+func (cs ComponentSpec) appendFeatures(f []float64, m cluster.Machine, cfg cfgspace.Config, l apps.Layout) []float64 {
 	for _, v := range cfg {
 		f = append(f, float64(v))
 	}
-	l := cs.Layout(cfg)
 	nodes := l.Nodes()
 	return append(f, float64(nodes), float64(l.Procs*l.Threads), float64(nodes*m.CoresPerNode))
 }
@@ -168,10 +167,15 @@ func (b *Benchmark) Features(cfg cfgspace.Config) []float64 {
 		}
 	}
 	f := make([]float64, 0, width)
-	for j, cs := range b.Components {
+	nodes, lo := 0, 0
+	for _, cs := range b.Components {
+		sub := cfg[lo : lo+cs.Dim()]
+		lo += cs.Dim()
+		l := cs.Layout(sub)
+		nodes += l.Nodes()
 		if cs.Space != nil {
-			f = cs.appendFeatures(f, b.Machine, b.Sub(cfg, j))
+			f = cs.appendFeatures(f, b.Machine, sub, l)
 		}
 	}
-	return append(f, float64(b.nodes(cfg)))
+	return append(f, float64(nodes))
 }
