@@ -6,9 +6,11 @@ package cfgspace
 import (
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Param is one integer configuration parameter taking the values
@@ -77,7 +79,10 @@ func (c Config) String() string { return "(" + c.Key() + ")" }
 type Space struct {
 	Params []Param
 	// Valid reports whether a full assignment is admissible (nil = always).
-	// Sampling only returns configurations for which Valid is true.
+	// Sampling only returns configurations for which Valid is true. It must
+	// be pure and safe for concurrent use: SampleN calls it from several
+	// goroutines at once, on slices it reuses, so it must neither keep nor
+	// modify its argument.
 	Valid func(Config) bool
 }
 
@@ -118,35 +123,217 @@ func (s *Space) Sample(rng *rand.Rand) Config { return s.SampleN(rng, 1)[0] }
 // n <= 0. A space holding fewer than n returns those it found, once
 // maxSampleAttempts consecutive draws have added nothing, and panics if it
 // found none.
+//
+// The result and the rng's state afterwards do not depend on GOMAXPROCS:
+// the caller draws every candidate in order and numbers them in order, and
+// only Valid and the valid rows' hashes run on helper goroutines (see
+// sampler.run).
 func (s *Space) SampleN(rng *rand.Rand, n int) []Config {
 	if n <= 0 {
 		return nil
 	}
-	counts := make([]int, len(s.Params))
-	for i, p := range s.Params {
-		counts[i] = p.Count()
-	}
-	// Each accepted configuration is its own allocation: one backing array
-	// would let any retained configuration pin the whole pool.
-	out := make([]Config, 0, n)
-	seen := NewNumbering(n, func(id int32) []int { return out[id] })
-	cfg := make(Config, len(s.Params))
-	for idle := 0; len(out) < n && idle < maxSampleAttempts; idle++ {
-		for i, c := range counts {
-			cfg[i] = s.Params[i].Value(rng.IntN(c))
-		}
-		if s.Valid != nil && !s.Valid(cfg) {
-			continue
-		}
-		if _, fresh := seen.ID(cfg); fresh {
-			out = append(out, cfg.Clone())
-			idle = -1 // the count of fruitless draws restarts
-		}
-	}
-	if len(out) == 0 {
+	sm := newSampler(s, rng, n)
+	defer sm.stop()
+	sm.run()
+	if len(sm.out) == 0 {
 		panic(fmt.Sprintf("cfgspace: no valid configuration found after %d attempts", maxSampleAttempts))
 	}
-	return out
+	return sm.out
+}
+
+const (
+	// sampleBlock is how many candidates the sampler draws into one block
+	// before a helper validates them: large enough that hand-offs are rare,
+	// small enough that the ring adds ~3 % to a 100k pool's allocation.
+	sampleBlock = 1024
+	// sampleSlab is how many accepted configurations share one backing
+	// array: few allocations, while a retained configuration pins at most
+	// 31 others rather than the whole pool.
+	sampleSlab = 32
+	// sampleRing is how many block buffers the sampler cycles through: the
+	// caller draws into one while helpers validate the others, so a helper
+	// that is slow to be scheduled costs slack rather than a stall.
+	sampleRing = 4
+)
+
+// sampler is SampleN's state. Each candidate either adds a configuration or
+// adds one to idle, so from any numbered prefix the serial loop is certain
+// to draw min(n-len(out), maxSampleAttempts-idle) more candidates: that is
+// how far ahead of the numbering the caller may draw.
+type sampler struct {
+	valid func(Config) bool
+	rng   *rand.Rand
+	axes  []axis
+	n     int
+
+	out  []Config
+	seen *Numbering
+	slab []int // the unused tail of the newest slab
+	idle int   // consecutive fruitless candidates numbered so far
+
+	helpers int
+	work    chan *candidates // to the helpers, in draw order
+	running sync.WaitGroup   // the helpers started
+	ring    []*candidates    // block buffers, used round robin
+	drawn   int              // blocks dispatched so far
+	queued  int              // of which not yet numbered
+}
+
+// axis is one parameter as the draw reads it.
+type axis struct{ min, step, count int }
+
+// candidates is one block of drawn rows, flat, with each row's validity and,
+// for a valid row, its Numbering hash.
+type candidates struct {
+	rows []int
+	ok   []bool
+	hash []uint64
+	done chan any // the helper's recovered panic, or nil
+}
+
+func newSampler(s *Space, rng *rand.Rand, n int) *sampler {
+	sm := &sampler{valid: s.Valid, rng: rng, axes: make([]axis, len(s.Params)), n: n}
+	for i, p := range s.Params {
+		sm.axes[i] = axis{p.Min, p.Step, p.Count()}
+	}
+	sm.out = make([]Config, 0, n)
+	sm.seen = NewNumbering(n, func(id int32) []int { return sm.out[id] })
+	if s.Valid != nil {
+		sm.helpers = min(runtime.GOMAXPROCS(0), sampleRing) - 1
+	}
+	return sm
+}
+
+// run samples until the pool is full or maxSampleAttempts consecutive
+// candidates added nothing. While two blocks' worth of candidates are certain
+// to be drawn — so the caller has a next block to draw while a helper
+// validates this one — the caller draws whole blocks and hands them to the
+// helpers, numbering the oldest once every buffer is busy; otherwise — small
+// pools, the tail of a large one, nil Valid, one core — it draws, validates
+// and numbers one candidate at a time, with no goroutine.
+func (sm *sampler) run() {
+	var cfg Config
+	for {
+		free := min(sm.n-len(sm.out), maxSampleAttempts-sm.idle) - sm.queued*sampleBlock
+		switch {
+		case sm.helpers > 0 && free >= 2*sampleBlock && sm.queued < sampleRing:
+			sm.dispatch()
+		case sm.queued > 0:
+			sm.numberOldest()
+		case free > 0:
+			if cfg == nil {
+				cfg = make(Config, len(sm.axes))
+			}
+			for ; free > 0; free-- {
+				sm.draw(cfg)
+				if sm.valid == nil || sm.valid(cfg) {
+					sm.offer(cfg, hashTuple(cfg))
+				} else {
+					sm.idle++
+				}
+			}
+		default:
+			return
+		}
+	}
+}
+
+// draw fills cfg with one uniform candidate.
+func (sm *sampler) draw(cfg []int) {
+	for i, a := range sm.axes {
+		cfg[i] = a.min + sm.rng.IntN(a.count)*a.step
+	}
+}
+
+// offer numbers a valid candidate whose hash is h, keeping it if it is new.
+func (sm *sampler) offer(cfg []int, h uint64) {
+	if _, fresh := sm.seen.id(cfg, h); !fresh {
+		sm.idle++
+		return
+	}
+	dim := len(cfg)
+	if len(sm.slab) < dim {
+		sm.slab = make([]int, min(sampleSlab, sm.n-len(sm.out))*dim)
+	}
+	c := Config(sm.slab[:dim:dim])
+	copy(c, cfg)
+	sm.slab = sm.slab[dim:]
+	sm.out = append(sm.out, c)
+	sm.idle = 0
+}
+
+// dispatch draws the next block into a free buffer and queues it for the
+// helpers, starting them on first use.
+func (sm *sampler) dispatch() {
+	if sm.work == nil {
+		// At most sampleRing blocks are queued, so a send never blocks.
+		sm.work = make(chan *candidates, sampleRing)
+		sm.running.Add(sm.helpers)
+		for range sm.helpers {
+			go func() {
+				defer sm.running.Done()
+				for b := range sm.work {
+					b.done <- b.validate(sm.valid)
+				}
+			}()
+		}
+	}
+	dim := len(sm.axes)
+	if len(sm.ring) < sampleRing {
+		sm.ring = append(sm.ring, &candidates{
+			rows: make([]int, sampleBlock*dim),
+			ok:   make([]bool, sampleBlock),
+			hash: make([]uint64, sampleBlock),
+			done: make(chan any, 1),
+		})
+	}
+	b := sm.ring[sm.drawn%sampleRing]
+	for r := range sampleBlock {
+		sm.draw(b.rows[r*dim : (r+1)*dim])
+	}
+	sm.drawn++
+	sm.queued++
+	sm.work <- b
+}
+
+// validate runs Valid over the block and hashes the valid rows, returning a
+// panic instead of raising it so the caller raises it.
+func (b *candidates) validate(valid func(Config) bool) (p any) {
+	defer func() { p = recover() }()
+	dim := len(b.rows) / len(b.ok)
+	for r := range b.ok {
+		row := b.rows[r*dim : (r+1)*dim : (r+1)*dim]
+		if b.ok[r] = valid(row); b.ok[r] {
+			b.hash[r] = hashTuple(row)
+		}
+	}
+	return nil
+}
+
+// numberOldest waits for the oldest queued block and numbers its rows in
+// draw order.
+func (sm *sampler) numberOldest() {
+	b := sm.ring[(sm.drawn-sm.queued)%sampleRing]
+	sm.queued--
+	if p := <-b.done; p != nil {
+		panic(p)
+	}
+	dim := len(sm.axes)
+	for r, ok := range b.ok {
+		if ok {
+			sm.offer(b.rows[r*dim:(r+1)*dim], b.hash[r])
+		} else {
+			sm.idle++
+		}
+	}
+}
+
+// stop releases the helpers and waits for them to exit.
+func (sm *sampler) stop() {
+	if sm.work != nil {
+		close(sm.work)
+		sm.running.Wait()
+	}
 }
 
 // Numbering numbers int tuples by first occurrence: equal tuples share an
@@ -172,11 +359,19 @@ func NewNumbering(capacity int, tuple func(id int32) []int) *Numbering {
 }
 
 // ID returns t's number and whether t is new.
-func (nb *Numbering) ID(t []int) (id int32, fresh bool) {
-	h := uint64(14695981039346656037) // FNV-1a over whole values
+func (nb *Numbering) ID(t []int) (id int32, fresh bool) { return nb.id(t, hashTuple(t)) }
+
+// hashTuple is the Numbering's hash: FNV-1a over whole values.
+func hashTuple(t []int) uint64 {
+	h := uint64(14695981039346656037)
 	for _, v := range t {
 		h = (h ^ uint64(v)) * 1099511628211
 	}
+	return h
+}
+
+// id is ID for a tuple whose hashTuple is h.
+func (nb *Numbering) id(t []int, h uint64) (id int32, fresh bool) {
 	mask := len(nb.slots) - 1
 	for at := int(h>>32^h) & mask; ; at = (at + 1) & mask {
 		id := nb.slots[at] - 1
@@ -233,24 +428,26 @@ func (s *Space) Normalized(cfg Config) []float64 {
 // joint constraint over the concatenated configuration. Parameter names are
 // prefixed "prefix.name" to stay unique.
 func Concat(joint func(Config) bool, parts ...NamedSpace) *Space {
+	type check struct {
+		lo, hi int
+		valid  func(Config) bool
+	}
 	var params []Param
-	var offsets []int
+	var checks []check
 	for _, part := range parts {
-		offsets = append(offsets, len(params))
+		lo := len(params)
 		for _, p := range part.Space.Params {
 			q := p
 			q.Name = part.Name + "." + p.Name
 			params = append(params, q)
 		}
+		if part.Space.Valid != nil {
+			checks = append(checks, check{lo, len(params), part.Space.Valid})
+		}
 	}
 	valid := func(cfg Config) bool {
-		for i, part := range parts {
-			if part.Space.Valid == nil {
-				continue
-			}
-			lo := offsets[i]
-			hi := lo + len(part.Space.Params)
-			if !part.Space.Valid(cfg[lo:hi]) {
+		for _, c := range checks {
+			if !c.valid(cfg[c.lo:c.hi:c.hi]) {
 				return false
 			}
 		}

@@ -2,6 +2,7 @@ package cfgspace
 
 import (
 	"math/rand/v2"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -87,6 +88,86 @@ func TestSampleNSmallSpace(t *testing.T) {
 		}
 		seen[c[0]] = true
 	}
+}
+
+// serialSampleN is the one-candidate-at-a-time loop SampleN must match: the
+// same pool and the same rng state afterwards.
+func serialSampleN(s *Space, rng *rand.Rand, n int) []Config {
+	var out []Config
+	seen := map[string]bool{}
+	cfg := make(Config, len(s.Params))
+	for idle := 0; len(out) < n && idle < maxSampleAttempts; idle++ {
+		for i, p := range s.Params {
+			cfg[i] = p.Value(rng.IntN(p.Count()))
+		}
+		if (s.Valid == nil || s.Valid(cfg)) && !seen[cfg.Key()] {
+			seen[cfg.Key()] = true
+			out = append(out, cfg.Clone())
+			idle = -1
+		}
+	}
+	return out
+}
+
+// TestSampleNWorkerCounts: at every GOMAXPROCS, SampleN returns the serial
+// loop's pool and leaves the rng where the serial loop does — over pools
+// that fill, a 3-value space that runs out (with and without Valid, so
+// both the inline and the helper path end on maxSampleAttempts), and a
+// space whose constraint rejects more than 99 % of draws.
+func TestSampleNWorkerCounts(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	tiny := &Space{Params: []Param{NewParam("x", 1, 3)}}
+	tinyValid := &Space{Params: tiny.Params, Valid: func(Config) bool { return true }}
+	sparse := &Space{
+		Params: []Param{NewParam("a", 0, 99), NewParam("b", 0, 99), NewSteppedParam("c", 0, 198, 2)},
+		Valid:  func(c Config) bool { return c[0] == c[1] && c[2] < 100 },
+	}
+	cases := []struct {
+		name  string
+		space *Space
+		n     int
+	}{
+		{"small", testSpace(), 300},
+		{"large", testSpace(), 2500},
+		{"tiny", tiny, 5},
+		{"tiny-valid", tinyValid, 5000},
+		{"sparse", sparse, 3000},
+	}
+	for _, c := range cases {
+		rng := rand.New(rand.NewPCG(3, 9))
+		want := serialSampleN(c.space, rng, c.n)
+		wantNext := rng.Uint64()
+		for _, width := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(width)
+			rng := rand.New(rand.NewPCG(3, 9))
+			got := c.space.SampleN(rng, c.n)
+			if !slices.EqualFunc(got, want, slices.Equal) {
+				t.Errorf("%s at width %d: pool of %d differs from the serial loop's %d", c.name, width, len(got), len(want))
+			}
+			if next := rng.Uint64(); next != wantNext {
+				t.Errorf("%s at width %d: rng left at %#x, serial loop at %#x", c.name, width, next, wantNext)
+			}
+		}
+	}
+}
+
+// TestSampleNValidPanicReachesCaller: a Valid that panics on a helper
+// panics in SampleN's caller, as it would in the serial loop.
+func TestSampleNValidPanicReachesCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	s := &Space{Params: []Param{NewParam("x", 0, 1<<20)}, Valid: func(c Config) bool {
+		if c[0]%5000 == 7 {
+			panic("bad row")
+		}
+		return true
+	}}
+	defer func() {
+		if p := recover(); p != "bad row" {
+			t.Fatalf("recovered %v, want the Valid panic", p)
+		}
+	}()
+	s.SampleN(rand.New(rand.NewPCG(1, 1)), 100000)
+	t.Fatal("SampleN returned")
 }
 
 // TestNumberingFirstSeen: ids follow first occurrence, equal tuples share

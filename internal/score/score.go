@@ -9,11 +9,13 @@
 // Determinism contract: Map-style calls partition [0, n) into fixed
 // contiguous chunks and every index writes only its own output slot, so
 // results are bitwise identical for any worker count — parallelism never
-// reorders, merges, or re-associates floating-point work.
+// reorders, merges, or re-associates floating-point work. Tasks hands
+// indices out as workers free up, under the same own-slot rule.
 package score
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"ceal/internal/cfgspace"
 )
@@ -104,38 +106,35 @@ func (e *Engine) MapChunksIndexed(n int, fn func(ci, lo, hi int)) {
 }
 
 // Tasks invokes fn for every index in [0, n) across the engine's workers,
-// in fixed contiguous chunks like MapChunks but without the small-batch
+// each worker taking the next unclaimed index, without MapChunks' small-batch
 // serial floor: it is meant for small sets of heavyweight independent jobs
 // — per-component model training, per-column sorts and split scans — where
-// each item is expensive enough that fan-out pays even at n = 2. Chunk
-// boundaries depend only on n and the worker count, and each index must
-// write only its own output slot, so the determinism contract of MapChunks
-// carries over unchanged.
+// each item is expensive enough that fan-out pays even at n = 2, and where
+// two heavy items must not queue behind each other on one worker. Which
+// worker runs an index depends on scheduling, so each index must write only
+// its own output slot; results then depend on neither the worker count nor
+// the schedule.
 func (e *Engine) Tasks(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	w := e.Workers()
-	if w > n {
-		w = n
-	}
+	w := min(e.Workers(), n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
-	chunk := (n + w - 1) / w
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
+	for range w {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 				fn(i)
 			}
-		}(lo, hi)
+		}()
 	}
 	wg.Wait()
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ceal/internal/cfgspace"
 )
@@ -46,6 +47,36 @@ func TestMapCoversEveryIndexOnce(t *testing.T) {
 			for i, c := range counts {
 				if c != 1 {
 					t.Fatalf("n=%d w=%d: index %d visited %d times", n, w, i, c)
+				}
+			}
+		}
+	}
+}
+
+// TestTasksRunsLowIndicesTogether: at width 2, indices 0 and 1 are on
+// different workers at once — contiguous chunks put both on one worker,
+// so index 0, waiting for index 1 to start, would never see it.
+func TestTasksRunsLowIndicesTogether(t *testing.T) {
+	started := make(chan struct{})
+	New(2).Tasks(4, func(i int) {
+		switch i {
+		case 0:
+			select {
+			case <-started:
+			case <-time.After(10 * time.Second):
+				t.Error("index 1 did not start while index 0 ran")
+			}
+		case 1:
+			close(started)
+		}
+	})
+	for _, n := range []int{0, 1, 2, 5, 33} {
+		for _, w := range []int{1, 2, 9} {
+			counts := make([]int32, n)
+			New(w).Tasks(n, func(i int) { atomic.AddInt32(&counts[i], 1) })
+			for i, c := range counts {
+				if c != 1 {
+					t.Fatalf("n=%d w=%d: index %d ran %d times", n, w, i, c)
 				}
 			}
 		}

@@ -307,10 +307,12 @@ func measureBatch(p *Problem, cfgs []cfgspace.Config) ([]Sample, error) {
 // configurations no evidence supports, which a fixed measurement budget
 // cannot re-verify.
 //
-// The Result owns its slices: Samples and ComponentSamples are copied so
-// callers may retain or mutate them without aliasing the run's internal
-// state (PoolScores is already exclusively the Result's — the final model
-// writes it fresh and nothing else holds a reference).
+// The Result owns its slices: Samples and ComponentSamples are copied,
+// configurations included, so callers may retain or mutate them without
+// aliasing the run's internal state, and a retained Result does not pin
+// the pool SampleN packed its configurations into (PoolScores is already
+// exclusively the Result's — the final model writes it fresh and nothing
+// else holds a reference).
 func finish(p *Problem, scores []float64, samples []Sample, compSamples [][]Sample, switchIter int, st *State) *Result {
 	var best cfgspace.Config
 	bestVal := math.Inf(1)
@@ -345,7 +347,7 @@ func finish(p *Problem, scores []float64, samples []Sample, compSamples [][]Samp
 	}
 	compCopy := make([][]Sample, len(compSamples))
 	for j, cs := range compSamples {
-		compCopy[j] = append([]Sample(nil), cs...)
+		compCopy[j] = ownSamples(cs)
 	}
 	if compSamples == nil {
 		compCopy = nil
@@ -353,11 +355,35 @@ func finish(p *Problem, scores []float64, samples []Sample, compSamples [][]Samp
 	return &Result{
 		Best:             best.Clone(),
 		PoolScores:       scores,
-		Samples:          append([]Sample(nil), samples...),
+		Samples:          ownSamples(samples),
 		ComponentSamples: compCopy,
 		CollectionCost:   cost,
 		SwitchIteration:  switchIter,
 	}
+}
+
+// ownSamples copies samples with their configurations in one array of
+// their own. Like append([]Sample(nil), samples...), it returns nil for
+// none; a nil configuration stays nil.
+func ownSamples(samples []Sample) []Sample {
+	if len(samples) == 0 {
+		return nil
+	}
+	n := 0
+	for _, s := range samples {
+		n += len(s.Cfg)
+	}
+	vals := make([]int, 0, n)
+	out := make([]Sample, len(samples))
+	for i, s := range samples {
+		out[i].Value = s.Value
+		if s.Cfg != nil {
+			lo := len(vals)
+			vals = append(vals, s.Cfg...)
+			out[i].Cfg = vals[lo:len(vals):len(vals)]
+		}
+	}
+	return out
 }
 
 // poolTracker manages the not-yet-measured portion of the pool.

@@ -117,6 +117,27 @@ func TestAlgorithmsRespectBudget(t *testing.T) {
 	}
 }
 
+// TestResultOwnsItsConfigurations: a Result's samples hold copies, so a
+// retained Result keeps none of the pool's storage alive — overwriting
+// the pool after the run leaves every sample intact.
+func TestResultOwnsItsConfigurations(t *testing.T) {
+	for _, alg := range allAlgorithms() {
+		p := synthProblem(3, 200)
+		res, err := alg.Tune(p, 16)
+		if err != nil {
+			t.Fatalf("%s: %v", alg.Name(), err)
+		}
+		for _, cfg := range p.Pool {
+			clear(cfg)
+		}
+		for _, s := range res.Samples {
+			if !p.Space.IsValid(s.Cfg) {
+				t.Fatalf("%s: sample %v changed with the pool", alg.Name(), s.Cfg)
+			}
+		}
+	}
+}
+
 func TestAlgorithmsDeterministicBySeed(t *testing.T) {
 	for _, alg := range allAlgorithms() {
 		r1, err := alg.Tune(synthProblem(7, 200), 20)

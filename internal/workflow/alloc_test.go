@@ -4,6 +4,7 @@ package workflow
 
 import (
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"ceal/internal/cluster"
@@ -64,15 +65,33 @@ func TestPoolRowAllocs(t *testing.T) {
 	}
 }
 
-// TestSampleNAllocs guards the pool sampler: each accepted configuration
-// is its one allocation (the distinct-set is one table for the whole pool,
-// no key per row; a Key() string and a map entry made it 4.4 to 4.9).
+// TestSampleNAllocs guards the pool sampler: accepted configurations share
+// slabs of 32, so a pool is about n/32 allocations (one each made it n,
+// and a Key() string and a map entry each made it 4.4n to 4.9n), and the
+// bytes it allocates, helper blocks included, stay within 10 % of what the
+// pool and its distinct-set table hold. AllocsPerRun counts at one core;
+// the byte count is taken at two, where the helper blocks exist.
 func TestSampleNAllocs(t *testing.T) {
-	const n = 2000
-	for _, b := range Benchmarks(cluster.Default()) {
-		rng := rand.New(rand.NewPCG(7, 1))
-		if allocs := testing.AllocsPerRun(5, func() { b.Space.SampleN(rng, n) }); allocs > n+8 {
-			t.Errorf("%s: SampleN(%d) allocates %.0f times, want <= %d", b.Name, n, allocs, n+8)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, n := range []int{2000, 100000} {
+		for _, b := range Benchmarks(cluster.Default()) {
+			rng := rand.New(rand.NewPCG(7, 1))
+			if allocs, limit := testing.AllocsPerRun(2, func() { b.Space.SampleN(rng, n) }), n/32+16; allocs > float64(limit) {
+				t.Errorf("%s: SampleN(%d) allocates %.0f times, want <= %d", b.Name, n, allocs, limit)
+			}
+			runtime.GOMAXPROCS(2)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.Space.SampleN(rng, n)
+			runtime.ReadMemStats(&after)
+			slots := 16
+			for slots < 2*n {
+				slots *= 2
+			}
+			held := n*(8*b.Space.Dim()+24) + 4*slots
+			if got := after.TotalAlloc - before.TotalAlloc; float64(got) > 1.1*float64(held) {
+				t.Errorf("%s: SampleN(%d) allocates %d bytes, want <= 110%% of the %d the pool and its table hold", b.Name, n, got, held)
+			}
 		}
 	}
 }
