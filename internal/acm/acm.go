@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"ceal/internal/cfgspace"
-	"ceal/internal/score"
 )
 
 // Combiner selects the component-combination function.
@@ -86,7 +85,7 @@ func (c Combiner) Combine(vs []float64) float64 {
 		}
 		return out / float64(len(vs))
 	case BottleneckSum:
-		panic("acm: BottleneckSum needs per-part core counts; use LowFidelity.Score")
+		panic("acm: BottleneckSum needs per-part core counts; score through a LowFidelity")
 	default:
 		panic("acm: unknown combiner")
 	}
@@ -97,12 +96,14 @@ type Predictor interface {
 	Predict(x []float64) float64
 }
 
-// CellPredictor is a Predictor that says which feature vectors it cannot
-// tell apart: Cell writes x's key (len(key) == len(x)), vectors with equal
-// keys predict bitwise the same, and PredictBatch is Predict on every row.
+// CellPredictor is a Predictor that reads each feature only by comparing
+// it with thresholds of its own: Thresholds()[f] lists feature f's
+// ascending (a feature past the end has none), two vectors that are not
+// below the same number of each feature's thresholds predict bitwise the
+// same, and PredictBatch is Predict on every row.
 type CellPredictor interface {
 	Predictor
-	Cell(x []float64, key []int)
+	Thresholds() [][]float64
 	PredictBatch(X [][]float64, out []float64)
 }
 
@@ -116,8 +117,7 @@ func (c ConstPredictor) Predict([]float64) float64 { return float64(c) }
 // Part is one component's slot in the low-fidelity model: its predictor
 // and where its sub-configuration sits inside a workflow configuration.
 // Everything a part contributes to a score is a function of that
-// sub-configuration alone, which is what lets ScoreBatchOn evaluate each
-// distinct sub-configuration once.
+// sub-configuration alone.
 type Part struct {
 	Name      string
 	Predictor Predictor
@@ -155,33 +155,15 @@ func (part *Part) cores(sub cfgspace.Config) float64 {
 // LowFidelity is the white-box workflow model M_L of Fig. 3: component
 // predictions folded by the combining function. Its output is only a
 // relative score for ranking configurations (§4), in the same units as the
-// optimization metric.
+// optimization metric. ScoreCodes scores it over a feature matrix.
 type LowFidelity struct {
 	Combine Combiner
 	Parts   []Part
 }
 
-// Score returns the combined prediction for a workflow configuration.
-func (lf *LowFidelity) Score(cfg cfgspace.Config) float64 {
-	vs := make([]float64, len(lf.Parts))
-	var cores []float64
-	if lf.Combine == BottleneckSum {
-		cores = make([]float64, len(lf.Parts))
-	}
-	for j := range lf.Parts {
-		part := &lf.Parts[j]
-		vs[j] = part.Predict(part.Sub(cfg))
-		if cores != nil {
-			cores[j] = part.cores(part.Sub(cfg))
-		}
-	}
-	return lf.fold(vs, cores)
-}
-
 // fold combines one configuration's per-part predictions — and, for
 // BottleneckSum, per-part reserved cores: max_j(pred_j/cores_j) *
-// sum_j(cores_j). Score and ScoreBatchOn both end here, so the
-// per-configuration and the factored score are the same arithmetic.
+// sum_j(cores_j).
 func (lf *LowFidelity) fold(vs, cores []float64) float64 {
 	if lf.Combine != BottleneckSum {
 		return lf.Combine.Combine(vs)
@@ -198,113 +180,6 @@ func (lf *LowFidelity) fold(vs, cores []float64) float64 {
 		}
 	}
 	return maxExec * totalCores
-}
-
-// ScoreBatchOn scores every configuration on the engine's workers (nil
-// engine: serial), bitwise equal to Score on each. A batch drawn from a
-// product space repeats component sub-configurations, and a part's
-// prediction and cores depend on nothing else, so each part numbers its
-// distinct sub-configurations and evaluates each once; under a
-// CellPredictor it numbers those again by model cell and walks the model
-// once per cell (cores stay per sub-configuration: they follow the layout,
-// not the cell). Every configuration then gathers its parts' values and
-// folds them. Output is identical for any worker count: ids follow first
-// occurrence, and every evaluation and fold writes only its own slot. Part
-// predictors must be read-only under Predict, which every model in this
-// repository is, and Features must return vectors of one length.
-func (lf *LowFidelity) ScoreBatchOn(e *score.Engine, cfgs []cfgspace.Config) []float64 {
-	// Cells are stored as they are found, in blocks of blockRows, and each
-	// block is predicted as one PredictBatch: its rows and outputs stay in L1
-	// while the trees stream, and nothing is re-copied as cells accrue.
-	const blockRows = 256
-	type table struct {
-		ids   []int32       // per configuration: its sub-configuration's id
-		first []int32       // per id: the first configuration that has it
-		vals  []float64     // per id
-		cores []float64     // per id (BottleneckSum only)
-		cell  []int32       // per id: its model cell (CellPredictor parts only)
-		keys  [][]int       // per block: its cells' keys, end to end
-		rows  [][][]float64 // per block and cell: the first feature vector in it
-	}
-	tabs := make([]table, len(lf.Parts))
-	e.Tasks(len(tabs), func(j int) {
-		part, t := &lf.Parts[j], &tabs[j]
-		subs := cfgspace.NewNumbering(len(cfgs), func(id int32) []int { return part.Sub(cfgs[t.first[id]]) })
-		t.ids, t.first = make([]int32, len(cfgs)), make([]int32, 0, len(cfgs))
-		for i, cfg := range cfgs {
-			id, fresh := subs.ID(part.Sub(cfg))
-			if fresh {
-				t.first = append(t.first, int32(i))
-			}
-			t.ids[i] = id
-		}
-		t.vals = make([]float64, len(t.first))
-		if lf.Combine == BottleneckSum {
-			t.cores = make([]float64, len(t.first))
-			for k, i := range t.first {
-				t.cores[k] = part.cores(part.Sub(cfgs[i]))
-			}
-		}
-		cp, ok := part.Predictor.(CellPredictor)
-		if !ok || part.Features == nil {
-			return
-		}
-		var key []int // scratch
-		cells := cfgspace.NewNumbering(len(t.first), func(c int32) []int {
-			return t.keys[c/blockRows][int(c%blockRows)*len(key):][:len(key)]
-		})
-		t.cell = make([]int32, len(t.first))
-		for k, i := range t.first {
-			x := part.Features(part.Sub(cfgs[i]))
-			if key == nil {
-				key = make([]int, len(x))
-			}
-			cp.Cell(x, key)
-			c, fresh := cells.ID(key)
-			if fresh {
-				if c%blockRows == 0 {
-					t.keys = append(t.keys, make([]int, 0, blockRows*len(key)))
-					t.rows = append(t.rows, make([][]float64, 0, blockRows))
-				}
-				b := c / blockRows
-				t.keys[b], t.rows[b] = append(t.keys[b], key...), append(t.rows[b], x)
-			}
-			t.cell[k] = c
-		}
-	})
-	for j := range tabs {
-		part, t := &lf.Parts[j], &tabs[j]
-		if t.cell == nil {
-			e.Map(len(t.first), func(k int) { t.vals[k] = part.Predict(part.Sub(cfgs[t.first[k]])) })
-			continue
-		}
-		pred := make([]float64, len(t.rows)*blockRows)
-		e.Tasks(len(t.rows), func(b int) {
-			part.Predictor.(CellPredictor).PredictBatch(t.rows[b], pred[b*blockRows:][:len(t.rows[b])])
-		})
-		for k, c := range t.cell {
-			t.vals[k] = pred[c]
-		}
-	}
-	out := make([]float64, len(cfgs))
-	e.MapChunks(len(cfgs), func(lo, hi int) {
-		vs := make([]float64, len(tabs))
-		var cores []float64
-		if lf.Combine == BottleneckSum {
-			cores = make([]float64, len(tabs))
-		}
-		for i := lo; i < hi; i++ {
-			for j := range tabs {
-				id := tabs[j].ids[i]
-				vs[j] = tabs[j].vals[id]
-				if cores != nil {
-					cores[j] = tabs[j].cores[id]
-				}
-			}
-			out[i] = lf.fold(vs, cores)
-		}
-	})
-	return out
 }
 
 // ForObjective returns the combining function for an optimization metric:

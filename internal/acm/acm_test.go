@@ -34,6 +34,24 @@ func TestCombinerString(t *testing.T) {
 	}
 }
 
+// Score is the per-configuration oracle of ScoreCodes: every part predicts
+// from its own freshly computed features, and the predictions fold.
+func (lf *LowFidelity) Score(cfg cfgspace.Config) float64 {
+	vs := make([]float64, len(lf.Parts))
+	var cores []float64
+	if lf.Combine == BottleneckSum {
+		cores = make([]float64, len(lf.Parts))
+	}
+	for j := range lf.Parts {
+		part := &lf.Parts[j]
+		vs[j] = part.Predict(part.Sub(cfg))
+		if cores != nil {
+			cores[j] = part.cores(part.Sub(cfg))
+		}
+	}
+	return lf.fold(vs, cores)
+}
+
 type affine struct{ a, b float64 }
 
 func rawFeatures(sub cfgspace.Config) []float64 { return []float64{float64(sub[0])} }
@@ -56,9 +74,9 @@ func TestLowFidelityScore(t *testing.T) {
 	if got := lf.Score(cfgspace.Config{3, 4}); got != 15 {
 		t.Fatalf("Sum score = %v, want 15", got)
 	}
-	batch := lf.ScoreBatchOn(nil, []cfgspace.Config{{3, 4}, {1, 1}})
+	batch := lf.ScoreConfigs(nil, []cfgspace.Config{{3, 4}, {1, 1}})
 	if batch[0] != 15 || batch[1] != 8 {
-		t.Fatalf("ScoreBatchOn = %v", batch)
+		t.Fatalf("ScoreConfigs = %v", batch)
 	}
 }
 
@@ -112,12 +130,19 @@ func TestBottleneckSumNeedsCores(t *testing.T) {
 		Combine: BottleneckSum,
 		Parts:   []Part{{Name: "x", Predictor: ConstPredictor(1)}},
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("missing Cores did not panic")
-		}
-	}()
-	lf.Score(cfgspace.Config{1})
+	for name, score := range map[string]func(){
+		"Score":        func() { lf.Score(cfgspace.Config{1}) },
+		"ScoreConfigs": func() { lf.ScoreConfigs(nil, []cfgspace.Config{{1}}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: missing Cores did not panic", name)
+				}
+			}()
+			score()
+		}()
+	}
 }
 
 func TestBottleneckSumCombineDirectPanics(t *testing.T) {

@@ -1,0 +1,284 @@
+package acm
+
+import (
+	"fmt"
+
+	"ceal/internal/cfgspace"
+	"ceal/internal/score"
+)
+
+// Span locates one part's features among a feature matrix's columns: Lo up
+// to Hi (Lo == Hi: the part reads none).
+type Span struct{ Lo, Hi int }
+
+// cellBlock is how many cell representatives one PredictBatch call takes:
+// their rows and outputs stay in L1 while the trees stream.
+const cellBlock = 256
+
+// ScoreCodes scores every row of a rank-coded feature matrix on the
+// engine's workers (nil engine: serial): row i is configuration cfgs[i],
+// and part j's features are the matrix's columns spans[j].
+//
+//   - A part with no features is predicted once.
+//   - A CellPredictor part is scored by cell. Per feature it splits on, a
+//     table maps each code to its bucket: how many of the feature's
+//     thresholds the value is not below. A row's cell is its bucket tuple.
+//     Each engine chunk numbers its rows' cells by first occurrence (a
+//     cfgspace.Numbering over the tuples), the chunks' numberings merge in
+//     chunk order, and one representative a
+//     cell, decoded from the value tables, goes through PredictBatch.
+//   - Any other part's Predict is called once a row on the decoded
+//     features.
+//   - BottleneckSum reads each row's cores from Part.Cores.
+//
+// Every row then folds its parts' values. Rows of one cell predict bitwise
+// the same, so the scores are identical at any worker count and for any
+// matrix that holds the same feature values. A matrix too wide to code
+// (score.Codes.FloatRows) takes its buckets by binary search on its float
+// rows. A coded matrix hands predictors −0 as +0 and every NaN as one NaN,
+// which no `x < t` comparison tells apart. Predictors must be read-only
+// under Predict and PredictBatch, and must not retain x.
+func (lf *LowFidelity) ScoreCodes(e *score.Engine, q *score.Codes, spans []Span, cfgs []cfgspace.Config) []float64 {
+	out := make([]float64, q.N)
+	if q.N == 0 {
+		return out
+	}
+	_, chunks := e.ChunkLayout(q.N)
+	passes := make([]*partPass, len(lf.Parts))
+	for j := range lf.Parts {
+		passes[j] = newPartPass(&lf.Parts[j], q, spans[j], chunks)
+	}
+	e.MapChunksIndexed(q.N, func(ci, lo, hi int) {
+		for _, pp := range passes {
+			pp.scan(ci, lo, hi)
+		}
+	})
+	for _, pp := range passes {
+		pp.predictCells(e)
+	}
+	e.MapChunksIndexed(q.N, func(ci, lo, hi int) {
+		vs := make([]float64, len(passes))
+		var cores []float64
+		if lf.Combine == BottleneckSum {
+			cores = make([]float64, len(passes))
+		}
+		for i := lo; i < hi; i++ {
+			for j, pp := range passes {
+				vs[j] = pp.value(ci, i)
+				if cores != nil {
+					cores[j] = pp.part.cores(pp.part.Sub(cfgs[i]))
+				}
+			}
+			out[i] = lf.fold(vs, cores)
+		}
+	})
+	return out
+}
+
+// ScoreConfigs scores configurations whose features no matrix holds yet: it
+// rank-codes the parts' own features side by side, one row a
+// configuration, and scores the codes. Part.Features must return vectors
+// of one length.
+func (lf *LowFidelity) ScoreConfigs(e *score.Engine, cfgs []cfgspace.Config) []float64 {
+	if len(cfgs) == 0 {
+		return []float64{}
+	}
+	spans := make([]Span, len(lf.Parts))
+	width := 0
+	for j := range lf.Parts {
+		if part := &lf.Parts[j]; part.Features != nil {
+			spans[j] = Span{width, width + len(part.Features(part.Sub(cfgs[0])))}
+			width = spans[j].Hi
+		}
+	}
+	var mat score.Matrix
+	q := mat.Codes(e, cfgs, func(cfg cfgspace.Config) []float64 {
+		x := make([]float64, 0, width)
+		for j := range lf.Parts {
+			if part := &lf.Parts[j]; part.Features != nil {
+				x = append(x, part.Features(part.Sub(cfg))...)
+			}
+		}
+		return x
+	})
+	return lf.ScoreCodes(e, q, spans, cfgs)
+}
+
+// partPass is one part's share of a ScoreCodes call.
+type partPass struct {
+	part *Part
+	q    *score.Codes
+	span Span
+
+	konst float64   // a part with no features: its one prediction
+	vals  []float64 // a part scored by Predict: per row
+
+	// A CellPredictor part. Per feature it splits on: the matrix column,
+	// the thresholds and, for a coded matrix, each code's bucket.
+	cp     CellPredictor
+	cols   []int
+	thr    [][]float64
+	bucket [][]int32
+	ids    []int32     // per row: its cell's number within its chunk
+	reps   [][]int32   // per chunk: the first row of each of its cells
+	cell   [][]float64 // per chunk: each of its cells' prediction
+}
+
+func newPartPass(part *Part, q *score.Codes, span Span, chunks int) *partPass {
+	pp := &partPass{part: part, q: q, span: span}
+	if span.Lo == span.Hi {
+		pp.konst = part.Predictor.Predict(nil)
+		return pp
+	}
+	cp, ok := part.Predictor.(CellPredictor)
+	if !ok {
+		pp.vals = make([]float64, q.N)
+		return pp
+	}
+	thrs := cp.Thresholds()
+	if len(thrs) > span.Hi-span.Lo {
+		panic(fmt.Sprintf("acm: part %s's model splits on feature %d of %d", part.Name, len(thrs)-1, span.Hi-span.Lo))
+	}
+	pp.cp = cp
+	for k, thr := range thrs {
+		if len(thr) == 0 {
+			continue
+		}
+		f := span.Lo + k
+		pp.cols, pp.thr = append(pp.cols, f), append(pp.thr, thr)
+		if q.FloatRows() == nil {
+			vals := q.Values(f)
+			b := make([]int32, len(vals))
+			for c, v := range vals {
+				b[c] = int32(notBelow(thr, v))
+			}
+			pp.bucket = append(pp.bucket, b)
+		}
+	}
+	pp.ids = make([]int32, q.N)
+	pp.reps = make([][]int32, chunks)
+	return pp
+}
+
+// notBelow is v's bucket among ascending thresholds: how many of them it
+// is not below. NaN is below none, as a tree's descent sends it right.
+func notBelow(thr []float64, v float64) int {
+	lo, hi := 0, len(thr)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); v < thr[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// scan is chunk ci's first pass over its rows [lo, hi): Predict on each
+// row, or each row's cell numbered within the chunk.
+func (pp *partPass) scan(ci, lo, hi int) {
+	switch {
+	case pp.vals != nil:
+		x := make([]float64, pp.span.Hi-pp.span.Lo)
+		for i := lo; i < hi; i++ {
+			pp.decode(i, x)
+			pp.vals[i] = pp.part.Predictor.Predict(x)
+		}
+	case pp.cp != nil:
+		// keys holds the chunk's cells' bucket tuples end to end, n a cell.
+		n := len(pp.cols)
+		key, keys := make([]int, n), make([]int, 0, cellBlock*n)
+		nb := cfgspace.NewNumbering(min(hi-lo, cellBlock), func(id int32) []int { return keys[int(id)*n:][:n] })
+		for i := lo; i < hi; i++ {
+			id, fresh := nb.ID(pp.tuple(i, key))
+			if fresh {
+				pp.reps[ci] = append(pp.reps[ci], int32(i))
+				keys = append(keys, key...)
+			}
+			pp.ids[i] = id
+		}
+	}
+}
+
+// tuple writes row i's cell, its bucket tuple, into key and returns it.
+func (pp *partPass) tuple(i int, key []int) []int {
+	if X := pp.q.FloatRows(); X != nil {
+		for k, f := range pp.cols {
+			key[k] = notBelow(pp.thr[k], X[i][f])
+		}
+		return key
+	}
+	codes := pp.q.Row(i)
+	for k, f := range pp.cols {
+		key[k] = int(pp.bucket[k][codes[f]])
+	}
+	return key
+}
+
+// predictCells merges the chunks' numberings in chunk order, so numbers
+// follow first occurrence over the whole matrix, and predicts one
+// representative a cell in blocks of cellBlock on the engine's workers.
+func (pp *partPass) predictCells(e *score.Engine) {
+	if pp.cp == nil {
+		return
+	}
+	found := 0
+	for _, rs := range pp.reps {
+		found += len(rs)
+	}
+	n := len(pp.cols)
+	reps, key, keys := make([]int32, 0, found), make([]int, n), make([]int, 0, found*n)
+	nb := cfgspace.NewNumbering(found, func(id int32) []int { return keys[int(id)*n:][:n] })
+	global := make([][]int32, len(pp.reps)) // per chunk: each of its cells' number in nb
+	for ci, rs := range pp.reps {
+		global[ci] = make([]int32, len(rs))
+		for l, r := range rs {
+			id, fresh := nb.ID(pp.tuple(int(r), key))
+			if fresh {
+				reps, keys = append(reps, r), append(keys, key...)
+			}
+			global[ci][l] = id
+		}
+	}
+	w := pp.span.Hi - pp.span.Lo
+	flat, X, pred := make([]float64, len(reps)*w), make([][]float64, len(reps)), make([]float64, len(reps))
+	e.Tasks((len(reps)+cellBlock-1)/cellBlock, func(b int) {
+		lo, hi := b*cellBlock, min((b+1)*cellBlock, len(reps))
+		for c := lo; c < hi; c++ {
+			X[c] = flat[c*w : (c+1)*w : (c+1)*w]
+			pp.decode(int(reps[c]), X[c])
+		}
+		pp.cp.PredictBatch(X[lo:hi], pred[lo:hi])
+	})
+	pp.cell = make([][]float64, len(global))
+	for ci, ids := range global {
+		pp.cell[ci] = make([]float64, len(ids))
+		for l, id := range ids {
+			pp.cell[ci][l] = pred[id]
+		}
+	}
+}
+
+// decode writes row i's features of the part into x, as the matrix holds
+// them.
+func (pp *partPass) decode(i int, x []float64) {
+	if X := pp.q.FloatRows(); X != nil {
+		copy(x, X[i][pp.span.Lo:pp.span.Hi])
+		return
+	}
+	codes := pp.q.Row(i)
+	for k := range x {
+		x[k] = pp.q.Values(pp.span.Lo + k)[codes[pp.span.Lo+k]]
+	}
+}
+
+// value is row i's prediction; ci is the row's chunk.
+func (pp *partPass) value(ci, i int) float64 {
+	switch {
+	case pp.cp != nil:
+		return pp.cell[ci][pp.ids[i]]
+	case pp.vals != nil:
+		return pp.vals[i]
+	}
+	return pp.konst
+}

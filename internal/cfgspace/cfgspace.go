@@ -338,8 +338,8 @@ func (sm *sampler) stop() {
 
 // Numbering numbers int tuples by first occurrence: equal tuples share an
 // id, and ids count from 0 in the order their tuples were first seen. It is
-// the repository's one such table (SampleN's distinct-set, acm's distinct
-// sub-configurations and their model cells): an open-addressed array of
+// the repository's one such table (SampleN's distinct-set, acm's model
+// cells of the low-fidelity pool pass): an open-addressed array of
 // ids, probed by a hash of the values and verified against the tuple that
 // holds the id, which the caller keeps — no key built per tuple.
 type Numbering struct {
@@ -348,8 +348,9 @@ type Numbering struct {
 	n     int32
 }
 
-// NewNumbering returns a table for at most capacity distinct tuples;
-// tuple(id) must return the tuple that ID numbered id.
+// NewNumbering returns a table sized for capacity distinct tuples, which
+// doubles whenever a new tuple would fill it past half; tuple(id) must
+// return the tuple that ID numbered id.
 func NewNumbering(capacity int, tuple func(id int32) []int) *Numbering {
 	size := 16
 	for size < 2*capacity {
@@ -376,6 +377,10 @@ func (nb *Numbering) id(t []int, h uint64) (id int32, fresh bool) {
 	for at := int(h>>32^h) & mask; ; at = (at + 1) & mask {
 		id := nb.slots[at] - 1
 		if id < 0 {
+			if 2*int(nb.n+1) > len(nb.slots) {
+				nb.grow()
+				return nb.id(t, h)
+			}
 			nb.n++
 			nb.slots[at] = nb.n
 			return nb.n - 1, true
@@ -384,6 +389,21 @@ func (nb *Numbering) id(t []int, h uint64) (id int32, fresh bool) {
 			return id, false
 		}
 	}
+}
+
+// grow doubles the table and re-places every id by its tuple's hash.
+func (nb *Numbering) grow() {
+	slots := make([]int32, 2*len(nb.slots))
+	mask := len(slots) - 1
+	for id := range nb.n {
+		h := hashTuple(nb.tuple(id))
+		at := int(h>>32^h) & mask
+		for slots[at] != 0 {
+			at = (at + 1) & mask
+		}
+		slots[at] = id + 1
+	}
+	nb.slots = slots
 }
 
 // ValidFraction estimates by Monte Carlo the fraction of the raw

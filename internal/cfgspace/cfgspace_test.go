@@ -190,6 +190,28 @@ func TestNumberingFirstSeen(t *testing.T) {
 	}
 }
 
+// TestNumberingGrows: a table sized for one tuple numbers 5000 distinct
+// tuples, each seen three times, as first occurrence, doubling as it fills.
+func TestNumberingGrows(t *testing.T) {
+	var tuples [][]int
+	nb := NewNumbering(1, func(id int32) []int { return tuples[id] })
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 5000; i++ {
+			tuple := []int{i % 71, i / 71}
+			id, fresh := nb.ID(tuple)
+			if fresh {
+				tuples = append(tuples, tuple)
+			}
+			if id != int32(i) || fresh != (round == 0) {
+				t.Fatalf("round %d: tuple %v numbered %d (fresh %v), want %d", round, tuple, id, fresh, i)
+			}
+		}
+	}
+	if len(nb.slots) != 16384 {
+		t.Fatalf("%d slots for 5000 tuples, want 16384", len(nb.slots))
+	}
+}
+
 func TestRawSize(t *testing.T) {
 	s := testSpace()
 	if got := s.RawSize(); got != 99*35 {

@@ -314,12 +314,29 @@ func BenchmarkPredictCodedBounded(b *testing.B) {
 	b.ReportMetric(float64(abandoned)/float64(b.N)/poolN, "abandoned/row")
 }
 
+// buckets is a row's cell under thresholds thr: per feature, how many of
+// its thresholds the value is not below (NaN: all of them).
+func buckets(thr [][]float64, x []float64) []int {
+	key := make([]int, len(x))
+	for f, v := range x {
+		if f < len(thr) {
+			for _, t := range thr[f] {
+				if !(v < t) {
+					key[f]++
+				}
+			}
+		}
+	}
+	return key
+}
+
 // TestEqualCellsPredictEqual: for random fitted models and random rows —
 // training values, the models' own thresholds and their float neighbours,
-// ±0, ±Inf, NaN — rows with equal Cell keys have math.Float64bits-equal
-// PredictRow, and PredictBatchOnInto on one representative per cell,
-// scattered back, equals PredictRow on every row. A model fitted on n rows
-// holds at most n-1 thresholds a feature.
+// ±0, ±Inf, NaN — rows with equal bucket tuples under Thresholds have
+// math.Float64bits-equal PredictRow, and PredictBatchOnInto on one
+// representative per cell, scattered back, equals PredictRow on every row.
+// A model fitted on n rows holds at most n-1 thresholds a feature, strictly
+// ascending, and names no feature past its training width.
 func TestEqualCellsPredictEqual(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		rng := rand.New(rand.NewPCG(uint64(trial), 21))
@@ -331,13 +348,19 @@ func TestEqualCellsPredictEqual(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Cell(X[0], make([]int, dim)) // builds the split table
+		thrs := m.Thresholds()
+		if len(thrs) > dim {
+			t.Fatalf("trial %d: thresholds for %d features of %d", trial, len(thrs), dim)
+		}
 		special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
-		for f, thr := range m.split {
+		for f, thr := range thrs {
 			if len(thr) > n-1 {
 				t.Fatalf("trial %d: feature %d has %d thresholds from %d rows", trial, f, len(thr), n)
 			}
-			for _, v := range thr {
+			for k, v := range thr {
+				if k > 0 && !(thr[k-1] < v) {
+					t.Fatalf("trial %d: feature %d thresholds %v not strictly ascending", trial, f, thr)
+				}
 				special = append(special, v, math.Nextafter(v, math.Inf(1)), math.Nextafter(v, math.Inf(-1)))
 			}
 		}
@@ -358,8 +381,7 @@ func TestEqualCellsPredictEqual(t *testing.T) {
 					rows[i][f] = rng.NormFloat64() * 5
 				}
 			}
-			keys[i] = make([]int, dim)
-			m.Cell(rows[i], keys[i])
+			keys[i] = buckets(thrs, rows[i])
 			k := fmt.Sprint(keys[i])
 			if _, ok := reps[k]; !ok {
 				reps[k] = len(repRows)
@@ -377,13 +399,6 @@ func TestEqualCellsPredictEqual(t *testing.T) {
 			if math.Float64bits(pred[cellOf[i]]) != math.Float64bits(want) {
 				t.Fatalf("trial %d row %v: batch prediction of its cell %v, PredictRow %v", trial, x, pred[cellOf[i]], want)
 			}
-		}
-		// A feature no tree splits on, beyond the table's end, is one cell.
-		wide := append(slices.Clone(rows[0]), 3, math.NaN())
-		key := make([]int, len(wide))
-		m.Cell(wide, key)
-		if !slices.Equal(key[:dim], keys[0]) || key[dim] != 0 || key[dim+1] != 0 {
-			t.Fatalf("trial %d: Cell(%v) = %v, want %v then zeros", trial, wide, key, keys[0])
 		}
 	}
 }

@@ -56,7 +56,7 @@ type Model struct {
 	cutFor *score.Codes
 	cut    []uint16
 
-	// Per feature, the distinct split thresholds ascending (see Cell).
+	// Per feature, the distinct split thresholds ascending (see Thresholds).
 	splitOnce sync.Once
 	split     [][]float64
 }
@@ -294,14 +294,16 @@ func (m *Model) PredictBatchOnInto(e *score.Engine, X [][]float64, out []float64
 	})
 }
 
-// Cell writes x's model cell into key (len(key) == len(x)): per feature,
-// how many of the ensemble's split thresholds x[f] is not below. A tree
-// only ever compares one feature with one of its own thresholds, so rows
-// with equal keys take the same branch at every node of every tree and
+// Thresholds returns, per feature, the ensemble's distinct split thresholds
+// ascending, up to the last feature any tree splits on (nil for a feature
+// none splits on). A tree only ever compares one feature with one of its
+// own thresholds, so two rows that, feature by feature, are not below the
+// same number of them take the same branch at every node of every tree and
 // predict bitwise the same; NaN is below no threshold, as descend sends it
 // right. The table is read once, from the trees' real split nodes (the flat
-// arrays' padding compares feature 0 with 0 to no effect).
-func (m *Model) Cell(x []float64, key []int) {
+// arrays' padding compares feature 0 with 0 to no effect), and is shared:
+// callers must not modify it.
+func (m *Model) Thresholds() [][]float64 {
 	m.splitOnce.Do(func() {
 		for _, t := range m.trees {
 			t.Splits(func(f int, thr, _ float64) {
@@ -316,20 +318,7 @@ func (m *Model) Cell(x []float64, key []int) {
 			m.split[f] = slices.Compact(thr)
 		}
 	})
-	for f, v := range x {
-		lo := 0
-		if f < len(m.split) {
-			thr := m.split[f]
-			for hi := len(thr); lo < hi; {
-				if mid := (lo + hi) / 2; v < thr[mid] {
-					hi = mid
-				} else {
-					lo = mid + 1
-				}
-			}
-		}
-		key[f] = lo
-	}
+	return m.split
 }
 
 // cuts compiles the ensemble's split thresholds into q's code space: for

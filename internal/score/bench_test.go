@@ -54,10 +54,13 @@ func trainModel(b *testing.B, bench *workflow.Benchmark, pool []cfgspace.Config)
 	return m
 }
 
-// rowModel is a boosted ensemble as an acm.Predictor.
-type rowModel struct{ *xgb.Model }
+// cellModel is a boosted ensemble as an acm.CellPredictor (Thresholds
+// comes with the embedded model).
+type cellModel struct{ *xgb.Model }
 
-func (m rowModel) Predict(x []float64) float64 { return m.PredictRow(x) }
+func (m cellModel) Predict(x []float64) float64 { return m.PredictRow(x) }
+
+func (m cellModel) PredictBatch(X [][]float64, out []float64) { m.PredictBatchOnInto(nil, X, out) }
 
 // BenchmarkPredictPool measures one surrogate pool-scoring pass — what
 // every algorithm runs once per refinement iteration.
@@ -113,13 +116,16 @@ func BenchmarkPredictPool(b *testing.B) {
 }
 
 // BenchmarkScoreBatch measures the low-fidelity analytical model over the
-// pool: per-component featurization plus component-model prediction,
-// folded by the combiner (CEAL's Phase-2 ranking before the switch).
+// pool's rank codes, which the surrogate has already built: bucket tables,
+// cell numbering and one component-model prediction a cell, folded by the
+// combiner (CEAL's Phase-2 ranking before the switch). The workflow
+// features hold the configurable components' features in order.
 func BenchmarkScoreBatch(b *testing.B) {
 	bench, pool := benchPool(b, 2000)
 	lf := &acm.LowFidelity{Combine: acm.Max}
-	lo := 0
-	for _, cs := range bench.Components {
+	spans := make([]acm.Span, len(bench.Components))
+	lo, at := 0, 0
+	for j, cs := range bench.Components {
 		part := acm.Part{Name: cs.Name, Lo: lo, Hi: lo + cs.Dim()}
 		lo = part.Hi
 		if cs.Space == nil {
@@ -129,6 +135,8 @@ func BenchmarkScoreBatch(b *testing.B) {
 		}
 		cs := cs
 		part.Features = func(sub cfgspace.Config) []float64 { return cs.Features(bench.Machine, sub) }
+		spans[j] = acm.Span{Lo: at, Hi: at + len(part.Features(part.Sub(pool[0])))}
+		at = spans[j].Hi
 		const nTrain = 30
 		X := make([][]float64, nTrain)
 		y := make([]float64, nTrain)
@@ -142,19 +150,21 @@ func BenchmarkScoreBatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		part.Predictor = rowModel{m}
+		part.Predictor = cellModel{m}
 		lf.Parts = append(lf.Parts, part)
 	}
+	var mat score.Matrix
+	q := mat.Codes(nil, pool, bench.Features)
 
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			lf.ScoreBatchOn(nil, pool)
+			lf.ScoreCodes(nil, q, spans, pool)
 		}
 	})
 	b.Run("par8", func(b *testing.B) {
 		eng := score.New(8)
 		for i := 0; i < b.N; i++ {
-			lf.ScoreBatchOn(eng, pool)
+			lf.ScoreCodes(eng, q, spans, pool)
 		}
 	})
 }

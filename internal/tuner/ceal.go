@@ -189,7 +189,7 @@ func (s *cealStrategy) AfterMeasure(st *State, batch []Sample) {
 		cfgs[k] = smp.Cfg
 	}
 	highScores := s.model.PredictBatch(cfgs)
-	lowScores := s.cm.lowFi.ScoreBatchOn(p.engine(), cfgs)
+	lowScores := s.cm.lowFi.ScoreConfigs(p.engine(), cfgs)
 	sH := metrics.RecallSum(highScores, truth) // line 18
 	sL := metrics.RecallSum(lowScores, truth)  // line 19
 
@@ -278,5 +278,5 @@ func LowFidelityScores(p *Problem, mR int, cfgs []cfgspace.Config) ([]float64, e
 	if err != nil {
 		return nil, err
 	}
-	return cm.lowFi.ScoreBatchOn(p.engine(), cfgs), nil
+	return cm.lowFi.ScoreConfigs(p.engine(), cfgs), nil
 }

@@ -18,17 +18,25 @@ type componentModels struct {
 	// are free and not included), per component.
 	newSamples [][]Sample
 	// pool caches M_L's score for every pool configuration: the model is
-	// frozen once Phase 1 ends, so one factored pass serves every later
-	// ranking of the run.
+	// frozen once Phase 1 ends, so one pass serves every later ranking of
+	// the run.
 	pool []float64
 }
 
 // poolScores returns M_L's score for every configuration of p.Pool,
 // computed on first use (a warm-started CEAL run that never ranks by M_L
-// never pays for it).
+// never pays for it). When the workflow features hold the component
+// features in order, it reads the pool codes the surrogate shares
+// (p.poolMat), so the pool is featurized once a run; otherwise the
+// components' own features are coded.
 func (cm *componentModels) poolScores(p *Problem) []float64 {
 	if cm.pool == nil {
-		cm.pool = cm.lowFi.ScoreBatchOn(p.engine(), p.Pool)
+		e := p.engine()
+		if spans := p.featureSpans(); spans != nil {
+			cm.pool = cm.lowFi.ScoreCodes(e, p.poolMat.Codes(e, p.Pool, p.features), spans, p.Pool)
+		} else {
+			cm.pool = cm.lowFi.ScoreConfigs(e, p.Pool)
+		}
 	}
 	return cm.pool
 }
@@ -168,7 +176,7 @@ func (c componentModel) Predict(x []float64) float64 {
 	return unlogTarget(c.model.PredictRow(x))
 }
 
-func (c componentModel) Cell(x []float64, key []int) { c.model.Cell(x, key) }
+func (c componentModel) Thresholds() [][]float64 { return c.model.Thresholds() }
 
 func (c componentModel) PredictBatch(X [][]float64, out []float64) {
 	c.model.PredictBatchOnInto(nil, X, out)

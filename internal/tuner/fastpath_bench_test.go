@@ -47,9 +47,11 @@ func BenchmarkSelectTop(b *testing.B) {
 
 // BenchmarkScoreBatch prices the M_L pool pass as a run ships it — two
 // component models fitted on the paper's mR = 15 solo runs each, behind
-// componentModel, so cells, batch kernel and all — over a 100k pool from
-// component spaces as wide as LV's (38k sub-configurations each, about 35k
-// of them distinct in the pool).
+// componentModel, so bucket tables, cell numbering and batch kernel all —
+// over the rank codes of a 100k pool from component spaces as wide as LV's
+// (38k sub-configurations each, about 35k of them distinct in the pool).
+// The pool codes are the surrogate's, built once a run, so they are built
+// before the timer starts.
 func BenchmarkScoreBatch(b *testing.B) {
 	p := synthProblem(1, 2)
 	for j := range p.Components {
@@ -65,12 +67,13 @@ func BenchmarkScoreBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	q, spans := p.poolMat.Codes(p.engine(), p.Pool, p.features), p.featureSpans()
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("100k/workers=%d", workers), func(b *testing.B) {
 			eng := score.New(workers)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				cm.lowFi.ScoreBatchOn(eng, p.Pool)
+				cm.lowFi.ScoreCodes(eng, q, spans, p.Pool)
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ceal/internal/cfgspace"
@@ -345,25 +346,61 @@ func TestWidePoolScoresFromFloatRows(t *testing.T) {
 }
 
 // TestLowFidelityPoolScoresMatchScore: the cached M_L pool vector every
-// M_L-backed ranking reads equals LowFidelity.Score row for row, with an
+// M_L-backed ranking reads equals, row for row, the combiner folding each
+// component model's prediction on its own sub-configuration, with an
 // unconfigurable component whose empty sub-configuration sits at the very
-// end of each configuration.
+// end of each configuration. When the workflow features hold the
+// component features in order, the pass reads the pool codes the surrogate
+// shares, so the pool is featurized once; behind a column no component
+// reads, it codes the components' own features, to the same scores.
 func TestLowFidelityPoolScoresMatchScore(t *testing.T) {
 	p := synthProblem(9, 500)
 	p.Components = append(p.Components, ComponentInfo{Name: "fixed"})
+	var calls atomic.Int64
+	p.Features = func(cfg cfgspace.Config) []float64 {
+		calls.Add(1)
+		return p.Space.Features(cfg)
+	}
 	cm, err := trainComponentModels(p, 12, newTestRNG(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := cm.poolScores(p)
+	featurized := calls.Load()
+	p.poolMat.Codes(p.engine(), p.Pool, p.features)
+	if featurized != int64(len(p.Pool))+1 || calls.Load() != featurized {
+		t.Fatalf("featurized %d times for the M_L pass and %d more for the surrogate's codes, want the pool and one check row, then none",
+			featurized, calls.Load()-featurized)
+	}
+	vs := make([]float64, len(cm.lowFi.Parts))
 	for i, cfg := range p.Pool {
-		if want := cm.lowFi.Score(cfg); math.Float64bits(got[i]) != math.Float64bits(want) {
-			t.Fatalf("pool[%d]: cached M_L score %v, Score %v", i, got[i], want)
+		for j := range cm.lowFi.Parts {
+			part := &cm.lowFi.Parts[j]
+			vs[j] = part.Predict(part.Sub(cfg))
+		}
+		if want := p.Combiner.Combine(vs); math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("pool[%d]: cached M_L score %v, folded predictions %v", i, got[i], want)
 		}
 	}
 	out := make([]float64, 3)
 	cm.scorer(p)([]int{4, 0, 499}, out, math.Inf(1))
 	if out[0] != got[4] || out[1] != got[0] || out[2] != got[499] {
 		t.Fatalf("scorer returned %v for pool indices 4, 0, 499", out)
+	}
+
+	p.Features = func(cfg cfgspace.Config) []float64 {
+		return append([]float64{1}, p.Space.Features(cfg)...)
+	}
+	if spans := p.featureSpans(); spans != nil {
+		t.Fatalf("workflow features behind an extra column located the components at %v", spans)
+	}
+	shifted, err := trainComponentModels(p, 12, newTestRNG(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range shifted.poolScores(p) {
+		if math.Float64bits(v) != math.Float64bits(got[i]) {
+			t.Fatalf("pool[%d]: M_L score from the components' own features %v, from the pool codes %v", i, v, got[i])
+		}
 	}
 }

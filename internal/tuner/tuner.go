@@ -142,8 +142,10 @@ type Problem struct {
 
 	// eng memoizes the scoring engine; poolMat caches the featurized pool
 	// matrix for the workflow featurizer, shared by every algorithm run on
-	// this problem so each configuration is featurized once per run rather
-	// than once per scoring call per iteration.
+	// this problem — and, when the workflow features hold the component
+	// features in order (featureSpans), by the low-fidelity model — so each
+	// configuration is featurized once per run rather than once per scoring
+	// call per iteration.
 	engOnce sync.Once
 	eng     *score.Engine
 	poolMat score.Matrix
@@ -244,6 +246,45 @@ func (p *Problem) validate() error {
 		}
 	}
 	return nil
+}
+
+// featureSpans locates each component's features in the workflow feature
+// vector, on the assumption that they tile it in order from column 0 (as
+// the raw layout and workflow.Benchmark.Features do; an unconfigurable
+// component reads none), and checks that on the pool's first
+// configuration. It returns nil when the check fails: the workflow
+// features do not hold the component features, and the low-fidelity model
+// codes its components' own.
+func (p *Problem) featureSpans() []acm.Span {
+	cfg := p.Pool[0]
+	row := p.features(cfg)
+	spans := make([]acm.Span, len(p.Components))
+	lo, at := 0, 0
+	for j, c := range p.Components {
+		sub := cfg[lo : lo+c.dim()]
+		lo += c.dim()
+		if c.Space == nil {
+			continue
+		}
+		x := c.features(sub)
+		if at+len(x) > len(row) || !sameFeatures(x, row[at:at+len(x)]) {
+			return nil
+		}
+		spans[j] = acm.Span{Lo: at, Hi: at + len(x)}
+		at += len(x)
+	}
+	return spans
+}
+
+// sameFeatures reports whether two feature vectors are equal as rank codes
+// see them: −0 equals +0, and NaN equals NaN.
+func sameFeatures(a, b []float64) bool {
+	for k := range a {
+		if a[k] != b[k] && (a[k] == a[k] || b[k] == b[k]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Result is an auto-tuning outcome.

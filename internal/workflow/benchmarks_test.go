@@ -149,6 +149,40 @@ func TestFeaturesMatchReference(t *testing.T) {
 	}
 }
 
+// TestComponentFeaturesTileFeatures: on 2000 sampled configurations of LV,
+// HS and GP (whose plotters are unconfigurable), the configurable
+// components' own features are, bit for bit and in component order, the
+// workflow features from column 0 up to the trailing total node count —
+// the layout the tuner's low-fidelity model assumes when it reads the
+// pool's workflow feature codes.
+func TestComponentFeaturesTileFeatures(t *testing.T) {
+	m := cluster.Default()
+	for _, b := range Benchmarks(m) {
+		for _, cfg := range b.Space.SampleN(rand.New(rand.NewPCG(8, 6)), 2000) {
+			row := b.Features(cfg)
+			next := 0
+			for j, cs := range b.Components {
+				if cs.Space == nil {
+					continue
+				}
+				x := cs.Features(m, b.Sub(cfg, j))
+				if next+len(x) > len(row) {
+					t.Fatalf("%s %v: %s's %d features follow column %d of %d", b.Name, cfg, cs.Name, len(x), next, len(row))
+				}
+				for k, v := range x {
+					if math.Float64bits(v) != math.Float64bits(row[next+k]) {
+						t.Fatalf("%s %v: %s feature %d = %v, workflow column %d = %v", b.Name, cfg, cs.Name, k, v, next+k, row[next+k])
+					}
+				}
+				next += len(x)
+			}
+			if next != len(row)-1 {
+				t.Fatalf("%s %v: components cover %d of %d columns, want all but totalNodes", b.Name, cfg, next, len(row))
+			}
+		}
+	}
+}
+
 // twoStage declares a two-component benchmark the way
 // examples/customworkflow does: one shared component space with its own
 // 24-node cap, one layout function, two specs and an edge.
