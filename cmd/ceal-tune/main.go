@@ -232,7 +232,7 @@ func drive(ctx context.Context, m *service.Manager, spec histdb.Spec, resumeID s
 // configuration.
 func report(stdout io.Writer, rec *histdb.RunRecord, history string) error {
 	n := rec.Spec.Normalize()
-	ev, err := live.NewEvaluator(n.Benchmark, n.Objective, n.Seed)
+	ev, err := live.NewEvaluator(n.Job())
 	if err != nil {
 		return err
 	}

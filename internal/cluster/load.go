@@ -25,24 +25,24 @@ import (
 // The zero value means the nominal, unloaded machine; UnderLoad of a zero
 // Load returns the machine unchanged (bitwise), which is what makes a
 // constant profile byte-identical to the static cluster. Load is a plain
-// comparable struct so evaluators can be memoized per condition.
+// comparable struct so dispatchers can be memoized per condition.
 type Load struct {
 	// FabricContention is background traffic on the shared fabric:
 	// effective bisection share becomes FabricShare/(1+FabricContention).
-	FabricContention float64
+	FabricContention float64 `json:"fabric_contention,omitempty"`
 	// PFSContention is neighbor I/O on the parallel file system:
 	// PFSBandwidth and PFSNodeLimit shrink by 1/(1+PFSContention).
-	PFSContention float64
+	PFSContention float64 `json:"pfs_contention,omitempty"`
 	// MemoryContention is per-node memory-bandwidth pressure (DMA traffic
 	// from fabric/IO adapters, co-resident system daemons, a throttled
 	// memory controller): MemBWPerNode shrinks by 1/(1+MemoryContention),
 	// which penalizes high-ppn/high-thread layouts disproportionately.
-	MemoryContention float64
+	MemoryContention float64 `json:"memory_contention,omitempty"`
 	// ComputeSlowdown is per-node compute degradation (thermal throttling,
 	// a failing DIMM): per-step compute time grows by (1+ComputeSlowdown).
-	ComputeSlowdown float64
+	ComputeSlowdown float64 `json:"compute_slowdown,omitempty"`
 	// LatencyFactor scales one-way message latency by (1+LatencyFactor).
-	LatencyFactor float64
+	LatencyFactor float64 `json:"latency_factor,omitempty"`
 }
 
 // IsZero reports whether the load is the nominal, unloaded condition.

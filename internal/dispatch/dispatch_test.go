@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"ceal/internal/cfgspace"
+	"ceal/internal/cluster"
 )
 
 // fakeEval is a deterministic evaluator: values depend only on the item,
@@ -115,6 +116,25 @@ func dispatchValues(t *testing.T, d Dispatcher, batch []Item) []float64 {
 		t.Fatal(err)
 	}
 	return vals
+}
+
+// TestJobCarriesOnlyANonzeroLoad: a job under the nominal condition
+// marshals to the bytes it had before jobs carried a condition, so static
+// runs' requests do not change; a loaded one carries its nonzero fields.
+func TestJobCarriesOnlyANonzeroLoad(t *testing.T) {
+	job := Job{Benchmark: "LV", Objective: "comp", Seed: 3}
+	for ld, want := range map[cluster.Load]string{
+		{}:                   `{"benchmark":"LV","objective":"comp","seed":3}`,
+		{ComputeSlowdown: 2}: `{"benchmark":"LV","objective":"comp","seed":3,"load":{"compute_slowdown":2}}`,
+	} {
+		data, err := json.Marshal(job.Under(ld))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != want {
+			t.Fatalf("job under %+v = %s, want %s", ld, data, want)
+		}
+	}
 }
 
 func TestLocalDispatchOrderAndKinds(t *testing.T) {

@@ -9,20 +9,33 @@ import (
 	"net/http"
 	"sync/atomic"
 	"time"
+
+	"ceal/internal/cluster"
 )
 
 // MeasurePath is the worker daemon's measurement endpoint.
 const MeasurePath = "/v1/measure"
 
 // Job identifies the problem a remote worker reconstructs before measuring:
-// the benchmark workflow, the objective, and the seed that keys the
-// evaluator's deterministic noise. Together with an Item's configuration
+// the benchmark workflow, the objective, the seed that keys the evaluator's
+// noise, and the platform condition. Together with an Item's configuration
 // this fully determines a measurement, which is why any worker produces
 // the same value for the same item.
 type Job struct {
 	Benchmark string `json:"benchmark"`
 	Objective string `json:"objective"`
 	Seed      uint64 `json:"seed"`
+	// Load is the platform condition; nil (absent on the wire) is nominal.
+	Load *cluster.Load `json:"load,omitempty"`
+}
+
+// Under returns the job measured under condition ld (a zero ld is nil).
+func (j Job) Under(ld cluster.Load) Job {
+	j.Load = nil
+	if !ld.IsZero() {
+		j.Load = &ld
+	}
+	return j
 }
 
 // MeasureRequest is POST /v1/measure's body: the job identity plus the

@@ -6,8 +6,8 @@
 //
 // Two pieces live here:
 //
-//   - Env is a dispatch.Dispatcher over the cluster simulator whose
-//     machine condition follows a cluster.Profile along a virtual clock.
+//   - Env is a dispatch.Dispatcher over the measurement plane whose
+//     platform condition follows a cluster.Profile along a virtual clock.
 //     The clock advances by measurement cost (normalized to a reference
 //     configuration's zero-load cost, the time "unit"), so drift unfolds
 //     as a deterministic function of what the tuner chose to measure —
@@ -42,64 +42,55 @@ import (
 const maxAdvancePerItem = 10.0
 
 // Env is the time-varying measurement environment: a dispatch.Dispatcher
-// whose evaluator follows a drift profile along a virtual clock. The load
-// is frozen per dispatched batch (measurements inside one batch run
-// concurrently on the real machine, so they see one platform condition),
-// then the clock advances by the batch's slowest normalized cost — making
-// results independent of worker count and batch arrival order.
+// decorating the dispatcher of the condition a drift profile reports along a
+// virtual clock. The condition is frozen per dispatched batch (measurements
+// inside one batch run concurrently on the real machine, so they see one
+// platform condition), then the clock advances by the batch's slowest
+// normalized cost — making results independent of worker count and batch
+// arrival order.
 type Env struct {
-	// build constructs an evaluator for one platform condition. It must be
-	// pure: the same Load yields an equivalent evaluator.
-	build   func(ld cluster.Load) dispatch.Evaluator
+	// at returns the dispatcher measuring under one condition, in-process or
+	// on workers. It must be pure: the same Load yields the same values.
+	at      func(ld cluster.Load) (dispatch.Dispatcher, error)
 	profile cluster.Profile
-	// Runner executes batches in-process; nil means serial.
-	Runner *dispatch.Runner
 
 	mu    sync.Mutex
 	clock float64
 	unit  float64
 	// The current condition only — a session's memory is bounded by one
-	// condition however long it monitors: its evaluator, and the collector
+	// condition however long it monitors: its dispatcher, and the collector
 	// memoizing the counterfactual peeks at it (the oracle scan revisits the
 	// tracked set at every probe while the condition holds). Both are
 	// replaced when the clock reaches another condition.
 	load cluster.Load
-	ev   dispatch.Evaluator
+	disp dispatch.Dispatcher
 	peek *collector.Collector
 }
 
-// NewEnv builds an environment over a profile. ref is the reference
-// configuration whose zero-load cost defines the clock unit; measuring it
-// does not advance the clock.
-func NewEnv(build func(ld cluster.Load) dispatch.Evaluator, profile cluster.Profile, ref cfgspace.Config) (*Env, error) {
-	if build == nil || profile == nil {
-		return nil, fmt.Errorf("drift: NewEnv needs a builder and a profile")
+// NewEnv builds an environment over a profile, measuring through at. ref is
+// the reference configuration whose zero-load cost defines the clock unit;
+// measuring it does not advance the clock.
+func NewEnv(at func(ld cluster.Load) (dispatch.Dispatcher, error), profile cluster.Profile, ref cfgspace.Config) (*Env, error) {
+	d, err := at(cluster.Load{})
+	if err != nil {
+		return nil, fmt.Errorf("drift: dispatcher for the nominal condition: %w", err)
 	}
-	unit, err := build(cluster.Load{}).MeasureWorkflow(ref)
+	e := &Env{at: at, profile: profile, disp: d, peek: collector.New(d)}
+	samples, err := e.peek.MeasureWorkflows(context.TODO(), []cfgspace.Config{ref})
 	if err != nil {
 		return nil, fmt.Errorf("drift: measuring reference configuration: %w", err)
 	}
-	if unit <= 0 {
-		return nil, fmt.Errorf("drift: reference configuration cost %g must be positive", unit)
+	if e.unit = samples[0].Value; e.unit <= 0 {
+		return nil, fmt.Errorf("drift: reference configuration cost %g must be positive", e.unit)
 	}
-	return &Env{build: build, profile: profile, unit: unit}, nil
+	return e, nil
 }
-
-// Unit returns the clock unit: the reference configuration's zero-load cost.
-func (e *Env) Unit() float64 { return e.unit }
 
 // Clock returns the current virtual time in units.
 func (e *Env) Clock() float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.clock
-}
-
-// Load returns the platform condition at the current virtual time.
-func (e *Env) Load() cluster.Load {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.profile.At(e.clock)
 }
 
 // Advance moves the virtual clock forward by dt units without measuring —
@@ -113,40 +104,39 @@ func (e *Env) Advance(dt float64) {
 	e.mu.Unlock()
 }
 
-// current returns the evaluator and the peek collector of the condition at
+// current returns the dispatcher and the peek collector of the condition at
 // the current virtual time, replacing the previous condition's.
-func (e *Env) current() (dispatch.Evaluator, *collector.Collector) {
+func (e *Env) current() (dispatch.Dispatcher, *collector.Collector, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if ld := e.profile.At(e.clock); e.ev == nil || ld != e.load {
-		e.load, e.ev = ld, e.build(ld)
-		e.peek = collector.New(dispatch.NewLocal(e.ev, e.Runner))
+	if ld := e.profile.At(e.clock); ld != e.load {
+		d, err := e.at(ld)
+		if err != nil {
+			return nil, nil, fmt.Errorf("drift: dispatcher under %+v: %w", ld, err)
+		}
+		e.load, e.disp, e.peek = ld, d, collector.New(d)
 	}
-	return e.ev, e.peek
+	return e.disp, e.peek, nil
 }
 
 // advanceOf converts one measured value to a clock advance, capped so a
 // single pathological configuration cannot leap past a drift window.
 func (e *Env) advanceOf(v float64) float64 {
-	adv := v / e.unit
-	if adv < 0 {
-		adv = 0
-	}
-	if adv > maxAdvancePerItem {
-		adv = maxAdvancePerItem
-	}
-	return adv
+	return min(max(v/e.unit, 0), maxAdvancePerItem)
 }
 
-// Dispatch implements dispatch.Dispatcher: the batch runs under the load
-// frozen at the current clock, then the clock advances by the batch's
-// slowest item. Tuning trial runs execute side-by-side on the measurement
-// plane, so a batch costs one wave of wall-clock time; the advance is a
-// max over normalized item costs, which keeps the clock independent of
-// both worker count and completion order.
+// Dispatch implements dispatch.Dispatcher: the batch runs under the
+// condition frozen at the current clock, then the clock advances by the
+// batch's slowest item. Tuning trial runs execute side-by-side on the
+// measurement plane, so a batch costs one wave of wall-clock time; the
+// advance is a max over normalized item costs, which keeps the clock
+// independent of both worker count and completion order.
 func (e *Env) Dispatch(ctx context.Context, batch []dispatch.Item) ([]dispatch.Measurement, error) {
-	ev, _ := e.current()
-	ms, err := dispatch.NewLocal(ev, e.Runner).Dispatch(ctx, batch)
+	d, _, err := e.current()
+	if err != nil {
+		return nil, err
+	}
+	ms, err := d.Dispatch(ctx, batch)
 	if err != nil {
 		return nil, err
 	}
@@ -168,21 +158,14 @@ func (e *Env) Dispatch(ctx context.Context, batch []dispatch.Item) ([]dispatch.M
 
 // Probe measures one workflow configuration at the current condition and
 // advances the clock by its cost — the continuous driver's monitoring
-// measurement. It bypasses any collector cache by design: a probe exists
-// to observe the platform *now*, not a memoized past.
+// measurement, a batch of one. It bypasses any collector cache by design: a
+// probe exists to observe the platform *now*, not a memoized past.
 func (e *Env) Probe(ctx context.Context, cfg cfgspace.Config) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	ev, _ := e.current()
-	v, err := ev.MeasureWorkflow(cfg)
+	ms, err := e.Dispatch(ctx, []dispatch.Item{{Kind: dispatch.KindWorkflow, Cfg: cfg}})
 	if err != nil {
 		return 0, err
 	}
-	e.mu.Lock()
-	e.clock += e.advanceOf(v)
-	e.mu.Unlock()
-	return v, nil
+	return ms[0].Value, nil
 }
 
 // Peek measures one configuration at the current condition without
@@ -195,13 +178,16 @@ func (e *Env) Peek(cfg cfgspace.Config) (float64, error) {
 // PeekBest returns the best (lowest) value over cfgs at the current
 // condition and the first index holding it, without advancing the clock —
 // the oracle the continuous driver charges regret against. The scan runs on
-// Runner through the condition's collector, so a probe at an unchanged
-// condition re-reads it instead of re-simulating.
+// the condition's dispatcher through its collector, so a probe at an
+// unchanged condition re-reads it instead of re-measuring.
 func (e *Env) PeekBest(cfgs []cfgspace.Config) (float64, int, error) {
 	if len(cfgs) == 0 {
 		return 0, -1, fmt.Errorf("drift: PeekBest needs at least one configuration")
 	}
-	_, peek := e.current()
+	_, peek, err := e.current()
+	if err != nil {
+		return 0, -1, err
+	}
 	samples, err := peek.MeasureWorkflows(context.TODO(), cfgs)
 	if err != nil {
 		return 0, -1, err

@@ -34,12 +34,18 @@ func (stepAt5) At(t float64) cluster.Load {
 	return cluster.Load{ComputeSlowdown: 1}
 }
 
-func newTestEnv(t *testing.T, prof cluster.Profile) *Env {
-	t.Helper()
-	build := func(ld cluster.Load) dispatch.Evaluator {
-		return stubEval{scale: 1 + ld.ComputeSlowdown}
+// stubAt measures stubEval under each condition on an in-process pool of
+// the given width.
+func stubAt(workers int) func(ld cluster.Load) (dispatch.Dispatcher, error) {
+	return func(ld cluster.Load) (dispatch.Dispatcher, error) {
+		ev := stubEval{scale: 1 + ld.ComputeSlowdown}
+		return &dispatch.Local{Eval: ev, Runner: &dispatch.Runner{Workers: workers}}, nil
 	}
-	env, err := NewEnv(build, prof, cfgspace.Config{1})
+}
+
+func newTestEnv(t *testing.T, prof cluster.Profile, workers int) *Env {
+	t.Helper()
+	env, err := NewEnv(stubAt(workers), prof, cfgspace.Config{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,9 +53,9 @@ func newTestEnv(t *testing.T, prof cluster.Profile) *Env {
 }
 
 func TestEnvClockAdvancesByProbeCost(t *testing.T) {
-	env := newTestEnv(t, stepAt5{})
-	if env.Unit() != 1 {
-		t.Fatalf("unit = %v, want 1", env.Unit())
+	env := newTestEnv(t, stepAt5{}, 1)
+	if env.unit != 1 {
+		t.Fatalf("unit = %v, want 1", env.unit)
 	}
 	if env.Clock() != 0 {
 		t.Fatalf("fresh clock = %v", env.Clock())
@@ -77,7 +83,7 @@ func TestEnvClockAdvancesByProbeCost(t *testing.T) {
 }
 
 func TestEnvPeekDoesNotAdvanceClock(t *testing.T) {
-	env := newTestEnv(t, stepAt5{})
+	env := newTestEnv(t, stepAt5{}, 1)
 	before := env.Clock()
 	for i := 0; i < 3; i++ {
 		if _, err := env.Peek(cfgspace.Config{7}); err != nil {
@@ -109,9 +115,9 @@ func TestEnvRetainsOneCondition(t *testing.T) {
 		t.Fatal(err)
 	}
 	conditions := 0
-	env, err := NewEnv(func(ld cluster.Load) dispatch.Evaluator {
+	env, err := NewEnv(func(ld cluster.Load) (dispatch.Dispatcher, error) {
 		conditions++
-		return stubEval{scale: 1 + ld.ComputeSlowdown}
+		return stubAt(1)(ld)
 	}, prof, cfgspace.Config{1})
 	if err != nil {
 		t.Fatal(err)
@@ -141,8 +147,7 @@ func TestEnvRetainsOneCondition(t *testing.T) {
 // TestPeekBestReturnsFirstMinimum: ties go to the earliest index, whatever
 // order the runner finished the scan in.
 func TestPeekBestReturnsFirstMinimum(t *testing.T) {
-	env := newTestEnv(t, stepAt5{})
-	env.Runner = &dispatch.Runner{Workers: 4}
+	env := newTestEnv(t, stepAt5{}, 4)
 	best, idx, err := env.PeekBest([]cfgspace.Config{{3}, {2}, {9}, {2}, {2}})
 	if err != nil {
 		t.Fatal(err)
@@ -156,10 +161,7 @@ func TestEnvDispatchAdvancesByBatchMax(t *testing.T) {
 	// A batch is one wave on the measurement plane: the clock must advance
 	// by the slowest item, not the sum — at any worker count.
 	for _, workers := range []int{1, 4} {
-		env := newTestEnv(t, stepAt5{})
-		if workers > 1 {
-			env.Runner = &dispatch.Runner{Workers: workers}
-		}
+		env := newTestEnv(t, stepAt5{}, workers)
 		batch := []dispatch.Item{
 			{Seq: 0, Kind: dispatch.KindWorkflow, Cfg: cfgspace.Config{3}},
 			{Seq: 1, Kind: dispatch.KindWorkflow, Cfg: cfgspace.Config{2}},
@@ -178,7 +180,7 @@ func TestEnvDispatchAdvancesByBatchMax(t *testing.T) {
 }
 
 func TestEnvAdvanceCapped(t *testing.T) {
-	env := newTestEnv(t, stepAt5{})
+	env := newTestEnv(t, stepAt5{}, 1)
 	if _, err := env.Probe(context.Background(), cfgspace.Config{1000}); err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +198,7 @@ func TestEnvDeterministicPerSeedProfile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			env := newTestEnv(t, prof)
+			env := newTestEnv(t, prof, 1)
 			for i := 0; i < 8; i++ {
 				env.Advance(30)
 				v, err := env.Probe(context.Background(), cfgspace.Config{2})

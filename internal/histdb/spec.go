@@ -3,6 +3,8 @@ package histdb
 import (
 	"fmt"
 	"strings"
+
+	"ceal/internal/dispatch"
 )
 
 // Default spec values applied by Normalize.
@@ -63,7 +65,7 @@ type Spec struct {
 	Mode string `json:"mode,omitempty"`
 	// Drift names the platform-load profile a continuous run monitors
 	// under (see cluster.ProfileNames; default "none", the constant
-	// profile). Ignored for tune runs.
+	// profile, which "constant" also names). Ignored for tune runs.
 	Drift string `json:"drift,omitempty"`
 	// Probes is a continuous run's monitoring-probe count after initial
 	// convergence (default DefaultProbes). Ignored for tune runs.
@@ -102,7 +104,7 @@ func (s Spec) Normalize() Spec {
 	}
 	s.Drift = strings.ToLower(strings.TrimSpace(s.Drift))
 	if s.Mode == ModeContinuous {
-		if s.Drift == "" {
+		if s.Drift == "" || s.Drift == "constant" {
 			s.Drift = "none"
 		}
 		if s.Probes <= 0 {
@@ -117,6 +119,13 @@ func (s Spec) Normalize() Spec {
 	return s
 }
 
+// Job returns the measurement identity of the spec's runs: benchmark,
+// objective and seed, on the nominal platform.
+func (s Spec) Job() dispatch.Job {
+	n := s.Normalize()
+	return dispatch.Job{Benchmark: n.Benchmark, Objective: n.Objective, Seed: n.Seed}
+}
+
 // Key returns the spec's canonical identity string — the store's dedup key.
 // Warm-started runs carry a "/warm" suffix: their results depend on the
 // history available at admission, so they must never be served as cached
@@ -125,8 +134,8 @@ func (s Spec) Key() string {
 	n := s.Normalize()
 	k := fmt.Sprintf("%s/%s/%s/b%d/p%d/s%d", n.Benchmark, n.Algorithm, n.Objective, n.Budget, n.Pool, n.Seed)
 	if n.Mode == ModeContinuous {
-		// Continuous runs never dedupe, but the key still identifies the run
-		// in the store; tune keys stay byte-identical to earlier releases.
+		// A session is deterministic per spec, so it dedupes like a tune
+		// run; tune keys stay byte-identical to earlier releases.
 		k += fmt.Sprintf("/continuous/%s/pr%d", n.Drift, n.Probes)
 	}
 	if n.WarmStart {

@@ -7,46 +7,45 @@ import (
 	"ceal/internal/dispatch"
 	"ceal/internal/drift"
 	"ceal/internal/tuner"
-	"ceal/internal/workflow"
 )
 
-// NewContinuous assembles a continuous (online-retuning) tuning run over a
-// benchmark: a drift environment whose machine follows the named load
-// profile, one problem built exactly like NewProblem that measures through
-// it, and a regret oracle over the full candidate pool — a prefix oracle can
-// miss a drift-shifted optimum entirely, which silently clamps regret to
-// zero. Everything is deterministic from (seed, profile): the pool, the
-// evaluator noise, the profile's jittered onsets, and the virtual clock all
-// derive from them, at any worker count. The caller picks the Algorithm and
-// may adjust Opts before Run.
-func NewContinuous(b *workflow.Benchmark, obj workflow.Objective, poolSize int, seed uint64, profileName string, workers int) (*tuner.Continuous, error) {
-	prof, err := cluster.ParseProfile(profileName, seed)
+// NewContinuous assembles a continuous (online-retuning) tuning run for a
+// job: a drift environment decorating remote(job under each condition of
+// the named load profile) — nil measures in-process, `workers` wide — one
+// problem built exactly like NewProblem that measures through it, and a
+// regret oracle over the full candidate pool (a prefix oracle can miss a
+// drift-shifted optimum entirely, which silently clamps regret to zero).
+// Everything is deterministic from (seed, profile), at any worker count and
+// wherever it measures. The caller picks the Algorithm and may adjust Opts
+// before Run.
+func NewContinuous(job dispatch.Job, poolSize int, profileName string, workers int, remote func(dispatch.Job) dispatch.Dispatcher) (*tuner.Continuous, error) {
+	prof, err := cluster.ParseProfile(profileName, job.Seed)
 	if err != nil {
 		return nil, err
 	}
-	base := b.Machine
-	name := b.Name
-	build := func(ld cluster.Load) dispatch.Evaluator {
-		lb, err := workflow.ByName(base.UnderLoad(ld), name)
-		if err != nil {
-			// The name came from a successfully built benchmark; ByName on
-			// the same catalogue cannot fail.
-			panic(fmt.Sprintf("live: rebuilding benchmark %q under load: %v", name, err))
-		}
-		return &Evaluator{Bench: lb, Obj: obj, Seed: seed}
+	ev, err := NewEvaluator(job)
+	if err != nil {
+		return nil, err
 	}
-	p := NewProblem(b, obj, poolSize, seed)
+	p := NewProblem(ev.Bench, ev.Obj, poolSize, job.Seed)
 	if len(p.Pool) == 0 {
-		return nil, fmt.Errorf("live: benchmark %q produced an empty pool", name)
+		return nil, fmt.Errorf("live: benchmark %q produced an empty pool", job.Benchmark)
 	}
-	env, err := drift.NewEnv(build, prof, p.Pool[0])
+	p.Workers = workers
+	runner := dispatch.NewRunner(workers)
+	env, err := drift.NewEnv(func(ld cluster.Load) (dispatch.Dispatcher, error) {
+		if remote != nil {
+			return remote(job.Under(ld)), nil
+		}
+		ev, err := NewEvaluator(job.Under(ld))
+		if err != nil {
+			return nil, err
+		}
+		return dispatch.NewLocal(ev, runner), nil
+	}, prof, p.Pool[0])
 	if err != nil {
 		return nil, err
-	}
-	if workers > 1 {
-		env.Runner = dispatch.NewRunner(workers)
-		p.Workers = workers
 	}
 	p.Dispatcher = env
-	return &tuner.Continuous{Problem: p, Env: env, Opts: tuner.ContinuousOptions{OracleCfgs: p.Pool}}, nil
+	return &tuner.Continuous{Problem: p, Opts: tuner.ContinuousOptions{OracleCfgs: p.Pool}}, nil
 }

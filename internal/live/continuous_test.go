@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ceal/internal/cluster"
+	"ceal/internal/dispatch"
 	"ceal/internal/tuner"
 	"ceal/internal/workflow"
 )
@@ -15,11 +16,7 @@ var allAlgorithms = []string{"rs", "al", "geist", "alph", "ceal"}
 // continuousSmall builds a small continuous run for tests.
 func continuousSmall(t *testing.T, wf, profile string, seed uint64, workers, probes int) *tuner.Continuous {
 	t.Helper()
-	b, err := workflow.ByName(cluster.Default(), wf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewContinuous(b, workflow.CompTime, 80, seed, profile, workers)
+	c, err := NewContinuous(dispatch.Job{Benchmark: wf, Objective: "comp", Seed: seed}, 80, profile, workers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +54,7 @@ func TestConstantProfileMatchesPlainRunByteForByte(t *testing.T) {
 			t.Fatalf("%s: plain run: %v", name, err)
 		}
 
-		c, err := NewContinuous(b, workflow.CompTime, 80, 7, "none", 1)
+		c, err := NewContinuous(dispatch.Job{Benchmark: "LV", Objective: "comp", Seed: 7}, 80, "none", 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

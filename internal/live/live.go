@@ -19,6 +19,7 @@ import (
 	"ceal/internal/acm"
 	"ceal/internal/cfgspace"
 	"ceal/internal/cluster"
+	"ceal/internal/dispatch"
 	"ceal/internal/tuner"
 	"ceal/internal/workflow"
 )
@@ -32,19 +33,23 @@ type Evaluator struct {
 	Seed  uint64
 }
 
-// NewEvaluator resolves a job identity's names — the benchmark on the
-// default machine, the objective — into its evaluator: what a worker, a
-// service replica and the CLI's report all measure one spec with.
-func NewEvaluator(benchmark, objective string, seed uint64) (*Evaluator, error) {
-	b, err := workflow.ByName(cluster.Default(), benchmark)
+// NewEvaluator resolves a job identity into its evaluator — the benchmark on
+// the default machine under the job's load, the objective, the seed: what a
+// worker, a service replica, the CLI's report and a session measure with.
+func NewEvaluator(job dispatch.Job) (*Evaluator, error) {
+	m := cluster.Default()
+	if job.Load != nil {
+		m = m.UnderLoad(*job.Load)
+	}
+	b, err := workflow.ByName(m, job.Benchmark)
 	if err != nil {
 		return nil, err
 	}
-	obj, err := ParseObjective(objective)
+	obj, err := ParseObjective(job.Objective)
 	if err != nil {
 		return nil, err
 	}
-	return &Evaluator{Bench: b, Obj: obj, Seed: seed}, nil
+	return &Evaluator{Bench: b, Obj: obj, Seed: job.Seed}, nil
 }
 
 // ErrBadItem marks a measurement the evaluator refused because the request

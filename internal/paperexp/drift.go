@@ -3,11 +3,10 @@ package paperexp
 import (
 	"fmt"
 
-	"ceal/internal/cluster"
+	"ceal/internal/dispatch"
 	"ceal/internal/live"
 	"ceal/internal/metrics"
 	"ceal/internal/tuner"
-	"ceal/internal/workflow"
 )
 
 // The drift experiment compares the two responses to a platform that
@@ -37,15 +36,12 @@ func driftProfiles() []string { return []string{"step", "ramp", "periodic", "nei
 // newDriftArm assembles one continuous run (environment + driver) for a
 // workflow under a profile. maxEpochs < 0 is the tune-once arm.
 func newDriftArm(wf, profile string, opt Options, seed uint64, maxEpochs int) (*tuner.Continuous, error) {
-	b, err := workflow.ByName(cluster.Default(), wf)
-	if err != nil {
-		return nil, err
-	}
 	poolSize := opt.Pool
 	if poolSize <= 0 {
 		poolSize = 500
 	}
-	c, err := live.NewContinuous(b, CompTime, poolSize, seed, profile, opt.Workers)
+	job := dispatch.Job{Benchmark: wf, Objective: CompTime.Short(), Seed: seed}
+	c, err := live.NewContinuous(job, poolSize, profile, opt.Workers, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,19 +1,21 @@
 package service
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"ceal/internal/drift"
 	"ceal/internal/histdb"
 	"ceal/internal/tuner"
 	"ceal/internal/tuner/events"
+	"ceal/internal/worker"
 )
 
 // contSpec is a continuous-mode spec small enough for test-speed runs whose
@@ -28,8 +30,8 @@ func contSpec() JobSpec {
 
 // TestServerContinuousRunStreamsDriftEvents is the serve-surface acceptance
 // criterion: a continuous run under a step profile streams drift_confirmed
-// followed by reconverged, finishes with a continuous summary, never
-// dedupes, and — done — has nothing left to resume.
+// followed by reconverged, finishes with a continuous summary, dedupes like
+// any run, and — done — has nothing left to resume.
 func TestServerContinuousRunStreamsDriftEvents(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 
@@ -106,10 +108,11 @@ func TestServerContinuousRunStreamsDriftEvents(t *testing.T) {
 		t.Fatalf("SSE stream lacks drift_confirmed -> reconverged (at %d, %d)", ci, ri)
 	}
 
-	// Identical continuous spec: a fresh run, never a dedup join.
+	// Identical continuous spec: served from the store — the same run, the
+	// same bytes.
 	resp2, body2 := postJSON(t, ts.URL+"/v1/runs", contSpec())
-	if resp2.StatusCode != http.StatusCreated {
-		t.Fatalf("second continuous POST = %d, want 201 (fresh): %s", resp2.StatusCode, body2)
+	if resp2.StatusCode != http.StatusOK {
+		t.Fatalf("second continuous POST = %d, want 200 (deduped): %s", resp2.StatusCode, body2)
 	}
 	var sub2 struct {
 		histdb.RunRecord
@@ -118,10 +121,12 @@ func TestServerContinuousRunStreamsDriftEvents(t *testing.T) {
 	if err := json.Unmarshal(body2, &sub2); err != nil {
 		t.Fatal(err)
 	}
-	if sub2.Deduped || sub2.ID == sub.ID {
-		t.Fatalf("continuous resubmission deduped (id %s vs %s)", sub2.ID, sub.ID)
+	if !sub2.Deduped || sub2.ID != sub.ID {
+		t.Fatalf("continuous resubmission deduped=%v id=%s, want true/%s", sub2.Deduped, sub2.ID, sub.ID)
 	}
-	pollDone(t, ts, sub2.ID)
+	if got, want := summaryJSON(t, &sub2.RunRecord), summaryJSON(t, rec); got != want {
+		t.Fatalf("deduped session differs from the run it names:\n got %s\nwant %s", got, want)
+	}
 
 	// A completed session is as unresumable as any completed run.
 	rresp, rbody := postJSON(t, ts.URL+"/v1/runs/"+sub.ID+"/resume", nil)
@@ -142,6 +147,14 @@ func TestSpecKeyContinuousExtension(t *testing.T) {
 	}
 	if fk := cont.FamilyKey(); !strings.HasSuffix(fk, "/continuous") {
 		t.Fatalf("continuous family key %q does not isolate the mode", fk)
+	}
+	// The constant profile's spellings are one session, so one key.
+	for _, alias := range []string{"", "none", "constant", " Constant "} {
+		a, b := contSpec(), contSpec()
+		a.Drift, b.Drift = alias, "none"
+		if a.Key() != b.Key() {
+			t.Fatalf("drift %q keys %q, drift none %q", alias, a.Key(), b.Key())
+		}
 	}
 	// Drift knobs on a tune spec are cleared by Normalize, keeping legacy
 	// keys stable.
@@ -235,17 +248,154 @@ func TestContinuousJobComposesInjectedObserver(t *testing.T) {
 	}
 }
 
-// TestBuildSpecRemoteKeepsDriftEnv: a continuous session measures through
-// its drift environment in-process even on a daemon configured with remote
-// workers — the worker protocol carries no platform condition, so a remote
-// dispatcher would measure an undrifted platform.
-func TestBuildSpecRemoteKeepsDriftEnv(t *testing.T) {
-	p, alg, err := BuildSpecRemote([]string{"http://127.0.0.1:1"})(contSpec())
+// TestContinuousSubmitJoinsInFlightSession: an identical continuous spec
+// posted while the first is still queued joins it — 200, deduped, the same
+// ID — and posted once it is done is served the same record's bytes.
+func TestContinuousSubmitJoinsInFlightSession(t *testing.T) {
+	release := make(chan struct{})
+	m, ts := newTestServer(t, Options{Workers: 1, Build: func(s JobSpec) (*tuner.Problem, tuner.Algorithm, error) {
+		<-release
+		return BuildSpec(s)
+	}})
+	post := func() (int, *histdb.RunRecord, bool) {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/v1/runs", contSpec())
+		var sub struct {
+			histdb.RunRecord
+			Deduped bool `json:"deduped"`
+		}
+		if err := json.Unmarshal(body, &sub); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, &sub.RunRecord, sub.Deduped
+	}
+	code, first, _ := post()
+	if code != http.StatusCreated {
+		t.Fatalf("first POST = %d", code)
+	}
+	if code, joined, deduped := post(); code != http.StatusOK || !deduped || joined.ID != first.ID {
+		t.Fatalf("in-flight resubmission: %d deduped=%v id=%s, want 200/true/%s", code, deduped, joined.ID, first.ID)
+	}
+	close(release)
+	done := pollDone(t, ts, first.ID)
+	code, stored, deduped := post()
+	if code != http.StatusOK || !deduped || stored.ID != first.ID {
+		t.Fatalf("stored resubmission: %d deduped=%v id=%s, want 200/true/%s", code, deduped, stored.ID, first.ID)
+	}
+	if got, want := summaryJSON(t, stored), summaryJSON(t, done); got != want {
+		t.Fatalf("deduped session differs from the run it names:\n got %s\nwant %s", got, want)
+	}
+	if mt := m.Metrics(); mt.Deduped != 2 || mt.Started != 1 {
+		t.Fatalf("metrics %+v, want 2 deduped submissions of 1 started run", mt)
+	}
+}
+
+// summaryJSON is a done continuous record's session summary and final
+// result as JSON — what two runs of one session must agree on.
+func summaryJSON(t *testing.T, rec *histdb.RunRecord) string {
+	t.Helper()
+	if rec.State != histdb.StateDone || rec.Continuous == nil {
+		t.Fatalf("run %s: state %s (%s), continuous %v", rec.ID, rec.State, rec.Error, rec.Continuous)
+	}
+	return resultJSON(t, rec.Continuous, rec.Result)
+}
+
+// resultJSON is a session's summary and final result as JSON.
+func resultJSON(t *testing.T, cont *tuner.ContinuousResult, res *tuner.Result) string {
+	t.Helper()
+	c, err := json.Marshal(cont)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env, ok := p.Dispatcher.(*drift.Env); !ok || env != alg.(*tuner.Continuous).Env {
-		t.Fatalf("continuous problem dispatches to %T, want the session's *drift.Env", p.Dispatcher)
+	r, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%s\n%s", c, r)
+}
+
+// sessionJSON builds spec's session with build, puts obs on its problem,
+// runs it, and returns the summary and final result as JSON together with
+// the problem.
+func sessionJSON(t *testing.T, build func(JobSpec) (*tuner.Problem, tuner.Algorithm, error), spec JobSpec, obs events.Observer) (string, *tuner.Problem) {
+	t.Helper()
+	p, alg, err := build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Observer = obs
+	res, err := alg.Tune(p, spec.Normalize().Budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resultJSON(t, res.Continuous, res), p
+}
+
+// newWorker starts a ceal-worker engine of the given width.
+func newWorker(t *testing.T, width int) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(worker.NewServer(width))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// workerItems reads a worker's ceal_worker_items_total off its /metrics.
+func workerItems(t *testing.T, url string) float64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var n float64
+		if _, err := fmt.Sscanf(sc.Text(), "ceal_worker_items_total %g", &n); err == nil {
+			return n
+		}
+	}
+	t.Fatalf("%s/metrics has no ceal_worker_items_total", url)
+	return 0
+}
+
+// TestRemoteContinuousMatchesInProcess: a session built by BuildSpecRemote
+// measures its batches, probes and peeks on ceal-worker daemons, each job
+// carrying the platform condition it measures under, and ends with the
+// summary and final result of the in-process session at any width.
+func TestRemoteContinuousMatchesInProcess(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		spec := contSpec()
+		spec.Workers = workers
+		want, _ := sessionJSON(t, BuildSpec, spec, nil)
+		urls := []string{newWorker(t, 1).URL, newWorker(t, 2).URL}
+		if got, _ := sessionJSON(t, BuildSpecRemote(urls), spec, nil); got != want {
+			t.Fatalf("workers=%d: remote session differs from in-process:\n got %s\nwant %s", workers, got, want)
+		}
+		for _, url := range urls {
+			if n := workerItems(t, url); n <= 0 {
+				t.Fatalf("workers=%d: worker %s measured %g items", workers, url, n)
+			}
+		}
+	}
+}
+
+// TestRemoteContinuousSurvivesWorkerKill: one of a session's two workers
+// dies at the first monitoring probe. The shards meant for it afterwards —
+// the re-exploration's among them — are re-posted to the survivor, so the
+// session ends as it does in-process, with the resends counted.
+func TestRemoteContinuousSurvivesWorkerKill(t *testing.T) {
+	want, _ := sessionJSON(t, BuildSpec, contSpec(), nil)
+	healthy, doomed := newWorker(t, 1), newWorker(t, 1)
+	kill := &cancelAt{kind: "probe", k: 1, cancel: doomed.Close}
+	got, p := sessionJSON(t, BuildSpecRemote([]string{healthy.URL, doomed.URL}), contSpec(), kill)
+	if kill.seen == 0 {
+		t.Fatal("the session never probed; the kill never happened")
+	}
+	if got != want {
+		t.Fatalf("session diverged after a worker kill:\n got %s\nwant %s", got, want)
+	}
+	if st := p.Collector().Stats(); st.Retries == 0 {
+		t.Fatalf("no resends counted after the kill: %+v", st)
 	}
 }
 

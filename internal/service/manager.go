@@ -227,7 +227,10 @@ func (m *Manager) Submit(spec JobSpec) (rec *histdb.RunRecord, fresh bool, err e
 	// On a shared store, another replica may have completed this spec since
 	// we last looked: fold its records in before deciding to re-run.
 	m.refreshStore()
-	if joinable(spec) {
+	// A warm spec never dedupes: its result depends on the history available
+	// when it starts. A continuous one does: its platform is a deterministic
+	// simulation of the spec, at any worker count, wherever it measures.
+	if !spec.WarmStart {
 		// An identical spec already queued or running: join it.
 		if j, ok := m.byKey[key]; ok {
 			m.deduped.Add(1)
@@ -259,24 +262,15 @@ func (m *Manager) Submit(spec JobSpec) (rec *histdb.RunRecord, fresh bool, err e
 	return rec.Clone(), true, nil
 }
 
-// joinable reports whether a normalized spec dedupes. Warm-started specs
-// never do: their result depends on the history available when they start,
-// so two submissions of the same warm spec are different jobs. Continuous
-// specs never do either — each is a distinct monitoring session over a live
-// platform (validation already rejected any that explicitly asked for it).
-func joinable(n JobSpec) bool {
-	return !n.WarmStart && n.Mode != histdb.ModeContinuous
-}
-
 // Resume re-admits an interrupted (failed, cancelled, or crash-orphaned
 // queued/running) run from the store. The run replays deterministically:
 // its persisted measurement checkpoint preloads the collector cache, so
 // already-measured configurations are served as hits and the final Result
 // is byte-identical to what the uninterrupted run would have produced. A
 // continuous session replays from its spec alone — the driver forgets the
-// collector's cache before its first epoch, preload included, and a drift
-// environment measures nothing but in-process simulations — to the same
-// session. Completed runs return ErrNotResumable; live ones ErrInFlight.
+// collector's cache before its first epoch, preload included, and its
+// drifting platform is a deterministic simulation — to the same session.
+// Completed runs return ErrNotResumable; live ones ErrInFlight.
 func (m *Manager) Resume(id string) (*histdb.RunRecord, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -327,7 +321,7 @@ func (m *Manager) admit(rec *histdb.RunRecord) error {
 		return ErrQueueFull
 	}
 	m.jobs[rec.ID] = j
-	if _, taken := m.byKey[rec.SpecKey]; !taken && joinable(rec.Spec.Normalize()) {
+	if _, taken := m.byKey[rec.SpecKey]; !taken && !rec.Spec.WarmStart {
 		m.byKey[rec.SpecKey] = j
 	}
 	m.saveLocked(j)

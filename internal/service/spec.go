@@ -51,7 +51,7 @@ const (
 // and algorithm registries — the one place the service turns a spec's
 // strings into values. The evaluator carries the benchmark and objective.
 func resolve(n JobSpec) (*live.Evaluator, tuner.Algorithm, error) {
-	ev, err := live.NewEvaluator(n.Benchmark, n.Objective, n.Seed)
+	ev, err := live.NewEvaluator(n.Job())
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: %w", err)
 	}
@@ -114,13 +114,32 @@ func validate(n JobSpec) (*workflow.Benchmark, error) {
 // data is attached separately by the Manager (it depends on store state, not
 // on the spec alone).
 func BuildSpec(s JobSpec) (*tuner.Problem, tuner.Algorithm, error) {
+	return buildSpec(s, nil)
+}
+
+// BuildSpecRemote returns a Build function that assembles the same problem
+// as BuildSpec but dispatches its measurement batches to remote ceal-worker
+// daemons at the given URLs instead of the in-process pool — a continuous
+// session's drift environment included, each batch's job carrying the
+// platform condition it measures under. Evaluator determinism makes the
+// substitution invisible in results: a measurement's value depends only on
+// (benchmark, objective, seed, platform condition, configuration), never on
+// which worker ran it, so remote runs are byte-identical to local ones.
+func BuildSpecRemote(workers []string) func(JobSpec) (*tuner.Problem, tuner.Algorithm, error) {
+	remote := func(job dispatch.Job) dispatch.Dispatcher { return dispatch.NewRemote(workers, job) }
+	return func(s JobSpec) (*tuner.Problem, tuner.Algorithm, error) { return buildSpec(s, remote) }
+}
+
+// buildSpec is BuildSpec measuring through remote's dispatcher for a job;
+// nil measures in-process.
+func buildSpec(s JobSpec, remote func(dispatch.Job) dispatch.Dispatcher) (*tuner.Problem, tuner.Algorithm, error) {
 	n := s.Normalize()
 	ev, alg, err := resolve(n)
 	if err != nil {
 		return nil, nil, err
 	}
 	if n.Mode == histdb.ModeContinuous {
-		c, err := live.NewContinuous(ev.Bench, ev.Obj, n.Pool, n.Seed, n.Drift, n.Workers)
+		c, err := live.NewContinuous(n.Job(), n.Pool, n.Drift, n.Workers, remote)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -133,32 +152,8 @@ func BuildSpec(s JobSpec) (*tuner.Problem, tuner.Algorithm, error) {
 		p.Runner = dispatch.NewRunner(n.Workers)
 		p.Workers = n.Workers
 	}
-	return p, alg, nil
-}
-
-// BuildSpecRemote returns a Build function that assembles the same problem
-// as BuildSpec but dispatches its measurement batches to remote ceal-worker
-// daemons at the given URLs instead of the in-process pool. Evaluator
-// determinism makes the substitution invisible in results: a measurement's
-// value depends only on (benchmark, objective, seed, configuration), never
-// on which worker ran it, so remote runs are byte-identical to local ones.
-// A problem that already has a Dispatcher keeps it: a continuous session's
-// drift environment measures in-process, because the worker protocol
-// carries no platform condition.
-func BuildSpecRemote(workers []string) func(JobSpec) (*tuner.Problem, tuner.Algorithm, error) {
-	return func(s JobSpec) (*tuner.Problem, tuner.Algorithm, error) {
-		p, alg, err := BuildSpec(s)
-		if err != nil {
-			return nil, nil, err
-		}
-		if p.Dispatcher == nil {
-			n := s.Normalize()
-			p.Dispatcher = dispatch.NewRemote(workers, dispatch.Job{
-				Benchmark: n.Benchmark,
-				Objective: n.Objective,
-				Seed:      n.Seed,
-			})
-		}
-		return p, alg, nil
+	if remote != nil {
+		p.Dispatcher = remote(n.Job())
 	}
+	return p, alg, nil
 }

@@ -35,16 +35,14 @@ type Continuous struct {
 	// Algorithm runs every tuning epoch (initial and re-explorations).
 	Algorithm Algorithm
 	// Problem is the session's one problem — pool sampled and featurized
-	// once — whose Dispatcher is Env. Every epoch tunes it: the driver
-	// forgets its collector's cache first (a value measured under one
-	// platform condition must not be served under another; the counters
-	// run on) and sets its Warm. Its Ctx cancels the session and its
-	// Observer receives the continuous-mode events (probe, drift,
-	// re-exploration) in addition to each epoch's run events.
+	// once — whose Dispatcher is the *drift.Env the driver also probes
+	// between epochs. Every epoch tunes it: the driver forgets its
+	// collector's cache first (a value measured under one platform
+	// condition must not be served under another; the counters run on) and
+	// sets its Warm. Its Ctx cancels the session and its Observer receives
+	// the continuous-mode events (probe, drift, re-exploration) in addition
+	// to each epoch's run events.
 	Problem *Problem
-	// Env is the time-varying measurement environment, probed between
-	// epochs.
-	Env *drift.Env
 	// Opts tunes the monitoring cadence and re-exploration.
 	Opts ContinuousOptions
 }
@@ -169,11 +167,12 @@ func (c *Continuous) Run(budget int) (*ContinuousResult, error) {
 
 // Tune implements Algorithm: the continuous cycle — initial tune, then
 // Opts.Probes monitoring probes with drift-triggered re-exploration — over
-// p, which must measure through Env. It returns the last epoch's Result
-// with the session summary on its Continuous field.
+// p, which must measure through a *drift.Env. It returns the last epoch's
+// Result with the session summary on its Continuous field.
 func (c *Continuous) Tune(p *Problem, budget int) (*Result, error) {
-	if c.Algorithm == nil || c.Env == nil || p == nil || p.Dispatcher != c.Env {
-		return nil, fmt.Errorf("tuner: Continuous needs Algorithm, Env and a Problem dispatching to Env")
+	env, ok := p.Dispatcher.(*drift.Env)
+	if c.Algorithm == nil || !ok {
+		return nil, fmt.Errorf("tuner: Continuous needs an Algorithm and a Problem dispatching to a *drift.Env")
 	}
 	ctx := p.context()
 	opts := c.Opts.withDefaults(budget)
@@ -190,7 +189,7 @@ func (c *Continuous) Tune(p *Problem, budget int) (*Result, error) {
 	prev := initial
 
 	det := drift.NewDetector(driftThreshold, driftConfirm)
-	base, err := c.Env.Probe(ctx, incumbent)
+	base, err := env.Probe(ctx, incumbent)
 	if err != nil {
 		return nil, err
 	}
@@ -211,16 +210,16 @@ func (c *Continuous) Tune(p *Problem, budget int) (*Result, error) {
 		portfolio = append(portfolio, cfg)
 	}
 
-	lastClock := c.Env.Clock()
+	lastClock := env.Clock()
 	for probe := 0; probe < opts.Probes; probe++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if opts.Horizon > 0 && c.Env.Clock() >= opts.Horizon {
+		if opts.Horizon > 0 && env.Clock() >= opts.Horizon {
 			break
 		}
-		c.Env.Advance(opts.ProbeInterval)
-		v, err := c.Env.Probe(ctx, incumbent)
+		env.Advance(opts.ProbeInterval)
+		v, err := env.Probe(ctx, incumbent)
 		if err != nil {
 			return nil, err
 		}
@@ -228,7 +227,7 @@ func (c *Continuous) Tune(p *Problem, budget int) (*Result, error) {
 
 		gap := 0.0
 		if len(opts.OracleCfgs) > 0 {
-			oracle, _, err := c.Env.PeekBest(opts.OracleCfgs)
+			oracle, _, err := env.PeekBest(opts.OracleCfgs)
 			if err != nil {
 				return nil, err
 			}
@@ -236,7 +235,7 @@ func (c *Continuous) Tune(p *Problem, budget int) (*Result, error) {
 				gap = 0
 			}
 		}
-		clock := c.Env.Clock()
+		clock := env.Clock()
 		regret := gap * (clock - lastClock)
 		lastClock = clock
 		res.CumulativeRegret += regret
@@ -270,7 +269,7 @@ func (c *Continuous) Tune(p *Problem, budget int) (*Result, error) {
 					if slices.Equal(pc, incumbent) {
 						continue
 					}
-					pv, err := c.Env.Probe(ctx, pc)
+					pv, err := env.Probe(ctx, pc)
 					if err != nil {
 						return nil, err
 					}
@@ -282,7 +281,7 @@ func (c *Continuous) Tune(p *Problem, budget int) (*Result, error) {
 					incumbent = bestCfg
 					det.Reset(bestV)
 					res.Switchbacks++
-					end := c.Env.Clock()
+					end := env.Clock()
 					res.CumulativeRegret += gap * (end - clock)
 					lastClock = end
 					emit(&events.Reconverged{
@@ -323,12 +322,12 @@ func (c *Continuous) Tune(p *Problem, budget int) (*Result, error) {
 			// with a worse pick when the platform kept moving during the
 			// epoch itself.
 			rememberIncumbent(r.Best)
-			bestV, err := c.Env.Peek(incumbent)
+			bestV, err := env.Peek(incumbent)
 			if err != nil {
 				return nil, err
 			}
 			for _, pc := range portfolio {
-				pv, err := c.Env.Peek(pc)
+				pv, err := env.Peek(pc)
 				if err != nil {
 					return nil, err
 				}
@@ -337,12 +336,12 @@ func (c *Continuous) Tune(p *Problem, budget int) (*Result, error) {
 				}
 			}
 
-			nb, err := c.Env.Probe(ctx, incumbent)
+			nb, err := env.Probe(ctx, incumbent)
 			if err != nil {
 				return nil, err
 			}
 			det.Reset(nb)
-			end := c.Env.Clock()
+			end := env.Clock()
 			// The re-exploration interval is production time spent on the
 			// stale configuration: charge it at the gap that triggered it.
 			res.CumulativeRegret += gap * (end - start)
@@ -358,9 +357,9 @@ func (c *Continuous) Tune(p *Problem, budget int) (*Result, error) {
 			})
 		}
 	}
-	res.FinalClock = c.Env.Clock()
+	res.FinalClock = env.Clock()
 	res.Incumbent = incumbent.Clone()
-	v, err := c.Env.Peek(incumbent)
+	v, err := env.Peek(incumbent)
 	if err != nil {
 		return nil, err
 	}

@@ -5,21 +5,23 @@
 // pool, and returns values tagged with the items' sequence numbers.
 //
 // A worker holds no tuning state. The job identity in every request
-// (benchmark, objective, seed) fully determines the evaluator, so any
-// worker — or any mix of workers across retries and reassignment —
-// produces identical values for identical items, and the worker builds it
-// per request (microseconds against a shard's milliseconds) rather than
-// retain anything keyed by what a client sent.
+// (benchmark, objective, seed, platform load) fully determines the
+// evaluator, so any worker — or any mix of workers across retries and
+// reassignment — produces identical values for identical items, and the
+// worker builds it per request (microseconds against a shard's
+// milliseconds) rather than retain anything keyed by what a client sent.
 package worker
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"sync/atomic"
 
+	"ceal/internal/cluster"
 	"ceal/internal/dispatch"
 	"ceal/internal/live"
 )
@@ -70,7 +72,11 @@ func (s *Server) measure(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, status, fmt.Errorf("bad measure request: %w", err))
 		return
 	}
-	ev, err := live.NewEvaluator(req.Job.Benchmark, req.Job.Objective, req.Job.Seed)
+	if err := checkLoad(req.Load); err != nil {
+		s.fail(w, http.StatusBadRequest, err)
+		return
+	}
+	ev, err := live.NewEvaluator(req.Job)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -85,8 +91,33 @@ func (s *Server) measure(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, status, err)
 		return
 	}
+	for _, m := range ms {
+		if math.IsInf(m.Value, 0) || math.IsNaN(m.Value) {
+			s.fail(w, http.StatusBadRequest, fmt.Errorf("%w: item %d measures %g under it", ErrBadLoad, m.Seq, m.Value))
+			return
+		}
+	}
 	s.items.Add(uint64(len(ms)))
 	writeJSON(w, http.StatusOK, dispatch.MeasureResponse{Results: ms})
+}
+
+// ErrBadLoad marks a measure request whose platform condition no machine
+// can be under: a negative intensity (no drift profile reports one, and the
+// machine model would silently read it as nominal), or one so large that a
+// measurement is not finite.
+var ErrBadLoad = errors.New("worker: bad platform load")
+
+// checkLoad refuses a load with any negative intensity (nil is nominal).
+func checkLoad(ld *cluster.Load) error {
+	if ld == nil {
+		return nil
+	}
+	for _, v := range []float64{ld.FabricContention, ld.PFSContention, ld.MemoryContention, ld.ComputeSlowdown, ld.LatencyFactor} {
+		if v < 0 {
+			return fmt.Errorf("%w: negative intensity in %+v", ErrBadLoad, *ld)
+		}
+	}
+	return nil
 }
 
 func (s *Server) fail(w http.ResponseWriter, status int, err error) {

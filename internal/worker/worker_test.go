@@ -69,7 +69,6 @@ func TestMeasureEndpointMatchesDirectEvaluation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := &live.Evaluator{Bench: b, Obj: workflow.CompTime, Seed: testSeed}
 	p := live.NewProblem(b, workflow.CompTime, 8, testSeed)
 	rng := rand.New(rand.NewPCG(3, 3))
 	sub := b.Components[0].Space.SampleN(rng, 1)[0]
@@ -79,28 +78,64 @@ func TestMeasureEndpointMatchesDirectEvaluation(t *testing.T) {
 		{Seq: 1, Kind: dispatch.KindWorkflow, Cfg: p.Pool[1]},
 		{Seq: 2, Kind: dispatch.KindComponent, Component: 0, Cfg: sub},
 	}
-	r := dispatch.NewRemote([]string{url}, testJob())
-	ms, err := r.Dispatch(context.Background(), batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals, _, err := dispatch.ByIndex(batch, ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, it := range batch {
-		var want float64
-		if it.Kind == dispatch.KindWorkflow {
-			want, err = ev.MeasureWorkflow(it.Cfg)
-		} else {
-			want, err = ev.MeasureComponent(it.Component, it.Cfg)
-		}
+	loaded := testJob().Under(cluster.Load{MemoryContention: 1.5, ComputeSlowdown: 2, LatencyFactor: 1})
+	for _, job := range []dispatch.Job{testJob(), loaded} {
+		ev, err := live.NewEvaluator(job)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vals[i] != want {
-			t.Fatalf("item %d: remote %v != direct %v", i, vals[i], want)
+		r := dispatch.NewRemote([]string{url}, job)
+		ms, err := r.Dispatch(context.Background(), batch)
+		if err != nil {
+			t.Fatal(err)
 		}
+		vals, _, err := dispatch.ByIndex(batch, ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, it := range batch {
+			var want float64
+			if it.Kind == dispatch.KindWorkflow {
+				want, err = ev.MeasureWorkflow(it.Cfg)
+			} else {
+				want, err = ev.MeasureComponent(it.Component, it.Cfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if vals[i] != want {
+				t.Fatalf("load %v, item %d: remote %v != direct %v", job.Load, i, vals[i], want)
+			}
+		}
+	}
+}
+
+// TestMeasureEndpointRejectsBadLoad: a load with a negative intensity, or
+// one under which a measurement is not finite, is refused with a 400
+// carrying ErrBadLoad's message and counted as an error, and the worker goes
+// on serving.
+func TestMeasureEndpointRejectsBadLoad(t *testing.T) {
+	url := newWorker(t, 1)
+	for _, body := range []string{negativeLoadBody, hugeLoadBody} {
+		status, reply := postMeasure(t, url, body)
+		if status != http.StatusBadRequest || !strings.Contains(reply.Error, ErrBadLoad.Error()) {
+			t.Fatalf("%s: status %d, reply %+v; want 400 with %q", body, status, reply, ErrBadLoad)
+		}
+	}
+	if status, reply := postMeasure(t, url, loadedBody); status != http.StatusOK || len(reply.Results) != 1 {
+		t.Fatalf("loaded request after the refused ones: status %d, reply %+v", status, reply)
+	}
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	metrics, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(metrics), "ceal_worker_errors_total 2\n") {
+		t.Fatalf("the refusals are not counted:\n%s", metrics)
 	}
 }
 
@@ -240,6 +275,15 @@ func TestHealthzAndMetrics(t *testing.T) {
 // which net/http's per-request recover does not cover — killing the daemon.
 const malformedItemBody = `{"benchmark":"LV","objective":"comp","seed":1,"items":[{"seq":0,"kind":"component","component":0,"cfg":[1]}]}`
 
+// loadedBody measures one component under a platform condition;
+// negativeLoadBody is the same request with a negative intensity, and
+// hugeLoadBody a workflow under a fabric so congested it never delivers.
+const (
+	loadedBody       = `{"benchmark":"LV","objective":"comp","seed":1,"load":{"fabric_contention":1.5,"compute_slowdown":2},"items":[{"seq":0,"kind":"component","component":0,"cfg":[18,18,2]}]}`
+	negativeLoadBody = `{"benchmark":"LV","objective":"comp","seed":1,"load":{"fabric_contention":1.5,"compute_slowdown":-2},"items":[{"seq":0,"kind":"component","component":0,"cfg":[18,18,2]}]}`
+	hugeLoadBody     = `{"benchmark":"LV","objective":"comp","seed":1,"load":{"fabric_contention":1e308,"memory_contention":1e308},"items":[{"seq":0,"kind":"workflow","cfg":[18,18,2,18,18,2]}]}`
+)
+
 func postMeasure(t *testing.T, url, body string) (int, dispatch.MeasureResponse) {
 	t.Helper()
 	resp, err := http.Post(url+dispatch.MeasurePath, "application/json", strings.NewReader(body))
@@ -322,6 +366,9 @@ func FuzzMeasureHandler(f *testing.F) {
 		// a valid shard
 		`{"benchmark":"LV","objective":"comp","seed":1,"items":[{"seq":0,"kind":"component","component":0,"cfg":[18,18,2]},{"seq":1,"kind":"workflow","cfg":[18,18,2,18,18,2]}]}`,
 		`{"benchmark":"GP","objective":"energy","seed":7,"items":[{"seq":3,"kind":"sideways"}]}`,
+		loadedBody,
+		negativeLoadBody,
+		hugeLoadBody,
 		`not json`,
 	} {
 		f.Add([]byte(body))
