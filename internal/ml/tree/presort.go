@@ -1,7 +1,8 @@
 package tree
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"ceal/internal/score"
 )
@@ -11,7 +12,7 @@ import (
 // around feature columns that are sorted once per training matrix instead
 // of once per node. X is static across every round and node of a boosted
 // fit, so a Context pre-sorts each column a single time and
-// trees are grown by stably partitioning the sorted index arrays down the
+// trees are grown by stably partitioning the sorted columns down the
 // tree — per-node split enumeration becomes a linear scan, and the
 // O(features × n log n) per-node sort disappears entirely.
 //
@@ -24,38 +25,45 @@ import (
 // that order in every descendant node, so each floating-point accumulation
 // visits rows in the same sequence the reference sort produces.
 
-// Context holds the pre-sorted feature columns of one training matrix.
+// pair is one entry of a sorted column: a row's value in that column, and
+// the row.
+type pair struct {
+	v float64
+	r int32
+}
+
+// Context holds the pre-sorted feature columns of one training matrix:
+// per feature, every row's (value, row) pair in (value, row) order, so
+// scans read values contiguously and nothing reads the matrix again.
 // Build it once per Fit and grow every tree of the ensemble from it; the
 // Context itself is immutable after construction and safe for concurrent
 // Growers.
 type Context struct {
-	X      [][]float64
 	n, dim int
-	sorted [][]int32 // per feature: row indices ordered by (value, row)
+	cols   []pair // dim columns of n (value, row) pairs, each in (value, row) order
 }
 
 // NewContext pre-sorts every feature column of X, fanning the per-column
-// sorts across the engine (nil engine: serial). X must not be mutated for
-// the Context's lifetime.
+// sorts across the engine (nil engine: serial). The Context copies the
+// values it needs; X is not retained.
 func NewContext(e *score.Engine, X [][]float64) *Context {
-	c := &Context{X: X, n: len(X)}
+	c := &Context{n: len(X)}
 	if c.n == 0 {
 		return c
 	}
 	c.dim = len(X[0])
-	c.sorted = make([][]int32, c.dim)
+	c.cols = make([]pair, c.n*c.dim)
 	e.Tasks(c.dim, func(f int) {
-		idx := make([]int32, c.n)
-		for i := range idx {
-			idx[i] = int32(i)
+		col := c.cols[f*c.n : (f+1)*c.n]
+		for i, row := range X {
+			col[i] = pair{row[f], int32(i)}
 		}
-		sort.Slice(idx, func(a, b int) bool {
-			if X[idx[a]][f] != X[idx[b]][f] {
-				return X[idx[a]][f] < X[idx[b]][f]
+		slices.SortFunc(col, func(a, b pair) int {
+			if a.v != b.v {
+				return cmp.Compare(a.v, b.v)
 			}
-			return idx[a] < idx[b]
+			return cmp.Compare(a.r, b.r)
 		})
-		c.sorted[f] = idx
 	})
 	return c
 }
@@ -71,12 +79,18 @@ const minSplitFanWork = 4096
 // Grower grows trees from a Context, reusing all per-fit scratch across
 // calls. A Grower is not safe for concurrent use: boosting reuses one
 // across its rounds.
+//
+// Its loss is squared error, whose hessian is 1 for every row, so a
+// node's hessian sum is its row count: the scan at the k-th pair of a
+// segment has k+1 rows on its left.
 type Grower struct {
 	c   *Context
 	eng *score.Engine // fans split enumeration across columns; nil = serial
 
-	idx     []int32 // per column: the node's rows, (value,row)-ordered
-	aux     []int32 // partition double-buffer, same layout as idx
+	// Working columns, laid out like the Context's. The root reads the
+	// Context's; a node at depth d > 0 reads buf[d%2], and each node
+	// partitions into buf[(d+1)%2] for its children, so nothing copies back.
+	buf     [2][]pair
 	rowsOrd []int32 // the node's rows in ascending row order (leaf values, sums)
 	rowsAux []int32
 	left    []bool // per-row side marks for the current partition
@@ -85,8 +99,9 @@ type Grower struct {
 	colThr   []float64 // per column: best candidate threshold
 	colFound []bool
 
-	slab nodeSlab // chunked node storage shared by every tree this grower grows
-	task growTask // per-Grow recursion state, reused across calls
+	nodes slab[node] // node storage shared by every tree this grower grows
+	trees slab[Tree]
+	task  growTask // per-Grow recursion state, reused across calls
 }
 
 // Grower returns a tree grower over the context. e controls per-node
@@ -95,8 +110,7 @@ func (c *Context) Grower(e *score.Engine) *Grower {
 	return &Grower{
 		c:        c,
 		eng:      e,
-		idx:      make([]int32, c.n*c.dim),
-		aux:      make([]int32, c.n*c.dim),
+		buf:      [2][]pair{make([]pair, c.n*c.dim), make([]pair, c.n*c.dim)},
 		rowsOrd:  make([]int32, c.n),
 		rowsAux:  make([]int32, c.n),
 		left:     make([]bool, c.n),
@@ -107,32 +121,28 @@ func (c *Context) Grower(e *score.Engine) *Grower {
 }
 
 // Grow builds a tree over every row and feature column of the context,
-// exactly like tree.Grow but without any per-node sorting. If leafOut is
-// non-nil (length = context rows) every row's entry is set to its leaf's
-// value — the tree's prediction for that row, letting boosting update its
-// training predictions without walking the tree again.
-func (gw *Grower) Grow(g, h []float64, opt Options, leafOut []float64) *Tree {
+// exactly like tree.Grow with every hessian 1 but without any per-node
+// sorting. If leafOut is non-nil (length = context rows) every row's entry
+// is set to its leaf's value — the tree's prediction for that row, letting
+// boosting update its training predictions without walking the tree again.
+func (gw *Grower) Grow(g []float64, opt Options, leafOut []float64) *Tree {
 	if opt.MinChildWeight <= 0 {
 		opt.MinChildWeight = 1e-12
 	}
-	c := gw.c
 	for i := range gw.rowsOrd {
 		gw.rowsOrd[i] = int32(i)
 	}
-	for f, col := range c.sorted {
-		copy(gw.idx[f*c.n:(f+1)*c.n], col)
-	}
 	t := &gw.task
-	*t = growTask{gw: gw, g: g, h: h, opt: opt, leafOut: leafOut}
-	root := t.grow(0, c.n, 0)
-	*t = growTask{} // drop the g/h/leafOut references
-	return &Tree{root: root}
+	*t = growTask{gw: gw, g: g, opt: opt, leafOut: leafOut}
+	root := t.grow(0, gw.c.n, 0)
+	*t = growTask{} // drop the g/leafOut references
+	return gw.trees.alloc(Tree{root: root})
 }
 
 // growTask is one Grow call's recursion state.
 type growTask struct {
 	gw      *Grower
-	g, h    []float64
+	g       []float64
 	opt     Options
 	leafOut []float64
 }
@@ -140,12 +150,11 @@ type growTask struct {
 // grow builds the node over segment [lo, hi) of every working array.
 func (t *growTask) grow(lo, hi, depth int) *node {
 	gw, opt := t.gw, t.opt
-	X := gw.c.X
-	var gSum, hSum float64
+	var gSum float64
 	for _, r := range gw.rowsOrd[lo:hi] {
 		gSum += t.g[r]
-		hSum += t.h[r]
 	}
+	hSum := float64(hi - lo) // a sum of ones, exact below 2^53
 	leafValue := -gSum / (hSum + opt.Lambda)
 	makeLeaf := func() *node {
 		if t.leafOut != nil {
@@ -153,7 +162,7 @@ func (t *growTask) grow(lo, hi, depth int) *node {
 				t.leafOut[r] = leafValue
 			}
 		}
-		return gw.slab.alloc(node{leaf: true, value: leafValue})
+		return gw.nodes.alloc(node{leaf: true, value: leafValue})
 	}
 	if depth >= opt.MaxDepth || hi-lo < 2 {
 		return makeLeaf()
@@ -166,13 +175,17 @@ func (t *growTask) grow(lo, hi, depth int) *node {
 	// the method directly — a closure here escapes per node, which at tree
 	// depth dominates a fit's allocation profile.
 	parentScore := gSum * gSum / (hSum + opt.Lambda)
-	dim := gw.c.dim
+	n, dim := gw.c.n, gw.c.dim
+	src, dst := gw.c.cols, gw.buf[(depth+1)%2]
+	if depth > 0 {
+		src = gw.buf[depth%2]
+	}
 	fan := gw.eng != nil && (hi-lo)*dim >= minSplitFanWork
 	if fan {
-		gw.eng.Tasks(dim, func(f int) { t.scanCol(f, lo, hi, gSum, hSum, parentScore) })
+		gw.eng.Tasks(dim, func(f int) { t.scanCol(f, src[f*n+lo:f*n+hi], gSum, hSum, parentScore) })
 	} else {
 		for f := 0; f < dim; f++ {
-			t.scanCol(f, lo, hi, gSum, hSum, parentScore)
+			t.scanCol(f, src[f*n+lo:f*n+hi], gSum, hSum, parentScore)
 		}
 	}
 	bestGain := opt.Gamma
@@ -187,13 +200,16 @@ func (t *growTask) grow(lo, hi, depth int) *node {
 	}
 	bestThreshold := gw.colThr[bestFeature]
 
-	// Stable partition: mark each row's side once, then split every
-	// working array in a single order-preserving pass, so children keep
-	// both the (value, row) column order and the ascending row order.
+	// Stable partition: mark each row's side once — the reference's own
+	// value < threshold test, read from the winning column — then split
+	// every working array in a single order-preserving pass, so children
+	// keep both the (value, row) column order and the ascending row order.
+	// The side is never inferred from the split position: the midpoint can
+	// round onto a value or overflow, and then the two disagree.
 	nl := 0
-	for _, r := range gw.rowsOrd[lo:hi] {
-		goLeft := X[r][bestFeature] < bestThreshold
-		gw.left[r] = goLeft
+	for _, p := range src[bestFeature*n+lo : bestFeature*n+hi] {
+		goLeft := p.v < bestThreshold
+		gw.left[p.r] = goLeft
 		if goLeft {
 			nl++
 		}
@@ -201,17 +217,21 @@ func (t *growTask) grow(lo, hi, depth int) *node {
 	if nl == 0 || nl == hi-lo {
 		return makeLeaf()
 	}
-	stablePartition(gw.left, gw.rowsOrd[lo:hi], gw.rowsAux[:hi-lo], nl)
-	if fan {
-		gw.eng.Tasks(dim, func(f int) { t.partCol(f, lo, hi, nl) })
-	} else {
+	stablePartition(gw.left, gw.rowsOrd[lo:hi], gw.rowsAux[:hi-lo], nl, func(r int32) int32 { return r })
+	copy(gw.rowsOrd[lo:hi], gw.rowsAux[:hi-lo])
+	switch {
+	case depth+1 >= opt.MaxDepth:
+		// Both children are leaves, which read only rowsOrd.
+	case fan:
+		gw.eng.Tasks(dim, func(f int) { t.partCol(src[f*n+lo:f*n+hi], dst[f*n+lo:f*n+hi], nl) })
+	default:
 		for f := 0; f < dim; f++ {
-			t.partCol(f, lo, hi, nl)
+			t.partCol(src[f*n+lo:f*n+hi], dst[f*n+lo:f*n+hi], nl)
 		}
 	}
 	left := t.grow(lo, lo+nl, depth+1)
 	right := t.grow(lo+nl, hi, depth+1)
-	return gw.slab.alloc(node{
+	return gw.nodes.alloc(node{
 		feature:   bestFeature,
 		threshold: bestThreshold,
 		gain:      bestGain,
@@ -220,29 +240,25 @@ func (t *growTask) grow(lo, hi, depth int) *node {
 	})
 }
 
-// scanCol enumerates split candidates for feature column f over node
-// segment [lo, hi), recording the column's best in its own slot.
-func (t *growTask) scanCol(f, lo, hi int, gSum, hSum, parentScore float64) {
-	gw, opt := t.gw, t.opt
-	X := gw.c.X
-	base := f * gw.c.n
-	seg := gw.idx[base+lo : base+hi]
-	best, thr, found := opt.Gamma, 0.0, false
-	var gl, hl float64
+// scanCol enumerates split candidates in seg, feature column f's node
+// segment, recording the column's best in its own slot.
+func (t *growTask) scanCol(f int, seg []pair, gSum, hSum, parentScore float64) {
+	gw, g, mcw, lambda := t.gw, t.g, t.opt.MinChildWeight, t.opt.Lambda
+	best, thr, found := t.opt.Gamma, 0.0, false
+	var gl float64
 	for k := 0; k < len(seg)-1; k++ {
-		r := seg[k]
-		gl += t.g[r]
-		hl += t.h[r]
-		v, vn := X[r][f], X[seg[k+1]][f]
+		gl += g[seg[k].r]
+		v, vn := seg[k].v, seg[k+1].v
 		// Split only between distinct feature values.
 		if v == vn {
 			continue
 		}
+		hl := float64(k + 1)
 		gr, hr := gSum-gl, hSum-hl
-		if hl < opt.MinChildWeight || hr < opt.MinChildWeight {
+		if hl < mcw || hr < mcw {
 			continue
 		}
-		gain := gl*gl/(hl+opt.Lambda) + gr*gr/(hr+opt.Lambda) - parentScore
+		gain := gl*gl/(hl+lambda) + gr*gr/(hr+lambda) - parentScore
 		if gainBeats(gain, best, parentScore) {
 			best, thr, found = gain, (v+vn)/2, true
 		}
@@ -250,45 +266,44 @@ func (t *growTask) scanCol(f, lo, hi int, gSum, hSum, parentScore float64) {
 	gw.colGain[f], gw.colThr[f], gw.colFound[f] = best, thr, found
 }
 
-// partCol stably partitions feature column f's node segment by the current
-// side marks.
-func (t *growTask) partCol(f, lo, hi, nl int) {
-	gw := t.gw
-	base := f * gw.c.n
-	stablePartition(gw.left, gw.idx[base+lo:base+hi], gw.aux[base+lo:base+hi], nl)
+// partCol stably partitions a column's node segment from src into dst by
+// the current side marks.
+func (t *growTask) partCol(src, dst []pair, nl int) {
+	stablePartition(t.gw.left, src, dst, nl, func(p pair) int32 { return p.r })
 }
 
-// stablePartition splits src into its left-marked prefix (nl rows) and
-// right-marked suffix, preserving relative order on both sides, via dst.
-func stablePartition(left []bool, src, dst []int32, nl int) {
+// stablePartition writes src to dst as its left-marked prefix (nl entries)
+// then its right-marked suffix, preserving relative order on both sides.
+// row names the row an entry belongs to. Sides alternate unpredictably, so
+// the loop selects the slot instead of branching on the side.
+func stablePartition[T any](left []bool, src, dst []T, nl int, row func(T) int32) {
 	a, b := 0, nl
-	for _, r := range src {
-		if left[r] {
-			dst[a] = r
-			a++
-		} else {
-			dst[b] = r
-			b++
+	for _, e := range src {
+		k, l := b, 0
+		if left[row(e)] {
+			k, l = a, 1
 		}
+		dst[k] = e
+		a += l
+		b += 1 - l
 	}
-	copy(src, dst)
 }
 
-// nodeSlab hands out tree nodes from chunked backing arrays, replacing
-// one heap allocation per node with one per chunk. Chunks are never
-// reused or truncated: a filled chunk stays alive exactly as long as the
-// trees pointing into it. Node allocation happens only on the (serial)
-// grow recursion, never inside fanned column tasks.
-type nodeSlab struct {
-	cur []node
+// slab hands out values from chunked backing arrays, replacing one heap
+// allocation per tree node (or tree header) with one per chunk. Chunks are
+// never reused or truncated: a filled chunk stays alive exactly as long as
+// the trees pointing into it. Allocation happens only on the (serial) grow
+// recursion, never inside fanned column tasks.
+type slab[T any] struct {
+	cur []T
 }
 
 const slabChunk = 512
 
-func (s *nodeSlab) alloc(n node) *node {
+func (s *slab[T]) alloc(v T) *T {
 	if len(s.cur) == cap(s.cur) {
-		s.cur = make([]node, 0, slabChunk)
+		s.cur = make([]T, 0, slabChunk)
 	}
-	s.cur = append(s.cur, n)
+	s.cur = append(s.cur, v)
 	return &s.cur[len(s.cur)-1]
 }

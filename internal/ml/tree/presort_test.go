@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -70,7 +71,11 @@ func sameTree(t *testing.T, want, got *Tree, probes [][]float64, dim int) {
 
 // TestGrowerMatchesReference: the pre-sorted trainer must reproduce the
 // reference exact-greedy trainer bitwise — same splits, gains, and leaf
-// values — across randomized data with ties and constant columns.
+// values — across randomized data with ties and constant columns, and on
+// the inputs where counting rows for hessians or reading the side from the
+// winning column could drift from the reference: fractional
+// MinChildWeight, Lambda 0, duplicated rows, one or two rows, a lone
+// outlier, and split midpoints that round onto a value or overflow.
 func TestGrowerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 43))
 	for trial := 0; trial < 60; trial++ {
@@ -78,32 +83,78 @@ func TestGrowerMatchesReference(t *testing.T) {
 		dim := 1 + rng.IntN(8)
 		X := randomMatrix(rng, n, dim)
 		g := make([]float64, n)
-		h := make([]float64, n)
 		for i := range g {
 			g[i] = rng.NormFloat64()
-			h[i] = 1
 		}
-
-		rows, cols := identity(n), identity(dim)
 		opt := Options{MaxDepth: 1 + rng.IntN(5), MinChildWeight: float64(rng.IntN(2)), Lambda: rng.Float64(), Gamma: rng.Float64() * 0.1}
+		growerMatches(t, fmt.Sprintf("trial %d", trial), rng, X, g, opt)
+	}
 
-		ref := Grow(X, g, h, rows, cols, opt)
-		ctx := NewContext(nil, X)
-		leaf := make([]float64, n)
-		got := ctx.Grower(nil).Grow(g, h, opt, leaf)
-
-		probes := make([][]float64, 0, n+20)
-		probes = append(probes, X...)
-		for p := 0; p < 20; p++ {
-			probes = append(probes, randomMatrix(rng, 1, dim)[0])
-		}
-		sameTree(t, ref, got, probes, dim)
-
-		// leafOut must carry each training row's own prediction.
-		for r, x := range X {
-			if w := got.Predict(x); math.Float64bits(leaf[r]) != math.Float64bits(w) {
-				t.Fatalf("trial %d: leafOut[%d] = %v, Predict = %v", trial, r, leaf[r], w)
+	v := 1.0
+	vn := math.Nextafter(v, math.Inf(1)) // (v+vn)/2 rounds to even: onto v
+	top := math.Nextafter(math.MaxFloat64, 0)
+	dup := randomMatrix(rng, 10, 3)
+	dup = append(dup, dup[3], dup[3], dup[7], dup[0])
+	lone := randomMatrix(rng, 12, 2)
+	for i := range lone {
+		lone[i][0] = 7
+	}
+	lone[5][0] = 3
+	edges := []struct {
+		name string
+		X    [][]float64
+	}{
+		{"one row", randomMatrix(rng, 1, 3)},
+		{"two rows", randomMatrix(rng, 2, 3)},
+		{"duplicated rows", dup},
+		{"all equal but one", lone},
+		{"midpoint rounds onto v", [][]float64{{v, 0}, {vn, 1}, {vn, 2}, {v, 1}, {vn, 0}, {v, 2}}},
+		{"v+vn overflows", [][]float64{{top, -top, 0}, {math.MaxFloat64, -math.MaxFloat64, 1}, {top, -math.MaxFloat64, 2}, {math.MaxFloat64, -top, 1}}},
+	}
+	opts := []Options{
+		{MaxDepth: 3, MinChildWeight: 0.5, Lambda: 1},
+		{MaxDepth: 3, MinChildWeight: 2.5, Lambda: 1},
+		{MaxDepth: 4, MinChildWeight: 1, Lambda: 0},
+		{MaxDepth: 4, MinChildWeight: 0.5, Lambda: 0},
+	}
+	for _, e := range edges {
+		for oi, opt := range opts {
+			for draw := 0; draw < 8; draw++ {
+				g := make([]float64, len(e.X))
+				for i := range g {
+					g[i] = rng.NormFloat64()
+				}
+				growerMatches(t, fmt.Sprintf("%s, options %d, draw %d", e.name, oi, draw), rng, e.X, g, opt)
 			}
+		}
+	}
+}
+
+// growerMatches grows one tree with the reference trainer (unit hessians)
+// and with a Grower, and asserts they agree bitwise on the training rows
+// and on random probes, and that leafOut carries each training row's own
+// prediction.
+func growerMatches(t *testing.T, label string, rng *rand.Rand, X [][]float64, g []float64, opt Options) {
+	t.Helper()
+	n, dim := len(X), len(X[0])
+	h := make([]float64, n)
+	for i := range h {
+		h[i] = 1
+	}
+	ref := Grow(X, g, h, identity(n), identity(dim), opt)
+	leaf := make([]float64, n)
+	got := NewContext(nil, X).Grower(nil).Grow(g, opt, leaf)
+
+	probes := make([][]float64, 0, n+20)
+	probes = append(probes, X...)
+	for p := 0; p < 20; p++ {
+		probes = append(probes, randomMatrix(rng, 1, dim)[0])
+	}
+	sameTree(t, ref, got, probes, dim)
+
+	for r, x := range X {
+		if w := got.Predict(x); math.Float64bits(leaf[r]) != math.Float64bits(w) {
+			t.Fatalf("%s: leafOut[%d] = %v, Predict = %v", label, r, leaf[r], w)
 		}
 	}
 }
@@ -118,20 +169,18 @@ func TestGrowerEngineWidthInvariance(t *testing.T) {
 	n, dim := 1500, 6
 	X := randomMatrix(rng, n, dim)
 	g := make([]float64, n)
-	h := make([]float64, n)
 	for i := range g {
 		g[i] = rng.NormFloat64()
-		h[i] = 1
 	}
 	opt := Options{MaxDepth: 5, MinChildWeight: 1, Lambda: 1}
 
-	base := NewContext(nil, X).Grower(nil).Grow(g, h, opt, nil)
+	base := NewContext(nil, X).Grower(nil).Grow(g, opt, nil)
 	if base.Depth() == 0 {
 		t.Fatal("degenerate test tree")
 	}
 	for _, w := range []int{1, 2, 4, 8} {
 		e := score.New(w)
-		got := NewContext(e, X).Grower(e).Grow(g, h, opt, nil)
+		got := NewContext(e, X).Grower(e).Grow(g, opt, nil)
 		sameTree(t, base, got, X, dim)
 	}
 }

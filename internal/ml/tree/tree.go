@@ -11,10 +11,12 @@ import (
 	"sort"
 )
 
-// Options controls tree growth.
+// Options controls tree growth. A Grower's h are all 1, so for it
+// MinChildWeight bounds each child's row count: the same number as the sum
+// of h, since a sum of k ones is exactly k below 2^53.
 type Options struct {
 	MaxDepth       int     // maximum depth; 0 means a single leaf
-	MinChildWeight float64 // minimum sum of h per child
+	MinChildWeight float64 // minimum sum of h per child (for a Grower, rows)
 	Lambda         float64 // L2 regularization on leaf weights
 	Gamma          float64 // minimum gain to accept a split
 }
@@ -43,7 +45,8 @@ type node struct {
 // Context/Grower path in presort.go grows value-identical trees (same
 // split feature, threshold and gain at every node) in a linear scan per
 // node; Grow is kept as the independent oracle the equivalence property
-// tests compare against.
+// tests compare against. It and Tree.Predict live outside _test.go files
+// because xgb's reference-trainer test calls them from another package.
 //
 // Determinism/tie-break contract (shared with the pre-sorted trainer):
 // within a feature column rows are ordered by (value, row index) — a

@@ -10,6 +10,25 @@ import (
 	"ceal/internal/score"
 )
 
+// TestFitAllocs guards a surrogate refit at the paper's shape (configData:
+// 50 rows, 7 integer tie-heavy columns, DefaultParams): the validated
+// rows' sorted columns, one grower's scratch, node and tree-header slabs,
+// and the model. It was 143 while every round allocated its own tree
+// header and sort.Slice ordered each column's row indices.
+func TestFitAllocs(t *testing.T) {
+	X, y := configData(1, 50)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Fit(X, y, DefaultParams()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > fitAllocs {
+		t.Errorf("%.0f allocations per Fit, want at most %d", allocs, fitAllocs)
+	}
+}
+
+const fitAllocs = 22
+
 // TestPredictCodedBoundedAllocs guards the selector's kernel: the coded
 // walk keeps its live lists on the stack, so once the ensemble is
 // flattened and its cuts compiled for the pool, a bounded call allocates

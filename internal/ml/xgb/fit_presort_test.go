@@ -2,6 +2,7 @@ package xgb
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -105,6 +106,39 @@ func TestFitMatchesReferenceTrainer(t *testing.T) {
 		samePredictions(t, "train", want, got, X)
 		samePredictions(t, "probe", want, got, probes)
 	}
+
+	// The rows M_H trains on: integer configurations and their derived
+	// counts, from the first batches up to a full budget.
+	cfgProbes, _ := configData(9, 30)
+	for n := 10; n <= 50; n += 10 {
+		X, y := configData(uint64(n), n)
+		p := DefaultParams()
+		want := referenceFit(X, y, p)
+		got, err := Fit(X, y, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePredictions(t, fmt.Sprintf("configs n=%d train", n), want, got, X)
+		samePredictions(t, fmt.Sprintf("configs n=%d probe", n), want, got, cfgProbes)
+	}
+}
+
+// configData mimics a surrogate's training rows: a workflow configuration
+// (ranks, ranks per node, threads, output interval) over integer ranges,
+// and the node, core and reserved-core counts derived from it — seven
+// integer columns with heavy ties — against a runtime-like target.
+func configData(seed uint64, n int) ([][]float64, []float64) {
+	rng := rand.New(rand.NewPCG(seed, 17))
+	X := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range X {
+		procs, ppn, threads, interval := 2+rng.IntN(1023), 1+rng.IntN(35), 1+rng.IntN(4), 1+rng.IntN(16)
+		nodes := (procs + ppn - 1) / ppn
+		X[i] = []float64{float64(procs), float64(ppn), float64(threads), float64(interval),
+			float64(nodes), float64(procs * threads), float64(nodes * 36)}
+		y[i] = 1e4/float64(procs*threads) + 3*math.Log(float64(nodes)) + 20/float64(interval) + 0.1*rng.NormFloat64()
+	}
+	return X, y
 }
 
 // TestFitDeterministicAcrossWorkerCounts is the acceptance-criterion test:
@@ -190,14 +224,25 @@ func trainBenchData() ([][]float64, []float64, Params) {
 	return X, y, DefaultParams()
 }
 
-// BenchmarkFitPresorted measures the serial trainer on that workload.
+// BenchmarkFitPresorted measures the serial trainer on that workload
+// (normal: mostly continuous columns) and on the shape a surrogate refit
+// has at the paper's budget (configs: 50 rows of 7 integer columns, whose
+// ties the split scan skips).
 func BenchmarkFitPresorted(b *testing.B) {
 	X, y, p := trainBenchData()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Fit(X, y, p); err != nil {
-			b.Fatal(err)
-		}
+	cX, cy := configData(1, 50)
+	for _, bc := range []struct {
+		name string
+		X    [][]float64
+		y    []float64
+	}{{"normal", X, y}, {"configs", cX, cy}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Fit(bc.X, bc.y, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

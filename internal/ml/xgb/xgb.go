@@ -23,7 +23,7 @@ type Params struct {
 	MaxDepth       int     // per-tree depth cap
 	Lambda         float64 // L2 regularization on leaf weights
 	Gamma          float64 // minimum split gain
-	MinChildWeight float64 // minimum hessian sum per child
+	MinChildWeight float64 // minimum hessian sum per child: a row count, as every hessian is 1
 }
 
 // DefaultParams suits the paper's regime: few (tens of) training samples of
@@ -154,8 +154,8 @@ var ErrBadTrainingData = errors.New("xgb: bad training data")
 // FitOn trains like Fit with the engine supplying training parallelism
 // (nil engine: serial, exactly like PredictBatchOnInto). Feature columns
 // are pre-sorted once — X is static across all rounds — and every round's
-// tree is grown on one Grower by stable partition of the sorted index
-// arrays; per-node split enumeration fans across feature columns on the
+// tree is grown on one Grower by stable partition of the sorted columns;
+// per-node split enumeration fans across feature columns on the
 // engine. The trained model is bitwise identical for any worker count,
 // and value-identical to the reference per-node-sort trainer. The rows of
 // X are read, never retained.
@@ -201,17 +201,14 @@ func FitOn(e *score.Engine, X [][]float64, y []float64, p Params) (*Model, error
 	for i := range pred {
 		pred[i] = base
 	}
-	g, h, leaf := make([]float64, n), make([]float64, n), make([]float64, n)
-	for i := range h {
-		h[i] = 1
-	}
+	g, leaf := make([]float64, n), make([]float64, n)
 	for round := 0; round < p.Rounds; round++ {
 		for i := range g {
 			g[i] = pred[i] - y[i] // d/dpred ½(pred−y)²
 		}
 		// Every row is in the tree, so leaf carries each row's prediction
 		// and nothing walks the tree again.
-		m.trees = append(m.trees, grower.Grow(g, h, opt, leaf))
+		m.trees = append(m.trees, grower.Grow(g, opt, leaf))
 		for i := range pred {
 			pred[i] += p.LearningRate * leaf[i]
 		}
