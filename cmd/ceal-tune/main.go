@@ -29,9 +29,8 @@
 // from the store instead of re-measured (results are deterministic, so this
 // is the same answer); -warm seeds the run from prior runs in the database
 // (same-family workflow samples, shared-component samples), and -resume
-// <run-id> replays an interrupted run: a tune run from its measurement
-// checkpoint, a continuous session from its spec (the drifting platform is a
-// deterministic simulation, so the replay is the same session).
+// <run-id> replays an interrupted run — a tune run or a continuous session
+// alike — from its measurement checkpoint, to the uninterrupted run's report.
 //
 // SIGINT/SIGTERM cancel the run; tuning aborts within one measurement
 // batch (and stays resumable when -history is set).
@@ -189,11 +188,7 @@ func drive(ctx context.Context, m *service.Manager, spec histdb.Spec, resumeID s
 			return nil, false, fmt.Errorf("resume %s: %w", resumeID, err)
 		}
 		fresh = true
-		if rec.Spec.Normalize().Mode == histdb.ModeContinuous {
-			fmt.Fprintf(stdout, "replaying run %s from its spec\n", rec.ID)
-		} else {
-			fmt.Fprintf(stdout, "resuming run %s from %d checkpointed measurements\n", rec.ID, len(rec.Checkpoint))
-		}
+		fmt.Fprintf(stdout, "resuming run %s from %d checkpointed measurements\n", rec.ID, len(rec.Checkpoint))
 	} else if rec, fresh, err = m.Submit(spec); err != nil {
 		return nil, false, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -383,8 +384,9 @@ func TestRunResumeReplaysInterruptedRun(t *testing.T) {
 // TestRunResumeReplaysContinuousRecord: a continuous session is recorded
 // and resumed like any run. Interrupted (here by -timeout, mid-monitoring:
 // the periodic profile makes every probe's oracle scan real work) and
-// resumed by ID, it prints the report of the uninterrupted session, and the
-// store ends with one done record carrying the continuous summary.
+// resumed by ID from its checkpointed measurements, it prints the report of
+// the uninterrupted session, and the store ends with one done record
+// carrying the continuous summary.
 func TestRunResumeReplaysContinuousRecord(t *testing.T) {
 	args := []string{"-workflow", "LV", "-continuous", "-drift", "periodic", "-budget", "12", "-pool", "120", "-seed", "1"}
 	// session is what ceal-tune printed from the blank line on, less the
@@ -422,8 +424,9 @@ func TestRunResumeReplaysContinuousRecord(t *testing.T) {
 	if code := run([]string{"-history", dbPath, "-resume", "run-000001"}, &out, &errOut); code != 0 {
 		t.Fatalf("resume exit = %d, stderr: %s", code, errOut.String())
 	}
-	if !strings.Contains(out.String(), "replaying run run-000001 from its spec") {
-		t.Fatalf("resume banner missing:\n%s", out.String())
+	var n int
+	if _, err := fmt.Sscanf(out.String(), "resuming run run-000001 from %d checkpointed measurements", &n); err != nil || n <= 0 {
+		t.Fatalf("resume banner missing or empty (%v):\n%s", err, out.String())
 	}
 	if got := session(out.String()); got != want {
 		t.Fatalf("resumed report differs from the uninterrupted session's:\n got %s\nwant %s", got, want)

@@ -7,9 +7,9 @@
 //
 //   - batch-first, context-aware APIs: batches go to the dispatcher as one
 //     unit and abort promptly when the context is cancelled;
-//   - an in-memory memoization cache keyed by Config.Key(), so repeated
-//     configurations (across iterations, algorithms, or replications that
-//     share a Problem) are never re-simulated;
+//   - an in-memory memoization cache keyed by dispatch.Item.Key(), so
+//     repeated configurations (across iterations, algorithms, or
+//     replications that share a Problem) are never re-simulated;
 //   - single-flight deduplication: identical configurations requested
 //     concurrently are measured once, with all requesters sharing the
 //     result;
@@ -25,10 +25,7 @@ package collector
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"maps"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -116,12 +113,6 @@ type flight struct {
 	err  error
 }
 
-// ErrBadMeasurement marks a batch rejected because the dispatcher returned
-// a value no run can produce — NaN, ±Inf or negative. Values cross a
-// process boundary under dispatch.Remote, and one accepted would poison
-// the run's cache and every checkpoint taken from it.
-var ErrBadMeasurement = errors.New("collector: bad measurement")
-
 // New returns a Collector measuring on disp — any substrate (in-process
 // pool, remote workers). Because the collector memoizes by configuration
 // key, not by who measured it, results are byte-identical across
@@ -157,33 +148,8 @@ func (c *Collector) Stats() Stats {
 		InFlight:      inFlight,
 		InFlightPeak:  peak,
 	}
-	if rc, ok := c.disp.(ShardRetryCounter); ok {
-		st.DispatchRetries = rc.DispatchRetries()
-	}
+	st.DispatchRetries = dispatch.Retries(c.disp)
 	return st
-}
-
-// Snapshot returns a copy of the cache keyed by cache key — the
-// persistable checkpoint of everything measured so far.
-func (c *Collector) Snapshot() map[string]float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return maps.Clone(c.cache)
-}
-
-// Preload seeds the cache with previously measured values, so matching
-// requests are served as hits instead of fresh evaluations — the replay
-// path of checkpoint/resume: because evaluators are deterministic per key,
-// a preloaded cache makes re-running the same algorithm reproduce the
-// original run without re-measuring. Existing entries win over vals.
-func (c *Collector) Preload(vals map[string]float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k, v := range vals {
-		if _, ok := c.cache[k]; !ok {
-			c.cache[k] = v
-		}
-	}
 }
 
 // Forget drops every cached value and keeps the counters: a value measured
@@ -200,21 +166,7 @@ func (c *Collector) Forget() {
 // duplicate configurations within the batch (or concurrently in flight
 // elsewhere) are measured once.
 func (c *Collector) MeasureWorkflows(ctx context.Context, cfgs []cfgspace.Config) ([]Sample, error) {
-	keys := make([]string, len(cfgs))
-	items := make([]dispatch.Item, len(cfgs))
-	for i, cfg := range cfgs {
-		keys[i] = "w:" + cfg.Key()
-		items[i] = dispatch.Item{Kind: dispatch.KindWorkflow, Cfg: cfg}
-	}
-	vals, err := c.runItems(ctx, keys, items, &c.workflowRuns)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Sample, len(cfgs))
-	for i := range cfgs {
-		out[i] = Sample{Cfg: cfgs[i], Value: vals[i]}
-	}
-	return out, nil
+	return c.measure(ctx, dispatch.Item{Kind: dispatch.KindWorkflow}, cfgs, &c.workflowRuns)
 }
 
 // MeasureComponents measures standalone runs of component j at each
@@ -222,17 +174,17 @@ func (c *Collector) MeasureWorkflows(ctx context.Context, cfgs []cfgspace.Config
 // returns samples in submission order, with the same caching and
 // deduplication as MeasureWorkflows.
 func (c *Collector) MeasureComponents(ctx context.Context, j int, cfgs []cfgspace.Config) ([]Sample, error) {
-	keys := make([]string, len(cfgs))
+	return c.measure(ctx, dispatch.Item{Kind: dispatch.KindComponent, Component: j}, cfgs, &c.compRuns)
+}
+
+// measure runs a copy of item at each configuration, cached under its Key.
+func (c *Collector) measure(ctx context.Context, item dispatch.Item, cfgs []cfgspace.Config, runs *atomic.Uint64) ([]Sample, error) {
 	items := make([]dispatch.Item, len(cfgs))
 	for i, cfg := range cfgs {
-		if cfg == nil {
-			keys[i] = fmt.Sprintf("c%d:fixed", j)
-		} else {
-			keys[i] = fmt.Sprintf("c%d:%s", j, cfg.Key())
-		}
-		items[i] = dispatch.Item{Kind: dispatch.KindComponent, Component: j, Cfg: cfg}
+		items[i] = item
+		items[i].Cfg = cfg
 	}
-	vals, err := c.runItems(ctx, keys, items, &c.compRuns)
+	vals, err := c.runItems(ctx, items, runs)
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +201,7 @@ func (c *Collector) MeasureComponents(ctx context.Context, j int, cfgs []cfgspac
 // workers — the cache is substrate-blind); then join the waiters. Leader
 // items carry their position in the dispatched batch as Seq, so results
 // reassemble deterministically whatever order the substrate returns them.
-func (c *Collector) runItems(ctx context.Context, keys []string, items []dispatch.Item, runs *atomic.Uint64) ([]float64, error) {
+func (c *Collector) runItems(ctx context.Context, items []dispatch.Item, runs *atomic.Uint64) ([]float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -257,7 +209,11 @@ func (c *Collector) runItems(ctx context.Context, keys []string, items []dispatc
 		c.errs.Add(1)
 		return nil, err
 	}
-	results := make([]float64, len(keys))
+	results := make([]float64, len(items))
+	keys := make([]string, len(items))
+	for i := range items {
+		keys[i] = items[i].Key()
+	}
 
 	type pending struct {
 		i   int
@@ -302,11 +258,6 @@ func (c *Collector) runItems(ctx context.Context, keys []string, items []dispatc
 		var retries []int
 		if err == nil {
 			vals, retries, err = dispatch.ByIndex(batch, ms)
-		}
-		for li := 0; err == nil && li < len(vals); li++ {
-			if v := vals[li]; math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				err = fmt.Errorf("%w: %s = %v", ErrBadMeasurement, leaders[li].key, v)
-			}
 		}
 		batchErr = err
 		var totalRetries uint64

@@ -297,52 +297,6 @@ func TestNoEvaluatorErrors(t *testing.T) {
 	}
 }
 
-func TestSnapshotPreloadRoundTrip(t *testing.T) {
-	eval := newCountingEval()
-	c := New(dispatch.NewLocal(eval, nil))
-	if _, err := c.MeasureWorkflows(context.Background(), cfgs([]int{1, 2}, []int{3, 4})); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.MeasureComponents(context.Background(), 0, cfgs([]int{5})); err != nil {
-		t.Fatal(err)
-	}
-	snap := c.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("Snapshot has %d entries, want 3: %v", len(snap), snap)
-	}
-
-	// A fresh collector preloaded with the snapshot must serve the same
-	// requests purely from cache: zero evaluator calls, identical values.
-	eval2 := newCountingEval()
-	c2 := New(dispatch.NewLocal(eval2, nil))
-	c2.Preload(snap)
-	s, err := c2.MeasureWorkflows(context.Background(), cfgs([]int{1, 2}, []int{3, 4}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := eval2.totalWfCalls(); got != 0 {
-		t.Fatalf("preloaded collector re-measured %d times", got)
-	}
-	if s[0].Value != 1*1+2*2 || s[1].Value != 1*3+2*4 {
-		t.Fatalf("preloaded values wrong: %v", s)
-	}
-	st := c2.Stats()
-	if st.Hits != 2 || st.Misses != 0 {
-		t.Fatalf("preload stats = %+v, want 2 hits 0 misses", st)
-	}
-
-	// Preload never overwrites live entries: a measured value wins over a
-	// conflicting checkpoint entry.
-	c2.Preload(map[string]float64{"w:1,2": -999})
-	s, err = c2.MeasureWorkflows(context.Background(), cfgs([]int{1, 2}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s[0].Value == -999 {
-		t.Fatal("Preload overwrote an existing cache entry")
-	}
-}
-
 // lastDispatcher answers 1 for every item but the batch's last, which gets
 // v — a remote worker gone wrong on one measurement.
 type lastDispatcher struct{ v float64 }
@@ -362,17 +316,21 @@ func TestBadMeasurementRejected(t *testing.T) {
 		// Two leaders (the second gets the bad value; the first's good one
 		// must not be cached either) and a waiter on the first's flight.
 		_, err := c.MeasureWorkflows(context.Background(), cfgs([]int{1}, []int{2}, []int{1}))
-		if !errors.Is(err, ErrBadMeasurement) {
+		if !errors.Is(err, dispatch.ErrBadMeasurement) {
 			t.Fatalf("value %v: err = %v, want ErrBadMeasurement", bad, err)
 		}
-		if _, err := c.MeasureComponents(context.Background(), 0, cfgs([]int{3})); !errors.Is(err, ErrBadMeasurement) {
+		if _, err := c.MeasureComponents(context.Background(), 0, cfgs([]int{3})); !errors.Is(err, dispatch.ErrBadMeasurement) {
 			t.Fatalf("value %v (component): err = %v, want ErrBadMeasurement", bad, err)
-		}
-		if snap := c.Snapshot(); len(snap) != 0 {
-			t.Fatalf("value %v reached the cache: %v", bad, snap)
 		}
 		if st := c.Stats(); st.Errors != 2 || st.InFlight != 0 {
 			t.Fatalf("value %v: stats = %+v, want 2 errors and nothing in flight", bad, st)
+		}
+		// Nothing was cached: measuring the same keys again misses on each.
+		before := c.Stats().Misses
+		c.MeasureWorkflows(context.Background(), cfgs([]int{1}, []int{2}))
+		c.MeasureComponents(context.Background(), 0, cfgs([]int{3}))
+		if st := c.Stats(); st.Hits != 0 || st.Misses != before+3 {
+			t.Fatalf("value %v reached the cache: %+v (misses before %d)", bad, st, before)
 		}
 	}
 	// Zero is a legitimate measurement.

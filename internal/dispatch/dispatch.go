@@ -30,7 +30,10 @@ package dispatch
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
+	"strconv"
 
 	"ceal/internal/cfgspace"
 )
@@ -73,6 +76,19 @@ type Item struct {
 	Cfg cfgspace.Config `json:"cfg,omitempty"`
 }
 
+// Key names the item's measurement within its job: w:<cfg>, c<j>:<cfg>, or
+// c<j>:fixed for an unconfigurable component j.
+func (it Item) Key() string {
+	switch {
+	case it.Kind == KindWorkflow:
+		return "w:" + it.Cfg.Key()
+	case it.Cfg == nil:
+		return "c" + strconv.Itoa(it.Component) + ":fixed"
+	default:
+		return "c" + strconv.Itoa(it.Component) + ":" + it.Cfg.Key()
+	}
+}
+
 // Measurement is one measured item, tagged with the Seq of the Item it
 // answers.
 type Measurement struct {
@@ -93,9 +109,14 @@ type Dispatcher interface {
 	Dispatch(ctx context.Context, batch []Item) ([]Measurement, error)
 }
 
+// ErrBadMeasurement marks a value no run can produce (NaN, ±Inf, negative)
+// — from a worker or a checkpoint — before it reaches a cache or a clock.
+var ErrBadMeasurement = errors.New("dispatch: bad measurement")
+
 // ByIndex validates a dispatcher's response against the batch it answers
 // and returns the values in batch order: exactly one measurement per item,
-// every Seq known. It is the reassembly step every Dispatch caller needs.
+// every Seq known, no ErrBadMeasurement. It is the reassembly step every
+// Dispatch caller needs.
 func ByIndex(batch []Item, ms []Measurement) ([]float64, []int, error) {
 	if len(ms) != len(batch) {
 		return nil, nil, fmt.Errorf("dispatch: %d results for %d items", len(ms), len(batch))
@@ -114,6 +135,9 @@ func ByIndex(batch []Item, ms []Measurement) ([]float64, []int, error) {
 		}
 		if seen[m.Seq] {
 			return nil, nil, fmt.Errorf("dispatch: duplicate result for seq %d", m.Seq)
+		}
+		if v := m.Value; math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			return nil, nil, fmt.Errorf("%w: %s = %v", ErrBadMeasurement, batch[i].Key(), v)
 		}
 		seen[m.Seq] = true
 		vals[i] = m.Value

@@ -3,7 +3,9 @@ package dispatch
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -316,6 +318,12 @@ func TestByIndexRejectsBadResponses(t *testing.T) {
 	} {
 		if _, _, err := ByIndex(batch, ms); err == nil {
 			t.Fatalf("%s response accepted", name)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		ms := []Measurement{{Seq: 0}, {Seq: 1, Value: bad}, {Seq: 2}}
+		if _, _, err := ByIndex(batch, ms); !errors.Is(err, ErrBadMeasurement) {
+			t.Fatalf("value %v: err = %v, want ErrBadMeasurement", bad, err)
 		}
 	}
 }

@@ -1,0 +1,91 @@
+package dispatch
+
+import (
+	"context"
+	"fmt"
+	"maps"
+	"sync"
+
+	"ceal/internal/cluster"
+)
+
+// Journal is a run's checkpoint: its measured values by key, held beneath
+// whatever memoizes above (the collector, a drift clock), so a resumed run
+// re-derives every decision and measures only what the journal lacks.
+type Journal struct {
+	mu   sync.Mutex
+	vals map[string]float64
+}
+
+// NewJournal returns a journal holding a copy of checkpoint.
+func NewJournal(checkpoint map[string]float64) *Journal {
+	vals := make(map[string]float64, len(checkpoint))
+	maps.Copy(vals, checkpoint)
+	return &Journal{vals: vals}
+}
+
+// Values returns a copy of everything journaled so far.
+func (jr *Journal) Values() map[string]float64 {
+	jr.mu.Lock()
+	defer jr.mu.Unlock()
+	return maps.Clone(jr.vals)
+}
+
+// Wrap returns d journaled under load (nil or zero: nominal): held items are
+// served with their own Seq, the rest go to d and are recorded once its
+// batch succeeds. Keys are Item.Key, prefixed under a non-nominal load by
+// its exact bits — within a run, no other part of a Job varies.
+func (jr *Journal) Wrap(load *cluster.Load, d Dispatcher) Dispatcher {
+	j := &journaled{jr: jr, d: d}
+	if load != nil && !load.IsZero() {
+		j.prefix = fmt.Sprintf("%x/", *load)
+	}
+	return j
+}
+
+type journaled struct {
+	jr     *Journal
+	prefix string
+	d      Dispatcher
+}
+
+func (j *journaled) Dispatch(ctx context.Context, batch []Item) ([]Measurement, error) {
+	var out []Measurement
+	var rest []Item
+	j.jr.mu.Lock()
+	for _, it := range batch {
+		if v, ok := j.jr.vals[j.prefix+it.Key()]; ok {
+			out = append(out, Measurement{Seq: it.Seq, Value: v})
+		} else {
+			rest = append(rest, it)
+		}
+	}
+	j.jr.mu.Unlock()
+	if len(rest) == 0 {
+		return out, nil
+	}
+	ms, err := j.d.Dispatch(ctx, rest)
+	var vals []float64
+	if err == nil {
+		vals, _, err = ByIndex(rest, ms)
+	}
+	if err != nil {
+		return nil, err
+	}
+	j.jr.mu.Lock()
+	for i, it := range rest {
+		j.jr.vals[j.prefix+it.Key()] = vals[i]
+	}
+	j.jr.mu.Unlock()
+	return append(out, ms...), nil
+}
+
+func (j *journaled) DispatchRetries() uint64 { return Retries(j.d) }
+
+// Retries returns d's count of shard resends if it keeps one, else 0.
+func Retries(d Dispatcher) uint64 {
+	if rc, ok := d.(interface{ DispatchRetries() uint64 }); ok {
+		return rc.DispatchRetries()
+	}
+	return 0
+}

@@ -62,9 +62,11 @@ type Env struct {
 	// memoizing the counterfactual peeks at it (the oracle scan revisits the
 	// tracked set at every probe while the condition holds). Both are
 	// replaced when the clock reaches another condition.
-	load cluster.Load
-	disp dispatch.Dispatcher
-	peek *collector.Collector
+	load    cluster.Load
+	disp    dispatch.Dispatcher
+	peek    *collector.Collector
+	jr      *dispatch.Journal // set by Record: journals disp, never peek's scans
+	retired uint64            // shard resends of the conditions left behind
 }
 
 // NewEnv builds an environment over a profile, measuring through at. ref is
@@ -104,6 +106,22 @@ func (e *Env) Advance(dt float64) {
 	e.mu.Unlock()
 }
 
+// Record journals every condition's batches and probes in jr, beneath the
+// clock: a held value is served, and advances the clock all the same.
+func (e *Env) Record(jr *dispatch.Journal) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.jr = jr
+	e.disp = jr.Wrap(&e.load, e.disp)
+}
+
+// DispatchRetries sums every condition's dispatcher's shard resends.
+func (e *Env) DispatchRetries() uint64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.retired + dispatch.Retries(e.disp)
+}
+
 // current returns the dispatcher and the peek collector of the condition at
 // the current virtual time, replacing the previous condition's.
 func (e *Env) current() (dispatch.Dispatcher, *collector.Collector, error) {
@@ -114,7 +132,11 @@ func (e *Env) current() (dispatch.Dispatcher, *collector.Collector, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("drift: dispatcher under %+v: %w", ld, err)
 		}
+		e.retired += dispatch.Retries(e.disp)
 		e.load, e.disp, e.peek = ld, d, collector.New(d)
+		if e.jr != nil {
+			e.disp = e.jr.Wrap(&ld, d)
+		}
 	}
 	return e.disp, e.peek, nil
 }
@@ -159,7 +181,8 @@ func (e *Env) Dispatch(ctx context.Context, batch []dispatch.Item) ([]dispatch.M
 // Probe measures one workflow configuration at the current condition and
 // advances the clock by its cost — the continuous driver's monitoring
 // measurement, a batch of one. It bypasses any collector cache by design: a
-// probe exists to observe the platform *now*, not a memoized past.
+// probe exists to observe the platform *now*, not a memoized past. (A
+// journal serves only the value this condition gives it anyway.)
 func (e *Env) Probe(ctx context.Context, cfg cfgspace.Config) (float64, error) {
 	ms, err := e.Dispatch(ctx, []dispatch.Item{{Kind: dispatch.KindWorkflow, Cfg: cfg}})
 	if err != nil {

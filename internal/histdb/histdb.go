@@ -17,10 +17,10 @@
 //
 // Select filters by any conjunction of those and the benchmark name.
 //
-// Records additionally carry a measurement Checkpoint (the collector cache
-// snapshot taken after every measured batch) so an interrupted run can be
-// resumed: replaying the same deterministic spec against a preloaded
-// collector re-derives the identical Result without re-measuring.
+// Records additionally carry a measurement Checkpoint (the run's journal,
+// copied after every measured batch) so an interrupted run of any kind can
+// be resumed: replaying the same deterministic spec over it re-derives the
+// identical Result, measuring only what the checkpoint lacks.
 package histdb
 
 import (
@@ -82,13 +82,12 @@ type RunRecord struct {
 	// Trace is the run's full event stream as marshaled JSONL lines (the
 	// bytes GET /v1/runs/{id}/events replays). Partial for cancelled runs.
 	Trace []json.RawMessage `json:"trace,omitempty"`
-	// Checkpoint is the collector's measurement-cache snapshot (cache key →
-	// measured value), refreshed after every measured batch while a run is
-	// live and retained for interrupted runs. Resuming preloads it so the
-	// deterministic replay serves every already-measured configuration from
-	// cache instead of re-measuring. Cleared on successful completion. A
-	// continuous session's is informational — the current epoch's cache,
-	// which its driver forgets before every epoch: it resumes from its spec.
+	// Checkpoint is the run's measurement journal (dispatch.Journal: item
+	// key, under a non-nominal condition prefixed by it → measured value),
+	// refreshed after every measured batch while a run is live and retained
+	// for interrupted runs. A resume's journal starts from it, so the replay
+	// serves every already-measured item instead of re-measuring. Cleared on
+	// successful completion.
 	Checkpoint map[string]float64 `json:"checkpoint,omitempty"`
 	// Warm is the warm-start data the run was admitted with (assembled from
 	// the history database once, then pinned here so a resume replays the

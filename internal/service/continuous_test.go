@@ -394,8 +394,44 @@ func TestRemoteContinuousSurvivesWorkerKill(t *testing.T) {
 	if got != want {
 		t.Fatalf("session diverged after a worker kill:\n got %s\nwant %s", got, want)
 	}
-	if st := p.Collector().Stats(); st.Retries == 0 {
+	if st := p.Collector().Stats(); st.Retries == 0 || st.DispatchRetries == 0 {
 		t.Fatalf("no resends counted after the kill: %+v", st)
+	}
+}
+
+// TestServedRemoteRunCountsShardResends: a served run whose worker dies
+// mid-run records the shard resends in its collector stats — the journal
+// beneath the collector forwards the transport's count.
+func TestServedRemoteRunCountsShardResends(t *testing.T) {
+	spec := JobSpec{Benchmark: "LV", Algorithm: "al", Objective: "comp", Budget: 40, Pool: 100, Seed: 11}
+	want := waitDone(t, func() *Manager {
+		m := NewManager(Options{Workers: 1})
+		t.Cleanup(func() { m.Shutdown(context.Background()) })
+		if _, _, err := m.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}(), "run-000001")
+	healthy, doomed := newWorker(t, 1), newWorker(t, 1)
+	kill := &cancelAt{kind: "batch", k: 1, cancel: doomed.Close}
+	m := NewManager(Options{Workers: 1, Build: func(s JobSpec) (*tuner.Problem, tuner.Algorithm, error) {
+		p, alg, err := BuildSpecRemote([]string{healthy.URL, doomed.URL})(s)
+		if err == nil {
+			p.Observer = kill
+		}
+		return p, alg, err
+	}})
+	defer m.Shutdown(context.Background())
+	if _, _, err := m.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	got := waitDone(t, m, "run-000001")
+	if got.State != histdb.StateDone || got.Collector.DispatchRetries == 0 {
+		t.Fatalf("run after a worker kill: %s (%s), collector %+v; want done with dispatch retries",
+			got.State, got.Error, got.Collector)
+	}
+	if w, g := resultJSON(t, nil, want.Result), resultJSON(t, nil, got.Result); w != g {
+		t.Fatalf("run diverged after a worker kill:\n got %s\nwant %s", g, w)
 	}
 }
 
@@ -431,10 +467,10 @@ func (c *cancelAt) OnEvent(e events.Event) {
 // served continuous session cancelled at any point — in the initial epoch
 // (batches 1–7 of contSpec), while monitoring (probes 1–27), inside the
 // re-exploration probe 27 confirms (batches 8–10) or after it — and resumed
-// finishes with the summary and final result of the uninterrupted session.
-// Every cut runs on one manager at one measurement worker; a cut from each
-// region runs again across a daemon restart on a FileStore and at two
-// workers.
+// finishes with the summary, final result and collector counters of the
+// uninterrupted session. Every cut runs on one manager at one measurement
+// worker; a cut from each region runs again across a daemon restart on a
+// FileStore, at two workers, and on ceal-worker daemons.
 func TestContinuousResumeIdentical(t *testing.T) {
 	type cut struct {
 		kind string
@@ -519,14 +555,64 @@ func TestContinuousResumeIdentical(t *testing.T) {
 				if s := summary(got); s != want {
 					t.Fatalf("%s: resumed session differs from the uninterrupted one:\n got %s\nwant %s", name, s, want)
 				}
-				// The replay is from the spec: the checkpoint the interrupted run
-				// left was forgotten with the first epoch's cache, so the resumed
-				// session measured exactly what the uninterrupted one did.
+				// The checkpoint is replayed beneath the collector and the clock:
+				// the resumed session's collector counts what the uninterrupted
+				// one's did.
 				if got.Collector.Misses != baseRec.Collector.Misses || got.Collector.Hits != baseRec.Collector.Hits {
 					t.Fatalf("%s: resumed collector %+v, uninterrupted %+v", name, got.Collector, baseRec.Collector)
 				}
 				m.Shutdown(context.Background())
 			}
 		}
+	}
+
+	// On workers, one cut per region: the resumed session sends strictly
+	// fewer items than the uninterrupted one — none it had journaled.
+	urls := []string{newWorker(t, 1).URL, newWorker(t, 1).URL}
+	sent := func() (n float64) {
+		for _, url := range urls {
+			n += workerItems(t, url)
+		}
+		return n
+	}
+	var m *Manager
+	var canceller events.Observer
+	newRemote := func() *Manager {
+		return NewManager(Options{Workers: 1, Build: func(s JobSpec) (*tuner.Problem, tuner.Algorithm, error) {
+			p, alg, err := BuildSpecRemote(urls)(s)
+			if err == nil {
+				p.Observer = canceller
+			}
+			return p, alg, err
+		}})
+	}
+	m = newRemote()
+	if _, _, err := m.Submit(contSpec()); err != nil {
+		t.Fatal(err)
+	}
+	want := summary(waitDone(t, m, "run-000001"))
+	uninterrupted := sent()
+	m.Shutdown(context.Background())
+	for _, c := range regions {
+		name := fmt.Sprintf("remote/%s=%d", c.kind, c.k)
+		canceller = &cancelAt{kind: c.kind, k: c.k, cancel: func() { _, _ = m.Cancel("run-000001") }}
+		m = newRemote()
+		if _, _, err := m.Submit(contSpec()); err != nil {
+			t.Fatal(err)
+		}
+		if got := waitDone(t, m, "run-000001"); got.State != histdb.StateCancelled {
+			t.Fatalf("%s: interrupted state = %s (%s)", name, got.State, got.Error)
+		}
+		before := sent()
+		if _, err := m.Resume("run-000001"); err != nil {
+			t.Fatalf("%s: resume: %v", name, err)
+		}
+		if s := summary(waitDone(t, m, "run-000001")); s != want {
+			t.Fatalf("%s: resumed session differs from the uninterrupted one:\n got %s\nwant %s", name, s, want)
+		}
+		if resumed := sent() - before; resumed >= uninterrupted {
+			t.Fatalf("%s: the resumed session sent %g items, the uninterrupted one %g", name, resumed, uninterrupted)
+		}
+		m.Shutdown(context.Background())
 	}
 }

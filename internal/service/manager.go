@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ceal/internal/collector"
+	"ceal/internal/dispatch"
 	"ceal/internal/histdb"
 	"ceal/internal/live"
 	"ceal/internal/tuner"
@@ -264,13 +265,11 @@ func (m *Manager) Submit(spec JobSpec) (rec *histdb.RunRecord, fresh bool, err e
 
 // Resume re-admits an interrupted (failed, cancelled, or crash-orphaned
 // queued/running) run from the store. The run replays deterministically:
-// its persisted measurement checkpoint preloads the collector cache, so
-// already-measured configurations are served as hits and the final Result
-// is byte-identical to what the uninterrupted run would have produced. A
-// continuous session replays from its spec alone — the driver forgets the
-// collector's cache before its first epoch, preload included, and its
-// drifting platform is a deterministic simulation — to the same session.
-// Completed runs return ErrNotResumable; live ones ErrInFlight.
+// its persisted measurement checkpoint seeds the run's journal, so
+// already-measured items are served instead of measured and the final
+// Result is byte-identical to what the uninterrupted run would have
+// produced, for a tune run and a continuous session alike. Completed runs
+// return ErrNotResumable; live ones ErrInFlight.
 func (m *Manager) Resume(id string) (*histdb.RunRecord, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -378,15 +377,14 @@ func (m *Manager) runJob(j *job) {
 			m.warmStarted.Add(1)
 		}
 	}
-	// Resume path: preload the collector cache with the interrupted run's
-	// measurements so the deterministic replay serves them as hits.
+	// Journal the run beneath its collector; a resume's journal starts from
+	// the checkpoint, so the replay measures only the rest.
+	jr := dispatch.NewJournal(j.rec.Checkpoint)
+	p.Record(jr)
 	col := p.Collector()
-	if len(j.rec.Checkpoint) > 0 {
-		col.Preload(j.rec.Checkpoint)
-	}
 
 	p.Ctx = j.ctx
-	p.Observer = events.Multi(p.Observer, j.hub, &checkpointer{m: m, j: j, col: col})
+	p.Observer = events.Multi(p.Observer, j.hub, &checkpointer{m: m, j: j, jr: jr})
 	m.mu.Lock()
 	j.col = col // /metrics gauges show its cache behaviour and in-flight pressure live
 	m.mu.Unlock()
@@ -400,7 +398,7 @@ func (m *Manager) runJob(j *job) {
 	// write lost a race with cancellation.
 	j.rec.Checkpoint = nil
 	if err != nil {
-		j.rec.Checkpoint = col.Snapshot()
+		j.rec.Checkpoint = jr.Values()
 	}
 	// The final collector stats join the totals in the same critical section
 	// that takes the job (and its live collector) out of m.jobs, so Metrics
@@ -436,14 +434,14 @@ func foldStats(total, st collector.Stats) collector.Stats {
 }
 
 // checkpointer persists a live run's measurement progress: after every
-// measured batch (and model fit) it snapshots the collector cache and the
-// trace so far into the run record and writes it through to the store.
-// A run killed at any point — even SIGKILL — is then resumable from its
-// last completed batch.
+// measured batch (and model fit) it copies the run's journal and the trace
+// so far into the run record and writes it through to the store. A run
+// killed at any point — even SIGKILL — is then resumable from its last
+// completed batch.
 type checkpointer struct {
-	m   *Manager
-	j   *job
-	col *collector.Collector
+	m  *Manager
+	j  *job
+	jr *dispatch.Journal
 }
 
 func (c *checkpointer) OnEvent(e events.Event) {
@@ -452,7 +450,7 @@ func (c *checkpointer) OnEvent(e events.Event) {
 	default:
 		return
 	}
-	snap := c.col.Snapshot()
+	snap := c.jr.Values()
 	c.m.mu.Lock()
 	if !c.j.rec.State.Terminal() {
 		c.j.rec.Checkpoint = snap

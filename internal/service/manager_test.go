@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,26 +31,39 @@ func tinySpec(seed uint64) JobSpec {
 type slowEval struct {
 	inner collector.Evaluator
 	delay time.Duration
+	calls *atomic.Int64 // counts evaluator calls when set
+}
+
+func (e *slowEval) measure() {
+	time.Sleep(e.delay)
+	if e.calls != nil {
+		e.calls.Add(1)
+	}
 }
 
 func (e *slowEval) MeasureWorkflow(cfg cfgspace.Config) (float64, error) {
-	time.Sleep(e.delay)
+	e.measure()
 	return e.inner.MeasureWorkflow(cfg)
 }
 
 func (e *slowEval) MeasureComponent(j int, cfg cfgspace.Config) (float64, error) {
-	time.Sleep(e.delay)
+	e.measure()
 	return e.inner.MeasureComponent(j, cfg)
 }
 
 // slowBuild builds the spec's real problem with every measurement delayed.
 func slowBuild(delay time.Duration) func(JobSpec) (*tuner.Problem, tuner.Algorithm, error) {
+	return countedBuild(delay, nil)
+}
+
+// countedBuild is slowBuild counting evaluator calls in calls (nil: none).
+func countedBuild(delay time.Duration, calls *atomic.Int64) func(JobSpec) (*tuner.Problem, tuner.Algorithm, error) {
 	return func(spec JobSpec) (*tuner.Problem, tuner.Algorithm, error) {
 		p, alg, err := BuildSpec(spec)
 		if err != nil {
 			return nil, nil, err
 		}
-		p.Eval = &slowEval{inner: p.Eval, delay: delay}
+		p.Eval = &slowEval{inner: p.Eval, delay: delay, calls: calls}
 		return p, alg, nil
 	}
 }

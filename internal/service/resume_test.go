@@ -8,9 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"ceal/internal/dispatch"
 	"ceal/internal/histdb"
 	"ceal/internal/tuner"
 	"ceal/internal/tuner/events"
@@ -68,7 +70,8 @@ func TestInterruptedRunResumesToIdenticalResult(t *testing.T) {
 	spec := JobSpec{Benchmark: "LV", Algorithm: "al", Objective: "comp", Budget: 40, Pool: 100, Seed: 11}
 
 	// Baseline: the uninterrupted run.
-	base := NewManager(Options{Workers: 1})
+	var baseCalls, resumeCalls atomic.Int64
+	base := NewManager(Options{Workers: 1, Build: countedBuild(0, &baseCalls)})
 	rec, _, err := base.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +125,7 @@ func TestInterruptedRunResumesToIdenticalResult(t *testing.T) {
 	if len(stored.Checkpoint) == 0 {
 		t.Fatal("interrupted run has no checkpoint")
 	}
-	m2 := NewManager(Options{Workers: 1, Store: fs2})
+	m2 := NewManager(Options{Workers: 1, Store: fs2, Build: countedBuild(0, &resumeCalls)})
 	defer m2.Shutdown(context.Background())
 	if _, err := m2.Resume(rec.ID); err != nil {
 		t.Fatal(err)
@@ -140,14 +143,54 @@ func TestInterruptedRunResumesToIdenticalResult(t *testing.T) {
 	if string(wantJSON) != string(gotJSON) {
 		t.Fatalf("resumed result differs from uninterrupted run:\nwant %s\ngot  %s", wantJSON, gotJSON)
 	}
-	// The preloaded checkpoint must have served real hits: the resumed run
-	// re-measures strictly less than the baseline.
-	if got.Collector.Misses >= want.Collector.Misses {
-		t.Fatalf("resume re-measured everything: %d misses vs baseline %d",
-			got.Collector.Misses, want.Collector.Misses)
+	// The checkpoint is replayed beneath the collector: the resumed run's
+	// collector counts what the uninterrupted one did, while the evaluator
+	// measures strictly less.
+	if got.Collector.Hits != want.Collector.Hits || got.Collector.Misses != want.Collector.Misses {
+		t.Fatalf("resumed collector %+v, uninterrupted %+v", got.Collector, want.Collector)
+	}
+	if resumeCalls.Load() >= baseCalls.Load() {
+		t.Fatalf("resume re-measured everything: %d evaluator calls vs baseline %d",
+			resumeCalls.Load(), baseCalls.Load())
 	}
 	if mt := m2.Metrics(); mt.Resumed != 1 {
 		t.Fatalf("metrics = %+v", mt)
+	}
+}
+
+// TestResumeRejectsBadCheckpoint: a checkpoint value no run can produce is
+// refused when the journal serves it, so the resumed run fails with
+// dispatch.ErrBadMeasurement and records no Result.
+func TestResumeRejectsBadCheckpoint(t *testing.T) {
+	st := histdb.NewMemStore()
+	m := NewManager(Options{Workers: 1, Store: st})
+	defer m.Shutdown(context.Background())
+	rec, _, err := m.Submit(tinySpec(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := waitDone(t, m, rec.ID)
+	if done.State != histdb.StateDone {
+		t.Fatalf("state = %s (%s)", done.State, done.Error)
+	}
+	// The run, as if interrupted with a tampered checkpoint of every
+	// workflow measurement it makes.
+	bad := done.Clone()
+	bad.State, bad.Result, bad.Continuous = histdb.StateFailed, nil, nil
+	bad.Checkpoint = map[string]float64{}
+	for _, s := range done.Result.Samples {
+		bad.Checkpoint[dispatch.Item{Kind: dispatch.KindWorkflow, Cfg: s.Cfg}.Key()] = -1
+	}
+	if err := st.Save(bad); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Resume(rec.ID); err != nil {
+		t.Fatal(err)
+	}
+	got := waitDone(t, m, rec.ID)
+	if got.State != histdb.StateFailed || got.Result != nil || !strings.Contains(got.Error, dispatch.ErrBadMeasurement.Error()) {
+		t.Fatalf("resume over a negative checkpoint = %s, result %v, error %q; want failed with %v",
+			got.State, got.Result, got.Error, dispatch.ErrBadMeasurement)
 	}
 }
 

@@ -140,8 +140,8 @@ func (s *Server) cancel(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// resume re-admits an interrupted run: its persisted measurement
-// checkpoint replays instead of re-measuring (202 accepted).
+// resume re-admits an interrupted run of any kind: its persisted
+// measurement checkpoint replays instead of re-measuring (202 accepted).
 func (s *Server) resume(w http.ResponseWriter, r *http.Request) {
 	rec, err := s.m.Resume(r.PathValue("id"))
 	switch {

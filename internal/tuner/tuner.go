@@ -25,6 +25,7 @@ import (
 	"ceal/internal/cfgspace"
 	"ceal/internal/collector"
 	"ceal/internal/dispatch"
+	"ceal/internal/drift"
 	"ceal/internal/score"
 	"ceal/internal/tuner/events"
 )
@@ -166,6 +167,20 @@ func (p *Problem) Collector() *collector.Collector {
 		p.col = collector.New(disp)
 	}
 	return p.col
+}
+
+// Record journals the problem's measurements in jr beneath its collector,
+// and beneath the clock when Dispatcher is a *drift.Env. Call it before the
+// collector's first use.
+func (p *Problem) Record(jr *dispatch.Journal) {
+	switch d := p.Dispatcher.(type) {
+	case *drift.Env:
+		d.Record(jr)
+	case nil:
+		p.Dispatcher = jr.Wrap(nil, dispatch.NewLocal(p.Eval, p.Runner))
+	default:
+		p.Dispatcher = jr.Wrap(nil, d)
+	}
 }
 
 // context returns the problem's cancellation context.
