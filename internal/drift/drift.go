@@ -193,8 +193,8 @@ func (e *Env) Probe(ctx context.Context, cfg cfgspace.Config) (float64, error) {
 
 // Peek measures one configuration at the current condition without
 // advancing the clock — counterfactual observation for regret accounting.
-func (e *Env) Peek(cfg cfgspace.Config) (float64, error) {
-	v, _, err := e.PeekBest([]cfgspace.Config{cfg})
+func (e *Env) Peek(ctx context.Context, cfg cfgspace.Config) (float64, error) {
+	v, _, err := e.PeekBest(ctx, []cfgspace.Config{cfg})
 	return v, err
 }
 
@@ -202,8 +202,9 @@ func (e *Env) Peek(cfg cfgspace.Config) (float64, error) {
 // condition and the first index holding it, without advancing the clock —
 // the oracle the continuous driver charges regret against. The scan runs on
 // the condition's dispatcher through its collector, so a probe at an
-// unchanged condition re-reads it instead of re-measuring.
-func (e *Env) PeekBest(cfgs []cfgspace.Config) (float64, int, error) {
+// unchanged condition re-reads it instead of re-measuring. A cancelled ctx
+// stops the scan like any other measurement batch.
+func (e *Env) PeekBest(ctx context.Context, cfgs []cfgspace.Config) (float64, int, error) {
 	if len(cfgs) == 0 {
 		return 0, -1, fmt.Errorf("drift: PeekBest needs at least one configuration")
 	}
@@ -211,7 +212,7 @@ func (e *Env) PeekBest(cfgs []cfgspace.Config) (float64, int, error) {
 	if err != nil {
 		return 0, -1, err
 	}
-	samples, err := peek.MeasureWorkflows(context.TODO(), cfgs)
+	samples, err := peek.MeasureWorkflows(ctx, cfgs)
 	if err != nil {
 		return 0, -1, err
 	}

@@ -86,14 +86,14 @@ func TestEnvPeekDoesNotAdvanceClock(t *testing.T) {
 	env := newTestEnv(t, stepAt5{}, 1)
 	before := env.Clock()
 	for i := 0; i < 3; i++ {
-		if _, err := env.Peek(cfgspace.Config{7}); err != nil {
+		if _, err := env.Peek(context.Background(), cfgspace.Config{7}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if env.Clock() != before {
 		t.Fatalf("Peek moved the clock: %v -> %v", before, env.Clock())
 	}
-	best, idx, err := env.PeekBest([]cfgspace.Config{{3}, {2}, {9}})
+	best, idx, err := env.PeekBest(context.Background(), []cfgspace.Config{{3}, {2}, {9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestEnvRetainsOneCondition(t *testing.T) {
 		if _, err := env.Probe(context.Background(), oracle[0]); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := env.PeekBest(oracle); err != nil {
+		if _, _, err := env.PeekBest(context.Background(), oracle); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,7 +149,7 @@ func TestEnvRetainsOneCondition(t *testing.T) {
 // order the runner finished the scan in.
 func TestPeekBestReturnsFirstMinimum(t *testing.T) {
 	env := newTestEnv(t, stepAt5{}, 4)
-	best, idx, err := env.PeekBest([]cfgspace.Config{{3}, {2}, {9}, {2}, {2}})
+	best, idx, err := env.PeekBest(context.Background(), []cfgspace.Config{{3}, {2}, {9}, {2}, {2}})
 	if err != nil {
 		t.Fatal(err)
 	}

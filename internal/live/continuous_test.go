@@ -1,9 +1,14 @@
 package live
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"ceal/internal/cfgspace"
 	"ceal/internal/cluster"
 	"ceal/internal/dispatch"
 	"ceal/internal/tuner"
@@ -131,5 +136,93 @@ func TestContinuousReplayIsBitwiseIdentical(t *testing.T) {
 	}
 	if a, b := string(run()), string(run()); a != b {
 		t.Fatalf("replay diverged:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// scanCanceller is a session's measurement substrate that cancels the
+// session the moment the oracle scan arrives — a batch of more workflow
+// items than any tuning batch holds — and then records whether the scan
+// ran under the session's (now cancelled) context and how much was still
+// dispatched and measured.
+type scanCanceller struct {
+	d        dispatch.Dispatcher
+	cancel   context.CancelFunc
+	scanMin  int
+	measured *atomic.Int64
+
+	mu          sync.Mutex
+	scan        int  // items in the scan batch
+	scanCtxDone bool // the scan batch's ctx was cancelled
+	before      int64
+	batches     int // batches dispatched since the cancel, the scan's included
+}
+
+func (s *scanCanceller) Dispatch(ctx context.Context, batch []dispatch.Item) ([]dispatch.Measurement, error) {
+	wf := 0
+	for _, it := range batch {
+		if it.Kind == dispatch.KindWorkflow {
+			wf++
+		}
+	}
+	s.mu.Lock()
+	if s.scan == 0 && wf >= s.scanMin {
+		s.cancel()
+		s.scan, s.scanCtxDone, s.before = len(batch), ctx.Err() != nil, s.measured.Load()
+	}
+	if s.scan > 0 {
+		s.batches++
+	}
+	s.mu.Unlock()
+	return s.d.Dispatch(ctx, batch)
+}
+
+// countingEval counts the simulations its evaluator runs.
+type countingEval struct {
+	dispatch.Evaluator
+	n *atomic.Int64
+}
+
+func (c countingEval) MeasureWorkflow(cfg cfgspace.Config) (float64, error) {
+	c.n.Add(1)
+	return c.Evaluator.MeasureWorkflow(cfg)
+}
+
+// TestContinuousScanHonorsCancellation: cancelling a session while its
+// oracle scan of the whole pool is in flight stops the scan — the scan's
+// batch runs under the session's context, measures nothing once it is
+// cancelled — and the session returns ctx.Err() with no further batch.
+func TestContinuousScanHonorsCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	job := dispatch.Job{Benchmark: "LV", Objective: "comp", Seed: 3}
+	var measured atomic.Int64
+	sc := &scanCanceller{cancel: cancel, scanMin: 40, measured: &measured}
+	c, err := NewContinuous(job, 80, "none", 2, func(j dispatch.Job) dispatch.Dispatcher {
+		ev, err := NewEvaluator(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.d = dispatch.NewLocal(countingEval{ev, &measured}, dispatch.NewRunner(2))
+		return sc
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Algorithm = tuner.NewCEAL()
+	c.Opts.Probes = 3
+	c.Problem.Ctx = ctx
+	if _, err := c.Run(14); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want %v", err, context.Canceled)
+	}
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if sc.scan == 0 {
+		t.Fatal("the session never scanned its oracle set")
+	}
+	if after := measured.Load() - sc.before; !sc.scanCtxDone || after > 0 {
+		t.Errorf("the %d-item scan ran under a cancelled context: %v; measured %d items after the cancel, want 0", sc.scan, sc.scanCtxDone, after)
+	}
+	if sc.batches != 1 {
+		t.Errorf("%d batches dispatched once cancelled, the scan's included; want 1", sc.batches)
 	}
 }

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"ceal/internal/score"
@@ -15,6 +16,9 @@ import (
 // trees are grown by stably partitioning the sorted columns down the
 // tree — per-node split enumeration becomes a linear scan, and the
 // O(features × n log n) per-node sort disappears entirely.
+//
+// A Grower writes each tree straight into its complete-tree form (see
+// Complete), the only form a boosted ensemble keeps.
 //
 // The grown trees are value-identical to tree.Grow: same split feature,
 // threshold and gain at every node, same leaf values, bit for bit. That
@@ -99,33 +103,63 @@ type Grower struct {
 	colThr   []float64 // per column: best candidate threshold
 	colFound []bool
 
-	nodes slab[node] // node storage shared by every tree this grower grows
-	trees slab[Tree]
-	task  growTask // per-Grow recursion state, reused across calls
+	task growTask // per-Grow recursion state, reused across calls
 }
 
 // Grower returns a tree grower over the context. e controls per-node
 // split-enumeration fan-out (nil: serial).
 func (c *Context) Grower(e *score.Engine) *Grower {
+	n, dim := c.n, c.dim
+	pairs, rows, cand := make([]pair, 2*n*dim), make([]int32, 2*n), make([]float64, 2*dim)
 	return &Grower{
 		c:        c,
 		eng:      e,
-		buf:      [2][]pair{make([]pair, c.n*c.dim), make([]pair, c.n*c.dim)},
-		rowsOrd:  make([]int32, c.n),
-		rowsAux:  make([]int32, c.n),
-		left:     make([]bool, c.n),
-		colGain:  make([]float64, c.dim),
-		colThr:   make([]float64, c.dim),
-		colFound: make([]bool, c.dim),
+		buf:      [2][]pair{pairs[:n*dim], pairs[n*dim:]},
+		rowsOrd:  rows[:n],
+		rowsAux:  rows[n:],
+		left:     make([]bool, n),
+		colGain:  cand[:dim],
+		colThr:   cand[dim:],
+		colFound: make([]bool, dim),
 	}
 }
 
-// Grow builds a tree over every row and feature column of the context,
+// Complete is one tree laid out as a complete binary tree of uniform
+// depth, in heap order: node j's children sit at 2j+1 and 2j+2, so descent
+// is pure index arithmetic with no child pointers to load. Feats, Thresh,
+// Gain and Split hold the 2^depth-1 inner nodes, Leaves the 2^depth leaf
+// values. Descend with, per level: left (2j+1) when x[Feats[j]] <
+// Thresh[j], else right (2j+2); after depth levels the leaf is
+// Leaves[j-(2^depth-1)]. NaN features go right, as Tree.Predict sends them.
+//
+// A leaf shallower than depth is padded: every node below it splits
+// feature 0 at 0 with gain 0, and every leaf slot below it holds its
+// value, so any route reaches it. Split marks the real split nodes;
+// padding is never inferred from feature 0 and threshold 0, which a real
+// split can have too.
+type Complete struct {
+	Feats  []int32
+	Thresh []float64
+	Gain   []float64
+	Split  []bool
+	Leaves []float64
+}
+
+// Grow grows a tree over every row and feature column of the context,
 // exactly like tree.Grow with every hessian 1 but without any per-node
-// sorting. If leafOut is non-nil (length = context rows) every row's entry
-// is set to its leaf's value — the tree's prediction for that row, letting
-// boosting update its training predictions without walking the tree again.
-func (gw *Grower) Grow(g []float64, opt Options, leafOut []float64) *Tree {
+// sorting, and writes it into dst, a complete tree of at least
+// opt.MaxDepth levels, with its leaf values multiplied by scale (a
+// boosting learning rate: the one multiplication prediction would
+// perform). It returns the depth the tree reached, 0 for a single leaf. If
+// leafOut is non-nil (length = context rows) every row's entry is set to
+// its leaf's unscaled value — the tree's prediction for that row, letting
+// boosting update its training predictions without walking the tree.
+func (gw *Grower) Grow(g []float64, opt Options, scale float64, dst Complete, leafOut []float64) int {
+	depth := bits.Len(uint(len(dst.Feats)))
+	if n := 1<<depth - 1; len(dst.Feats) != n || len(dst.Thresh) != n || len(dst.Gain) != n ||
+		len(dst.Split) != n || len(dst.Leaves) != n+1 || depth < opt.MaxDepth {
+		panic("tree: Grow's destination is not a complete tree of at least MaxDepth levels")
+	}
 	if opt.MinChildWeight <= 0 {
 		opt.MinChildWeight = 1e-12
 	}
@@ -133,10 +167,10 @@ func (gw *Grower) Grow(g []float64, opt Options, leafOut []float64) *Tree {
 		gw.rowsOrd[i] = int32(i)
 	}
 	t := &gw.task
-	*t = growTask{gw: gw, g: g, opt: opt, leafOut: leafOut}
-	root := t.grow(0, gw.c.n, 0)
-	*t = growTask{} // drop the g/leafOut references
-	return gw.trees.alloc(Tree{root: root})
+	*t = growTask{gw: gw, g: g, opt: opt, leafOut: leafOut, dst: dst, depth: depth, scale: scale}
+	reached := t.grow(0, gw.c.n, 0, 0)
+	*t = growTask{} // drop the g, leafOut and dst references
+	return reached
 }
 
 // growTask is one Grow call's recursion state.
@@ -145,10 +179,15 @@ type growTask struct {
 	g       []float64
 	opt     Options
 	leafOut []float64
+	dst     Complete
+	depth   int // dst's
+	scale   float64
 }
 
-// grow builds the node over segment [lo, hi) of every working array.
-func (t *growTask) grow(lo, hi, depth int) *node {
+// grow builds the node at heap index j, depth depth, over segment [lo, hi)
+// of every working array, and returns the deepest level its subtree
+// reaches.
+func (t *growTask) grow(lo, hi, depth, j int) int {
 	gw, opt := t.gw, t.opt
 	var gSum float64
 	for _, r := range gw.rowsOrd[lo:hi] {
@@ -156,13 +195,14 @@ func (t *growTask) grow(lo, hi, depth int) *node {
 	}
 	hSum := float64(hi - lo) // a sum of ones, exact below 2^53
 	leafValue := -gSum / (hSum + opt.Lambda)
-	makeLeaf := func() *node {
+	makeLeaf := func() int {
 		if t.leafOut != nil {
 			for _, r := range gw.rowsOrd[lo:hi] {
 				t.leafOut[r] = leafValue
 			}
 		}
-		return gw.nodes.alloc(node{leaf: true, value: leafValue})
+		t.leaf(j, depth, leafValue)
+		return depth
 	}
 	if depth >= opt.MaxDepth || hi-lo < 2 {
 		return makeLeaf()
@@ -229,15 +269,27 @@ func (t *growTask) grow(lo, hi, depth int) *node {
 			t.partCol(src[f*n+lo:f*n+hi], dst[f*n+lo:f*n+hi], nl)
 		}
 	}
-	left := t.grow(lo, lo+nl, depth+1)
-	right := t.grow(lo+nl, hi, depth+1)
-	return gw.nodes.alloc(node{
-		feature:   bestFeature,
-		threshold: bestThreshold,
-		gain:      bestGain,
-		left:      left,
-		right:     right,
-	})
+	d := t.dst
+	d.Feats[j], d.Thresh[j], d.Gain[j], d.Split[j] = int32(bestFeature), bestThreshold, bestGain, true
+	return max(t.grow(lo, lo+nl, depth+1, 2*j+1), t.grow(lo+nl, hi, depth+1, 2*j+2))
+}
+
+// leaf writes a leaf of value v at heap index j, depth depth: a leaf slot
+// at dst's full depth, else the padding subtree below j. The subtree's
+// nodes on each level are contiguous, twice as many as on the level above.
+func (t *growTask) leaf(j, depth int, v float64) {
+	d, span := t.dst, 1
+	for ; depth < t.depth; depth++ {
+		clear(d.Feats[j : j+span])
+		clear(d.Thresh[j : j+span])
+		clear(d.Gain[j : j+span])
+		clear(d.Split[j : j+span])
+		j, span = 2*j+1, 2*span
+	}
+	sv, lb := t.scale*v, d.Leaves[j-len(d.Feats):][:span]
+	for k := range lb {
+		lb[k] = sv
+	}
 }
 
 // scanCol enumerates split candidates in seg, feature column f's node
@@ -287,23 +339,4 @@ func stablePartition[T any](left []bool, src, dst []T, nl int, row func(T) int32
 		a += l
 		b += 1 - l
 	}
-}
-
-// slab hands out values from chunked backing arrays, replacing one heap
-// allocation per tree node (or tree header) with one per chunk. Chunks are
-// never reused or truncated: a filled chunk stays alive exactly as long as
-// the trees pointing into it. Allocation happens only on the (serial) grow
-// recursion, never inside fanned column tasks.
-type slab[T any] struct {
-	cur []T
-}
-
-const slabChunk = 512
-
-func (s *slab[T]) alloc(v T) *T {
-	if len(s.cur) == cap(s.cur) {
-		s.cur = make([]T, 0, slabChunk)
-	}
-	s.cur = append(s.cur, v)
-	return &s.cur[len(s.cur)-1]
 }

@@ -44,38 +44,49 @@ func identity(n int) []int {
 	return s
 }
 
-// sameTree asserts two trees agree bitwise: identical predictions on every
-// probe, identical shape, identical per-feature gain totals.
-func sameTree(t *testing.T, want, got *Tree, probes [][]float64, dim int) {
-	t.Helper()
-	if want.Depth() != got.Depth() || want.Leaves() != got.Leaves() {
-		t.Fatalf("shape mismatch: depth %d vs %d, leaves %d vs %d",
-			want.Depth(), got.Depth(), want.Leaves(), got.Leaves())
+// junkComplete returns a complete tree of the given depth whose every
+// entry holds noise, so a Grower that left any slot unwritten shows.
+func junkComplete(rng *rand.Rand, depth int) Complete {
+	c := newComplete(depth)
+	for j := range c.Feats {
+		c.Feats[j], c.Thresh[j], c.Gain[j], c.Split[j] = int32(rng.IntN(9)), rng.NormFloat64(), rng.NormFloat64(), rng.IntN(2) == 0
 	}
-	for i, x := range probes {
-		w, g := want.Predict(x), got.Predict(x)
-		if math.Float64bits(w) != math.Float64bits(g) {
-			t.Fatalf("probe %d: reference %v, presorted %v", i, w, g)
+	for k := range c.Leaves {
+		c.Leaves[k] = rng.NormFloat64()
+	}
+	return c
+}
+
+// sameComplete asserts two complete trees agree entry by entry, bitwise:
+// features, thresholds, gains, real-split marks and leaf values.
+func sameComplete(t *testing.T, label string, want, got Complete) {
+	t.Helper()
+	if len(want.Feats) != len(got.Feats) || len(want.Leaves) != len(got.Leaves) {
+		t.Fatalf("%s: %d nodes and %d leaves, want %d and %d", label, len(got.Feats), len(got.Leaves), len(want.Feats), len(want.Leaves))
+	}
+	for j := range want.Feats {
+		if want.Feats[j] != got.Feats[j] || math.Float64bits(want.Thresh[j]) != math.Float64bits(got.Thresh[j]) ||
+			math.Float64bits(want.Gain[j]) != math.Float64bits(got.Gain[j]) || want.Split[j] != got.Split[j] {
+			t.Fatalf("%s: node %d is (feature %d, threshold %v, gain %v, split %v), want (%d, %v, %v, %v)", label, j,
+				got.Feats[j], got.Thresh[j], got.Gain[j], got.Split[j], want.Feats[j], want.Thresh[j], want.Gain[j], want.Split[j])
 		}
 	}
-	wg := make([]float64, dim)
-	gg := make([]float64, dim)
-	want.Splits(func(f int, _, gain float64) { wg[f] += gain })
-	got.Splits(func(f int, _, gain float64) { gg[f] += gain })
-	for f := range wg {
-		if math.Float64bits(wg[f]) != math.Float64bits(gg[f]) {
-			t.Fatalf("feature %d gain: reference %v, presorted %v", f, wg[f], gg[f])
+	for k := range want.Leaves {
+		if math.Float64bits(want.Leaves[k]) != math.Float64bits(got.Leaves[k]) {
+			t.Fatalf("%s: leaf %d is %v, want %v", label, k, got.Leaves[k], want.Leaves[k])
 		}
 	}
 }
 
-// TestGrowerMatchesReference: the pre-sorted trainer must reproduce the
-// reference exact-greedy trainer bitwise — same splits, gains, and leaf
-// values — across randomized data with ties and constant columns, and on
-// the inputs where counting rows for hessians or reading the side from the
-// winning column could drift from the reference: fractional
-// MinChildWeight, Lambda 0, duplicated rows, one or two rows, a lone
-// outlier, and split midpoints that round onto a value or overflow.
+// TestGrowerMatchesReference: the pre-sorted trainer must write, entry by
+// entry, the complete tree the oracle encoder makes of the reference
+// exact-greedy trainer's tree — same split features, thresholds, gains,
+// real-split marks and scaled leaf values, bitwise — across randomized data
+// with ties and constant columns, and on the inputs where counting rows for
+// hessians or reading the side from the winning column could drift from the
+// reference: fractional MinChildWeight, Lambda 0, duplicated rows, one or
+// two rows, a lone outlier, and split midpoints that round onto a value or
+// overflow.
 func TestGrowerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 43))
 	for trial := 0; trial < 60; trial++ {
@@ -131,9 +142,11 @@ func TestGrowerMatchesReference(t *testing.T) {
 }
 
 // growerMatches grows one tree with the reference trainer (unit hessians)
-// and with a Grower, and asserts they agree bitwise on the training rows
-// and on random probes, and that leafOut carries each training row's own
-// prediction.
+// and with a Grower into a destination as deep as MaxDepth or one level
+// deeper, and asserts the Grower reports the reference's depth, writes the
+// oracle encoding of the reference tree, walks every probe to the
+// reference's scaled prediction, and sets leafOut to each training row's
+// own unscaled prediction.
 func growerMatches(t *testing.T, label string, rng *rand.Rand, X [][]float64, g []float64, opt Options) {
 	t.Helper()
 	n, dim := len(X), len(X[0])
@@ -142,18 +155,26 @@ func growerMatches(t *testing.T, label string, rng *rand.Rand, X [][]float64, g 
 		h[i] = 1
 	}
 	ref := Grow(X, g, h, identity(n), identity(dim), opt)
+	depth, scale := opt.MaxDepth+rng.IntN(2), 0.05+rng.Float64()
 	leaf := make([]float64, n)
-	got := NewContext(nil, X).Grower(nil).Grow(g, opt, leaf)
+	got := junkComplete(rng, depth)
+	if d := NewContext(nil, X).Grower(nil).Grow(g, opt, scale, got, leaf); d != ref.Depth() {
+		t.Fatalf("%s: Grow reached depth %d, reference %d", label, d, ref.Depth())
+	}
+	sameComplete(t, label, ref.FillComplete(depth, scale), got)
 
 	probes := make([][]float64, 0, n+20)
 	probes = append(probes, X...)
 	for p := 0; p < 20; p++ {
 		probes = append(probes, randomMatrix(rng, 1, dim)[0])
 	}
-	sameTree(t, ref, got, probes, dim)
-
+	for i, x := range probes {
+		if w, g := scale*ref.Predict(x), walk(got, x); math.Float64bits(w) != math.Float64bits(g) {
+			t.Fatalf("%s: probe %d: reference %v, presorted %v", label, i, w, g)
+		}
+	}
 	for r, x := range X {
-		if w := got.Predict(x); math.Float64bits(leaf[r]) != math.Float64bits(w) {
+		if w := ref.Predict(x); math.Float64bits(leaf[r]) != math.Float64bits(w) {
 			t.Fatalf("%s: leafOut[%d] = %v, Predict = %v", label, r, leaf[r], w)
 		}
 	}
@@ -174,13 +195,14 @@ func TestGrowerEngineWidthInvariance(t *testing.T) {
 	}
 	opt := Options{MaxDepth: 5, MinChildWeight: 1, Lambda: 1}
 
-	base := NewContext(nil, X).Grower(nil).Grow(g, opt, nil)
-	if base.Depth() == 0 {
+	base := newComplete(opt.MaxDepth)
+	if NewContext(nil, X).Grower(nil).Grow(g, opt, 1, base, nil) == 0 {
 		t.Fatal("degenerate test tree")
 	}
 	for _, w := range []int{1, 2, 4, 8} {
 		e := score.New(w)
-		got := NewContext(e, X).Grower(e).Grow(g, opt, nil)
-		sameTree(t, base, got, X, dim)
+		got := newComplete(opt.MaxDepth)
+		NewContext(e, X).Grower(e).Grow(g, opt, 1, got, nil)
+		sameComplete(t, fmt.Sprintf("%d workers", w), base, got)
 	}
 }

@@ -45,8 +45,9 @@ type node struct {
 // Context/Grower path in presort.go grows value-identical trees (same
 // split feature, threshold and gain at every node) in a linear scan per
 // node; Grow is kept as the independent oracle the equivalence property
-// tests compare against. It and Tree.Predict live outside _test.go files
-// because xgb's reference-trainer test calls them from another package.
+// tests compare against. It, Tree.Predict and Tree.Splits live outside
+// _test.go files because xgb's reference-trainer test calls them from
+// another package.
 //
 // Determinism/tie-break contract (shared with the pre-sorted trainer):
 // within a feature column rows are ordered by (value, row index) — a
@@ -163,69 +164,9 @@ func (t *Tree) Predict(x []float64) float64 {
 	return n.value
 }
 
-// Depth returns the maximum depth of the tree (0 for a single leaf).
-func (t *Tree) Depth() int { return depth(t.root) }
-
-func depth(n *node) int {
-	if n.leaf {
-		return 0
-	}
-	return 1 + int(math.Max(float64(depth(n.left)), float64(depth(n.right))))
-}
-
-// Leaves returns the number of leaves.
-func (t *Tree) Leaves() int { return leaves(t.root) }
-
-func leaves(n *node) int {
-	if n.leaf {
-		return 1
-	}
-	return leaves(n.left) + leaves(n.right)
-}
-
-// FillComplete encodes the tree as a complete binary tree of the given
-// depth (which must be >= t.Depth()) for branchless batch prediction:
-// heap order, node j's children at 2j+1 and 2j+2, so descent is pure
-// index arithmetic with no child pointers to load. feats and thresh must
-// have 2^depth-1 slots, leaves 2^depth. Leaf values are scaled by scale
-// (e.g. a boosting learning rate — the same single multiplication
-// prediction would perform, so results stay bitwise identical). Leaves
-// shallower than depth are padded: the padding node splits on feature 0
-// and both subtrees reproduce the same leaf value, so any route reaches
-// the right output.
-//
-// Descend with, per level: go left (2j+1) when x[feats[j]] < thresh[j],
-// else right (2j+2); after depth levels the leaf index is j - (2^depth-1)
-// into leaves. NaN features go right, exactly as Predict does.
-func (t *Tree) FillComplete(depth int, scale float64, feats []int32, thresh []float64, leaves []float64) {
-	if n := 1<<depth - 1; len(feats) != n || len(thresh) != n || len(leaves) != n+1 {
-		panic("tree: FillComplete slice sizes do not match depth")
-	}
-	fillComplete(t.root, 0, depth, scale, feats, thresh, leaves)
-}
-
-func fillComplete(n *node, j, left int, scale float64, feats []int32, thresh []float64, leaves []float64) {
-	if left == 0 {
-		// Depth exhausted: n must be a leaf (depth >= t.Depth()).
-		leaves[j-len(feats)] = scale * n.value
-		return
-	}
-	if n.leaf {
-		feats[j] = 0
-		thresh[j] = 0
-		fillComplete(n, 2*j+1, left-1, scale, feats, thresh, leaves)
-		fillComplete(n, 2*j+2, left-1, scale, feats, thresh, leaves)
-		return
-	}
-	feats[j] = int32(n.feature)
-	thresh[j] = n.threshold
-	fillComplete(n.left, 2*j+1, left-1, scale, feats, thresh, leaves)
-	fillComplete(n.right, 2*j+2, left-1, scale, feats, thresh, leaves)
-}
-
 // Splits calls visit with the feature, threshold and gain of every split
-// node: every comparison Predict can make, and the basis of gain-based
-// feature importance.
+// node in preorder: every comparison Predict can make, and the basis of
+// gain-based feature importance.
 func (t *Tree) Splits(visit func(feature int, threshold, gain float64)) { splits(t.root, visit) }
 
 func splits(n *node, visit func(feature int, threshold, gain float64)) {

@@ -154,3 +154,75 @@ func TestColumnRestriction(t *testing.T) {
 		t.Fatalf("tree split on excluded feature: %d leaves", tr.Leaves())
 	}
 }
+
+// Depth returns the maximum depth of the tree (0 for a single leaf).
+func (t *Tree) Depth() int { return depth(t.root) }
+
+func depth(n *node) int {
+	if n.leaf {
+		return 0
+	}
+	return 1 + max(depth(n.left), depth(n.right))
+}
+
+// Leaves returns the number of leaves.
+func (t *Tree) Leaves() int { return leaves(t.root) }
+
+func leaves(n *node) int {
+	if n.leaf {
+		return 1
+	}
+	return leaves(n.left) + leaves(n.right)
+}
+
+// newComplete returns a zeroed complete tree of the given depth.
+func newComplete(depth int) Complete {
+	n := 1<<depth - 1
+	return Complete{
+		Feats:  make([]int32, n),
+		Thresh: make([]float64, n),
+		Gain:   make([]float64, n),
+		Split:  make([]bool, n),
+		Leaves: make([]float64, n+1),
+	}
+}
+
+// FillComplete is the oracle encoder of the complete form a Grower writes
+// directly: the tree at the given depth (at least t.Depth()), its leaf
+// values multiplied by scale, shallow leaves padded as Complete describes.
+func (t *Tree) FillComplete(depth int, scale float64) Complete {
+	c := newComplete(depth)
+	fillComplete(t.root, 0, depth, scale, c)
+	return c
+}
+
+func fillComplete(n *node, j, left int, scale float64, c Complete) {
+	if left == 0 {
+		// Depth exhausted: n must be a leaf (depth >= t.Depth()).
+		c.Leaves[j-len(c.Feats)] = scale * n.value
+		return
+	}
+	if n.leaf {
+		// Padding keeps newComplete's zeros: feature 0, threshold 0, gain
+		// 0, unmarked.
+		fillComplete(n, 2*j+1, left-1, scale, c)
+		fillComplete(n, 2*j+2, left-1, scale, c)
+		return
+	}
+	c.Feats[j], c.Thresh[j], c.Gain[j], c.Split[j] = int32(n.feature), n.threshold, n.gain, true
+	fillComplete(n.left, 2*j+1, left-1, scale, c)
+	fillComplete(n.right, 2*j+2, left-1, scale, c)
+}
+
+// walk descends x through a complete tree as Complete prescribes.
+func walk(c Complete, x []float64) float64 {
+	j := 0
+	for j < len(c.Feats) {
+		if x[c.Feats[j]] < c.Thresh[j] {
+			j = 2*j + 1
+		} else {
+			j = 2*j + 2
+		}
+	}
+	return c.Leaves[j-len(c.Feats)]
+}

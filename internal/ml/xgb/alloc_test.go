@@ -4,6 +4,7 @@ package xgb
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -11,27 +12,75 @@ import (
 )
 
 // TestFitAllocs guards a surrogate refit at the paper's shape (configData:
-// 50 rows, 7 integer tie-heavy columns, DefaultParams): the validated
-// rows' sorted columns, one grower's scratch, node and tree-header slabs,
-// and the model. It was 143 while every round allocated its own tree
-// header and sort.Slice ordered each column's row indices.
+// 50 rows, 7 integer tie-heavy columns, DefaultParams) in allocations and
+// bytes: the validated rows' sorted columns, one grower's scratch, the
+// training predictions, and the model's complete-tree arrays, which the
+// grower writes directly. It was 143 allocations while every round
+// allocated its own tree header and sort.Slice ordered each column's row
+// indices, and 22 allocations of 157.7 KB (plus ~31 KB at the first
+// predict) while every fit grew pointer trees in node slabs first.
 func TestFitAllocs(t *testing.T) {
 	X, y := configData(1, 50)
-	allocs := testing.AllocsPerRun(20, func() {
+	fit := func() {
 		if _, err := Fit(X, y, DefaultParams()); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > fitAllocs {
+	}
+	if allocs := testing.AllocsPerRun(20, fit); allocs > fitAllocs {
 		t.Errorf("%.0f allocations per Fit, want at most %d", allocs, fitAllocs)
+	}
+	if bytes := bytesPerRun(20, fit); bytes > fitBytes {
+		t.Errorf("%d bytes allocated per Fit, want at most %d", bytes, fitBytes)
 	}
 }
 
-const fitAllocs = 22
+// fitAllocs and fitBytes bound a paper-shaped Fit: 17 allocations of
+// 67,832 bytes on amd64, and the byte bound's headroom under 10%.
+const (
+	fitAllocs = 17
+	fitBytes  = 74_000
+)
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes
+// allocated by one of runs calls of f, after one warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestFirstPredictAllocs: a fitted model is already in the form every
+// predict path walks, so even its first PredictRow allocates nothing.
+// Every measured call is the first on its own freshly fitted model.
+func TestFirstPredictAllocs(t *testing.T) {
+	const runs = 10
+	X, y := configData(1, 50)
+	models := make([]*Model, runs+1) // AllocsPerRun calls f once more to warm up
+	for i := range models {
+		m, err := Fit(X[:40+i], y[:40+i], DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		models[i] = m
+	}
+	next := 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		models[next].PredictRow(X[next])
+		next++
+	}); allocs != 0 {
+		t.Errorf("%.1f allocations on a model's first PredictRow, want 0", allocs)
+	}
+}
 
 // TestPredictCodedBoundedAllocs guards the selector's kernel: the coded
-// walk keeps its live lists on the stack, so once the ensemble is
-// flattened and its cuts compiled for the pool, a bounded call allocates
+// walk keeps its live lists on the stack, so once the ensemble's cuts are
+// compiled for the pool, a bounded call allocates
 // nothing — with or without rows to abandon, across several groups.
 func TestPredictCodedBoundedAllocs(t *testing.T) {
 	X, y := trainingData(3, 240, 5)
@@ -46,7 +95,7 @@ func TestPredictCodedBoundedAllocs(t *testing.T) {
 		idxs[i] = len(pool) - 1 - i
 	}
 	out := make([]float64, len(idxs))
-	m.PredictCodedBounded(q, idxs, out, math.Inf(1)) // flatten and compile the cuts
+	m.PredictCodedBounded(q, idxs, out, math.Inf(1)) // compile the cuts
 	sorted := slices.Clone(out)
 	slices.Sort(sorted)
 	for _, bound := range []float64{math.Inf(1), sorted[len(sorted)/2]} {

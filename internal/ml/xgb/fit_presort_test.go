@@ -5,23 +5,41 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"ceal/internal/ml/tree"
 	"ceal/internal/score"
 )
 
+// refModel is a boosted ensemble of pointer trees, the form the reference
+// trainer grows: the oracle every Model is pinned to.
+type refModel struct {
+	base, eta float64
+	trees     []*tree.Tree
+}
+
+// Predict walks each pointer tree's nodes: the oracle every shipped predict
+// path, walking the complete-tree arrays instead, is pinned to, bitwise.
+func (m *refModel) Predict(x []float64) float64 {
+	out := m.base
+	for _, t := range m.trees {
+		out += m.eta * t.Predict(x)
+	}
+	return out
+}
+
 // referenceFit is the test oracle: per-node-sorting tree.Grow and per-row
 // pointer-tree Predict updates. Fit/FitOn must reproduce its models
 // bitwise.
-func referenceFit(X [][]float64, y []float64, p Params) *Model {
+func referenceFit(X [][]float64, y []float64, p Params) *refModel {
 	n := len(y)
 	base := 0.0
 	for _, v := range y {
 		base += v
 	}
 	base /= float64(n)
-	m := &Model{base: base, eta: p.LearningRate}
+	m := &refModel{base: base, eta: p.LearningRate}
 	pred := make([]float64, n)
 	for i := range pred {
 		pred[i] = base
@@ -73,11 +91,16 @@ func trainingData(seed uint64, n, dim int) ([][]float64, []float64) {
 
 func samePredictions(t *testing.T, label string, want, got *Model, X [][]float64) {
 	t.Helper()
-	w := predictAll(want, X)
+	matchesReference(t, label, want.PredictRow, got, X)
+}
+
+// matchesReference asserts got's batch predictions of X are bitwise want's.
+func matchesReference(t *testing.T, label string, want func([]float64) float64, got *Model, X [][]float64) {
+	t.Helper()
 	g := predictAll(got, X)
-	for i := range w {
-		if math.Float64bits(w[i]) != math.Float64bits(g[i]) {
-			t.Fatalf("%s: row %d predicts %v, want %v", label, i, g[i], w[i])
+	for i, x := range X {
+		if w := want(x); math.Float64bits(w) != math.Float64bits(g[i]) {
+			t.Fatalf("%s: row %d predicts %v, want %v", label, i, g[i], w)
 		}
 	}
 }
@@ -100,11 +123,11 @@ func TestFitMatchesReferenceTrainer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want.Rounds() != got.Rounds() {
-			t.Fatalf("case %d: rounds %d, want %d", ci, got.Rounds(), want.Rounds())
+		if len(want.trees) != got.Rounds() {
+			t.Fatalf("case %d: rounds %d, want %d", ci, got.Rounds(), len(want.trees))
 		}
-		samePredictions(t, "train", want, got, X)
-		samePredictions(t, "probe", want, got, probes)
+		matchesReference(t, "train", want.Predict, got, X)
+		matchesReference(t, "probe", want.Predict, got, probes)
 	}
 
 	// The rows M_H trains on: integer configurations and their derived
@@ -118,8 +141,95 @@ func TestFitMatchesReferenceTrainer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		samePredictions(t, fmt.Sprintf("configs n=%d train", n), want, got, X)
-		samePredictions(t, fmt.Sprintf("configs n=%d probe", n), want, got, cfgProbes)
+		matchesReference(t, fmt.Sprintf("configs n=%d train", n), want.Predict, got, X)
+		matchesReference(t, fmt.Sprintf("configs n=%d probe", n), want.Predict, got, cfgProbes)
+	}
+}
+
+// TestSplitsMatchReference: Thresholds and FeatureImportance read the real
+// splits of the complete-tree arrays and must equal, bit for bit, what the
+// reference trainer's pointer trees give — thresholds collected per feature
+// then sorted and deduplicated, gains summed per feature in preorder, tree
+// by tree. One ensemble really splits feature 0 at threshold 0 and pads
+// shallow leaves, so padding (feature 0, threshold 0) can be told from a
+// real split only by its mark.
+func TestSplitsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(4, 4))
+	zX, zy := make([][]float64, 40), make([]float64, 40)
+	for i := range zX {
+		zX[i] = []float64{float64(2*rng.IntN(2) - 1), float64(rng.IntN(3)), rng.NormFloat64()}
+		zy[i] = 10*zX[i][0] + zX[i][1] + 0.1*rng.NormFloat64()
+	}
+	cX, cy := configData(2, 50)
+	tX, ty := trainingData(3, 60, 5)
+	for _, tc := range []struct {
+		name string
+		X    [][]float64
+		y    []float64
+		p    Params
+	}{
+		{"feature 0 at 0", zX, zy, Params{Rounds: 30, LearningRate: 0.3, MaxDepth: 4, Lambda: 1, MinChildWeight: 4}},
+		{"configs", cX, cy, DefaultParams()},
+		{"normal", tX, ty, Params{Rounds: 40, LearningRate: 0.2, MaxDepth: 5, Lambda: 0.5, MinChildWeight: 2}},
+	} {
+		ref := referenceFit(tc.X, tc.y, tc.p)
+		m, err := Fit(tc.X, tc.y, tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dim := len(tc.X[0])
+		var thrs [][]float64
+		gains := make([]float64, dim)
+		for _, tr := range ref.trees {
+			tr.Splits(func(f int, thr, gain float64) {
+				for len(thrs) <= f {
+					thrs = append(thrs, nil)
+				}
+				thrs[f] = append(thrs[f], thr)
+				gains[f] += gain
+			})
+		}
+		total := 0.0
+		for f, thr := range thrs {
+			slices.Sort(thr)
+			thrs[f] = slices.Compact(thr)
+		}
+		for _, g := range gains {
+			total += g
+		}
+		for f := range gains {
+			gains[f] /= total
+		}
+		got := m.Thresholds()
+		if len(got) != len(thrs) {
+			t.Fatalf("%s: thresholds for %d features, reference %d", tc.name, len(got), len(thrs))
+		}
+		for f := range thrs {
+			if len(got[f]) != len(thrs[f]) {
+				t.Fatalf("%s: feature %d has thresholds %v, reference %v", tc.name, f, got[f], thrs[f])
+			}
+			for k := range thrs[f] {
+				if math.Float64bits(got[f][k]) != math.Float64bits(thrs[f][k]) {
+					t.Fatalf("%s: feature %d has thresholds %v, reference %v", tc.name, f, got[f], thrs[f])
+				}
+			}
+		}
+		for f, g := range m.FeatureImportance(dim) {
+			if math.Float64bits(g) != math.Float64bits(gains[f]) {
+				t.Fatalf("%s: feature %d importance %v, reference %v", tc.name, f, g, gains[f])
+			}
+		}
+		if tc.name != "feature 0 at 0" {
+			continue
+		}
+		zero, padded := false, false
+		for j, real := range m.split {
+			zero = zero || real && m.feats[j] == 0 && m.thresh[j] == 0
+			padded = padded || !real
+		}
+		if !zero || !padded {
+			t.Fatalf("%s: split feature 0 at 0: %v, padded a shallow leaf: %v; want both", tc.name, zero, padded)
+		}
 	}
 }
 
@@ -203,7 +313,7 @@ func TestBoosterRejectsBadTrainingData(t *testing.T) {
 	samePredictions(t, "good rows after rejected fits", want, got, X)
 }
 
-// TestNewBoosterRejectsDeepTrees pins the depth cap every flattened
+// TestNewBoosterRejectsDeepTrees pins the depth cap every complete-tree
 // predict path relies on: 8 levels fit, 9 are refused up front.
 func TestNewBoosterRejectsDeepTrees(t *testing.T) {
 	X, y := trainingData(61, 40, 4)

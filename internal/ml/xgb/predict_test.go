@@ -44,8 +44,8 @@ func lowCardData(seed uint64, n, dim int) ([][]float64, []float64) {
 	return X, y
 }
 
-// TestPredictBatchMatchesPredict pins every flattened entry point to the
-// pointer-tree oracle Model.Predict, bitwise: PredictRow,
+// TestPredictBatchMatchesPredict pins every complete-tree entry point to the
+// pointer-tree oracle refModel.Predict, bitwise: PredictRow,
 // PredictBatchOnInto serially and at 1/2/4/8 workers,
 // PredictBatchQuantizedOnInto over the rank-coded pool and
 // PredictCodedBounded with nothing to abandon — for
@@ -80,12 +80,13 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := m.flatten().depth; d != tc.padded {
-				t.Fatalf("flattened depth %d, want %d", d, tc.padded)
+			if m.depth != tc.padded {
+				t.Fatalf("complete-tree depth %d, want %d", m.depth, tc.padded)
 			}
+			ref := referenceFit(X, y, p)
 			want := make([]float64, len(pool))
 			for i, x := range pool {
-				want[i] = m.Predict(x)
+				want[i] = ref.Predict(x)
 			}
 			check := func(entry string, got []float64) {
 				t.Helper()
@@ -135,9 +136,10 @@ func TestPredictBatchQuantizedMatchesFloat(t *testing.T) {
 	for i := 0; i < len(pool); i += 3 {
 		pool[i][rng.IntN(5)] = specials[rng.IntN(len(specials))]
 	}
+	ref := referenceFit(X, y, p)
 	want := make([]float64, len(pool))
 	for i, x := range pool {
-		want[i] = m.Predict(x)
+		want[i] = ref.Predict(x)
 	}
 	q := score.QuantizeRows(nil, pool)
 	if q.FloatRows() != nil {
@@ -160,7 +162,8 @@ func TestPredictBatchQuantizedMatchesFloat(t *testing.T) {
 // kept, bitwise equal to Predict.
 func TestPredictWidePoolUsesFloatRows(t *testing.T) {
 	X, y := trainingData(7, 200, 3)
-	m, err := Fit(X, y, Params{Rounds: 10, LearningRate: 0.1, MaxDepth: 3, Lambda: 1, MinChildWeight: 1})
+	p := Params{Rounds: 10, LearningRate: 0.1, MaxDepth: 3, Lambda: 1, MinChildWeight: 1}
+	m, err := Fit(X, y, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +177,9 @@ func TestPredictWidePoolUsesFloatRows(t *testing.T) {
 	}
 	got := make([]float64, len(pool))
 	m.PredictBatchQuantizedOnInto(score.New(2), q, got)
+	ref := referenceFit(X, y, p)
 	for i, x := range pool {
-		if want := m.Predict(x); math.Float64bits(got[i]) != math.Float64bits(want) {
+		if want := ref.Predict(x); math.Float64bits(got[i]) != math.Float64bits(want) {
 			t.Fatalf("row %d: wide pool predicts %v, Predict %v", i, got[i], want)
 		}
 	}
@@ -224,9 +228,10 @@ func TestPredictCodedBoundedIsExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			ref := referenceFit(X, tc.y, p)
 			want := make([]float64, len(pool))
 			for i, x := range pool {
-				want[i] = m.Predict(x)
+				want[i] = ref.Predict(x)
 			}
 			sorted := slices.Clone(want)
 			slices.Sort(sorted)

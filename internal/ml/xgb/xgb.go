@@ -38,16 +38,30 @@ func DefaultParams() Params {
 	}
 }
 
-// Model is a trained boosted-tree regressor.
+// Model is a trained boosted-tree regressor: every tree a complete binary
+// tree of one uniform depth (tree.Complete) in contiguous arrays with
+// per-tree strides — split features, split thresholds, and eta-scaled leaf
+// values. Descent is pure index arithmetic — node j's children sit at 2j+1
+// and 2j+2, no child indices are loaded — which compiles to a branchless
+// select and keeps the whole ensemble cache-resident (a 100-tree depth-4
+// ensemble is ~30 KB).
 type Model struct {
-	base  float64
-	eta   float64
-	trees []*tree.Tree
+	base   float64
+	depth  int       // the deepest tree's depth, at least 1
+	feats  []int32   // per tree: 2^depth-1 heap-ordered split features
+	thresh []float64 // same shape as feats
+	leaves []float64 // per tree: 2^depth eta-scaled leaf values
+	gain   []float64 // same shape as feats: split gains (FeatureImportance)
+	split  []bool    // same shape as feats: real splits, not padding
 
-	// Flattened ensemble for batch prediction (see flatten), built lazily
-	// on the first batch call. Bitwise-equivalent to the pointer trees.
-	flatOnce sync.Once
-	flat     *flatEnsemble
+	// The early-stop bound of PredictCodedBounded, tested after every tree.
+	// sufMin[t] is the sum of the smallest leaf of every tree from t on
+	// (sufMin[Rounds()] = 0): the least the trees still to come can add.
+	// slack bounds, with a wide safety factor, everything floating-point
+	// rounding can put between "partial + sufMin[t]" and the finished sum;
+	// see PredictCodedBounded for the argument.
+	sufMin []float64
+	slack  float64
 
 	// Split thresholds compiled into the code space of the last coded pool
 	// scored (see cuts). A surrogate scores one pool for its whole life, so
@@ -57,73 +71,14 @@ type Model struct {
 	cut    []uint16
 
 	// Per feature, the distinct split thresholds ascending (see Thresholds).
-	splitOnce sync.Once
-	split     [][]float64
-}
-
-// flatEnsemble holds every tree as a complete binary tree of uniform
-// depth in three contiguous arrays (heap order, per-tree strides): split
-// features, split thresholds, and eta-scaled leaf values. Descent is pure
-// index arithmetic — node j's children sit at 2j+1 and 2j+2, no child
-// indices are loaded — which compiles to a branchless select and keeps
-// the whole ensemble cache-resident (a 100-tree depth-4 ensemble is
-// ~30 KB).
-type flatEnsemble struct {
-	depth  int       // uniform complete-tree depth
-	feats  []int32   // per tree: 2^depth-1 heap-ordered split features
-	thresh []float64 // same shape as feats
-	leaves []float64 // per tree: 2^depth eta-scaled leaf values
-
-	// The early-stop bound of PredictCodedBounded, tested after every tree.
-	// sufMin[t] is the sum of the smallest leaf of every tree from t on
-	// (sufMin[len(trees)] = 0): the least the trees still to come can add.
-	// slack bounds, with a wide safety factor, everything floating-point
-	// rounding can put between "partial + sufMin[t]" and the finished sum;
-	// see PredictCodedBounded for the argument.
-	sufMin []float64
-	slack  float64
+	thrsOnce sync.Once
+	thrs     [][]float64
 }
 
 // maxFlatDepth is the deepest ensemble FitOn accepts: every prediction
 // entry point walks the complete-tree padding, whose size doubles per
 // level (2^depth slots per tree). Defaults keep ensembles at depth 4.
 const maxFlatDepth = 8
-
-// flatten builds the complete-tree ensemble once; safe for concurrent
-// use.
-func (m *Model) flatten() *flatEnsemble {
-	m.flatOnce.Do(func() {
-		depth := 1 // zero-depth stumps still need one padded level
-		for _, t := range m.trees {
-			if d := t.Depth(); d > depth {
-				depth = d
-			}
-		}
-		inner, leafN := 1<<depth-1, 1<<depth
-		fe := &flatEnsemble{
-			depth:  depth,
-			feats:  make([]int32, inner*len(m.trees)),
-			thresh: make([]float64, inner*len(m.trees)),
-			leaves: make([]float64, leafN*len(m.trees)),
-		}
-		for i, t := range m.trees {
-			t.FillComplete(depth, m.eta,
-				fe.feats[i*inner:(i+1)*inner],
-				fe.thresh[i*inner:(i+1)*inner],
-				fe.leaves[i*leafN:(i+1)*leafN])
-		}
-		fe.sufMin = make([]float64, len(m.trees)+1)
-		reach := math.Abs(m.base) // no partial sum or suffix exceeds this in magnitude
-		for i := len(m.trees) - 1; i >= 0; i-- {
-			lb := fe.leaves[i*leafN : (i+1)*leafN]
-			fe.sufMin[i] = fe.sufMin[i+1] + slices.Min(lb)
-			reach += math.Max(math.Abs(slices.Min(lb)), math.Abs(slices.Max(lb)))
-		}
-		fe.slack = reach * float64(len(m.trees)+2) * 0x1p-50
-		m.flat = fe
-	})
-	return m.flat
-}
 
 // descend walks x down one complete tree (heap-ordered feats and thresh,
 // depth levels) and returns the heap index it lands on; the leaf slot is
@@ -154,9 +109,9 @@ var ErrBadTrainingData = errors.New("xgb: bad training data")
 // FitOn trains like Fit with the engine supplying training parallelism
 // (nil engine: serial, exactly like PredictBatchOnInto). Feature columns
 // are pre-sorted once — X is static across all rounds — and every round's
-// tree is grown on one Grower by stable partition of the sorted columns;
-// per-node split enumeration fans across feature columns on the
-// engine. The trained model is bitwise identical for any worker count,
+// tree is grown on one Grower by stable partition of the sorted columns,
+// straight into the model's complete-tree arrays; per-node split
+// enumeration fans across feature columns on the engine. The trained model is bitwise identical for any worker count,
 // and value-identical to the reference per-node-sort trainer. The rows of
 // X are read, never retained.
 func FitOn(e *score.Engine, X [][]float64, y []float64, p Params) (*Model, error) {
@@ -196,41 +151,98 @@ func FitOn(e *score.Engine, X [][]float64, y []float64, p Params) (*Model, error
 	grower := tree.NewContext(e, X).Grower(e)
 	opt := tree.Options{MaxDepth: p.MaxDepth, MinChildWeight: p.MinChildWeight, Lambda: p.Lambda, Gamma: p.Gamma}
 
-	m := &Model{base: base, eta: p.LearningRate, trees: make([]*tree.Tree, 0, p.Rounds)}
-	pred := make([]float64, n)
+	// Every round grows into its slots of a complete ensemble as deep as
+	// MaxDepth allows (zero-depth stumps still need one padded level).
+	depth := max(p.MaxDepth, 1)
+	inner := 1<<depth - 1
+	m := &Model{
+		base:   base,
+		feats:  make([]int32, inner*p.Rounds),
+		thresh: make([]float64, inner*p.Rounds),
+		leaves: make([]float64, (inner+1)*p.Rounds),
+		gain:   make([]float64, inner*p.Rounds),
+		split:  make([]bool, inner*p.Rounds),
+	}
+	work := make([]float64, 3*n)
+	pred, g, leaf := work[:n], work[n:2*n], work[2*n:]
 	for i := range pred {
 		pred[i] = base
 	}
-	g, leaf := make([]float64, n), make([]float64, n)
+	reached := 1
 	for round := 0; round < p.Rounds; round++ {
 		for i := range g {
 			g[i] = pred[i] - y[i] // d/dpred ½(pred−y)²
 		}
 		// Every row is in the tree, so leaf carries each row's prediction
 		// and nothing walks the tree again.
-		m.trees = append(m.trees, grower.Grow(g, opt, leaf))
+		lo, hi := round*inner, (round+1)*inner
+		d := grower.Grow(g, opt, p.LearningRate, tree.Complete{
+			Feats: m.feats[lo:hi], Thresh: m.thresh[lo:hi], Gain: m.gain[lo:hi], Split: m.split[lo:hi],
+			Leaves: m.leaves[lo+round : hi+round+1],
+		}, leaf)
+		reached = max(reached, d)
 		for i := range pred {
 			pred[i] += p.LearningRate * leaf[i]
 		}
 	}
+	m.shrink(depth, reached)
+
+	m.sufMin = make([]float64, p.Rounds+1)
+	leafN := 1 << m.depth
+	reach := math.Abs(m.base) // no partial sum or suffix exceeds this in magnitude
+	for i := p.Rounds - 1; i >= 0; i-- {
+		lb := m.leaves[i*leafN : (i+1)*leafN]
+		m.sufMin[i] = m.sufMin[i+1] + slices.Min(lb)
+		reach += math.Max(math.Abs(slices.Min(lb)), math.Abs(slices.Max(lb)))
+	}
+	m.slack = reach * float64(p.Rounds+2) * 0x1p-50
 	return m, nil
 }
 
-// PredictRow predicts one feature vector through the flattened ensemble:
-// the single-row form of PredictBatchOnInto for hot per-index scoring
-// paths (fused pool selection) that cannot batch. The flat leaves are the
-// pointer trees' values pre-scaled by eta, and trees accumulate in
-// ensemble order either way, so the result is bitwise identical to
-// walking the pointer trees.
+// shrink re-lays an ensemble grown at depth from at depth to, the deepest
+// any of its trees reached, so no predict path walks a level that only
+// pads. No tree splits at level to or below: a tree's first 2^to-1 nodes
+// hold all its splits, and each run of 2^(from-to) leaves holds one leaf's
+// copies. The pass runs forward in place, as no entry moves to a later
+// index.
+func (m *Model) shrink(from, to int) {
+	m.depth = to
+	if to == from {
+		return
+	}
+	rounds := len(m.leaves) >> from
+	m.feats = shrinkNodes(m.feats, rounds, from, to)
+	m.thresh = shrinkNodes(m.thresh, rounds, from, to)
+	m.gain = shrinkNodes(m.gain, rounds, from, to)
+	m.split = shrinkNodes(m.split, rounds, from, to)
+	for k := 0; k < rounds<<to; k++ {
+		m.leaves[k] = m.leaves[k<<(from-to)]
+	}
+	m.leaves = m.leaves[:rounds<<to]
+}
+
+// shrinkNodes keeps the top 2^to-1 of each tree's 2^from-1 nodes.
+func shrinkNodes[T any](s []T, rounds, from, to int) []T {
+	in, out := 1<<from-1, 1<<to-1
+	for t := 0; t < rounds; t++ {
+		copy(s[t*out:(t+1)*out], s[t*in:])
+	}
+	return s[:rounds*out]
+}
+
+// PredictRow predicts one feature vector: the single-row form of
+// PredictBatchOnInto for hot per-index scoring paths (fused pool
+// selection) that cannot batch. The leaves are the trees' values
+// pre-scaled by eta, and trees accumulate in ensemble order, so the result
+// is bitwise identical to walking pointer trees of the same splits.
 func (m *Model) PredictRow(x []float64) float64 {
-	fe := m.flatten()
-	depth := fe.depth
+	depth, rounds := m.depth, m.Rounds()
 	inner, leafN := 1<<depth-1, 1<<depth
 	out := m.base
-	for t := 0; t < len(m.trees); t++ {
-		fb := fe.feats[t*inner : (t+1)*inner]
-		tb := fe.thresh[t*inner : (t+1)*inner : (t+1)*inner]
-		lb := fe.leaves[t*leafN : (t+1)*leafN : (t+1)*leafN]
+	for t := 0; t < rounds; t++ {
+		fb := m.feats[t*inner : (t+1)*inner]
+		tb := m.thresh[t*inner : (t+1)*inner : (t+1)*inner]
+		lb := m.leaves[t*leafN : (t+1)*leafN : (t+1)*leafN]
 		out += lb[descend(x, fb, tb, depth)-inner]
 	}
 	return out
@@ -245,17 +257,16 @@ func (m *Model) PredictRow(x []float64) float64 {
 // abreast so per-level load latency overlaps across rows instead of
 // serializing one level at a time.
 func (m *Model) PredictBatchOnInto(e *score.Engine, X [][]float64, out []float64) {
-	fe := m.flatten()
-	depth := fe.depth
+	depth, rounds := m.depth, m.Rounds()
 	inner, leafN := 1<<depth-1, 1<<depth
 	e.MapChunks(len(X), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = m.base
 		}
-		for t := 0; t < len(m.trees); t++ {
-			fb := fe.feats[t*inner : (t+1)*inner]
-			tb := fe.thresh[t*inner : (t+1)*inner : (t+1)*inner]
-			lb := fe.leaves[t*leafN : (t+1)*leafN : (t+1)*leafN]
+		for t := 0; t < rounds; t++ {
+			fb := m.feats[t*inner : (t+1)*inner]
+			tb := m.thresh[t*inner : (t+1)*inner : (t+1)*inner]
+			lb := m.leaves[t*leafN : (t+1)*leafN : (t+1)*leafN]
 			i := lo
 			for ; i+4 <= hi; i += 4 {
 				x0, x1, x2, x3 := X[i], X[i+1], X[i+2], X[i+3]
@@ -297,25 +308,42 @@ func (m *Model) PredictBatchOnInto(e *score.Engine, X [][]float64, out []float64
 // own thresholds, so two rows that, feature by feature, are not below the
 // same number of them take the same branch at every node of every tree and
 // predict bitwise the same; NaN is below no threshold, as descend sends it
-// right. The table is read once, from the trees' real split nodes (the flat
-// arrays' padding compares feature 0 with 0 to no effect), and is shared:
-// callers must not modify it.
+// right. The table is read once, from the trees' real split nodes (the
+// padding compares feature 0 with 0 to no effect), and is shared: callers
+// must not modify it.
 func (m *Model) Thresholds() [][]float64 {
-	m.splitOnce.Do(func() {
-		for _, t := range m.trees {
-			t.Splits(func(f int, thr, _ float64) {
-				for len(m.split) <= f {
-					m.split = append(m.split, nil)
-				}
-				m.split[f] = append(m.split[f], thr)
-			})
-		}
-		for f, thr := range m.split {
+	m.thrsOnce.Do(func() {
+		m.splits(func(j int) {
+			f := int(m.feats[j])
+			for len(m.thrs) <= f {
+				m.thrs = append(m.thrs, nil)
+			}
+			m.thrs[f] = append(m.thrs[f], m.thresh[j])
+		})
+		for f, thr := range m.thrs {
 			slices.Sort(thr)
-			m.split[f] = slices.Compact(thr)
+			m.thrs[f] = slices.Compact(thr)
 		}
 	})
-	return m.split
+	return m.thrs
+}
+
+// splits calls visit with the index of every real split node, tree by tree
+// and each tree in preorder — the order a pointer-tree walk visits them,
+// which fixes the order FeatureImportance sums gains in.
+func (m *Model) splits(visit func(j int)) {
+	inner := 1<<m.depth - 1
+	var walk func(root, j int)
+	walk = func(root, j int) {
+		if j < inner && m.split[root+j] {
+			visit(root + j)
+			walk(root, 2*j+1)
+			walk(root, 2*j+2)
+		}
+	}
+	for root := 0; root < len(m.split); root += inner {
+		walk(root, 0)
+	}
 }
 
 // cuts compiles the ensemble's split thresholds into q's code space: for
@@ -325,13 +353,12 @@ func (m *Model) Thresholds() [][]float64 {
 // right branch the float compare also takes. Compiled once per (fit, pool)
 // and cached.
 func (m *Model) cuts(q *score.Codes) []uint16 {
-	fe := m.flatten()
 	m.cutMu.Lock()
 	defer m.cutMu.Unlock()
 	if m.cutFor != q {
-		cut := make([]uint16, len(fe.thresh))
-		for j, thr := range fe.thresh {
-			vals := q.Values(int(fe.feats[j]))
+		cut := make([]uint16, len(m.thresh))
+		for j, thr := range m.thresh {
+			vals := q.Values(int(m.feats[j]))
 			cut[j] = uint16(sort.Search(len(vals), func(k int) bool { return !(vals[k] < thr) }))
 		}
 		m.cutFor, m.cut = q, cut
@@ -385,8 +412,7 @@ func (m *Model) PredictCodedBounded(q *score.Codes, idxs []int, out []float64, b
 // tree a row PredictCodedBounded's test puts above bound becomes +Inf and
 // leaves the live list; at bound = +Inf the test is skipped.
 func (m *Model) walkCoded(q *score.Codes, cut []uint16, idxs []int, first int, out []float64, bound float64) {
-	fe := m.flatten()
-	depth := fe.depth
+	depth, rounds := m.depth, m.Rounds()
 	inner, leafN := 1<<depth-1, 1<<depth
 	check := !math.IsInf(bound, 1)
 	var live, rows [256]int32
@@ -400,10 +426,10 @@ func (m *Model) walkCoded(q *score.Codes, cut []uint16, idxs []int, first int, o
 			o[k] = m.base
 		}
 		n := len(o)
-		for t := 0; t < len(m.trees) && n > 0; t++ {
-			fb := fe.feats[t*inner : (t+1)*inner]
+		for t := 0; t < rounds && n > 0; t++ {
+			fb := m.feats[t*inner : (t+1)*inner]
 			cb := cut[t*inner : (t+1)*inner : (t+1)*inner]
-			lb := fe.leaves[t*leafN : (t+1)*leafN : (t+1)*leafN]
+			lb := m.leaves[t*leafN : (t+1)*leafN : (t+1)*leafN]
 			i := 0
 			for ; i+4 <= n; i += 4 {
 				k0, k1, k2, k3 := live[i], live[i+1], live[i+2], live[i+3]
@@ -438,9 +464,9 @@ func (m *Model) walkCoded(q *score.Codes, cut []uint16, idxs []int, first int, o
 				o[k] += lb[descend(q.Row(int(rows[k])), fb, cb, depth)-inner]
 			}
 			if check {
-				rest, kept := fe.sufMin[t+1], 0
+				rest, kept := m.sufMin[t+1], 0
 				for _, k := range live[:n] {
-					if o[k]+rest-fe.slack > bound {
+					if o[k]+rest-m.slack > bound {
 						o[k] = math.Inf(1)
 					} else {
 						live[kept] = k
@@ -454,19 +480,17 @@ func (m *Model) walkCoded(q *score.Codes, cut []uint16, idxs []int, first int, o
 }
 
 // Rounds returns the number of trees in the ensemble.
-func (m *Model) Rounds() int { return len(m.trees) }
+func (m *Model) Rounds() int { return len(m.leaves) >> m.depth }
 
 // FeatureImportance returns gain-based importances over dim features,
 // normalized to sum to 1 (all zeros if the model never split).
 func (m *Model) FeatureImportance(dim int) []float64 {
 	gains := make([]float64, dim)
-	for _, t := range m.trees {
-		t.Splits(func(f int, _, gain float64) {
-			if f < dim {
-				gains[f] += gain
-			}
-		})
-	}
+	m.splits(func(j int) {
+		if f := int(m.feats[j]); f < dim {
+			gains[f] += m.gain[j]
+		}
+	})
 	total := 0.0
 	for _, g := range gains {
 		total += g

@@ -9,17 +9,6 @@ import (
 	"ceal/internal/score"
 )
 
-// Predict is the pointer-tree oracle: the model output for one feature
-// vector, walking each tree's nodes. Every shipped predict path walks the
-// flattened ensemble instead and is pinned to this, bitwise.
-func (m *Model) Predict(x []float64) float64 {
-	out := m.base
-	for _, t := range m.trees {
-		out += m.eta * t.Predict(x)
-	}
-	return out
-}
-
 // predictAll scores every row of X serially through the batch kernel.
 func predictAll(m *Model, X [][]float64) []float64 {
 	out := make([]float64, len(X))
@@ -110,7 +99,7 @@ func TestDeterministicBySeed(t *testing.T) {
 	m1, _ := Fit(X, y, DefaultParams())
 	m2, _ := Fit(X, y, DefaultParams())
 	for i := range X {
-		if m1.Predict(X[i]) != m2.Predict(X[i]) {
+		if m1.PredictRow(X[i]) != m2.PredictRow(X[i]) {
 			t.Fatal("the same data produced different models")
 		}
 	}
@@ -123,7 +112,7 @@ func TestConstantTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Predict([]float64{10}); math.Abs(got-5) > 1e-9 {
+	if got := m.PredictRow([]float64{10}); math.Abs(got-5) > 1e-9 {
 		t.Fatalf("constant target predicted as %v", got)
 	}
 }

@@ -227,7 +227,7 @@ func (c *Continuous) Tune(p *Problem, budget int) (*Result, error) {
 
 		gap := 0.0
 		if len(opts.OracleCfgs) > 0 {
-			oracle, _, err := env.PeekBest(opts.OracleCfgs)
+			oracle, _, err := env.PeekBest(ctx, opts.OracleCfgs)
 			if err != nil {
 				return nil, err
 			}
@@ -322,12 +322,12 @@ func (c *Continuous) Tune(p *Problem, budget int) (*Result, error) {
 			// with a worse pick when the platform kept moving during the
 			// epoch itself.
 			rememberIncumbent(r.Best)
-			bestV, err := env.Peek(incumbent)
+			bestV, err := env.Peek(ctx, incumbent)
 			if err != nil {
 				return nil, err
 			}
 			for _, pc := range portfolio {
-				pv, err := env.Peek(pc)
+				pv, err := env.Peek(ctx, pc)
 				if err != nil {
 					return nil, err
 				}
@@ -359,7 +359,7 @@ func (c *Continuous) Tune(p *Problem, budget int) (*Result, error) {
 	}
 	res.FinalClock = env.Clock()
 	res.Incumbent = incumbent.Clone()
-	v, err := env.Peek(incumbent)
+	v, err := env.Peek(ctx, incumbent)
 	if err != nil {
 		return nil, err
 	}
