@@ -304,6 +304,12 @@ func (s *FileStore) Save(rec *RunRecord) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.append(line); err != nil {
+		// The segment may now end in a torn frame, and its bufio.Writer
+		// keeps the error: drop it, so the next Save rolls a fresh one.
+		if s.f != nil {
+			s.f.Close()
+			s.f = nil
+		}
 		return err
 	}
 	return s.mem.Save(rec)
@@ -405,11 +411,10 @@ func (s *FileStore) Close() error {
 	if s.f == nil {
 		return nil
 	}
-	if err := s.w.Flush(); err != nil {
-		s.f.Close()
-		return err
+	err := s.w.Flush()
+	if cerr := s.f.Close(); err == nil {
+		err = cerr
 	}
-	err := s.f.Close()
 	s.f = nil
 	return err
 }

@@ -192,15 +192,3 @@ func SeqOf(id, replica string) (int, bool) {
 	_, err := fmt.Sscanf(id, format, &n)
 	return n, err == nil
 }
-
-// MaxSeqFor returns the highest sequence number among the run IDs the given
-// replica minted (see SeqOf) — the resume point for its run-ID counter.
-func MaxSeqFor(s Store, replica string) int {
-	max := 0
-	for _, rec := range s.List() {
-		if n, ok := SeqOf(rec.ID, replica); ok && n > max {
-			max = n
-		}
-	}
-	return max
-}

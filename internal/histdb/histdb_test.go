@@ -143,18 +143,22 @@ func TestSpecKeys(t *testing.T) {
 	}
 }
 
-func TestMaxSeqFor(t *testing.T) {
-	s := NewMemStore()
-	if got := MaxSeqFor(s, ""); got != 0 {
-		t.Fatalf("MaxSeqFor(empty) = %d", got)
-	}
-	for _, id := range []string{"run-000002", "run-000007", "other-9"} {
-		if err := s.Save(&RunRecord{ID: id}); err != nil {
-			t.Fatal(err)
+func TestSeqOf(t *testing.T) {
+	for _, c := range []struct {
+		id, replica string
+		n           int
+		own         bool
+	}{
+		{"run-000007", "", 7, true},
+		{"run-a-000002", "a", 2, true},
+		{"run-a-000002", "", 0, false},
+		{"run-000007", "a", 0, false},
+		{"run-ab-000003", "a", 0, false},
+		{"other-9", "", 0, false},
+	} {
+		if n, own := SeqOf(c.id, c.replica); n != c.n || own != c.own {
+			t.Errorf("SeqOf(%q, %q) = %d, %v; want %d, %v", c.id, c.replica, n, own, c.n, c.own)
 		}
-	}
-	if got := MaxSeqFor(s, ""); got != 7 {
-		t.Fatalf("MaxSeqFor = %d, want 7", got)
 	}
 }
 

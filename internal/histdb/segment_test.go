@@ -42,8 +42,43 @@ func TestSegmentRolling(t *testing.T) {
 	if got := len(reopened.List()); got != n {
 		t.Fatalf("reloaded %d records, want %d", got, n)
 	}
-	if got := MaxSeqFor(reopened, ""); got != n {
-		t.Fatalf("MaxSeqFor = %d, want %d", got, n)
+}
+
+// TestSaveAfterFailedAppend: one failed append must not end persistence.
+// The active segment's file is closed under the store: that Save fails, the
+// next rolls a fresh segment and succeeds, Close succeeds, and a strict
+// reopen holds exactly the records whose Save succeeded.
+func TestSaveAfterFailedAppend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "runs")
+	s, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	save := func(id string) error { return s.Save(&RunRecord{ID: id, State: StateDone}) }
+	if err := save("run-000001"); err != nil {
+		t.Fatal(err)
+	}
+	s.f.Close()
+	if err := save("run-000002"); err == nil {
+		t.Fatal("a save into a closed segment succeeded")
+	}
+	if err := save("run-000003"); err != nil {
+		t.Fatalf("the save after a failed one: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close after a failed save: %v", err)
+	}
+	reopened, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	var ids []string
+	for _, rec := range reopened.List() {
+		ids = append(ids, rec.ID)
+	}
+	if got := strings.Join(ids, ","); got != "run-000001,run-000003" {
+		t.Fatalf("reopened store holds %s, want run-000001,run-000003", got)
 	}
 }
 

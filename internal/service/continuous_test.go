@@ -399,42 +399,6 @@ func TestRemoteContinuousSurvivesWorkerKill(t *testing.T) {
 	}
 }
 
-// TestServedRemoteRunCountsShardResends: a served run whose worker dies
-// mid-run records the shard resends in its collector stats — the journal
-// beneath the collector forwards the transport's count.
-func TestServedRemoteRunCountsShardResends(t *testing.T) {
-	spec := JobSpec{Benchmark: "LV", Algorithm: "al", Objective: "comp", Budget: 40, Pool: 100, Seed: 11}
-	want := waitDone(t, func() *Manager {
-		m := NewManager(Options{Workers: 1})
-		t.Cleanup(func() { m.Shutdown(context.Background()) })
-		if _, _, err := m.Submit(spec); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}(), "run-000001")
-	healthy, doomed := newWorker(t, 1), newWorker(t, 1)
-	kill := &cancelAt{kind: "batch", k: 1, cancel: doomed.Close}
-	m := NewManager(Options{Workers: 1, Build: func(s JobSpec) (*tuner.Problem, tuner.Algorithm, error) {
-		p, alg, err := BuildSpecRemote([]string{healthy.URL, doomed.URL})(s)
-		if err == nil {
-			p.Observer = kill
-		}
-		return p, alg, err
-	}})
-	defer m.Shutdown(context.Background())
-	if _, _, err := m.Submit(spec); err != nil {
-		t.Fatal(err)
-	}
-	got := waitDone(t, m, "run-000001")
-	if got.State != histdb.StateDone || got.Collector.DispatchRetries == 0 {
-		t.Fatalf("run after a worker kill: %s (%s), collector %+v; want done with dispatch retries",
-			got.State, got.Error, got.Collector)
-	}
-	if w, g := resultJSON(t, nil, want.Result), resultJSON(t, nil, got.Result); w != g {
-		t.Fatalf("run diverged after a worker kill:\n got %s\nwant %s", g, w)
-	}
-}
-
 // cancelAt cancels its run from inside the event stream, the way a signal
 // would, as soon as it has seen the k-th event of one kind. It fires once:
 // the resumed run passes the same point undisturbed.

@@ -263,13 +263,14 @@ func (m *Manager) Submit(spec JobSpec) (rec *histdb.RunRecord, fresh bool, err e
 	return rec.Clone(), true, nil
 }
 
-// Resume re-admits an interrupted (failed, cancelled, or crash-orphaned
-// queued/running) run from the store. The run replays deterministically:
-// its persisted measurement checkpoint seeds the run's journal, so
-// already-measured items are served instead of measured and the final
-// Result is byte-identical to what the uninterrupted run would have
-// produced, for a tune run and a continuous session alike. Completed runs
-// return ErrNotResumable; live ones ErrInFlight.
+// Resume re-admits an interrupted (failed or cancelled) run from the store.
+// The run replays deterministically: its persisted measurement checkpoint
+// seeds the run's journal, so already-measured items are served instead of
+// measured and the final Result is byte-identical to what the uninterrupted
+// run would have produced, for a tune run and a continuous session alike.
+// Completed runs return ErrNotResumable; live ones ErrInFlight — a queued or
+// running record this replica is not running is live on a sibling sharing
+// the store (a killed replica's orphans turn failed when it restarts).
 func (m *Manager) Resume(id string) (*histdb.RunRecord, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -286,6 +287,9 @@ func (m *Manager) Resume(id string) (*histdb.RunRecord, error) {
 	}
 	if rec.State == histdb.StateDone {
 		return nil, fmt.Errorf("%w: it already completed and its result is recorded", ErrNotResumable)
+	}
+	if !rec.State.Terminal() {
+		return nil, fmt.Errorf("%w: it is %s on a replica sharing the store", ErrInFlight, rec.State)
 	}
 	// Reset the lifecycle; keep Checkpoint and Warm — they are the run's
 	// replay inputs.

@@ -120,24 +120,18 @@ func TestReplicaCountersSurviveRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a2 := openReplica(t, path, "a", Options{})
-	defer a2.Shutdown(context.Background())
-	rec2, _, err := a2.Submit(tinySpec(7))
-	if err != nil {
-		t.Fatal(err)
+	for i, replica := range []string{"a", "b"} {
+		m := openReplica(t, path, replica, Options{})
+		rec, _, err := m.Submit(tinySpec(uint64(7 + i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := "run-" + replica + "-000002"; rec.ID != want {
+			t.Fatalf("restarted replica %s minted %s, want %s", replica, rec.ID, want)
+		}
+		waitDone(t, m, rec.ID)
+		m.Shutdown(context.Background())
 	}
-	if rec2.ID != "run-a-000002" {
-		t.Fatalf("restarted replica a minted %s, want run-a-000002", rec2.ID)
-	}
-
-	st := a2.store
-	if got := histdb.MaxSeqFor(st, "a"); got != 2 {
-		t.Fatalf("MaxSeqFor(a) = %d, want 2", got)
-	}
-	if got := histdb.MaxSeqFor(st, "b"); got != 1 {
-		t.Fatalf("MaxSeqFor(b) = %d, want 1", got)
-	}
-	waitDone(t, a2, rec2.ID)
 }
 
 // TestMetricsLiveCollectorGauges: while a run is measuring, /metrics must
