@@ -339,23 +339,22 @@ func openTrace(path string, stdout io.Writer) (emit func(json.RawMessage) error,
 	return emit, done, nil
 }
 
-// printImportance lists the surrogate's three most influential features.
+// printImportance lists the surrogate's three most influential features:
+// those with positive gain, the larger first, ties in feature order.
 func printImportance(w io.Writer, names []string, imp []float64) {
-	if len(imp) == 0 || len(names) != len(imp) {
+	var top []int
+	for i, v := range imp {
+		if v > 0 {
+			top = append(top, i)
+		}
+	}
+	if len(top) == 0 || len(names) != len(imp) {
 		return
 	}
-	type fi struct {
-		name string
-		v    float64
-	}
-	all := make([]fi, len(imp))
-	for i := range imp {
-		all[i] = fi{names[i], imp[i]}
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a].v > all[b].v })
+	sort.SliceStable(top, func(a, b int) bool { return imp[top[a]] > imp[top[b]] })
 	fmt.Fprintf(w, "  most influential parameters (surrogate gain):")
-	for i := 0; i < 3 && i < len(all); i++ {
-		fmt.Fprintf(w, " %s %.0f%%", all[i].name, all[i].v*100)
+	for _, i := range top[:min(3, len(top))] {
+		fmt.Fprintf(w, " %s %.0f%%", names[i], imp[i]*100)
 	}
 	fmt.Fprintln(w)
 }

@@ -58,6 +58,32 @@ func TestRunFlagAndNameErrors(t *testing.T) {
 	}
 }
 
+// TestPrintImportance: the line names only features with positive gain,
+// the larger first and ties in feature order, at most three of them.
+func TestPrintImportance(t *testing.T) {
+	names := []string{"a", "b", "c", "d", "e"}
+	for _, tc := range []struct {
+		imp  []float64
+		want string
+	}{
+		{[]float64{0, 0.25, 0.5, 0.25, 0}, " c 50% b 25% d 25%"},
+		{[]float64{0.2, 0.2, 0.2, 0.2, 0.2}, " a 20% b 20% c 20%"},
+		{[]float64{0, 0.6, 0, 0.4, 0}, " b 60% d 40%"},
+		{[]float64{0, 0, 0, 0, 0}, ""},
+		{[]float64{1}, ""},
+	} {
+		var buf bytes.Buffer
+		printImportance(&buf, names, tc.imp)
+		want := ""
+		if tc.want != "" {
+			want = "  most influential parameters (surrogate gain):" + tc.want + "\n"
+		}
+		if buf.String() != want {
+			t.Errorf("importance %v printed %q, want %q", tc.imp, buf.String(), want)
+		}
+	}
+}
+
 func TestRunTinyTuneWithTrace(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
 	var out, errOut bytes.Buffer

@@ -89,7 +89,7 @@ func benchLayout(bench *workflow.Benchmark, cfgs []cfgspace.Config) layout {
 	at := 0
 	for j, cs := range bench.Components {
 		if cs.Space != nil {
-			spans[j] = acm.Span{Lo: at, Hi: at + len(cs.Features(bench.Machine, bench.Sub(cfgs[0], j)))}
+			spans[j] = acm.Span{Lo: at, Hi: at + len(cs.Features(bench.Sub(cfgs[0], j)))}
 			at = spans[j].Hi
 		}
 	}
@@ -148,7 +148,7 @@ func checkFactored(t *testing.T, lf *acm.LowFidelity, cfgs []cfgspace.Config, la
 //   - LV, HS and GP (with its two unconfigurable plotters), over the
 //     components' own features and over the workflow features at the
 //     columns the benchmark declares;
-//   - HS with heat fitted on 500 history samples of its 8 features;
+//   - HS with heat fitted on 500 history samples of its 7 features;
 //   - a part with 255 thresholds on each of nine features, whose bucket
 //     radices multiply to 2^72, past any packing of a bucket tuple into
 //     one uint64 (a fitted heat model's multiply to about 1e11);
@@ -171,7 +171,7 @@ func TestFactoredScoreMatchesReference(t *testing.T) {
 				lf.Parts = append(lf.Parts, part)
 				continue
 			}
-			part.Features = func(sub cfgspace.Config) []float64 { return cs.Features(m, sub) }
+			part.Features = func(sub cfgspace.Config) []float64 { return cs.Features(sub) }
 			n := 60
 			if j == 0 {
 				n = history
@@ -199,8 +199,8 @@ func TestFactoredScoreMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewPCG(7, 2))
 		lf := benchModel(bench, 500, rng)
 		pool := bench.Space.SampleN(rng, 3000)
-		if n := len(lf.Parts[0].Features(bench.Sub(pool[0], 0))); n != 8 {
-			t.Fatalf("heat has %d features, want 8", n)
+		if n := len(lf.Parts[0].Features(bench.Sub(pool[0], 0))); n != 7 {
+			t.Fatalf("heat has %d features, want 7", n)
 		}
 		checkFactored(t, lf, pool, benchLayout(bench, pool))
 	})

@@ -132,7 +132,7 @@ func Components(b *workflow.Benchmark) []tuner.ComponentInfo {
 			return float64(cs.Layout(cfg).Nodes() * b.Machine.CoresPerNode)
 		}
 		if cs.Space != nil {
-			comps[j].Features = func(cfg cfgspace.Config) []float64 { return cs.Features(b.Machine, cfg) }
+			comps[j].Features = cs.Features
 		}
 	}
 	return comps

@@ -1,10 +1,12 @@
 package live
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"ceal/internal/cluster"
+	"ceal/internal/ml/xgb"
 	"ceal/internal/workflow"
 )
 
@@ -84,5 +86,34 @@ func TestNewProblemNonPositivePool(t *testing.T) {
 		if _, err := alg.Tune(p, 5); err == nil || !strings.Contains(err.Error(), "needs a space, a pool") {
 			t.Fatalf("pool size %d: Tune error %v, want the problem-validation error", size, err)
 		}
+	}
+}
+
+// BenchmarkSurrogateFit fits the default surrogate (log targets, default
+// parameters, one core) on each paper benchmark's real features of 42
+// seeded pool configurations and their measured computer time: the size of
+// a late CEAL refit, over every column the tuner's workflow fits scan.
+func BenchmarkSurrogateFit(b *testing.B) {
+	for _, name := range []string{"LV", "HS", "GP"} {
+		bench, err := workflow.ByName(cluster.Default(), name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := NewProblem(bench, workflow.CompTime, 42, 7)
+		X, y := make([][]float64, len(p.Pool)), make([]float64, len(p.Pool))
+		for i, cfg := range p.Pool {
+			v, err := p.Eval.MeasureWorkflow(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			X[i], y[i] = bench.Features(cfg), math.Log(v)
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := xgb.Fit(X, y, xgb.DefaultParams()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

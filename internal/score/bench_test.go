@@ -134,7 +134,7 @@ func BenchmarkScoreBatch(b *testing.B) {
 			continue
 		}
 		cs := cs
-		part.Features = func(sub cfgspace.Config) []float64 { return cs.Features(bench.Machine, sub) }
+		part.Features = func(sub cfgspace.Config) []float64 { return cs.Features(sub) }
 		spans[j] = acm.Span{Lo: at, Hi: at + len(part.Features(part.Sub(pool[0])))}
 		at = spans[j].Hi
 		const nTrain = 30

@@ -3,6 +3,7 @@ package workflow
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"ceal/internal/apps"
@@ -28,24 +29,21 @@ func TestByName(t *testing.T) {
 
 func TestComponentFeaturesEnriched(t *testing.T) {
 	m := cluster.Default()
-	b := LV(m)
-	sub := cfgspace.Config{561, 25, 1}
-	f := b.Components[0].Features(m, sub)
-	// raw params + [nodes, procs*threads, reserved cores]
-	if len(f) != 6 {
-		t.Fatalf("feature length = %d, want 6", len(f))
-	}
-	if f[0] != 561 || f[1] != 25 || f[2] != 1 {
-		t.Fatalf("raw features wrong: %v", f)
-	}
-	if f[3] != 23 { // ceil(561/25)
-		t.Fatalf("node feature = %v, want 23", f[3])
-	}
-	if f[4] != 561 {
-		t.Fatalf("active-threads feature = %v, want 561", f[4])
-	}
-	if f[5] != 23*36 {
-		t.Fatalf("reserved-cores feature = %v, want %d", f[5], 23*36)
+	for _, c := range []struct {
+		b    *Benchmark
+		j    int
+		sub  cfgspace.Config
+		want []float64
+	}{
+		// raw params + [nodes, procs*threads]
+		{LV(m), 0, cfgspace.Config{561, 25, 1}, []float64{561, 25, 1, 23, 561}}, // 23 = ceil(561/25)
+		{LV(m), 0, cfgspace.Config{128, 16, 3}, []float64{128, 16, 3, 8, 384}},
+		// raw params + [nodes]: procs × 1 threads is procs again
+		{GP(m), 1, cfgspace.Config{41, 22}, []float64{41, 22, 2}},
+	} {
+		if got := c.b.Components[c.j].Features(c.sub); !slices.Equal(got, c.want) {
+			t.Errorf("%s features of %v = %v, want %v", c.b.Components[c.j].Name, c.sub, got, c.want)
+		}
 	}
 }
 
@@ -94,21 +92,37 @@ func TestGPFeaturesCountFixedComponents(t *testing.T) {
 	b := GP(m)
 	cfg := cfgspace.Config{66, 34, 41, 22}
 	f := b.Features(cfg)
-	// grayscott (2 raw + 3 derived) + pdf (2 raw + 3 derived) + total nodes.
-	if len(f) != 11 {
-		t.Fatalf("GP feature length = %d, want 11", len(f))
+	// grayscott (2 raw + nodes) + pdf (2 raw + nodes) + total nodes.
+	if len(f) != 7 {
+		t.Fatalf("GP feature length = %d, want 7", len(f))
 	}
 	// total = gs nodes (2) + pdf nodes (2) + two serial plotters (1 + 1).
-	if f[10] != 6 {
-		t.Fatalf("GP total nodes feature = %v, want 6", f[10])
+	if f[6] != 6 {
+		t.Fatalf("GP total nodes feature = %v, want 6", f[6])
 	}
 }
 
-// featuresReference is Benchmark.Features as it was first composed, kept as
-// the oracle: each configurable component's raw and layout columns from its
-// own Layout call, then b.nodes — which derives every layout and Sub offset
+// TestFeatureWidths: each benchmark names every column Features returns,
+// at the widths its components' layouts give.
+func TestFeatureWidths(t *testing.T) {
+	m := cluster.Default()
+	want := map[string]int{"LV": 11, "HS": 11, "GP": 7, "TWO": 7}
+	for _, b := range append(Benchmarks(m), twoStage(m)) {
+		names, f := b.FeatureNames(), b.Features(b.ExpertComp)
+		if len(names) != want[b.Name] || len(f) != len(names) {
+			t.Errorf("%s: %d features, %d names, want %d of each", b.Name, len(f), len(names), want[b.Name])
+		}
+	}
+}
+
+// featuresReference is Benchmark.Features composed by hand, kept as the
+// oracle: each configurable component's raw columns and node count from its
+// own Layout call, its active threads only where the layout multiplies
+// parameters (procs × threads, procsX × procsY: the components named in
+// multiplies), then b.nodes — which derives every layout and Sub offset
 // again, unconfigurable components included — for the total.
 func featuresReference(b *Benchmark, cfg cfgspace.Config) []float64 {
+	multiplies := map[string]bool{"lammps": true, "voro": true, "heat": true}
 	var f []float64
 	for j, cs := range b.Components {
 		if cs.Space == nil {
@@ -119,8 +133,10 @@ func featuresReference(b *Benchmark, cfg cfgspace.Config) []float64 {
 			f = append(f, float64(v))
 		}
 		l := cs.Layout(sub)
-		nodes := l.Nodes()
-		f = append(f, float64(nodes), float64(l.Procs*l.Threads), float64(nodes*b.Machine.CoresPerNode))
+		f = append(f, float64(l.Nodes()))
+		if multiplies[cs.Name] {
+			f = append(f, float64(l.Procs*l.Threads))
+		}
 	}
 	return append(f, float64(b.nodes(cfg)))
 }
@@ -165,7 +181,7 @@ func TestComponentFeaturesTileFeatures(t *testing.T) {
 				if cs.Space == nil {
 					continue
 				}
-				x := cs.Features(m, b.Sub(cfg, j))
+				x := cs.Features(b.Sub(cfg, j))
 				if next+len(x) > len(row) {
 					t.Fatalf("%s %v: %s's %d features follow column %d of %d", b.Name, cfg, cs.Name, len(x), next, len(row))
 				}
@@ -181,6 +197,74 @@ func TestComponentFeaturesTileFeatures(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFeaturesSayEachThingOnce: no feature column orders rows exactly as
+// another does. Such a twin offers every split the other offers, at the
+// same gain bit for bit, so the fit never picks it; yet every fit scans
+// it, every pool codes it and every featurizer computes it. Each
+// benchmark's workflow features are rank-coded over 10k seeded
+// configurations, and each configurable component's own features over 2k
+// of its space; a layout's active threads, where Features leaves them out,
+// must be one of its parameters on every sampled row.
+func TestFeaturesSayEachThingOnce(t *testing.T) {
+	m := cluster.Default()
+	for _, b := range append(Benchmarks(m), twoStage(m)) {
+		rng := rand.New(rand.NewPCG(36, 1))
+		names := b.FeatureNames()
+		var rows [][]float64
+		for _, cfg := range b.Space.SampleN(rng, 10_000) {
+			rows = append(rows, b.Features(cfg))
+		}
+		for _, p := range twins(names, rows) {
+			t.Errorf("%s: %s", b.Name, p)
+		}
+		at := 0
+		for _, cs := range b.Components {
+			if cs.Space == nil {
+				continue
+			}
+			rows = rows[:0]
+			for _, sub := range cs.Space.SampleN(rng, 2000) {
+				x := cs.Features(sub)
+				if l := cs.Layout(sub); len(x) == len(sub)+1 && !slices.Contains(sub, l.Procs*l.Threads) {
+					t.Fatalf("%s %v: active threads %d left out, but no parameter holds it", cs.Name, sub, l.Procs*l.Threads)
+				}
+				rows = append(rows, x)
+			}
+			w := len(rows[0])
+			for _, p := range twins(names[at:at+w], rows) {
+				t.Errorf("%s %s: %s", b.Name, cs.Name, p)
+			}
+			at += w
+		}
+	}
+}
+
+// twins returns the pairs of columns, named by names, whose rank codes
+// over rows are equal: each orders the rows exactly as the other does.
+func twins(names []string, rows [][]float64) []string {
+	codes := make([][]int, len(names))
+	for c := range names {
+		col := make([]float64, len(rows))
+		for i, r := range rows {
+			col[i] = r[c]
+		}
+		sorted := slices.Compact(slices.Sorted(slices.Values(col)))
+		codes[c] = make([]int, len(col))
+		for i, v := range col {
+			codes[c][i], _ = slices.BinarySearch(sorted, v)
+		}
+	}
+	var out []string
+	for a := range codes {
+		for b := a + 1; b < len(codes); b++ {
+			if slices.Equal(codes[a], codes[b]) {
+				out = append(out, names[a]+" orders rows as "+names[b]+" does")
+			}
+		}
+	}
+	return out
 }
 
 // twoStage declares a two-component benchmark the way

@@ -2,6 +2,7 @@ package workflow
 
 import (
 	"fmt"
+	"slices"
 
 	"ceal/internal/apps"
 	"ceal/internal/cfgspace"
@@ -26,28 +27,29 @@ type ComponentSpec struct {
 	// InBytesPerStep is the PFS input the component consumes per step when
 	// run solo (what an upstream would have streamed to it).
 	InBytesPerStep float64
+	// threadsTwin, set by NewBenchmark, marks a layout whose active threads
+	// (procs × threads) is one of its parameters, as procs × 1 is.
+	threadsTwin bool
 }
 
 // Features returns the component's ML feature vector for a
 // sub-configuration: the raw parameters enriched with the derived layout
-// quantities (node count, active threads, reserved cores) that performance
-// actually depends on. Any practitioner tuning these systems would encode
-// this domain knowledge; it is shared by every algorithm.
-func (cs ComponentSpec) Features(m cluster.Machine, cfg cfgspace.Config) []float64 {
-	return cs.appendFeatures(make([]float64, 0, len(cfg)+derivedFeatures), m, cfg, cs.Layout(cfg))
+// quantities that performance depends on: the node count and, unless
+// NewBenchmark found it a parameter, the active threads. Any practitioner
+// would encode this domain knowledge; it is shared by every algorithm.
+func (cs ComponentSpec) Features(cfg cfgspace.Config) []float64 {
+	return cs.appendFeatures(make([]float64, 0, len(cfg)+2), cfg, cs.Layout(cfg))
 }
 
-// derivedFeatures is how many layout quantities Features adds to the raw
-// parameters.
-const derivedFeatures = 3
-
 // appendFeatures appends the feature vector of cfg, whose layout is l, to f.
-func (cs ComponentSpec) appendFeatures(f []float64, m cluster.Machine, cfg cfgspace.Config, l apps.Layout) []float64 {
+func (cs ComponentSpec) appendFeatures(f []float64, cfg cfgspace.Config, l apps.Layout) []float64 {
 	for _, v := range cfg {
 		f = append(f, float64(v))
 	}
-	nodes := l.Nodes()
-	return append(f, float64(nodes), float64(l.Procs*l.Threads), float64(nodes*m.CoresPerNode))
+	if cs.threadsTwin {
+		return append(f, float64(l.Nodes()))
+	}
+	return append(f, float64(l.Nodes()), float64(l.Procs*l.Threads))
 }
 
 // Dim returns the number of parameters the component contributes to the
@@ -77,21 +79,33 @@ type Benchmark struct {
 	// components' Table 1 columns side by side, valid where each component's
 	// own constraint holds and the layouts fit Machine.MaxAllocNodes.
 	Space *cfgspace.Space
+	width int // len(FeatureNames()), set by NewBenchmark
 }
 
 // NewBenchmark completes a declared benchmark (every field but Space) by
-// deriving its joint configuration space.
+// deriving its joint configuration space and its feature columns.
 func NewBenchmark(decl Benchmark) *Benchmark {
 	b := &decl
+	b.Components = slices.Clone(b.Components)
 	var parts []cfgspace.NamedSpace
-	for _, cs := range b.Components {
+	for j, cs := range b.Components {
 		if cs.Space != nil {
+			// Active threads is a parameter if it is one at the space's top
+			// corner, where a product of parameters exceeds each factor
+			// unless every other factor is 1.
+			top := make(cfgspace.Config, cs.Dim())
+			for i, p := range cs.Space.Params {
+				top[i] = p.Max
+			}
+			l := cs.Layout(top)
+			b.Components[j].threadsTwin = slices.Contains(top, l.Procs*l.Threads)
 			parts = append(parts, cfgspace.NamedSpace{Name: cs.Name, Space: cs.Space})
 		}
 	}
 	b.Space = cfgspace.Concat(func(cfg cfgspace.Config) bool {
 		return b.nodes(cfg) <= b.Machine.MaxAllocNodes
 	}, parts...)
+	b.width = len(b.FeatureNames())
 	return b
 }
 
@@ -151,8 +165,10 @@ func (b *Benchmark) FeatureNames() []string {
 		for _, p := range cs.Space.Params {
 			names = append(names, cs.Name+"."+p.Name)
 		}
-		names = append(names,
-			cs.Name+".nodes", cs.Name+".activeThreads", cs.Name+".reservedCores")
+		names = append(names, cs.Name+".nodes")
+		if !cs.threadsTwin {
+			names = append(names, cs.Name+".activeThreads")
+		}
 	}
 	return append(names, "totalNodes")
 }
@@ -160,13 +176,7 @@ func (b *Benchmark) FeatureNames() []string {
 // Features returns the workflow-level ML feature vector: every component's
 // enriched features plus the job's total node count.
 func (b *Benchmark) Features(cfg cfgspace.Config) []float64 {
-	width := 1
-	for _, cs := range b.Components {
-		if cs.Space != nil {
-			width += cs.Dim() + derivedFeatures
-		}
-	}
-	f := make([]float64, 0, width)
+	f := make([]float64, 0, b.width)
 	nodes, lo := 0, 0
 	for _, cs := range b.Components {
 		sub := cfg[lo : lo+cs.Dim()]
@@ -174,7 +184,7 @@ func (b *Benchmark) Features(cfg cfgspace.Config) []float64 {
 		l := cs.Layout(sub)
 		nodes += l.Nodes()
 		if cs.Space != nil {
-			f = cs.appendFeatures(f, b.Machine, sub, l)
+			f = cs.appendFeatures(f, sub, l)
 		}
 	}
 	return append(f, float64(nodes))
