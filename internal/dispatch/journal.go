@@ -15,6 +15,8 @@ import (
 type Journal struct {
 	mu   sync.Mutex
 	vals map[string]float64
+	// added lists the keys journaled since NewJournal, in order.
+	added []string
 }
 
 // NewJournal returns a journal holding a copy of checkpoint.
@@ -29,6 +31,21 @@ func (jr *Journal) Values() map[string]float64 {
 	jr.mu.Lock()
 	defer jr.mu.Unlock()
 	return maps.Clone(jr.vals)
+}
+
+// Since returns what was journaled past mark (0 at first, never the entries
+// the journal started from) and the mark to pass next; nil if nothing.
+func (jr *Journal) Since(mark int) (map[string]float64, int) {
+	jr.mu.Lock()
+	defer jr.mu.Unlock()
+	if mark >= len(jr.added) {
+		return nil, mark
+	}
+	out := make(map[string]float64, len(jr.added)-mark)
+	for _, k := range jr.added[mark:] {
+		out[k] = jr.vals[k]
+	}
+	return out, len(jr.added)
 }
 
 // Wrap returns d journaled under load (nil or zero: nominal): held items are
@@ -74,7 +91,9 @@ func (j *journaled) Dispatch(ctx context.Context, batch []Item) ([]Measurement, 
 	}
 	j.jr.mu.Lock()
 	for i, it := range rest {
-		j.jr.vals[j.prefix+it.Key()] = vals[i]
+		key := j.prefix + it.Key()
+		j.jr.vals[key] = vals[i]
+		j.jr.added = append(j.jr.added, key)
 	}
 	j.jr.mu.Unlock()
 	return append(out, ms...), nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
 	"slices"
@@ -156,5 +157,39 @@ func TestJournalConcurrent(t *testing.T) {
 	wg.Wait()
 	if n, want := len(jr.Values()), 2*7; n != want {
 		t.Fatalf("journal holds %d values, want %d", n, want)
+	}
+}
+
+// TestJournalSince: Since reads what was journaled past a mark — never the
+// checkpoint the journal started from — and its marks chain, so the reads
+// between them add up to everything journaled.
+func TestJournalSince(t *testing.T) {
+	ctx := context.Background()
+	seed := NewJournal(nil)
+	dispatchValues(t, seed.Wrap(nil, &recordingDispatcher{f: 1}), testBatch(3))
+
+	jr := NewJournal(seed.Values())
+	if got, mark := jr.Since(0); got != nil || mark != 0 {
+		t.Fatalf("a resumed journal's checkpoint came back as new: %v, mark %d", got, mark)
+	}
+	d := jr.Wrap(nil, &recordingDispatcher{f: 1})
+	all := make(map[string]float64)
+	mark := 0
+	for _, n := range []int{6, 9, 9} { // the last batch is all held: nothing new
+		if _, err := d.Dispatch(ctx, testBatch(n)); err != nil {
+			t.Fatal(err)
+		}
+		var got map[string]float64
+		got, mark = jr.Since(mark)
+		for k, v := range got {
+			if _, dup := all[k]; dup {
+				t.Fatalf("%s read twice", k)
+			}
+			all[k] = v
+		}
+	}
+	maps.Copy(all, seed.Values())
+	if want := jr.Values(); !reflect.DeepEqual(all, want) {
+		t.Fatalf("seed plus reads since marks = %v, want %v", all, want)
 	}
 }

@@ -140,3 +140,54 @@ func BenchmarkAppend1k(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRunLifecycle prices checkpointing one served run on a FileStore:
+// its queued and running records, 20 progress frames of three journal
+// entries and two trace lines each, and its terminal frame. logB/op is the
+// bytes a run appends; recordB is its finished record's JSON.
+func BenchmarkRunLifecycle(b *testing.B) {
+	run := benchRecords(1)[0]
+	run.Result.PoolScores = nil // a served run scores no pool
+	frames := make([]*Progress, 20)
+	for i := range frames {
+		p := &Progress{Checkpoint: make(map[string]float64), Trace: run.Trace[i%18*2 : i%18*2+2]}
+		for j := 0; j < 3; j++ {
+			p.Checkpoint[fmt.Sprintf("w:%d,%d,1,89,25,1", i, j)] = float64(i*3+j) / 7
+		}
+		frames[i] = p
+	}
+	dir := filepath.Join(b.TempDir(), "runs.db")
+	st, err := OpenFileStore(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	must := func(err error) {
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := fmt.Sprintf("run-%06d", i+1)
+		rec := &RunRecord{ID: id, Spec: run.Spec, SpecKey: run.SpecKey, Components: run.Components, State: StateQueued}
+		must(st.Save(rec))
+		rec.State = StateRunning
+		must(st.Save(rec))
+		for _, p := range frames {
+			p.ID = id
+			must(st.SaveProgress(p))
+		}
+		must(st.SaveProgress(&Progress{ID: id, State: StateDone, Result: run.Result, Collector: &run.Collector, Trace: run.Trace[36:]}))
+	}
+	b.StopTimer()
+	var logBytes int64
+	for _, n := range st.offsets {
+		logBytes += n
+	}
+	last, _ := st.Get(fmt.Sprintf("run-%06d", b.N))
+	record, _ := json.Marshal(last)
+	b.ReportMetric(float64(logBytes)/float64(b.N), "logB/op")
+	b.ReportMetric(float64(len(record)), "recordB")
+}

@@ -22,24 +22,29 @@ import (
 
 // FileStore is a disk-backed Store built on a segmented append-only log:
 // path is a directory of fixed-capacity segment files, each a sequence of
-// CRC-framed JSON records (one per Save; a run's lifecycle leaves one
-// record per state transition), replayed with last-write-wins per ID on
-// open. Every writer appends only to segments it created itself — named
-// with a per-process writer ID — so multiple processes (ceal-serve
-// replicas, ceal-tune -history) can share one store directory without ever
-// rewriting or interleaving into each other's files. Refresh picks up
-// records other writers appended since open.
+// CRC-framed JSON frames, replayed in order on open. A record frame (one per
+// Save) replaces its run's record; a progress frame (one per SaveProgress)
+// folds into it, and is ignored for a run the log has not seen or has
+// already finished. Every writer appends only to segments it created
+// itself — named with a per-process writer ID — so multiple processes
+// (ceal-serve replicas, ceal-tune -history) can share one store directory
+// without ever rewriting or interleaving into each other's files. Refresh
+// picks up frames other writers appended since open.
 //
-// Record framing is an 8-hex-digit CRC32 (IEEE) of the JSON payload,
-// a space, the payload, and a newline:
+// Framing is an 8-hex-digit CRC32 (IEEE) of the JSON payload, a kind byte
+// — a space for a record, '+' for a progress frame — the payload, and a
+// newline:
 //
-//	crc32hex <json>\n
+//	crc32hex <record json>\n
+//	crc32hex+<progress json>\n
 //
-// The payload is the record's JSON. A served run carries no pool scores,
-// and encoding/json round-trips any that a record does carry bit for bit.
+// The two kind bytes differ in three bits, so no single flipped bit turns
+// one kind into the other. A served run carries no pool scores, and
+// encoding/json round-trips any that a record does carry bit for bit.
 //
-// Crash tolerance: a process killed mid-append can leave a torn record at
-// the tail of its segment. Replay drops a damaged tail — the framed prefix
+// Crash tolerance: a process killed mid-append can leave a torn frame at
+// the tail of its segment, which for a progress frame loses that one
+// batch's progress. Replay drops a damaged tail — the framed prefix
 // is still a consistent store state — but refuses a segment with intact
 // records after the damage, which only real corruption can produce.
 // Crashed writers never resume a tail-damaged segment: a reopened store
@@ -216,20 +221,24 @@ func (s *FileStore) replaySegment(name string, offset int64, strict bool) (int64
 	}
 	// Decode on every processor, then apply strictly in log order: a nil
 	// entry is a damaged frame, and nothing at or past the first one counts.
-	recs := make([]*RunRecord, len(lines))
-	fanOut(len(lines), func(i int) { recs[i], _ = decodeFramed(lines[i]) })
+	frames := make([]any, len(lines))
+	fanOut(len(lines), func(i int) { frames[i], _ = decodeFramed(lines[i]) })
 	consumed := offset
 	s.mem.mu.Lock()
 	defer s.mem.mu.Unlock()
-	for i, rec := range recs {
-		if rec == nil {
-			// Tail damage is tolerated; damage with intact records after it is not.
-			if strict && slices.ContainsFunc(recs[i+1:], func(r *RunRecord) bool { return r != nil }) {
+	for i, f := range frames {
+		switch f := f.(type) {
+		case *RunRecord:
+			s.mem.put(f)
+		case *Progress:
+			s.mem.fold(f)
+		default:
+			// Tail damage is tolerated; damage with intact frames after it is not.
+			if strict && slices.ContainsFunc(frames[i+1:], func(f any) bool { return f != nil }) {
 				return consumed, fmt.Errorf("histdb: %s: corrupt record at offset %d followed by intact records", path, consumed)
 			}
-			break
+			return consumed, nil
 		}
-		s.mem.put(rec)
 		consumed += int64(len(lines[i]) + 1)
 	}
 	return consumed, nil
@@ -259,9 +268,17 @@ func fanOut(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// decodeFramed validates one "crc32hex <json>" line and unmarshals it.
-func decodeFramed(line []byte) (*RunRecord, error) {
-	if len(line) < 10 || line[8] != ' ' {
+// Frame kinds: the byte between a frame's checksum and its payload.
+const (
+	recordFrame   = ' '
+	progressFrame = '+'
+)
+
+// decodeFramed validates one "crc32hex<kind><json>" line and unmarshals its
+// payload as its kind says: a *RunRecord or a *Progress, or nil and an
+// error.
+func decodeFramed(line []byte) (any, error) {
+	if len(line) < 10 || (line[8] != recordFrame && line[8] != progressFrame) {
 		return nil, fmt.Errorf("histdb: short or unframed record")
 	}
 	want, err := strconv.ParseUint(string(line[:8]), 16, 32)
@@ -272,6 +289,13 @@ func decodeFramed(line []byte) (*RunRecord, error) {
 	if got := crc32.ChecksumIEEE(payload); got != uint32(want) {
 		return nil, fmt.Errorf("histdb: record checksum mismatch: %08x != %08x", got, want)
 	}
+	if line[8] == progressFrame {
+		p := new(Progress)
+		if err := json.Unmarshal(payload, p); err != nil {
+			return nil, err
+		}
+		return p, nil
+	}
 	rec := new(RunRecord)
 	if err := json.Unmarshal(payload, rec); err != nil {
 		return nil, err
@@ -279,16 +303,16 @@ func decodeFramed(line []byte) (*RunRecord, error) {
 	return rec, nil
 }
 
-// encodeFramed frames rec's JSON. A record encoding/json refuses — a NaN or
-// ±Inf anywhere in it — is refused with that error: the HTTP API could not
-// marshal it back out.
-func encodeFramed(rec *RunRecord) ([]byte, error) {
-	payload, err := json.Marshal(rec)
+// encodeFramed frames v's JSON as a frame of the given kind. A value
+// encoding/json refuses — a NaN or ±Inf anywhere in it — is refused with
+// that error: the HTTP API could not marshal it back out.
+func encodeFramed(kind byte, v any) ([]byte, error) {
+	payload, err := json.Marshal(v)
 	if err != nil {
 		return nil, err
 	}
 	line := make([]byte, 0, len(payload)+10)
-	line = append(line, fmt.Sprintf("%08x ", crc32.ChecksumIEEE(payload))...)
+	line = fmt.Appendf(line, "%08x%c", crc32.ChecksumIEEE(payload), kind)
 	line = append(line, payload...)
 	return append(line, '\n'), nil
 }
@@ -297,7 +321,17 @@ func encodeFramed(rec *RunRecord) ([]byte, error) {
 // segment, rolling to a fresh one at the size threshold, then update the
 // in-memory view — a save that fails leaves memory where the disk is.
 func (s *FileStore) Save(rec *RunRecord) error {
-	line, err := encodeFramed(rec)
+	return s.write(recordFrame, rec, func() error { return s.mem.Save(rec) })
+}
+
+// SaveProgress implements Store the way Save does, with a progress frame.
+func (s *FileStore) SaveProgress(p *Progress) error {
+	return s.write(progressFrame, p, func() error { return s.mem.SaveProgress(p) })
+}
+
+// write appends v as a frame of the given kind, then applies it to memory.
+func (s *FileStore) write(kind byte, v any, apply func() error) error {
+	line, err := encodeFramed(kind, v)
 	if err != nil {
 		return err
 	}
@@ -305,14 +339,14 @@ func (s *FileStore) Save(rec *RunRecord) error {
 	defer s.mu.Unlock()
 	if err := s.append(line); err != nil {
 		// The segment may now end in a torn frame, and its bufio.Writer
-		// keeps the error: drop it, so the next Save rolls a fresh one.
+		// keeps the error: drop it, so the next write rolls a fresh one.
 		if s.f != nil {
 			s.f.Close()
 			s.f = nil
 		}
 		return err
 	}
-	return s.mem.Save(rec)
+	return apply()
 }
 
 // append writes one framed line to the active segment (caller holds mu).
@@ -419,13 +453,13 @@ func (s *FileStore) Close() error {
 	return err
 }
 
-// Compact rewrites the store to its current state — one record per run —
-// as a single snapshot segment numbered above every existing one, then
-// deletes the older segments. The snapshot is written to a temp file,
-// synced, and atomically renamed into place: a crash before the rename
-// leaves only an ignorable temp file; a crash after it leaves the old
-// segments alongside the snapshot, whose higher sequence number makes
-// replay converge to the same state. Compact is maintenance for a
+// Compact rewrites the store to its current state — one record per run,
+// progress folded in — as a single snapshot segment numbered above every
+// existing one, then deletes the older segments. The snapshot is written
+// to a temp file, synced, and atomically renamed into place: a crash
+// before the rename leaves only an ignorable temp file; a crash after it
+// leaves the old segments alongside the snapshot, whose higher sequence
+// number makes replay converge to the same state. Compact is maintenance for a
 // quiescent store: it garbage-collects every writer's segments, so don't
 // run it while other processes are appending.
 func (s *FileStore) Compact() error {
@@ -496,7 +530,7 @@ func writeSegment(path string, recs []*RunRecord) (int64, error) {
 	const batch = 64
 	lines, errs := make([][]byte, batch), make([]error, batch)
 	for chunk := range slices.Chunk(recs, batch) {
-		fanOut(len(chunk), func(i int) { lines[i], errs[i] = encodeFramed(chunk[i]) })
+		fanOut(len(chunk), func(i int) { lines[i], errs[i] = encodeFramed(recordFrame, chunk[i]) })
 		for i := range chunk {
 			err := errs[i]
 			if err == nil {

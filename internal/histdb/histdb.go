@@ -18,9 +18,9 @@
 // Select filters by any conjunction of those and the benchmark name.
 //
 // Records additionally carry a measurement Checkpoint (the run's journal,
-// copied after every measured batch) so an interrupted run of any kind can
-// be resumed: replaying the same deterministic spec over it re-derives the
-// identical Result, measuring only what the checkpoint lacks.
+// grown by one Progress frame per measured batch) so an interrupted run of
+// any kind can be resumed: replaying the same deterministic spec over it
+// re-derives the identical Result, measuring only what the checkpoint lacks.
 package histdb
 
 import (
@@ -84,10 +84,10 @@ type RunRecord struct {
 	Trace []json.RawMessage `json:"trace,omitempty"`
 	// Checkpoint is the run's measurement journal (dispatch.Journal: item
 	// key, under a non-nominal condition prefixed by it → measured value),
-	// refreshed after every measured batch while a run is live and retained
-	// for interrupted runs. A resume's journal starts from it, so the replay
-	// serves every already-measured item instead of re-measuring. Cleared on
-	// successful completion.
+	// grown by a Progress frame after every measured batch while a run is
+	// live and retained for interrupted runs. A resume's journal starts from
+	// it, so the replay serves every already-measured item instead of
+	// re-measuring. Cleared on successful completion.
 	Checkpoint map[string]float64 `json:"checkpoint,omitempty"`
 	// Warm is the warm-start data the run was admitted with (assembled from
 	// the history database once, then pinned here so a resume replays the
@@ -96,6 +96,26 @@ type RunRecord struct {
 	// Collector is the run's measurement-cache statistics snapshot, taken
 	// when the run finished.
 	Collector collector.Stats `json:"collector_stats"`
+	// Runner is the replica (its ReplicaID) that admitted the run and runs
+	// it while it is queued or running: after a resume, not necessarily the
+	// replica whose ID prefix the run carries.
+	Runner string `json:"runner,omitempty"`
+}
+
+// Progress is a progress frame: the checkpoint entries and trace lines a
+// live run gained since its previous frame. A run's terminal frame also
+// carries its end — State and the fields after it replace the record's, and
+// a done State clears the checkpoint — so a run's log holds each byte once.
+type Progress struct {
+	ID         string                  `json:"id"`
+	Checkpoint map[string]float64      `json:"checkpoint,omitempty"`
+	Trace      []json.RawMessage       `json:"trace,omitempty"`
+	State      RunState                `json:"state,omitempty"`
+	FinishedAt *time.Time              `json:"finished_at,omitempty"`
+	Error      string                  `json:"error,omitempty"`
+	Result     *tuner.Result           `json:"result,omitempty"`
+	Continuous *tuner.ContinuousResult `json:"continuous,omitempty"`
+	Collector  *collector.Stats        `json:"collector_stats,omitempty"`
 }
 
 // Clone returns a shallow copy. Slice and pointer fields are shared but
@@ -106,11 +126,15 @@ func (r *RunRecord) Clone() *RunRecord {
 }
 
 // Store is the history database interface. Implementations must be safe for
-// concurrent use. Records passed to Save are snapshots owned by the store;
-// records returned by lookups and queries are owned by the caller.
+// concurrent use. Records passed to Save and frames passed to SaveProgress
+// are snapshots owned by the store; records returned by lookups and queries
+// are owned by the caller.
 type Store interface {
 	// Save upserts a record by ID.
 	Save(rec *RunRecord) error
+	// SaveProgress folds a progress frame into its run's record; not into
+	// an unknown or finished run's.
+	SaveProgress(p *Progress) error
 	// Get returns the record with the given ID.
 	Get(id string) (*RunRecord, bool)
 	// List returns all records in deterministic order: by creation sequence

@@ -36,44 +36,53 @@ import (
 // every schedule the run must be indistinguishable from the fault-free
 // in-process run of its spec.
 
-// Store appends an uninterrupted fault-free run makes, and the worker
-// requests it posts that a DELETE can stop: a tinySpec run appends queued,
-// running, two checkpoints and done, and posts its one batch as two
-// shards; a contSpec session appends 24 times and posts 23 shards after
-// its build.
+// Store frames an uninterrupted fault-free run appends, and the worker
+// requests it posts that a DELETE can stop: a tinySpec run appends its
+// queued and running records, one progress frame and its terminal frame,
+// and posts its one batch as two shards; a contSpec session appends ten
+// progress frames between those and posts 23 shards after its build.
 const (
-	tuneAppends, tuneRequests = 5, 2
-	contAppends, contRequests = 24, 23
+	tuneFrames, tuneRequests = 4, 2
+	contFrames, contRequests = 13, 23
 )
 
 // planeSeeds is FuzzPlaneSchedule's seed corpus; a seed's layout is
-// schedule's. It kills replica a at every append of a tinySpec run with
-// each of the three crash images, kills runs cancelled and resumed
-// mid-flight, and kills continuous sessions at appends spread over the
-// initial epoch, the monitoring window and the re-exploration.
+// schedule's. It kills replica a at every frame of a tinySpec run with each
+// of the four crash images, kills runs cancelled and resumed mid-flight,
+// and kills continuous sessions at every frame. It compacts the store
+// mid-run, at a run's end, and mid-session; and it restarts a while a
+// sibling runs the run a resumed.
 func planeSeeds() []uint64 {
 	var seeds []uint64
 	add := func(crash, flags uint64) {
 		n := uint64(len(seeds))
-		seeds = append(seeds, crash|flags|n%3<<8|n<<10)
+		seeds = append(seeds, crash|flags|n%4<<8|n<<10)
 	}
-	for crash := uint64(0); crash <= tuneAppends; crash++ {
-		for range 3 {
+	for crash := uint64(0); crash <= tuneFrames; crash++ {
+		for range 4 {
 			add(crash, 0)
 		}
 	}
-	for _, crash := range []uint64{0, 3, 4, 5, 6, 7, 8, 9} {
+	for crash := uint64(0); crash <= 7; crash++ {
 		add(crash, cancelBit)
 	}
-	for _, crash := range []uint64{0, 1, 2, 3, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 23, 24} {
+	for crash := uint64(0); crash <= contFrames; crash++ {
 		add(crash, contBit)
 	}
-	for _, crash := range []uint64{0, 4, 9, 16, 25, 28, 30} {
+	for _, crash := range []uint64{0, 4, 9, 10, 11, 13, 16, 20, 23} {
 		add(crash, contBit|cancelBit)
 	}
+	add(3, compactBit)
+	add(4, compactBit)
+	add(5, contBit|compactBit)
+	add(9, contBit|compactBit)
+	add(13, contBit|compactBit)
+	add(2, rejoinBit)
+	add(2, rejoinBit)
+	add(4, contBit|rejoinBit)
 	// A DELETE while the session's build measures under no context, and a
 	// replica that dies admitting a resume.
-	return append(seeds, 0x99fe, 0xa8d3)
+	return append(seeds, 0x99fe, 0xa8cb)
 }
 
 // FuzzPlaneSchedule runs one fault schedule per seed. The corpus runs under
@@ -90,16 +99,25 @@ func FuzzPlaneSchedule(f *testing.F) {
 }
 
 // schedule is everything one seed decides. Its low ten bits choose the
-// crash point, the spec, whether to cancel and the crash image; the rest
-// seed every other choice.
+// crash point, the spec, whether to cancel and the crash image, and its top
+// two whether replica a compacts or rejoins; the rest seed every other
+// choice.
 type schedule struct {
 	seed    uint64
 	crashAt int  // replica a dies at its crashAt-th append; 0 never (bits 0–5)
 	cont    bool // contSpec() rather than tinySpec (contBit)
 	cancel  bool // DELETE the run mid-flight, then resume it (cancelBit)
-	// How much of the crashing append lands (bits 8–9): nothing, the whole
-	// frame, or a torn prefix of a seeded length.
+	// How much of the crashing frame lands (bits 8–9): nothing, the whole
+	// frame, a torn prefix of a seeded length, or the whole frame and then a
+	// compaction that dies before its rename.
 	image int
+	// Replica a compacts the store at its crashAt-th frame instead of dying
+	// there (compactBit). Never with cancel: a sibling running the resumed
+	// run would be appending, and Compact wants a quiescent store.
+	compact bool
+	// Once a sibling runs the resumed run, replica a restarts again, and must
+	// leave that run alone (rejoinBit).
+	rejoin bool
 
 	replicas int    // replicas on the store directory: 2 or 3
 	hold     int    // the network parks the hold-th request a DELETE can stop
@@ -112,13 +130,17 @@ type schedule struct {
 }
 
 const (
-	contBit   = 1 << 6
-	cancelBit = 1 << 7
+	contBit    = 1 << 6
+	cancelBit  = 1 << 7
+	compactBit = 1 << 62
+	rejoinBit  = 1 << 63
 )
 
 const (
 	imageLost = iota
 	imageWhole
+	imageTorn
+	imageRenameLost
 )
 
 func newSchedule(seed uint64) schedule {
@@ -133,6 +155,8 @@ func newSchedule(seed uint64) schedule {
 		cont:     cont,
 		cancel:   seed&cancelBit != 0,
 		image:    int(seed >> 8 & 3),
+		compact:  seed&compactBit != 0 && seed&cancelBit == 0,
+		rejoin:   seed&rejoinBit != 0,
 		replicas: 2 + r.IntN(2),
 		hold:     1 + r.IntN(requests),
 		cut:      r.Uint64(),
@@ -201,12 +225,29 @@ type faultNet struct {
 	reqs   int
 	failed int // failed requests since the run's latest admission
 
-	held    chan struct{} // closed when the hold-th request parks
-	release chan struct{} // closed to let it, and any later one, through
-	once    sync.Once
+	held     chan struct{} // closed when the hold-th request parks
+	release  chan struct{} // closed to let it, and any later one, through
+	released bool
 }
 
-func (n *faultNet) letGo() { n.once.Do(func() { close(n.release) }) }
+func (n *faultNet) letGo() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !n.released {
+		close(n.release)
+		n.released = true
+	}
+}
+
+// rehold parks the next request a DELETE can stop, returning the channel
+// closed when it does. Callers make sure no request is parked.
+func (n *faultNet) rehold() chan struct{} {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.s.hold = n.reqs + 1
+	n.held, n.release, n.released = make(chan struct{}), make(chan struct{}), false
+	return n.held
+}
 
 // admitting zeroes the failure count: the run is about to start again, and
 // no earlier execution of it has a request in flight.
@@ -239,11 +280,12 @@ func (n *faultNet) RoundTrip(req *http.Request) (*http.Response, error) {
 		n.reqs++
 		park = n.reqs == n.s.hold
 	}
+	held, release := n.held, n.release
 	n.mu.Unlock()
 	if park {
-		close(n.held)
+		close(held)
 		select {
-		case <-n.release:
+		case <-release:
 		case <-req.Context().Done():
 			return nil, req.Context().Err()
 		}
@@ -286,72 +328,150 @@ func (n *faultNet) RoundTrip(req *http.Request) (*http.Response, error) {
 	return resp, nil
 }
 
-// crashStore is a replica's store that dies at its at-th Save: that frame
-// lands whole, torn or not at all, and every later write is dropped, as if
-// the process had been killed during or between appends.
+// crashStore is a replica's store that dies at its at-th frame of any
+// kind, record or progress: that frame lands whole, torn or not at all, or
+// whole with a compaction that dies before its rename, and every later
+// write is dropped, as if the process had been killed during or between
+// appends. Under compact it lives on instead: the frame lands and the
+// store is compacted there, mid-run.
 type crashStore struct {
 	*histdb.FileStore
-	dir   string
-	at    int
-	image int
-	cut   uint64
+	dir     string
+	at      int
+	image   int
+	cut     uint64
+	compact bool
 
 	mu      sync.Mutex
-	saves   int
+	frames  int
 	crashed chan struct{}
-	err     error // from tearing the frame
+	err     error // from landing the frame or compacting
 }
 
 func (c *crashStore) Save(rec *histdb.RunRecord) error {
+	return c.write(func() error { return c.FileStore.Save(rec) })
+}
+
+func (c *crashStore) SaveProgress(pr *histdb.Progress) error {
+	return c.write(func() error { return c.FileStore.SaveProgress(pr) })
+}
+
+func (c *crashStore) write(save func() error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.saves++
+	c.frames++
 	switch {
-	case c.at == 0 || c.saves < c.at:
-		return c.FileStore.Save(rec)
-	case c.saves > c.at:
-		return nil
+	case c.at == 0 || c.frames < c.at:
+		return save()
+	case c.compact:
+		err := save()
+		if err == nil && c.frames == c.at {
+			c.err = c.FileStore.Compact()
+		}
+		return err
+	case c.frames > c.at:
+		return nil // dead
 	}
 	defer close(c.crashed)
-	if err := c.FileStore.Save(rec); err != nil {
-		return err
-	}
-	payload, err := json.Marshal(rec)
+	before, err := segmentSizes(c.dir)
 	if err != nil {
 		c.err = err
 		return nil
 	}
-	frame := append(fmt.Appendf(nil, "%08x ", crc32.ChecksumIEEE(payload)), payload...)
-	frame = append(frame, '\n')
-	keep := len(frame)
-	switch c.image {
-	case imageLost:
-		keep = 0
-	case imageWhole:
-	default:
-		keep = 1 + int(c.cut%uint64(len(frame)-1))
+	if err := save(); err != nil {
+		return err
 	}
-	c.err = truncateFrame(c.dir, frame, keep)
+	c.err = c.land(before)
 	return nil
 }
 
-// truncateFrame finds the segment that ends with frame, which only its
-// writer can have appended, and cuts the frame to its first keep bytes.
-func truncateFrame(dir string, frame []byte, keep int) error {
-	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+// land cuts the frame just appended — to the one segment that grew since
+// before — down to what the crash image keeps of it.
+func (c *crashStore) land(before map[string]int64) error {
+	after, err := segmentSizes(c.dir)
 	if err != nil {
 		return err
 	}
+	for seg, size := range after {
+		n := size - before[seg]
+		if n == 0 {
+			continue
+		}
+		switch c.image {
+		case imageLost:
+			n = 0
+		case imageWhole:
+		case imageRenameLost:
+			return loseRename(c.dir)
+		case imageTorn:
+			n = 1 + int64(c.cut%uint64(n-1))
+		}
+		return os.Truncate(seg, before[seg]+n)
+	}
+	return fmt.Errorf("no segment grew with the crashing frame")
+}
+
+// segmentSizes maps each segment file in dir to its size.
+func segmentSizes(dir string) (map[string]int64, error) {
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil {
+		return nil, err
+	}
+	sizes := make(map[string]int64, len(segs))
 	for _, seg := range segs {
+		fi, err := os.Stat(seg)
+		if err != nil {
+			return nil, err
+		}
+		sizes[seg] = fi.Size()
+	}
+	return sizes, nil
+}
+
+// loseRename leaves in dir what a compaction killed just before its rename
+// leaves: the snapshot, fully written, under its temp name beside the
+// segments it was to replace. The snapshot is made by compacting a copy.
+func loseRename(dir string) error {
+	sizes, err := segmentSizes(dir)
+	if err != nil {
+		return err
+	}
+	cp, err := os.MkdirTemp(filepath.Dir(dir), "compact-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(cp)
+	for seg := range sizes {
 		data, err := os.ReadFile(seg)
+		if err == nil {
+			err = os.WriteFile(filepath.Join(cp, filepath.Base(seg)), data, 0o644)
+		}
 		if err != nil {
 			return err
 		}
-		if bytes.HasSuffix(data, frame) {
-			return os.Truncate(seg, int64(len(data)-len(frame)+keep))
-		}
 	}
-	return fmt.Errorf("no segment ends with the crashing frame")
+	st, err := histdb.OpenFileStore(cp)
+	if err == nil {
+		err = st.Compact()
+	}
+	if err != nil {
+		return err
+	}
+	if err := st.Close(); err != nil {
+		return err
+	}
+	snaps, err := segmentSizes(cp)
+	if err != nil || len(snaps) != 1 {
+		return fmt.Errorf("compacted copy holds %d segments: %v", len(snaps), err)
+	}
+	for snap := range snaps {
+		data, err := os.ReadFile(snap)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dir, filepath.Base(snap)+".tmp"), data, 0o644)
+	}
+	return nil
 }
 
 // replica is one Manager and its HTTP handler.
@@ -465,7 +585,7 @@ func (p *plane) open(id string, crashAt int) *replica {
 	if err != nil {
 		p.fatalf("replica %s: %v", id, err)
 	}
-	st := &crashStore{FileStore: fs, dir: p.dir, at: crashAt, image: p.s.image, cut: p.s.cut, crashed: make(chan struct{})}
+	st := &crashStore{FileStore: fs, dir: p.dir, at: crashAt, image: p.s.image, cut: p.s.cut, compact: p.s.compact, crashed: make(chan struct{})}
 	remote := func(job dispatch.Job) dispatch.Dispatcher {
 		r := dispatch.NewRemote([]string{"http://w0", "http://w1"}, job)
 		r.Client = &http.Client{Transport: p.net}
@@ -517,11 +637,15 @@ func (p *plane) submit(r *replica) (string, <-chan struct{}) {
 	return v.ID, r.follow(v.ID)
 }
 
-// resume re-admits run id on a drawn replica and asks a drawn replica again:
-// the first answers 202, the second 409, wherever the run now is.
+// resume re-admits run id on a drawn replica — a sibling of a when the
+// schedule rejoins — and asks a drawn replica again: the first answers 202,
+// the second 409, wherever the run now is.
 func (p *plane) resume(id string) (*replica, <-chan struct{}) {
 	p.t.Helper()
 	r, again := p.reps[p.pick()], p.reps[p.pick()]
+	if p.s.rejoin && r == p.reps[0] {
+		r = p.reps[1]
+	}
 	p.net.admitting()
 	if code, body := r.do(http.MethodPost, "/v1/runs/"+id+"/resume", nil); code != http.StatusAccepted {
 		p.fatalf("resume on %s = %d: %s", r.id, code, body)
@@ -533,6 +657,18 @@ func (p *plane) resume(id string) (*replica, <-chan struct{}) {
 		p.fatalf("second resume on %s = %d: %s", again.id, code, body)
 	}
 	return r, r.follow(id)
+}
+
+// restart shuts replica a down and opens it again on the store directory,
+// returning the replica it replaced.
+func (p *plane) restart() *replica {
+	p.t.Helper()
+	a := p.reps[0]
+	if err := a.m.Shutdown(context.Background()); err != nil {
+		p.fatalf("replica a shutdown: %v", err)
+	}
+	p.reps[0] = p.open("a", 0)
+	return a
 }
 
 // get reads run id's record through r.
@@ -549,6 +685,7 @@ func (p *plane) run() {
 	owner := p.reps[0]
 	id, done := p.submit(owner)
 	crashed, held := p.reps[0].store.crashed, p.net.held
+	rejoin := false // a restarts at the next park
 	for {
 		select {
 		case <-crashed:
@@ -562,15 +699,11 @@ func (p *plane) run() {
 			// would wait on a replica that is gone, so the hold is off.
 			crashed, held = nil, nil
 			p.net.letGo()
-			a := p.reps[0]
-			if err := a.m.Shutdown(context.Background()); err != nil {
-				p.fatalf("replica a shutdown: %v", err)
-			}
+			a := p.restart()
 			<-done
 			if a.store.err != nil {
-				p.fatalf("tearing append %d: %v", p.s.crashAt, a.store.err)
+				p.fatalf("landing frame %d: %v", p.s.crashAt, a.store.err)
 			}
-			p.reps[0] = p.open("a", 0)
 			code, v := p.get(p.reps[0], id)
 			switch {
 			case code == http.StatusNotFound:
@@ -581,14 +714,24 @@ func (p *plane) run() {
 			case v.State == histdb.StateDone:
 				done = nil
 			case v.State == histdb.StateFailed && strings.HasPrefix(v.Error, "interrupted: "), v.State == histdb.StateCancelled:
+				if p.s.rejoin {
+					// A sibling takes the run; a restarts once it is parked
+					// mid-flight there.
+					held, rejoin = p.net.rehold(), true
+				}
 				owner, done = p.resume(id)
 			default:
 				p.fatalf("after replica a restarted, run %s is %s (%s)", id, v.State, v.Error)
 			}
 		case closed(held):
 			// The run is mid-flight on owner: no other replica may resume
-			// it, nor may its owner.
+			// it, nor may its owner — nor replica a, restarted meanwhile
+			// under the run's ID prefix.
 			held = nil
+			if rejoin {
+				rejoin = false
+				p.restart()
+			}
 			for _, r := range p.reps {
 				code, body := r.do(http.MethodPost, "/v1/runs/"+id+"/resume", nil)
 				if code != http.StatusConflict || !strings.Contains(string(body), "in flight") {
@@ -643,13 +786,17 @@ func (p *plane) check(id string) {
 	p.net.mu.Lock()
 	failed := p.net.failed
 	p.net.mu.Unlock()
-	if a := p.reps[0].store; p.s.crashAt == 0 && !p.s.cancel {
+	a := p.reps[0].store
+	a.mu.Lock()
+	frames, err := a.frames, a.err
+	a.mu.Unlock()
+	if err != nil {
+		p.fatalf("compacting at frame %d: %v", p.s.crashAt, err)
+	}
+	if p.s.crashAt == 0 && !p.s.cancel {
 		// The corpus's crash points are laid out over these counts.
-		a.mu.Lock()
-		saves := a.saves
-		a.mu.Unlock()
-		if want := map[bool]int{false: tuneAppends, true: contAppends}[p.s.cont]; saves != want {
-			p.fatalf("an uninterrupted run appended %d times, want %d", saves, want)
+		if want := map[bool]int{false: tuneFrames, true: contFrames}[p.s.cont]; frames != want {
+			p.fatalf("an uninterrupted run appended %d frames, want %d", frames, want)
 		}
 	}
 	same := func(where string, v view) {
@@ -695,12 +842,12 @@ func (p *plane) check(id string) {
 			p.fatalf("run %s ends %s (%s) in the store", rec.ID, rec.State, rec.Error)
 		}
 	}
-	frames, err := doneFrames(p.dir)
+	dones, err := doneFrames(p.dir)
 	if err != nil {
 		p.fatalf("scanning the store: %v", err)
 	}
-	if len(frames) != 1 || frames[id] != 1 {
-		p.fatalf("done records by run: %v, want exactly one for %s", frames, id)
+	if len(dones) != 1 || dones[id] != 1 {
+		p.fatalf("done frames by run: %v, want exactly one for %s", dones, id)
 	}
 }
 

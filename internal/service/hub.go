@@ -15,8 +15,8 @@ import (
 // client that connects mid-run (or after it finished) still sees the full
 // trace in order.
 //
-// The retained buffer is also the run's persisted trace: when the run
-// finishes, the manager snapshots Lines() into the RunRecord.
+// The retained buffer is also the run's persisted trace: the manager
+// appends the lines past its cursor to each progress frame it stores.
 type hub struct {
 	mu      sync.Mutex
 	lines   []json.RawMessage
@@ -64,13 +64,6 @@ func (h *hub) Close() {
 func (h *hub) wake() {
 	close(h.changed)
 	h.changed = make(chan struct{})
-}
-
-// Lines returns a snapshot of the buffered trace.
-func (h *hub) Lines() []json.RawMessage {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]json.RawMessage(nil), h.lines...)
 }
 
 // next returns the lines buffered past cursor, whether the stream is

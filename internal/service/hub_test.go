@@ -108,7 +108,7 @@ func TestHubDropsEventsAfterClose(t *testing.T) {
 	emitN(h, 0, 1)
 	h.Close()
 	emitN(h, 1, 2)
-	if n := len(h.Lines()); n != 1 {
-		t.Fatalf("%d lines after close, want 1", n)
+	if lines, _, _ := h.next(0); len(lines) != 1 {
+		t.Fatalf("%d lines after close, want 1", len(lines))
 	}
 }

@@ -105,10 +105,13 @@ type Metrics struct {
 type job struct {
 	rec    *histdb.RunRecord    // guarded by Manager.mu
 	col    *collector.Collector // the collector measuring right now, if any; guarded by Manager.mu
+	jr     *dispatch.Journal    // the run's journal once it runs; guarded by Manager.mu
 	hub    *hub
 	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{}
+	mark   int // journal mark and trace cursor past the last progress
+	cursor int // frame the store took; guarded by Manager.mu
 }
 
 // Manager owns the job queue and the bounded worker pool that drains it.
@@ -163,16 +166,19 @@ func NewManager(opts Options) *Manager {
 		rootCtx:    ctx,
 		rootCancel: cancel,
 	}
-	// One pass over this replica's own records: resume its ID counter, and
-	// mark what a killed predecessor left queued or running — nothing is
-	// running it now — as interrupted. A sibling's prefix is never touched.
+	// One pass over the store: resume this replica's ID counter, and mark
+	// what a killed predecessor was running — nothing is running it now — as
+	// interrupted. The runner, not the ID prefix, decides: a sibling may run
+	// a resumed run of ours. A record naming no runner goes by its prefix.
 	for _, rec := range m.store.List() {
 		n, own := histdb.SeqOf(rec.ID, opts.ReplicaID)
-		if !own {
-			continue
+		if own {
+			m.seq = max(m.seq, n)
 		}
-		m.seq = max(m.seq, n)
-		if !rec.State.Terminal() {
+		if rec.Runner != "" {
+			own = rec.Runner == opts.ReplicaID
+		}
+		if own && !rec.State.Terminal() {
 			rec.State, rec.Error = histdb.StateFailed, "interrupted: the daemon restarted; resume replays it"
 			if err := m.store.Save(rec); err != nil {
 				m.saveErrors.Add(1)
@@ -235,7 +241,7 @@ func (m *Manager) Submit(spec JobSpec) (rec *histdb.RunRecord, fresh bool, err e
 		// An identical spec already queued or running: join it.
 		if j, ok := m.byKey[key]; ok {
 			m.deduped.Add(1)
-			return j.rec.Clone(), false, nil
+			return j.snapshot(), false, nil
 		}
 		// An identical spec already completed: serve it from the store.
 		if stored, ok := m.store.BySpec(key); ok {
@@ -310,7 +316,7 @@ func (m *Manager) Resume(id string) (*histdb.RunRecord, error) {
 // under its spec key too when the spec dedupes and no identical run holds
 // the key — and write the queued record through. Callers hold m.mu.
 func (m *Manager) admit(rec *histdb.RunRecord) error {
-	rec.State = histdb.StateQueued
+	rec.State, rec.Runner = histdb.StateQueued, m.opts.ReplicaID
 	j := &job{rec: rec, hub: newHub(), done: make(chan struct{})}
 	j.hub.dropped = func(err error) {
 		m.traceErrors.Add(1)
@@ -388,22 +394,16 @@ func (m *Manager) runJob(j *job) {
 	col := p.Collector()
 
 	p.Ctx = j.ctx
-	p.Observer = events.Multi(p.Observer, j.hub, &checkpointer{m: m, j: j, jr: jr})
+	p.Observer = events.Multi(p.Observer, j.hub, &checkpointer{m: m, j: j})
 	m.mu.Lock()
 	j.col = col // /metrics gauges show its cache behaviour and in-flight pressure live
+	j.jr = jr
 	m.mu.Unlock()
 
 	res, err := alg.Tune(p, j.rec.Spec.Budget)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// A finished run's result carries everything a resume would need; an
-	// interrupted one stays resumable even if the last in-run checkpoint
-	// write lost a race with cancellation.
-	j.rec.Checkpoint = nil
-	if err != nil {
-		j.rec.Checkpoint = jr.Values()
-	}
 	// The final collector stats join the totals in the same critical section
 	// that takes the job (and its live collector) out of m.jobs, so Metrics
 	// never sees the run twice, or not at all, during the handover.
@@ -438,30 +438,42 @@ func foldStats(total, st collector.Stats) collector.Stats {
 }
 
 // checkpointer persists a live run's measurement progress: after every
-// measured batch (and model fit) it copies the run's journal and the trace
-// so far into the run record and writes it through to the store. A run
-// killed at any point — even SIGKILL — is then resumable from its last
-// completed batch.
+// measured batch it appends one progress frame to the store. A run killed
+// at any point — even SIGKILL — is then resumable from its last completed
+// batch.
 type checkpointer struct {
-	m  *Manager
-	j  *job
-	jr *dispatch.Journal
+	m *Manager
+	j *job
 }
 
 func (c *checkpointer) OnEvent(e events.Event) {
-	switch e.(type) {
-	case *events.BatchMeasured, *events.ModelTrained:
-	default:
+	if _, ok := e.(*events.BatchMeasured); !ok {
 		return
 	}
-	snap := c.jr.Values()
 	c.m.mu.Lock()
 	if !c.j.rec.State.Terminal() {
-		c.j.rec.Checkpoint = snap
-		c.j.rec.Trace = c.j.hub.Lines()
-		c.m.saveLocked(c.j)
+		c.m.progressLocked(c.j, &histdb.Progress{})
 	}
 	c.m.mu.Unlock()
+}
+
+// progressLocked fills p — empty, or the run's end — with the journal
+// entries (none for a done run, whose checkpoint is dropped) and trace
+// lines added since the last frame the store took, and appends it. What a
+// refused frame carried rides the next one. Callers hold m.mu.
+func (m *Manager) progressLocked(j *job, p *histdb.Progress) {
+	p.ID = j.rec.ID
+	mark := j.mark
+	if j.jr != nil && p.State != histdb.StateDone {
+		p.Checkpoint, mark = j.jr.Since(j.mark)
+	}
+	p.Trace, _, _ = j.hub.next(j.cursor)
+	if err := m.store.SaveProgress(p); err != nil {
+		m.saveErrors.Add(1)
+		log.Printf("service: saving run %s: %v", j.rec.ID, err)
+		return
+	}
+	j.mark, j.cursor = mark, j.cursor+len(p.Trace)
 }
 
 // finalize moves a job to its terminal state, persists it, and retires it
@@ -474,7 +486,6 @@ func (m *Manager) finalize(j *job, res *tuner.Result, err error) {
 	}
 	j.hub.Close()
 	j.rec.FinishedAt = time.Now()
-	j.rec.Trace = j.hub.Lines()
 	switch {
 	case err == nil:
 		j.rec.State = histdb.StateDone
@@ -489,7 +500,11 @@ func (m *Manager) finalize(j *job, res *tuner.Result, err error) {
 		j.rec.Error = err.Error()
 		m.failed.Add(1)
 	}
-	m.saveLocked(j)
+	// The terminal frame adds only what the run's earlier frames lack.
+	m.progressLocked(j, &histdb.Progress{
+		State: j.rec.State, FinishedAt: &j.rec.FinishedAt, Error: j.rec.Error,
+		Result: j.rec.Result, Continuous: j.rec.Continuous, Collector: &j.rec.Collector,
+	})
 	delete(m.jobs, j.rec.ID)
 	if m.byKey[j.rec.SpecKey] == j {
 		delete(m.byKey, j.rec.SpecKey)
@@ -505,12 +520,24 @@ func (m *Manager) saveLocked(j *job) {
 	}
 }
 
+// snapshot copies a live job's record. Its checkpoint and trace are the
+// run's journal and hub, copied here when someone reads them rather than
+// once per batch. Callers hold Manager.mu.
+func (j *job) snapshot() *histdb.RunRecord {
+	rec := j.rec.Clone()
+	if j.jr != nil {
+		rec.Checkpoint = j.jr.Values()
+	}
+	rec.Trace, _, _ = j.hub.next(0)
+	return rec
+}
+
 // Get returns a snapshot of a run: live state if the job is in flight,
 // otherwise the stored record.
 func (m *Manager) Get(id string) (*histdb.RunRecord, bool) {
 	m.mu.Lock()
 	if j, ok := m.jobs[id]; ok {
-		rec := j.rec.Clone()
+		rec := j.snapshot()
 		m.mu.Unlock()
 		return rec, true
 	}
@@ -545,7 +572,7 @@ func (m *Manager) Cancel(id string) (*histdb.RunRecord, error) {
 			// context; reflect the terminal state now.
 			m.finalize(j, nil, context.Canceled)
 		}
-		rec := j.rec.Clone()
+		rec := j.snapshot()
 		m.mu.Unlock()
 		return rec, nil
 	}

@@ -318,10 +318,12 @@ func TestManagerBuildFailureMarksFailed(t *testing.T) {
 	}
 }
 
-// failingStore is a Store whose every Save is refused.
+// failingStore is a Store whose every Save and SaveProgress is refused.
 type failingStore struct{ *histdb.MemStore }
 
 func (failingStore) Save(*histdb.RunRecord) error { return errors.New("disk full") }
+
+func (failingStore) SaveProgress(*histdb.Progress) error { return errors.New("disk full") }
 
 // TestManagerCountsAndLogsStoreSaveErrors: a store that refuses every save
 // never fails the run, but each refusal is counted on /metrics and logged

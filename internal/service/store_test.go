@@ -1,10 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -241,5 +245,59 @@ func TestServedRunStoresNoPoolScores(t *testing.T) {
 	}
 	if b, err := json.Marshal(stored.Result); err != nil || string(a) != string(b) {
 		t.Fatalf("stored result differs from direct Tune (%v):\ndirect: %s\nstored: %s", err, a, b)
+	}
+}
+
+// TestCheckpointLogIsLinear: a served run's log holds its record's bytes
+// about once — at most twice its GET body, journal entries the finished
+// record drops included — because each frame written mid-run carries only
+// its own batch's progress, so no frame grows with the batch index.
+func TestCheckpointLogIsLinear(t *testing.T) {
+	spec := JobSpec{Benchmark: "LV", Algorithm: "ceal", Objective: "comp", Budget: 12, Pool: 60, Seed: 5}
+	dir := filepath.Join(t.TempDir(), "runs")
+	store, err := histdb.OpenFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(Options{Workers: 1, Store: store})
+	defer m.Shutdown(context.Background())
+	rec, _, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, m, rec.ID)
+	rr := httptest.NewRecorder()
+	NewServer(m).ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/runs/"+rec.ID, nil))
+	record := rr.Body.Len()
+
+	logs, err := filepath.Glob(filepath.Join(dir, "*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames []int // bytes per frame, in log order
+	logBytes := 0
+	for _, name := range logs {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+			if len(line) > 0 {
+				frames = append(frames, len(line))
+				logBytes += len(line)
+			}
+		}
+	}
+	t.Logf("record %d B, log %d B: %v", record, logBytes, frames)
+	if logBytes > 2*record {
+		t.Fatalf("the log holds %d bytes for a %d-byte record: %.2fx", logBytes, record, float64(logBytes)/float64(record))
+	}
+	// Between the queued and running records and the terminal frame.
+	mid := frames[2 : len(frames)-1]
+	if len(mid) < 4 {
+		t.Fatalf("%d frames mid-run, want one per measured batch", len(mid))
+	}
+	if first := max(mid[0], mid[1]); slices.Max(mid[2:]) > first {
+		t.Fatalf("mid-run frames grow with the batch index: %v", mid)
 	}
 }
