@@ -1,7 +1,10 @@
 package ceal
 
 import (
+	"errors"
 	"testing"
+
+	"ceal/internal/score"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -125,5 +128,32 @@ func TestEnergyObjectiveFacade(t *testing.T) {
 	}
 	if !b.Space.IsValid(res.Best) {
 		t.Fatalf("invalid best %v", res.Best)
+	}
+}
+
+// TestWideColumnRefused: a custom benchmark whose parameter takes more
+// distinct values across the pool than a rank code holds cannot be tuned,
+// and says why with score.ErrWideColumn.
+func TestWideColumnRefused(t *testing.T) {
+	m := DefaultMachine()
+	layout := func(cfg Config) Layout { return Layout{Procs: cfg[0], PPN: 1, Threads: 1} }
+	b := NewBenchmark(Benchmark{
+		Name:    "WIDE",
+		Machine: m,
+		Components: []ComponentSpec{{
+			Name:   "solver",
+			Space:  &Space{Params: []Param{NewParam("procs", 1, 4), NewParam("tile", 1, 1<<30)}},
+			Layout: layout,
+			BuildSolo: func(cfg Config) *Component {
+				t := 1 / float64(cfg[0])
+				return &Component{Name: "solver", Layout: layout(cfg), Steps: 2, StepTime: func(int) float64 { return t }}
+			},
+		}},
+		ExpertExec: Config{4, 1},
+		ExpertComp: Config{1, 1},
+	})
+	p := NewProblem(b, ExecTime, score.MaxCodes+500, 1)
+	if _, err := NewCEAL().Tune(p, 20); !errors.Is(err, score.ErrWideColumn) {
+		t.Fatalf("tuning a pool with a %d-distinct column: err = %v, want score.ErrWideColumn", len(p.Pool), err)
 	}
 }

@@ -74,9 +74,9 @@ func TestLowFidelityScore(t *testing.T) {
 	if got := lf.Score(cfgspace.Config{3, 4}); got != 15 {
 		t.Fatalf("Sum score = %v, want 15", got)
 	}
-	batch := lf.ScoreConfigs(nil, []cfgspace.Config{{3, 4}, {1, 1}})
-	if batch[0] != 15 || batch[1] != 8 {
-		t.Fatalf("ScoreConfigs = %v", batch)
+	batch, err := lf.ScoreConfigs(nil, []cfgspace.Config{{3, 4}, {1, 1}})
+	if err != nil || batch[0] != 15 || batch[1] != 8 {
+		t.Fatalf("ScoreConfigs = %v, %v", batch, err)
 	}
 }
 

@@ -57,7 +57,11 @@ type layout struct {
 // declared codes feats over cfgs.
 func declared(name string, cfgs []cfgspace.Config, feats func(cfgspace.Config) []float64, spans []acm.Span) layout {
 	var mat score.Matrix
-	return layout{name: name, q: mat.Codes(score.New(2), cfgs, feats), spans: spans}
+	q, err := mat.Codes(score.New(2), cfgs, feats)
+	if err != nil {
+		panic(err) // every layout under test is narrow enough to code
+	}
+	return layout{name: name, q: q, spans: spans}
 }
 
 // reversed lays the parts' features out last part first, behind a column
@@ -133,7 +137,11 @@ func checkFactored(t *testing.T, lf *acm.LowFidelity, cfgs []cfgspace.Config, la
 					}
 				}
 			}
-			check("ScoreConfigs", lf.ScoreConfigs(e, cfgs))
+			got, err := lf.ScoreConfigs(e, cfgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("ScoreConfigs", got)
 			for _, l := range layouts {
 				check(l.name, lf.ScoreCodes(e, l.q, l.spans, cfgs))
 			}
@@ -151,9 +159,7 @@ func checkFactored(t *testing.T, lf *acm.LowFidelity, cfgs []cfgspace.Config, la
 //   - HS with heat fitted on 500 history samples of its 7 features;
 //   - a part with 255 thresholds on each of nine features, whose bucket
 //     radices multiply to 2^72, past any packing of a bucket tuple into
-//     one uint64 (a fitted heat model's multiply to about 1e11);
-//   - a pool with a column too wide to rank-code, whose buckets come from
-//     its float rows.
+//     one uint64 (a fitted heat model's multiply to about 1e11).
 func TestFactoredScoreMatchesReference(t *testing.T) {
 	m := cluster.Default()
 	benchModel := func(bench *workflow.Benchmark, history int, rng *rand.Rand) *acm.LowFidelity {
@@ -233,36 +239,6 @@ func TestFactoredScoreMatchesReference(t *testing.T) {
 			}
 		}
 		checkFactored(t, lf, pool, reversed(lf, pool))
-	})
-	t.Run("wide pool", func(t *testing.T) {
-		rng := rand.New(rand.NewPCG(7, 4))
-		feats := func(sub cfgspace.Config) []float64 {
-			x := make([]float64, len(sub))
-			for k, v := range sub {
-				x[k] = float64(v) * 0.5
-			}
-			return x
-		}
-		pool := make([]cfgspace.Config, score.MaxCodes+300)
-		for i := range pool {
-			pool[i] = cfgspace.Config{i, rng.IntN(9), rng.IntN(5)}
-		}
-		lf := &acm.LowFidelity{}
-		for j, span := range [][2]int{{0, 2}, {2, 3}} {
-			X, y := make([][]float64, 40), make([]float64, 40)
-			for i := range X {
-				X[i] = feats(pool[rng.IntN(len(pool))][span[0]:span[1]])
-				y[i] = math.Log(2 + X[i][0])
-			}
-			lf.Parts = append(lf.Parts, acm.Part{Name: fmt.Sprint("part", j), Lo: span[0], Hi: span[1],
-				Predictor: fitCell(t, X, y, xgb.DefaultParams()), Features: feats,
-				Cores: func(sub cfgspace.Config) float64 { return float64(1 + sub[0]%4) }})
-		}
-		l := reversed(lf, pool)
-		if l.q.FloatRows() == nil {
-			t.Fatal("a pool with a unique-per-row feature was rank-coded")
-		}
-		checkFactored(t, lf, pool, l)
 	})
 }
 

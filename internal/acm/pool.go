@@ -33,11 +33,10 @@ const cellBlock = 256
 //
 // Every row then folds its parts' values. Rows of one cell predict bitwise
 // the same, so the scores are identical at any worker count and for any
-// matrix that holds the same feature values. A matrix too wide to code
-// (score.Codes.FloatRows) takes its buckets by binary search on its float
-// rows. A coded matrix hands predictors −0 as +0 and every NaN as one NaN,
-// which no `x < t` comparison tells apart. Predictors must be read-only
-// under Predict and PredictBatch, and must not retain x.
+// matrix that holds the same feature values. The codes hand predictors
+// −0 as +0 and every NaN as one NaN, which no `x < t` comparison tells
+// apart. Predictors must be read-only under Predict and PredictBatch, and
+// must not retain x.
 func (lf *LowFidelity) ScoreCodes(e *score.Engine, q *score.Codes, spans []Span, cfgs []cfgspace.Config) []float64 {
 	out := make([]float64, q.N)
 	if q.N == 0 {
@@ -78,10 +77,11 @@ func (lf *LowFidelity) ScoreCodes(e *score.Engine, q *score.Codes, spans []Span,
 // ScoreConfigs scores configurations whose features no matrix holds yet: it
 // rank-codes the parts' own features side by side, one row a
 // configuration, and scores the codes. Part.Features must return vectors
-// of one length.
-func (lf *LowFidelity) ScoreConfigs(e *score.Engine, cfgs []cfgspace.Config) []float64 {
+// of one length. Features too wide to code are refused with
+// score.ErrWideColumn.
+func (lf *LowFidelity) ScoreConfigs(e *score.Engine, cfgs []cfgspace.Config) ([]float64, error) {
 	if len(cfgs) == 0 {
-		return []float64{}
+		return []float64{}, nil
 	}
 	spans := make([]Span, len(lf.Parts))
 	width := 0
@@ -92,7 +92,7 @@ func (lf *LowFidelity) ScoreConfigs(e *score.Engine, cfgs []cfgspace.Config) []f
 		}
 	}
 	var mat score.Matrix
-	q := mat.Codes(e, cfgs, func(cfg cfgspace.Config) []float64 {
+	q, err := mat.Codes(e, cfgs, func(cfg cfgspace.Config) []float64 {
 		x := make([]float64, 0, width)
 		for j := range lf.Parts {
 			if part := &lf.Parts[j]; part.Features != nil {
@@ -101,7 +101,10 @@ func (lf *LowFidelity) ScoreConfigs(e *score.Engine, cfgs []cfgspace.Config) []f
 		}
 		return x
 	})
-	return lf.ScoreCodes(e, q, spans, cfgs)
+	if err != nil {
+		return nil, err
+	}
+	return lf.ScoreCodes(e, q, spans, cfgs), nil
 }
 
 // partPass is one part's share of a ScoreCodes call.
@@ -113,11 +116,10 @@ type partPass struct {
 	konst float64   // a part with no features: its one prediction
 	vals  []float64 // a part scored by Predict: per row
 
-	// A CellPredictor part. Per feature it splits on: the matrix column,
-	// the thresholds and, for a coded matrix, each code's bucket.
+	// A CellPredictor part. Per feature it splits on: the matrix column
+	// and each code's bucket.
 	cp     CellPredictor
 	cols   []int
-	thr    [][]float64
 	bucket [][]int32
 	ids    []int32     // per row: its cell's number within its chunk
 	reps   [][]int32   // per chunk: the first row of each of its cells
@@ -145,15 +147,12 @@ func newPartPass(part *Part, q *score.Codes, span Span, chunks int) *partPass {
 			continue
 		}
 		f := span.Lo + k
-		pp.cols, pp.thr = append(pp.cols, f), append(pp.thr, thr)
-		if q.FloatRows() == nil {
-			vals := q.Values(f)
-			b := make([]int32, len(vals))
-			for c, v := range vals {
-				b[c] = int32(notBelow(thr, v))
-			}
-			pp.bucket = append(pp.bucket, b)
+		vals := q.Values(f)
+		b := make([]int32, len(vals))
+		for c, v := range vals {
+			b[c] = int32(notBelow(thr, v))
 		}
+		pp.cols, pp.bucket = append(pp.cols, f), append(pp.bucket, b)
 	}
 	pp.ids = make([]int32, q.N)
 	pp.reps = make([][]int32, chunks)
@@ -202,12 +201,6 @@ func (pp *partPass) scan(ci, lo, hi int) {
 
 // tuple writes row i's cell, its bucket tuple, into key and returns it.
 func (pp *partPass) tuple(i int, key []int) []int {
-	if X := pp.q.FloatRows(); X != nil {
-		for k, f := range pp.cols {
-			key[k] = notBelow(pp.thr[k], X[i][f])
-		}
-		return key
-	}
 	codes := pp.q.Row(i)
 	for k, f := range pp.cols {
 		key[k] = int(pp.bucket[k][codes[f]])
@@ -262,10 +255,6 @@ func (pp *partPass) predictCells(e *score.Engine) {
 // decode writes row i's features of the part into x, as the matrix holds
 // them.
 func (pp *partPass) decode(i int, x []float64) {
-	if X := pp.q.FloatRows(); X != nil {
-		copy(x, X[i][pp.span.Lo:pp.span.Hi])
-		return
-	}
 	codes := pp.q.Row(i)
 	for k := range x {
 		x[k] = pp.q.Values(pp.span.Lo + k)[codes[pp.span.Lo+k]]

@@ -142,9 +142,6 @@ func TestPredictBatchQuantizedMatchesFloat(t *testing.T) {
 		want[i] = ref.Predict(x)
 	}
 	q := score.QuantizeRows(nil, pool)
-	if q.FloatRows() != nil {
-		t.Fatal("narrow pool kept float rows")
-	}
 	for _, e := range []*score.Engine{nil, score.New(4)} {
 		got := make([]float64, q.N)
 		m.PredictBatchQuantizedOnInto(e, q, got)
@@ -152,35 +149,6 @@ func TestPredictBatchQuantizedMatchesFloat(t *testing.T) {
 			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
 				t.Fatalf("row %d (%v): coded pool predicts %v, Predict %v", i, pool[i], got[i], want[i])
 			}
-		}
-	}
-}
-
-// TestPredictWidePoolUsesFloatRows pins the wide-column rule end to end:
-// a pool with a column of more than score.MaxCodes distinct values is not
-// coded, and PredictBatchQuantizedOnInto scores it from the float rows it
-// kept, bitwise equal to Predict.
-func TestPredictWidePoolUsesFloatRows(t *testing.T) {
-	X, y := trainingData(7, 200, 3)
-	p := Params{Rounds: 10, LearningRate: 0.1, MaxDepth: 3, Lambda: 1, MinChildWeight: 1}
-	m, err := Fit(X, y, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := make([][]float64, score.MaxCodes+1)
-	for i := range pool {
-		pool[i] = []float64{float64(i)/5000 - 6, float64(i % 11), float64(i%3) - 1}
-	}
-	q := score.QuantizeRows(score.New(2), pool)
-	if q.FloatRows() == nil {
-		t.Fatalf("a %d-distinct column was coded", len(pool))
-	}
-	got := make([]float64, len(pool))
-	m.PredictBatchQuantizedOnInto(score.New(2), q, got)
-	ref := referenceFit(X, y, p)
-	for i, x := range pool {
-		if want := ref.Predict(x); math.Float64bits(got[i]) != math.Float64bits(want) {
-			t.Fatalf("row %d: wide pool predicts %v, Predict %v", i, got[i], want)
 		}
 	}
 }

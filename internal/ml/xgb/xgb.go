@@ -369,22 +369,17 @@ func (m *Model) cuts(q *score.Codes) []uint16 {
 // PredictBatchQuantizedOnInto predicts every row of a rank-coded pool into
 // out (len(out) == q.N) on the engine's workers (nil engine: serial): the
 // coded walk at bound = +Inf, so the outputs are bitwise identical to
-// scoring the float rows. A pool too wide to code is scored from the float
-// rows it kept.
+// scoring the float rows.
 func (m *Model) PredictBatchQuantizedOnInto(e *score.Engine, q *score.Codes, out []float64) {
-	if X := q.FloatRows(); X != nil {
-		m.PredictBatchOnInto(e, X, out)
-		return
-	}
 	cut := m.cuts(q)
 	e.MapChunks(q.N, func(lo, hi int) {
 		m.walkCoded(q, cut, nil, lo, out[lo:hi], math.Inf(1))
 	})
 }
 
-// PredictCodedBounded predicts rows idxs of a rank-coded pool (which must
-// not be wide) into out (len(out) == len(idxs)) for a caller that only
-// wants predictions not above bound: a row is abandoned, and reported as
+// PredictCodedBounded predicts rows idxs of a rank-coded pool into out
+// (len(out) == len(idxs)) for a caller that only wants predictions not
+// above bound: a row is abandoned, and reported as
 // +Inf, at the first tree after which its prediction is certain to exceed
 // bound; every other row gets the exact PredictRow value, its trees
 // accumulated in ensemble order. bound = +Inf abandons nothing.

@@ -3,8 +3,8 @@
 // (the per-iteration inner loop of every tuner algorithm). The serial
 // baseline reproduces the pre-engine path — re-featurizing the pool and
 // walking the ensemble per row on every call — while the engine variants
-// split the cold first call (featurize + predict) from the warm steady
-// state (cached feature matrix, chunked tree-outer prediction).
+// split the cold first call (rank-code + predict) from the warm steady
+// state (cached pool codes, chunked coded prediction).
 //
 // This file is an external test package so it can depend on xgb, acm and
 // workflow, all of which import score.
@@ -79,40 +79,41 @@ func BenchmarkPredictPool(b *testing.B) {
 		}
 	})
 
-	// Engine path, first call of a run: featurize-and-cache plus predict.
+	// predict codes the pool through mat (cached after the first call) and
+	// scores it.
+	predict := func(b *testing.B, eng *score.Engine, mat *score.Matrix, out []float64) {
+		q, err := mat.Codes(eng, pool, bench.Features)
+		if err != nil {
+			b.Fatal(err)
+		}
+		model.PredictBatchQuantizedOnInto(eng, q, out)
+	}
+
+	// Engine path, first call of a run: rank-code-and-cache plus predict.
 	b.Run("par8-cold", func(b *testing.B) {
 		eng := score.New(8)
 		for i := 0; i < b.N; i++ {
-			var mat score.Matrix
-			X := mat.Rows(eng, pool, bench.Features)
-			model.PredictBatchOnInto(eng, X, make([]float64, len(X)))
+			predict(b, eng, &score.Matrix{}, make([]float64, len(pool)))
 		}
 	})
 
 	// Engine path, steady state: every later iteration of a run hits the
-	// cached feature matrix and only pays for prediction.
-	b.Run("par8-warm", func(b *testing.B) {
-		eng := score.New(8)
-		var mat score.Matrix
-		mat.Rows(eng, pool, bench.Features)
-		out := make([]float64, len(pool))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			X := mat.Rows(eng, pool, bench.Features)
-			model.PredictBatchOnInto(eng, X, out)
-		}
-	})
-
-	b.Run("serial-warm", func(b *testing.B) {
-		var mat score.Matrix
-		mat.Rows(nil, pool, bench.Features)
-		out := make([]float64, len(pool))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			X := mat.Rows(nil, pool, bench.Features)
-			model.PredictBatchOnInto(nil, X, out)
-		}
-	})
+	// cached pool codes and only pays for prediction.
+	for _, c := range []struct {
+		name    string
+		workers int
+	}{{"par8-warm", 8}, {"serial-warm", 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			eng := score.New(c.workers)
+			var mat score.Matrix
+			out := make([]float64, len(pool))
+			predict(b, eng, &mat, out)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				predict(b, eng, &mat, out)
+			}
+		})
+	}
 }
 
 // BenchmarkScoreBatch measures the low-fidelity analytical model over the
@@ -154,7 +155,10 @@ func BenchmarkScoreBatch(b *testing.B) {
 		lf.Parts = append(lf.Parts, part)
 	}
 	var mat score.Matrix
-	q := mat.Codes(nil, pool, bench.Features)
+	q, err := mat.Codes(nil, pool, bench.Features)
+	if err != nil {
+		b.Fatal(err)
+	}
 
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

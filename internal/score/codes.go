@@ -10,14 +10,15 @@
 // above every count, taking the right branch exactly as the float compare
 // sends it.
 //
-// Wide-column rule: a column with more than MaxCodes distinct values does
-// not fit a uint16 rank. Such a pool is not coded at all — it keeps its
-// float rows (FloatRows) and consumers score it through the float kernel.
-// Every pool this repository samples is far inside the limit (the widest
-// paper column has ~2.4k distinct values).
+// A column with more than MaxCodes distinct values does not fit a uint16
+// rank, and a pool holding one is refused with ErrWideColumn: codes are
+// the only form a pool is scored in. Every pool this repository samples is
+// far inside the limit (the widest paper column has ~2.4k distinct values).
 package score
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"slices"
 )
@@ -27,16 +28,24 @@ import (
 // threshold (at most MaxCodes) also fits a uint16.
 const MaxCodes = math.MaxUint16
 
+// ErrWideColumn refuses a pool with a column of more than MaxCodes
+// distinct values; the error wrapping it names the column.
+var ErrWideColumn = errors.New("score: feature column too wide to rank-code")
+
+// wideColumn is the refusal of a pool whose feature f is too wide.
+func wideColumn(f int) error {
+	return fmt.Errorf("%w: feature %d has more than %d distinct values", ErrWideColumn, f, MaxCodes)
+}
+
 // Codes is one candidate pool's features as rank codes. Immutable after
 // construction.
 type Codes struct {
 	N, Dim int
 	codes  []uint16    // row-major: codes[i*Dim+f]
 	values [][]float64 // per feature: ascending distinct values, NaN last; code → value
-	rows   [][]float64 // the float rows instead, when a column exceeds MaxCodes
 }
 
-// Row returns row i's codes. A wide pool has none: check FloatRows first.
+// Row returns row i's codes.
 func (q *Codes) Row(i int) []uint16 {
 	return q.codes[i*q.Dim : (i+1)*q.Dim : (i+1)*q.Dim]
 }
@@ -45,23 +54,11 @@ func (q *Codes) Row(i int) []uint16 {
 // the code stands for.
 func (q *Codes) Values(f int) []float64 { return q.values[f] }
 
-// FloatRows returns the pool's float rows when a column was too wide to
-// code (see the wide-column rule), nil for a coded pool.
-func (q *Codes) FloatRows() [][]float64 { return q.rows }
-
 // QuantizeRows rank-codes a row-major float matrix on the engine's
-// workers. A matrix with a column wider than MaxCodes comes back holding
-// rows themselves.
+// workers. It returns nil for a matrix with a column wider than MaxCodes.
 func QuantizeRows(e *Engine, rows [][]float64) *Codes {
-	if q := buildCodes(e, len(rows), func(i int) []float64 { return rows[i] }); q != nil {
-		return q
-	}
-	return wideCodes(rows)
-}
-
-// wideCodes wraps the float rows of a pool too wide to code.
-func wideCodes(rows [][]float64) *Codes {
-	return &Codes{N: len(rows), Dim: len(rows[0]), rows: rows}
+	q, _ := buildCodes(e, len(rows), func(i int) []float64 { return rows[i] })
+	return q
 }
 
 // canonBits is the identity a value is coded by: its bits, with −0 folded
@@ -100,10 +97,10 @@ func lessNaNLast(a, b float64) int {
 // provisional number as its rank. Ranks depend only on the values, so the
 // result is the same for any worker count. row is called exactly once per
 // index. A column with more than MaxCodes distinct values aborts the build
-// and returns nil.
-func buildCodes(e *Engine, n int, row func(i int) []float64) *Codes {
+// with ErrWideColumn.
+func buildCodes(e *Engine, n int, row func(i int) []float64) (*Codes, error) {
 	if n == 0 {
-		return &Codes{}
+		return &Codes{}, nil
 	}
 	first := row(0)
 	dim := len(first)
@@ -111,6 +108,7 @@ func buildCodes(e *Engine, n int, row func(i int) []float64) *Codes {
 
 	_, chunks := e.ChunkLayout(n)
 	seen := make([][][]float64, chunks) // per chunk, per feature: values in first-seen order
+	wide := make([]int, chunks)         // per chunk: 1 + the column it found too wide, or 0
 	e.MapChunksIndexed(n, func(ci, lo, hi int) {
 		ids := make([]map[uint64]uint16, dim)
 		vals := make([][]float64, dim)
@@ -128,7 +126,8 @@ func buildCodes(e *Engine, n int, row func(i int) []float64) *Codes {
 				id, ok := ids[f][key]
 				if !ok {
 					if len(vals[f]) == MaxCodes {
-						return // wide column: seen[ci] stays nil
+						wide[ci] = f + 1
+						return
 					}
 					id = uint16(len(vals[f]))
 					ids[f][key] = id
@@ -139,9 +138,9 @@ func buildCodes(e *Engine, n int, row func(i int) []float64) *Codes {
 		}
 		seen[ci] = vals
 	})
-	for _, vals := range seen {
-		if vals == nil {
-			return nil
+	for _, f := range wide {
+		if f > 0 {
+			return nil, wideColumn(f - 1)
 		}
 	}
 
@@ -172,8 +171,8 @@ func buildCodes(e *Engine, n int, row func(i int) []float64) *Codes {
 			rank[ci][f] = r
 		}
 	})
-	if slices.ContainsFunc(q.values, func(v []float64) bool { return v == nil }) {
-		return nil
+	if f := slices.IndexFunc(q.values, func(v []float64) bool { return v == nil }); f >= 0 {
+		return nil, wideColumn(f)
 	}
 	e.MapChunksIndexed(n, func(ci, lo, hi int) {
 		r := rank[ci]
@@ -184,5 +183,5 @@ func buildCodes(e *Engine, n int, row func(i int) []float64) *Codes {
 			}
 		}
 	})
-	return q
+	return q, nil
 }

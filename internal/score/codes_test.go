@@ -1,8 +1,10 @@
 package score
 
 import (
+	"errors"
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"ceal/internal/cfgspace"
@@ -14,9 +16,6 @@ import (
 // codes are ranks.
 func checkCodes(t *testing.T, q *Codes, rows [][]float64) {
 	t.Helper()
-	if q.FloatRows() != nil {
-		t.Fatal("narrow pool kept float rows")
-	}
 	if q.N != len(rows) {
 		t.Fatalf("N = %d, want %d", q.N, len(rows))
 	}
@@ -88,21 +87,27 @@ func TestQuantizeRowsLosslessIdentity(t *testing.T) {
 	}
 }
 
-// TestQuantizeRowsWideColumn pins the wide-column rule: MaxCodes distinct
-// values still code; one more and the pool keeps its float rows.
+// TestQuantizeRowsWideColumn pins the refusal: MaxCodes distinct values
+// in a column still code; one more and QuantizeRows gives nil and
+// Matrix.Codes refuses the pool with ErrWideColumn, naming the column.
 func TestQuantizeRowsWideColumn(t *testing.T) {
 	rows := make([][]float64, MaxCodes+1)
+	pool := make([]cfgspace.Config, len(rows))
 	for i := range rows {
 		rows[i] = []float64{float64(i % 7), float64(i)}
+		pool[i] = cfgspace.Config{i}
 	}
+	feats := func(cfg cfgspace.Config) []float64 { return rows[cfg[0]] }
 	for _, e := range []*Engine{nil, New(4)} {
 		checkCodes(t, QuantizeRows(e, rows[:MaxCodes]), rows[:MaxCodes])
-		q := QuantizeRows(e, rows)
-		if q.FloatRows() == nil || &q.FloatRows()[0] != &rows[0] {
+		var m Matrix
+		checkCodes(t, mustCodes(t, &m, e, pool[:MaxCodes], feats), rows[:MaxCodes])
+		if q := QuantizeRows(e, rows); q != nil {
 			t.Fatalf("workers=%d: a %d-distinct column was coded", e.Workers(), len(rows))
 		}
-		if q.N != len(rows) || q.Dim != 2 {
-			t.Fatalf("wide pool is %dx%d, want %dx2", q.N, q.Dim, len(rows))
+		q, err := m.Codes(e, pool, feats)
+		if q != nil || !errors.Is(err, ErrWideColumn) || !strings.Contains(err.Error(), "feature 1 ") {
+			t.Fatalf("workers=%d: Codes of a %d-distinct column = %v, %v; want ErrWideColumn naming feature 1", e.Workers(), len(rows), q, err)
 		}
 	}
 }
@@ -133,7 +138,7 @@ func TestQuantizedFootprint(t *testing.T) {
 
 // TestMatrixCodes: codes built straight from the featurizer equal codes
 // built from the float rows, the featurizer runs once per configuration,
-// later calls serve the cache, and a wide pool falls back to cached rows.
+// and later calls serve the cache.
 func TestMatrixCodes(t *testing.T) {
 	pool := make([]cfgspace.Config, 3000)
 	for i := range pool {
@@ -145,13 +150,13 @@ func TestMatrixCodes(t *testing.T) {
 		return []float64{float64(cfg[0]), float64(cfg[1]) / 3, float64(cfg[0] * cfg[1])}
 	}
 	var m Matrix
-	q := m.Codes(New(1), pool, feats)
+	q := mustCodes(t, &m, New(1), pool, feats)
 	for i, c := range calls {
 		if c != 1 {
 			t.Fatalf("configuration %d featurized %d times, want once", i, c)
 		}
 	}
-	if m.Codes(New(1), pool, feats) != q {
+	if mustCodes(t, &m, New(1), pool, feats) != q {
 		t.Fatal("second Codes call rebuilt the matrix")
 	}
 	rows := m.Rows(New(1), pool, feats)
@@ -163,19 +168,5 @@ func TestMatrixCodes(t *testing.T) {
 				t.Fatalf("row %d feature %d: featurizer-built code %d, row-built %d", i, f, c, want.Row(i)[f])
 			}
 		}
-	}
-
-	wide := make([]cfgspace.Config, MaxCodes+1)
-	for i := range wide {
-		wide[i] = cfgspace.Config{i}
-	}
-	var w Matrix
-	raw := func(cfg cfgspace.Config) []float64 { return []float64{float64(cfg[0])} }
-	wq := w.Codes(New(2), wide, raw)
-	if wq.FloatRows() == nil {
-		t.Fatal("wide pool was coded")
-	}
-	if &wq.FloatRows()[0] != &w.Rows(New(2), wide, raw)[0] {
-		t.Fatal("wide pool's rows are not the matrix's cached rows")
 	}
 }

@@ -155,79 +155,61 @@ func (e *Engine) Floats(n int, fn func(i int) float64) []float64 {
 	return out
 }
 
-// Matrix caches one candidate pool's featurized form: float rows (Rows)
-// for models that read feature values, rank codes (Codes) for the boosted
-// surrogate, each built on first request. The cache is keyed by slice
-// identity (backing array plus length), which is sound because pools are
-// immutable for the lifetime of a tuning run; passing a different slice —
-// or a different-length prefix of the same pool — simply recomputes and
-// replaces the cache.
+// Matrix caches one candidate pool's rank codes (Codes), built on first
+// request. The cache is keyed by slice identity (backing array plus
+// length), which is sound because pools are immutable for the lifetime of
+// a tuning run; passing a different slice — or a different-length prefix
+// of the same pool — simply recomputes and replaces the cache.
 type Matrix struct {
 	mu    sync.Mutex
 	head  *cfgspace.Config
 	n     int
-	rows  [][]float64
 	codes *Codes
 }
 
-// cached returns what is held for pool (nils when it is another pool).
-func (m *Matrix) cached(pool []cfgspace.Config) ([][]float64, *Codes) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.head == &pool[0] && m.n == len(pool) {
-		return m.rows, m.codes
-	}
-	return nil, nil
-}
-
-// store keeps rows or codes (whichever is non-nil) for pool, dropping what
-// was held for any other pool.
-func (m *Matrix) store(pool []cfgspace.Config, rows [][]float64, codes *Codes) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.head != &pool[0] || m.n != len(pool) {
-		m.head, m.n, m.rows, m.codes = &pool[0], len(pool), nil, nil
-	}
-	if rows != nil {
-		m.rows = rows
-	}
-	if codes != nil {
-		m.codes = codes
-	}
-}
-
-// Rows returns the featurized matrix for pool, computing it with feats on
-// the engine's workers on first use and serving the cached rows on every
-// later call with the same pool slice. Concurrent first calls may
-// featurize redundantly but always return a consistent matrix.
+// Rows featurizes pool with feats on the engine's workers, one row a
+// configuration. It caches nothing: Codes is the form a pool is scored in.
 func (m *Matrix) Rows(e *Engine, pool []cfgspace.Config, feats func(cfgspace.Config) []float64) [][]float64 {
 	if len(pool) == 0 {
 		return nil
 	}
-	if rows, _ := m.cached(pool); rows != nil {
-		return rows
-	}
 	rows := make([][]float64, len(pool))
 	e.Map(len(pool), func(i int) { rows[i] = feats(pool[i]) })
-	m.store(pool, rows, nil)
 	return rows
 }
 
-// Codes returns the pool's rank codes, cached like Rows. They are built
-// straight from the featurizer, one row in hand at a time, so a run that
-// only ever asks for codes never holds the float matrix; a pool with a
-// column too wide to code gets its float rows instead (Codes.FloatRows).
-func (m *Matrix) Codes(e *Engine, pool []cfgspace.Config, feats func(cfgspace.Config) []float64) *Codes {
+// Codes returns the pool's rank codes, computing them with feats on the
+// engine's workers on first use and serving the cached codes on every
+// later call with the same pool slice. Concurrent first calls may
+// featurize redundantly, but the first to finish is cached and returned to
+// all of them. The codes are built straight from the featurizer, one row
+// in hand at a time, so a run never holds the float matrix. A pool with a
+// column too wide to code is refused with ErrWideColumn.
+func (m *Matrix) Codes(e *Engine, pool []cfgspace.Config, feats func(cfgspace.Config) []float64) (*Codes, error) {
 	if len(pool) == 0 {
-		return &Codes{}
+		return &Codes{}, nil
 	}
-	if _, codes := m.cached(pool); codes != nil {
-		return codes
+	if codes := m.held(pool); codes != nil {
+		return codes, nil
 	}
-	codes := buildCodes(e, len(pool), func(i int) []float64 { return feats(pool[i]) })
-	if codes == nil {
-		codes = wideCodes(m.Rows(e, pool, feats))
+	codes, err := buildCodes(e, len(pool), func(i int) []float64 { return feats(pool[i]) })
+	if err != nil {
+		return nil, err
 	}
-	m.store(pool, nil, codes)
-	return codes
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.head != &pool[0] || m.n != len(pool) {
+		m.head, m.n, m.codes = &pool[0], len(pool), codes
+	}
+	return m.codes, nil
+}
+
+// held returns the codes held for pool (nil when they are another pool's).
+func (m *Matrix) held(pool []cfgspace.Config) *Codes {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.head == &pool[0] && m.n == len(pool) {
+		return m.codes
+	}
+	return nil
 }

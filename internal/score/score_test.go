@@ -114,6 +114,16 @@ func TestWorkersClamped(t *testing.T) {
 	}
 }
 
+// mustCodes is m.Codes for a pool narrow enough to code.
+func mustCodes(t *testing.T, m *Matrix, e *Engine, pool []cfgspace.Config, feats func(cfgspace.Config) []float64) *Codes {
+	t.Helper()
+	q, err := m.Codes(e, pool, feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
 func TestMatrixCachesBySliceIdentity(t *testing.T) {
 	pool := []cfgspace.Config{{1, 2}, {3, 4}, {5, 6}}
 	var calls atomic.Int32
@@ -123,22 +133,17 @@ func TestMatrixCachesBySliceIdentity(t *testing.T) {
 	}
 	var m Matrix
 	eng := New(4)
-	first := m.Rows(eng, pool, feats)
+	first := mustCodes(t, &m, eng, pool, feats)
 	if calls.Load() != 3 {
-		t.Fatalf("first Rows featurized %d times, want 3", calls.Load())
+		t.Fatalf("first Codes featurized %d times, want 3", calls.Load())
 	}
-	second := m.Rows(eng, pool, feats)
+	if mustCodes(t, &m, eng, pool, feats) != first {
+		t.Fatal("warm Codes returned a different matrix")
+	}
 	if calls.Load() != 3 {
-		t.Fatalf("warm Rows re-featurized (calls=%d)", calls.Load())
+		t.Fatalf("warm Codes re-featurized (calls=%d)", calls.Load())
 	}
-	if &first[0] != &second[0] {
-		t.Fatal("warm Rows returned a different matrix")
-	}
-	for i, row := range first {
-		if row[0] != float64(pool[i][0]) || row[1] != float64(pool[i][1]) {
-			t.Fatalf("row %d = %v", i, row)
-		}
-	}
+	checkCodes(t, first, [][]float64{{1, 2}, {3, 4}, {5, 6}})
 }
 
 func TestMatrixRecomputesOnDifferentSlice(t *testing.T) {
@@ -149,46 +154,49 @@ func TestMatrixRecomputesOnDifferentSlice(t *testing.T) {
 		return []float64{float64(c[0])}
 	}
 	var m Matrix
-	m.Rows(nil, pool, feats)
+	mustCodes(t, &m, nil, pool, feats)
 	// A prefix of the same backing array has a different length: recompute.
-	sub := m.Rows(nil, pool[:2], feats)
-	if len(sub) != 2 {
-		t.Fatalf("prefix rows = %d", len(sub))
+	if sub := mustCodes(t, &m, nil, pool[:2], feats); sub.N != 2 {
+		t.Fatalf("prefix codes = %d rows", sub.N)
 	}
 	if calls.Load() != 6 {
 		t.Fatalf("calls = %d, want 4 + 2", calls.Load())
 	}
 	// A fresh slice with equal contents is a different pool: recompute.
 	other := []cfgspace.Config{{1}, {2}}
-	m.Rows(nil, other, feats)
+	mustCodes(t, &m, nil, other, feats)
 	if calls.Load() != 8 {
 		t.Fatalf("calls = %d, want 8", calls.Load())
 	}
-	if m.Rows(nil, nil, feats) != nil {
-		t.Fatal("empty pool should yield nil rows")
+	if q := mustCodes(t, &m, nil, nil, feats); q.N != 0 {
+		t.Fatalf("empty pool coded %d rows", q.N)
 	}
 }
 
 func TestMatrixConcurrentRows(t *testing.T) {
 	// Hammer one Matrix from many goroutines (exercised under -race in CI):
-	// every caller must get a complete, consistent matrix.
+	// every first caller must get the same complete matrix.
 	pool := make([]cfgspace.Config, 300)
+	rows := make([][]float64, len(pool))
 	for i := range pool {
 		pool[i] = cfgspace.Config{i, i * 2}
+		rows[i] = []float64{float64(i + i*2)}
 	}
 	feats := func(c cfgspace.Config) []float64 { return []float64{float64(c[0] + c[1])} }
 	var m Matrix
 	eng := New(4)
-	done := make(chan [][]float64, 8)
+	done := make(chan *Codes, 8)
 	for g := 0; g < 8; g++ {
-		go func() { done <- m.Rows(eng, pool, feats) }()
+		go func() {
+			q, _ := m.Codes(eng, pool, feats)
+			done <- q
+		}()
 	}
-	for g := 0; g < 8; g++ {
-		rows := <-done
-		for i, row := range rows {
-			if want := float64(pool[i][0] + pool[i][1]); row[0] != want {
-				t.Fatalf("row %d = %v, want %v", i, row[0], want)
-			}
+	first := <-done
+	checkCodes(t, first, rows)
+	for g := 1; g < 8; g++ {
+		if q := <-done; q != first {
+			t.Fatal("concurrent first callers got different matrices")
 		}
 	}
 }

@@ -39,7 +39,11 @@ func (b *alBatches) SelectBatch(st *State) ([]cfgspace.Config, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	return st.Tracker.takeTop(n, b.scorer(st)), nil
+	scorer, err := b.model.poolScorer(st.Problem)
+	if err != nil {
+		return nil, err
+	}
+	return st.Tracker.takeTop(n, scorer), nil
 }
 
 // initialBatchSize is the shared m0 rule: frac of the budget, at least 2,
@@ -89,7 +93,7 @@ func (s *surrogateBacked) Finish(st *State, score bool) ([]float64, error) {
 	if !score {
 		return nil, nil
 	}
-	return s.model.PredictPoolInto(st.Problem.Pool, make([]float64, len(st.Problem.Pool))), nil
+	return s.model.PredictPoolInto(st.Problem.Pool, make([]float64, len(st.Problem.Pool)))
 }
 
 func (s *surrogateBacked) FinalImportance(st *State) []float64 {
@@ -98,9 +102,6 @@ func (s *surrogateBacked) FinalImportance(st *State) []float64 {
 
 // ModelRounds reports the surrogate's boosting rounds for the trace.
 func (s *surrogateBacked) ModelRounds() int { return s.model.Rounds() }
-
-// scorer ranks candidates by the surrogate's prediction.
-func (s *surrogateBacked) scorer(st *State) poolScorer { return s.model.poolScorer(st.Problem) }
 
 // AL is batch active learning (§7.3): an initial random batch trains the
 // surrogate, then each iteration measures the surrogate's current top

@@ -32,7 +32,10 @@ func TestLowFidelityPoolAllocs(t *testing.T) {
 			if spans == nil {
 				t.Fatal("the raw layout was not located in the pool codes")
 			}
-			q := p.poolMat.Codes(e, p.Pool, p.features)
+			q, err := p.poolMat.Codes(e, p.Pool, p.features)
+			if err != nil {
+				t.Fatal(err)
+			}
 			allocs[n] = testing.AllocsPerRun(5, func() { cm.lowFi.ScoreCodes(e, q, spans, p.Pool) })
 		}
 		if small, large := allocs[2000], allocs[100_000]; large > small+16 {

@@ -145,14 +145,18 @@ func (s *cealStrategy) SeedBatch(st *State) ([]cfgspace.Config, error) {
 	// model — this is where transfer learning pays for itself, by
 	// spending the very first measurements near prior optima. The
 	// switch detector still arbitrates between the models afterwards.
-	return append(pending, st.Tracker.takeTop(room, s.ranker(st, s.warmed))...), nil // lines 9–10
+	ranker, err := s.ranker(st, s.warmed)
+	if err != nil {
+		return nil, err
+	}
+	return append(pending, st.Tracker.takeTop(room, ranker)...), nil // lines 9–10
 }
 
 // ranker scores pool candidates with M_H (high) or with M_L's cached pool
 // scores.
-func (s *cealStrategy) ranker(st *State, high bool) poolScorer {
+func (s *cealStrategy) ranker(st *State, high bool) (poolScorer, error) {
 	if high {
-		return s.scorer(st)
+		return s.model.poolScorer(st.Problem)
 	}
 	return s.cm.scorer(st.Problem)
 }
@@ -170,9 +174,9 @@ func (s *cealStrategy) WarmStart(st *State) error {
 // AfterMeasure is Algorithm 1's lines 16–24, run right after each batch is
 // measured: the out-of-sample switch check and the bias-escape top-up. The
 // current pseudocode iteration is i = st.Iter + 1.
-func (s *cealStrategy) AfterMeasure(st *State, batch []Sample) {
+func (s *cealStrategy) AfterMeasure(st *State, batch []Sample) error {
 	if s.usingHigh || !s.model.Trained() {
-		return
+		return nil
 	}
 	i := st.Iter + 1
 	I := s.opts.Iterations
@@ -180,7 +184,7 @@ func (s *cealStrategy) AfterMeasure(st *State, batch []Sample) {
 
 	s.holdout = append(s.holdout, batch...)
 	if len(s.holdout) < minHoldout {
-		return
+		return nil
 	}
 	truth := make([]float64, len(s.holdout))
 	cfgs := make([]cfgspace.Config, len(s.holdout))
@@ -189,7 +193,10 @@ func (s *cealStrategy) AfterMeasure(st *State, batch []Sample) {
 		cfgs[k] = smp.Cfg
 	}
 	highScores := s.model.PredictBatch(cfgs)
-	lowScores := s.cm.lowFi.ScoreConfigs(p.engine(), cfgs)
+	lowScores, err := s.cm.lowFi.ScoreConfigs(p.engine(), cfgs)
+	if err != nil {
+		return err
+	}
 	sH := metrics.RecallSum(highScores, truth) // line 18
 	sL := metrics.RecallSum(lowScores, truth)  // line 19
 
@@ -218,6 +225,7 @@ func (s *cealStrategy) AfterMeasure(st *State, batch []Sample) {
 		}
 	}
 	s.holdout = s.holdout[:0]
+	return nil
 }
 
 // SelectBatch is Algorithm 1's lines 26–27 at the end of pseudocode
@@ -231,7 +239,11 @@ func (s *cealStrategy) SelectBatch(st *State) ([]cfgspace.Config, error) {
 		want = st.Budget
 	}
 	room := capBatch(want, st.Budget, len(st.Samples), len(s.pendingExtra))
-	pending := append(s.pendingExtra, st.Tracker.takeTop(room, s.ranker(st, s.usingHigh))...) // lines 26–27
+	ranker, err := s.ranker(st, s.usingHigh)
+	if err != nil {
+		return nil, err
+	}
+	pending := append(s.pendingExtra, st.Tracker.takeTop(room, ranker)...) // lines 26–27
 	s.pendingExtra = nil
 	return pending, nil
 }
@@ -278,5 +290,5 @@ func LowFidelityScores(p *Problem, mR int, cfgs []cfgspace.Config) ([]float64, e
 	if err != nil {
 		return nil, err
 	}
-	return cm.lowFi.ScoreConfigs(p.engine(), cfgs), nil
+	return cm.lowFi.ScoreConfigs(p.engine(), cfgs)
 }

@@ -28,27 +28,37 @@ type componentModels struct {
 // never pays for it). When the workflow features hold the component
 // features in order, it reads the pool codes the surrogate shares
 // (p.poolMat), so the pool is featurized once a run; otherwise the
-// components' own features are coded.
-func (cm *componentModels) poolScores(p *Problem) []float64 {
-	if cm.pool == nil {
-		e := p.engine()
-		if spans := p.featureSpans(); spans != nil {
-			cm.pool = cm.lowFi.ScoreCodes(e, p.poolMat.Codes(e, p.Pool, p.features), spans, p.Pool)
-		} else {
-			cm.pool = cm.lowFi.ScoreConfigs(e, p.Pool)
-		}
+// components' own features are coded. A pool too wide to code is refused
+// with score.ErrWideColumn.
+func (cm *componentModels) poolScores(p *Problem) ([]float64, error) {
+	if cm.pool != nil {
+		return cm.pool, nil
 	}
-	return cm.pool
+	e, spans := p.engine(), p.featureSpans()
+	if spans == nil {
+		var err error
+		cm.pool, err = cm.lowFi.ScoreConfigs(e, p.Pool)
+		return cm.pool, err
+	}
+	q, err := p.poolMat.Codes(e, p.Pool, p.features)
+	if err != nil {
+		return nil, err
+	}
+	cm.pool = cm.lowFi.ScoreCodes(e, q, spans, p.Pool)
+	return cm.pool, nil
 }
 
 // scorer ranks pool candidates by M_L.
-func (cm *componentModels) scorer(p *Problem) poolScorer {
-	scores := cm.poolScores(p)
+func (cm *componentModels) scorer(p *Problem) (poolScorer, error) {
+	scores, err := cm.poolScores(p)
+	if err != nil {
+		return nil, err
+	}
 	return func(idxs []int, out []float64, _ float64) {
 		for j, idx := range idxs {
 			out[j] = scores[idx]
 		}
-	}
+	}, nil
 }
 
 // trainComponentModels builds each component's model from mR fresh solo

@@ -1,6 +1,7 @@
 package tuner
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -289,7 +290,10 @@ func TestBoundedTakeTopMatchesReference(t *testing.T) {
 				p.Workers = workers
 				s := newSurrogate(p)
 				s.model = model
-				inner := s.poolScorer(p)
+				inner, err := s.poolScorer(p)
+				if err != nil {
+					t.Fatal(err)
+				}
 				counting := func(idxs []int, out []float64, worst float64) {
 					inner(idxs, out, worst)
 					if workers == 1 && !math.IsInf(worst, 1) {
@@ -311,16 +315,38 @@ func TestBoundedTakeTopMatchesReference(t *testing.T) {
 	}
 }
 
-// TestWidePoolScoresFromFloatRows: a pool with a feature column too wide
-// to rank-code keeps float rows, and the surrogate's full-pool prediction
-// and selection over it equal per-configuration Predict and the reference
-// selector.
-func TestWidePoolScoresFromFloatRows(t *testing.T) {
-	p := synthProblem(5, score.MaxCodes+200)
-	p.Workers = 2
-	p.Features = func(cfg cfgspace.Config) []float64 {
-		return []float64{float64(cfg[0]), float64(cfg[1]), float64(((cfg[0]*10+cfg[1])*50+cfg[2])*10 + cfg[3])}
+// TestWideColumnRefused: a pool whose first parameter is unique per row
+// has a column of more than score.MaxCodes distinct values, in the
+// workflow features and in sim's own. Every way a run codes it is refused
+// with score.ErrWideColumn: AL's surrogate ranking, ALpH's, CEAL's M_L
+// pass, the Phase-1 model's scores and the surrogate's pool prediction.
+func TestWideColumnRefused(t *testing.T) {
+	wideProblem := func() *Problem {
+		p := synthProblem(5, score.MaxCodes+200)
+		p.Workers = 2
+		sim := p.Components[0].Space
+		sim.Params[0].Max = 2 + len(p.Pool)
+		p.Space = cfgspace.Concat(nil,
+			cfgspace.NamedSpace{Name: "sim", Space: sim},
+			cfgspace.NamedSpace{Name: "viz", Space: p.Components[1].Space})
+		for i := range p.Pool {
+			p.Pool[i][0] = 2 + i
+		}
+		return p
 	}
+	refused := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, score.ErrWideColumn) {
+			t.Errorf("%s over a wide pool: err = %v, want score.ErrWideColumn", what, err)
+		}
+	}
+	for _, alg := range []Algorithm{NewAL(), NewALpH(), NewCEAL()} {
+		_, err := alg.Tune(wideProblem(), 20)
+		refused(alg.Name(), err)
+	}
+	p := wideProblem()
+	_, err := LowFidelityScores(p, 10, p.Pool)
+	refused("LowFidelityScores", err)
 	samples := make([]Sample, 40)
 	for i := range samples {
 		v, err := p.Eval.MeasureWorkflow(p.Pool[i])
@@ -333,16 +359,8 @@ func TestWidePoolScoresFromFloatRows(t *testing.T) {
 	if err := s.Train(samples); err != nil {
 		t.Fatal(err)
 	}
-	if p.poolMat.Codes(p.engine(), p.Pool, p.features).FloatRows() == nil {
-		t.Fatal("pool with a unique-per-row feature was rank-coded")
-	}
-	scores := s.PredictPoolInto(p.Pool, make([]float64, len(p.Pool)))
-	for i, cfg := range p.Pool {
-		if want := s.Predict(cfg); math.Float64bits(scores[i]) != math.Float64bits(want) {
-			t.Fatalf("pool[%d]: PredictPoolInto %v, Predict %v", i, scores[i], want)
-		}
-	}
-	drainBothWays(t, "wide", p, 12, s.poolScorer(p))
+	_, err = s.PredictPoolInto(p.Pool, make([]float64, len(p.Pool)))
+	refused("PredictPoolInto", err)
 }
 
 // TestLowFidelityPoolScoresMatchScore: the cached M_L pool vector every
@@ -365,9 +383,14 @@ func TestLowFidelityPoolScoresMatchScore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := cm.poolScores(p)
+	got, err := cm.poolScores(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	featurized := calls.Load()
-	p.poolMat.Codes(p.engine(), p.Pool, p.features)
+	if _, err := p.poolMat.Codes(p.engine(), p.Pool, p.features); err != nil {
+		t.Fatal(err)
+	}
 	if featurized != int64(len(p.Pool))+1 || calls.Load() != featurized {
 		t.Fatalf("featurized %d times for the M_L pass and %d more for the surrogate's codes, want the pool and one check row, then none",
 			featurized, calls.Load()-featurized)
@@ -382,8 +405,12 @@ func TestLowFidelityPoolScoresMatchScore(t *testing.T) {
 			t.Fatalf("pool[%d]: cached M_L score %v, folded predictions %v", i, got[i], want)
 		}
 	}
+	scorer, err := cm.scorer(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := make([]float64, 3)
-	cm.scorer(p)([]int{4, 0, 499}, out, math.Inf(1))
+	scorer([]int{4, 0, 499}, out, math.Inf(1))
 	if out[0] != got[4] || out[1] != got[0] || out[2] != got[499] {
 		t.Fatalf("scorer returned %v for pool indices 4, 0, 499", out)
 	}
@@ -398,7 +425,11 @@ func TestLowFidelityPoolScoresMatchScore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range shifted.poolScores(p) {
+	shiftedScores, err := shifted.poolScores(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range shiftedScores {
 		if math.Float64bits(v) != math.Float64bits(got[i]) {
 			t.Fatalf("pool[%d]: M_L score from the components' own features %v, from the pool codes %v", i, v, got[i])
 		}

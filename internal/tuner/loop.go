@@ -105,9 +105,9 @@ type Strategy interface {
 // Controller hooks in after each measured batch, before the refit — the
 // seam for CEAL's out-of-sample switch detection and bias escape. It may
 // queue work for the next SelectBatch through strategy-internal state and
-// may set st.SwitchIter.
+// may set st.SwitchIter. An error ends the run.
 type Controller interface {
-	AfterMeasure(st *State, batch []Sample)
+	AfterMeasure(st *State, batch []Sample) error
 }
 
 // Bootstrapper runs before seeding: CEAL-family strategies train Phase-1
@@ -229,7 +229,9 @@ func (l *Loop) Run(p *Problem, budget int) (*Result, error) {
 			return err
 		}
 		if ctl != nil {
-			ctl.AfterMeasure(st, batch)
+			if err := ctl.AfterMeasure(st, batch); err != nil {
+				return err
+			}
 		}
 		if err := l.fit(st, batch); err != nil {
 			return err

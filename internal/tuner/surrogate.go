@@ -87,16 +87,20 @@ func (s *Surrogate) Importance(dim int) []float64 {
 // PredictPoolInto predicts for every pool configuration into a
 // caller-provided slice (len(out) == len(pool)) and returns it, reusing
 // the cached pool codes and fanning ensemble evaluation across the
-// engine.
-func (s *Surrogate) PredictPoolInto(pool []cfgspace.Config, out []float64) []float64 {
+// engine. A pool too wide to code is refused with score.ErrWideColumn.
+func (s *Surrogate) PredictPoolInto(pool []cfgspace.Config, out []float64) ([]float64, error) {
 	if s.model == nil {
 		panic("tuner: PredictPoolInto on untrained surrogate")
 	}
-	s.model.PredictBatchQuantizedOnInto(s.eng, s.mat.Codes(s.eng, pool, s.feats), out)
+	q, err := s.mat.Codes(s.eng, pool, s.feats)
+	if err != nil {
+		return nil, err
+	}
+	s.model.PredictBatchQuantizedOnInto(s.eng, q, out)
 	for i, v := range out {
 		out[i] = unlogTarget(v)
 	}
-	return out
+	return out, nil
 }
 
 // PredictBatch predicts for an ad-hoc configuration batch (featurized on
@@ -117,25 +121,21 @@ func (s *Surrogate) PredictBatch(cfgs []cfgspace.Config) []float64 {
 // candidates: a candidate stops descending at the first tree after which
 // its prediction is certain to land above it (xgb.Model.PredictCodedBounded)
 // and reports +Inf; all others score bitwise as Predict does. A pool too
-// wide to code scores every candidate in full from its float rows.
-func (s *Surrogate) poolScorer(p *Problem) poolScorer {
+// wide to code is refused with score.ErrWideColumn.
+func (s *Surrogate) poolScorer(p *Problem) (poolScorer, error) {
 	if s.model == nil {
 		panic("tuner: poolScorer on untrained surrogate")
 	}
-	q := s.mat.Codes(s.eng, p.Pool, s.feats)
-	if X := q.FloatRows(); X != nil {
-		return func(idxs []int, out []float64, _ float64) {
-			for j, idx := range idxs {
-				out[j] = unlogTarget(s.model.PredictRow(X[idx]))
-			}
-		}
+	q, err := s.mat.Codes(s.eng, p.Pool, s.feats)
+	if err != nil {
+		return nil, err
 	}
 	return func(idxs []int, out []float64, worst float64) {
 		s.model.PredictCodedBounded(q, idxs, out, logCutoff(worst))
 		for j, v := range out {
 			out[j] = unlogTarget(v)
 		}
-	}
+	}, nil
 }
 
 // logCutoff carries a cut-off on predicted times into the model's log
