@@ -56,7 +56,11 @@ type Env struct {
 
 	mu    sync.Mutex
 	clock float64
-	unit  float64
+	// unit is ref's zero-load cost, measured by the first Dispatch through
+	// nominal, the nominal condition's peek collector.
+	unit    float64
+	ref     cfgspace.Config
+	nominal *collector.Collector
 	// The current condition only — a session's memory is bounded by one
 	// condition however long it monitors: its dispatcher, and the collector
 	// memoizing the counterfactual peeks at it (the oracle scan revisits the
@@ -69,23 +73,16 @@ type Env struct {
 	retired uint64            // shard resends of the conditions left behind
 }
 
-// NewEnv builds an environment over a profile, measuring through at. ref is
-// the reference configuration whose zero-load cost defines the clock unit;
-// measuring it does not advance the clock.
+// NewEnv builds an environment over a profile, measuring through at. ref's
+// zero-load cost is the clock unit: the first Dispatch measures it, under
+// that call's ctx, without advancing the clock.
 func NewEnv(at func(ld cluster.Load) (dispatch.Dispatcher, error), profile cluster.Profile, ref cfgspace.Config) (*Env, error) {
 	d, err := at(cluster.Load{})
 	if err != nil {
 		return nil, fmt.Errorf("drift: dispatcher for the nominal condition: %w", err)
 	}
-	e := &Env{at: at, profile: profile, disp: d, peek: collector.New(d)}
-	samples, err := e.peek.MeasureWorkflows(context.TODO(), []cfgspace.Config{ref})
-	if err != nil {
-		return nil, fmt.Errorf("drift: measuring reference configuration: %w", err)
-	}
-	if e.unit = samples[0].Value; e.unit <= 0 {
-		return nil, fmt.Errorf("drift: reference configuration cost %g must be positive", e.unit)
-	}
-	return e, nil
+	peek := collector.New(d)
+	return &Env{at: at, profile: profile, disp: d, peek: peek, ref: ref, nominal: peek}, nil
 }
 
 // Clock returns the current virtual time in units.
@@ -141,10 +138,23 @@ func (e *Env) current() (dispatch.Dispatcher, *collector.Collector, error) {
 	return e.disp, e.peek, nil
 }
 
-// advanceOf converts one measured value to a clock advance, capped so a
-// single pathological configuration cannot leap past a drift window.
-func (e *Env) advanceOf(v float64) float64 {
-	return min(max(v/e.unit, 0), maxAdvancePerItem)
+// clockUnit returns the clock unit, measuring it on the first Dispatch: a
+// failure fails that Dispatch and leaves the clock at 0. Holding mu across
+// that one measurement makes concurrent first Dispatches share it.
+func (e *Env) clockUnit(ctx context.Context) (float64, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.unit == 0 {
+		samples, err := e.nominal.MeasureWorkflows(ctx, []cfgspace.Config{e.ref})
+		if err != nil {
+			return 0, fmt.Errorf("drift: measuring reference configuration: %w", err)
+		}
+		if samples[0].Value <= 0 {
+			return 0, fmt.Errorf("drift: reference configuration cost %g must be positive", samples[0].Value)
+		}
+		e.unit, e.nominal = samples[0].Value, nil
+	}
+	return e.unit, nil
 }
 
 // Dispatch implements dispatch.Dispatcher: the batch runs under the
@@ -154,6 +164,10 @@ func (e *Env) advanceOf(v float64) float64 {
 // advance is a max over normalized item costs, which keeps the clock
 // independent of both worker count and completion order.
 func (e *Env) Dispatch(ctx context.Context, batch []dispatch.Item) ([]dispatch.Measurement, error) {
+	unit, err := e.clockUnit(ctx)
+	if err != nil {
+		return nil, err
+	}
 	d, _, err := e.current()
 	if err != nil {
 		return nil, err
@@ -168,9 +182,7 @@ func (e *Env) Dispatch(ctx context.Context, batch []dispatch.Item) ([]dispatch.M
 	}
 	adv := 0.0
 	for _, v := range vals {
-		if a := e.advanceOf(v); a > adv {
-			adv = a
-		}
+		adv = max(adv, min(max(v/unit, 0), maxAdvancePerItem))
 	}
 	e.mu.Lock()
 	e.clock += adv

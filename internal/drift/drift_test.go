@@ -2,7 +2,9 @@ package drift
 
 import (
 	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"ceal/internal/cfgspace"
@@ -54,15 +56,15 @@ func newTestEnv(t *testing.T, prof cluster.Profile, workers int) *Env {
 
 func TestEnvClockAdvancesByProbeCost(t *testing.T) {
 	env := newTestEnv(t, stepAt5{}, 1)
-	if env.unit != 1 {
-		t.Fatalf("unit = %v, want 1", env.unit)
-	}
 	if env.Clock() != 0 {
 		t.Fatalf("fresh clock = %v", env.Clock())
 	}
 	v, err := env.Probe(context.Background(), cfgspace.Config{2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if env.unit != 1 {
+		t.Fatalf("unit = %v, want 1", env.unit)
 	}
 	if v != 2 || env.Clock() != 2 {
 		t.Fatalf("probe = %v, clock = %v; want 2, 2", v, env.Clock())
@@ -79,6 +81,50 @@ func TestEnvClockAdvancesByProbeCost(t *testing.T) {
 	}
 	if env.Clock() != 10 {
 		t.Fatalf("clock = %v, want 10", env.Clock())
+	}
+}
+
+// countingEval is stubEval counting its workflow measurements.
+type countingEval struct {
+	stubEval
+	calls *int
+}
+
+func (c countingEval) MeasureWorkflow(cfg cfgspace.Config) (float64, error) {
+	*c.calls++
+	return c.stubEval.MeasureWorkflow(cfg)
+}
+
+// TestEnvMeasuresUnitUnderFirstDispatch: building an environment measures
+// nothing; the clock unit is measured by the first Dispatch, under its ctx,
+// so a cancelled first Dispatch fails with the reference measurement's error
+// and leaves the clock at 0.
+func TestEnvMeasuresUnitUnderFirstDispatch(t *testing.T) {
+	calls := 0
+	env, err := NewEnv(func(ld cluster.Load) (dispatch.Dispatcher, error) {
+		ev := countingEval{stubEval{scale: 1 + ld.ComputeSlowdown}, &calls}
+		return &dispatch.Local{Eval: ev, Runner: &dispatch.Runner{Workers: 1}}, nil
+	}, stepAt5{}, cfgspace.Config{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 0 {
+		t.Fatalf("NewEnv measured %d configurations", calls)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = env.Probe(ctx, cfgspace.Config{2})
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "measuring reference configuration") {
+		t.Fatalf("cancelled first Dispatch: %v", err)
+	}
+	if calls != 0 || env.Clock() != 0 {
+		t.Fatalf("cancelled first Dispatch measured %d, clock %v", calls, env.Clock())
+	}
+	if v, err := env.Probe(context.Background(), cfgspace.Config{2}); err != nil || v != 2 || env.Clock() != 2 {
+		t.Fatalf("probe = %v, %v; clock %v, want 2, 2", v, err, env.Clock())
+	}
+	if calls != 2 {
+		t.Fatalf("reference and probe took %d measurements, want 2", calls)
 	}
 }
 

@@ -15,9 +15,10 @@ import (
 // problem built exactly like NewProblem that measures through it, and a
 // regret oracle over the full candidate pool (a prefix oracle can miss a
 // drift-shifted optimum entirely, which silently clamps regret to zero).
-// Everything is deterministic from (seed, profile), at any worker count and
-// wherever it measures. The caller picks the Algorithm and may adjust Opts
-// before Run.
+// Assembly measures nothing: the environment measures its clock unit on
+// the session's first dispatch, under the run's ctx. Everything is
+// deterministic from (seed, profile), at any worker count and wherever it
+// measures. The caller picks the Algorithm and may adjust Opts before Run.
 func NewContinuous(job dispatch.Job, poolSize int, profileName string, workers int, remote func(dispatch.Job) dispatch.Dispatcher) (*tuner.Continuous, error) {
 	prof, err := cluster.ParseProfile(profileName, job.Seed)
 	if err != nil {

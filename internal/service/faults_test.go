@@ -16,6 +16,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/iotest"
 	"time"
@@ -33,84 +34,114 @@ import (
 // network faults. A schedule is a function of one seed: which spec runs,
 // which append kills replica a and how much of that frame lands, whether the
 // run is cancelled mid-flight, and which requests the network breaks. After
-// every schedule the run must be indistinguishable from the fault-free
-// in-process run of its spec.
+// every schedule the run must be indistinguishable from the fault-free run
+// of its spec.
 
-// Store frames an uninterrupted fault-free run appends, and the worker
-// requests it posts that a DELETE can stop: a tinySpec run appends its
-// queued and running records, one progress frame and its terminal frame,
-// and posts its one batch as two shards; a contSpec session appends ten
-// progress frames between those and posts 23 shards after its build.
-const (
-	tuneFrames, tuneRequests = 4, 2
-	contFrames, contRequests = 13, 23
-)
+// planeAlgorithms are the algorithms a schedule draws its spec from.
+var planeAlgorithms = []string{"rs", "al", "geist", "alph", "ceal"}
 
 // planeSeeds is FuzzPlaneSchedule's seed corpus; a seed's layout is
-// schedule's. It kills replica a at every frame of a tinySpec run with each
-// of the four crash images, kills runs cancelled and resumed mid-flight,
-// and kills continuous sessions at every frame. It compacts the store
-// mid-run, at a run's end, and mid-session; and it restarts a while a
-// sibling runs the run a resumed.
-func planeSeeds() []uint64 {
+// schedule's. Every (algorithm, run kind) pair runs with replica a killed at
+// every frame of its fault-free run (every third frame of a session other
+// than CEAL's), and is cancelled at its first, a middle and its last request
+// and resumed: without a kill, with one at its third frame, and with one
+// past its fault-free frame count. A random-sampling tune is cancelled at
+// every kill point instead, and a CEAL session at every other, the DELETE
+// moving along the run with the kill. A random-sampling tune is killed at
+// every frame with each of the four crash images. The store is compacted
+// mid-run, at a run's end and mid-session, and a restarts while a sibling
+// runs the run a resumed.
+func planeSeeds(tb testing.TB) []uint64 {
 	var seeds []uint64
-	add := func(crash, flags uint64) {
+	add := func(alg int, crash, hold, flags uint64) {
 		n := uint64(len(seeds))
-		seeds = append(seeds, crash|flags|n%4<<8|n<<10)
+		seeds = append(seeds, crash|flags|n%4<<8|uint64(alg)<<10|hold<<13|n<<19)
 	}
-	for crash := uint64(0); crash <= tuneFrames; crash++ {
-		for range 4 {
-			add(crash, 0)
+	for alg := range planeAlgorithms {
+		for _, kind := range []uint64{0, contBit} {
+			ff := faultFreeRun(tb, schedule{alg: alg, cont: kind != 0}.spec())
+			if ff.requests > 64 || ff.frames+2 > 63 {
+				// A seed holds the hold in six bits and the crash point in six.
+				tb.Fatalf("%s: %d requests and %d frames overflow a seed", schedule{alg: alg, cont: kind != 0}.spec().Key(), ff.requests, ff.frames)
+			}
+			frames, last := uint64(ff.frames), uint64(ff.requests-1)
+			step := uint64(1)
+			if kind != 0 && planeAlgorithms[alg] != "ceal" {
+				step = 3
+			}
+			for crash := uint64(0); crash <= frames; crash += step {
+				add(alg, crash, crash*last/frames, kind)
+			}
+			if alg == 0 && kind == 0 || planeAlgorithms[alg] == "ceal" && kind != 0 {
+				for crash := uint64(0); crash <= frames+2; crash += 1 + kind/contBit {
+					add(alg, crash, crash*last/(frames+2), kind|cancelBit)
+				}
+				continue
+			}
+			for i, hold := range []uint64{0, last / 2, last} {
+				add(alg, []uint64{0, 3, frames + 2}[i], hold, kind|cancelBit)
+			}
 		}
 	}
-	for crash := uint64(0); crash <= 7; crash++ {
-		add(crash, cancelBit)
+	rsFrames := uint64(faultFreeRun(tb, schedule{}.spec()).frames)
+	for crash := uint64(1); crash <= rsFrames; crash++ {
+		for range 4 {
+			add(0, crash, 0, 0)
+		}
 	}
-	for crash := uint64(0); crash <= contFrames; crash++ {
-		add(crash, contBit)
-	}
-	for _, crash := range []uint64{0, 4, 9, 10, 11, 13, 16, 20, 23} {
-		add(crash, contBit|cancelBit)
-	}
-	add(3, compactBit)
-	add(4, compactBit)
-	add(5, contBit|compactBit)
-	add(9, contBit|compactBit)
-	add(13, contBit|compactBit)
-	add(2, rejoinBit)
-	add(2, rejoinBit)
-	add(4, contBit|rejoinBit)
-	// A DELETE while the session's build measures under no context, and a
-	// replica that dies admitting a resume.
-	return append(seeds, 0x99fe, 0xa8cb)
+	add(0, 3, 0, compactBit)
+	add(1, 4, 1, compactBit)
+	add(4, 5, 2, contBit|compactBit)
+	add(2, 9, 8, contBit|compactBit)
+	add(3, 2, 0, rejoinBit)
+	add(4, 4, 3, contBit|rejoinBit)
+	return seeds
 }
 
 // FuzzPlaneSchedule runs one fault schedule per seed. The corpus runs under
 // plain go test; -fuzz explores further seeds.
 func FuzzPlaneSchedule(f *testing.F) {
-	for _, seed := range planeSeeds() {
+	for _, seed := range planeSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
-		p := newPlane(t, newSchedule(seed))
+		p := newPlane(t, newSchedule(t, seed))
 		defer p.shutdown()
 		p.run()
 	})
 }
 
-// schedule is everything one seed decides. Its low ten bits choose the
-// crash point, the spec, whether to cancel and the crash image, and its top
-// two whether replica a compacts or rejoins; the rest seed every other
-// choice.
+// diesAdmittingResume is a CEAL session's schedule: DELETEd at its 16th
+// worker request, resumed on replica a, which dies at its 7th frame,
+// admitting the resume, with nothing of that frame landing.
+const diesAdmittingResume = 0x1f0c7
+
+// TestPlaneDiesAdmittingResume replays the schedule in which replica a dies
+// admitting a resume, and checks it still does: a seed's layout lays crash
+// points over frame counts, which move when the run's frames do.
+func TestPlaneDiesAdmittingResume(t *testing.T) {
+	p := newPlane(t, newSchedule(t, diesAdmittingResume))
+	defer p.shutdown()
+	p.run()
+	if !p.diedAdmitting {
+		t.Fatalf("seed %#x no longer kills replica a admitting a resume", uint64(diesAdmittingResume))
+	}
+}
+
+// schedule is everything one seed decides. Its low thirteen bits choose the
+// crash point, the run kind, whether to cancel, the crash image and the
+// algorithm; the next six choose the request the network parks; the top two
+// whether replica a compacts or rejoins; the rest seed every other choice.
 type schedule struct {
 	seed    uint64
 	crashAt int  // replica a dies at its crashAt-th append; 0 never (bits 0–5)
-	cont    bool // contSpec() rather than tinySpec (contBit)
+	cont    bool // a continuous session rather than a tune (contBit)
 	cancel  bool // DELETE the run mid-flight, then resume it (cancelBit)
 	// How much of the crashing frame lands (bits 8–9): nothing, the whole
 	// frame, a torn prefix of a seeded length, or the whole frame and then a
 	// compaction that dies before its rename.
 	image int
+	alg   int // index into planeAlgorithms (bits 10–12, mod its length)
 	// Replica a compacts the store at its crashAt-th frame instead of dying
 	// there (compactBit). Never with cancel: a sibling running the resumed
 	// run would be appending, and Compact wants a quiescent store.
@@ -119,8 +150,10 @@ type schedule struct {
 	// leave that run alone (rejoinBit).
 	rejoin bool
 
-	replicas int    // replicas on the store directory: 2 or 3
-	hold     int    // the network parks the hold-th request a DELETE can stop
+	replicas int // replicas on the store directory: 2 or 3
+	// The network parks the hold-th worker request, counted over the whole
+	// run: 1 + bits 13–18 mod the fault-free run's requests; 0 never.
+	hold     int
 	cut      uint64 // a torn frame keeps 1 + cut%(len-1) bytes
 	picks    uint64 // which replica resumes, and which is asked again
 	faults   uint64 // keys each first sighting's fault draw
@@ -143,36 +176,36 @@ const (
 	imageRenameLost
 )
 
-func newSchedule(seed uint64) schedule {
-	r := rand.New(rand.NewPCG(seed>>10, 0xcea1))
-	cont, requests := seed&contBit != 0, tuneRequests
-	if cont {
-		requests = contRequests
+func newSchedule(tb testing.TB, seed uint64) schedule {
+	s := schedule{
+		seed:    seed,
+		crashAt: int(seed & 63),
+		cont:    seed&contBit != 0,
+		cancel:  seed&cancelBit != 0,
+		image:   int(seed >> 8 & 3),
+		alg:     int(seed>>10&7) % len(planeAlgorithms),
+		compact: seed&compactBit != 0 && seed&cancelBit == 0,
+		rejoin:  seed&rejoinBit != 0,
 	}
-	return schedule{
-		seed:     seed,
-		crashAt:  int(seed & 63),
-		cont:     cont,
-		cancel:   seed&cancelBit != 0,
-		image:    int(seed >> 8 & 3),
-		compact:  seed&compactBit != 0 && seed&cancelBit == 0,
-		rejoin:   seed&rejoinBit != 0,
-		replicas: 2 + r.IntN(2),
-		hold:     1 + r.IntN(requests),
-		cut:      r.Uint64(),
-		picks:    r.Uint64(),
-		faults:   r.Uint64(),
-		rate:     r.Uint64N(3),
-		down:     r.IntN(3) - 1,
-		downFrom: r.Uint64(),
-	}
+	s.hold = 1 + int(seed>>13&63)%faultFreeRun(tb, s.spec()).requests
+	r := rand.New(rand.NewPCG(seed>>19, 0xcea1))
+	s.replicas = 2 + r.IntN(2)
+	s.cut, s.picks, s.faults = r.Uint64(), r.Uint64(), r.Uint64()
+	s.rate = r.Uint64N(3)
+	s.down = r.IntN(3) - 1
+	s.downFrom = r.Uint64()
+	return s
 }
 
+// spec is the schedule's job: its algorithm on a small LV pool, tuned once
+// or as a session under a step drift.
 func (s schedule) spec() JobSpec {
+	spec := JobSpec{Benchmark: "LV", Algorithm: planeAlgorithms[s.alg], Objective: "comp", Budget: 8, Pool: 30, Seed: 1}
 	if s.cont {
-		return contSpec()
+		spec.Budget, spec.Pool = 12, 60
+		spec.Mode, spec.Drift, spec.Probes = histdb.ModeContinuous, "step", 60
 	}
-	return tinySpec(1)
+	return spec
 }
 
 // fault is what the network does to one request.
@@ -224,10 +257,30 @@ type faultNet struct {
 	seen   map[[2]uint64]int // (worker, body hash) → sightings
 	reqs   int
 	failed int // failed requests since the run's latest admission
+	// Requests no DELETE could stop, and requests of a batch after the one
+	// parked when the run was deleted: each fails the schedule.
+	escaped []string
+	batches atomic.Int64 // batches dispatched; a request carries its own's ordinal
+	parked  int64        // the parked request's batch
+	deleted bool         // the run is deleted and has not ended yet
 
 	held     chan struct{} // closed when the hold-th request parks
 	release  chan struct{} // closed to let it, and any later one, through
 	released bool
+}
+
+// batchKey is the context key of a request's batch ordinal.
+type batchKey struct{}
+
+// numbered is a worker dispatcher that numbers its batches, so the network
+// can tell which batch a request belongs to.
+type numbered struct {
+	*dispatch.Remote
+	net *faultNet
+}
+
+func (d numbered) Dispatch(ctx context.Context, batch []dispatch.Item) ([]dispatch.Measurement, error) {
+	return d.Remote.Dispatch(context.WithValue(ctx, batchKey{}, d.net.batches.Add(1)), batch)
 }
 
 func (n *faultNet) letGo() {
@@ -239,8 +292,8 @@ func (n *faultNet) letGo() {
 	}
 }
 
-// rehold parks the next request a DELETE can stop, returning the channel
-// closed when it does. Callers make sure no request is parked.
+// rehold parks the next request, returning the channel closed when it does.
+// Callers make sure no request is parked.
 func (n *faultNet) rehold() chan struct{} {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -249,12 +302,26 @@ func (n *faultNet) rehold() chan struct{} {
 	return n.held
 }
 
-// admitting zeroes the failure count: the run is about to start again, and
-// no earlier execution of it has a request in flight.
+// admitting zeroes the failure count and ends a deletion: the run is about
+// to start again, and no earlier execution of it has a request in flight.
 func (n *faultNet) admitting() {
 	n.mu.Lock()
-	n.failed = 0
+	n.failed, n.deleted = 0, false
 	n.mu.Unlock()
+}
+
+// deleting marks the run deleted while a request of its parked batch waits.
+func (n *faultNet) deleting() {
+	n.mu.Lock()
+	n.deleted = true
+	n.mu.Unlock()
+}
+
+// escapes returns what has escaped cancellation so far.
+func (n *faultNet) escapes() []string {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return slices.Clone(n.escaped)
 }
 
 func (n *faultNet) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -266,19 +333,28 @@ func (n *faultNet) RoundTrip(req *http.Request) (*http.Response, error) {
 	hash := fnv.New64a()
 	hash.Write(body)
 	h, w := hash.Sum64(), int(req.URL.Host[1]-'0')
+	batch, _ := req.Context().Value(batchKey{}).(int64)
 	n.mu.Lock()
+	n.reqs++
+	if req.Context().Done() == nil {
+		// Nothing could stop it, so it must not run, let alone park.
+		err := fmt.Errorf("request %d (batch %d) has no cancellable context", n.reqs, batch)
+		n.escaped = append(n.escaped, err.Error())
+		n.mu.Unlock()
+		return nil, err
+	}
+	if n.deleted && batch != n.parked {
+		n.escaped = append(n.escaped, fmt.Sprintf("request %d is of batch %d, after the DELETE at parked batch %d", n.reqs, batch, n.parked))
+	}
 	key := [2]uint64{uint64(w), h}
 	f := n.s.fate(w, h, n.seen[key])
 	n.seen[key]++
 	if f != deliver && f != duplicate && f != reorder {
 		n.failed++
 	}
-	// Only a request a DELETE can stop may park: a continuous session's
-	// build measures its baseline under no context.
-	park := false
-	if req.Context().Done() != nil {
-		n.reqs++
-		park = n.reqs == n.s.hold
+	park := n.reqs == n.s.hold
+	if park {
+		n.parked = batch
 	}
 	held, release := n.held, n.release
 	n.mu.Unlock()
@@ -516,44 +592,85 @@ type view struct {
 	Deduped    bool            `json:"deduped"`
 }
 
-// baselines holds each spec's fault-free in-process run, by spec key.
-var baselines sync.Map
+// faultFree is a spec's fault-free run: the record every schedule of the
+// spec must end with, which is the in-process run's (local dispatch, a
+// MemStore), and the store frames and worker requests the spec's run on a
+// fault-free plane takes, over which schedules lay their crash points and
+// holds. The plane's run must end with the in-process record.
+type faultFree struct {
+	view
+	frames, requests int
+}
 
-// baseline is the schedule's spec run fault-free on one in-process replica
-// over a MemStore.
-func (p *plane) baseline() view {
-	p.t.Helper()
-	spec := p.s.spec()
-	if v, ok := baselines.Load(spec.Key()); ok {
-		return v.(view)
+// faultFrees holds each spec's fault-free run, by spec key.
+var faultFrees sync.Map
+
+func faultFreeRun(tb testing.TB, spec JobSpec) faultFree {
+	tb.Helper()
+	if ff, ok := faultFrees.Load(spec.Key()); ok {
+		return ff.(faultFree)
 	}
+	alg := slices.Index(planeAlgorithms, spec.Algorithm)
+	p := newPlane(tb, schedule{alg: alg, cont: spec.Mode == histdb.ModeContinuous, replicas: 1, down: -1})
+	defer p.shutdown()
+	id, done := p.submit(p.reps[0])
+	<-done
+	_, v := p.get(p.reps[0], id)
+	p.noEscapes()
+	want := p.inProcess()
+	if v.State != histdb.StateDone {
+		p.fatalf("fault-free %s run %s is %s (%s)", spec.Key(), id, v.State, v.Error)
+	}
+	if !bytes.Equal(v.Result, want.Result) || !bytes.Equal(v.Continuous, want.Continuous) ||
+		v.Collector.Hits != want.Collector.Hits || v.Collector.Misses != want.Collector.Misses {
+		p.fatalf("fault-free %s run on the workers differs from the in-process run:\n got %s %s %+v\nwant %s %s %+v",
+			spec.Key(), v.Result, v.Continuous, v.Collector, want.Result, want.Continuous, want.Collector)
+	}
+	ff := faultFree{view: want}
+	st := p.reps[0].store
+	st.mu.Lock()
+	ff.frames = st.frames
+	st.mu.Unlock()
+	p.net.mu.Lock()
+	ff.requests = p.net.reqs
+	p.net.mu.Unlock()
+	faultFrees.Store(spec.Key(), ff)
+	return ff
+}
+
+// inProcess is the schedule's spec run fault-free on one in-process replica
+// over a MemStore.
+func (p *plane) inProcess() view {
+	p.t.Helper()
 	m := NewManager(Options{Workers: 1})
 	defer m.Shutdown(context.Background())
 	r := &replica{m: m, srv: NewServer(m)}
-	code, body := r.do(http.MethodPost, "/v1/runs", spec)
+	code, body := r.do(http.MethodPost, "/v1/runs", p.s.spec())
 	if code != http.StatusCreated {
-		p.fatalf("baseline submit = %d: %s", code, body)
+		p.fatalf("in-process submit = %d: %s", code, body)
 	}
 	id := p.decode(body).ID
 	<-r.follow(id)
 	_, v := p.get(r, id)
 	if v.State != histdb.StateDone {
-		p.fatalf("baseline run %s is %s (%s)", id, v.State, v.Error)
+		p.fatalf("in-process run %s is %s (%s)", id, v.State, v.Error)
 	}
-	baselines.Store(spec.Key(), v)
 	return v
 }
 
 // plane is one schedule's system.
 type plane struct {
-	t    *testing.T
+	t    testing.TB
 	s    schedule
 	dir  string
 	net  *faultNet
 	reps []*replica // reps[0] is replica a, the one that may crash
+	// Replica a died admitting a resume: it wrote the queued frame, or not,
+	// but its answer never left.
+	diedAdmitting bool
 }
 
-func newPlane(t *testing.T, s schedule) *plane {
+func newPlane(t testing.TB, s schedule) *plane {
 	p := &plane{t: t, s: s, dir: filepath.Join(t.TempDir(), "runs")}
 	p.net = &faultNet{
 		s:       s,
@@ -589,7 +706,7 @@ func (p *plane) open(id string, crashAt int) *replica {
 	remote := func(job dispatch.Job) dispatch.Dispatcher {
 		r := dispatch.NewRemote([]string{"http://w0", "http://w1"}, job)
 		r.Client = &http.Client{Transport: p.net}
-		return r
+		return numbered{r, p.net}
 	}
 	m := NewManager(Options{Workers: 1, Store: st, ReplicaID: id, Build: func(s JobSpec) (*tuner.Problem, tuner.Algorithm, error) {
 		return buildSpec(s, remote)
@@ -651,6 +768,7 @@ func (p *plane) resume(id string) (*replica, <-chan struct{}) {
 		p.fatalf("resume on %s = %d: %s", r.id, code, body)
 	}
 	if closed(r.store.crashed) {
+		p.diedAdmitting = true
 		return r, r.follow(id) // r died admitting it: its answer never left
 	}
 	if code, body := again.do(http.MethodPost, "/v1/runs/"+id+"/resume", nil); code != http.StatusConflict {
@@ -685,7 +803,8 @@ func (p *plane) run() {
 	owner := p.reps[0]
 	id, done := p.submit(owner)
 	crashed, held := p.reps[0].store.crashed, p.net.held
-	rejoin := false // a restarts at the next park
+	rejoin := false  // a restarts at the next park
+	deleted := false // the execution running now was sent a DELETE
 	for {
 		select {
 		case <-crashed:
@@ -697,7 +816,7 @@ func (p *plane) run() {
 			// Replica a is dead: it restarts on the same directory under the
 			// same ID and finds the run as the crash left it. A later park
 			// would wait on a replica that is gone, so the hold is off.
-			crashed, held = nil, nil
+			crashed, held, deleted = nil, nil, false
 			p.net.letGo()
 			a := p.restart()
 			<-done
@@ -742,7 +861,10 @@ func (p *plane) run() {
 				p.net.letGo()
 				continue
 			}
-			// DELETE lands within the parked batch and leaves a resumable record.
+			// DELETE lands within the parked batch and leaves a resumable
+			// record; no later batch reaches the workers.
+			p.net.deleting()
+			deleted = true
 			if code, body := owner.do(http.MethodDelete, "/v1/runs/"+id, nil); code != http.StatusOK {
 				p.fatalf("DELETE %s on %s = %d: %s", id, owner.id, code, body)
 			}
@@ -753,6 +875,11 @@ func (p *plane) run() {
 			if closed(crashed) {
 				continue
 			}
+			p.noEscapes()
+			if deleted && v.State != histdb.StateCancelled {
+				p.fatalf("run %s ended %s (%s) after a DELETE", id, v.State, v.Error)
+			}
+			deleted = false
 			switch v.State {
 			case histdb.StateDone:
 				done = nil
@@ -769,6 +896,14 @@ func (p *plane) run() {
 	}
 }
 
+// noEscapes fails the schedule if any request escaped cancellation.
+func (p *plane) noEscapes() {
+	p.t.Helper()
+	if esc := p.net.escapes(); len(esc) > 0 {
+		p.fatalf("%d requests escaped cancellation: %s", len(esc), strings.Join(esc, "; "))
+	}
+}
+
 // closed reports whether ch is closed (a nil ch never is).
 func closed(ch <-chan struct{}) bool {
 	select {
@@ -782,7 +917,8 @@ func closed(ch <-chan struct{}) bool {
 // check asserts the invariants on finished run id.
 func (p *plane) check(id string) {
 	p.t.Helper()
-	want := p.baseline()
+	p.noEscapes()
+	want := faultFreeRun(p.t, p.s.spec())
 	p.net.mu.Lock()
 	failed := p.net.failed
 	p.net.mu.Unlock()
@@ -793,11 +929,10 @@ func (p *plane) check(id string) {
 	if err != nil {
 		p.fatalf("compacting at frame %d: %v", p.s.crashAt, err)
 	}
-	if p.s.crashAt == 0 && !p.s.cancel {
-		// The corpus's crash points are laid out over these counts.
-		if want := map[bool]int{false: tuneFrames, true: contFrames}[p.s.cont]; frames != want {
-			p.fatalf("an uninterrupted run appended %d frames, want %d", frames, want)
-		}
+	if p.s.crashAt == 0 && !p.s.cancel && frames != want.frames {
+		// Network faults change no frame: the corpus lays crash points out
+		// over the fault-free count.
+		p.fatalf("an uninterrupted run appended %d frames, the fault-free run %d", frames, want.frames)
 	}
 	same := func(where string, v view) {
 		p.t.Helper()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
@@ -265,6 +266,33 @@ func TestManagerCancelMidRunWithinOneBatch(t *testing.T) {
 	}
 	if mt := m.Metrics(); mt.Cancelled != 1 {
 		t.Fatalf("metrics = %+v", mt)
+	}
+}
+
+// TestDeleteStopsGEISTGraphBuild: GEIST builds its parameter graph before
+// it selects a batch, and at pool 20 000 that build is seconds of work. A
+// DELETE while it runs ends the run cancelled before any batch is selected.
+func TestDeleteStopsGEISTGraphBuild(t *testing.T) {
+	m := NewManager(Options{Workers: 1})
+	defer m.Shutdown(context.Background())
+	rec, _, err := m.Submit(JobSpec{Benchmark: "LV", Algorithm: "geist", Objective: "comp", Budget: 20, Pool: 20_000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, m, rec.ID)
+	rr := httptest.NewRecorder()
+	NewServer(m).ServeHTTP(rr, httptest.NewRequest(http.MethodDelete, "/v1/runs/"+rec.ID, nil))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("DELETE = %d: %s", rr.Code, rr.Body)
+	}
+	got := waitDone(t, m, rec.ID)
+	if got.State != histdb.StateCancelled {
+		t.Fatalf("state = %s (%s)", got.State, got.Error)
+	}
+	for _, line := range got.Trace {
+		if bytes.Contains(line, []byte(events.KindBatchSelected)) {
+			t.Fatalf("the cancelled run went on to select a batch: %s", line)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package tuner
 import (
 	"math/rand/v2"
 	"sort"
+	"sync"
 	"time"
 
 	"ceal/internal/cfgspace"
@@ -24,8 +25,14 @@ const (
 // supervised label propagation over a parameter graph identifies unmeasured
 // configurations likely to be in the top 5%, which are measured next. The
 // final surrogate is the same boosted-tree model trained on all
-// measurements.
-type GEIST struct{}
+// measurements. A GEIST value keeps the last graph it built and the pool it
+// built it over, so the epochs of a session, or the replications of a
+// battery, that tune over one pool build it once; it dies with the value.
+type GEIST struct {
+	mu    sync.Mutex
+	pool  []cfgspace.Config
+	graph [][]int
+}
 
 // NewGEIST returns GEIST.
 func NewGEIST() *GEIST { return &GEIST{} }
@@ -34,8 +41,8 @@ func NewGEIST() *GEIST { return &GEIST{} }
 func (*GEIST) Name() string { return "GEIST" }
 
 // Tune implements Algorithm.
-func (*GEIST) Tune(p *Problem, budget int) (*Result, error) {
-	s := &geistStrategy{surrogateBacked: surrogateBacked{newSurrogate(p)}}
+func (g *GEIST) Tune(p *Problem, budget int) (*Result, error) {
+	s := &geistStrategy{surrogateBacked: surrogateBacked{newSurrogate(p)}, g: g}
 	loop := &Loop{Algorithm: "GEIST", Salt: saltGEIST, Iterations: alIterations, Strategy: s}
 	return loop.Run(p, budget)
 }
@@ -47,6 +54,7 @@ func (*GEIST) Tune(p *Problem, budget int) (*Result, error) {
 // trace event fires from Finish.
 type geistStrategy struct {
 	surrogateBacked
+	g          *GEIST
 	graph      [][]int
 	measured   map[int]float64 // pool index -> measured value
 	unmeasured map[int]bool
@@ -55,7 +63,10 @@ type geistStrategy struct {
 
 func (s *geistStrategy) SeedBatch(st *State) ([]cfgspace.Config, error) {
 	p := st.Problem
-	s.graph = p.parameterGraph(geistNeighbors)
+	var err error
+	if s.graph, err = s.g.graphFor(p); err != nil {
+		return nil, err
+	}
 	s.measured = make(map[int]float64)
 	s.unmeasured = make(map[int]bool, len(p.Pool))
 	for i := range p.Pool {

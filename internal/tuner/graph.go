@@ -1,70 +1,75 @@
 package tuner
 
 import (
-	"sync"
+	"context"
 
 	"ceal/internal/cfgspace"
+	"ceal/internal/score"
 )
 
-// graphCache shares built parameter graphs across Problems over the same
-// pool (experiment batteries create one Problem per replication but reuse
-// the pool slice). Keyed by the pool's backing array identity, its length,
-// and k; safe for concurrent replications.
-var graphCache sync.Map // graphKey -> [][]int
-
-type graphKey struct {
-	pool *cfgspace.Config
-	n    int
-	k    int
+// graphFor returns the parameter graph over p's pool: the one g built last
+// if it is over this very pool, else one built now under p's ctx. Holding
+// mu across the build lets replications waiting on it reuse its graph.
+func (g *GEIST) graphFor(p *Problem) ([][]int, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if len(p.Pool) > 0 && len(g.pool) == len(p.Pool) && &g.pool[0] == &p.Pool[0] {
+		return g.graph, nil
+	}
+	graph, err := parameterGraph(p.context(), p.engine(), p.Space, p.Pool, geistNeighbors)
+	if err != nil {
+		return nil, err
+	}
+	g.pool, g.graph = p.Pool, graph
+	return graph, nil
 }
 
-// parameterGraph builds (or fetches from the shared cache) the k-nearest-
-// neighbour graph over the pool in normalized parameter space — GEIST's
-// "parameter graph".
-func (p *Problem) parameterGraph(k int) [][]int {
-	n := len(p.Pool)
-	if k > n-1 {
-		k = n - 1
-	}
-	key := graphKey{pool: &p.Pool[0], n: n, k: k}
-	if g, ok := graphCache.Load(key); ok {
-		return g.([][]int)
-	}
+// parameterGraph builds GEIST's "parameter graph": each pool row's k
+// nearest neighbours in normalized parameter space, nearest first, ties to
+// the lower index. Rows fan out across eng, and ctx is checked before every
+// row (the engine hands each worker one chunk, so a per-chunk check would
+// stop nothing): a cancelled build stops within one row per worker.
+func parameterGraph(ctx context.Context, eng *score.Engine, space *cfgspace.Space, pool []cfgspace.Config, k int) ([][]int, error) {
+	n := len(pool)
+	k = min(k, n-1)
 	feats := make([][]float64, n)
-	for i, cfg := range p.Pool {
-		feats[i] = p.Space.Normalized(cfg)
-	}
+	eng.Map(n, func(i int) { feats[i] = space.Normalized(pool[i]) })
 	graph := make([][]int, n)
-	dist := make([]float64, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			dist[j] = sqDist(feats[i], feats[j])
+	eng.MapChunks(n, func(lo, hi int) {
+		dist := make([]float64, k)
+		for i := lo; i < hi; i++ {
+			if ctx.Err() != nil {
+				return
+			}
+			graph[i] = nearest(feats, i, dist)
 		}
-		dist[i] = 1e18 // exclude self
-		graph[i] = smallestK(dist, k)
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	graphCache.Store(key, graph)
-	return graph
+	return graph, nil
 }
 
-// smallestK returns the indices of the k smallest values via partial
-// selection (deterministic tie-break by index).
-func smallestK(vals []float64, k int) []int {
-	idx := make([]int, len(vals))
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := 0; i < k; i++ {
-		best := i
-		for j := i + 1; j < len(idx); j++ {
-			vb, vj := vals[idx[best]], vals[idx[j]]
-			if vj < vb || (vj == vb && idx[j] < idx[best]) {
-				best = j
-			}
+// nearest returns the len(dist) rows closest to row i, ordered by
+// (distance, index), using dist as scratch. Candidates arrive in index
+// order, so one that ties the list's last distance never displaces it.
+func nearest(feats [][]float64, i int, dist []float64) []int {
+	nb := make([]int, 0, len(dist))
+	for j := range feats {
+		d := sqDist(feats[i], feats[j])
+		if j == i || len(nb) == cap(nb) && d >= dist[len(nb)-1] {
+			continue
 		}
-		idx[i], idx[best] = idx[best], idx[i]
+		if len(nb) < cap(nb) {
+			nb = nb[:len(nb)+1]
+		}
+		m := len(nb) - 1
+		for ; m > 0 && dist[m-1] > d; m-- {
+			dist[m], nb[m] = dist[m-1], nb[m-1]
+		}
+		dist[m], nb[m] = d, j
 	}
-	return append([]int(nil), idx[:k]...)
+	return nb
 }
 
 func sqDist(a, b []float64) float64 {

@@ -331,24 +331,6 @@ func TestCapBatch(t *testing.T) {
 	}
 }
 
-func TestParameterGraphSymmetricArity(t *testing.T) {
-	p := synthProblem(17, 60)
-	g := p.parameterGraph(5)
-	if len(g) != 60 {
-		t.Fatalf("graph size %d", len(g))
-	}
-	for i, nbrs := range g {
-		if len(nbrs) != 5 {
-			t.Fatalf("node %d has %d neighbours", i, len(nbrs))
-		}
-		for _, nb := range nbrs {
-			if nb == i {
-				t.Fatalf("node %d lists itself as neighbour", i)
-			}
-		}
-	}
-}
-
 func TestCEALAblationOptionsRun(t *testing.T) {
 	for _, opts := range []CEALOptions{
 		{Iterations: 4, RandomFrac: 0.2, ComponentFrac: 0.3, DisableSwitch: true},
