@@ -5,12 +5,14 @@
 //
 //	paperexp -list
 //	paperexp -exp fig5 -reps 100
+//	paperexp -exp fig5,fig9,fig10 -reps 100
 //	paperexp -exp all -reps 25 -pool 1000 -compsamples 300
 //
 // Paper-scale settings (-reps 100 -pool 2000 -compsamples 500) match §7.1
 // and §7.3 but take correspondingly longer; the defaults trade a little
-// replication for speed. SIGINT/SIGTERM cancel the run between simulation
-// batches.
+// replication for speed. Experiments run in one invocation share their
+// ground truths and the §7 batteries behind Figs. 5–12. SIGINT/SIGTERM
+// cancel the run between simulation batches.
 package main
 
 import (
@@ -20,6 +22,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -36,7 +39,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("paperexp", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		expID   = fs.String("exp", "all", "experiment id (see -list) or 'all'")
+		expIDs  = fs.String("exp", "all", "comma-separated experiment ids (see -list), or 'all'")
 		list    = fs.Bool("list", false, "list experiments and exit")
 		reps    = fs.Int("reps", 25, "replications per algorithm (paper: 100)")
 		pool    = fs.Int("pool", 2000, "workflow pool size (paper: 2000)")
@@ -44,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed    = fs.Uint64("seed", 1, "base random seed")
 		workers = fs.Int("workers", 8, "parallel simulation and replication width")
 		timeout = fs.Duration("timeout", 0, "abort the run after this long (0: no limit)")
-		format  = fs.String("format", "text", "output format: text or csv")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -75,17 +77,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var exps []paperexp.Experiment
-	if *expID == "all" {
+	if *expIDs == "all" {
 		exps = paperexp.All()
 	} else {
-		e, err := paperexp.ByID(*expID)
-		if err != nil {
-			return fail(err)
+		for _, id := range strings.Split(*expIDs, ",") {
+			e, err := paperexp.ByID(id)
+			if err != nil {
+				return fail(err)
+			}
+			exps = append(exps, e)
 		}
-		exps = []paperexp.Experiment{e}
-	}
-	if *format != "text" && *format != "csv" {
-		return fail(fmt.Errorf("unknown format %q (want text or csv)", *format))
 	}
 
 	opt := paperexp.Options{
@@ -134,11 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "%s done in %v\n", e.ID, time.Since(start).Round(time.Millisecond))
 		fmt.Fprintf(stdout, "\n##### %s\n\n", e.Title)
 		for _, t := range tables {
-			if *format == "csv" {
-				fmt.Fprintf(stdout, "# %s\n%s\n", t.Title, t.CSV())
-			} else {
-				fmt.Fprintln(stdout, t.String())
-			}
+			fmt.Fprintln(stdout, t.String())
 		}
 	}
 	return 0

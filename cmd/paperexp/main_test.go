@@ -16,7 +16,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"unknown flag", []string{"-bogus"}, 2, ""},
 		{"positional args", []string{"fig5"}, 2, "unexpected arguments"},
 		{"bad experiment", []string{"-exp", "fig99"}, 1, "fig99"},
-		{"bad format", []string{"-exp", "fig5", "-format", "yaml"}, 1, "yaml"},
+		{"bad experiment in a list", []string{"-exp", "fig5,fig99"}, 1, "fig99"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

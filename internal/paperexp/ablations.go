@@ -94,7 +94,7 @@ func runAblations(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 		Title:  "Diagnostics: final-model Spearman rank correlation with truth (LV computer time, 50 samples)",
 		Header: []string{"algorithm", "mean Spearman"},
 	}
-	spStats, err := lv50.battery(gts, opt, false, noHistAlgorithms()...)
+	spStats, err := lv50.grid(gts, opt, false)
 	if err != nil {
 		return nil, err
 	}

@@ -26,18 +26,6 @@ type RunSpec struct {
 	Observe func(rep int, alg string) events.Observer
 }
 
-// repMetrics are one algorithm's metrics from a single replication.
-type repMetrics struct {
-	normPerf   float64
-	recall     [10]float64
-	mdapeAll   float64
-	mdapeTop2  float64
-	spearman   float64
-	lnu        float64
-	cost       float64
-	switchIter int
-}
-
 // AlgStats aggregates one algorithm's results over the replications.
 type AlgStats struct {
 	Name string
@@ -91,16 +79,28 @@ func RunBattery(opt Options, spec RunSpec) ([]*AlgStats, error) {
 	}
 	top2 := metrics.TopIndices(top2n, truth)
 
-	runRep := func(rep int) ([]repMetrics, error) {
+	// Each replication writes only its own index of every slot, and the
+	// lowest-index failure wins, so the outcome is scheduling-independent.
+	stats := make([]*AlgStats, len(spec.Algorithms))
+	for i, alg := range spec.Algorithms {
+		st := &AlgStats{Name: alg.Name(), SwitchIter: make([]int, reps)}
+		for _, slots := range []*[]float64{&st.NormPerf, &st.MdAPEAll, &st.MdAPETop2, &st.Spearman, &st.LNU, &st.Cost} {
+			*slots = make([]float64, reps)
+		}
+		for n := range st.Recall {
+			st.Recall[n] = make([]float64, reps)
+		}
+		stats[i] = st
+	}
+	runRep := func(rep int) error {
 		if opt.Ctx != nil {
 			if err := opt.Ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		problem := spec.GT.Problem(Options{Ctx: opt.Ctx}, spec.Obj, spec.WithHistory, opt.Seed+uint64(rep)) // scores serially
 		// Recall, MdAPE and Spearman read the final model's pool scores.
 		problem.ScorePool = true
-		out := make([]repMetrics, len(spec.Algorithms))
 		for i, alg := range spec.Algorithms {
 			problem.Observer = nil
 			if spec.Observe != nil {
@@ -108,22 +108,21 @@ func RunBattery(opt Options, spec RunSpec) ([]*AlgStats, error) {
 			}
 			res, err := alg.Tune(problem, spec.Budget)
 			if err != nil {
-				return nil, fmt.Errorf("paperexp: %s on %s (rep %d): %w", alg.Name(), problem.Name, rep, err)
+				return fmt.Errorf("paperexp: %s on %s (rep %d): %w", alg.Name(), problem.Name, rep, err)
 			}
 			actual, err := spec.GT.Lookup(res.Best, spec.Obj)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			rm := repMetrics{
-				normPerf:   actual / best,
-				mdapeAll:   metrics.MdAPE(truth, res.PoolScores),
-				spearman:   metrics.Spearman(res.PoolScores, truth),
-				lnu:        metrics.LeastNumberOfUses(res.CollectionCost, expert, actual),
-				cost:       res.CollectionCost,
-				switchIter: res.SwitchIteration,
-			}
+			st := stats[i]
+			st.NormPerf[rep] = actual / best
+			st.MdAPEAll[rep] = metrics.MdAPE(truth, res.PoolScores)
+			st.Spearman[rep] = metrics.Spearman(res.PoolScores, truth)
+			st.LNU[rep] = metrics.LeastNumberOfUses(res.CollectionCost, expert, actual)
+			st.Cost[rep] = res.CollectionCost
+			st.SwitchIter[rep] = res.SwitchIteration
 			for n := 1; n <= 10; n++ {
-				rm.recall[n-1] = metrics.RecallScore(n, res.PoolScores, truth)
+				st.Recall[n-1][rep] = metrics.RecallScore(n, res.PoolScores, truth)
 			}
 			at := make([]float64, len(top2))
 			pt := make([]float64, len(top2))
@@ -131,42 +130,16 @@ func RunBattery(opt Options, spec RunSpec) ([]*AlgStats, error) {
 				at[k] = truth[idx]
 				pt[k] = res.PoolScores[idx]
 			}
-			rm.mdapeTop2 = metrics.MdAPE(at, pt)
-			out[i] = rm
+			st.MdAPETop2[rep] = metrics.MdAPE(at, pt)
 		}
-		return out, nil
+		return nil
 	}
 
-	// Fan the replications: each writes only its own slot, and the
-	// lowest-index failure wins, so the outcome is scheduling-independent.
-	allReps := make([][]repMetrics, reps)
 	errs := make([]error, reps)
-	score.New(opt.Workers).Tasks(reps, func(rep int) {
-		allReps[rep], errs[rep] = runRep(rep)
-	})
+	score.New(opt.Workers).Tasks(reps, func(rep int) { errs[rep] = runRep(rep) })
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
-		}
-	}
-
-	stats := make([]*AlgStats, len(spec.Algorithms))
-	for i, alg := range spec.Algorithms {
-		stats[i] = &AlgStats{Name: alg.Name()}
-	}
-	for _, repRes := range allReps {
-		for i, rm := range repRes {
-			st := stats[i]
-			st.NormPerf = append(st.NormPerf, rm.normPerf)
-			for n := 0; n < 10; n++ {
-				st.Recall[n] = append(st.Recall[n], rm.recall[n])
-			}
-			st.MdAPEAll = append(st.MdAPEAll, rm.mdapeAll)
-			st.MdAPETop2 = append(st.MdAPETop2, rm.mdapeTop2)
-			st.Spearman = append(st.Spearman, rm.spearman)
-			st.LNU = append(st.LNU, rm.lnu)
-			st.Cost = append(st.Cost, rm.cost)
-			st.SwitchIter = append(st.SwitchIter, rm.switchIter)
 		}
 	}
 	return stats, nil

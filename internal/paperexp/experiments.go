@@ -72,11 +72,6 @@ func noHistAlgorithms() []tuner.Algorithm {
 	return []tuner.Algorithm{tuner.RS{}, tuner.NewGEIST(), tuner.NewAL(), tuner.NewCEAL()}
 }
 
-// histAlgorithms is the §7.5 comparison set.
-func histAlgorithms() []tuner.Algorithm {
-	return []tuner.Algorithm{tuner.NewCEAL(), tuner.NewALpH()}
-}
-
 // cell is one (workflow, objective, budget) point of the §7 grid.
 type cell struct {
 	WF     string
@@ -100,9 +95,11 @@ func row(stats []*AlgStats, format func(*AlgStats) string, lead ...string) []str
 	return lead
 }
 
-// normPerf and medianLNU format the figures' two headline metrics.
+// normPerf and medianLNU format the figures' two headline metrics; name
+// labels an algorithm's column.
 func normPerf(st *AlgStats) string  { return f3(st.MeanNormPerf()) }
 func medianLNU(st *AlgStats) string { return f0(st.MedianLNU()) }
+func name(st *AlgStats) string      { return st.Name }
 
 // ---------------------------------------------------------------- Table 1
 
@@ -229,19 +226,26 @@ var fig5Cells = []cell{
 }
 
 func runFig5(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
-	t := &Table{
-		Title:  "Fig. 5: normalized performance of the best auto-tuned configuration (no histories; 1 = pool best)",
-		Header: []string{"wf", "objective", "m", "RS", "GEIST", "AL", "CEAL"},
-	}
-	for _, c := range fig5Cells {
-		stats, err := c.battery(gts, opt, false, noHistAlgorithms()...)
+	return normPerfFigure(gts, opt, "Fig. 5", false, fig5Cells, &Table{
+		Title: "Fig. 5: normalized performance of the best auto-tuned configuration (no histories; 1 = pool best)",
+		Notes: []string{"paper shape: CEAL lowest in every cell; RS/GEIST can exceed 2x on small budgets"},
+	})
+}
+
+// normPerfFigure fills t (Figs. 5 and 10) with each cell's mean normalized
+// performance per algorithm, then adds CEAL's differences from the others.
+func normPerfFigure(gts map[string]*GroundTruth, opt Options, fig string, withHistory bool, cells []cell, t *Table) ([]*Table, error) {
+	d := diffTable(fig, "CEAL minus each comparator")
+	for _, c := range cells {
+		stats, err := c.grid(gts, opt, withHistory)
 		if err != nil {
 			return nil, err
 		}
+		t.Header = row(stats, name, "wf", "objective", "m")
 		t.AddRow(row(stats, normPerf, c.WF, c.Obj.Short(), fmt.Sprintf("%d", c.Budget))...)
+		cealDiffs(d, opt.Seed, true, f3, c, "norm. perf", stats, func(st *AlgStats) []float64 { return st.NormPerf })
 	}
-	t.Notes = append(t.Notes, "paper shape: CEAL lowest in every cell; RS/GEIST can exceed 2x on small budgets")
-	return []*Table{t}, nil
+	return []*Table{t, d}, nil
 }
 
 // ------------------------------------------------------------------ Fig 6
@@ -251,47 +255,54 @@ func runFig6(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 		Title:  "Fig. 6: prediction MdAPE (%) of auto-tuning models without histories",
 		Header: []string{"cell", "dataset", "RS", "GEIST", "AL", "CEAL"},
 	}
+	d := diffTable("Fig. 6", "CEAL minus each comparator")
 	for _, c := range []cell{{"LV", CompTime, 50}, {"HS", ExecTime, 100}, {"GP", CompTime, 25}} {
-		stats, err := c.battery(gts, opt, false, noHistAlgorithms()...)
+		stats, err := c.grid(gts, opt, false)
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(row(stats, func(st *AlgStats) string { return f1(metrics.Mean(st.MdAPETop2)) }, c.String(), "top 2%")...)
 		t.AddRow(row(stats, func(st *AlgStats) string { return f1(metrics.Mean(st.MdAPEAll)) }, c.String(), "all")...)
+		cealDiffs(d, opt.Seed, true, f1, c, "top-2% MdAPE", stats, func(st *AlgStats) []float64 { return st.MdAPETop2 })
 	}
 	t.Notes = append(t.Notes, "paper shape: CEAL's top-2% MdAPE is much lower than the others'; over all configs it is comparable or a little higher")
-	return []*Table{t}, nil
+	return []*Table{t, d}, nil
 }
 
 // ------------------------------------------------------------------ Fig 7
 
 func runFig7(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 	cells := []cell{{"LV", ExecTime, 100}, {"HS", ExecTime, 100}, {"LV", CompTime, 50}, {"GP", CompTime, 50}}
-	return recallPanels(gts, opt, "Fig. 7", false, cells, noHistAlgorithms())
+	return recallPanels(gts, opt, "Fig. 7", false, cells)
 }
 
-// recallPanels renders one top-n recall table per cell (Figs. 7 and 11).
-func recallPanels(gts map[string]*GroundTruth, opt Options, fig string, withHistory bool, cells []cell, algs []tuner.Algorithm) ([]*Table, error) {
+// recallPanels renders one top-n recall table per cell (Figs. 7 and 11),
+// then CEAL's top-1 to top-3 recall differences from each comparator.
+func recallPanels(gts map[string]*GroundTruth, opt Options, fig string, withHistory bool, cells []cell) ([]*Table, error) {
 	histories := "no histories"
 	if withHistory {
 		histories = "with histories"
 	}
 	var out []*Table
+	d := diffTable(fig, "CEAL minus each comparator")
 	for _, c := range cells {
-		stats, err := c.battery(gts, opt, withHistory, algs...)
+		stats, err := c.grid(gts, opt, withHistory)
 		if err != nil {
 			return nil, err
 		}
 		t := &Table{
 			Title:  fmt.Sprintf("%s: recall scores (%%), %s, %s", fig, c, histories),
-			Header: append([]string{"top n"}, algNames(algs)...),
+			Header: row(stats, name, "top n"),
 		}
 		for n := 1; n <= 9; n++ {
 			t.AddRow(row(stats, func(st *AlgStats) string { return f1(st.MeanRecall(n)) }, fmt.Sprintf("%d", n))...)
 		}
 		out = append(out, t)
+		for n := 1; n <= 3; n++ {
+			cealDiffs(d, opt.Seed, false, f1, c, fmt.Sprintf("top-%d recall", n), stats, func(st *AlgStats) []float64 { return st.Recall[n-1] })
+		}
 	}
-	return out, nil
+	return append(out, d), nil
 }
 
 // ------------------------------------------------------------------ Fig 8
@@ -302,11 +313,11 @@ func runFig8(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 		Header: []string{"wf", "AL", "CEAL"},
 	}
 	for _, wf := range []string{"LV", "HS"} {
-		stats, err := cell{wf, CompTime, 50}.battery(gts, opt, false, tuner.NewAL(), tuner.NewCEAL())
+		stats, err := cell{wf, CompTime, 50}.grid(gts, opt, false)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(row(stats, medianLNU, wf)...)
+		t.AddRow(row([]*AlgStats{byName(stats, "AL"), byName(stats, "CEAL")}, medianLNU, wf)...)
 	}
 	t.Notes = append(t.Notes,
 		"median over replications; paper (means): LV 782 (AL) vs 716 (CEAL)",
@@ -330,44 +341,38 @@ func runFig9(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 		Title:  "Fig. 9: CEAL with vs without historical component measurements (normalized best config)",
 		Header: []string{"wf", "objective", "m", "CEAL w/o histories", "CEAL w/ histories"},
 	}
+	d := diffTable("Fig. 9", "CEAL with minus without histories")
 	for _, c := range fig9Cells {
-		without, err := c.battery(gts, opt, false, tuner.NewCEAL())
+		noHist, err := c.grid(gts, opt, false)
 		if err != nil {
 			return nil, err
 		}
-		with, err := c.battery(gts, opt, true, tuner.NewCEAL())
+		hist, err := c.grid(gts, opt, true)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(c.WF, c.Obj.Short(), fmt.Sprintf("%d", c.Budget), normPerf(without[0]), normPerf(with[0]))
+		without, with := byName(noHist, "CEAL"), byName(hist, "CEAL")
+		t.AddRow(c.WF, c.Obj.Short(), fmt.Sprintf("%d", c.Budget), normPerf(without), normPerf(with))
+		addDiff(d, opt.Seed, true, f3, c, "norm. perf", "w/ - w/o histories", with.NormPerf, without.NormPerf)
 	}
 	t.Notes = append(t.Notes, "paper shape: histories help in most cells (e.g. 25-sample computer time: LV -7.8%, HS -38.9%, GP -6.6%)")
-	return []*Table{t}, nil
+	return []*Table{t, d}, nil
 }
 
 // ----------------------------------------------------------------- Fig 10
 
 func runFig10(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
-	t := &Table{
-		Title:  "Fig. 10: best configuration auto-tuned with histories (normalized)",
-		Header: []string{"wf", "objective", "m", "CEAL", "ALpH"},
-	}
-	for _, c := range fig9Cells {
-		stats, err := c.battery(gts, opt, true, histAlgorithms()...)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(row(stats, normPerf, c.WF, c.Obj.Short(), fmt.Sprintf("%d", c.Budget))...)
-	}
-	t.Notes = append(t.Notes, "paper shape: CEAL below ALpH in every cell (white-box combining beats learned combining)")
-	return []*Table{t}, nil
+	return normPerfFigure(gts, opt, "Fig. 10", true, fig9Cells, &Table{
+		Title: "Fig. 10: best configuration auto-tuned with histories (normalized)",
+		Notes: []string{"paper shape: CEAL below ALpH in every cell (white-box combining beats learned combining)"},
+	})
 }
 
 // ----------------------------------------------------------------- Fig 11
 
 func runFig11(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 	cells := []cell{{"LV", ExecTime, 50}, {"HS", ExecTime, 50}, {"LV", CompTime, 25}, {"GP", CompTime, 25}}
-	return recallPanels(gts, opt, "Fig. 11", true, cells, histAlgorithms())
+	return recallPanels(gts, opt, "Fig. 11", true, cells)
 }
 
 // ----------------------------------------------------------------- Fig 12
@@ -376,7 +381,7 @@ func runFig12(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 	lnuTable := func(title string, cells ...cell) (*Table, error) {
 		t := &Table{Title: title, Header: []string{"cell", "CEAL", "ALpH"}}
 		for _, c := range cells {
-			stats, err := c.battery(gts, opt, true, histAlgorithms()...)
+			stats, err := c.grid(gts, opt, true)
 			if err != nil {
 				return nil, err
 			}

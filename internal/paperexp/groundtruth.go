@@ -7,6 +7,7 @@ package paperexp
 import (
 	"fmt"
 	"math/rand/v2"
+	"sync"
 
 	"ceal/internal/cfgspace"
 	"ceal/internal/dispatch"
@@ -51,6 +52,9 @@ type GroundTruth struct {
 
 	poolIdx map[string]int   // pool position by configuration key
 	compIdx []map[string]int // per component: set position by configuration key
+
+	gridMu sync.Mutex
+	grid   map[gridKey][]*AlgStats // the §7 batteries run over this ground truth (cell.grid)
 }
 
 // Values returns the pool measurements for an objective.
@@ -93,6 +97,7 @@ func BuildGroundTruth(b *workflow.Benchmark, opt Options) (*GroundTruth, error) 
 		Pool:    b.Space.SampleN(rng, opt.Pool),
 		poolIdx: make(map[string]int, opt.Pool),
 		compIdx: make([]map[string]int, len(b.Components)),
+		grid:    map[gridKey][]*AlgStats{},
 	}
 	for _, obj := range objectives {
 		gt.components[obj] = make([][]tuner.Sample, len(b.Components))

@@ -1,10 +1,13 @@
 package paperexp
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -230,6 +233,38 @@ func TestRunBatteryMetrics(t *testing.T) {
 	}
 }
 
+// TestBatteryIndependentOfCompanions: an algorithm's statistics are the
+// same whether it runs alone, beside a subset, or in reversed order, which
+// is what lets Figs. 5–12 read their columns from one battery per cell.
+func TestBatteryIndependentOfCompanions(t *testing.T) {
+	gt := tinyGT(t, "LV")
+	run := func(algs ...tuner.Algorithm) []*AlgStats {
+		stats, err := RunBattery(Options{Reps: 2, Seed: 4, Workers: 2}, RunSpec{
+			GT: gt, Obj: CompTime, Budget: 12, Algorithms: algs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats
+	}
+	all := run(allTinyAlgorithms()...)
+	same := func(how string, stats []*AlgStats) {
+		t.Helper()
+		for _, st := range stats {
+			if want := byName(all, st.Name); !reflect.DeepEqual(st, want) {
+				t.Fatalf("%s %s differs from its run beside every algorithm:\n%+v\n%+v", st.Name, how, st, want)
+			}
+		}
+	}
+	for _, alg := range allTinyAlgorithms() {
+		same("alone", run(alg))
+	}
+	same("beside AL", run(tuner.NewAL(), tuner.NewCEAL()))
+	reversed := allTinyAlgorithms()
+	slices.Reverse(reversed)
+	same("in reversed order", run(reversed...))
+}
+
 // TestRunBatteryWorkersIdentical: the replication fan is scheduling-blind —
 // any width aggregates the same statistics.
 func TestRunBatteryWorkersIdentical(t *testing.T) {
@@ -396,6 +431,72 @@ func TestAllExperimentsRunTiny(t *testing.T) {
 	}
 }
 
+// TestGridRunsEachBatteryOnce: Figs. 5–12 run 60 algorithm×cell batteries
+// between them, one per (cell, family), and a cancelled battery is not kept.
+func TestGridRunsEachBatteryOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tiny experiment sweep skipped in -short mode")
+	}
+	gts := allTinyGTs(t)
+	opt := tinyOpts()
+	for _, id := range []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12"} {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(gts, opt); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+	}
+	runs := 0
+	for _, gt := range gts {
+		for key, stats := range gt.grid {
+			if key.reps == opt.reps() && key.seed == opt.Seed {
+				runs += len(stats)
+			}
+		}
+	}
+	if runs != 60 {
+		t.Fatalf("Figs. 5-12 ran %d algorithm x cell batteries, want 60", runs)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cancelled := opt
+	cancelled.Ctx, cancelled.Seed = ctx, 99
+	if _, err := fig5Cells[0].grid(gts, cancelled, false); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled battery: err = %v, want context.Canceled", err)
+	}
+	for key := range gts[fig5Cells[0].WF].grid {
+		if key.seed == cancelled.Seed {
+			t.Fatalf("the grid kept a cancelled battery: %+v", key)
+		}
+	}
+}
+
+// TestAddDiffVerdicts: a verdict reads the side of 0 the interval lies on,
+// in the metric's direction; an interval that contains 0, or is all zero,
+// is a tie.
+func TestAddDiffVerdicts(t *testing.T) {
+	a := []float64{1, 2, 3, 4}
+	b := []float64{2, 3, 4, 5}
+	c := cell{"LV", CompTime, 50}
+	d := diffTable("Fig. 0", "a minus b")
+	addDiff(d, 1, true, f3, c, "m", "a - b", a, b)
+	addDiff(d, 1, false, f3, c, "m", "a - b", a, b)
+	addDiff(d, 1, true, f3, c, "m", "a - a", a, a)
+	addDiff(d, 1, false, f3, c, "m", "mixed", a, []float64{2, 1, 4, 3})
+	want := [][]string{
+		{"LV comp (50 spls)", "m", "a - b", "-1.000", "[-1.000, -1.000]", "better"},
+		{"LV comp (50 spls)", "m", "a - b", "-1.000", "[-1.000, -1.000]", "worse"},
+		{"LV comp (50 spls)", "m", "a - a", "0.000", "[0.000, 0.000]", "tied"},
+		{"LV comp (50 spls)", "m", "mixed", "0.000", "[-1.000, 1.000]", "tied"},
+	}
+	if !reflect.DeepEqual(d.Rows, want) {
+		t.Fatalf("rows = %q, want %q", d.Rows, want)
+	}
+}
+
 func TestTableRendering(t *testing.T) {
 	tab := &Table{
 		Title:  "Demo",
@@ -423,14 +524,4 @@ func TestFormatHelpers(t *testing.T) {
 // allTinyAlgorithms is the fast algorithm set used by battery tests.
 func allTinyAlgorithms() []tuner.Algorithm {
 	return []tuner.Algorithm{tuner.RS{}, tuner.NewGEIST(), tuner.NewAL(), tuner.NewCEAL()}
-}
-
-func TestTableCSV(t *testing.T) {
-	tab := &Table{Header: []string{"a", "b"}}
-	tab.AddRow("1,5", `say "hi"`)
-	got := tab.CSV()
-	want := "a,b\n\"1,5\",\"say \"\"hi\"\"\"\n"
-	if got != want {
-		t.Fatalf("CSV = %q, want %q", got, want)
-	}
 }

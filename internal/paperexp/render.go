@@ -100,26 +100,3 @@ func f3(v float64) string {
 	}
 	return fmt.Sprintf("%.3f", v)
 }
-
-// CSV renders the table as RFC-4180-ish CSV (header row first), for
-// downstream plotting. Cells containing commas or quotes are quoted.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			b.WriteString(c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Header)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	return b.String()
-}
