@@ -131,9 +131,11 @@ func TestEnergyObjectiveFacade(t *testing.T) {
 	}
 }
 
-// TestWideColumnRefused: a custom benchmark whose parameter takes more
-// distinct values across the pool than a rank code holds cannot be tuned,
-// and says why with score.ErrWideColumn.
+// TestWideColumnRefused: a custom benchmark whose parameter is declared
+// with more values than a rank code holds cannot be tuned, and says why
+// with score.ErrWideColumn — over a pool of 100 configurations as over one
+// that takes more values than that. The refusal builds none of the 2^30
+// values' table.
 func TestWideColumnRefused(t *testing.T) {
 	m := DefaultMachine()
 	layout := func(cfg Config) Layout { return Layout{Procs: cfg[0], PPN: 1, Threads: 1} }
@@ -152,8 +154,41 @@ func TestWideColumnRefused(t *testing.T) {
 		ExpertExec: Config{4, 1},
 		ExpertComp: Config{1, 1},
 	})
-	p := NewProblem(b, ExecTime, score.MaxCodes+500, 1)
-	if _, err := NewCEAL().Tune(p, 20); !errors.Is(err, score.ErrWideColumn) {
-		t.Fatalf("tuning a pool with a %d-distinct column: err = %v, want score.ErrWideColumn", len(p.Pool), err)
+	for _, n := range []int{100, score.MaxCodes + 500} {
+		p := NewProblem(b, ExecTime, n, 1)
+		if _, err := NewCEAL().Tune(p, 20); !errors.Is(err, score.ErrWideColumn) {
+			t.Fatalf("tuning a pool of %d with a 2^30-value column: err = %v, want score.ErrWideColumn", len(p.Pool), err)
+		}
+	}
+}
+
+// TestOffLatticeRefused: a custom layout whose active threads fall as a
+// parameter rises is not bounded by its top corner, where NewBenchmark
+// reads the bound. Its pool cannot be coded, and tuning it fails with a
+// *score.OffLatticeError naming the column, not with codes that stand for
+// other values.
+func TestOffLatticeRefused(t *testing.T) {
+	// At the top corner (8, 4): 8 ranks of 2 threads, so active threads is
+	// declared in [1, 16]; at (8, 2) it is 32.
+	layout := func(cfg Config) Layout { return Layout{Procs: cfg[0], PPN: 1, Threads: 6 - cfg[1]} }
+	b := NewBenchmark(Benchmark{
+		Name:    "FALLING",
+		Machine: DefaultMachine(),
+		Components: []ComponentSpec{{
+			Name:   "solver",
+			Space:  &Space{Params: []Param{NewParam("ranks", 1, 8), NewParam("threads", 2, 4)}},
+			Layout: layout,
+			BuildSolo: func(cfg Config) *Component {
+				t := 1 / float64(cfg[0]*cfg[1])
+				return &Component{Name: "solver", Layout: layout(cfg), Steps: 2, StepTime: func(int) float64 { return t }}
+			},
+		}},
+		ExpertExec: Config{8, 4},
+		ExpertComp: Config{1, 4},
+	})
+	p := NewProblem(b, ExecTime, 24, 1)
+	var off *score.OffLatticeError
+	if _, err := NewCEAL().Tune(p, 10); !errors.As(err, &off) || off.Col.Name != "solver.activeThreads" || off.Value <= off.Col.Max {
+		t.Fatalf("tuning a pool whose active threads pass their declared bound: err = %v, want an OffLatticeError for solver.activeThreads", err)
 	}
 }

@@ -293,7 +293,7 @@ func report(stdout io.Writer, rec *histdb.RunRecord, history string) error {
 	if res.SwitchIteration >= 0 {
 		fmt.Fprintf(stdout, "  CEAL switched to the high-fidelity model at iteration %d\n", res.SwitchIteration)
 	}
-	printImportance(stdout, ev.Bench.FeatureNames(), res.Importance)
+	printImportance(stdout, ev.Bench.Space.Columns().Names(), res.Importance)
 	return nil
 }
 

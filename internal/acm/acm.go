@@ -124,9 +124,10 @@ type Part struct {
 	// Lo and Hi bound the component's sub-configuration cfg[Lo:Hi] of a
 	// workflow configuration (Lo == Hi for an unconfigurable component).
 	Lo, Hi int
-	// Features maps the sub-configuration to the predictor's feature
-	// vector; nil passes the predictor nil (unconfigurable components).
-	Features func(sub cfgspace.Config) []float64
+	// Coder declares the predictor's feature columns over the
+	// sub-configuration; nil passes the predictor nil (unconfigurable
+	// components).
+	Coder *cfgspace.Coder
 	// Cores returns the cores the component's allocation reserves at a
 	// sub-configuration. Required by the BottleneckSum combiner.
 	Cores func(sub cfgspace.Config) float64
@@ -138,8 +139,8 @@ func (part *Part) Sub(cfg cfgspace.Config) cfgspace.Config { return cfg[part.Lo:
 // Predict returns the part's prediction at a sub-configuration.
 func (part *Part) Predict(sub cfgspace.Config) float64 {
 	var x []float64
-	if part.Features != nil {
-		x = part.Features(sub)
+	if part.Coder != nil {
+		x = part.Coder.Features(sub)
 	}
 	return part.Predictor.Predict(x)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ceal/internal/cfgspace"
+	"ceal/internal/score"
 )
 
 func TestCombiners(t *testing.T) {
@@ -54,7 +55,32 @@ func (lf *LowFidelity) Score(cfg cfgspace.Config) float64 {
 
 type affine struct{ a, b float64 }
 
-func rawFeatures(sub cfgspace.Config) []float64 { return []float64{float64(sub[0])} }
+// raw is a one-parameter part's columns: the parameter itself.
+var raw = cfgspace.NewCoder([]cfgspace.Param{cfgspace.NewParam("x", 0, 200)}, nil)
+
+// scoreCodes is ScoreCodes over cfgs coded by the parts' columns side by
+// side.
+func (lf *LowFidelity) scoreCodes(cfgs []cfgspace.Config) []float64 {
+	var parts []cfgspace.NamedSpace
+	spans := make([]Span, len(lf.Parts))
+	at := 0
+	for j := range lf.Parts {
+		part := &lf.Parts[j]
+		space := &cfgspace.Space{Params: make([]cfgspace.Param, part.Hi-part.Lo), Coder: part.Coder}
+		if part.Coder == nil {
+			space.Coder = cfgspace.NewCoder(nil, nil)
+		}
+		parts = append(parts, cfgspace.NamedSpace{Name: part.Name, Space: space})
+		spans[j] = Span{at, at + space.Coder.Width()}
+		at = spans[j].Hi
+	}
+	var mat score.Matrix
+	q, err := mat.Codes(nil, cfgs, cfgspace.Concat(nil, parts...).Coder)
+	if err != nil {
+		panic(err)
+	}
+	return lf.ScoreCodes(nil, q, spans, cfgs)
+}
 
 func (f affine) Predict(x []float64) float64 { return f.a*x[0] + f.b }
 
@@ -62,8 +88,8 @@ func TestLowFidelityScore(t *testing.T) {
 	lf := &LowFidelity{
 		Combine: Max,
 		Parts: []Part{
-			{Name: "sim", Predictor: affine{a: 2, b: 0}, Lo: 0, Hi: 1, Features: rawFeatures},
-			{Name: "viz", Predictor: affine{a: 1, b: 5}, Lo: 1, Hi: 2, Features: rawFeatures},
+			{Name: "sim", Predictor: affine{a: 2, b: 0}, Lo: 0, Hi: 1, Coder: raw},
+			{Name: "viz", Predictor: affine{a: 1, b: 5}, Lo: 1, Hi: 2, Coder: raw},
 		},
 	}
 	// cfg = (3, 4): parts predict 6 and 9 -> max 9.
@@ -74,9 +100,8 @@ func TestLowFidelityScore(t *testing.T) {
 	if got := lf.Score(cfgspace.Config{3, 4}); got != 15 {
 		t.Fatalf("Sum score = %v, want 15", got)
 	}
-	batch, err := lf.ScoreConfigs(nil, []cfgspace.Config{{3, 4}, {1, 1}})
-	if err != nil || batch[0] != 15 || batch[1] != 8 {
-		t.Fatalf("ScoreConfigs = %v, %v", batch, err)
+	if batch := lf.scoreCodes([]cfgspace.Config{{3, 4}, {1, 1}}); batch[0] != 15 || batch[1] != 8 {
+		t.Fatalf("ScoreCodes = %v", batch)
 	}
 }
 
@@ -105,7 +130,7 @@ func TestBottleneckSumScore(t *testing.T) {
 				Predictor: affine{a: 1, b: 0}, // solo comp prediction = x
 				Lo:        0,
 				Hi:        1,
-				Features:  rawFeatures,
+				Coder:     raw,
 				Cores:     func(cfgspace.Config) float64 { return 72 },
 			},
 			{
@@ -113,7 +138,7 @@ func TestBottleneckSumScore(t *testing.T) {
 				Predictor: affine{a: 1, b: 0},
 				Lo:        1,
 				Hi:        2,
-				Features:  rawFeatures,
+				Coder:     raw,
 				Cores:     func(cfgspace.Config) float64 { return 36 },
 			},
 		},
@@ -131,8 +156,8 @@ func TestBottleneckSumNeedsCores(t *testing.T) {
 		Parts:   []Part{{Name: "x", Predictor: ConstPredictor(1)}},
 	}
 	for name, score := range map[string]func(){
-		"Score":        func() { lf.Score(cfgspace.Config{1}) },
-		"ScoreConfigs": func() { lf.ScoreConfigs(nil, []cfgspace.Config{{1}}) },
+		"Score":      func() { lf.Score(cfgspace.Config{1}) },
+		"ScoreCodes": func() { lf.scoreCodes([]cfgspace.Config{{1}}) },
 	} {
 		func() {
 			defer func() {

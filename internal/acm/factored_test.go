@@ -54,50 +54,71 @@ type layout struct {
 	spans []acm.Span
 }
 
-// declared codes feats over cfgs.
-func declared(name string, cfgs []cfgspace.Config, feats func(cfgspace.Config) []float64, spans []acm.Span) layout {
+// declared codes cfgs under coder's columns.
+func declared(name string, cfgs []cfgspace.Config, coder *cfgspace.Coder, spans []acm.Span) layout {
 	var mat score.Matrix
-	q, err := mat.Codes(score.New(2), cfgs, feats)
+	q, err := mat.Codes(score.New(2), cfgs, coder)
 	if err != nil {
-		panic(err) // every layout under test is narrow enough to code
+		panic(err) // every layout under test is declared narrow enough to code
 	}
 	return layout{name: name, q: q, spans: spans}
 }
 
+// own lays the parts' columns side by side, as the tuner's workflow
+// columns begin.
+func own(lf *acm.LowFidelity, cfgs []cfgspace.Config) layout {
+	var parts []cfgspace.NamedSpace
+	spans := make([]acm.Span, len(lf.Parts))
+	at := 0
+	for j := range lf.Parts {
+		part := &lf.Parts[j]
+		space := &cfgspace.Space{Params: make([]cfgspace.Param, part.Hi-part.Lo), Coder: part.Coder}
+		if part.Coder == nil {
+			space.Coder = cfgspace.NewCoder(nil, nil)
+		}
+		parts = append(parts, cfgspace.NamedSpace{Name: part.Name, Space: space})
+		spans[j] = acm.Span{Lo: at, Hi: at + space.Coder.Width()}
+		at = spans[j].Hi
+	}
+	return declared("own", cfgs, cfgspace.Concat(nil, parts...).Coder, spans)
+}
+
 // reversed lays the parts' features out last part first, behind a column
-// no part reads.
+// no part reads, and codes them by discovery (score.QuantizeRows): value
+// tables that hold only the values the rows take.
 func reversed(lf *acm.LowFidelity, cfgs []cfgspace.Config) layout {
 	spans := make([]acm.Span, len(lf.Parts))
 	at := 1
 	for j := len(lf.Parts) - 1; j >= 0; j-- {
-		if part := &lf.Parts[j]; part.Features != nil {
-			spans[j] = acm.Span{Lo: at, Hi: at + len(part.Features(part.Sub(cfgs[0])))}
+		if part := &lf.Parts[j]; part.Coder != nil {
+			spans[j] = acm.Span{Lo: at, Hi: at + part.Coder.Width()}
 			at = spans[j].Hi
 		}
 	}
-	return declared("reversed", cfgs, func(cfg cfgspace.Config) []float64 {
-		x := []float64{float64(len(cfg))}
+	rows := make([][]float64, len(cfgs))
+	for i, cfg := range cfgs {
+		rows[i] = []float64{float64(len(cfg))}
 		for j := len(lf.Parts) - 1; j >= 0; j-- {
-			if part := &lf.Parts[j]; part.Features != nil {
-				x = append(x, part.Features(part.Sub(cfg))...)
+			if part := &lf.Parts[j]; part.Coder != nil {
+				rows[i] = append(rows[i], part.Coder.Features(part.Sub(cfg))...)
 			}
 		}
-		return x
-	}, spans)
+	}
+	return layout{name: "reversed", q: score.QuantizeRows(score.New(2), rows), spans: spans}
 }
 
-// benchLayout is a benchmark's workflow feature vector, which holds its
-// configurable components' features in order from column 0.
+// benchLayout is a benchmark's workflow columns, which hold its
+// configurable components' columns in order from column 0.
 func benchLayout(bench *workflow.Benchmark, cfgs []cfgspace.Config) layout {
 	spans := make([]acm.Span, len(bench.Components))
 	at := 0
 	for j, cs := range bench.Components {
 		if cs.Space != nil {
-			spans[j] = acm.Span{Lo: at, Hi: at + len(cs.Features(bench.Sub(cfgs[0], j)))}
+			spans[j] = acm.Span{Lo: at, Hi: at + cs.Space.Columns().Width()}
 			at = spans[j].Hi
 		}
 	}
-	return declared("workflow", cfgs, bench.Features, spans)
+	return declared("workflow", cfgs, bench.Space.Columns(), spans)
 }
 
 // checkFactoredBothWays runs checkFactored on lf as given — its fitted
@@ -114,11 +135,12 @@ func checkFactoredBothWays(t *testing.T, lf *acm.LowFidelity, cfgs []cfgspace.Co
 	checkFactored(t, lf, cfgs, layouts...)
 }
 
-// checkFactored compares ScoreConfigs, and ScoreCodes over each layout, at
-// widths 1, 2, 4 and 8, with Score on every configuration, bitwise, under
-// every combiner.
+// checkFactored compares ScoreCodes over the parts' own columns and over
+// each layout, at widths 1, 2, 4 and 8, with Score on every configuration,
+// bitwise, under every combiner.
 func checkFactored(t *testing.T, lf *acm.LowFidelity, cfgs []cfgspace.Config, layouts ...layout) {
 	t.Helper()
+	layouts = append(layouts, own(lf, cfgs))
 	for _, comb := range allCombiners {
 		lf.Combine = comb
 		want := make([]float64, len(cfgs))
@@ -137,11 +159,6 @@ func checkFactored(t *testing.T, lf *acm.LowFidelity, cfgs []cfgspace.Config, la
 					}
 				}
 			}
-			got, err := lf.ScoreConfigs(e, cfgs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			check("ScoreConfigs", got)
 			for _, l := range layouts {
 				check(l.name, lf.ScoreCodes(e, l.q, l.spans, cfgs))
 			}
@@ -154,8 +171,8 @@ func checkFactored(t *testing.T, lf *acm.LowFidelity, cfgs []cfgspace.Config, la
 // at every width, with component models and core counts built the way the
 // live problems build them:
 //   - LV, HS and GP (with its two unconfigurable plotters), over the
-//     components' own features and over the workflow features at the
-//     columns the benchmark declares;
+//     components' own columns and over the workflow columns the benchmark
+//     declares;
 //   - HS with heat fitted on 500 history samples of its 7 features;
 //   - a part with 255 thresholds on each of nine features, whose bucket
 //     radices multiply to 2^72, past any packing of a bucket tuple into
@@ -177,7 +194,7 @@ func TestFactoredScoreMatchesReference(t *testing.T) {
 				lf.Parts = append(lf.Parts, part)
 				continue
 			}
-			part.Features = func(sub cfgspace.Config) []float64 { return cs.Features(sub) }
+			part.Coder = cs.Space.Columns()
 			n := 60
 			if j == 0 {
 				n = history
@@ -185,7 +202,7 @@ func TestFactoredScoreMatchesReference(t *testing.T) {
 			X := make([][]float64, n)
 			y := make([]float64, len(X))
 			for i, sub := range cs.Space.SampleN(rng, len(X)) {
-				X[i] = part.Features(sub)
+				X[i] = part.Coder.Features(sub)
 				y[i] = math.Log(1 + X[i][0]/X[i][len(X[i])-1]*float64(1+i%7))
 			}
 			part.Predictor = fitCell(t, X, y, xgb.DefaultParams())
@@ -205,7 +222,7 @@ func TestFactoredScoreMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewPCG(7, 2))
 		lf := benchModel(bench, 500, rng)
 		pool := bench.Space.SampleN(rng, 3000)
-		if n := len(lf.Parts[0].Features(bench.Sub(pool[0], 0))); n != 7 {
+		if n := lf.Parts[0].Coder.Width(); n != 7 {
 			t.Fatalf("heat has %d features, want 7", n)
 		}
 		checkFactored(t, lf, pool, benchLayout(bench, pool))
@@ -217,15 +234,12 @@ func TestFactoredScoreMatchesReference(t *testing.T) {
 		// bucket tuple, so they stay apart.
 		const dim = 9
 		rng := rand.New(rand.NewPCG(7, 3))
+		cols := make([]cfgspace.Param, dim)
+		for k := range cols {
+			cols[k] = cfgspace.NewParam(fmt.Sprint("x", k), 0, 255)
+		}
 		lf := &acm.LowFidelity{Parts: []acm.Part{
-			{Name: "steps", Predictor: stepModel(dim), Lo: 0, Hi: dim,
-				Features: func(sub cfgspace.Config) []float64 {
-					x := make([]float64, len(sub))
-					for k, v := range sub {
-						x[k] = float64(v)
-					}
-					return x
-				},
+			{Name: "steps", Predictor: stepModel(dim), Lo: 0, Hi: dim, Coder: cfgspace.NewCoder(cols, nil),
 				Cores: func(cfgspace.Config) float64 { return 4 }},
 			{Name: "fixed", Predictor: acm.ConstPredictor(2), Lo: dim, Hi: dim,
 				Cores: func(cfgspace.Config) float64 { return 1 }},
@@ -245,13 +259,11 @@ func TestFactoredScoreMatchesReference(t *testing.T) {
 // TestFactoredScoreMatchesReferenceGenerated repeats the comparison on
 // generated models far from the paper's: one to five parts of zero to
 // three parameters each (zero = unconfigurable, in any position), narrow
-// ranges so sub-configurations repeat heavily, predictions of both signs
-// or from a boosted model fitted on 15 rows (with and without the cell
-// methods), core counts that include the non-positive values fold clamps,
-// and in every other trial features that score as NaN, ±Inf and −0 though
-// the models were fitted on finite ones.
+// ranges so sub-configurations repeat heavily, columns that are the
+// parameters or derived from them, predictions of both signs or from a
+// boosted model fitted on 15 rows (with and without the cell methods), and
+// core counts that include the non-positive values fold clamps.
 func TestFactoredScoreMatchesReferenceGenerated(t *testing.T) {
-	special := map[int]float64{-2: math.NaN(), -1: math.Copysign(0, -1), 2: math.Inf(1), 3: math.Inf(-1)}
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewPCG(uint64(trial), 5))
 		lf := &acm.LowFidelity{}
@@ -272,14 +284,23 @@ func TestFactoredScoreMatchesReferenceGenerated(t *testing.T) {
 				lf.Parts = append(lf.Parts, part)
 				continue
 			}
-			finite := func(sub cfgspace.Config) []float64 {
-				x := make([]float64, len(sub))
-				for i, v := range sub {
-					x[i] = float64(v) / salt
-				}
-				return x
+			cols := make([]cfgspace.Param, part.Hi-part.Lo)
+			for k := range cols {
+				cols[k] = cfgspace.NewParam(fmt.Sprint("x", k), -2, 3)
 			}
-			part.Features = finite
+			part.Coder = cfgspace.NewCoder(cols, nil)
+			if trial%2 == 1 {
+				// Derived columns: each parameter times the first, on the
+				// lattice of multiples of 1 in [-6, 9].
+				for k := range cols {
+					cols[k] = cfgspace.NewParam(fmt.Sprint("y", k), -6, 9)
+				}
+				part.Coder = cfgspace.NewCoder(cols, func(sub cfgspace.Config, dst []int) {
+					for k, v := range sub {
+						dst[k] = v * sub[0]
+					}
+				})
+			}
 			part.Predictor = sinModel(salt)
 			if rng.IntN(2) == 0 {
 				X, y := make([][]float64, 15), make([]float64, 15)
@@ -288,21 +309,10 @@ func TestFactoredScoreMatchesReferenceGenerated(t *testing.T) {
 					for k := range sub {
 						sub[k] = rng.IntN(6) - 2
 					}
-					X[i] = finite(sub)
+					X[i] = part.Coder.Features(sub)
 					y[i] = sinModel(salt).Predict(X[i]) / 4
 				}
 				part.Predictor = fitCell(t, X, y, xgb.DefaultParams())
-			}
-			if trial%2 == 1 {
-				part.Features = func(sub cfgspace.Config) []float64 {
-					x := finite(sub)
-					for i, v := range sub {
-						if s, ok := special[v]; ok && (v+i)%2 == 0 {
-							x[i] = s
-						}
-					}
-					return x
-				}
 			}
 			lf.Parts = append(lf.Parts, part)
 		}

@@ -17,7 +17,8 @@ const cellBlock = 256
 
 // ScoreCodes scores every row of a rank-coded feature matrix on the
 // engine's workers (nil engine: serial): row i is configuration cfgs[i],
-// and part j's features are the matrix's columns spans[j].
+// and part j's features — its Coder's columns — are the matrix's columns
+// spans[j].
 //
 //   - A part with no features is predicted once.
 //   - A CellPredictor part is scored by cell. Per feature it splits on, a
@@ -72,39 +73,6 @@ func (lf *LowFidelity) ScoreCodes(e *score.Engine, q *score.Codes, spans []Span,
 		}
 	})
 	return out
-}
-
-// ScoreConfigs scores configurations whose features no matrix holds yet: it
-// rank-codes the parts' own features side by side, one row a
-// configuration, and scores the codes. Part.Features must return vectors
-// of one length. Features too wide to code are refused with
-// score.ErrWideColumn.
-func (lf *LowFidelity) ScoreConfigs(e *score.Engine, cfgs []cfgspace.Config) ([]float64, error) {
-	if len(cfgs) == 0 {
-		return []float64{}, nil
-	}
-	spans := make([]Span, len(lf.Parts))
-	width := 0
-	for j := range lf.Parts {
-		if part := &lf.Parts[j]; part.Features != nil {
-			spans[j] = Span{width, width + len(part.Features(part.Sub(cfgs[0])))}
-			width = spans[j].Hi
-		}
-	}
-	var mat score.Matrix
-	q, err := mat.Codes(e, cfgs, func(cfg cfgspace.Config) []float64 {
-		x := make([]float64, 0, width)
-		for j := range lf.Parts {
-			if part := &lf.Parts[j]; part.Features != nil {
-				x = append(x, part.Features(part.Sub(cfg))...)
-			}
-		}
-		return x
-	})
-	if err != nil {
-		return nil, err
-	}
-	return lf.ScoreCodes(e, q, spans, cfgs), nil
 }
 
 // partPass is one part's share of a ScoreCodes call.

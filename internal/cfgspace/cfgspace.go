@@ -1,6 +1,7 @@
 // Package cfgspace represents configuration parameter spaces for component
 // applications and coupled workflows: typed integer parameters, constraint
-// validation, uniform sampling, and feature encoding for the ML surrogates.
+// validation, uniform sampling, and the declared feature columns the ML
+// surrogates read.
 package cfgspace
 
 import (
@@ -84,6 +85,68 @@ type Space struct {
 	// goroutines at once, on slices it reuses, so it must neither keep nor
 	// modify its argument.
 	Valid func(Config) bool
+	// Coder declares the space's feature columns; nil means the raw
+	// parameters (see Columns).
+	Coder *Coder
+}
+
+// Columns returns the space's feature columns: Coder, or the raw
+// parameters when it is nil.
+func (s *Space) Columns() *Coder {
+	if s.Coder != nil {
+		return s.Coder
+	}
+	return &Coder{Cols: s.Params}
+}
+
+// Coder declares a space's feature columns, each an integer lattice: the
+// values Min, Min+Step, ..., Max of one Param. Ints derives a
+// configuration's column values, so a column's rank among its lattice is
+// (value−Min)/Step, arithmetic rather than discovery (score.Matrix.Codes).
+// Immutable after construction.
+type Coder struct {
+	// Cols declares each column: its name and the lattice its values lie on.
+	Cols []Param
+	ints func(cfg Config, dst []int)
+}
+
+// NewCoder returns the coder of columns cols whose values ints writes into
+// dst (len(dst) == len(cols)); nil ints copies the configuration, for
+// columns that are its parameters. ints must be pure and safe for
+// concurrent use, and must keep neither argument.
+func NewCoder(cols []Param, ints func(cfg Config, dst []int)) *Coder {
+	return &Coder{Cols: cols, ints: ints}
+}
+
+// Width returns the number of columns.
+func (c *Coder) Width() int { return len(c.Cols) }
+
+// Ints writes cfg's column values into dst (len(dst) == Width()).
+func (c *Coder) Ints(cfg Config, dst []int) {
+	if c.ints == nil {
+		copy(dst, cfg)
+		return
+	}
+	c.ints(cfg, dst)
+}
+
+// Names returns the column names, in order.
+func (c *Coder) Names() []string {
+	names := make([]string, len(c.Cols))
+	for i, p := range c.Cols {
+		names[i] = p.Name
+	}
+	return names
+}
+
+// Features returns cfg's columns as the float vector the ML models read.
+func (c *Coder) Features(cfg Config) []float64 {
+	v, x := make([]int, len(c.Cols)), make([]float64, len(c.Cols))
+	c.Ints(cfg, v)
+	for i, n := range v {
+		x[i] = float64(n)
+	}
+	return x
 }
 
 // Dim returns the number of parameters.
@@ -339,7 +402,8 @@ func (sm *sampler) stop() {
 // Numbering numbers int tuples by first occurrence: equal tuples share an
 // id, and ids count from 0 in the order their tuples were first seen. It is
 // the repository's one such table (SampleN's distinct-set, acm's model
-// cells of the low-fidelity pool pass): an open-addressed array of
+// cells of the low-fidelity pool pass, a ground truth's index of its
+// measured configurations): an open-addressed array of
 // ids, probed by a hash of the values and verified against the tuple that
 // holds the id, which the caller keeps — no key built per tuple.
 type Numbering struct {
@@ -391,6 +455,19 @@ func (nb *Numbering) id(t []int, h uint64) (id int32, fresh bool) {
 	}
 }
 
+// Find returns t's number, or false when t was never numbered: id's probe
+// without the insert, so any number of goroutines may Find in a table no
+// one is numbering into.
+func (nb *Numbering) Find(t []int) (id int32, ok bool) {
+	h := hashTuple(t)
+	mask := len(nb.slots) - 1
+	for at := int(h>>32^h) & mask; ; at = (at + 1) & mask {
+		if id = nb.slots[at] - 1; id < 0 || slices.Equal(t, nb.tuple(id)) {
+			return id, id >= 0
+		}
+	}
+}
+
 // grow doubles the table and re-places every id by its tuple's hash.
 func (nb *Numbering) grow() {
 	slots := make([]int32, 2*len(nb.slots))
@@ -425,14 +502,9 @@ func (s *Space) ValidFraction(rng *rand.Rand, trials int) float64 {
 	return float64(ok) / float64(trials)
 }
 
-// Features encodes a configuration as raw float features for ML models.
-func (s *Space) Features(cfg Config) []float64 {
-	f := make([]float64, len(cfg))
-	for i, v := range cfg {
-		f[i] = float64(v)
-	}
-	return f
-}
+// Features returns a configuration's feature columns (Columns) as floats,
+// the vector the ML models read.
+func (s *Space) Features(cfg Config) []float64 { return s.Columns().Features(cfg) }
 
 // Normalized encodes a configuration with each parameter mapped to [0, 1],
 // for distance computations (GEIST's parameter graph).
@@ -445,35 +517,45 @@ func (s *Space) Normalized(cfg Config) []float64 {
 }
 
 // Concat builds a workflow space from component subspaces plus an optional
-// joint constraint over the concatenated configuration. Parameter names are
-// prefixed "prefix.name" to stay unique.
+// joint constraint over the concatenated configuration. Parameter and
+// column names are prefixed "prefix.name" to stay unique. Its coder joins
+// the parts' Columns side by side, so part k's columns start where part
+// k−1's end, from column 0.
 func Concat(joint func(Config) bool, parts ...NamedSpace) *Space {
-	type check struct {
-		lo, hi int
-		valid  func(Config) bool
+	type slot struct {
+		lo, hi, at int // the part's parameters are cfg[lo:hi], its columns start at at
+		valid      func(Config) bool
+		coder      *Coder
 	}
-	var params []Param
-	var checks []check
+	var params, cols []Param
+	var slots []slot
 	for _, part := range parts {
-		lo := len(params)
+		sl := slot{lo: len(params), at: len(cols), valid: part.Space.Valid, coder: part.Space.Columns()}
 		for _, p := range part.Space.Params {
-			q := p
-			q.Name = part.Name + "." + p.Name
-			params = append(params, q)
+			p.Name = part.Name + "." + p.Name
+			params = append(params, p)
 		}
-		if part.Space.Valid != nil {
-			checks = append(checks, check{lo, len(params), part.Space.Valid})
+		for _, p := range sl.coder.Cols {
+			p.Name = part.Name + "." + p.Name
+			cols = append(cols, p)
 		}
+		sl.hi = len(params)
+		slots = append(slots, sl)
 	}
+	coder := NewCoder(cols, func(cfg Config, dst []int) {
+		for _, sl := range slots {
+			sl.coder.Ints(cfg[sl.lo:sl.hi:sl.hi], dst[sl.at:sl.at+sl.coder.Width()])
+		}
+	})
 	valid := func(cfg Config) bool {
-		for _, c := range checks {
-			if !c.valid(cfg[c.lo:c.hi:c.hi]) {
+		for _, sl := range slots {
+			if sl.valid != nil && !sl.valid(cfg[sl.lo:sl.hi:sl.hi]) {
 				return false
 			}
 		}
 		return joint == nil || joint(cfg)
 	}
-	return &Space{Params: params, Valid: valid}
+	return &Space{Params: params, Valid: valid, Coder: coder}
 }
 
 // NamedSpace pairs a component name with its parameter space for Concat.

@@ -114,25 +114,21 @@ func NewProblem(b *workflow.Benchmark, obj workflow.Objective, poolSize int, see
 		Pool:       b.Space.SampleN(rng, poolSize),
 		Eval:       &Evaluator{Bench: b, Obj: obj, Seed: seed},
 		Combiner:   acm.ForObjective(obj != workflow.ExecTime),
-		Features:   b.Features,
 		Seed:       seed,
 	}
 }
 
 // Components wires a benchmark's component applications into the tuner's
-// view of them, in problem order: name, sub-space, the cores a
-// sub-configuration occupies, and (for configurable components) its feature
-// vector. Every Problem over a benchmark — live or served from a
-// pre-measured ground truth — carries exactly this.
+// view of them, in problem order: name, sub-space (whose columns are the
+// component model's features) and the cores a sub-configuration occupies.
+// Every Problem over a benchmark — live or served from a pre-measured
+// ground truth — carries exactly this.
 func Components(b *workflow.Benchmark) []tuner.ComponentInfo {
 	comps := make([]tuner.ComponentInfo, len(b.Components))
 	for j, cs := range b.Components {
 		comps[j] = tuner.ComponentInfo{Name: cs.Name, Space: cs.Space}
 		comps[j].Cores = func(cfg cfgspace.Config) float64 {
 			return float64(cs.Layout(cfg).Nodes() * b.Machine.CoresPerNode)
-		}
-		if cs.Space != nil {
-			comps[j].Features = cs.Features
 		}
 	}
 	return comps

@@ -106,7 +106,7 @@ func BenchmarkSurrogateFit(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			X[i], y[i] = bench.Features(cfg), math.Log(v)
+			X[i], y[i] = bench.Space.Features(cfg), math.Log(v)
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

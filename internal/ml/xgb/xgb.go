@@ -347,8 +347,8 @@ func (m *Model) splits(visit func(j int)) {
 }
 
 // cuts compiles the ensemble's split thresholds into q's code space: for
-// the node splitting feature f at threshold thr, the number of f's
-// distinct pool values below thr. Codes are ranks among those values, so
+// the node splitting feature f at threshold thr, the number of values in
+// f's value table below thr. Codes are ranks in that table, so
 // code < cut ⇔ value < thr, and a NaN — ranked last — is below no cut, the
 // right branch the float compare also takes. Compiled once per (fit, pool)
 // and cached.

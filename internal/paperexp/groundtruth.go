@@ -50,8 +50,8 @@ type GroundTruth struct {
 	// computer-time expert doubles as the energy expert).
 	expert [len(objectives)]float64
 
-	poolIdx map[string]int   // pool position by configuration key
-	compIdx []map[string]int // per component: set position by configuration key
+	poolIdx *cfgspace.Numbering   // pool position by configuration
+	compIdx []*cfgspace.Numbering // per component: set position by configuration
 
 	gridMu sync.Mutex
 	grid   map[gridKey][]*AlgStats // the §7 batteries run over this ground truth (cell.grid)
@@ -76,7 +76,7 @@ func (gt *GroundTruth) Expert(obj Objective) float64 { return gt.expert[obj] }
 
 // Lookup returns the pool measurement of cfg under an objective.
 func (gt *GroundTruth) Lookup(cfg cfgspace.Config, obj Objective) (float64, error) {
-	i, ok := gt.poolIdx[cfg.Key()]
+	i, ok := gt.poolIdx.Find(cfg)
 	if !ok {
 		return 0, fmt.Errorf("paperexp: configuration %v not in the measured pool", cfg)
 	}
@@ -95,10 +95,10 @@ func BuildGroundTruth(b *workflow.Benchmark, opt Options) (*GroundTruth, error) 
 	gt := &GroundTruth{
 		Bench:   b,
 		Pool:    b.Space.SampleN(rng, opt.Pool),
-		poolIdx: make(map[string]int, opt.Pool),
-		compIdx: make([]map[string]int, len(b.Components)),
+		compIdx: make([]*cfgspace.Numbering, len(b.Components)),
 		grid:    map[gridKey][]*AlgStats{},
 	}
+	gt.poolIdx = numbered(gt.Pool)
 	for _, obj := range objectives {
 		gt.components[obj] = make([][]tuner.Sample, len(b.Components))
 		gt.fixed[obj] = make([]float64, len(b.Components))
@@ -112,7 +112,6 @@ func BuildGroundTruth(b *workflow.Benchmark, opt Options) (*GroundTruth, error) 
 	// Measure the workflow pool.
 	jobs := make([]func(int) (workflow.Measurement, error), len(gt.Pool))
 	for i, cfg := range gt.Pool {
-		gt.poolIdx[cfg.Key()] = i
 		jobs[i] = func(int) (workflow.Measurement, error) {
 			w, err := b.Build(cfg)
 			if err != nil {
@@ -147,9 +146,8 @@ func BuildGroundTruth(b *workflow.Benchmark, opt Options) (*GroundTruth, error) 
 		}
 		cfgs := cs.Space.SampleN(rng, opt.ComponentSamples)
 		jobs := make([]func(int) (workflow.Measurement, error), len(cfgs))
-		gt.compIdx[j] = make(map[string]int, len(cfgs))
+		gt.compIdx[j] = numbered(cfgs)
 		for i, cfg := range cfgs {
-			gt.compIdx[j][cfg.Key()] = i
 			jobs[i] = func(int) (workflow.Measurement, error) {
 				noise := rand.New(rand.NewPCG(opt.Seed, 0x2000000+uint64(j)<<20+uint64(i)))
 				return workflow.MeasureSolo(b.Machine, cs.BuildSolo(cfg), cs.InBytesPerStep, noise)
@@ -181,4 +179,14 @@ func BuildGroundTruth(b *workflow.Benchmark, opt Options) (*GroundTruth, error) 
 		gt.expert[obj] = meas.Value(obj)
 	}
 	return gt, nil
+}
+
+// numbered indexes distinct configurations (SampleN draws no repeats): each
+// one's number is its position.
+func numbered(cfgs []cfgspace.Config) *cfgspace.Numbering {
+	nb := cfgspace.NewNumbering(len(cfgs), func(id int32) []int { return cfgs[id] })
+	for _, cfg := range cfgs {
+		nb.ID(cfg)
+	}
+	return nb
 }

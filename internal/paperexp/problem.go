@@ -26,11 +26,12 @@ func (e *gtEvaluator) MeasureComponent(j int, cfg cfgspace.Config) (float64, err
 	if cfg == nil {
 		return e.gt.fixed[e.obj][j], nil
 	}
-	i, ok := e.gt.compIdx[j][cfg.Key()]
-	if !ok {
-		return 0, fmt.Errorf("paperexp: component %d configuration %v not in the measured set", j, cfg)
+	if set := e.gt.compIdx[j]; set != nil {
+		if i, ok := set.Find(cfg); ok {
+			return e.gt.components[e.obj][j][i].Value, nil
+		}
 	}
-	return e.gt.components[e.obj][j][i].Value, nil
+	return 0, fmt.Errorf("paperexp: component %d configuration %v not in the measured set", j, cfg)
 }
 
 // Problem builds a tuner.Problem over this ground truth that scores its
@@ -48,7 +49,6 @@ func (gt *GroundTruth) Problem(opt Options, obj Objective, withHistory bool, see
 		Eval:          &gtEvaluator{gt: gt, obj: obj},
 		Combiner:      acm.ForObjective(obj != ExecTime),
 		ComponentPool: make([][]cfgspace.Config, len(b.Components)),
-		Features:      b.Features,
 		Seed:          seed,
 		Workers:       opt.Workers,
 		Ctx:           opt.Ctx,

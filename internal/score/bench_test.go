@@ -3,8 +3,9 @@
 // (the per-iteration inner loop of every tuner algorithm). The serial
 // baseline reproduces the pre-engine path — re-featurizing the pool and
 // walking the ensemble per row on every call — while the engine variants
-// split the cold first call (rank-code + predict) from the warm steady
-// state (cached pool codes, chunked coded prediction).
+// split the cold first call (code from the declared columns + predict)
+// from the warm steady state (cached pool codes, chunked coded
+// prediction).
 //
 // This file is an external test package so it can depend on xgb, acm and
 // workflow, all of which import score.
@@ -42,7 +43,7 @@ func trainModel(b *testing.B, bench *workflow.Benchmark, pool []cfgspace.Config)
 	X := make([][]float64, nTrain)
 	y := make([]float64, nTrain)
 	for i := 0; i < nTrain; i++ {
-		X[i] = bench.Features(pool[i])
+		X[i] = bench.Space.Features(pool[i])
 		for _, v := range X[i] {
 			y[i] += v
 		}
@@ -74,7 +75,7 @@ func BenchmarkPredictPool(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			out := make([]float64, len(pool))
 			for j, cfg := range pool {
-				out[j] = model.PredictRow(bench.Features(cfg))
+				out[j] = model.PredictRow(bench.Space.Features(cfg))
 			}
 		}
 	})
@@ -82,14 +83,14 @@ func BenchmarkPredictPool(b *testing.B) {
 	// predict codes the pool through mat (cached after the first call) and
 	// scores it.
 	predict := func(b *testing.B, eng *score.Engine, mat *score.Matrix, out []float64) {
-		q, err := mat.Codes(eng, pool, bench.Features)
+		q, err := mat.Codes(eng, pool, bench.Space.Columns())
 		if err != nil {
 			b.Fatal(err)
 		}
 		model.PredictBatchQuantizedOnInto(eng, q, out)
 	}
 
-	// Engine path, first call of a run: rank-code-and-cache plus predict.
+	// Engine path, first call of a run: code-and-cache plus predict.
 	b.Run("par8-cold", func(b *testing.B) {
 		eng := score.New(8)
 		for i := 0; i < b.N; i++ {
@@ -120,7 +121,7 @@ func BenchmarkPredictPool(b *testing.B) {
 // pool's rank codes, which the surrogate has already built: bucket tables,
 // cell numbering and one component-model prediction a cell, folded by the
 // combiner (CEAL's Phase-2 ranking before the switch). The workflow
-// features hold the configurable components' features in order.
+// columns hold the configurable components' columns in order.
 func BenchmarkScoreBatch(b *testing.B) {
 	bench, pool := benchPool(b, 2000)
 	lf := &acm.LowFidelity{Combine: acm.Max}
@@ -134,15 +135,14 @@ func BenchmarkScoreBatch(b *testing.B) {
 			lf.Parts = append(lf.Parts, part)
 			continue
 		}
-		cs := cs
-		part.Features = func(sub cfgspace.Config) []float64 { return cs.Features(sub) }
-		spans[j] = acm.Span{Lo: at, Hi: at + len(part.Features(part.Sub(pool[0])))}
+		part.Coder = cs.Space.Columns()
+		spans[j] = acm.Span{Lo: at, Hi: at + part.Coder.Width()}
 		at = spans[j].Hi
 		const nTrain = 30
 		X := make([][]float64, nTrain)
 		y := make([]float64, nTrain)
 		for i := 0; i < nTrain; i++ {
-			X[i] = part.Features(part.Sub(pool[i]))
+			X[i] = part.Coder.Features(part.Sub(pool[i]))
 			for _, v := range X[i] {
 				y[i] += v
 			}
@@ -155,7 +155,7 @@ func BenchmarkScoreBatch(b *testing.B) {
 		lf.Parts = append(lf.Parts, part)
 	}
 	var mat score.Matrix
-	q, err := mat.Codes(nil, pool, bench.Features)
+	q, err := mat.Codes(nil, pool, bench.Space.Columns())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,40 +1,48 @@
 // Rank-coded pool features: a candidate pool's feature matrix as one
-// uint16 per cell — the rank of the cell's value among its column's
-// distinct values — plus a per-column value table, a quarter of the float
-// rows' size before slice headers. The coding is lossless (a code decodes
-// to the value it stood for, −0 folded into +0, which no `x < threshold`
-// split can tell apart) and order-preserving, so a tree ensemble compiles
-// each split threshold into "how many of the column's values lie below
-// it" once per fit and then descends on integer compares alone:
-// code < count ⇔ x < threshold. NaN sorts after every number and so codes
-// above every count, taking the right branch exactly as the float compare
-// sends it.
+// uint16 per cell — the cell's rank among its column's values — plus a
+// per-column value table, a quarter of the float rows' size. The coding is
+// lossless and order-preserving, so a tree ensemble compiles each split
+// threshold into "how many of the column's values lie below it" once per
+// fit and then descends on integer compares alone: code < count ⇔ x < thr.
 //
-// A column with more than MaxCodes distinct values does not fit a uint16
-// rank, and a pool holding one is refused with ErrWideColumn: codes are
-// the only form a pool is scored in. Every pool this repository samples is
-// far inside the limit (the widest paper column has ~2.4k distinct values).
+// A pool is coded from its space's declared columns (cfgspace.Coder): a
+// value table is the column's whole lattice and a code is (value−Min)/Step.
+// Values no row takes change no `x < thr` answer, so predictions are the
+// float rows' bit for bit. A column declared wider than MaxCodes is refused
+// with ErrWideColumn, a value off its lattice with an *OffLatticeError.
+// QuantizeRows codes float rows by discovery, for features no declaration
+// bounds (ALpH's component predictions).
 package score
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
+
+	"ceal/internal/cfgspace"
 )
 
-// MaxCodes is the most distinct values a column may have and still be
-// rank-coded: ranks 0..MaxCodes-1, and the count of values below a
-// threshold (at most MaxCodes) also fits a uint16.
+// MaxCodes is the most values a column may have and still be rank-coded:
+// ranks 0..MaxCodes-1, and the count of values below a threshold (at most
+// MaxCodes) also fits a uint16.
 const MaxCodes = math.MaxUint16
 
-// ErrWideColumn refuses a pool with a column of more than MaxCodes
-// distinct values; the error wrapping it names the column.
+// ErrWideColumn refuses a pool with a column of more than MaxCodes values;
+// the error wrapping it names the column.
 var ErrWideColumn = errors.New("score: feature column too wide to rank-code")
 
-// wideColumn is the refusal of a pool whose feature f is too wide.
-func wideColumn(f int) error {
-	return fmt.Errorf("%w: feature %d has more than %d distinct values", ErrWideColumn, f, MaxCodes)
+// OffLatticeError refuses a pool row that derives Value for column Col,
+// off the column's declared lattice: a declaration that does not bound
+// what its configurations derive.
+type OffLatticeError struct {
+	Col   cfgspace.Param
+	Value int
+}
+
+func (e *OffLatticeError) Error() string {
+	return fmt.Sprintf("score: feature %s = %d is off its declared lattice %d..%d step %d", e.Col.Name, e.Value, e.Col.Min, e.Col.Max, e.Col.Step)
 }
 
 // Codes is one candidate pool's features as rank codes. Immutable after
@@ -54,134 +62,90 @@ func (q *Codes) Row(i int) []uint16 {
 // the code stands for.
 func (q *Codes) Values(f int) []float64 { return q.values[f] }
 
-// QuantizeRows rank-codes a row-major float matrix on the engine's
-// workers. It returns nil for a matrix with a column wider than MaxCodes.
+// QuantizeRows rank-codes a row-major float matrix by discovery: each
+// column's value table is its distinct values, ascending with NaN last
+// (−0 folded into +0, which no `x < threshold` split tells apart), sorted
+// on the engine's workers. It returns nil for a matrix with a column of
+// more than MaxCodes distinct values.
 func QuantizeRows(e *Engine, rows [][]float64) *Codes {
-	q, _ := buildCodes(e, len(rows), func(i int) []float64 { return rows[i] })
+	if len(rows) == 0 {
+		return &Codes{}
+	}
+	dim := len(rows[0])
+	q := &Codes{N: len(rows), Dim: dim, codes: make([]uint16, len(rows)*dim), values: make([][]float64, dim)}
+	e.Tasks(dim, func(f int) {
+		vals := make([]float64, len(rows))
+		for i, row := range rows {
+			vals[i] = row[f]
+			if vals[i] == 0 {
+				vals[i] = 0
+			}
+		}
+		slices.SortFunc(vals, lessNaNLast)
+		vals = slices.Clip(slices.CompactFunc(vals, func(a, b float64) bool { return lessNaNLast(a, b) == 0 }))
+		if len(vals) > MaxCodes {
+			return // leaves the table nil
+		}
+		q.values[f] = vals
+		for i, row := range rows {
+			k, _ := slices.BinarySearchFunc(vals, row[f], lessNaNLast)
+			q.codes[i*dim+f] = uint16(k)
+		}
+	})
+	if slices.ContainsFunc(q.values, func(v []float64) bool { return v == nil }) {
+		return nil
+	}
 	return q
 }
 
-// canonBits is the identity a value is coded by: its bits, with −0 folded
-// into +0 (they compare equal) and every NaN payload into one.
-func canonBits(v float64) uint64 {
-	switch {
-	case v == 0:
-		return 0
-	case v != v:
-		return math.Float64bits(math.NaN())
-	}
-	return math.Float64bits(v)
-}
-
-// lessNaNLast orders floats ascending with NaN after everything.
+// lessNaNLast orders floats ascending with NaN after everything
+// (cmp.Compare puts it before).
 func lessNaNLast(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	case a == b:
-		return 0
-	case a != a && b != b:
-		return 0
-	case a != a:
-		return 1
+	if a != a || b != b {
+		return cmp.Compare(b, a)
 	}
-	return -1
+	return cmp.Compare(a, b)
 }
 
-// buildCodes rank-codes the n rows row(i) yields, holding no float row
-// beyond the one in hand: each engine chunk numbers its columns' values in
-// first-seen order straight into the code matrix, the per-chunk value
-// lists are merged and sorted per column, and one more pass rewrites every
-// provisional number as its rank. Ranks depend only on the values, so the
-// result is the same for any worker count. row is called exactly once per
-// index. A column with more than MaxCodes distinct values aborts the build
-// with ErrWideColumn.
-func buildCodes(e *Engine, n int, row func(i int) []float64) (*Codes, error) {
-	if n == 0 {
-		return &Codes{}, nil
-	}
-	first := row(0)
-	dim := len(first)
-	q := &Codes{N: n, Dim: dim, codes: make([]uint16, n*dim), values: make([][]float64, dim)}
-
-	_, chunks := e.ChunkLayout(n)
-	seen := make([][][]float64, chunks) // per chunk, per feature: values in first-seen order
-	wide := make([]int, chunks)         // per chunk: 1 + the column it found too wide, or 0
-	e.MapChunksIndexed(n, func(ci, lo, hi int) {
-		ids := make([]map[uint64]uint16, dim)
-		vals := make([][]float64, dim)
-		for f := range ids {
-			ids[f] = make(map[uint64]uint16)
+// declaredCodes codes pool by its declared columns on the engine's
+// workers, each chunk deriving rows into one scratch slice. A column too
+// wide is refused before any table is built; of the rows off a lattice, the
+// first in pool order names the error, at any worker count.
+func declaredCodes(e *Engine, pool []cfgspace.Config, coder *cfgspace.Coder) (*Codes, error) {
+	dim := coder.Width()
+	for _, c := range coder.Cols {
+		if c.Count() > MaxCodes {
+			return nil, fmt.Errorf("%w: feature %s declares %d values, more than %d", ErrWideColumn, c.Name, c.Count(), MaxCodes)
 		}
+	}
+	q := &Codes{N: len(pool), Dim: dim, codes: make([]uint16, len(pool)*dim), values: make([][]float64, dim)}
+	_, chunks := e.ChunkLayout(len(pool))
+	errs := make([]error, chunks)
+	e.MapChunksIndexed(len(pool), func(ci, lo, hi int) {
+		v := make([]int, dim)
 		for i := lo; i < hi; i++ {
-			x := first
-			if i > 0 {
-				x = row(i)
-			}
+			coder.Ints(pool[i], v)
 			out := q.codes[i*dim : (i+1)*dim]
-			for f, v := range x {
-				key := canonBits(v)
-				id, ok := ids[f][key]
-				if !ok {
-					if len(vals[f]) == MaxCodes {
-						wide[ci] = f + 1
-						return
-					}
-					id = uint16(len(vals[f]))
-					ids[f][key] = id
-					vals[f] = append(vals[f], math.Float64frombits(key))
+			for f, c := range coder.Cols {
+				if !c.Contains(v[f]) {
+					errs[ci] = &OffLatticeError{Col: c, Value: v[f]}
+					return
 				}
-				out[f] = id
-			}
-		}
-		seen[ci] = vals
-	})
-	for _, f := range wide {
-		if f > 0 {
-			return nil, wideColumn(f - 1)
-		}
-	}
-
-	// Per column: the sorted union of the chunks' values, then each
-	// chunk's provisional number → rank table. A column too wide once the
-	// chunks are merged leaves its value table nil.
-	rank := make([][][]uint16, chunks)
-	for ci := range rank {
-		rank[ci] = make([][]uint16, dim)
-	}
-	e.Tasks(dim, func(f int) {
-		var all []float64
-		for _, vals := range seen {
-			all = append(all, vals[f]...)
-		}
-		slices.SortFunc(all, lessNaNLast)
-		all = slices.CompactFunc(all, func(a, b float64) bool { return lessNaNLast(a, b) == 0 })
-		if len(all) > MaxCodes {
-			return
-		}
-		q.values[f] = all
-		for ci, vals := range seen {
-			r := make([]uint16, len(vals[f]))
-			for id, v := range vals[f] {
-				k, _ := slices.BinarySearchFunc(all, v, lessNaNLast)
-				r[id] = uint16(k)
-			}
-			rank[ci][f] = r
-		}
-	})
-	if f := slices.IndexFunc(q.values, func(v []float64) bool { return v == nil }); f >= 0 {
-		return nil, wideColumn(f)
-	}
-	e.MapChunksIndexed(n, func(ci, lo, hi int) {
-		r := rank[ci]
-		for i := lo; i < hi; i++ {
-			out := q.codes[i*dim : (i+1)*dim]
-			for f, id := range out {
-				out[f] = r[f][id]
+				out[f] = uint16((v[f] - c.Min) / c.Step)
 			}
 		}
 	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	for f, c := range coder.Cols {
+		vals := make([]float64, c.Count())
+		for k := range vals {
+			vals[k] = float64(c.Value(k))
+		}
+		q.values[f] = vals
+	}
 	return q, nil
 }

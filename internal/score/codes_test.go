@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -88,26 +89,69 @@ func TestQuantizeRowsLosslessIdentity(t *testing.T) {
 }
 
 // TestQuantizeRowsWideColumn pins the refusal: MaxCodes distinct values
-// in a column still code; one more and QuantizeRows gives nil and
-// Matrix.Codes refuses the pool with ErrWideColumn, naming the column.
+// in a column still code; one more and QuantizeRows gives nil. Declared
+// columns are refused by their declared width, whatever the pool holds:
+// Matrix.Codes codes a column of MaxCodes values and refuses one of one
+// more, or of 2^30, with ErrWideColumn naming the column, for a pool of
+// three rows and without building the column's value table.
 func TestQuantizeRowsWideColumn(t *testing.T) {
 	rows := make([][]float64, MaxCodes+1)
-	pool := make([]cfgspace.Config, len(rows))
 	for i := range rows {
 		rows[i] = []float64{float64(i % 7), float64(i)}
-		pool[i] = cfgspace.Config{i}
 	}
-	feats := func(cfg cfgspace.Config) []float64 { return rows[cfg[0]] }
+	pool := []cfgspace.Config{{0, 5}, {3, 0}, {6, 9}}
 	for _, e := range []*Engine{nil, New(4)} {
 		checkCodes(t, QuantizeRows(e, rows[:MaxCodes]), rows[:MaxCodes])
-		var m Matrix
-		checkCodes(t, mustCodes(t, &m, e, pool[:MaxCodes], feats), rows[:MaxCodes])
 		if q := QuantizeRows(e, rows); q != nil {
 			t.Fatalf("workers=%d: a %d-distinct column was coded", e.Workers(), len(rows))
 		}
-		q, err := m.Codes(e, pool, feats)
-		if q != nil || !errors.Is(err, ErrWideColumn) || !strings.Contains(err.Error(), "feature 1 ") {
-			t.Fatalf("workers=%d: Codes of a %d-distinct column = %v, %v; want ErrWideColumn naming feature 1", e.Workers(), len(rows), q, err)
+		for _, top := range []int{MaxCodes - 1, MaxCodes, 1 << 30} {
+			coder := cfgspace.NewCoder([]cfgspace.Param{cfgspace.NewParam("a", 0, 6), cfgspace.NewParam("b", 0, top)}, nil)
+			var m Matrix
+			q, err := m.Codes(e, pool, coder)
+			if top < MaxCodes {
+				checkCodes(t, q, [][]float64{{0, 5}, {3, 0}, {6, 9}})
+				continue
+			}
+			if q != nil || !errors.Is(err, ErrWideColumn) || !strings.Contains(err.Error(), "feature b ") {
+				t.Fatalf("workers=%d: Codes of a %d-value column = %v, %v; want ErrWideColumn naming feature b", e.Workers(), top+1, q, err)
+			}
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var m Matrix
+	m.Codes(nil, pool, cfgspace.NewCoder([]cfgspace.Param{cfgspace.NewParam("a", 0, 6), cfgspace.NewParam("b", 0, 1<<30)}, nil))
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<16 {
+		t.Fatalf("refusing a 2^30-value column allocated %d bytes", got)
+	}
+}
+
+// TestMatrixCodesOffLattice: a derived value off its column's declared
+// lattice — below Min, above Max or between steps — fails the build with
+// an *OffLatticeError naming the column and the value, at any worker
+// count; it is never coded as a neighbouring value.
+func TestMatrixCodesOffLattice(t *testing.T) {
+	cols := []cfgspace.Param{cfgspace.NewParam("a", 0, 9), cfgspace.NewSteppedParam("twice", 0, 18, 2)}
+	for _, bad := range []int{-2, 20, 7} {
+		coder := cfgspace.NewCoder(cols, func(cfg cfgspace.Config, dst []int) {
+			dst[0], dst[1] = cfg[0], 2*cfg[0]
+			if cfg[0] == 5 {
+				dst[1] = bad
+			}
+		})
+		pool := make([]cfgspace.Config, 300)
+		for i := range pool {
+			pool[i] = cfgspace.Config{i % 10}
+		}
+		for _, e := range []*Engine{nil, New(4)} {
+			var m Matrix
+			q, err := m.Codes(e, pool, coder)
+			var off *OffLatticeError
+			if q != nil || !errors.As(err, &off) || off.Col.Name != "twice" || off.Value != bad {
+				t.Fatalf("workers=%d: a row deriving twice = %d coded as %v, %v; want an OffLatticeError for twice", e.Workers(), bad, q, err)
+			}
 		}
 	}
 }
@@ -136,36 +180,41 @@ func TestQuantizedFootprint(t *testing.T) {
 	}
 }
 
-// TestMatrixCodes: codes built straight from the featurizer equal codes
-// built from the float rows, the featurizer runs once per configuration,
-// and later calls serve the cache.
+// TestMatrixCodes: codes built from declared columns are lattice
+// positions, decode to the coder's values, match the discovered codes of
+// the featurized rows value for value, derive each configuration's columns
+// once, and later calls serve the cache.
 func TestMatrixCodes(t *testing.T) {
 	pool := make([]cfgspace.Config, 3000)
 	for i := range pool {
 		pool[i] = cfgspace.Config{i % 50, i % 1200, i}
 	}
+	cols := []cfgspace.Param{cfgspace.NewParam("a", 0, 49), cfgspace.NewSteppedParam("b", -3, 1197, 3), cfgspace.NewParam("ab", 0, 49*1199)}
 	calls := make([]int32, len(pool))
-	feats := func(cfg cfgspace.Config) []float64 {
+	coder := cfgspace.NewCoder(cols, func(cfg cfgspace.Config, dst []int) {
 		calls[cfg[2]]++
-		return []float64{float64(cfg[0]), float64(cfg[1]) / 3, float64(cfg[0] * cfg[1])}
-	}
+		dst[0], dst[1], dst[2] = cfg[0], cfg[1]/3*3, cfg[0]*cfg[1]
+	})
 	var m Matrix
-	q := mustCodes(t, &m, New(1), pool, feats)
+	q := mustCodes(t, &m, New(1), pool, coder)
 	for i, c := range calls {
 		if c != 1 {
-			t.Fatalf("configuration %d featurized %d times, want once", i, c)
+			t.Fatalf("configuration %d derived %d times, want once", i, c)
 		}
 	}
-	if mustCodes(t, &m, New(1), pool, feats) != q {
+	if mustCodes(t, &m, New(1), pool, coder) != q {
 		t.Fatal("second Codes call rebuilt the matrix")
 	}
-	rows := m.Rows(New(1), pool, feats)
+	rows := m.Rows(New(1), pool, coder.Features)
 	checkCodes(t, q, rows)
-	want := QuantizeRows(nil, rows)
+	found := QuantizeRows(nil, rows)
 	for i := range pool {
 		for f, c := range q.Row(i) {
-			if c != want.Row(i)[f] {
-				t.Fatalf("row %d feature %d: featurizer-built code %d, row-built %d", i, f, c, want.Row(i)[f])
+			if want := (int(rows[i][f]) - cols[f].Min) / cols[f].Step; int(c) != want {
+				t.Fatalf("row %d feature %d: code %d, lattice position %d", i, f, c, want)
+			}
+			if q.Values(f)[c] != found.Values(f)[found.Row(i)[f]] {
+				t.Fatalf("row %d feature %d: declared code decodes to %v, discovered to %v", i, f, q.Values(f)[c], found.Values(f)[found.Row(i)[f]])
 			}
 		}
 	}

@@ -1,8 +1,7 @@
 // Package score implements the pool-scoring engine: batch model inference
 // over a candidate pool, fanned across a worker pool with deterministic,
-// index-ordered output, plus a featurized-pool matrix cache so a tuning
-// run featurizes each configuration once rather than once per scoring call
-// per iteration. It is the inference-throughput counterpart of the
+// index-ordered output, plus a pool-code cache so a tuning run codes each
+// configuration once rather than once per scoring call per iteration. It is the inference-throughput counterpart of the
 // measurement collector: every hot scoring path (surrogate pool
 // prediction, low-fidelity ranking, candidate selection) runs through it.
 //
@@ -159,7 +158,8 @@ func (e *Engine) Floats(n int, fn func(i int) float64) []float64 {
 // request. The cache is keyed by slice identity (backing array plus
 // length), which is sound because pools are immutable for the lifetime of
 // a tuning run; passing a different slice — or a different-length prefix
-// of the same pool — simply recomputes and replaces the cache.
+// of the same pool — simply recomputes and replaces the cache. One Matrix
+// serves one coder.
 type Matrix struct {
 	mu    sync.Mutex
 	head  *cfgspace.Config
@@ -178,21 +178,21 @@ func (m *Matrix) Rows(e *Engine, pool []cfgspace.Config, feats func(cfgspace.Con
 	return rows
 }
 
-// Codes returns the pool's rank codes, computing them with feats on the
-// engine's workers on first use and serving the cached codes on every
-// later call with the same pool slice. Concurrent first calls may
-// featurize redundantly, but the first to finish is cached and returned to
-// all of them. The codes are built straight from the featurizer, one row
-// in hand at a time, so a run never holds the float matrix. A pool with a
-// column too wide to code is refused with ErrWideColumn.
-func (m *Matrix) Codes(e *Engine, pool []cfgspace.Config, feats func(cfgspace.Config) []float64) (*Codes, error) {
+// Codes returns the pool's rank codes under the declared columns coder,
+// computing them on the engine's workers on first use and serving the
+// cached codes on every later call with the same pool slice. Concurrent
+// first calls may code redundantly, but the first to finish is cached and
+// returned to all of them. A column declared wider than MaxCodes is refused
+// with ErrWideColumn, and a value off its column's lattice with an
+// *OffLatticeError.
+func (m *Matrix) Codes(e *Engine, pool []cfgspace.Config, coder *cfgspace.Coder) (*Codes, error) {
 	if len(pool) == 0 {
 		return &Codes{}, nil
 	}
 	if codes := m.held(pool); codes != nil {
 		return codes, nil
 	}
-	codes, err := buildCodes(e, len(pool), func(i int) []float64 { return feats(pool[i]) })
+	codes, err := declaredCodes(e, pool, coder)
 	if err != nil {
 		return nil, err
 	}

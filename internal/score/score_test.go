@@ -114,34 +114,39 @@ func TestWorkersClamped(t *testing.T) {
 	}
 }
 
-// mustCodes is m.Codes for a pool narrow enough to code.
-func mustCodes(t *testing.T, m *Matrix, e *Engine, pool []cfgspace.Config, feats func(cfgspace.Config) []float64) *Codes {
+// mustCodes is m.Codes for a pool that codes.
+func mustCodes(t *testing.T, m *Matrix, e *Engine, pool []cfgspace.Config, coder *cfgspace.Coder) *Codes {
 	t.Helper()
-	q, err := m.Codes(e, pool, feats)
+	q, err := m.Codes(e, pool, coder)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return q
 }
 
+// counting returns a coder of the raw columns cols that counts its calls.
+func counting(calls *atomic.Int32, cols ...cfgspace.Param) *cfgspace.Coder {
+	return cfgspace.NewCoder(cols, func(c cfgspace.Config, dst []int) {
+		calls.Add(1)
+		copy(dst, c)
+	})
+}
+
 func TestMatrixCachesBySliceIdentity(t *testing.T) {
 	pool := []cfgspace.Config{{1, 2}, {3, 4}, {5, 6}}
 	var calls atomic.Int32
-	feats := func(c cfgspace.Config) []float64 {
-		calls.Add(1)
-		return []float64{float64(c[0]), float64(c[1])}
-	}
+	coder := counting(&calls, cfgspace.NewParam("x", 1, 5), cfgspace.NewParam("y", 2, 6))
 	var m Matrix
 	eng := New(4)
-	first := mustCodes(t, &m, eng, pool, feats)
+	first := mustCodes(t, &m, eng, pool, coder)
 	if calls.Load() != 3 {
-		t.Fatalf("first Codes featurized %d times, want 3", calls.Load())
+		t.Fatalf("first Codes derived %d rows, want 3", calls.Load())
 	}
-	if mustCodes(t, &m, eng, pool, feats) != first {
+	if mustCodes(t, &m, eng, pool, coder) != first {
 		t.Fatal("warm Codes returned a different matrix")
 	}
 	if calls.Load() != 3 {
-		t.Fatalf("warm Codes re-featurized (calls=%d)", calls.Load())
+		t.Fatalf("warm Codes re-derived (calls=%d)", calls.Load())
 	}
 	checkCodes(t, first, [][]float64{{1, 2}, {3, 4}, {5, 6}})
 }
@@ -149,14 +154,11 @@ func TestMatrixCachesBySliceIdentity(t *testing.T) {
 func TestMatrixRecomputesOnDifferentSlice(t *testing.T) {
 	pool := []cfgspace.Config{{1}, {2}, {3}, {4}}
 	var calls atomic.Int32
-	feats := func(c cfgspace.Config) []float64 {
-		calls.Add(1)
-		return []float64{float64(c[0])}
-	}
+	coder := counting(&calls, cfgspace.NewParam("x", 1, 4))
 	var m Matrix
-	mustCodes(t, &m, nil, pool, feats)
+	mustCodes(t, &m, nil, pool, coder)
 	// A prefix of the same backing array has a different length: recompute.
-	if sub := mustCodes(t, &m, nil, pool[:2], feats); sub.N != 2 {
+	if sub := mustCodes(t, &m, nil, pool[:2], coder); sub.N != 2 {
 		t.Fatalf("prefix codes = %d rows", sub.N)
 	}
 	if calls.Load() != 6 {
@@ -164,11 +166,11 @@ func TestMatrixRecomputesOnDifferentSlice(t *testing.T) {
 	}
 	// A fresh slice with equal contents is a different pool: recompute.
 	other := []cfgspace.Config{{1}, {2}}
-	mustCodes(t, &m, nil, other, feats)
+	mustCodes(t, &m, nil, other, coder)
 	if calls.Load() != 8 {
 		t.Fatalf("calls = %d, want 8", calls.Load())
 	}
-	if q := mustCodes(t, &m, nil, nil, feats); q.N != 0 {
+	if q := mustCodes(t, &m, nil, nil, coder); q.N != 0 {
 		t.Fatalf("empty pool coded %d rows", q.N)
 	}
 }
@@ -182,13 +184,14 @@ func TestMatrixConcurrentRows(t *testing.T) {
 		pool[i] = cfgspace.Config{i, i * 2}
 		rows[i] = []float64{float64(i + i*2)}
 	}
-	feats := func(c cfgspace.Config) []float64 { return []float64{float64(c[0] + c[1])} }
+	coder := cfgspace.NewCoder([]cfgspace.Param{cfgspace.NewSteppedParam("sum", 0, 897, 3)},
+		func(c cfgspace.Config, dst []int) { dst[0] = c[0] + c[1] })
 	var m Matrix
 	eng := New(4)
 	done := make(chan *Codes, 8)
 	for g := 0; g < 8; g++ {
 		go func() {
-			q, _ := m.Codes(eng, pool, feats)
+			q, _ := m.Codes(eng, pool, coder)
 			done <- q
 		}()
 	}

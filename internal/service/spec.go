@@ -37,7 +37,7 @@ type JobSpec = histdb.Spec
 
 // Admission ceilings on a spec's numeric fields. A spec is a few dozen
 // bytes on the wire but sizes the work a manager worker does (the pool is
-// sampled and featurized up front), so the body-size cap alone bounds
+// sampled and coded up front), so the body-size cap alone bounds
 // nothing. Pool and budget sit 10x above the largest workload the repo
 // runs (ceal-bench's 100k-configuration bigpool).
 const (

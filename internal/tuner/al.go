@@ -96,8 +96,8 @@ func (s *surrogateBacked) Finish(st *State, score bool) ([]float64, error) {
 	return s.model.PredictPoolInto(st.Problem.Pool, make([]float64, len(st.Problem.Pool)))
 }
 
-func (s *surrogateBacked) FinalImportance(st *State) []float64 {
-	return s.model.Importance(len(s.model.feats(st.Problem.Pool[0])))
+func (s *surrogateBacked) FinalImportance(*State) []float64 {
+	return s.model.Importance()
 }
 
 // ModelRounds reports the surrogate's boosting rounds for the trace.

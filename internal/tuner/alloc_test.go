@@ -28,11 +28,8 @@ func TestLowFidelityPoolAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, spans := p.engine(), p.featureSpans()
-			if spans == nil {
-				t.Fatal("the raw layout was not located in the pool codes")
-			}
-			q, err := p.poolMat.Codes(e, p.Pool, p.features)
+			e, spans := p.engine(), p.spans()
+			q, err := p.poolCodes(p.Pool)
 			if err != nil {
 				t.Fatal(err)
 			}

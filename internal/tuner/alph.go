@@ -39,8 +39,9 @@ func (s *alphStrategy) Bootstrap(st *State) ([][]Sample, error) {
 	}
 	// M'_0's features: raw configuration plus each component model's
 	// prediction for its sub-configuration.
-	s.model = newFeatureSurrogate(p, func(cfg cfgspace.Config) []float64 {
-		x := p.features(cfg)
+	coder := p.Space.Columns()
+	s.model = newFeatureSurrogate(p, coder.Width()+len(cm.lowFi.Parts), func(cfg cfgspace.Config) []float64 {
+		x := coder.Features(cfg)
 		for j := range cm.lowFi.Parts {
 			part := &cm.lowFi.Parts[j]
 			x = append(x, part.Predict(part.Sub(cfg)))

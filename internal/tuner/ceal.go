@@ -193,7 +193,7 @@ func (s *cealStrategy) AfterMeasure(st *State, batch []Sample) error {
 		cfgs[k] = smp.Cfg
 	}
 	highScores := s.model.PredictBatch(cfgs)
-	lowScores, err := s.cm.lowFi.ScoreConfigs(p.engine(), cfgs)
+	lowScores, err := s.cm.score(p, cfgs)
 	if err != nil {
 		return err
 	}
@@ -290,5 +290,5 @@ func LowFidelityScores(p *Problem, mR int, cfgs []cfgspace.Config) ([]float64, e
 	if err != nil {
 		return nil, err
 	}
-	return cm.lowFi.ScoreConfigs(p.engine(), cfgs)
+	return cm.score(p, cfgs)
 }

@@ -7,6 +7,7 @@ import (
 	"ceal/internal/acm"
 	"ceal/internal/cfgspace"
 	"ceal/internal/ml/xgb"
+	"ceal/internal/score"
 )
 
 // componentModels is Phase 1 of the bootstrapping method (Alg. 1, lines
@@ -25,27 +26,28 @@ type componentModels struct {
 
 // poolScores returns M_L's score for every configuration of p.Pool,
 // computed on first use (a warm-started CEAL run that never ranks by M_L
-// never pays for it). When the workflow features hold the component
-// features in order, it reads the pool codes the surrogate shares
-// (p.poolMat), so the pool is featurized once a run; otherwise the
-// components' own features are coded. A pool too wide to code is refused
-// with score.ErrWideColumn.
+// never pays for it) over the pool codes the surrogates share.
 func (cm *componentModels) poolScores(p *Problem) ([]float64, error) {
 	if cm.pool != nil {
 		return cm.pool, nil
 	}
-	e, spans := p.engine(), p.featureSpans()
-	if spans == nil {
-		var err error
-		cm.pool, err = cm.lowFi.ScoreConfigs(e, p.Pool)
-		return cm.pool, err
-	}
-	q, err := p.poolMat.Codes(e, p.Pool, p.features)
+	q, err := p.poolCodes(p.Pool)
 	if err != nil {
 		return nil, err
 	}
-	cm.pool = cm.lowFi.ScoreCodes(e, q, spans, p.Pool)
+	cm.pool = cm.lowFi.ScoreCodes(p.engine(), q, p.spans(), p.Pool)
 	return cm.pool, nil
+}
+
+// score returns M_L's score for each of cfgs, coded under the workflow's
+// columns.
+func (cm *componentModels) score(p *Problem, cfgs []cfgspace.Config) ([]float64, error) {
+	var mat score.Matrix
+	q, err := mat.Codes(p.engine(), cfgs, p.Space.Columns())
+	if err != nil {
+		return nil, err
+	}
+	return cm.lowFi.ScoreCodes(p.engine(), q, p.spans(), cfgs), nil
 }
 
 // scorer ranks pool candidates by M_L.
@@ -127,7 +129,7 @@ func trainComponentModels(p *Problem, mR int, rng *rand.Rand) (*componentModels,
 			return nil, fmt.Errorf("tuner: fit component model %s: %w", comp.Name, errs[i])
 		}
 		parts[pf.j].Predictor = models[i]
-		parts[pf.j].Features = comp.features
+		parts[pf.j].Coder = comp.Space.Columns()
 	}
 	return &componentModels{
 		lowFi:      &acm.LowFidelity{Combine: p.Combiner, Parts: parts},
@@ -198,7 +200,7 @@ func (c componentModel) PredictBatch(X [][]float64, out []float64) {
 // fitComponentModel fits one component's model serially: the fits
 // themselves fan across the engine, one per component.
 func fitComponentModel(comp ComponentInfo, samples []Sample) (acm.Predictor, error) {
-	m, err := fitLogModel(nil, comp.features, samples)
+	m, err := fitLogModel(nil, comp.Space.Features, samples)
 	if err != nil {
 		return nil, err
 	}

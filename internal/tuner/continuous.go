@@ -34,7 +34,7 @@ import (
 type Continuous struct {
 	// Algorithm runs every tuning epoch (initial and re-explorations).
 	Algorithm Algorithm
-	// Problem is the session's one problem — pool sampled and featurized
+	// Problem is the session's one problem — pool sampled and coded
 	// once — whose Dispatcher is the *drift.Env the driver also probes
 	// between epochs. Every epoch tunes it: the driver forgets its
 	// collector's cache first (a value measured under one platform

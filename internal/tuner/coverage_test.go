@@ -71,13 +71,13 @@ func TestSurrogateTrainRejectsBadFeatures(t *testing.T) {
 	}
 	poison := p.Pool[25].Key()
 	feats := func(c cfgspace.Config) []float64 {
-		x := p.features(c)
+		x := p.Space.Features(c)
 		if c.Key() == poison {
 			x[0] = math.NaN()
 		}
 		return x
 	}
-	s := newFeatureSurrogate(p, feats)
+	s := newFeatureSurrogate(p, p.Space.Dim(), feats)
 	if err := s.Train(samples[:20]); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestSurrogateTrainRejectsBadFeatures(t *testing.T) {
 	if err := s.Train(samples[:25]); err != nil {
 		t.Fatal(err)
 	}
-	clean := newFeatureSurrogate(p, feats)
+	clean := newFeatureSurrogate(p, p.Space.Dim(), feats)
 	if err := clean.Train(samples[:25]); err != nil {
 		t.Fatal(err)
 	}

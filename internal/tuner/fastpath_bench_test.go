@@ -67,11 +67,11 @@ func BenchmarkScoreBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	q, err := p.poolMat.Codes(p.engine(), p.Pool, p.features)
+	q, err := p.poolCodes(p.Pool)
 	if err != nil {
 		b.Fatal(err)
 	}
-	spans := p.featureSpans()
+	spans := p.spans()
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("100k/workers=%d", workers), func(b *testing.B) {
 			eng := score.New(workers)

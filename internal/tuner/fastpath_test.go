@@ -254,7 +254,7 @@ func TestBoundedTakeTopMatchesReference(t *testing.T) {
 	X := make([][]float64, 80)
 	logY := make([]float64, len(X))
 	for i := range X {
-		X[i] = p0.features(p0.Pool[i*7])
+		X[i] = p0.Space.Features(p0.Pool[i*7])
 		v, err := p0.Eval.MeasureWorkflow(p0.Pool[i*7])
 		if err != nil {
 			t.Fatal(err)
@@ -315,11 +315,12 @@ func TestBoundedTakeTopMatchesReference(t *testing.T) {
 	}
 }
 
-// TestWideColumnRefused: a pool whose first parameter is unique per row
-// has a column of more than score.MaxCodes distinct values, in the
-// workflow features and in sim's own. Every way a run codes it is refused
-// with score.ErrWideColumn: AL's surrogate ranking, ALpH's, CEAL's M_L
-// pass, the Phase-1 model's scores and the surrogate's pool prediction.
+// TestWideColumnRefused: a pool whose first parameter is declared, and
+// taken, with more than score.MaxCodes values has a column too wide to
+// code, in the workflow columns and in sim's own. Every way a run codes it
+// is refused with score.ErrWideColumn: AL's surrogate ranking, ALpH's
+// (coded by discovery), CEAL's M_L pass, the Phase-1 model's scores and
+// the surrogate's pool prediction.
 func TestWideColumnRefused(t *testing.T) {
 	wideProblem := func() *Problem {
 		p := synthProblem(5, score.MaxCodes+200)
@@ -367,18 +368,17 @@ func TestWideColumnRefused(t *testing.T) {
 // M_L-backed ranking reads equals, row for row, the combiner folding each
 // component model's prediction on its own sub-configuration, with an
 // unconfigurable component whose empty sub-configuration sits at the very
-// end of each configuration. When the workflow features hold the
-// component features in order, the pass reads the pool codes the surrogate
-// shares, so the pool is featurized once; behind a column no component
-// reads, it codes the components' own features, to the same scores.
+// end of each configuration. The pass reads the pool codes the surrogate
+// shares, so the pool's columns are derived once a run.
 func TestLowFidelityPoolScoresMatchScore(t *testing.T) {
 	p := synthProblem(9, 500)
 	p.Components = append(p.Components, ComponentInfo{Name: "fixed"})
 	var calls atomic.Int64
-	p.Features = func(cfg cfgspace.Config) []float64 {
+	cols := p.Space.Columns()
+	p.Space.Coder = cfgspace.NewCoder(cols.Cols, func(cfg cfgspace.Config, dst []int) {
 		calls.Add(1)
-		return p.Space.Features(cfg)
-	}
+		cols.Ints(cfg, dst)
+	})
 	cm, err := trainComponentModels(p, 12, newTestRNG(4))
 	if err != nil {
 		t.Fatal(err)
@@ -387,13 +387,13 @@ func TestLowFidelityPoolScoresMatchScore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	featurized := calls.Load()
-	if _, err := p.poolMat.Codes(p.engine(), p.Pool, p.features); err != nil {
+	derived := calls.Load()
+	if _, err := newSurrogate(p).codes(p.Pool); err != nil {
 		t.Fatal(err)
 	}
-	if featurized != int64(len(p.Pool))+1 || calls.Load() != featurized {
-		t.Fatalf("featurized %d times for the M_L pass and %d more for the surrogate's codes, want the pool and one check row, then none",
-			featurized, calls.Load()-featurized)
+	if derived != int64(len(p.Pool)) || calls.Load() != derived {
+		t.Fatalf("derived the columns of %d rows for the M_L pass and %d more for the surrogate's codes, want the pool, then none",
+			derived, calls.Load()-derived)
 	}
 	vs := make([]float64, len(cm.lowFi.Parts))
 	for i, cfg := range p.Pool {
@@ -413,25 +413,5 @@ func TestLowFidelityPoolScoresMatchScore(t *testing.T) {
 	scorer([]int{4, 0, 499}, out, math.Inf(1))
 	if out[0] != got[4] || out[1] != got[0] || out[2] != got[499] {
 		t.Fatalf("scorer returned %v for pool indices 4, 0, 499", out)
-	}
-
-	p.Features = func(cfg cfgspace.Config) []float64 {
-		return append([]float64{1}, p.Space.Features(cfg)...)
-	}
-	if spans := p.featureSpans(); spans != nil {
-		t.Fatalf("workflow features behind an extra column located the components at %v", spans)
-	}
-	shifted, err := trainComponentModels(p, 12, newTestRNG(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shiftedScores, err := shifted.poolScores(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range shiftedScores {
-		if math.Float64bits(v) != math.Float64bits(got[i]) {
-			t.Fatalf("pool[%d]: M_L score from the components' own features %v, from the pool codes %v", i, v, got[i])
-		}
 	}
 }

@@ -13,27 +13,44 @@ import (
 // regressor over configuration features. Targets are strictly positive
 // times, so training happens in log space — trees then optimize relative
 // error, which is what ranking good configurations needs. Batch
-// prediction fans across the problem's scoring engine and featurizes the
-// candidate pool once per run into cached rank codes (score.Codes), which
-// is all the pool a surrogate ever holds.
+// prediction fans across the problem's scoring engine over the candidate
+// pool's rank codes (score.Codes), built once per run, which is all the
+// pool a surrogate ever holds.
 type Surrogate struct {
 	feats func(cfgspace.Config) []float64
+	width int // len(feats(cfg))
 	model *xgb.Model
 	eng   *score.Engine
-	mat   *score.Matrix // featurized-pool cache (shared per problem for the workflow featurizer)
+	codes func(pool []cfgspace.Config) (*score.Codes, error) // the pool's rank codes, built once
 }
 
-// newSurrogate builds an untrained surrogate over the problem's workflow
-// features, sharing the problem's featurized-pool cache.
+// newSurrogate builds an untrained surrogate over the problem's declared
+// workflow columns, sharing the problem's pool codes.
 func newSurrogate(p *Problem) *Surrogate {
-	return &Surrogate{feats: p.features, eng: p.engine(), mat: &p.poolMat}
+	coder := p.Space.Columns()
+	return &Surrogate{feats: coder.Features, width: coder.Width(), eng: p.engine(), codes: p.poolCodes}
 }
 
-// newFeatureSurrogate builds a surrogate over a custom featurizer (used by
-// ALpH to append component-model predictions to the features), with its
-// own pool cache since its rows differ from the problem's.
-func newFeatureSurrogate(p *Problem, feats func(cfgspace.Config) []float64) *Surrogate {
-	return &Surrogate{feats: feats, eng: p.engine(), mat: &score.Matrix{}}
+// newFeatureSurrogate builds a surrogate over a custom featurizer of width
+// columns (ALpH appends component-model predictions, which no declaration
+// bounds), coding its pool by discovery (score.QuantizeRows) once a pool.
+func newFeatureSurrogate(p *Problem, width int, feats func(cfgspace.Config) []float64) *Surrogate {
+	s := &Surrogate{feats: feats, width: width, eng: p.engine()}
+	var coded []cfgspace.Config
+	var q *score.Codes
+	s.codes = func(pool []cfgspace.Config) (*score.Codes, error) {
+		if q != nil && q.N == len(pool) && (q.N == 0 || &coded[0] == &pool[0]) {
+			return q, nil
+		}
+		rows := make([][]float64, len(pool))
+		s.eng.Map(len(pool), func(i int) { rows[i] = feats(pool[i]) })
+		if q = score.QuantizeRows(s.eng, rows); q == nil {
+			return nil, fmt.Errorf("%w: a feature has more than %d distinct values over the pool", score.ErrWideColumn, score.MaxCodes)
+		}
+		coded = pool
+		return q, nil
+	}
+	return s
 }
 
 // Trained reports whether Train has succeeded at least once.
@@ -76,23 +93,24 @@ func (s *Surrogate) Rounds() int {
 }
 
 // Importance returns the trained model's gain-based feature importance
-// over dim features (normalized; nil if untrained).
-func (s *Surrogate) Importance(dim int) []float64 {
+// over its features (normalized; nil if untrained).
+func (s *Surrogate) Importance() []float64 {
 	if s.model == nil {
 		return nil
 	}
-	return s.model.FeatureImportance(dim)
+	return s.model.FeatureImportance(s.width)
 }
 
 // PredictPoolInto predicts for every pool configuration into a
 // caller-provided slice (len(out) == len(pool)) and returns it, reusing
-// the cached pool codes and fanning ensemble evaluation across the
-// engine. A pool too wide to code is refused with score.ErrWideColumn.
+// the pool codes and fanning ensemble evaluation across the engine. A pool
+// that cannot be coded is refused (score.ErrWideColumn,
+// *score.OffLatticeError).
 func (s *Surrogate) PredictPoolInto(pool []cfgspace.Config, out []float64) ([]float64, error) {
 	if s.model == nil {
 		panic("tuner: PredictPoolInto on untrained surrogate")
 	}
-	q, err := s.mat.Codes(s.eng, pool, s.feats)
+	q, err := s.codes(pool)
 	if err != nil {
 		return nil, err
 	}
@@ -115,18 +133,18 @@ func (s *Surrogate) PredictBatch(cfgs []cfgspace.Config) []float64 {
 }
 
 // poolScorer returns a candidate scorer over p.Pool indices backed by the
-// surrogate's cached pool codes, so per-iteration ranking never
-// re-featurizes the pool. The fused selector supplies the parallelism and
-// its cut-off, finite from the first block after a chunk's first n
-// candidates: a candidate stops descending at the first tree after which
-// its prediction is certain to land above it (xgb.Model.PredictCodedBounded)
-// and reports +Inf; all others score bitwise as Predict does. A pool too
-// wide to code is refused with score.ErrWideColumn.
+// pool codes, so per-iteration ranking never recodes the pool. The fused
+// selector supplies the parallelism and its cut-off, finite from the first
+// block after a chunk's first n candidates: a candidate stops descending
+// at the first tree after which its prediction is certain to land above it
+// (xgb.Model.PredictCodedBounded) and reports +Inf; all others score
+// bitwise as Predict does. A pool that cannot be coded is refused, as by
+// PredictPoolInto.
 func (s *Surrogate) poolScorer(p *Problem) (poolScorer, error) {
 	if s.model == nil {
 		panic("tuner: poolScorer on untrained surrogate")
 	}
-	q, err := s.mat.Codes(s.eng, p.Pool, s.feats)
+	q, err := s.codes(p.Pool)
 	if err != nil {
 		return nil, err
 	}

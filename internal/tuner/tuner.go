@@ -42,23 +42,14 @@ type Sample = collector.Sample
 // ComponentInfo describes one component application of the workflow.
 type ComponentInfo struct {
 	Name string
-	// Space is the component's own parameter space; nil marks an
-	// unconfigurable component (modeled by a constant).
+	// Space is the component's own parameter space, whose Columns are its
+	// model's features; nil marks an unconfigurable component (modeled by
+	// a constant).
 	Space *cfgspace.Space
-	// Features optionally maps a sub-configuration to an enriched ML
-	// feature vector (nil = the raw parameter values).
-	Features func(cfgspace.Config) []float64
 	// Cores returns the cores the component reserves at a
 	// sub-configuration (nil for unconfigurable components). Required when
 	// the problem's combiner is acm.BottleneckSum.
 	Cores func(cfgspace.Config) float64
-}
-
-func (c ComponentInfo) features(cfg cfgspace.Config) []float64 {
-	if c.Features != nil {
-		return c.Features(cfg)
-	}
-	return c.Space.Features(cfg)
 }
 
 // dim returns the component's parameter count.
@@ -71,8 +62,11 @@ func (c ComponentInfo) dim() int {
 
 // Problem is a fully specified auto-tuning task.
 type Problem struct {
-	Name       string
-	Space      *cfgspace.Space // the workflow configuration space
+	Name string
+	// Space is the workflow configuration space. Its Columns are every
+	// surrogate's features and begin with the configurable components'
+	// Columns in order, as cfgspace.Concat lays them out.
+	Space      *cfgspace.Space
 	Components []ComponentInfo
 	Pool       []cfgspace.Config // C_pool: candidate configurations
 	Eval       Evaluator
@@ -88,8 +82,8 @@ type Problem struct {
 	// may select its training samples). Empty means sample the component's
 	// space directly.
 	ComponentPool [][]cfgspace.Config
-	// Features optionally maps a workflow configuration to an enriched ML
-	// feature vector shared by all surrogates (nil = raw parameters).
+	// Features is not read by the tuner, whose features are Space's
+	// columns; a caller that featurizes outside a run may keep one here.
 	Features func(cfgspace.Config) []float64
 	// Runner shapes the in-process measurement pool (width and retry
 	// policy); nil means a serial pool.
@@ -141,12 +135,10 @@ type Problem struct {
 	colMu sync.Mutex
 	col   *collector.Collector
 
-	// eng memoizes the scoring engine; poolMat caches the featurized pool
-	// matrix for the workflow featurizer, shared by every algorithm run on
-	// this problem — and, when the workflow features hold the component
-	// features in order (featureSpans), by the low-fidelity model — so each
-	// configuration is featurized once per run rather than once per scoring
-	// call per iteration.
+	// eng memoizes the scoring engine; poolMat caches the pool's codes
+	// under Space's columns, shared by every surrogate and the
+	// low-fidelity model of every algorithm run on this problem, so the
+	// pool is coded once.
 	engOnce sync.Once
 	eng     *score.Engine
 	poolMat score.Matrix
@@ -191,12 +183,26 @@ func (p *Problem) context() context.Context {
 	return context.Background()
 }
 
-// features returns the workflow feature vector for ML models.
-func (p *Problem) features(cfg cfgspace.Config) []float64 {
-	if p.Features != nil {
-		return p.Features(cfg)
+// poolCodes returns the pool's rank codes under Space's columns, coded on
+// first use.
+func (p *Problem) poolCodes(pool []cfgspace.Config) (*score.Codes, error) {
+	return p.poolMat.Codes(p.engine(), pool, p.Space.Columns())
+}
+
+// spans locates each component's columns in the workflow's: they tile them
+// from column 0 in component order (validate checks the declarations
+// agree); an unconfigurable component reads none.
+func (p *Problem) spans() []acm.Span {
+	spans := make([]acm.Span, len(p.Components))
+	at := 0
+	for j, c := range p.Components {
+		if c.Space != nil {
+			w := c.Space.Columns().Width()
+			spans[j] = acm.Span{Lo: at, Hi: at + w}
+			at += w
+		}
 	}
-	return p.Space.Features(cfg)
+	return spans
 }
 
 // engine returns the problem's scoring engine, constructed on first use
@@ -253,6 +259,18 @@ func (p *Problem) validate() error {
 	if sum != p.Space.Dim() {
 		return fmt.Errorf("tuner: component dims sum to %d but workflow space has %d", sum, p.Space.Dim())
 	}
+	cols, at := p.Space.Columns().Cols, 0
+	for _, c := range p.Components {
+		if c.Space == nil {
+			continue
+		}
+		for _, col := range c.Space.Columns().Cols {
+			if at == len(cols) || cols[at].Min != col.Min || cols[at].Max != col.Max || cols[at].Step != col.Step {
+				return fmt.Errorf("tuner: component %s's column %s is not workflow column %d", c.Name, col.Name, at)
+			}
+			at++
+		}
+	}
 	if p.Combiner == acm.BottleneckSum {
 		for _, c := range p.Components {
 			if c.Cores == nil {
@@ -261,45 +279,6 @@ func (p *Problem) validate() error {
 		}
 	}
 	return nil
-}
-
-// featureSpans locates each component's features in the workflow feature
-// vector, on the assumption that they tile it in order from column 0 (as
-// the raw layout and workflow.Benchmark.Features do; an unconfigurable
-// component reads none), and checks that on the pool's first
-// configuration. It returns nil when the check fails: the workflow
-// features do not hold the component features, and the low-fidelity model
-// codes its components' own.
-func (p *Problem) featureSpans() []acm.Span {
-	cfg := p.Pool[0]
-	row := p.features(cfg)
-	spans := make([]acm.Span, len(p.Components))
-	lo, at := 0, 0
-	for j, c := range p.Components {
-		sub := cfg[lo : lo+c.dim()]
-		lo += c.dim()
-		if c.Space == nil {
-			continue
-		}
-		x := c.features(sub)
-		if at+len(x) > len(row) || !sameFeatures(x, row[at:at+len(x)]) {
-			return nil
-		}
-		spans[j] = acm.Span{Lo: at, Hi: at + len(x)}
-		at += len(x)
-	}
-	return spans
-}
-
-// sameFeatures reports whether two feature vectors are equal as rank codes
-// see them: −0 equals +0, and NaN equals NaN.
-func sameFeatures(a, b []float64) bool {
-	for k := range a {
-		if a[k] != b[k] && (a[k] == a[k] || b[k] == b[k]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Result is an auto-tuning outcome.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ceal/internal/cluster"
+	"ceal/internal/score"
 )
 
 // TestRunInSituAllocs guards the simulator's allocation budget: a run
@@ -38,28 +39,41 @@ func TestRunInSituAllocs(t *testing.T) {
 	}
 }
 
-// TestPoolRowAllocs guards what a tuner pays per pool row: the feature
-// vector is the row's one allocation (building the components to read
-// their layouts made it 7 to 8), and admitting a configuration or reading
-// a component's layout allocates nothing.
+// TestPoolRowAllocs guards what a tuner pays per pool row: nothing.
+// Coding an LV pool from its declared columns allocates as often at 100k
+// rows as at 2k (a featurized row was one allocation each), and admitting
+// a configuration or reading a component's layout allocates nothing.
 func TestPoolRowAllocs(t *testing.T) {
+	lv := LV(cluster.Default())
+	coded := map[int]float64{}
+	for _, n := range []int{2000, 100_000} {
+		pool := lv.Space.SampleN(rand.New(rand.NewPCG(7, 2)), n)
+		eng := score.New(2)
+		coded[n] = testing.AllocsPerRun(3, func() {
+			var m score.Matrix
+			if _, err := m.Codes(eng, pool, lv.Space.Columns()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if coded[2000] != coded[100_000] {
+		t.Errorf("LV: coding a pool allocates %.0f times at 2k rows and %.0f at 100k, want the same", coded[2000], coded[100_000])
+	}
 	for _, b := range Benchmarks(cluster.Default()) {
 		cfg := b.ExpertExec
 		for _, c := range []struct {
 			what string
-			want float64
 			row  func()
 		}{
-			{"Features", 1, func() { b.Features(cfg) }},
-			{"Space.IsValid", 0, func() { b.Space.IsValid(cfg) }},
-			{"Layout", 0, func() {
+			{"Space.IsValid", func() { b.Space.IsValid(cfg) }},
+			{"Layout", func() {
 				for j, cs := range b.Components {
 					cs.Layout(b.Sub(cfg, j))
 				}
 			}},
 		} {
-			if allocs := testing.AllocsPerRun(100, c.row); allocs != c.want {
-				t.Errorf("%s: %s allocates %.0f times per row, want %.0f", b.Name, c.what, allocs, c.want)
+			if allocs := testing.AllocsPerRun(100, c.row); allocs != 0 {
+				t.Errorf("%s: %s allocates %.0f times per row, want none", b.Name, c.what, allocs)
 			}
 		}
 	}

@@ -41,7 +41,7 @@ func TestComponentFeaturesEnriched(t *testing.T) {
 		// raw params + [nodes]: procs × 1 threads is procs again
 		{GP(m), 1, cfgspace.Config{41, 22}, []float64{41, 22, 2}},
 	} {
-		if got := c.b.Components[c.j].Features(c.sub); !slices.Equal(got, c.want) {
+		if got := c.b.Components[c.j].Space.Features(c.sub); !slices.Equal(got, c.want) {
 			t.Errorf("%s features of %v = %v, want %v", c.b.Components[c.j].Name, c.sub, got, c.want)
 		}
 	}
@@ -53,7 +53,7 @@ func TestWorkflowFeaturesTotalNodes(t *testing.T) {
 		rng := rand.New(rand.NewPCG(3, 3))
 		for i := 0; i < 20; i++ {
 			cfg := b.Space.Sample(rng)
-			f := b.Features(cfg)
+			f := b.Space.Features(cfg)
 			w, err := b.Build(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -91,7 +91,7 @@ func TestGPFeaturesCountFixedComponents(t *testing.T) {
 	m := cluster.Default()
 	b := GP(m)
 	cfg := cfgspace.Config{66, 34, 41, 22}
-	f := b.Features(cfg)
+	f := b.Space.Features(cfg)
 	// grayscott (2 raw + nodes) + pdf (2 raw + nodes) + total nodes.
 	if len(f) != 7 {
 		t.Fatalf("GP feature length = %d, want 7", len(f))
@@ -108,15 +108,15 @@ func TestFeatureWidths(t *testing.T) {
 	m := cluster.Default()
 	want := map[string]int{"LV": 11, "HS": 11, "GP": 7, "TWO": 7}
 	for _, b := range append(Benchmarks(m), twoStage(m)) {
-		names, f := b.FeatureNames(), b.Features(b.ExpertComp)
+		names, f := b.Space.Columns().Names(), b.Space.Features(b.ExpertComp)
 		if len(names) != want[b.Name] || len(f) != len(names) {
 			t.Errorf("%s: %d features, %d names, want %d of each", b.Name, len(f), len(names), want[b.Name])
 		}
 	}
 }
 
-// featuresReference is Benchmark.Features composed by hand, kept as the
-// oracle: each configurable component's raw columns and node count from its
+// featuresReference is the benchmark's feature columns composed by hand,
+// kept as the oracle: each configurable component's raw columns and node count from its
 // own Layout call, its active threads only where the layout multiplies
 // parameters (procs × threads, procsX × procsY: the components named in
 // multiplies), then b.nodes — which derives every layout and Sub offset
@@ -141,9 +141,11 @@ func featuresReference(b *Benchmark, cfg cfgspace.Config) []float64 {
 	return append(f, float64(b.nodes(cfg)))
 }
 
-// TestFeaturesMatchReference: Features, which reads each component's layout
-// once, is bitwise the reference composition on 10k sampled configurations
-// of every benchmark (and of a declared two-stage one).
+// TestFeaturesMatchReference: the features the models read (Space.Features)
+// and the column values the pool is coded from (Coder.Ints), which read
+// each component's layout once, are bitwise the reference composition on
+// 10k sampled configurations of every benchmark (and of a declared
+// two-stage one), and every value lies on its column's declared lattice.
 func TestFeaturesMatchReference(t *testing.T) {
 	m := cluster.Default()
 	for _, b := range append(Benchmarks(m), twoStage(m)) {
@@ -151,14 +153,20 @@ func TestFeaturesMatchReference(t *testing.T) {
 		if len(cfgs) < 1000 {
 			t.Fatalf("%s: sampled only %d configurations", b.Name, len(cfgs))
 		}
+		coder := b.Space.Columns()
+		ints := make([]int, coder.Width())
 		for _, cfg := range append(cfgs, b.ExpertExec, b.ExpertComp) {
-			got, want := b.Features(cfg), featuresReference(b, cfg)
-			if len(got) != len(want) || len(got) != cap(got) {
-				t.Fatalf("%s %v: %d features (cap %d), reference %d", b.Name, cfg, len(got), cap(got), len(want))
+			got, want := b.Space.Features(cfg), featuresReference(b, cfg)
+			if len(got) != len(want) || len(got) != cap(got) || len(ints) != len(want) {
+				t.Fatalf("%s %v: %d features (cap %d), %d columns, reference %d", b.Name, cfg, len(got), cap(got), len(ints), len(want))
 			}
+			coder.Ints(cfg, ints)
 			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s %v: feature %d = %v, reference %v", b.Name, cfg, i, got[i], want[i])
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) || float64(ints[i]) != want[i] {
+					t.Fatalf("%s %v: feature %d = %v, column %d, reference %v", b.Name, cfg, i, got[i], ints[i], want[i])
+				}
+				if col := coder.Cols[i]; !col.Contains(ints[i]) {
+					t.Fatalf("%s %v: column %s = %d, off its lattice %d..%d step %d", b.Name, cfg, col.Name, ints[i], col.Min, col.Max, col.Step)
 				}
 			}
 		}
@@ -175,13 +183,13 @@ func TestComponentFeaturesTileFeatures(t *testing.T) {
 	m := cluster.Default()
 	for _, b := range Benchmarks(m) {
 		for _, cfg := range b.Space.SampleN(rand.New(rand.NewPCG(8, 6)), 2000) {
-			row := b.Features(cfg)
+			row := b.Space.Features(cfg)
 			next := 0
 			for j, cs := range b.Components {
 				if cs.Space == nil {
 					continue
 				}
-				x := cs.Features(b.Sub(cfg, j))
+				x := cs.Space.Features(b.Sub(cfg, j))
 				if next+len(x) > len(row) {
 					t.Fatalf("%s %v: %s's %d features follow column %d of %d", b.Name, cfg, cs.Name, len(x), next, len(row))
 				}
@@ -211,10 +219,10 @@ func TestFeaturesSayEachThingOnce(t *testing.T) {
 	m := cluster.Default()
 	for _, b := range append(Benchmarks(m), twoStage(m)) {
 		rng := rand.New(rand.NewPCG(36, 1))
-		names := b.FeatureNames()
+		names := b.Space.Columns().Names()
 		var rows [][]float64
 		for _, cfg := range b.Space.SampleN(rng, 10_000) {
-			rows = append(rows, b.Features(cfg))
+			rows = append(rows, b.Space.Features(cfg))
 		}
 		for _, p := range twins(names, rows) {
 			t.Errorf("%s: %s", b.Name, p)
@@ -226,7 +234,7 @@ func TestFeaturesSayEachThingOnce(t *testing.T) {
 			}
 			rows = rows[:0]
 			for _, sub := range cs.Space.SampleN(rng, 2000) {
-				x := cs.Features(sub)
+				x := cs.Space.Features(sub)
 				if l := cs.Layout(sub); len(x) == len(sub)+1 && !slices.Contains(sub, l.Procs*l.Threads) {
 					t.Fatalf("%s %v: active threads %d left out, but no parameter holds it", cs.Name, sub, l.Procs*l.Threads)
 				}

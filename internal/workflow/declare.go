@@ -27,29 +27,36 @@ type ComponentSpec struct {
 	// InBytesPerStep is the PFS input the component consumes per step when
 	// run solo (what an upstream would have streamed to it).
 	InBytesPerStep float64
-	// threadsTwin, set by NewBenchmark, marks a layout whose active threads
-	// (procs × threads) is one of its parameters, as procs × 1 is.
-	threadsTwin bool
 }
 
-// Features returns the component's ML feature vector for a
-// sub-configuration: the raw parameters enriched with the derived layout
-// quantities that performance depends on: the node count and, unless
-// NewBenchmark found it a parameter, the active threads. Any practitioner
-// would encode this domain knowledge; it is shared by every algorithm.
-func (cs ComponentSpec) Features(cfg cfgspace.Config) []float64 {
-	return cs.appendFeatures(make([]float64, 0, len(cfg)+2), cfg, cs.Layout(cfg))
-}
-
-// appendFeatures appends the feature vector of cfg, whose layout is l, to f.
-func (cs ComponentSpec) appendFeatures(f []float64, cfg cfgspace.Config, l apps.Layout) []float64 {
-	for _, v := range cfg {
-		f = append(f, float64(v))
+// coder declares the component's feature columns: its parameters, then the
+// derived layout quantities performance depends on — the node count, in
+// [1, maxNodes], and the active threads (procs × threads), in [1, their
+// value at the space's top corner]. Active threads is left out where it is
+// a parameter at that corner, where a product of parameters exceeds each
+// factor unless every other factor is 1. Any practitioner would encode
+// this domain knowledge; it is shared by every algorithm.
+func (cs ComponentSpec) coder(maxNodes int) *cfgspace.Coder {
+	d := cs.Dim()
+	top := make(cfgspace.Config, d)
+	for i, p := range cs.Space.Params {
+		top[i] = p.Max
 	}
-	if cs.threadsTwin {
-		return append(f, float64(l.Nodes()))
+	l := cs.Layout(top)
+	threads := l.Procs * l.Threads
+	twin := slices.Contains(top, threads)
+	cols := append(slices.Clone(cs.Space.Params), cfgspace.NewParam("nodes", 1, maxNodes))
+	if !twin {
+		cols = append(cols, cfgspace.NewParam("activeThreads", 1, threads))
 	}
-	return append(f, float64(l.Nodes()), float64(l.Procs*l.Threads))
+	return cfgspace.NewCoder(cols, func(cfg cfgspace.Config, dst []int) {
+		copy(dst, cfg)
+		l := cs.Layout(cfg)
+		dst[d] = l.Nodes()
+		if !twin {
+			dst[d+1] = l.Procs * l.Threads
+		}
+	})
 }
 
 // Dim returns the number of parameters the component contributes to the
@@ -63,7 +70,8 @@ func (cs ComponentSpec) Dim() int {
 
 // Benchmark is a target workflow, declared once — machine, component
 // applications, the streams between them, expert configurations; its joint
-// space, Build, Features and Sub are derived from the declaration.
+// space, its feature columns, Build and Sub are derived from the
+// declaration.
 type Benchmark struct {
 	Name       string
 	Machine    cluster.Machine
@@ -77,35 +85,38 @@ type Benchmark struct {
 	ExpertComp cfgspace.Config
 	// Space is the joint configuration space NewBenchmark derives: the
 	// components' Table 1 columns side by side, valid where each component's
-	// own constraint holds and the layouts fit Machine.MaxAllocNodes.
+	// own constraint holds and the layouts fit Machine.MaxAllocNodes. Its
+	// feature columns (Space.Coder) are the configurable components'
+	// columns in order, then the job's total node count.
 	Space *cfgspace.Space
-	width int // len(FeatureNames()), set by NewBenchmark
 }
 
 // NewBenchmark completes a declared benchmark (every field but Space) by
-// deriving its joint configuration space and its feature columns.
+// deriving its joint configuration space and its feature columns. Each
+// configurable component's Space becomes a copy carrying the component's
+// columns (the declared space is left as it is).
 func NewBenchmark(decl Benchmark) *Benchmark {
 	b := &decl
 	b.Components = slices.Clone(b.Components)
+	maxNodes := b.Machine.MaxAllocNodes
 	var parts []cfgspace.NamedSpace
 	for j, cs := range b.Components {
 		if cs.Space != nil {
-			// Active threads is a parameter if it is one at the space's top
-			// corner, where a product of parameters exceeds each factor
-			// unless every other factor is 1.
-			top := make(cfgspace.Config, cs.Dim())
-			for i, p := range cs.Space.Params {
-				top[i] = p.Max
-			}
-			l := cs.Layout(top)
-			b.Components[j].threadsTwin = slices.Contains(top, l.Procs*l.Threads)
-			parts = append(parts, cfgspace.NamedSpace{Name: cs.Name, Space: cs.Space})
+			space := *cs.Space
+			space.Coder = cs.coder(maxNodes)
+			b.Components[j].Space = &space
+			parts = append(parts, cfgspace.NamedSpace{Name: cs.Name, Space: &space})
 		}
 	}
 	b.Space = cfgspace.Concat(func(cfg cfgspace.Config) bool {
-		return b.nodes(cfg) <= b.Machine.MaxAllocNodes
+		return b.nodes(cfg) <= maxNodes
 	}, parts...)
-	b.width = len(b.FeatureNames())
+	joint := b.Space.Coder
+	b.Space.Coder = cfgspace.NewCoder(append(slices.Clip(joint.Cols), cfgspace.NewParam("totalNodes", 1, maxNodes)),
+		func(cfg cfgspace.Config, dst []int) {
+			joint.Ints(cfg, dst[:len(dst)-1])
+			dst[len(dst)-1] = b.nodes(cfg)
+		})
 	return b
 }
 
@@ -153,39 +164,4 @@ func (b *Benchmark) Sub(cfg cfgspace.Config, j int) cfgspace.Config {
 		lo += cs.Dim()
 	}
 	return cfg[lo : lo+b.Components[j].Dim()]
-}
-
-// FeatureNames labels the vector produced by Features, in order.
-func (b *Benchmark) FeatureNames() []string {
-	var names []string
-	for _, cs := range b.Components {
-		if cs.Space == nil {
-			continue
-		}
-		for _, p := range cs.Space.Params {
-			names = append(names, cs.Name+"."+p.Name)
-		}
-		names = append(names, cs.Name+".nodes")
-		if !cs.threadsTwin {
-			names = append(names, cs.Name+".activeThreads")
-		}
-	}
-	return append(names, "totalNodes")
-}
-
-// Features returns the workflow-level ML feature vector: every component's
-// enriched features plus the job's total node count.
-func (b *Benchmark) Features(cfg cfgspace.Config) []float64 {
-	f := make([]float64, 0, b.width)
-	nodes, lo := 0, 0
-	for _, cs := range b.Components {
-		sub := cfg[lo : lo+cs.Dim()]
-		lo += cs.Dim()
-		l := cs.Layout(sub)
-		nodes += l.Nodes()
-		if cs.Space != nil {
-			f = cs.appendFeatures(f, sub, l)
-		}
-	}
-	return append(f, float64(nodes))
 }
