@@ -152,13 +152,15 @@ func segmentName(seq int, writerID string) string {
 
 // load replays every segment into the in-memory view and records how far
 // each was consumed, so Refresh only reads what other writers append later.
+// All segments are read through one buffer, grown to the largest.
 func (s *FileStore) load() error {
 	names, err := s.segments()
 	if err != nil {
 		return err
 	}
+	var buf []byte
 	for _, name := range names {
-		n, err := s.replaySegment(name, 0, true)
+		n, err := s.replaySegment(name, 0, true, &buf)
 		if err != nil {
 			return err
 		}
@@ -176,8 +178,10 @@ func (s *FileStore) load() error {
 // offset. A damaged or incomplete record stops the replay at its start. In
 // strict mode (open-time load) damage followed by an intact record is real
 // corruption and fails the open; lenient mode (Refresh, where a torn tail
-// may simply be another writer mid-append) never errors.
-func (s *FileStore) replaySegment(name string, offset int64, strict bool) (int64, error) {
+// may simply be another writer mid-append) never errors. The bytes are read
+// into *buf, grown when too small; nothing decoded aliases it, so the caller
+// reuses it for the next segment.
+func (s *FileStore) replaySegment(name string, offset int64, strict bool, buf *[]byte) (int64, error) {
 	path := filepath.Join(s.dir, name)
 	fi, err := os.Stat(path)
 	if os.IsNotExist(err) {
@@ -204,7 +208,10 @@ func (s *FileStore) replaySegment(name string, offset int64, strict bool) (int64
 		return offset, err
 	}
 	defer f.Close()
-	rest := make([]byte, size-offset)
+	if int64(cap(*buf)) < size-offset {
+		*buf = make([]byte, size-offset)
+	}
+	rest := (*buf)[:size-offset]
 	n, err := f.ReadAt(rest, offset)
 	if err != nil && err != io.EOF {
 		return offset, err
@@ -303,18 +310,31 @@ func decodeFramed(line []byte) (any, error) {
 	return rec, nil
 }
 
-// encodeFramed frames v's JSON as a frame of the given kind. A value
+// encodeFramed frames v's JSON as a frame of the given kind, in one
+// allocation: json.Encoder writes json.Marshal's bytes and the newline
+// into a line whose checksum and kind are filled in after. A value
 // encoding/json refuses — a NaN or ±Inf anywhere in it — is refused with
 // that error: the HTTP API could not marshal it back out.
 func encodeFramed(kind byte, v any) ([]byte, error) {
-	payload, err := json.Marshal(v)
-	if err != nil {
+	var line frameLine
+	if err := json.NewEncoder(&line).Encode(v); err != nil {
 		return nil, err
 	}
-	line := make([]byte, 0, len(payload)+10)
-	line = fmt.Appendf(line, "%08x%c", crc32.ChecksumIEEE(payload), kind)
-	line = append(line, payload...)
-	return append(line, '\n'), nil
+	payload := line[9 : len(line)-1]
+	fmt.Appendf(line[:0], "%08x%c", crc32.ChecksumIEEE(payload), kind)
+	return line, nil
+}
+
+// frameLine collects a frame behind 9 bytes reserved for its header.
+// json.Encoder writes a value in one Write, so that sizes it exactly.
+type frameLine []byte
+
+func (l *frameLine) Write(p []byte) (int, error) {
+	if *l == nil {
+		*l = make([]byte, 9, 9+len(p))
+	}
+	*l = append(*l, p...)
+	return len(p), nil
 }
 
 // Save implements Store: append the framed record to this writer's active
@@ -408,8 +428,9 @@ func (s *FileStore) Refresh() error {
 	if err != nil {
 		return err
 	}
+	var buf []byte
 	for _, name := range names {
-		n, err := s.replaySegment(name, s.offsets[name], false)
+		n, err := s.replaySegment(name, s.offsets[name], false, &buf)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,8 @@
 package live
 
 import (
+	"slices"
+
 	"ceal/internal/cluster"
 	"ceal/internal/histdb"
 	"ceal/internal/tuner"
@@ -16,13 +18,13 @@ import (
 //     budget, workers, and the warm flag);
 //   - component samples come from every completed run — of any benchmark —
 //     whose workflow shares a component application with spec's, filtered
-//     to the same objective (values are metric samples, and a component's
-//     standalone behaviour is workflow-independent).
+//     to the same objective and mode (a component's standalone behaviour is
+//     workflow-independent, not independent of a session's drifting load).
 //
 // The result is deterministic for a fixed database state: both query axes
-// return store order, and assembly preserves it. Returns nil when the
-// database has nothing to offer (or the benchmark is unknown), which
-// callers treat as a cold start.
+// return store order, and assembly preserves it, sizing each slice once.
+// Returns nil when the database has nothing to offer (or the benchmark is
+// unknown), which callers treat as a cold start.
 func WarmFromHistory(db histdb.Store, spec histdb.Spec) *tuner.WarmStart {
 	n := spec.Normalize()
 	b, err := workflow.ByName(cluster.Default(), n.Benchmark)
@@ -32,12 +34,12 @@ func WarmFromHistory(db histdb.Store, spec histdb.Spec) *tuner.WarmStart {
 	w := &tuner.WarmStart{}
 
 	// Phase-2 seeds: same-family workflow measurements.
-	for _, rec := range db.BySpecFamily(n.FamilyKey()) {
+	w.Samples = gather(db.BySpecFamily(n.FamilyKey()), func(rec *histdb.RunRecord) []tuner.Sample {
 		if rec.Result == nil {
-			continue
+			return nil
 		}
-		w.Samples = append(w.Samples, rec.Result.Samples...)
-	}
+		return rec.Result.Samples
+	})
 
 	// Phase-1 seeds: standalone component measurements from any run sharing
 	// a component, mapped through the donor's Components index.
@@ -46,16 +48,16 @@ func WarmFromHistory(db histdb.Store, spec histdb.Spec) *tuner.WarmStart {
 		if cs.Space == nil {
 			continue
 		}
-		for _, rec := range db.ByComponent(cs.Name) {
-			if rec.Result == nil || rec.Spec.Normalize().Objective != n.Objective {
-				continue
+		w.ComponentSamples[j] = gather(db.ByComponent(cs.Name), func(rec *histdb.RunRecord) []tuner.Sample {
+			if d := rec.Spec.Normalize(); rec.Result == nil || d.Objective != n.Objective || d.Mode != n.Mode {
+				return nil
 			}
-			idx := indexOf(rec.Components, cs.Name)
+			idx := slices.Index(rec.Components, cs.Name)
 			if idx < 0 || idx >= len(rec.Result.ComponentSamples) {
-				continue
+				return nil
 			}
-			w.ComponentSamples[j] = append(w.ComponentSamples[j], rec.Result.ComponentSamples[idx]...)
-		}
+			return rec.Result.ComponentSamples[idx]
+		})
 	}
 
 	if w.Empty() {
@@ -64,11 +66,19 @@ func WarmFromHistory(db histdb.Store, spec histdb.Spec) *tuner.WarmStart {
 	return w
 }
 
-func indexOf(names []string, want string) int {
-	for i, n := range names {
-		if n == want {
-			return i
-		}
+// gather concatenates pick's samples of every record, in record order, into
+// one slice allocated at the total length; nil when there are none.
+func gather(recs []*histdb.RunRecord, pick func(*histdb.RunRecord) []tuner.Sample) []tuner.Sample {
+	total := 0
+	for _, rec := range recs {
+		total += len(pick(rec))
 	}
-	return -1
+	if total == 0 {
+		return nil
+	}
+	out := make([]tuner.Sample, 0, total)
+	for _, rec := range recs {
+		out = append(out, pick(rec)...)
+	}
+	return out
 }
