@@ -5,6 +5,8 @@
 package cfgspace
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"runtime"
@@ -75,6 +77,48 @@ func (c Config) Key() string {
 
 // String formats the configuration like the paper's Table 2 tuples.
 func (c Config) String() string { return "(" + c.Key() + ")" }
+
+// UnmarshalJSON decodes an array of integers into one slice of its exact
+// length. Anything else — null, a fraction or an exponent, an integer out
+// of range, not an array — decodes as encoding/json decodes a plain []int,
+// so the value or the error is exactly encoding/json's.
+func (c *Config) UnmarshalJSON(b []byte) error {
+	if v, ok := parseInts(b); ok {
+		*c = v
+		return nil
+	}
+	return json.Unmarshal(b, (*[]int)(c))
+}
+
+// parseInts parses b as a JSON array of integers that fit an int, or
+// reports false.
+func parseInts(b []byte) (Config, bool) {
+	b = bytes.Trim(b, jsonSpace)
+	if len(b) < 2 || b[0] != '[' || b[len(b)-1] != ']' {
+		return nil, false
+	}
+	vals := make([]int, 0, 16)
+	if body := bytes.Trim(b[1:len(b)-1], jsonSpace); len(body) > 0 {
+		for more := true; more; {
+			var field []byte
+			field, body, more = bytes.Cut(body, []byte{','})
+			field = bytes.Trim(field, jsonSpace)
+			// strconv also takes a '+' and leading zeros; JSON does not.
+			digits := bytes.TrimPrefix(field, []byte{'-'})
+			if len(digits) == 0 || digits[0] == '+' || (digits[0] == '0' && len(digits) > 1) {
+				return nil, false
+			}
+			v, err := strconv.ParseInt(string(field), 10, strconv.IntSize)
+			if err != nil {
+				return nil, false
+			}
+			vals = append(vals, int(v))
+		}
+	}
+	return append(make(Config, 0, len(vals)), vals...), true
+}
+
+const jsonSpace = " \t\n\r"
 
 // Space is a parameter space with an optional joint validity constraint.
 type Space struct {

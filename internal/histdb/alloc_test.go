@@ -11,7 +11,8 @@ import (
 // TestSaveAllocs: a Save frames its record in one allocation — what it
 // allocates in all is at most 1.25x the frame's length (the allocator's
 // size classes) plus 1 KiB for the in-memory upsert, not a payload and a
-// framed copy of it.
+// framed copy of it — and in 12 allocations all told: naming the active
+// segment is not one of them.
 func TestSaveAllocs(t *testing.T) {
 	st, err := OpenFileStore(filepath.Join(t.TempDir(), "runs"))
 	if err != nil {
@@ -41,5 +42,42 @@ func TestSaveAllocs(t *testing.T) {
 	got := float64(after.TotalAlloc-before.TotalAlloc) / runs
 	if limit := 1.25*float64(len(line)) + 1024; got > limit {
 		t.Errorf("Save of a %d-byte frame allocates %.0f B, want <= %.0f B", len(line), got, limit)
+	}
+	if n := testing.AllocsPerRun(runs, save); n > 12 {
+		t.Errorf("Save allocates %.0f times, want <= 12", n)
+	}
+}
+
+// TestStoreReadAllocs: reads hand out the stored records themselves — Get
+// and BySpec allocate nothing, BySpecFamily and ByComponent only the slice
+// they return — on a MemStore and on the FileStore reading through one.
+func TestStoreReadAllocs(t *testing.T) {
+	fs, err := OpenFileStore(filepath.Join(t.TempDir(), "runs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	recs := benchRecords(8)
+	for _, st := range []Store{NewMemStore(), fs} {
+		for _, rec := range recs {
+			if err := st.Save(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		family := recs[0].Spec.FamilyKey()
+		for _, c := range []struct {
+			what string
+			want float64
+			read func()
+		}{
+			{"Get", 0, func() { st.Get(recs[3].ID) }},
+			{"BySpec", 0, func() { st.BySpec(recs[5].SpecKey) }},
+			{"BySpecFamily", 1, func() { st.BySpecFamily(family) }},
+			{"ByComponent", 1, func() { st.ByComponent("voro") }},
+		} {
+			if got := testing.AllocsPerRun(50, c.read); got != c.want {
+				t.Errorf("%T.%s allocates %.0f times, want %.0f", st, c.what, got, c.want)
+			}
+		}
 	}
 }

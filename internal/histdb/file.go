@@ -63,6 +63,7 @@ type FileStore struct {
 	dir      string
 	writerID string
 	segSeq   int      // sequence number of the active segment
+	segName  string   // file name of the active segment
 	f        *os.File // active segment; nil until the first Save
 	w        *bufio.Writer
 	size     int64            // bytes appended to the active segment
@@ -383,7 +384,7 @@ func (s *FileStore) append(line []byte) error {
 		return err
 	}
 	s.size += int64(len(line))
-	s.offsets[segmentName(s.segSeq, s.writerID)] += int64(len(line))
+	s.offsets[s.segName] += int64(len(line))
 	return nil
 }
 
@@ -408,7 +409,7 @@ func (s *FileStore) roll() error {
 		if err != nil {
 			return err
 		}
-		s.f = f
+		s.f, s.segName = f, name
 		s.w = bufio.NewWriter(f)
 		s.size = 0
 		s.offsets[name] = 0
@@ -531,7 +532,7 @@ func (s *FileStore) Compact() error {
 	if err != nil {
 		return err
 	}
-	s.f = f
+	s.f, s.segName = f, snap
 	s.w = bufio.NewWriter(f)
 	s.size = size
 	return nil

@@ -128,7 +128,7 @@ func (r *RunRecord) Clone() *RunRecord {
 // Store is the history database interface. Implementations must be safe for
 // concurrent use. Records passed to Save and frames passed to SaveProgress
 // are snapshots owned by the store; records returned by lookups and queries
-// are owned by the caller.
+// are shared and read-only: Clone one before modifying it.
 type Store interface {
 	// Save upserts a record by ID.
 	Save(rec *RunRecord) error

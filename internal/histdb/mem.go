@@ -16,10 +16,12 @@ type MemStore struct {
 }
 
 // entry is a stored record and its spec-family key, computed once at put.
+// A stored record is never written once someone may hold it: reads hand
+// out rec itself, and fold changes a copy.
 type entry struct {
 	rec    *RunRecord
 	family string
-	shared bool // a saver or reader may hold rec's Checkpoint or Trace
+	shared bool // a saver or reader may hold rec, or its Checkpoint or Trace
 }
 
 // NewMemStore returns an empty in-memory store.
@@ -62,8 +64,9 @@ func (s *MemStore) SaveProgress(p *Progress) error {
 }
 
 // fold applies a progress frame to its run's record (see Progress), first
-// copying the checkpoint and trace if anyone else may hold them. A frame
-// for an unknown or finished run changes nothing. Callers hold s.mu.
+// copying the record, its checkpoint and its trace if anyone else may hold
+// them. A frame for an unknown or finished run changes nothing. Callers
+// hold s.mu.
 func (s *MemStore) fold(p *Progress) {
 	i, ok := s.byID[p.ID]
 	if !ok || s.recs[i].rec.State.Terminal() {
@@ -73,7 +76,9 @@ func (s *MemStore) fold(p *Progress) {
 	if e.shared || r.Checkpoint == nil {
 		cp := make(map[string]float64, len(r.Checkpoint)+len(p.Checkpoint))
 		maps.Copy(cp, r.Checkpoint)
-		r.Checkpoint, r.Trace, e.shared = cp, slices.Clip(r.Trace), false
+		r = r.Clone()
+		r.Checkpoint, r.Trace = cp, slices.Clip(r.Trace)
+		e.rec, e.shared = r, false
 	}
 	maps.Copy(r.Checkpoint, p.Checkpoint)
 	r.Trace = append(r.Trace, p.Trace...)
@@ -95,10 +100,10 @@ func (s *MemStore) fold(p *Progress) {
 	}
 }
 
-// out returns a copy of record i for a caller. Callers hold s.mu.
+// out hands record i to a caller, who may now hold it. Callers hold s.mu.
 func (s *MemStore) out(i int) *RunRecord {
 	s.recs[i].shared = true
-	return s.recs[i].rec.Clone()
+	return s.recs[i].rec
 }
 
 // Get implements Store.
@@ -125,13 +130,20 @@ func (s *MemStore) List() []*RunRecord {
 	return out
 }
 
-// where returns copies of the completed runs match accepts, in List order.
+// where returns the completed runs match accepts, in List order.
 func (s *MemStore) where(match func(*entry) bool) []*RunRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []*RunRecord
+	keep := func(e *entry) bool { return e.rec.State == StateDone && match(e) }
+	n := 0
 	for i := range s.recs {
-		if e := &s.recs[i]; e.rec.State == StateDone && match(e) {
+		if keep(&s.recs[i]) {
+			n++
+		}
+	}
+	out := make([]*RunRecord, 0, n)
+	for i := range s.recs {
+		if keep(&s.recs[i]) {
 			out = append(out, s.out(i))
 		}
 	}

@@ -179,6 +179,7 @@ func NewManager(opts Options) *Manager {
 			own = rec.Runner == opts.ReplicaID
 		}
 		if own && !rec.State.Terminal() {
+			rec = rec.Clone()
 			rec.State, rec.Error = histdb.StateFailed, "interrupted: the daemon restarted; resume replays it"
 			if err := m.store.Save(rec); err != nil {
 				m.saveErrors.Add(1)
@@ -297,8 +298,9 @@ func (m *Manager) Resume(id string) (*histdb.RunRecord, error) {
 	if !rec.State.Terminal() {
 		return nil, fmt.Errorf("%w: it is %s on a replica sharing the store", ErrInFlight, rec.State)
 	}
-	// Reset the lifecycle; keep Checkpoint and Warm — they are the run's
-	// replay inputs.
+	// Reset the lifecycle of a copy; keep Checkpoint and Warm — they are the
+	// run's replay inputs.
+	rec = rec.Clone()
 	rec.Error = ""
 	rec.Result = nil
 	rec.Trace = nil
@@ -373,16 +375,17 @@ func (m *Manager) runJob(j *job) {
 	// Warm start (opt-in): assemble transfer-learning data from the history
 	// database once, on first execution, and pin it to the record — a
 	// resume then replays the exact same inputs even if the store has
-	// grown since admission.
+	// grown since admission. Only this worker writes j.rec.Warm, and the
+	// store is safe for concurrent use, so assembly runs outside m.mu.
 	if j.rec.Spec.WarmStart {
-		m.mu.Lock()
 		if j.rec.Warm == nil {
-			j.rec.Warm = live.WarmFromHistory(m.store, j.rec.Spec)
+			warm := live.WarmFromHistory(m.store, j.rec.Spec)
+			m.mu.Lock()
+			j.rec.Warm = warm
 			m.saveLocked(j)
+			m.mu.Unlock()
 		}
-		warm := j.rec.Warm
-		m.mu.Unlock()
-		if !warm.Empty() {
+		if warm := j.rec.Warm; !warm.Empty() {
 			p.Warm = warm
 			m.warmStarted.Add(1)
 		}

