@@ -26,11 +26,12 @@ type Link struct {
 	eng      *sim.Engine
 	capacity float64 // bytes/second
 	flows    []*flow
-	order    []*flow // waterFill's scratch: flows by ascending cap
-	idle     []*flow // delivered flows, reused by later transfers
-	last     float64 // sim time of last settlement
-	gen      uint64  // invalidates stale completion timers
-	carried  float64 // total bytes fully delivered (for conservation checks)
+	order    []*flow  // waterFill's scratch: flows by ascending cap
+	idle     []*flow  // delivered flows, reused by later transfers
+	timers   []*timer // fired timers, reused by later arms
+	last     float64  // sim time of last settlement
+	gen      uint64   // invalidates stale completion timers
+	carried  float64  // total bytes fully delivered (for conservation checks)
 }
 
 type flow struct {
@@ -38,7 +39,8 @@ type flow struct {
 	remaining float64
 	cap       float64 // per-flow rate cap (bytes/second)
 	rate      float64
-	done      sim.Waiter
+	done      sim.Waiter // holds the transferring process until delivery
+	start     func()     // begins the flow: a latency's wake-up, bound once
 }
 
 // NewLink returns a link with the given aggregate capacity in bytes/second.
@@ -55,16 +57,16 @@ func (l *Link) Capacity() float64 { return l.capacity }
 // BytesCarried returns the total bytes fully delivered over the link.
 func (l *Link) BytesCarried() float64 { return l.carried }
 
-// Transfer moves bytes over the link on behalf of process p, blocking until
-// delivery completes. latency seconds elapse before bandwidth is consumed.
-// maxRate caps this flow's share (use math.Inf(1) or <=0 for uncapped).
-// Zero-byte transfers incur only the latency.
-func (l *Link) Transfer(p *sim.Proc, bytes, maxRate, latency float64) {
-	if latency > 0 {
-		p.Sleep(latency)
-	}
+// Transfer moves bytes over the link on behalf of process p: latency
+// seconds elapse before bandwidth is consumed, then the flow shares the link
+// until delivery. maxRate caps this flow's share (use math.Inf(1) or <=0 for
+// uncapped). Zero-byte transfers incur only the latency. Transfer reports
+// whether the transfer finished in place, which only a zero-byte one can;
+// on false p's step returns, and the engine calls it again once the bytes
+// are delivered.
+func (l *Link) Transfer(p *sim.Proc, bytes, maxRate, latency float64) bool {
 	if bytes <= completionEpsilon {
-		return
+		return !(latency > 0) || p.Sleep(latency)
 	}
 	if maxRate <= 0 {
 		maxRate = math.Inf(1)
@@ -74,15 +76,21 @@ func (l *Link) Transfer(p *sim.Proc, bytes, maxRate, latency float64) {
 		f, l.idle = l.idle[n-1], l.idle[:n-1]
 	} else {
 		f = &flow{done: *sim.NewWaiter(l.eng)}
+		f.start = func() { l.begin(f) }
 	}
 	f.total, f.remaining, f.cap, f.rate = bytes, bytes, maxRate, 0
+	f.done.Wait(p)
+	if !(latency > 0) || l.eng.After(latency, f.start) {
+		l.begin(f)
+	}
+	return false
+}
+
+// begin puts f on the link once its latency has elapsed.
+func (l *Link) begin(f *flow) {
 	l.settle()
 	l.flows = append(l.flows, f)
 	l.recompute()
-	f.done.Wait(p)
-	// Woken means retired from l.flows, and only a superseded timer (which
-	// returns before touching its flow) can still point here.
-	l.idle = append(l.idle, f)
 }
 
 // settle advances every flow's progress to the current simulated time.
@@ -105,8 +113,11 @@ func (l *Link) recompute() {
 	live := l.flows[:0]
 	for _, f := range l.flows {
 		if f.remaining <= completionEpsilon {
+			// Retired flows are reused at once: only a superseded timer
+			// (which returns before touching its flow) can still point here.
 			l.carried += f.total
 			f.done.WakeAll()
+			l.idle = append(l.idle, f)
 		} else {
 			live = append(live, f)
 		}
@@ -130,20 +141,42 @@ func (l *Link) recompute() {
 	if first == nil {
 		return // no capacity at all; flows wait for membership change
 	}
-	gen := l.gen
-	l.eng.Schedule(next, func() {
-		if gen != l.gen {
-			return // superseded by a later membership change
-		}
-		l.settle()
-		// Rates were unchanged since the timer was armed, so the flow the
-		// timer targeted has completed. Force its residual to zero: at
-		// large simulated times rate*ulp(now) can exceed any fixed epsilon,
-		// and without this clamp the link would spin on a residual that
-		// float arithmetic can never drain.
-		first.remaining = 0
-		l.recompute()
-	})
+	var t *timer
+	if n := len(l.timers); n > 0 {
+		t, l.timers = l.timers[n-1], l.timers[:n-1]
+	} else {
+		t = &timer{}
+		t.fire = func() { l.fire(t) }
+	}
+	t.gen, t.first = l.gen, first
+	l.eng.Schedule(next, t.fire)
+}
+
+// timer is an armed completion timer. A timer is reused once it has fired,
+// so arming one allocates only while every timer made so far is pending.
+type timer struct {
+	gen   uint64 // the membership change it was armed at
+	first *flow  // the flow it completes
+	fire  func() // calls l.fire(t), bound once
+}
+
+// fire completes the flow t targets, unless a later membership change
+// superseded t.
+func (l *Link) fire(t *timer) {
+	first, stale := t.first, t.gen != l.gen
+	t.first = nil
+	l.timers = append(l.timers, t)
+	if stale {
+		return
+	}
+	l.settle()
+	// Rates were unchanged since the timer was armed, so the flow the
+	// timer targeted has completed. Force its residual to zero: at large
+	// simulated times rate*ulp(now) can exceed any fixed epsilon, and
+	// without this clamp the link would spin on a residual that float
+	// arithmetic can never drain.
+	first.remaining = 0
+	l.recompute()
 }
 
 // waterFill assigns progressive-filling rates: equal shares with per-flow

@@ -9,14 +9,38 @@ import (
 	"ceal/internal/sim"
 )
 
+// transfer returns a step that waits until start, moves bytes over l, and
+// records in done (when non-nil) the time delivery completed.
+func transfer(l *Link, start, bytes, maxRate, latency float64, done *float64) func(p *sim.Proc) bool {
+	at := 0
+	return func(p *sim.Proc) bool {
+		switch at {
+		case 0:
+			at = 1
+			if start > 0 && !p.Sleep(start) {
+				return false
+			}
+			fallthrough
+		case 1:
+			at = 2
+			if !l.Transfer(p, bytes, maxRate, latency) {
+				return false
+			}
+			fallthrough
+		default:
+			if done != nil {
+				*done = p.Now()
+			}
+			return true
+		}
+	}
+}
+
 func TestSingleFlowFullCapacity(t *testing.T) {
 	e := sim.NewEngine()
 	l := NewLink(e, 100) // 100 B/s
 	var finished float64
-	e.Spawn("tx", func(p *sim.Proc) {
-		l.Transfer(p, 500, 0, 0)
-		finished = p.Now()
-	})
+	e.Spawn("tx", transfer(l, 0, 500, 0, 0, &finished))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -29,10 +53,7 @@ func TestSingleFlowRateCap(t *testing.T) {
 	e := sim.NewEngine()
 	l := NewLink(e, 100)
 	var finished float64
-	e.Spawn("tx", func(p *sim.Proc) {
-		l.Transfer(p, 500, 50, 0) // capped to 50 B/s
-		finished = p.Now()
-	})
+	e.Spawn("tx", transfer(l, 0, 500, 50, 0, &finished)) // capped to 50 B/s
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +66,7 @@ func TestLatencyOnly(t *testing.T) {
 	e := sim.NewEngine()
 	l := NewLink(e, 100)
 	var finished float64
-	e.Spawn("tx", func(p *sim.Proc) {
-		l.Transfer(p, 0, 0, 2.5)
-		finished = p.Now()
-	})
+	e.Spawn("tx", transfer(l, 0, 0, 0, 2.5, &finished))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -57,18 +75,31 @@ func TestLatencyOnly(t *testing.T) {
 	}
 }
 
+func TestLatencyThenShare(t *testing.T) {
+	e := sim.NewEngine()
+	l := NewLink(e, 100)
+	var t1, t2 float64
+	e.Spawn("tx1", transfer(l, 0, 500, 0, 1, &t1))
+	e.Spawn("tx2", transfer(l, 0, 500, 0, 1, &t2))
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Each flow starts after its 1 s latency (the other's start is due
+	// first, so neither passes it in place), then both share: 1 + 10 s.
+	if math.Abs(t1-11) > 1e-6 || math.Abs(t2-11) > 1e-6 {
+		t.Fatalf("finish times = %v, %v, want 11, 11", t1, t2)
+	}
+	if len(l.idle) != 2 {
+		t.Fatalf("%d idle flows after two deliveries, want both back for reuse", len(l.idle))
+	}
+}
+
 func TestTwoEqualFlowsShareCapacity(t *testing.T) {
 	e := sim.NewEngine()
 	l := NewLink(e, 100)
 	var t1, t2 float64
-	e.Spawn("tx1", func(p *sim.Proc) {
-		l.Transfer(p, 500, 0, 0)
-		t1 = p.Now()
-	})
-	e.Spawn("tx2", func(p *sim.Proc) {
-		l.Transfer(p, 500, 0, 0)
-		t2 = p.Now()
-	})
+	e.Spawn("tx1", transfer(l, 0, 500, 0, 0, &t1))
+	e.Spawn("tx2", transfer(l, 0, 500, 0, 0, &t2))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -82,14 +113,8 @@ func TestWaterFillingRedistributesCappedLeftover(t *testing.T) {
 	e := sim.NewEngine()
 	l := NewLink(e, 100)
 	var tCapped, tFree float64
-	e.Spawn("capped", func(p *sim.Proc) {
-		l.Transfer(p, 100, 10, 0) // capped at 10 B/s -> 10 s
-		tCapped = p.Now()
-	})
-	e.Spawn("free", func(p *sim.Proc) {
-		l.Transfer(p, 450, 0, 0) // gets the other 90 B/s -> 5 s
-		tFree = p.Now()
-	})
+	e.Spawn("capped", transfer(l, 0, 100, 10, 0, &tCapped)) // capped at 10 B/s -> 10 s
+	e.Spawn("free", transfer(l, 0, 450, 0, 0, &tFree))      // gets the other 90 B/s -> 5 s
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +130,8 @@ func TestLateJoinerSlowsExistingFlow(t *testing.T) {
 	e := sim.NewEngine()
 	l := NewLink(e, 100)
 	var tFirst float64
-	e.Spawn("first", func(p *sim.Proc) {
-		l.Transfer(p, 1000, 0, 0)
-		tFirst = p.Now()
-	})
-	e.Spawn("second", func(p *sim.Proc) {
-		p.Sleep(5) // first has moved 500 bytes alone
-		l.Transfer(p, 250, 0, 0)
-	})
+	e.Spawn("first", transfer(l, 0, 1000, 0, 0, &tFirst))
+	e.Spawn("second", transfer(l, 5, 250, 0, 0, nil)) // first has moved 500 bytes alone
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +152,7 @@ func TestBytesConservedProperty(t *testing.T) {
 		l := NewLink(e, capacity)
 		n := 1 + rng.IntN(12)
 		var total float64
-		var makespan float64
+		finish := make([]float64, n)
 		for i := 0; i < n; i++ {
 			bytes := 1 + rng.Float64()*10000
 			start := rng.Float64() * 3
@@ -142,16 +161,14 @@ func TestBytesConservedProperty(t *testing.T) {
 				cap = capacity * (0.05 + rng.Float64())
 			}
 			total += bytes
-			e.Spawn("tx", func(p *sim.Proc) {
-				p.Sleep(start)
-				l.Transfer(p, bytes, cap, 0)
-				if p.Now() > makespan {
-					makespan = p.Now()
-				}
-			})
+			e.Spawn("tx", transfer(l, start, bytes, cap, 0, &finish[i]))
 		}
 		if err := e.Run(); err != nil {
 			return false
+		}
+		makespan := 0.0
+		for _, t := range finish {
+			makespan = math.Max(makespan, t)
 		}
 		if math.Abs(l.BytesCarried()-total) > 1e-3*total {
 			return false

@@ -114,6 +114,27 @@ func TestQueries(t *testing.T) {
 	}
 }
 
+// TestUpsertFamily: an upsert keeps a record's family when its spec is
+// unchanged and moves it when the spec changes.
+func TestUpsertFamily(t *testing.T) {
+	s := NewMemStore()
+	lv, hs := Spec{Benchmark: "LV"}.FamilyKey(), Spec{Benchmark: "HS"}.FamilyKey()
+	for i, spec := range []Spec{{Benchmark: "LV"}, {Benchmark: "LV"}, {Benchmark: "HS"}, {Benchmark: "HS"}} {
+		if err := s.Save(doneRec("run-000001", spec)); err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]int{lv: 1, hs: 0}
+		if i >= 2 {
+			want = map[string]int{lv: 0, hs: 1}
+		}
+		for fam, n := range want {
+			if got := s.BySpecFamily(fam); len(got) != n {
+				t.Fatalf("save %d (%s): BySpecFamily(%s) = %v, want %d", i, spec.Benchmark, fam, recIDs(got), n)
+			}
+		}
+	}
+}
+
 func recIDs(recs []*RunRecord) []string {
 	out := make([]string, len(recs))
 	for i, r := range recs {

@@ -49,7 +49,11 @@ func (s *MemStore) put(rec *RunRecord) {
 		s.byID[rec.ID] = i
 		s.recs = append(s.recs, entry{})
 	}
-	s.recs[i] = entry{rec: rec, family: rec.Spec.FamilyKey(), shared: true}
+	family := s.recs[i].family
+	if !ok || s.recs[i].rec.Spec != rec.Spec {
+		family = rec.Spec.FamilyKey()
+	}
+	s.recs[i] = entry{rec: rec, family: family, shared: true}
 	if rec.State == StateDone && rec.SpecKey != "" {
 		s.bySpec[rec.SpecKey] = i
 	}

@@ -399,16 +399,6 @@ func TestAllExperimentsRunTiny(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			if e.ID == "drift" && raceDetector {
-				// drift runs hundreds of thousands of live simulations, each a
-				// handful of coroutines. Through go1.24 the runtime ends a
-				// coroutine's goroutine without racegoend (coroexit bypasses
-				// goexit1), so under -race every one leaks its ~13 KB detector
-				// context and this experiment alone grows past 8 GB. Its
-				// concurrency is the tuner's, which the other experiments
-				// here and internal/tuner exercise under -race.
-				t.Skip("simulation-heavy; the race runtime leaks a context per coroutine")
-			}
 			tables, err := e.Run(gts, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", e.ID, err)

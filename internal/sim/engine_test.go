@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"math/rand/v2"
 	"reflect"
 	"runtime"
@@ -47,17 +46,57 @@ func TestScheduleNegativeDelayClamped(t *testing.T) {
 func TestProcSleep(t *testing.T) {
 	e := NewEngine()
 	var at []float64
-	e.Spawn("sleeper", func(p *Proc) {
-		p.Sleep(1.5)
-		at = append(at, p.Now())
-		p.Sleep(2.5)
-		at = append(at, p.Now())
+	calls, pc := 0, 0
+	e.Spawn("sleeper", func(p *Proc) bool {
+		calls++
+		switch pc {
+		case 0:
+			pc = 1
+			if !p.Sleep(1.5) {
+				return false
+			}
+			fallthrough
+		case 1:
+			at = append(at, p.Now())
+			pc = 2
+			if !p.Sleep(2.5) {
+				return false
+			}
+			fallthrough
+		default:
+			at = append(at, p.Now())
+			return true
+		}
 	})
+	// An event due at 3 lets the first sleep pass in place (nothing is due
+	// before 1.5) but not the second (3 is due before 4).
+	e.Schedule(3, func() {})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(at, []float64{1.5, 4.0}) {
 		t.Fatalf("wake times = %v, want [1.5 4]", at)
+	}
+	if calls != 2 {
+		t.Fatalf("step called %d times, want 2 (start, then one wake-up)", calls)
+	}
+}
+
+// sleeps returns a step that sleeps d then calls then, n times over.
+func sleeps(n int, d float64, then func(p *Proc)) func(p *Proc) bool {
+	i, slept := 0, false
+	return func(p *Proc) bool {
+		for ; i < n; i++ {
+			if !slept {
+				slept = true
+				if !p.Sleep(d) {
+					return false
+				}
+			}
+			slept = false
+			then(p)
+		}
+		return true
 	}
 }
 
@@ -66,13 +105,7 @@ func TestTwoProcsInterleaveDeterministically(t *testing.T) {
 		e := NewEngine()
 		var log []string
 		for _, name := range []string{"a", "b"} {
-			name := name
-			e.Spawn(name, func(p *Proc) {
-				for i := 0; i < 3; i++ {
-					p.Sleep(1)
-					log = append(log, name)
-				}
-			})
+			e.Spawn(name, sleeps(3, 1, func(*Proc) { log = append(log, name) }))
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
@@ -80,6 +113,9 @@ func TestTwoProcsInterleaveDeterministically(t *testing.T) {
 		return log
 	}
 	first := run()
+	if want := []string{"a", "b", "a", "b", "a", "b"}; !reflect.DeepEqual(first, want) {
+		t.Fatalf("interleaving = %v, want %v", first, want)
+	}
 	for i := 0; i < 10; i++ {
 		if got := run(); !reflect.DeepEqual(got, first) {
 			t.Fatalf("run %d produced %v, first run produced %v", i, got, first)
@@ -91,21 +127,36 @@ func TestStoreBackpressure(t *testing.T) {
 	e := NewEngine()
 	s := NewStore[int](e, 2)
 	var putTimes, getTimes []float64
-	e.Spawn("producer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			s.Put(p, i)
+	put := 0
+	e.Spawn("producer", func(p *Proc) bool {
+		for ; put < 5; put++ {
+			if !s.Put(p, put) {
+				return false
+			}
 			putTimes = append(putTimes, p.Now())
 		}
+		return true
 	})
-	e.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			item := s.Get(p)
-			if item != i {
-				t.Errorf("got item %v, want %d", item, i)
+	got, holding := 0, false
+	e.Spawn("consumer", func(p *Proc) bool {
+		for ; got < 5; got++ {
+			if !holding {
+				item, ok := s.Get(p)
+				if !ok {
+					return false
+				}
+				if item != got {
+					t.Errorf("got item %v, want %d", item, got)
+				}
+				getTimes = append(getTimes, p.Now())
+				holding = true
+				if !p.Sleep(10) {
+					return false
+				}
 			}
-			getTimes = append(getTimes, p.Now())
-			p.Sleep(10)
+			holding = false
 		}
+		return true
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -132,20 +183,42 @@ func TestStoreFIFOProperty(t *testing.T) {
 		capacity := 1 + rng.IntN(5)
 		e := NewEngine()
 		s := NewStore[int](e, capacity)
-		e.Spawn("producer", func(p *Proc) {
-			for i := 0; i < n; i++ {
-				p.Sleep(rng.Float64())
-				s.Put(p, i)
+		put, putSlept := 0, false
+		e.Spawn("producer", func(p *Proc) bool {
+			for ; put < n; put++ {
+				if !putSlept {
+					putSlept = true
+					if !p.Sleep(rng.Float64()) {
+						return false
+					}
+				}
+				if !s.Put(p, put) {
+					return false
+				}
+				putSlept = false
 			}
+			return true
 		})
 		ok := true
-		e.Spawn("consumer", func(p *Proc) {
-			for i := 0; i < n; i++ {
-				p.Sleep(rng.Float64())
-				if got := s.Get(p); got != i {
+		got, getSlept := 0, false
+		e.Spawn("consumer", func(p *Proc) bool {
+			for ; got < n; got++ {
+				if !getSlept {
+					getSlept = true
+					if !p.Sleep(rng.Float64()) {
+						return false
+					}
+				}
+				item, in := s.Get(p)
+				if !in {
+					return false
+				}
+				if item != got {
 					ok = false
 				}
+				getSlept = false
 			}
+			return true
 		})
 		if err := e.Run(); err != nil {
 			return false
@@ -159,20 +232,30 @@ func TestStoreFIFOProperty(t *testing.T) {
 
 func TestTimeMonotonicProperty(t *testing.T) {
 	// Property: observed wake times never decrease regardless of the delays
-	// used, including zero and negative ones.
+	// used, including zero and negative ones. A second process wakes at
+	// every integer time, so sleeps both pass in place and wait their turn.
 	f := func(delays []float64) bool {
 		e := NewEngine()
 		last := -1.0
 		mono := true
-		e.Spawn("p", func(p *Proc) {
-			for _, d := range delays {
-				p.Sleep(d) // Sleep clamps negatives/NaN to 0
+		i, slept := 0, false
+		e.Spawn("p", func(p *Proc) bool {
+			for ; i < len(delays); i++ {
+				if !slept {
+					slept = true
+					if !p.Sleep(delays[i]) { // Sleep clamps negatives/NaN to 0
+						return false
+					}
+				}
+				slept = false
 				if p.Now() < last {
 					mono = false
 				}
 				last = p.Now()
 			}
+			return true
 		})
+		e.Spawn("ticker", sleeps(len(delays), 1, func(*Proc) {}))
 		if err := e.Run(); err != nil {
 			return false
 		}
@@ -186,10 +269,14 @@ func TestTimeMonotonicProperty(t *testing.T) {
 func TestDeadlockDetected(t *testing.T) {
 	e := NewEngine()
 	s := NewStore[int](e, 1)
-	e.Spawn("starved", func(p *Proc) {
-		s.Get(p) // nobody ever puts
-		t.Error("starved process ran past Get")
+	e.Spawn("starved", func(p *Proc) bool {
+		if _, ok := s.Get(p); !ok { // nobody ever puts
+			return false
+		}
+		t.Error("starved process got an item")
+		return true
 	})
+	e.Spawn("fine", sleeps(1, 2, func(*Proc) {}))
 	err := e.Run()
 	de, ok := err.(*DeadlockError)
 	if !ok {
@@ -205,15 +292,22 @@ func TestWaiterWakeAll(t *testing.T) {
 	w := NewWaiter(e)
 	woken := 0
 	for i := 0; i < 4; i++ {
-		e.Spawn("waiter", func(p *Proc) {
-			w.Wait(p)
+		waited := false
+		e.Spawn("waiter", func(p *Proc) bool {
+			if !waited {
+				waited = true
+				return w.Wait(p)
+			}
 			woken++
+			return true
 		})
 	}
-	e.Spawn("waker", func(p *Proc) {
-		p.Sleep(5)
+	e.Spawn("waker", sleeps(1, 5, func(*Proc) {
+		if w.Waiting() != 4 {
+			t.Errorf("Waiting() = %d before WakeAll, want 4", w.Waiting())
+		}
 		w.WakeAll()
-	})
+	}))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -238,13 +332,19 @@ func TestEngineRunTwiceFails(t *testing.T) {
 func TestSpawnWhileRunning(t *testing.T) {
 	e := NewEngine()
 	childRan := false
-	e.Spawn("parent", func(p *Proc) {
-		p.Sleep(1)
-		e.Spawn("child", func(c *Proc) {
-			c.Sleep(1)
-			childRan = true
-		})
-		p.Sleep(5)
+	spawned := false
+	e.Spawn("parent", func(p *Proc) bool {
+		if !spawned {
+			spawned = true
+			if !p.Sleep(1) {
+				return false
+			}
+		}
+		if !childRan {
+			e.Spawn("child", sleeps(1, 1, func(*Proc) { childRan = true }))
+			return p.Sleep(5)
+		}
+		return true
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -273,7 +373,7 @@ func TestSpawnAndScheduleAfterRunPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, f := range map[string]func(){
-		"Spawn":    func() { e.Spawn("late", func(*Proc) {}) },
+		"Spawn":    func() { e.Spawn("late", func(*Proc) bool { return true }) },
 		"Schedule": func() { e.Schedule(1, func() {}) },
 	} {
 		msg, ok := mustPanic(t, f).(string)
@@ -287,27 +387,28 @@ func TestProcessPanicPropagatesFromRun(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := NewEngine()
 	s := NewStore[int](e, 1)
-	unwound := 0
-	e.Spawn("blocked", func(p *Proc) {
-		defer func() { unwound++ }()
-		s.Get(p)
-	})
-	e.Spawn("sleeper", func(p *Proc) {
-		defer func() { unwound++ }()
-		p.Sleep(10)
-	})
-	e.Spawn("unstarted-at-panic", func(p *Proc) { p.Sleep(1) })
+	calls := 0
+	counted := func(step func(p *Proc) bool) func(p *Proc) bool {
+		return func(p *Proc) bool { calls++; return step(p) }
+	}
+	e.Spawn("blocked", counted(func(p *Proc) bool {
+		_, ok := s.Get(p)
+		return ok
+	}))
+	e.Spawn("sleeper", counted(sleeps(1, 10, func(*Proc) {})))
+	e.Spawn("asleep-at-panic", counted(sleeps(1, 1, func(*Proc) {})))
 	boom := &struct{ msg string }{"boom"}
 	e.Schedule(0.5, func() {
-		e.Spawn("bad", func(p *Proc) { panic(boom) })
+		e.Spawn("bad", func(p *Proc) bool { panic(boom) })
 	})
-	// The body's panic must reach Run's caller — this goroutine, where a
-	// recover can see it — as the very value it was raised with.
+	// The step's panic must reach Run's caller — this goroutine, where a
+	// recover can see it — as the very value it was raised with, and no
+	// step runs after it.
 	if got := mustPanic(t, func() { _ = e.Run() }); got != boom {
 		t.Fatalf("Run panicked with %v, want the process's own value", got)
 	}
-	if unwound != 2 {
-		t.Fatalf("%d of 2 parked processes unwound", unwound)
+	if calls != 3 {
+		t.Fatalf("%d step calls, want 3: the starts, and none after the panic", calls)
 	}
 	if n := runtime.NumGoroutine(); n != base {
 		t.Fatalf("%d goroutines after a propagated panic, %d before", n, base)
@@ -317,22 +418,16 @@ func TestProcessPanicPropagatesFromRun(t *testing.T) {
 	}
 }
 
-func TestDeadlockLeavesNoGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
+func TestWakeOfFinishedProcessPanics(t *testing.T) {
 	e := NewEngine()
 	w := NewWaiter(e)
-	for i := 0; i < 8; i++ {
-		e.Spawn("stuck", func(p *Proc) {
-			p.Sleep(1)
-			w.Wait(p)
-		})
-	}
-	e.Spawn("fine", func(p *Proc) { p.Sleep(2) })
-	var de *DeadlockError
-	if err := e.Run(); !errors.As(err, &de) || len(de.Parked) != 8 {
-		t.Fatalf("Run() = %v, want 8 deadlocked processes", err)
-	}
-	if n := runtime.NumGoroutine(); n != base {
-		t.Fatalf("%d goroutines after a deadlock, %d before", n, base)
+	e.Spawn("quitter", func(p *Proc) bool {
+		w.Wait(p)
+		return true // finishes while still registered: a broken step
+	})
+	e.Schedule(1, func() { w.Wake() })
+	msg, ok := mustPanic(t, func() { _ = e.Run() }).(string)
+	if !ok || !strings.Contains(msg, "finished process: quitter") {
+		t.Fatalf("Run panicked with %v, want a wake-up of a finished process", msg)
 	}
 }

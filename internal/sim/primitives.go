@@ -15,13 +15,14 @@ type Waiter struct {
 // NewWaiter returns a Waiter bound to the engine.
 func NewWaiter(e *Engine) *Waiter { return &Waiter{eng: e} }
 
-// Wait parks the calling process until it is woken.
-func (w *Waiter) Wait(p *Proc) {
+// Wait registers p to be woken and returns false: a wait never finishes in
+// place, so p's step returns, and the engine calls it again once woken.
+func (w *Waiter) Wait(p *Proc) bool {
 	w.q = append(w.q, p)
-	p.park()
+	return false
 }
 
-// Wake unparks the oldest waiting process, if any, and reports whether a
+// Wake wakes the oldest waiting process, if any, and reports whether a
 // process was woken.
 func (w *Waiter) Wake() bool {
 	if w.head == len(w.q) {
@@ -33,17 +34,17 @@ func (w *Waiter) Wake() bool {
 	if w.head == len(w.q) {
 		w.q, w.head = w.q[:0], 0
 	}
-	w.eng.push(0, event{proc: p})
+	w.eng.Schedule(0, p.resume)
 	return true
 }
 
-// WakeAll unparks every waiting process in FIFO order.
+// WakeAll wakes every waiting process in FIFO order.
 func (w *Waiter) WakeAll() {
 	for w.Wake() {
 	}
 }
 
-// Waiting returns the number of processes currently parked on the waiter.
+// Waiting returns the number of processes currently waiting on the waiter.
 func (w *Waiter) Waiting() int { return len(w.q) - w.head }
 
 // Store is a bounded FIFO buffer of items exchanged between processes. Put
@@ -64,28 +65,33 @@ func NewStore[T any](e *Engine, capacity int) *Store[T] {
 	return &Store[T]{ring: make([]T, capacity), getters: Waiter{eng: e}, putters: Waiter{eng: e}}
 }
 
-// Put appends item, blocking while the store is full.
-func (s *Store[T]) Put(p *Proc, item T) {
-	for s.n == len(s.ring) {
-		s.putters.Wait(p)
+// Put appends item and reports whether it did so in place. While the store
+// is full it registers p and returns false; p's step calls Put again, with
+// the same item, once woken.
+func (s *Store[T]) Put(p *Proc, item T) bool {
+	if s.n == len(s.ring) {
+		return s.putters.Wait(p)
 	}
 	s.ring[(s.head+s.n)%len(s.ring)] = item
 	s.n++
 	s.getters.Wake()
+	return true
 }
 
-// Get removes and returns the oldest item, blocking while the store is empty.
-func (s *Store[T]) Get(p *Proc) T {
-	for s.n == 0 {
-		s.getters.Wait(p)
-	}
+// Get removes the oldest item and returns it with true. While the store is
+// empty it registers p and returns false; p's step calls Get again once
+// woken.
+func (s *Store[T]) Get(p *Proc) (T, bool) {
 	var zero T
+	if s.n == 0 {
+		return zero, s.getters.Wait(p)
+	}
 	item := s.ring[s.head]
 	s.ring[s.head] = zero
 	s.head = (s.head + 1) % len(s.ring)
 	s.n--
 	s.putters.Wake()
-	return item
+	return item, true
 }
 
 // Len returns the number of buffered items.

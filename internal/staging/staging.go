@@ -54,6 +54,11 @@ type Channel struct {
 
 	sendQ *sim.Store[float64]
 	recvQ *sim.Store[float64]
+
+	// The producer's and the consumer's place within the current step, so
+	// a SendStep or RecvStep called again after a wake-up picks up there.
+	sent, recvd        int
+	emitted, ingesting bool
 }
 
 // DefaultSlots is the channel depth in chunks on each side (double
@@ -74,40 +79,85 @@ func NewChannel(e *sim.Engine, plan Plan, rateCap float64, slots int) *Channel {
 	}
 }
 
+// daemon moves a channel's chunks from its send queue over the link into
+// its receive queue.
+type daemon struct {
+	c       *Channel
+	link    *fabric.Link
+	latency float64
+	left    int     // chunks still to move
+	bytes   float64 // the chunk in hand
+	holding bool    // taken from the send queue, not yet put in the receive queue
+}
+
+func (d *daemon) step(p *sim.Proc) bool {
+	for ; d.left > 0; d.left-- {
+		if !d.holding {
+			bytes, ok := d.c.sendQ.Get(p)
+			if !ok {
+				return false
+			}
+			d.bytes, d.holding = bytes, true
+			if !d.link.Transfer(p, bytes, d.c.RateCap, d.latency) {
+				return false
+			}
+		}
+		if !d.c.recvQ.Put(p, d.bytes) {
+			return false
+		}
+		d.holding = false
+	}
+	return true
+}
+
 // StartDaemon spawns the staging daemon process that moves chunks from the
 // send queue over the link into the receive queue, for steps steps.
 func (c *Channel) StartDaemon(e *sim.Engine, name string, link *fabric.Link, steps int, latency float64) {
-	total := steps * c.Plan.PerStep
-	e.Spawn(name, func(p *sim.Proc) {
-		for k := 0; k < total; k++ {
-			bytes := c.sendQ.Get(p)
-			link.Transfer(p, bytes, c.RateCap, latency)
-			c.recvQ.Put(p, bytes)
-		}
-	})
+	d := &daemon{c: c, link: link, latency: latency, left: steps * c.Plan.PerStep}
+	e.Spawn(name, d.step)
 }
 
 // SendStep emits one step's payload chunk by chunk, paying emitCost per
-// chunk on the producer side, blocking under backpressure.
-func (c *Channel) SendStep(p *sim.Proc, emitCost func(bytes float64) float64) {
-	for k := 0; k < c.Plan.PerStep; k++ {
-		bytes := c.Plan.Size(k)
-		if emitCost != nil {
-			p.Sleep(emitCost(bytes))
+// chunk on the producer side, blocking under backpressure. It reports
+// whether the step finished in place; on false p's step returns, and calls
+// SendStep again once woken, which goes on where it stopped.
+func (c *Channel) SendStep(p *sim.Proc, emitCost func(bytes float64) float64) bool {
+	for ; c.sent < c.Plan.PerStep; c.sent++ {
+		bytes := c.Plan.Size(c.sent)
+		if !c.emitted {
+			c.emitted = true
+			if emitCost != nil && !p.Sleep(emitCost(bytes)) {
+				return false
+			}
 		}
-		c.sendQ.Put(p, bytes)
+		if !c.sendQ.Put(p, bytes) {
+			return false
+		}
+		c.emitted = false
 	}
+	c.sent = 0
+	return true
 }
 
 // RecvStep drains one step's payload chunk by chunk, paying ingestCost per
-// chunk on the consumer side, blocking until data arrives.
-func (c *Channel) RecvStep(p *sim.Proc, ingestCost func(bytes float64) float64) {
-	for k := 0; k < c.Plan.PerStep; k++ {
-		bytes := c.recvQ.Get(p)
-		if ingestCost != nil {
-			p.Sleep(ingestCost(bytes))
+// chunk on the consumer side, blocking until data arrives. It reports
+// whether the step finished in place, as SendStep does.
+func (c *Channel) RecvStep(p *sim.Proc, ingestCost func(bytes float64) float64) bool {
+	for ; c.recvd < c.Plan.PerStep; c.recvd++ {
+		if !c.ingesting {
+			bytes, ok := c.recvQ.Get(p)
+			if !ok {
+				return false
+			}
+			c.ingesting = true
+			if ingestCost != nil && !p.Sleep(ingestCost(bytes)) {
+				return false
+			}
 		}
+		c.ingesting = false
 	}
+	c.recvd = 0
+	return true
 }
 
 // Buffered returns the number of chunks currently queued on both sides

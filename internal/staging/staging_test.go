@@ -55,6 +55,50 @@ func TestPlanChunksSumToPayloadProperty(t *testing.T) {
 	}
 }
 
+// producer returns a step that, steps times, computes for compute seconds
+// and then sends a step's payload, and records when it finished.
+func producer(ch *Channel, steps int, compute float64, emit func(float64) float64, done *float64) func(p *sim.Proc) bool {
+	k, computed := 0, false
+	return func(p *sim.Proc) bool {
+		for ; k < steps; k++ {
+			if !computed {
+				computed = true
+				if !p.Sleep(compute) {
+					return false
+				}
+			}
+			if !ch.SendStep(p, emit) {
+				return false
+			}
+			computed = false
+		}
+		*done = p.Now()
+		return true
+	}
+}
+
+// consumer returns a step that, steps times, receives a step's payload and
+// then computes for compute seconds, and records when it finished.
+func consumer(ch *Channel, steps int, compute float64, ingest func(float64) float64, done *float64) func(p *sim.Proc) bool {
+	k, received := 0, false
+	return func(p *sim.Proc) bool {
+		for ; k < steps; k++ {
+			if !received {
+				if !ch.RecvStep(p, ingest) {
+					return false
+				}
+				received = true
+				if !p.Sleep(compute) {
+					return false
+				}
+			}
+			received = false
+		}
+		*done = p.Now()
+		return true
+	}
+}
+
 func TestChannelEndToEnd(t *testing.T) {
 	e := sim.NewEngine()
 	link := fabric.NewLink(e, 1e9)
@@ -64,20 +108,8 @@ func TestChannelEndToEnd(t *testing.T) {
 	ch.StartDaemon(e, "daemon", link, steps, 1e-6)
 
 	var prodDone, consDone float64
-	e.Spawn("producer", func(p *sim.Proc) {
-		for s := 0; s < steps; s++ {
-			p.Sleep(0.01) // compute
-			ch.SendStep(p, func(b float64) float64 { return 1e-3 })
-		}
-		prodDone = p.Now()
-	})
-	e.Spawn("consumer", func(p *sim.Proc) {
-		for s := 0; s < steps; s++ {
-			ch.RecvStep(p, func(b float64) float64 { return 0.5e-3 })
-			p.Sleep(0.02)
-		}
-		consDone = p.Now()
-	})
+	e.Spawn("producer", producer(ch, steps, 0.01, func(b float64) float64 { return 1e-3 }, &prodDone))
+	e.Spawn("consumer", consumer(ch, steps, 0.02, func(b float64) float64 { return 0.5e-3 }, &consDone))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -100,20 +132,9 @@ func TestChannelBackpressure(t *testing.T) {
 		ch := NewChannel(e, NewPlan(1e6, 0), 1e12, 0)
 		const steps = 20
 		ch.StartDaemon(e, "daemon", link, steps, 0)
-		var prodDone float64
-		e.Spawn("producer", func(p *sim.Proc) {
-			for s := 0; s < steps; s++ {
-				p.Sleep(0.001)
-				ch.SendStep(p, nil)
-			}
-			prodDone = p.Now()
-		})
-		e.Spawn("consumer", func(p *sim.Proc) {
-			for s := 0; s < steps; s++ {
-				ch.RecvStep(p, nil)
-				p.Sleep(consumerStep)
-			}
-		})
+		var prodDone, consDone float64
+		e.Spawn("producer", producer(ch, steps, 0.001, nil, &prodDone))
+		e.Spawn("consumer", consumer(ch, steps, consumerStep, nil, &consDone))
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -127,25 +148,18 @@ func TestChannelBackpressure(t *testing.T) {
 }
 
 func TestChannelDefaultSlots(t *testing.T) {
+	var done float64
+	// Producer can buffer DefaultSlots chunks without a consumer...
 	e := sim.NewEngine()
 	ch := NewChannel(e, NewPlan(1, 0), 1, -5)
-	// Producer can buffer DefaultSlots chunks without a consumer...
-	e.Spawn("producer", func(p *sim.Proc) {
-		for i := 0; i < DefaultSlots; i++ {
-			ch.SendStep(p, nil)
-		}
-	})
+	e.Spawn("producer", producer(ch, DefaultSlots, 0, nil, &done))
 	if err := e.Run(); err != nil {
 		t.Fatalf("filling %d slots should not block forever: %v", DefaultSlots, err)
 	}
 	// ...but one more chunk deadlocks without a daemon.
 	e2 := sim.NewEngine()
 	ch2 := NewChannel(e2, NewPlan(1, 0), 1, 0)
-	e2.Spawn("producer", func(p *sim.Proc) {
-		for i := 0; i <= DefaultSlots; i++ {
-			ch2.SendStep(p, nil)
-		}
-	})
+	e2.Spawn("producer", producer(ch2, DefaultSlots+1, 0, nil, &done))
 	if err := e2.Run(); err == nil {
 		t.Fatal("overfilling the send queue without a daemon should deadlock")
 	}

@@ -12,14 +12,15 @@ import (
 )
 
 // TestRunInSituAllocs guards the simulator's allocation budget: a run
-// allocates its setup (engine, links, channels, one coroutine per process)
-// plus one closure per armed link timer, and nothing per Sleep, Put, Get or
-// wake-up. Ceilings sit ~25% above the measured counts on each benchmark's
-// expert configuration (LV 125, HS 108, GP 307); one allocation per
-// simulated event would put these runs at 900 to 5500.
+// allocates its setup (engine, links, channels, each process's state and
+// step) and the heap, queue, flow and timer slots its busiest moment
+// needs, and nothing per Sleep, Put, Get, wake-up or armed link timer.
+// Ceilings sit ~25% above the measured counts on each benchmark's expert
+// configuration (LV 46, HS 55, GP 86); one allocation per simulated event
+// would put these runs at 900 to 5500.
 func TestRunInSituAllocs(t *testing.T) {
 	m := cluster.Default()
-	for name, ceiling := range map[string]float64{"LV": 160, "HS": 135, "GP": 385} {
+	for name, ceiling := range map[string]float64{"LV": 58, "HS": 69, "GP": 108} {
 		b, err := ByName(m, name)
 		if err != nil {
 			t.Fatal(err)
@@ -35,6 +36,26 @@ func TestRunInSituAllocs(t *testing.T) {
 		})
 		if allocs > ceiling {
 			t.Errorf("%s: %.0f allocs per RunInSitu, want <= %.0f", name, allocs, ceiling)
+		}
+	}
+}
+
+// TestRunSoloAllocs is TestRunInSituAllocs for the solo runs that train the
+// component models: every benchmark component, as its benchmark's expert
+// configuration builds it, measures 23 or 24 allocations, so the ceiling
+// is 30.
+func TestRunSoloAllocs(t *testing.T) {
+	for _, b := range Benchmarks(cluster.Default()) {
+		for j, c := range expertSolos(b) {
+			cs := b.Components[j]
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := RunSolo(b.Machine, c, cs.InBytesPerStep); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 30 {
+				t.Errorf("%s/%s: %.0f allocs per RunSolo, want <= 30", b.Name, cs.Name, allocs)
+			}
 		}
 	}
 }

@@ -24,6 +24,7 @@ import (
 
 	"ceal/internal/apps"
 	"ceal/internal/cluster"
+	"ceal/internal/fabric"
 	"ceal/internal/sim"
 	"ceal/internal/staging"
 )
@@ -210,9 +211,11 @@ func (w *Workflow) runInSitu(trace *Trace) (Measurement, error) {
 	}
 
 	steps := w.Components[0].Steps
+	procs := make([]process, len(w.Components))
+	for ci, c := range w.Components {
+		procs[ci] = process{c: c, rt: rt, pfsCap: apps.PFSCap(w.Machine, c.Layout)}
+	}
 	chans := make([]*staging.Channel, len(w.Edges))
-	inEdges := make([][]int, len(w.Components))
-	outEdges := make([][]int, len(w.Components))
 	for i, e := range w.Edges {
 		from, to := w.Components[e.From], w.Components[e.To]
 		rate := math.Min(
@@ -221,65 +224,122 @@ func (w *Workflow) runInSitu(trace *Trace) (Measurement, error) {
 		)
 		chans[i] = staging.NewChannel(rt.Eng, plan(from), rate, 0)
 		chans[i].StartDaemon(rt.Eng, "staging-"+strconv.Itoa(i), rt.Core, steps, w.Machine.NetLatency)
-		outEdges[e.From] = append(outEdges[e.From], i)
-		inEdges[e.To] = append(inEdges[e.To], i)
+		procs[e.From].out = append(procs[e.From].out, chans[i])
+		procs[e.To].in = append(procs[e.To].in, chans[i])
 	}
 
 	if trace != nil {
 		trace.Components = make([]ComponentTrace, len(w.Components))
 		for ci, c := range w.Components {
 			trace.Components[ci] = ComponentTrace{Name: c.Name, Nodes: c.Nodes(), Steps: make([]StepTrace, 0, steps)}
+			procs[ci].trace = &trace.Components[ci]
 		}
 	}
-	finish := make([]float64, len(w.Components))
 	for ci, c := range w.Components {
-		rt.Eng.Spawn(c.Name, func(p *sim.Proc) {
-			pfsCap := apps.PFSCap(w.Machine, c.Layout)
-			for step := 0; step < steps; step++ {
-				start := p.Now()
-				for _, ei := range inEdges[ci] {
-					chans[ei].RecvStep(p, c.IngestPerChunk)
-				}
-				received := p.Now()
-				p.Sleep(c.StepTime(step))
-				computed := p.Now()
-				if c.PFSWriteBytes > 0 {
-					rt.PFS.Transfer(p, c.PFSWriteBytes, pfsCap, w.Machine.PFSOpenLatency)
-				}
-				for _, ei := range outEdges[ci] {
-					chans[ei].SendStep(p, c.EmitPerChunk)
-				}
-				if trace != nil {
-					ct := &trace.Components[ci]
-					ct.Steps = append(ct.Steps, StepTrace{
-						Step:    step,
-						Wait:    received - start,
-						Compute: computed - received,
-						Output:  p.Now() - computed,
-					})
-				}
-			}
-			finish[ci] = p.Now()
-		})
+		rt.Eng.Spawn(c.Name, procs[ci].step)
 	}
 
 	if err := rt.Eng.Run(); err != nil {
 		return Measurement{}, fmt.Errorf("workflow %s: %w", w.Name, err)
 	}
 
+	finish := make([]float64, len(w.Components))
 	busy := make([]float64, len(w.Components))
 	for ci, c := range w.Components {
 		var inPlans []staging.Plan
-		for _, ei := range inEdges[ci] {
-			inPlans = append(inPlans, chans[ei].Plan)
+		for i, e := range w.Edges {
+			if e.To == ci {
+				inPlans = append(inPlans, chans[i].Plan)
+			}
 		}
 		busy[ci] = activeSeconds(c, inPlans)
+		finish[ci] = procs[ci].finish
 	}
 	meas := w.measurement(finish, busy)
 	if trace != nil {
 		trace.Makespan = meas.ExecTime
 	}
 	return meas, nil
+}
+
+// stream is one of a component's data partners: a staging channel in an
+// in-situ run, the parallel file system in a solo one.
+type stream interface {
+	RecvStep(p *sim.Proc, ingestCost func(bytes float64) float64) bool
+	SendStep(p *sim.Proc, emitCost func(bytes float64) float64) bool
+}
+
+// process is a component's simulated process. Each step receives from
+// every input stream, computes, writes to the PFS if the component does,
+// and sends on every output stream.
+type process struct {
+	c       *apps.Component
+	rt      *cluster.Runtime
+	pfsCap  float64
+	in, out []stream
+	trace   *ComponentTrace // nil unless the run is traced
+	finish  float64
+
+	k, at, edge               int // step, resume point within it, stream
+	start, received, computed float64
+}
+
+// A process step's resume points.
+const (
+	atBegin = iota
+	atRecv
+	atComputed
+	atSend
+)
+
+func (s *process) step(p *sim.Proc) bool {
+	c := s.c
+	for ; s.k < c.Steps; s.k++ {
+		switch s.at {
+		case atBegin:
+			s.start = p.Now()
+			s.at = atRecv
+			fallthrough
+		case atRecv:
+			for ; s.edge < len(s.in); s.edge++ {
+				if !s.in[s.edge].RecvStep(p, c.IngestPerChunk) {
+					return false
+				}
+			}
+			s.edge = 0
+			s.received = p.Now()
+			s.at = atComputed
+			if !p.Sleep(c.StepTime(s.k)) {
+				return false
+			}
+			fallthrough
+		case atComputed:
+			s.computed = p.Now()
+			s.at = atSend
+			if c.PFSWriteBytes > 0 && !s.rt.PFS.Transfer(p, c.PFSWriteBytes, s.pfsCap, s.rt.Machine.PFSOpenLatency) {
+				return false
+			}
+			fallthrough
+		case atSend:
+			for ; s.edge < len(s.out); s.edge++ {
+				if !s.out[s.edge].SendStep(p, c.EmitPerChunk) {
+					return false
+				}
+			}
+			s.edge = 0
+			if s.trace != nil {
+				s.trace.Steps = append(s.trace.Steps, StepTrace{
+					Step:    s.k,
+					Wait:    s.received - s.start,
+					Compute: s.computed - s.received,
+					Output:  p.Now() - s.computed,
+				})
+			}
+			s.at = atBegin
+		}
+	}
+	s.finish = p.Now()
+	return true
 }
 
 func (w *Workflow) measurement(perComponent, busy []float64) Measurement {
@@ -320,34 +380,17 @@ func RunSolo(m cluster.Machine, c *apps.Component, inBytesPerStep float64) (Meas
 	if err != nil {
 		return Measurement{}, err
 	}
-	var finish float64
-	cp := plan(c)
-	rt.Eng.Spawn(c.Name, func(p *sim.Proc) {
-		pfsCap := apps.PFSCap(m, c.Layout)
-		for step := 0; step < c.Steps; step++ {
-			if inBytesPerStep > 0 {
-				rt.PFS.Transfer(p, inBytesPerStep, pfsCap, m.PFSOpenLatency)
-				if c.IngestPerChunk != nil {
-					p.Sleep(c.IngestPerChunk(inBytesPerStep))
-				}
-			}
-			p.Sleep(c.StepTime(step))
-			if c.PFSWriteBytes > 0 {
-				rt.PFS.Transfer(p, c.PFSWriteBytes, pfsCap, m.PFSOpenLatency)
-			}
-			for k := 0; k < cp.PerStep; k++ {
-				bytes := cp.Size(k)
-				if c.EmitPerChunk != nil {
-					p.Sleep(c.EmitPerChunk(bytes))
-				}
-				rt.PFS.Transfer(p, bytes, pfsCap, 0)
-			}
-		}
-		finish = p.Now()
-	})
+	proc := process{c: c, rt: rt, pfsCap: apps.PFSCap(m, c.Layout)}
+	pfs := &pfsStream{pfs: rt.PFS, cap: proc.pfsCap, latency: m.PFSOpenLatency, in: inBytesPerStep, plan: plan(c)}
+	proc.out = []stream{pfs}
+	if inBytesPerStep > 0 {
+		proc.in = proc.out
+	}
+	rt.Eng.Spawn(c.Name, proc.step)
 	if err := rt.Eng.Run(); err != nil {
 		return Measurement{}, fmt.Errorf("solo %s: %w", c.Name, err)
 	}
+	finish := proc.finish
 	cores := float64(c.Nodes() * m.CoresPerNode)
 	var inPlans []staging.Plan
 	if inBytesPerStep > 0 {
@@ -362,6 +405,56 @@ func RunSolo(m cluster.Machine, c *apps.Component, inBytesPerStep float64) (Meas
 		PerComponent:       []float64{finish},
 		PerComponentEnergy: []float64{energy},
 	}, nil
+}
+
+// pfsStream stands in for a solo component's partners: each step it reads
+// the input from the PFS, and it writes every output chunk there.
+type pfsStream struct {
+	pfs          *fabric.Link
+	cap, latency float64
+	in           float64 // input bytes per step
+	plan         staging.Plan
+
+	read     int  // 1 once the input is read, 2 once it is ingested too
+	sent     int  // output chunks sent this step
+	emitting bool // the next chunk's emit cost is paid
+}
+
+func (s *pfsStream) RecvStep(p *sim.Proc, ingestCost func(bytes float64) float64) bool {
+	switch s.read {
+	case 0:
+		s.read = 1
+		if !s.pfs.Transfer(p, s.in, s.cap, s.latency) {
+			return false
+		}
+		fallthrough
+	case 1:
+		s.read = 2
+		if ingestCost != nil && !p.Sleep(ingestCost(s.in)) {
+			return false
+		}
+	}
+	s.read = 0
+	return true
+}
+
+func (s *pfsStream) SendStep(p *sim.Proc, emitCost func(bytes float64) float64) bool {
+	for s.sent < s.plan.PerStep {
+		bytes := s.plan.Size(s.sent)
+		if !s.emitting {
+			s.emitting = true
+			if emitCost != nil && !p.Sleep(emitCost(bytes)) {
+				return false
+			}
+		}
+		s.emitting = false
+		s.sent++
+		if !s.pfs.Transfer(p, bytes, s.cap, 0) {
+			return false
+		}
+	}
+	s.sent = 0
+	return true
 }
 
 // RunPostHoc executes the workflow file-based (Fig. 2a): components run in
