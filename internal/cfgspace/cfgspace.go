@@ -147,11 +147,13 @@ func (s *Space) Columns() *Coder {
 // values Min, Min+Step, ..., Max of one Param. Ints derives a
 // configuration's column values, so a column's rank among its lattice is
 // (value−Min)/Step, arithmetic rather than discovery (score.Matrix.Codes).
-// Immutable after construction.
+// Immutable after construction, but for Lattices' tables.
 type Coder struct {
 	// Cols declares each column: its name and the lattice its values lie on.
-	Cols []Param
-	ints func(cfg Config, dst []int)
+	Cols        []Param
+	ints        func(cfg Config, dst []int)
+	latticeOnce sync.Once
+	lattices    [][]float64
 }
 
 // NewCoder returns the coder of columns cols whose values ints writes into
@@ -172,6 +174,22 @@ func (c *Coder) Ints(cfg Config, dst []int) {
 		return
 	}
 	c.ints(cfg, dst)
+}
+
+// Lattices returns each column's lattice, ascending: Lattices()[f][k] is
+// Cols[f].Value(k). Built on the first call, the tables are shared by every
+// caller: read-only.
+func (c *Coder) Lattices() [][]float64 {
+	c.latticeOnce.Do(func() {
+		c.lattices = make([][]float64, len(c.Cols))
+		for f, p := range c.Cols {
+			c.lattices[f] = make([]float64, p.Count())
+			for k := range c.lattices[f] {
+				c.lattices[f][k] = float64(p.Value(k))
+			}
+		}
+	})
+	return c.lattices
 }
 
 // Names returns the column names, in order.
@@ -447,9 +465,9 @@ func (sm *sampler) stop() {
 // id, and ids count from 0 in the order their tuples were first seen. It is
 // the repository's one such table (SampleN's distinct-set, acm's model
 // cells of the low-fidelity pool pass, a ground truth's index of its
-// measured configurations): an open-addressed array of
-// ids, probed by a hash of the values and verified against the tuple that
-// holds the id, which the caller keeps — no key built per tuple.
+// measured configurations): an open-addressed array of ids, probed by a
+// hash of the values and verified against the tuple that holds the id,
+// which the caller's tuple(id) returns — no key built per tuple.
 type Numbering struct {
 	slots []int32 // id+1 of the tuple that landed here; 0 is empty
 	tuple func(id int32) []int
@@ -458,7 +476,8 @@ type Numbering struct {
 
 // NewNumbering returns a table sized for capacity distinct tuples, which
 // doubles whenever a new tuple would fill it past half; tuple(id) must
-// return the tuple that ID numbered id.
+// return the tuple that ID numbered id, equal values on every call, though
+// it may recompute them into scratch rather than keep the tuple.
 func NewNumbering(capacity int, tuple func(id int32) []int) *Numbering {
 	size := 16
 	for size < 2*capacity {

@@ -45,8 +45,9 @@ func bytesPerRun(runs int, f func()) float64 {
 
 // TestWarmFromHistoryAllocs: on 300 same-family runs, warm assembly
 // allocates its result's slices once, at their final lengths — beyond what
-// its queries and the benchmark lookup allocate alone, at most the bytes of
-// slices that long, plus 4 KiB.
+// its queries allocate alone, at most the bytes of slices that long, plus
+// 4 KiB. The benchmark's component names come from its declaration, which
+// allocates nothing.
 func TestWarmFromHistoryAllocs(t *testing.T) {
 	db := familyHistory(300)
 	spec := histdb.Spec{Benchmark: "LV", WarmStart: true}
@@ -57,7 +58,6 @@ func TestWarmFromHistoryAllocs(t *testing.T) {
 	}
 	total := bytesPerRun(10, func() { allocSink = WarmFromHistory(db, spec) })
 	alone := bytesPerRun(10, func() {
-		allocSink, _ = workflow.ByName(cluster.Default(), n.Benchmark)
 		allocSink = db.BySpecFamily(n.FamilyKey())
 		allocSink = db.ByComponent("lammps")
 		allocSink = db.ByComponent("voro")

@@ -3,7 +3,6 @@ package live
 import (
 	"slices"
 
-	"ceal/internal/cluster"
 	"ceal/internal/histdb"
 	"ceal/internal/tuner"
 	"ceal/internal/workflow"
@@ -27,8 +26,8 @@ import (
 // unknown), which callers treat as a cold start.
 func WarmFromHistory(db histdb.Store, spec histdb.Spec) *tuner.WarmStart {
 	n := spec.Normalize()
-	b, err := workflow.ByName(cluster.Default(), n.Benchmark)
-	if err != nil {
+	comps := workflow.Declared(n.Benchmark)
+	if comps == nil {
 		return nil
 	}
 	w := &tuner.WarmStart{}
@@ -43,8 +42,8 @@ func WarmFromHistory(db histdb.Store, spec histdb.Spec) *tuner.WarmStart {
 
 	// Phase-1 seeds: standalone component measurements from any run sharing
 	// a component, mapped through the donor's Components index.
-	w.ComponentSamples = make([][]tuner.Sample, len(b.Components))
-	for j, cs := range b.Components {
+	w.ComponentSamples = make([][]tuner.Sample, len(comps))
+	for j, cs := range comps {
 		if cs.Space == nil {
 			continue
 		}

@@ -59,7 +59,8 @@ func (q *Codes) Row(i int) []uint16 {
 }
 
 // Values returns feature f's value table: Values(f)[code] is the value
-// the code stands for.
+// the code stands for. Value tables are shared — every Codes one coder
+// produces holds its lattices (cfgspace.Coder.Lattices) — and read-only.
 func (q *Codes) Values(f int) []float64 { return q.values[f] }
 
 // QuantizeRows rank-codes a row-major float matrix by discovery: each
@@ -118,7 +119,7 @@ func declaredCodes(e *Engine, pool []cfgspace.Config, coder *cfgspace.Coder) (*C
 			return nil, fmt.Errorf("%w: feature %s declares %d values, more than %d", ErrWideColumn, c.Name, c.Count(), MaxCodes)
 		}
 	}
-	q := &Codes{N: len(pool), Dim: dim, codes: make([]uint16, len(pool)*dim), values: make([][]float64, dim)}
+	q := &Codes{N: len(pool), Dim: dim, codes: make([]uint16, len(pool)*dim)}
 	_, chunks := e.ChunkLayout(len(pool))
 	errs := make([]error, chunks)
 	e.MapChunksIndexed(len(pool), func(ci, lo, hi int) {
@@ -127,11 +128,16 @@ func declaredCodes(e *Engine, pool []cfgspace.Config, coder *cfgspace.Coder) (*C
 			coder.Ints(pool[i], v)
 			out := q.codes[i*dim : (i+1)*dim]
 			for f, c := range coder.Cols {
-				if !c.Contains(v[f]) {
+				// A unit step needs neither Contains' remainder nor a division.
+				code, ok := v[f]-c.Min, c.Min <= v[f] && v[f] <= c.Max
+				if c.Step != 1 {
+					code, ok = code/c.Step, c.Contains(v[f])
+				}
+				if !ok {
 					errs[ci] = &OffLatticeError{Col: c, Value: v[f]}
 					return
 				}
-				out[f] = uint16((v[f] - c.Min) / c.Step)
+				out[f] = uint16(code)
 			}
 		}
 	})
@@ -140,12 +146,6 @@ func declaredCodes(e *Engine, pool []cfgspace.Config, coder *cfgspace.Coder) (*C
 			return nil, err
 		}
 	}
-	for f, c := range coder.Cols {
-		vals := make([]float64, c.Count())
-		for k := range vals {
-			vals[k] = float64(c.Value(k))
-		}
-		q.values[f] = vals
-	}
+	q.values = coder.Lattices()
 	return q, nil
 }

@@ -129,8 +129,9 @@ func TestQuantizeRowsWideColumn(t *testing.T) {
 }
 
 // TestMatrixCodesOffLattice: a derived value off its column's declared
-// lattice — below Min, above Max or between steps — fails the build with
-// an *OffLatticeError naming the column and the value, at any worker
+// lattice — below Min, above Max or between steps, on a stepped column or
+// a unit-step one — fails the build with an *OffLatticeError naming the
+// column and the value of the first such row in pool order, at any worker
 // count; it is never coded as a neighbouring value.
 func TestMatrixCodesOffLattice(t *testing.T) {
 	cols := []cfgspace.Param{cfgspace.NewParam("a", 0, 9), cfgspace.NewSteppedParam("twice", 0, 18, 2)}
@@ -151,6 +152,28 @@ func TestMatrixCodesOffLattice(t *testing.T) {
 			var off *OffLatticeError
 			if q != nil || !errors.As(err, &off) || off.Col.Name != "twice" || off.Value != bad {
 				t.Fatalf("workers=%d: a row deriving twice = %d coded as %v, %v; want an OffLatticeError for twice", e.Workers(), bad, q, err)
+			}
+		}
+	}
+	// Unit-step column a: every row from 100 on derives a value of its own
+	// below Min or above Max, so only the first of them names the error.
+	for _, off := range []func(i int) int{func(i int) int { return -i }, func(i int) int { return 9 + i }} {
+		coder := cfgspace.NewCoder(cols, func(cfg cfgspace.Config, dst []int) {
+			dst[0], dst[1] = cfg[0]%10, 2*(cfg[0]%10)
+			if cfg[0] >= 100 {
+				dst[0] = off(cfg[0])
+			}
+		})
+		pool := make([]cfgspace.Config, 300)
+		for i := range pool {
+			pool[i] = cfgspace.Config{i}
+		}
+		for _, e := range []*Engine{nil, New(4)} {
+			var m Matrix
+			q, err := m.Codes(e, pool, coder)
+			var got *OffLatticeError
+			if q != nil || !errors.As(err, &got) || got.Col.Name != "a" || got.Value != off(100) {
+				t.Fatalf("workers=%d: rows deriving a = %d, %d, ... coded as %v, %v; want an OffLatticeError for a = %d", e.Workers(), off(100), off(101), q, err, off(100))
 			}
 		}
 	}

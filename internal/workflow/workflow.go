@@ -342,6 +342,7 @@ func (s *process) step(p *sim.Proc) bool {
 	return true
 }
 
+// measurement builds a run's Measurement, keeping perComponent as its own.
 func (w *Workflow) measurement(perComponent, busy []float64) Measurement {
 	makespan := 0.0
 	for _, t := range perComponent {
@@ -359,7 +360,7 @@ func (w *Workflow) measurement(perComponent, busy []float64) Measurement {
 		ExecTime:           makespan,
 		CompTime:           makespan * cores / 3600,
 		EnergyKJ:           total,
-		PerComponent:       append([]float64(nil), perComponent...),
+		PerComponent:       perComponent,
 		PerComponentEnergy: perEnergy,
 	}
 }
