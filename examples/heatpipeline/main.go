@@ -5,10 +5,7 @@
 //
 //  1. staging-buffer size — small buffers pay per-chunk rendezvous costs;
 //
-//  2. in-situ vs post-hoc — why streaming beats going through the file
-//     system (the motivation of §2.1, Fig. 2);
-//
-//  3. consumer sizing — an undersized Stage Write backpressures the
+//  2. consumer sizing — an undersized Stage Write backpressures the
 //     simulation.
 //
 //     go run ./examples/heatpipeline
@@ -37,29 +34,7 @@ func main() {
 			bufMB, meas.ExecTime, meas.CompTime)
 	}
 
-	fmt.Println("\n2) coupling styles: loosely-coupled staging vs tightly-coupled vs post-hoc files")
-	w, err := bench.Build(base)
-	if err != nil {
-		log.Fatal(err)
-	}
-	insitu, err := w.RunInSitu()
-	if err != nil {
-		log.Fatal(err)
-	}
-	tight, err := w.RunTightlyCoupled()
-	if err != nil {
-		log.Fatal(err)
-	}
-	posthoc, err := w.RunPostHoc()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("   loose (staged): exec %7.3f s, %6.3f core-h (pipelined, 2 allocations)\n", insitu.ExecTime, insitu.CompTime)
-	fmt.Printf("   tight (linked): exec %7.3f s, %6.3f core-h (serialized, shared allocation)\n", tight.ExecTime, tight.CompTime)
-	fmt.Printf("   post-hoc files: exec %7.3f s (%.1fx slower end-to-end)\n",
-		posthoc.ExecTime, posthoc.ExecTime/insitu.ExecTime)
-
-	fmt.Println("\n3) Stage Write sizing: an undersized consumer stalls the simulation")
+	fmt.Println("\n2) Stage Write sizing: an undersized consumer stalls the simulation")
 	for _, swProcs := range []int{2, 8, 32, 128} {
 		cfg := base.Clone()
 		cfg[5] = swProcs
@@ -68,7 +43,7 @@ func main() {
 			swProcs, meas.PerComponent[0], meas.ExecTime)
 	}
 
-	fmt.Println("\n4) auto-tune the whole space with CEAL (execution time, 50 runs)")
+	fmt.Println("\n3) auto-tune the whole space with CEAL (execution time, 50 runs)")
 	problem := ceal.NewProblem(bench, ceal.ExecTime, 1000, 7)
 	res, err := ceal.NewCEAL().Tune(problem, 50)
 	if err != nil {

@@ -86,8 +86,8 @@ type Runtime struct {
 	// Core is the job's interconnect: all inter-component staging traffic
 	// contends here. Its capacity scales with the job's allocation size.
 	Core *fabric.Link
-	// PFS is the parallel file system used by solo runs, post-hoc mode, and
-	// I/O-forwarding components.
+	// PFS is the parallel file system used by solo runs and I/O-forwarding
+	// components.
 	PFS *fabric.Link
 }
 

@@ -20,10 +20,6 @@ var pinnedDriftArms = map[string]string{
 }
 
 func TestDriftArmsPinned(t *testing.T) {
-	if raceDetector {
-		// Same reason TestAllExperimentsRunTiny skips drift under -race.
-		t.Skip("simulation-heavy; the race runtime leaks a context per coroutine")
-	}
 	opt := Options{Pool: 120, Reps: 1, Seed: 1, Workers: 2}
 	for profile, want := range pinnedDriftArms {
 		h := sha256.New()

@@ -83,22 +83,6 @@ func TestSoloEnergyPositiveAndBounded(t *testing.T) {
 	}
 }
 
-func TestPostHocEnergySumsComponents(t *testing.T) {
-	m := cluster.Default()
-	b := LV(m)
-	w, err := b.Build(cfgspace.Config{288, 18, 2, 288, 18, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ph, err := w.RunPostHoc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ph.EnergyKJ <= 0 {
-		t.Fatalf("post-hoc energy = %v", ph.EnergyKJ)
-	}
-}
-
 // checkEnergySplit asserts the first-class per-component energy metric:
 // one positive entry per component, summing to the aggregate EnergyKJ.
 func checkEnergySplit(t *testing.T, label string, meas Measurement, components int) {
@@ -130,11 +114,6 @@ func TestPerComponentEnergyIsFirstClass(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkEnergySplit(t, b.Name+" in-situ", in, len(w.Components))
-		ph, err := w.RunPostHoc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkEnergySplit(t, b.Name+" post-hoc", ph, len(w.Components))
 	}
 	c := apps.NewLAMMPS(m, cfgspace.Config{128, 32, 1})
 	solo, err := RunSolo(m, c, 0)

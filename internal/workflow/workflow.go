@@ -2,7 +2,8 @@
 // and runs them on the cluster simulator, producing the execution-time and
 // computer-time measurements that the auto-tuners consume.
 //
-// Three run modes mirror the paper's Fig. 2 and §4:
+// Two run modes mirror the two kinds of run the paper's evaluation (§7)
+// measures:
 //
 //   - In-situ: all components run concurrently; every DAG edge is a staging
 //     channel with bounded buffering, per-chunk rendezvous, and transfers
@@ -11,9 +12,6 @@
 //   - Solo: one component runs alone, exchanging its streams with the
 //     parallel file system instead of a partner. This is how component
 //     models' training data are collected (cheap, but blind to coupling).
-//   - Post-hoc: the classic file-based pipeline — each component runs to
-//     completion, staging everything through the file system, before its
-//     successors start.
 package workflow
 
 import (
@@ -196,12 +194,6 @@ func (w *Workflow) energyKJ(makespan float64, busy []float64) []float64 {
 // staging channels and returns the measurement. The run is fully
 // deterministic.
 func (w *Workflow) RunInSitu() (Measurement, error) {
-	return w.runInSitu(nil)
-}
-
-// runInSitu is the one in-situ run; a non-nil trace is filled with every
-// component's per-step phase timeline.
-func (w *Workflow) runInSitu(trace *Trace) (Measurement, error) {
 	if err := w.Validate(); err != nil {
 		return Measurement{}, err
 	}
@@ -228,13 +220,6 @@ func (w *Workflow) runInSitu(trace *Trace) (Measurement, error) {
 		procs[e.To].in = append(procs[e.To].in, chans[i])
 	}
 
-	if trace != nil {
-		trace.Components = make([]ComponentTrace, len(w.Components))
-		for ci, c := range w.Components {
-			trace.Components[ci] = ComponentTrace{Name: c.Name, Nodes: c.Nodes(), Steps: make([]StepTrace, 0, steps)}
-			procs[ci].trace = &trace.Components[ci]
-		}
-	}
 	for ci, c := range w.Components {
 		rt.Eng.Spawn(c.Name, procs[ci].step)
 	}
@@ -255,11 +240,7 @@ func (w *Workflow) runInSitu(trace *Trace) (Measurement, error) {
 		busy[ci] = activeSeconds(c, inPlans)
 		finish[ci] = procs[ci].finish
 	}
-	meas := w.measurement(finish, busy)
-	if trace != nil {
-		trace.Makespan = meas.ExecTime
-	}
-	return meas, nil
+	return w.measurement(finish, busy), nil
 }
 
 // stream is one of a component's data partners: a staging channel in an
@@ -277,17 +258,14 @@ type process struct {
 	rt      *cluster.Runtime
 	pfsCap  float64
 	in, out []stream
-	trace   *ComponentTrace // nil unless the run is traced
 	finish  float64
 
-	k, at, edge               int // step, resume point within it, stream
-	start, received, computed float64
+	k, at, edge int // step, resume point within it, stream
 }
 
 // A process step's resume points.
 const (
-	atBegin = iota
-	atRecv
+	atRecv = iota
 	atComputed
 	atSend
 )
@@ -296,10 +274,6 @@ func (s *process) step(p *sim.Proc) bool {
 	c := s.c
 	for ; s.k < c.Steps; s.k++ {
 		switch s.at {
-		case atBegin:
-			s.start = p.Now()
-			s.at = atRecv
-			fallthrough
 		case atRecv:
 			for ; s.edge < len(s.in); s.edge++ {
 				if !s.in[s.edge].RecvStep(p, c.IngestPerChunk) {
@@ -307,14 +281,12 @@ func (s *process) step(p *sim.Proc) bool {
 				}
 			}
 			s.edge = 0
-			s.received = p.Now()
 			s.at = atComputed
 			if !p.Sleep(c.StepTime(s.k)) {
 				return false
 			}
 			fallthrough
 		case atComputed:
-			s.computed = p.Now()
 			s.at = atSend
 			if c.PFSWriteBytes > 0 && !s.rt.PFS.Transfer(p, c.PFSWriteBytes, s.pfsCap, s.rt.Machine.PFSOpenLatency) {
 				return false
@@ -327,15 +299,7 @@ func (s *process) step(p *sim.Proc) bool {
 				}
 			}
 			s.edge = 0
-			if s.trace != nil {
-				s.trace.Steps = append(s.trace.Steps, StepTrace{
-					Step:    s.k,
-					Wait:    s.received - s.start,
-					Compute: s.computed - s.received,
-					Output:  p.Now() - s.computed,
-				})
-			}
-			s.at = atBegin
+			s.at = atRecv
 		}
 	}
 	s.finish = p.Now()
@@ -456,87 +420,6 @@ func (s *pfsStream) SendStep(p *sim.Proc, emitCost func(bytes float64) float64) 
 	}
 	s.sent = 0
 	return true
-}
-
-// RunPostHoc executes the workflow file-based (Fig. 2a): components run in
-// topological order, each reading its inputs from and writing its outputs
-// to the PFS; a component starts only after all its producers finished.
-// Computer time charges each component only for its own allocation and
-// duration (allocations are sequential, not held concurrently).
-func (w *Workflow) RunPostHoc() (Measurement, error) {
-	if err := w.Validate(); err != nil {
-		return Measurement{}, err
-	}
-	order, err := w.topoOrder()
-	if err != nil {
-		return Measurement{}, err
-	}
-	inBytes := make([]float64, len(w.Components))
-	for _, e := range w.Edges {
-		inBytes[e.To] += w.Components[e.From].OutBytes
-	}
-	ready := make([]float64, len(w.Components)) // earliest start time
-	finish := make([]float64, len(w.Components))
-	perEnergy := make([]float64, len(w.Components))
-	var compHours float64
-	for _, ci := range order {
-		c := w.Components[ci]
-		meas, err := RunSolo(w.Machine, c, inBytes[ci])
-		if err != nil {
-			return Measurement{}, err
-		}
-		finish[ci] = ready[ci] + meas.ExecTime
-		compHours += meas.CompTime
-		perEnergy[ci] = meas.EnergyKJ
-		for _, e := range w.Edges {
-			if e.From == ci && finish[ci] > ready[e.To] {
-				ready[e.To] = finish[ci]
-			}
-		}
-	}
-	makespan, energy := 0.0, 0.0
-	for ci, t := range finish {
-		if t > makespan {
-			makespan = t
-		}
-		energy += perEnergy[ci]
-	}
-	return Measurement{
-		ExecTime: makespan, CompTime: compHours, EnergyKJ: energy,
-		PerComponent: finish, PerComponentEnergy: perEnergy,
-	}, nil
-}
-
-func (w *Workflow) topoOrder() ([]int, error) {
-	n := len(w.Components)
-	indeg := make([]int, n)
-	for _, e := range w.Edges {
-		indeg[e.To]++
-	}
-	var order []int
-	queue := []int{}
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	for len(queue) > 0 {
-		ci := queue[0]
-		queue = queue[1:]
-		order = append(order, ci)
-		for _, e := range w.Edges {
-			if e.From == ci {
-				indeg[e.To]--
-				if indeg[e.To] == 0 {
-					queue = append(queue, e.To)
-				}
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, fmt.Errorf("workflow %s: dependency cycle", w.Name)
-	}
-	return order, nil
 }
 
 // noiseSigma is the lognormal measurement-noise scale applied by Measure.

@@ -176,28 +176,6 @@ func TestSoloRun(t *testing.T) {
 	}
 }
 
-func TestPostHocSlowerThanInSitu(t *testing.T) {
-	// Post-hoc serializes the components, so its makespan must exceed the
-	// coupled run's for a compute-dominated workflow.
-	m := cluster.Default()
-	b := LV(m)
-	w, err := b.Build(lvConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	insitu, err := w.RunInSitu()
-	if err != nil {
-		t.Fatal(err)
-	}
-	posthoc, err := w.RunPostHoc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if posthoc.ExecTime <= insitu.ExecTime {
-		t.Fatalf("post-hoc exec %v <= in-situ exec %v", posthoc.ExecTime, insitu.ExecTime)
-	}
-}
-
 func TestValidateRejectsBadWorkflows(t *testing.T) {
 	m := cluster.Default()
 	lammps := apps.NewLAMMPS(m, cfgspace.Config{64, 32, 1})
@@ -235,7 +213,7 @@ func TestValidateRejectsBadWorkflows(t *testing.T) {
 		b := apps.NewGrayScott(m, cfgspace.Config{64, 32})
 		b.Steps = a.Steps
 		w := &Workflow{Name: "x", Machine: m, Components: []*apps.Component{a, b}, Edges: []Edge{{0, 1}, {1, 0}}}
-		if _, err := w.RunPostHoc(); err == nil || !strings.Contains(err.Error(), "cycle") {
+		if _, err := w.RunInSitu(); err == nil || !strings.Contains(err.Error(), "deadlock") {
 			t.Fatalf("err = %v", err)
 		}
 	})
