@@ -12,7 +12,7 @@ import (
 // prediction kernel: the exact-greedy splitter of tree.Grow rewritten
 // around feature columns that are sorted once per training matrix instead
 // of once per node. X is static across every round and node of a boosted
-// fit, so a Context pre-sorts each column a single time and
+// fit, so a Grower pre-sorts each column a single time and
 // trees are grown by stably partitioning the sorted columns down the
 // tree — per-node split enumeration becomes a linear scan, and the
 // O(features × n log n) per-node sort disappears entirely.
@@ -36,42 +36,6 @@ type pair struct {
 	r int32
 }
 
-// Context holds the pre-sorted feature columns of one training matrix:
-// per feature, every row's (value, row) pair in (value, row) order, so
-// scans read values contiguously and nothing reads the matrix again.
-// Build it once per Fit and grow every tree of the ensemble from it; the
-// Context itself is immutable after construction and safe for concurrent
-// Growers.
-type Context struct {
-	n, dim int
-	cols   []pair // dim columns of n (value, row) pairs, each in (value, row) order
-}
-
-// NewContext pre-sorts every feature column of X, fanning the per-column
-// sorts across the engine (nil engine: serial). The Context copies the
-// values it needs; X is not retained.
-func NewContext(e *score.Engine, X [][]float64) *Context {
-	c := &Context{n: len(X)}
-	if c.n == 0 {
-		return c
-	}
-	c.dim = len(X[0])
-	c.cols = make([]pair, c.n*c.dim)
-	e.Tasks(c.dim, func(f int) {
-		col := c.cols[f*c.n : (f+1)*c.n]
-		for i, row := range X {
-			col[i] = pair{row[f], int32(i)}
-		}
-		slices.SortFunc(col, func(a, b pair) int {
-			if a.v != b.v {
-				return cmp.Compare(a.v, b.v)
-			}
-			return cmp.Compare(a.r, b.r)
-		})
-	})
-	return c
-}
-
 // minSplitFanWork gates per-node column fan-out: below this many
 // row×column scan steps the goroutine hand-off costs more than the scans
 // it overlaps, so small nodes enumerate serially. Purely a performance
@@ -80,20 +44,26 @@ func NewContext(e *score.Engine, X [][]float64) *Context {
 // is always serial in feature order.
 const minSplitFanWork = 4096
 
-// Grower grows trees from a Context, reusing all per-fit scratch across
-// calls. A Grower is not safe for concurrent use: boosting reuses one
-// across its rounds.
+// Grower grows trees over one training matrix, whose feature columns it
+// holds pre-sorted: per feature, every row's (value, row) pair in (value,
+// row) order, so scans read values contiguously and nothing reads the
+// matrix again. The zero Grower holds no matrix; Reset loads one, and
+// every tree of a boosted fit grows from it. Reset again for the next
+// fit: the Grower keeps its storage, so a refit on no more rows and
+// columns allocates none. A Grower is not safe for concurrent use.
 //
 // Its loss is squared error, whose hessian is 1 for every row, so a
 // node's hessian sum is its row count: the scan at the k-th pair of a
 // segment has k+1 rows on its left.
 type Grower struct {
-	c   *Context
-	eng *score.Engine // fans split enumeration across columns; nil = serial
+	n, dim int
+	eng    *score.Engine // fans the sorts and split enumeration across columns; nil = serial
 
-	// Working columns, laid out like the Context's. The root reads the
-	// Context's; a node at depth d > 0 reads buf[d%2], and each node
-	// partitions into buf[(d+1)%2] for its children, so nothing copies back.
+	// The sorted columns, then two working sets laid out alike: dim
+	// columns of n pairs each. The root reads cols; a node at depth d > 0
+	// reads buf[d%2], and each node partitions into buf[(d+1)%2] for its
+	// children, so nothing copies back.
+	cols    []pair
 	buf     [2][]pair
 	rowsOrd []int32 // the node's rows in ascending row order (leaf values, sums)
 	rowsAux []int32
@@ -106,22 +76,47 @@ type Grower struct {
 	task growTask // per-Grow recursion state, reused across calls
 }
 
-// Grower returns a tree grower over the context. e controls per-node
-// split-enumeration fan-out (nil: serial).
-func (c *Context) Grower(e *score.Engine) *Grower {
-	n, dim := c.n, c.dim
-	pairs, rows, cand := make([]pair, 2*n*dim), make([]int32, 2*n), make([]float64, 2*dim)
-	return &Grower{
-		c:        c,
-		eng:      e,
-		buf:      [2][]pair{pairs[:n*dim], pairs[n*dim:]},
-		rowsOrd:  rows[:n],
-		rowsAux:  rows[n:],
-		left:     make([]bool, n),
-		colGain:  cand[:dim],
-		colThr:   cand[dim:],
-		colFound: make([]bool, dim),
+// Reset loads X: it sorts every feature column of X into the Grower's own
+// storage, fanning the per-column sorts across e (nil: serial), which also
+// fans later split enumeration. X is not retained. Storage that is too
+// small is replaced: sized exactly the first time, at least doubled after,
+// so a Grower refitted on accumulating samples reallocates only a few
+// times.
+func (gw *Grower) Reset(e *score.Engine, X [][]float64) {
+	n, dim := len(X), 0
+	if n > 0 {
+		dim = len(X[0])
 	}
+	gw.n, gw.dim, gw.eng = n, dim, e
+	pairs, rows := resize(gw.cols, 3*n*dim), resize(gw.rowsOrd, 2*n)
+	gw.cols, gw.buf = pairs[:n*dim], [2][]pair{pairs[n*dim : 2*n*dim], pairs[2*n*dim:]}
+	gw.rowsOrd, gw.rowsAux = rows[:n], rows[n:]
+	gw.left = resize(gw.left, n)
+	cand := resize(gw.colGain, 2*dim)
+	gw.colGain, gw.colThr = cand[:dim], cand[dim:]
+	gw.colFound = resize(gw.colFound, dim)
+	e.Tasks(dim, func(f int) {
+		col := gw.cols[f*n : (f+1)*n]
+		for i, row := range X {
+			col[i] = pair{row[f], int32(i)}
+		}
+		slices.SortFunc(col, func(a, b pair) int {
+			if a.v != b.v {
+				return cmp.Compare(a.v, b.v)
+			}
+			return cmp.Compare(a.r, b.r)
+		})
+	})
+}
+
+// resize returns s at length m, or a new slice when its capacity is
+// short: of exactly m when s has none, else of at least twice that
+// capacity. The contents are stale; every caller overwrites what it reads.
+func resize[T any](s []T, m int) []T {
+	if m <= cap(s) {
+		return s[:m]
+	}
+	return make([]T, m, max(m, 2*cap(s)))
 }
 
 // Complete is one tree laid out as a complete binary tree of uniform
@@ -145,13 +140,13 @@ type Complete struct {
 	Leaves []float64
 }
 
-// Grow grows a tree over every row and feature column of the context,
+// Grow grows a tree over every row and feature column of the loaded matrix,
 // exactly like tree.Grow with every hessian 1 but without any per-node
 // sorting, and writes it into dst, a complete tree of at least
 // opt.MaxDepth levels, with its leaf values multiplied by scale (a
 // boosting learning rate: the one multiplication prediction would
 // perform). It returns the depth the tree reached, 0 for a single leaf. If
-// leafOut is non-nil (length = context rows) every row's entry is set to
+// leafOut is non-nil (length = matrix rows) every row's entry is set to
 // its leaf's unscaled value — the tree's prediction for that row, letting
 // boosting update its training predictions without walking the tree.
 func (gw *Grower) Grow(g []float64, opt Options, scale float64, dst Complete, leafOut []float64) int {
@@ -168,7 +163,7 @@ func (gw *Grower) Grow(g []float64, opt Options, scale float64, dst Complete, le
 	}
 	t := &gw.task
 	*t = growTask{gw: gw, g: g, opt: opt, leafOut: leafOut, dst: dst, depth: depth, scale: scale}
-	reached := t.grow(0, gw.c.n, 0, 0)
+	reached := t.grow(0, gw.n, 0, 0)
 	*t = growTask{} // drop the g, leafOut and dst references
 	return reached
 }
@@ -215,8 +210,8 @@ func (t *growTask) grow(lo, hi, depth, j int) int {
 	// the method directly — a closure here escapes per node, which at tree
 	// depth dominates a fit's allocation profile.
 	parentScore := gSum * gSum / (hSum + opt.Lambda)
-	n, dim := gw.c.n, gw.c.dim
-	src, dst := gw.c.cols, gw.buf[(depth+1)%2]
+	n, dim := gw.n, gw.dim
+	src, dst := gw.cols, gw.buf[(depth+1)%2]
 	if depth > 0 {
 		src = gw.buf[depth%2]
 	}
@@ -293,9 +288,16 @@ func (t *growTask) leaf(j, depth int, v float64) {
 }
 
 // scanCol enumerates split candidates in seg, feature column f's node
-// segment, recording the column's best in its own slot.
+// segment, recording the column's best in its own slot. Two shortcuts
+// leave the result exact: a sorted segment whose ends are equal holds one
+// value and so no candidate, and when parentScore >= 0, gainBeats's
+// margin is too, so no gain at or below best can beat it.
 func (t *growTask) scanCol(f int, seg []pair, gSum, hSum, parentScore float64) {
 	gw, g, mcw, lambda := t.gw, t.g, t.opt.MinChildWeight, t.opt.Lambda
+	if seg[0].v == seg[len(seg)-1].v {
+		gw.colFound[f] = false
+		return
+	}
 	best, thr, found := t.opt.Gamma, 0.0, false
 	var gl float64
 	for k := 0; k < len(seg)-1; k++ {
@@ -311,7 +313,7 @@ func (t *growTask) scanCol(f int, seg []pair, gSum, hSum, parentScore float64) {
 			continue
 		}
 		gain := gl*gl/(hl+lambda) + gr*gr/(hr+lambda) - parentScore
-		if gainBeats(gain, best, parentScore) {
+		if (gain > best || parentScore < 0) && gainBeats(gain, best, parentScore) {
 			best, thr, found = gain, (v+vn)/2, true
 		}
 	}

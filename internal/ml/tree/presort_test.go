@@ -86,9 +86,12 @@ func sameComplete(t *testing.T, label string, want, got Complete) {
 // hessians or reading the side from the winning column could drift from the
 // reference: fractional MinChildWeight, Lambda 0, duplicated rows, one or
 // two rows, a lone outlier, and split midpoints that round onto a value or
-// overflow.
+// overflow. One Grower serves every case, Reset onto matrices that grow
+// and shrink in rows and columns, so every tree also grows from storage
+// an earlier matrix left stale.
 func TestGrowerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 43))
+	var gw Grower
 	for trial := 0; trial < 60; trial++ {
 		n := 2 + rng.IntN(80)
 		dim := 1 + rng.IntN(8)
@@ -98,7 +101,7 @@ func TestGrowerMatchesReference(t *testing.T) {
 			g[i] = rng.NormFloat64()
 		}
 		opt := Options{MaxDepth: 1 + rng.IntN(5), MinChildWeight: float64(rng.IntN(2)), Lambda: rng.Float64(), Gamma: rng.Float64() * 0.1}
-		growerMatches(t, fmt.Sprintf("trial %d", trial), rng, X, g, opt)
+		growerMatches(t, fmt.Sprintf("trial %d", trial), rng, &gw, X, g, opt)
 	}
 
 	v := 1.0
@@ -135,19 +138,19 @@ func TestGrowerMatchesReference(t *testing.T) {
 				for i := range g {
 					g[i] = rng.NormFloat64()
 				}
-				growerMatches(t, fmt.Sprintf("%s, options %d, draw %d", e.name, oi, draw), rng, e.X, g, opt)
+				growerMatches(t, fmt.Sprintf("%s, options %d, draw %d", e.name, oi, draw), rng, &gw, e.X, g, opt)
 			}
 		}
 	}
 }
 
 // growerMatches grows one tree with the reference trainer (unit hessians)
-// and with a Grower into a destination as deep as MaxDepth or one level
-// deeper, and asserts the Grower reports the reference's depth, writes the
+// and with gw, Reset onto X, into a destination as deep as MaxDepth or one
+// level deeper, and asserts the Grower reports the reference's depth, writes the
 // oracle encoding of the reference tree, walks every probe to the
 // reference's scaled prediction, and sets leafOut to each training row's
 // own unscaled prediction.
-func growerMatches(t *testing.T, label string, rng *rand.Rand, X [][]float64, g []float64, opt Options) {
+func growerMatches(t *testing.T, label string, rng *rand.Rand, gw *Grower, X [][]float64, g []float64, opt Options) {
 	t.Helper()
 	n, dim := len(X), len(X[0])
 	h := make([]float64, n)
@@ -158,7 +161,8 @@ func growerMatches(t *testing.T, label string, rng *rand.Rand, X [][]float64, g 
 	depth, scale := opt.MaxDepth+rng.IntN(2), 0.05+rng.Float64()
 	leaf := make([]float64, n)
 	got := junkComplete(rng, depth)
-	if d := NewContext(nil, X).Grower(nil).Grow(g, opt, scale, got, leaf); d != ref.Depth() {
+	gw.Reset(nil, X)
+	if d := gw.Grow(g, opt, scale, got, leaf); d != ref.Depth() {
 		t.Fatalf("%s: Grow reached depth %d, reference %d", label, d, ref.Depth())
 	}
 	sameComplete(t, label, ref.FillComplete(depth, scale), got)
@@ -195,14 +199,17 @@ func TestGrowerEngineWidthInvariance(t *testing.T) {
 	}
 	opt := Options{MaxDepth: 5, MinChildWeight: 1, Lambda: 1}
 
+	var gw Grower
+	gw.Reset(nil, X)
 	base := newComplete(opt.MaxDepth)
-	if NewContext(nil, X).Grower(nil).Grow(g, opt, 1, base, nil) == 0 {
+	if gw.Grow(g, opt, 1, base, nil) == 0 {
 		t.Fatal("degenerate test tree")
 	}
 	for _, w := range []int{1, 2, 4, 8} {
-		e := score.New(w)
+		var gw Grower
+		gw.Reset(score.New(w), X)
 		got := newComplete(opt.MaxDepth)
-		NewContext(e, X).Grower(e).Grow(g, opt, 1, got, nil)
+		gw.Grow(g, opt, 1, got, nil)
 		sameComplete(t, fmt.Sprintf("%d workers", w), base, got)
 	}
 }

@@ -42,7 +42,7 @@ type node struct {
 //
 // Grow is the reference exact-greedy trainer: it re-sorts every feature
 // column at every node, O(features × n log n) per node. The pre-sorted
-// Context/Grower path in presort.go grows value-identical trees (same
+// Grower in presort.go grows value-identical trees (same
 // split feature, threshold and gain at every node) in a linear scan per
 // node; Grow is kept as the independent oracle the equivalence property
 // tests compare against. It, Tree.Predict and Tree.Splits live outside

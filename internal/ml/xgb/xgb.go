@@ -75,7 +75,7 @@ type Model struct {
 	thrs     [][]float64
 }
 
-// maxFlatDepth is the deepest ensemble FitOn accepts: every prediction
+// maxFlatDepth is the deepest ensemble Trainer.Fit accepts: every prediction
 // entry point walks the complete-tree padding, whose size doubles per
 // level (2^depth slots per tree). Defaults keep ensembles at depth 4.
 const maxFlatDepth = 8
@@ -102,19 +102,46 @@ func Fit(X [][]float64, y []float64, p Params) (*Model, error) {
 	return FitOn(nil, X, y, p)
 }
 
-// ErrBadTrainingData is returned (wrapped) by FitOn for rows the trainer
+// ErrBadTrainingData is returned (wrapped) by Trainer.Fit for rows it
 // cannot order or fit: a ragged row, or a NaN/±Inf feature or target.
 var ErrBadTrainingData = errors.New("xgb: bad training data")
 
 // FitOn trains like Fit with the engine supplying training parallelism
-// (nil engine: serial, exactly like PredictBatchOnInto). Feature columns
-// are pre-sorted once — X is static across all rounds — and every round's
-// tree is grown on one Grower by stable partition of the sorted columns,
-// straight into the model's complete-tree arrays; per-node split
-// enumeration fans across feature columns on the engine. The trained model is bitwise identical for any worker count,
-// and value-identical to the reference per-node-sort trainer. The rows of
-// X are read, never retained.
+// (nil engine: serial, exactly like PredictBatchOnInto): one fit on a
+// fresh Trainer.
 func FitOn(e *score.Engine, X [][]float64, y []float64, p Params) (*Model, error) {
+	return NewTrainer(e).Fit(X, y, p)
+}
+
+// Trainer fits models one after another and keeps its storage between
+// fits: one tree.Grower, the training predictions, and the arrays of a
+// model handed back through Recycle. A Trainer is not safe for concurrent
+// use.
+type Trainer struct {
+	eng   *score.Engine
+	gw    tree.Grower
+	work  []float64 // training predictions, gradients and leaf outputs
+	spare *Model    // handed back by Recycle: its arrays back the next fit
+}
+
+// NewTrainer returns a Trainer that fits on the engine (nil: serially).
+func NewTrainer(e *score.Engine) *Trainer { return &Trainer{eng: e} }
+
+// Recycle hands back a model its owner will never read again: the next
+// successful Fit overwrites its arrays, so no call on m, from any
+// goroutine, may follow. Recycling nil drops any spare.
+func (t *Trainer) Recycle(m *Model) { t.spare = m }
+
+// Fit trains a model on feature rows X and targets y. Feature columns are
+// pre-sorted once — X is static across all rounds — and every round's
+// tree is grown on the Trainer's Grower by stable partition of the sorted
+// columns, straight into the model's complete-tree arrays; per-node split
+// enumeration fans across feature columns on the engine. The trained
+// model is bitwise identical for any worker count and whatever storage it
+// reuses, and value-identical to the reference per-node-sort trainer. The
+// rows of X are read, never retained. A fit that fails leaves the spare in
+// place.
+func (t *Trainer) Fit(X [][]float64, y []float64, p Params) (*Model, error) {
 	if p.Rounds <= 0 || p.LearningRate <= 0 {
 		return nil, fmt.Errorf("xgb: rounds and learning rate must be positive")
 	}
@@ -148,23 +175,32 @@ func FitOn(e *score.Engine, X [][]float64, y []float64, p Params) (*Model, error
 	}
 	base /= float64(n)
 
-	grower := tree.NewContext(e, X).Grower(e)
+	t.gw.Reset(t.eng, X)
 	opt := tree.Options{MaxDepth: p.MaxDepth, MinChildWeight: p.MinChildWeight, Lambda: p.Lambda, Gamma: p.Gamma}
 
 	// Every round grows into its slots of a complete ensemble as deep as
 	// MaxDepth allows (zero-depth stumps still need one padded level).
+	// Grow writes every slot, so a spare's stale arrays serve as well as
+	// new ones.
 	depth := max(p.MaxDepth, 1)
 	inner := 1<<depth - 1
+	nodes := inner * p.Rounds
+	old := t.spare
+	if old == nil {
+		old = &Model{}
+	}
+	t.spare = nil
 	m := &Model{
 		base:   base,
-		feats:  make([]int32, inner*p.Rounds),
-		thresh: make([]float64, inner*p.Rounds),
-		leaves: make([]float64, (inner+1)*p.Rounds),
-		gain:   make([]float64, inner*p.Rounds),
-		split:  make([]bool, inner*p.Rounds),
+		feats:  resize(old.feats, nodes),
+		thresh: resize(old.thresh, nodes),
+		leaves: resize(old.leaves, nodes+p.Rounds),
+		gain:   resize(old.gain, nodes),
+		split:  resize(old.split, nodes),
+		sufMin: resize(old.sufMin, p.Rounds+1),
 	}
-	work := make([]float64, 3*n)
-	pred, g, leaf := work[:n], work[n:2*n], work[2*n:]
+	t.work = resize(t.work, 3*n)
+	pred, g, leaf := t.work[:n], t.work[n:2*n], t.work[2*n:]
 	for i := range pred {
 		pred[i] = base
 	}
@@ -176,7 +212,7 @@ func FitOn(e *score.Engine, X [][]float64, y []float64, p Params) (*Model, error
 		// Every row is in the tree, so leaf carries each row's prediction
 		// and nothing walks the tree again.
 		lo, hi := round*inner, (round+1)*inner
-		d := grower.Grow(g, opt, p.LearningRate, tree.Complete{
+		d := t.gw.Grow(g, opt, p.LearningRate, tree.Complete{
 			Feats: m.feats[lo:hi], Thresh: m.thresh[lo:hi], Gain: m.gain[lo:hi], Split: m.split[lo:hi],
 			Leaves: m.leaves[lo+round : hi+round+1],
 		}, leaf)
@@ -187,7 +223,7 @@ func FitOn(e *score.Engine, X [][]float64, y []float64, p Params) (*Model, error
 	}
 	m.shrink(depth, reached)
 
-	m.sufMin = make([]float64, p.Rounds+1)
+	m.sufMin[p.Rounds] = 0
 	leafN := 1 << m.depth
 	reach := math.Abs(m.base) // no partial sum or suffix exceeds this in magnitude
 	for i := p.Rounds - 1; i >= 0; i-- {
@@ -197,6 +233,16 @@ func FitOn(e *score.Engine, X [][]float64, y []float64, p Params) (*Model, error
 	}
 	m.slack = reach * float64(p.Rounds+2) * 0x1p-50
 	return m, nil
+}
+
+// resize returns s at length n, or a new slice when its capacity is
+// short: of exactly n when s has none, else of at least twice that
+// capacity (as tree.Grower's storage grows). Contents are stale.
+func resize[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return make([]T, n, max(n, 2*cap(s)))
 }
 
 // shrink re-lays an ensemble grown at depth from at depth to, the deepest

@@ -2,6 +2,7 @@ package staging
 
 import (
 	"math"
+	mrand "math/rand"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -34,23 +35,40 @@ func TestNewPlan(t *testing.T) {
 	}
 }
 
+// TestPlanChunksSumToPayloadProperty: every chunk of a plan is positive
+// and the chunks add up to the payload within 1e-3 bytes. The chunks are
+// summed with Neumaier's compensated summation, so the test measures
+// NewPlan's error, not a naive sum's. The explicit case is the draw of
+// seed 0x479fb617ff0e9fa9: ~6.8e8 bytes in ~855-byte chunks, 797,588
+// additions whose naive sum is 0.0048 bytes off. The draws are seeded, so
+// a failure reproduces.
 func TestPlanChunksSumToPayloadProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 21))
-		payload := 1 + rng.Float64()*1e9
-		chunk := 1 + rng.Float64()*1e8
+	sums := func(payload, chunk float64) bool {
 		p := NewPlan(payload, chunk)
-		sum := 0.0
+		var sum, comp float64
 		for i := 0; i < p.PerStep; i++ {
 			size := p.Size(i)
 			if size <= 0 {
 				return false
 			}
-			sum += size
+			next := sum + size
+			if math.Abs(sum) >= math.Abs(size) {
+				comp += (sum - next) + size
+			} else {
+				comp += (size - next) + sum
+			}
+			sum = next
 		}
-		return math.Abs(sum-payload) < 1e-3
+		return math.Abs(sum+comp-payload) < 1e-3
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if !sums(6.818359333419687e8, 854.8728269780194) {
+		t.Errorf("NewPlan(6.818359333419687e8, 854.8728269780194): chunks do not sum to the payload")
+	}
+	f := func(seed uint64) bool {
+		rng := rand.New(rand.NewPCG(seed, 21))
+		return sums(1+rng.Float64()*1e9, 1+rng.Float64()*1e8)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: mrand.New(mrand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

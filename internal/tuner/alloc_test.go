@@ -72,3 +72,35 @@ func TestLowFidelityPoolAllocs(t *testing.T) {
 		t.Errorf("HS: M_L pool pass over 100k rows allocates %d bytes, want <= 8,500,000", got)
 	}
 }
+
+// TestSurrogateRefitAllocs guards a warm refit of the paper's surrogate:
+// after refits on 10, 20 and 30 LV samples, the refit that adds a batch
+// of 10 reuses the trainer's grower, grown geometrically by then, the
+// arrays of the model it replaces, and its training predictions. What is
+// left is featurizing the samples and the model header: ~9,500 bytes on
+// amd64, where a cold fit of the same 40 samples allocates ~80 KB. The
+// bound's headroom is under 10%.
+func TestSurrogateRefitAllocs(t *testing.T) {
+	p, samples := paperSamples(t, 40)
+	const runs = 8
+	warm := make([]*Surrogate, runs)
+	for i := range warm {
+		warm[i] = newSurrogate(p)
+		for _, n := range []int{10, 20, 30} {
+			if err := warm[i].Train(samples[:n]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, s := range warm {
+		if err := s.Train(samples); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 10_400 {
+		t.Errorf("a warm refit on 40 samples allocates %d bytes, want <= 10,400", got)
+	}
+}

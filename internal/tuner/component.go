@@ -200,7 +200,7 @@ func (c componentModel) PredictBatch(X [][]float64, out []float64) {
 // fitComponentModel fits one component's model serially: the fits
 // themselves fan across the engine, one per component.
 func fitComponentModel(comp ComponentInfo, samples []Sample) (acm.Predictor, error) {
-	m, err := fitLogModel(nil, comp.Space.Features, samples)
+	m, err := fitLogModel(xgb.NewTrainer(nil), comp.Space.Features, samples)
 	if err != nil {
 		return nil, err
 	}

@@ -15,27 +15,29 @@ import (
 // error, which is what ranking good configurations needs. Batch
 // prediction fans across the problem's scoring engine over the candidate
 // pool's rank codes (score.Codes), built once per run, which is all the
-// pool a surrogate ever holds.
+// pool a surrogate ever holds. Refits run on one xgb.Trainer, which
+// reuses its storage and the arrays of the model each refit replaces.
 type Surrogate struct {
-	feats func(cfgspace.Config) []float64
-	width int // len(feats(cfg))
-	model *xgb.Model
-	eng   *score.Engine
-	codes func(pool []cfgspace.Config) (*score.Codes, error) // the pool's rank codes, built once
+	feats   func(cfgspace.Config) []float64
+	width   int // len(feats(cfg))
+	model   *xgb.Model
+	trainer *xgb.Trainer
+	eng     *score.Engine
+	codes   func(pool []cfgspace.Config) (*score.Codes, error) // the pool's rank codes, built once
 }
 
 // newSurrogate builds an untrained surrogate over the problem's declared
 // workflow columns, sharing the problem's pool codes.
 func newSurrogate(p *Problem) *Surrogate {
 	coder := p.Space.Columns()
-	return &Surrogate{feats: coder.Features, width: coder.Width(), eng: p.engine(), codes: p.poolCodes}
+	return &Surrogate{feats: coder.Features, width: coder.Width(), trainer: xgb.NewTrainer(p.engine()), eng: p.engine(), codes: p.poolCodes}
 }
 
 // newFeatureSurrogate builds a surrogate over a custom featurizer of width
 // columns (ALpH appends component-model predictions, which no declaration
 // bounds), coding its pool by discovery (score.QuantizeRows) once a pool.
 func newFeatureSurrogate(p *Problem, width int, feats func(cfgspace.Config) []float64) *Surrogate {
-	s := &Surrogate{feats: feats, width: width, eng: p.engine()}
+	s := &Surrogate{feats: feats, width: width, trainer: xgb.NewTrainer(p.engine()), eng: p.engine()}
 	var coded []cfgspace.Config
 	var q *score.Codes
 	s.codes = func(pool []cfgspace.Config) (*score.Codes, error) {
@@ -58,29 +60,33 @@ func (s *Surrogate) Trained() bool { return s.model != nil }
 
 // Train (re)fits the surrogate on the samples: featurize them, fit from
 // scratch in log space. A failed fit leaves the previous model in place.
+// A successful one hands the model it replaced back to the trainer for
+// the next refit: nothing reads it again, as every scorer and accessor
+// reads s.model when called.
 func (s *Surrogate) Train(samples []Sample) error {
 	if len(samples) == 0 {
 		return fmt.Errorf("tuner: cannot train surrogate on zero samples")
 	}
-	m, err := fitLogModel(s.eng, s.feats, samples)
+	m, err := fitLogModel(s.trainer, s.feats, samples)
 	if err != nil {
 		return err
 	}
+	s.trainer.Recycle(s.model)
 	s.model = m
 	return nil
 }
 
 // fitLogModel is the one way a boosted model is fitted here: featurize the
 // samples, take their values to log space, train with the default
-// parameters on the engine (nil: serially).
-func fitLogModel(e *score.Engine, feats func(cfgspace.Config) []float64, samples []Sample) (*xgb.Model, error) {
+// parameters on t.
+func fitLogModel(t *xgb.Trainer, feats func(cfgspace.Config) []float64, samples []Sample) (*xgb.Model, error) {
 	X := make([][]float64, len(samples))
 	y := make([]float64, len(samples))
 	for i, smp := range samples {
 		X[i] = feats(smp.Cfg)
 		y[i] = logTarget(smp.Value)
 	}
-	return xgb.FitOn(e, X, y, xgb.DefaultParams())
+	return t.Fit(X, y, xgb.DefaultParams())
 }
 
 // Rounds returns the trained ensemble's boosting-round count (0 if
