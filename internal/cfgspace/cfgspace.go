@@ -102,17 +102,19 @@ func parseInts(b []byte) (Config, bool) {
 		for more := true; more; {
 			var field []byte
 			field, body, more = bytes.Cut(body, []byte{','})
-			field = bytes.Trim(field, jsonSpace)
+			if len(field) > 0 && (field[0] <= ' ' || field[len(field)-1] <= ' ') {
+				field = bytes.Trim(field, jsonSpace) // Trim builds its cutset each call
+			}
 			// strconv also takes a '+' and leading zeros; JSON does not.
 			digits := bytes.TrimPrefix(field, []byte{'-'})
 			if len(digits) == 0 || digits[0] == '+' || (digits[0] == '0' && len(digits) > 1) {
 				return nil, false
 			}
-			v, err := strconv.ParseInt(string(field), 10, strconv.IntSize)
+			v, err := strconv.Atoi(string(field)) // ParseInt's result, faster for short fields
 			if err != nil {
 				return nil, false
 			}
-			vals = append(vals, int(v))
+			vals = append(vals, v)
 		}
 	}
 	return append(make(Config, 0, len(vals)), vals...), true

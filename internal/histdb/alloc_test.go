@@ -82,3 +82,29 @@ func TestStoreReadAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeFramedAllocs: decoding a served record's frame allocates once
+// per sample configuration, plus a fixed handful — the record, its strings,
+// its result and sample slices, and its trace: one backing array for every
+// line and the slice of lines — not once per trace line or per slice growth.
+func TestDecodeFramedAllocs(t *testing.T) {
+	rec := servedRecords(1)[0]
+	line, err := encodeFramed(recordFrame, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line = line[:len(line)-1]
+	cfgs := 1 + len(rec.Result.Samples) // Best, then every sample's
+	for _, cs := range rec.Result.ComponentSamples {
+		cfgs += len(cs)
+	}
+	const fixed = 20
+	n := testing.AllocsPerRun(50, func() {
+		if _, err := decodeFramed(line); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > float64(cfgs+fixed) {
+		t.Errorf("decoding a %d-byte frame with %d configurations allocates %.0f times, want <= %d", len(line), cfgs, n, cfgs+fixed)
+	}
+}

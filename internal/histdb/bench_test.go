@@ -11,10 +11,11 @@ import (
 	"ceal/internal/tuner"
 )
 
-// benchRecords synthesizes n finished runs shaped like the records
-// ceal-tune -history writes for LV (a ~29 KB frame): 2000 pool scores —
-// four fifths of the bytes before they travelled as bits — 65 measured
+// benchRecords synthesizes n finished runs shaped like an evaluation run's
+// record for LV (a ~29 KB frame): 2000 pool scores — only runs that score
+// the whole pool, as the experiment harness's do, carry them — 65 measured
 // samples and a 37-line trace; a finished run's checkpoint is cleared.
+// servedRecords drops the pool scores, as served and CLI runs do.
 func benchRecords(n int) []*RunRecord {
 	rng := rand.New(rand.NewPCG(1, 1))
 	samples := func(k, dims int) []tuner.Sample {
@@ -60,13 +61,24 @@ func benchRecords(n int) []*RunRecord {
 	return recs
 }
 
+// servedRecords is benchRecords as served and CLI runs write them: no pool
+// scores, a ~8 KB frame.
+func servedRecords(n int) []*RunRecord {
+	recs := benchRecords(n)
+	for _, r := range recs {
+		r.Result.PoolScores = nil
+	}
+	return recs
+}
+
 // BenchmarkReplay1k prices opening a 1000-run history database — what the
 // ledger's histdb.replay.us_per_rec measures: a cold open of the segmented
 // store (CRC-verified framed records across rolled segment files) and of
-// the same store after Compact (one snapshot segment, live records only).
+// the same store after Compact (one snapshot segment, live records only),
+// of the ~8 KB records served and CLI runs write; and, as pool-scores, a
+// cold open of evaluation runs' ~29 KB records.
 func BenchmarkReplay1k(b *testing.B) {
 	const n = 1000
-	recs := benchRecords(n)
 
 	open := func(b *testing.B, dir string) {
 		b.Helper()
@@ -85,7 +97,7 @@ func BenchmarkReplay1k(b *testing.B) {
 		}
 	}
 
-	build := func(b *testing.B, compact bool) string {
+	build := func(b *testing.B, recs []*RunRecord, compact bool) string {
 		b.Helper()
 		dir := filepath.Join(b.TempDir(), "runs.db")
 		st, err := OpenFileStore(dir)
@@ -108,15 +120,49 @@ func BenchmarkReplay1k(b *testing.B) {
 		return dir
 	}
 
-	b.Run("segmented", func(b *testing.B) {
-		dir := build(b, false)
-		b.ResetTimer()
-		open(b, dir)
+	for _, c := range []struct {
+		name    string
+		recs    func(int) []*RunRecord
+		compact bool
+	}{
+		{"segmented", servedRecords, false},
+		{"segmented-compacted", servedRecords, true},
+		{"pool-scores", benchRecords, false},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			dir := build(b, c.recs(n), c.compact)
+			b.ResetTimer()
+			open(b, dir)
+		})
+	}
+}
+
+// BenchmarkDecodeFramed prices decoding one served record's frame
+// (decodeFramed: CRC check, then the one-pass canonical decoder) against
+// json.Unmarshal of its payload, the reference it falls back to.
+func BenchmarkDecodeFramed(b *testing.B) {
+	line, err := encodeFramed(recordFrame, servedRecords(1)[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	line = line[:len(line)-1]
+	b.Run("canonical", func(b *testing.B) {
+		b.SetBytes(int64(len(line)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := decodeFramed(line); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
-	b.Run("segmented-compacted", func(b *testing.B) {
-		dir := build(b, true)
-		b.ResetTimer()
-		open(b, dir)
+	b.Run("json", func(b *testing.B) {
+		b.SetBytes(int64(len(line)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := json.Unmarshal(line[9:], new(RunRecord)); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 }
 
@@ -146,8 +192,7 @@ func BenchmarkAppend1k(b *testing.B) {
 // entries and two trace lines each, and its terminal frame. logB/op is the
 // bytes a run appends; recordB is its finished record's JSON.
 func BenchmarkRunLifecycle(b *testing.B) {
-	run := benchRecords(1)[0]
-	run.Result.PoolScores = nil // a served run scores no pool
+	run := servedRecords(1)[0]
 	frames := make([]*Progress, 20)
 	for i := range frames {
 		p := &Progress{Checkpoint: make(map[string]float64), Trace: run.Trace[i%18*2 : i%18*2+2]}

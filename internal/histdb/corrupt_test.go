@@ -1,6 +1,7 @@
 package histdb
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -98,7 +99,7 @@ func TestCrashRecoveryAtEveryTruncationPoint(t *testing.T) {
 // TestTailByteFlipDropsOnlyDamagedRecord: flipping a byte inside the tail
 // segment's last record must drop exactly that record (checksum catches
 // it), while a flip mid-segment — intact records after the damage — is
-// real corruption and must refuse the open.
+// real corruption and must refuse the open with a *CorruptError.
 func TestTailByteFlipDropsOnlyDamagedRecord(t *testing.T) {
 	path, tail := corruptFixture(t, t.TempDir(), 12)
 	orig, err := os.ReadFile(tail)
@@ -163,8 +164,11 @@ func TestTailByteFlipDropsOnlyDamagedRecord(t *testing.T) {
 		if err := os.WriteFile(seg, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenFileStore(path); err == nil {
-			t.Fatal("mid-segment corruption accepted")
+		// The refusal is typed: callers tell corruption from I/O errors.
+		_, err = OpenFileStore(path)
+		var corrupt *CorruptError
+		if !errors.As(err, &corrupt) || corrupt.Path != seg || corrupt.Offset != 0 {
+			t.Fatalf("mid-segment corruption: open = %v, want a *CorruptError at offset 0 of %s", err, seg)
 		}
 		return
 	}

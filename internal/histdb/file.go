@@ -243,13 +243,24 @@ func (s *FileStore) replaySegment(name string, offset int64, strict bool, buf *[
 		default:
 			// Tail damage is tolerated; damage with intact frames after it is not.
 			if strict && slices.ContainsFunc(frames[i+1:], func(f any) bool { return f != nil }) {
-				return consumed, fmt.Errorf("histdb: %s: corrupt record at offset %d followed by intact records", path, consumed)
+				return consumed, &CorruptError{Path: path, Offset: consumed}
 			}
 			return consumed, nil
 		}
 		consumed += int64(len(lines[i]) + 1)
 	}
 	return consumed, nil
+}
+
+// CorruptError refuses a strict open of a segment whose damaged frame at
+// Offset has intact ones after it, which a crash, tearing a tail, never leaves.
+type CorruptError struct {
+	Path   string
+	Offset int64
+}
+
+func (e *CorruptError) Error() string {
+	return fmt.Sprintf("histdb: %s: corrupt record at offset %d followed by intact records", e.Path, e.Offset)
 }
 
 // fanOut calls fn(0) … fn(n-1) on min(GOMAXPROCS, n) goroutines — inline,
@@ -282,9 +293,10 @@ const (
 	progressFrame = '+'
 )
 
-// decodeFramed validates one "crc32hex<kind><json>" line and unmarshals its
+// decodeFramed validates one "crc32hex<kind><json>" line and decodes its
 // payload as its kind says: a *RunRecord or a *Progress, or nil and an
-// error.
+// error. decodeCanonical reads what encodeFramed writes in one pass;
+// json.Unmarshal, the reference, reads the rest and gives every error.
 func decodeFramed(line []byte) (any, error) {
 	if len(line) < 10 || (line[8] != recordFrame && line[8] != progressFrame) {
 		return nil, fmt.Errorf("histdb: short or unframed record")
@@ -297,18 +309,16 @@ func decodeFramed(line []byte) (any, error) {
 	if got := crc32.ChecksumIEEE(payload); got != uint32(want) {
 		return nil, fmt.Errorf("histdb: record checksum mismatch: %08x != %08x", got, want)
 	}
+	v := any(new(RunRecord))
 	if line[8] == progressFrame {
-		p := new(Progress)
-		if err := json.Unmarshal(payload, p); err != nil {
+		v = new(Progress)
+	}
+	if !decodeCanonical(payload, v) {
+		if err := json.Unmarshal(payload, v); err != nil {
 			return nil, err
 		}
-		return p, nil
 	}
-	rec := new(RunRecord)
-	if err := json.Unmarshal(payload, rec); err != nil {
-		return nil, err
-	}
-	return rec, nil
+	return v, nil
 }
 
 // encodeFramed frames v's JSON as a frame of the given kind, in one
