@@ -8,12 +8,18 @@
 //	ceal-tune -workflow HS -objective exec -algorithm al -budget 100
 //	ceal-tune -workflow GP -budget 50 -workers 8 -timeout 2m
 //	ceal-tune -workflow LV -continuous -drift step -probes 60
+//	ceal-tune explain run.jsonl
 //
 // The flags become a run spec and the spec is driven through the same run
 // engine ceal-serve exposes over HTTP (internal/service): admission checks
-// the spec's names and ranges, the run's event stream feeds -trace, and the
-// report is printed from the finished run record. Out-of-range flags are
-// therefore rejected with the service's messages.
+// the spec's names and ranges, the run's events feed -trace (with the
+// loop's phase spans, which the service's own stream does not carry), and
+// the report is printed from the finished run record. Out-of-range flags
+// are therefore rejected with the service's messages.
+//
+// ceal-tune explain <trace.jsonl> (or -history <dir> <run-id>) reads a
+// run's trace back: time and work by phase, measurements by kind, each
+// batch's model quality and CEAL's switch decisions.
 //
 // With -continuous, the run stays alive after convergence: the incumbent is
 // probed along a virtual clock while the platform follows the -drift load
@@ -37,6 +43,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -53,6 +60,8 @@ import (
 	"ceal/internal/live"
 	"ceal/internal/profiling"
 	"ceal/internal/service"
+	"ceal/internal/tuner"
+	"ceal/internal/tuner/events"
 )
 
 func main() {
@@ -61,6 +70,9 @@ func main() {
 
 // run is main with its environment explicit, so tests can drive it.
 func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 && args[0] == "explain" {
+		return explain(args[1:], stdout, stderr)
+	}
 	fs := flag.NewFlagSet("ceal-tune", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -72,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed       = fs.Uint64("seed", 1, "random seed (0 selects 1)")
 		workers    = fs.Int("workers", 1, "parallel measurement and pool-scoring width")
 		timeout    = fs.Duration("timeout", 0, "abort tuning after this long (0: no limit)")
-		trace      = fs.String("trace", "", "stream run events as JSONL to this file (\"-\" for stdout)")
+		trace      = fs.String("trace", "", "write the run's events and phase spans as JSONL to this file (\"-\" for stdout)")
 		history    = fs.String("history", "", "tuning-history DB (segment directory, created if missing): record this run; enables -warm and -resume")
 		warm       = fs.Bool("warm", false, "warm-start from prior runs in the -history DB")
 		resume     = fs.String("resume", "", "resume an interrupted run from the -history DB by run ID")
@@ -140,6 +152,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// One manager worker over the history DB (or a throwaway in-memory
 	// store) is the whole run engine: the same one ceal-serve serves.
 	opts := service.Options{Workers: 1}
+	var tap *bytes.Buffer
+	if *trace != "" {
+		// A run the manager executes is traced by its own observer, phase
+		// spans included; the hub's stream (no phase spans) serves a spec
+		// the store already answers.
+		tap = new(bytes.Buffer)
+		opts.Build = func(s service.JobSpec) (*tuner.Problem, tuner.Algorithm, error) {
+			p, alg, err := service.BuildSpec(s)
+			if err == nil {
+				p.Observer = events.Multi(p.Observer, events.NewJSONLWriter(tap))
+			}
+			return p, alg, err
+		}
+	}
 	if *history != "" {
 		db, err := histdb.OpenFileStore(*history)
 		if err != nil {
@@ -149,7 +175,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts.Store = db
 	}
 	m := service.NewManager(opts)
-	rec, fresh, err := drive(ctx, m, spec, *resume, emit, stdout)
+	rec, fresh, err := drive(ctx, m, spec, *resume, emit, tap, stdout)
 	if cerr := m.Shutdown(context.Background()); err == nil && cerr != nil {
 		err = fmt.Errorf("history close: %w", cerr)
 	}
@@ -175,12 +201,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // drive takes one run through the manager the way the HTTP handlers do —
-// Submit or Resume, follow the event stream into emit, Wait, Get — and
+// Submit or Resume, follow the event stream into emit (or, for a run the
+// manager executes, emit the lines tap recorded once it ends), Wait, Get — and
 // returns its terminal record; fresh is false when the store already held
 // a completed run of the spec. A signal or the -timeout (ctx) cancels the
 // run through the manager.
 func drive(ctx context.Context, m *service.Manager, spec histdb.Spec, resumeID string,
-	emit func(json.RawMessage) error, stdout io.Writer) (rec *histdb.RunRecord, fresh bool, err error) {
+	emit func(json.RawMessage) error, tap *bytes.Buffer, stdout io.Writer) (rec *histdb.RunRecord, fresh bool, err error) {
 	if resumeID != "" {
 		// The stored spec overrides the flags: a resume replays the
 		// original run, it does not start a new one.
@@ -209,8 +236,17 @@ func drive(ctx context.Context, m *service.Manager, spec histdb.Spec, resumeID s
 	// sink failure ends it early and surfaces when the trace is closed.
 	stop := context.AfterFunc(ctx, func() { _, _ = m.Cancel(rec.ID) })
 	defer stop()
-	_ = m.Stream(context.Background(), rec.ID, true, emit)
+	if !fresh || tap == nil {
+		_ = m.Stream(context.Background(), rec.ID, true, emit)
+	}
 	_ = m.Wait(context.Background(), rec.ID)
+	if fresh && tap != nil {
+		for _, line := range bytes.SplitAfter(tap.Bytes(), []byte("\n")) {
+			if len(line) > 0 && emit(line[:len(line)-1]) != nil {
+				break
+			}
+		}
+	}
 	rec, _ = m.Get(rec.ID)
 	switch {
 	case rec.State == histdb.StateDone:

@@ -149,7 +149,8 @@ func TestRunHistoryRecordsAndWarm(t *testing.T) {
 // TestRunHistoryRecordIsTheDaemons: a run recorded by the CLI is the record
 // ceal-serve would have written — trace and collector stats included — so a
 // daemon opened on the same directory replays its events byte-for-byte as
-// the CLI's -trace file and serves the spec from the store.
+// the CLI's -trace file less its phase spans, and serves the spec from the
+// store.
 func TestRunHistoryRecordIsTheDaemons(t *testing.T) {
 	dir := t.TempDir()
 	dbPath, tracePath := filepath.Join(dir, "history"), filepath.Join(dir, "t.jsonl")
@@ -183,9 +184,19 @@ func TestRunHistoryRecordIsTheDaemons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both are the hub's retained lines, so not even duration_ns differs.
-	if len(trace) == 0 || !bytes.Equal(replay, trace) {
-		t.Fatalf("daemon replay differs from the CLI's -trace file:\nreplay %s\n trace %s", replay, trace)
+	// The -trace file is the hub's lines, marshaled alike, so not even
+	// duration_ns differs, plus the phase spans, which the hub does not
+	// take.
+	var events, phases []byte
+	for _, line := range bytes.SplitAfter(trace, []byte("\n")) {
+		if bytes.HasPrefix(line, []byte(`{"event":"phase",`)) {
+			phases = append(phases, line...)
+		} else {
+			events = append(events, line...)
+		}
+	}
+	if len(phases) == 0 || len(events) == 0 || !bytes.Equal(replay, events) {
+		t.Fatalf("daemon replay differs from the CLI's -trace file less its phase spans:\nreplay %s\n trace %s", replay, trace)
 	}
 
 	rec, ok := m.Get("run-000001")
@@ -473,5 +484,57 @@ func TestRunResumeReplaysContinuousRecord(t *testing.T) {
 	if err := report(&out, recs[0], dbPath); err != nil || strings.Contains(out.String(), "initial incumbent") ||
 		!strings.Contains(out.String(), "final incumbent") {
 		t.Fatalf("report of a stored continuous record: %v\n%s", err, out.String())
+	}
+}
+
+// TestExplainEachAlgorithm: explain reads a fresh -trace file of every
+// algorithm into time and work by phase — each algorithm's own kinds of
+// work among them — and a stored trace, which has no phase spans.
+func TestExplainEachAlgorithm(t *testing.T) {
+	dir := t.TempDir()
+	for alg, work := range map[string][]string{
+		"rs":    {"sim_events=", "splits_scanned="},
+		"al":    {"tree_nodes=", "rows_abandoned="},
+		"geist": {"distances="},
+		"alph":  {"draws=", "rejections="},
+		"ceal":  {"cells=", "tree_nodes="},
+	} {
+		tracePath := filepath.Join(dir, alg+".jsonl")
+		args := []string{"-workflow", "LV", "-algorithm", alg, "-budget", "12", "-pool", "60", "-trace", tracePath}
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 0 {
+			t.Fatalf("%s: exit = %d, stderr: %s", alg, code, errOut.String())
+		}
+		out.Reset()
+		if code := run([]string{"explain", tracePath}, &out, &errOut); code != 0 {
+			t.Fatalf("%s: explain exit = %d, stderr: %s", alg, code, errOut.String())
+		}
+		want := append([]string{"run 1: ", "fit on", "best so far", "time and work by phase:", "bootstrap", "select", "measure",
+			"fit ", "finish", "total", "measurements by kind:", "switch decisions:"}, work...)
+		for _, w := range want {
+			if !strings.Contains(out.String(), w) {
+				t.Fatalf("%s: explain output lacks %q:\n%s", alg, w, out.String())
+			}
+		}
+	}
+
+	db := filepath.Join(dir, "history")
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-workflow", "HS", "-budget", "12", "-pool", "60", "-history", db}, &out, &errOut); code != 0 {
+		t.Fatalf("exit = %d, stderr: %s", code, errOut.String())
+	}
+	out.Reset()
+	if code := run([]string{"explain", "-history", db, "run-000001"}, &out, &errOut); code != 0 {
+		t.Fatalf("explain exit = %d, stderr: %s", code, errOut.String())
+	}
+	for _, w := range []string{"CEAL on HS/comp", "no phase spans", "out-of-sample recall", "switched to M_H"} {
+		if !strings.Contains(out.String(), w) {
+			t.Fatalf("explain of a stored trace lacks %q:\n%s", w, out.String())
+		}
+	}
+	for _, args := range [][]string{{"explain"}, {"explain", "-history", filepath.Join(dir, "none"), "run-000001"}, {"explain", filepath.Join(dir, "none.jsonl")}} {
+		if code := run(args, &out, &errOut); code == 0 {
+			t.Errorf("%v: exit 0", args)
+		}
 	}
 }

@@ -9,8 +9,10 @@ package acm
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"ceal/internal/cfgspace"
+	"ceal/internal/score"
 )
 
 // Combiner selects the component-combination function.
@@ -97,14 +99,24 @@ type Predictor interface {
 }
 
 // CellPredictor is a Predictor that reads each feature only by comparing
-// it with thresholds of its own: Thresholds()[f] lists feature f's
-// ascending (a feature past the end has none), two vectors that are not
-// below the same number of each feature's thresholds predict bitwise the
-// same, and PredictBatch is Predict on every row.
+// it with split points of its own, and can compile them into a coded
+// matrix's code space (see CodedCells).
 type CellPredictor interface {
 	Predictor
-	Thresholds() [][]float64
-	PredictBatch(X [][]float64, out []float64)
+	// CodeCells compiles the predictor into q's columns from lo: its
+	// feature f is column lo+f.
+	CodeCells(q *score.Codes, lo int) CodedCells
+}
+
+// CodedCells is a CellPredictor compiled into a coded matrix's columns.
+// Cuts()[f] lists feature f's cuts, ascending and distinct (a feature past
+// the end has none); two rows whose codes are, feature by feature, not
+// below the same number of cuts predict bitwise the same. PredictRows
+// writes each given row's prediction into out: Predict on the row's
+// decoded features, bit for bit. Both must be safe for concurrent use.
+type CodedCells interface {
+	Cuts() [][]uint16
+	PredictRows(rows []int32, out []float64)
 }
 
 // ConstPredictor is the model of an unconfigurable component: a single
@@ -160,7 +172,13 @@ func (part *Part) cores(sub cfgspace.Config) float64 {
 type LowFidelity struct {
 	Combine Combiner
 	Parts   []Part
+
+	cells atomic.Int64 // cell representatives predicted, over every ScoreCodes call
 }
+
+// Cells returns how many cell representatives ScoreCodes calls on lf have
+// predicted.
+func (lf *LowFidelity) Cells() int64 { return lf.cells.Load() }
 
 // fold combines one configuration's per-part predictions — and, for
 // BottleneckSum, per-part reserved cores: max_j(pred_j/cores_j) *

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"sort"
 	"sync"
 	"testing"
 
@@ -27,10 +28,15 @@ func (e expModel) Predict(x []float64) float64 { return math.Exp(e.m.PredictRow(
 // has them.
 type cellModel struct{ expModel }
 
-func (c cellModel) Thresholds() [][]float64 { return c.m.Thresholds() }
+func (c cellModel) CodeCells(q *score.Codes, lo int) acm.CodedCells {
+	return expCoded{c.m.Compile(q, lo)}
+}
 
-func (c cellModel) PredictBatch(X [][]float64, out []float64) {
-	c.m.PredictBatchOnInto(nil, X, out)
+// expCoded is a cellModel compiled into a coded matrix.
+type expCoded struct{ *xgb.Coded }
+
+func (e expCoded) PredictRows(rows []int32, out []float64) {
+	e.Coded.PredictRows(rows, out)
 	for i, v := range out {
 		out[i] = math.Exp(v)
 	}
@@ -391,18 +397,6 @@ func TestFactoredScoreMatchesReferenceGenerated(t *testing.T) {
 // predict differently.
 type stepModel int
 
-func (s stepModel) Thresholds() [][]float64 {
-	thr := make([]float64, 255)
-	for k := range thr {
-		thr[k] = float64(k) + 0.5
-	}
-	out := make([][]float64, s)
-	for f := range out {
-		out[f] = thr
-	}
-	return out
-}
-
 func (s stepModel) Predict(x []float64) float64 {
 	out := 0.0
 	for f, v := range x {
@@ -411,9 +405,38 @@ func (s stepModel) Predict(x []float64) float64 {
 	return out
 }
 
-func (s stepModel) PredictBatch(X [][]float64, out []float64) {
-	for i, x := range X {
-		out[i] = s.Predict(x)
+func (s stepModel) CodeCells(q *score.Codes, lo int) acm.CodedCells {
+	c := stepCoded{s: s, q: q, lo: lo, cuts: make([][]uint16, s)}
+	for f := range c.cuts {
+		vals := q.Values(lo + f)
+		for k := range 255 {
+			cut := uint16(sort.SearchFloat64s(vals, float64(k)+0.5))
+			if len(c.cuts[f]) == 0 || c.cuts[f][len(c.cuts[f])-1] != cut {
+				c.cuts[f] = append(c.cuts[f], cut)
+			}
+		}
+	}
+	return c
+}
+
+// stepCoded is a stepModel compiled into a coded matrix: it decodes each
+// row and predicts it.
+type stepCoded struct {
+	s    stepModel
+	q    *score.Codes
+	lo   int
+	cuts [][]uint16
+}
+
+func (c stepCoded) Cuts() [][]uint16 { return c.cuts }
+
+func (c stepCoded) PredictRows(rows []int32, out []float64) {
+	x := make([]float64, c.s)
+	for i, r := range rows {
+		for f := range x {
+			x[f] = c.q.Values(c.lo + f)[c.q.Row(int(r))[c.lo+f]]
+		}
+		out[i] = c.s.Predict(x)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // to Hi (Lo == Hi: the part reads none).
 type Span struct{ Lo, Hi int }
 
-// cellBlock is how many cell representatives one PredictBatch call takes:
-// their rows and outputs stay in L1 while the trees stream.
+// cellBlock is how many cell representatives one PredictRows call takes:
+// their codes and outputs stay in L1 while the trees stream.
 const cellBlock = 256
 
 // ScoreCodes scores every row of a rank-coded feature matrix on the
@@ -21,13 +21,15 @@ const cellBlock = 256
 // spans[j].
 //
 //   - A part with no features is predicted once.
-//   - A CellPredictor part is scored by cell. Per feature it splits on, a
-//     table maps each code to its bucket: how many of the feature's
-//     thresholds the value is not below. A row's cell is its bucket tuple.
-//     Each engine chunk numbers its rows' cells by first occurrence (a
+//   - A CellPredictor part is compiled into its columns (CodeCells) and
+//     scored by cell. Per feature it splits on, a table derived from the
+//     compiled cuts maps each code to its bucket: how many of the cuts the
+//     code is not below. A row's cell is its bucket tuple. Each engine
+//     chunk numbers its rows' cells by first occurrence (a
 //     cfgspace.Numbering, checked against tuples recomputed from
 //     representative rows), the chunks' numberings merge in chunk order,
-//     and one representative a cell goes through PredictBatch.
+//     and one representative a cell is predicted from its codes
+//     (PredictRows).
 //   - Any other part's Predict is called once a row on the decoded
 //     features.
 //   - BottleneckSum reads each row's cores from Part.Cores.
@@ -36,7 +38,7 @@ const cellBlock = 256
 // the same, so the scores are identical at any worker count and for any
 // matrix that holds the same feature values. The codes hand predictors
 // −0 as +0 and every NaN as one NaN, which no `x < t` comparison tells
-// apart. Predictors must be read-only under Predict and PredictBatch, and
+// apart. Predictors must be read-only under Predict and PredictRows, and
 // must not retain x.
 func (lf *LowFidelity) ScoreCodes(e *score.Engine, q *score.Codes, spans []Span, cfgs []cfgspace.Config) []float64 {
 	out := make([]float64, q.N)
@@ -54,7 +56,7 @@ func (lf *LowFidelity) ScoreCodes(e *score.Engine, q *score.Codes, spans []Span,
 		}
 	})
 	for _, pp := range passes {
-		pp.predictCells(e)
+		lf.cells.Add(int64(pp.predictCells(e)))
 	}
 	e.MapChunksIndexed(q.N, func(ci, lo, hi int) {
 		vs := make([]float64, len(passes))
@@ -84,11 +86,11 @@ type partPass struct {
 	konst float64   // a part with no features: its one prediction
 	vals  []float64 // a part scored by Predict: per row
 
-	// A CellPredictor part. Per feature it splits on: the matrix column
-	// and each code's bucket.
-	cp     CellPredictor
+	// A CellPredictor part, compiled into the matrix. Per feature it
+	// splits on: the matrix column and each code's bucket.
+	cc     CodedCells
 	cols   []int
-	bucket [][]int32
+	bucket [][]uint16
 	ids    []int32   // per row: its cell's number within its chunk
 	reps   [][]int32 // per chunk: the first row of each of its cells
 	global [][]int32 // per chunk: each of its cells' number in pred
@@ -106,40 +108,29 @@ func newPartPass(part *Part, q *score.Codes, span Span, chunks int) *partPass {
 		pp.vals = make([]float64, q.N)
 		return pp
 	}
-	thrs := cp.Thresholds()
-	if len(thrs) > span.Hi-span.Lo {
-		panic(fmt.Sprintf("acm: part %s's model splits on feature %d of %d", part.Name, len(thrs)-1, span.Hi-span.Lo))
+	pp.cc = cp.CodeCells(q, span.Lo)
+	cuts := pp.cc.Cuts()
+	if len(cuts) > span.Hi-span.Lo {
+		panic(fmt.Sprintf("acm: part %s's model splits on feature %d of %d", part.Name, len(cuts)-1, span.Hi-span.Lo))
 	}
-	pp.cp = cp
-	for k, thr := range thrs {
-		if len(thr) == 0 {
+	for k, cut := range cuts {
+		if len(cut) == 0 {
 			continue
 		}
 		f := span.Lo + k
-		vals := q.Values(f)
-		b := make([]int32, len(vals))
-		for c, v := range vals {
-			b[c] = int32(notBelow(thr, v))
+		b := make([]uint16, len(q.Values(f)))
+		at := 0
+		for c := range b {
+			for at < len(cut) && int(cut[at]) <= c {
+				at++
+			}
+			b[c] = uint16(at)
 		}
 		pp.cols, pp.bucket = append(pp.cols, f), append(pp.bucket, b)
 	}
 	pp.ids = make([]int32, q.N)
 	pp.reps = make([][]int32, chunks)
 	return pp
-}
-
-// notBelow is v's bucket among ascending thresholds: how many of them it
-// is not below. NaN is below none, as a tree's descent sends it right.
-func notBelow(thr []float64, v float64) int {
-	lo, hi := 0, len(thr)
-	for lo < hi {
-		if mid := int(uint(lo+hi) >> 1); v < thr[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
 }
 
 // scan is chunk ci's first pass over its rows [lo, hi): Predict on each
@@ -152,7 +143,7 @@ func (pp *partPass) scan(ci, lo, hi int) {
 			pp.decode(i, x)
 			pp.vals[i] = pp.part.Predictor.Predict(x)
 		}
-	case pp.cp != nil:
+	case pp.cc != nil:
 		key, at := make([]int, len(pp.cols)), make([]int, len(pp.cols))
 		nb := cfgspace.NewNumbering(min(hi-lo, cellBlock), func(id int32) []int { return pp.tuple(int(pp.reps[ci][id]), at) })
 		for i := lo; i < hi; i++ {
@@ -175,11 +166,12 @@ func (pp *partPass) tuple(i int, key []int) []int {
 }
 
 // predictCells merges the chunks' numberings in chunk order, so numbers
-// follow first occurrence over the whole matrix, and predicts one
-// representative a cell in blocks of cellBlock on the engine's workers.
-func (pp *partPass) predictCells(e *score.Engine) {
-	if pp.cp == nil {
-		return
+// follow first occurrence over the whole matrix, predicts one
+// representative a cell from its codes in blocks of cellBlock on the
+// engine's workers, and returns how many it predicted.
+func (pp *partPass) predictCells(e *score.Engine) int {
+	if pp.cc == nil {
+		return 0
 	}
 	found := 0
 	for _, rs := range pp.reps {
@@ -199,17 +191,12 @@ func (pp *partPass) predictCells(e *score.Engine) {
 			pp.global[ci][l] = id
 		}
 	}
-	w := pp.span.Hi - pp.span.Lo
-	flat, X := make([]float64, len(reps)*w), make([][]float64, len(reps))
 	pp.pred = make([]float64, len(reps))
 	e.Tasks((len(reps)+cellBlock-1)/cellBlock, func(b int) {
 		lo, hi := b*cellBlock, min((b+1)*cellBlock, len(reps))
-		for c := lo; c < hi; c++ {
-			X[c] = flat[c*w : (c+1)*w : (c+1)*w]
-			pp.decode(int(reps[c]), X[c])
-		}
-		pp.cp.PredictBatch(X[lo:hi], pp.pred[lo:hi])
+		pp.cc.PredictRows(reps[lo:hi], pp.pred[lo:hi])
 	})
+	return len(reps)
 }
 
 // decode writes row i's features of the part into x, as the matrix holds
@@ -224,7 +211,7 @@ func (pp *partPass) decode(i int, x []float64) {
 // value is row i's prediction; ci is the row's chunk.
 func (pp *partPass) value(ci, i int) float64 {
 	switch {
-	case pp.cp != nil:
+	case pp.cc != nil:
 		return pp.pred[pp.global[ci][pp.ids[i]]]
 	case pp.vals != nil:
 		return pp.vals[i]

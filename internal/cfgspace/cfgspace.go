@@ -91,31 +91,38 @@ func (c *Config) UnmarshalJSON(b []byte) error {
 }
 
 // parseInts parses b as a JSON array of integers that fit an int, or
-// reports false.
+// reports false. The array is trimmed once, and its fields are split by a
+// scan for commas and trimmed in place.
 func parseInts(b []byte) (Config, bool) {
 	b = bytes.Trim(b, jsonSpace)
 	if len(b) < 2 || b[0] != '[' || b[len(b)-1] != ']' {
 		return nil, false
 	}
+	body := b[1 : len(b)-1]
 	vals := make([]int, 0, 16)
-	if body := bytes.Trim(b[1:len(b)-1], jsonSpace); len(body) > 0 {
-		for more := true; more; {
-			var field []byte
-			field, body, more = bytes.Cut(body, []byte{','})
-			if len(field) > 0 && (field[0] <= ' ' || field[len(field)-1] <= ' ') {
-				field = bytes.Trim(field, jsonSpace) // Trim builds its cutset each call
-			}
-			// strconv also takes a '+' and leading zeros; JSON does not.
-			digits := bytes.TrimPrefix(field, []byte{'-'})
-			if len(digits) == 0 || digits[0] == '+' || (digits[0] == '0' && len(digits) > 1) {
-				return nil, false
-			}
-			v, err := strconv.Atoi(string(field)) // ParseInt's result, faster for short fields
-			if err != nil {
-				return nil, false
-			}
-			vals = append(vals, v)
+	for start, end := 0, 0; end < len(body); start = end + 1 {
+		for end = start; end < len(body) && body[end] != ','; end++ {
 		}
+		field := body[start:end]
+		for len(field) > 0 && strings.IndexByte(jsonSpace, field[0]) >= 0 {
+			field = field[1:]
+		}
+		for len(field) > 0 && strings.IndexByte(jsonSpace, field[len(field)-1]) >= 0 {
+			field = field[:len(field)-1]
+		}
+		if len(field) == 0 && start == 0 && end == len(body) {
+			break // an empty array, spaces or not
+		}
+		// strconv also takes a '+' and leading zeros; JSON does not.
+		digits := bytes.TrimPrefix(field, []byte{'-'})
+		if len(digits) == 0 || digits[0] == '+' || (digits[0] == '0' && len(digits) > 1) {
+			return nil, false
+		}
+		v, err := strconv.Atoi(string(field)) // ParseInt's result, faster for short fields
+		if err != nil {
+			return nil, false
+		}
+		vals = append(vals, v)
 	}
 	return append(make(Config, 0, len(vals)), vals...), true
 }
@@ -256,8 +263,15 @@ func (s *Space) Sample(rng *rand.Rand) Config { return s.SampleN(rng, 1)[0] }
 // only Valid and the valid rows' hashes run on helper goroutines (see
 // sampler.run).
 func (s *Space) SampleN(rng *rand.Rand, n int) []Config {
+	cfgs, _ := s.SampleDraws(rng, n)
+	return cfgs
+}
+
+// SampleDraws is SampleN that also returns how many candidates it drew:
+// the configurations it returns, and the rest invalid or repeats.
+func (s *Space) SampleDraws(rng *rand.Rand, n int) ([]Config, int) {
 	if n <= 0 {
-		return nil
+		return nil, 0
 	}
 	sm := newSampler(s, rng, n)
 	defer sm.stop()
@@ -265,7 +279,7 @@ func (s *Space) SampleN(rng *rand.Rand, n int) []Config {
 	if len(sm.out) == 0 {
 		panic(fmt.Sprintf("cfgspace: no valid configuration found after %d attempts", maxSampleAttempts))
 	}
-	return sm.out
+	return sm.out, sm.draws
 }
 
 const (
@@ -304,6 +318,7 @@ type sampler struct {
 	ring    []*candidates    // block buffers, used round robin
 	drawn   int              // blocks dispatched so far
 	queued  int              // of which not yet numbered
+	draws   int              // candidates drawn, in blocks or one by one
 }
 
 // axis is one parameter as the draw reads it.
@@ -351,6 +366,7 @@ func (sm *sampler) run() {
 			if cfg == nil {
 				cfg = make(Config, len(sm.axes))
 			}
+			sm.draws += free
 			for ; free > 0; free-- {
 				sm.draw(cfg)
 				if sm.valid == nil || sm.valid(cfg) {
@@ -420,6 +436,7 @@ func (sm *sampler) dispatch() {
 	}
 	sm.drawn++
 	sm.queued++
+	sm.draws += sampleBlock
 	sm.work <- b
 }
 

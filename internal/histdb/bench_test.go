@@ -168,23 +168,28 @@ func BenchmarkDecodeFramed(b *testing.B) {
 
 // BenchmarkAppend1k prices writing the same 1000 runs — the ledger's
 // histdb.append.us_per_rec: the store's framed buffered appends, isolated
-// from tuning work.
+// from tuning work: served, the ~8.6 KB frames served and CLI runs write;
+// pool-scores, the ~29 KB frames of evaluation runs.
 func BenchmarkAppend1k(b *testing.B) {
-	recs := benchRecords(1000)
-	for i := 0; i < b.N; i++ {
-		st, err := OpenFileStore(filepath.Join(b.TempDir(), "runs.db"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range recs {
-			if err := st.Save(r); err != nil {
+	appendAll := func(b *testing.B, recs []*RunRecord) {
+		for i := 0; i < b.N; i++ {
+			st, err := OpenFileStore(filepath.Join(b.TempDir(), "runs.db"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, r := range recs {
+				if err := st.Save(r); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := st.Close(); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if err := st.Close(); err != nil {
-			b.Fatal(err)
-		}
 	}
+	served, scored := servedRecords(1000), benchRecords(1000)
+	b.Run("served", func(b *testing.B) { appendAll(b, served) })
+	b.Run("pool-scores", func(b *testing.B) { appendAll(b, scored) })
 }
 
 // BenchmarkRunLifecycle prices checkpointing one served run on a FileStore:

@@ -57,6 +57,36 @@ func lifecycleFrames(t testing.TB) (kinds []byte, payloads [][]byte) {
 	return kinds, payloads
 }
 
+// shrinkFrame re-encodes a lifecycle frame under 1 KB, every kind of
+// field kept: a Result keeps one importance and, in a progress frame, one
+// sample, and drops its component samples; warm data keeps one sample of
+// each kind; a progress frame keeps one trace line, a record frame none.
+func shrinkFrame(t testing.TB, kind byte, payload []byte) []byte {
+	t.Helper()
+	var v any = new(RunRecord)
+	if kind == progressFrame {
+		v = new(Progress)
+	}
+	if err := json.Unmarshal(payload, v); err != nil {
+		t.Fatal(err)
+	}
+	var res *tuner.Result
+	samples := 1
+	switch v := v.(type) {
+	case *RunRecord:
+		res, v.Trace, samples = v.Result, nil, 0
+		if w := v.Warm; w != nil {
+			w.Samples, w.ComponentSamples = w.Samples[:1], [][]tuner.Sample{w.ComponentSamples[0][:1]}
+		}
+	case *Progress:
+		res, v.Trace = v.Result, v.Trace[:min(1, len(v.Trace))]
+	}
+	if res != nil {
+		res.Samples, res.ComponentSamples, res.Importance = res.Samples[:samples], nil, res.Importance[:1]
+	}
+	return mustJSON(t, v)
+}
+
 // decodeBoth decodes payload as its kind says on the canonical path and
 // with json.Unmarshal.
 func decodeBoth(kind byte, payload []byte) (fast any, accepted bool, ref any, err error) {
@@ -116,6 +146,10 @@ func FuzzDecodeFramed(f *testing.F) {
 		func(s string) string { return s + " " },
 	}
 	for i, p := range payloads {
+		p = shrinkFrame(f, kinds[i], p)
+		if len(p) >= 1024 {
+			f.Fatalf("a %d-byte seed: seeds stay under 1 KB, so the fuzzer mutates rather than minimizes", len(p))
+		}
 		for _, m := range mutations {
 			f.Add(kinds[i] == progressFrame, []byte(m(string(p))))
 		}

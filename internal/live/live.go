@@ -15,6 +15,7 @@ import (
 	"hash/fnv"
 	"math/rand/v2"
 	"strings"
+	"sync/atomic"
 
 	"ceal/internal/acm"
 	"ceal/internal/cfgspace"
@@ -31,7 +32,13 @@ type Evaluator struct {
 	Bench *workflow.Benchmark
 	Obj   workflow.Objective
 	Seed  uint64
+
+	events atomic.Int64 // simulator events popped, over every measurement
 }
+
+// SimEvents returns how many simulator events the evaluator's measurements
+// have popped.
+func (e *Evaluator) SimEvents() int64 { return e.events.Load() }
 
 // NewEvaluator resolves a job identity into its evaluator — the benchmark on
 // the default machine under the job's load, the objective, the seed: what a
@@ -67,6 +74,7 @@ func (e *Evaluator) MeasureWorkflow(cfg cfgspace.Config) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	e.events.Add(meas.Events)
 	return meas.Value(e.Obj), nil
 }
 
@@ -90,6 +98,7 @@ func (e *Evaluator) MeasureComponent(j int, cfg cfgspace.Config) (float64, error
 	if err != nil {
 		return 0, err
 	}
+	e.events.Add(meas.Events)
 	return meas.Value(e.Obj), nil
 }
 

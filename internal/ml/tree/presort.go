@@ -74,7 +74,14 @@ type Grower struct {
 	colFound []bool
 
 	task growTask // per-Grow recursion state, reused across calls
+
+	scanned int64 // split candidates enumerated, over every Grow
 }
+
+// Scanned returns how many split candidates the Grower has enumerated
+// over all its Grow calls: each node that looks for a split adds its rows
+// less one, per feature column.
+func (gw *Grower) Scanned() int64 { return gw.scanned }
 
 // Reset loads X: it sorts every feature column of X into the Grower's own
 // storage, fanning the per-column sorts across e (nil: serial), which also
@@ -216,6 +223,7 @@ func (t *growTask) grow(lo, hi, depth, j int) int {
 		src = gw.buf[depth%2]
 	}
 	fan := gw.eng != nil && (hi-lo)*dim >= minSplitFanWork
+	gw.scanned += int64(hi-lo-1) * int64(dim)
 	if fan {
 		gw.eng.Tasks(dim, func(f int) { t.scanCol(f, src[f*n+lo:f*n+hi], gSum, hSum, parentScore) })
 	} else {

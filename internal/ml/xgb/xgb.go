@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"ceal/internal/ml/tree"
@@ -63,16 +62,15 @@ type Model struct {
 	sufMin []float64
 	slack  float64
 
-	// Split thresholds compiled into the code space of the last coded pool
-	// scored (see cuts). A surrogate scores one pool for its whole life, so
-	// one slot is a 100% hit rate.
-	cutMu  sync.Mutex
-	cutFor *score.Codes
-	cut    []uint16
+	// scanned is how many split candidates the fit enumerated.
+	scanned int64
 
-	// Per feature, the distinct split thresholds ascending (see Thresholds).
-	thrsOnce sync.Once
-	thrs     [][]float64
+	// The model compiled into the code space of the last coded matrix
+	// whose value tables it was compiled for (see Compile), and spare, the
+	// compiled arrays of the model this one's arrays were recycled from.
+	codedMu sync.Mutex
+	coded   *Coded
+	spare   []uint16
 }
 
 // maxFlatDepth is the deepest ensemble Trainer.Fit accepts: every prediction
@@ -128,8 +126,9 @@ type Trainer struct {
 func NewTrainer(e *score.Engine) *Trainer { return &Trainer{eng: e} }
 
 // Recycle hands back a model its owner will never read again: the next
-// successful Fit overwrites its arrays, so no call on m, from any
-// goroutine, may follow. Recycling nil drops any spare.
+// successful Fit overwrites its arrays, so no call on m or on a Coded
+// compiled from it, from any goroutine, may follow. Recycling nil drops
+// any spare.
 func (t *Trainer) Recycle(m *Model) { t.spare = m }
 
 // Fit trains a model on feature rows X and targets y. Feature columns are
@@ -199,6 +198,10 @@ func (t *Trainer) Fit(X [][]float64, y []float64, p Params) (*Model, error) {
 		split:  resize(old.split, nodes),
 		sufMin: resize(old.sufMin, p.Rounds+1),
 	}
+	if old.coded != nil {
+		m.spare = old.coded.buf
+	}
+	scanned := t.gw.Scanned()
 	t.work = resize(t.work, 3*n)
 	pred, g, leaf := t.work[:n], t.work[n:2*n], t.work[2*n:]
 	for i := range pred {
@@ -222,6 +225,7 @@ func (t *Trainer) Fit(X [][]float64, y []float64, p Params) (*Model, error) {
 		}
 	}
 	m.shrink(depth, reached)
+	m.scanned = t.gw.Scanned() - scanned
 
 	m.sufMin[p.Rounds] = 0
 	leafN := 1 << m.depth
@@ -350,29 +354,27 @@ func (m *Model) PredictBatchOnInto(e *score.Engine, X [][]float64, out []float64
 
 // Thresholds returns, per feature, the ensemble's distinct split thresholds
 // ascending, up to the last feature any tree splits on (nil for a feature
-// none splits on). A tree only ever compares one feature with one of its
-// own thresholds, so two rows that, feature by feature, are not below the
-// same number of them take the same branch at every node of every tree and
-// predict bitwise the same; NaN is below no threshold, as descend sends it
-// right. The table is read once, from the trees' real split nodes (the
-// padding compares feature 0 with 0 to no effect), and is shared: callers
-// must not modify it.
+// none splits on), read from the trees' real split nodes (the padding
+// compares feature 0 with 0 to no effect).
 func (m *Model) Thresholds() [][]float64 {
-	m.thrsOnce.Do(func() {
-		m.splits(func(j int) {
-			f := int(m.feats[j])
-			for len(m.thrs) <= f {
-				m.thrs = append(m.thrs, nil)
-			}
-			m.thrs[f] = append(m.thrs[f], m.thresh[j])
-		})
-		for f, thr := range m.thrs {
-			slices.Sort(thr)
-			m.thrs[f] = slices.Compact(thr)
+	var out [][]float64
+	m.splits(func(j int) {
+		f := int(m.feats[j])
+		for len(out) <= f {
+			out = append(out, nil)
 		}
+		out[f] = append(out[f], m.thresh[j])
 	})
-	return m.thrs
+	for f, thr := range out {
+		slices.Sort(thr)
+		out[f] = slices.Compact(thr)
+	}
+	return out
 }
+
+// SplitsScanned returns how many split candidates the fit enumerated: each
+// node that looked for a split adds its rows less one, per feature.
+func (m *Model) SplitsScanned() int64 { return m.scanned }
 
 // splits calls visit with the index of every real split node, tree by tree
 // and each tree in preorder — the order a pointer-tree walk visits them,
@@ -392,34 +394,125 @@ func (m *Model) splits(visit func(j int)) {
 	}
 }
 
-// cuts compiles the ensemble's split thresholds into q's code space: for
-// the node splitting feature f at threshold thr, the number of values in
-// f's value table below thr. Codes are ranks in that table, so
-// code < cut ⇔ value < thr, and a NaN — ranked last — is below no cut, the
-// right branch the float compare also takes. Compiled once per (fit, pool)
-// and cached.
-func (m *Model) cuts(q *score.Codes) []uint16 {
-	m.cutMu.Lock()
-	defer m.cutMu.Unlock()
-	if m.cutFor != q {
-		cut := make([]uint16, len(m.thresh))
-		for j, thr := range m.thresh {
-			vals := q.Values(int(m.feats[j]))
-			cut[j] = uint16(sort.Search(len(vals), func(k int) bool { return !(vals[k] < thr) }))
-		}
-		m.cutFor, m.cut = q, cut
-	}
-	return m.cut
+// Coded is a model compiled into the code space of a coded matrix's
+// columns from lo: feature f is column lo+f, and node j compares a row's
+// code there with cut[j], the number of values in the column's value table
+// below its threshold. Codes are ranks in that table, so code < cut ⇔
+// value < threshold, and a NaN — ranked last — is below no cut, the right
+// branch the float compare also takes. Read-only once compiled.
+type Coded struct {
+	m    *Model
+	q    *score.Codes
+	lo   int
+	cut  []uint16   // per node
+	cuts [][]uint16 // per feature: its distinct cuts ascending
+	buf  []uint16   // backs cut and cuts
 }
+
+// Compile compiles the model into q's columns from lo. A compilation is
+// a function of the columns' value tables alone, so the model keeps its
+// last one and serves any matrix that shares those tables from it — a
+// holdout coded under a pool's declared columns does — allocating only
+// the result.
+func (m *Model) Compile(q *score.Codes, lo int) *Coded {
+	m.codedMu.Lock()
+	defer m.codedMu.Unlock()
+	c := m.coded
+	switch {
+	case c != nil && c.q == q && c.lo == lo:
+		return c
+	case c != nil && c.lo == lo && c.sameTables(q):
+		shared := *c
+		shared.q = q
+		return &shared
+	}
+	m.coded, m.spare = m.compile(q, lo, m.spare), nil
+	return m.coded
+}
+
+// sameTables reports whether q holds c's split features' value tables.
+func (c *Coded) sameTables(q *score.Codes) bool {
+	for f := range c.cuts {
+		a, b := c.q.Values(c.lo+f), q.Values(c.lo+f)
+		if len(a) != len(b) || len(a) > 0 && &a[0] != &b[0] {
+			return false
+		}
+	}
+	return true
+}
+
+// compile compiles the model into store's storage when it is large
+// enough: a binary search of its value table gives each split node its
+// cut, and each feature's cuts, gathered and sorted, its distinct cuts.
+// Callers hold codedMu.
+func (m *Model) compile(q *score.Codes, lo int, store []uint16) *Coded {
+	nodes, nf := len(m.feats), 0
+	for j, s := range m.split {
+		if s {
+			nf = max(nf, int(m.feats[j])+1)
+		}
+	}
+	// A counting sort by feature: off[f+1] is where feature f's next cut
+	// goes, so once all are placed feature f's are flat[off[f]:off[f+1]].
+	off := make([]int, nf+2)
+	for j, s := range m.split {
+		if s {
+			off[m.feats[j]+2]++
+		}
+	}
+	for f := 2; f < len(off); f++ {
+		off[f] += off[f-1]
+	}
+	c := &Coded{m: m, q: q, lo: lo, buf: resize(store, nodes+off[nf+1]), cuts: make([][]uint16, nf)}
+	c.cut = c.buf[:nodes]
+	flat := c.buf[nodes:]
+	clear(c.cut) // padding: either branch reaches the same leaf
+	for j, s := range m.split {
+		if !s {
+			continue
+		}
+		f := int(m.feats[j])
+		vals, a, b := q.Values(lo+f), 0, len(q.Values(lo+f))
+		for a < b {
+			if mid := int(uint(a+b) >> 1); vals[mid] < m.thresh[j] {
+				a = mid + 1
+			} else {
+				b = mid
+			}
+		}
+		c.cut[j], flat[off[f+1]] = uint16(a), uint16(a)
+		off[f+1]++
+	}
+	for f := range nf {
+		if cuts := flat[off[f]:off[f+1]:off[f+1]]; len(cuts) > 0 {
+			slices.Sort(cuts)
+			c.cuts[f] = slices.Compact(cuts)
+		}
+	}
+	return c
+}
+
+// Cuts returns, per feature up to the last one any tree splits on, the
+// distinct cuts of its splits ascending (nil for a feature none splits
+// on). Every node compares one feature's code with one of that feature's
+// cuts, so two rows whose codes are, feature by feature, not below the
+// same number of cuts take the same branch at every node of every tree
+// and predict bitwise the same. Shared: callers must not modify it.
+func (c *Coded) Cuts() [][]uint16 { return c.cuts }
+
+// PredictRows predicts the given rows of the coded matrix into out
+// (len(out) == len(rows)): each the PredictRow value of the row's
+// features, bit for bit.
+func (c *Coded) PredictRows(rows []int32, out []float64) { walk(c, rows, 0, out, math.Inf(1)) }
 
 // PredictBatchQuantizedOnInto predicts every row of a rank-coded pool into
 // out (len(out) == q.N) on the engine's workers (nil engine: serial): the
 // coded walk at bound = +Inf, so the outputs are bitwise identical to
 // scoring the float rows.
 func (m *Model) PredictBatchQuantizedOnInto(e *score.Engine, q *score.Codes, out []float64) {
-	cut := m.cuts(q)
+	c := m.Compile(q, 0)
 	e.MapChunks(q.N, func(lo, hi int) {
-		m.walkCoded(q, cut, nil, lo, out[lo:hi], math.Inf(1))
+		walk[int](c, nil, lo, out[lo:hi], math.Inf(1))
 	})
 }
 
@@ -428,7 +521,8 @@ func (m *Model) PredictBatchQuantizedOnInto(e *score.Engine, q *score.Codes, out
 // above bound: a row is abandoned, and reported as
 // +Inf, at the first tree after which its prediction is certain to exceed
 // bound; every other row gets the exact PredictRow value, its trees
-// accumulated in ensemble order. bound = +Inf abandons nothing.
+// accumulated in ensemble order. bound = +Inf abandons nothing. It returns
+// the tree nodes the rows visited and how many rows it abandoned.
 //
 // Soundness. After t trees the row's partial sum is p; the finished sum P
 // adds one leaf of each remaining tree, so in real arithmetic
@@ -442,39 +536,44 @@ func (m *Model) PredictBatchQuantizedOnInto(e *score.Engine, q *score.Codes, out
 // reach·(trees+2)·2^-50, four times their total. So
 // (p + sufMin[t]) − slack > bound implies P > bound at every t. When reach
 // overflows, slack is +Inf and nothing is ever abandoned.
-func (m *Model) PredictCodedBounded(q *score.Codes, idxs []int, out []float64, bound float64) {
-	m.walkCoded(q, m.cuts(q), idxs, 0, out, bound)
+func (m *Model) PredictCodedBounded(q *score.Codes, idxs []int, out []float64, bound float64) (nodes, abandoned int) {
+	return walk(m.Compile(q, 0), idxs, 0, out, bound)
 }
 
-// walkCoded predicts pool rows idxs (first, first+1, … if idxs is nil) into
-// out: PredictBatchOnInto's descent, integer compares on codes (see cuts),
-// over groups of up to 256 rows that descend tree after tree four live rows
-// abreast, each row's trees accumulating in ensemble order. After every
-// tree a row PredictCodedBounded's test puts above bound becomes +Inf and
-// leaves the live list; at bound = +Inf the test is skipped.
-func (m *Model) walkCoded(q *score.Codes, cut []uint16, idxs []int, first int, out []float64, bound float64) {
+// walk predicts rows idxs (first, first+1, … if idxs is nil) into out:
+// PredictBatchOnInto's descent, integer compares on codes, over groups of
+// up to 256 rows — each row's codes fetched once a group — that descend
+// tree after tree four live rows abreast, each row's trees accumulating in
+// ensemble order. After every tree a row PredictCodedBounded's test puts
+// above bound becomes +Inf and leaves the live rows, which stay packed;
+// at bound = +Inf the test is skipped. It returns the nodes visited and
+// the rows abandoned, summed once a tree.
+func walk[I int | int32](c *Coded, idxs []I, first int, out []float64, bound float64) (nodes, abandoned int) {
+	m := c.m
 	depth, rounds := m.depth, m.Rounds()
 	inner, leafN := 1<<depth-1, 1<<depth
 	check := !math.IsInf(bound, 1)
-	var live, rows [256]int32
-	for g := 0; g < len(out); g += len(live) {
-		o := out[g:min(g+len(live), len(out))]
+	var pos [256]int32 // per live row: its index in the group
+	var rows [256][]uint16
+	var acc [256]float64
+	for g := 0; g < len(out); g += len(pos) {
+		o := out[g:min(g+len(pos), len(out))]
 		for k := range o {
-			live[k], rows[k] = int32(k), int32(first+g+k)
+			r := first + g + k
 			if idxs != nil {
-				rows[k] = int32(idxs[g+k])
+				r = int(idxs[g+k])
 			}
-			o[k] = m.base
+			pos[k], rows[k], acc[k] = int32(k), c.q.Row(r)[c.lo:], m.base
 		}
 		n := len(o)
 		for t := 0; t < rounds && n > 0; t++ {
+			nodes += n * depth
 			fb := m.feats[t*inner : (t+1)*inner]
-			cb := cut[t*inner : (t+1)*inner : (t+1)*inner]
+			cb := c.cut[t*inner : (t+1)*inner : (t+1)*inner]
 			lb := m.leaves[t*leafN : (t+1)*leafN : (t+1)*leafN]
 			i := 0
 			for ; i+4 <= n; i += 4 {
-				k0, k1, k2, k3 := live[i], live[i+1], live[i+2], live[i+3]
-				c0, c1, c2, c3 := q.Row(int(rows[k0])), q.Row(int(rows[k1])), q.Row(int(rows[k2])), q.Row(int(rows[k3]))
+				c0, c1, c2, c3 := rows[i], rows[i+1], rows[i+2], rows[i+3]
 				j0, j1, j2, j3 := 0, 0, 0, 0
 				for d := 0; d < depth; d++ {
 					b0, b1, b2, b3 := 1, 1, 1, 1
@@ -495,29 +594,33 @@ func (m *Model) walkCoded(q *score.Codes, cut []uint16, idxs []int, first int, o
 					j2 = 2*j2 + 1 + b2
 					j3 = 2*j3 + 1 + b3
 				}
-				o[k0] += lb[j0-inner]
-				o[k1] += lb[j1-inner]
-				o[k2] += lb[j2-inner]
-				o[k3] += lb[j3-inner]
+				acc[i] += lb[j0-inner]
+				acc[i+1] += lb[j1-inner]
+				acc[i+2] += lb[j2-inner]
+				acc[i+3] += lb[j3-inner]
 			}
 			for ; i < n; i++ {
-				k := live[i]
-				o[k] += lb[descend(q.Row(int(rows[k])), fb, cb, depth)-inner]
+				acc[i] += lb[descend(rows[i], fb, cb, depth)-inner]
 			}
 			if check {
 				rest, kept := m.sufMin[t+1], 0
-				for _, k := range live[:n] {
-					if o[k]+rest-m.slack > bound {
-						o[k] = math.Inf(1)
+				for k := range n {
+					if acc[k]+rest-m.slack > bound {
+						o[pos[k]] = math.Inf(1)
 					} else {
-						live[kept] = k
+						pos[kept], rows[kept], acc[kept] = pos[k], rows[k], acc[k]
 						kept++
 					}
 				}
+				abandoned += n - kept
 				n = kept
 			}
 		}
+		for k := range n {
+			o[pos[k]] = acc[k]
+		}
 	}
+	return nodes, abandoned
 }
 
 // Rounds returns the number of trees in the ensemble.

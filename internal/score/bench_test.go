@@ -55,13 +55,12 @@ func trainModel(b *testing.B, bench *workflow.Benchmark, pool []cfgspace.Config)
 	return m
 }
 
-// cellModel is a boosted ensemble as an acm.CellPredictor (Thresholds
-// comes with the embedded model).
+// cellModel is a boosted ensemble as an acm.CellPredictor.
 type cellModel struct{ *xgb.Model }
 
 func (m cellModel) Predict(x []float64) float64 { return m.PredictRow(x) }
 
-func (m cellModel) PredictBatch(X [][]float64, out []float64) { m.PredictBatchOnInto(nil, X, out) }
+func (m cellModel) CodeCells(q *score.Codes, lo int) acm.CodedCells { return m.Compile(q, lo) }
 
 // BenchmarkPredictPool measures one surrogate pool-scoring pass — what
 // every algorithm runs once per refinement iteration.

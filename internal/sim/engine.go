@@ -57,6 +57,10 @@ func NewEngine() *Engine {
 // Now returns the current simulated time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
+// Popped returns how many events the engine has popped: every event
+// scheduled so far less those still queued.
+func (e *Engine) Popped() int64 { return int64(e.seq) - int64(len(e.events)) }
+
 // Schedule runs fn after delay seconds of simulated time. A negative or NaN
 // delay is treated as zero. Schedule may be called from a step or from
 // another event callback; on an engine whose Run has returned it panics,

@@ -2,6 +2,7 @@ package tuner
 
 import (
 	"ceal/internal/cfgspace"
+	"ceal/internal/tuner/events"
 )
 
 // The AL-family skeleton, written once. AL and ALpH rank with the same
@@ -98,6 +99,13 @@ func (s *surrogateBacked) Finish(st *State, score bool) ([]float64, error) {
 
 func (s *surrogateBacked) FinalImportance(*State) []float64 {
 	return s.model.Importance()
+}
+
+// addWork adds the surrogate's work so far, if there is one yet.
+func (s *surrogateBacked) addWork(w *events.Work) {
+	if s.model != nil {
+		s.model.addWork(w)
+	}
 }
 
 // ModelRounds reports the surrogate's boosting rounds for the trace.

@@ -2,6 +2,7 @@ package tuner
 
 import (
 	"ceal/internal/cfgspace"
+	"ceal/internal/tuner/events"
 )
 
 // ALpH is the black-box component-combining variant of §4: instead of
@@ -29,6 +30,12 @@ func (*ALpH) Tune(p *Problem, budget int) (*Result, error) {
 // which Bootstrap builds once the component models exist.
 type alphStrategy struct {
 	alBatches
+	cm *componentModels
+}
+
+func (s *alphStrategy) addWork(w *events.Work) {
+	s.surrogateBacked.addWork(w)
+	s.cm.addWork(w)
 }
 
 func (s *alphStrategy) Bootstrap(st *State) ([][]Sample, error) {
@@ -37,6 +44,7 @@ func (s *alphStrategy) Bootstrap(st *State) ([][]Sample, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.cm = cm
 	// M'_0's features: raw configuration plus each component model's
 	// prediction for its sub-configuration.
 	coder := p.Space.Columns()

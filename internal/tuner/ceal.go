@@ -111,6 +111,11 @@ type cealStrategy struct {
 
 const minHoldout = 3
 
+func (s *cealStrategy) addWork(w *events.Work) {
+	s.surrogateBacked.addWork(w)
+	s.cm.addWork(w)
+}
+
 func (s *cealStrategy) Bootstrap(st *State) ([][]Sample, error) {
 	budget := st.Budget
 	// Phase 1: component models -> low-fidelity model M_L (lines 1–6);

@@ -8,6 +8,7 @@ import (
 	"ceal/internal/cfgspace"
 	"ceal/internal/ml/xgb"
 	"ceal/internal/score"
+	"ceal/internal/tuner/events"
 )
 
 // componentModels is Phase 1 of the bootstrapping method (Alg. 1, lines
@@ -22,6 +23,21 @@ type componentModels struct {
 	// frozen once Phase 1 ends, so one pass serves every later ranking of
 	// the run.
 	pool []float64
+	// Phase 1's work: split candidates the component fits scanned, and
+	// the component configurations SampleN drew and rejected.
+	scanned, draws, rejections int64
+}
+
+// addWork adds Phase 1's work and M_L's cells so far to w (nothing for a
+// nil cm: Phase 1 has not run).
+func (cm *componentModels) addWork(w *events.Work) {
+	if cm == nil {
+		return
+	}
+	w.SplitsScanned += cm.scanned
+	w.Draws += cm.draws
+	w.Rejections += cm.rejections
+	w.Cells += cm.lowFi.Cells()
 }
 
 // poolScores returns M_L's score for every configuration of p.Pool,
@@ -83,6 +99,7 @@ func trainComponentModels(p *Problem, mR int, rng *rand.Rand) (*componentModels,
 		samples []Sample
 	}
 	var fits []pendingFit
+	cm := &componentModels{newSamples: newSamples}
 	for j, comp := range p.Components {
 		if comp.Space == nil {
 			solo, err := p.Collector().MeasureComponents(p.context(), j, []cfgspace.Config{nil})
@@ -101,7 +118,9 @@ func trainComponentModels(p *Problem, mR int, rng *rand.Rand) (*componentModels,
 			samples = append(samples, warm...)
 		}
 		if mR > 0 {
-			cfgs := sampleComponentConfigs(p, j, comp.Space, mR, rng)
+			cfgs, draws := sampleComponentConfigs(p, j, comp.Space, mR, rng)
+			cm.draws += int64(draws)
+			cm.rejections += int64(draws - len(cfgs))
 			batch, err := p.Collector().MeasureComponents(p.context(), j, cfgs)
 			if err != nil {
 				return nil, fmt.Errorf("tuner: measure component %s: %w", comp.Name, err)
@@ -118,7 +137,7 @@ func trainComponentModels(p *Problem, mR int, rng *rand.Rand) (*componentModels,
 	// Pass 2: independent per-component model fits fan across the engine —
 	// each writes only its own slot, and errors are surfaced in component
 	// order, so results and failure behavior match the serial loop.
-	models := make([]acm.Predictor, len(fits))
+	models := make([]componentModel, len(fits))
 	errs := make([]error, len(fits))
 	p.engine().Tasks(len(fits), func(i int) {
 		models[i], errs[i] = fitComponentModel(p.Components[fits[i].j], fits[i].samples)
@@ -130,11 +149,10 @@ func trainComponentModels(p *Problem, mR int, rng *rand.Rand) (*componentModels,
 		}
 		parts[pf.j].Predictor = models[i]
 		parts[pf.j].Coder = comp.Space.Columns()
+		cm.scanned += models[i].model.SplitsScanned()
 	}
-	return &componentModels{
-		lowFi:      &acm.LowFidelity{Combine: p.Combiner, Parts: parts},
-		newSamples: newSamples,
-	}, nil
+	cm.lowFi = &acm.LowFidelity{Combine: p.Combiner, Parts: parts}
+	return cm, nil
 }
 
 // bootstrapComponents is Phase 1 as every component-based strategy runs it
@@ -162,8 +180,9 @@ func bootstrapComponents(st *State, frac float64, covered bool) (*componentModel
 }
 
 // sampleComponentConfigs draws mR distinct component configurations, from
-// the component candidate pool when one is provided, else from the space.
-func sampleComponentConfigs(p *Problem, j int, space *cfgspace.Space, mR int, rng *rand.Rand) []cfgspace.Config {
+// the component candidate pool when one is provided, else from the space;
+// it also returns how many candidates SampleN drew (none from a pool).
+func sampleComponentConfigs(p *Problem, j int, space *cfgspace.Space, mR int, rng *rand.Rand) ([]cfgspace.Config, int) {
 	if len(p.ComponentPool) == len(p.Components) && len(p.ComponentPool[j]) > 0 {
 		pool := p.ComponentPool[j]
 		if mR > len(pool) {
@@ -174,9 +193,9 @@ func sampleComponentConfigs(p *Problem, j int, space *cfgspace.Space, mR int, rn
 		for i, k := range idx {
 			out[i] = pool[k]
 		}
-		return out
+		return out, 0
 	}
-	return space.SampleN(rng, mR)
+	return space.SampleDraws(rng, mR)
 }
 
 // componentModel adapts a log-target boosted tree to acm.CellPredictor.
@@ -188,10 +207,15 @@ func (c componentModel) Predict(x []float64) float64 {
 	return unlogTarget(c.model.PredictRow(x))
 }
 
-func (c componentModel) Thresholds() [][]float64 { return c.model.Thresholds() }
+func (c componentModel) CodeCells(q *score.Codes, lo int) acm.CodedCells {
+	return codedComponent{c.model.Compile(q, lo)}
+}
 
-func (c componentModel) PredictBatch(X [][]float64, out []float64) {
-	c.model.PredictBatchOnInto(nil, X, out)
+// codedComponent is a componentModel compiled into a coded matrix.
+type codedComponent struct{ *xgb.Coded }
+
+func (c codedComponent) PredictRows(rows []int32, out []float64) {
+	c.Coded.PredictRows(rows, out)
 	for i, v := range out {
 		out[i] = unlogTarget(v)
 	}
@@ -199,10 +223,7 @@ func (c componentModel) PredictBatch(X [][]float64, out []float64) {
 
 // fitComponentModel fits one component's model serially: the fits
 // themselves fan across the engine, one per component.
-func fitComponentModel(comp ComponentInfo, samples []Sample) (acm.Predictor, error) {
+func fitComponentModel(comp ComponentInfo, samples []Sample) (componentModel, error) {
 	m, err := fitLogModel(xgb.NewTrainer(nil), comp.Space.Features, samples)
-	if err != nil {
-		return nil, err
-	}
-	return componentModel{model: m}, nil
+	return componentModel{model: m}, err
 }

@@ -11,12 +11,16 @@
 //
 // An Observer is optional everywhere: a nil observer is the zero-cost
 // default, and the Loop only constructs event values when one is attached.
+// Phase spans — the Loop's wall time and work counts per phase — go only
+// to observers that opt in by implementing PhaseObserver; every other
+// observer's stream is unchanged by them.
 package events
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 )
 
@@ -44,6 +48,9 @@ const (
 	KindDriftConfirmed   Kind = "drift_confirmed"
 	KindReexploreStarted Kind = "reexplore_started"
 	KindReconverged      Kind = "reconverged"
+
+	// KindPhase is a Loop phase span, delivered to PhaseObservers only.
+	KindPhase Kind = "phase"
 )
 
 // Event is one step of a tuning run. Concrete types below carry the
@@ -232,6 +239,72 @@ type Reconverged struct {
 	BestConfig   []int   `json:"best_config"`
 }
 
+// Phase is one span of the Loop — "bootstrap" (Phase-1 component models
+// and warm start), and per iteration "select", "measure" and "fit" (the
+// Controller's check and the refit) — or the run's "finish", with its wall
+// time and the work it did. Only PhaseObservers receive it.
+type Phase struct {
+	Iteration int    `json:"iteration"`
+	Phase     string `json:"phase"`
+	WallNS    int64  `json:"wall_ns"`
+	Work
+}
+
+// Work counts what a phase did. Every count is deterministic: the same
+// run on any host gives the same counts, and only TreeNodes and
+// RowsAbandoned depend on the scoring worker count (the selector's cut-off
+// is per chunk).
+type Work struct {
+	// TreeNodes and RowsAbandoned are the M_H coded walk's tree nodes
+	// visited and the rows its cut-off stopped early.
+	TreeNodes     int64 `json:"tree_nodes"`
+	RowsAbandoned int64 `json:"rows_abandoned"`
+	// SplitsScanned counts split candidates the tree growers enumerated.
+	SplitsScanned int64 `json:"splits_scanned"`
+	// Draws counts SampleN's candidate configurations; Rejections those
+	// of them that were invalid or repeats.
+	Draws      int64 `json:"draws"`
+	Rejections int64 `json:"rejections"`
+	// SimEvents counts simulator events popped by the run's measurements.
+	SimEvents int64 `json:"sim_events"`
+	// Cells counts M_L cell representatives predicted.
+	Cells int64 `json:"cells"`
+	// Distances counts GEIST's parameter-graph distance evaluations.
+	Distances int64 `json:"distances"`
+}
+
+// workNames are Work's counts' JSON names, in field order.
+var workNames = [...]string{"tree_nodes", "rows_abandoned", "splits_scanned", "draws", "rejections", "sim_events", "cells", "distances"}
+
+// counts returns w's counts in field order.
+func (w *Work) counts() [len(workNames)]*int64 {
+	return [...]*int64{&w.TreeNodes, &w.RowsAbandoned, &w.SplitsScanned, &w.Draws, &w.Rejections, &w.SimEvents, &w.Cells, &w.Distances}
+}
+
+// Add returns w plus v, count by count.
+func (w Work) Add(v Work) Work { return w.plus(v, 1) }
+
+// Sub returns w less v, count by count.
+func (w Work) Sub(v Work) Work { return w.plus(v, -1) }
+
+func (w Work) plus(v Work, k int64) Work {
+	for i, n := range v.counts() {
+		*w.counts()[i] += k * *n
+	}
+	return w
+}
+
+// String lists w's non-zero counts as name=count.
+func (w Work) String() string {
+	var b strings.Builder
+	for i, n := range w.counts() {
+		if *n != 0 {
+			fmt.Fprintf(&b, " %s=%d", workNames[i], *n)
+		}
+	}
+	return strings.TrimPrefix(b.String(), " ")
+}
+
 func (*RunStarted) Kind() Kind     { return KindRunStarted }
 func (*WarmStarted) Kind() Kind    { return KindWarmStarted }
 func (*BatchSelected) Kind() Kind  { return KindBatchSelected }
@@ -248,6 +321,7 @@ func (*DriftSuspected) Kind() Kind   { return KindDriftSuspected }
 func (*DriftConfirmed) Kind() Kind   { return KindDriftConfirmed }
 func (*ReexploreStarted) Kind() Kind { return KindReexploreStarted }
 func (*Reconverged) Kind() Kind      { return KindReconverged }
+func (*Phase) Kind() Kind            { return KindPhase }
 
 // Observer receives the event stream of a tuning run. Events arrive in run
 // order from the goroutine driving the loop; implementations that are
@@ -257,6 +331,15 @@ func (*Reconverged) Kind() Kind      { return KindReconverged }
 // observer's to surface (see JSONLWriter.Err).
 type Observer interface {
 	OnEvent(Event)
+}
+
+// PhaseObserver is an Observer that also takes the Loop's phase spans,
+// after each phase ends, in run order with the events. Observers that do
+// not implement it never see a Phase, and the Loop times nothing unless
+// one is attached.
+type PhaseObserver interface {
+	Observer
+	OnPhase(*Phase)
 }
 
 // Recorder is an Observer that retains every event in arrival order — the
@@ -291,19 +374,26 @@ func (r *Recorder) Reset() {
 	r.mu.Unlock()
 }
 
-// Multi fans one event stream out to several observers (nils are skipped).
+// Multi fans one event stream out to several observers (nils are
+// skipped). The result is a PhaseObserver when any of them is one, and
+// forwards phase spans to those alone.
 func Multi(obs ...Observer) Observer {
 	var live []Observer
+	phased := false
 	for _, o := range obs {
 		if o != nil {
 			live = append(live, o)
+			_, ok := o.(PhaseObserver)
+			phased = phased || ok
 		}
 	}
-	switch len(live) {
-	case 0:
+	switch {
+	case len(live) == 0:
 		return nil
-	case 1:
+	case len(live) == 1:
 		return live[0]
+	case phased:
+		return phaseMulti{live}
 	}
 	return multi(live)
 }
@@ -313,6 +403,16 @@ type multi []Observer
 func (m multi) OnEvent(e Event) {
 	for _, o := range m {
 		o.OnEvent(e)
+	}
+}
+
+type phaseMulti struct{ multi }
+
+func (m phaseMulti) OnPhase(ph *Phase) {
+	for _, o := range m.multi {
+		if po, ok := o.(PhaseObserver); ok {
+			po.OnPhase(ph)
+		}
 	}
 }
 
@@ -348,6 +448,9 @@ func (j *JSONLWriter) OnEvent(e Event) {
 		j.err = err
 	}
 }
+
+// OnPhase implements PhaseObserver: a phase span is one more line.
+func (j *JSONLWriter) OnPhase(ph *Phase) { j.OnEvent(ph) }
 
 // Err returns the first marshal or write error encountered, if any.
 func (j *JSONLWriter) Err() error {

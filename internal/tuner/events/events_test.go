@@ -181,3 +181,44 @@ func TestMulti(t *testing.T) {
 		t.Errorf("fan-out delivered %d/%d events, want 1/1", len(a.Events()), len(b.Events()))
 	}
 }
+
+// phaseSink is a PhaseObserver that counts what reaches it.
+type phaseSink struct{ events, phases int }
+
+func (p *phaseSink) OnEvent(Event)  { p.events++ }
+func (p *phaseSink) OnPhase(*Phase) { p.phases++ }
+
+// TestPhaseSpans: Multi is a PhaseObserver only when a member is one, and
+// forwards spans to those members alone; a span's line carries its work
+// counts as top-level members; Work adds, subtracts and lists its non-zero
+// counts.
+func TestPhaseSpans(t *testing.T) {
+	if _, ok := Multi(NewRecorder(), NewRecorder()).(PhaseObserver); ok {
+		t.Error("Multi of plain observers takes phase spans")
+	}
+	rec, sink := NewRecorder(), &phaseSink{}
+	m, ok := Multi(rec, nil, sink).(PhaseObserver)
+	if !ok {
+		t.Fatal("Multi with a PhaseObserver member takes no phase spans")
+	}
+	ph := &Phase{Iteration: 2, Phase: "select", WallNS: 1500, Work: Work{TreeNodes: 40, Cells: 3}}
+	m.OnPhase(ph)
+	m.OnEvent(&Fallback{})
+	if len(rec.Events()) != 1 || sink.events != 1 || sink.phases != 1 {
+		t.Errorf("recorder saw %d events; sink %d events and %d spans, want 1, 1 and 1", len(rec.Events()), sink.events, sink.phases)
+	}
+	line, err := MarshalJSON(ph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"event":"phase","iteration":2,"phase":"select","wall_ns":1500,"tree_nodes":40,"rows_abandoned":0,"splits_scanned":0,"draws":0,"rejections":0,"sim_events":0,"cells":3,"distances":0}`; string(line) != want {
+		t.Errorf("phase line\n%s\nwant\n%s", line, want)
+	}
+	w := Work{TreeNodes: 1, Draws: 5, Distances: 7}
+	if got := w.Add(ph.Work).Sub(w); got != ph.Work {
+		t.Errorf("w + v - w = %+v, want %+v", got, ph.Work)
+	}
+	if got := w.String(); got != "tree_nodes=1 draws=5 distances=7" {
+		t.Errorf("String() = %q", got)
+	}
+}

@@ -59,12 +59,18 @@ type geistStrategy struct {
 	measured   map[int]float64 // pool index -> measured value
 	unmeasured map[int]bool
 	lastIdxs   []int // pool indices of the batch just handed to the loop
+	distances  int64 // evaluated to build the graph (none if it was built before)
+}
+
+func (s *geistStrategy) addWork(w *events.Work) {
+	s.surrogateBacked.addWork(w)
+	w.Distances += s.distances
 }
 
 func (s *geistStrategy) SeedBatch(st *State) ([]cfgspace.Config, error) {
 	p := st.Problem
 	var err error
-	if s.graph, err = s.g.graphFor(p); err != nil {
+	if s.graph, s.distances, err = s.g.graphFor(p); err != nil {
 		return nil, err
 	}
 	s.measured = make(map[int]float64)

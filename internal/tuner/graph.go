@@ -9,19 +9,21 @@ import (
 
 // graphFor returns the parameter graph over p's pool: the one g built last
 // if it is over this very pool, else one built now under p's ctx. Holding
-// mu across the build lets replications waiting on it reuse its graph.
-func (g *GEIST) graphFor(p *Problem) ([][]int, error) {
+// mu across the build lets replications waiting on it reuse its graph. It
+// also returns the distances the build evaluated: every row against every
+// row, or none for a graph built before.
+func (g *GEIST) graphFor(p *Problem) ([][]int, int64, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if len(p.Pool) > 0 && len(g.pool) == len(p.Pool) && &g.pool[0] == &p.Pool[0] {
-		return g.graph, nil
+		return g.graph, 0, nil
 	}
 	graph, err := parameterGraph(p.context(), p.engine(), p.Space, p.Pool, geistNeighbors)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	g.pool, g.graph = p.Pool, graph
-	return graph, nil
+	return graph, int64(len(p.Pool)) * int64(len(p.Pool)), nil
 }
 
 // parameterGraph builds GEIST's "parameter graph": each pool row's k

@@ -24,7 +24,11 @@ import (
 //
 // Every step is announced on the problem's events.Observer (nil = zero-cost:
 // event values are only constructed when an observer is attached), giving
-// all eight algorithms one replayable trace format.
+// all eight algorithms one replayable trace format. An observer that is an
+// events.PhaseObserver also gets each phase's span — bootstrap, then per
+// iteration select, measure and fit, then finish — with its wall time and
+// the work counts of the strategy's models and the evaluator, read at the
+// phase's ends; with no such observer nothing is timed or read.
 
 // State is the run context the Loop shares with its strategies. Strategies
 // may read everything and consume Rng; only the fields documented as
@@ -54,6 +58,10 @@ type State struct {
 	Prior []Sample
 
 	obs      events.Observer
+	phases   events.PhaseObserver // nil: no phase spans
+	counter  workCounter          // the strategy's work counts, if it keeps any
+	phaseAt  time.Time            // the open phase's start
+	phaseW   events.Work          // the run's work then
 	bestVal  float64
 	bestCfg  cfgspace.Config
 	hasBest  bool
@@ -76,6 +84,46 @@ func (s *State) Emit(e events.Event) {
 	}
 	defer func() { _ = recover() }()
 	s.obs.OnEvent(e)
+}
+
+// workCounter is a strategy that counts its work: addWork adds the run's
+// counts so far — its models', its samplers', its graph's — to w.
+type workCounter interface {
+	addWork(w *events.Work)
+}
+
+// work returns the run's work so far: the strategy's counts, and the
+// simulator events of an evaluator that counts them.
+func (s *State) work() events.Work {
+	var w events.Work
+	if s.counter != nil {
+		s.counter.addWork(&w)
+	}
+	if c, ok := s.Problem.Eval.(interface{ SimEvents() int64 }); ok {
+		w.SimEvents = c.SimEvents()
+	}
+	return w
+}
+
+// phaseStart opens the run's first phase span, if a PhaseObserver is
+// attached.
+func (s *State) phaseStart() {
+	if s.phases != nil {
+		s.phaseAt, s.phaseW = time.Now(), s.work()
+	}
+}
+
+// phaseEnd closes the open span as phase name, delivers it, isolating
+// observer panics as Emit does, and opens the next: spans tile the run.
+func (s *State) phaseEnd(name string) {
+	if s.phases == nil {
+		return
+	}
+	at, w := time.Now(), s.work()
+	ph := &events.Phase{Iteration: s.Iter, Phase: name, WallNS: at.Sub(s.phaseAt).Nanoseconds(), Work: w.Sub(s.phaseW)}
+	s.phaseAt, s.phaseW = at, w
+	defer func() { _ = recover() }()
+	s.phases.OnPhase(ph)
 }
 
 // Strategy is the one seam between the Loop and an algorithm: the
@@ -154,6 +202,8 @@ func (l *Loop) Run(p *Problem, budget int) (*Result, error) {
 		SwitchIter: -1,
 		obs:        p.Observer,
 	}
+	st.phases, _ = p.Observer.(events.PhaseObserver)
+	st.counter, _ = l.Strategy.(workCounter)
 	if st.obs != nil {
 		st.Emit(&events.RunStarted{
 			Algorithm: l.Algorithm,
@@ -165,6 +215,7 @@ func (l *Loop) Run(p *Problem, budget int) (*Result, error) {
 	}
 
 	// Phase 1 (optional): component models, charged against the budget.
+	st.phaseStart()
 	var compSamples [][]Sample
 	if b, ok := l.Strategy.(Bootstrapper); ok {
 		var start time.Time
@@ -219,6 +270,7 @@ func (l *Loop) Run(p *Problem, budget int) (*Result, error) {
 			})
 		}
 	}
+	st.phaseEnd("bootstrap")
 
 	// Seed batch (iteration 0), then the refinement iterations: measure,
 	// let the Controller react, refit, report.
@@ -228,6 +280,7 @@ func (l *Loop) Run(p *Problem, budget int) (*Result, error) {
 		if err != nil {
 			return err
 		}
+		st.phaseEnd("measure")
 		if ctl != nil {
 			if err := ctl.AfterMeasure(st, batch); err != nil {
 				return err
@@ -236,6 +289,7 @@ func (l *Loop) Run(p *Problem, budget int) (*Result, error) {
 		if err := l.fit(st, batch); err != nil {
 			return err
 		}
+		st.phaseEnd("fit")
 		l.iterationDone(st)
 		return nil
 	}
@@ -243,6 +297,7 @@ func (l *Loop) Run(p *Problem, budget int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	st.phaseEnd("select")
 	if err := step("seed", seed); err != nil {
 		return nil, err
 	}
@@ -252,6 +307,7 @@ func (l *Loop) Run(p *Problem, budget int) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		st.phaseEnd("select")
 		if len(cfgs) == 0 {
 			break
 		}
@@ -272,6 +328,7 @@ func (l *Loop) Run(p *Problem, budget int) (*Result, error) {
 	if imp, ok := l.Strategy.(Importancer); ok {
 		res.Importance = imp.FinalImportance(st)
 	}
+	st.phaseEnd("finish")
 	if st.obs != nil {
 		st.Emit(&events.RunFinished{
 			Measured:        len(st.Samples),

@@ -3,10 +3,12 @@ package tuner
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"ceal/internal/cfgspace"
 	"ceal/internal/ml/xgb"
 	"ceal/internal/score"
+	"ceal/internal/tuner/events"
 )
 
 // Surrogate is the high-fidelity workflow model M_H: a boosted-tree
@@ -24,6 +26,11 @@ type Surrogate struct {
 	trainer *xgb.Trainer
 	eng     *score.Engine
 	codes   func(pool []cfgspace.Config) (*score.Codes, error) // the pool's rank codes, built once
+
+	// Work so far: split candidates its fits scanned, and the tree nodes
+	// and abandoned rows of its pool scorers' walks.
+	scanned          int64
+	nodes, abandoned atomic.Int64
 }
 
 // newSurrogate builds an untrained surrogate over the problem's declared
@@ -73,7 +80,15 @@ func (s *Surrogate) Train(samples []Sample) error {
 	}
 	s.trainer.Recycle(s.model)
 	s.model = m
+	s.scanned += m.SplitsScanned()
 	return nil
+}
+
+// addWork adds the surrogate's work so far to w.
+func (s *Surrogate) addWork(w *events.Work) {
+	w.SplitsScanned += s.scanned
+	w.TreeNodes += s.nodes.Load()
+	w.RowsAbandoned += s.abandoned.Load()
 }
 
 // fitLogModel is the one way a boosted model is fitted here: featurize the
@@ -155,7 +170,9 @@ func (s *Surrogate) poolScorer(p *Problem) (poolScorer, error) {
 		return nil, err
 	}
 	return func(idxs []int, out []float64, worst float64) {
-		s.model.PredictCodedBounded(q, idxs, out, logCutoff(worst))
+		nodes, abandoned := s.model.PredictCodedBounded(q, idxs, out, logCutoff(worst))
+		s.nodes.Add(int64(nodes))
+		s.abandoned.Add(int64(abandoned))
 		for j, v := range out {
 			out[j] = unlogTarget(v)
 		}

@@ -425,6 +425,11 @@ func ownSamples(samples []Sample) []Sample {
 type poolTracker struct {
 	p         *Problem
 	remaining []int // indices into p.Pool
+
+	// Per chunk of takeTop's pass, its score block and heap, reused by
+	// every later pass.
+	blocks [][]float64
+	heaps  [][]topkEntry
 }
 
 func newPoolTracker(p *Problem) *poolTracker {
@@ -531,10 +536,17 @@ func (t *poolTracker) takeTop(n int, score poolScorer) []cfgspace.Config {
 	}
 	eng := t.p.engine()
 	_, nc := eng.ChunkLayout(m)
-	heaps := make([][]topkEntry, nc) // each chunk writes only its own slot
+	if len(t.blocks) < nc {
+		t.blocks, t.heaps = make([][]float64, nc), make([][]topkEntry, nc)
+	}
+	heaps := t.heaps[:nc] // each chunk writes only its own slots
 	eng.MapChunksIndexed(m, func(ci, lo, hi int) {
-		heap := make([]topkEntry, 0, n)
-		block := make([]float64, min(selectBlock, hi-lo))
+		heap := slices.Grow(heaps[ci][:0], n)
+		block := t.blocks[ci]
+		if len(block) < min(selectBlock, hi-lo) {
+			block = make([]float64, min(selectBlock, hi-lo))
+			t.blocks[ci] = block
+		}
 		for blo, size := lo, min(n, selectBlock); blo < hi; blo, size = blo+size, min(2*size, selectBlock) {
 			bhi := min(blo+size, hi)
 			out := block[:bhi-blo]

@@ -68,6 +68,9 @@ type Measurement struct {
 	// idle draw over its accounted span plus the active-power gap for its
 	// busy core-seconds. The entries sum to EnergyKJ.
 	PerComponentEnergy []float64
+	// Events is how many simulator events the run popped: its work, not
+	// part of what it measures.
+	Events int64
 }
 
 // Objective selects the optimization metric: which aggregate of a
@@ -240,7 +243,9 @@ func (w *Workflow) RunInSitu() (Measurement, error) {
 		busy[ci] = activeSeconds(c, inPlans)
 		finish[ci] = procs[ci].finish
 	}
-	return w.measurement(finish, busy), nil
+	meas := w.measurement(finish, busy)
+	meas.Events = rt.Eng.Popped()
+	return meas, nil
 }
 
 // stream is one of a component's data partners: a staging channel in an
@@ -369,6 +374,7 @@ func RunSolo(m cluster.Machine, c *apps.Component, inBytesPerStep float64) (Meas
 		EnergyKJ:           energy,
 		PerComponent:       []float64{finish},
 		PerComponentEnergy: []float64{energy},
+		Events:             rt.Eng.Popped(),
 	}, nil
 }
 
