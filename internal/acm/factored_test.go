@@ -45,7 +45,7 @@ func (e expCoded) PredictRows(rows []int32, out []float64) {
 // fitCell fits a cellModel to rows X and targets y under params p.
 func fitCell(t *testing.T, X [][]float64, y []float64, p xgb.Params) cellModel {
 	t.Helper()
-	model, err := xgb.Fit(X, y, p)
+	model, err := xgb.FitOn(nil, X, y, p)
 	if err != nil {
 		t.Fatal(err)
 	}

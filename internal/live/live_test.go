@@ -110,7 +110,7 @@ func BenchmarkSurrogateFit(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := xgb.Fit(X, y, xgb.DefaultParams()); err != nil {
+				if _, err := xgb.FitOn(nil, X, y, xgb.DefaultParams()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -22,7 +22,7 @@ import (
 func TestFitAllocs(t *testing.T) {
 	X, y := configData(1, 50)
 	fit := func() {
-		if _, err := Fit(X, y, DefaultParams()); err != nil {
+		if _, err := FitOn(nil, X, y, DefaultParams()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -63,7 +63,7 @@ func TestFirstPredictAllocs(t *testing.T) {
 	X, y := configData(1, 50)
 	models := make([]*Model, runs+1) // AllocsPerRun calls f once more to warm up
 	for i := range models {
-		m, err := Fit(X[:40+i], y[:40+i], DefaultParams())
+		m, err := FitOn(nil, X[:40+i], y[:40+i], DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestFirstPredictAllocs(t *testing.T) {
 // nothing — with or without rows to abandon, across several groups.
 func TestPredictCodedBoundedAllocs(t *testing.T) {
 	X, y := trainingData(3, 240, 5)
-	m, err := Fit(X, y, DefaultParams())
+	m, err := FitOn(nil, X, y, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func TestCodedRepresentativesMatchFloatRows(t *testing.T) {
 		X, y := lowCardData(uint64(trial), n, dim)
 		p := DefaultParams()
 		p.Rounds, p.MaxDepth = 1+rng.IntN(60), []int{0, 1, 4, 6}[rng.IntN(4)]
-		m, err := Fit(X, y, p)
+		m, err := FitOn(nil, X, y, p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,68 +8,8 @@ import (
 	"slices"
 	"testing"
 
-	"ceal/internal/ml/tree"
 	"ceal/internal/score"
 )
-
-// refModel is a boosted ensemble of pointer trees, the form the reference
-// trainer grows: the oracle every Model is pinned to.
-type refModel struct {
-	base, eta float64
-	trees     []*tree.Tree
-}
-
-// Predict walks each pointer tree's nodes: the oracle every shipped predict
-// path, walking the complete-tree arrays instead, is pinned to, bitwise.
-func (m *refModel) Predict(x []float64) float64 {
-	out := m.base
-	for _, t := range m.trees {
-		out += m.eta * t.Predict(x)
-	}
-	return out
-}
-
-// referenceFit is the test oracle: per-node-sorting tree.Grow and per-row
-// pointer-tree Predict updates. Fit/FitOn must reproduce its models
-// bitwise.
-func referenceFit(X [][]float64, y []float64, p Params) *refModel {
-	n := len(y)
-	base := 0.0
-	for _, v := range y {
-		base += v
-	}
-	base /= float64(n)
-	m := &refModel{base: base, eta: p.LearningRate}
-	pred := make([]float64, n)
-	for i := range pred {
-		pred[i] = base
-	}
-	g := make([]float64, n)
-	h := make([]float64, n)
-	opt := tree.Options{MaxDepth: p.MaxDepth, MinChildWeight: p.MinChildWeight, Lambda: p.Lambda, Gamma: p.Gamma}
-	rows, cols := identity(n), identity(len(X[0]))
-	for round := 0; round < p.Rounds; round++ {
-		for i := 0; i < n; i++ {
-			g[i] = pred[i] - y[i]
-			h[i] = 1
-		}
-		t := tree.Grow(X, g, h, rows, cols, opt)
-		m.trees = append(m.trees, t)
-		for i := 0; i < n; i++ {
-			pred[i] += p.LearningRate * t.Predict(X[i])
-		}
-	}
-	return m
-}
-
-// identity returns [0, n): every row, or every column, of the matrix.
-func identity(n int) []int {
-	s := make([]int, n)
-	for i := range s {
-		s[i] = i
-	}
-	return s
-}
 
 func trainingData(seed uint64, n, dim int) ([][]float64, []float64) {
 	rng := rand.New(rand.NewPCG(seed, 99))
@@ -119,7 +59,7 @@ func TestFitMatchesReferenceTrainer(t *testing.T) {
 	probes, _ := trainingData(8, 30, 6)
 	for ci, p := range cases {
 		want := referenceFit(X, y, p)
-		got, err := Fit(X, y, p)
+		got, err := FitOn(nil, X, y, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +77,7 @@ func TestFitMatchesReferenceTrainer(t *testing.T) {
 		X, y := configData(uint64(n), n)
 		p := DefaultParams()
 		want := referenceFit(X, y, p)
-		got, err := Fit(X, y, p)
+		got, err := FitOn(nil, X, y, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +113,7 @@ func TestSplitsMatchReference(t *testing.T) {
 		{"normal", tX, ty, Params{Rounds: 40, LearningRate: 0.2, MaxDepth: 5, Lambda: 0.5, MinChildWeight: 2}},
 	} {
 		ref := referenceFit(tc.X, tc.y, tc.p)
-		m, err := Fit(tc.X, tc.y, tc.p)
+		m, err := FitOn(nil, tc.X, tc.y, tc.p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +198,7 @@ func TestFitDeterministicAcrossWorkerCounts(t *testing.T) {
 	// Large enough that per-node column fans actually engage.
 	X, y := trainingData(5, 1200, 8)
 	p := Params{Rounds: 8, LearningRate: 0.1, MaxDepth: 5, Lambda: 1, MinChildWeight: 1}
-	serial, err := Fit(X, y, p)
+	serial, err := FitOn(nil, X, y, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +288,7 @@ func BenchmarkFitPresorted(b *testing.B) {
 	}{{"normal", X, y}, {"configs", cX, cy}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Fit(bc.X, bc.y, p); err != nil {
+				if _, err := FitOn(nil, bc.X, bc.y, p); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -76,7 +76,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := DefaultParams()
 			p.Rounds, p.MaxDepth = 25, tc.maxDepth
-			m, err := Fit(X, y, p)
+			m, err := FitOn(nil, X, y, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +126,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 func TestPredictBatchQuantizedMatchesFloat(t *testing.T) {
 	X, y := trainingData(7, 200, 5)
 	p := Params{Rounds: 30, LearningRate: 0.1, MaxDepth: 4, Lambda: 1, MinChildWeight: 1}
-	m, err := Fit(X, y, p)
+	m, err := FitOn(nil, X, y, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestPredictCodedBoundedIsExact(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := DefaultParams()
 			p.Rounds, p.MaxDepth = tc.rounds, tc.depth
-			m, err := Fit(X, tc.y, p)
+			m, err := FitOn(nil, X, tc.y, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,7 +243,7 @@ func TestPredictCodedBoundedIsExact(t *testing.T) {
 func BenchmarkPredictCodedBounded(b *testing.B) {
 	const poolN, n, dim = 100_000, 16, 6
 	X, y := lowCardData(3, 60, dim)
-	m, err := Fit(X, y, DefaultParams())
+	m, err := FitOn(nil, X, y, DefaultParams())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestEqualCellsPredictEqual(t *testing.T) {
 		X, y := lowCardData(uint64(trial), n, dim)
 		p := DefaultParams()
 		p.Rounds, p.MaxDepth = 1+rng.IntN(40), []int{0, 1, 4, 6}[rng.IntN(4)]
-		m, err := Fit(X, y, p)
+		m, err := FitOn(nil, X, y, p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,6 @@ import (
 	"slices"
 	"sync"
 
-	"ceal/internal/ml/tree"
 	"ceal/internal/score"
 )
 
@@ -38,7 +37,7 @@ func DefaultParams() Params {
 }
 
 // Model is a trained boosted-tree regressor: every tree a complete binary
-// tree of one uniform depth (tree.Complete) in contiguous arrays with
+// tree of one uniform depth (complete) in contiguous arrays with
 // per-tree strides — split features, split thresholds, and eta-scaled leaf
 // values. Descent is pure index arithmetic — node j's children sit at 2j+1
 // and 2j+2, no child indices are loaded — which compiles to a branchless
@@ -95,29 +94,24 @@ func descend[T float64 | uint16](x []T, fb []int32, tb []T, depth int) int {
 	return j
 }
 
-// Fit trains a model on feature rows X and targets y, serially.
-func Fit(X [][]float64, y []float64, p Params) (*Model, error) {
-	return FitOn(nil, X, y, p)
-}
-
 // ErrBadTrainingData is returned (wrapped) by Trainer.Fit for rows it
 // cannot order or fit: a ragged row, or a NaN/±Inf feature or target.
 var ErrBadTrainingData = errors.New("xgb: bad training data")
 
-// FitOn trains like Fit with the engine supplying training parallelism
-// (nil engine: serial, exactly like PredictBatchOnInto): one fit on a
-// fresh Trainer.
+// FitOn trains a model on feature rows X and targets y with the engine
+// supplying training parallelism (nil engine: serial, exactly like
+// PredictBatchOnInto): one fit on a fresh Trainer.
 func FitOn(e *score.Engine, X [][]float64, y []float64, p Params) (*Model, error) {
 	return NewTrainer(e).Fit(X, y, p)
 }
 
 // Trainer fits models one after another and keeps its storage between
-// fits: one tree.Grower, the training predictions, and the arrays of a
+// fits: one grower, the training predictions, and the arrays of a
 // model handed back through Recycle. A Trainer is not safe for concurrent
 // use.
 type Trainer struct {
 	eng   *score.Engine
-	gw    tree.Grower
+	gw    grower
 	work  []float64 // training predictions, gradients and leaf outputs
 	spare *Model    // handed back by Recycle: its arrays back the next fit
 }
@@ -133,7 +127,7 @@ func (t *Trainer) Recycle(m *Model) { t.spare = m }
 
 // Fit trains a model on feature rows X and targets y. Feature columns are
 // pre-sorted once — X is static across all rounds — and every round's
-// tree is grown on the Trainer's Grower by stable partition of the sorted
+// tree is grown on the Trainer's grower by stable partition of the sorted
 // columns, straight into the model's complete-tree arrays; per-node split
 // enumeration fans across feature columns on the engine. The trained
 // model is bitwise identical for any worker count and whatever storage it
@@ -174,12 +168,11 @@ func (t *Trainer) Fit(X [][]float64, y []float64, p Params) (*Model, error) {
 	}
 	base /= float64(n)
 
-	t.gw.Reset(t.eng, X)
-	opt := tree.Options{MaxDepth: p.MaxDepth, MinChildWeight: p.MinChildWeight, Lambda: p.Lambda, Gamma: p.Gamma}
+	t.gw.reset(t.eng, X)
 
 	// Every round grows into its slots of a complete ensemble as deep as
 	// MaxDepth allows (zero-depth stumps still need one padded level).
-	// Grow writes every slot, so a spare's stale arrays serve as well as
+	// grow writes every slot, so a spare's stale arrays serve as well as
 	// new ones.
 	depth := max(p.MaxDepth, 1)
 	inner := 1<<depth - 1
@@ -201,7 +194,7 @@ func (t *Trainer) Fit(X [][]float64, y []float64, p Params) (*Model, error) {
 	if old.coded != nil {
 		m.spare = old.coded.buf
 	}
-	scanned := t.gw.Scanned()
+	scanned := t.gw.scanned
 	t.work = resize(t.work, 3*n)
 	pred, g, leaf := t.work[:n], t.work[n:2*n], t.work[2*n:]
 	for i := range pred {
@@ -215,9 +208,9 @@ func (t *Trainer) Fit(X [][]float64, y []float64, p Params) (*Model, error) {
 		// Every row is in the tree, so leaf carries each row's prediction
 		// and nothing walks the tree again.
 		lo, hi := round*inner, (round+1)*inner
-		d := t.gw.Grow(g, opt, p.LearningRate, tree.Complete{
-			Feats: m.feats[lo:hi], Thresh: m.thresh[lo:hi], Gain: m.gain[lo:hi], Split: m.split[lo:hi],
-			Leaves: m.leaves[lo+round : hi+round+1],
+		d := t.gw.grow(g, p, p.LearningRate, complete{
+			feats: m.feats[lo:hi], thresh: m.thresh[lo:hi], gain: m.gain[lo:hi], split: m.split[lo:hi],
+			leaves: m.leaves[lo+round : hi+round+1],
 		}, leaf)
 		reached = max(reached, d)
 		for i := range pred {
@@ -225,7 +218,7 @@ func (t *Trainer) Fit(X [][]float64, y []float64, p Params) (*Model, error) {
 		}
 	}
 	m.shrink(depth, reached)
-	m.scanned = t.gw.Scanned() - scanned
+	m.scanned = t.gw.scanned - scanned
 
 	m.sufMin[p.Rounds] = 0
 	leafN := 1 << m.depth
@@ -241,7 +234,8 @@ func (t *Trainer) Fit(X [][]float64, y []float64, p Params) (*Model, error) {
 
 // resize returns s at length n, or a new slice when its capacity is
 // short: of exactly n when s has none, else of at least twice that
-// capacity (as tree.Grower's storage grows). Contents are stale.
+// capacity, so storage refitted on accumulating samples reallocates only
+// a few times. Contents are stale; every caller overwrites what it reads.
 func resize[T any](s []T, n int) []T {
 	if n <= cap(s) {
 		return s[:n]

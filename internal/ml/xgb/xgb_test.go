@@ -39,7 +39,7 @@ func makeQuadratic(n int, noise float64, seed uint64) ([][]float64, []float64) {
 
 func TestFitReducesTrainingError(t *testing.T) {
 	X, y := makeQuadratic(80, 0.01, 1)
-	m, err := Fit(X, y, DefaultParams())
+	m, err := FitOn(nil, X, y, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +66,12 @@ func TestMoreRoundsFitTighterProperty(t *testing.T) {
 		X, y := makeQuadratic(40, 0.1, seed)
 		p := DefaultParams()
 		p.Rounds = 10
-		m10, err := Fit(X, y, p)
+		m10, err := FitOn(nil, X, y, p)
 		if err != nil {
 			return false
 		}
 		p.Rounds = 80
-		m80, err := Fit(X, y, p)
+		m80, err := FitOn(nil, X, y, p)
 		if err != nil {
 			return false
 		}
@@ -85,7 +85,7 @@ func TestMoreRoundsFitTighterProperty(t *testing.T) {
 func TestGeneralizesOnHeldOut(t *testing.T) {
 	X, y := makeQuadratic(200, 0.05, 7)
 	Xt, yt := makeQuadratic(50, 0.05, 8)
-	m, err := Fit(X, y, DefaultParams())
+	m, err := FitOn(nil, X, y, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +96,8 @@ func TestGeneralizesOnHeldOut(t *testing.T) {
 
 func TestDeterministicBySeed(t *testing.T) {
 	X, y := makeQuadratic(60, 0.1, 3)
-	m1, _ := Fit(X, y, DefaultParams())
-	m2, _ := Fit(X, y, DefaultParams())
+	m1, _ := FitOn(nil, X, y, DefaultParams())
+	m2, _ := FitOn(nil, X, y, DefaultParams())
 	for i := range X {
 		if m1.PredictRow(X[i]) != m2.PredictRow(X[i]) {
 			t.Fatal("the same data produced different models")
@@ -108,7 +108,7 @@ func TestDeterministicBySeed(t *testing.T) {
 func TestConstantTarget(t *testing.T) {
 	X := [][]float64{{1}, {2}, {3}}
 	y := []float64{5, 5, 5}
-	m, err := Fit(X, y, DefaultParams())
+	m, err := FitOn(nil, X, y, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,15 +118,15 @@ func TestConstantTarget(t *testing.T) {
 }
 
 func TestFitErrors(t *testing.T) {
-	if _, err := Fit(nil, nil, DefaultParams()); err == nil {
+	if _, err := FitOn(nil, nil, nil, DefaultParams()); err == nil {
 		t.Fatal("empty data accepted")
 	}
-	if _, err := Fit([][]float64{{1}}, []float64{1, 2}, DefaultParams()); err == nil {
+	if _, err := FitOn(nil, [][]float64{{1}}, []float64{1, 2}, DefaultParams()); err == nil {
 		t.Fatal("mismatched lengths accepted")
 	}
 	p := DefaultParams()
 	p.Rounds = 0
-	if _, err := Fit([][]float64{{1}}, []float64{1}, p); err == nil {
+	if _, err := FitOn(nil, [][]float64{{1}}, []float64{1}, p); err == nil {
 		t.Fatal("zero rounds accepted")
 	}
 }
@@ -135,7 +135,7 @@ func TestRounds(t *testing.T) {
 	X, y := makeQuadratic(20, 0.1, 5)
 	p := DefaultParams()
 	p.Rounds = 17
-	m, err := Fit(X, y, p)
+	m, err := FitOn(nil, X, y, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestFeatureImportanceConcentrates(t *testing.T) {
 		X[i] = []float64{rng.Float64() * 10, rng.Float64() * 10, rng.Float64() * 10}
 		y[i] = X[i][0] * X[i][0]
 	}
-	m, err := Fit(X, y, DefaultParams())
+	m, err := FitOn(nil, X, y, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestFeatureImportanceConcentrates(t *testing.T) {
 }
 
 func TestFeatureImportanceConstantModel(t *testing.T) {
-	m, err := Fit([][]float64{{1}, {2}}, []float64{5, 5}, DefaultParams())
+	m, err := FitOn(nil, [][]float64{{1}, {2}}, []float64{5, 5}, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestPredictBatchRowOrderInvariantProperty(t *testing.T) {
 	// Property: predictions depend only on the row itself, never on its
 	// neighbours or position — permuting the batch permutes the output.
 	X, y := makeQuadratic(120, 0.1, 7)
-	m, err := Fit(X, y, DefaultParams())
+	m, err := FitOn(nil, X, y, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func trainModel(b *testing.B, bench *workflow.Benchmark, pool []cfgspace.Config)
 			y[i] += v
 		}
 	}
-	m, err := xgb.Fit(X, y, xgb.DefaultParams())
+	m, err := xgb.FitOn(nil, X, y, xgb.DefaultParams())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func BenchmarkScoreBatch(b *testing.B) {
 				y[i] += v
 			}
 		}
-		m, err := xgb.Fit(X, y, xgb.DefaultParams())
+		m, err := xgb.FitOn(nil, X, y, xgb.DefaultParams())
 		if err != nil {
 			b.Fatal(err)
 		}

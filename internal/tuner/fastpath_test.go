@@ -280,7 +280,7 @@ func TestBoundedTakeTopMatchesReference(t *testing.T) {
 			}
 			params := xgb.DefaultParams()
 			params.MaxDepth, params.Rounds = tc.depth, tc.rounds
-			model, err := xgb.Fit(X, y, params)
+			model, err := xgb.FitOn(nil, X, y, params)
 			if err != nil {
 				t.Fatal(err)
 			}
