@@ -141,7 +141,7 @@ func BenchmarkReplay1k(b *testing.B) {
 // (decodeFramed: CRC check, then the one-pass canonical decoder) against
 // json.Unmarshal of its payload, the reference it falls back to.
 func BenchmarkDecodeFramed(b *testing.B) {
-	line, err := encodeFramed(recordFrame, servedRecords(1)[0])
+	line, err := encodeFramed(nil, recordFrame, servedRecords(1)[0])
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func BenchmarkDecodeFramed(b *testing.B) {
 		b.SetBytes(int64(len(line)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := decodeFramed(line); err != nil {
+			if _, _, err := decodeFramed(line); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -240,4 +240,70 @@ func BenchmarkRunLifecycle(b *testing.B) {
 	record, _ := json.Marshal(last)
 	b.ReportMetric(float64(logBytes)/float64(b.N), "logB/op")
 	b.ReportMetric(float64(len(record)), "recordB")
+}
+
+// BenchmarkEncodeFramed prices framing one served record: encodeFramed,
+// whose canonical encoder writes the payload, against json.Encoder's frame
+// of it, the reference encodeFramed falls back to.
+func BenchmarkEncodeFramed(b *testing.B) {
+	rec := servedRecords(1)[0]
+	var line []byte
+	b.Run("canonical", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if line, err = encodeFramed(line[:0], recordFrame, rec); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.SetBytes(int64(len(line)))
+	})
+	b.Run("json", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			w := frameWriter(append(line[:0], "crc32hex "...))
+			if err := json.NewEncoder(&w).Encode(rec); err != nil {
+				b.Fatal(err)
+			}
+			h := frameHeader(w[9:len(w)-1], recordFrame)
+			line = append(w[:0], h[:]...)[:len(w)]
+		}
+		b.SetBytes(int64(len(line)))
+	})
+}
+
+// BenchmarkCompact1k prices the ledger's histdb.compact.ms: compacting a
+// reopened store of 1000 served runs, a fifth of them saved twice, into a
+// snapshot of their 1000 frames, each copied from the segment it was
+// replayed from.
+func BenchmarkCompact1k(b *testing.B) {
+	recs := servedRecords(1000)
+	var upserts []*RunRecord
+	for i := 0; i < len(recs); i += 5 {
+		upserts = append(upserts, recs[i])
+	}
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := filepath.Join(b.TempDir(), "runs.db")
+		st, err := OpenFileStore(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range append(recs, upserts...) {
+			if err := st.Save(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+		st.Close()
+		if st, err = OpenFileStore(dir); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := st.Compact(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		st.Close()
+		b.StartTimer()
+	}
 }

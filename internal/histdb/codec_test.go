@@ -133,7 +133,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 			scores = rec.Result.PoolScores
 		}
 
-		line, err := encodeFramed(recordFrame, rec)
+		line, err := encodeFramed(nil, recordFrame, rec)
 		if err != nil {
 			t.Fatalf("record %d: encode: %v", i, err)
 		}
@@ -144,7 +144,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 			t.Fatalf("record %d: encodeFramed replaced the caller's scores", i)
 		}
 
-		d, err := decodeFramed(line[:len(line)-1])
+		d, _, err := decodeFramed(line[:len(line)-1])
 		got := d.(*RunRecord)
 		if err != nil {
 			t.Fatalf("record %d: decode: %v", i, err)
@@ -265,7 +265,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		rec := doneRec("run-000001", Spec{Benchmark: "LV"})
 		rec.Result.PoolScores = scores
 
-		line, err := encodeFramed(recordFrame, rec)
+		line, err := encodeFramed(nil, recordFrame, rec)
 		for i := range scores {
 			if math.Float64bits(scores[i]) != math.Float64bits(orig[i]) {
 				t.Fatalf("encodeFramed wrote to the caller's score %d", i)
@@ -281,7 +281,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := decodeFramed(line[:len(line)-1])
+		d, _, err := decodeFramed(line[:len(line)-1])
 		got := d.(*RunRecord)
 		if err != nil {
 			t.Fatal(err)

@@ -37,7 +37,8 @@ func decodeCanonical(payload []byte, v any) (ok bool) {
 	return d.i == len(d.b)
 }
 
-// decline unwinds a decoder that meets a byte outside the canonical layout.
+// decline unwinds a decoder or an encoder that meets what the canonical
+// layout does not hold.
 type decline struct{}
 
 type field struct {
@@ -46,7 +47,8 @@ type field struct {
 	omitempty bool
 }
 
-// fields lists each struct type a frame holds with its fields in JSON order.
+// fields lists each struct type a frame holds with the fields encoding/json
+// writes, in order: both the decoder and the encoder walk it.
 var fields = func() map[reflect.Type][]field {
 	m := make(map[reflect.Type][]field)
 	for _, v := range []any{RunRecord{}, Progress{}, Spec{}, collector.Stats{}, tuner.Sample{},
@@ -54,7 +56,7 @@ var fields = func() map[reflect.Type][]field {
 		t := reflect.TypeOf(v)
 		for i := 0; i < t.NumField(); i++ {
 			name, opts, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
-			if name = cmp.Or(name, t.Field(i).Name); name != "-" {
+			if name = cmp.Or(name, t.Field(i).Name); name != "-" && t.Field(i).IsExported() {
 				m[t] = append(m[t], field{i, `"` + name + `":`, opts == "omitempty"})
 			}
 		}
@@ -76,16 +78,16 @@ func (d *decoder) decode(v reflect.Value) {
 		v.SetString(string(d.str()))
 	case reflect.Int:
 		n, err := strconv.Atoi(string(d.digits()))
-		d.must(err == nil)
+		must(err == nil)
 		v.SetInt(int64(n))
 	case reflect.Uint64:
 		n, err := strconv.ParseUint(string(d.digits()), 10, 64)
-		d.must(err == nil)
+		must(err == nil)
 		v.SetUint(n)
 	case reflect.Float64:
 		v.SetFloat(d.float())
 	case reflect.Bool: // only omitempty ones, so never false
-		d.must(d.opt("true"))
+		must(d.opt("true"))
 		v.SetBool(true)
 	case reflect.Struct:
 		if p, ok := v.Addr().Interface().(*time.Time); ok {
@@ -105,7 +107,7 @@ func (d *decoder) decode(v reflect.Value) {
 		case *map[string]float64:
 			*p = d.checkpoint()
 		default:
-			d.must(t.Kind() == reflect.Pointer || t.Kind() == reflect.Slice)
+			must(t.Kind() == reflect.Pointer || t.Kind() == reflect.Slice)
 			if t.Kind() == reflect.Pointer {
 				v.Set(reflect.New(t.Elem()))
 				d.decode(v.Elem())
@@ -127,7 +129,7 @@ func (d *decoder) decode(v reflect.Value) {
 			v.SetLen(n)
 			d.seq('[', ']', func() {
 				if i == n {
-					d.must(t.Elem().Kind() == reflect.Slice)
+					must(t.Elem().Kind() == reflect.Slice)
 					v.Grow(1)
 					v.SetLen(i + 1)
 					n++
@@ -135,7 +137,7 @@ func (d *decoder) decode(v reflect.Value) {
 				d.decode(v.Index(i))
 				i++
 			})
-			d.must(i == n)
+			must(i == n)
 		}
 	}
 }
@@ -143,26 +145,27 @@ func (d *decoder) decode(v reflect.Value) {
 // object reads a struct's fields in order, an omitempty one absent if empty.
 func (d *decoder) object(v reflect.Value) {
 	fs, ok := fields[v.Type()]
-	d.must(ok && d.eat('{'))
+	must(ok && d.eat('{'))
 	first := true
 	for _, f := range fs {
 		if at := d.i; !(first || d.eat(',')) || !d.opt(f.key) {
 			d.i = at
-			d.must(f.omitempty)
+			must(f.omitempty)
 			continue
 		}
 		start := d.i
 		d.decode(v.Field(f.index))
 		switch string(d.b[start:d.i]) {
 		case `""`, "0", "-0", "false", "[]", "null": // what omitempty omits
-			d.must(!f.omitempty)
+			must(!f.omitempty)
 		}
 		first = false
 	}
-	d.must(d.eat('}'))
+	must(d.eat('}'))
 }
 
-func (d *decoder) must(ok bool) {
+// must declines unless ok.
+func must(ok bool) {
 	if !ok {
 		panic(decline{})
 	}
@@ -188,29 +191,50 @@ func (d *decoder) eat(c byte) bool {
 
 // seq reads open, elements separated by commas, and close.
 func (d *decoder) seq(open, close byte, elem func()) {
-	d.must(d.eat(open))
+	must(d.eat(open))
 	for n := 0; !d.eat(close); n++ {
-		d.must(n == 0 || d.eat(','))
+		must(n == 0 || d.eat(','))
 		elem()
 	}
 }
 
-// str reads a string that needs no escape — printable ASCII but \, <, > and
-// &, valid UTF-8 but U+2028 and U+2029 — and returns its bytes.
+// str reads a string that needs no escape and returns its bytes.
 func (d *decoder) str() []byte {
-	d.must(d.eat('"'))
 	start := d.i
-	for !d.eat('"') {
-		d.must(d.i < len(d.b))
-		if c := d.b[d.i]; c >= ' ' && c < utf8.RuneSelf && c != '\\' && c != '<' && c != '>' && c != '&' {
-			d.i++
+	d.i = scanString(d.b, d.i)
+	must(d.i > 0)
+	return d.b[start+1 : d.i-1]
+}
+
+// plain marks the bytes encoding/json writes in a string as they are:
+// printable ASCII but ", \, <, > and &.
+var plain = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = !strings.ContainsRune(`"\<>&`, c)
+	}
+	return t
+}()
+
+// plainLen returns how many bytes s starts with that a string holds with no
+// escape: plain bytes, and valid UTF-8 but U+2028 and U+2029.
+func plainLen[T string | []byte](s T) int {
+	i := 0
+	for i < len(s) {
+		if plain[s[i]] {
+			i++
 			continue
 		}
-		r, n := utf8.DecodeRune(d.b[d.i:])
-		d.must(n > 1 && r != '\u2028' && r != '\u2029')
-		d.i += n
+		if s[i] < utf8.RuneSelf {
+			break
+		}
+		var rb [utf8.UTFMax]byte
+		r, n := utf8.DecodeRune(rb[:copy(rb[:], s[i:])])
+		if n < 2 || r == '\u2028' || r == '\u2029' {
+			break
+		}
+		i += n
 	}
-	return d.b[start : d.i-1]
+	return i
 }
 
 // digits reads an integer as encoding/json writes one: no leading 0, no -0.
@@ -218,8 +242,8 @@ func (d *decoder) digits() []byte {
 	start := d.i
 	d.eat('-')
 	n := d.i
-	d.run()
-	d.must(d.b[n] != '0' || d.i == n+1 && n == start)
+	d.i = scanDigits(d.b, n)
+	must(d.i > n && (d.b[n] != '0' || d.i == n+1 && n == start))
 	return d.b[start:d.i]
 }
 
@@ -230,7 +254,7 @@ func (d *decoder) float() float64 {
 		d.i++
 	}
 	f, err := strconv.ParseFloat(string(d.b[start:d.i]), 64)
-	d.must(err == nil && bytes.Equal(appendFloat(d.buf[:0], f), d.b[start:d.i]))
+	must(err == nil && bytes.Equal(appendFloat(d.buf[:0], f), d.b[start:d.i]))
 	return f
 }
 
@@ -253,29 +277,30 @@ func (d *decoder) time(t *time.Time) {
 	start := d.i
 	d.str()
 	tok := d.b[start:d.i]
-	d.must(t.UnmarshalJSON(tok) == nil && bytes.Equal(append(t.AppendFormat(append(d.buf[:0], '"'), time.RFC3339Nano), '"'), tok))
+	must(t.UnmarshalJSON(tok) == nil && bytes.Equal(append(t.AppendFormat(append(d.buf[:0], '"'), time.RFC3339Nano), '"'), tok))
 }
 
 // cfg reads an array of ints through Config.UnmarshalJSON, refusing -0 and
 // spaces, which it takes.
 func (d *decoder) cfg(c *cfgspace.Config) {
 	end := bytes.IndexByte(d.b[d.i:], ']') + 1
-	d.must(end > 0 && d.b[d.i] == '[')
+	must(end > 0 && d.b[d.i] == '[')
 	tok := d.b[d.i : d.i+end]
 	for k, ch := range tok[1 : end-1] {
-		d.must(ch-'0' < 10 || ch == ',' || ch == '-' && tok[k+2] != '0')
+		must(ch-'0' < 10 || ch == ',' || ch == '-' && tok[k+2] != '0')
 	}
-	d.must(c.UnmarshalJSON(tok) == nil)
+	must(c.UnmarshalJSON(tok) == nil)
 	d.i += end
 }
 
-// trace reads lines, JSON values as compact as json.Marshal writes them,
-// into one backing array, each capacity-clipped so no append runs into the next.
+// trace reads lines, each one scanLine accepts, into one backing array,
+// each capacity-clipped so no append runs into the next.
 func (d *decoder) trace() []json.RawMessage {
 	start := d.i + 1
 	ends := make([]int, 0, 64)
 	d.seq('[', ']', func() {
-		d.value(0)
+		d.i = scanLine(d.b, d.i, 0)
+		must(d.i > 0)
 		ends = append(ends, d.i-start)
 	})
 	all := bytes.Clone(d.b[start : d.i-1])
@@ -286,41 +311,84 @@ func (d *decoder) trace() []json.RawMessage {
 	return lines
 }
 
-// value checks one trace line's value, nested at most 16 deep.
-func (d *decoder) value(depth int) {
-	d.must(depth < 16 && d.i < len(d.b))
-	switch d.b[d.i] {
-	case '{':
-		d.seq('{', '}', func() {
-			d.str()
-			d.must(d.eat(':'))
-			d.value(depth + 1)
-		})
-	case '[':
-		d.seq('[', ']', func() { d.value(depth + 1) })
-	case '"':
-		d.str()
-	case 't', 'f', 'n':
-		d.must(d.opt("true") || d.opt("false") || d.opt("null"))
-	default:
-		d.digits()
-		if d.eat('.') {
-			d.run()
+// scanLine returns the end of the JSON value at b[i:], nested depth deep,
+// if it is as compact as json.Marshal writes it — no whitespace, strings
+// with no escape, nested at most 64 deep — or -1. The decoder checks trace
+// lines with it, and the encoder copies the lines it accepts.
+func scanLine(b []byte, i, depth int) int {
+	if i >= len(b) || depth > 64 {
+		return -1
+	}
+	switch c := b[i]; c {
+	case '{', '[':
+		if i++; i < len(b) && b[i] == c+2 { // '}' or ']'
+			return i + 1
 		}
-		if d.eat('e') || d.eat('E') {
-			_ = d.eat('+') || d.eat('-')
-			d.run()
+		for {
+			if c == '{' {
+				if i = scanString(b, i); i < 0 || i >= len(b) || b[i] != ':' {
+					return -1
+				}
+				i++
+			}
+			if i = scanLine(b, i, depth+1); i < 0 || i >= len(b) || b[i] != ',' && b[i] != c+2 {
+				return -1
+			}
+			if i++; b[i-1] != ',' {
+				return i
+			}
+		}
+	case '"':
+		return scanString(b, i)
+	case 't', 'f', 'n':
+		for _, lit := range []string{"true", "false", "null"} {
+			if lit[0] == c && len(b)-i >= len(lit) && string(b[i:i+len(lit)]) == lit {
+				return i + len(lit)
+			}
+		}
+		return -1
+	}
+	// A number: no leading zero, digits after a point and in an exponent.
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	n := scanDigits(b, i)
+	if n == i || b[i] == '0' && n > i+1 {
+		return -1
+	}
+	if n < len(b) && b[n] == '.' {
+		if i, n = n+1, scanDigits(b, n+1); n == i {
+			return -1
 		}
 	}
+	if n < len(b) && b[n]|0x20 == 'e' {
+		if n++; n < len(b) && (b[n] == '+' || b[n] == '-') {
+			n++
+		}
+		if i, n = n, scanDigits(b, n); n == i {
+			return -1
+		}
+	}
+	return n
 }
 
-// run reads one or more digits.
-func (d *decoder) run() {
-	n := d.i
-	for d.i < len(d.b) && d.b[d.i]-'0' < 10 {
-		d.i++
+// scanString returns the end of the string b[i:] starts with, if it needs
+// no escape, or -1.
+func scanString(b []byte, i int) int {
+	if i < len(b) && b[i] == '"' {
+		if i += 1 + plainLen(b[i+1:]); i < len(b) && b[i] == '"' {
+			return i + 1
+		}
 	}
-	d.must(d.i > n)
+	return -1
+}
+
+// scanDigits returns the end of the digits b[i:] starts with.
+func scanDigits(b []byte, i int) int {
+	for i < len(b) && b[i]-'0' < 10 {
+		i++
+	}
+	return i
 }
 
 // checkpoint reads a journal, its keys sorted as encoding/json writes them.
@@ -329,9 +397,9 @@ func (d *decoder) checkpoint() map[string]float64 {
 	var prev []byte
 	d.seq('{', '}', func() {
 		k := d.str()
-		d.must((len(m) == 0 || string(k) > string(prev)) && d.eat(':'))
+		must((len(m) == 0 || string(k) > string(prev)) && d.eat(':'))
 		m[string(k)], prev = d.float(), k
 	})
-	d.must(len(m) > 0) // only an omitempty field holds one
+	must(len(m) > 0) // only an omitempty field holds one
 	return m
 }

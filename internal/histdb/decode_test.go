@@ -115,7 +115,8 @@ func TestLifecycleFramesTakeTheCanonicalPath(t *testing.T) {
 // FuzzDecodeFramed holds the canonical path to json.Unmarshal, the
 // reference: whatever it accepts is valid JSON, decodes reflect.DeepEqual
 // to json.Unmarshal's value and re-marshals to the payload's bytes; and it
-// accepts nothing json.Unmarshal refuses. decodeFramed returns that value.
+// accepts nothing json.Unmarshal refuses. decodeFramed returns that value,
+// and reports whether the canonical path read it.
 func FuzzDecodeFramed(f *testing.F) {
 	kinds, payloads := lifecycleFrames(f)
 	// Each mutation leaves the payload valid JSON that encodeFramed would
@@ -175,9 +176,9 @@ func FuzzDecodeFramed(f *testing.F) {
 			}
 		}
 		line := append(fmt.Appendf(nil, "%08x%c", crc32.ChecksumIEEE(payload), kind), payload...)
-		got, derr := decodeFramed(line)
-		if (derr == nil) != (err == nil) || err == nil && !reflect.DeepEqual(got, ref) {
-			t.Fatalf("decodeFramed = %v, %v; json.Unmarshal = %v, %v", got, derr, ref, err)
+		got, canonical, derr := decodeFramed(line)
+		if (derr == nil) != (err == nil) || err == nil && !reflect.DeepEqual(got, ref) || canonical != ok {
+			t.Fatalf("decodeFramed = %v, %v, %v; json.Unmarshal = %v, %v", got, canonical, derr, ref, err)
 		}
 	})
 }

@@ -1,4 +1,8 @@
 package histdb
 
-// DecodeCanonical is decodeCanonical, for the tests in package histdb_test.
-var DecodeCanonical = decodeCanonical
+// DecodeCanonical and EncodeCanonical are decodeCanonical and
+// encodeCanonical, for the tests in package histdb_test.
+var (
+	DecodeCanonical = decodeCanonical
+	EncodeCanonical = encodeCanonical
+)

@@ -42,6 +42,12 @@ import (
 // one kind into the other. A served run carries no pool scores, and
 // encoding/json round-trips any that a record does carry bit for bit.
 //
+// The payload is json.Marshal's bytes, which the store's own encoder and
+// decoder handle, each falling back to encoding/json. Compact copies the
+// record frames the store remembers — written by Save or replayed through
+// the canonical decoder, and no progress frame naming the run since — and
+// re-encodes only the rest.
+//
 // Crash tolerance: a process killed mid-append can leave a torn frame at
 // the tail of its segment, which for a progress frame loses that one
 // batch's progress. Replay drops a damaged tail — the framed prefix
@@ -66,8 +72,17 @@ type FileStore struct {
 	segName  string   // file name of the active segment
 	f        *os.File // active segment; nil until the first Save
 	w        *bufio.Writer
-	size     int64            // bytes appended to the active segment
-	offsets  map[string]int64 // replayed bytes per segment file name
+	size     int64               // bytes appended to the active segment
+	offsets  map[string]int64    // replayed bytes per segment file name
+	frames   map[string]frameRef // record ID → its current frame, if exact
+}
+
+// frameRef locates a record frame that is byte for byte what encodeFramed
+// writes for the record the store holds: Compact copies it.
+type frameRef struct {
+	seg string
+	off int64
+	n   int
 }
 
 // defaultSegmentBytes is the segment roll threshold.
@@ -94,6 +109,7 @@ func OpenFileStore(path string) (*FileStore, error) {
 		dir:          path,
 		writerID:     newWriterID(),
 		offsets:      make(map[string]int64),
+		frames:       make(map[string]frameRef),
 	}
 	if err := s.load(); err != nil {
 		return nil, err
@@ -229,8 +245,8 @@ func (s *FileStore) replaySegment(name string, offset int64, strict bool, buf *[
 	}
 	// Decode on every processor, then apply strictly in log order: a nil
 	// entry is a damaged frame, and nothing at or past the first one counts.
-	frames := make([]any, len(lines))
-	fanOut(len(lines), func(i int) { frames[i], _ = decodeFramed(lines[i]) })
+	frames, canonical := make([]any, len(lines)), make([]bool, len(lines))
+	fanOut(len(lines), func(i int) { frames[i], canonical[i], _ = decodeFramed(lines[i]) })
 	consumed := offset
 	s.mem.mu.Lock()
 	defer s.mem.mu.Unlock()
@@ -238,8 +254,10 @@ func (s *FileStore) replaySegment(name string, offset int64, strict bool, buf *[
 		switch f := f.(type) {
 		case *RunRecord:
 			s.mem.put(f)
+			s.remember(f.ID, canonical[i], frameRef{name, consumed, len(lines[i]) + 1})
 		case *Progress:
 			s.mem.fold(f)
+			delete(s.frames, f.ID)
 		default:
 			// Tail damage is tolerated; damage with intact frames after it is not.
 			if strict && slices.ContainsFunc(frames[i+1:], func(f any) bool { return f != nil }) {
@@ -295,56 +313,71 @@ const (
 
 // decodeFramed validates one "crc32hex<kind><json>" line and decodes its
 // payload as its kind says: a *RunRecord or a *Progress, or nil and an
-// error. decodeCanonical reads what encodeFramed writes in one pass;
-// json.Unmarshal, the reference, reads the rest and gives every error.
-func decodeFramed(line []byte) (any, error) {
+// error. decodeCanonical reads what encodeFramed writes in one pass, and
+// canonical reports it did; json.Unmarshal, the reference, reads the rest
+// and gives every error.
+func decodeFramed(line []byte) (v any, canonical bool, err error) {
 	if len(line) < 10 || (line[8] != recordFrame && line[8] != progressFrame) {
-		return nil, fmt.Errorf("histdb: short or unframed record")
+		return nil, false, fmt.Errorf("histdb: short or unframed record")
 	}
 	want, err := strconv.ParseUint(string(line[:8]), 16, 32)
 	if err != nil {
-		return nil, fmt.Errorf("histdb: bad record checksum field: %w", err)
+		return nil, false, fmt.Errorf("histdb: bad record checksum field: %w", err)
 	}
 	payload := line[9:]
 	if got := crc32.ChecksumIEEE(payload); got != uint32(want) {
-		return nil, fmt.Errorf("histdb: record checksum mismatch: %08x != %08x", got, want)
+		return nil, false, fmt.Errorf("histdb: record checksum mismatch: %08x != %08x", got, want)
 	}
-	v := any(new(RunRecord))
+	v = new(RunRecord)
 	if line[8] == progressFrame {
 		v = new(Progress)
 	}
-	if !decodeCanonical(payload, v) {
+	if canonical = decodeCanonical(payload, v); !canonical {
 		if err := json.Unmarshal(payload, v); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 	}
-	return v, nil
+	return v, canonical, nil
 }
 
-// encodeFramed frames v's JSON as a frame of the given kind, in one
-// allocation: json.Encoder writes json.Marshal's bytes and the newline
-// into a line whose checksum and kind are filled in after. A value
-// encoding/json refuses — a NaN or ±Inf anywhere in it — is refused with
-// that error: the HTTP API could not marshal it back out.
-func encodeFramed(kind byte, v any) ([]byte, error) {
-	var line frameLine
-	if err := json.NewEncoder(&line).Encode(v); err != nil {
-		return nil, err
+// encodeFramed appends v, a *RunRecord or *Progress, to dst as a frame of
+// the given kind: the header, json.Marshal's bytes, a newline.
+// encodeCanonical writes the payload, and json.Encoder what it declines. A
+// value encoding/json refuses — a NaN or ±Inf anywhere in it — is refused
+// with that error: the HTTP API could not marshal it back out.
+func encodeFramed(dst []byte, kind byte, v any) ([]byte, error) {
+	start := len(dst)
+	line, ok := encodeCanonical(append(dst, "crc32hex "...), v)
+	if ok {
+		line = append(line, '\n')
+	} else {
+		w := frameWriter(append(dst[:start], "crc32hex "...))
+		if err := json.NewEncoder(&w).Encode(v); err != nil {
+			return dst[:start], err
+		}
+		line = w
 	}
-	payload := line[9 : len(line)-1]
-	fmt.Appendf(line[:0], "%08x%c", crc32.ChecksumIEEE(payload), kind)
+	h := frameHeader(line[start+9:len(line)-1], kind)
+	copy(line[start:], h[:])
 	return line, nil
 }
 
-// frameLine collects a frame behind 9 bytes reserved for its header.
-// json.Encoder writes a value in one Write, so that sizes it exactly.
-type frameLine []byte
-
-func (l *frameLine) Write(p []byte) (int, error) {
-	if *l == nil {
-		*l = make([]byte, 9, 9+len(p))
+// frameHeader is the header of a frame of the given kind: the payload's
+// CRC32 as 8 lowercase hex digits, then the kind byte.
+func frameHeader(payload []byte, kind byte) (h [9]byte) {
+	crc := crc32.ChecksumIEEE(payload)
+	for k := 7; k >= 0; k, crc = k-1, crc>>4 {
+		h[k] = "0123456789abcdef"[crc&15]
 	}
-	*l = append(*l, p...)
+	h[8] = kind
+	return h
+}
+
+// frameWriter appends what json.Encoder writes, a value in one Write.
+type frameWriter []byte
+
+func (w *frameWriter) Write(p []byte) (int, error) {
+	*w = append(*w, p...)
 	return len(p), nil
 }
 
@@ -352,23 +385,30 @@ func (l *frameLine) Write(p []byte) (int, error) {
 // segment, rolling to a fresh one at the size threshold, then update the
 // in-memory view — a save that fails leaves memory where the disk is.
 func (s *FileStore) Save(rec *RunRecord) error {
-	return s.write(recordFrame, rec, func() error { return s.mem.Save(rec) })
+	return s.write(recordFrame, rec, rec.ID, func() error { return s.mem.Save(rec) })
 }
 
 // SaveProgress implements Store the way Save does, with a progress frame.
 func (s *FileStore) SaveProgress(p *Progress) error {
-	return s.write(progressFrame, p, func() error { return s.mem.SaveProgress(p) })
+	return s.write(progressFrame, p, p.ID, func() error { return s.mem.SaveProgress(p) })
 }
 
+// lineBufs recycles the buffers write frames into.
+var lineBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // write appends v as a frame of the given kind, then applies it to memory.
-func (s *FileStore) write(kind byte, v any, apply func() error) error {
-	line, err := encodeFramed(kind, v)
+func (s *FileStore) write(kind byte, v any, id string, apply func() error) error {
+	buf := lineBufs.Get().(*[]byte)
+	defer lineBufs.Put(buf)
+	line, err := encodeFramed((*buf)[:0], kind, v)
 	if err != nil {
 		return err
 	}
+	*buf = line
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.append(line); err != nil {
+	off, err := s.append(line)
+	if err != nil {
 		// The segment may now end in a torn frame, and its bufio.Writer
 		// keeps the error: drop it, so the next write rolls a fresh one.
 		if s.f != nil {
@@ -377,25 +417,38 @@ func (s *FileStore) write(kind byte, v any, apply func() error) error {
 		}
 		return err
 	}
+	s.remember(id, kind == recordFrame, frameRef{s.segName, off, len(line)})
 	return apply()
 }
 
-// append writes one framed line to the active segment (caller holds mu).
-func (s *FileStore) append(line []byte) error {
+// remember notes where id's current frame sits when that frame is exact,
+// and forgets it otherwise (caller holds mu, or is the open).
+func (s *FileStore) remember(id string, exact bool, ref frameRef) {
+	if exact {
+		s.frames[id] = ref
+	} else {
+		delete(s.frames, id)
+	}
+}
+
+// append writes one framed line to the active segment and returns its
+// offset there (caller holds mu).
+func (s *FileStore) append(line []byte) (int64, error) {
 	if s.f == nil || (s.size > 0 && s.size+int64(len(line)) > s.segmentBytes) {
 		if err := s.roll(); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	if _, err := s.w.Write(line); err != nil {
-		return err
+		return 0, err
 	}
 	if err := s.w.Flush(); err != nil {
-		return err
+		return 0, err
 	}
+	off := s.size
 	s.size += int64(len(line))
 	s.offsets[s.segName] += int64(len(line))
-	return nil
+	return off, nil
 }
 
 // roll closes the active segment and opens the next one (caller holds mu).
@@ -513,17 +566,40 @@ func (s *FileStore) Compact() error {
 	if err != nil {
 		return err
 	}
+	// Open every segment holding a remembered frame; a vanished one leaves
+	// its frames to be encoded again.
+	files := make(map[string]*os.File)
+	for _, ref := range s.frames {
+		if _, ok := files[ref.seg]; !ok {
+			files[ref.seg], _ = os.Open(filepath.Join(s.dir, ref.seg))
+		}
+	}
+	defer func() {
+		for _, f := range files {
+			f.Close()
+		}
+	}()
+	recs := s.mem.List()
+	lens := make([]int, len(recs))
 	s.segSeq++
 	snap := segmentName(s.segSeq, s.writerID)
-	var size int64
-	if size, err = writeSegment(filepath.Join(s.dir, snap), s.mem.List()); err != nil {
+	size, err := writeSegment(filepath.Join(s.dir, snap), len(recs), func(i int, buf []byte) ([]byte, error) {
+		line, err := s.snapshotFrame(buf, files, recs[i])
+		lens[i] = len(line)
+		return line, err
+	})
+	if err != nil {
 		return err
 	}
 
-	for name := range s.offsets {
-		delete(s.offsets, name)
-	}
+	clear(s.offsets)
 	s.offsets[snap] = size
+	clear(s.frames)
+	var off int64
+	for i, rec := range recs {
+		s.frames[rec.ID] = frameRef{snap, off, lens[i]}
+		off += int64(lens[i])
+	}
 	for _, name := range old {
 		if err := os.Remove(filepath.Join(s.dir, name)); err != nil && !os.IsNotExist(err) {
 			return err
@@ -548,9 +624,26 @@ func (s *FileStore) Compact() error {
 	return nil
 }
 
-// writeSegment writes recs as one framed segment via tmp+fsync+rename and
-// returns its byte size.
-func writeSegment(path string, recs []*RunRecord) (int64, error) {
+// snapshotFrame returns rec's frame for a snapshot, in buf: its remembered
+// frame when the segment still holds it whole under its checksum, and
+// encodeFramed's otherwise.
+func (s *FileStore) snapshotFrame(buf []byte, files map[string]*os.File, rec *RunRecord) ([]byte, error) {
+	if ref, ok := s.frames[rec.ID]; ok && files[ref.seg] != nil {
+		line := slices.Grow(buf[:0], ref.n)[:ref.n]
+		if _, err := files[ref.seg].ReadAt(line, ref.off); err == nil && line[ref.n-1] == '\n' {
+			if h := frameHeader(line[9:ref.n-1], recordFrame); string(h[:]) == string(line[:9]) {
+				return line, nil
+			}
+		}
+	}
+	return encodeFramed(buf[:0], recordFrame, rec)
+}
+
+// writeSegment writes frames 0…n-1 as one segment via tmp+fsync+rename and
+// returns its byte size. frame appends frame i to buf, one of a batch's
+// buffers, reused batch after batch; a batch is framed on every processor,
+// then written in order.
+func writeSegment(path string, n int, frame func(i int, buf []byte) ([]byte, error)) (int64, error) {
 	tmp := path + tmpSuffix
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -558,22 +651,21 @@ func writeSegment(path string, recs []*RunRecord) (int64, error) {
 	}
 	w := bufio.NewWriter(f)
 	var size int64
-	// Encode a batch at a time on every processor, write it in order.
 	const batch = 64
-	lines, errs := make([][]byte, batch), make([]error, batch)
-	for chunk := range slices.Chunk(recs, batch) {
-		fanOut(len(chunk), func(i int) { lines[i], errs[i] = encodeFramed(recordFrame, chunk[i]) })
-		for i := range chunk {
+	bufs, errs := make([][]byte, batch), make([]error, batch)
+	for lo := 0; lo < n; lo += batch {
+		fanOut(min(batch, n-lo), func(i int) { bufs[i], errs[i] = frame(lo+i, bufs[i][:0]) })
+		for i := range min(batch, n-lo) {
 			err := errs[i]
 			if err == nil {
-				_, err = w.Write(lines[i])
+				_, err = w.Write(bufs[i])
 			}
 			if err != nil {
 				f.Close()
 				os.Remove(tmp)
 				return 0, err
 			}
-			size += int64(len(lines[i]))
+			size += int64(len(bufs[i]))
 		}
 	}
 	if err := w.Flush(); err == nil {

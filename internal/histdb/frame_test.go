@@ -31,7 +31,7 @@ func TestEncodeFramedMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(43, 2))
 	check := func(kind byte, v any) {
 		t.Helper()
-		got, err := encodeFramed(kind, v)
+		got, err := encodeFramed(nil, kind, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestEncodeFramedMatchesOracle(t *testing.T) {
 	rec := doneRec("run-000001", Spec{Benchmark: "LV"}, "lammps")
 	rec.Result.PoolScores = []float64{1, math.NaN()}
 	_, want := json.Marshal(rec)
-	if _, err := encodeFramed(recordFrame, rec); err == nil || want == nil || err.Error() != want.Error() {
+	if _, err := encodeFramed(nil, recordFrame, rec); err == nil || want == nil || err.Error() != want.Error() {
 		t.Fatalf("NaN score: err = %v, want %v", err, want)
 	}
 }

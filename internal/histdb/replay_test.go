@@ -80,7 +80,7 @@ func TestMidSegmentDamageKeepsOffsetsAndMessage(t *testing.T) {
 
 	var frames [][]byte
 	for i := 1; i <= 5; i++ {
-		line, err := encodeFramed(recordFrame, doneRec(fmt.Sprintf("run-%06d", i), Spec{Benchmark: "LV", Seed: uint64(i)}))
+		line, err := encodeFramed(nil, recordFrame, doneRec(fmt.Sprintf("run-%06d", i), Spec{Benchmark: "LV", Seed: uint64(i)}))
 		if err != nil {
 			t.Fatal(err)
 		}

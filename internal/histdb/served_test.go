@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -118,5 +119,73 @@ func TestServedRunFramesTakeTheCanonicalPath(t *testing.T) {
 	}
 	if ends[histdb.StateDone] != 3 || ends[histdb.StateFailed] != 1 || ends[histdb.StateCancelled] != 1 || ends["continuous"] != 1 {
 		t.Fatalf("terminal frames by state: %v", ends)
+	}
+}
+
+// canonicalStore is a FileStore that checks, before saving it, that every
+// frame takes the canonical encoder and comes out as json.Marshal's bytes,
+// and counts the frames by the state they carry.
+type canonicalStore struct {
+	*histdb.FileStore
+	t      *testing.T
+	mu     sync.Mutex
+	frames map[string]int
+}
+
+func (s *canonicalStore) check(v any, what string) {
+	want, err := json.Marshal(v)
+	if got, ok := histdb.EncodeCanonical(nil, v); err != nil || !ok || !bytes.Equal(got, want) {
+		s.t.Errorf("a %s frame declined (%v) or differs from json.Marshal's:\n%.400s", what, ok, want)
+	}
+	s.mu.Lock()
+	s.frames[what]++
+	s.mu.Unlock()
+}
+
+func (s *canonicalStore) Save(rec *histdb.RunRecord) error {
+	s.check(rec, string(rec.State))
+	return s.FileStore.Save(rec)
+}
+
+func (s *canonicalStore) SaveProgress(p *histdb.Progress) error {
+	s.check(p, "progress "+string(p.State))
+	return s.FileStore.SaveProgress(p)
+}
+
+// TestServedFramesEncodeCanonically runs tune, warm and continuous jobs
+// through service.Manager: the queued, running, progress and terminal
+// frames they save never decline the canonical encoder.
+func TestServedFramesEncodeCanonically(t *testing.T) {
+	fs, err := histdb.OpenFileStore(filepath.Join(t.TempDir(), "runs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &canonicalStore{FileStore: fs, t: t, frames: map[string]int{}}
+	m := service.NewManager(service.Options{Workers: 1, Store: st})
+	tune := service.JobSpec{Benchmark: "LV", Algorithm: "ceal", Objective: "comp", Budget: 12, Pool: 60, Seed: 1}
+	warm, continuous := tune, tune
+	warm.Seed, warm.WarmStart = 2, true
+	continuous.Seed, continuous.Mode, continuous.Drift, continuous.Probes = 3, histdb.ModeContinuous, "step", 20
+	for _, spec := range []service.JobSpec{tune, warm, continuous} {
+		rec, _, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		err = m.Wait(ctx, rec.ID)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f := st.frames
+	if f["queued"] != 3 || f["running"] < 3 || f["progress "] == 0 || f["progress done"] != 3 {
+		t.Fatalf("frames saved, by state: %v", f)
 	}
 }
