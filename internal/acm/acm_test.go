@@ -79,7 +79,7 @@ func (lf *LowFidelity) scoreCodes(cfgs []cfgspace.Config) []float64 {
 	if err != nil {
 		panic(err)
 	}
-	return lf.ScoreCodes(nil, q, spans, cfgs)
+	return lf.ScoreCodes(nil, q, nil, spans, cfgs)
 }
 
 func (f affine) Predict(x []float64) float64 { return f.a*x[0] + f.b }

@@ -167,7 +167,7 @@ func checkFactored(t *testing.T, lf *acm.LowFidelity, cfgs []cfgspace.Config, la
 				}
 			}
 			for _, l := range layouts {
-				check(l.name, lf.ScoreCodes(e, l.q, l.spans, cfgs))
+				check(l.name, lf.ScoreCodes(e, l.q, nil, l.spans, cfgs))
 			}
 		}
 	}
@@ -184,10 +184,10 @@ func checkFactored(t *testing.T, lf *acm.LowFidelity, cfgs []cfgspace.Config, la
 //   - a part with 255 thresholds on each of nine features, whose bucket
 //     radices multiply to 2^72, past any packing of a bucket tuple into
 //     one uint64 (a fitted heat model's multiply to about 1e11);
-//   - one HS model scoring, in turn, the pool's codes, a 3-row holdout
-//     coded by a fresh Matrix (sharing the pool's lattice tables), codes
-//     discovered over the pool's features (other value tables) and the
-//     pool again; then all four at once.
+//   - one HS model scoring, in turn, the pool's codes, 200 of the pool's
+//     rows drawn with replacement, codes discovered over the pool's
+//     features (other value tables) and the pool again; then all four at
+//     once.
 func TestFactoredScoreMatchesReference(t *testing.T) {
 	m := cluster.Default()
 	benchModel := func(bench *workflow.Benchmark, history int, rng *rand.Rand) *acm.LowFidelity {
@@ -242,8 +242,13 @@ func TestFactoredScoreMatchesReference(t *testing.T) {
 		bench := workflow.HS(m)
 		rng := rand.New(rand.NewPCG(7, 4))
 		lf := benchModel(bench, 500, rng)
-		pool, holdout := bench.Space.SampleN(rng, 3000), bench.Space.SampleN(rng, 3)
+		pool := bench.Space.SampleN(rng, 3000)
 		l := benchLayout(bench, pool)
+		holdout := make([]int, 200)
+		for k := range holdout {
+			holdout[k] = rng.IntN(len(pool))
+		}
+		holdout[len(holdout)-1] = holdout[0]
 		rows := make([][]float64, len(pool))
 		for i, cfg := range pool {
 			rows[i] = bench.Space.Columns().Features(cfg)
@@ -251,19 +256,30 @@ func TestFactoredScoreMatchesReference(t *testing.T) {
 		calls := []struct {
 			name string
 			q    *score.Codes
-			cfgs []cfgspace.Config
+			rows []int
 		}{
-			{"pool", l.q, pool},
-			{"holdout", benchLayout(bench, holdout).q, holdout},
-			{"discovered", score.QuantizeRows(score.New(2), rows), pool},
-			{"pool again", l.q, pool},
+			{"pool", l.q, nil},
+			{"holdout", l.q, holdout},
+			{"discovered", score.QuantizeRows(score.New(2), rows), nil},
+			{"pool again", l.q, nil},
+		}
+		// cfgsOf lists the configurations a call scores, one a score.
+		cfgsOf := func(rows []int) []cfgspace.Config {
+			if rows == nil {
+				return pool
+			}
+			cfgs := make([]cfgspace.Config, len(rows))
+			for k, r := range rows {
+				cfgs[k] = pool[r]
+			}
+			return cfgs
 		}
 		for _, comb := range []acm.Combiner{acm.Max, acm.BottleneckSum} {
 			lf.Combine = comb
 			for _, e := range []*score.Engine{nil, score.New(2), score.New(4)} {
 				for _, c := range calls {
-					got := lf.ScoreCodes(e, c.q, l.spans, c.cfgs)
-					for i, cfg := range c.cfgs {
+					got := lf.ScoreCodes(e, c.q, c.rows, l.spans, pool)
+					for i, cfg := range cfgsOf(c.rows) {
 						if want := lf.Score(cfg); math.Float64bits(got[i]) != math.Float64bits(want) {
 							t.Fatalf("%v %s workers=%d: cfg %v scores %v, Score %v", comb, c.name, e.Workers(), cfg, got[i], want)
 						}
@@ -277,8 +293,8 @@ func TestFactoredScoreMatchesReference(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					got := lf.ScoreCodes(score.New(2), c.q, l.spans, c.cfgs)
-					for i, cfg := range c.cfgs {
+					got := lf.ScoreCodes(score.New(2), c.q, c.rows, l.spans, pool)
+					for i, cfg := range cfgsOf(c.rows) {
 						if want := lf.Score(cfg); math.Float64bits(got[i]) != math.Float64bits(want) {
 							t.Errorf("%v %s concurrently: cfg %v scores %v, Score %v", comb, c.name, cfg, got[i], want)
 							return

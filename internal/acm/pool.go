@@ -15,10 +15,10 @@ type Span struct{ Lo, Hi int }
 // their codes and outputs stay in L1 while the trees stream.
 const cellBlock = 256
 
-// ScoreCodes scores every row of a rank-coded feature matrix on the
-// engine's workers (nil engine: serial): row i is configuration cfgs[i],
-// and part j's features — its Coder's columns — are the matrix's columns
-// spans[j].
+// ScoreCodes scores the given rows of a rank-coded feature matrix (nil:
+// every row, in order) on the engine's workers (nil engine: serial), one
+// score a listed row: row i is configuration cfgs[i], and part j's
+// features — its Coder's columns — are the matrix's columns spans[j].
 //
 //   - A part with no features is predicted once.
 //   - A CellPredictor part is compiled into its columns (CodeCells) and
@@ -40,17 +40,21 @@ const cellBlock = 256
 // −0 as +0 and every NaN as one NaN, which no `x < t` comparison tells
 // apart. Predictors must be read-only under Predict and PredictRows, and
 // must not retain x.
-func (lf *LowFidelity) ScoreCodes(e *score.Engine, q *score.Codes, spans []Span, cfgs []cfgspace.Config) []float64 {
-	out := make([]float64, q.N)
-	if q.N == 0 {
+func (lf *LowFidelity) ScoreCodes(e *score.Engine, q *score.Codes, rows []int, spans []Span, cfgs []cfgspace.Config) []float64 {
+	n := q.N
+	if rows != nil {
+		n = len(rows)
+	}
+	out := make([]float64, n)
+	if n == 0 {
 		return out
 	}
-	_, chunks := e.ChunkLayout(q.N)
+	_, chunks := e.ChunkLayout(n)
 	passes := make([]*partPass, len(lf.Parts))
 	for j := range lf.Parts {
-		passes[j] = newPartPass(&lf.Parts[j], q, spans[j], chunks)
+		passes[j] = newPartPass(&lf.Parts[j], q, rows, n, spans[j], chunks)
 	}
-	e.MapChunksIndexed(q.N, func(ci, lo, hi int) {
+	e.MapChunksIndexed(n, func(ci, lo, hi int) {
 		for _, pp := range passes {
 			pp.scan(ci, lo, hi)
 		}
@@ -58,7 +62,7 @@ func (lf *LowFidelity) ScoreCodes(e *score.Engine, q *score.Codes, spans []Span,
 	for _, pp := range passes {
 		lf.cells.Add(int64(pp.predictCells(e)))
 	}
-	e.MapChunksIndexed(q.N, func(ci, lo, hi int) {
+	e.MapChunksIndexed(n, func(ci, lo, hi int) {
 		vs := make([]float64, len(passes))
 		var cores []float64
 		if lf.Combine == BottleneckSum {
@@ -68,7 +72,7 @@ func (lf *LowFidelity) ScoreCodes(e *score.Engine, q *score.Codes, spans []Span,
 			for j, pp := range passes {
 				vs[j] = pp.value(ci, i)
 				if cores != nil {
-					cores[j] = pp.part.cores(pp.part.Sub(cfgs[i]))
+					cores[j] = pp.part.cores(pp.part.Sub(cfgs[pp.row(i)]))
 				}
 			}
 			out[i] = lf.fold(vs, cores)
@@ -77,35 +81,37 @@ func (lf *LowFidelity) ScoreCodes(e *score.Engine, q *score.Codes, spans []Span,
 	return out
 }
 
-// partPass is one part's share of a ScoreCodes call.
+// partPass is one part's share of a ScoreCodes call. Its positions are
+// those of the call's scores: position i scores matrix row row(i).
 type partPass struct {
 	part *Part
 	q    *score.Codes
+	rows []int // the rows scored (nil: every row)
 	span Span
 
 	konst float64   // a part with no features: its one prediction
-	vals  []float64 // a part scored by Predict: per row
+	vals  []float64 // a part scored by Predict: per position
 
 	// A CellPredictor part, compiled into the matrix. Per feature it
 	// splits on: the matrix column and each code's bucket.
 	cc     CodedCells
 	cols   []int
 	bucket [][]uint16
-	ids    []int32   // per row: its cell's number within its chunk
+	ids    []int32   // per position: its cell's number within its chunk
 	reps   [][]int32 // per chunk: the first row of each of its cells
 	global [][]int32 // per chunk: each of its cells' number in pred
-	pred   []float64 // per cell of the matrix: its prediction
+	pred   []float64 // per cell scored: its prediction
 }
 
-func newPartPass(part *Part, q *score.Codes, span Span, chunks int) *partPass {
-	pp := &partPass{part: part, q: q, span: span}
+func newPartPass(part *Part, q *score.Codes, rows []int, n int, span Span, chunks int) *partPass {
+	pp := &partPass{part: part, q: q, rows: rows, span: span}
 	if span.Lo == span.Hi {
 		pp.konst = part.Predictor.Predict(nil)
 		return pp
 	}
 	cp, ok := part.Predictor.(CellPredictor)
 	if !ok {
-		pp.vals = make([]float64, q.N)
+		pp.vals = make([]float64, n)
 		return pp
 	}
 	pp.cc = cp.CodeCells(q, span.Lo)
@@ -128,28 +134,37 @@ func newPartPass(part *Part, q *score.Codes, span Span, chunks int) *partPass {
 		}
 		pp.cols, pp.bucket = append(pp.cols, f), append(pp.bucket, b)
 	}
-	pp.ids = make([]int32, q.N)
+	pp.ids = make([]int32, n)
 	pp.reps = make([][]int32, chunks)
 	return pp
 }
 
-// scan is chunk ci's first pass over its rows [lo, hi): Predict on each
-// row, or each row's cell numbered within the chunk.
+// row returns the matrix row scored at position i.
+func (pp *partPass) row(i int) int {
+	if pp.rows != nil {
+		return pp.rows[i]
+	}
+	return i
+}
+
+// scan is chunk ci's first pass over its positions [lo, hi): Predict on
+// each row, or each row's cell numbered within the chunk.
 func (pp *partPass) scan(ci, lo, hi int) {
 	switch {
 	case pp.vals != nil:
 		x := make([]float64, pp.span.Hi-pp.span.Lo)
 		for i := lo; i < hi; i++ {
-			pp.decode(i, x)
+			pp.decode(pp.row(i), x)
 			pp.vals[i] = pp.part.Predictor.Predict(x)
 		}
 	case pp.cc != nil:
 		key, at := make([]int, len(pp.cols)), make([]int, len(pp.cols))
 		nb := cfgspace.NewNumbering(min(hi-lo, cellBlock), func(id int32) []int { return pp.tuple(int(pp.reps[ci][id]), at) })
 		for i := lo; i < hi; i++ {
-			id, fresh := nb.ID(pp.tuple(i, key))
+			r := pp.row(i)
+			id, fresh := nb.ID(pp.tuple(r, key))
 			if fresh {
-				pp.reps[ci] = append(pp.reps[ci], int32(i))
+				pp.reps[ci] = append(pp.reps[ci], int32(r))
 			}
 			pp.ids[i] = id
 		}
@@ -208,7 +223,7 @@ func (pp *partPass) decode(i int, x []float64) {
 	}
 }
 
-// value is row i's prediction; ci is the row's chunk.
+// value is position i's prediction; ci is the position's chunk.
 func (pp *partPass) value(ci, i int) float64 {
 	switch {
 	case pp.cc != nil:

@@ -280,17 +280,17 @@ func (d *decoder) time(t *time.Time) {
 	must(t.UnmarshalJSON(tok) == nil && bytes.Equal(append(t.AppendFormat(append(d.buf[:0], '"'), time.RFC3339Nano), '"'), tok))
 }
 
-// cfg reads an array of ints through Config.UnmarshalJSON, refusing -0 and
-// spaces, which it takes.
+// cfg reads an array of ints, each as digits reads it, into a Config of
+// its own.
 func (d *decoder) cfg(c *cfgspace.Config) {
-	end := bytes.IndexByte(d.b[d.i:], ']') + 1
-	must(end > 0 && d.b[d.i] == '[')
-	tok := d.b[d.i : d.i+end]
-	for k, ch := range tok[1 : end-1] {
-		must(ch-'0' < 10 || ch == ',' || ch == '-' && tok[k+2] != '0')
-	}
-	must(c.UnmarshalJSON(tok) == nil)
-	d.i += end
+	var buf [16]int
+	vals := buf[:0]
+	d.seq('[', ']', func() {
+		v, err := strconv.Atoi(string(d.digits()))
+		must(err == nil)
+		vals = append(vals, v)
+	})
+	*c = append(make(cfgspace.Config, 0, len(vals)), vals...)
 }
 
 // trace reads lines, each one scanLine accepts, into one backing array,

@@ -17,7 +17,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
+
+	"ceal/internal/score"
 )
 
 // FileStore is a disk-backed Store built on a segmented append-only log:
@@ -246,7 +247,7 @@ func (s *FileStore) replaySegment(name string, offset int64, strict bool, buf *[
 	// Decode on every processor, then apply strictly in log order: a nil
 	// entry is a damaged frame, and nothing at or past the first one counts.
 	frames, canonical := make([]any, len(lines)), make([]bool, len(lines))
-	fanOut(len(lines), func(i int) { frames[i], canonical[i], _ = decodeFramed(lines[i]) })
+	score.New(runtime.GOMAXPROCS(0)).Tasks(len(lines), func(i int) { frames[i], canonical[i], _ = decodeFramed(lines[i]) })
 	consumed := offset
 	s.mem.mu.Lock()
 	defer s.mem.mu.Unlock()
@@ -279,30 +280,6 @@ type CorruptError struct {
 
 func (e *CorruptError) Error() string {
 	return fmt.Sprintf("histdb: %s: corrupt record at offset %d followed by intact records", e.Path, e.Offset)
-}
-
-// fanOut calls fn(0) … fn(n-1) on min(GOMAXPROCS, n) goroutines — inline,
-// with no goroutine, when that is one — and returns when all have.
-func fanOut(n int, fn func(i int)) {
-	workers := min(runtime.GOMAXPROCS(0), n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // Frame kinds: the byte between a frame's checksum and its payload.
@@ -654,7 +631,7 @@ func writeSegment(path string, n int, frame func(i int, buf []byte) ([]byte, err
 	const batch = 64
 	bufs, errs := make([][]byte, batch), make([]error, batch)
 	for lo := 0; lo < n; lo += batch {
-		fanOut(min(batch, n-lo), func(i int) { bufs[i], errs[i] = frame(lo+i, bufs[i][:0]) })
+		score.New(runtime.GOMAXPROCS(0)).Tasks(min(batch, n-lo), func(i int) { bufs[i], errs[i] = frame(lo+i, bufs[i][:0]) })
 		for i := range min(batch, n-lo) {
 			err := errs[i]
 			if err == nil {

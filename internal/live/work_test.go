@@ -60,12 +60,12 @@ func (p *phaseTally) String() string {
 // count: the selector's cut-off is per chunk. A change that moves a count
 // on purpose regenerates the table from the failure message.
 var workCounts = map[string]string{
-	"GP/1": "bootstrap 1 splits=27663 draws=38 rejections=8 events=4732; finish 1; fit 8 splits=361333 cells=4; measure 8 events=31138; select 8 nodes=370380 abandoned=11618 cells=562; ",
-	"GP/4": "bootstrap 1 splits=27663 draws=38 rejections=8 events=4732; finish 1; fit 8 splits=361333 cells=4; measure 8 events=31138; select 8 nodes=652500 abandoned=11174 cells=562; ",
-	"HS/1": "bootstrap 1 splits=45433 draws=42 rejections=12 events=5582; finish 1; fit 8 splits=588104 cells=21; measure 8 events=23314; select 8 nodes=343344 abandoned=7785 cells=1802; ",
-	"HS/4": "bootstrap 1 splits=45433 draws=42 rejections=12 events=5582; finish 1; fit 8 splits=588104 cells=21; measure 8 events=23314; select 8 nodes=551764 abandoned=7441 cells=1802; ",
-	"LV/1": "bootstrap 1 splits=47410 draws=66 rejections=36 events=3030; finish 1; fit 8 splits=574992 cells=6; measure 8 events=9953; select 8 nodes=622088 abandoned=11721 cells=1115; ",
-	"LV/4": "bootstrap 1 splits=47410 draws=66 rejections=36 events=3030; finish 1; fit 8 splits=574992 cells=6; measure 8 events=9953; select 8 nodes=1014448 abandoned=11221 cells=1115; ",
+	"GP/1": "bootstrap 1 splits=27663 draws=38 rejections=8 events=4732; finish 1; fit 8 nodes=900 splits=361333 cells=4; measure 8 events=31138; select 8 nodes=370380 abandoned=11618 cells=562; ",
+	"GP/4": "bootstrap 1 splits=27663 draws=38 rejections=8 events=4732; finish 1; fit 8 nodes=900 splits=361333 cells=4; measure 8 events=31138; select 8 nodes=652500 abandoned=11174 cells=562; ",
+	"HS/1": "bootstrap 1 splits=45433 draws=42 rejections=12 events=5582; finish 1; fit 8 nodes=4800 splits=588104 cells=21; measure 8 events=23314; select 8 nodes=343344 abandoned=7785 cells=1802; ",
+	"HS/4": "bootstrap 1 splits=45433 draws=42 rejections=12 events=5582; finish 1; fit 8 nodes=4800 splits=588104 cells=21; measure 8 events=23314; select 8 nodes=551764 abandoned=7441 cells=1802; ",
+	"LV/1": "bootstrap 1 splits=47410 draws=66 rejections=36 events=3030; finish 1; fit 8 nodes=1200 splits=574992 cells=6; measure 8 events=9953; select 8 nodes=622088 abandoned=11721 cells=1115; ",
+	"LV/4": "bootstrap 1 splits=47410 draws=66 rejections=36 events=3030; finish 1; fit 8 nodes=1200 splits=574992 cells=6; measure 8 events=9953; select 8 nodes=1014448 abandoned=11221 cells=1115; ",
 }
 
 // TestWorkCountsPinned holds the work counts of one paper-scale CEAL run

@@ -21,24 +21,14 @@ const topSelectMax = 16
 //
 // Small requests — the common case throughout the tuner, which ranks by
 // top-1..3 recall and batch sizes of a handful — avoid the full argsort:
-// n==1 is a single argmin scan and n ≤ topSelectMax is an insertion
-// select, both O(len(values)) and byte-identical to the sort
-// (TestTopIndicesFastPaths pins this).
+// n ≤ topSelectMax is an insertion select, O(len(values)) for n = 1 and
+// byte-identical to the sort (TestTopIndicesFastPaths pins this).
 func TopIndices(n int, values []float64) []int {
 	if n > len(values) {
 		n = len(values)
 	}
 	if n <= 0 {
 		return []int{}
-	}
-	if n == 1 {
-		best := 0
-		for i, v := range values {
-			if v < values[best] {
-				best = i
-			}
-		}
-		return []int{best}
 	}
 	if n <= topSelectMax && n < len(values) {
 		return topSelect(n, values)

@@ -64,8 +64,8 @@ type Model struct {
 	// scanned is how many split candidates the fit enumerated.
 	scanned int64
 
-	// The model compiled into the code space of the last coded matrix
-	// whose value tables it was compiled for (see Compile), and spare, the
+	// The model compiled into the code space of the last coded matrix it
+	// was compiled for (see Compile), and spare, the
 	// compiled arrays of the model this one's arrays were recycled from.
 	codedMu sync.Mutex
 	coded   *Coded
@@ -403,36 +403,16 @@ type Coded struct {
 	buf  []uint16   // backs cut and cuts
 }
 
-// Compile compiles the model into q's columns from lo. A compilation is
-// a function of the columns' value tables alone, so the model keeps its
-// last one and serves any matrix that shares those tables from it — a
-// holdout coded under a pool's declared columns does — allocating only
-// the result.
+// Compile compiles the model into q's columns from lo. The model keeps
+// its last compilation and serves the same matrix and offset from it.
 func (m *Model) Compile(q *score.Codes, lo int) *Coded {
 	m.codedMu.Lock()
 	defer m.codedMu.Unlock()
-	c := m.coded
-	switch {
-	case c != nil && c.q == q && c.lo == lo:
+	if c := m.coded; c != nil && c.q == q && c.lo == lo {
 		return c
-	case c != nil && c.lo == lo && c.sameTables(q):
-		shared := *c
-		shared.q = q
-		return &shared
 	}
 	m.coded, m.spare = m.compile(q, lo, m.spare), nil
 	return m.coded
-}
-
-// sameTables reports whether q holds c's split features' value tables.
-func (c *Coded) sameTables(q *score.Codes) bool {
-	for f := range c.cuts {
-		a, b := c.q.Values(c.lo+f), q.Values(c.lo+f)
-		if len(a) != len(b) || len(a) > 0 && &a[0] != &b[0] {
-			return false
-		}
-	}
-	return true
 }
 
 // compile compiles the model into store's storage when it is large

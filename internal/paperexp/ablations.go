@@ -30,8 +30,8 @@ func runAblations(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 		row := []string{obj.Short()}
 		for _, c := range []acm.Combiner{acm.Max, acm.Sum, acm.BottleneckSum, acm.Mean, acm.Min} {
 			p := gt.Problem(opt, obj, true, opt.Seed)
-			p.Combiner = c
-			scores, err := tuner.LowFidelityScores(p, 0, gt.Pool[:n])
+			p.Combiner, p.Pool = c, gt.Pool[:n]
+			scores, err := tuner.LowFidelityScores(p, 0)
 			if err != nil {
 				return nil, err
 			}

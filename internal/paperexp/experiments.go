@@ -189,7 +189,9 @@ func runFig4(gts map[string]*GroundTruth, opt Options) ([]*Table, error) {
 	}
 	rows := map[int][4]float64{}
 	for _, obj := range []Objective{CompTime, ExecTime} {
-		scores, err := tuner.LowFidelityScores(gt.Problem(opt, obj, true, opt.Seed), 0, subset)
+		p := gt.Problem(opt, obj, true, opt.Seed)
+		p.Pool = subset
+		scores, err := tuner.LowFidelityScores(p, 0)
 		if err != nil {
 			return nil, err
 		}

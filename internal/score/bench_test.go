@@ -161,13 +161,13 @@ func BenchmarkScoreBatch(b *testing.B) {
 
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			lf.ScoreCodes(nil, q, spans, pool)
+			lf.ScoreCodes(nil, q, nil, spans, pool)
 		}
 	})
 	b.Run("par8", func(b *testing.B) {
 		eng := score.New(8)
 		for i := 0; i < b.N; i++ {
-			lf.ScoreCodes(eng, q, spans, pool)
+			lf.ScoreCodes(eng, q, nil, spans, pool)
 		}
 	})
 }

@@ -147,13 +147,6 @@ func (e *Engine) Map(n int, fn func(i int)) {
 	})
 }
 
-// Floats collects one float64 per index in [0, n), index-ordered.
-func (e *Engine) Floats(n int, fn func(i int) float64) []float64 {
-	out := make([]float64, n)
-	e.Map(n, func(i int) { out[i] = fn(i) })
-	return out
-}
-
 // Matrix caches one candidate pool's rank codes (Codes), built on first
 // request. The cache is keyed by slice identity (backing array plus
 // length), which is sound because pools are immutable for the lifetime of

@@ -1,7 +1,6 @@
 package score
 
 import (
-	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -9,32 +8,16 @@ import (
 	"ceal/internal/cfgspace"
 )
 
-func TestFloatsIdenticalAcrossWorkerCounts(t *testing.T) {
-	const n = 1000
-	fn := func(i int) float64 {
-		// Non-trivial float math so re-association or reordering would show.
-		return math.Sin(float64(i)) * math.Sqrt(float64(i+1))
-	}
-	ref := New(1).Floats(n, fn)
-	for _, w := range []int{2, 3, 4, 8, 33} {
-		got := New(w).Floats(n, fn)
-		for i := range ref {
-			if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
-				t.Fatalf("workers=%d: index %d differs: %v vs %v", w, i, got[i], ref[i])
-			}
-		}
-	}
-}
-
 func TestNilEngineIsSerial(t *testing.T) {
 	var e *Engine
 	if e.Workers() != 1 {
 		t.Fatalf("nil engine Workers = %d", e.Workers())
 	}
-	got := e.Floats(10, func(i int) float64 { return float64(i) })
+	got := make([]float64, 10)
+	e.Map(len(got), func(i int) { got[i] = float64(i) })
 	for i, v := range got {
 		if v != float64(i) {
-			t.Fatalf("Floats[%d] = %v", i, v)
+			t.Fatalf("Map wrote %v at index %d", v, i)
 		}
 	}
 }

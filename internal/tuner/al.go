@@ -1,7 +1,6 @@
 package tuner
 
 import (
-	"ceal/internal/cfgspace"
 	"ceal/internal/tuner/events"
 )
 
@@ -31,11 +30,11 @@ type alBatches struct {
 	surrogateBacked
 }
 
-func (b *alBatches) SeedBatch(st *State) ([]cfgspace.Config, error) {
+func (b *alBatches) SeedBatch(st *State) ([]int, error) {
 	return st.Tracker.takeRandom(initialBatchSize(seedFrac, st.Budget), st.Rng), nil
 }
 
-func (b *alBatches) SelectBatch(st *State) ([]cfgspace.Config, error) {
+func (b *alBatches) SelectBatch(st *State) ([]int, error) {
 	n := evenBatchSize(st)
 	if n == 0 {
 		return nil, nil

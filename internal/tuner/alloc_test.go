@@ -46,7 +46,7 @@ func TestLowFidelityPoolAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			allocs[n] = testing.AllocsPerRun(5, func() { cm.lowFi.ScoreCodes(e, q, spans, p.Pool) })
+			allocs[n] = testing.AllocsPerRun(5, func() { cm.lowFi.ScoreCodes(e, q, nil, spans, p.Pool) })
 		}
 		if small, large := allocs[2000], allocs[100_000]; large > small+16 {
 			t.Errorf("%v: M_L pool pass allocates %.0f times over 2k rows and %.0f over 100k, want at most 16 more", comb, small, large)
@@ -68,7 +68,7 @@ func TestLowFidelityPoolAllocs(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	for range runs {
 		lf := &acm.LowFidelity{Combine: cm.lowFi.Combine, Parts: cm.lowFi.Parts}
-		lf.ScoreCodes(e, q, spans, p.Pool)
+		lf.ScoreCodes(e, q, nil, spans, p.Pool)
 	}
 	runtime.ReadMemStats(&after)
 	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 5_000_000 {

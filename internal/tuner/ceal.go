@@ -1,9 +1,9 @@
 package tuner
 
 import (
+	"math"
 	"math/rand/v2"
 
-	"ceal/internal/cfgspace"
 	"ceal/internal/metrics"
 	"ceal/internal/tuner/events"
 )
@@ -100,13 +100,15 @@ type cealStrategy struct {
 	warmed bool
 
 	usingHigh bool
-	// holdout accumulates samples the current M_H has NOT been trained on;
-	// the switch detector compares the two models out-of-sample (otherwise
-	// M_H, evaluated on its own training data, would win trivially).
-	holdout []Sample
+	// holdFrom is where the holdout starts in st.Samples and st.Indices:
+	// it holds the samples measured since the last switch check, or since
+	// M_H was first trained. The switch detector compares the two models
+	// on them, out-of-sample (otherwise M_H, evaluated on its own training
+	// data, would win trivially).
+	holdFrom int
 	// pendingExtra queues the bias-escape random top-up (Alg. 1 lines
 	// 20–22) for the next batch, ahead of the model's top picks.
-	pendingExtra []cfgspace.Config
+	pendingExtra []int
 }
 
 const minHoldout = 3
@@ -133,7 +135,7 @@ func (s *cealStrategy) Bootstrap(st *State) ([][]Sample, error) {
 	return cm.newSamples, nil
 }
 
-func (s *cealStrategy) SeedBatch(st *State) ([]cfgspace.Config, error) {
+func (s *cealStrategy) SeedBatch(st *State) ([]int, error) {
 	s.m0used = s.m0 / 2
 	if s.m0used < 1 {
 		s.m0used = 1
@@ -178,27 +180,35 @@ func (s *cealStrategy) WarmStart(st *State) error {
 
 // AfterMeasure is Algorithm 1's lines 16–24, run right after each batch is
 // measured: the out-of-sample switch check and the bias-escape top-up. The
-// current pseudocode iteration is i = st.Iter + 1.
-func (s *cealStrategy) AfterMeasure(st *State, batch []Sample) error {
-	if s.usingHigh || !s.model.Trained() {
+// current pseudocode iteration is i = st.Iter + 1. Both models score the
+// holdout from the pool codes the run already holds: M_H through its pool
+// scorer with no cut-off, M_L on the holdout's rows alone.
+func (s *cealStrategy) AfterMeasure(st *State) error {
+	if s.usingHigh {
+		return nil
+	}
+	if !s.model.Trained() {
+		s.holdFrom = len(st.Samples)
 		return nil
 	}
 	i := st.Iter + 1
 	I := s.opts.Iterations
-	p := st.Problem
 
-	s.holdout = append(s.holdout, batch...)
-	if len(s.holdout) < minHoldout {
+	holdout := st.Indices[s.holdFrom:]
+	if len(holdout) < minHoldout {
 		return nil
 	}
-	truth := make([]float64, len(s.holdout))
-	cfgs := make([]cfgspace.Config, len(s.holdout))
-	for k, smp := range s.holdout {
+	truth := make([]float64, len(holdout))
+	for k, smp := range st.Samples[s.holdFrom:] {
 		truth[k] = smp.Value
-		cfgs[k] = smp.Cfg
 	}
-	highScores := s.model.PredictBatch(cfgs)
-	lowScores, err := s.cm.score(p, cfgs)
+	high, err := s.ranker(st, true)
+	if err != nil {
+		return err
+	}
+	highScores := make([]float64, len(holdout))
+	high(holdout, highScores, math.Inf(1))
+	lowScores, err := s.cm.scoreRows(st.Problem, holdout)
 	if err != nil {
 		return err
 	}
@@ -229,14 +239,14 @@ func (s *cealStrategy) AfterMeasure(st *State, batch []Sample) error {
 			s.mB += (s.m0 - s.m0used) / (I - i)
 		}
 	}
-	s.holdout = s.holdout[:0]
+	s.holdFrom = len(st.Samples)
 	return nil
 }
 
 // SelectBatch is Algorithm 1's lines 26–27 at the end of pseudocode
 // iteration i = st.Iter: rank the remaining pool with whichever model is
 // trusted and top up with any queued bias-escape randoms.
-func (s *cealStrategy) SelectBatch(st *State) ([]cfgspace.Config, error) {
+func (s *cealStrategy) SelectBatch(st *State) ([]int, error) {
 	want := s.mB
 	if st.Iter == s.opts.Iterations-1 {
 		// Final selection: flush whatever workflow budget remains
@@ -283,10 +293,10 @@ func biased(highScores, truth []float64) bool {
 	return false
 }
 
-// LowFidelityScores exposes the Phase-1 white-box model scores over a set
-// of configurations without running Phase 2 — used by the Fig. 4
-// experiment and the combiner ablation.
-func LowFidelityScores(p *Problem, mR int, cfgs []cfgspace.Config) ([]float64, error) {
+// LowFidelityScores exposes the Phase-1 white-box model's scores over
+// p.Pool without running Phase 2 — used by the Fig. 4 experiment and the
+// combiner ablation.
+func LowFidelityScores(p *Problem, mR int) ([]float64, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
@@ -295,5 +305,5 @@ func LowFidelityScores(p *Problem, mR int, cfgs []cfgspace.Config) ([]float64, e
 	if err != nil {
 		return nil, err
 	}
-	return cm.score(p, cfgs)
+	return cm.poolScores(p)
 }

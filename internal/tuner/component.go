@@ -42,28 +42,24 @@ func (cm *componentModels) addWork(w *events.Work) {
 
 // poolScores returns M_L's score for every configuration of p.Pool,
 // computed on first use (a warm-started CEAL run that never ranks by M_L
-// never pays for it) over the pool codes the surrogates share.
+// never pays for it).
 func (cm *componentModels) poolScores(p *Problem) ([]float64, error) {
 	if cm.pool != nil {
 		return cm.pool, nil
 	}
+	pool, err := cm.scoreRows(p, nil)
+	cm.pool = pool
+	return pool, err
+}
+
+// scoreRows returns M_L's score for the pool configurations at rows (nil:
+// every one), read from the pool codes the surrogates share.
+func (cm *componentModels) scoreRows(p *Problem, rows []int) ([]float64, error) {
 	q, err := p.poolCodes(p.Pool)
 	if err != nil {
 		return nil, err
 	}
-	cm.pool = cm.lowFi.ScoreCodes(p.engine(), q, p.spans(), p.Pool)
-	return cm.pool, nil
-}
-
-// score returns M_L's score for each of cfgs, coded under the workflow's
-// columns.
-func (cm *componentModels) score(p *Problem, cfgs []cfgspace.Config) ([]float64, error) {
-	var mat score.Matrix
-	q, err := mat.Codes(p.engine(), cfgs, p.Space.Columns())
-	if err != nil {
-		return nil, err
-	}
-	return cm.lowFi.ScoreCodes(p.engine(), q, p.spans(), cfgs), nil
+	return cm.lowFi.ScoreCodes(p.engine(), q, rows, p.spans(), p.Pool), nil
 }
 
 // scorer ranks pool candidates by M_L.

@@ -164,7 +164,7 @@ func TestFixedComponentGetsConstantModel(t *testing.T) {
 func TestLowFidelityScoresValidates(t *testing.T) {
 	p := synthProblem(55, 10)
 	p.Pool = nil
-	if _, err := LowFidelityScores(p, 4, nil); err == nil {
+	if _, err := LowFidelityScores(p, 4); err == nil {
 		t.Fatal("invalid problem accepted")
 	}
 }

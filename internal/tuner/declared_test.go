@@ -99,7 +99,7 @@ func TestDeclaredCodesMatchesReference(t *testing.T) {
 			}{
 				{"xgb prediction, declared vs discovered", pred(declared), pred(found)},
 				{"xgb prediction, declared vs float rows", pred(declared), float},
-				{"M_L score, declared vs discovered", cm.lowFi.ScoreCodes(e, declared, p.spans(), p.Pool), cm.lowFi.ScoreCodes(e, found, p.spans(), p.Pool)},
+				{"M_L score, declared vs discovered", cm.lowFi.ScoreCodes(e, declared, nil, p.spans(), p.Pool), cm.lowFi.ScoreCodes(e, found, nil, p.spans(), p.Pool)},
 			} {
 				for i := range c.want {
 					if math.Float64bits(c.got[i]) != math.Float64bits(c.want[i]) {

@@ -1,9 +1,5 @@
 package tuner
 
-import (
-	"ceal/internal/cfgspace"
-)
-
 // Exhaustive measures every pool configuration, budget permitting — the
 // brute-force upper bound no practical in-situ tuner can afford (§2.3),
 // used to verify that the budgeted algorithms approach the true optimum
@@ -25,15 +21,15 @@ func (Exhaustive) Tune(p *Problem, budget int) (*Result, error) {
 // exhaustiveStrategy sweeps the pool in order; there is no model to fit.
 type exhaustiveStrategy struct{}
 
-func (*exhaustiveStrategy) SeedBatch(st *State) ([]cfgspace.Config, error) {
-	n := st.Budget
-	if n > len(st.Problem.Pool) {
-		n = len(st.Problem.Pool)
+func (*exhaustiveStrategy) SeedBatch(st *State) ([]int, error) {
+	idxs := make([]int, min(st.Budget, len(st.Problem.Pool)))
+	for i := range idxs {
+		idxs[i] = i
 	}
-	return st.Problem.Pool[:n], nil
+	return idxs, nil
 }
 
-func (*exhaustiveStrategy) SelectBatch(*State) ([]cfgspace.Config, error) { return nil, nil }
+func (*exhaustiveStrategy) SelectBatch(*State) ([]int, error) { return nil, nil }
 
 func (*exhaustiveStrategy) Fit(*State, []Sample) (bool, error) { return false, nil }
 

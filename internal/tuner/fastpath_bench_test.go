@@ -86,7 +86,7 @@ func BenchmarkScoreBatch(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				lf := &acm.LowFidelity{Combine: cm.lowFi.Combine, Parts: cm.lowFi.Parts}
-				lf.ScoreCodes(eng, q, spans, p.Pool)
+				lf.ScoreCodes(eng, q, nil, spans, p.Pool)
 			}
 		})
 	}

@@ -20,7 +20,7 @@ import (
 // (score, position), take the prefix, and remove the taken positions by
 // descending-position swap-remove. The fused takeTop must reproduce both
 // its returned batch and the exact post-removal remaining array.
-func takeTopReference(t *poolTracker, n int, score poolScorer) []cfgspace.Config {
+func takeTopReference(t *poolTracker, n int, score poolScorer) []int {
 	m := len(t.remaining)
 	if n > m {
 		n = m
@@ -40,10 +40,10 @@ func takeTopReference(t *poolTracker, n int, score poolScorer) []cfgspace.Config
 		}
 		return order[a] < order[b]
 	})
-	out := make([]cfgspace.Config, n)
+	out := make([]int, n)
 	taken := make([]int, n)
 	for i := 0; i < n; i++ {
-		out[i] = t.p.Pool[t.remaining[order[i]]]
+		out[i] = t.remaining[order[i]]
 		taken[i] = order[i]
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(taken)))
@@ -55,7 +55,7 @@ func takeTopReference(t *poolTracker, n int, score poolScorer) []cfgspace.Config
 }
 
 // TestTakeTopMatchesReference pins the fused chunk-heap selector to the
-// reference full-sort selector: same returned configurations and the same
+// reference full-sort selector: same returned pool indices and the same
 // remaining array element for element (so follow-on takeRandom draws are
 // unchanged), across worker counts, request sizes, tie-heavy scores, and
 // repeated drains of one tracker.
@@ -84,7 +84,7 @@ func TestTakeTopMatchesReference(t *testing.T) {
 					t.Fatalf("workers=%d trial=%d: took %d configs, reference %d", workers, trial, len(got), len(want))
 				}
 				for i := range want {
-					if got[i].Key() != want[i].Key() {
+					if got[i] != want[i] {
 						t.Fatalf("workers=%d trial=%d: batch[%d] = %v, reference %v", workers, trial, i, got[i], want[i])
 					}
 				}
@@ -226,7 +226,7 @@ func drainBothWays(t *testing.T, label string, p *Problem, n int, scorer poolSco
 			t.Fatalf("%s step %d: took %d configs, reference %d", label, step, len(got), len(want))
 		}
 		for i := range want {
-			if got[i].Key() != want[i].Key() {
+			if got[i] != want[i] {
 				t.Fatalf("%s step %d: batch[%d] = %v, reference %v", label, step, i, got[i], want[i])
 			}
 		}
@@ -346,7 +346,7 @@ func TestWideColumnRefused(t *testing.T) {
 		refused(alg.Name(), err)
 	}
 	p := wideProblem()
-	_, err := LowFidelityScores(p, 10, p.Pool)
+	_, err := LowFidelityScores(p, 10)
 	refused("LowFidelityScores", err)
 	samples := make([]Sample, 40)
 	for i := range samples {

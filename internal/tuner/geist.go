@@ -58,7 +58,6 @@ type geistStrategy struct {
 	graph      [][]int
 	measured   map[int]float64 // pool index -> measured value
 	unmeasured map[int]bool
-	lastIdxs   []int // pool indices of the batch just handed to the loop
 	distances  int64 // evaluated to build the graph (none if it was built before)
 }
 
@@ -67,7 +66,7 @@ func (s *geistStrategy) addWork(w *events.Work) {
 	w.Distances += s.distances
 }
 
-func (s *geistStrategy) SeedBatch(st *State) ([]cfgspace.Config, error) {
+func (s *geistStrategy) SeedBatch(st *State) ([]int, error) {
 	p := st.Problem
 	var err error
 	if s.graph, s.distances, err = s.g.graphFor(p); err != nil {
@@ -79,10 +78,10 @@ func (s *geistStrategy) SeedBatch(st *State) ([]cfgspace.Config, error) {
 		s.unmeasured[i] = true
 	}
 	m0 := initialBatchSize(seedFrac, st.Budget)
-	return s.claim(st, randomUnmeasured(m0, len(p.Pool), s.unmeasured, st.Rng)), nil
+	return s.claim(randomUnmeasured(m0, len(p.Pool), s.unmeasured, st.Rng)), nil
 }
 
-func (s *geistStrategy) SelectBatch(st *State) ([]cfgspace.Config, error) {
+func (s *geistStrategy) SelectBatch(st *State) ([]int, error) {
 	p := st.Problem
 	if len(s.unmeasured) == 0 {
 		return nil, nil
@@ -112,34 +111,29 @@ func (s *geistStrategy) SelectBatch(st *State) ([]cfgspace.Config, error) {
 	// Claim the exploit picks before drawing explore indices: the random
 	// draw rejects already-claimed nodes, so claim order shapes the random
 	// stream and must stay exploit-first.
-	batch := s.claim(st, order[:nExploit])
+	batch := s.claim(order[:nExploit])
 	if nExplore > 0 {
-		batch = append(batch, s.claim(st, randomUnmeasured(nExplore, len(p.Pool), s.unmeasured, st.Rng))...)
+		batch = append(batch, s.claim(randomUnmeasured(nExplore, len(p.Pool), s.unmeasured, st.Rng))...)
 	}
 	return batch, nil
 }
 
-// claim marks pool indices as pending-measurement and returns their
-// configurations, remembering the indices so Fit can map the measured
-// values back onto graph nodes.
-func (s *geistStrategy) claim(st *State, idxs []int) []cfgspace.Config {
-	cfgs := make([]cfgspace.Config, 0, len(idxs))
+// claim marks unmeasured pool indices as pending-measurement and returns
+// them.
+func (s *geistStrategy) claim(idxs []int) []int {
 	for _, i := range idxs {
-		if !s.unmeasured[i] {
-			continue
-		}
 		delete(s.unmeasured, i)
-		s.lastIdxs = append(s.lastIdxs, i)
-		cfgs = append(cfgs, st.Problem.Pool[i])
 	}
-	return cfgs
+	return idxs
 }
 
-func (s *geistStrategy) Fit(_ *State, fresh []Sample) (bool, error) {
+// Fit maps the fresh measurements onto their graph nodes: they are the
+// tail of st.Samples, their pool indices the tail of st.Indices.
+func (s *geistStrategy) Fit(st *State, fresh []Sample) (bool, error) {
+	idxs := st.Indices[len(st.Indices)-len(fresh):]
 	for k, smp := range fresh {
-		s.measured[s.lastIdxs[k]] = smp.Value
+		s.measured[idxs[k]] = smp.Value
 	}
-	s.lastIdxs = s.lastIdxs[:0]
 	return false, nil
 }
 

@@ -44,9 +44,11 @@ type State struct {
 	// budget; a Bootstrapper reduces it by the component runs it charged
 	// (strategy-writable, from Bootstrap only).
 	Budget int
-	// Samples are the workflow measurements so far, in measurement order.
-	// Owned by the Loop; strategies must not mutate it.
+	// Samples are the workflow measurements so far, in measurement order,
+	// and Indices each one's position in Problem.Pool. Owned by the Loop;
+	// strategies must not mutate them.
 	Samples []Sample
+	Indices []int
 	// Iter is the current iteration: 0 during seeding, then 1..Iterations.
 	Iter int
 	// SwitchIter records a Controller's model-switch iteration
@@ -130,15 +132,16 @@ func (s *State) phaseEnd(name string) {
 // searcher's two choices and the modeler's two duties. The optional hooks
 // below (Bootstrapper, WarmStarter, Controller, Importancer, and the
 // ModelRounds trace label) are discovered by type assertion on the same
-// value.
+// value. A batch is a list of Problem.Pool indices: the Loop looks their
+// configurations up only to measure them.
 type Strategy interface {
-	// SeedBatch returns the configurations to measure first (iteration 0).
+	// SeedBatch returns the pool indices to measure first (iteration 0).
 	// It may take them from st.Tracker and consume st.Rng.
-	SeedBatch(st *State) ([]cfgspace.Config, error)
+	SeedBatch(st *State) ([]int, error)
 	// SelectBatch chooses one refinement iteration's measurement batch.
 	// Returning an empty batch ends the run (budget exhausted, pool
 	// drained, or the strategy has nothing left to learn).
-	SelectBatch(st *State) ([]cfgspace.Config, error)
+	SelectBatch(st *State) ([]int, error)
 	// Fit (re)trains after a batch. fresh holds only the just-measured
 	// samples (st.Samples has the cumulative set). The returned bool
 	// reports whether a model was actually (re)trained — false suppresses
@@ -155,7 +158,7 @@ type Strategy interface {
 // queue work for the next SelectBatch through strategy-internal state and
 // may set st.SwitchIter. An error ends the run.
 type Controller interface {
-	AfterMeasure(st *State, batch []Sample) error
+	AfterMeasure(st *State) error
 }
 
 // Bootstrapper runs before seeding: CEAL-family strategies train Phase-1
@@ -275,14 +278,14 @@ func (l *Loop) Run(p *Problem, budget int) (*Result, error) {
 	// Seed batch (iteration 0), then the refinement iterations: measure,
 	// let the Controller react, refit, report.
 	ctl, _ := l.Strategy.(Controller)
-	step := func(phase string, cfgs []cfgspace.Config) error {
-		batch, err := l.measure(st, phase, cfgs)
+	step := func(phase string, idxs []int) error {
+		batch, err := l.measure(st, phase, idxs)
 		if err != nil {
 			return err
 		}
 		st.phaseEnd("measure")
 		if ctl != nil {
-			if err := ctl.AfterMeasure(st, batch); err != nil {
+			if err := ctl.AfterMeasure(st); err != nil {
 				return err
 			}
 		}
@@ -303,15 +306,15 @@ func (l *Loop) Run(p *Problem, budget int) (*Result, error) {
 	}
 	for it := 1; it <= l.Iterations; it++ {
 		st.Iter = it
-		cfgs, err := l.Strategy.SelectBatch(st)
+		idxs, err := l.Strategy.SelectBatch(st)
 		if err != nil {
 			return nil, err
 		}
 		st.phaseEnd("select")
-		if len(cfgs) == 0 {
+		if len(idxs) == 0 {
 			break
 		}
-		if err := step("refine", cfgs); err != nil {
+		if err := step("refine", idxs); err != nil {
 			return nil, err
 		}
 	}
@@ -342,25 +345,30 @@ func (l *Loop) Run(p *Problem, budget int) (*Result, error) {
 	return res, nil
 }
 
-// measure runs one batch through the problem's caching collector, appends
-// the samples to the run state, and tracks the best measured value. The
-// BatchMeasured event carries the collector's cache-counter deltas for
-// exactly this batch.
-func (l *Loop) measure(st *State, phase string, cfgs []cfgspace.Config) ([]Sample, error) {
-	if len(cfgs) == 0 {
+// measure runs the batch of pool indices through the problem's caching
+// collector, appends the samples and their indices to the run state, and
+// tracks the best measured value. The BatchMeasured event carries the
+// collector's cache-counter deltas for exactly this batch.
+func (l *Loop) measure(st *State, phase string, idxs []int) ([]Sample, error) {
+	if len(idxs) == 0 {
 		return nil, nil
 	}
 	p := st.Problem
 	var before collector.Stats
 	if st.obs != nil {
-		st.Emit(&events.BatchSelected{Iteration: st.Iter, Phase: phase, Size: len(cfgs)})
+		st.Emit(&events.BatchSelected{Iteration: st.Iter, Phase: phase, Size: len(idxs)})
 		before = p.Collector().Stats()
+	}
+	cfgs := make([]cfgspace.Config, len(idxs))
+	for k, i := range idxs {
+		cfgs[k] = p.Pool[i]
 	}
 	samples, err := measureBatch(p, cfgs)
 	if err != nil {
 		return nil, err
 	}
 	st.Samples = append(st.Samples, samples...)
+	st.Indices = append(st.Indices, idxs...)
 	cost := 0.0
 	for _, s := range samples {
 		cost += s.Value

@@ -372,9 +372,8 @@ func TestPoolTrackerEdgeCases(t *testing.T) {
 		got := tr.takeTop(7, tied)
 		want := metrics.TopIndices(7, make([]float64, len(p.Pool)))
 		for i := range got {
-			if got[i].Key() != p.Pool[want[i]].Key() {
-				t.Errorf("pick %d: takeTop chose %v, TopIndices says %v",
-					i, got[i], p.Pool[want[i]])
+			if got[i] != want[i] {
+				t.Errorf("pick %d: takeTop chose %d, TopIndices says %d", i, got[i], want[i])
 			}
 		}
 	})

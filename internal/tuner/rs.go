@@ -1,9 +1,5 @@
 package tuner
 
-import (
-	"ceal/internal/cfgspace"
-)
-
 // RS is the random-sampling baseline (§7.3): the whole budget is spent on
 // uniformly chosen pool configurations, then one surrogate is trained on
 // them.
@@ -24,12 +20,12 @@ type rsStrategy struct {
 	surrogateBacked
 }
 
-func (s *rsStrategy) SeedBatch(st *State) ([]cfgspace.Config, error) {
+func (s *rsStrategy) SeedBatch(st *State) ([]int, error) {
 	return st.Tracker.takeRandom(st.Budget, st.Rng), nil
 }
 
 // SelectBatch is never reached: RS runs no refinement iterations.
-func (s *rsStrategy) SelectBatch(*State) ([]cfgspace.Config, error) { return nil, nil }
+func (s *rsStrategy) SelectBatch(*State) ([]int, error) { return nil, nil }
 
 // Distinct salts decorrelate the algorithms' random streams from one
 // another while keeping each fully reproducible from Problem.Seed.

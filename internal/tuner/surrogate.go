@@ -142,17 +142,6 @@ func (s *Surrogate) PredictPoolInto(pool []cfgspace.Config, out []float64) ([]fl
 	return out, nil
 }
 
-// PredictBatch predicts for an ad-hoc configuration batch (featurized on
-// the fly; use PredictPoolInto for the cached full pool).
-func (s *Surrogate) PredictBatch(cfgs []cfgspace.Config) []float64 {
-	if s.model == nil {
-		panic("tuner: PredictBatch on untrained surrogate")
-	}
-	return s.eng.Floats(len(cfgs), func(i int) float64 {
-		return unlogTarget(s.model.PredictRow(s.feats(cfgs[i])))
-	})
-}
-
 // poolScorer returns a candidate scorer over p.Pool indices backed by the
 // pool codes, so per-iteration ranking never recodes the pool. The fused
 // selector supplies the parallelism and its cut-off, finite from the first

@@ -440,15 +440,16 @@ func newPoolTracker(p *Problem) *poolTracker {
 	return &poolTracker{p: p, remaining: idx}
 }
 
-// takeRandom removes up to n random configurations and returns them.
-func (t *poolTracker) takeRandom(n int, rng *rand.Rand) []cfgspace.Config {
+// takeRandom removes up to n random configurations and returns their pool
+// indices.
+func (t *poolTracker) takeRandom(n int, rng *rand.Rand) []int {
 	if n > len(t.remaining) {
 		n = len(t.remaining)
 	}
-	out := make([]cfgspace.Config, 0, n)
+	out := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		k := rng.IntN(len(t.remaining))
-		out = append(out, t.p.Pool[t.remaining[k]])
+		out = append(out, t.remaining[k])
 		t.remaining[k] = t.remaining[len(t.remaining)-1]
 		t.remaining = t.remaining[:len(t.remaining)-1]
 	}
@@ -510,11 +511,11 @@ func heapUp(h []topkEntry, i int) {
 }
 
 // takeTop removes the n remaining configurations with the best (lowest)
-// scores under the batch scorer and returns them, fused with the scoring
-// pass: each engine chunk streams its candidates through the scorer in
-// blocks and folds them into a bounded max-heap of the chunk's n best, so
-// the pass is O(m + k·n log n) with no full score slice, full config copy,
-// or full sort. A chunk's first block is min(n, selectBlock) candidates and
+// scores under the batch scorer and returns their pool indices, fused with
+// the scoring pass: each engine chunk streams its candidates through the
+// scorer in blocks and folds them into a bounded max-heap of the chunk's n
+// best, so the pass is O(m + k·n log n) with no full score slice or full
+// sort. A chunk's first block is min(n, selectBlock) candidates and
 // each later one doubles, up to selectBlock: the heap is full, and the
 // cut-off a bounded scorer stops against finite, after n candidates, while
 // doubling keeps the per-block cost amortized when n is small.
@@ -526,7 +527,7 @@ func heapUp(h []topkEntry, i int) {
 // sort's prefix, and the removal is the old descending-position
 // swap-remove verbatim — so the surviving array, and every follow-on RNG
 // draw, is unchanged (pinned by TestTakeTopMatchesReference).
-func (t *poolTracker) takeTop(n int, score poolScorer) []cfgspace.Config {
+func (t *poolTracker) takeTop(n int, score poolScorer) []int {
 	m := len(t.remaining)
 	if n > m {
 		n = m
@@ -585,10 +586,10 @@ func (t *poolTracker) takeTop(n int, score poolScorer) []cfgspace.Config {
 		return int(a.pos) - int(b.pos)
 	})
 
-	out := make([]cfgspace.Config, n)
+	out := make([]int, n)
 	kill := make([]int32, n)
 	for i := 0; i < n; i++ {
-		out[i] = t.p.Pool[t.remaining[cand[i].pos]]
+		out[i] = t.remaining[cand[i].pos]
 		kill[i] = cand[i].pos
 	}
 	slices.Sort(kill)

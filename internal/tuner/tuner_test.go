@@ -246,7 +246,7 @@ func TestCEALWithHistorySkipsComponentRuns(t *testing.T) {
 
 func TestLowFidelityScoresRankWell(t *testing.T) {
 	p := synthProblem(11, 500)
-	scores, err := LowFidelityScores(p, 60, p.Pool)
+	scores, err := LowFidelityScores(p, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,8 +270,8 @@ func TestPoolTrackerTakeTop(t *testing.T) {
 	got := tr.takeTop(3, score)
 	want := metrics.TopIndices(3, truth)
 	for i := range got {
-		if got[i].Key() != p.Pool[want[i]].Key() {
-			t.Fatalf("takeTop[%d] = %v, want %v", i, got[i], p.Pool[want[i]])
+		if got[i] != want[i] {
+			t.Fatalf("takeTop[%d] = %d, want %d", i, got[i], want[i])
 		}
 	}
 	if tr.left() != 47 {
@@ -279,10 +279,10 @@ func TestPoolTrackerTakeTop(t *testing.T) {
 	}
 	// Taking again must not return duplicates.
 	again := tr.takeTop(3, score)
-	for _, cfg := range again {
+	for _, idx := range again {
 		for _, prev := range got {
-			if cfg.Key() == prev.Key() {
-				t.Fatalf("takeTop returned duplicate %v", cfg)
+			if idx == prev {
+				t.Fatalf("takeTop returned duplicate %d", idx)
 			}
 		}
 	}
@@ -296,12 +296,12 @@ func TestPoolTrackerTakeRandomExhausts(t *testing.T) {
 	if len(got) != 10 || tr.left() != 0 {
 		t.Fatalf("takeRandom drained %d, left %d", len(got), tr.left())
 	}
-	seen := map[string]bool{}
-	for _, cfg := range got {
-		if seen[cfg.Key()] {
-			t.Fatalf("duplicate %v", cfg)
+	seen := map[int]bool{}
+	for _, idx := range got {
+		if seen[idx] {
+			t.Fatalf("duplicate %d", idx)
 		}
-		seen[cfg.Key()] = true
+		seen[idx] = true
 	}
 }
 
