@@ -5,8 +5,6 @@
 package cfgspace
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"runtime"
@@ -77,57 +75,6 @@ func (c Config) Key() string {
 
 // String formats the configuration like the paper's Table 2 tuples.
 func (c Config) String() string { return "(" + c.Key() + ")" }
-
-// UnmarshalJSON decodes an array of integers into one slice of its exact
-// length. Anything else — null, a fraction or an exponent, an integer out
-// of range, not an array — decodes as encoding/json decodes a plain []int,
-// so the value or the error is exactly encoding/json's.
-func (c *Config) UnmarshalJSON(b []byte) error {
-	if v, ok := parseInts(b); ok {
-		*c = v
-		return nil
-	}
-	return json.Unmarshal(b, (*[]int)(c))
-}
-
-// parseInts parses b as a JSON array of integers that fit an int, or
-// reports false. The array is trimmed once, and its fields are split by a
-// scan for commas and trimmed in place.
-func parseInts(b []byte) (Config, bool) {
-	b = bytes.Trim(b, jsonSpace)
-	if len(b) < 2 || b[0] != '[' || b[len(b)-1] != ']' {
-		return nil, false
-	}
-	body := b[1 : len(b)-1]
-	vals := make([]int, 0, 16)
-	for start, end := 0, 0; end < len(body); start = end + 1 {
-		for end = start; end < len(body) && body[end] != ','; end++ {
-		}
-		field := body[start:end]
-		for len(field) > 0 && strings.IndexByte(jsonSpace, field[0]) >= 0 {
-			field = field[1:]
-		}
-		for len(field) > 0 && strings.IndexByte(jsonSpace, field[len(field)-1]) >= 0 {
-			field = field[:len(field)-1]
-		}
-		if len(field) == 0 && start == 0 && end == len(body) {
-			break // an empty array, spaces or not
-		}
-		// strconv also takes a '+' and leading zeros; JSON does not.
-		digits := bytes.TrimPrefix(field, []byte{'-'})
-		if len(digits) == 0 || digits[0] == '+' || (digits[0] == '0' && len(digits) > 1) {
-			return nil, false
-		}
-		v, err := strconv.Atoi(string(field)) // ParseInt's result, faster for short fields
-		if err != nil {
-			return nil, false
-		}
-		vals = append(vals, v)
-	}
-	return append(make(Config, 0, len(vals)), vals...), true
-}
-
-const jsonSpace = " \t\n\r"
 
 // Space is a parameter space with an optional joint validity constraint.
 type Space struct {

@@ -97,7 +97,7 @@ func TestDecodeFramedAllocs(t *testing.T) {
 	}
 	const fixed = 20
 	n := testing.AllocsPerRun(50, func() {
-		if _, _, err := decodeFramed(line); err != nil {
+		if _, err := decodeFramed(line); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -150,7 +150,7 @@ func BenchmarkDecodeFramed(b *testing.B) {
 		b.SetBytes(int64(len(line)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := decodeFramed(line); err != nil {
+			if _, err := decodeFramed(line); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -274,8 +274,7 @@ func BenchmarkEncodeFramed(b *testing.B) {
 
 // BenchmarkCompact1k prices the ledger's histdb.compact.ms: compacting a
 // reopened store of 1000 served runs, a fifth of them saved twice, into a
-// snapshot of their 1000 frames, each copied from the segment it was
-// replayed from.
+// snapshot of their 1000 frames, each encoded afresh.
 func BenchmarkCompact1k(b *testing.B) {
 	recs := servedRecords(1000)
 	var upserts []*RunRecord

@@ -144,7 +144,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 			t.Fatalf("record %d: encodeFramed replaced the caller's scores", i)
 		}
 
-		d, _, err := decodeFramed(line[:len(line)-1])
+		d, err := decodeFramed(line[:len(line)-1])
 		got := d.(*RunRecord)
 		if err != nil {
 			t.Fatalf("record %d: decode: %v", i, err)
@@ -281,7 +281,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, _, err := decodeFramed(line[:len(line)-1])
+		d, err := decodeFramed(line[:len(line)-1])
 		got := d.(*RunRecord)
 		if err != nil {
 			t.Fatal(err)

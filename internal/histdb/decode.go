@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/json"
-	"math"
 	"reflect"
 	"strconv"
 	"strings"
@@ -17,11 +16,11 @@ import (
 )
 
 // decodeCanonical decodes a payload into v, a fresh *RunRecord or *Progress,
-// in one pass if it is laid out exactly as encodeFramed writes it: keys in
-// order, omitempty fields absent, no whitespace, no escape, every number and
-// time as encoding/json writes its value. Otherwise it leaves v zero and
+// in one pass if it is compact JSON laid out as encodeFramed lays it out:
+// keys in field order, no whitespace, no escape. Numbers and times may take
+// any form JSON and their parsers allow. Otherwise it leaves v zero and
 // reports false. What it accepts decodes reflect.DeepEqual to
-// json.Unmarshal's value and re-marshals to the same bytes.
+// json.Unmarshal's value, and it accepts nothing json.Unmarshal refuses.
 func decodeCanonical(payload []byte, v any) (ok bool) {
 	rv := reflect.ValueOf(v).Elem()
 	defer func() {
@@ -66,29 +65,28 @@ var fields = func() map[reflect.Type][]field {
 
 // decoder reads one payload: each method consumes what it reads or declines.
 type decoder struct {
-	b   []byte
-	i   int
-	buf [64]byte // a number's or time's canonical form, to compare against
+	b []byte
+	i int
 }
 
-// decode reads the value encoding/json writes for v's type into v.
+// decode reads a value of v's type into v.
 func (d *decoder) decode(v reflect.Value) {
 	switch t := v.Type(); t.Kind() {
 	case reflect.String:
 		v.SetString(string(d.str()))
 	case reflect.Int:
-		n, err := strconv.Atoi(string(d.digits()))
+		n, err := strconv.Atoi(string(d.number()))
 		must(err == nil)
 		v.SetInt(int64(n))
 	case reflect.Uint64:
-		n, err := strconv.ParseUint(string(d.digits()), 10, 64)
+		n, err := strconv.ParseUint(string(d.number()), 10, 64)
 		must(err == nil)
 		v.SetUint(n)
 	case reflect.Float64:
 		v.SetFloat(d.float())
-	case reflect.Bool: // only omitempty ones, so never false
-		must(d.opt("true"))
-		v.SetBool(true)
+	case reflect.Bool:
+		v.SetBool(d.opt("true"))
+		must(v.Bool() || d.opt("false"))
 	case reflect.Struct:
 		if p, ok := v.Addr().Interface().(*time.Time); ok {
 			d.time(p)
@@ -142,7 +140,7 @@ func (d *decoder) decode(v reflect.Value) {
 	}
 }
 
-// object reads a struct's fields in order, an omitempty one absent if empty.
+// object reads a struct's fields in order, only an omitempty one absent.
 func (d *decoder) object(v reflect.Value) {
 	fs, ok := fields[v.Type()]
 	must(ok && d.eat('{'))
@@ -153,12 +151,7 @@ func (d *decoder) object(v reflect.Value) {
 			must(f.omitempty)
 			continue
 		}
-		start := d.i
 		d.decode(v.Field(f.index))
-		switch string(d.b[start:d.i]) {
-		case `""`, "0", "-0", "false", "[]", "null": // what omitempty omits
-			must(!f.omitempty)
-		}
 		first = false
 	}
 	must(d.eat('}'))
@@ -237,56 +230,37 @@ func plainLen[T string | []byte](s T) int {
 	return i
 }
 
-// digits reads an integer as encoding/json writes one: no leading 0, no -0.
-func (d *decoder) digits() []byte {
+// number reads a JSON number and returns its bytes: integer fields parse
+// them with strconv, which refuses a fraction or an exponent as
+// json.Unmarshal does.
+func (d *decoder) number() []byte {
 	start := d.i
-	d.eat('-')
-	n := d.i
-	d.i = scanDigits(d.b, n)
-	must(d.i > n && (d.b[n] != '0' || d.i == n+1 && n == start))
+	d.i = scanNumber(d.b, d.i)
+	must(d.i > 0)
 	return d.b[start:d.i]
 }
 
-// float reads a number that is encoding/json's encoding of its value.
+// float reads a number, parsed as json.Unmarshal parses one.
 func (d *decoder) float() float64 {
-	start := d.i
-	for d.i < len(d.b) && (d.b[d.i]-'0' < 10 || strings.IndexByte("+-.Ee", d.b[d.i]) >= 0) {
-		d.i++
-	}
-	f, err := strconv.ParseFloat(string(d.b[start:d.i]), 64)
-	must(err == nil && bytes.Equal(appendFloat(d.buf[:0], f), d.b[start:d.i]))
+	f, err := strconv.ParseFloat(string(d.number()), 64)
+	must(err == nil)
 	return f
 }
 
-// appendFloat is encoding/json's float64 encoder.
-func appendFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1] // e-09 is written e-9
-		b = b[:n-1]
-	}
-	return b
-}
-
-// time reads a time as MarshalJSON writes it, through its UnmarshalJSON.
+// time reads a string time through its UnmarshalJSON, as json.Unmarshal does.
 func (d *decoder) time(t *time.Time) {
 	start := d.i
 	d.str()
-	tok := d.b[start:d.i]
-	must(t.UnmarshalJSON(tok) == nil && bytes.Equal(append(t.AppendFormat(append(d.buf[:0], '"'), time.RFC3339Nano), '"'), tok))
+	must(t.UnmarshalJSON(d.b[start:d.i]) == nil)
 }
 
-// cfg reads an array of ints, each as digits reads it, into a Config of
+// cfg reads an array of ints, each as number reads it, into a Config of
 // its own.
 func (d *decoder) cfg(c *cfgspace.Config) {
 	var buf [16]int
 	vals := buf[:0]
 	d.seq('[', ']', func() {
-		v, err := strconv.Atoi(string(d.digits()))
+		v, err := strconv.Atoi(string(d.number()))
 		must(err == nil)
 		vals = append(vals, v)
 	})
@@ -348,7 +322,12 @@ func scanLine(b []byte, i, depth int) int {
 		}
 		return -1
 	}
-	// A number: no leading zero, digits after a point and in an exponent.
+	return scanNumber(b, i)
+}
+
+// scanNumber returns the end of the JSON number b[i:] starts with — no
+// leading zero, digits after a point and in an exponent — or -1.
+func scanNumber(b []byte, i int) int {
 	if i < len(b) && b[i] == '-' {
 		i++
 	}
@@ -391,15 +370,14 @@ func scanDigits(b []byte, i int) int {
 	return i
 }
 
-// checkpoint reads a journal, its keys sorted as encoding/json writes them.
+// checkpoint reads a journal; a repeated key keeps its last value, as in
+// json.Unmarshal's map.
 func (d *decoder) checkpoint() map[string]float64 {
 	m := make(map[string]float64)
-	var prev []byte
 	d.seq('{', '}', func() {
 		k := d.str()
-		must((len(m) == 0 || string(k) > string(prev)) && d.eat(':'))
-		m[string(k)], prev = d.float(), k
+		must(d.eat(':'))
+		m[string(k)] = d.float()
 	})
-	must(len(m) > 0) // only an omitempty field holds one
 	return m
 }

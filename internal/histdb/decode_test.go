@@ -1,7 +1,6 @@
 package histdb
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -113,14 +112,15 @@ func TestLifecycleFramesTakeTheCanonicalPath(t *testing.T) {
 }
 
 // FuzzDecodeFramed holds the canonical path to json.Unmarshal, the
-// reference: whatever it accepts is valid JSON, decodes reflect.DeepEqual
-// to json.Unmarshal's value and re-marshals to the payload's bytes; and it
-// accepts nothing json.Unmarshal refuses. decodeFramed returns that value,
-// and reports whether the canonical path read it.
+// reference: whatever it accepts is valid JSON and decodes
+// reflect.DeepEqual to json.Unmarshal's value, and it accepts nothing
+// json.Unmarshal refuses. decodeFramed returns that value, or refuses what
+// json.Unmarshal refuses.
 func FuzzDecodeFramed(f *testing.F) {
 	kinds, payloads := lifecycleFrames(f)
 	// Each mutation leaves the payload valid JSON that encodeFramed would
-	// not write, or breaks it.
+	// not write — which the canonical path reads, or declines for
+	// json.Unmarshal — or breaks it.
 	mutations := []func(string) string{
 		func(s string) string { return s },
 		func(s string) string { return strings.Replace(s, `,"`, `, "`, 1) },
@@ -171,14 +171,60 @@ func FuzzDecodeFramed(f *testing.F) {
 			if !reflect.DeepEqual(fast, ref) {
 				t.Fatalf("canonical path decoded %q as\n%#v\nwant\n%#v", payload, fast, ref)
 			}
-			if back := mustJSON(t, fast); !bytes.Equal(back, payload) {
-				t.Fatalf("canonical path accepted %q, which re-marshals as %q", payload, back)
-			}
 		}
-		line := append(fmt.Appendf(nil, "%08x%c", crc32.ChecksumIEEE(payload), kind), payload...)
-		got, canonical, derr := decodeFramed(line)
-		if (derr == nil) != (err == nil) || err == nil && !reflect.DeepEqual(got, ref) || canonical != ok {
-			t.Fatalf("decodeFramed = %v, %v, %v; json.Unmarshal = %v, %v", got, canonical, derr, ref, err)
+		got, derr := decodeFramed(frameLine(kind, payload))
+		if (derr == nil) != (err == nil) || err == nil && !reflect.DeepEqual(got, ref) {
+			t.Fatalf("decodeFramed = %v, %v; json.Unmarshal = %v, %v", got, derr, ref, err)
 		}
 	})
+}
+
+// frameLine CRC-frames a payload as a frame of the given kind, less its
+// newline.
+func frameLine(kind byte, payload []byte) []byte {
+	return append(fmt.Appendf(nil, "%08x%c", crc32.ChecksumIEEE(payload), kind), payload...)
+}
+
+// TestNumberFormsDecodeLikeJSON: a frame may hold a number in any form
+// JSON allows — trailing zeros, an exponent, a capital E, -0 — and a
+// checkpoint's keys in any order, repeated or none; each decodes on the
+// canonical path to json.Unmarshal's value, as does a time written with
+// fraction digits. A number JSON's grammar refuses is refused with
+// json.Unmarshal's error.
+func TestNumberFormsDecodeLikeJSON(t *testing.T) {
+	rec := liveRec("run-000001", 1)
+	rec.Checkpoint = map[string]float64{"a": 1.5, "b": 100, "c": 4}
+	payload := string(mustJSON(t, rec))
+	const cp, at = `"checkpoint":{"a":1.5,"b":100,"c":4}`, `"started_at":"0001-01-01T00:00:00Z"`
+	if !strings.Contains(payload, cp) || !strings.Contains(payload, at) {
+		t.Fatalf("payload lacks %s or %s: %s", cp, at, payload)
+	}
+	for _, tc := range []struct {
+		old, new string
+		ok       bool
+	}{
+		{cp, `"checkpoint":{"a":1.50,"b":100,"c":4}`, true},
+		{cp, `"checkpoint":{"a":1.5,"b":100,"c":4.0e0}`, true},
+		{cp, `"checkpoint":{"a":1.5,"b":1E+2,"c":4}`, true},
+		{cp, `"checkpoint":{"a":15e-1,"b":100,"c":-0}`, true},
+		{cp, `"checkpoint":{"c":4,"a":1.5,"b":100}`, true},
+		{cp, `"checkpoint":{"a":1,"b":100,"c":4,"a":1.5}`, true},
+		{cp, `"checkpoint":{}`, true},
+		{at, `"started_at":"0001-01-01T00:00:00.000Z"`, true},
+		{cp, `"checkpoint":{"a":+1,"b":100,"c":4}`, false},
+		{cp, `"checkpoint":{"a":01,"b":100,"c":4}`, false},
+		{cp, `"checkpoint":{"a":.5,"b":100,"c":4}`, false},
+		{cp, `"checkpoint":{"a":1.,"b":100,"c":4}`, false},
+		{cp, `"checkpoint":{"a":1e,"b":100,"c":4}`, false},
+	} {
+		p := []byte(strings.Replace(payload, tc.old, tc.new, 1))
+		fast, ok, ref, err := decodeBoth(recordFrame, p)
+		got, derr := decodeFramed(frameLine(recordFrame, p))
+		if tc.ok && (!ok || err != nil || derr != nil || !reflect.DeepEqual(fast, ref) || !reflect.DeepEqual(got, ref)) {
+			t.Errorf("%s: canonical path accepted %v, equal %v; decodeFramed %v; json.Unmarshal %v", tc.new, ok, reflect.DeepEqual(fast, ref), derr, err)
+		}
+		if !tc.ok && (ok || err == nil || derr == nil || derr.Error() != err.Error()) {
+			t.Errorf("%s: canonical path accepted %v; decodeFramed refused with %v, json.Unmarshal with %v", tc.new, ok, derr, err)
+		}
+	}
 }

@@ -135,3 +135,17 @@ func (e *encoder) float(f float64) {
 	must(!math.IsNaN(f) && !math.IsInf(f, 0))
 	e.b = appendFloat(e.b, f)
 }
+
+// appendFloat is encoding/json's float64 encoder.
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-09 is written e-9
+		b = b[:n-1]
+	}
+	return b
+}

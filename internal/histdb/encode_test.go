@@ -6,7 +6,6 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -69,13 +68,13 @@ func FuzzEncodeFramed(f *testing.F) {
 	})
 }
 
-// TestCompactCopiesFrames: a store holding this process's saves, frames
-// replayed on the canonical path, a frame replayed through json.Unmarshal,
-// a record with progress folded in, another writer's record read by
-// Refresh, a frame flipped on disk after the open and a segment removed
-// before Compact remembers exactly the frames it may copy, and compacts to
-// the bytes writeSegment writes over json.Encoder's frames.
-func TestCompactCopiesFrames(t *testing.T) {
+// TestCompactWritesOracleSnapshot: a store holding this process's saves,
+// frames replayed on the canonical path, a frame replayed through
+// json.Unmarshal, a record with progress folded in, and another writer's
+// record read by Refresh compacts to the bytes writeSegment writes over
+// json.Encoder's frames — from memory alone: a frame flipped on disk after
+// the open and a segment removed before Compact change nothing.
+func TestCompactWritesOracleSnapshot(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "runs")
 	recs := servedRecords(8)
 	for _, r := range []*RunRecord{recs[3], recs[7]} { // json.Encoder writes these
@@ -99,21 +98,12 @@ func TestCompactCopiesFrames(t *testing.T) {
 	live := liveRec(recs[6].ID, 6)
 	mustSave(t, st, recs[2], recs[5], live, batch(live.ID, 0), recs[7])
 
-	var remembered []string
-	for id := range st.frames {
-		remembered = append(remembered, id)
-	}
-	slices.Sort(remembered)
-	if want := []string{recs[0].ID, recs[1].ID, recs[2].ID, recs[4].ID, recs[5].ID, recs[7].ID}; !slices.Equal(remembered, want) {
-		t.Fatalf("remembered frames of %v, want %v", remembered, want)
-	}
-
 	data, err := os.ReadFile(aSeg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := st.frames[recs[1].ID]
-	data[ref.off+int64(ref.n/2)] ^= 0x01
+	lines := bytes.SplitAfter(data, []byte("\n")) // recs[0] to recs[3], in order
+	data[len(lines[0])+len(lines[1])/2] ^= 0x01
 	if err := os.WriteFile(aSeg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +131,6 @@ func TestCompactCopiesFrames(t *testing.T) {
 	}
 	if names, _ := st.segments(); len(names) != 1 || !bytes.Equal(got, wantBytes) {
 		t.Fatalf("%d segments after Compact; snapshot equal to the oracle's: %v", len(names), bytes.Equal(got, wantBytes))
-	}
-	if len(st.frames) != len(list) {
-		t.Fatalf("%d frames remembered after Compact, want all %d", len(st.frames), len(list))
 	}
 }
 

@@ -43,11 +43,11 @@ import (
 // one kind into the other. A served run carries no pool scores, and
 // encoding/json round-trips any that a record does carry bit for bit.
 //
-// The payload is json.Marshal's bytes, which the store's own encoder and
-// decoder handle, each falling back to encoding/json. Compact copies the
-// record frames the store remembers — written by Save or replayed through
-// the canonical decoder, and no progress frame naming the run since — and
-// re-encodes only the rest.
+// The payload is json.Marshal's bytes, written by the store's own encoder
+// or, for what it declines, json.Encoder. A frame reads back to
+// json.Unmarshal's value of its payload, whatever its layout: the store's
+// one-pass decoder reads compact JSON, json.Unmarshal the rest. Compact
+// encodes every record afresh.
 //
 // Crash tolerance: a process killed mid-append can leave a torn frame at
 // the tail of its segment, which for a progress frame loses that one
@@ -73,17 +73,8 @@ type FileStore struct {
 	segName  string   // file name of the active segment
 	f        *os.File // active segment; nil until the first Save
 	w        *bufio.Writer
-	size     int64               // bytes appended to the active segment
-	offsets  map[string]int64    // replayed bytes per segment file name
-	frames   map[string]frameRef // record ID → its current frame, if exact
-}
-
-// frameRef locates a record frame that is byte for byte what encodeFramed
-// writes for the record the store holds: Compact copies it.
-type frameRef struct {
-	seg string
-	off int64
-	n   int
+	size     int64            // bytes appended to the active segment
+	offsets  map[string]int64 // replayed bytes per segment file name
 }
 
 // defaultSegmentBytes is the segment roll threshold.
@@ -110,7 +101,6 @@ func OpenFileStore(path string) (*FileStore, error) {
 		dir:          path,
 		writerID:     newWriterID(),
 		offsets:      make(map[string]int64),
-		frames:       make(map[string]frameRef),
 	}
 	if err := s.load(); err != nil {
 		return nil, err
@@ -246,8 +236,8 @@ func (s *FileStore) replaySegment(name string, offset int64, strict bool, buf *[
 	}
 	// Decode on every processor, then apply strictly in log order: a nil
 	// entry is a damaged frame, and nothing at or past the first one counts.
-	frames, canonical := make([]any, len(lines)), make([]bool, len(lines))
-	score.New(runtime.GOMAXPROCS(0)).Tasks(len(lines), func(i int) { frames[i], canonical[i], _ = decodeFramed(lines[i]) })
+	frames := make([]any, len(lines))
+	score.New(runtime.GOMAXPROCS(0)).Tasks(len(lines), func(i int) { frames[i], _ = decodeFramed(lines[i]) })
 	consumed := offset
 	s.mem.mu.Lock()
 	defer s.mem.mu.Unlock()
@@ -255,10 +245,8 @@ func (s *FileStore) replaySegment(name string, offset int64, strict bool, buf *[
 		switch f := f.(type) {
 		case *RunRecord:
 			s.mem.put(f)
-			s.remember(f.ID, canonical[i], frameRef{name, consumed, len(lines[i]) + 1})
 		case *Progress:
 			s.mem.fold(f)
-			delete(s.frames, f.ID)
 		default:
 			// Tail damage is tolerated; damage with intact frames after it is not.
 			if strict && slices.ContainsFunc(frames[i+1:], func(f any) bool { return f != nil }) {
@@ -290,31 +278,30 @@ const (
 
 // decodeFramed validates one "crc32hex<kind><json>" line and decodes its
 // payload as its kind says: a *RunRecord or a *Progress, or nil and an
-// error. decodeCanonical reads what encodeFramed writes in one pass, and
-// canonical reports it did; json.Unmarshal, the reference, reads the rest
-// and gives every error.
-func decodeFramed(line []byte) (v any, canonical bool, err error) {
+// error. decodeCanonical reads compact JSON in one pass; json.Unmarshal,
+// the reference, reads the rest and gives every error.
+func decodeFramed(line []byte) (any, error) {
 	if len(line) < 10 || (line[8] != recordFrame && line[8] != progressFrame) {
-		return nil, false, fmt.Errorf("histdb: short or unframed record")
+		return nil, fmt.Errorf("histdb: short or unframed record")
 	}
 	want, err := strconv.ParseUint(string(line[:8]), 16, 32)
 	if err != nil {
-		return nil, false, fmt.Errorf("histdb: bad record checksum field: %w", err)
+		return nil, fmt.Errorf("histdb: bad record checksum field: %w", err)
 	}
 	payload := line[9:]
 	if got := crc32.ChecksumIEEE(payload); got != uint32(want) {
-		return nil, false, fmt.Errorf("histdb: record checksum mismatch: %08x != %08x", got, want)
+		return nil, fmt.Errorf("histdb: record checksum mismatch: %08x != %08x", got, want)
 	}
-	v = new(RunRecord)
+	var v any = new(RunRecord)
 	if line[8] == progressFrame {
 		v = new(Progress)
 	}
-	if canonical = decodeCanonical(payload, v); !canonical {
+	if !decodeCanonical(payload, v) {
 		if err := json.Unmarshal(payload, v); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 	}
-	return v, canonical, nil
+	return v, nil
 }
 
 // encodeFramed appends v, a *RunRecord or *Progress, to dst as a frame of
@@ -362,19 +349,19 @@ func (w *frameWriter) Write(p []byte) (int, error) {
 // segment, rolling to a fresh one at the size threshold, then update the
 // in-memory view — a save that fails leaves memory where the disk is.
 func (s *FileStore) Save(rec *RunRecord) error {
-	return s.write(recordFrame, rec, rec.ID, func() error { return s.mem.Save(rec) })
+	return s.write(recordFrame, rec, func() error { return s.mem.Save(rec) })
 }
 
 // SaveProgress implements Store the way Save does, with a progress frame.
 func (s *FileStore) SaveProgress(p *Progress) error {
-	return s.write(progressFrame, p, p.ID, func() error { return s.mem.SaveProgress(p) })
+	return s.write(progressFrame, p, func() error { return s.mem.SaveProgress(p) })
 }
 
 // lineBufs recycles the buffers write frames into.
 var lineBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // write appends v as a frame of the given kind, then applies it to memory.
-func (s *FileStore) write(kind byte, v any, id string, apply func() error) error {
+func (s *FileStore) write(kind byte, v any, apply func() error) error {
 	buf := lineBufs.Get().(*[]byte)
 	defer lineBufs.Put(buf)
 	line, err := encodeFramed((*buf)[:0], kind, v)
@@ -384,8 +371,7 @@ func (s *FileStore) write(kind byte, v any, id string, apply func() error) error
 	*buf = line
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	off, err := s.append(line)
-	if err != nil {
+	if err := s.append(line); err != nil {
 		// The segment may now end in a torn frame, and its bufio.Writer
 		// keeps the error: drop it, so the next write rolls a fresh one.
 		if s.f != nil {
@@ -394,38 +380,25 @@ func (s *FileStore) write(kind byte, v any, id string, apply func() error) error
 		}
 		return err
 	}
-	s.remember(id, kind == recordFrame, frameRef{s.segName, off, len(line)})
 	return apply()
 }
 
-// remember notes where id's current frame sits when that frame is exact,
-// and forgets it otherwise (caller holds mu, or is the open).
-func (s *FileStore) remember(id string, exact bool, ref frameRef) {
-	if exact {
-		s.frames[id] = ref
-	} else {
-		delete(s.frames, id)
-	}
-}
-
-// append writes one framed line to the active segment and returns its
-// offset there (caller holds mu).
-func (s *FileStore) append(line []byte) (int64, error) {
+// append writes one framed line to the active segment (caller holds mu).
+func (s *FileStore) append(line []byte) error {
 	if s.f == nil || (s.size > 0 && s.size+int64(len(line)) > s.segmentBytes) {
 		if err := s.roll(); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	if _, err := s.w.Write(line); err != nil {
-		return 0, err
+		return err
 	}
 	if err := s.w.Flush(); err != nil {
-		return 0, err
+		return err
 	}
-	off := s.size
 	s.size += int64(len(line))
 	s.offsets[s.segName] += int64(len(line))
-	return off, nil
+	return nil
 }
 
 // roll closes the active segment and opens the next one (caller holds mu).
@@ -543,27 +516,11 @@ func (s *FileStore) Compact() error {
 	if err != nil {
 		return err
 	}
-	// Open every segment holding a remembered frame; a vanished one leaves
-	// its frames to be encoded again.
-	files := make(map[string]*os.File)
-	for _, ref := range s.frames {
-		if _, ok := files[ref.seg]; !ok {
-			files[ref.seg], _ = os.Open(filepath.Join(s.dir, ref.seg))
-		}
-	}
-	defer func() {
-		for _, f := range files {
-			f.Close()
-		}
-	}()
 	recs := s.mem.List()
-	lens := make([]int, len(recs))
 	s.segSeq++
 	snap := segmentName(s.segSeq, s.writerID)
 	size, err := writeSegment(filepath.Join(s.dir, snap), len(recs), func(i int, buf []byte) ([]byte, error) {
-		line, err := s.snapshotFrame(buf, files, recs[i])
-		lens[i] = len(line)
-		return line, err
+		return encodeFramed(buf, recordFrame, recs[i])
 	})
 	if err != nil {
 		return err
@@ -571,12 +528,6 @@ func (s *FileStore) Compact() error {
 
 	clear(s.offsets)
 	s.offsets[snap] = size
-	clear(s.frames)
-	var off int64
-	for i, rec := range recs {
-		s.frames[rec.ID] = frameRef{snap, off, lens[i]}
-		off += int64(lens[i])
-	}
 	for _, name := range old {
 		if err := os.Remove(filepath.Join(s.dir, name)); err != nil && !os.IsNotExist(err) {
 			return err
@@ -599,21 +550,6 @@ func (s *FileStore) Compact() error {
 	s.w = bufio.NewWriter(f)
 	s.size = size
 	return nil
-}
-
-// snapshotFrame returns rec's frame for a snapshot, in buf: its remembered
-// frame when the segment still holds it whole under its checksum, and
-// encodeFramed's otherwise.
-func (s *FileStore) snapshotFrame(buf []byte, files map[string]*os.File, rec *RunRecord) ([]byte, error) {
-	if ref, ok := s.frames[rec.ID]; ok && files[ref.seg] != nil {
-		line := slices.Grow(buf[:0], ref.n)[:ref.n]
-		if _, err := files[ref.seg].ReadAt(line, ref.off); err == nil && line[ref.n-1] == '\n' {
-			if h := frameHeader(line[9:ref.n-1], recordFrame); string(h[:]) == string(line[:9]) {
-				return line, nil
-			}
-		}
-	}
-	return encodeFramed(buf[:0], recordFrame, rec)
 }
 
 // writeSegment writes frames 0…n-1 as one segment via tmp+fsync+rename and

@@ -29,7 +29,7 @@ const (
 // identical specs produce byte-identical results — which is what lets the
 // service dedupe repeated submissions against the store.
 //
-// Validation and problem assembly live in internal/service (ValidateSpec,
+// Validation and problem assembly live in internal/service (validate,
 // BuildSpec): this package only defines the identity of a run so that the
 // store stays free of workflow/algorithm registry dependencies.
 type Spec struct {

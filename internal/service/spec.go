@@ -32,7 +32,7 @@ import (
 
 // JobSpec describes one tuning job — histdb's Spec, whose normalized form
 // is the store's identity. Validation and problem assembly stay here
-// (ValidateSpec, BuildSpec) so histdb carries no registry dependencies.
+// (validate, BuildSpec) so histdb carries no registry dependencies.
 type JobSpec = histdb.Spec
 
 // Admission ceilings on a spec's numeric fields. A spec is a few dozen
@@ -62,15 +62,9 @@ func resolve(n JobSpec) (*live.Evaluator, tuner.Algorithm, error) {
 	return ev, alg, nil
 }
 
-// ValidateSpec checks the normalized spec against the benchmark, algorithm
-// and objective registries and the numeric ranges.
-func ValidateSpec(s JobSpec) error {
-	_, err := validate(s.Normalize())
-	return err
-}
-
-// validate is ValidateSpec on an already-normalized spec; admission keeps
-// the resolved benchmark for the record's component index.
+// validate checks a normalized spec against the benchmark, algorithm and
+// objective registries and the numeric ranges — the one admission check;
+// admission keeps the resolved benchmark for the record's component index.
 func validate(n JobSpec) (*workflow.Benchmark, error) {
 	ev, _, err := resolve(n)
 	if err != nil {
@@ -110,7 +104,7 @@ func validate(n JobSpec) (*workflow.Benchmark, error) {
 // problem, measuring through a drift environment that follows the spec's
 // load profile, and the online-retuning driver wrapping the spec's
 // algorithm for the spec's probe count. Range checks are admission's job
-// (ValidateSpec); this only fails on a name no registry knows. Warm-start
+// (validate); this only fails on a name no registry knows. Warm-start
 // data is attached separately by the Manager (it depends on store state, not
 // on the spec alone).
 func BuildSpec(s JobSpec) (*tuner.Problem, tuner.Algorithm, error) {

@@ -36,9 +36,15 @@ func TestSpecKeyCanonical(t *testing.T) {
 	}
 }
 
+// validateSpec is admission's check on a spec as submitted.
+func validateSpec(s JobSpec) error {
+	_, err := validate(s.Normalize())
+	return err
+}
+
 func TestSpecValidate(t *testing.T) {
 	good := JobSpec{Benchmark: "HS", Algorithm: "rs", Objective: "exec", Budget: 10, Pool: 50}
-	if err := ValidateSpec(good); err != nil {
+	if err := validateSpec(good); err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range []JobSpec{
@@ -53,16 +59,16 @@ func TestSpecValidate(t *testing.T) {
 		{Benchmark: "LV", Workers: maxWorkers + 1},
 		{Benchmark: "LV", Mode: "continuous", Probes: maxProbes + 1},
 	} {
-		if err := ValidateSpec(bad); err == nil {
+		if err := validateSpec(bad); err == nil {
 			t.Fatalf("spec %+v accepted", bad)
 		}
 	}
-	if err := ValidateSpec(JobSpec{}); err == nil {
+	if err := validateSpec(JobSpec{}); err == nil {
 		t.Fatal("empty benchmark accepted")
 	}
 	// The ceilings themselves are admissible.
 	atLimit := JobSpec{Benchmark: "LV", Pool: maxPool, Budget: maxBudget, Workers: maxWorkers, Mode: "continuous", Probes: maxProbes}
-	if err := ValidateSpec(atLimit); err != nil {
+	if err := validateSpec(atLimit); err != nil {
 		t.Fatalf("spec at the limits rejected: %v", err)
 	}
 }
