@@ -2,6 +2,7 @@ package ceal
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"ceal/internal/score"
@@ -132,41 +133,42 @@ func TestEnergyObjectiveFacade(t *testing.T) {
 }
 
 // TestWideColumnRefused: a custom benchmark whose parameter is declared
-// with more values than a rank code holds cannot be tuned, and says why
-// with score.ErrWideColumn — over a pool of 100 configurations as over one
-// that takes more values than that. The refusal builds none of the 2^30
-// values' table.
+// with more values than a rank code holds is refused when it is declared,
+// before any pool exists: NewBenchmark panics with score.ErrWideColumn
+// naming the column. The refusal builds none of the 2^30 values' table.
 func TestWideColumnRefused(t *testing.T) {
 	m := DefaultMachine()
 	layout := func(cfg Config) Layout { return Layout{Procs: cfg[0], PPN: 1, Threads: 1} }
-	b := NewBenchmark(Benchmark{
-		Name:    "WIDE",
-		Machine: m,
-		Components: []ComponentSpec{{
-			Name:   "solver",
-			Space:  &Space{Params: []Param{NewParam("procs", 1, 4), NewParam("tile", 1, 1<<30)}},
-			Layout: layout,
-			BuildSolo: func(cfg Config) *Component {
-				t := 1 / float64(cfg[0])
-				return &Component{Name: "solver", Layout: layout(cfg), Steps: 2, StepTime: func(int) float64 { return t }}
-			},
-		}},
-		ExpertExec: Config{4, 1},
-		ExpertComp: Config{1, 1},
-	})
-	for _, n := range []int{100, score.MaxCodes + 500} {
-		p := NewProblem(b, ExecTime, n, 1)
-		if _, err := NewCEAL().Tune(p, 20); !errors.Is(err, score.ErrWideColumn) {
-			t.Fatalf("tuning a pool of %d with a 2^30-value column: err = %v, want score.ErrWideColumn", len(p.Pool), err)
-		}
+	err := func() (err error) {
+		defer func() { err, _ = recover().(error) }()
+		NewBenchmark(Benchmark{
+			Name:    "WIDE",
+			Machine: m,
+			Components: []ComponentSpec{{
+				Name:   "solver",
+				Space:  &Space{Params: []Param{NewParam("procs", 1, 4), NewParam("tile", 1, 1<<30)}},
+				Layout: layout,
+				BuildSolo: func(cfg Config) *Component {
+					t := 1 / float64(cfg[0])
+					return &Component{Name: "solver", Layout: layout(cfg), Steps: 2, StepTime: func(int) float64 { return t }}
+				},
+			}},
+			ExpertExec: Config{4, 1},
+			ExpertComp: Config{1, 1},
+		})
+		return nil
+	}()
+	if !errors.Is(err, score.ErrWideColumn) || !strings.Contains(err.Error(), "solver.tile") {
+		t.Fatalf("declaring a 2^30-value column: refusal %v, want score.ErrWideColumn naming solver.tile", err)
 	}
 }
 
 // TestOffLatticeRefused: a custom layout whose active threads fall as a
 // parameter rises is not bounded by its top corner, where NewBenchmark
-// reads the bound. Its pool cannot be coded, and tuning it fails with a
-// *score.OffLatticeError naming the column, not with codes that stand for
-// other values.
+// reads the bound. Its configurations cannot be coded, and tuning it fails
+// with a *score.OffLatticeError naming the column, not with codes that
+// stand for other values: Phase 1 codes the solver's solo runs first, by
+// the solver's own columns.
 func TestOffLatticeRefused(t *testing.T) {
 	// At the top corner (8, 4): 8 ranks of 2 threads, so active threads is
 	// declared in [1, 16]; at (8, 2) it is 32.
@@ -188,7 +190,8 @@ func TestOffLatticeRefused(t *testing.T) {
 	})
 	p := NewProblem(b, ExecTime, 24, 1)
 	var off *score.OffLatticeError
-	if _, err := NewCEAL().Tune(p, 10); !errors.As(err, &off) || off.Col.Name != "solver.activeThreads" || off.Value <= off.Col.Max {
-		t.Fatalf("tuning a pool whose active threads pass their declared bound: err = %v, want an OffLatticeError for solver.activeThreads", err)
+	_, err := NewCEAL().Tune(p, 10)
+	if !errors.As(err, &off) || off.Col.Name != "activeThreads" || off.Value <= off.Col.Max || !strings.Contains(err.Error(), "solver") {
+		t.Fatalf("tuning a pool whose active threads pass their declared bound: err = %v, want an OffLatticeError for solver's activeThreads", err)
 	}
 }

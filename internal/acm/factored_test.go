@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
 	"sync"
 	"testing"
 
@@ -18,39 +17,52 @@ import (
 
 var allCombiners = []acm.Combiner{acm.Max, acm.Sum, acm.Min, acm.Mean, acm.BottleneckSum}
 
-// expModel is a component model as the tuner builds it: a boosted tree in
-// log space.
-type expModel struct{ m *xgb.Model }
-
-func (e expModel) Predict(x []float64) float64 { return math.Exp(e.m.PredictRow(x)) }
-
-// cellModel is expModel with the cell methods, as tuner.componentModel
-// has them.
-type cellModel struct{ expModel }
-
-func (c cellModel) CodeCells(q *score.Codes, lo int) acm.CodedCells {
-	return expCoded{c.m.Compile(q, lo)}
+// cellModel is a component model as the tuner builds it: a boosted tree
+// in log space, fitted on the codes of its declared columns.
+type cellModel struct {
+	m     *xgb.Model
+	coder *cfgspace.Coder
 }
 
-// expCoded is a cellModel compiled into a coded matrix.
-type expCoded struct{ *xgb.Coded }
+func (c cellModel) Cuts() [][]uint16 { return c.m.Cuts() }
 
-func (e expCoded) PredictRows(rows []int32, out []float64) {
-	e.Coded.PredictRows(rows, out)
+func (c cellModel) PredictRows(q *score.Codes, col int, rows []int32, out []float64) {
+	c.m.PredictRows(q, col, rows, out)
 	for i, v := range out {
 		out[i] = math.Exp(v)
 	}
 }
 
-// fitCell fits a cellModel to rows X and targets y under params p.
-func fitCell(t *testing.T, X [][]float64, y []float64, p xgb.Params) cellModel {
+func (c cellModel) Columns() *cfgspace.Coder { return c.coder }
+
+// PredictFloat walks the float thresholds: the oracle of the coded walk.
+func (c cellModel) PredictFloat(x []float64) float64 {
+	out := []float64{0}
+	c.m.PredictBatchOnInto(nil, [][]float64{x}, out)
+	return math.Exp(out[0])
+}
+
+// fitCell fits a cellModel to sub-configurations subs under coder's
+// columns and targets y under params p.
+func fitCell(t *testing.T, coder *cfgspace.Coder, subs []cfgspace.Config, y []float64, p xgb.Params) cellModel {
 	t.Helper()
-	model, err := xgb.FitOn(nil, X, y, p)
+	q, err := score.Encode(nil, subs, coder)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cellModel{expModel{model}}
+	rows := make([]int32, len(subs))
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	model, err := xgb.NewTrainer(nil).Fit(q, rows, y, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cellModel{model, coder}
 }
+
+// columns returns a part's feature columns (nil: none).
+func columns(part *acm.Part) *cfgspace.Coder { return part.Predictor.(acm.Oracle).Columns() }
 
 // layout is a feature matrix over the configurations under test and where
 // each part's features sit in it: what a problem that declares its
@@ -79,8 +91,8 @@ func own(lf *acm.LowFidelity, cfgs []cfgspace.Config) layout {
 	at := 0
 	for j := range lf.Parts {
 		part := &lf.Parts[j]
-		space := &cfgspace.Space{Params: make([]cfgspace.Param, part.Hi-part.Lo), Coder: part.Coder}
-		if part.Coder == nil {
+		space := &cfgspace.Space{Params: make([]cfgspace.Param, part.Hi-part.Lo), Coder: columns(part)}
+		if space.Coder == nil {
 			space.Coder = cfgspace.NewCoder(nil, nil)
 		}
 		parts = append(parts, cfgspace.NamedSpace{Name: part.Name, Space: space})
@@ -90,28 +102,26 @@ func own(lf *acm.LowFidelity, cfgs []cfgspace.Config) layout {
 	return declared("own", cfgs, cfgspace.Concat(nil, parts...).Coder, spans)
 }
 
-// reversed lays the parts' features out last part first, behind a column
-// no part reads, and codes them by discovery (score.QuantizeRows): value
-// tables that hold only the values the rows take.
+// reversed lays the parts' columns out last part first, behind a column
+// no part reads: the lattices of own at other offsets.
 func reversed(lf *acm.LowFidelity, cfgs []cfgspace.Config) layout {
 	spans := make([]acm.Span, len(lf.Parts))
-	at := 1
+	cols := []cfgspace.Param{cfgspace.NewParam("len", 0, 64)}
 	for j := len(lf.Parts) - 1; j >= 0; j-- {
-		if part := &lf.Parts[j]; part.Coder != nil {
-			spans[j] = acm.Span{Lo: at, Hi: at + part.Coder.Width()}
-			at = spans[j].Hi
+		if c := columns(&lf.Parts[j]); c != nil {
+			spans[j] = acm.Span{Lo: len(cols), Hi: len(cols) + c.Width()}
+			cols = append(cols, c.Cols...)
 		}
 	}
-	rows := make([][]float64, len(cfgs))
-	for i, cfg := range cfgs {
-		rows[i] = []float64{float64(len(cfg))}
-		for j := len(lf.Parts) - 1; j >= 0; j-- {
-			if part := &lf.Parts[j]; part.Coder != nil {
-				rows[i] = append(rows[i], part.Coder.Features(part.Sub(cfg))...)
+	coder := cfgspace.NewCoder(cols, func(cfg cfgspace.Config, dst []int) {
+		dst[0] = len(cfg)
+		for j := range lf.Parts {
+			if part := &lf.Parts[j]; spans[j].Lo < spans[j].Hi {
+				columns(part).Ints(part.Sub(cfg), dst[spans[j].Lo:spans[j].Hi])
 			}
 		}
-	}
-	return layout{name: "reversed", q: score.QuantizeRows(score.New(2), rows), spans: spans}
+	})
+	return declared("reversed", cfgs, coder, spans)
 }
 
 // benchLayout is a benchmark's workflow columns, which hold its
@@ -129,14 +139,14 @@ func benchLayout(bench *workflow.Benchmark, cfgs []cfgspace.Config) layout {
 }
 
 // checkFactoredBothWays runs checkFactored on lf as given — its fitted
-// parts cellModels — and again with the cell methods stripped, which sends
-// every part down the per-row Predict path.
+// parts cellModels — and again with each fitted model's float walk as a
+// Decoded part, whose every lattice value is its own cell.
 func checkFactoredBothWays(t *testing.T, lf *acm.LowFidelity, cfgs []cfgspace.Config, layouts ...layout) {
 	t.Helper()
 	checkFactored(t, lf, cfgs, layouts...)
 	for j := range lf.Parts {
 		if c, ok := lf.Parts[j].Predictor.(cellModel); ok {
-			lf.Parts[j].Predictor = c.expModel
+			lf.Parts[j].Predictor = acm.Decoded{Coder: c.coder, F: c.PredictFloat}
 		}
 	}
 	checkFactored(t, lf, cfgs, layouts...)
@@ -185,9 +195,9 @@ func checkFactored(t *testing.T, lf *acm.LowFidelity, cfgs []cfgspace.Config, la
 //     radices multiply to 2^72, past any packing of a bucket tuple into
 //     one uint64 (a fitted heat model's multiply to about 1e11);
 //   - one HS model scoring, in turn, the pool's codes, 200 of the pool's
-//     rows drawn with replacement, codes discovered over the pool's
-//     features (other value tables) and the pool again; then all four at
-//     once.
+//     rows drawn with replacement, the pool coded with its parts' columns
+//     reversed (other offsets, the same lattices) and the pool again; then
+//     all four at once.
 func TestFactoredScoreMatchesReference(t *testing.T) {
 	m := cluster.Default()
 	benchModel := func(bench *workflow.Benchmark, history int, rng *rand.Rand) *acm.LowFidelity {
@@ -205,18 +215,18 @@ func TestFactoredScoreMatchesReference(t *testing.T) {
 				lf.Parts = append(lf.Parts, part)
 				continue
 			}
-			part.Coder = cs.Space.Columns()
+			coder := cs.Space.Columns()
 			n := 60
 			if j == 0 {
 				n = history
 			}
-			X := make([][]float64, n)
-			y := make([]float64, len(X))
-			for i, sub := range cs.Space.SampleN(rng, len(X)) {
-				X[i] = part.Coder.Features(sub)
-				y[i] = math.Log(1 + X[i][0]/X[i][len(X[i])-1]*float64(1+i%7))
+			subs := cs.Space.SampleN(rng, n)
+			y := make([]float64, n)
+			for i, sub := range subs {
+				x := coder.Features(sub)
+				y[i] = math.Log(1 + x[0]/x[len(x)-1]*float64(1+i%7))
 			}
-			part.Predictor = fitCell(t, X, y, xgb.DefaultParams())
+			part.Predictor = fitCell(t, coder, subs, y, xgb.DefaultParams())
 			lf.Parts = append(lf.Parts, part)
 		}
 		return lf
@@ -233,7 +243,7 @@ func TestFactoredScoreMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewPCG(7, 2))
 		lf := benchModel(bench, 500, rng)
 		pool := bench.Space.SampleN(rng, 3000)
-		if n := lf.Parts[0].Coder.Width(); n != 7 {
+		if n := columns(&lf.Parts[0]).Width(); n != 7 {
 			t.Fatalf("heat has %d features, want 7", n)
 		}
 		checkFactored(t, lf, pool, benchLayout(bench, pool))
@@ -243,25 +253,21 @@ func TestFactoredScoreMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewPCG(7, 4))
 		lf := benchModel(bench, 500, rng)
 		pool := bench.Space.SampleN(rng, 3000)
-		l := benchLayout(bench, pool)
+		l, r := benchLayout(bench, pool), reversed(lf, pool)
 		holdout := make([]int, 200)
 		for k := range holdout {
 			holdout[k] = rng.IntN(len(pool))
 		}
 		holdout[len(holdout)-1] = holdout[0]
-		rows := make([][]float64, len(pool))
-		for i, cfg := range pool {
-			rows[i] = bench.Space.Columns().Features(cfg)
-		}
 		calls := []struct {
 			name string
-			q    *score.Codes
+			l    layout
 			rows []int
 		}{
-			{"pool", l.q, nil},
-			{"holdout", l.q, holdout},
-			{"discovered", score.QuantizeRows(score.New(2), rows), nil},
-			{"pool again", l.q, nil},
+			{"pool", l, nil},
+			{"holdout", l, holdout},
+			{"reversed", r, nil},
+			{"pool again", l, nil},
 		}
 		// cfgsOf lists the configurations a call scores, one a score.
 		cfgsOf := func(rows []int) []cfgspace.Config {
@@ -278,7 +284,7 @@ func TestFactoredScoreMatchesReference(t *testing.T) {
 			lf.Combine = comb
 			for _, e := range []*score.Engine{nil, score.New(2), score.New(4)} {
 				for _, c := range calls {
-					got := lf.ScoreCodes(e, c.q, c.rows, l.spans, pool)
+					got := lf.ScoreCodes(e, c.l.q, c.rows, c.l.spans, pool)
 					for i, cfg := range cfgsOf(c.rows) {
 						if want := lf.Score(cfg); math.Float64bits(got[i]) != math.Float64bits(want) {
 							t.Fatalf("%v %s workers=%d: cfg %v scores %v, Score %v", comb, c.name, e.Workers(), cfg, got[i], want)
@@ -293,7 +299,7 @@ func TestFactoredScoreMatchesReference(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					got := lf.ScoreCodes(score.New(2), c.q, c.rows, l.spans, pool)
+					got := lf.ScoreCodes(score.New(2), c.l.q, c.rows, c.l.spans, pool)
 					for i, cfg := range cfgsOf(c.rows) {
 						if want := lf.Score(cfg); math.Float64bits(got[i]) != math.Float64bits(want) {
 							t.Errorf("%v %s concurrently: cfg %v scores %v, Score %v", comb, c.name, cfg, got[i], want)
@@ -317,7 +323,7 @@ func TestFactoredScoreMatchesReference(t *testing.T) {
 			cols[k] = cfgspace.NewParam(fmt.Sprint("x", k), 0, 255)
 		}
 		lf := &acm.LowFidelity{Parts: []acm.Part{
-			{Name: "steps", Predictor: stepModel(dim), Lo: 0, Hi: dim, Coder: cfgspace.NewCoder(cols, nil),
+			{Name: "steps", Predictor: acm.Decoded{Coder: cfgspace.NewCoder(cols, nil), F: stepModel}, Lo: 0, Hi: dim,
 				Cores: func(cfgspace.Config) float64 { return 4 }},
 			{Name: "fixed", Predictor: acm.ConstPredictor(2), Lo: dim, Hi: dim,
 				Cores: func(cfgspace.Config) float64 { return 1 }},
@@ -366,31 +372,30 @@ func TestFactoredScoreMatchesReferenceGenerated(t *testing.T) {
 			for k := range cols {
 				cols[k] = cfgspace.NewParam(fmt.Sprint("x", k), -2, 3)
 			}
-			part.Coder = cfgspace.NewCoder(cols, nil)
+			coder := cfgspace.NewCoder(cols, nil)
 			if trial%2 == 1 {
 				// Derived columns: each parameter times the first, on the
 				// lattice of multiples of 1 in [-6, 9].
 				for k := range cols {
 					cols[k] = cfgspace.NewParam(fmt.Sprint("y", k), -6, 9)
 				}
-				part.Coder = cfgspace.NewCoder(cols, func(sub cfgspace.Config, dst []int) {
+				coder = cfgspace.NewCoder(cols, func(sub cfgspace.Config, dst []int) {
 					for k, v := range sub {
 						dst[k] = v * sub[0]
 					}
 				})
 			}
-			part.Predictor = sinModel(salt)
+			part.Predictor = acm.Decoded{Coder: coder, F: sinModel(salt)}
 			if rng.IntN(2) == 0 {
-				X, y := make([][]float64, 15), make([]float64, 15)
-				for i := range X {
-					sub := make(cfgspace.Config, part.Hi-part.Lo)
-					for k := range sub {
-						sub[k] = rng.IntN(6) - 2
+				subs, y := make([]cfgspace.Config, 15), make([]float64, 15)
+				for i := range subs {
+					subs[i] = make(cfgspace.Config, part.Hi-part.Lo)
+					for k := range subs[i] {
+						subs[i][k] = rng.IntN(6) - 2
 					}
-					X[i] = part.Coder.Features(sub)
-					y[i] = sinModel(salt).Predict(X[i]) / 4
+					y[i] = sinModel(salt)(coder.Features(subs[i])) / 4
 				}
-				part.Predictor = fitCell(t, X, y, xgb.DefaultParams())
+				part.Predictor = fitCell(t, coder, subs, y, xgb.DefaultParams())
 			}
 			lf.Parts = append(lf.Parts, part)
 		}
@@ -407,61 +412,24 @@ func TestFactoredScoreMatchesReferenceGenerated(t *testing.T) {
 		Cores: func(cfgspace.Config) float64 { return 4 }}}}, nil)
 }
 
-// stepModel is a CellPredictor over dim features with 255 thresholds on
-// each, at 0.5, 1.5, …, 254.5: it predicts the sum of each feature's
-// bucket times 1 + its index squared, so rows in different cells mostly
-// predict differently.
-type stepModel int
-
-func (s stepModel) Predict(x []float64) float64 {
+// stepModel predicts, over features on the lattice 0..255, the sum of
+// each feature's value times 1 + its index squared, so rows in different
+// cells mostly predict differently.
+func stepModel(x []float64) float64 {
 	out := 0.0
 	for f, v := range x {
-		out += math.Max(0, math.Min(255, math.Floor(v+0.5))) * float64(1+f*f)
+		out += v * float64(1+f*f)
 	}
 	return out
 }
 
-func (s stepModel) CodeCells(q *score.Codes, lo int) acm.CodedCells {
-	c := stepCoded{s: s, q: q, lo: lo, cuts: make([][]uint16, s)}
-	for f := range c.cuts {
-		vals := q.Values(lo + f)
-		for k := range 255 {
-			cut := uint16(sort.SearchFloat64s(vals, float64(k)+0.5))
-			if len(c.cuts[f]) == 0 || c.cuts[f][len(c.cuts[f])-1] != cut {
-				c.cuts[f] = append(c.cuts[f], cut)
-			}
+// sinModel is a smooth prediction of both signs.
+func sinModel(s float64) func(x []float64) float64 {
+	return func(x []float64) float64 {
+		out := s
+		for i, v := range x {
+			out += math.Sin(v*float64(i+1)) * s
 		}
+		return out
 	}
-	return c
-}
-
-// stepCoded is a stepModel compiled into a coded matrix: it decodes each
-// row and predicts it.
-type stepCoded struct {
-	s    stepModel
-	q    *score.Codes
-	lo   int
-	cuts [][]uint16
-}
-
-func (c stepCoded) Cuts() [][]uint16 { return c.cuts }
-
-func (c stepCoded) PredictRows(rows []int32, out []float64) {
-	x := make([]float64, c.s)
-	for i, r := range rows {
-		for f := range x {
-			x[f] = c.q.Values(c.lo + f)[c.q.Row(int(r))[c.lo+f]]
-		}
-		out[i] = c.s.Predict(x)
-	}
-}
-
-type sinModel float64
-
-func (s sinModel) Predict(x []float64) float64 {
-	out := float64(s)
-	for i, v := range x {
-		out += math.Sin(v*float64(i+1)) * float64(s)
-	}
-	return out
 }

@@ -7,6 +7,7 @@ import (
 
 	"ceal/internal/cluster"
 	"ceal/internal/ml/xgb"
+	"ceal/internal/score"
 	"ceal/internal/workflow"
 )
 
@@ -90,9 +91,10 @@ func TestNewProblemNonPositivePool(t *testing.T) {
 }
 
 // BenchmarkSurrogateFit fits the default surrogate (log targets, default
-// parameters, one core) on each paper benchmark's real features of 42
-// seeded pool configurations and their measured computer time: the size of
-// a late CEAL refit, over every column the tuner's workflow fits scan.
+// parameters, one core, a fresh trainer) on each paper benchmark's pool
+// codes of 42 seeded configurations and their measured computer time: the
+// size of a late CEAL refit, over every column the tuner's workflow fits
+// scan.
 func BenchmarkSurrogateFit(b *testing.B) {
 	for _, name := range []string{"LV", "HS", "GP"} {
 		bench, err := workflow.ByName(cluster.Default(), name)
@@ -100,17 +102,21 @@ func BenchmarkSurrogateFit(b *testing.B) {
 			b.Fatal(err)
 		}
 		p := NewProblem(bench, workflow.CompTime, 42, 7)
-		X, y := make([][]float64, len(p.Pool)), make([]float64, len(p.Pool))
+		q, err := score.Encode(nil, p.Pool, bench.Space.Columns())
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows, y := make([]int32, len(p.Pool)), make([]float64, len(p.Pool))
 		for i, cfg := range p.Pool {
 			v, err := p.Eval.MeasureWorkflow(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			X[i], y[i] = bench.Space.Features(cfg), math.Log(v)
+			rows[i], y[i] = int32(i), math.Log(v)
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := xgb.FitOn(nil, X, y, xgb.DefaultParams()); err != nil {
+				if _, err := xgb.NewTrainer(nil).Fit(q, rows, y, xgb.DefaultParams()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -274,10 +274,10 @@ func trainBenchData() ([][]float64, []float64, Params) {
 	return X, y, DefaultParams()
 }
 
-// BenchmarkFitPresorted measures the serial trainer on that workload
-// (normal: mostly continuous columns) and on the shape a surrogate refit
-// has at the paper's budget (configs: 50 rows of 7 integer columns, whose
-// ties the split scan skips).
+// BenchmarkFitPresorted measures the serial trainer, a fresh one a fit, on
+// that workload's codes (normal: mostly continuous columns) and on the
+// shape a surrogate refit has at the paper's budget (configs: 50 rows of 7
+// integer columns, whose ties the split scan skips).
 func BenchmarkFitPresorted(b *testing.B) {
 	X, y, p := trainBenchData()
 	cX, cy := configData(1, 50)
@@ -286,9 +286,10 @@ func BenchmarkFitPresorted(b *testing.B) {
 		X    [][]float64
 		y    []float64
 	}{{"normal", X, y}, {"configs", cX, cy}} {
+		q, rows := codesOf(bc.X)
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := FitOn(nil, bc.X, bc.y, p); err != nil {
+				if _, err := NewTrainer(nil).Fit(q, rows, bc.y, p); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -301,10 +302,11 @@ func BenchmarkFitPresorted(b *testing.B) {
 // on available CPUs).
 func BenchmarkFitPresortedParallel4(b *testing.B) {
 	X, y, p := trainBenchData()
+	q, rows := codesOf(X)
 	e := score.New(4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FitOn(e, X, y, p); err != nil {
+		if _, err := NewTrainer(e).Fit(q, rows, y, p); err != nil {
 			b.Fatal(err)
 		}
 	}

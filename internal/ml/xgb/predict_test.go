@@ -44,11 +44,29 @@ func lowCardData(seed uint64, n, dim int) ([][]float64, []float64) {
 	return X, y
 }
 
+// fitWith fits a model on rows X and targets y coded by discovery together
+// with the rows of pool, which take rows 0..len(pool)-1 of the matrix it
+// returns: a model that predicts pool's rows from their codes.
+func fitWith(t testing.TB, X [][]float64, y []float64, pool [][]float64, p Params) (*Model, *score.Codes) {
+	t.Helper()
+	q := score.QuantizeRows(nil, slices.Concat(pool, X))
+	rows := make([]int32, len(X))
+	for k := range rows {
+		rows[k] = int32(len(pool) + k)
+	}
+	m, err := NewTrainer(nil).Fit(q, rows, y, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, q
+}
+
 // TestPredictBatchMatchesPredict pins every complete-tree entry point to the
-// pointer-tree oracle refModel.Predict, bitwise: PredictRow,
-// PredictBatchOnInto serially and at 1/2/4/8 workers,
-// PredictBatchQuantizedOnInto over the rank-coded pool and
-// PredictCodedBounded with nothing to abandon — for
+// pointer-tree oracle refModel.Predict, bitwise: the float walk,
+// PredictBatchOnInto serially and at 1/2/4/8 workers, PredictCodes over
+// the codes the model was fitted with, PredictBatchQuantizedOnInto over
+// the pool coded apart and PredictCodedBounded with nothing to abandon —
+// for
 // leaf-only ensembles (padded to one level), the shallowest and the
 // deepest trees FitOn accepts, and a batch whose length leaves a
 // tail after the four-abreast loop and whose chunks, at every worker
@@ -57,7 +75,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	const dim = 6
 	X, y := trainingData(5, 300, dim)
 	pool, _ := lowCardData(11, 603, dim) // 603 = 4·150 + 3 = 2·256 + 91
-	q := score.QuantizeRows(nil, pool)
+	apart := score.QuantizeRows(nil, pool)
 	all := make([]int, len(pool))
 	for i := range all {
 		all[i] = i
@@ -76,10 +94,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := DefaultParams()
 			p.Rounds, p.MaxDepth = 25, tc.maxDepth
-			m, err := FitOn(nil, X, y, p)
-			if err != nil {
-				t.Fatal(err)
-			}
+			m, q := fitWith(t, X, y, pool, p)
 			if m.depth != tc.padded {
 				t.Fatalf("complete-tree depth %d, want %d", m.depth, tc.padded)
 			}
@@ -106,8 +121,11 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 				m.PredictBatchOnInto(e, pool, got)
 				check("PredictBatchOnInto", got)
 				clear(got)
-				m.PredictBatchQuantizedOnInto(e, q, got)
+				m.PredictBatchQuantizedOnInto(e, apart, got)
 				check("PredictBatchQuantizedOnInto", got)
+				codes := make([]float64, q.N)
+				m.PredictCodes(e, q, codes)
+				check("PredictCodes", codes[:len(pool)])
 			}
 			clear(got)
 			m.PredictCodedBounded(q, all, got, math.Inf(1))
@@ -172,7 +190,6 @@ func TestPredictCodedBoundedIsExact(t *testing.T) {
 		flat[i] = 2.5
 	}
 	pool, _ := lowCardData(17, 600, dim)
-	q := score.QuantizeRows(nil, pool)
 	perm := rand.New(rand.NewPCG(17, 3)).Perm(len(pool))
 	lengths := []int{0, 1, 3, 4, 5, 255, 256, 257, 600}
 	cases := []struct {
@@ -192,10 +209,7 @@ func TestPredictCodedBoundedIsExact(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := DefaultParams()
 			p.Rounds, p.MaxDepth = tc.rounds, tc.depth
-			m, err := FitOn(nil, X, tc.y, p)
-			if err != nil {
-				t.Fatal(err)
-			}
+			m, q := fitWith(t, X, tc.y, pool, p)
 			ref := referenceFit(X, tc.y, p)
 			want := make([]float64, len(pool))
 			for i, x := range pool {
@@ -243,12 +257,8 @@ func TestPredictCodedBoundedIsExact(t *testing.T) {
 func BenchmarkPredictCodedBounded(b *testing.B) {
 	const poolN, n, dim = 100_000, 16, 6
 	X, y := lowCardData(3, 60, dim)
-	m, err := FitOn(nil, X, y, DefaultParams())
-	if err != nil {
-		b.Fatal(err)
-	}
 	pool, _ := lowCardData(17, poolN, dim)
-	q := score.QuantizeRows(nil, pool)
+	m, q := fitWith(b, X, y, pool, DefaultParams())
 	idxs := make([]int, poolN)
 	for i := range idxs {
 		idxs[i] = i

@@ -1,6 +1,11 @@
 package xgb
 
-import "sort"
+import (
+	"slices"
+	"sort"
+
+	"ceal/internal/score"
+)
 
 // refTree is a regression tree grown by referenceGrow: the pointer-tree
 // form the reference trainer grows.
@@ -197,4 +202,50 @@ func identity(n int) []int {
 		s[i] = i
 	}
 	return s
+}
+
+// codesOf codes float rows X by discovery and lists every row: what FitOn
+// fits on.
+func codesOf(X [][]float64) (*score.Codes, []int32) {
+	rows := make([]int32, len(X))
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	return score.QuantizeRows(nil, X), rows
+}
+
+// PredictRow predicts one float feature row by the split thresholds: the
+// float walk of PredictBatchOnInto, one row at a time, that every coded
+// path is pinned to.
+func (m *Model) PredictRow(x []float64) float64 {
+	depth, rounds := m.depth, m.Rounds()
+	inner, leafN := 1<<depth-1, 1<<depth
+	out := m.base
+	for t := 0; t < rounds; t++ {
+		fb := m.feats[t*inner : (t+1)*inner]
+		tb := m.thresh[t*inner : (t+1)*inner]
+		lb := m.leaves[t*leafN : (t+1)*leafN]
+		out += lb[descend(x, fb, tb, depth)-inner]
+	}
+	return out
+}
+
+// Thresholds returns, per feature, the ensemble's distinct split thresholds
+// ascending, up to the last feature any tree splits on (nil for a feature
+// none splits on), read from the trees' real split nodes (the padding
+// compares feature 0 with 0 to no effect).
+func (m *Model) Thresholds() [][]float64 {
+	var out [][]float64
+	m.splits(func(j int) {
+		f := int(m.feats[j])
+		for len(out) <= f {
+			out = append(out, nil)
+		}
+		out[f] = append(out[f], m.thresh[j])
+	})
+	for f, thr := range out {
+		slices.Sort(thr)
+		out[f] = slices.Compact(thr)
+	}
+	return out
 }

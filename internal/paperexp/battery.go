@@ -6,7 +6,6 @@ import (
 	"ceal/internal/metrics"
 	"ceal/internal/score"
 	"ceal/internal/tuner"
-	"ceal/internal/tuner/events"
 )
 
 // RunSpec is what one battery varies: a benchmark ground truth, an
@@ -17,13 +16,6 @@ type RunSpec struct {
 	Budget      int
 	WithHistory bool
 	Algorithms  []tuner.Algorithm
-	// Observe optionally supplies a run-event observer per (replication,
-	// algorithm) tuning run — the hook convergence-curve experiments use to
-	// record per-iteration best-so-far trajectories. It may return nil to
-	// skip a run. Replications run concurrently under Options.Workers > 1,
-	// so the hook itself must be safe for concurrent calls; each returned
-	// observer is only used by its own run.
-	Observe func(rep int, alg string) events.Observer
 }
 
 // AlgStats aggregates one algorithm's results over the replications.
@@ -102,10 +94,6 @@ func RunBattery(opt Options, spec RunSpec) ([]*AlgStats, error) {
 		// Recall, MdAPE and Spearman read the final model's pool scores.
 		problem.ScorePool = true
 		for i, alg := range spec.Algorithms {
-			problem.Observer = nil
-			if spec.Observe != nil {
-				problem.Observer = spec.Observe(rep, alg.Name())
-			}
 			res, err := alg.Tune(problem, spec.Budget)
 			if err != nil {
 				return fmt.Errorf("paperexp: %s on %s (rep %d): %w", alg.Name(), problem.Name, rep, err)

@@ -50,7 +50,6 @@ func All() []Experiment {
 		{"fig11", "Fig. 11: robustness with histories, CEAL vs ALpH", []string{"LV", "HS", "GP"}, runFig11},
 		{"fig12", "Fig. 12: practicality with histories, CEAL vs ALpH", []string{"LV", "HS"}, runFig12},
 		{"fig13", "Fig. 13: CEAL hyper-parameter sensitivity (LV computer time, 50 samples)", []string{"LV"}, runFig13},
-		{"conv", "Convergence: per-iteration best-so-far trajectories from the run-event trace (LV computer time, 50 samples)", []string{"LV"}, runConvergence},
 		{"warm", "Warm start: cold vs warm CEAL measurements-to-target, transfer learning from the history DB (all workflows, computer time)", []string{"LV", "HS", "GP"}, runWarm},
 		{"ablation", "Ablations: combiner choice, model switch, bias escape, energy objective", []string{"LV"}, runAblations},
 		{"drift", "Drift: tune-once vs online retuning cumulative regret under time-varying platform load (all workflows, computer time)", nil, runDrift},

@@ -380,7 +380,7 @@ func TestExperimentRegistry(t *testing.T) {
 			t.Fatalf("experiment %s incomplete", e.ID)
 		}
 	}
-	for _, want := range []string{"table1", "table2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "conv", "ablation"} {
+	for _, want := range []string{"table1", "table2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "ablation"} {
 		if !ids[want] {
 			t.Fatalf("experiment %s missing", want)
 		}

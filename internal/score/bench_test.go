@@ -35,46 +35,45 @@ func benchPool(b *testing.B, n int) (*workflow.Benchmark, []cfgspace.Config) {
 	return bench, pool
 }
 
-// trainModel fits a paper-sized (100-round) surrogate over the benchmark's
-// feature vectors with a smooth synthetic target.
-func trainModel(b *testing.B, bench *workflow.Benchmark, pool []cfgspace.Config) *xgb.Model {
+// fitFirst fits a paper-sized (100-round) model on the first n rows of
+// cfgs coded by coder, with a smooth synthetic target.
+func fitFirst(b *testing.B, cfgs []cfgspace.Config, coder *cfgspace.Coder, n int) *xgb.Model {
 	b.Helper()
-	const nTrain = 40
-	X := make([][]float64, nTrain)
-	y := make([]float64, nTrain)
-	for i := 0; i < nTrain; i++ {
-		X[i] = bench.Space.Features(pool[i])
-		for _, v := range X[i] {
+	q, err := score.Encode(nil, cfgs[:n], coder)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := make([]int32, n)
+	y := make([]float64, n)
+	for i := range rows {
+		rows[i] = int32(i)
+		for _, v := range coder.Features(cfgs[i]) {
 			y[i] += v
 		}
 	}
-	m, err := xgb.FitOn(nil, X, y, xgb.DefaultParams())
+	m, err := xgb.NewTrainer(nil).Fit(q, rows, y, xgb.DefaultParams())
 	if err != nil {
 		b.Fatal(err)
 	}
 	return m
 }
 
-// cellModel is a boosted ensemble as an acm.CellPredictor.
+// cellModel is a boosted ensemble as an acm.Predictor.
 type cellModel struct{ *xgb.Model }
-
-func (m cellModel) Predict(x []float64) float64 { return m.PredictRow(x) }
-
-func (m cellModel) CodeCells(q *score.Codes, lo int) acm.CodedCells { return m.Compile(q, lo) }
 
 // BenchmarkPredictPool measures one surrogate pool-scoring pass — what
 // every algorithm runs once per refinement iteration.
 func BenchmarkPredictPool(b *testing.B) {
 	bench, pool := benchPool(b, 2000)
-	model := trainModel(b, bench, pool)
+	model := fitFirst(b, pool, bench.Space.Columns(), 40)
 
 	// The pre-engine path: featurize every configuration and walk the
-	// ensemble row by row, every call.
+	// ensemble's float thresholds row by row, every call.
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			out := make([]float64, len(pool))
 			for j, cfg := range pool {
-				out[j] = model.PredictRow(bench.Space.Features(cfg))
+				model.PredictBatchOnInto(nil, [][]float64{bench.Space.Features(cfg)}, out[j:j+1])
 			}
 		}
 	})
@@ -86,7 +85,7 @@ func BenchmarkPredictPool(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		model.PredictBatchQuantizedOnInto(eng, q, out)
+		model.PredictCodes(eng, q, out)
 	}
 
 	// Engine path, first call of a run: code-and-cache plus predict.
@@ -134,23 +133,14 @@ func BenchmarkScoreBatch(b *testing.B) {
 			lf.Parts = append(lf.Parts, part)
 			continue
 		}
-		part.Coder = cs.Space.Columns()
-		spans[j] = acm.Span{Lo: at, Hi: at + part.Coder.Width()}
+		coder := cs.Space.Columns()
+		spans[j] = acm.Span{Lo: at, Hi: at + coder.Width()}
 		at = spans[j].Hi
-		const nTrain = 30
-		X := make([][]float64, nTrain)
-		y := make([]float64, nTrain)
-		for i := 0; i < nTrain; i++ {
-			X[i] = part.Coder.Features(part.Sub(pool[i]))
-			for _, v := range X[i] {
-				y[i] += v
-			}
+		subs := make([]cfgspace.Config, 30)
+		for i := range subs {
+			subs[i] = part.Sub(pool[i])
 		}
-		m, err := xgb.FitOn(nil, X, y, xgb.DefaultParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		part.Predictor = cellModel{m}
+		part.Predictor = cellModel{fitFirst(b, subs, coder, len(subs))}
 		lf.Parts = append(lf.Parts, part)
 	}
 	var mat score.Matrix

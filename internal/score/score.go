@@ -185,7 +185,7 @@ func (m *Matrix) Codes(e *Engine, pool []cfgspace.Config, coder *cfgspace.Coder)
 	if codes := m.held(pool); codes != nil {
 		return codes, nil
 	}
-	codes, err := declaredCodes(e, pool, coder)
+	codes, err := Encode(e, pool, coder)
 	if err != nil {
 		return nil, err
 	}

@@ -39,7 +39,7 @@ func (b *alBatches) SelectBatch(st *State) ([]int, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	scorer, err := b.model.poolScorer(st.Problem)
+	scorer, err := b.model.poolScorer()
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +85,7 @@ type surrogateBacked struct {
 // Fit retrains on the warm priors (if the strategy took any) plus every
 // measurement so far.
 func (s *surrogateBacked) Fit(st *State, _ []Sample) (bool, error) {
-	return true, s.model.Train(st.TrainingSamples())
+	return true, s.model.Train(st)
 }
 
 // Finish scores the pool when asked: the surrogate is already fitted.
@@ -93,7 +93,7 @@ func (s *surrogateBacked) Finish(st *State, score bool) ([]float64, error) {
 	if !score {
 		return nil, nil
 	}
-	return s.model.PredictPoolInto(st.Problem.Pool, make([]float64, len(st.Problem.Pool)))
+	return s.model.PredictPoolInto(make([]float64, len(st.Problem.Pool)))
 }
 
 func (s *surrogateBacked) FinalImportance(*State) []float64 {
@@ -136,5 +136,5 @@ type alStrategy struct {
 // WarmStart pre-trains the surrogate on prior-run samples so SelectBatch's
 // very first refinement picks are informed by history.
 func (s *alStrategy) WarmStart(st *State) error {
-	return s.model.Train(st.Prior)
+	return s.model.Train(st)
 }

@@ -163,7 +163,7 @@ func (s *cealStrategy) SeedBatch(st *State) ([]int, error) {
 // scores.
 func (s *cealStrategy) ranker(st *State, high bool) (poolScorer, error) {
 	if high {
-		return s.model.poolScorer(st.Problem)
+		return s.model.poolScorer()
 	}
 	return s.cm.scorer(st.Problem)
 }
@@ -171,7 +171,7 @@ func (s *cealStrategy) ranker(st *State, high bool) (poolScorer, error) {
 // WarmStart pre-trains the high-fidelity surrogate on prior-run workflow
 // samples (st.Prior), set up by the Loop before seeding.
 func (s *cealStrategy) WarmStart(st *State) error {
-	if err := s.model.Train(st.Prior); err != nil {
+	if err := s.model.Train(st); err != nil {
 		return err
 	}
 	s.warmed = true

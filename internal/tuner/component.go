@@ -144,7 +144,6 @@ func trainComponentModels(p *Problem, mR int, rng *rand.Rand) (*componentModels,
 			return nil, fmt.Errorf("tuner: fit component model %s: %w", comp.Name, errs[i])
 		}
 		parts[pf.j].Predictor = models[i]
-		parts[pf.j].Coder = comp.Space.Columns()
 		cm.scanned += models[i].model.SplitsScanned()
 	}
 	cm.lowFi = &acm.LowFidelity{Combine: p.Combiner, Parts: parts}
@@ -194,32 +193,34 @@ func sampleComponentConfigs(p *Problem, j int, space *cfgspace.Space, mR int, rn
 	return space.SampleDraws(rng, mR)
 }
 
-// componentModel adapts a log-target boosted tree to acm.CellPredictor.
+// componentModel adapts a log-target boosted tree to acm.Predictor.
 type componentModel struct {
 	model *xgb.Model
 }
 
-func (c componentModel) Predict(x []float64) float64 {
-	return unlogTarget(c.model.PredictRow(x))
-}
+func (c componentModel) Cuts() [][]uint16 { return c.model.Cuts() }
 
-func (c componentModel) CodeCells(q *score.Codes, lo int) acm.CodedCells {
-	return codedComponent{c.model.Compile(q, lo)}
-}
-
-// codedComponent is a componentModel compiled into a coded matrix.
-type codedComponent struct{ *xgb.Coded }
-
-func (c codedComponent) PredictRows(rows []int32, out []float64) {
-	c.Coded.PredictRows(rows, out)
+func (c componentModel) PredictRows(q *score.Codes, col int, rows []int32, out []float64) {
+	c.model.PredictRows(q, col, rows, out)
 	for i, v := range out {
 		out[i] = unlogTarget(v)
 	}
 }
 
-// fitComponentModel fits one component's model serially: the fits
-// themselves fan across the engine, one per component.
+// fitComponentModel fits one component's model serially on its samples
+// coded by the component's declared columns, whose lattices its columns of
+// the workflow's repeat: the fits themselves fan across the engine, one
+// per component.
 func fitComponentModel(comp ComponentInfo, samples []Sample) (componentModel, error) {
-	m, err := fitLogModel(xgb.NewTrainer(nil), comp.Space.Features, samples)
+	cfgs := make([]cfgspace.Config, len(samples))
+	rows := make([]int32, len(samples))
+	for i, smp := range samples {
+		cfgs[i], rows[i] = smp.Cfg, int32(i)
+	}
+	q, err := score.Encode(nil, cfgs, comp.Space.Columns())
+	if err != nil {
+		return componentModel{}, err
+	}
+	m, err := xgb.NewTrainer(nil).Fit(q, rows, logTargets(nil, samples), xgb.DefaultParams())
 	return componentModel{model: m}, err
 }

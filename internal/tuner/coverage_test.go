@@ -8,20 +8,25 @@ import (
 
 	"math/rand/v2"
 
+	"ceal/internal/acm"
 	"ceal/internal/cfgspace"
 	"ceal/internal/metrics"
 	"ceal/internal/ml/xgb"
+	"ceal/internal/score"
 )
 
 func newTestRNG(seed uint64) *rand.Rand { return rand.New(rand.NewPCG(seed, 0)) }
 
-// Predict returns the surrogate's metric prediction for cfg: the one-row
-// oracle the batch and pool paths are checked against.
+// Predict returns the surrogate's metric prediction for cfg by the float
+// walk over its declared features: the one-row oracle the coded batch and
+// pool paths are checked against.
 func (s *Surrogate) Predict(cfg cfgspace.Config) float64 {
 	if s.model == nil {
 		panic("tuner: Predict on untrained surrogate")
 	}
-	return unlogTarget(s.model.PredictRow(s.feats(cfg)))
+	out := []float64{0}
+	s.model.PredictBatchOnInto(nil, [][]float64{s.coder.Features(cfg)}, out)
+	return unlogTarget(out[0])
 }
 
 func TestAlgorithmNames(t *testing.T) {
@@ -54,46 +59,65 @@ func TestSurrogatePredictUntrainedPanics(t *testing.T) {
 func TestSurrogateTrainEmptyErrors(t *testing.T) {
 	p := synthProblem(41, 20)
 	s := newSurrogate(p)
-	if err := s.Train(nil); err == nil {
+	if err := s.Train(&State{Problem: p}); err == nil {
 		t.Fatal("training on zero samples accepted")
 	}
 }
 
-// TestSurrogateTrainRejectsBadFeatures: a caller-supplied featurizer that
-// yields NaN fails the refit with xgb.ErrBadTrainingData, and the
-// surrogate stays usable — the next Train on clean samples matches a
-// surrogate that never saw the bad batch.
+// TestSurrogateTrainRejectsBadFeatures: pool codes discovered over
+// features one of which is NaN (ALpH's form of codes) fail the refit whose
+// samples reach that row with xgb.ErrBadTrainingData, and the surrogate
+// stays usable — the next Train on clean samples matches a surrogate that
+// never saw the bad batch.
 func TestSurrogateTrainRejectsBadFeatures(t *testing.T) {
 	p := synthProblem(41, 60)
 	samples, err := measureBatch(p, p.Pool[:30])
 	if err != nil {
 		t.Fatal(err)
 	}
-	poison := p.Pool[25].Key()
-	feats := func(c cfgspace.Config) []float64 {
-		x := p.Space.Features(c)
-		if c.Key() == poison {
-			x[0] = math.NaN()
-		}
-		return x
+	rows := make([][]float64, len(p.Pool))
+	for i, cfg := range p.Pool {
+		rows[i] = p.Space.Features(cfg)
 	}
-	s := newFeatureSurrogate(p, p.Space.Dim(), feats)
-	if err := s.Train(samples[:20]); err != nil {
+	rows[25][0] = math.NaN()
+	q := score.QuantizeRows(nil, rows)
+	first := func(n int) *State {
+		idxs := make([]int, n)
+		for i := range idxs {
+			idxs[i] = i
+		}
+		return &State{Problem: p, Samples: samples[:n], Indices: idxs}
+	}
+	discovered := func() *Surrogate {
+		s := newSurrogate(p)
+		s.codes = func() (*score.Codes, error) { return q, nil }
+		return s
+	}
+	s := discovered()
+	if err := s.Train(first(20)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Train(samples); !errors.Is(err, xgb.ErrBadTrainingData) {
+	if err := s.Train(first(30)); !errors.Is(err, xgb.ErrBadTrainingData) {
 		t.Fatalf("Train over a NaN feature: err = %v, want ErrBadTrainingData", err)
 	}
-	if err := s.Train(samples[:25]); err != nil {
+	if err := s.Train(first(25)); err != nil {
 		t.Fatal(err)
 	}
-	clean := newFeatureSurrogate(p, p.Space.Dim(), feats)
-	if err := clean.Train(samples[:25]); err != nil {
+	clean := discovered()
+	if err := clean.Train(first(25)); err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range p.Pool[30:] {
-		if got, want := s.Predict(cfg), clean.Predict(cfg); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("after a rejected batch: Predict(%v) = %v, want %v", cfg, got, want)
+	got, err := s.PredictPoolInto(make([]float64, len(p.Pool)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := clean.PredictPoolInto(make([]float64, len(p.Pool)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("after a rejected batch: pool row %d predicts %v, want %v", i, got[i], want[i])
 		}
 	}
 }
@@ -153,7 +177,7 @@ func TestFixedComponentGetsConstantModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cm.lowFi.Parts[1].Predictor.Predict(nil); got != 1.0 {
+	if got, ok := cm.lowFi.Parts[1].Predictor.(acm.ConstPredictor); !ok || got != 1.0 {
 		t.Fatalf("fixed component prediction = %v, want the solo value 1.0", got)
 	}
 	if len(cm.newSamples[1]) != 0 {

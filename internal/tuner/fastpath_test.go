@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"ceal/internal/acm"
 	"ceal/internal/cfgspace"
 	"ceal/internal/ml/xgb"
 	"ceal/internal/score"
@@ -251,10 +252,14 @@ func drainBothWays(t *testing.T, label string, p *Problem, n int, scorer poolSco
 func TestBoundedTakeTopMatchesReference(t *testing.T) {
 	const poolN = 1500
 	p0 := synthProblem(23, poolN)
-	X := make([][]float64, 80)
-	logY := make([]float64, len(X))
-	for i := range X {
-		X[i] = p0.Space.Features(p0.Pool[i*7])
+	q, err := p0.poolCodes(p0.Pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]int32, 80)
+	logY := make([]float64, len(rows))
+	for i := range rows {
+		rows[i] = int32(i * 7)
 		v, err := p0.Eval.MeasureWorkflow(p0.Pool[i*7])
 		if err != nil {
 			t.Fatal(err)
@@ -274,13 +279,13 @@ func TestBoundedTakeTopMatchesReference(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			y := make([]float64, len(X))
+			y := make([]float64, len(rows))
 			for i := range y {
 				y[i] = tc.target(i)
 			}
 			params := xgb.DefaultParams()
 			params.MaxDepth, params.Rounds = tc.depth, tc.rounds
-			model, err := xgb.FitOn(nil, X, y, params)
+			model, err := xgb.NewTrainer(nil).Fit(q, rows, y, params)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -290,7 +295,7 @@ func TestBoundedTakeTopMatchesReference(t *testing.T) {
 				p.Workers = workers
 				s := newSurrogate(p)
 				s.model = model
-				inner, err := s.poolScorer(p)
+				inner, err := s.poolScorer()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -319,8 +324,8 @@ func TestBoundedTakeTopMatchesReference(t *testing.T) {
 // taken, with more than score.MaxCodes values has a column too wide to
 // code, in the workflow columns and in sim's own. Every way a run codes it
 // is refused with score.ErrWideColumn: AL's surrogate ranking, ALpH's
-// (coded by discovery), CEAL's M_L pass, the Phase-1 model's scores and
-// the surrogate's pool prediction.
+// component fits, CEAL's M_L pass, the Phase-1 model's scores and the
+// surrogate's fit.
 func TestWideColumnRefused(t *testing.T) {
 	wideProblem := func() *Problem {
 		p := synthProblem(5, score.MaxCodes+200)
@@ -356,12 +361,7 @@ func TestWideColumnRefused(t *testing.T) {
 		}
 		samples[i] = Sample{Cfg: p.Pool[i], Value: v}
 	}
-	s := newSurrogate(p)
-	if err := s.Train(samples); err != nil {
-		t.Fatal(err)
-	}
-	_, err = s.PredictPoolInto(p.Pool, make([]float64, len(p.Pool)))
-	refused("PredictPoolInto", err)
+	refused("Train", newSurrogate(p).Train(poolState(p, samples)))
 }
 
 // TestLowFidelityPoolScoresMatchScore: the cached M_L pool vector every
@@ -388,7 +388,7 @@ func TestLowFidelityPoolScoresMatchScore(t *testing.T) {
 		t.Fatal(err)
 	}
 	derived := calls.Load()
-	if _, err := newSurrogate(p).codes(p.Pool); err != nil {
+	if _, err := newSurrogate(p).codes(); err != nil {
 		t.Fatal(err)
 	}
 	if derived != int64(len(p.Pool)) || calls.Load() != derived {
@@ -398,8 +398,7 @@ func TestLowFidelityPoolScoresMatchScore(t *testing.T) {
 	vs := make([]float64, len(cm.lowFi.Parts))
 	for i, cfg := range p.Pool {
 		for j := range cm.lowFi.Parts {
-			part := &cm.lowFi.Parts[j]
-			vs[j] = part.Predict(part.Sub(cfg))
+			vs[j] = partPredict(p, cm.lowFi, j, cfg)
 		}
 		if want := p.Combiner.Combine(vs); math.Float64bits(got[i]) != math.Float64bits(want) {
 			t.Fatalf("pool[%d]: cached M_L score %v, folded predictions %v", i, got[i], want)
@@ -414,4 +413,20 @@ func TestLowFidelityPoolScoresMatchScore(t *testing.T) {
 	if out[0] != got[4] || out[1] != got[0] || out[2] != got[499] {
 		t.Fatalf("scorer returned %v for pool indices 4, 0, 499", out)
 	}
+}
+
+// partPredict is part j's prediction for cfg by the float walk over the
+// component's declared features: the per-configuration oracle of M_L's
+// cell pass.
+func partPredict(p *Problem, lf *acm.LowFidelity, j int, cfg cfgspace.Config) float64 {
+	part := &lf.Parts[j]
+	switch m := part.Predictor.(type) {
+	case acm.ConstPredictor:
+		return float64(m)
+	case componentModel:
+		out := []float64{0}
+		m.model.PredictBatchOnInto(nil, [][]float64{p.Components[j].Space.Features(part.Sub(cfg))}, out)
+		return unlogTarget(out[0])
+	}
+	panic(fmt.Sprintf("part %s: predictor %T", part.Name, part.Predictor))
 }

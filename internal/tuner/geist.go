@@ -144,7 +144,7 @@ func (s *geistStrategy) Finish(st *State, score bool) ([]float64, error) {
 	if st.Observing() {
 		start = time.Now()
 	}
-	if err := s.model.Train(st.Samples); err != nil {
+	if err := s.model.Train(st); err != nil {
 		return nil, err
 	}
 	if st.Observing() {

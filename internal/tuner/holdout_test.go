@@ -20,7 +20,7 @@ import (
 // On LV, HS and GP under both objectives, at 1 and 4 workers, over random
 // index subsets (with a duplicated cell, and sizes that span several
 // chunks), both equal bitwise their one-configuration oracles: M_H's
-// features through PredictRow, and M_L over the holdout's configurations
+// features through the float walk, and M_L over the holdout's configurations
 // coded into a fresh matrix and scored whole.
 func TestHoldoutMatchesFloatRows(t *testing.T) {
 	for _, b := range workflow.Benchmarks(cluster.Default()) {
@@ -38,10 +38,10 @@ func TestHoldoutMatchesFloatRows(t *testing.T) {
 					t.Fatal(err)
 				}
 				s := newSurrogate(p)
-				if err := s.Train(samples); err != nil {
+				if err := s.Train(poolState(p, samples)); err != nil {
 					t.Fatal(err)
 				}
-				high, err := s.poolScorer(p)
+				high, err := s.poolScorer()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -71,7 +71,7 @@ func TestHoldoutMatchesFloatRows(t *testing.T) {
 					wantLow := cm.lowFi.ScoreCodes(p.engine(), q, nil, p.spans(), cfgs)
 					for k, cfg := range cfgs {
 						if want := s.Predict(cfg); math.Float64bits(gotHigh[k]) != math.Float64bits(want) {
-							t.Fatalf("%s n=%d: M_H on pool row %d: %v, PredictRow %v", label, n, holdout[k], gotHigh[k], want)
+							t.Fatalf("%s n=%d: M_H on pool row %d: %v, float walk %v", label, n, holdout[k], gotHigh[k], want)
 						}
 						if math.Float64bits(gotLow[k]) != math.Float64bits(wantLow[k]) {
 							t.Fatalf("%s n=%d: M_L on pool row %d: %v, fresh matrix %v", label, n, holdout[k], gotLow[k], wantLow[k])

@@ -14,6 +14,22 @@ import (
 
 // paperSamples measures the first n configurations of a paper-shaped LV
 // problem (pool 2000, computation time).
+// poolState is a run state whose samples are measurements of the pool
+// rows that hold their configurations.
+func poolState(p *Problem, samples []Sample) *State {
+	at := make(map[string]int, len(p.Pool))
+	for i, cfg := range p.Pool {
+		if _, ok := at[cfg.Key()]; !ok {
+			at[cfg.Key()] = i
+		}
+	}
+	idxs := make([]int, len(samples))
+	for k, smp := range samples {
+		idxs[k] = at[smp.Cfg.Key()]
+	}
+	return &State{Problem: p, Samples: samples, Indices: idxs}
+}
+
 func paperSamples(t testing.TB, n int) (*Problem, []Sample) {
 	t.Helper()
 	p := benchProblem(workflow.LV(cluster.Default()), workflow.CompTime, 2000)
@@ -29,9 +45,9 @@ func paperSamples(t testing.TB, n int) (*Problem, []Sample) {
 
 // TestSurrogateRefitMatchesReference: a surrogate refitted again and again
 // on one trainer, each fit reusing the grower and the arrays of the model
-// it replaced, holds after every refit the model a fresh xgb.FitOn makes
-// of the same samples: pool predictions, bounded pool scores, importance
-// and split thresholds bitwise equal. The sample sets grow batch by batch
+// it replaced, holds after every refit the model a fresh trainer makes of
+// the same samples' pool rows: pool predictions, bounded pool scores,
+// importance bitwise equal, and the same cuts. The sample sets grow batch by batch
 // as a run's do, then one is no prefix extension (fewer rows, other
 // order), and one fails: a failed refit leaves every prediction bitwise
 // as it was, and the refit after it is exact again.
@@ -59,12 +75,12 @@ func TestSurrogateRefitMatchesReference(t *testing.T) {
 	var prev []float64
 	for k, set := range steps {
 		label := fmt.Sprintf("refit %d (%d samples)", k, len(set))
-		err := s.Train(set)
+		err := s.Train(poolState(p, set))
 		if k == len(steps)-2 {
 			if !errors.Is(err, xgb.ErrBadTrainingData) {
 				t.Fatalf("%s: err = %v, want ErrBadTrainingData", label, err)
 			}
-			got, err := s.PredictPoolInto(p.Pool, make([]float64, n))
+			got, err := s.PredictPoolInto(make([]float64, n))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,25 +95,25 @@ func TestSurrogateRefitMatchesReference(t *testing.T) {
 			t.Fatalf("%s: %v", label, err)
 		}
 		if scorer == nil {
-			if scorer, err = s.poolScorer(p); err != nil {
+			if scorer, err = s.poolScorer(); err != nil {
 				t.Fatal(err)
 			}
 		}
 
-		X, y := make([][]float64, len(set)), make([]float64, len(set))
-		for i, smp := range set {
-			X[i], y[i] = p.Space.Features(smp.Cfg), logTarget(smp.Value)
+		rows, y := make([]int32, len(set)), make([]float64, len(set))
+		for i, idx := range poolState(p, set).Indices {
+			rows[i], y[i] = int32(idx), logTarget(set[i].Value)
 		}
-		ref, err := xgb.FitOn(nil, X, y, xgb.DefaultParams())
+		ref, err := xgb.NewTrainer(nil).Fit(q, rows, y, xgb.DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := make([]float64, n)
-		ref.PredictBatchQuantizedOnInto(nil, q, want)
+		ref.PredictCodes(nil, q, want)
 		for i, v := range want {
 			want[i] = unlogTarget(v)
 		}
-		got, err := s.PredictPoolInto(p.Pool, make([]float64, n))
+		got, err := s.PredictPoolInto(make([]float64, n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,12 +131,14 @@ func TestSurrogateRefitMatchesReference(t *testing.T) {
 		}
 		sameBits(t, label+": bounded pool score", gotB, wantB)
 		sameBits(t, label+": importance", s.Importance(), ref.FeatureImportance(s.width))
-		gotT, wantT := s.model.Thresholds(), ref.Thresholds()
-		if len(gotT) != len(wantT) {
-			t.Fatalf("%s: thresholds for %d features, want %d", label, len(gotT), len(wantT))
+		gotC, wantC := s.model.Cuts(), ref.Cuts()
+		if len(gotC) != len(wantC) {
+			t.Fatalf("%s: cuts for %d features, want %d", label, len(gotC), len(wantC))
 		}
-		for f := range wantT {
-			sameBits(t, fmt.Sprintf("%s: feature %d thresholds", label, f), gotT[f], wantT[f])
+		for f := range wantC {
+			if !slices.Equal(gotC[f], wantC[f]) {
+				t.Fatalf("%s: feature %d cuts %v, want %v", label, f, gotC[f], wantC[f])
+			}
 		}
 		prev = got
 	}

@@ -412,7 +412,7 @@ func TestSurrogateLogTargetHandlesScale(t *testing.T) {
 		{Cfg: cfgspace.Config{45, 2, 45, 2}, Value: 6},
 		{Cfg: cfgspace.Config{3, 9, 3, 9}, Value: 4000},
 	}
-	if err := s.Train(samples); err != nil {
+	if err := s.Train(&State{Problem: p, Prior: samples}); err != nil {
 		t.Fatal(err)
 	}
 	if s.Predict(cfgspace.Config{48, 1, 48, 1}) >= s.Predict(cfgspace.Config{2, 10, 2, 10}) {

@@ -1,14 +1,17 @@
 package workflow
 
 import (
+	"errors"
 	"math"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 
 	"ceal/internal/apps"
 	"ceal/internal/cfgspace"
 	"ceal/internal/cluster"
+	"ceal/internal/score"
 )
 
 func TestByName(t *testing.T) {
@@ -376,5 +379,35 @@ func TestBuildCouplesSteps(t *testing.T) {
 		if solo := b.Components[1].BuildSolo(b.Sub(cfg, 1)); solo.Steps != SoloStageWriteSteps {
 			t.Fatalf("solo stage write runs %d steps, want %d", solo.Steps, SoloStageWriteSteps)
 		}
+	}
+}
+
+// TestNewBenchmarkRefusesWideDerivedColumn: a declaration whose parameters
+// are each narrow enough to rank-code, but whose derived active threads
+// (procs × threads at the top corner, 102,400) are not, is refused when it
+// is declared, with score.ErrWideColumn naming the derived column.
+func TestNewBenchmarkRefusesWideDerivedColumn(t *testing.T) {
+	m := cluster.Default()
+	layout := func(cfg cfgspace.Config) apps.Layout { return apps.Layout{Procs: cfg[0], PPN: 1, Threads: cfg[1]} }
+	err := func() (err error) {
+		defer func() { err, _ = recover().(error) }()
+		NewBenchmark(Benchmark{
+			Name:    "THREADS",
+			Machine: m,
+			Components: []ComponentSpec{{
+				Name:   "solver",
+				Space:  &cfgspace.Space{Params: []cfgspace.Param{cfgspace.NewParam("procs", 1, 1024), cfgspace.NewParam("threads", 1, 100)}},
+				Layout: layout,
+				BuildSolo: func(cfg cfgspace.Config) *apps.Component {
+					return &apps.Component{Name: "solver", Layout: layout(cfg), Steps: 2, StepTime: func(int) float64 { return 1 }}
+				},
+			}},
+			ExpertExec: cfgspace.Config{1024, 1},
+			ExpertComp: cfgspace.Config{1, 1},
+		})
+		return nil
+	}()
+	if !errors.Is(err, score.ErrWideColumn) || !strings.Contains(err.Error(), "solver.activeThreads") {
+		t.Fatalf("declaring 102,400 active threads: refusal %v, want score.ErrWideColumn naming solver.activeThreads", err)
 	}
 }

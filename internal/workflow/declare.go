@@ -7,6 +7,7 @@ import (
 	"ceal/internal/apps"
 	"ceal/internal/cfgspace"
 	"ceal/internal/cluster"
+	"ceal/internal/score"
 )
 
 // ComponentSpec declares one component application of a benchmark
@@ -94,7 +95,10 @@ type Benchmark struct {
 // NewBenchmark completes a declared benchmark (every field but Space) by
 // deriving its joint configuration space and its feature columns. Each
 // configurable component's Space becomes a copy carrying the component's
-// columns (the declared space is left as it is).
+// columns (the declared space is left as it is). A declaration no run
+// could rank-code — a column, declared or derived, of more than
+// score.MaxCodes values — panics with an error wrapping
+// score.ErrWideColumn that names the column.
 func NewBenchmark(decl Benchmark) *Benchmark {
 	b := &decl
 	b.Components = slices.Clone(b.Components)
@@ -117,6 +121,11 @@ func NewBenchmark(decl Benchmark) *Benchmark {
 			joint.Ints(cfg, dst[:len(dst)-1])
 			dst[len(dst)-1] = b.nodes(cfg)
 		})
+	for _, c := range b.Space.Coder.Cols {
+		if c.Count() > score.MaxCodes {
+			panic(fmt.Errorf("%w: benchmark %s declares feature %s with %d values, more than %d", score.ErrWideColumn, b.Name, c.Name, c.Count(), score.MaxCodes))
+		}
+	}
 	return b
 }
 
