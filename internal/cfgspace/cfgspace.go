@@ -103,13 +103,11 @@ func (s *Space) Columns() *Coder {
 // values Min, Min+Step, ..., Max of one Param. Ints derives a
 // configuration's column values, so a column's rank among its lattice is
 // (value−Min)/Step, arithmetic rather than discovery (score.Matrix.Codes).
-// Immutable after construction, but for Lattices' tables.
+// Immutable after construction.
 type Coder struct {
 	// Cols declares each column: its name and the lattice its values lie on.
-	Cols        []Param
-	ints        func(cfg Config, dst []int)
-	latticeOnce sync.Once
-	lattices    [][]float64
+	Cols []Param
+	ints func(cfg Config, dst []int)
 }
 
 // NewCoder returns the coder of columns cols whose values ints writes into
@@ -130,22 +128,6 @@ func (c *Coder) Ints(cfg Config, dst []int) {
 		return
 	}
 	c.ints(cfg, dst)
-}
-
-// Lattices returns each column's lattice, ascending: Lattices()[f][k] is
-// Cols[f].Value(k). Built on the first call, the tables are shared by every
-// caller: read-only.
-func (c *Coder) Lattices() [][]float64 {
-	c.latticeOnce.Do(func() {
-		c.lattices = make([][]float64, len(c.Cols))
-		for f, p := range c.Cols {
-			c.lattices[f] = make([]float64, p.Count())
-			for k := range c.lattices[f] {
-				c.lattices[f][k] = float64(p.Value(k))
-			}
-		}
-	})
-	return c.lattices
 }
 
 // Names returns the column names, in order.

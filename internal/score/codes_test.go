@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -13,24 +14,24 @@ import (
 
 // checkCodes verifies a coded matrix against the rows it was built from:
 // every code decodes to its cell's value bitwise (−0 as +0, NaN as NaN),
-// and each value table is strictly ascending with NaN, if any, last — so
-// codes are ranks.
+// and each column's values are strictly ascending with NaN, if any, last —
+// so codes are ranks.
 func checkCodes(t *testing.T, q *Codes, rows [][]float64) {
 	t.Helper()
 	if q.N != len(rows) {
 		t.Fatalf("N = %d, want %d", q.N, len(rows))
 	}
 	for f := 0; f < q.Dim; f++ {
-		vals := q.Values(f)
+		vals := values(q, f)
 		for k := 1; k < len(vals); k++ {
 			if !(vals[k-1] < vals[k]) && !(vals[k] != vals[k] && k == len(vals)-1) {
-				t.Fatalf("feature %d value table not ascending at %d: %v, %v", f, k, vals[k-1], vals[k])
+				t.Fatalf("feature %d values not ascending at %d: %v, %v", f, k, vals[k-1], vals[k])
 			}
 		}
 	}
 	for i, row := range rows {
 		for f, v := range row {
-			got := q.Values(f)[q.Row(i)[f]]
+			got := q.Value(f, q.Row(i)[f])
 			if v != v {
 				if got == got {
 					t.Fatalf("row %d feature %d: NaN decoded as %v", i, f, got)
@@ -93,7 +94,7 @@ func TestQuantizeRowsLosslessIdentity(t *testing.T) {
 // columns are refused by their declared width, whatever the pool holds:
 // Matrix.Codes codes a column of MaxCodes values and refuses one of one
 // more, or of 2^30, with ErrWideColumn naming the column, for a pool of
-// three rows and without building the column's value table.
+// three rows.
 func TestQuantizeRowsWideColumn(t *testing.T) {
 	rows := make([][]float64, MaxCodes+1)
 	for i := range rows {
@@ -179,8 +180,8 @@ func TestMatrixCodesOffLattice(t *testing.T) {
 	}
 }
 
-// TestQuantizedFootprint pins the shrink claim: a coded pool is a quarter
-// of the float cells plus small value tables, before the float rows' slice
+// TestQuantizedFootprint pins the shrink claim: a discovered pool is a
+// quarter of the float cells plus small value tables, before the float rows' slice
 // headers are even counted.
 func TestQuantizedFootprint(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
@@ -236,9 +237,33 @@ func TestMatrixCodes(t *testing.T) {
 			if want := (int(rows[i][f]) - cols[f].Min) / cols[f].Step; int(c) != want {
 				t.Fatalf("row %d feature %d: code %d, lattice position %d", i, f, c, want)
 			}
-			if q.Values(f)[c] != found.Values(f)[found.Row(i)[f]] {
-				t.Fatalf("row %d feature %d: declared code decodes to %v, discovered to %v", i, f, q.Values(f)[c], found.Values(f)[found.Row(i)[f]])
+			if q.Value(f, c) != found.Value(f, found.Row(i)[f]) {
+				t.Fatalf("row %d feature %d: declared code decodes to %v, discovered to %v", i, f, q.Value(f, c), found.Value(f, found.Row(i)[f]))
 			}
 		}
 	}
+	// A declared column's cut is its lattice's count below the threshold,
+	// wherever the threshold falls: on a value, between two, off either
+	// end, or NaN.
+	for f, c := range cols {
+		if q.Count(f) != c.Count() {
+			t.Fatalf("feature %d: %d values, lattice of %d", f, q.Count(f), c.Count())
+		}
+		lattice := values(q, f)
+		for _, thr := range []float64{math.NaN(), math.Inf(-1), math.Inf(1), float64(c.Min) - 0.5, float64(c.Min), float64(c.Max), float64(c.Max) + 1, float64(c.Min+c.Step) + 0.5, float64(c.Value(c.Count() / 2))} {
+			want := sort.Search(len(lattice), func(k int) bool { return !(lattice[k] < thr) })
+			if got := q.Below(f, thr); int(got) != want {
+				t.Fatalf("feature %d: %d values below %v, want %d", f, got, thr, want)
+			}
+		}
+	}
+}
+
+// values returns feature f's values, code by code.
+func values(q *Codes, f int) []float64 {
+	vals := make([]float64, q.Count(f))
+	for k := range vals {
+		vals[k] = q.Value(f, uint16(k))
+	}
+	return vals
 }

@@ -54,7 +54,7 @@ func FuzzQuantizeRows(f *testing.F) {
 		}
 		checkCodes(t, q, rows)
 		for c := 0; c < dim; c++ {
-			top := uint16(len(q.Values(c)) - 1)
+			top := uint16(q.Count(c) - 1)
 			for i, row := range rows {
 				code := q.Row(i)[c]
 				if row[c] != row[c] && code != top {

@@ -1,6 +1,7 @@
 package tuner
 
 import (
+	"strings"
 	"testing"
 
 	"ceal/internal/tuner/events"
@@ -202,6 +203,22 @@ func TestTrainingSamplesColdPathSharesSlice(t *testing.T) {
 	got = st.TrainingSamples()
 	if len(got) != 3 || got[0].Value != 9 || got[2].Value != 2 {
 		t.Fatalf("warm TrainingSamples = %v", got)
+	}
+}
+
+// TestALpHSurrogateRefusesPriors: ALpH's M'_0 fits on codes discovered
+// over the pool's rows and their component predictions, where no prior
+// configuration has a row, so a warm prior reaching it is refused rather
+// than coded by the declared columns and fitted among discovered codes.
+func TestALpHSurrogateRefusesPriors(t *testing.T) {
+	p := synthProblem(29, 100)
+	s := &alphStrategy{}
+	if _, err := s.Bootstrap(&State{Problem: p, Budget: 20, Rng: newTestRNG(3)}); err != nil {
+		t.Fatal(err)
+	}
+	prior := []Sample{{Cfg: p.Pool[0], Value: 5}, {Cfg: p.Pool[1], Value: 7}}
+	if err := s.model.Train(&State{Problem: p, Prior: prior}); err == nil || !strings.Contains(err.Error(), "no warm priors") {
+		t.Fatalf("M'_0 trained on warm priors: %v", err)
 	}
 }
 
