@@ -14,7 +14,7 @@ import (
 
 // docFiles are the documents whose backticked references must name
 // something the repo declares.
-var docFiles = []string{"DESIGN.md", "README.md"}
+var docFiles = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"}
 
 // docForeign are the lowercase qualifiers the documents may use that are
 // not repo packages: standard-library and external names.
@@ -192,10 +192,10 @@ var (
 	docMetric   = regexp.MustCompile(`^[a-z0-9_.]+$`)
 )
 
-// TestDocIdentifiers fails on a backticked reference in DESIGN.md or
-// README.md that the repo does not declare: a pkg.Name whose pkg is a
-// repo package, a Type.Member whose Type is a repo type, a Test, Fuzz or
-// Benchmark function, or an internal/ or cmd/ path. A lowercase
+// TestDocIdentifiers fails on a backticked reference in docFiles that the
+// repo does not declare: a pkg.Name whose pkg is a repo package, a
+// Type.Member whose Type is a repo type, a Test, Fuzz or Benchmark
+// function, or an internal/ or cmd/ path. A lowercase
 // qualifier that is neither must be a listed standard-library or
 // external name, so a reference to a deleted package fails. Ledger metric
 // names (lowercase, with an underscore or three or more parts) and bare
@@ -242,6 +242,144 @@ func TestDocIdentifiers(t *testing.T) {
 			}
 			if why := ix.check(chain); why != "" {
 				t.Errorf("%s: `%s`: %s", doc, span, why)
+			}
+		}
+	}
+}
+
+// designMaxLines bounds DESIGN.md, an index: each mechanism once, with the
+// invariant it keeps, the test that holds it and the package whose doc
+// comment carries the detail.
+const designMaxLines = 600
+
+// designInvariants are the §14 bullets DESIGN.md must keep.
+var designInvariants = []string{"Determinism", "Validity", "Objectives", "Cost accounting", "Property invariants", "Cancellation"}
+
+// designRef is a citation of a DESIGN.md section or of a numbered item in
+// one: "DESIGN.md §13", "DESIGN §5.1".
+var designRef = regexp.MustCompile(`DESIGN(?:\.md)? §(\d+)(?:\.(\d+))?`)
+
+var (
+	designHeading = regexp.MustCompile(`^## (\d+)\. `)
+	designItem    = regexp.MustCompile(`^(\d+)\. `)
+	designBullet  = regexp.MustCompile(`^- \*\*(.+?)\.?\*\*`)
+)
+
+// designSections returns DESIGN.md's numbered sections, each as its body's
+// lines.
+func designSections(t *testing.T) map[string][]string {
+	t.Helper()
+	b, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs := map[string][]string{}
+	cur := ""
+	for _, line := range strings.Split(string(b), "\n") {
+		if m := designHeading.FindStringSubmatch(line); m != nil {
+			cur = m[1]
+			secs[cur] = nil
+			continue
+		}
+		if strings.HasPrefix(line, "## ") {
+			cur = ""
+		}
+		if cur != "" {
+			secs[cur] = append(secs[cur], line)
+		}
+	}
+	return secs
+}
+
+// TestDesignIndex fails when DESIGN.md grows past designMaxLines, when §14
+// drops one of designInvariants, or when a §14 bullet names no Test, Fuzz or
+// Benchmark function the repo declares.
+func TestDesignIndex(t *testing.T) {
+	b, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(b), "\n"); n > designMaxLines {
+		t.Errorf("DESIGN.md is %d lines, more than %d: state each mechanism once and move detail to its package doc", n, designMaxLines)
+	}
+	ix := newDocIndex(t)
+	var bullets []string
+	for _, line := range designSections(t)["14"] {
+		switch {
+		case strings.HasPrefix(line, "- "):
+			bullets = append(bullets, line)
+		case strings.HasPrefix(line, "  ") && len(bullets) > 0:
+			bullets[len(bullets)-1] += " " + strings.TrimSpace(line)
+		}
+	}
+	kept := map[string]bool{}
+	for _, bullet := range bullets {
+		name := bullet
+		if m := designBullet.FindStringSubmatch(bullet); m != nil {
+			name = m[1]
+		}
+		kept[name] = true
+		held := false
+		for _, test := range docTest.FindAllString(bullet, -1) {
+			held = held || ix.tests[test]
+		}
+		if !held {
+			t.Errorf("DESIGN.md §14 %q names no test the repo declares", name)
+		}
+	}
+	for _, name := range designInvariants {
+		if !kept[name] {
+			t.Errorf("DESIGN.md §14 lost its %q invariant", name)
+		}
+	}
+}
+
+// TestDesignSectionRefs fails on a citation of DESIGN.md, in the results
+// files, the other documents or the Go sources, that names no section
+// heading ("## N.") or numbered item of a section ("M." in section N) of
+// DESIGN.md.
+func TestDesignSectionRefs(t *testing.T) {
+	exists := map[string]bool{}
+	for sec, lines := range designSections(t) {
+		exists[sec] = true
+		for _, line := range lines {
+			if m := designItem.FindStringSubmatch(line); m != nil {
+				exists[sec+"."+m[1]] = true
+			}
+		}
+	}
+	files, err := filepath.Glob("results/*.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, "EXPERIMENTS.md", "README.md", "ROADMAP.md")
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if strings.HasSuffix(path, ".go") {
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range designRef.FindAllStringSubmatch(string(b), -1) {
+			ref := m[1]
+			if m[2] != "" {
+				ref += "." + m[2]
+			}
+			if !exists[ref] {
+				t.Errorf("%s: %q cites no section or numbered item of DESIGN.md", f, m[0])
 			}
 		}
 	}

@@ -2,6 +2,11 @@
 // applications and coupled workflows: typed integer parameters, constraint
 // validation, uniform sampling, and the declared feature columns the ML
 // surrogates read.
+//
+// A run reads the columns as codes (Coder.Ints into score.Matrix.Codes);
+// Space.Features and Coder.Features, the float vectors, serve the perf
+// harness's probes only, and CI fails when shipped Go outside this package
+// and internal/perf names them.
 package cfgspace
 
 import (

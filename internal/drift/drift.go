@@ -21,6 +21,14 @@
 // tuner.Continuous drives both: it tunes once through the Env, then probes
 // the incumbent at a cadence, and on a confirmed drift re-explores with a
 // bounded, warm-started budget.
+//
+// The collector above an Env forgets its cache before every epoch
+// (collector.Forget) instead of keying it by platform condition: a
+// condition-keyed cache would let a later epoch hit a value measured
+// earlier at the same condition, which changes the requests that reach
+// Env.Dispatch and so how far the clock advances. A resumed session
+// replays its dispatch.Journal beneath the Env (Env.Record), which serves
+// the checkpoint without changing what the clock sees.
 package drift
 
 import (

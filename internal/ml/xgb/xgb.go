@@ -2,6 +2,18 @@
 // role xgboost.XGBRegressor plays in the paper (§7.3) — with squared-error
 // loss and shrinkage, every round grown on all rows and all columns,
 // entirely on the stdlib.
+//
+// A run fits and predicts on rank codes (score.Codes) only. One trainer,
+// Trainer.Fit, grows every tree on one pre-sorted grower (grow.go), and
+// each split stores its cut, the count of its column's values below the
+// split's threshold, so a model is never compiled into code space. One
+// coded walk serves PredictCodes, PredictCodedBounded and PredictRows.
+// The per-node-sort reference trainer, its pointer trees and referenceFit
+// live in the package's _test.go files, which hold every fit and predict
+// path to them bit for bit. FitOn, PredictBatchOnInto and
+// PredictBatchQuantizedOnInto take float rows or foreign codes for the
+// perf harness's probes only; CI fails when shipped Go outside this
+// package and internal/perf names them.
 package xgb
 
 import (

@@ -324,6 +324,38 @@ func (f failFrom) Tune(p *tuner.Problem, budget int) (*tuner.Result, error) {
 	return tuner.RS{}.Tune(p, budget)
 }
 
+// seedCost is RS reporting its problem's seed as the collection cost.
+type seedCost struct{}
+
+func (seedCost) Name() string { return "seedCost" }
+
+func (seedCost) Tune(p *tuner.Problem, budget int) (*tuner.Result, error) {
+	res, err := tuner.RS{}.Tune(p, budget)
+	if err == nil {
+		res.CollectionCost = float64(p.Seed)
+	}
+	return res, err
+}
+
+// TestBatteryReplicationSeeds: replication r of a battery tunes the problem
+// seeded base+r, at any width.
+func TestBatteryReplicationSeeds(t *testing.T) {
+	const base = 20
+	for _, workers := range []int{1, 4} {
+		stats, err := RunBattery(Options{Reps: 5, Seed: base, Workers: workers}, RunSpec{
+			GT: tinyGT(t, "LV"), Obj: CompTime, Budget: 12, Algorithms: []tuner.Algorithm{seedCost{}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, seed := range stats[0].Cost {
+			if seed != base+float64(r) {
+				t.Fatalf("workers=%d: replication %d tuned seed %v, want %d", workers, r, seed, base+r)
+			}
+		}
+	}
+}
+
 // TestRunBatteryLowestIndexError: with several replications failing, the
 // reported error is the lowest replication's at any width.
 func TestRunBatteryLowestIndexError(t *testing.T) {

@@ -10,6 +10,10 @@
 // results are bitwise identical for any worker count — parallelism never
 // reorders, merges, or re-associates floating-point work. Tasks hands
 // indices out as workers free up, under the same own-slot rule.
+//
+// Each tuning Problem owns one Matrix, shared by its surrogates and M_L,
+// so a run codes its pool once. Matrix.Rows, the float featurization,
+// serves the perf harness's probes only: no run featurizes a pool.
 package score
 
 import (

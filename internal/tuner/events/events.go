@@ -5,9 +5,10 @@
 // decisions, iteration completion — is announced as one typed event.
 //
 // Events serve three consumers at once: production observability (the
-// `-trace` JSONL stream of cmd/ceal-tune), experiment rendering (paperexp's
-// per-iteration convergence curves), and offline mining of tuning histories
-// (the training data transfer-learning autotuners consume).
+// `-trace` JSONL stream of cmd/ceal-tune and the service's per-run event
+// feed), reading a finished run back (`ceal-tune explain`, from a trace file
+// or a stored record), and offline mining of tuning histories (the training
+// data transfer-learning autotuners consume).
 //
 // An Observer is optional everywhere: a nil observer is the zero-cost
 // default, and the Loop only constructs event values when one is attached.
@@ -343,7 +344,7 @@ type PhaseObserver interface {
 }
 
 // Recorder is an Observer that retains every event in arrival order — the
-// tool for tests and for paperexp's convergence curves. Safe for
+// tool for tests and for library callers (ceal.NewRecorder). Safe for
 // concurrent use.
 type Recorder struct {
 	mu     sync.Mutex
@@ -365,13 +366,6 @@ func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]Event(nil), r.events...)
-}
-
-// Reset discards all recorded events.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	r.events = nil
-	r.mu.Unlock()
 }
 
 // Multi fans one event stream out to several observers (nils are

@@ -11,6 +11,14 @@
 // or computer time in core-hours) over a finite sample pool C_pool drawn
 // from the workflow's configuration space (§5), under a data-collection
 // budget expressed in workflow-run equivalents.
+//
+// The budget covers workflow runs and, for CEAL and ALpH, Phase 1's mR
+// standalone component runs, charged as mR workflow-run equivalents (§6).
+// CEAL spends no mR when Problem.History or the warm data covers every
+// configurable component; ALpH only under Problem.History, so under warm
+// coverage it still measures componentFrac of its budget standalone.
+// Historical and warm measurements are free: a Result's CollectionCost is
+// the sum of the values it measured.
 package tuner
 
 import (

@@ -242,6 +242,14 @@ func TestCEALWithHistorySkipsComponentRuns(t *testing.T) {
 	if len(res.Samples) < 15 {
 		t.Errorf("only %d workflow samples with history available", len(res.Samples))
 	}
+	// History is free: the collection cost is the fresh runs' alone.
+	cost := 0.0
+	for _, s := range res.Samples {
+		cost += s.Value
+	}
+	if res.CollectionCost != cost {
+		t.Errorf("CollectionCost = %v, want the %d workflow runs' %v", res.CollectionCost, len(res.Samples), cost)
+	}
 }
 
 func TestLowFidelityScoresRankWell(t *testing.T) {
