@@ -54,7 +54,7 @@ func fitCell(t *testing.T, coder *cfgspace.Coder, subs []cfgspace.Config, y []fl
 	for i := range rows {
 		rows[i] = int32(i)
 	}
-	model, err := xgb.NewTrainer(nil).Fit(q, rows, y, p)
+	model, err := new(xgb.Trainer).Fit(q, rows, y, p)
 	if err != nil {
 		t.Fatal(err)
 	}

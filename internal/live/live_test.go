@@ -116,7 +116,7 @@ func BenchmarkSurrogateFit(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := xgb.NewTrainer(nil).Fit(q, rows, y, xgb.DefaultParams()); err != nil {
+				if _, err := new(xgb.Trainer).Fit(q, rows, y, xgb.DefaultParams()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -22,7 +22,7 @@ func TestFitAllocs(t *testing.T) {
 	X, y := configData(1, 50)
 	q, rows := codesOf(X)
 	fit := func() {
-		if _, err := NewTrainer(nil).Fit(q, rows, y, DefaultParams()); err != nil {
+		if _, err := new(Trainer).Fit(q, rows, y, DefaultParams()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,7 +65,7 @@ func TestFirstPredictAllocs(t *testing.T) {
 	q, rows := codesOf(X)
 	models := make([]*Model, runs+1) // AllocsPerRun calls f once more to warm up
 	for i := range models {
-		m, err := NewTrainer(nil).Fit(q, rows[:40+i], y[:40+i], DefaultParams())
+		m, err := new(Trainer).Fit(q, rows[:40+i], y[:40+i], DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}

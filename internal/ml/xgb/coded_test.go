@@ -86,7 +86,7 @@ func TestFitMatchesReferenceOnLattices(t *testing.T) {
 		}
 		p := Params{Rounds: 1 + rng.IntN(30), LearningRate: 0.05 + rng.Float64()/2, MaxDepth: rng.IntN(7),
 			Lambda: rng.Float64() * 2, Gamma: rng.Float64() * 0.05, MinChildWeight: []float64{0.5, 1, 2.5}[rng.IntN(3)]}
-		m, err := NewTrainer(nil).Fit(q, rows, y, p)
+		m, err := new(Trainer).Fit(q, rows, y, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestCodedRepresentativesMatchFloatRows(t *testing.T) {
 		p := DefaultParams()
 		p.Rounds, p.MaxDepth = 1+rng.IntN(60), []int{0, 1, 4, 6}[rng.IntN(4)]
 		_, all := codesOf(X)
-		m, err := NewTrainer(nil).Fit(train, all, y, p)
+		m, err := new(Trainer).Fit(train, all, y, p)
 		if err != nil {
 			t.Fatal(err)
 		}

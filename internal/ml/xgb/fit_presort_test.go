@@ -7,8 +7,6 @@ import (
 	"math/rand/v2"
 	"slices"
 	"testing"
-
-	"ceal/internal/score"
 )
 
 func trainingData(seed uint64, n, dim int) ([][]float64, []float64) {
@@ -191,28 +189,6 @@ func configData(seed uint64, n int) ([][]float64, []float64) {
 	return X, y
 }
 
-// TestFitDeterministicAcrossWorkerCounts is the acceptance-criterion test:
-// the trained model's predictions must be bitwise identical whether the fit
-// ran serially or fanned split enumeration across any worker count.
-func TestFitDeterministicAcrossWorkerCounts(t *testing.T) {
-	// Large enough that per-node column fans actually engage.
-	X, y := trainingData(5, 1200, 8)
-	p := Params{Rounds: 8, LearningRate: 0.1, MaxDepth: 5, Lambda: 1, MinChildWeight: 1}
-	serial, err := FitOn(nil, X, y, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probes, _ := trainingData(6, 64, 8)
-	for _, w := range []int{1, 2, 4, 8} {
-		m, err := FitOn(score.New(w), X, y, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		samePredictions(t, "train", serial, m, X)
-		samePredictions(t, "probe", serial, m, probes)
-	}
-}
-
 // TestBoosterRejectsBadTrainingData pins the ingestion boundary: a
 // training set with a NaN/Inf feature or target or a ragged row is
 // refused whole with ErrBadTrainingData, wherever the bad row sits, and a
@@ -274,7 +250,7 @@ func trainBenchData() ([][]float64, []float64, Params) {
 	return X, y, DefaultParams()
 }
 
-// BenchmarkFitPresorted measures the serial trainer, a fresh one a fit, on
+// BenchmarkFitPresorted measures the trainer, a fresh one a fit, on
 // that workload's codes (normal: mostly continuous columns) and on the
 // shape a surrogate refit has at the paper's budget (configs: 50 rows of 7
 // integer columns, whose ties the split scan skips).
@@ -289,25 +265,10 @@ func BenchmarkFitPresorted(b *testing.B) {
 		q, rows := codesOf(bc.X)
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := NewTrainer(nil).Fit(q, rows, bc.y, p); err != nil {
+				if _, err := new(Trainer).Fit(q, rows, bc.y, p); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkFitPresortedParallel4 runs the same fit with a 4-worker engine
-// fanning split enumeration (identical results; wall-clock scaling depends
-// on available CPUs).
-func BenchmarkFitPresortedParallel4(b *testing.B) {
-	X, y, p := trainBenchData()
-	q, rows := codesOf(X)
-	e := score.New(4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewTrainer(e).Fit(q, rows, y, p); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -59,14 +59,6 @@ type pair struct {
 	r int32
 }
 
-// minSplitFanWork gates per-node column fan-out: below this many
-// row×column scan steps the goroutine hand-off costs more than the scans
-// it overlaps, so small nodes enumerate serially. Purely a performance
-// threshold — results are bitwise identical either way, because each
-// column writes only its own candidate slot and the cross-column reduce
-// is always serial in feature order.
-const minSplitFanWork = 4096
-
 // grower grows trees over one set of training rows, whose feature columns
 // it holds pre-sorted: per feature, every row's (code, row) pair in (code,
 // row) order, so scans read codes contiguously and nothing reads the rows
@@ -81,8 +73,7 @@ const minSplitFanWork = 4096
 // segment has k+1 rows on its left. Every candidate leaves at least one
 // row on each side, so a MinChildWeight at or below 1 admits every split.
 type grower struct {
-	eng *score.Engine // fans the sorts and split enumeration across columns; nil = serial
-	q   *score.Codes  // the training rows' matrix: its columns' values
+	q *score.Codes // the training rows' matrix: its columns' values
 
 	// The sorted columns, then two working sets laid out alike: dim
 	// columns of n pairs each. The root reads cols; a node at depth d > 0
@@ -105,14 +96,13 @@ type grower struct {
 }
 
 // reset loads rows of q, row rows[k] as training row k: it sorts every
-// feature column into the grower's own storage, fanning the per-column
-// sorts across e (nil: serial), which also fans later split enumeration.
-// The grower holds q until the next reset. Storage that is too small is
-// replaced as resize replaces it, so a grower refitted on accumulating
-// samples reallocates only a few times.
-func (gw *grower) reset(e *score.Engine, q *score.Codes, rows []int32) {
+// feature column into the grower's own storage. The grower holds q until
+// the next reset. Storage that is too small is replaced as resize replaces
+// it, so a grower refitted on accumulating samples reallocates only a few
+// times.
+func (gw *grower) reset(q *score.Codes, rows []int32) {
 	n, dim := len(rows), q.Dim
-	gw.eng, gw.q = e, q
+	gw.q = q
 	pairs, ord := resize(gw.cols, 3*n*dim), resize(gw.rowsOrd, 2*n)
 	gw.cols, gw.buf = pairs[:n*dim], [2][]pair{pairs[n*dim : 2*n*dim], pairs[2*n*dim:]}
 	gw.rowsOrd, gw.rowsAux = ord[:n], ord[n:]
@@ -123,14 +113,14 @@ func (gw *grower) reset(e *score.Engine, q *score.Codes, rows []int32) {
 			gw.cols[f*n+k] = pair{c, int32(k)}
 		}
 	}
-	e.Tasks(dim, func(f int) {
+	for f := 0; f < dim; f++ {
 		slices.SortFunc(gw.cols[f*n:(f+1)*n], func(a, b pair) int {
 			if a.c != b.c {
 				return int(a.c) - int(b.c)
 			}
 			return int(a.r - b.r)
 		})
-	})
+	}
 }
 
 // colBest is a column's best split candidate at a node: its gain, and its
@@ -225,25 +215,17 @@ func (t *growTask) grow(lo, hi, depth, j int) int {
 	}
 
 	// Split enumeration: each column scans its own sorted segment and
-	// records its best candidate in its own slot; the reduce below is
-	// serial in feature order, so candidate selection is independent of
-	// whether (and how wide) the scans fanned out. The serial path calls
-	// the method directly — a closure here escapes per node, which at tree
-	// depth dominates a fit's allocation profile.
+	// records its best candidate in its own slot; the reduce below runs in
+	// feature order, the reference's tie-break.
 	parentScore := gSum * gSum / (hSum + p.Lambda)
 	n, dim := len(gw.rowsOrd), len(gw.best)
 	src, dst := gw.cols, gw.buf[(depth+1)%2]
 	if depth > 0 {
 		src = gw.buf[depth%2]
 	}
-	fan := gw.eng != nil && (hi-lo)*dim >= minSplitFanWork
 	gw.scanned += int64(hi-lo-1) * int64(dim)
-	if fan {
-		gw.eng.Tasks(dim, func(f int) { t.scanCol(f, src[f*n+lo:f*n+hi], gSum, hSum, parentScore) })
-	} else {
-		for f := 0; f < dim; f++ {
-			t.scanCol(f, src[f*n+lo:f*n+hi], gSum, hSum, parentScore)
-		}
+	for f := 0; f < dim; f++ {
+		t.scanCol(f, src[f*n+lo:f*n+hi], gSum, hSum, parentScore)
 	}
 	bestGain := p.Gamma
 	bestFeature := -1
@@ -280,14 +262,9 @@ func (t *growTask) grow(lo, hi, depth, j int) int {
 	}
 	stablePartition(gw.left, gw.rowsOrd[lo:hi], gw.rowsAux[:hi-lo], nl, func(r int32) int32 { return r })
 	copy(gw.rowsOrd[lo:hi], gw.rowsAux[:hi-lo])
-	switch {
-	case depth+1 >= p.MaxDepth:
-		// Both children are leaves, which read only rowsOrd.
-	case fan:
-		gw.eng.Tasks(dim, func(f int) { t.partCol(src[f*n+lo:f*n+hi], dst[f*n+lo:f*n+hi], nl) })
-	default:
+	if depth+1 < p.MaxDepth { // else both children are leaves, which read only rowsOrd
 		for f := 0; f < dim; f++ {
-			t.partCol(src[f*n+lo:f*n+hi], dst[f*n+lo:f*n+hi], nl)
+			stablePartition(gw.left, src[f*n+lo:f*n+hi], dst[f*n+lo:f*n+hi], nl, func(e pair) int32 { return e.r })
 		}
 	}
 	d := t.dst
@@ -344,12 +321,6 @@ func (t *growTask) scanCol(f int, seg []pair, gSum, hSum, parentScore float64) {
 		}
 	}
 	gw.best[f] = colBest{gain: best, at: at, found: found}
-}
-
-// partCol stably partitions a column's node segment from src into dst by
-// the current side marks.
-func (t *growTask) partCol(src, dst []pair, nl int) {
-	stablePartition(t.gw.left, src, dst, nl, func(p pair) int32 { return p.r })
 }
 
 // stablePartition writes src to dst as its left-marked prefix (nl entries)

@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
-
-	"ceal/internal/score"
 )
 
 // randomMatrix builds an n×dim matrix whose columns mix continuous values,
@@ -168,7 +166,7 @@ func growerMatches(t *testing.T, label string, rng *rand.Rand, gw *grower, X [][
 	leaf := make([]float64, n)
 	got := junkComplete(rng, depth)
 	q, rows := codesOf(X)
-	gw.reset(nil, q, rows)
+	gw.reset(q, rows)
 	if d := gw.grow(g, p, scale, got, leaf); d != ref.Depth() {
 		t.Fatalf("%s: grow reached depth %d, reference %d", label, d, ref.Depth())
 	}
@@ -185,35 +183,4 @@ func growerMatches(t *testing.T, label string, rng *rand.Rand, gw *grower, X [][
 		}
 	}
 	return got
-}
-
-// TestGrowerEngineWidthInvariance: a grower's trees must be bitwise
-// identical whether split enumeration runs serially or fans across any
-// number of workers.
-func TestGrowerEngineWidthInvariance(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 11))
-	// Large enough that (rows × cols) clears minSplitFanWork and the
-	// parallel path actually runs.
-	n, dim := 1500, 6
-	X := randomMatrix(rng, n, dim)
-	g := make([]float64, n)
-	for i := range g {
-		g[i] = rng.NormFloat64()
-	}
-	p := Params{MaxDepth: 5, MinChildWeight: 1, Lambda: 1}
-
-	q, rows := codesOf(X)
-	var gw grower
-	gw.reset(nil, q, rows)
-	base := newComplete(p.MaxDepth)
-	if gw.grow(g, p, 1, base, nil) == 0 {
-		t.Fatal("degenerate test tree")
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		var gw grower
-		gw.reset(score.New(w), q, rows)
-		got := newComplete(p.MaxDepth)
-		gw.grow(g, p, 1, got, nil)
-		sameComplete(t, fmt.Sprintf("%d workers", w), base, got)
-	}
 }

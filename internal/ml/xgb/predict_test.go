@@ -54,7 +54,7 @@ func fitWith(t testing.TB, X [][]float64, y []float64, pool [][]float64, p Param
 	for k := range rows {
 		rows[k] = int32(len(pool) + k)
 	}
-	m, err := NewTrainer(nil).Fit(q, rows, y, p)
+	m, err := new(Trainer).Fit(q, rows, y, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,9 @@
 // entirely on the stdlib.
 //
 // A run fits and predicts on rank codes (score.Codes) only. One trainer,
-// Trainer.Fit, grows every tree on one pre-sorted grower (grow.go), and
-// each split stores its cut, the count of its column's values below the
+// Trainer.Fit, grows every tree serially on one pre-sorted grower
+// (grow.go): a fit is tens of rows, too small to pay for fanning out. Each
+// split stores its cut, the count of its column's values below the
 // split's threshold, so a model is never compiled into code space. One
 // coded walk serves PredictCodes, PredictCodedBounded and PredictRows.
 // The per-node-sort reference trainer, its pointer trees and referenceFit
@@ -114,8 +115,8 @@ func descend[T float64 | uint16](x []T, fb []int32, tb []T, depth int) int {
 // target.
 var ErrBadTrainingData = errors.New("xgb: bad training data")
 
-// FitOn trains a model on float feature rows X and targets y on the
-// engine (nil: serially): the rows coded by discovery (score.QuantizeRows),
+// FitOn trains a model on float feature rows X and targets y: the rows
+// coded by discovery (score.QuantizeRows) on the engine (nil: serially),
 // then one fit on a fresh Trainer. No tuning run calls it; it serves the
 // perf harness.
 func FitOn(e *score.Engine, X [][]float64, y []float64, p Params) (*Model, error) {
@@ -135,22 +136,18 @@ func FitOn(e *score.Engine, X [][]float64, y []float64, p Params) (*Model, error
 	for i := range rows {
 		rows[i] = int32(i)
 	}
-	return NewTrainer(e).Fit(q, rows, y, p)
+	return new(Trainer).Fit(q, rows, y, p)
 }
 
 // Trainer fits models one after another and keeps its storage between
 // fits: one grower, the training predictions, and the arrays of a
-// model handed back through Recycle. A Trainer is not safe for concurrent
-// use.
+// model handed back through Recycle. The zero Trainer is ready to fit. A
+// Trainer is not safe for concurrent use.
 type Trainer struct {
-	eng   *score.Engine
 	gw    grower
 	work  []float64 // training predictions, gradients and leaf outputs
 	spare *Model    // handed back by Recycle: its arrays back the next fit
 }
-
-// NewTrainer returns a Trainer that fits on the engine (nil: serially).
-func NewTrainer(e *score.Engine) *Trainer { return &Trainer{eng: e} }
 
 // Recycle hands back a model its owner will never read again: the next
 // successful Fit overwrites its arrays, so no call on m, from any
@@ -162,13 +159,12 @@ func (t *Trainer) Recycle(m *Model) { t.spare = m }
 // pre-sorted once as (code, k) pairs — the matrix is static across all
 // rounds — and every round's tree is grown on the Trainer's grower by
 // stable partition of the sorted columns, straight into the model's
-// complete-tree arrays; per-node split enumeration fans across feature
-// columns on the engine. A split between adjacent training codes a < b
+// complete-tree arrays. A split between adjacent training codes a < b
 // has the float midpoint of their values as its threshold and the count
 // of the column's values below that as its cut. The trained model is
-// bitwise identical for any worker count and whatever storage it reuses,
-// and value-identical to the reference per-node-sort trainer on the rows'
-// float values. A fit that fails leaves the spare in place.
+// bitwise identical whatever storage it reuses, and value-identical to
+// the reference per-node-sort trainer on the rows' float values. A fit
+// that fails leaves the spare in place.
 func (t *Trainer) Fit(q *score.Codes, rows []int32, y []float64, p Params) (*Model, error) {
 	if p.Rounds <= 0 || p.LearningRate <= 0 {
 		return nil, fmt.Errorf("xgb: rounds and learning rate must be positive")
@@ -202,7 +198,7 @@ func (t *Trainer) Fit(q *score.Codes, rows []int32, y []float64, p Params) (*Mod
 	}
 	base /= float64(n)
 
-	t.gw.reset(t.eng, q, rows)
+	t.gw.reset(q, rows)
 
 	// Every round grows into its slots of a complete ensemble as deep as
 	// MaxDepth allows (zero-depth stumps still need one padded level).

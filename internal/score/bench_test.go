@@ -51,7 +51,7 @@ func fitFirst(b *testing.B, cfgs []cfgspace.Config, coder *cfgspace.Coder, n int
 			y[i] += v
 		}
 	}
-	m, err := xgb.NewTrainer(nil).Fit(q, rows, y, xgb.DefaultParams())
+	m, err := new(xgb.Trainer).Fit(q, rows, y, xgb.DefaultParams())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -111,9 +111,12 @@ func (e *Engine) MapChunksIndexed(n int, fn func(ci, lo, hi int)) {
 // Tasks invokes fn for every index in [0, n) across the engine's workers,
 // each worker taking the next unclaimed index, without MapChunks' small-batch
 // serial floor: it is meant for small sets of heavyweight independent jobs
-// — per-component model training, per-column sorts and split scans — where
-// each item is expensive enough that fan-out pays even at n = 2, and where
-// two heavy items must not queue behind each other on one worker. Which
+// — M_L's blocks of cells to predict (internal/acm), QuantizeRows' column sorts, the
+// store's frame decodes and encodes (internal/histdb) and an experiment
+// battery's replications (internal/paperexp) — where each item is
+// expensive enough that fan-out pays even at n = 2, and where two heavy
+// items must not queue behind each other on one worker. No model fit
+// calls it: a fit is serial. Which
 // worker runs an index depends on scheduling, so each index must write only
 // its own output slot; results then depend on neither the worker count nor
 // the schedule.

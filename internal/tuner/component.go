@@ -88,13 +88,8 @@ func trainComponentModels(p *Problem, mR int, rng *rand.Rand) (*componentModels,
 		lo = parts[j].Hi
 	}
 
-	// Pass 1, serial: measurement and configuration sampling, in component
-	// order — the collector and the rng both have order-dependent state.
-	type pendingFit struct {
-		j       int
-		samples []Sample
-	}
-	var fits []pendingFit
+	// One pass in component order: the collector and the rng both have
+	// order-dependent state.
 	cm := &componentModels{newSamples: newSamples}
 	for j, comp := range p.Components {
 		if comp.Space == nil {
@@ -127,24 +122,12 @@ func trainComponentModels(p *Problem, mR int, rng *rand.Rand) (*componentModels,
 		if len(samples) == 0 {
 			return nil, fmt.Errorf("tuner: component %s has no measurements (mR=0 and no history)", comp.Name)
 		}
-		fits = append(fits, pendingFit{j: j, samples: samples})
-	}
-
-	// Pass 2: independent per-component model fits fan across the engine —
-	// each writes only its own slot, and errors are surfaced in component
-	// order, so results and failure behavior match the serial loop.
-	models := make([]componentModel, len(fits))
-	errs := make([]error, len(fits))
-	p.engine().Tasks(len(fits), func(i int) {
-		models[i], errs[i] = fitComponentModel(p.Components[fits[i].j], fits[i].samples)
-	})
-	for i, pf := range fits {
-		comp := p.Components[pf.j]
-		if errs[i] != nil {
-			return nil, fmt.Errorf("tuner: fit component model %s: %w", comp.Name, errs[i])
+		model, err := fitComponentModel(comp, samples)
+		if err != nil {
+			return nil, fmt.Errorf("tuner: fit component model %s: %w", comp.Name, err)
 		}
-		parts[pf.j].Predictor = models[i]
-		cm.scanned += models[i].model.SplitsScanned()
+		parts[j].Predictor = model
+		cm.scanned += model.model.SplitsScanned()
 	}
 	cm.lowFi = &acm.LowFidelity{Combine: p.Combiner, Parts: parts}
 	return cm, nil
@@ -207,10 +190,9 @@ func (c componentModel) PredictRows(q *score.Codes, col int, rows []int32, out [
 	}
 }
 
-// fitComponentModel fits one component's model serially on its samples
-// coded by the component's declared columns, whose lattices its columns of
-// the workflow's repeat: the fits themselves fan across the engine, one
-// per component.
+// fitComponentModel fits one component's model on its samples coded by
+// the component's declared columns, whose lattices its columns of the
+// workflow's repeat.
 func fitComponentModel(comp ComponentInfo, samples []Sample) (componentModel, error) {
 	cfgs := make([]cfgspace.Config, len(samples))
 	rows := make([]int32, len(samples))
@@ -221,6 +203,6 @@ func fitComponentModel(comp ComponentInfo, samples []Sample) (componentModel, er
 	if err != nil {
 		return componentModel{}, err
 	}
-	m, err := xgb.NewTrainer(nil).Fit(q, rows, logTargets(nil, samples), xgb.DefaultParams())
+	m, err := new(xgb.Trainer).Fit(q, rows, logTargets(nil, samples), xgb.DefaultParams())
 	return componentModel{model: m}, err
 }

@@ -285,7 +285,7 @@ func TestBoundedTakeTopMatchesReference(t *testing.T) {
 			}
 			params := xgb.DefaultParams()
 			params.MaxDepth, params.Rounds = tc.depth, tc.rounds
-			model, err := xgb.NewTrainer(nil).Fit(q, rows, y, params)
+			model, err := new(xgb.Trainer).Fit(q, rows, y, params)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -104,7 +104,7 @@ func TestSurrogateRefitMatchesReference(t *testing.T) {
 		for i, idx := range poolState(p, set).Indices {
 			rows[i], y[i] = int32(idx), logTarget(set[i].Value)
 		}
-		ref, err := xgb.NewTrainer(nil).Fit(q, rows, y, xgb.DefaultParams())
+		ref, err := new(xgb.Trainer).Fit(q, rows, y, xgb.DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}

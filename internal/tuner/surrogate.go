@@ -24,7 +24,7 @@ import (
 type Surrogate struct {
 	width   int // features a configuration has
 	model   *xgb.Model
-	trainer *xgb.Trainer
+	trainer xgb.Trainer
 	eng     *score.Engine
 	codes   func() (*score.Codes, error) // the pool's rank codes, built once
 
@@ -49,7 +49,7 @@ type Surrogate struct {
 func newSurrogate(p *Problem) *Surrogate {
 	coder := p.Space.Columns()
 	return &Surrogate{
-		width: coder.Width(), trainer: xgb.NewTrainer(p.engine()), eng: p.engine(), coder: coder,
+		width: coder.Width(), eng: p.engine(), coder: coder,
 		codes: func() (*score.Codes, error) { return p.poolCodes(p.Pool) },
 	}
 }
